@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import sinc
+from .numerics import sinc, sinc_squared
 from .sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch
 
 __all__ = [
@@ -37,12 +37,15 @@ _POWER_MODES = ("incoherent", "coherent")
 class TrialPlan:
     """How many channel realizations to draw and from which seed.
 
-    ``power_mode`` selects how the power estimators form per-realization
-    powers from the paths: "incoherent" sums per-path powers (the definition
-    matched by the analytics, and the lower-variance choice), "coherent"
-    squares the complex path sum instead; both agree in expectation.  The
-    capacity estimator always works on the coherent demodulated amplitudes
-    and ignores this knob.
+    ``power_mode`` selects how the power estimators turn a device's path
+    Doppler shifts into a per-realization power.  Given the shifts, path m
+    demodulates to an independent circular Gaussian amplitude of variance
+    k_m^2 / M, with k_m = sinc(gap + f_D,m * T_s).  "incoherent" takes the
+    conditional mean of the per-path power sum, mean_m k_m^2 (the definition
+    matched by the analytics, and the lower-variance choice); "coherent"
+    draws the power of the complex path sum, which is mean_m k_m^2 times one
+    Exp(1) draw per device.  Both agree in expectation.  The capacity
+    estimator always works on the coherent power and ignores this knob.
     """
 
     trials: int
@@ -100,21 +103,20 @@ def _reduce(values: np.ndarray) -> Estimate:
     return Estimate(mean=mean, std_error=std_error, trials=trials)
 
 
-def _device_powers(batch, gaps_units, cfg: SystemConfig, power_mode: str):
+def _device_powers(rng, batch, gaps_units, cfg: SystemConfig, power_mode: str):
     """Per-(trial, device) received power on the target sub-carrier.
 
-    ``gaps_units`` holds the integer sub-carrier distances scaled by
-    T_s * df, so the sinc argument is built as exact-integer gap plus the
-    small Doppler term; a static network then cancels exactly, not to
-    rounding noise.
+    The mean over paths of sinc(gap + f_D * T_s)^2 is the device's expected
+    power given its path Doppler shifts; "coherent" multiplies it by one
+    Exp(1) draw from ``rng`` per device, the law of the squared complex path
+    sum.  ``gaps_units`` holds the integer sub-carrier distances scaled by
+    T_s * df, so a static network cancels exactly, not to rounding noise.
     """
-    argument = gaps_units[None, :, None] + batch.doppler_hz * cfg.symbol_period_s
-    kernel = sinc(argument)
-    if power_mode == "incoherent":
-        powers = (np.abs(batch.gain) ** 2) * kernel * kernel
-        return powers.sum(axis=2)
-    amplitude = (batch.gain * np.exp(1j * batch.phase_rad) * kernel).sum(axis=2)
-    return np.abs(amplitude) ** 2
+    offsets = batch.doppler_hz * cfg.symbol_period_s
+    powers = sinc_squared(gaps_units[None, :, None], offsets).mean(axis=2)
+    if power_mode == "coherent":
+        powers *= rng.standard_exponential(powers.shape)
+    return powers
 
 
 # ===========================================================================
@@ -144,7 +146,7 @@ def _ici_samples(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
         batch = sample_cell_batch(rng, size, 2 * n + 1, cell, mob, cfg)
-        per_device = _device_powers(batch, gaps, cfg, plan.power_mode)
+        per_device = _device_powers(rng, batch, gaps, cfg, plan.power_mode)
         per_device[:, target_column] = 0.0
         out[start:start + size] = per_device.sum(axis=1) * cfg.effective_power
         start += size
@@ -172,7 +174,7 @@ def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
         batch = sample_cell_batch(rng, size, 1, cell, mob, cfg)
-        per_device = _device_powers(batch, np.zeros(1), cfg, plan.power_mode)
+        per_device = _device_powers(rng, batch, np.zeros(1), cfg, plan.power_mode)
         out[start:start + size] = per_device[:, 0] * cfg.effective_power
         start += size
     return _reduce(out)
@@ -183,8 +185,8 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig,
     """Mean of log2(1 + useful / (interference + noise)) over realizations
     of the whole cell, in bit/s/Hz.
 
-    The per-device signal and interference powers are the coherent path
-    sums of the demodulated amplitudes, whatever ``plan.power_mode`` says:
+    The per-device signal and interference powers are the powers of the
+    coherent path sums, whatever ``plan.power_mode`` says:
     the instantaneous SINR is a property of the received signal, not of the
     variance-reduced accounting the power estimators may use.  Stays below
     :func:`analytic.capacity_upper` in expectation.  Requires positive
@@ -203,7 +205,7 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig,
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
         batch = sample_cell_batch(rng, size, 2 * n + 1, cell, mob, cfg)
-        per_device = _device_powers(batch, gaps, cfg, "coherent")
+        per_device = _device_powers(rng, batch, gaps, cfg, "coherent")
         useful = per_device[:, target_column] * cfg.effective_power
         interference = (per_device.sum(axis=1) - per_device[:, target_column]) \
             * cfg.effective_power
@@ -237,8 +239,7 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
         doppler_ts = batch.doppler_hz * cfg.symbol_period_s
         for victim, source in ((index_a, index_b), (index_b, index_a)):
             gap = float((source - victim) * q)
-            kernel = sinc(gap + doppler_ts[:, column[source], :])
-            powers = (np.abs(batch.gain[:, column[source], :]) ** 2) * kernel * kernel
-            onto[victim][start:start + size] = powers.sum(axis=1) * cfg.effective_power
+            powers = sinc_squared(gap, doppler_ts[:, column[source], :]).mean(axis=1)
+            onto[victim][start:start + size] = powers * cfg.effective_power
         start += size
     return _reduce(onto[index_a]), _reduce(onto[index_b])

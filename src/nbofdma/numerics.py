@@ -17,6 +17,7 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "sinc",
+    "sinc_squared",
     "sine_integral",
     "integrate",
 ]
@@ -77,6 +78,33 @@ def sinc(x):
         return 0.0
     px = math.pi * x
     return math.sin(px) / px
+
+
+def sinc_squared(gap, offset):
+    """sinc(gap + offset)**2 for a whole-number ``gap`` broadcast against a
+    real ``offset`` array; the result has the shape of ``offset``.
+
+    For whole-number gaps sin(pi (gap + offset))^2 = sin(pi r)^2 with
+    r = offset - rint(offset), so the sine never sees a large argument and
+    the result keeps full relative precision hundreds of sub-carriers away,
+    where ``np.sinc`` does not.  Returns exactly 1.0 where
+    gap + offset == 0 and exactly 0.0 where ``offset`` is a whole number and
+    gap + offset != 0.
+    """
+    offset = np.asarray(offset, dtype=float)
+    x = np.add(gap, offset)
+    x *= math.pi
+    x *= x
+    s = np.rint(offset)
+    np.subtract(offset, s, out=s)
+    s *= math.pi
+    np.sin(s, out=s)
+    s *= s
+    centre = x == 0.0
+    x[centre] = 1.0
+    s[centre] = 1.0
+    s /= x
+    return s
 
 
 def _si_series(x: float) -> float:

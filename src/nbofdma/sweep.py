@@ -75,21 +75,24 @@ _OUTPUT_COLUMNS = {
 }
 
 
-def _to_float(raw: str) -> float:
+def _to_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"expected a number, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
-def _to_int(raw: str) -> int:
-    value = _to_float(raw)
+def _to_int(raw: str, key: str) -> int:
+    value = _to_float(raw, key)
     if value != int(value):
-        raise ConfigError(f"expected an integer, got {raw!r}")
+        raise ConfigError(f"{key}: expected an integer, got {raw!r}")
     return int(value)
 
 
-def _to_name(raw: str) -> str:
+def _to_name(raw: str, key: str) -> str:
     return raw
 
 
@@ -182,7 +185,13 @@ def _read_pairs(text: str):
 
 
 def _snr_to_noise(snr_db: float, effective_power: float) -> float:
-    return effective_power * 10.0 ** (-snr_db / 10.0)
+    try:
+        noise = effective_power * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        noise = math.inf
+    if not math.isfinite(noise):
+        raise ValueError(f"snr_db = {snr_db!r} puts the noise power out of range")
+    return noise
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -208,18 +217,18 @@ def parse_config(text: str) -> SweepSpec:
         raw = pairs[key]
         if key in _SYSTEM_KEYS:
             field, convert = _SYSTEM_KEYS[key]
-            system_kwargs[field] = convert(raw)
+            system_kwargs[field] = convert(raw, key)
         elif key == "system.snr_db":
-            snr_db = _to_float(raw)
+            snr_db = _to_float(raw, key)
         elif key in _CELL_KEYS:
             field, convert = _CELL_KEYS[key]
-            cell_kwargs[field] = convert(raw)
+            cell_kwargs[field] = convert(raw, key)
         elif key in _MOBILITY_KEYS:
             field, convert = _MOBILITY_KEYS[key]
-            mobility_kwargs[field] = convert(raw)
+            mobility_kwargs[field] = convert(raw, key)
         elif key in _MC_KEYS:
             field, convert = _MC_KEYS[key]
-            mc_kwargs[field] = convert(raw)
+            mc_kwargs[field] = convert(raw, key)
         elif key == "sweep.axis":
             axis = raw
         elif key == "sweep.grid":
@@ -236,7 +245,7 @@ def parse_config(text: str) -> SweepSpec:
             if inner not in _SCENARIO_KEYS:
                 raise ConfigError(f"curve key {key!r} does not override a known scenario key")
             _, convert = _SCENARIO_KEYS[inner]
-            curves.setdefault(name, []).append((inner, convert(raw)))
+            curves.setdefault(name, []).append((inner, convert(raw, key)))
         else:
             raise ConfigError(f"unknown key {key!r}")
 
@@ -250,7 +259,8 @@ def parse_config(text: str) -> SweepSpec:
 
     if grid is None:
         raise ConfigError("sweep.grid is required")
-    grid_values = tuple(_to_float(tok.strip()) for tok in grid.split(",") if tok.strip())
+    grid_values = tuple(_to_float(tok.strip(), "sweep.grid")
+                        for tok in grid.split(",") if tok.strip())
     if not grid_values:
         raise ConfigError("sweep.grid must list at least one value")
     if any(b <= a for a, b in zip(grid_values, grid_values[1:])):
@@ -300,7 +310,8 @@ def parse_config(text: str) -> SweepSpec:
     # surface per-curve scenario problems at parse time, not mid-run
     for name, overrides in spec.curves or ((None, ()),):
         try:
-            _scenario(spec, overrides, spec.grid[0])
+            for axis_value in spec.grid:
+                _scenario(spec, overrides, axis_value)
         except ValueError as exc:
             label = f"curve {name!r}: " if name else ""
             raise ConfigError(label + str(exc)) from None

@@ -5,6 +5,11 @@ loaded), base station at the cell centre.  Open-loop power control inverts
 the median path loss, so every device arrives at the base station with the
 same effective power and position drops out of the interference statistics.
 Path delays are absorbed into the uniform path phases and never drawn.
+
+:func:`sample_device` draws a whole device for inspection.  The Monte Carlo
+sampler :func:`sample_cell_batch` draws only what the estimators read, the
+speeds and the per-path arrival angles that set the Doppler shifts; the
+fading is drawn by the estimators given those shifts.
 """
 
 from __future__ import annotations
@@ -151,17 +156,11 @@ class Device:
 
 @dataclass(frozen=True)
 class CellBatch:
-    """Vectorized device draws: (trials, devices) scalars, (trials, devices,
-    paths) per-path arrays.  Same law and same per-field draw order as
-    :func:`sample_device`, produced from a single generator."""
+    """Vectorized mobility draws: (trials, devices) speeds and (trials,
+    devices, paths) Doppler shifts, with the laws :func:`sample_device`
+    gives its speed and path Dopplers."""
 
-    radius_m: np.ndarray
-    angle_rad: np.ndarray
     velocity_mps: np.ndarray
-    direction_rad: np.ndarray
-    arrival_angle_rad: np.ndarray
-    phase_rad: np.ndarray
-    gain: np.ndarray
     doppler_hz: np.ndarray
 
 
@@ -247,34 +246,19 @@ def sample_device(rng, cell: CellConfig, mob: MobilityModel, index: int,
 
 def sample_cell_batch(rng, n_trials: int, n_devices: int, cell: CellConfig,
                       mob: MobilityModel, cfg: SystemConfig) -> CellBatch:
-    """Array-shaped :func:`sample_device` for Monte Carlo inner loops.
+    """Speeds and path Doppler shifts of ``n_trials`` x ``n_devices`` devices
+    for Monte Carlo inner loops.
 
-    One generator fills (trials, devices) arrays field by field in the same
-    order as the scalar sampler: position, speed, heading, then arrival
-    angles, phases and gain normals per path.
+    Draws the speeds, uniform on [0, V_max], then the arrival angles,
+    uniform on [0, 2*pi), of ``cell.paths_per_device`` paths per device.
+    Position and heading are not drawn: power control cancels the position
+    and the Doppler shift depends on the speed and arrival angle alone.
     """
     if n_trials < 1 or n_devices < 1:
         raise ValueError("n_trials and n_devices must be at least 1")
-    m = cell.paths_per_device
     flat = (n_trials, n_devices)
-    per_path = (n_trials, n_devices, m)
-    radius = cell.radius_m * np.sqrt(rng.random(flat))
-    angle = rng.uniform(0.0, TWO_PI, flat)
     velocity = rng.uniform(0.0, mob.max_velocity_mps, flat)
-    direction = rng.uniform(0.0, TWO_PI, flat)
-    arrival = rng.uniform(0.0, TWO_PI, per_path)
-    phase = rng.uniform(0.0, TWO_PI, per_path)
-    normals = rng.standard_normal(per_path + (2,))
-    gain = (normals[..., 0] + 1j * normals[..., 1]) / math.sqrt(2.0 * m)
-    doppler = (velocity[..., None] / cfg.wave_speed_mps) \
-        * cfg.carrier_frequency_hz * np.cos(arrival)
-    return CellBatch(
-        radius_m=radius,
-        angle_rad=angle,
-        velocity_mps=velocity,
-        direction_rad=direction,
-        arrival_angle_rad=arrival,
-        phase_rad=phase,
-        gain=gain,
-        doppler_hz=doppler,
-    )
+    arrival = rng.uniform(0.0, TWO_PI, flat + (cell.paths_per_device,))
+    doppler = np.cos(arrival, out=arrival)
+    doppler *= ((velocity / cfg.wave_speed_mps) * cfg.carrier_frequency_hz)[..., None]
+    return CellBatch(velocity_mps=velocity, doppler_hz=doppler)

@@ -58,7 +58,7 @@ def test_static_network_has_exactly_zero_interference():
     est = estimate_total_ici(plan, CFG, CELL, mob0)
     assert est.mean == 0.0 and est.std_error == 0.0
     useful = estimate_useful_power(plan, CFG, CELL, mob0)
-    assert useful.mean == pytest.approx(1.0, abs=0.05)
+    assert useful.mean == 1.0 and useful.std_error == 0.0
 
 
 def test_ici_matches_finite_grid_expectation():

@@ -14,6 +14,7 @@ from nbofdma.numerics import (
     QuadratureSpec,
     integrate,
     sinc,
+    sinc_squared,
     sine_integral,
 )
 
@@ -53,6 +54,27 @@ def test_sinc_array_matches_scalar():
     for x, y in zip(xs, out):
         assert y == sinc(float(x))
     assert out[4] == 0.0 and out[6] == 0.0
+
+
+def test_sinc_squared_integer_cases_are_exact():
+    gaps = np.array([0.0, 0.0, -3.0, 5.0, 398.0, -1.0, 2.0, 4.0])
+    offsets = np.array([0.0, -0.0, 3.0, 0.0, 0.0, 0.0, -2.0, 1.0])
+    out = sinc_squared(gaps, offsets)
+    assert out.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+
+
+def test_sinc_squared_matches_mpmath_at_large_gaps():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    gaps = rng.integers(-398, 399, size=400).astype(float)
+    offsets = np.concatenate([rng.uniform(-1.0, 1.0, 300),
+                              rng.integers(-1, 2, 100) + rng.uniform(-1e-6, 1e-6, 100)])
+    out = sinc_squared(gaps, offsets)
+    with mpmath.workdps(40):
+        for g, d, y in zip(gaps, offsets, out):
+            x = mpmath.mpf(g) + mpmath.mpf(d)
+            exact = (mpmath.sin(mpmath.pi * x) / (mpmath.pi * x)) ** 2
+            assert abs(y - exact) <= 1e-13 * exact
 
 
 def test_sinc_even_property():

@@ -80,6 +80,23 @@ def test_rejects_malformed_input(text, fragment):
         parse_config(text + "\n")
 
 
+@pytest.mark.parametrize("text,fragment", [
+    (AXIS + GRID + OUTS + "mc.trials = inf", "mc.trials: expected a finite number"),
+    (AXIS + OUTS + "sweep.grid = 0, nan", "sweep.grid: expected a finite number"),
+    (AXIS + OUTS + "sweep.grid = 0, inf", "sweep.grid: expected a finite number"),
+    (AXIS + GRID + OUTS + "cell.radius_m = inf", "cell.radius_m: expected a finite"),
+    (AXIS + GRID + OUTS + "system.noise_variance = inf", "system.noise_variance: expected"),
+    (AXIS + GRID + OUTS + "mobility.max_velocity_mps = -inf", "mobility.max_velocity_mps"),
+    (AXIS + GRID + OUTS + "curve.a.cell.radius_m = nan", "curve.a.cell.radius_m: expected"),
+    (AXIS + GRID + OUTS + "system.snr_db = -4000", "noise power out of range"),
+    ("sweep.axis = snr_db\nsweep.grid = -4000, 0\nsweep.outputs = capacity_exact",
+     "noise power out of range"),
+])
+def test_rejects_non_finite_numbers(text, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config(text + "\n")
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="sweep.axis"):
         parse_config("sweep.grid = 1\nsweep.outputs = ici_exact\n")
