@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import sinc, sinc_squared
+from .numerics import row_tiles, sinc, sinc_squared
 from .sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch
 
 __all__ = [
@@ -111,9 +111,16 @@ def _device_powers(rng, batch, gaps_units, cfg: SystemConfig, power_mode: str):
     Exp(1) draw from ``rng`` per device, the law of the squared complex path
     sum.  ``gaps_units`` holds the integer sub-carrier distances scaled by
     T_s * df, so a static network cancels exactly, not to rounding noise.
+    The kernel runs on tiles of trial rows and each row's path sum is taken
+    within its tile, so the tile size changes no value.
     """
-    offsets = batch.doppler_hz * cfg.symbol_period_s
-    powers = sinc_squared(gaps_units[None, :, None], offsets).mean(axis=2)
+    trials, devices, paths = batch.doppler_hz.shape
+    powers = np.empty((trials, devices))
+    for rows in row_tiles(trials, devices * paths):
+        offsets = batch.doppler_hz[rows] * cfg.symbol_period_s
+        kernel = sinc_squared(gaps_units[None, :, None], offsets)
+        np.einsum("tdm->td", kernel, out=powers[rows])
+    powers /= paths
     if power_mode == "coherent":
         powers *= rng.standard_exponential(powers.shape)
     return powers
@@ -232,6 +239,7 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
     q = cfg.spacing_symbol_product
     onto = {index_a: np.empty(plan.trials), index_b: np.empty(plan.trials)}
     column = {low: 0, high: 1}  # devices drawn in index order
+    paths = cell.paths_per_device
     start = 0
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
@@ -239,7 +247,8 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
         doppler_ts = batch.doppler_hz * cfg.symbol_period_s
         for victim, source in ((index_a, index_b), (index_b, index_a)):
             gap = float((source - victim) * q)
-            powers = sinc_squared(gap, doppler_ts[:, column[source], :]).mean(axis=1)
+            kernel = sinc_squared(gap, doppler_ts[:, column[source], :])
+            powers = np.einsum("tm->t", kernel) / paths
             onto[victim][start:start + size] = powers * cfg.effective_power
         start += size
     return _reduce(onto[index_a]), _reduce(onto[index_b])

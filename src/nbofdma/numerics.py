@@ -1,4 +1,5 @@
-"""Deterministic numerical kernels: normalized sinc, sine integral, quadrature.
+"""Deterministic numerical kernels: sin(pi r), normalized sinc, sine integral,
+quadrature, and the row tiles of the Monte Carlo block arithmetic.
 
 Everything in this module is pure floating-point arithmetic with no hidden
 state and no randomness, so repeated calls with identical inputs return
@@ -16,8 +17,10 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
+    "sin_pi",
     "sinc",
     "sinc_squared",
+    "row_tiles",
     "sine_integral",
     "integrate",
 ]
@@ -80,6 +83,32 @@ def sinc(x):
     return math.sin(px) / px
 
 
+# odd Taylor series sin(pi r) = r * sum_k (-1)^k pi^(2k+1) / (2k+1)! r^(2k);
+# for |r| <= 1/2 the first dropped term, k = 12, is below 1e-20
+_SIN_PI_COEFFS = tuple((-1) ** k * math.pi ** (2 * k + 1) / math.factorial(2 * k + 1)
+                       for k in range(12))
+
+
+def sin_pi(r):
+    """sin(pi r) for |r| <= 1/2 from a power series in numpy arithmetic
+    alone; returns an array of the shape of ``r``.
+
+    Accurate to rounding on that range and odd bit for bit (the series is r
+    times a polynomial in r^2), so +0 and -0 map to themselves.  Clamped to
+    [-1, 1]: near r = +-1/2 the unclamped series can round one ulp above 1.
+    Outside |r| <= 1/2 the result is not sin(pi r).
+    """
+    r = np.asarray(r, dtype=float)
+    r2 = r * r
+    p = np.multiply(r2, _SIN_PI_COEFFS[-1], out=np.empty_like(r))
+    for c in _SIN_PI_COEFFS[-2:0:-1]:
+        p += c
+        p *= r2
+    p += _SIN_PI_COEFFS[0]
+    p *= r
+    return np.clip(p, -1.0, 1.0, out=p)
+
+
 def sinc_squared(gap, offset):
     """sinc(gap + offset)**2 for a whole-number ``gap`` broadcast against a
     real ``offset`` array; the result has the shape of ``offset``.
@@ -95,16 +124,28 @@ def sinc_squared(gap, offset):
     x = np.add(gap, offset)
     x *= math.pi
     x *= x
-    s = np.rint(offset)
-    np.subtract(offset, s, out=s)
-    s *= math.pi
-    np.sin(s, out=s)
+    r = np.rint(offset)
+    np.subtract(offset, r, out=r)
+    s = sin_pi(r)
     s *= s
     centre = x == 0.0
     x[centre] = 1.0
     s[centre] = 1.0
     s /= x
     return s
+
+
+# elements per tile of the Monte Carlo block arithmetic: small enough for a
+# tile and its temporaries to stay in cache, large enough that numpy's
+# per-call overhead is amortized
+_TILE_ELEMENTS = 1 << 15
+
+
+def row_tiles(rows: int, row_size: int):
+    """Slices covering ``rows`` consecutive rows of ``row_size`` elements in
+    tiles of about :data:`_TILE_ELEMENTS` elements, at least one row each."""
+    step = max(1, _TILE_ELEMENTS // row_size)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def _si_series(x: float) -> float:

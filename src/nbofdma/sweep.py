@@ -311,11 +311,44 @@ def parse_config(text: str) -> SweepSpec:
     for name, overrides in spec.curves or ((None, ()),):
         try:
             for axis_value in spec.grid:
-                _scenario(spec, overrides, axis_value)
+                cfg, _, mob = _scenario(spec, overrides, axis_value)
+                if cfg.noise_variance == 0.0:
+                    _check_noiseless(spec, cfg, mob, axis_value,
+                                     _noise_key(spec, name, overrides, snr_db))
         except ValueError as exc:
             label = f"curve {name!r}: " if name else ""
             raise ConfigError(label + str(exc)) from None
     return spec
+
+
+def _noise_key(spec: SweepSpec, name, overrides, global_snr_db) -> str:
+    """The config key that sets the noise power of a curve's grid points,
+    in the precedence order of :func:`_scenario`."""
+    if spec.axis == "snr_db":
+        return "sweep.grid"
+    keys = [key for key, _ in overrides]
+    for key in ("system.snr_db", "system.noise_variance"):
+        if key in keys:
+            return f"curve.{name}.{key}"
+    return "system.snr_db" if global_snr_db is not None else "system.noise_variance"
+
+
+def _check_noiseless(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
+                     axis_value: float, key: str):
+    """Refuse the outputs a grid point without noise cannot give: the Monte
+    Carlo capacity needs positive noise, and in a static network, where the
+    interference is zero too, every capacity output's SINR is unbounded."""
+    needs_noise = {"capacity_mc"}
+    if mob.max_velocity_mps == 0.0:
+        needs_noise.update(("capacity_exact", "capacity_approx"))
+        if cfg.bandwidth_hz > 0.0:
+            needs_noise.add("sum_rate")
+    refused = [output for output in spec.outputs if output in needs_noise]
+    if refused:
+        raise ValueError(
+            f"{key}: the noise power is 0 at {_AXIS_COLUMN[spec.axis]} = {axis_value!r}, "
+            f"where {', '.join(refused)} need{'s' if len(refused) == 1 else ''} "
+            "positive noise")
 
 
 def to_text(spec: SweepSpec) -> str:

@@ -8,8 +8,12 @@ Path delays are absorbed into the uniform path phases and never drawn.
 
 :func:`sample_device` draws a whole device for inspection.  The Monte Carlo
 sampler :func:`sample_cell_batch` draws only what the estimators read, the
-speeds and the per-path arrival angles that set the Doppler shifts; the
-fading is drawn by the estimators given those shifts.
+speeds and, per path, the cosine of the arrival angle that sets its Doppler
+shift; the fading is drawn by the estimators given those shifts.  For an
+angle psi uniform on [0, 2*pi), cos(psi) has the arcsine law, CDF
+1/2 + arcsin(x)/pi on [-1, 1] (Clarke 1968), and so has sin(pi (u - 1/2))
+for u uniform on [0, 1): the sampler forms the cosine that way, without a
+full-circle angle or a library trigonometric call.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import row_tiles, sin_pi
 
 __all__ = [
     "SystemConfig",
@@ -156,9 +162,11 @@ class Device:
 
 @dataclass(frozen=True)
 class CellBatch:
-    """Vectorized mobility draws: (trials, devices) speeds and (trials,
-    devices, paths) Doppler shifts, with the laws :func:`sample_device`
-    gives its speed and path Dopplers."""
+    """Vectorized mobility draws: (trials, devices) speeds v, uniform on
+    [0, V_max], and (trials, devices, paths) Doppler shifts
+    (v / c) f_c cos(psi), with cos(psi) of the arcsine law and independent
+    across paths: the laws :func:`sample_device` gives its speed and path
+    Dopplers."""
 
     velocity_mps: np.ndarray
     doppler_hz: np.ndarray
@@ -249,16 +257,24 @@ def sample_cell_batch(rng, n_trials: int, n_devices: int, cell: CellConfig,
     """Speeds and path Doppler shifts of ``n_trials`` x ``n_devices`` devices
     for Monte Carlo inner loops.
 
-    Draws the speeds, uniform on [0, V_max], then the arrival angles,
-    uniform on [0, 2*pi), of ``cell.paths_per_device`` paths per device.
-    Position and heading are not drawn: power control cancels the position
-    and the Doppler shift depends on the speed and arrival angle alone.
+    Draws the speeds, uniform on [0, V_max], then one uniform u on [0, 1)
+    per path, ``cell.paths_per_device`` paths per device; the draws use the
+    stream as ``uniform(0, 2*pi)`` arrival angles would.  The path's
+    cos(psi) is sin(pi (u - 1/2)) = -cos(pi u), which has the arcsine law of
+    the cosine of an angle uniform on [0, 2*pi).  Position and heading are
+    not drawn: power control cancels the position and the Doppler shift
+    depends on the speed and arrival angle alone.  The per-path arithmetic
+    runs on tiles of trial rows (:func:`numerics.row_tiles`), which changes
+    no value.
     """
     if n_trials < 1 or n_devices < 1:
         raise ValueError("n_trials and n_devices must be at least 1")
     flat = (n_trials, n_devices)
     velocity = rng.uniform(0.0, mob.max_velocity_mps, flat)
-    arrival = rng.uniform(0.0, TWO_PI, flat + (cell.paths_per_device,))
-    doppler = np.cos(arrival, out=arrival)
-    doppler *= ((velocity / cfg.wave_speed_mps) * cfg.carrier_frequency_hz)[..., None]
+    doppler = rng.random(flat + (cell.paths_per_device,))
+    max_shift = (velocity / cfg.wave_speed_mps) * cfg.carrier_frequency_hz
+    for rows in row_tiles(n_trials, n_devices * cell.paths_per_device):
+        tile = doppler[rows]
+        tile -= 0.5
+        np.multiply(sin_pi(tile), max_shift[rows, :, None], out=tile)
     return CellBatch(velocity_mps=velocity, doppler_hz=doppler)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nbofdma import numerics
 from nbofdma.analytic import (
     capacity_upper,
     effective_useful_power,
@@ -162,6 +163,25 @@ def test_symmetry_probe_depends_on_gap_only():
 def test_symmetry_probe_rejects_equal_indices():
     with pytest.raises(ValueError):
         symmetry_probe(1, 1, TrialPlan(trials=100), CFG, CELL, MOB)
+
+
+def _all_estimates():
+    plan = TrialPlan(trials=300, seed=21)
+    coherent = TrialPlan(trials=300, seed=21, power_mode="coherent")
+    return (estimate_total_ici(plan, CFG, CELL, MOB),
+            estimate_total_ici(coherent, CFG, CELL, MOB),
+            estimate_useful_power(plan, CFG, CELL, MOB),
+            estimate_useful_power(coherent, CFG, CELL, MOB),
+            estimate_ergodic_capacity(plan, CFG, CELL, MOB),
+            symmetry_probe(0, 3, plan, CFG, CELL, MOB))
+
+
+def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
+    default = _all_estimates()
+    monkeypatch.setattr(numerics, "_TILE_ELEMENTS", 1)  # one trial row a tile
+    assert _all_estimates() == default
+    monkeypatch.setattr(numerics, "_TILE_ELEMENTS", 1 << 40)  # a whole block
+    assert _all_estimates() == default
 
 
 def test_individual_ici_power():

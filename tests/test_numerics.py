@@ -13,6 +13,7 @@ from nbofdma.numerics import (
     QuadratureError,
     QuadratureSpec,
     integrate,
+    sin_pi,
     sinc,
     sinc_squared,
     sine_integral,
@@ -75,6 +76,36 @@ def test_sinc_squared_matches_mpmath_at_large_gaps():
             x = mpmath.mpf(g) + mpmath.mpf(d)
             exact = (mpmath.sin(mpmath.pi * x) / (mpmath.pi * x)) ** 2
             assert abs(y - exact) <= 1e-13 * exact
+
+
+def test_sin_pi_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    tiny = np.finfo(float).tiny
+    edges = np.array([0.5, np.nextafter(0.5, 0.0), 0.25, 1.0 / 3.0, 1.0 / 6.0,
+                      1e-8, 1e-100, 4.0 * tiny, tiny])
+    rs = np.concatenate([rng.uniform(-0.5, 0.5, 2000), edges, -edges])
+    out = sin_pi(rs)
+    with mpmath.workdps(40):
+        for r, y in zip(rs, out):
+            exact = mpmath.sin(mpmath.pi * mpmath.mpf(float(r)))
+            assert abs(y - exact) <= 1e-15 * abs(exact)
+
+
+def test_sin_pi_stays_in_range_next_to_half():
+    # the unclamped series rounds to 1 + 2^-52 a few ulp below 1/2
+    ulp = 2.0 ** -54  # spacing of the floats just below 1/2
+    rs = 0.5 - ulp * np.arange(4096)
+    assert np.all(np.abs(sin_pi(rs)) <= 1.0)
+    assert np.all(np.abs(sin_pi(-rs)) <= 1.0)
+    assert sin_pi(0.5) == 1.0 and sin_pi(-0.5) == -1.0
+
+
+def test_sin_pi_is_odd_bit_for_bit():
+    rng = np.random.default_rng(29)
+    rs = np.concatenate([rng.uniform(0.0, 0.5, 1000), [0.0, 0.5, 1e-300]])
+    assert np.array_equal(sin_pi(-rs).view(np.uint64), (-sin_pi(rs)).view(np.uint64))
+    assert np.signbit(sin_pi(-0.0)) and not np.signbit(sin_pi(0.0))
 
 
 def test_sinc_even_property():

@@ -97,6 +97,36 @@ def test_rejects_non_finite_numbers(text, fragment):
         parse_config(text + "\n")
 
 
+@pytest.mark.parametrize("text,fragment", [
+    (AXIS + GRID + "sweep.outputs = ici_exact, capacity_mc\nsystem.noise_variance = 0",
+     "system.noise_variance: the noise power is 0 at v_max_mps = 0.0, where capacity_mc"),
+    (AXIS + "sweep.grid = 10, 50\nsweep.outputs = capacity_mc\nsystem.noise_variance = 0",
+     "system.noise_variance: .* v_max_mps = 10.0, where capacity_mc"),
+    (AXIS + GRID + "sweep.outputs = capacity_exact\nsystem.snr_db = 4000",
+     "system.snr_db: .* where capacity_exact needs positive noise"),
+    (AXIS + GRID + "sweep.outputs = capacity_approx, sum_rate\nsystem.noise_variance = 0",
+     "where capacity_approx, sum_rate need positive noise"),
+    ("sweep.axis = snr_db\nsweep.grid = 0, 20, 4000\nsweep.outputs = capacity_exact\n"
+     "mobility.max_velocity_mps = 0", "sweep.grid: .* snr_db = 4000.0"),
+    (AXIS + GRID + "sweep.outputs = sum_rate\ncurve.a.system.snr_db = 20\n"
+     "curve.b.system.snr_db = 4000", "curve 'b': curve.b.system.snr_db: .* v_max_mps = 0.0"),
+])
+def test_rejects_zero_noise_where_capacity_needs_it(text, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config(text + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    AXIS + GRID + "sweep.outputs = ici_exact, ici_bounds, ici_approx, ici_mc\n"
+    "system.noise_variance = 0",
+    AXIS + "sweep.grid = 10, 50\nsweep.outputs = capacity_exact, capacity_approx, sum_rate\n"
+    "system.snr_db = 4000",
+    AXIS + GRID + "sweep.outputs = sum_rate\nsystem.bandwidth_hz = 0\nsystem.noise_variance = 0",
+])
+def test_accepts_zero_noise_where_nothing_needs_it(text):
+    assert parse_config(text + "\n").system.noise_variance == 0.0
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="sweep.axis"):
         parse_config("sweep.grid = 1\nsweep.outputs = ici_exact\n")

@@ -218,6 +218,21 @@ def test_cell_batch_shapes_and_law():
     assert np.all(np.abs(batch.doppler_hz) <= max_shift)
 
 
+def test_cell_batch_doppler_has_the_arcsine_law():
+    # f_D / max shift = cos(psi) for psi uniform on [0, 2*pi), whose CDF is
+    # 1/2 + arcsin(x) / pi; Kolmogorov-Smirnov at the 1% level
+    cfg = SystemConfig()
+    cell = CellConfig()
+    batch = sample_cell_batch(np.random.default_rng(31), 500, 5, cell, MobilityModel(), cfg)
+    max_shift = (batch.velocity_mps[..., None] / cfg.wave_speed_mps) \
+        * cfg.carrier_frequency_hz
+    x = np.sort((batch.doppler_hz / max_shift).ravel())
+    n = x.size
+    model = 0.5 + np.arcsin(x) / math.pi
+    dist = max(np.max(np.arange(1, n + 1) / n - model), np.max(model - np.arange(n) / n))
+    assert dist < 1.63 / math.sqrt(n)
+
+
 def test_cell_batch_matches_seed():
     cfg = SystemConfig()
     cell = CellConfig()
