@@ -2,10 +2,13 @@
 
 Randomness policy: trials are grouped in fixed blocks of 256, and block k of
 a run draws from ``SeedSequence(entropy=seed, spawn_key=(k,))``.  Draws
-inside a block happen in one fixed array order.  Estimates are therefore
-bit-reproducible for a given (plan, configs) and do not depend on how blocks
-might be spread over workers; the reduction over trials is a single ordered
-pass.
+inside a block happen in one fixed array order and do not depend on the
+scenario, so every scenario of a plan reads the same random numbers: the
+ICI and capacity estimators take a group of scenarios sharing the
+sub-carrier count and draw each block once for the whole group.  Estimates
+are bit-reproducible for a given (plan, configs) and do not depend on the
+group a scenario is evaluated in or on how blocks might be spread over
+workers; the reduction over trials is a single ordered pass.
 """
 
 from __future__ import annotations
@@ -103,27 +106,60 @@ def _reduce(values: np.ndarray) -> Estimate:
     return Estimate(mean=mean, std_error=std_error, trials=trials)
 
 
-def _device_powers(rng, batch, gaps_units, cfg: SystemConfig, power_mode: str):
-    """Per-(trial, device) received power on the target sub-carrier.
+def _group(cfg, mob):
+    """(scenarios, single): a lone (cfg, mob) as a group of one, or the
+    pairs of equal-length sequences, which must share the sub-carrier count
+    so that one batch of draws serves them all."""
+    if isinstance(cfg, SystemConfig):
+        return [(cfg, mob)], True
+    scenarios = list(zip(cfg, mob, strict=True))
+    if not scenarios:
+        raise ValueError("a scenario group needs at least one (cfg, mob) pair")
+    if len({c.half_subcarriers for c, _ in scenarios}) != 1:
+        raise ValueError("the scenarios of a group must share half_subcarriers")
+    return scenarios, False
 
-    The mean over paths of sinc(gap + f_D * T_s)^2 is the device's expected
-    power given its path Doppler shifts; "coherent" multiplies it by one
-    Exp(1) draw from ``rng`` per device, the law of the squared complex path
-    sum.  ``gaps_units`` holds the integer sub-carrier distances scaled by
-    T_s * df, so a static network cancels exactly, not to rounding noise.
-    The kernel runs on tiles of trial rows and each row's path sum is taken
-    within its tile, so the tile size changes no value.
+
+def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool):
+    """Yield ``(k, rows, powers)``: the per-(trial, device) power on the
+    target sub-carrier of scenario k for the trials ``rows``, in a buffer
+    the next step overwrites.
+
+    Each block is drawn once, "coherent" Exp(1) weights right after the
+    sampler, and evaluated for each scenario in turn, so no value depends on
+    the group.  The mean over paths of sinc(gap + f_D * T_s)^2 is a device's
+    expected power given its path Doppler shifts; "coherent" multiplies it
+    by the weight, the law of the squared complex path sum.  ``gaps[k]``
+    holds scenario k's integer sub-carrier distances scaled by T_s * df, so
+    a static network cancels exactly.  Each row's path sum is taken within
+    its tile, so the tile size changes no value.
     """
-    trials, devices, paths = batch.doppler_hz.shape
-    powers = np.empty((trials, devices))
-    for rows in row_tiles(trials, devices * paths):
-        offsets = batch.doppler_hz[rows] * cfg.symbol_period_s
-        kernel = sinc_squared(gaps_units[None, :, None], offsets)
-        np.einsum("tdm->td", kernel, out=powers[rows])
-    powers /= paths
-    if power_mode == "coherent":
-        powers *= rng.standard_exponential(powers.shape)
-    return powers
+    devices = len(gaps[0])
+    paths = cell.paths_per_device
+    buffer = np.empty((2, min(plan.trials, BLOCK_TRIALS), devices))
+    start = 0
+    for block, size in enumerate(_block_sizes(plan.trials)):
+        rng = _block_rng(plan.seed, block)
+        batch = sample_cell_batch(rng, size, devices, cell)
+        weights = rng.standard_exponential((size, devices)) if coherent else None
+        powers, max_shift = buffer[0, :size], buffer[1, :size]
+        tiles = row_tiles(size, devices * paths)
+        for k, (cfg, mob) in enumerate(scenarios):
+            # ((V_max * fraction) / c) * f_c, then * cos psi, then * T_s: the
+            # operation order keeps the bits of a per-scenario draw
+            np.multiply(mob.max_velocity_mps, batch.speed_fraction, out=max_shift)
+            max_shift /= cfg.wave_speed_mps
+            max_shift *= cfg.carrier_frequency_hz
+            for rows in tiles:
+                offsets = batch.cos_arrival[rows] * max_shift[rows, :, None]
+                offsets *= cfg.symbol_period_s
+                kernel = sinc_squared(gaps[k][None, :, None], offsets)
+                np.einsum("tdm->td", kernel, out=powers[rows])
+            powers /= paths
+            if coherent:
+                powers *= weights
+            yield k, slice(start, start + size), powers
+        start += size
 
 
 # ===========================================================================
@@ -140,35 +176,39 @@ def individual_ici_power(gain_power: float, frequency_gap_hz: float,
     return gain_power * s * s * cfg.effective_power
 
 
-def _ici_samples(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
-                 mob: MobilityModel) -> np.ndarray:
+def _gaps(plan: TrialPlan, cfg: SystemConfig) -> np.ndarray:
     _check_target(plan.target_index, cfg)
     n = cfg.half_subcarriers
-    q = cfg.spacing_symbol_product
     indices = np.arange(-n, n + 1)
-    gaps = ((indices - plan.target_index) * q).astype(float)
-    target_column = plan.target_index + n
-    out = np.empty(plan.trials)
-    start = 0
-    for block, size in enumerate(_block_sizes(plan.trials)):
-        rng = _block_rng(plan.seed, block)
-        batch = sample_cell_batch(rng, size, 2 * n + 1, cell, mob, cfg)
-        per_device = _device_powers(rng, batch, gaps, cfg, plan.power_mode)
-        per_device[:, target_column] = 0.0
-        out[start:start + size] = per_device.sum(axis=1) * cfg.effective_power
-        start += size
-    return out
+    return ((indices - plan.target_index) * cfg.spacing_symbol_product).astype(float)
 
 
-def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
-                       mob: MobilityModel) -> Estimate:
+def _estimates(samples, single: bool):
+    estimates = [_reduce(values) for values in samples]
+    return estimates[0] if single else estimates
+
+
+def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
+                       cell: CellConfig, mob: MobilityModel | list[MobilityModel]
+                       ) -> Estimate | list[Estimate]:
     """Monte Carlo mean of the interference power collected on the target
     sub-carrier from the other 2N devices.
 
     Converges to :func:`analytic.finite_n_ici` at the same N.  A static
-    network gives exactly zero in every trial.
+    network gives exactly zero in every trial.  ``cfg`` and ``mob`` may be
+    equal-length sequences of scenarios sharing ``half_subcarriers``; they
+    are evaluated on one set of draws, and the result is a list of
+    estimates, each equal to the estimate of its scenario alone.
     """
-    return _reduce(_ici_samples(plan, cfg, cell, mob))
+    scenarios, single = _group(cfg, mob)
+    gaps = [_gaps(plan, c) for c, _ in scenarios]
+    target_column = plan.target_index + scenarios[0][0].half_subcarriers
+    samples = [np.empty(plan.trials) for _ in scenarios]
+    for k, rows, powers in _device_powers(plan, cell, scenarios, gaps,
+                                          plan.power_mode == "coherent"):
+        powers[:, target_column] = 0.0
+        samples[k][rows] = powers.sum(axis=1) * scenarios[k][0].effective_power
+    return _estimates(samples, single)
 
 
 def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
@@ -176,19 +216,17 @@ def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     """Monte Carlo mean of the power the target device keeps on its own
     sub-carrier; converges to :func:`analytic.effective_useful_power`."""
     _check_target(plan.target_index, cfg)
-    out = np.empty(plan.trials)
-    start = 0
-    for block, size in enumerate(_block_sizes(plan.trials)):
-        rng = _block_rng(plan.seed, block)
-        batch = sample_cell_batch(rng, size, 1, cell, mob, cfg)
-        per_device = _device_powers(rng, batch, np.zeros(1), cfg, plan.power_mode)
-        out[start:start + size] = per_device[:, 0] * cfg.effective_power
-        start += size
-    return _reduce(out)
+    samples = np.empty(plan.trials)
+    for _, rows, powers in _device_powers(plan, cell, [(cfg, mob)], [np.zeros(1)],
+                                          plan.power_mode == "coherent"):
+        samples[rows] = powers[:, 0] * cfg.effective_power
+    return _reduce(samples)
 
 
-def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig,
-                              cell: CellConfig, mob: MobilityModel) -> Estimate:
+def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
+                              cell: CellConfig,
+                              mob: MobilityModel | list[MobilityModel]
+                              ) -> Estimate | list[Estimate]:
     """Mean of log2(1 + useful / (interference + noise)) over realizations
     of the whole cell, in bit/s/Hz.
 
@@ -197,28 +235,22 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig,
     the instantaneous SINR is a property of the received signal, not of the
     variance-reduced accounting the power estimators may use.  Stays below
     :func:`analytic.capacity_upper` in expectation.  Requires positive
-    noise power.
+    noise power.  ``cfg`` and ``mob`` may be sequences, as for
+    :func:`estimate_total_ici`.
     """
-    if cfg.noise_variance <= 0.0:
+    scenarios, single = _group(cfg, mob)
+    if any(c.noise_variance <= 0.0 for c, _ in scenarios):
         raise ValueError("noise_variance must be positive to estimate capacity")
-    _check_target(plan.target_index, cfg)
-    n = cfg.half_subcarriers
-    q = cfg.spacing_symbol_product
-    indices = np.arange(-n, n + 1)
-    gaps = ((indices - plan.target_index) * q).astype(float)
-    target_column = plan.target_index + n
-    out = np.empty(plan.trials)
-    start = 0
-    for block, size in enumerate(_block_sizes(plan.trials)):
-        rng = _block_rng(plan.seed, block)
-        batch = sample_cell_batch(rng, size, 2 * n + 1, cell, mob, cfg)
-        per_device = _device_powers(rng, batch, gaps, cfg, "coherent")
-        useful = per_device[:, target_column] * cfg.effective_power
-        interference = (per_device.sum(axis=1) - per_device[:, target_column]) \
-            * cfg.effective_power
-        out[start:start + size] = np.log2(1.0 + useful / (interference + cfg.noise_variance))
-        start += size
-    return _reduce(out)
+    gaps = [_gaps(plan, c) for c, _ in scenarios]
+    target_column = plan.target_index + scenarios[0][0].half_subcarriers
+    samples = [np.empty(plan.trials) for _ in scenarios]
+    for k, rows, powers in _device_powers(plan, cell, scenarios, gaps, True):
+        cfg_k = scenarios[k][0]
+        useful = powers[:, target_column] * cfg_k.effective_power
+        interference = (powers.sum(axis=1) - powers[:, target_column]) \
+            * cfg_k.effective_power
+        samples[k][rows] = np.log2(1.0 + useful / (interference + cfg_k.noise_variance))
+    return _estimates(samples, single)
 
 
 def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
@@ -237,18 +269,11 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
         raise ValueError("symmetry_probe needs two distinct sub-carriers")
     low, high = sorted((index_a, index_b))
     q = cfg.spacing_symbol_product
-    onto = {index_a: np.empty(plan.trials), index_b: np.empty(plan.trials)}
-    column = {low: 0, high: 1}  # devices drawn in index order
-    paths = cell.paths_per_device
-    start = 0
-    for block, size in enumerate(_block_sizes(plan.trials)):
-        rng = _block_rng(plan.seed, block)
-        batch = sample_cell_batch(rng, size, 2, cell, mob, cfg)
-        doppler_ts = batch.doppler_hz * cfg.symbol_period_s
-        for victim, source in ((index_a, index_b), (index_b, index_a)):
-            gap = float((source - victim) * q)
-            kernel = sinc_squared(gap, doppler_ts[:, column[source], :])
-            powers = np.einsum("tm->t", kernel) / paths
-            onto[victim][start:start + size] = powers * cfg.effective_power
-        start += size
+    # devices drawn in index order: column 0 is the source on sub-carrier
+    # ``low``, seen from ``high``, and column 1 the reverse
+    gaps = np.array([float((low - high) * q), float((high - low) * q)])
+    onto = {low: np.empty(plan.trials), high: np.empty(plan.trials)}
+    for _, rows, powers in _device_powers(plan, cell, [(cfg, mob)], [gaps], False):
+        onto[high][rows] = powers[:, 0] * cfg.effective_power
+        onto[low][rows] = powers[:, 1] * cfg.effective_power
     return _reduce(onto[index_a]), _reduce(onto[index_b])

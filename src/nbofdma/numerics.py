@@ -89,9 +89,10 @@ _SIN_PI_COEFFS = tuple((-1) ** k * math.pi ** (2 * k + 1) / math.factorial(2 * k
                        for k in range(12))
 
 
-def sin_pi(r):
+def sin_pi(r, out=None):
     """sin(pi r) for |r| <= 1/2 from a power series in numpy arithmetic
-    alone; returns an array of the shape of ``r``.
+    alone; returns an array of the shape of ``r``, written to ``out`` if
+    given (which may be ``r`` itself).
 
     Accurate to rounding on that range and odd bit for bit (the series is r
     times a polynomial in r^2), so +0 and -0 map to themselves.  Clamped to
@@ -105,7 +106,7 @@ def sin_pi(r):
         p += c
         p *= r2
     p += _SIN_PI_COEFFS[0]
-    p *= r
+    p = np.multiply(p, r, out=p if out is None else out)
     return np.clip(p, -1.0, 1.0, out=p)
 
 

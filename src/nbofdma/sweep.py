@@ -17,14 +17,16 @@ import re
 from dataclasses import dataclass, fields, replace
 
 from .analytic import (
+    NormalizedDoppler,
     capacity_upper,
     capacity_upper_approx,
     finite_n_ici,
     ici_approx,
     ici_bounds,
     sum_rate_upper,
+    total_ici_power,
 )
-from .montecarlo import TrialPlan, estimate_ergodic_capacity, estimate_total_ici
+from .montecarlo import BLOCK_TRIALS, TrialPlan, estimate_ergodic_capacity, estimate_total_ici
 from .numerics import QuadratureError
 from .sysmodel import CellConfig, MobilityModel, SystemConfig
 
@@ -127,6 +129,10 @@ _MC_KEYS = {
 # the global and the per-curve position)
 _SCENARIO_KEYS = {**_SYSTEM_KEYS, **_CELL_KEYS, **_MOBILITY_KEYS,
                   "system.snr_db": ("snr_db", _to_float)}
+
+# largest block of Monte Carlo path draws, BLOCK_TRIALS x (2N + 1) x M
+# doubles, a Monte Carlo sweep may ask for
+_MAX_BLOCK_DRAW_BYTES = 1 << 30
 
 _CURVE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -311,7 +317,9 @@ def parse_config(text: str) -> SweepSpec:
     for name, overrides in spec.curves or ((None, ()),):
         try:
             for axis_value in spec.grid:
-                cfg, _, mob = _scenario(spec, overrides, axis_value)
+                cfg, cell, mob = _scenario(spec, overrides, axis_value)
+                if wants_mc:
+                    _check_block_memory(cfg, cell)
                 if cfg.noise_variance == 0.0:
                     _check_noiseless(spec, cfg, mob, axis_value,
                                      _noise_key(spec, name, overrides, snr_db))
@@ -333,16 +341,46 @@ def _noise_key(spec: SweepSpec, name, overrides, global_snr_db) -> str:
     return "system.snr_db" if global_snr_db is not None else "system.noise_variance"
 
 
+def _check_block_memory(cfg: SystemConfig, cell: CellConfig):
+    """Refuse a Monte Carlo scenario whose block of path draws would not fit
+    in :data:`_MAX_BLOCK_DRAW_BYTES`; nothing is allocated here."""
+    devices = 2 * cfg.half_subcarriers + 1
+    draw_bytes = BLOCK_TRIALS * devices * cell.paths_per_device * 8
+    if draw_bytes > _MAX_BLOCK_DRAW_BYTES:
+        raise ValueError(
+            f"system.half_subcarriers: {devices} devices x {cell.paths_per_device} paths "
+            f"need {draw_bytes} bytes of draws per Monte Carlo block of {BLOCK_TRIALS} "
+            f"trials, above the limit of {_MAX_BLOCK_DRAW_BYTES} bytes")
+
+
+def _leaks_nothing(max_velocity_mps: float, cfg: SystemConfig) -> bool:
+    """True where the closed-form interference, P_T minus the useful power,
+    rounds to exactly 0: always in a static network, and at speeds so small
+    that the useful power rounds to P_T."""
+    try:
+        return total_ici_power(max_velocity_mps, cfg) == 0.0
+    except QuadratureError:
+        return False  # the sweep marks that row failed, as for any point
+
+
 def _check_noiseless(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
                      axis_value: float, key: str):
     """Refuse the outputs a grid point without noise cannot give: the Monte
-    Carlo capacity needs positive noise, and in a static network, where the
-    interference is zero too, every capacity output's SINR is unbounded."""
+    Carlo capacity needs positive noise, and where the interference is zero
+    too the capacity outputs' SINR is unbounded.  The closed-form capacity
+    and sum rate see zero interference wherever P_T minus the useful power
+    rounds to 0, the approximation wherever b^2 / 18 does: in a static
+    network, and at speeds so small that the difference or b^2 underflows."""
     needs_noise = {"capacity_mc"}
-    if mob.max_velocity_mps == 0.0:
-        needs_noise.update(("capacity_exact", "capacity_approx"))
-        if cfg.bandwidth_hz > 0.0:
-            needs_noise.add("sum_rate")
+    b = NormalizedDoppler.from_configs(mob.max_velocity_mps, cfg).b
+    if b * b / 18.0 == 0.0:  # the interference term of capacity_upper_approx
+        needs_noise.add("capacity_approx")
+    closed_form = {"capacity_exact"}
+    if cfg.bandwidth_hz > 0.0:
+        closed_form.add("sum_rate")
+    if closed_form.intersection(spec.outputs) \
+            and _leaks_nothing(mob.max_velocity_mps, cfg):
+        needs_noise.update(closed_form)
     refused = [output for output in spec.outputs if output in needs_noise]
     if refused:
         raise ValueError(
@@ -406,34 +444,27 @@ def _scenario(spec: SweepSpec, overrides, axis_value: float):
             MobilityModel(**mobility_kwargs))
 
 
-def _eval_point(spec: SweepSpec, curve: str, overrides, axis_value: float) -> SweepRow:
-    cfg, cell, mob = _scenario(spec, overrides, axis_value)
+def _eval_point(spec: SweepSpec, curve: str, axis_value: float,
+                cfg: SystemConfig, mob: MobilityModel) -> SweepRow:
+    """The analytic columns of one grid point; :func:`_eval_group` adds the
+    Monte Carlo ones."""
     v_max = mob.max_velocity_mps
-    plan = spec.plan
     values = {}
     failures = []
     for output in spec.outputs:
         try:
             if output == "ici_exact":
-                values["ici_exact"] = finite_n_ici(plan.target_index, v_max, cfg)
+                values["ici_exact"] = finite_n_ici(spec.plan.target_index, v_max, cfg)
             elif output == "ici_bounds":
                 bounds = ici_bounds(v_max, cfg)
                 values["ici_lower"] = bounds.lower
                 values["ici_upper"] = bounds.upper
             elif output == "ici_approx":
                 values["ici_approx"] = ici_approx(v_max, cfg)
-            elif output == "ici_mc":
-                est = estimate_total_ici(plan, cfg, cell, mob)
-                values["ici_mc"] = est.mean
-                values["ici_mc_std_error"] = est.std_error
             elif output == "capacity_exact":
                 values["capacity_exact"] = capacity_upper(v_max, cfg)
             elif output == "capacity_approx":
                 values["capacity_approx"] = capacity_upper_approx(v_max, cfg)
-            elif output == "capacity_mc":
-                est = estimate_ergodic_capacity(plan, cfg, cell, mob)
-                values["capacity_mc"] = est.mean
-                values["capacity_mc_std_error"] = est.std_error
             elif output == "sum_rate":
                 values["sum_rate"] = sum_rate_upper(v_max, cfg)
         except QuadratureError as exc:
@@ -444,24 +475,61 @@ def _eval_point(spec: SweepSpec, curve: str, overrides, axis_value: float) -> Sw
                     error="; ".join(failures) if failures else None)
 
 
+def _eval_group(spec: SweepSpec, cell: CellConfig, cfgs, mobs) -> list[dict]:
+    """The Monte Carlo columns of grid points that share ``half_subcarriers``
+    and ``cell``, one dict per point: each estimator draws every block once
+    for the whole group, and each point's value equals its own estimate."""
+    values = [{} for _ in cfgs]
+    for output in spec.outputs:
+        if output == "ici_mc":
+            estimates = estimate_total_ici(spec.plan, cfgs, cell, mobs)
+        elif output == "capacity_mc":
+            estimates = estimate_ergodic_capacity(spec.plan, cfgs, cell, mobs)
+        else:
+            continue
+        mean, std_error = _OUTPUT_COLUMNS[output]
+        for point, est in zip(values, estimates):
+            point[mean] = est.mean
+            point[std_error] = est.std_error
+    return values
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every (curve, grid point) and return rows in deterministic
     order: curves as declared, axis values ascending.
 
-    Monte Carlo columns depend only on (seed, trials, scenario), never on
-    ``workers``.  A numerical failure at a point marks that row and the rest
-    of the sweep continues.
+    Analytic columns are computed point by point.  Monte Carlo columns are
+    computed per group of points sharing ``half_subcarriers`` and the cell,
+    which share every random draw; they depend only on (seed, trials,
+    scenario), never on the grouping or on ``workers``.  With several
+    workers each point and each group is one task.  A numerical failure at
+    a point marks that row and the rest of the sweep continues.
     """
-    tasks = []
+    points = []
+    groups: dict[tuple, list[int]] = {}  # (N, cell) -> indices into points
+    wants_mc = any(output in _MC_OUTPUTS for output in spec.outputs)
     for curve, overrides in spec.curves or (("", ()),):
         for axis_value in spec.grid:
-            tasks.append((curve, overrides, axis_value))
+            cfg, cell, mob = _scenario(spec, overrides, axis_value)
+            if wants_mc:
+                groups.setdefault((cfg.half_subcarriers, cell), []).append(len(points))
+            points.append((curve, axis_value, cfg, mob))
+    group_tasks = [(cell, [points[i][2] for i in members], [points[i][3] for i in members])
+                   for (_, cell), members in groups.items()]
     if workers <= 1:
-        return [_eval_point(spec, *task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_eval_point, spec, *task) for task in tasks]
-        return [future.result() for future in futures]
+        mc_values = [_eval_group(spec, *task) for task in group_tasks]
+        rows = [_eval_point(spec, *point) for point in points]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            mc_futures = [pool.submit(_eval_group, spec, *task) for task in group_tasks]
+            row_futures = [pool.submit(_eval_point, spec, *point) for point in points]
+            mc_values = [future.result() for future in mc_futures]
+            rows = [future.result() for future in row_futures]
+    for members, values in zip(groups.values(), mc_values):
+        for index, point in zip(members, values):
+            rows[index].values.update(point)
+    return rows
 
 
 # ===========================================================================

@@ -7,13 +7,15 @@ same effective power and position drops out of the interference statistics.
 Path delays are absorbed into the uniform path phases and never drawn.
 
 :func:`sample_device` draws a whole device for inspection.  The Monte Carlo
-sampler :func:`sample_cell_batch` draws only what the estimators read, the
-speeds and, per path, the cosine of the arrival angle that sets its Doppler
-shift; the fading is drawn by the estimators given those shifts.  For an
-angle psi uniform on [0, 2*pi), cos(psi) has the arcsine law, CDF
-1/2 + arcsin(x)/pi on [-1, 1] (Clarke 1968), and so has sin(pi (u - 1/2))
-for u uniform on [0, 1): the sampler forms the cosine that way, without a
-full-circle angle or a library trigonometric call.
+sampler :func:`sample_cell_batch` draws only what the estimators read, and
+only what does not depend on the scenario: each device's speed as a fraction
+of V_max and, per path, the cosine of the arrival angle that sets its
+Doppler shift.  The estimators scale these to speeds and Doppler shifts for
+each scenario they evaluate from one draw, and draw the fading given those
+shifts.  For an angle psi uniform on [0, 2*pi), cos(psi) has the arcsine
+law, CDF 1/2 + arcsin(x)/pi on [-1, 1] (Clarke 1968), and so has
+sin(pi (u - 1/2)) for u uniform on [0, 1): the sampler forms the cosine that
+way, without a full-circle angle or a library trigonometric call.
 """
 
 from __future__ import annotations
@@ -162,14 +164,15 @@ class Device:
 
 @dataclass(frozen=True)
 class CellBatch:
-    """Vectorized mobility draws: (trials, devices) speeds v, uniform on
-    [0, V_max], and (trials, devices, paths) Doppler shifts
-    (v / c) f_c cos(psi), with cos(psi) of the arcsine law and independent
-    across paths: the laws :func:`sample_device` gives its speed and path
-    Dopplers."""
+    """Scenario-free mobility draws: (trials, devices) speed fractions,
+    uniform on [0, 1), and (trials, devices, paths) cosines of the arrival
+    angles, of the arcsine law and independent across paths.  A device of a
+    scenario with maximum speed V_max moves at v = V_max * speed_fraction
+    and path m shifts by (v / c) f_c cos_arrival[..., m]: the laws
+    :func:`sample_device` gives its speed and path Dopplers."""
 
-    velocity_mps: np.ndarray
-    doppler_hz: np.ndarray
+    speed_fraction: np.ndarray
+    cos_arrival: np.ndarray
 
 
 def subcarrier_frequency(index: int, cfg: SystemConfig) -> float:
@@ -252,29 +255,30 @@ def sample_device(rng, cell: CellConfig, mob: MobilityModel, index: int,
     )
 
 
-def sample_cell_batch(rng, n_trials: int, n_devices: int, cell: CellConfig,
-                      mob: MobilityModel, cfg: SystemConfig) -> CellBatch:
-    """Speeds and path Doppler shifts of ``n_trials`` x ``n_devices`` devices
-    for Monte Carlo inner loops.
+def sample_cell_batch(rng, n_trials: int, n_devices: int, cell: CellConfig) -> CellBatch:
+    """Speed fractions and path arrival cosines of ``n_trials`` x
+    ``n_devices`` devices for Monte Carlo inner loops.
 
-    Draws the speeds, uniform on [0, V_max], then one uniform u on [0, 1)
-    per path, ``cell.paths_per_device`` paths per device; the draws use the
-    stream as ``uniform(0, 2*pi)`` arrival angles would.  The path's
+    Draws the speed fractions, then one uniform u on [0, 1) per path,
+    ``cell.paths_per_device`` paths per device.  The draws read the stream
+    as ``uniform(0, V_max)`` speeds and ``uniform(0, 2*pi)`` arrival angles
+    would, and numpy forms ``uniform(0, V_max)`` as V_max times the draw, so
+    ``V_max * speed_fraction`` has the bits of those speeds.  The path's
     cos(psi) is sin(pi (u - 1/2)) = -cos(pi u), which has the arcsine law of
-    the cosine of an angle uniform on [0, 2*pi).  Position and heading are
-    not drawn: power control cancels the position and the Doppler shift
-    depends on the speed and arrival angle alone.  The per-path arithmetic
-    runs on tiles of trial rows (:func:`numerics.row_tiles`), which changes
-    no value.
+    the cosine of an angle uniform on [0, 2*pi).  Nothing here depends on
+    V_max, the carrier or the spacing, so one batch serves every scenario
+    with the same device and path counts.  Position and heading are not drawn: power control cancels
+    the position and the Doppler shift depends on the speed and arrival
+    angle alone.  The per-path arithmetic runs on tiles of trial rows
+    (:func:`numerics.row_tiles`), which changes no value.
     """
     if n_trials < 1 or n_devices < 1:
         raise ValueError("n_trials and n_devices must be at least 1")
     flat = (n_trials, n_devices)
-    velocity = rng.uniform(0.0, mob.max_velocity_mps, flat)
-    doppler = rng.random(flat + (cell.paths_per_device,))
-    max_shift = (velocity / cfg.wave_speed_mps) * cfg.carrier_frequency_hz
+    speed_fraction = rng.random(flat)
+    cos_arrival = rng.random(flat + (cell.paths_per_device,))
     for rows in row_tiles(n_trials, n_devices * cell.paths_per_device):
-        tile = doppler[rows]
+        tile = cos_arrival[rows]
         tile -= 0.5
-        np.multiply(sin_pi(tile), max_shift[rows, :, None], out=tile)
-    return CellBatch(velocity_mps=velocity, doppler_hz=doppler)
+        sin_pi(tile, out=tile)
+    return CellBatch(speed_fraction=speed_fraction, cos_arrival=cos_arrival)

@@ -184,6 +184,69 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
     assert _all_estimates() == default
 
 
+# float.hex of (mean, std_error) of each estimator at 300 trials (two
+# blocks, one partial) as computed when every scenario drew its own blocks;
+# sharing the draws among the scenarios of a group must keep these bits
+PINNED = {
+    "ici": ("0x1.ef41dc2761fdap-8", "0x1.aade94117fd3ap-13"),  # 0.00755703 +- 0.000204
+    "ici_coherent": ("0x1.ee7dea03a20c3p-8", "0x1.57a5d0fe2009bp-12"),  # 0.00754535 +- 0.000328
+    "ici_edge_3ghz": ("0x1.2bd7f247eba7fp-7", "0x1.5357edcde9944p-12"),  # 0.0091505 +- 0.000324
+    "useful": ("0x1.fbdcd2ae915c3p-1", "0x1.e8eec7f388cacp-12"),  # 0.991919 +- 0.000466
+    "useful_coherent": ("0x1.a2cd6040cd990p-1", "0x1.9f2982e2301fap-5"),  # 0.817973 +- 0.0507
+    "capacity": ("0x1.5379cf169cadbp+2", "0x1.9847b94214206p-4"),  # 5.30431 +- 0.0997
+    "capacity_edge_3ghz": ("0x1.42726b4c1cb83p+2", "0x1.894ca45864407p-4"),  # 5.03823 +- 0.096
+    "symmetry_a": ("0x1.1bee6742b03b3p-12", "0x1.f1682dea535e8p-17"),  # 0.000270778 +- 1.48e-05
+    "symmetry_b": ("0x1.1a1484990c51ep-12", "0x1.f7822f70be968p-17"),  # 0.000269013 +- 1.5e-05
+}
+
+
+def test_estimates_keep_their_pinned_bits():
+    plan = TrialPlan(trials=300, seed=21)
+    coherent = TrialPlan(trials=300, seed=21, power_mode="coherent")
+    edge = TrialPlan(trials=300, seed=22, target_index=-4)
+    cfg3 = SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=5)
+    cell3 = CellConfig(paths_per_device=3)
+    mob3 = MobilityModel(max_velocity_mps=37.5)
+    onto_a, onto_b = symmetry_probe(0, 3, plan, CFG, CELL, MOB)
+    got = {
+        "ici": estimate_total_ici(plan, CFG, CELL, MOB),
+        "ici_coherent": estimate_total_ici(coherent, CFG, CELL, MOB),
+        "ici_edge_3ghz": estimate_total_ici(edge, cfg3, cell3, mob3),
+        "useful": estimate_useful_power(plan, CFG, CELL, MOB),
+        "useful_coherent": estimate_useful_power(coherent, CFG, CELL, MOB),
+        "capacity": estimate_ergodic_capacity(plan, CFG, CELL, MOB),
+        "capacity_edge_3ghz": estimate_ergodic_capacity(edge, cfg3, cell3, mob3),
+        "symmetry_a": onto_a,
+        "symmetry_b": onto_b,
+    }
+    assert {name: (est.mean.hex(), est.std_error.hex()) for name, est in got.items()} \
+        == PINNED
+
+
+@pytest.mark.parametrize("estimator", [estimate_total_ici, estimate_ergodic_capacity])
+@pytest.mark.parametrize("power_mode", ["incoherent", "coherent"])
+def test_a_group_of_scenarios_matches_its_members(estimator, power_mode):
+    plan = TrialPlan(trials=300, seed=23, target_index=2, power_mode=power_mode)
+    cfgs = [CFG, SystemConfig(carrier_frequency_hz=3e9),
+            SystemConfig(subcarrier_spacing_hz=1250.0, bandwidth_hz=0.0), CFG]
+    mobs = [MOB, MobilityModel(40.0), MOB, MobilityModel(0.0)]
+    group = estimator(plan, cfgs, CELL, mobs)
+    assert group == [estimator(plan, cfg, CELL, mob) for cfg, mob in zip(cfgs, mobs)]
+
+
+def test_a_group_of_scenarios_is_validated():
+    plan = TrialPlan(trials=100)
+    with pytest.raises(ValueError, match="half_subcarriers"):
+        estimate_total_ici(plan, [CFG, SystemConfig(half_subcarriers=3)], CELL, [MOB, MOB])
+    with pytest.raises(ValueError):
+        estimate_total_ici(plan, [CFG, CFG], CELL, [MOB])
+    with pytest.raises(ValueError):
+        estimate_total_ici(plan, [], CELL, [])
+    with pytest.raises(ValueError, match="noise"):
+        estimate_ergodic_capacity(plan, [CFG, SystemConfig(noise_variance=0.0)],
+                                  CELL, [MOB, MOB])
+
+
 def test_individual_ici_power():
     assert individual_ici_power(0.3, 0.0, 0.0, CFG) \
         == pytest.approx(0.3 * CFG.effective_power, rel=1e-15)

@@ -108,6 +108,14 @@ def test_sin_pi_is_odd_bit_for_bit():
     assert np.signbit(sin_pi(-0.0)) and not np.signbit(sin_pi(0.0))
 
 
+def test_sin_pi_writes_in_place_bit_for_bit():
+    rs = np.random.default_rng(30).uniform(-0.5, 0.5, (7, 3))
+    expected = sin_pi(rs)
+    out = sin_pi(rs, out=rs)
+    assert out is rs
+    assert np.array_equal(rs.view(np.uint64), expected.view(np.uint64))
+
+
 def test_sinc_even_property():
     rng = np.random.default_rng(0)
     xs = rng.uniform(-50, 50, size=200)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import nbofdma.sweep as sweep_mod
+from nbofdma.analytic import total_ici_power
+from nbofdma.montecarlo import estimate_ergodic_capacity, estimate_total_ici
 from nbofdma.numerics import QuadratureError
 from nbofdma.sweep import (
     ConfigError,
@@ -110,6 +112,12 @@ def test_rejects_non_finite_numbers(text, fragment):
      "mobility.max_velocity_mps = 0", "sweep.grid: .* snr_db = 4000.0"),
     (AXIS + GRID + "sweep.outputs = sum_rate\ncurve.a.system.snr_db = 20\n"
      "curve.b.system.snr_db = 4000", "curve 'b': curve.b.system.snr_db: .* v_max_mps = 0.0"),
+    # P_T minus the useful power rounds to 0 at this speed
+    (AXIS + "sweep.grid = 1e-6\nsweep.outputs = capacity_exact, capacity_approx, sum_rate\n"
+     "system.noise_variance = 0", "v_max_mps = 1e-06, where capacity_exact, sum_rate need"),
+    # b^2 / 18 underflows to 0 at this speed
+    (AXIS + "sweep.grid = 1e-160\nsweep.outputs = capacity_approx\nsystem.noise_variance = 0",
+     "v_max_mps = 1e-160, where capacity_approx needs"),
 ])
 def test_rejects_zero_noise_where_capacity_needs_it(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -125,6 +133,44 @@ def test_rejects_zero_noise_where_capacity_needs_it(text, fragment):
 ])
 def test_accepts_zero_noise_where_nothing_needs_it(text):
     assert parse_config(text + "\n").system.noise_variance == 0.0
+
+
+def test_accepts_zero_noise_where_the_interference_is_positive():
+    spec = parse_config(AXIS + "sweep.grid = 1e-3\n"
+                        "sweep.outputs = capacity_exact, capacity_approx, sum_rate\n"
+                        "system.noise_variance = 0\n")
+    assert total_ici_power(1e-3, spec.system) == pytest.approx(7.9e-13, rel=0.01)
+    (row,) = run_sweep(spec)
+    assert row.error is None
+    assert all(math.isfinite(value) for value in row.values.values())
+
+
+def test_zero_noise_check_leaves_a_quadrature_failure_to_its_row():
+    # at 1e6 m/s the useful-power quadrature exceeds its budget: parsing
+    # accepts the point and the sweep marks its row failed, as with noise
+    spec = parse_config(AXIS + "sweep.grid = 1e6\nsweep.outputs = capacity_exact\n"
+                        "system.noise_variance = 0\n")
+    (row,) = run_sweep(spec)
+    assert row.values["capacity_exact"] is None
+    assert "did not converge" in row.error
+
+
+@pytest.mark.parametrize("text,refused", [
+    ("system.half_subcarriers = 32767", False),   # 65535 x 8 x 256 doubles: 1 GiB - 16 kiB
+    ("system.half_subcarriers = 32768", True),
+    ("system.half_subcarriers = 8192\ncell.paths_per_device = 33", True),
+    ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 40000", True),
+])
+def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, refused):
+    # parse only: an accepted config of this size is never run here
+    mc = AXIS + GRID + "system.bandwidth_hz = 0\nsweep.outputs = ici_mc\n" + text + "\n"
+    if refused:
+        with pytest.raises(ConfigError, match="system.half_subcarriers: .* bytes of draws"):
+            parse_config(mc)
+    else:
+        parse_config(mc)
+    # the analytic outputs allocate no block of draws
+    parse_config(mc.replace("ici_mc", "ici_approx"))
 
 
 def test_missing_required_keys():
@@ -237,11 +283,42 @@ def test_quadrature_failure_marks_row_and_continues(monkeypatch):
 
 
 def test_workers_do_not_change_output():
+    # two curves of different sub-carrier counts make two Monte Carlo groups
     spec = parse_config("sweep.axis = v_max\nsweep.grid = 0, 60\n"
-                        "sweep.outputs = ici_mc\nmc.trials = 512\nmc.seed = 5\n")
+                        "sweep.outputs = ici_approx, ici_mc, capacity_mc\n"
+                        "mc.trials = 512\nmc.seed = 5\n"
+                        "curve.a.system.half_subcarriers = 24\n"
+                        "curve.b.system.half_subcarriers = 6\n")
     serial = emit(run_sweep(spec, workers=1), spec)
     parallel = emit(run_sweep(spec, workers=2), spec)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("text", [
+    "sweep.axis = v_max\nsweep.grid = 0, 35, 100\n"
+    "curve.a.system.carrier_frequency_hz = 3e9\n"
+    "curve.b.system.half_subcarriers = 5\n"
+    "curve.c.cell.paths_per_device = 3\n"
+    "curve.d.system.subcarrier_spacing_hz = 1250\n",
+    "sweep.axis = snr_db\nsweep.grid = 0, 10, 30\nmobility.max_velocity_mps = 70\n"
+    "mc.power_mode = coherent\nmc.target_index = -3\n"
+    "curve.a.system.half_subcarriers = 4\ncurve.b.system.half_subcarriers = 4\n"
+    "curve.b.system.carrier_frequency_hz = 2e9\n",
+], ids=["v_max", "snr_db-coherent"])
+def test_monte_carlo_columns_equal_single_point_estimates(text):
+    spec = parse_config(text + "sweep.outputs = ici_mc, capacity_mc\n"
+                        "mc.trials = 300\nmc.seed = 11\n")
+    rows = run_sweep(spec)
+    assert len(rows) == len(spec.curves) * len(spec.grid)
+    overrides = dict(spec.curves)
+    for row in rows:
+        cfg, cell, mob = sweep_mod._scenario(spec, overrides[row.curve], row.axis_value)
+        ici = estimate_total_ici(spec.plan, cfg, cell, mob)
+        capacity = estimate_ergodic_capacity(spec.plan, cfg, cell, mob)
+        assert (row.values["ici_mc"], row.values["ici_mc_std_error"]) \
+            == (ici.mean, ici.std_error)
+        assert (row.values["capacity_mc"], row.values["capacity_mc_std_error"]) \
+            == (capacity.mean, capacity.std_error)
 
 
 # ---------------------------------------------------------------------------

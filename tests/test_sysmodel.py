@@ -204,29 +204,22 @@ def test_sample_device_rejects_out_of_band_index():
 
 
 def test_cell_batch_shapes_and_law():
-    cfg = SystemConfig()
     cell = CellConfig()
-    mob = MobilityModel(max_velocity_mps=80.0)
-    batch = sample_cell_batch(np.random.default_rng(5), 6, 49, cell, mob, cfg)
+    batch = sample_cell_batch(np.random.default_rng(5), 6, 49, cell)
     m = cell.paths_per_device
-    assert batch.velocity_mps.shape == (6, 49)
-    assert batch.doppler_hz.shape == (6, 49, m)
-    assert np.all(batch.velocity_mps >= 0.0) and np.all(batch.velocity_mps <= 80.0)
-    # |f_D| = (v / c) * f_c * |cos(angle)| never exceeds the maximum shift
-    max_shift = (batch.velocity_mps[..., None] / cfg.wave_speed_mps) \
-        * cfg.carrier_frequency_hz
-    assert np.all(np.abs(batch.doppler_hz) <= max_shift)
+    assert batch.speed_fraction.shape == (6, 49)
+    assert batch.cos_arrival.shape == (6, 49, m)
+    assert np.all(batch.speed_fraction >= 0.0) and np.all(batch.speed_fraction < 1.0)
+    # cos(psi) of a real angle: |f_D| = (v / c) f_c |cos psi| never exceeds
+    # the maximum shift
+    assert np.all(np.abs(batch.cos_arrival) <= 1.0)
 
 
 def test_cell_batch_doppler_has_the_arcsine_law():
     # f_D / max shift = cos(psi) for psi uniform on [0, 2*pi), whose CDF is
     # 1/2 + arcsin(x) / pi; Kolmogorov-Smirnov at the 1% level
-    cfg = SystemConfig()
-    cell = CellConfig()
-    batch = sample_cell_batch(np.random.default_rng(31), 500, 5, cell, MobilityModel(), cfg)
-    max_shift = (batch.velocity_mps[..., None] / cfg.wave_speed_mps) \
-        * cfg.carrier_frequency_hz
-    x = np.sort((batch.doppler_hz / max_shift).ravel())
+    batch = sample_cell_batch(np.random.default_rng(31), 500, 5, CellConfig())
+    x = np.sort(batch.cos_arrival.ravel())
     n = x.size
     model = 0.5 + np.arcsin(x) / math.pi
     dist = max(np.max(np.arange(1, n + 1) / n - model), np.max(model - np.arange(n) / n))
@@ -234,13 +227,20 @@ def test_cell_batch_doppler_has_the_arcsine_law():
 
 
 def test_cell_batch_matches_seed():
-    cfg = SystemConfig()
     cell = CellConfig()
-    mob = MobilityModel()
-    a = sample_cell_batch(np.random.default_rng(123), 3, 5, cell, mob, cfg)
-    b = sample_cell_batch(np.random.default_rng(123), 3, 5, cell, mob, cfg)
-    assert np.array_equal(a.velocity_mps, b.velocity_mps)
-    assert np.array_equal(a.doppler_hz, b.doppler_hz)
+    a = sample_cell_batch(np.random.default_rng(123), 3, 5, cell)
+    b = sample_cell_batch(np.random.default_rng(123), 3, 5, cell)
+    assert np.array_equal(a.speed_fraction, b.speed_fraction)
+    assert np.array_equal(a.cos_arrival, b.cos_arrival)
+
+
+def test_scaled_speed_fraction_has_the_bits_of_uniform_speeds():
+    # numpy draws uniform(0, V) as 0 + V * u, so scaling the fraction per
+    # scenario reproduces the speeds a per-scenario draw would give
+    batch = sample_cell_batch(np.random.default_rng(7), 4, 9, CellConfig())
+    for v_max in (0.0, 1e-6, 83.3, 100.0):
+        speeds = np.random.default_rng(7).uniform(0.0, v_max, (4, 9))
+        assert (v_max * batch.speed_fraction).tobytes() == speeds.tobytes()
 
 
 def test_coherent_device_power_has_unit_mean():
