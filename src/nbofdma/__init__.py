@@ -12,16 +12,9 @@ from .numerics import QuadratureError, QuadratureSpec, integrate, sinc, sine_int
 from .sysmodel import (
     CellBatch,
     CellConfig,
-    Device,
     MobilityModel,
-    PropagationPath,
     SystemConfig,
-    doppler_shift,
-    required_transmit_power,
     sample_cell_batch,
-    sample_device,
-    sample_paths,
-    subcarrier_frequency,
 )
 from .analytic import (
     IciBounds,
@@ -47,7 +40,6 @@ from .montecarlo import (
     estimate_ergodic_capacity,
     estimate_total_ici,
     estimate_useful_power,
-    individual_ici_power,
     symmetry_probe,
 )
 from .sweep import (
@@ -75,14 +67,7 @@ __all__ = [
     "SystemConfig",
     "CellConfig",
     "MobilityModel",
-    "PropagationPath",
-    "Device",
     "CellBatch",
-    "subcarrier_frequency",
-    "doppler_shift",
-    "required_transmit_power",
-    "sample_paths",
-    "sample_device",
     "sample_cell_batch",
     # closed forms
     "NormalizedDoppler",
@@ -104,7 +89,6 @@ __all__ = [
     # Monte Carlo
     "TrialPlan",
     "Estimate",
-    "individual_ici_power",
     "estimate_total_ici",
     "estimate_useful_power",
     "estimate_ergodic_capacity",

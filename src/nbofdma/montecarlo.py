@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .numerics import row_tiles, sinc, sinc_squared
 from .sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch
 
 __all__ = [
     "TrialPlan",
     "Estimate",
-    "individual_ici_power",
     "estimate_total_ici",
     "estimate_useful_power",
     "estimate_ergodic_capacity",
@@ -165,16 +165,6 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
 # ===========================================================================
 # estimators
 # ===========================================================================
-
-def individual_ici_power(gain_power: float, frequency_gap_hz: float,
-                         doppler_hz: float, cfg: SystemConfig) -> float:
-    """Power one path deposits on a sub-carrier ``frequency_gap_hz`` away:
-    |a|^2 * sinc((gap + doppler) * T_s)^2 * P_T."""
-    if gain_power < 0.0:
-        raise ValueError("gain_power must be non-negative")
-    s = sinc((frequency_gap_hz + doppler_hz) * cfg.symbol_period_s)
-    return gain_power * s * s * cfg.effective_power
-
 
 def _gaps(plan: TrialPlan, cfg: SystemConfig) -> np.ndarray:
     _check_target(plan.target_index, cfg)

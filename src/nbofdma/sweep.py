@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 from .analytic import (
     NormalizedDoppler,
+    _symbol_doppler_span,
     capacity_upper,
     capacity_upper_approx,
     finite_n_ici,
@@ -110,10 +111,6 @@ _SYSTEM_KEYS = {
     "system.wave_speed_mps": ("wave_speed_mps", _to_float),
 }
 _CELL_KEYS = {
-    "cell.radius_m": ("radius_m", _to_float),
-    "cell.path_loss_exponent": ("path_loss_exponent", _to_float),
-    "cell.reference_loss_median": ("reference_loss_median", _to_float),
-    "cell.scatterer_radius_m": ("scatterer_radius_m", _to_float),
     "cell.paths_per_device": ("paths_per_device", _to_int),
 }
 _MOBILITY_KEYS = {
@@ -298,9 +295,6 @@ def parse_config(text: str) -> SweepSpec:
     wants_mc = any(name in _MC_OUTPUTS for name in canonical)
     if wants_mc and plan.trials < 100:
         raise ConfigError("mc.trials must be at least 100 when Monte Carlo outputs are requested")
-    if plan.target_index > system.half_subcarriers \
-            or plan.target_index < -system.half_subcarriers:
-        raise ConfigError("mc.target_index outside the sub-carrier range")
 
     spec = SweepSpec(
         axis=axis,
@@ -318,8 +312,13 @@ def parse_config(text: str) -> SweepSpec:
         try:
             for axis_value in spec.grid:
                 cfg, cell, mob = _scenario(spec, overrides, axis_value)
+                n = cfg.half_subcarriers
+                if not -n <= plan.target_index <= n:
+                    raise ValueError(f"mc.target_index = {plan.target_index} outside "
+                                     f"the sub-carrier range [-{n}, {n}]")
                 if wants_mc:
                     _check_block_memory(cfg, cell)
+                _check_doppler(spec, cfg, mob, axis_value)
                 if cfg.noise_variance == 0.0:
                     _check_noiseless(spec, cfg, mob, axis_value,
                                      _noise_key(spec, name, overrides, snr_db))
@@ -339,6 +338,21 @@ def _noise_key(spec: SweepSpec, name, overrides, global_snr_db) -> str:
         if key in keys:
             return f"curve.{name}.{key}"
     return "system.snr_db" if global_snr_db is not None else "system.noise_variance"
+
+
+def _check_doppler(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
+                   axis_value: float):
+    """Refuse a grid point whose normalized Doppler b = pi V_max f_c / (c df)
+    or symbol-window span pi V_max f_c T_s / c overflows: no output can be
+    evaluated there."""
+    try:
+        NormalizedDoppler.from_configs(mob.max_velocity_mps, cfg)
+        finite = math.isfinite(_symbol_doppler_span(mob.max_velocity_mps, cfg))
+    except ValueError:
+        finite = False
+    if not finite:
+        raise ValueError(f"the normalized Doppler is not finite at "
+                         f"{_AXIS_COLUMN[spec.axis]} = {axis_value!r}")
 
 
 def _check_block_memory(cfg: SystemConfig, cell: CellConfig):

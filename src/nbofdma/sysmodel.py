@@ -1,17 +1,15 @@
-"""Uplink geometry, mobility and multipath channel sampling.
+"""Uplink configuration and Monte Carlo mobility sampling.
 
 Layout: 2N+1 devices on 2N+1 sub-carriers (one device per sub-carrier, fully
-loaded), base station at the cell centre.  Open-loop power control inverts
-the median path loss, so every device arrives at the base station with the
-same effective power and position drops out of the interference statistics.
-Path delays are absorbed into the uniform path phases and never drawn.
+loaded).  Power control gives every device the same effective power at the
+base station, so the interference statistics depend on each device's speed
+and path arrival angles alone.
 
-:func:`sample_device` draws a whole device for inspection.  The Monte Carlo
-sampler :func:`sample_cell_batch` draws only what the estimators read, and
-only what does not depend on the scenario: each device's speed as a fraction
-of V_max and, per path, the cosine of the arrival angle that sets its
-Doppler shift.  The estimators scale these to speeds and Doppler shifts for
-each scenario they evaluate from one draw, and draw the fading given those
+The Monte Carlo sampler :func:`sample_cell_batch` draws only those, and only
+what does not depend on the scenario: each device's speed as a fraction of
+V_max and, per path, the cosine of the arrival angle that sets its Doppler
+shift.  The estimators scale these to speeds and Doppler shifts for each
+scenario they evaluate from one draw, and draw the fading given those
 shifts.  For an angle psi uniform on [0, 2*pi), cos(psi) has the arcsine
 law, CDF 1/2 + arcsin(x)/pi on [-1, 1] (Clarke 1968), and so has
 sin(pi (u - 1/2)) for u uniform on [0, 1): the sampler forms the cosine that
@@ -31,18 +29,9 @@ __all__ = [
     "SystemConfig",
     "CellConfig",
     "MobilityModel",
-    "PropagationPath",
-    "Device",
     "CellBatch",
-    "subcarrier_frequency",
-    "doppler_shift",
-    "required_transmit_power",
-    "sample_paths",
-    "sample_device",
     "sample_cell_batch",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 def _require(condition: bool, message: str):
@@ -70,7 +59,9 @@ class SystemConfig:
             object.__setattr__(self, "symbol_period_s", 1.0 / self.subcarrier_spacing_hz)
         _require(self.carrier_frequency_hz > 0.0, "carrier_frequency_hz must be positive")
         _require(self.subcarrier_spacing_hz > 0.0, "subcarrier_spacing_hz must be positive")
-        _require(self.symbol_period_s > 0.0, "symbol_period_s must be positive")
+        _require(math.isfinite(self.symbol_period_s) and self.symbol_period_s > 0.0,
+                 "symbol_period_s must be finite and positive "
+                 "(it defaults to 1 / subcarrier_spacing_hz)")
         _require(int(self.half_subcarriers) == self.half_subcarriers
                  and self.half_subcarriers >= 0,
                  "half_subcarriers must be a non-negative integer")
@@ -79,14 +70,17 @@ class SystemConfig:
         _require(self.noise_variance >= 0.0, "noise_variance must be non-negative")
         _require(self.wave_speed_mps > 0.0, "wave_speed_mps must be positive")
         product = self.symbol_period_s * self.subcarrier_spacing_hz
+        _require(math.isfinite(product),
+                 f"symbol_period_s * subcarrier_spacing_hz overflows (got {product!r})")
         q = round(product)
         _require(q >= 1 and abs(product - q) <= 1e-9 * q,
                  "symbol_period_s * subcarrier_spacing_hz must be a positive integer "
                  f"(got {product!r}); orthogonality needs an integer number of "
                  "sub-carrier cycles per symbol")
         if self.bandwidth_hz > 0.0:
-            occupied = (2 * self.half_subcarriers + 1) * self.subcarrier_spacing_hz
-            _require(occupied <= self.bandwidth_hz * (1.0 + 1e-12),
+            # an int compares exactly with a float, where (2N + 1) * df can overflow
+            fits = self.bandwidth_hz * (1.0 + 1e-12) / self.subcarrier_spacing_hz
+            _require(2 * self.half_subcarriers + 1 <= fits,
                      f"bandwidth_hz={self.bandwidth_hz} cannot fit "
                      f"{2 * self.half_subcarriers + 1} sub-carriers spaced "
                      f"{self.subcarrier_spacing_hz} Hz apart")
@@ -99,21 +93,11 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class CellConfig:
-    """Cell geometry and propagation constants."""
+    """Multipath profile shared by every device of the cell."""
 
-    radius_m: float = 1000.0
-    path_loss_exponent: float = 3.5
-    # median large-scale loss constant in P_rx = K * r^-beta * P_tx; renamed
-    # from the customary single letter to avoid clashing with the wave speed
-    reference_loss_median: float = 1.0
-    scatterer_radius_m: float = 50.0      # local scatterer ring around each device
     paths_per_device: int = 8
 
     def __post_init__(self):
-        _require(self.radius_m > 0.0, "radius_m must be positive")
-        _require(self.path_loss_exponent >= 2.0, "path_loss_exponent must be at least 2")
-        _require(self.reference_loss_median > 0.0, "reference_loss_median must be positive")
-        _require(self.scatterer_radius_m > 0.0, "scatterer_radius_m must be positive")
         _require(int(self.paths_per_device) == self.paths_per_device
                  and self.paths_per_device >= 1,
                  "paths_per_device must be a positive integer")
@@ -131,128 +115,15 @@ class MobilityModel:
 
 
 @dataclass(frozen=True)
-class PropagationPath:
-    """One scatterer path: complex gain, phase, arrival angle, Doppler shift."""
-
-    gain: complex
-    phase_rad: float
-    arrival_angle_rad: float
-    doppler_hz: float
-
-    def __post_init__(self):
-        _require(0.0 <= self.phase_rad < TWO_PI, "phase_rad must lie in [0, 2*pi)")
-        _require(0.0 <= self.arrival_angle_rad < TWO_PI,
-                 "arrival_angle_rad must lie in [0, 2*pi)")
-
-
-@dataclass(frozen=True)
-class Device:
-    """One uplink device: position, motion, sub-carrier and channel paths."""
-
-    radius_m: float
-    angle_rad: float
-    velocity_mps: float
-    direction_rad: float
-    subcarrier_index: int
-    paths: tuple[PropagationPath, ...]
-
-    def __post_init__(self):
-        _require(self.radius_m >= 0.0, "radius_m must be non-negative")
-        _require(self.velocity_mps >= 0.0, "velocity_mps must be non-negative")
-        _require(len(self.paths) >= 1, "a device needs at least one path")
-
-
-@dataclass(frozen=True)
 class CellBatch:
     """Scenario-free mobility draws: (trials, devices) speed fractions,
     uniform on [0, 1), and (trials, devices, paths) cosines of the arrival
     angles, of the arcsine law and independent across paths.  A device of a
     scenario with maximum speed V_max moves at v = V_max * speed_fraction
-    and path m shifts by (v / c) f_c cos_arrival[..., m]: the laws
-    :func:`sample_device` gives its speed and path Dopplers."""
+    and path m shifts by (v / c) f_c cos_arrival[..., m]."""
 
     speed_fraction: np.ndarray
     cos_arrival: np.ndarray
-
-
-def subcarrier_frequency(index: int, cfg: SystemConfig) -> float:
-    """Baseband frequency of sub-carrier ``index``, i.e. index * spacing."""
-    n = cfg.half_subcarriers
-    if not -n <= index <= n:
-        raise ValueError(f"sub-carrier index {index} outside [-{n}, {n}]")
-    return index * cfg.subcarrier_spacing_hz
-
-
-def doppler_shift(velocity_mps: float, arrival_angle_rad: float, cfg: SystemConfig) -> float:
-    """Frequency shift (v / c) * f_c * cos(angle) seen along one path."""
-    return (velocity_mps / cfg.wave_speed_mps) * cfg.carrier_frequency_hz \
-        * math.cos(arrival_angle_rad)
-
-
-def required_transmit_power(device_radius_m: float, cell: CellConfig,
-                            cfg: SystemConfig) -> float:
-    """Transmit power that inverts the median path loss at radius r.
-
-    With P_tx = P_T * r^beta / K the base station receives exactly
-    cfg.effective_power from the device, whatever its distance.
-    """
-    if not 0.0 < device_radius_m <= cell.radius_m:
-        raise ValueError(
-            f"device_radius_m={device_radius_m} outside (0, {cell.radius_m}]")
-    return cfg.effective_power * device_radius_m ** cell.path_loss_exponent \
-        / cell.reference_loss_median
-
-
-def sample_paths(rng, n_paths: int, velocity_mps: float,
-                 cfg: SystemConfig) -> tuple[PropagationPath, ...]:
-    """Draw the multipath profile of one device moving at ``velocity_mps``.
-
-    Arrival angles and phases are i.i.d. uniform on [0, 2*pi); gains are
-    i.i.d. circular complex Gaussian scaled so the total mean path power is
-    one.  Draw order (angles, phases, gain normals) is fixed, which makes a
-    seeded generator reproduce the same paths.
-    """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    arrival = rng.uniform(0.0, TWO_PI, n_paths)
-    phase = rng.uniform(0.0, TWO_PI, n_paths)
-    normals = rng.standard_normal((n_paths, 2))
-    scale = 1.0 / math.sqrt(2.0 * n_paths)
-    return tuple(
-        PropagationPath(
-            gain=complex(normals[m, 0] * scale, normals[m, 1] * scale),
-            phase_rad=float(phase[m]),
-            arrival_angle_rad=float(arrival[m]),
-            doppler_hz=doppler_shift(velocity_mps, float(arrival[m]), cfg),
-        )
-        for m in range(n_paths)
-    )
-
-
-def sample_device(rng, cell: CellConfig, mob: MobilityModel, index: int,
-                  cfg: SystemConfig) -> Device:
-    """Draw one device on sub-carrier ``index``.
-
-    Position is uniform over the disc (radius R * sqrt(U)), speed uniform on
-    [0, V_max], heading uniform, then the multipath profile.  V_max = 0
-    yields zero speed and zero Doppler on every path.
-    """
-    n = cfg.half_subcarriers
-    if not -n <= index <= n:
-        raise ValueError(f"sub-carrier index {index} outside [-{n}, {n}]")
-    radius = cell.radius_m * math.sqrt(rng.random())
-    angle = rng.uniform(0.0, TWO_PI)
-    velocity = rng.uniform(0.0, mob.max_velocity_mps)
-    direction = rng.uniform(0.0, TWO_PI)
-    paths = sample_paths(rng, cell.paths_per_device, velocity, cfg)
-    return Device(
-        radius_m=radius,
-        angle_rad=angle,
-        velocity_mps=velocity,
-        direction_rad=direction,
-        subcarrier_index=index,
-        paths=paths,
-    )
 
 
 def sample_cell_batch(rng, n_trials: int, n_devices: int, cell: CellConfig) -> CellBatch:
@@ -267,9 +138,9 @@ def sample_cell_batch(rng, n_trials: int, n_devices: int, cell: CellConfig) -> C
     cos(psi) is sin(pi (u - 1/2)) = -cos(pi u), which has the arcsine law of
     the cosine of an angle uniform on [0, 2*pi).  Nothing here depends on
     V_max, the carrier or the spacing, so one batch serves every scenario
-    with the same device and path counts.  Position and heading are not drawn: power control cancels
-    the position and the Doppler shift depends on the speed and arrival
-    angle alone.  The per-path arithmetic runs on tiles of trial rows
+    with the same device and path counts.  Position and heading are not
+    drawn: power control cancels the position and the Doppler shift depends
+    on the speed and arrival angle alone.  The per-path arithmetic runs on tiles of trial rows
     (:func:`numerics.row_tiles`), which changes no value.
     """
     if n_trials < 1 or n_devices < 1:

@@ -18,7 +18,6 @@ from nbofdma.montecarlo import (
     estimate_ergodic_capacity,
     estimate_total_ici,
     estimate_useful_power,
-    individual_ici_power,
     symmetry_probe,
 )
 from nbofdma.sysmodel import CellConfig, MobilityModel, SystemConfig
@@ -246,12 +245,3 @@ def test_a_group_of_scenarios_is_validated():
         estimate_ergodic_capacity(plan, [CFG, SystemConfig(noise_variance=0.0)],
                                   CELL, [MOB, MOB])
 
-
-def test_individual_ici_power():
-    assert individual_ici_power(0.3, 0.0, 0.0, CFG) \
-        == pytest.approx(0.3 * CFG.effective_power, rel=1e-15)
-    # a whole number of spacings away with no Doppler lands on a null
-    assert individual_ici_power(0.3, 2500.0, 0.0, CFG) == 0.0
-    assert individual_ici_power(0.5, 2500.0, 80.0, CFG) > 0.0
-    with pytest.raises(ValueError):
-        individual_ici_power(-0.1, 0.0, 0.0, CFG)

@@ -1,4 +1,4 @@
-"""Property-based tests of the Monte Carlo Doppler kernel."""
+"""Property-based tests of the Monte Carlo Doppler kernel and the config parser."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from nbofdma import sweep  # noqa: E402
 from nbofdma.numerics import sinc_squared  # noqa: E402
 
 # derandomized and without an example database, so a run is repeatable and
@@ -35,3 +36,32 @@ def test_even_bit_for_bit(gap, offset):
     forward = sinc_squared(float(gap), np.array([offset]))
     backward = sinc_squared(-float(gap), np.array([-offset]))
     assert forward.view(np.uint64)[0] == backward.view(np.uint64)[0]
+
+
+# every key a config may set, curve overrides included, and values at the
+# edges of each key's range
+SCENARIO_KEYS = [*sweep._SYSTEM_KEYS, *sweep._CELL_KEYS, *sweep._MOBILITY_KEYS,
+                 "system.snr_db"]
+CONFIG_KEYS = st.sampled_from(
+    SCENARIO_KEYS + [*sweep._MC_KEYS]
+    + [f"curve.{name}.{key}" for name in ("a", "b") for key in SCENARIO_KEYS])
+CONFIG_VALUES = st.sampled_from([
+    "0", "-0.0", "-1", "1", "2.5", "5e-324", "1e-320", "1e-310", "1e-160", "1e300",
+    "-1e300", "nan", "inf", "-inf", "banana", "", "coherent"])
+CONFIG_HEADS = st.sampled_from([
+    "sweep.axis = v_max\nsweep.grid = 0, 50, 1e10\n",
+    "sweep.axis = snr_db\nsweep.grid = -4000, 0, 20\n",
+])
+CONFIG_OUTPUTS = st.lists(st.sampled_from(sweep.OUTPUT_ORDER), min_size=1, max_size=3)
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(CONFIG_HEADS, CONFIG_OUTPUTS,
+       st.dictionaries(CONFIG_KEYS, CONFIG_VALUES, min_size=1, max_size=2))
+def test_parser_raises_config_error_and_nothing_else(head, outputs, pairs):
+    text = head + "sweep.outputs = " + ", ".join(outputs) + "\n" \
+        + "".join(f"{key} = {value}\n" for key, value in pairs.items())
+    try:
+        sweep.parse_config(text)
+    except sweep.ConfigError:
+        pass

@@ -76,6 +76,8 @@ OUTS = "sweep.outputs = ici_exact\n"
     (AXIS + GRID + OUTS + "curve.a.sweep.grid = 1", "scenario key"),
     (AXIS + GRID + OUTS + "curve.9lives.system.snr_db = 3", "identifier"),
     (AXIS + GRID + OUTS + "just some words", "key = value"),
+    (AXIS + GRID + OUTS + "cell.radius_m = 1000", "unknown key 'cell.radius_m'"),
+    (AXIS + GRID + OUTS + "curve.a.cell.scatterer_radius_m = 50", "scenario key"),
 ])
 def test_rejects_malformed_input(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -86,13 +88,26 @@ def test_rejects_malformed_input(text, fragment):
     (AXIS + GRID + OUTS + "mc.trials = inf", "mc.trials: expected a finite number"),
     (AXIS + OUTS + "sweep.grid = 0, nan", "sweep.grid: expected a finite number"),
     (AXIS + OUTS + "sweep.grid = 0, inf", "sweep.grid: expected a finite number"),
-    (AXIS + GRID + OUTS + "cell.radius_m = inf", "cell.radius_m: expected a finite"),
+    (AXIS + GRID + OUTS + "cell.paths_per_device = inf", "cell.paths_per_device: expected a"),
     (AXIS + GRID + OUTS + "system.noise_variance = inf", "system.noise_variance: expected"),
     (AXIS + GRID + OUTS + "mobility.max_velocity_mps = -inf", "mobility.max_velocity_mps"),
-    (AXIS + GRID + OUTS + "curve.a.cell.radius_m = nan", "curve.a.cell.radius_m: expected"),
+    (AXIS + GRID + OUTS + "curve.a.cell.paths_per_device = nan",
+     "curve.a.cell.paths_per_device: expected"),
     (AXIS + GRID + OUTS + "system.snr_db = -4000", "noise power out of range"),
     ("sweep.axis = snr_db\nsweep.grid = -4000, 0\nsweep.outputs = capacity_exact",
      "noise power out of range"),
+    (AXIS + GRID + OUTS + "system.subcarrier_spacing_hz = 1e-320",
+     "symbol_period_s must be finite"),
+    (AXIS + GRID + OUTS + "system.symbol_period_s = 1e300\nsystem.subcarrier_spacing_hz = 1e300",
+     "symbol_period_s \\* subcarrier_spacing_hz overflows"),
+    # b = pi V f_c / (c df) overflows at the second grid point
+    (AXIS + "sweep.grid = 0, 1e10\nsweep.outputs = ici_approx\n"
+     "system.carrier_frequency_hz = 1e300",
+     "normalized Doppler is not finite at v_max_mps = 10000000000.0"),
+    # b is finite, the symbol-window span pi V f_c T_s / c is not
+    (AXIS + "sweep.grid = 1\nsweep.outputs = capacity_exact\n"
+     "system.carrier_frequency_hz = 1e300\nsystem.subcarrier_spacing_hz = 1e-10\n"
+     "system.symbol_period_s = 1e10", "normalized Doppler is not finite at v_max_mps = 1.0"),
 ])
 def test_rejects_non_finite_numbers(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -171,6 +186,19 @@ def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, refused):
         parse_config(mc)
     # the analytic outputs allocate no block of draws
     parse_config(mc.replace("ici_mc", "ici_approx"))
+
+
+def test_target_index_is_checked_against_each_curve():
+    # every fig4 curve carries at least 79 sub-carriers, the base scenario 49
+    preset = preset_path("fig4").read_text()
+    assert parse_config(preset + "mc.target_index = 30\n").plan.target_index == 30
+    text = AXIS + GRID + "sweep.outputs = ici_exact, ici_mc\nmc.trials = 300\n"
+    with pytest.raises(ConfigError, match=r"curve 'b': mc.target_index = 10 .*\[-5, 5\]"):
+        parse_config(text + "mc.target_index = 10\n"
+                     "curve.a.system.half_subcarriers = 24\n"
+                     "curve.b.system.half_subcarriers = 5\n")
+    with pytest.raises(ConfigError, match="mc.target_index = -25 "):
+        parse_config(text + "mc.target_index = -25\n")
 
 
 def test_missing_required_keys():
