@@ -164,8 +164,32 @@ def _si_series(x: float) -> float:
             return total
 
 
+def _si_asymptotic(x: float) -> float:
+    # Si(x) = pi/2 - f(x) cos(x) - g(x) sin(x) with the asymptotic series
+    # f ~ sum_k (-1)^k (2k)! / x^(2k+1), g ~ sum_k (-1)^k (2k+1)! / x^(2k+2)
+    # (Abramowitz & Stegun 5.2.8, 5.2.9, 5.2.34, 5.2.35); each remainder is
+    # below its first dropped term, and for x >= 40 the terms fall under
+    # 1e-17 before they start to grow
+    x2 = x * x
+    term_f = 1.0 / x
+    term_g = 1.0 / x2
+    f = g = 0.0
+    k = 0
+    while abs(term_f) > 1e-17:
+        f += term_f
+        g += term_g
+        term_f *= -(2 * k + 1) * (2 * k + 2) / x2
+        term_g *= -(2 * k + 2) * (2 * k + 3) / x2
+        k += 1
+    return math.pi / 2.0 - f * math.cos(x) - g * math.sin(x)
+
+
 _SI_CUTOFF = 4.0
 _SI_AT_CUTOFF = _si_series(_SI_CUTOFF)
+# Past this the tail quadrature cannot meet its tolerance: sin(t) at large t
+# carries rounding noise of the node positions, about 1e-16 t, which no
+# subdivision averages away, so the asymptotic series takes over
+_SI_ASYMPTOTIC_CUTOFF = 40.0
 # tail integrand sin(t)/t is smooth away from zero; tight spec keeps the
 # documented 1e-12 absolute error with plenty of margin
 _SI_TAIL_SPEC = QuadratureSpec(relative_tolerance=1e-13, absolute_tolerance=1e-14)
@@ -175,16 +199,19 @@ def sine_integral(x: float) -> float:
     """Sine integral Si(x) = integral of sin(t)/t from 0 to x, for x >= 0.
 
     Power series below x = 4, series value at 4 plus adaptive quadrature of
-    sin(t)/t beyond.  Absolute error stays below 1e-12 over the tested range
-    and Si(x) approaches pi/2 for large x.
+    sin(t)/t up to x = 40, and the asymptotic expansion beyond.  Absolute
+    error stays below 1e-12 over the tested range and Si(x) approaches pi/2
+    for large x.
     """
     x = float(x)
-    if not x >= 0.0:
-        raise ValueError("sine_integral requires x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("sine_integral requires a finite x >= 0")
     if x == 0.0:
         return 0.0
     if x <= _SI_CUTOFF:
         return _si_series(x)
+    if x > _SI_ASYMPTOTIC_CUTOFF:
+        return _si_asymptotic(x)
     tail = integrate(lambda t: np.sin(t) / t, _SI_CUTOFF, x, _SI_TAIL_SPEC)
     return _SI_AT_CUTOFF + tail
 

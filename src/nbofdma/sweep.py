@@ -343,16 +343,21 @@ def _noise_key(spec: SweepSpec, name, overrides, global_snr_db) -> str:
 def _check_doppler(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
                    axis_value: float):
     """Refuse a grid point whose normalized Doppler b = pi V_max f_c / (c df)
-    or symbol-window span pi V_max f_c T_s / c overflows: no output can be
-    evaluated there."""
+    or symbol-window span pi V_max f_c T_s / c overflows, where no output can
+    be evaluated, and one where b^2 / 18 + b^4 / 60 of the closed-form
+    bounds and approximations overflows."""
+    point = f"{_AXIS_COLUMN[spec.axis]} = {axis_value!r}"
     try:
-        NormalizedDoppler.from_configs(mob.max_velocity_mps, cfg)
+        b = NormalizedDoppler.from_configs(mob.max_velocity_mps, cfg).b
         finite = math.isfinite(_symbol_doppler_span(mob.max_velocity_mps, cfg))
     except ValueError:
         finite = False
     if not finite:
-        raise ValueError(f"the normalized Doppler is not finite at "
-                         f"{_AXIS_COLUMN[spec.axis]} = {axis_value!r}")
+        raise ValueError(f"the normalized Doppler is not finite at {point}")
+    b2 = b * b
+    if not math.isfinite(b2 / 18.0 + b2 * b2 / 60.0):
+        raise ValueError(f"the normalized Doppler b = {b!r} at {point} overflows "
+                         "the closed-form series b^2/18 + b^4/60")
 
 
 def _check_block_memory(cfg: SystemConfig, cell: CellConfig):
@@ -371,6 +376,14 @@ def _leaks_nothing(max_velocity_mps: float, cfg: SystemConfig) -> bool:
     """True where the closed-form interference, P_T minus the useful power,
     rounds to exactly 0: always in a static network, and at speeds so small
     that the useful power rounds to P_T."""
+    # P_T minus the useful power is P_T (b^2/18 - b^4/300 + ...) in the
+    # symbol-window span b and only grows with b.  From b = 1e-3 up it is
+    # above 5e-8 P_T, far beyond the rounding of P_T (1.1e-16 P_T) and the
+    # error of the useful-power quadrature (1e-12 P_T), so it cannot round
+    # to 0 and the quadrature is skipped; it does round to 0 below b of
+    # about 5e-8.
+    if _symbol_doppler_span(max_velocity_mps, cfg) >= 1e-3:
+        return False
     try:
         return total_ici_power(max_velocity_mps, cfg) == 0.0
     except QuadratureError:
@@ -573,16 +586,16 @@ def emit(rows, spec: SweepSpec, fmt: str = "csv") -> str:
 
     Cells of a failed computation are left empty and the row carries the
     failure note in a trailing ``error`` column, which only appears when at
-    least one row failed.  NaN values are refused outright.
+    least one row failed.  NaN and infinite values are refused outright.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     names = _columns(spec, rows)
     for row in rows:
         for value in row.values.values():
-            if value is not None and math.isnan(value):
-                raise ValueError("refusing to emit NaN "
-                                 f"(curve {row.curve!r}, point {row.axis_value!r})")
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"refusing to emit NaN or infinity ({value!r}, "
+                                 f"curve {row.curve!r}, point {row.axis_value!r})")
 
     def cells(row):
         out = {}

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from nbofdma import analytic
 from nbofdma.analytic import (
     IciBounds,
     NormalizedDoppler,
@@ -27,6 +28,7 @@ from nbofdma.analytic import (
     sum_rate_upper,
     total_ici_power,
 )
+from nbofdma.numerics import QuadratureError, sinc_squared
 from nbofdma.sysmodel import SystemConfig
 
 CFG = SystemConfig()                                   # 900 MHz, 2.5 kHz
@@ -45,6 +47,37 @@ CAPACITY_AT_100 = 5.824005160389218
 CAPACITY_APPROX_AT_100 = 5.818671492023659
 SUM_RATE_AT_100 = 1164801.0320778436
 LOG2_E = math.log2(math.e)
+
+# mpmath oracles, dps=30, of the leakage average in its t-form,
+# (1/pi) int_0^inf t sech t tanh t sum_g [sinc^2(g + beta sech t)
+# + sinc^2(g - beta sech t)] dt, with breakpoints at the sinc nulls; at
+# offset 0 it matches the sine-integral form to 25 digits.  Keyed by
+# (f_c, V_max), which give beta = V_max f_c T_s / c = 0.12, 3.6 and 20; the
+# entries are leakage 3100 Hz off the tone (gap 1.24) and finite_n_ici by
+# (N, target index).
+T_FORM_ORACLE = {
+    (900e6, 100.0): {
+        "leakage_3100hz": 0.0303491306827205733450641,
+        (2, 0): 0.005971235596543737162232644,
+        (2, 2): 0.003394239510344511234214138,
+        (24, 0): 0.007636995515461311992268541,
+        (24, 24): 0.003865939887433634492474757,
+    },
+    (900e6, 3000.0): {
+        "leakage_3100hz": 0.1523511448113735466949494,
+        (2, 0): 0.5513729669873045688799843,
+        (2, 2): 0.3377472898785266604961331,
+        (24, 0): 0.6963785044617005528854712,
+        (24, 24): 0.3491721562815055923239287,
+    },
+    (3e9, 5000.0): {
+        "leakage_3100hz": 0.0551985704443204863997402,
+        (2, 0): 0.2117653949821887611967721,
+        (2, 2): 0.1834340482616481445545196,
+        (24, 0): 0.9139596673621967554417681,
+        (24, 24): 0.4583150287576236427446354,
+    },
+}
 
 
 def velocity_for(b: float, cfg: SystemConfig) -> float:
@@ -172,6 +205,52 @@ def test_leakage_agrees_with_useful_power_route():
     useful = effective_useful_power(100.0, CFG)
     via_leakage = leakage(0.0, 100.0, CFG) * CFG.effective_power
     assert abs(useful - via_leakage) / useful <= 1e-9
+
+
+@pytest.mark.parametrize("fc,v", sorted(T_FORM_ORACLE))
+def test_leakage_matches_t_form_oracle(fc, v):
+    expected = T_FORM_ORACLE[(fc, v)]
+    cfg = SystemConfig(carrier_frequency_hz=fc)
+    assert leakage(3100.0, v, cfg) == pytest.approx(expected["leakage_3100hz"], rel=1e-12)
+    for n in (2, 24):
+        cfg_n = SystemConfig(carrier_frequency_hz=fc, half_subcarriers=n)
+        for i in (0, n):
+            assert finite_n_ici(i, v, cfg_n) == pytest.approx(expected[(n, i)], rel=1e-12)
+
+
+def test_leakage_agrees_with_useful_power_route_at_beta_1000():
+    # b = 1000 pi: the kernel sweeps about a thousand sinc^2 lobes
+    v = 1000.0 * CFG.wave_speed_mps / (CFG.carrier_frequency_hz * CFG.symbol_period_s)
+    useful = effective_useful_power(v, CFG)
+    via_leakage = leakage(0.0, v, CFG) * CFG.effective_power
+    assert abs(useful - via_leakage) / useful <= 1e-9
+
+
+def test_leakage_tail_bound_below_tolerance():
+    # past the last panel T the weight (t/pi) sech t tanh t integrates to at
+    # most 2 (T + 1) e^-T / pi, and the summed kernel is at most 2
+    mpmath = pytest.importorskip("mpmath")
+    for t_end in (1, 8, 40):
+        tail = mpmath.quad(lambda t: t * mpmath.sech(t) * mpmath.tanh(t),
+                           [t_end, mpmath.inf])
+        assert tail <= 2 * (t_end + 1) * mpmath.exp(-t_end)
+    # sum_k sinc^2(k + y) = 1 over all whole k, so any set of distinct
+    # whole-number gaps sums to at most 1 per sign
+    ys = np.linspace(-3.0, 3.0, 61)
+    lattice = sum(sinc_squared(float(k), ys) for k in range(-2000, 2001))
+    assert np.all(lattice <= 1.0 + 1e-12)
+    t_end = analytic._LEAKAGE_PANELS[-1]
+    bound = 2.0 * 2.0 * (t_end + 1.0) * math.exp(-t_end) / math.pi
+    assert bound < analytic._LEAKAGE_SPEC.absolute_tolerance
+
+
+def test_leakage_refuses_beta_beyond_the_budget():
+    beta = 4.0 * analytic._LEAKAGE_SPEC.max_subdivisions * 1.01
+    v = beta * CFG.wave_speed_mps / (CFG.carrier_frequency_hz * CFG.symbol_period_s)
+    with pytest.raises(QuadratureError, match="subdivision budget"):
+        leakage(0.0, v, CFG)
+    with pytest.raises(QuadratureError, match="subdivision budget"):
+        finite_n_ici(0, v, CFG)
 
 
 def test_leakage_decays_with_offset():

@@ -28,6 +28,10 @@ SI_ORACLE = {
     10.0: 1.658347594218874,
     50.0: 1.5516170724859359,
     1000.0: 1.5702331219687712,
+    # the tail quadrature could not meet its tolerance at these two
+    1915.7894736842104: 1.570360447593320683175046,
+    5585.197034676298: 1.570644145532555179286674,
+    1e5: 1.570806320399394122839171,
 }
 SINC_SQ_0_1 = 0.45141166679014031
 SINC_SQ_M3_7 = 0.97597542687255027
@@ -133,6 +137,8 @@ def test_sine_integral_oracle(x, expected):
 def test_sine_integral_rejects_negative():
     with pytest.raises(ValueError):
         sine_integral(-0.1)
+    with pytest.raises(ValueError):
+        sine_integral(math.inf)
 
 
 def test_sine_integral_monotone_on_first_arch():
@@ -145,6 +151,13 @@ def test_sine_integral_series_quadrature_seam():
     # the implementation switches methods at x = 4; both sides must agree
     below = sine_integral(4.0 - 1e-9)
     above = sine_integral(4.0 + 1e-9)
+    assert abs(above - below) < 1e-9
+
+
+def test_sine_integral_quadrature_asymptotic_seam():
+    # and again at x = 40, from the tail quadrature to the asymptotic series
+    below = sine_integral(40.0 - 1e-9)
+    above = sine_integral(40.0 + 1e-9)
     assert abs(above - below) < 1e-9
 
 

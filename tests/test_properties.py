@@ -1,4 +1,5 @@
-"""Property-based tests of the Monte Carlo Doppler kernel and the config parser."""
+"""Property-based tests of the Doppler kernel, the leakage average and the
+config parser."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nbofdma import sweep  # noqa: E402
+from nbofdma.analytic import effective_useful_power, leakage  # noqa: E402
 from nbofdma.numerics import sinc_squared  # noqa: E402
+from nbofdma.sysmodel import SystemConfig  # noqa: E402
 
 # derandomized and without an example database, so a run is repeatable and
 # leaves no files behind
@@ -36,6 +39,29 @@ def test_even_bit_for_bit(gap, offset):
     forward = sinc_squared(float(gap), np.array([offset]))
     backward = sinc_squared(-float(gap), np.array([-offset]))
     assert forward.view(np.uint64)[0] == backward.view(np.uint64)[0]
+
+
+# carrier and speed up to 6 GHz and 6000 m/s, so beta = V_max f_c T_s / c
+# reaches 48 at the default 2.5 kHz spacing
+carriers = st.floats(min_value=1e8, max_value=6e9)
+speeds = st.floats(min_value=0.0, max_value=6000.0)
+
+
+@PROPERTY
+@given(carriers, speeds, st.floats(min_value=-1e5, max_value=1e5))
+def test_leakage_even_bit_for_bit(fc, v, offset):
+    cfg = SystemConfig(carrier_frequency_hz=fc)
+    forward = np.float64(leakage(offset, v, cfg))
+    backward = np.float64(leakage(-offset, v, cfg))
+    assert forward.view(np.uint64) == backward.view(np.uint64)
+
+
+@PROPERTY
+@given(carriers, speeds)
+def test_leakage_matches_the_useful_power_route(fc, v):
+    cfg = SystemConfig(carrier_frequency_hz=fc)
+    useful = effective_useful_power(v, cfg)
+    assert abs(leakage(0.0, v, cfg) * cfg.effective_power - useful) <= 1e-9 * useful
 
 
 # every key a config may set, curve overrides included, and values at the

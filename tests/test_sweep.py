@@ -19,6 +19,7 @@ from nbofdma.sweep import (
     run_sweep,
     to_text,
 )
+from nbofdma.sysmodel import SystemConfig
 
 BASE = """
 sweep.axis = v_max
@@ -108,6 +109,15 @@ def test_rejects_malformed_input(text, fragment):
     (AXIS + "sweep.grid = 1\nsweep.outputs = capacity_exact\n"
      "system.carrier_frequency_hz = 1e300\nsystem.subcarrier_spacing_hz = 1e-10\n"
      "system.symbol_period_s = 1e10", "normalized Doppler is not finite at v_max_mps = 1.0"),
+    # b is finite, b^2/18 + b^4/60 of the bounds overflows (it printed inf)
+    (AXIS + "sweep.grid = 1\nsweep.outputs = ici_bounds, ici_approx, capacity_approx\n"
+     "system.carrier_frequency_hz = 1e300", "b = .* at v_max_mps = 1.0 overflows"),
+    ("sweep.axis = v_max\nsweep.grid = 0, 1e-300\nsweep.outputs = ici_exact\n"
+     "curve.a.system.carrier_frequency_hz = 9e8\n"
+     "curve.b.system.carrier_frequency_hz = 1e300\n"
+     "curve.b.system.subcarrier_spacing_hz = 1e-300\n"
+     "curve.b.system.symbol_period_s = 1e300",
+     "curve 'b': the normalized Doppler b = .* at v_max_mps = 1e-300 overflows"),
 ])
 def test_rejects_non_finite_numbers(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -161,13 +171,36 @@ def test_accepts_zero_noise_where_the_interference_is_positive():
 
 
 def test_zero_noise_check_leaves_a_quadrature_failure_to_its_row():
-    # at 1e6 m/s the useful-power quadrature exceeds its budget: parsing
-    # accepts the point and the sweep marks its row failed, as with noise
-    spec = parse_config(AXIS + "sweep.grid = 1e6\nsweep.outputs = capacity_exact\n"
+    # at 1e12 m/s (b about 4e9) the useful-power quadrature exceeds its
+    # budget: parsing accepts the point and the sweep marks its row failed,
+    # as with noise
+    spec = parse_config(AXIS + "sweep.grid = 1e12\nsweep.outputs = capacity_exact\n"
                         "system.noise_variance = 0\n")
     (row,) = run_sweep(spec)
     assert row.values["capacity_exact"] is None
     assert "did not converge" in row.error
+
+
+@pytest.mark.parametrize("cfg", [
+    SystemConfig(),
+    SystemConfig(effective_power=1e-300),
+    SystemConfig(symbol_period_s=2.0 / 2500.0, carrier_frequency_hz=3e9),
+], ids=["default", "tiny-power", "sparse-3ghz"])
+def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
+    # the answer of running the useful-power quadrature at every point
+    # against the shortcut that skips it from b = 1e-3 up
+    def quadrature_answer(v):
+        try:
+            return total_ici_power(v, cfg) == 0.0
+        except QuadratureError:
+            return False
+    answers = []
+    for b in np.geomspace(1e-9, 1e4, 131):
+        v = float(b) * cfg.wave_speed_mps \
+            / (math.pi * cfg.carrier_frequency_hz * cfg.symbol_period_s)
+        answers.append(sweep_mod._leaks_nothing(v, cfg))
+        assert answers[-1] == quadrature_answer(v), f"b = {b}"
+    assert answers[0] and not answers[-1]
 
 
 @pytest.mark.parametrize("text,refused", [
@@ -405,6 +438,16 @@ def test_nan_refused():
                      values={"ici_exact": math.nan, "capacity_exact": 1.0})]
     with pytest.raises(ValueError, match="NaN"):
         emit(rows, spec, fmt="csv")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinity_refused(value):
+    spec = parse_config(BASE)
+    rows = [SweepRow(curve="", axis_value=1.0,
+                     values={"ici_exact": 1.0, "capacity_exact": value})]
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match="infinity"):
+            emit(rows, spec, fmt=fmt)
 
 
 def test_unknown_format_rejected():
