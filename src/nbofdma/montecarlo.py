@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
-from .numerics import row_tiles, sinc, sinc_squared
+from .analytic import LOG2_E
+from .numerics import exp1_scaled, row_tiles, sinc, sinc_squared
 from .sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch
 
 __all__ = [
@@ -48,7 +49,8 @@ class TrialPlan:
     matched by the analytics, and the lower-variance choice); "coherent"
     draws the power of the complex path sum, which is mean_m k_m^2 times one
     Exp(1) draw per device.  Both agree in expectation.  The capacity
-    estimator always works on the coherent power and ignores this knob.
+    estimator ignores this knob: it draws the interferers' coherent powers
+    and averages the target's Exp(1) weight in closed form.
     """
 
     trials: int
@@ -121,18 +123,19 @@ def _group(cfg, mob):
 
 
 def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool):
-    """Yield ``(k, rows, powers)``: the per-(trial, device) power on the
-    target sub-carrier of scenario k for the trials ``rows``, in a buffer
-    the next step overwrites.
+    """Yield ``(k, rows, powers, weights)``: the per-(trial, device)
+    conditional power on the target sub-carrier of scenario k for the
+    trials ``rows``, in a buffer the next step overwrites, and the block's
+    Exp(1) weights ("coherent") or None.
 
-    Each block is drawn once, "coherent" Exp(1) weights right after the
-    sampler, and evaluated for each scenario in turn, so no value depends on
-    the group.  The mean over paths of sinc(gap + f_D * T_s)^2 is a device's
-    expected power given its path Doppler shifts; "coherent" multiplies it
-    by the weight, the law of the squared complex path sum.  ``gaps[k]``
-    holds scenario k's integer sub-carrier distances scaled by T_s * df, so
-    a static network cancels exactly.  Each row's path sum is taken within
-    its tile, so the tile size changes no value.
+    Each block is drawn once, the weights right after the sampler, and
+    evaluated for each scenario in turn, so no value depends on the group.
+    The mean over paths of sinc(gap + f_D * T_s)^2 is a device's expected
+    power given its path Doppler shifts; times its weight it follows the law
+    of the squared complex path sum, and the caller applies the weights.
+    ``gaps[k]`` holds scenario k's integer sub-carrier distances scaled by
+    T_s * df, so a static network cancels exactly.  Each row's path sum is
+    taken within its tile, so the tile size changes no value.
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
@@ -156,9 +159,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
                 kernel = sinc_squared(gaps[k][None, :, None], offsets)
                 np.einsum("tdm->td", kernel, out=powers[rows])
             powers /= paths
-            if coherent:
-                powers *= weights
-            yield k, slice(start, start + size), powers
+            yield k, slice(start, start + size), powers, weights
         start += size
 
 
@@ -194,8 +195,10 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     gaps = [_gaps(plan, c) for c, _ in scenarios]
     target_column = plan.target_index + scenarios[0][0].half_subcarriers
     samples = [np.empty(plan.trials) for _ in scenarios]
-    for k, rows, powers in _device_powers(plan, cell, scenarios, gaps,
-                                          plan.power_mode == "coherent"):
+    for k, rows, powers, weights in _device_powers(plan, cell, scenarios, gaps,
+                                                   plan.power_mode == "coherent"):
+        if weights is not None:
+            powers *= weights
         powers[:, target_column] = 0.0
         samples[k][rows] = powers.sum(axis=1) * scenarios[k][0].effective_power
     return _estimates(samples, single)
@@ -207,8 +210,10 @@ def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     sub-carrier; converges to :func:`analytic.effective_useful_power`."""
     _check_target(plan.target_index, cfg)
     samples = np.empty(plan.trials)
-    for _, rows, powers in _device_powers(plan, cell, [(cfg, mob)], [np.zeros(1)],
-                                          plan.power_mode == "coherent"):
+    for _, rows, powers, weights in _device_powers(plan, cell, [(cfg, mob)], [np.zeros(1)],
+                                                   plan.power_mode == "coherent"):
+        if weights is not None:
+            powers *= weights
         samples[rows] = powers[:, 0] * cfg.effective_power
     return _reduce(samples)
 
@@ -221,9 +226,18 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     of the whole cell, in bit/s/Hz.
 
     The per-device signal and interference powers are the powers of the
-    coherent path sums, whatever ``plan.power_mode`` says:
-    the instantaneous SINR is a property of the received signal, not of the
-    variance-reduced accounting the power estimators may use.  Stays below
+    coherent path sums, whatever ``plan.power_mode`` says: the
+    instantaneous SINR is a property of the received signal, not of the
+    variance-reduced accounting the power estimators may use.  Given the
+    path Doppler shifts and the interferers' Exp(1) weights, the target's
+    useful power is k_0 P_T times its own Exp(1) weight w, with k_0 its
+    conditional power, and the mean over w is exact:
+    E_w[log2(1 + w a)] = log2(e) e^(1/a) E1(1/a) with
+    a = k_0 P_T / (interference + noise) (Lee 1990).  Each trial
+    contributes that conditional mean in place of a draw of w, which removes
+    most of the variance, and a static network gives the exact capacity in
+    every trial.  The target's weight is still drawn, and left unused, so
+    the random streams stay those of the other estimators.  Stays below
     :func:`analytic.capacity_upper` in expectation.  Requires positive
     noise power.  ``cfg`` and ``mob`` may be sequences, as for
     :func:`estimate_total_ici`.
@@ -234,12 +248,17 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     gaps = [_gaps(plan, c) for c, _ in scenarios]
     target_column = plan.target_index + scenarios[0][0].half_subcarriers
     samples = [np.empty(plan.trials) for _ in scenarios]
-    for k, rows, powers in _device_powers(plan, cell, scenarios, gaps, True):
+    for k, rows, powers, weights in _device_powers(plan, cell, scenarios, gaps, True):
         cfg_k = scenarios[k][0]
         useful = powers[:, target_column] * cfg_k.effective_power
-        interference = (powers.sum(axis=1) - powers[:, target_column]) \
-            * cfg_k.effective_power
-        samples[k][rows] = np.log2(1.0 + useful / (interference + cfg_k.noise_variance))
+        powers *= weights
+        powers[:, target_column] = 0.0
+        # 1 / a; a target that keeps no power gives inf and a capacity of 0
+        inverse_sinr = powers.sum(axis=1) * cfg_k.effective_power
+        inverse_sinr += cfg_k.noise_variance
+        with np.errstate(divide="ignore"):
+            inverse_sinr /= useful
+        samples[k][rows] = exp1_scaled(inverse_sinr) * LOG2_E
     return _estimates(samples, single)
 
 
@@ -263,7 +282,7 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
     # ``low``, seen from ``high``, and column 1 the reverse
     gaps = np.array([float((low - high) * q), float((high - low) * q)])
     onto = {low: np.empty(plan.trials), high: np.empty(plan.trials)}
-    for _, rows, powers in _device_powers(plan, cell, [(cfg, mob)], [gaps], False):
+    for _, rows, powers, _ in _device_powers(plan, cell, [(cfg, mob)], [gaps], False):
         onto[high][rows] = powers[:, 0] * cfg.effective_power
         onto[low][rows] = powers[:, 1] * cfg.effective_power
     return _reduce(onto[index_a]), _reduce(onto[index_b])

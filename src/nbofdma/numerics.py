@@ -1,5 +1,6 @@
 """Deterministic numerical kernels: sin(pi r), normalized sinc, sine integral,
-quadrature, and the row tiles of the Monte Carlo block arithmetic.
+the scaled exponential integral, quadrature, and the row tiles of the Monte
+Carlo block arithmetic.
 
 Everything in this module is pure floating-point arithmetic with no hidden
 state and no randomness, so repeated calls with identical inputs return
@@ -22,6 +23,7 @@ __all__ = [
     "sinc_squared",
     "row_tiles",
     "sine_integral",
+    "exp1_scaled",
     "integrate",
 ]
 
@@ -214,6 +216,56 @@ def sine_integral(x: float) -> float:
         return _si_asymptotic(x)
     tail = integrate(lambda t: np.sin(t) / t, _SI_CUTOFF, x, _SI_TAIL_SPEC)
     return _SI_AT_CUTOFF + tail
+
+
+# e^x E1(x) from the series E1(x) = -gamma - ln x - sum_k (-x)^k / (k k!)
+# (Abramowitz & Stegun 5.1.11) below the seam and from the even form of the
+# continued fraction of A&S 5.1.22,
+# 1 / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - 9 / ...))), above it.  At the seam
+# the first dropped series term is below 5e-18, the series loses about one
+# digit to cancellation, and the truncated fraction falls short by 1.2e-15
+# relative, less further up.  The fraction side of the seam therefore lies
+# below the series side, which keeps the function non-increasing.
+_EXP1_SEAM = 1.5
+_EXP1_SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 21))
+_EXP1_DEPTH = 60
+_EULER_GAMMA = 0.57721566490153286
+
+
+def exp1_scaled(x):
+    """e^x E1(x), the exponential integral scaled by e^x, for x > 0 in numpy
+    arithmetic alone; returns an array of the shape of ``x``.
+
+    Within 2e-15 relative of its mpmath value from x = 1e-6 to 1e6.  It
+    falls from +inf at 0 (like -ln x) to 0 at +inf (like 1/x) and is exactly
+    0.0 at x = inf.  E[log2(1 + w a)] = log2(e) exp1_scaled(1/a) for an
+    Exp(1) weight w (Lee 1990, the ergodic capacity of a Rayleigh channel).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    low = x < _EXP1_SEAM
+    if low.any():
+        s = x[low]
+        series = np.full_like(s, _EXP1_SERIES[-1])
+        for c in _EXP1_SERIES[-2::-1]:
+            series *= s
+            series += c
+        series *= s
+        series -= _EULER_GAMMA
+        series -= np.log(s)
+        series *= np.exp(s)
+        out[low] = series
+    high = ~low
+    if high.any():
+        s = x[high]
+        fraction = np.full_like(s, 2.0 * _EXP1_DEPTH + 1.0)
+        for k in range(_EXP1_DEPTH, 0, -1):
+            fraction += s
+            np.divide(float(k * k), fraction, out=fraction)
+            np.subtract(2.0 * k - 1.0, fraction, out=fraction)
+        fraction += s
+        out[high] = np.divide(1.0, fraction, out=fraction)
+    return out
 
 
 # 15-point Gauss-Legendre rule, exact for polynomials through degree 29

@@ -319,9 +319,11 @@ def parse_config(text: str) -> SweepSpec:
                 if wants_mc:
                     _check_block_memory(cfg, cell)
                 _check_doppler(spec, cfg, mob, axis_value)
+                noise_key = _noise_key(spec, name, overrides, snr_db)
                 if cfg.noise_variance == 0.0:
-                    _check_noiseless(spec, cfg, mob, axis_value,
-                                     _noise_key(spec, name, overrides, snr_db))
+                    _check_noiseless(spec, cfg, mob, axis_value, noise_key)
+                _check_closed_forms(spec, cfg, mob, axis_value, noise_key,
+                                    _power_key(name, overrides))
         except ValueError as exc:
             label = f"curve {name!r}: " if name else ""
             raise ConfigError(label + str(exc)) from None
@@ -338,6 +340,13 @@ def _noise_key(spec: SweepSpec, name, overrides, global_snr_db) -> str:
         if key in keys:
             return f"curve.{name}.{key}"
     return "system.snr_db" if global_snr_db is not None else "system.noise_variance"
+
+
+def _power_key(name, overrides) -> str:
+    """The config key that sets the effective power of a curve."""
+    if any(key == "system.effective_power" for key, _ in overrides):
+        return f"curve.{name}.system.effective_power"
+    return "system.effective_power"
 
 
 def _check_doppler(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
@@ -358,6 +367,30 @@ def _check_doppler(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
     if not math.isfinite(b2 / 18.0 + b2 * b2 / 60.0):
         raise ValueError(f"the normalized Doppler b = {b!r} at {point} overflows "
                          "the closed-form series b^2/18 + b^4/60")
+
+
+def _check_closed_forms(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
+                        axis_value: float, noise_key: str, power_key: str):
+    """Refuse a grid point where a requested closed-form cell would not be
+    finite: P_T (b^2/18 + b^4/60), the largest cell of ``ici_bounds`` and
+    ``ici_approx``, or the capacity approximation with its noise/P_T.
+    :func:`_check_doppler` has already seen that b^2/18 + b^4/60 is finite."""
+    point = f"{_AXIS_COLUMN[spec.axis]} = {axis_value!r}"
+    v_max = mob.max_velocity_mps
+    ici_outputs = [output for output in ("ici_bounds", "ici_approx")
+                   if output in spec.outputs]
+    if ici_outputs and not math.isfinite(ici_bounds(v_max, cfg).upper):
+        raise ValueError(f"{power_key}: P_T (b^2/18 + b^4/60) overflows at {point}, "
+                         f"where {', '.join(ici_outputs)} would not be finite")
+    if "capacity_approx" in spec.outputs:
+        try:
+            finite = math.isfinite(capacity_upper_approx(v_max, cfg))
+        except ValueError:  # a noise ratio that underflows to 0 at b = 0
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"{noise_key}, {power_key}: capacity_approx is not finite at {point} "
+                f"(noise/P_T = {cfg.noise_variance / cfg.effective_power!r})")
 
 
 def _check_block_memory(cfg: SystemConfig, cell: CellConfig):

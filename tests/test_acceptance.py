@@ -217,11 +217,17 @@ def test_capacity_jensen_ordering(capsys, fig4):
         wide[i] > mid[i] > narrow[i]
         for wide, mid, narrow in [by_spacing]
         for i in range(1, len(wide)))
-    ok = violations == 0 and descending_in_v and descending_in_inverse_spacing
+    # without motion only the target's fading is random, and the estimator
+    # averages it in closed form, so every trial gives the same value
+    static_spread = max(row.values["capacity_mc_std_error"]
+                        for row in fig4["rows"] if row.axis_value == 0.0)
+    ok = violations == 0 and descending_in_v and descending_in_inverse_spacing \
+        and static_spread <= 1e-14
     _verdict(capsys, "A08", ok,
              f"simulated capacity <= upper bound + 3 stderr at "
              f"{len(fig4['rows']) - violations}/{len(fig4['rows'])} points; "
-             f"curves strictly decreasing in V_max and in 1/spacing",
+             f"curves strictly decreasing in V_max and in 1/spacing; "
+             f"V_max = 0 stderr {static_spread:.1e} <= 1e-14",
              fig4["elapsed"] + time.perf_counter() - start, 180.0)
 
 

@@ -28,7 +28,9 @@ MOB = MobilityModel(max_velocity_mps=100.0)
 
 # E[log2(1 + 100 X)] with X ~ Exp(1): log2(e) * e^(1/100) * E1(1/100),
 # mpmath at 30 digits.  The coherent path sum is complex normal for any
-# path count, so the static-network SINR is exactly exponential.
+# path count, so the static-network SINR is exactly exponential; the
+# capacity estimator averages that exponential in closed form, so every
+# trial gives this value.
 STATIC_CAPACITY_SNR20 = 5.8840482336834735
 
 
@@ -118,7 +120,9 @@ def test_capacity_static_network_oracle():
     plan = TrialPlan(trials=50000, seed=12)
     mob0 = MobilityModel(max_velocity_mps=0.0)
     est = estimate_ergodic_capacity(plan, CFG, CELL, mob0)
-    assert abs(est.mean - STATIC_CAPACITY_SNR20) <= 3.5 * est.std_error
+    assert abs(est.mean - STATIC_CAPACITY_SNR20) <= 1e-14 * STATIC_CAPACITY_SNR20
+    # a constant array can still show a rounding spread through np.std
+    assert est.std_error <= 1e-14
 
 
 def test_capacity_below_upper_bound():
@@ -192,8 +196,8 @@ PINNED = {
     "ici_edge_3ghz": ("0x1.2bd7f247eba7fp-7", "0x1.5357edcde9944p-12"),  # 0.0091505 +- 0.000324
     "useful": ("0x1.fbdcd2ae915c3p-1", "0x1.e8eec7f388cacp-12"),  # 0.991919 +- 0.000466
     "useful_coherent": ("0x1.a2cd6040cd990p-1", "0x1.9f2982e2301fap-5"),  # 0.817973 +- 0.0507
-    "capacity": ("0x1.5379cf169cadbp+2", "0x1.9847b94214206p-4"),  # 5.30431 +- 0.0997
-    "capacity_edge_3ghz": ("0x1.42726b4c1cb83p+2", "0x1.894ca45864407p-4"),  # 5.03823 +- 0.096
+    "capacity": ("0x1.4a668a80c103dp+2", "0x1.5d8af46b3f751p-6"),  # 5.16251 +- 0.0213
+    "capacity_edge_3ghz": ("0x1.46d09af8ea29fp+2", "0x1.fdbebda1ac85cp-6"),  # 5.10648 +- 0.0311
     "symmetry_a": ("0x1.1bee6742b03b3p-12", "0x1.f1682dea535e8p-17"),  # 0.000270778 +- 1.48e-05
     "symmetry_b": ("0x1.1a1484990c51ep-12", "0x1.f7822f70be968p-17"),  # 0.000269013 +- 1.5e-05
 }

@@ -9,9 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from nbofdma import numerics
 from nbofdma.numerics import (
     QuadratureError,
     QuadratureSpec,
+    exp1_scaled,
     integrate,
     sin_pi,
     sinc,
@@ -159,6 +161,36 @@ def test_sine_integral_quadrature_asymptotic_seam():
     below = sine_integral(40.0 - 1e-9)
     above = sine_integral(40.0 + 1e-9)
     assert abs(above - below) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# scaled exponential integral
+
+def test_exp1_scaled_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    seam = numerics._EXP1_SEAM
+    near_seam = seam + np.spacing(seam) * np.arange(-3, 4)
+    xs = np.concatenate([np.logspace(-6.0, 6.0, 241), near_seam,
+                         seam * np.array([0.9, 0.99, 0.999999, 1.000001, 1.01, 1.1]),
+                         np.linspace(0.5, 4.0, 71)])
+    out = exp1_scaled(xs)
+    with mpmath.workdps(40):
+        for x, y in zip(xs, out):
+            x = mpmath.mpf(float(x))
+            exact = mpmath.exp(x) * mpmath.e1(x)
+            assert abs(y - exact) <= 1e-14 * exact
+
+
+def test_exp1_scaled_edge_values():
+    assert exp1_scaled(np.inf) == 0.0
+    out = exp1_scaled(np.array([[0.01, np.inf], [2.0, 1e300]]))
+    assert out.shape == (2, 2) and out[0, 1] == 0.0
+    assert out[1, 1] == pytest.approx(1e-300, rel=1e-15)
+
+
+def test_exp1_scaled_does_not_rise_at_the_seam():
+    seam = numerics._EXP1_SEAM
+    assert exp1_scaled(np.nextafter(seam, 0.0)) >= exp1_scaled(seam)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,27 @@ def test_rejects_malformed_input(text, fragment):
     # b is finite, b^2/18 + b^4/60 of the bounds overflows (it printed inf)
     (AXIS + "sweep.grid = 1\nsweep.outputs = ici_bounds, ici_approx, capacity_approx\n"
      "system.carrier_frequency_hz = 1e300", "b = .* at v_max_mps = 1.0 overflows"),
+    # b^2/18 + b^4/60 is finite, P_T times it is not (the sweep ran, then
+    # refused to emit inf)
+    (AXIS + "sweep.grid = 1e6\nsweep.outputs = ici_bounds\nsystem.effective_power = 1e300",
+     "system.effective_power: P_T \\(b\\^2/18 \\+ b\\^4/60\\) overflows at "
+     "v_max_mps = 1000000.0, where ici_bounds would"),
+    (AXIS + "sweep.grid = 0, 10, 1e6\nsweep.outputs = ici_exact, ici_approx\n"
+     "curve.a.system.effective_power = 1\ncurve.b.system.effective_power = 1e300",
+     "curve 'b': curve.b.system.effective_power: .* at v_max_mps = 1000000.0, where ici_approx"),
+    # noise / P_T overflows
+    (AXIS + GRID + "sweep.outputs = capacity_approx\n"
+     "system.effective_power = 1e-300\nsystem.noise_variance = 1e10",
+     "system.noise_variance, system.effective_power: capacity_approx is not finite "
+     "at v_max_mps = 0.0"),
+    # noise / P_T is finite, log2(e) times it is not
+    ("sweep.axis = snr_db\nsweep.grid = -3081, 0\nsweep.outputs = capacity_approx",
+     "sweep.grid, system.effective_power: capacity_approx is not finite at snr_db = -3081.0"),
+    # noise / P_T underflows to 0 where b = 0
+    (AXIS + GRID + "sweep.outputs = capacity_approx\n"
+     "curve.a.system.effective_power = 1e300\ncurve.a.system.noise_variance = 1e-300",
+     "curve 'a': curve.a.system.noise_variance, curve.a.system.effective_power: "
+     "capacity_approx is not finite at v_max_mps = 0.0"),
     ("sweep.axis = v_max\nsweep.grid = 0, 1e-300\nsweep.outputs = ici_exact\n"
      "curve.a.system.carrier_frequency_hz = 9e8\n"
      "curve.b.system.carrier_frequency_hz = 1e300\n"
