@@ -241,6 +241,13 @@ def _cmd_check(args) -> int:
     ok = first.mean == second.mean and first.std_error == second.std_error
     record("mc-determinism", ok, f"mean {first.mean:.6e}")
 
+    # the simulator and the quadrature must agree on the interference
+    exact = finite_n_ici(0, mob.max_velocity_mps, cfg)
+    gap = abs(first.mean - exact)
+    ok = gap <= 4.0 * first.std_error
+    record("mc-agreement", ok, f"|mc - quadrature| {gap:.3e}, 4 stderr "
+                               f"{4.0 * first.std_error:.3e}")
+
     # faster devices leak more, so capacity can only fall with speed
     caps = [capacity_upper(v, cfg) for v in speeds]
     ok = all(b < a for a, b in zip(caps, caps[1:]))

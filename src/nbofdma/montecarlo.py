@@ -34,37 +34,29 @@ __all__ = [
 
 BLOCK_TRIALS = 256  # changing this changes every random stream
 
-_POWER_MODES = ("incoherent", "coherent")
-
-
 @dataclass(frozen=True)
 class TrialPlan:
     """How many channel realizations to draw and from which seed.
 
-    ``power_mode`` selects how the power estimators turn a device's path
-    Doppler shifts into a per-realization power.  Given the shifts, path m
-    demodulates to an independent circular Gaussian amplitude of variance
-    k_m^2 / M, with k_m = sinc(gap + f_D,m * T_s).  "incoherent" takes the
-    conditional mean of the per-path power sum, mean_m k_m^2 (the definition
-    matched by the analytics, and the lower-variance choice); "coherent"
-    draws the power of the complex path sum, which is mean_m k_m^2 times one
-    Exp(1) draw per device.  Both agree in expectation.  The capacity
-    estimator ignores this knob: it draws the interferers' coherent powers
-    and averages the target's Exp(1) weight in closed form.
+    Given its path Doppler shifts, a device's path m demodulates to an
+    independent circular Gaussian amplitude of variance k_m^2 / M, with
+    k_m = sinc(gap + f_D,m * T_s).  The power estimators take the
+    conditional mean of the per-path power sum, mean_m k_m^2, less a
+    control variate of known mean (:func:`_device_powers`); the capacity
+    estimator draws the interferers' coherent powers, mean_m k_m^2 times one
+    Exp(1) draw per device, and averages the target's Exp(1) weight in
+    closed form.
     """
 
     trials: int
     seed: int = 0
     target_index: int = 0
-    power_mode: str = "incoherent"
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.power_mode not in _POWER_MODES:
-            raise ValueError(f"power_mode must be one of {_POWER_MODES}")
 
 
 @dataclass(frozen=True)
@@ -122,11 +114,24 @@ def _group(cfg, mob):
     return scenarios, False
 
 
+def _variate_coefficients(gaps: np.ndarray, cfg: SystemConfig, mob: MobilityModel) -> np.ndarray:
+    """x^2 times the coefficient of d^2 in sinc^2(gap + d) at small d, per
+    whole-number gap, with x = V_max f_c T_s / c: off the centre
+    sin^2(pi d) / (pi (gap + d))^2 = d^2 / gap^2 + O(d^3), and on it
+    sinc^2(d) = 1 - (pi^2 / 3) d^2 + O(d^4)."""
+    x = mob.max_velocity_mps / cfg.wave_speed_mps * cfg.carrier_frequency_hz \
+        * cfg.symbol_period_s
+    coefficients = np.full(gaps.shape, -math.pi ** 2 / 3.0)
+    np.divide(1.0, gaps * gaps, out=coefficients, where=gaps != 0.0)
+    coefficients *= x * x
+    return coefficients
+
+
 def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool):
-    """Yield ``(k, rows, powers, weights)``: the per-(trial, device)
-    conditional power on the target sub-carrier of scenario k for the
-    trials ``rows``, in a buffer the next step overwrites, and the block's
-    Exp(1) weights ("coherent") or None.
+    """Yield ``(k, rows, powers, weights)``: the per-(trial, device) power
+    on the target sub-carrier of scenario k for the trials ``rows``, in a
+    buffer the next step overwrites, and the block's Exp(1) weights
+    ("coherent") or None.
 
     Each block is drawn once, the weights right after the sampler, and
     evaluated for each scenario in turn, so no value depends on the group.
@@ -136,10 +141,25 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     ``gaps[k]`` holds scenario k's integer sub-carrier distances scaled by
     T_s * df, so a static network cancels exactly.  Each row's path sum is
     taken within its tile, so the tile size changes no value.
+
+    Without weights the powers carry a control variate with coefficient 1
+    (Glasserman 2003, section 4.1): a device whose paths shift by
+    d_m = f_D,m T_s keeps its power less c (mean_m d_m^2 - E[d^2]), with c
+    the d^2 coefficient of sinc^2(gap + d).  With d_m = x u cos(psi_m), the
+    speed fraction u uniform (E[u^2] = 1/3) and cos(psi_m) of the arcsine law
+    (E[cos^2 psi] = 1/2), E[d^2] = x^2 / 6 exactly, so the term is
+    c x^2 (u^2 mean_m cos^2 psi_m - 1/6) and has mean zero: every
+    expectation is kept, and the term cancels most of the power's spread
+    while |d| stays well below 1/2.  The bracket does not depend on the
+    scenario and is formed once per block; each scenario scales it by its
+    c x^2 (:func:`_variate_coefficients`), per device, not per path.  A
+    static network subtracts exactly 0.
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
-    buffer = np.empty((2, min(plan.trials, BLOCK_TRIALS), devices))
+    buffer = np.empty((2 if coherent else 3, min(plan.trials, BLOCK_TRIALS), devices))
+    coefficients = None if coherent else [_variate_coefficients(g, cfg, mob)
+                                          for g, (cfg, mob) in zip(gaps, scenarios)]
     start = 0
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
@@ -147,6 +167,16 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
         weights = rng.standard_exponential((size, devices)) if coherent else None
         powers, max_shift = buffer[0, :size], buffer[1, :size]
         tiles = row_tiles(size, devices * paths)
+        if not coherent:
+            # u^2 mean_m cos^2 psi_m - 1/6
+            variate = buffer[2, :size]
+            for rows in tiles:
+                tile = batch.cos_arrival[rows]
+                np.einsum("tdm,tdm->td", tile, tile, out=variate[rows])
+            variate /= paths
+            variate *= batch.speed_fraction
+            variate *= batch.speed_fraction
+            variate -= 1.0 / 6.0
         for k, (cfg, mob) in enumerate(scenarios):
             # ((V_max * fraction) / c) * f_c, then * cos psi, then * T_s: the
             # operation order keeps the bits of a per-scenario draw
@@ -159,6 +189,8 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
                 kernel = sinc_squared(gaps[k][None, :, None], offsets)
                 np.einsum("tdm->td", kernel, out=powers[rows])
             powers /= paths
+            if not coherent:
+                powers -= np.multiply(variate, coefficients[k], out=max_shift)
             yield k, slice(start, start + size), powers, weights
         start += size
 
@@ -185,7 +217,11 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     """Monte Carlo mean of the interference power collected on the target
     sub-carrier from the other 2N devices.
 
-    Converges to :func:`analytic.finite_n_ici` at the same N.  A static
+    Converges to :func:`analytic.finite_n_ici` at the same N.  Each trial
+    sums Y - C + E[C], where Y is the trial's interference power,
+    C = sum_j mean_m d_jm^2 / g_j^2 over the interferers j at whole-number
+    gaps g_j and E[C] = (x^2 / 6) sum_j 1 / g_j^2, with x = V_max f_c T_s / c
+    (:func:`_device_powers`).  Neither term needs a quadrature.  A static
     network gives exactly zero in every trial.  ``cfg`` and ``mob`` may be
     equal-length sequences of scenarios sharing ``half_subcarriers``; they
     are evaluated on one set of draws, and the result is a list of
@@ -195,10 +231,7 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     gaps = [_gaps(plan, c) for c, _ in scenarios]
     target_column = plan.target_index + scenarios[0][0].half_subcarriers
     samples = [np.empty(plan.trials) for _ in scenarios]
-    for k, rows, powers, weights in _device_powers(plan, cell, scenarios, gaps,
-                                                   plan.power_mode == "coherent"):
-        if weights is not None:
-            powers *= weights
+    for k, rows, powers, _ in _device_powers(plan, cell, scenarios, gaps, False):
         powers[:, target_column] = 0.0
         samples[k][rows] = powers.sum(axis=1) * scenarios[k][0].effective_power
     return _estimates(samples, single)
@@ -207,13 +240,16 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
 def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
                           mob: MobilityModel) -> Estimate:
     """Monte Carlo mean of the power the target device keeps on its own
-    sub-carrier; converges to :func:`analytic.effective_useful_power`."""
+    sub-carrier; converges to :func:`analytic.effective_useful_power`.
+
+    Each trial gives Y - C + E[C], where Y = mean_m sinc^2(d_m) is the
+    trial's useful fraction, C = -(pi^2 / 3) mean_m d_m^2 and
+    E[C] = -(pi^2 / 3) x^2 / 6 (:func:`_device_powers`).  A static network
+    gives exactly P_T in every trial.
+    """
     _check_target(plan.target_index, cfg)
     samples = np.empty(plan.trials)
-    for _, rows, powers, weights in _device_powers(plan, cell, [(cfg, mob)], [np.zeros(1)],
-                                                   plan.power_mode == "coherent"):
-        if weights is not None:
-            powers *= weights
+    for _, rows, powers, _ in _device_powers(plan, cell, [(cfg, mob)], [np.zeros(1)], False):
         samples[rows] = powers[:, 0] * cfg.effective_power
     return _reduce(samples)
 
@@ -226,18 +262,18 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     of the whole cell, in bit/s/Hz.
 
     The per-device signal and interference powers are the powers of the
-    coherent path sums, whatever ``plan.power_mode`` says: the
-    instantaneous SINR is a property of the received signal, not of the
-    variance-reduced accounting the power estimators may use.  Given the
-    path Doppler shifts and the interferers' Exp(1) weights, the target's
-    useful power is k_0 P_T times its own Exp(1) weight w, with k_0 its
-    conditional power, and the mean over w is exact:
-    E_w[log2(1 + w a)] = log2(e) e^(1/a) E1(1/a) with
+    coherent path sums, without the control variate of the power
+    estimators: the SINR is not linear in them, so a variate of known mean
+    would not keep the mean of the log.  Given the path Doppler shifts and
+    the interferers' Exp(1) weights, the target's useful power is k_0 P_T
+    times its own Exp(1) weight w, with k_0 its conditional power, and the
+    mean over w is exact: E_w[log2(1 + w a)] = log2(e) e^(1/a) E1(1/a) with
     a = k_0 P_T / (interference + noise) (Lee 1990).  Each trial
     contributes that conditional mean in place of a draw of w, which removes
     most of the variance, and a static network gives the exact capacity in
-    every trial.  The target's weight is still drawn, and left unused, so
-    the random streams stay those of the other estimators.  Stays below
+    every trial.  The weights are drawn after the sampler's draws, the
+    target's too, which is left unused, so every estimator reads the same
+    speeds and arrival cosines.  Stays below
     :func:`analytic.capacity_upper` in expectation.  Requires positive
     noise power.  ``cfg`` and ``mob`` may be sequences, as for
     :func:`estimate_total_ici`.
@@ -269,7 +305,10 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
     ``index_a`` and vice versa, from independent draws of the two devices.
 
     The channel law depends on the index pair only through its gap, so the
-    two means must agree within Monte Carlo noise.  Swapping the arguments
+    two means must agree within Monte Carlo noise.  Each direction carries
+    the control variate of :func:`estimate_total_ici` for its own gap g,
+    (mean_m d_m^2 - x^2 / 6) / g^2, which the two share in law and in
+    mean but not in draws.  Swapping the arguments
     returns the same pair of estimates in the other order, bit for bit.
     """
     _check_target(index_a, cfg)

@@ -95,10 +95,6 @@ def _to_int(raw: str, key: str) -> int:
     return int(value)
 
 
-def _to_name(raw: str, key: str) -> str:
-    return raw
-
-
 # (dataclass field, converter) per config key
 _SYSTEM_KEYS = {
     "system.carrier_frequency_hz": ("carrier_frequency_hz", _to_float),
@@ -120,7 +116,6 @@ _MC_KEYS = {
     "mc.trials": ("trials", _to_int),
     "mc.seed": ("seed", _to_int),
     "mc.target_index": ("target_index", _to_int),
-    "mc.power_mode": ("power_mode", _to_name),
 }
 # keys a curve may override (snr_db is sugar for noise_variance in both
 # the global and the per-curve position)

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from nbofdma import __version__
+from nbofdma import __version__, cli
+from nbofdma.analytic import finite_n_ici
 from nbofdma.cli import main
+from nbofdma.montecarlo import Estimate
 
 GOOD = """
 sweep.axis = v_max
@@ -43,6 +45,19 @@ def test_check_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+    assert "PASS  mc-agreement" in out
+
+
+def test_check_flags_a_simulator_off_the_quadrature(monkeypatch, capsys):
+    # 10% high, at a standard error the control variate could deliver
+    def biased(plan, cfg, cell, mob):
+        exact = finite_n_ici(0, mob.max_velocity_mps, cfg)
+        return Estimate(mean=1.1 * exact, std_error=1e-3 * exact, trials=plan.trials)
+    monkeypatch.setattr(cli, "estimate_total_ici", biased)
+    assert main(["check", "--trials", "512"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  mc-agreement" in out
+    assert out.count("FAIL") == 1
 
 
 def test_sweep_to_stdout(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nbofdma import numerics
+from nbofdma import analytic, montecarlo, numerics
 from nbofdma.analytic import (
     capacity_upper,
     effective_useful_power,
@@ -20,7 +20,7 @@ from nbofdma.montecarlo import (
     estimate_useful_power,
     symmetry_probe,
 )
-from nbofdma.sysmodel import CellConfig, MobilityModel, SystemConfig
+from nbofdma.sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch
 
 CFG = SystemConfig()
 CELL = CellConfig()
@@ -39,9 +39,6 @@ def test_trial_plan_validation():
         TrialPlan(trials=0)
     with pytest.raises(ValueError):
         TrialPlan(trials=10, seed=-1)
-    with pytest.raises(ValueError):
-        TrialPlan(trials=10, power_mode="mystery")
-    assert TrialPlan(trials=10).power_mode == "incoherent"
 
 
 def test_estimates_are_deterministic():
@@ -93,9 +90,18 @@ def test_mean_invariant_to_path_count():
 
 
 def test_power_modes_share_a_mean():
-    incoherent = estimate_total_ici(TrialPlan(trials=30000, seed=8), CFG, CELL, MOB)
-    coherent = estimate_total_ici(
-        TrialPlan(trials=30000, seed=8, power_mode="coherent"), CFG, CELL, MOB)
+    # the interference the capacity estimator sees, the interferers'
+    # coherent powers, against the conditional-mean estimator
+    plan = TrialPlan(trials=30000, seed=8)
+    incoherent = estimate_total_ici(plan, CFG, CELL, MOB)
+    gaps = montecarlo._gaps(plan, CFG)
+    samples = np.empty(plan.trials)
+    for _, rows, powers, weights in montecarlo._device_powers(plan, CELL, [(CFG, MOB)],
+                                                              [gaps], True):
+        powers *= weights
+        powers[:, CFG.half_subcarriers] = 0.0
+        samples[rows] = powers.sum(axis=1) * CFG.effective_power
+    coherent = montecarlo._reduce(samples)
     combined = math.hypot(incoherent.std_error, coherent.std_error)
     assert abs(incoherent.mean - coherent.mean) <= 3.5 * combined
     # squaring the complex sum mixes the paths, so the variance grows
@@ -170,11 +176,8 @@ def test_symmetry_probe_rejects_equal_indices():
 
 def _all_estimates():
     plan = TrialPlan(trials=300, seed=21)
-    coherent = TrialPlan(trials=300, seed=21, power_mode="coherent")
     return (estimate_total_ici(plan, CFG, CELL, MOB),
-            estimate_total_ici(coherent, CFG, CELL, MOB),
             estimate_useful_power(plan, CFG, CELL, MOB),
-            estimate_useful_power(coherent, CFG, CELL, MOB),
             estimate_ergodic_capacity(plan, CFG, CELL, MOB),
             symmetry_probe(0, 3, plan, CFG, CELL, MOB))
 
@@ -188,24 +191,22 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 
 
 # float.hex of (mean, std_error) of each estimator at 300 trials (two
-# blocks, one partial) as computed when every scenario drew its own blocks;
-# sharing the draws among the scenarios of a group must keep these bits
+# blocks, one partial); sharing the draws among the scenarios of a group
+# must keep these bits.  The power estimators' pins include their control
+# variate.
 PINNED = {
-    "ici": ("0x1.ef41dc2761fdap-8", "0x1.aade94117fd3ap-13"),  # 0.00755703 +- 0.000204
-    "ici_coherent": ("0x1.ee7dea03a20c3p-8", "0x1.57a5d0fe2009bp-12"),  # 0.00754535 +- 0.000328
-    "ici_edge_3ghz": ("0x1.2bd7f247eba7fp-7", "0x1.5357edcde9944p-12"),  # 0.0091505 +- 0.000324
-    "useful": ("0x1.fbdcd2ae915c3p-1", "0x1.e8eec7f388cacp-12"),  # 0.991919 +- 0.000466
-    "useful_coherent": ("0x1.a2cd6040cd990p-1", "0x1.9f2982e2301fap-5"),  # 0.817973 +- 0.0507
+    "ici": ("0x1.f5b3f5ecee9f1p-8", "0x1.4c3e5dcb58a36p-16"),  # 0.00765538 +- 1.98e-05
+    "ici_edge_3ghz": ("0x1.30e642d805683p-7", "0x1.25b5b2b406b7fp-14"),  # 0.00930479 +- 7e-05
+    "useful": ("0x1.fbfea0cecdd93p-1", "0x1.a98da5919601bp-18"),  # 0.992177 +- 6.34e-06
     "capacity": ("0x1.4a668a80c103dp+2", "0x1.5d8af46b3f751p-6"),  # 5.16251 +- 0.0213
     "capacity_edge_3ghz": ("0x1.46d09af8ea29fp+2", "0x1.fdbebda1ac85cp-6"),  # 5.10648 +- 0.0311
-    "symmetry_a": ("0x1.1bee6742b03b3p-12", "0x1.f1682dea535e8p-17"),  # 0.000270778 +- 1.48e-05
-    "symmetry_b": ("0x1.1a1484990c51ep-12", "0x1.f7822f70be968p-17"),  # 0.000269013 +- 1.5e-05
+    "symmetry_a": ("0x1.123549a283131p-12", "0x1.72f59ecb543c4p-21"),  # 0.000261505 +- 6.91e-07
+    "symmetry_b": ("0x1.11dc5516f989dp-12", "0x1.7c85d36ae4eebp-21"),  # 0.000261174 +- 7.09e-07
 }
 
 
 def test_estimates_keep_their_pinned_bits():
     plan = TrialPlan(trials=300, seed=21)
-    coherent = TrialPlan(trials=300, seed=21, power_mode="coherent")
     edge = TrialPlan(trials=300, seed=22, target_index=-4)
     cfg3 = SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=5)
     cell3 = CellConfig(paths_per_device=3)
@@ -213,10 +214,8 @@ def test_estimates_keep_their_pinned_bits():
     onto_a, onto_b = symmetry_probe(0, 3, plan, CFG, CELL, MOB)
     got = {
         "ici": estimate_total_ici(plan, CFG, CELL, MOB),
-        "ici_coherent": estimate_total_ici(coherent, CFG, CELL, MOB),
         "ici_edge_3ghz": estimate_total_ici(edge, cfg3, cell3, mob3),
         "useful": estimate_useful_power(plan, CFG, CELL, MOB),
-        "useful_coherent": estimate_useful_power(coherent, CFG, CELL, MOB),
         "capacity": estimate_ergodic_capacity(plan, CFG, CELL, MOB),
         "capacity_edge_3ghz": estimate_ergodic_capacity(edge, cfg3, cell3, mob3),
         "symmetry_a": onto_a,
@@ -227,9 +226,8 @@ def test_estimates_keep_their_pinned_bits():
 
 
 @pytest.mark.parametrize("estimator", [estimate_total_ici, estimate_ergodic_capacity])
-@pytest.mark.parametrize("power_mode", ["incoherent", "coherent"])
-def test_a_group_of_scenarios_matches_its_members(estimator, power_mode):
-    plan = TrialPlan(trials=300, seed=23, target_index=2, power_mode=power_mode)
+def test_a_group_of_scenarios_matches_its_members(estimator):
+    plan = TrialPlan(trials=300, seed=23, target_index=2)
     cfgs = [CFG, SystemConfig(carrier_frequency_hz=3e9),
             SystemConfig(subcarrier_spacing_hz=1250.0, bandwidth_hz=0.0), CFG]
     mobs = [MOB, MobilityModel(40.0), MOB, MobilityModel(0.0)]
@@ -249,3 +247,99 @@ def test_a_group_of_scenarios_is_validated():
         estimate_ergodic_capacity(plan, [CFG, SystemConfig(noise_variance=0.0)],
                                   CELL, [MOB, MOB])
 
+
+# ---------------------------------------------------------------------------
+# control variate
+
+# a small cell with an off-centre target: 5 devices of 3 paths at 3 GHz,
+# x = V_max f_c T_s / c = 0.28
+CV_CFG = SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=2)
+CV_CELL = CellConfig(paths_per_device=3)
+CV_MOB = MobilityModel(max_velocity_mps=70.0)
+CV_X = 70.0 / 3e8 * 3e9 / 2500.0
+
+
+def _inverse_squares(gaps):
+    inverse = np.zeros_like(gaps)
+    np.divide(1.0, gaps * gaps, out=inverse, where=gaps != 0.0)
+    return inverse
+
+
+def test_control_variate_mean_matches_its_closed_form():
+    # C = sum_j mean_m d_jm^2 / g_j^2 over the interferers, 10^6 trials of
+    # the package's own sampler, against E[C] = (x^2 / 6) sum_j 1 / g_j^2
+    gaps = montecarlo._gaps(TrialPlan(trials=1, target_index=1), CV_CFG)
+    inverse = _inverse_squares(gaps)
+    rng = np.random.default_rng(2024)
+    chunks = []
+    for _ in range(20):
+        batch = sample_cell_batch(rng, 50_000, gaps.size, CV_CELL)
+        d = CV_X * batch.speed_fraction[:, :, None] * batch.cos_arrival
+        chunks.append((d * d).mean(axis=2) @ inverse)
+    c = np.concatenate(chunks)
+    expected = CV_X ** 2 / 6.0 * inverse.sum()
+    assert abs(c.mean() - expected) <= 4.0 * c.std(ddof=1) / math.sqrt(c.size)
+
+
+def test_control_variate_is_the_leading_doppler_term():
+    # what the power estimators subtract from each device's conditional
+    # power: c (mean_m d_m^2 - x^2 / 6), c = 1 / g^2 off the centre and
+    # -pi^2 / 3 on it
+    plan = TrialPlan(trials=256, seed=26, target_index=1)
+    gaps = montecarlo._gaps(plan, CV_CFG)
+
+    def powers(coherent):
+        # one block and one scenario: a single yield
+        [(_, _, block, _)] = montecarlo._device_powers(plan, CV_CELL, [(CV_CFG, CV_MOB)],
+                                                       [gaps], coherent)
+        return block
+
+    batch = sample_cell_batch(montecarlo._block_rng(plan.seed, 0), plan.trials,
+                              gaps.size, CV_CELL)
+    d = CV_X * batch.speed_fraction[:, :, None] * batch.cos_arrival
+    curvature = np.where(gaps == 0.0, -math.pi ** 2 / 3.0, _inverse_squares(gaps))
+    expected = curvature * ((d * d).mean(axis=2) - CV_X ** 2 / 6.0)
+    np.testing.assert_allclose(powers(True) - powers(False), expected, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("cfg, cell, target", [
+    (CFG, CELL, 0),
+    (SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=5), CellConfig(3), -4),
+    (SystemConfig(symbol_period_s=2.0 / 2500.0, half_subcarriers=7), CELL, 7),
+], ids=["default", "3ghz-edge", "double-period"])
+def test_control_variate_keeps_static_networks_exact(cfg, cell, target):
+    plan = TrialPlan(trials=300, seed=24, target_index=target)
+    mob0 = MobilityModel(max_velocity_mps=0.0)
+    ici = estimate_total_ici(plan, cfg, cell, mob0)
+    useful = estimate_useful_power(plan, cfg, cell, mob0)
+    assert (ici.mean, ici.std_error) == (0.0, 0.0)
+    assert (useful.mean, useful.std_error) == (cfg.effective_power, 0.0)
+    for onto in symmetry_probe(target, 0 if target else 1, plan, cfg, cell, mob0):
+        assert (onto.mean, onto.std_error) == (0.0, 0.0)
+
+
+def test_control_variate_cuts_the_fig3_standard_error():
+    # the fig3 point with the largest Doppler, 3 GHz at 100 m/s, at the
+    # benchmark's 2048 trials; before the control variate the relative
+    # standard error was 0.010583 at this seed
+    cfg = SystemConfig(carrier_frequency_hz=3e9)
+    est = estimate_total_ici(TrialPlan(trials=2048, seed=42), cfg, CELL, MOB)
+    exact = finite_n_ici(0, 100.0, cfg)
+    assert est.std_error / exact <= 0.010583 / 2.0
+    assert abs(est.mean - exact) <= 4.0 * est.std_error
+
+
+def test_monte_carlo_route_needs_no_quadrature(monkeypatch):
+    # the simulator must stay a route independent of the quadratures it
+    # checks, control variate included
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Monte Carlo route called a quadrature")
+    for module in (numerics, analytic):
+        monkeypatch.setattr(module, "integrate", refuse)
+        monkeypatch.setattr(module, "sine_integral", refuse)
+    plan = TrialPlan(trials=300, seed=25)
+    for mob in (MobilityModel(0.0), MOB):
+        estimate_total_ici(plan, CFG, CELL, mob)
+        estimate_useful_power(plan, CFG, CELL, mob)
+        symmetry_probe(0, 3, plan, CFG, CELL, mob)
+        estimate_ergodic_capacity(plan, CFG, CELL, mob)

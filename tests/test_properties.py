@@ -1,5 +1,5 @@
 """Property-based tests of the Doppler kernel, the scaled exponential
-integral, the leakage average and the config parser."""
+integral, the leakage average, the power budget and the config parser."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nbofdma import numerics, sweep  # noqa: E402
-from nbofdma.analytic import effective_useful_power, leakage  # noqa: E402
+from nbofdma.analytic import effective_useful_power, leakage, power_budget  # noqa: E402
 from nbofdma.numerics import exp1_scaled, sinc_squared  # noqa: E402
 from nbofdma.sysmodel import SystemConfig  # noqa: E402
 
@@ -89,6 +89,17 @@ def test_leakage_matches_the_useful_power_route(fc, v):
     cfg = SystemConfig(carrier_frequency_hz=fc)
     useful = effective_useful_power(v, cfg)
     assert abs(leakage(0.0, v, cfg) * cfg.effective_power - useful) <= 1e-9 * useful
+
+
+@PROPERTY
+@given(carriers, st.floats(min_value=250.0, max_value=1e5),
+       st.integers(min_value=0, max_value=1000), speeds)
+def test_power_budget_adds_up_to_the_transmit_power(fc, spacing, n, v):
+    cfg = SystemConfig(carrier_frequency_hz=fc, subcarrier_spacing_hz=spacing,
+                       half_subcarriers=n, bandwidth_hz=0.0)
+    budget = power_budget(v, cfg)
+    assert abs(budget.useful + budget.ici - cfg.effective_power) \
+        <= 1e-12 * cfg.effective_power
 
 
 # every key a config may set, curve overrides included, and values at the

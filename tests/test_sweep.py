@@ -79,6 +79,7 @@ OUTS = "sweep.outputs = ici_exact\n"
     (AXIS + GRID + OUTS + "just some words", "key = value"),
     (AXIS + GRID + OUTS + "cell.radius_m = 1000", "unknown key 'cell.radius_m'"),
     (AXIS + GRID + OUTS + "curve.a.cell.scatterer_radius_m = 50", "scenario key"),
+    (AXIS + GRID + OUTS + "mc.power_mode = coherent", "unknown key 'mc.power_mode'"),
 ])
 def test_rejects_malformed_input(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -314,7 +315,7 @@ def test_round_trip_identity():
     sweep.outputs = capacity_exact, capacity_mc
     mc.trials = 512
     mc.seed = 99
-    mc.power_mode = coherent
+    mc.target_index = -2
     curve.slow.mobility.max_velocity_mps = 10
     curve.fast.mobility.max_velocity_mps = 100
     """
@@ -383,10 +384,10 @@ def test_workers_do_not_change_output():
     "curve.c.cell.paths_per_device = 3\n"
     "curve.d.system.subcarrier_spacing_hz = 1250\n",
     "sweep.axis = snr_db\nsweep.grid = 0, 10, 30\nmobility.max_velocity_mps = 70\n"
-    "mc.power_mode = coherent\nmc.target_index = -3\n"
+    "mc.target_index = -3\n"
     "curve.a.system.half_subcarriers = 4\ncurve.b.system.half_subcarriers = 4\n"
     "curve.b.system.carrier_frequency_hz = 2e9\n",
-], ids=["v_max", "snr_db-coherent"])
+], ids=["v_max", "snr_db"])
 def test_monte_carlo_columns_equal_single_point_estimates(text):
     spec = parse_config(text + "sweep.outputs = ici_mc, capacity_mc\n"
                         "mc.trials = 300\nmc.seed = 11\n")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nbofdma.montecarlo import TrialPlan, estimate_useful_power
+from nbofdma.montecarlo import TrialPlan, _device_powers
 from nbofdma.sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch
 
 
@@ -128,9 +128,12 @@ def test_scaled_speed_fraction_has_the_bits_of_uniform_speeds():
 
 def test_coherent_device_power_has_unit_mean():
     # a static network keeps every path on its own sub-carrier, so the
-    # coherent per-device power is |sum_m a_m|^2, whose mean is the total
-    # mean path power, one
-    plan = TrialPlan(trials=40000, seed=2, power_mode="coherent")
-    est = estimate_useful_power(plan, SystemConfig(), CellConfig(),
-                                MobilityModel(max_velocity_mps=0.0))
-    assert est.mean == pytest.approx(1.0, abs=0.02)
+    # coherent per-device power the capacity estimator draws is
+    # |sum_m a_m|^2, whose mean is the total mean path power, one
+    plan = TrialPlan(trials=40000, seed=2)
+    scenario = (SystemConfig(), MobilityModel(max_velocity_mps=0.0))
+    samples = np.empty(plan.trials)
+    for _, rows, powers, weights in _device_powers(plan, CellConfig(), [scenario],
+                                                   [np.zeros(1)], True):
+        samples[rows] = powers[:, 0] * weights[:, 0]
+    assert samples.mean() == pytest.approx(1.0, abs=0.02)
