@@ -129,7 +129,8 @@ def effective_useful_power(max_velocity_mps: float, cfg: SystemConfig) -> float:
 
     Averages the per-direction fraction Si(2 b cos psi)/(b cos psi) -
     sin^2(b cos psi)/(b cos psi)^2 over a uniform quarter circle of arrival
-    directions and scales by the common received power.  V_max = 0 returns
+    directions and scales by the common received power.  That average is
+    the only quadrature: Si itself needs none.  V_max = 0 returns
     cfg.effective_power exactly.
     """
     _check_velocity(max_velocity_mps)

@@ -114,15 +114,28 @@ def _group(cfg, mob):
     return scenarios, False
 
 
+# x = V_max f_c T_s / c above which the d^2 variate adds variance, on the
+# centre and off it: d^2 grows without bound while sinc^2 stays below 1.
+# At 4096 trials the variance without the variate over that with it falls
+# through 1 at x of about 0.93 (useful power) and 1.2 (interference).
+_VARIATE_MAX_X_CENTRE = 0.9
+_VARIATE_MAX_X_OFF_CENTRE = 1.2
+
+
 def _variate_coefficients(gaps: np.ndarray, cfg: SystemConfig, mob: MobilityModel) -> np.ndarray:
     """x^2 times the coefficient of d^2 in sinc^2(gap + d) at small d, per
     whole-number gap, with x = V_max f_c T_s / c: off the centre
     sin^2(pi d) / (pi (gap + d))^2 = d^2 / gap^2 + O(d^3), and on it
-    sinc^2(d) = 1 - (pi^2 / 3) d^2 + O(d^4)."""
+    sinc^2(d) = 1 - (pi^2 / 3) d^2 + O(d^4).  Zero on the centre above
+    x = 0.9 and off it above x = 1.2, where the variate would add variance."""
     x = mob.max_velocity_mps / cfg.wave_speed_mps * cfg.carrier_frequency_hz \
         * cfg.symbol_period_s
-    coefficients = np.full(gaps.shape, -math.pi ** 2 / 3.0)
-    np.divide(1.0, gaps * gaps, out=coefficients, where=gaps != 0.0)
+    centre = gaps == 0.0
+    coefficients = np.zeros(gaps.shape)
+    if x <= _VARIATE_MAX_X_CENTRE:
+        coefficients[centre] = -math.pi ** 2 / 3.0
+    if x <= _VARIATE_MAX_X_OFF_CENTRE:
+        np.divide(1.0, gaps * gaps, out=coefficients, where=~centre)
     coefficients *= x * x
     return coefficients
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from nbofdma import analytic
+from nbofdma import analytic, numerics
 from nbofdma.analytic import (
     IciBounds,
     NormalizedDoppler,
@@ -28,7 +28,7 @@ from nbofdma.analytic import (
     sum_rate_upper,
     total_ici_power,
 )
-from nbofdma.numerics import QuadratureError, sinc_squared
+from nbofdma.numerics import QuadratureError, integrate, sinc_squared
 from nbofdma.sysmodel import SystemConfig
 
 CFG = SystemConfig()                                   # 900 MHz, 2.5 kHz
@@ -109,6 +109,21 @@ def test_validity_threshold():
 def test_useful_power_anchor():
     assert effective_useful_power(100.0, CFG) == pytest.approx(USEFUL_AT_100, rel=1e-12)
     assert effective_useful_power(0.0, CFG) == CFG.effective_power
+
+
+def test_useful_power_is_one_quadrature(monkeypatch):
+    # b = 37.7: 2 b cos(psi) runs far past the sine integral's series range,
+    # and the only quadrature is the one over the arrival angle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "integrate", counted)
+    monkeypatch.setattr(numerics, "integrate", counted)
+    effective_useful_power(velocity_for(37.7, CFG), CFG)
+    assert calls == [(0.0, math.pi / 2.0)]
 
 
 def test_total_ici_anchors():

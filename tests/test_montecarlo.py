@@ -329,6 +329,40 @@ def test_control_variate_cuts_the_fig3_standard_error():
     assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
+# standard errors at 2048 trials and seed 5 with the variate forced off,
+# rounded up: x = 1.8 and 3 at 900 MHz, where a d^2 variate would add
+# variance (2.8x and 7.8x the interference's standard error)
+VARIATE_OFF_STD_ERROR = {
+    1500.0: (0.0050487, 0.0064643),  # (estimate_total_ici, estimate_useful_power)
+    2500.0: (0.0058637, 0.0063024),
+}
+
+
+@pytest.mark.parametrize("v_max", sorted(VARIATE_OFF_STD_ERROR))
+def test_control_variate_stops_where_it_adds_variance(v_max):
+    plan = TrialPlan(trials=2048, seed=5)
+    mob = MobilityModel(max_velocity_mps=v_max)
+    ici = estimate_total_ici(plan, CFG, CELL, mob)
+    useful = estimate_useful_power(plan, CFG, CELL, mob)
+    assert ici.std_error <= VARIATE_OFF_STD_ERROR[v_max][0]
+    assert useful.std_error <= VARIATE_OFF_STD_ERROR[v_max][1]
+    assert abs(ici.mean - finite_n_ici(0, v_max, CFG)) <= 4.0 * ici.std_error
+    assert abs(useful.mean - effective_useful_power(v_max, CFG)) <= 4.0 * useful.std_error
+
+
+def test_ici_estimates_are_unbiased_at_every_fig3_point():
+    # the fig3 grid at the benchmark's 2048 trials against the quadrature,
+    # 4 standard errors and no relative floor; the worst |z| is 1.20
+    plan = TrialPlan(trials=2048, seed=42)
+    speeds = [10.0 * k for k in range(1, 11)]
+    for fc in (900e6, 3e9):
+        cfg = SystemConfig(carrier_frequency_hz=fc)
+        group = estimate_total_ici(plan, [cfg] * len(speeds), CELL,
+                                   [MobilityModel(v) for v in speeds])
+        for v, est in zip(speeds, group):
+            assert abs(est.mean - finite_n_ici(0, v, cfg)) <= 4.0 * est.std_error, (fc, v)
+
+
 def test_monte_carlo_route_needs_no_quadrature(monkeypatch):
     # the simulator must stay a route independent of the quadratures it
     # checks, control variate included

@@ -30,7 +30,7 @@ SI_ORACLE = {
     10.0: 1.658347594218874,
     50.0: 1.5516170724859359,
     1000.0: 1.5702331219687712,
-    # the tail quadrature could not meet its tolerance at these two
+    # a quadrature of sin(t)/t from 4 cannot meet a 1e-13 tolerance at these two
     1915.7894736842104: 1.570360447593320683175046,
     5585.197034676298: 1.570644145532555179286674,
     1e5: 1.570806320399394122839171,
@@ -149,18 +149,36 @@ def test_sine_integral_monotone_on_first_arch():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_sine_integral_series_quadrature_seam():
+def test_sine_integral_series_fraction_seam():
     # the implementation switches methods at x = 4; both sides must agree
     below = sine_integral(4.0 - 1e-9)
     above = sine_integral(4.0 + 1e-9)
     assert abs(above - below) < 1e-9
 
 
-def test_sine_integral_quadrature_asymptotic_seam():
-    # and again at x = 40, from the tail quadrature to the asymptotic series
+def test_sine_integral_is_continuous_at_40():
+    # a continuity check inside the continued fraction's range
     below = sine_integral(40.0 - 1e-9)
     above = sine_integral(40.0 + 1e-9)
     assert abs(above - below) < 1e-9
+
+
+def test_sine_integral_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.logspace(-3.0, 8.0, 401)
+    with mpmath.workdps(40):
+        for x in xs:
+            exact = mpmath.si(mpmath.mpf(float(x)))
+            assert abs(sine_integral(float(x)) - exact) <= 1e-15 * exact
+
+
+def test_sine_integral_needs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sine_integral called a quadrature")
+    monkeypatch.setattr(numerics, "integrate", refuse)
+    # (4, 1e5], from the first float above the series range
+    for x in np.geomspace(np.nextafter(4.0, 5.0), 1e5, 200):
+        sine_integral(float(x))
 
 
 # ---------------------------------------------------------------------------
