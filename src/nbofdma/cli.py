@@ -32,7 +32,7 @@ from .analytic import (
     sum_rate_upper,
     total_ici_power,
 )
-from .montecarlo import TrialPlan, estimate_total_ici
+from .montecarlo import TrialPlan, estimate_ergodic_capacity, estimate_total_ici
 from .sweep import ConfigError, emit, parse_config, preset_path, run_sweep, to_text
 from .sysmodel import CellConfig, MobilityModel, SystemConfig
 
@@ -250,6 +250,12 @@ def _cmd_check(args) -> int:
     ok = gap <= 4.0 * first.std_error
     record("mc-agreement", ok, f"|mc - quadrature| {gap:.3e}, 4 stderr "
                                f"{4.0 * first.std_error:.3e}")
+
+    # the mean of the log stays below the log of the means (Jensen)
+    capacity = estimate_ergodic_capacity(plan, cfg, cell, mob)
+    ceiling = capacity_upper(mob.max_velocity_mps, cfg) + 3.0 * capacity.std_error
+    record("capacity-bound", capacity.mean <= ceiling,
+           f"mc {capacity.mean:.6f} bits, bound + 3 stderr {ceiling:.6f}")
 
     # faster devices leak more, so capacity can only fall with speed
     caps = [capacity_upper(v, cfg) for v in speeds]

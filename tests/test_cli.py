@@ -5,7 +5,7 @@ import json
 import pytest
 
 from nbofdma import __version__, cli
-from nbofdma.analytic import finite_n_ici
+from nbofdma.analytic import capacity_upper, finite_n_ici
 from nbofdma.cli import main
 from nbofdma.montecarlo import Estimate
 
@@ -46,6 +46,19 @@ def test_check_passes(capsys):
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
     assert "PASS  mc-agreement" in out
+    assert "PASS  capacity-bound" in out
+
+
+def test_check_flags_a_capacity_above_its_bound(monkeypatch, capsys):
+    # 0.1 bit above the Jensen bound, at a standard error the variate could deliver
+    def inflated(plan, cfg, cell, mob):
+        bound = capacity_upper(mob.max_velocity_mps, cfg)
+        return Estimate(mean=bound + 0.1, std_error=1e-3, trials=plan.trials)
+    monkeypatch.setattr(cli, "estimate_ergodic_capacity", inflated)
+    assert main(["check", "--trials", "512"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  capacity-bound" in out
+    assert out.count("FAIL") == 1
 
 
 def test_check_flags_a_simulator_off_the_quadrature(monkeypatch, capsys):

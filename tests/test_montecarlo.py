@@ -192,14 +192,14 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 
 # float.hex of (mean, std_error) of each estimator at 300 trials (two
 # blocks, one partial); sharing the draws among the scenarios of a group
-# must keep these bits.  The power estimators' pins include their control
+# must keep these bits.  Every pin includes its estimator's control
 # variate.
 PINNED = {
     "ici": ("0x1.f5b3f5ecee9f1p-8", "0x1.4c3e5dcb58a36p-16"),  # 0.00765538 +- 1.98e-05
     "ici_edge_3ghz": ("0x1.30e642d805683p-7", "0x1.25b5b2b406b7fp-14"),  # 0.00930479 +- 7e-05
     "useful": ("0x1.fbfea0cecdd93p-1", "0x1.a98da5919601bp-18"),  # 0.992177 +- 6.34e-06
-    "capacity": ("0x1.4a668a80c103dp+2", "0x1.5d8af46b3f751p-6"),  # 5.16251 +- 0.0213
-    "capacity_edge_3ghz": ("0x1.46d09af8ea29fp+2", "0x1.fdbebda1ac85cp-6"),  # 5.10648 +- 0.0311
+    "capacity": ("0x1.49f08b68708f6p+2", "0x1.7be0a50c4d454p-8"),  # 5.15531 +- 0.0058
+    "capacity_edge_3ghz": ("0x1.46b1f7cbf8e19p+2", "0x1.0d55d82c163fap-6"),  # 5.10461 +- 0.0164
     "symmetry_a": ("0x1.123549a283131p-12", "0x1.72f59ecb543c4p-21"),  # 0.000261505 +- 6.91e-07
     "symmetry_b": ("0x1.11dc5516f989dp-12", "0x1.7c85d36ae4eebp-21"),  # 0.000261174 +- 7.09e-07
 }
@@ -316,6 +316,8 @@ def test_control_variate_keeps_static_networks_exact(cfg, cell, target):
     assert (useful.mean, useful.std_error) == (cfg.effective_power, 0.0)
     for onto in symmetry_probe(target, 0 if target else 1, plan, cfg, cell, mob0):
         assert (onto.mean, onto.std_error) == (0.0, 0.0)
+    # a constant array can still show a rounding spread through np.std
+    assert estimate_ergodic_capacity(plan, cfg, cell, mob0).std_error <= 1e-14
 
 
 def test_control_variate_cuts_the_fig3_standard_error():
@@ -361,6 +363,96 @@ def test_ici_estimates_are_unbiased_at_every_fig3_point():
                                    [MobilityModel(v) for v in speeds])
         for v, est in zip(speeds, group):
             assert abs(est.mean - finite_n_ici(0, v, cfg)) <= 4.0 * est.std_error, (fc, v)
+
+
+# ---------------------------------------------------------------------------
+# capacity control variate
+
+# 5 devices of 3 paths at 3 GHz with two sub-carrier cycles per symbol
+# (q = T_s df = 2), x = V_max f_c T_s / c = 0.56
+CAP_CFG = SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=2,
+                       symbol_period_s=2.0 / 2500.0)
+CAP_X = 70.0 / 3e8 * 3e9 * 2.0 / 2500.0
+
+
+def _capacity_variates(plan, cfg, cell):
+    # the (V_I, V_0) rows _device_powers fills, one scenario
+    gaps = montecarlo._gaps(plan, cfg)
+    variates = np.empty((2, plan.trials))
+    for _ in montecarlo._device_powers(plan, cell, [(cfg, MobilityModel(0.0))], [gaps],
+                                       True, variates):
+        pass
+    return variates
+
+
+def test_capacity_variates_have_mean_zero():
+    plan = TrialPlan(trials=1_000_000, seed=28, target_index=1)
+    for v in _capacity_variates(plan, SystemConfig(half_subcarriers=2), CellConfig(2)):
+        assert abs(v.mean()) <= 4.0 * v.std(ddof=1) / math.sqrt(v.size)
+
+
+def _capacity_slope(s):
+    # d/ds of log2(e) e^s E1(s)
+    return analytic.LOG2_E * (float(numerics.exp1_scaled(s)) - 1.0 / s)
+
+
+def test_capacity_variate_is_the_leading_doppler_term(monkeypatch):
+    # what the capacity estimator subtracts from each trial:
+    # beta_I (I - E[I]) + beta_0 (k_0 - E[k_0]) to leading order in d, with
+    # I = sum_j w_j mean_m d_jm^2 / g_j^2 and k_0 = 1 - (pi^2 / 3) mean_m d_0m^2
+    plan = TrialPlan(trials=256, seed=27, target_index=1)
+    mob = MobilityModel(max_velocity_mps=70.0)
+    gaps = montecarlo._gaps(plan, CAP_CFG)
+    rng = montecarlo._block_rng(plan.seed, 0)
+    batch = sample_cell_batch(rng, plan.trials, gaps.size, CV_CELL)
+    weights = rng.standard_exponential((plan.trials, gaps.size))
+    d = CAP_X * batch.speed_fraction[:, :, None] * batch.cos_arrival
+    mean_d2 = (d * d).mean(axis=2)
+    inverse = _inverse_squares(gaps)
+    interference = (weights * mean_d2) @ inverse - CAP_X ** 2 / 6.0 * inverse.sum()
+    useful = -math.pi ** 2 / 3.0 * (mean_d2[:, 3] - CAP_X ** 2 / 6.0)
+
+    k_bar = 1.0 - math.pi ** 2 * CAP_X ** 2 / 18.0
+    s_bar = (CAP_X ** 2 / 6.0 * inverse.sum() + CAP_CFG.noise_variance) / k_bar
+    slope = _capacity_slope(s_bar)
+    h = 1e-5 * s_bar
+    numeric = (float(numerics.exp1_scaled(s_bar + h) - numerics.exp1_scaled(s_bar - h))
+               * analytic.LOG2_E / (2.0 * h))
+    assert slope == pytest.approx(numeric, rel=1e-7)
+    subtracted = slope / k_bar * interference - slope * s_bar / k_bar * useful
+
+    samples = []
+    reduce = montecarlo._reduce
+    monkeypatch.setattr(montecarlo, "_reduce", lambda values: samples.append(values.copy())
+                        or reduce(values))
+    estimate_ergodic_capacity(plan, CAP_CFG, CV_CELL, mob)
+    monkeypatch.setattr(montecarlo, "_VARIATE_MAX_X_CAPACITY", 0.0)
+    estimate_ergodic_capacity(plan, CAP_CFG, CV_CELL, mob)
+    with_variate, without = samples
+    np.testing.assert_allclose(without - with_variate, subtracted, rtol=0.0, atol=1e-14)
+    assert np.std(with_variate) < np.std(without)
+
+
+def test_capacity_variate_cuts_the_fig4_standard_error():
+    # the fig4 point with the largest Doppler, 500 Hz at 100 m/s (x = 0.6),
+    # at 2048 trials; without the variate the standard error was
+    # 0.015407577 at this seed
+    cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
+    est = estimate_ergodic_capacity(TrialPlan(trials=2048, seed=5), cfg, CELL, MOB)
+    assert est.std_error <= 0.6 * 0.015407577
+    assert est.mean <= capacity_upper(100.0, cfg) + 3.0 * est.std_error
+
+
+# capacity standard errors at 2048 trials and seed 5 without the variate,
+# rounded up: x = 1.5 and 3 at 900 MHz, past the cutoff at x = 0.9
+CAPACITY_VARIATE_OFF_STD_ERROR = {1250.0: 0.016011848, 2500.0: 0.011646735}
+
+
+@pytest.mark.parametrize("v_max", sorted(CAPACITY_VARIATE_OFF_STD_ERROR))
+def test_capacity_variate_stops_where_it_adds_variance(v_max):
+    est = estimate_ergodic_capacity(TrialPlan(trials=2048, seed=5), CFG, CELL,
+                                    MobilityModel(v_max))
+    assert est.std_error <= CAPACITY_VARIATE_OFF_STD_ERROR[v_max]
 
 
 def test_monte_carlo_route_needs_no_quadrature(monkeypatch):
