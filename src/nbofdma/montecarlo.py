@@ -44,9 +44,9 @@ class TrialPlan:
     conditional mean of the per-path power sum, mean_m k_m^2; the capacity
     estimator draws the interferers' coherent powers, mean_m k_m^2 times one
     Exp(1) draw per device, and averages the target's Exp(1) weight in
-    closed form.  Every estimator subtracts a control variate of mean zero
-    with a coefficient fixed by the scenario (:func:`_device_powers`), so
-    each stays exactly unbiased.
+    closed form.  Every estimator subtracts the same control variate, a
+    zero-mean vector times a scalar fixed by the scenario
+    (:func:`_device_powers`), so each stays exactly unbiased.
     """
 
     trials: int
@@ -136,21 +136,15 @@ def _doppler_span(cfg: SystemConfig, mob: MobilityModel) -> float:
         * cfg.symbol_period_s
 
 
-def _variate_coefficients(gaps: np.ndarray, cfg: SystemConfig, mob: MobilityModel) -> np.ndarray:
-    """x^2 times the coefficient of d^2 in sinc^2(gap + d) at small d, per
-    whole-number gap, with x = V_max f_c T_s / c: off the centre
+def _variate_coefficient(cfg: SystemConfig, mob: MobilityModel, curvature: float,
+                         max_x: float) -> float:
+    """x^2 times ``curvature``, the coefficient of d^2 in sinc^2(gap + d) at
+    small d, with x = V_max f_c T_s / c: off the centre
     sin^2(pi d) / (pi (gap + d))^2 = d^2 / gap^2 + O(d^3), and on it
-    sinc^2(d) = 1 - (pi^2 / 3) d^2 + O(d^4).  Zero on the centre above
-    x = 0.9 and off it above x = 1.2, where the variate would add variance."""
+    sinc^2(d) = 1 - (pi^2 / 3) d^2 + O(d^4).  Zero above ``max_x``, where
+    the variate would add variance."""
     x = _doppler_span(cfg, mob)
-    centre = gaps == 0.0
-    coefficients = np.zeros(gaps.shape)
-    if x <= _VARIATE_MAX_X_CENTRE:
-        coefficients[centre] = -math.pi ** 2 / 3.0
-    if x <= _VARIATE_MAX_X_OFF_CENTRE:
-        np.divide(1.0, gaps * gaps, out=coefficients, where=~centre)
-    coefficients *= x * x
-    return coefficients
+    return curvature * (x * x) if x <= max_x else 0.0
 
 
 def _inverse_squares(plan: TrialPlan, devices: int) -> np.ndarray:
@@ -162,17 +156,29 @@ def _inverse_squares(plan: TrialPlan, devices: int) -> np.ndarray:
     return inverse
 
 
-def _capacity_variate_coefficients(inverse_squares: np.ndarray, cfg: SystemConfig,
-                                   mob: MobilityModel) -> tuple[float, float]:
-    """(c_I, c_0), what the capacity estimator multiplies the block vectors
-    V_I and V_0 of :func:`_device_powers` by before subtracting them.
+def _interference_variate(bracket: np.ndarray, inverse_squares: np.ndarray,
+                          weights: np.ndarray | None = None) -> np.ndarray:
+    """V_I = sum_j w_j bracket_j / n_j^2 - (1/6) sum_j 1 / n_j^2 per trial,
+    over the interferers j (``inverse_squares`` is 0 at the target), with
+    w = 1 when ``weights`` is None.  Mean zero: E[bracket] = 1/6, E[w] = 1
+    and the weights are independent of the Doppler draws."""
+    if weights is None:
+        variate = bracket @ inverse_squares
+    else:
+        variate = np.einsum("td,td,d->t", bracket, weights, inverse_squares)
+    variate -= inverse_squares.sum() / 6.0
+    return variate
+
+
+def _capacity_variate_coefficients(inverse_squares: np.ndarray, scenarios) -> np.ndarray:
+    """Rows (c_I, c_0) over the scenarios: what the capacity estimator
+    multiplies V_I and V_0 by before subtracting them.
 
     A trial's capacity is f(s) = log2(e) e^s E1(s) with
     s = (I + noise / P_T) / k_0, I the interferers' weighted powers and k_0
     the target's power.  To leading order in x = V_max f_c T_s / c,
     I - E[I] is (x^2 / q^2) V_I and k_0 - E[k_0] is -(pi^2 / 3) x^2 V_0,
-    with q = T_s df and ``inverse_squares`` the 1 / n_j^2 of the whole-number
-    index gaps (0 at the target).  The betas are the slopes of f at
+    with q = T_s df.  The betas are the slopes of f at
     s = (I_bar + noise / P_T) / k_bar, with I_bar = (x^2 / 6) sum_j 1 / g_j^2
     and k_bar = 1 - pi^2 x^2 / 18: beta_I = f'(s) / k_bar and
     beta_0 = -f'(s) s / k_bar, where f'(s) = log2(e) (e^s E1(s) - 1 / s).
@@ -180,24 +186,25 @@ def _capacity_variate_coefficients(inverse_squares: np.ndarray, cfg: SystemConfi
     a static network and above x = 0.9, where the variate would add
     variance.
     """
-    x = _doppler_span(cfg, mob)
-    if x == 0.0 or x > _VARIATE_MAX_X_CAPACITY:
-        return 0.0, 0.0
-    x2 = x * x
-    q2 = cfg.spacing_symbol_product ** 2
-    interference = x2 / (6.0 * q2) * float(inverse_squares.sum())
+    x = np.array([_doppler_span(c, m) for c, m in scenarios])
+    on = (x > 0.0) & (x <= _VARIATE_MAX_X_CAPACITY)
+    x2 = x[on] * x[on]
+    q2 = np.array([c.spacing_symbol_product ** 2 for c, _ in scenarios])[on]
+    noise = np.array([c.noise_variance / c.effective_power for c, _ in scenarios])[on]
     useful = 1.0 - math.pi ** 2 * x2 / 18.0
-    s = (interference + cfg.noise_variance / cfg.effective_power) / useful
-    slope = LOG2_E * (float(exp1_scaled(s)) - 1.0 / s)
-    return slope / useful * x2 / q2, slope * s / useful * math.pi ** 2 / 3.0 * x2
+    s = (x2 / (6.0 * q2) * float(inverse_squares.sum()) + noise) / useful
+    slope = LOG2_E * (exp1_scaled(s) - 1.0 / s)
+    coefficients = np.zeros((2, len(scenarios)))
+    coefficients[:, on] = slope / useful * x2 / q2, slope * s / useful * math.pi ** 2 / 3.0 * x2
+    return coefficients
 
 
-def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool,
-                   variates: np.ndarray | None = None):
-    """Yield ``(k, rows, powers, weights)``: the per-(trial, device) power
-    on the target sub-carrier of scenario k for the trials ``rows``, in a
-    buffer the next step overwrites, and the block's Exp(1) weights
-    ("coherent") or None.
+def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool):
+    """Yield ``(k, rows, powers, bracket, weights)``: the per-(trial,
+    device) power on the target sub-carrier of scenario k for the trials
+    ``rows``, in a buffer the next step overwrites; the block's
+    per-device bracket u^2 mean_m cos^2 psi_m; and the block's Exp(1)
+    weights ("coherent") or None.
 
     Each block is drawn once, the weights right after the sampler, and
     evaluated for each scenario in turn, so no value depends on the group.
@@ -208,60 +215,34 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     T_s * df, so a static network cancels exactly.  Each row's path sum is
     taken within its tile, so the tile size changes no value.
 
-    The control variates (Glasserman 2003, section 4.1) come from the
-    leading Doppler term.  A path shifts by d_m = f_D,m T_s = x u cos(psi_m),
-    with x = V_max f_c T_s / c, the speed fraction u uniform (E[u^2] = 1/3)
-    and cos(psi_m) of the arcsine law (E[cos^2 psi] = 1/2), so the bracket
-    u^2 mean_m cos^2 psi_m - 1/6 has mean zero and x^2 times it is
-    mean_m d_m^2 - E[d^2].  It does not depend on the scenario and is formed
-    once per block.  Without weights each device's power carries it with
-    coefficient 1: the power less c x^2 times the bracket, with c the d^2
-    coefficient of sinc^2(gap + d) (:func:`_variate_coefficients`), scaled
-    per scenario and device, not per path.  That keeps every expectation and
-    cancels most of the power's spread while |d| stays well below 1/2.
-
-    With weights, a ``variates`` array of shape (2, trials) receives, block
-    by block before the block's scenarios run, V_I = sum_j w_j (u_j^2
-    mean_m cos^2 psi_jm) / n_j^2 - (1/6) sum_j 1 / n_j^2 over the
-    interferers j at whole-number index gaps n_j, and V_0, the target's
-    bracket.  Both have mean zero because E[w] = 1 and the weights are
-    independent of the Doppler draws; the capacity estimator scales them by
-    scalars per scenario (:func:`_capacity_variate_coefficients`).  A
-    static network subtracts exactly 0.
+    Every estimator subtracts one control variate (Glasserman 2003,
+    section 4.1), the leading Doppler term.  A path shifts by
+    d_m = f_D,m T_s = x u cos(psi_m), with x = V_max f_c T_s / c, u uniform
+    (E[u^2] = 1/3) and cos(psi_m) of the arcsine law (E[cos^2 psi] = 1/2),
+    so x^2 times the bracket is mean_m d_m^2, of mean x^2 / 6.  Each
+    estimator reduces the bracket linearly to a per-trial vector of mean
+    zero, V_I (:func:`_interference_variate`) or V_0 = the target's bracket
+    less 1/6, and subtracts it times a scalar fixed by the scenario
+    (:func:`_variate_coefficient`, :func:`_capacity_variate_coefficients`).
+    That keeps every expectation and cancels most of the spread while |d|
+    stays well below 1/2; a static network subtracts exactly 0.
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
-    buffer = np.empty((2 if coherent else 3, min(plan.trials, BLOCK_TRIALS), devices))
-    coefficients = None if coherent else [_variate_coefficients(g, cfg, mob)
-                                          for g, (cfg, mob) in zip(gaps, scenarios)]
-    if variates is not None:
-        target_column = plan.target_index + devices // 2
-        inverse_squares = _inverse_squares(plan, devices)
-        interference_mean = inverse_squares.sum() / 6.0
+    buffer = np.empty((3, min(plan.trials, BLOCK_TRIALS), devices))
     start = 0
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
         batch = sample_cell_batch(rng, size, devices, cell)
         weights = rng.standard_exponential((size, devices)) if coherent else None
-        powers, max_shift = buffer[0, :size], buffer[1, :size]
+        powers, max_shift, bracket = buffer[:, :size]
         tiles = row_tiles(size, devices * paths)
-        if not coherent or variates is not None:
-            # u^2 mean_m cos^2 psi_m; when coherent, in the buffer the
-            # scenarios overwrite next
-            bracket = max_shift if coherent else buffer[2, :size]
-            for rows in tiles:
-                tile = batch.cos_arrival[rows]
-                np.einsum("tdm,tdm->td", tile, tile, out=bracket[rows])
-            bracket /= paths
-            bracket *= batch.speed_fraction
-            bracket *= batch.speed_fraction
-            if coherent:
-                interference, useful = variates[:, start:start + size]
-                np.einsum("td,td,d->t", bracket, weights, inverse_squares, out=interference)
-                interference -= interference_mean
-                np.subtract(bracket[:, target_column], 1.0 / 6.0, out=useful)
-            else:
-                bracket -= 1.0 / 6.0
+        for rows in tiles:
+            tile = batch.cos_arrival[rows]
+            np.einsum("tdm,tdm->td", tile, tile, out=bracket[rows])
+        bracket /= paths
+        bracket *= batch.speed_fraction
+        bracket *= batch.speed_fraction
         for k, (cfg, mob) in enumerate(scenarios):
             # ((V_max * fraction) / c) * f_c, then * cos psi, then * T_s: the
             # operation order keeps the bits of a per-scenario draw
@@ -274,9 +255,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
                 kernel = sinc_squared(gaps[k][None, :, None], offsets)
                 np.einsum("tdm->td", kernel, out=powers[rows])
             powers /= paths
-            if not coherent:
-                powers -= np.multiply(bracket, coefficients[k], out=max_shift)
-            yield k, slice(start, start + size), powers, weights
+            yield k, slice(start, start + size), powers, bracket, weights
         start += size
 
 
@@ -303,22 +282,27 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     sub-carrier from the other 2N devices.
 
     Converges to :func:`analytic.finite_n_ici` at the same N.  Each trial
-    sums Y - C + E[C], where Y is the trial's interference power,
-    C = sum_j mean_m d_jm^2 / g_j^2 over the interferers j at whole-number
-    gaps g_j and E[C] = (x^2 / 6) sum_j 1 / g_j^2, with x = V_max f_c T_s / c
-    (:func:`_device_powers`).  Neither term needs a quadrature.  A static
-    network gives exactly zero in every trial.  ``cfg`` and ``mob`` may be
-    equal-length sequences of scenarios sharing ``half_subcarriers``; they
-    are evaluated on one set of draws, and the result is a list of
-    estimates, each equal to the estimate of its scenario alone.
+    sums the interferers' powers less (x^2 / q^2) V_I, with q = T_s df
+    (:func:`_device_powers`); neither term needs a quadrature.  A static
+    network gives exactly zero in every trial.
+    ``cfg`` and ``mob`` may be equal-length sequences of scenarios sharing
+    ``half_subcarriers``; they are evaluated on one set of draws, and the
+    result is a list of estimates, each equal to the estimate of its
+    scenario alone.
     """
     scenarios, single = _group(cfg, mob)
     gaps = [_gaps(plan, c) for c, _ in scenarios]
     target_column = plan.target_index + scenarios[0][0].half_subcarriers
+    inverse_squares = _inverse_squares(plan, len(gaps[0]))
+    coefficients = [_variate_coefficient(c, m, 1.0 / c.spacing_symbol_product ** 2,
+                                         _VARIATE_MAX_X_OFF_CENTRE) for c, m in scenarios]
     samples = [np.empty(plan.trials) for _ in scenarios]
-    for k, rows, powers, _ in _device_powers(plan, cell, scenarios, gaps, False):
+    for k, rows, powers, bracket, _ in _device_powers(plan, cell, scenarios, gaps, False):
+        if k == 0:
+            variate = _interference_variate(bracket, inverse_squares)
         powers[:, target_column] = 0.0
-        samples[k][rows] = powers.sum(axis=1) * scenarios[k][0].effective_power
+        samples[k][rows] = (powers.sum(axis=1) - coefficients[k] * variate) \
+            * scenarios[k][0].effective_power
     return _estimates(samples, single)
 
 
@@ -327,15 +311,17 @@ def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     """Monte Carlo mean of the power the target device keeps on its own
     sub-carrier; converges to :func:`analytic.effective_useful_power`.
 
-    Each trial gives Y - C + E[C], where Y = mean_m sinc^2(d_m) is the
-    trial's useful fraction, C = -(pi^2 / 3) mean_m d_m^2 and
-    E[C] = -(pi^2 / 3) x^2 / 6 (:func:`_device_powers`).  A static network
-    gives exactly P_T in every trial.
+    Each trial gives mean_m sinc^2(d_m) less -(pi^2 / 3) x^2 V_0
+    (:func:`_device_powers`).  A static network gives exactly P_T in every
+    trial.
     """
     _check_target(plan.target_index, cfg)
+    coefficient = _variate_coefficient(cfg, mob, -math.pi ** 2 / 3.0, _VARIATE_MAX_X_CENTRE)
     samples = np.empty(plan.trials)
-    for _, rows, powers, _ in _device_powers(plan, cell, [(cfg, mob)], [np.zeros(1)], False):
-        samples[rows] = powers[:, 0] * cfg.effective_power
+    for _, rows, powers, bracket, _ in _device_powers(plan, cell, [(cfg, mob)],
+                                                      [np.zeros(1)], False):
+        samples[rows] = (powers[:, 0] - coefficient * (bracket[:, 0] - 1.0 / 6.0)) \
+            * cfg.effective_power
     return _reduce(samples)
 
 
@@ -357,17 +343,16 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     the target's too, which is left unused, so every estimator reads the
     same speeds and arrival cosines.
 
-    Each trial then subtracts c_I V_I + c_0 V_0, the capacity's leading
-    Doppler term: V_I and V_0 are the block vectors of
-    :func:`_device_powers`, formed from the same draws with mean exactly
-    zero, and c_I, c_0 the slopes of the capacity at the mean powers
+    Each trial then subtracts c_I V_I + c_0 V_0 (:func:`_device_powers`),
+    V_I weighted by the interferers' drawn weights, with c_I, c_0 the slopes
+    of the capacity at the mean powers
     (:func:`_capacity_variate_coefficients`).  The SINR is not linear in the
-    powers, but subtracting a zero-mean term with a coefficient fixed by
-    the scenario keeps the mean of any estimator, so the estimate stays
-    exactly unbiased; the term cancels most of the remaining spread while
-    x = V_max f_c T_s / c stays at most 0.9, and is left out above that.  A
-    static network subtracts nothing and gives the exact capacity in every
-    trial.  Stays below :func:`analytic.capacity_upper` in expectation.
+    powers, but a zero-mean term times a coefficient fixed by the scenario
+    keeps the estimate exactly unbiased.  A static network subtracts nothing
+    and gives the exact capacity in every trial.  The log is convex in the
+    interference,
+    so the estimate can exceed :func:`analytic.capacity_upper`, which
+    evaluates it at the mean powers; at one path per device it does.
     Requires positive noise power.  ``cfg`` and ``mob`` may be sequences,
     as for :func:`estimate_total_ici`.
     """
@@ -377,12 +362,12 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     gaps = [_gaps(plan, c) for c, _ in scenarios]
     target_column = plan.target_index + scenarios[0][0].half_subcarriers
     inverse_squares = _inverse_squares(plan, len(gaps[0]))
-    coefficients = [_capacity_variate_coefficients(inverse_squares, c, m)
-                    for c, m in scenarios]
-    variates = np.empty((2, plan.trials)) if any(any(c) for c in coefficients) else None
+    c_interference, c_useful = _capacity_variate_coefficients(inverse_squares, scenarios)
     samples = [np.empty(plan.trials) for _ in scenarios]
-    for k, rows, powers, weights in _device_powers(plan, cell, scenarios, gaps, True,
-                                                    variates):
+    for k, rows, powers, bracket, weights in _device_powers(plan, cell, scenarios, gaps, True):
+        if k == 0:
+            v_interference = _interference_variate(bracket, inverse_squares, weights)
+            v_useful = bracket[:, target_column] - 1.0 / 6.0
         cfg_k = scenarios[k][0]
         useful = powers[:, target_column] * cfg_k.effective_power
         powers *= weights
@@ -392,11 +377,8 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         inverse_sinr += cfg_k.noise_variance
         with np.errstate(divide="ignore"):
             inverse_sinr /= useful
-        samples[k][rows] = exp1_scaled(inverse_sinr) * LOG2_E
-    for values, (c_interference, c_useful) in zip(samples, coefficients):
-        if c_interference or c_useful:
-            values -= c_interference * variates[0]
-            values -= c_useful * variates[1]
+        samples[k][rows] = exp1_scaled(inverse_sinr) * LOG2_E \
+            - c_interference[k] * v_interference - c_useful[k] * v_useful
     return _estimates(samples, single)
 
 
@@ -407,10 +389,10 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
     ``index_a`` and vice versa, from independent draws of the two devices.
 
     The channel law depends on the index pair only through its gap, so the
-    two means must agree within Monte Carlo noise.  Each direction carries
-    the control variate of :func:`estimate_total_ici` for its own gap g,
-    (mean_m d_m^2 - x^2 / 6) / g^2, which the two share in law and in
-    mean but not in draws.  Swapping the arguments
+    two means must agree within Monte Carlo noise.  Each direction subtracts
+    (x^2 / g^2) times its own device's bracket less 1/6, the variate of
+    :func:`estimate_total_ici` for one interferer at gap g, which the two
+    share in law and in mean but not in draws.  Swapping the arguments
     returns the same pair of estimates in the other order, bit for bit.
     """
     _check_target(index_a, cfg)
@@ -418,12 +400,14 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
     if index_a == index_b:
         raise ValueError("symmetry_probe needs two distinct sub-carriers")
     low, high = sorted((index_a, index_b))
-    q = cfg.spacing_symbol_product
+    gap = float((high - low) * cfg.spacing_symbol_product)
+    coefficient = _variate_coefficient(cfg, mob, 1.0 / (gap * gap), _VARIATE_MAX_X_OFF_CENTRE)
     # devices drawn in index order: column 0 is the source on sub-carrier
     # ``low``, seen from ``high``, and column 1 the reverse
-    gaps = np.array([float((low - high) * q), float((high - low) * q)])
     onto = {low: np.empty(plan.trials), high: np.empty(plan.trials)}
-    for _, rows, powers, _ in _device_powers(plan, cell, [(cfg, mob)], [gaps], False):
+    for _, rows, powers, bracket, _ in _device_powers(plan, cell, [(cfg, mob)],
+                                                      [np.array([-gap, gap])], False):
+        powers -= coefficient * (bracket - 1.0 / 6.0)
         onto[high][rows] = powers[:, 0] * cfg.effective_power
         onto[low][rows] = powers[:, 1] * cfg.effective_power
     return _reduce(onto[index_a]), _reduce(onto[index_b])

@@ -53,6 +53,11 @@ class SystemConfig:
     wave_speed_mps: float = 3e8
 
     def __post_init__(self):
+        for name in ("carrier_frequency_hz", "subcarrier_spacing_hz", "symbol_period_s",
+                     "bandwidth_hz", "effective_power", "noise_variance", "wave_speed_mps"):
+            value = getattr(self, name)
+            _require(value is None or math.isfinite(value),
+                     f"{name} must be finite (got {value!r})")
         if self.symbol_period_s is None:
             _require(self.subcarrier_spacing_hz > 0.0,
                      "subcarrier_spacing_hz must be positive")

@@ -40,6 +40,18 @@ def test_analytic_report(capsys):
     assert values["ici_lower_bound"] <= values["ici_power"] <= values["ici_upper_bound"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--snr-db", "-4000"],                         # 10^400 overflows a float
+    ["--effective-power", "inf"],
+    ["--effective-power", "1e308", "--snr-db", "-10"],  # noise power overflows
+])
+def test_analytic_refuses_an_out_of_range_power(argv, capsys):
+    assert main(["analytic", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_check_passes(capsys):
     assert main(["check", "--trials", "512"]) == 0
     out = capsys.readouterr().out
@@ -50,7 +62,7 @@ def test_check_passes(capsys):
 
 
 def test_check_flags_a_capacity_above_its_bound(monkeypatch, capsys):
-    # 0.1 bit above the Jensen bound, at a standard error the variate could deliver
+    # 0.1 bit above the capacity at the mean powers, at a standard error the variate could deliver
     def inflated(plan, cfg, cell, mob):
         bound = capacity_upper(mob.max_velocity_mps, cfg)
         return Estimate(mean=bound + 0.1, std_error=1e-3, trials=plan.trials)

@@ -96,8 +96,8 @@ def test_power_modes_share_a_mean():
     incoherent = estimate_total_ici(plan, CFG, CELL, MOB)
     gaps = montecarlo._gaps(plan, CFG)
     samples = np.empty(plan.trials)
-    for _, rows, powers, weights in montecarlo._device_powers(plan, CELL, [(CFG, MOB)],
-                                                              [gaps], True):
+    for _, rows, powers, _, weights in montecarlo._device_powers(plan, CELL, [(CFG, MOB)],
+                                                                 [gaps], True):
         powers *= weights
         powers[:, CFG.half_subcarriers] = 0.0
         samples[rows] = powers.sum(axis=1) * CFG.effective_power
@@ -134,6 +134,17 @@ def test_capacity_static_network_oracle():
 def test_capacity_below_upper_bound():
     est = estimate_ergodic_capacity(TrialPlan(trials=20000, seed=13), CFG, CELL, MOB)
     assert est.mean <= capacity_upper(100.0, CFG) + 3.0 * est.std_error
+
+
+def test_capacity_upper_is_not_a_bound_at_one_path():
+    # log2(1 + X / (Y + n)) is convex in the interference Y, so with one
+    # path per device, whose interference is the most spread, the ergodic
+    # capacity lies above the capacity at the mean powers: +8.7 stderr
+    cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199,
+                       noise_variance=1e-4)
+    est = estimate_ergodic_capacity(TrialPlan(trials=8192, seed=3), cfg,
+                                    CellConfig(paths_per_device=1), MOB)
+    assert est.mean - capacity_upper(100.0, cfg) > 4.0 * est.std_error
 
 
 def test_capacity_requires_noise():
@@ -195,8 +206,8 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # must keep these bits.  Every pin includes its estimator's control
 # variate.
 PINNED = {
-    "ici": ("0x1.f5b3f5ecee9f1p-8", "0x1.4c3e5dcb58a36p-16"),  # 0.00765538 +- 1.98e-05
-    "ici_edge_3ghz": ("0x1.30e642d805683p-7", "0x1.25b5b2b406b7fp-14"),  # 0.00930479 +- 7e-05
+    "ici": ("0x1.f5b3f5ecee9f4p-8", "0x1.4c3e5dcb58a38p-16"),  # 0.00765538 +- 1.98e-05
+    "ici_edge_3ghz": ("0x1.30e642d805682p-7", "0x1.25b5b2b406b80p-14"),  # 0.00930479 +- 7e-05
     "useful": ("0x1.fbfea0cecdd93p-1", "0x1.a98da5919601bp-18"),  # 0.992177 +- 6.34e-06
     "capacity": ("0x1.49f08b68708f6p+2", "0x1.7be0a50c4d454p-8"),  # 5.15531 +- 0.0058
     "capacity_edge_3ghz": ("0x1.46b1f7cbf8e19p+2", "0x1.0d55d82c163fap-6"),  # 5.10461 +- 0.0164
@@ -281,25 +292,51 @@ def test_control_variate_mean_matches_its_closed_form():
     assert abs(c.mean() - expected) <= 4.0 * c.std(ddof=1) / math.sqrt(c.size)
 
 
-def test_control_variate_is_the_leading_doppler_term():
-    # what the power estimators subtract from each device's conditional
-    # power: c (mean_m d_m^2 - x^2 / 6), c = 1 / g^2 off the centre and
-    # -pi^2 / 3 on it
+def _subtracted(monkeypatch, estimate):
+    # what an estimator subtracts from each trial: the samples it reduces
+    # with every variate cutoff patched to 0 less those it reduces as is,
+    # one array per estimate, and the samples as is
+    samples = []
+    reduce = montecarlo._reduce
+    monkeypatch.setattr(montecarlo, "_reduce", lambda values: samples.append(values.copy())
+                        or reduce(values))
+    estimate()
+    with monkeypatch.context() as patched:
+        for cutoff in ("_VARIATE_MAX_X_CENTRE", "_VARIATE_MAX_X_OFF_CENTRE",
+                       "_VARIATE_MAX_X_CAPACITY"):
+            patched.setattr(montecarlo, cutoff, 0.0)
+        estimate()
+    half = len(samples) // 2
+    return [off - on for on, off in zip(samples[:half], samples[half:])], samples[:half]
+
+
+def test_control_variate_is_the_leading_doppler_term(monkeypatch):
+    # what the power estimators subtract from each trial: per device
+    # c (mean_m d_m^2 - x^2 / 6), c = 1 / g^2 off the centre and -pi^2 / 3
+    # on it, summed over the interferers for the interference
     plan = TrialPlan(trials=256, seed=26, target_index=1)
     gaps = montecarlo._gaps(plan, CV_CFG)
 
-    def powers(coherent):
-        # one block and one scenario: a single yield
-        [(_, _, block, _)] = montecarlo._device_powers(plan, CV_CELL, [(CV_CFG, CV_MOB)],
-                                                       [gaps], coherent)
-        return block
+    def excess(devices):
+        # mean_m d_m^2 - x^2 / 6 from the raw draws of a block of ``devices``
+        batch = sample_cell_batch(montecarlo._block_rng(plan.seed, 0), plan.trials,
+                                  devices, CV_CELL)
+        d = CV_X * batch.speed_fraction[:, :, None] * batch.cos_arrival
+        return (d * d).mean(axis=2) - CV_X ** 2 / 6.0
 
-    batch = sample_cell_batch(montecarlo._block_rng(plan.seed, 0), plan.trials,
-                              gaps.size, CV_CELL)
-    d = CV_X * batch.speed_fraction[:, :, None] * batch.cos_arrival
-    curvature = np.where(gaps == 0.0, -math.pi ** 2 / 3.0, _inverse_squares(gaps))
-    expected = curvature * ((d * d).mean(axis=2) - CV_X ** 2 / 6.0)
-    np.testing.assert_allclose(powers(True) - powers(False), expected, rtol=0.0, atol=1e-14)
+    def check(estimate, *expected):
+        got, _ = _subtracted(monkeypatch, estimate)
+        for g, e in zip(got, expected, strict=True):
+            np.testing.assert_allclose(g, e, rtol=0.0, atol=1e-14)
+
+    check(lambda: estimate_total_ici(plan, CV_CFG, CV_CELL, CV_MOB),
+          excess(gaps.size) @ _inverse_squares(gaps))
+    check(lambda: estimate_useful_power(plan, CV_CFG, CV_CELL, CV_MOB),
+          -math.pi ** 2 / 3.0 * excess(1)[:, 0])
+    # column 0 is the device on -1 seen from 1, column 1 the reverse; g = 2
+    pair = excess(2) / 4.0
+    check(lambda: symmetry_probe(-1, 1, plan, CV_CFG, CV_CELL, CV_MOB),
+          pair[:, 1], pair[:, 0])
 
 
 @pytest.mark.parametrize("cfg, cell, target", [
@@ -375,19 +412,24 @@ CAP_CFG = SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=2,
 CAP_X = 70.0 / 3e8 * 3e9 * 2.0 / 2500.0
 
 
-def _capacity_variates(plan, cfg, cell):
-    # the (V_I, V_0) rows _device_powers fills, one scenario
+def _variates(plan, cfg, cell):
+    # V_I with the weights (capacity) and without (interference), and V_0,
+    # from the brackets _device_powers yields, one scenario
     gaps = montecarlo._gaps(plan, cfg)
-    variates = np.empty((2, plan.trials))
-    for _ in montecarlo._device_powers(plan, cell, [(cfg, MobilityModel(0.0))], [gaps],
-                                       True, variates):
-        pass
+    inverse = montecarlo._inverse_squares(plan, gaps.size)
+    target = plan.target_index + cfg.half_subcarriers
+    variates = np.empty((3, plan.trials))
+    for _, rows, _, bracket, weights in montecarlo._device_powers(
+            plan, cell, [(cfg, MobilityModel(0.0))], [gaps], True):
+        variates[:, rows] = (montecarlo._interference_variate(bracket, inverse, weights),
+                             montecarlo._interference_variate(bracket, inverse),
+                             bracket[:, target] - 1.0 / 6.0)
     return variates
 
 
 def test_capacity_variates_have_mean_zero():
     plan = TrialPlan(trials=1_000_000, seed=28, target_index=1)
-    for v in _capacity_variates(plan, SystemConfig(half_subcarriers=2), CellConfig(2)):
+    for v in _variates(plan, SystemConfig(half_subcarriers=2), CellConfig(2)):
         assert abs(v.mean()) <= 4.0 * v.std(ddof=1) / math.sqrt(v.size)
 
 
@@ -421,16 +463,10 @@ def test_capacity_variate_is_the_leading_doppler_term(monkeypatch):
     assert slope == pytest.approx(numeric, rel=1e-7)
     subtracted = slope / k_bar * interference - slope * s_bar / k_bar * useful
 
-    samples = []
-    reduce = montecarlo._reduce
-    monkeypatch.setattr(montecarlo, "_reduce", lambda values: samples.append(values.copy())
-                        or reduce(values))
-    estimate_ergodic_capacity(plan, CAP_CFG, CV_CELL, mob)
-    monkeypatch.setattr(montecarlo, "_VARIATE_MAX_X_CAPACITY", 0.0)
-    estimate_ergodic_capacity(plan, CAP_CFG, CV_CELL, mob)
-    with_variate, without = samples
-    np.testing.assert_allclose(without - with_variate, subtracted, rtol=0.0, atol=1e-14)
-    assert np.std(with_variate) < np.std(without)
+    [got], [with_variate] = _subtracted(
+        monkeypatch, lambda: estimate_ergodic_capacity(plan, CAP_CFG, CV_CELL, mob))
+    np.testing.assert_allclose(got, subtracted, rtol=0.0, atol=1e-14)
+    assert np.std(with_variate) < np.std(with_variate + got)
 
 
 def test_capacity_variate_cuts_the_fig4_standard_error():

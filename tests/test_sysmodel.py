@@ -55,6 +55,15 @@ def test_system_config_rejects(kwargs):
         SystemConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["carrier_frequency_hz", "subcarrier_spacing_hz",
+                                   "symbol_period_s", "bandwidth_hz", "effective_power",
+                                   "noise_variance", "wave_speed_mps"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_system_config_refuses_a_non_finite_float(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SystemConfig(**{field: value})
+
+
 def test_cell_config_validation():
     assert CellConfig().paths_per_device == 8
     with pytest.raises(ValueError):
@@ -133,7 +142,7 @@ def test_coherent_device_power_has_unit_mean():
     plan = TrialPlan(trials=40000, seed=2)
     scenario = (SystemConfig(), MobilityModel(max_velocity_mps=0.0))
     samples = np.empty(plan.trials)
-    for _, rows, powers, weights in _device_powers(plan, CellConfig(), [scenario],
-                                                   [np.zeros(1)], True):
+    for _, rows, powers, _, weights in _device_powers(plan, CellConfig(), [scenario],
+                                                      [np.zeros(1)], True):
         samples[rows] = powers[:, 0] * weights[:, 0]
     assert samples.mean() == pytest.approx(1.0, abs=0.02)
