@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__
 from .analytic import (
     NormalizedDoppler,
+    approx_is_valid,
     approx_validity_threshold,
     capacity_upper,
     capacity_upper_approx,
@@ -167,6 +168,9 @@ def _cmd_analytic(args) -> int:
     cfg = replace(cfg, noise_variance=_snr_to_noise(args.snr_db, cfg.effective_power))
     v_max = args.v_max
     bounds = ici_bounds(v_max, cfg)
+    # the small-velocity approximations mean nothing outside their regime
+    # (at 1e6 m/s the capacity one is negative), so they are left out there
+    valid = approx_is_valid(v_max, cfg)
     report = [
         ("normalized_doppler", NormalizedDoppler.from_configs(v_max, cfg).b),
         ("approx_validity_threshold_mps", approx_validity_threshold(cfg)),
@@ -174,14 +178,18 @@ def _cmd_analytic(args) -> int:
         ("ici_power", total_ici_power(v_max, cfg)),
         ("ici_lower_bound", bounds.lower),
         ("ici_upper_bound", bounds.upper),
-        ("ici_small_velocity_approx", ici_approx(v_max, cfg)),
+        *([("ici_small_velocity_approx", ici_approx(v_max, cfg))] if valid else []),
         ("ici_finite_n", finite_n_ici(0, v_max, cfg)),
         ("capacity_upper_bits", capacity_upper(v_max, cfg)),
-        ("capacity_upper_approx_bits", capacity_upper_approx(v_max, cfg)),
+        *([("capacity_upper_approx_bits", capacity_upper_approx(v_max, cfg))] if valid else []),
         ("sum_rate_upper_bps", sum_rate_upper(v_max, cfg)),
     ]
     for name, value in report:
         print(f"{name:<32}{value:.12g}")
+    if not valid:
+        print(f"note: --v-max {v_max!r} is not below approx_validity_threshold_mps, so "
+              "ici_small_velocity_approx and capacity_upper_approx_bits are left out",
+              file=sys.stderr)
     return 0
 
 

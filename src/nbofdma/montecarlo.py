@@ -21,7 +21,8 @@ import numpy as np
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
 from .numerics import exp1_scaled, row_tiles, sinc, sinc_squared
-from .sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch
+from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
+                       sample_cell_batch)
 
 __all__ = [
     "TrialPlan",
@@ -54,6 +55,8 @@ class TrialPlan:
     target_index: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "seed", "target_index"):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:

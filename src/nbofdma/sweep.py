@@ -14,7 +14,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from .analytic import (
     NormalizedDoppler,
@@ -95,32 +95,31 @@ def _to_int(raw: str, key: str) -> int:
     return int(value)
 
 
-# (dataclass field, converter) per config key
-_SYSTEM_KEYS = {
-    "system.carrier_frequency_hz": ("carrier_frequency_hz", _to_float),
-    "system.subcarrier_spacing_hz": ("subcarrier_spacing_hz", _to_float),
-    "system.symbol_period_s": ("symbol_period_s", _to_float),
-    "system.half_subcarriers": ("half_subcarriers", _to_int),
-    "system.bandwidth_hz": ("bandwidth_hz", _to_float),
-    "system.effective_power": ("effective_power", _to_float),
-    "system.noise_variance": ("noise_variance", _to_float),
-    "system.wave_speed_mps": ("wave_speed_mps", _to_float),
-}
-_CELL_KEYS = {
-    "cell.paths_per_device": ("paths_per_device", _to_int),
-}
-_MOBILITY_KEYS = {
-    "mobility.max_velocity_mps": ("max_velocity_mps", _to_float),
+# config key -> (section, dataclass field, converter) of every key a curve
+# may override; system.snr_db sets the noise power against the scenario's
+# own effective power
+_SCENARIO_KEYS = {
+    "system.carrier_frequency_hz": ("system", "carrier_frequency_hz", _to_float),
+    "system.subcarrier_spacing_hz": ("system", "subcarrier_spacing_hz", _to_float),
+    "system.symbol_period_s": ("system", "symbol_period_s", _to_float),
+    "system.half_subcarriers": ("system", "half_subcarriers", _to_int),
+    "system.bandwidth_hz": ("system", "bandwidth_hz", _to_float),
+    "system.effective_power": ("system", "effective_power", _to_float),
+    "system.noise_variance": ("system", "noise_variance", _to_float),
+    "system.snr_db": ("system", "snr_db", _to_float),
+    "system.wave_speed_mps": ("system", "wave_speed_mps", _to_float),
+    "cell.paths_per_device": ("cell", "paths_per_device", _to_int),
+    "mobility.max_velocity_mps": ("mobility", "max_velocity_mps", _to_float),
 }
 _MC_KEYS = {
     "mc.trials": ("trials", _to_int),
     "mc.seed": ("seed", _to_int),
     "mc.target_index": ("target_index", _to_int),
 }
-# keys a curve may override (snr_db is sugar for noise_variance in both
-# the global and the per-curve position)
-_SCENARIO_KEYS = {**_SYSTEM_KEYS, **_CELL_KEYS, **_MOBILITY_KEYS,
-                  "system.snr_db": ("snr_db", _to_float)}
+# the two keys that set one value, the noise power
+_NOISE_KEYS = ("system.snr_db", "system.noise_variance")
+# the scenario keys each axis sets at every grid point
+_AXIS_KEYS = {"v_max": ("mobility.max_velocity_mps",), "snr_db": _NOISE_KEYS}
 
 # largest block of Monte Carlo path draws, BLOCK_TRIALS x (2N + 1) x M
 # doubles, a Monte Carlo sweep may ask for
@@ -131,22 +130,21 @@ _CURVE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A fully validated sweep: scenario, axis, grid, outputs, trial plan.
+    """A fully validated sweep: axis, grid, outputs, trial plan, scenario.
 
-    ``curves`` holds (name, overrides) pairs in declaration order, each
-    override a (config key, value) tuple applied on top of the base
-    scenario; empty means a single unlabelled curve.
+    ``settings`` holds the top-level (config key, value) pairs of the
+    scenario as given.  ``curves`` holds (name, overrides) pairs in
+    declaration order, each override a (config key, value) pair applied on
+    top of the settings; empty means a single unlabelled curve.
+    :func:`_scenario` builds the configs of each (curve, grid point).
     """
 
     axis: str
     grid: tuple[float, ...]
     outputs: tuple[str, ...]
-    system: SystemConfig
-    cell: CellConfig
-    mobility: MobilityModel
     plan: TrialPlan
+    settings: tuple[tuple[str, float], ...] = ()
     curves: tuple[tuple[str, tuple[tuple[str, float], ...]], ...] = ()
-    explicit_symbol_period: bool = False
 
 
 @dataclass
@@ -197,15 +195,13 @@ def parse_config(text: str) -> SweepSpec:
     (900 MHz carrier, 2.5 kHz spacing, T_s = 1/spacing, unit power, c = 3e8).
 
     Raises :class:`ConfigError` naming the offending key for unknown keys,
-    malformed values and violated constraints.
+    malformed values, violated constraints and scenario keys that change
+    nothing (see :func:`_refuse_idle_keys`).
     """
     pairs, order = _read_pairs(text)
 
-    system_kwargs = {}
-    cell_kwargs = {}
-    mobility_kwargs = {}
+    settings = []
     mc_kwargs = {}
-    snr_db = None
     axis = None
     grid = None
     outputs = None
@@ -213,17 +209,8 @@ def parse_config(text: str) -> SweepSpec:
 
     for key in order:
         raw = pairs[key]
-        if key in _SYSTEM_KEYS:
-            field, convert = _SYSTEM_KEYS[key]
-            system_kwargs[field] = convert(raw, key)
-        elif key == "system.snr_db":
-            snr_db = _to_float(raw, key)
-        elif key in _CELL_KEYS:
-            field, convert = _CELL_KEYS[key]
-            cell_kwargs[field] = convert(raw, key)
-        elif key in _MOBILITY_KEYS:
-            field, convert = _MOBILITY_KEYS[key]
-            mobility_kwargs[field] = convert(raw, key)
+        if key in _SCENARIO_KEYS:
+            settings.append((key, _SCENARIO_KEYS[key][2](raw, key)))
         elif key in _MC_KEYS:
             field, convert = _MC_KEYS[key]
             mc_kwargs[field] = convert(raw, key)
@@ -242,13 +229,9 @@ def parse_config(text: str) -> SweepSpec:
                 raise ConfigError(f"curve name {name!r} is not a valid identifier")
             if inner not in _SCENARIO_KEYS:
                 raise ConfigError(f"curve key {key!r} does not override a known scenario key")
-            _, convert = _SCENARIO_KEYS[inner]
-            curves.setdefault(name, []).append((inner, convert(raw, key)))
+            curves.setdefault(name, []).append((inner, _SCENARIO_KEYS[inner][2](raw, key)))
         else:
             raise ConfigError(f"unknown key {key!r}")
-
-    if "noise_variance" in system_kwargs and snr_db is not None:
-        raise ConfigError("system.noise_variance and system.snr_db are mutually exclusive")
 
     if axis is None:
         raise ConfigError("sweep.axis is required")
@@ -277,12 +260,6 @@ def parse_config(text: str) -> SweepSpec:
         raise ConfigError("sweep.outputs must list at least one output")
 
     try:
-        system = SystemConfig(**system_kwargs)
-        if snr_db is not None:
-            system = replace(system,
-                             noise_variance=_snr_to_noise(snr_db, system.effective_power))
-        cell = CellConfig(**cell_kwargs)
-        mobility = MobilityModel(**mobility_kwargs)
         plan = TrialPlan(**{"trials": 100000, **mc_kwargs})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -291,19 +268,14 @@ def parse_config(text: str) -> SweepSpec:
     if wants_mc and plan.trials < 100:
         raise ConfigError("mc.trials must be at least 100 when Monte Carlo outputs are requested")
 
-    spec = SweepSpec(
-        axis=axis,
-        grid=grid_values,
-        outputs=canonical,
-        system=system,
-        cell=cell,
-        mobility=mobility,
-        plan=plan,
-        curves=tuple((name, tuple(items)) for name, items in curves.items()),
-        explicit_symbol_period="symbol_period_s" in system_kwargs,
-    )
-    # surface per-curve scenario problems at parse time, not mid-run
+    spec = SweepSpec(axis=axis, grid=grid_values, outputs=canonical, plan=plan,
+                     settings=tuple(settings),
+                     curves=tuple((name, tuple(items)) for name, items in curves.items()))
+    _refuse_idle_keys(spec)
+    # surface scenario problems at parse time, at every point, not mid-run
     for name, overrides in spec.curves or ((None, ()),):
+        noise_key = _setter(spec, name, overrides, *_NOISE_KEYS)
+        power_key = _setter(spec, name, overrides, "system.effective_power")
         try:
             for axis_value in spec.grid:
                 cfg, cell, mob = _scenario(spec, overrides, axis_value)
@@ -314,34 +286,47 @@ def parse_config(text: str) -> SweepSpec:
                 if wants_mc:
                     _check_block_memory(cfg, cell)
                 _check_doppler(spec, cfg, mob, axis_value)
-                noise_key = _noise_key(spec, name, overrides, snr_db)
                 if cfg.noise_variance == 0.0:
                     _check_noiseless(spec, cfg, mob, axis_value, noise_key)
-                _check_closed_forms(spec, cfg, mob, axis_value, noise_key,
-                                    _power_key(name, overrides))
+                _check_closed_forms(spec, cfg, mob, axis_value, noise_key, power_key)
         except ValueError as exc:
             label = f"curve {name!r}: " if name else ""
             raise ConfigError(label + str(exc)) from None
     return spec
 
 
-def _noise_key(spec: SweepSpec, name, overrides, global_snr_db) -> str:
-    """The config key that sets the noise power of a curve's grid points,
-    in the precedence order of :func:`_scenario`."""
-    if spec.axis == "snr_db":
+def _refuse_idle_keys(spec: SweepSpec):
+    """Refuse the scenario keys that change nothing: the axis's own key,
+    which the grid sets at every point; ``snr_db`` beside ``noise_variance``
+    at one level, where one replaces the other; and a top-level key that
+    every curve overrides, the two noise keys counting as one."""
+    curves = spec.curves
+    for prefix, items in (("", spec.settings), *((f"curve.{n}.", o) for n, o in curves)):
+        keys = [key for key, _ in items]
+        for key in keys:
+            if key in _AXIS_KEYS[spec.axis]:
+                raise ConfigError(f"{prefix}{key}: sweep.axis = {spec.axis} sets it "
+                                  "at every grid point")
+        if all(key in keys for key in _NOISE_KEYS):
+            raise ConfigError(f"{prefix}system.noise_variance: mutually exclusive "
+                              f"with {prefix}system.snr_db")
+    for key, _ in spec.settings if curves else ():
+        same = _NOISE_KEYS if key in _NOISE_KEYS else (key,)
+        if all(any(inner in same for inner, _ in items) for _, items in curves):
+            raise ConfigError(f"{key}: every curve overrides it")
+
+
+def _setter(spec: SweepSpec, name, overrides, *keys) -> str:
+    """The config key that sets the value of ``keys`` (one key, or the two
+    noise keys) at a curve's grid points, in the precedence order of
+    :func:`_scenario`; the last of ``keys`` where the value is the default."""
+    if any(key in _AXIS_KEYS[spec.axis] for key in keys):
         return "sweep.grid"
-    keys = [key for key, _ in overrides]
-    for key in ("system.snr_db", "system.noise_variance"):
-        if key in keys:
-            return f"curve.{name}.{key}"
-    return "system.snr_db" if global_snr_db is not None else "system.noise_variance"
-
-
-def _power_key(name, overrides) -> str:
-    """The config key that sets the effective power of a curve."""
-    if any(key == "system.effective_power" for key, _ in overrides):
-        return f"curve.{name}.system.effective_power"
-    return "system.effective_power"
+    for prefix, items in ((f"curve.{name}.", overrides), ("", spec.settings)):
+        for key, _ in items:
+            if key in keys:
+                return prefix + key
+    return keys[-1]
 
 
 def _check_doppler(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
@@ -446,15 +431,7 @@ def _check_noiseless(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
 
 def to_text(spec: SweepSpec) -> str:
     """Canonical config for a spec; ``parse_config(to_text(s)) == s``."""
-    lines = []
-    for key, (field, _) in _SYSTEM_KEYS.items():
-        if field == "symbol_period_s" and not spec.explicit_symbol_period:
-            continue
-        lines.append(f"{key} = {getattr(spec.system, field)!r}")
-    for key, (field, _) in _CELL_KEYS.items():
-        lines.append(f"{key} = {getattr(spec.cell, field)!r}")
-    for key, (field, _) in _MOBILITY_KEYS.items():
-        lines.append(f"{key} = {getattr(spec.mobility, field)!r}")
+    lines = [f"{key} = {value!r}" for key, value in spec.settings]
     lines.append(f"sweep.axis = {spec.axis}")
     lines.append("sweep.grid = " + ", ".join(repr(x) for x in spec.grid))
     lines.append("sweep.outputs = " + ", ".join(spec.outputs))
@@ -471,32 +448,24 @@ def to_text(spec: SweepSpec) -> str:
 # ===========================================================================
 
 def _scenario(spec: SweepSpec, overrides, axis_value: float):
-    """Configs for one (curve, grid point), overrides applied to the base."""
-    system_kwargs = {f.name: getattr(spec.system, f.name) for f in fields(SystemConfig)}
-    cell_kwargs = {f.name: getattr(spec.cell, f.name) for f in fields(CellConfig)}
-    mobility_kwargs = {f.name: getattr(spec.mobility, f.name) for f in fields(MobilityModel)}
-    if not spec.explicit_symbol_period:
-        system_kwargs["symbol_period_s"] = None  # keep following the spacing
-    snr_db = None
-    for key, value in overrides:
-        if key == "system.snr_db":
-            snr_db = value
-        elif key in _SYSTEM_KEYS:
-            system_kwargs[_SYSTEM_KEYS[key][0]] = value
-        elif key in _CELL_KEYS:
-            cell_kwargs[_CELL_KEYS[key][0]] = value
-        else:
-            mobility_kwargs[_MOBILITY_KEYS[key][0]] = value
-    if snr_db is not None:
-        system_kwargs["noise_variance"] = _snr_to_noise(
-            snr_db, system_kwargs["effective_power"])
-    if spec.axis == "v_max":
-        mobility_kwargs["max_velocity_mps"] = axis_value
-    else:
-        system_kwargs["noise_variance"] = _snr_to_noise(
-            axis_value, system_kwargs["effective_power"])
-    return (SystemConfig(**system_kwargs), CellConfig(**cell_kwargs),
-            MobilityModel(**mobility_kwargs))
+    """Configs for one (curve, grid point): the settings, then the curve's
+    overrides, then the axis value, each replacing what came before.
+    ``system.snr_db`` and ``system.noise_variance`` set one value, and
+    ``snr_db`` resolves against the scenario's own effective power;
+    ``symbol_period_s`` follows the spacing unless set."""
+    kwargs = {"system": {}, "cell": {}, "mobility": {}}
+    system = kwargs["system"]
+    for key, value in (*spec.settings, *overrides, (_AXIS_KEYS[spec.axis][0], axis_value)):
+        section, field, _ = _SCENARIO_KEYS[key]
+        if key in _NOISE_KEYS:
+            system.pop("snr_db", None)
+            system.pop("noise_variance", None)
+        kwargs[section][field] = value
+    if "snr_db" in system:
+        system["noise_variance"] = _snr_to_noise(
+            system.pop("snr_db"), system.get("effective_power", SystemConfig.effective_power))
+    return (SystemConfig(**system), CellConfig(**kwargs["cell"]),
+            MobilityModel(**kwargs["mobility"]))
 
 
 def _eval_point(spec: SweepSpec, curve: str, axis_value: float,

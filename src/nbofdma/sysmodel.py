@@ -39,6 +39,17 @@ def _require(condition: bool, message: str):
         raise ValueError(message)
 
 
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; refuses a value that is not a whole number."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    _require(whole is not None and whole == value,
+             f"{name} must be a whole number (got {value!r})")
+    return whole
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Air-interface constants shared by every analysis entry point."""
@@ -67,9 +78,9 @@ class SystemConfig:
         _require(math.isfinite(self.symbol_period_s) and self.symbol_period_s > 0.0,
                  "symbol_period_s must be finite and positive "
                  "(it defaults to 1 / subcarrier_spacing_hz)")
-        _require(int(self.half_subcarriers) == self.half_subcarriers
-                 and self.half_subcarriers >= 0,
-                 "half_subcarriers must be a non-negative integer")
+        object.__setattr__(self, "half_subcarriers",
+                           _whole_number(self.half_subcarriers, "half_subcarriers"))
+        _require(self.half_subcarriers >= 0, "half_subcarriers must be a non-negative integer")
         _require(self.bandwidth_hz >= 0.0, "bandwidth_hz must be non-negative")
         _require(self.effective_power > 0.0, "effective_power must be positive")
         _require(self.noise_variance >= 0.0, "noise_variance must be non-negative")
@@ -103,9 +114,9 @@ class CellConfig:
     paths_per_device: int = 8
 
     def __post_init__(self):
-        _require(int(self.paths_per_device) == self.paths_per_device
-                 and self.paths_per_device >= 1,
-                 "paths_per_device must be a positive integer")
+        object.__setattr__(self, "paths_per_device",
+                           _whole_number(self.paths_per_device, "paths_per_device"))
+        _require(self.paths_per_device >= 1, "paths_per_device must be a positive integer")
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,28 @@ def test_help_and_version(capsys):
 
 def test_analytic_report(capsys):
     assert main(["analytic", "--v-max", "100"]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     values = {line.split()[0]: float(line.split()[1])
               for line in out.strip().splitlines()}
     assert values["normalized_doppler"] == pytest.approx(0.3769911184307752, rel=1e-11)
     assert values["useful_power"] == pytest.approx(0.9921712405420337, rel=1e-11)
     assert values["ici_power"] == pytest.approx(0.007828759457966318, rel=1e-9)
     assert values["capacity_upper_bits"] == pytest.approx(5.824005160389218, rel=1e-11)
+    assert "capacity_upper_approx_bits" in values  # 100 m/s is below the 133 m/s threshold
+    assert err == ""
     assert values["ici_lower_bound"] <= values["ici_power"] <= values["ici_upper_bound"]
+
+
+def test_analytic_leaves_out_the_approximations_beyond_their_regime(capsys):
+    # at 1e6 m/s the capacity approximation is -19.6 bits
+    assert main(["analytic", "--v-max", "1e6"]) == 0
+    captured = capsys.readouterr()
+    names = [line.split()[0] for line in captured.out.strip().splitlines()]
+    assert "capacity_upper_bits" in names
+    assert "ici_small_velocity_approx" not in names
+    assert "capacity_upper_approx_bits" not in names
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("note: ") and "approx_validity_threshold_mps" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

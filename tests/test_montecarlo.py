@@ -41,6 +41,15 @@ def test_trial_plan_validation():
         TrialPlan(trials=10, seed=-1)
 
 
+@pytest.mark.parametrize("field", ["trials", "seed", "target_index"])
+def test_trial_plan_takes_whole_numbers_only(field):
+    whole = TrialPlan(**{"trials": 256, field: 2.0})
+    assert type(getattr(whole, field)) is int and whole == TrialPlan(**{"trials": 256, field: 2})
+    for value in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number"):
+            TrialPlan(**{"trials": 256, field: value})
+
+
 def test_estimates_are_deterministic():
     plan = TrialPlan(trials=3000, seed=17)
     first = estimate_total_ici(plan, CFG, CELL, MOB)

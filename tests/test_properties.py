@@ -104,8 +104,7 @@ def test_power_budget_adds_up_to_the_transmit_power(fc, spacing, n, v):
 
 # every key a config may set, curve overrides included, and values at the
 # edges of each key's range
-SCENARIO_KEYS = [*sweep._SYSTEM_KEYS, *sweep._CELL_KEYS, *sweep._MOBILITY_KEYS,
-                 "system.snr_db"]
+SCENARIO_KEYS = [*sweep._SCENARIO_KEYS]
 CONFIG_KEYS = st.sampled_from(
     SCENARIO_KEYS + [*sweep._MC_KEYS]
     + [f"curve.{name}.{key}" for name in ("a", "b") for key in SCENARIO_KEYS])
@@ -115,6 +114,7 @@ CONFIG_VALUES = st.sampled_from([
 CONFIG_HEADS = st.sampled_from([
     "sweep.axis = v_max\nsweep.grid = 0, 50, 1e10\n",
     "sweep.axis = snr_db\nsweep.grid = -4000, 0, 20\n",
+    "sweep.axis = snr_db\nsweep.grid = 0, 20\n",
 ])
 CONFIG_OUTPUTS = st.lists(st.sampled_from(sweep.OUTPUT_ORDER), min_size=1, max_size=3)
 
@@ -126,6 +126,11 @@ def test_parser_raises_config_error_and_nothing_else(head, outputs, pairs):
     text = head + "sweep.outputs = " + ", ".join(outputs) + "\n" \
         + "".join(f"{key} = {value}\n" for key, value in pairs.items())
     try:
-        sweep.parse_config(text)
+        spec = sweep.parse_config(text)
     except sweep.ConfigError:
-        pass
+        return
+    # nbofdma sweep --trials/--seed re-parses the canonical text
+    assert sweep.parse_config(sweep.to_text(spec)) == spec
+    for _, overrides in spec.curves or (("", ()),):
+        for axis_value in spec.grid:
+            sweep._scenario(spec, overrides, axis_value)

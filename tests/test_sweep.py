@@ -2,6 +2,9 @@
 
 import json
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import nbofdma.sweep as sweep_mod
 from nbofdma.analytic import total_ici_power
 from nbofdma.montecarlo import estimate_ergodic_capacity, estimate_total_ici
 from nbofdma.numerics import QuadratureError
+from nbofdma.cli import main
 from nbofdma.sweep import (
     ConfigError,
     SweepRow,
@@ -28,38 +32,92 @@ sweep.outputs = ici_exact, capacity_exact
 """
 
 
+def base_system(spec):
+    """The system config of the top-level settings at the first grid point."""
+    return sweep_mod._scenario(spec, (), spec.grid[0])[0]
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
 def test_defaults_applied():
     spec = parse_config(BASE)
-    assert spec.system.carrier_frequency_hz == 900e6
-    assert spec.system.subcarrier_spacing_hz == 2500.0
-    assert spec.system.symbol_period_s == 1.0 / 2500.0
-    assert spec.system.effective_power == 1.0
-    assert spec.system.wave_speed_mps == 3e8
+    system = base_system(spec)
+    assert system.carrier_frequency_hz == 900e6
+    assert system.subcarrier_spacing_hz == 2500.0
+    assert system.symbol_period_s == 1.0 / 2500.0
+    assert system.effective_power == 1.0
+    assert system.wave_speed_mps == 3e8
     assert spec.plan.trials == 100000 and spec.plan.seed == 0
     assert spec.curves == ()
-    assert not spec.explicit_symbol_period
+    assert spec.settings == ()
 
 
 def test_comments_and_blank_lines_ignored():
     spec = parse_config("# leading comment\n\n" + BASE +
-                        "mobility.max_velocity_mps = 80  # trailing\n")
-    assert spec.mobility.max_velocity_mps == 80.0
+                        "system.carrier_frequency_hz = 3e9  # trailing\n")
+    assert base_system(spec).carrier_frequency_hz == 3e9
 
 
 def test_snr_shortcut_sets_noise():
     spec = parse_config(BASE + "system.snr_db = 20\n")
-    assert spec.system.noise_variance == pytest.approx(0.01, rel=1e-12)
+    assert base_system(spec).noise_variance == pytest.approx(0.01, rel=1e-12)
     spec = parse_config(BASE + "system.snr_db = 0\nsystem.effective_power = 2\n")
-    assert spec.system.noise_variance == pytest.approx(2.0, rel=1e-12)
+    assert base_system(spec).noise_variance == pytest.approx(2.0, rel=1e-12)
+
+
+def test_snr_resolves_against_each_curves_power(tmp_path, capsys):
+    text = BASE.replace("ici_exact, capacity_exact", "capacity_exact") + (
+        "system.snr_db = 20\n"
+        "curve.a.system.effective_power = 1\n"
+        "curve.b.system.effective_power = 100\n")
+    spec = parse_config(text)
+    # the round trip that nbofdma sweep --trials makes
+    rerun = parse_config(to_text(replace(spec, plan=replace(spec.plan, trials=500))))
+    for parsed in (spec, rerun):
+        cfg, _, _ = sweep_mod._scenario(parsed, dict(parsed.curves)["b"], 0.0)
+        assert cfg.noise_variance == pytest.approx(1.0, rel=1e-12)
+    # at one SNR the capacity does not depend on the power
+    path = tmp_path / "snr.cfg"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path), "--trials", "500"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    for a, b in zip(rows[:3], rows[3:]):
+        assert (a[0], b[0]) == ("a", "b")
+        assert float(b[2]) == pytest.approx(float(a[2]), rel=1e-11)
 
 
 def test_snr_and_noise_are_exclusive():
     text = BASE + "system.snr_db = 20\nsystem.noise_variance = 0.01\n"
     with pytest.raises(ConfigError, match="mutually exclusive"):
         parse_config(text)
+
+
+SNR_BASE = "sweep.axis = snr_db\nsweep.grid = 0, 20\nsweep.outputs = capacity_exact\n"
+
+
+@pytest.mark.parametrize("text,key", [
+    (BASE + "mobility.max_velocity_mps = 80", "mobility.max_velocity_mps"),
+    (BASE + "curve.a.mobility.max_velocity_mps = 80", "curve.a.mobility.max_velocity_mps"),
+    (SNR_BASE + "system.snr_db = 20", "system.snr_db"),
+    (SNR_BASE + "system.noise_variance = 0.1", "system.noise_variance"),
+    (SNR_BASE + "curve.a.system.snr_db = 20", "curve.a.system.snr_db"),
+    (BASE + "curve.a.system.snr_db = 20\ncurve.a.system.noise_variance = 0.1",
+     "curve.a.system.noise_variance"),
+    (BASE + "system.carrier_frequency_hz = 900e6\n"
+     "curve.a.system.carrier_frequency_hz = 1e9\ncurve.b.system.carrier_frequency_hz = 3e9",
+     "system.carrier_frequency_hz"),
+    (BASE + "curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 20\n"
+     "system.half_subcarriers = 5", "system.half_subcarriers"),
+    (BASE + "system.snr_db = 10\n"
+     "curve.a.system.noise_variance = 0.1\ncurve.b.system.noise_variance = 0.2", "system.snr_db"),
+])
+def test_refuses_keys_that_change_nothing(text, key):
+    with pytest.raises(ConfigError, match="^" + re.escape(key) + ":"):
+        parse_config(text + "\n")
+    # the same key takes effect where one curve keeps the top-level value
+    if not key.startswith("curve.") and "curve." in text:
+        parse_config(text + "\ncurve.c.cell.paths_per_device = 2\n")
 
 
 AXIS = "sweep.axis = v_max\n"
@@ -179,14 +237,14 @@ def test_rejects_zero_noise_where_capacity_needs_it(text, fragment):
     AXIS + GRID + "sweep.outputs = sum_rate\nsystem.bandwidth_hz = 0\nsystem.noise_variance = 0",
 ])
 def test_accepts_zero_noise_where_nothing_needs_it(text):
-    assert parse_config(text + "\n").system.noise_variance == 0.0
+    assert base_system(parse_config(text + "\n")).noise_variance == 0.0
 
 
 def test_accepts_zero_noise_where_the_interference_is_positive():
     spec = parse_config(AXIS + "sweep.grid = 1e-3\n"
                         "sweep.outputs = capacity_exact, capacity_approx, sum_rate\n"
                         "system.noise_variance = 0\n")
-    assert total_ici_power(1e-3, spec.system) == pytest.approx(7.9e-13, rel=0.01)
+    assert total_ici_power(1e-3, base_system(spec)) == pytest.approx(7.9e-13, rel=0.01)
     (row,) = run_sweep(spec)
     assert row.error is None
     assert all(math.isfinite(value) for value in row.values.values())
@@ -293,11 +351,11 @@ def test_curve_overrides_recorded_in_order():
     spec = parse_config(BASE +
                         "curve.a.system.carrier_frequency_hz = 900e6\n"
                         "curve.b.system.carrier_frequency_hz = 3e9\n"
-                        "curve.b.mobility.max_velocity_mps = 10\n")
+                        "curve.b.system.effective_power = 10\n")
     assert [name for name, _ in spec.curves] == ["a", "b"]
     assert dict(spec.curves)["b"] == (
         ("system.carrier_frequency_hz", 3e9),
-        ("mobility.max_velocity_mps", 10.0),
+        ("system.effective_power", 10.0),
     )
 
 
@@ -307,7 +365,7 @@ def test_round_trip_identity():
     system.symbol_period_s = 8e-4
     system.subcarrier_spacing_hz = 2500
     system.half_subcarriers = 10
-    system.snr_db = 15
+    system.effective_power = 2
     cell.paths_per_device = 4
     mobility.max_velocity_mps = 30
     sweep.axis = snr_db
@@ -317,10 +375,10 @@ def test_round_trip_identity():
     mc.seed = 99
     mc.target_index = -2
     curve.slow.mobility.max_velocity_mps = 10
-    curve.fast.mobility.max_velocity_mps = 100
+    curve.fast.system.carrier_frequency_hz = 9e8
     """
     spec = parse_config(rich)
-    assert spec.explicit_symbol_period
+    assert base_system(spec).symbol_period_s == 8e-4
     assert parse_config(to_text(spec)) == spec
 
 
@@ -488,6 +546,14 @@ def test_presets_parse(name):
     assert spec.grid == tuple(float(v) for v in range(0, 101, 10))
     assert spec.plan.seed == 42
     assert len(spec.curves) >= 2
+
+
+def test_readme_configs_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(block)
 
 
 def test_unknown_preset():

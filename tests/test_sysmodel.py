@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nbofdma.montecarlo import TrialPlan, _device_powers
+from nbofdma.analytic import finite_n_ici
+from nbofdma.montecarlo import TrialPlan, _device_powers, estimate_total_ici
 from nbofdma.sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch
 
 
@@ -62,6 +63,24 @@ def test_system_config_rejects(kwargs):
 def test_system_config_refuses_a_non_finite_float(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         SystemConfig(**{field: value})
+
+
+def test_system_config_stores_a_whole_half_subcarriers_as_int():
+    cfg = SystemConfig(half_subcarriers=3.0)
+    assert type(cfg.half_subcarriers) is int and cfg == SystemConfig(half_subcarriers=3)
+    assert finite_n_ici(0, 50.0, cfg) == finite_n_ici(0, 50.0, SystemConfig(half_subcarriers=3))
+    for value in (2.5, math.inf, math.nan, "3"):
+        with pytest.raises(ValueError, match="^half_subcarriers must be a whole number"):
+            SystemConfig(half_subcarriers=value)
+
+
+def test_cell_config_stores_a_whole_paths_per_device_as_int():
+    cell = CellConfig(paths_per_device=2.0)
+    assert type(cell.paths_per_device) is int and cell == CellConfig(paths_per_device=2)
+    plan = TrialPlan(trials=256, seed=1)
+    mob = MobilityModel(max_velocity_mps=50.0)
+    assert estimate_total_ici(plan, SystemConfig(), cell, mob) \
+        == estimate_total_ici(plan, SystemConfig(), CellConfig(paths_per_device=2), mob)
 
 
 def test_cell_config_validation():
