@@ -162,8 +162,9 @@ def _leakage_multi(gaps_ts, max_velocity_mps: float, cfg: SystemConfig) -> float
     # sinc_squared wants a whole-number gap: split off the fractional part
     whole = np.rint(gaps)
     frac = gaps - whole
+    span = float(np.max(np.abs(frac)))  # bounds the kernel's offsets at rest
     if max_velocity_mps == 0.0:
-        return float(np.sum(sinc_squared(whole, frac)))
+        return float(np.sum(sinc_squared(whole, frac, span)))
     beta = max_velocity_mps * cfg.carrier_frequency_hz * cfg.symbol_period_s \
         / cfg.wave_speed_mps
     # The integrand sweeps about beta sinc^2 lobes, most of them for t < 4.
@@ -176,11 +177,12 @@ def _leakage_multi(gaps_ts, max_velocity_mps: float, cfg: SystemConfig) -> float
             f"integrand sweeps {beta:.3g} oscillations, beyond the "
             f"subdivision budget of {budget}",
             estimate=math.nan, error_bound=math.inf)
+    span += beta  # |frac +- beta sech t| never exceeds it
 
     def integrand(t):
         sech = 1.0 / np.cosh(t)
         y = beta * sech
-        kernel = sinc_squared(whole, frac + y) + sinc_squared(whole, frac - y)
+        kernel = sinc_squared(whole, frac + y, span) + sinc_squared(whole, frac - y, span)
         return (t / math.pi) * sech * np.tanh(t) * np.sum(kernel, axis=0)
 
     # Tail past the last panel, T = 40: sech(t) tanh(t) <= 2 e^-t, so the

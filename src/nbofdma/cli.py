@@ -168,8 +168,11 @@ def _cmd_analytic(args) -> int:
     cfg = replace(cfg, noise_variance=_snr_to_noise(args.snr_db, cfg.effective_power))
     v_max = args.v_max
     bounds = ici_bounds(v_max, cfg)
-    # the small-velocity approximations mean nothing outside their regime
-    # (at 1e6 m/s the capacity one is negative), so they are left out there
+    # the small-velocity bounds and approximations mean nothing outside their
+    # regime (at 1e6 m/s the lower bound is 0, the upper one 3e12 P_T and the
+    # capacity approximation negative), so they are left out there
+    small = ("ici_lower_bound", "ici_upper_bound", "ici_small_velocity_approx",
+             "capacity_upper_approx_bits")
     valid = approx_is_valid(v_max, cfg)
     report = [
         ("normalized_doppler", NormalizedDoppler.from_configs(v_max, cfg).b),
@@ -178,18 +181,18 @@ def _cmd_analytic(args) -> int:
         ("ici_power", total_ici_power(v_max, cfg)),
         ("ici_lower_bound", bounds.lower),
         ("ici_upper_bound", bounds.upper),
-        *([("ici_small_velocity_approx", ici_approx(v_max, cfg))] if valid else []),
+        ("ici_small_velocity_approx", ici_approx(v_max, cfg)),
         ("ici_finite_n", finite_n_ici(0, v_max, cfg)),
         ("capacity_upper_bits", capacity_upper(v_max, cfg)),
-        *([("capacity_upper_approx_bits", capacity_upper_approx(v_max, cfg))] if valid else []),
+        ("capacity_upper_approx_bits", capacity_upper_approx(v_max, cfg)),
         ("sum_rate_upper_bps", sum_rate_upper(v_max, cfg)),
     ]
     for name, value in report:
-        print(f"{name:<32}{value:.12g}")
+        if valid or name not in small:
+            print(f"{name:<32}{value:.12g}")
     if not valid:
         print(f"note: --v-max {v_max!r} is not below approx_validity_threshold_mps, so "
-              "ici_small_velocity_approx and capacity_upper_approx_bits are left out",
-              file=sys.stderr)
+              f"{', '.join(small)} are left out", file=sys.stderr)
     return 0
 
 

@@ -216,7 +216,10 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     of the squared complex path sum, and the caller applies the weights.
     ``gaps[k]`` holds scenario k's integer sub-carrier distances scaled by
     T_s * df, so a static network cancels exactly.  Each row's path sum is
-    taken within its tile, so the tile size changes no value.
+    taken within its tile, so the tile size changes no value.  The kernel is
+    sized to each scenario's own span x (:func:`numerics.sinc_squared`), so
+    its terms never depend on the group, and a static scenario (x = 0)
+    skips it for the exact values it would return.
 
     Every estimator subtracts one control variate (Glasserman 2003,
     section 4.1), the leading Doppler term.  A path shifts by
@@ -232,6 +235,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
+    spans = [_doppler_span(cfg, mob) for cfg, mob in scenarios]
     buffer = np.empty((3, min(plan.trials, BLOCK_TRIALS), devices))
     start = 0
     for block, size in enumerate(_block_sizes(plan.trials)):
@@ -247,17 +251,22 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
         bracket *= batch.speed_fraction
         bracket *= batch.speed_fraction
         for k, (cfg, mob) in enumerate(scenarios):
-            # ((V_max * fraction) / c) * f_c, then * cos psi, then * T_s: the
-            # operation order keeps the bits of a per-scenario draw
-            np.multiply(mob.max_velocity_mps, batch.speed_fraction, out=max_shift)
-            max_shift /= cfg.wave_speed_mps
-            max_shift *= cfg.carrier_frequency_hz
-            for rows in tiles:
-                offsets = batch.cos_arrival[rows] * max_shift[rows, :, None]
-                offsets *= cfg.symbol_period_s
-                kernel = sinc_squared(gaps[k][None, :, None], offsets)
-                np.einsum("tdm->td", kernel, out=powers[rows])
-            powers /= paths
+            if spans[k] == 0.0:
+                # what the kernel gives a static network: 1 on the centre, 0 off it
+                powers[:] = gaps[k] == 0.0
+            else:
+                # ((V_max * fraction) / c) * f_c, then * cos psi, then * T_s:
+                # the operation order keeps the bits of a per-scenario draw,
+                # and rounding keeps every offset within the span
+                np.multiply(mob.max_velocity_mps, batch.speed_fraction, out=max_shift)
+                max_shift /= cfg.wave_speed_mps
+                max_shift *= cfg.carrier_frequency_hz
+                for rows in tiles:
+                    offsets = batch.cos_arrival[rows] * max_shift[rows, :, None]
+                    offsets *= cfg.symbol_period_s
+                    kernel = sinc_squared(gaps[k][None, :, None], offsets, spans[k])
+                    np.einsum("tdm->td", kernel, out=powers[rows])
+                powers /= paths
             yield k, slice(start, start + size), powers, bracket, weights
         start += size
 

@@ -12,6 +12,7 @@ capacity quadratures elsewhere in the package, is never nested.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -91,9 +92,23 @@ def sinc(x):
 # for |r| <= 1/2 the first dropped term, k = 12, is below 1e-20
 _SIN_PI_COEFFS = tuple((-1) ** k * math.pi ** (2 * k + 1) / math.factorial(2 * k + 1)
                        for k in range(12))
+# _SIN_PI_REACH[K - 2]: the largest |r| up to which the first K terms leave
+# a relative remainder (pi r)^(2K) / (2K+1)! below 2^-60, for K = 2 .. 11:
+# from 3.2e-5 to 0.502.  One term, pi r, would reach only 7e-10, so a cut
+# series keeps at least two.
+_SIN_PI_REACH = tuple((2.0 ** -60 * math.factorial(2 * k + 1)) ** (0.5 / k) / math.pi
+                      for k in range(2, len(_SIN_PI_COEFFS)))
 
 
-def sin_pi(r, out=None):
+def _sin_pi_terms(span) -> int:
+    """Terms of the sine series for |r| <= min(span, 1/2); all of them
+    without a span."""
+    if span is None:
+        return len(_SIN_PI_COEFFS)
+    return 2 + bisect.bisect_right(_SIN_PI_REACH, min(span, 0.5))
+
+
+def sin_pi(r, out=None, span=None):
     """sin(pi r) for |r| <= 1/2 from a power series in numpy arithmetic
     alone; returns an array of the shape of ``r``, written to ``out`` if
     given (which may be ``r`` itself).
@@ -101,20 +116,24 @@ def sin_pi(r, out=None):
     Accurate to rounding on that range and odd bit for bit (the series is r
     times a polynomial in r^2), so +0 and -0 map to themselves.  Clamped to
     [-1, 1]: near r = +-1/2 the unclamped series can round one ulp above 1.
-    Outside |r| <= 1/2 the result is not sin(pi r).
+    Outside |r| <= 1/2 the result is not sin(pi r).  ``span``, a bound on
+    |r|, cuts the series to the fewest terms whose remainder stays below
+    2^-60 relative up to min(span, 1/2): 5 terms at 0.012, 8 at 0.12 and 11
+    at 1/2.  Without it the series keeps all 12.
     """
+    coeffs = _SIN_PI_COEFFS[:_sin_pi_terms(span)]
     r = np.asarray(r, dtype=float)
     r2 = r * r
-    p = np.multiply(r2, _SIN_PI_COEFFS[-1], out=np.empty_like(r))
-    for c in _SIN_PI_COEFFS[-2:0:-1]:
+    p = np.multiply(r2, coeffs[-1], out=np.empty_like(r))
+    for c in coeffs[-2:0:-1]:
         p += c
         p *= r2
-    p += _SIN_PI_COEFFS[0]
+    p += coeffs[0]
     p = np.multiply(p, r, out=p if out is None else out)
     return np.clip(p, -1.0, 1.0, out=p)
 
 
-def sinc_squared(gap, offset):
+def sinc_squared(gap, offset, span=None):
     """sinc(gap + offset)**2 for a whole-number ``gap`` broadcast against a
     real ``offset`` array; the result has the shape of ``offset``.
 
@@ -124,14 +143,22 @@ def sinc_squared(gap, offset):
     where ``np.sinc`` does not.  Returns exactly 1.0 where
     gap + offset == 0 and exactly 0.0 where ``offset`` is a whole number and
     gap + offset != 0.
+
+    ``span``, a bound on |offset|, sizes the work to it: the sine gets the
+    terms of :func:`sin_pi` at that span, and up to a span of 1/2 the offset
+    is its own r, so the ``rint`` reduction is skipped.  Without it the
+    kernel serves any offset.
     """
     offset = np.asarray(offset, dtype=float)
     x = np.add(gap, offset)
     x *= math.pi
     x *= x
-    r = np.rint(offset)
-    np.subtract(offset, r, out=r)
-    s = sin_pi(r)
+    if span is not None and span <= 0.5:
+        s = sin_pi(offset, span=span)
+    else:
+        r = np.rint(offset)
+        np.subtract(offset, r, out=r)
+        s = sin_pi(r, span=span)
     s *= s
     centre = x == 0.0
     x[centre] = 1.0

@@ -120,6 +120,10 @@ _MC_KEYS = {
 _NOISE_KEYS = ("system.snr_db", "system.noise_variance")
 # the scenario keys each axis sets at every grid point
 _AXIS_KEYS = {"v_max": ("mobility.max_velocity_mps",), "snr_db": _NOISE_KEYS}
+# dataclass field (and snr_db) -> the config keys that set it, as
+# :func:`_setter` takes them
+_FIELD_KEYS = {field: _NOISE_KEYS if key in _NOISE_KEYS else (key,)
+               for key, (_, field, _) in _SCENARIO_KEYS.items()}
 
 # largest block of Monte Carlo path draws, BLOCK_TRIALS x (2N + 1) x M
 # doubles, a Monte Carlo sweep may ask for
@@ -276,9 +280,12 @@ def parse_config(text: str) -> SweepSpec:
     for name, overrides in spec.curves or ((None, ()),):
         noise_key = _setter(spec, name, overrides, *_NOISE_KEYS)
         power_key = _setter(spec, name, overrides, "system.effective_power")
-        try:
-            for axis_value in spec.grid:
+        for axis_value in spec.grid:
+            try:
                 cfg, cell, mob = _scenario(spec, overrides, axis_value)
+            except ValueError as exc:
+                raise _scenario_fault(spec, name, overrides, exc) from None
+            try:
                 n = cfg.half_subcarriers
                 if not -n <= plan.target_index <= n:
                     raise ValueError(f"mc.target_index = {plan.target_index} outside "
@@ -289,10 +296,25 @@ def parse_config(text: str) -> SweepSpec:
                 if cfg.noise_variance == 0.0:
                     _check_noiseless(spec, cfg, mob, axis_value, noise_key)
                 _check_closed_forms(spec, cfg, mob, axis_value, noise_key, power_key)
-        except ValueError as exc:
-            label = f"curve {name!r}: " if name else ""
-            raise ConfigError(label + str(exc)) from None
+            except ValueError as exc:
+                label = f"curve {name!r}: " if name else ""
+                raise ConfigError(label + str(exc)) from None
     return spec
+
+
+def _scenario_fault(spec: SweepSpec, name, overrides, exc: ValueError) -> ConfigError:
+    """``exc``, raised while building a curve's configs, led by the config
+    keys that set the fields it names (:func:`_setter`), in the order it
+    names them.  It carries the curve's label only where one of those keys
+    is the curve's own, or where it names none."""
+    message = str(exc)
+    found = sorted((match.start(), field) for field in _FIELD_KEYS
+                   if (match := re.search(rf"\b{field}\b", message)))
+    keys = list(dict.fromkeys(_setter(spec, name, overrides, *_FIELD_KEYS[field])
+                              for _, field in found))
+    own = not keys or any(key.startswith("curve.") for key in keys)
+    label = f"curve {name!r}: " if name and own else ""
+    return ConfigError(label + (f"{', '.join(keys)}: " if keys else "") + message)
 
 
 def _refuse_idle_keys(spec: SweepSpec):

@@ -97,9 +97,10 @@ class SystemConfig:
             # an int compares exactly with a float, where (2N + 1) * df can overflow
             fits = self.bandwidth_hz * (1.0 + 1e-12) / self.subcarrier_spacing_hz
             _require(2 * self.half_subcarriers + 1 <= fits,
-                     f"bandwidth_hz={self.bandwidth_hz} cannot fit "
-                     f"{2 * self.half_subcarriers + 1} sub-carriers spaced "
-                     f"{self.subcarrier_spacing_hz} Hz apart")
+                     f"bandwidth_hz = {self.bandwidth_hz!r} cannot fit the "
+                     f"2 half_subcarriers + 1 = {2 * self.half_subcarriers + 1} "
+                     f"sub-carriers spaced subcarrier_spacing_hz = "
+                     f"{self.subcarrier_spacing_hz!r} Hz apart")
 
     @property
     def spacing_symbol_product(self) -> int:

@@ -54,6 +54,24 @@ def test_analytic_leaves_out_the_approximations_beyond_their_regime(capsys):
     assert captured.err.startswith("note: ") and "approx_validity_threshold_mps" in captured.err
 
 
+def test_analytic_leaves_out_the_bounds_beyond_their_regime(capsys):
+    # at 1e6 m/s the lower bound is 0 and the upper one 3.4e12 times P_T
+    assert main(["analytic", "--v-max", "1e6"]) == 0
+    captured = capsys.readouterr()
+    values = {line.split()[0]: float(line.split()[1])
+              for line in captured.out.strip().splitlines()}
+    assert "ici_lower_bound" not in values and "ici_upper_bound" not in values
+    assert values["ici_power"] == pytest.approx(0.99756007070, rel=1e-9)
+    assert "ici_lower_bound, ici_upper_bound" in captured.err
+    # just below the threshold the bounds are printed and bracket the power
+    assert main(["analytic", "--v-max", "132"]) == 0
+    captured = capsys.readouterr()
+    values = {line.split()[0]: float(line.split()[1])
+              for line in captured.out.strip().splitlines()}
+    assert values["ici_lower_bound"] <= values["ici_power"] <= values["ici_upper_bound"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["--snr-db", "-4000"],                         # 10^400 overflows a float
     ["--effective-power", "inf"],

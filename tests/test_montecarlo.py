@@ -255,6 +255,40 @@ def test_a_group_of_scenarios_matches_its_members(estimator):
     assert group == [estimator(plan, cfg, CELL, mob) for cfg, mob in zip(cfgs, mobs)]
 
 
+@pytest.mark.parametrize("estimator", [estimate_total_ici, estimate_ergodic_capacity])
+def test_a_group_across_the_kernel_regimes_matches_its_members(estimator):
+    # x = V_max f_c T_s / c of 0 (no kernel), 0.12 and 0.48 (a cut series,
+    # no reduction), 0.6 and 1.2 (reduced): each scenario's kernel is sized
+    # to its own span, never to the group's
+    plan = TrialPlan(trials=300, seed=24)
+    mobs = [MobilityModel(v) for v in (0.0, 100.0, 400.0, 500.0, 1000.0)]
+    assert [montecarlo._doppler_span(CFG, mob) for mob in mobs] \
+        == pytest.approx([0.0, 0.12, 0.48, 0.6, 1.2], rel=1e-12)
+    cfgs = [CFG] * len(mobs)
+    group = estimator(plan, cfgs, CELL, mobs)
+    assert group == [estimator(plan, CFG, CELL, mob) for mob in mobs]
+
+
+def test_a_static_scenario_never_calls_the_kernel(monkeypatch):
+    spans = []
+
+    def spy(gap, offset, span=None):
+        spans.append(span)
+        return numerics.sinc_squared(gap, offset, span)
+
+    monkeypatch.setattr(montecarlo, "sinc_squared", spy)
+    plan = TrialPlan(trials=300, seed=25)
+    static = MobilityModel(0.0)
+    estimate_total_ici(plan, CFG, CELL, static)
+    estimate_useful_power(plan, CFG, CELL, static)
+    estimate_ergodic_capacity(plan, CFG, CELL, static)
+    symmetry_probe(0, 3, plan, CFG, CELL, static)
+    assert spans == []
+    # in a group, only the moving scenario reaches the kernel, with its own span
+    estimate_total_ici(plan, [CFG, CFG], CELL, [static, MOB])
+    assert spans and set(spans) == {montecarlo._doppler_span(CFG, MOB)}
+
+
 def test_a_group_of_scenarios_is_validated():
     plan = TrialPlan(trials=100)
     with pytest.raises(ValueError, match="half_subcarriers"):

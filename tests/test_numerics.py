@@ -84,6 +84,60 @@ def test_sinc_squared_matches_mpmath_at_large_gaps():
             assert abs(y - exact) <= 1e-13 * exact
 
 
+# spans on either side of each step of the series' term count and of the
+# 1/2 seam, where the rint reduction starts
+SPANS = sorted({s for reach in numerics._SIN_PI_REACH + (0.5,)
+                for s in (np.nextafter(reach, 0.0), reach, np.nextafter(reach, 1.0))}
+               | {0.75, 1.0, 2.0})
+
+
+def test_sinc_squared_with_a_span_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    for span in SPANS:
+        gaps = np.concatenate([np.zeros(40), rng.integers(-398, 399, size=80)]).astype(float)
+        offsets = span * np.concatenate([rng.uniform(-1.0, 1.0, 116), [1.0, -1.0] * 2])
+        out = sinc_squared(gaps, offsets, span)
+        with mpmath.workdps(40):
+            for g, d, y in zip(gaps, offsets, out):
+                x = mpmath.mpf(g) + mpmath.mpf(d)
+                if x == mpmath.floor(x):  # exact at whole numbers
+                    assert y == (1.0 if x == 0 else 0.0), (span, g, d)
+                    continue
+                exact = (mpmath.sin(mpmath.pi * x) / (mpmath.pi * x)) ** 2
+                assert abs(y - exact) <= 1e-13 * exact, (span, g, d)
+
+
+def test_sinc_squared_with_a_span_keeps_its_exact_values():
+    rng = np.random.default_rng(13)
+    gaps = np.arange(-6.0, 7.0)[:, None]
+    for span in SPANS:
+        # whole-number offsets: 1 on the centre, 0 elsewhere
+        wholes = np.tile(np.arange(-math.floor(span), math.floor(span) + 1.0), (gaps.size, 1))
+        out = sinc_squared(gaps, wholes, span)
+        assert np.array_equal(out, (gaps + wholes == 0.0).astype(float)), span
+        # never above 1, and even bit for bit
+        offsets = np.tile(span * np.concatenate([rng.uniform(-1.0, 1.0, 500), [1.0, -1.0]]),
+                          (gaps.size, 1))
+        forward = sinc_squared(gaps, offsets, span)
+        assert np.all(forward <= 1.0), span
+        backward = sinc_squared(-gaps, -offsets, span)
+        assert np.array_equal(forward.view(np.uint64), backward.view(np.uint64)), span
+
+
+def test_sin_pi_terms_follow_the_span():
+    # the fewest terms whose remainder (pi s)^(2K) / (2K+1)! is below 2^-60
+    # at s = min(span, 1/2)
+    assert [numerics._sin_pi_terms(span) for span in (1e-5, 0.012, 0.12, 0.4, 0.5, 2.0)] \
+        == [2, 5, 8, 11, 11, 11]
+    assert numerics._sin_pi_terms(None) == 12
+    for terms, reach in enumerate(numerics._SIN_PI_REACH, start=2):
+        assert numerics._sin_pi_terms(np.nextafter(reach, 0.0)) == terms
+        assert numerics._sin_pi_terms(reach) == min(terms + 1, 11)  # 11 reach past 1/2
+        assert (math.pi * reach) ** (2 * terms) / math.factorial(2 * terms + 1) \
+            == pytest.approx(2.0 ** -60, rel=1e-12)
+
+
 def test_sin_pi_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(23)

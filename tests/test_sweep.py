@@ -342,8 +342,34 @@ def test_mc_outputs_demand_enough_trials():
     parse_config(text.replace("ici_mc", "ici_exact"))
 
 
+@pytest.mark.parametrize("text,message", [
+    # a top-level fault is not labelled with the first curve
+    (AXIS + GRID + OUTS + "system.snr_db = -4000",
+     "system.snr_db: snr_db = -4000.0 puts the noise power out of range"),
+    (AXIS + GRID + OUTS + "system.symbol_period_s = 3e-4\n"
+     "curve.a.system.carrier_frequency_hz = 9e8\ncurve.b.system.carrier_frequency_hz = 3e9",
+     "system.symbol_period_s, system.subcarrier_spacing_hz: symbol_period_s * "
+     "subcarrier_spacing_hz must be a positive integer (got 0.7499999999999999)"),
+    # a curve's own key keeps the curve's label
+    (AXIS + GRID + OUTS + "system.symbol_period_s = 3e-4\n"
+     "curve.a.system.subcarrier_spacing_hz = 5000\ncurve.b.system.carrier_frequency_hz = 3e9",
+     "curve 'a': system.symbol_period_s, curve.a.system.subcarrier_spacing_hz: "
+     "symbol_period_s * subcarrier_spacing_hz must be a positive integer"),
+    (AXIS + GRID + OUTS + "curve.a.system.snr_db = 3\ncurve.b.system.snr_db = -4000",
+     "curve 'b': curve.b.system.snr_db: snr_db = -4000.0 puts"),
+    ("sweep.axis = snr_db\nsweep.grid = -4000, 0\nsweep.outputs = capacity_exact",
+     "sweep.grid: snr_db = -4000.0 puts"),
+    (AXIS + GRID + OUTS + "cell.paths_per_device = 0",
+     "cell.paths_per_device: paths_per_device must be a positive integer"),
+])
+def test_a_faulty_scenario_names_the_key_that_set_it(text, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        parse_config(text + "\n")
+
+
 def test_invalid_scenario_reported_at_parse_time():
-    with pytest.raises(ConfigError, match="curve 'bad'"):
+    with pytest.raises(ConfigError, match="^curve 'bad': system.bandwidth_hz, "
+                       "system.half_subcarriers, curve.bad.system.subcarrier_spacing_hz: "):
         parse_config(BASE + "curve.bad.system.subcarrier_spacing_hz = 5000\n")
 
 
