@@ -179,11 +179,20 @@ def _leakage_multi(gaps_ts, max_velocity_mps: float, cfg: SystemConfig) -> float
             estimate=math.nan, error_bound=math.inf)
     span += beta  # |frac +- beta sech t| never exceeds it
 
+    buffers = {}
+
     def integrand(t):
         sech = 1.0 / np.cosh(t)
         y = beta * sech
-        kernel = sinc_squared(whole, frac + y, span) + sinc_squared(whole, frac - y, span)
-        return (t / math.pi) * sech * np.tanh(t) * np.sum(kernel, axis=0)
+        shape = (2, whole.size, y.size)
+        if shape not in buffers:
+            buffers[shape] = (np.empty(shape), np.empty(shape), np.empty((2,) + shape))
+        offsets, kernel, work = buffers[shape]
+        # both signs in one kernel call; the halves add as two calls' would
+        np.add(frac, y, out=offsets[0])
+        np.subtract(frac, y, out=offsets[1])
+        sinc_squared(whole, offsets, span, kernel, work)
+        return (t / math.pi) * sech * np.tanh(t) * np.sum(kernel[0] + kernel[1], axis=0)
 
     # Tail past the last panel, T = 40: sech(t) tanh(t) <= 2 e^-t, so the
     # weight integrates to at most 2 (T + 1) e^-T / pi there.  The summed

@@ -219,7 +219,11 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     taken within its tile, so the tile size changes no value.  The kernel is
     sized to each scenario's own span x (:func:`numerics.sinc_squared`), so
     its terms never depend on the group, and a static scenario (x = 0)
-    skips it for the exact values it would return.
+    skips it for the exact values it would return.  The kernel runs in a
+    workspace allocated once per call and reused for every tile, block and
+    scenario: the offsets tile, the kernel's output and scratch tiles, and
+    one full (rows, devices, paths) gap tile per distinct gap vector, so a
+    tile allocates no array.
 
     Every estimator subtracts one control variate (Glasserman 2003,
     section 4.1), the leading Doppler term.  A path shifts by
@@ -237,6 +241,18 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     paths = cell.paths_per_device
     spans = [_doppler_span(cfg, mob) for cfg, mob in scenarios]
     buffer = np.empty((3, min(plan.trials, BLOCK_TRIALS), devices))
+    # the kernel's workspace, sized to the largest tile (the first of the
+    # first block); the gaps come as full tiles because numpy adds a row
+    # broadcast over the short path axis about three times slower
+    tile_shape = (row_tiles(buffer.shape[1], devices * paths)[0].stop, devices, paths)
+    workspace = np.empty((4,) + tile_shape)
+    offsets, kernel, work = workspace[0], workspace[1], workspace[2:]
+    gap_tiles, shared = [], {}
+    for gap, span in zip(gaps, spans):
+        key = gap.tobytes()
+        if span != 0.0 and key not in shared:
+            shared[key] = np.broadcast_to(gap[:, None], tile_shape).copy()
+        gap_tiles.append(shared.get(key))
     start = 0
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
@@ -262,10 +278,13 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
                 max_shift /= cfg.wave_speed_mps
                 max_shift *= cfg.carrier_frequency_hz
                 for rows in tiles:
-                    offsets = batch.cos_arrival[rows] * max_shift[rows, :, None]
-                    offsets *= cfg.symbol_period_s
-                    kernel = sinc_squared(gaps[k][None, :, None], offsets, spans[k])
-                    np.einsum("tdm->td", kernel, out=powers[rows])
+                    n = rows.stop - rows.start
+                    shifts = np.multiply(batch.cos_arrival[rows], max_shift[rows, :, None],
+                                         out=offsets[:n])
+                    shifts *= cfg.symbol_period_s
+                    values = sinc_squared(gap_tiles[k][:n], shifts, spans[k], kernel[:n],
+                                          work[:, :n])
+                    np.einsum("tdm->td", values, out=powers[rows])
                 powers /= paths
             yield k, slice(start, start + size), powers, bracket, weights
         start += size

@@ -108,34 +108,50 @@ def _sin_pi_terms(span) -> int:
     return 2 + bisect.bisect_right(_SIN_PI_REACH, min(span, 0.5))
 
 
-def sin_pi(r, out=None, span=None):
+# spans up to which the cut series of sin_pi stays below 1 without a clamp:
+# sin(0.49 pi) = 0.99951, and the series is within a few ulp of it there
+_CLAMP_FREE_SPAN = 0.49
+
+
+def sin_pi(r, out=None, span=None, work=None):
     """sin(pi r) for |r| <= 1/2 from a power series in numpy arithmetic
     alone; returns an array of the shape of ``r``, written to ``out`` if
     given (which may be ``r`` itself).
 
     Accurate to rounding on that range and odd bit for bit (the series is r
-    times a polynomial in r^2), so +0 and -0 map to themselves.  Clamped to
-    [-1, 1]: near r = +-1/2 the unclamped series can round one ulp above 1.
-    Outside |r| <= 1/2 the result is not sin(pi r).  ``span``, a bound on
-    |r|, cuts the series to the fewest terms whose remainder stays below
-    2^-60 relative up to min(span, 1/2): 5 terms at 0.012, 8 at 0.12 and 11
-    at 1/2.  Without it the series keeps all 12.
+    times a polynomial in r^2), so +0 and -0 map to themselves.  Outside
+    |r| <= 1/2 the result is not sin(pi r).  ``span``, a bound on |r|, cuts
+    the series to the fewest terms whose remainder stays below 2^-60
+    relative up to min(span, 1/2): 5 terms at 0.012, 8 at 0.12 and 11 at
+    1/2.  Without it the series keeps all 12.  The result is clamped to
+    [-1, 1], where near r = +-1/2 the unclamped series can round one ulp
+    above 1, unless a span of at most 0.49 keeps it below 0.9996.
+
+    ``work``, an array of the shape of ``r`` the caller owns, takes r^2;
+    with it and an ``out`` that shares no memory with ``r`` the call
+    allocates nothing.
     """
     coeffs = _SIN_PI_COEFFS[:_sin_pi_terms(span)]
     r = np.asarray(r, dtype=float)
-    r2 = r * r
-    p = np.multiply(r2, coeffs[-1], out=np.empty_like(r))
+    r2 = np.multiply(r, r, out=work)
+    if out is None or np.may_share_memory(out, r):
+        p = np.empty_like(r)
+    else:
+        p = out
+    np.multiply(r2, coeffs[-1], out=p)
     for c in coeffs[-2:0:-1]:
         p += c
         p *= r2
     p += coeffs[0]
     p = np.multiply(p, r, out=p if out is None else out)
-    return np.clip(p, -1.0, 1.0, out=p)
+    if span is None or span > _CLAMP_FREE_SPAN:
+        np.clip(p, -1.0, 1.0, out=p)
+    return p
 
 
-def sinc_squared(gap, offset, span=None):
-    """sinc(gap + offset)**2 for a whole-number ``gap`` broadcast against a
-    real ``offset`` array; the result has the shape of ``offset``.
+def sinc_squared(gap, offset, span=None, out=None, work=None):
+    """sinc(gap + offset)**2 for a whole-number ``gap`` and a real
+    ``offset``; the result has the broadcast shape of the two.
 
     For whole-number gaps sin(pi (gap + offset))^2 = sin(pi r)^2 with
     r = offset - rint(offset), so the sine never sees a large argument and
@@ -148,21 +164,36 @@ def sinc_squared(gap, offset, span=None):
     terms of :func:`sin_pi` at that span, and up to a span of 1/2 the offset
     is its own r, so the ``rint`` reduction is skipped.  Without it the
     kernel serves any offset.
+
+    ``out``, an array of the result's shape, receives the result, and
+    ``work``, of shape ``(2,) + out.shape``, is scratch: ``work[0]`` holds
+    r^2 and then (pi (gap + offset))^2, ``work[1]`` r where the offset is
+    reduced.  Neither may share memory with ``gap`` or ``offset``.  With
+    both the call allocates no float array, so a caller that evaluates many
+    tiles reuses the same memory; the values are those of the allocating
+    call, bit for bit.
     """
     offset = np.asarray(offset, dtype=float)
-    x = np.add(gap, offset)
+    shape = np.broadcast_shapes(np.shape(gap), offset.shape) if out is None else out.shape
+    if offset.shape != shape:
+        offset = np.broadcast_to(offset, shape)
+    if work is None:
+        work = np.empty((2,) + shape)
+    if span is not None and span <= 0.5:
+        r = offset
+    else:
+        r = np.rint(offset, out=work[1])
+        np.subtract(offset, r, out=r)
+    s = sin_pi(r, out, span, work[0])
+    s *= s
+    x = np.add(gap, offset, out=work[0])
     x *= math.pi
     x *= x
-    if span is not None and span <= 0.5:
-        s = sin_pi(offset, span=span)
-    else:
-        r = np.rint(offset)
-        np.subtract(offset, r, out=r)
-        s = sin_pi(r, span=span)
-    s *= s
+    # gap + offset == 0 needs |gap| <= |offset|: rare, so test before writing
     centre = x == 0.0
-    x[centre] = 1.0
-    s[centre] = 1.0
+    if centre.any():
+        x[centre] = 1.0
+        s[centre] = 1.0
     s /= x
     return s
 

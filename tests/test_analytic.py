@@ -222,6 +222,28 @@ def test_leakage_agrees_with_useful_power_route():
     assert abs(useful - via_leakage) / useful <= 1e-9
 
 
+# float.hex of the quadrature itself: finite_n_ici at 900 MHz, 50 m/s, N=24
+# (beta = 0.06), at 3 GHz, 100 m/s, 500 Hz, N=199 (beta = 2, where the
+# kernel reduces its offsets), and leakage(0) at 1000 m/s (beta = 1.2).  Any
+# change to how the kernel evaluates the integrand must keep these bits.
+LEAKAGE_PINNED = {
+    "finite_n_ici_900mhz_50": "0x1.f79490618ded1p-10",  # 0.00192101
+    "finite_n_ici_3ghz_100_n199": "0x1.1b621ee62b0f0p-1",  # 0.553483
+    "leakage_0_at_1000": "0x1.370e7c780bff9p-1",  # 0.607532
+}
+
+
+def test_leakage_keeps_its_pinned_bits():
+    cfg_3ghz = SystemConfig(carrier_frequency_hz=3e9, subcarrier_spacing_hz=500.0,
+                            half_subcarriers=199)
+    got = {
+        "finite_n_ici_900mhz_50": finite_n_ici(0, 50.0, CFG),
+        "finite_n_ici_3ghz_100_n199": finite_n_ici(0, 100.0, cfg_3ghz),
+        "leakage_0_at_1000": leakage(0.0, 1000.0, CFG),
+    }
+    assert {name: value.hex() for name, value in got.items()} == LEAKAGE_PINNED
+
+
 @pytest.mark.parametrize("fc,v", sorted(T_FORM_ORACLE))
 def test_leakage_matches_t_form_oracle(fc, v):
     expected = T_FORM_ORACLE[(fc, v)]

@@ -272,9 +272,9 @@ def test_a_group_across_the_kernel_regimes_matches_its_members(estimator):
 def test_a_static_scenario_never_calls_the_kernel(monkeypatch):
     spans = []
 
-    def spy(gap, offset, span=None):
+    def spy(gap, offset, span=None, out=None, work=None):
         spans.append(span)
-        return numerics.sinc_squared(gap, offset, span)
+        return numerics.sinc_squared(gap, offset, span, out, work)
 
     monkeypatch.setattr(montecarlo, "sinc_squared", spy)
     plan = TrialPlan(trials=300, seed=25)

@@ -5,6 +5,7 @@ are frozen here as literals.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,55 @@ def test_sinc_squared_with_a_span_keeps_its_exact_values():
         assert np.all(forward <= 1.0), span
         backward = sinc_squared(-gaps, -offsets, span)
         assert np.array_equal(forward.view(np.uint64), backward.view(np.uint64)), span
+
+
+@pytest.mark.parametrize("span", [None, 0.4, 2.0])
+def test_sinc_squared_takes_the_broadcast_shape(span):
+    # a gap column against an offset row: each element is that of its own call
+    gaps = np.arange(-6.0, 7.0)[:, None]
+    offsets = np.array([[-0.4, -0.1, 0.0, 0.25, 0.4]]) * (4.0 if span == 2.0 else 1.0)
+    out = sinc_squared(gaps, offsets, span)
+    assert out.shape == (13, 5)
+    loop = np.array([[sinc_squared(g, np.array([d]), span)[0] for d in offsets[0]]
+                     for g in gaps[:, 0]])
+    assert np.array_equal(out.view(np.uint64), loop.view(np.uint64))
+
+
+def test_sinc_squared_in_reused_buffers_keeps_every_bit():
+    # one pair of buffers across spans (cut series, clamped or not, and the
+    # rint reduction above 1/2) and row counts, as the Monte Carlo tiles use it
+    rng = np.random.default_rng(14)
+    shape = (64, 9, 8)
+    gaps = np.broadcast_to(np.arange(-4.0, 5.0)[:, None], shape).copy()
+    out, work = np.empty(shape), np.empty((2,) + shape)
+    for span, rows in [(0.012, 64), (0.3, 17), (0.49, 64), (0.6, 5), (None, 33),
+                       (2.0, 64), (0.12, 1), (0.5, 40)]:
+        reach = 2.0 if span is None else span
+        offsets = reach * rng.uniform(-1.0, 1.0, (rows,) + shape[1:])
+        offsets[0, 4, :2] = 0.0, -0.0  # centre elements
+        expected = sinc_squared(gaps[:rows], offsets, span)
+        dest = out[:rows]
+        got = sinc_squared(gaps[:rows], offsets, span, dest, work[:, :rows])
+        assert got is dest
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), span
+        assert got[0, 4, 0] == got[0, 4, 1] == 1.0
+
+
+def test_sinc_squared_in_buffers_allocates_no_float_array():
+    shape = (64, 9, 8)
+    gaps = np.broadcast_to(np.arange(-4.0, 5.0)[:, None], shape).copy()
+    offsets = 0.3 * np.random.default_rng(15).uniform(-1.0, 1.0, shape)
+    out, work = np.empty(shape), np.empty((2,) + shape)
+    tracemalloc.start()
+    try:
+        for span in (0.3, 2.0):
+            tracemalloc.reset_peak()
+            sinc_squared(gaps, offsets, span, out, work)
+            peak = tracemalloc.get_traced_memory()[1]
+            # the centre test's boolean mask is an eighth of a float tile
+            assert peak < out.nbytes / 4, span
+    finally:
+        tracemalloc.stop()
 
 
 def test_sin_pi_terms_follow_the_span():

@@ -62,6 +62,15 @@ def test_a_span_changes_the_kernel_by_rounding_only(gap, span, fraction):
     assert _ulps(sized, sinc_squared(float(gap), np.array([offset]))[0]) <= 6
 
 
+@PROPERTY
+@given(st.floats(min_value=0.0, max_value=0.49, exclude_min=True),
+       st.floats(min_value=-1.0, max_value=1.0))
+def test_the_unclamped_sine_stays_inside_one(span, fraction):
+    # up to a span of 0.49 sin_pi skips its clamp: sin(0.49 pi) = 0.99951
+    value = numerics.sin_pi(np.array([span * fraction]), span=span)[0]
+    assert -1.0 < value < 1.0
+
+
 exp1_arguments = st.floats(min_value=1e-6, max_value=1e4)
 
 
