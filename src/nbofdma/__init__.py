@@ -15,6 +15,7 @@ from .sysmodel import (
     MobilityModel,
     SystemConfig,
     sample_cell_batch,
+    subcarrier_gaps,
 )
 from .analytic import (
     IciBounds,
@@ -69,6 +70,7 @@ __all__ = [
     "MobilityModel",
     "CellBatch",
     "sample_cell_batch",
+    "subcarrier_gaps",
     # closed forms
     "NormalizedDoppler",
     "IciBounds",

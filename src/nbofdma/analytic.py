@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import QuadratureError, QuadratureSpec, integrate, sinc_squared, sine_integral
-from .sysmodel import SystemConfig
+from .sysmodel import SystemConfig, subcarrier_gaps
 
 __all__ = [
     "NormalizedDoppler",
@@ -217,6 +217,8 @@ def leakage(frequency_offset_hz: float, max_velocity_mps: float,
     """
     _check_velocity(max_velocity_mps)
     gap_ts = -frequency_offset_hz * cfg.symbol_period_s  # gap from tone to observer
+    if not math.isfinite(gap_ts):
+        raise ValueError(f"frequency_offset_hz = {frequency_offset_hz!r} times T_s is not finite")
     return _leakage_multi(np.array([gap_ts]), max_velocity_mps, cfg)
 
 
@@ -230,14 +232,7 @@ def leakage_sum(subcarrier_index: int, half_subcarriers: int,
     the spread spectrum and the limit stays strictly below 1.
     """
     _check_velocity(max_velocity_mps)
-    n = half_subcarriers
-    if n < 0:
-        raise ValueError("half_subcarriers must be non-negative")
-    i = subcarrier_index
-    if not -n <= i <= n:
-        raise ValueError(f"sub-carrier index {i} outside [-{n}, {n}]")
-    q = cfg.spacing_symbol_product
-    gaps = (i - np.arange(-n, n + 1, dtype=float)) * q
+    gaps = subcarrier_gaps(subcarrier_index, half_subcarriers, cfg.spacing_symbol_product)
     return _leakage_multi(gaps, max_velocity_mps, cfg)
 
 
@@ -250,16 +245,8 @@ def finite_n_ici(subcarrier_index: int, max_velocity_mps: float,
     N grows (the missing tail shrinks like 1/N).
     """
     _check_velocity(max_velocity_mps)
-    n = cfg.half_subcarriers
-    i = subcarrier_index
-    if not -n <= i <= n:
-        raise ValueError(f"sub-carrier index {i} outside [-{n}, {n}]")
-    if n == 0:
-        return 0.0
-    q = cfg.spacing_symbol_product
-    others = np.array([j for j in range(-n, n + 1) if j != i], dtype=float)
-    gaps = (i - others) * q
-    return cfg.effective_power * _leakage_multi(gaps, max_velocity_mps, cfg)
+    gaps = subcarrier_gaps(subcarrier_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
+    return cfg.effective_power * _leakage_multi(gaps[gaps != 0], max_velocity_mps, cfg)
 
 
 def total_ici_power(max_velocity_mps: float, cfg: SystemConfig) -> float:

@@ -6,8 +6,8 @@ Three subcommands:
 * ``analytic`` -- print the closed-form quantities for one scenario
 * ``check``    -- run fast self-consistency checks, one PASS/FAIL line each
 
-Exit codes: 0 success, 1 config or usage error, 2 numerical failure
-(a sweep row failed to converge, or a self-check failed), 3 I/O error.
+Exit codes: 0 success, 1 config or usage error, 2 numerical failure (a sweep
+row or an ``analytic`` quantity failed, or a self-check failed), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .analytic import (
     total_ici_power,
 )
 from .montecarlo import TrialPlan, estimate_ergodic_capacity, estimate_total_ici
+from .numerics import QuadratureError
 from .sweep import (ConfigError, _snr_to_noise, emit, parse_config, preset_path,
                     run_sweep, to_text)
 from .sysmodel import CellConfig, MobilityModel, SystemConfig
@@ -108,6 +109,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except QuadratureError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

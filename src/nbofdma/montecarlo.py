@@ -22,7 +22,7 @@ import numpy as np
 from .analytic import LOG2_E
 from .numerics import exp1_scaled, row_tiles, sinc, sinc_squared
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
-                       sample_cell_batch)
+                       sample_cell_batch, subcarrier_gaps)
 
 __all__ = [
     "TrialPlan",
@@ -88,12 +88,6 @@ def _block_rng(seed: int, block: int):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def _check_target(index: int, cfg: SystemConfig):
-    n = cfg.half_subcarriers
-    if not -n <= index <= n:
-        raise ValueError(f"target index {index} outside [-{n}, {n}]")
-
-
 def _reduce(values: np.ndarray) -> Estimate:
     trials = values.size
     mean = float(np.mean(values))
@@ -150,11 +144,11 @@ def _variate_coefficient(cfg: SystemConfig, mob: MobilityModel, curvature: float
     return curvature * (x * x) if x <= max_x else 0.0
 
 
-def _inverse_squares(plan: TrialPlan, devices: int) -> np.ndarray:
-    """1 / n_j^2 for the whole-number index gap n_j of each of ``devices``
-    columns, centred on sub-carrier 0, to the target; 0 at the target."""
-    index_gaps = np.arange(devices) - (plan.target_index + devices // 2)
-    inverse = np.zeros(devices)
+def _inverse_squares(target_index: int, half_subcarriers: int) -> np.ndarray:
+    """1 / n_j^2 for the whole-number index gap n_j = j - i of each device j
+    in [-N, N] to the target i; 0 at the target."""
+    index_gaps = subcarrier_gaps(target_index, half_subcarriers)
+    inverse = np.zeros_like(index_gaps)
     np.divide(1.0, index_gaps * index_gaps, out=inverse, where=index_gaps != 0)
     return inverse
 
@@ -294,13 +288,6 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
 # estimators
 # ===========================================================================
 
-def _gaps(plan: TrialPlan, cfg: SystemConfig) -> np.ndarray:
-    _check_target(plan.target_index, cfg)
-    n = cfg.half_subcarriers
-    indices = np.arange(-n, n + 1)
-    return ((indices - plan.target_index) * cfg.spacing_symbol_product).astype(float)
-
-
 def _estimates(samples, single: bool):
     estimates = [_reduce(values) for values in samples]
     return estimates[0] if single else estimates
@@ -322,9 +309,10 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     scenario alone.
     """
     scenarios, single = _group(cfg, mob)
-    gaps = [_gaps(plan, c) for c, _ in scenarios]
-    target_column = plan.target_index + scenarios[0][0].half_subcarriers
-    inverse_squares = _inverse_squares(plan, len(gaps[0]))
+    n = scenarios[0][0].half_subcarriers
+    gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
+    target_column = plan.target_index + n
+    inverse_squares = _inverse_squares(plan.target_index, n)
     coefficients = [_variate_coefficient(c, m, 1.0 / c.spacing_symbol_product ** 2,
                                          _VARIATE_MAX_X_OFF_CENTRE) for c, m in scenarios]
     samples = [np.empty(plan.trials) for _ in scenarios]
@@ -346,11 +334,11 @@ def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     (:func:`_device_powers`).  A static network gives exactly P_T in every
     trial.
     """
-    _check_target(plan.target_index, cfg)
+    gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers)
     coefficient = _variate_coefficient(cfg, mob, -math.pi ** 2 / 3.0, _VARIATE_MAX_X_CENTRE)
     samples = np.empty(plan.trials)
     for _, rows, powers, bracket, _ in _device_powers(plan, cell, [(cfg, mob)],
-                                                      [np.zeros(1)], False):
+                                                      [gaps[gaps == 0]], False):
         samples[rows] = (powers[:, 0] - coefficient * (bracket[:, 0] - 1.0 / 6.0)) \
             * cfg.effective_power
     return _reduce(samples)
@@ -390,9 +378,10 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     scenarios, single = _group(cfg, mob)
     if any(c.noise_variance <= 0.0 for c, _ in scenarios):
         raise ValueError("noise_variance must be positive to estimate capacity")
-    gaps = [_gaps(plan, c) for c, _ in scenarios]
-    target_column = plan.target_index + scenarios[0][0].half_subcarriers
-    inverse_squares = _inverse_squares(plan, len(gaps[0]))
+    n = scenarios[0][0].half_subcarriers
+    gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
+    target_column = plan.target_index + n
+    inverse_squares = _inverse_squares(plan.target_index, n)
     c_interference, c_useful = _capacity_variate_coefficients(inverse_squares, scenarios)
     samples = [np.empty(plan.trials) for _ in scenarios]
     for k, rows, powers, bracket, weights in _device_powers(plan, cell, scenarios, gaps, True):
@@ -426,12 +415,12 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
     share in law and in mean but not in draws.  Swapping the arguments
     returns the same pair of estimates in the other order, bit for bit.
     """
-    _check_target(index_a, cfg)
-    _check_target(index_b, cfg)
-    if index_a == index_b:
+    n, q = cfg.half_subcarriers, cfg.spacing_symbol_product
+    # a's gaps less b's are (b - a) q at every entry; forming them checks both
+    gap = abs(subcarrier_gaps(index_a, n, q)[0] - subcarrier_gaps(index_b, n, q)[0])
+    if gap == 0.0:
         raise ValueError("symmetry_probe needs two distinct sub-carriers")
     low, high = sorted((index_a, index_b))
-    gap = float((high - low) * cfg.spacing_symbol_product)
     coefficient = _variate_coefficient(cfg, mob, 1.0 / (gap * gap), _VARIATE_MAX_X_OFF_CENTRE)
     # devices drawn in index order: column 0 is the source on sub-carrier
     # ``low``, seen from ``high``, and column 1 the reverse

@@ -278,40 +278,42 @@ def parse_config(text: str) -> SweepSpec:
     _refuse_idle_keys(spec)
     # surface scenario problems at parse time, at every point, not mid-run
     for name, overrides in spec.curves or ((None, ()),):
-        noise_key = _setter(spec, name, overrides, *_NOISE_KEYS)
-        power_key = _setter(spec, name, overrides, "system.effective_power")
         for axis_value in spec.grid:
             try:
                 cfg, cell, mob = _scenario(spec, overrides, axis_value)
-            except ValueError as exc:
-                raise _scenario_fault(spec, name, overrides, exc) from None
-            try:
                 n = cfg.half_subcarriers
                 if not -n <= plan.target_index <= n:
-                    raise ValueError(f"mc.target_index = {plan.target_index} outside "
-                                     f"the sub-carrier range [-{n}, {n}]")
+                    raise ValueError(f"half_subcarriers: mc.target_index = {plan.target_index} "
+                                     f"outside the sub-carrier range [-{n}, {n}]")
                 if wants_mc:
                     _check_block_memory(cfg, cell)
                 _check_doppler(spec, cfg, mob, axis_value)
                 if cfg.noise_variance == 0.0:
-                    _check_noiseless(spec, cfg, mob, axis_value, noise_key)
-                _check_closed_forms(spec, cfg, mob, axis_value, noise_key, power_key)
+                    _check_noiseless(spec, cfg, mob, axis_value)
+                _check_closed_forms(spec, cfg, mob, axis_value)
             except ValueError as exc:
-                label = f"curve {name!r}: " if name else ""
-                raise ConfigError(label + str(exc)) from None
+                raise _scenario_fault(spec, name, overrides, exc) from None
     return spec
 
 
 def _scenario_fault(spec: SweepSpec, name, overrides, exc: ValueError) -> ConfigError:
-    """``exc``, raised while building a curve's configs, led by the config
-    keys that set the fields it names (:func:`_setter`), in the order it
-    names them.  It carries the curve's label only where one of those keys
-    is the curve's own, or where it names none."""
+    """``exc``, raised while building or checking a curve's configs at a
+    grid point, led by the config keys that set the fields it names
+    (:func:`_setter`), in the order it names them.  The point checks name
+    their fields in a lead, ``"field, field: "``, which the keys replace.
+    It carries the curve's label only where one of those keys is the
+    curve's own, or where it names none."""
     message = str(exc)
-    found = sorted((match.start(), field) for field in _FIELD_KEYS
-                   if (match := re.search(rf"\b{field}\b", message)))
+    lead, colon, rest = message.partition(": ")
+    fields = lead.split(", ")
+    if colon and all(field in _FIELD_KEYS for field in fields):
+        message = rest
+    else:
+        found = sorted((match.start(), field) for field in _FIELD_KEYS
+                       if (match := re.search(rf"\b{field}\b", message)))
+        fields = [field for _, field in found]
     keys = list(dict.fromkeys(_setter(spec, name, overrides, *_FIELD_KEYS[field])
-                              for _, field in found))
+                              for field in fields))
     own = not keys or any(key.startswith("curve.") for key in keys)
     label = f"curve {name!r}: " if name and own else ""
     return ConfigError(label + (f"{', '.join(keys)}: " if keys else "") + message)
@@ -363,26 +365,28 @@ def _check_doppler(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
         finite = math.isfinite(_symbol_doppler_span(mob.max_velocity_mps, cfg))
     except ValueError:
         finite = False
+    fields = "max_velocity_mps, carrier_frequency_hz, subcarrier_spacing_hz, wave_speed_mps"
     if not finite:
-        raise ValueError(f"the normalized Doppler is not finite at {point}")
+        raise ValueError(f"{fields}, symbol_period_s: the normalized Doppler is not finite "
+                         f"at {point}")
     b2 = b * b
     if not math.isfinite(b2 / 18.0 + b2 * b2 / 60.0):
-        raise ValueError(f"the normalized Doppler b = {b!r} at {point} overflows "
+        raise ValueError(f"{fields}: the normalized Doppler b = {b!r} at {point} overflows "
                          "the closed-form series b^2/18 + b^4/60")
 
 
 def _check_closed_forms(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
-                        axis_value: float, noise_key: str, power_key: str):
+                        axis_value: float):
     """Refuse a grid point where a requested closed-form cell would not be
     finite: P_T (b^2/18 + b^4/60), the largest cell of ``ici_bounds`` and
-    ``ici_approx``, or the capacity approximation with its noise/P_T.
-    :func:`_check_doppler` has already seen that b^2/18 + b^4/60 is finite."""
+    ``ici_approx``, which is P_T's fault once :func:`_check_doppler` has seen
+    b^2/18 + b^4/60 finite, or the capacity approximation with its noise/P_T."""
     point = f"{_AXIS_COLUMN[spec.axis]} = {axis_value!r}"
     v_max = mob.max_velocity_mps
     ici_outputs = [output for output in ("ici_bounds", "ici_approx")
                    if output in spec.outputs]
     if ici_outputs and not math.isfinite(ici_bounds(v_max, cfg).upper):
-        raise ValueError(f"{power_key}: P_T (b^2/18 + b^4/60) overflows at {point}, "
+        raise ValueError(f"effective_power: P_T (b^2/18 + b^4/60) overflows at {point}, "
                          f"where {', '.join(ici_outputs)} would not be finite")
     if "capacity_approx" in spec.outputs:
         try:
@@ -391,7 +395,7 @@ def _check_closed_forms(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
             finite = False
         if not finite:
             raise ValueError(
-                f"{noise_key}, {power_key}: capacity_approx is not finite at {point} "
+                f"noise_variance, effective_power: capacity_approx is not finite at {point} "
                 f"(noise/P_T = {cfg.noise_variance / cfg.effective_power!r})")
 
 
@@ -402,8 +406,8 @@ def _check_block_memory(cfg: SystemConfig, cell: CellConfig):
     draw_bytes = BLOCK_TRIALS * devices * cell.paths_per_device * 8
     if draw_bytes > _MAX_BLOCK_DRAW_BYTES:
         raise ValueError(
-            f"system.half_subcarriers: {devices} devices x {cell.paths_per_device} paths "
-            f"need {draw_bytes} bytes of draws per Monte Carlo block of {BLOCK_TRIALS} "
+            f"half_subcarriers, paths_per_device: {devices} devices x {cell.paths_per_device} "
+            f"paths need {draw_bytes} bytes of draws per Monte Carlo block of {BLOCK_TRIALS} "
             f"trials, above the limit of {_MAX_BLOCK_DRAW_BYTES} bytes")
 
 
@@ -426,7 +430,7 @@ def _leaks_nothing(max_velocity_mps: float, cfg: SystemConfig) -> bool:
 
 
 def _check_noiseless(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
-                     axis_value: float, key: str):
+                     axis_value: float):
     """Refuse the outputs a grid point without noise cannot give: the Monte
     Carlo capacity needs positive noise, and where the interference is zero
     too the capacity outputs' SINR is unbounded.  The closed-form capacity
@@ -446,9 +450,9 @@ def _check_noiseless(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
     refused = [output for output in spec.outputs if output in needs_noise]
     if refused:
         raise ValueError(
-            f"{key}: the noise power is 0 at {_AXIS_COLUMN[spec.axis]} = {axis_value!r}, "
-            f"where {', '.join(refused)} need{'s' if len(refused) == 1 else ''} "
-            "positive noise")
+            f"noise_variance: the noise power is 0 at {_AXIS_COLUMN[spec.axis]} = "
+            f"{axis_value!r}, where {', '.join(refused)} "
+            f"need{'s' if len(refused) == 1 else ''} positive noise")
 
 
 def to_text(spec: SweepSpec) -> str:

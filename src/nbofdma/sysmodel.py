@@ -31,6 +31,7 @@ __all__ = [
     "MobilityModel",
     "CellBatch",
     "sample_cell_batch",
+    "subcarrier_gaps",
 ]
 
 
@@ -48,6 +49,17 @@ def _whole_number(value, name: str) -> int:
     _require(whole is not None and whole == value,
              f"{name} must be a whole number (got {value!r})")
     return whole
+
+
+def subcarrier_gaps(index, half_subcarriers: int, spacing_symbol_product: int = 1) -> np.ndarray:
+    """Floats (j - index) q, q = T_s df, for the sub-carriers j in [-N, N] in
+    index order: each device's gap, times T_s, from sub-carrier ``index``, 0
+    at ``index`` itself, which must be a whole number in [-N, N], N >= 0."""
+    n = _whole_number(half_subcarriers, "half_subcarriers")
+    _require(n >= 0, "half_subcarriers must be non-negative")
+    index = _whole_number(index, "sub-carrier index")
+    _require(-n <= index <= n, f"sub-carrier index {index} outside [-{n}, {n}]")
+    return (np.arange(-n, n + 1, dtype=float) - index) * spacing_symbol_product
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,19 @@ def test_leakage_refuses_beta_beyond_the_budget():
         finite_n_ici(0, v, CFG)
 
 
+@pytest.mark.parametrize("offset,cfg", [
+    (math.inf, CFG), (-math.inf, CFG), (math.nan, CFG),
+    # finite, but the gap offset * T_s overflows at T_s = 1e10 s
+    (1e300, SystemConfig(subcarrier_spacing_hz=1e-10, bandwidth_hz=0.0)),
+])
+def test_leakage_refuses_a_non_finite_offset(offset, cfg, monkeypatch):
+    # refused before any quadrature, where it once spent 1.3 s to end in a
+    # QuadratureError with an error bound of nan
+    monkeypatch.setattr(analytic, "integrate", None)
+    with pytest.raises(ValueError, match="frequency_offset_hz"):
+        leakage(offset, 10.0, cfg)
+
+
 def test_leakage_decays_with_offset():
     vals = [leakage(k * 2500.0, 100.0, CFG) for k in (1, 2, 4, 8, 16)]
     assert all(b < a for a, b in zip(vals, vals[1:]))

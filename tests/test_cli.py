@@ -203,3 +203,13 @@ def test_partial_numerical_failure_exits_2(tmp_path, capsys):
     assert "1 of 2" in err
     body = (tmp_path / "partial.csv").read_text()
     assert "error" in body.splitlines()[0]
+
+
+def test_analytic_numerical_failure_exits_2(capsys):
+    # at 1e9 m/s the leakage integrand of ici_finite_n sweeps about 1e6
+    # sinc^2 lobes, beyond the quadrature budget
+    assert main(["analytic", "--v-max", "1e9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: ")
+    assert len(captured.err.splitlines()) == 1

@@ -20,7 +20,8 @@ from nbofdma.montecarlo import (
     estimate_useful_power,
     symmetry_probe,
 )
-from nbofdma.sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch
+from nbofdma.sysmodel import (CellConfig, MobilityModel, SystemConfig, sample_cell_batch,
+                              subcarrier_gaps)
 
 CFG = SystemConfig()
 CELL = CellConfig()
@@ -103,7 +104,8 @@ def test_power_modes_share_a_mean():
     # coherent powers, against the conditional-mean estimator
     plan = TrialPlan(trials=30000, seed=8)
     incoherent = estimate_total_ici(plan, CFG, CELL, MOB)
-    gaps = montecarlo._gaps(plan, CFG)
+    gaps = subcarrier_gaps(plan.target_index, CFG.half_subcarriers,
+                           CFG.spacing_symbol_product)
     samples = np.empty(plan.trials)
     for _, rows, powers, _, weights in montecarlo._device_powers(plan, CELL, [(CFG, MOB)],
                                                                  [gaps], True):
@@ -322,7 +324,7 @@ def _inverse_squares(gaps):
 def test_control_variate_mean_matches_its_closed_form():
     # C = sum_j mean_m d_jm^2 / g_j^2 over the interferers, 10^6 trials of
     # the package's own sampler, against E[C] = (x^2 / 6) sum_j 1 / g_j^2
-    gaps = montecarlo._gaps(TrialPlan(trials=1, target_index=1), CV_CFG)
+    gaps = subcarrier_gaps(1, CV_CFG.half_subcarriers, CV_CFG.spacing_symbol_product)
     inverse = _inverse_squares(gaps)
     rng = np.random.default_rng(2024)
     chunks = []
@@ -358,7 +360,8 @@ def test_control_variate_is_the_leading_doppler_term(monkeypatch):
     # c (mean_m d_m^2 - x^2 / 6), c = 1 / g^2 off the centre and -pi^2 / 3
     # on it, summed over the interferers for the interference
     plan = TrialPlan(trials=256, seed=26, target_index=1)
-    gaps = montecarlo._gaps(plan, CV_CFG)
+    gaps = subcarrier_gaps(plan.target_index, CV_CFG.half_subcarriers,
+                           CV_CFG.spacing_symbol_product)
 
     def excess(devices):
         # mean_m d_m^2 - x^2 / 6 from the raw draws of a block of ``devices``
@@ -458,8 +461,8 @@ CAP_X = 70.0 / 3e8 * 3e9 * 2.0 / 2500.0
 def _variates(plan, cfg, cell):
     # V_I with the weights (capacity) and without (interference), and V_0,
     # from the brackets _device_powers yields, one scenario
-    gaps = montecarlo._gaps(plan, cfg)
-    inverse = montecarlo._inverse_squares(plan, gaps.size)
+    gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
+    inverse = montecarlo._inverse_squares(plan.target_index, cfg.half_subcarriers)
     target = plan.target_index + cfg.half_subcarriers
     variates = np.empty((3, plan.trials))
     for _, rows, _, bracket, weights in montecarlo._device_powers(
@@ -487,7 +490,8 @@ def test_capacity_variate_is_the_leading_doppler_term(monkeypatch):
     # I = sum_j w_j mean_m d_jm^2 / g_j^2 and k_0 = 1 - (pi^2 / 3) mean_m d_0m^2
     plan = TrialPlan(trials=256, seed=27, target_index=1)
     mob = MobilityModel(max_velocity_mps=70.0)
-    gaps = montecarlo._gaps(plan, CAP_CFG)
+    gaps = subcarrier_gaps(plan.target_index, CAP_CFG.half_subcarriers,
+                           CAP_CFG.spacing_symbol_product)
     rng = montecarlo._block_rng(plan.seed, 0)
     batch = sample_cell_batch(rng, plan.trials, gaps.size, CV_CELL)
     weights = rng.standard_exponential((plan.trials, gaps.size))

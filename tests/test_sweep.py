@@ -197,7 +197,9 @@ def test_rejects_malformed_input(text, fragment):
      "curve.b.system.carrier_frequency_hz = 1e300\n"
      "curve.b.system.subcarrier_spacing_hz = 1e-300\n"
      "curve.b.system.symbol_period_s = 1e300",
-     "curve 'b': the normalized Doppler b = .* at v_max_mps = 1e-300 overflows"),
+     "curve 'b': sweep.grid, curve.b.system.carrier_frequency_hz, "
+     "curve.b.system.subcarrier_spacing_hz, system.wave_speed_mps: "
+     "the normalized Doppler b = .* at v_max_mps = 1e-300 overflows"),
 ])
 def test_rejects_non_finite_numbers(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -293,7 +295,8 @@ def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, refused):
     # parse only: an accepted config of this size is never run here
     mc = AXIS + GRID + "system.bandwidth_hz = 0\nsweep.outputs = ici_mc\n" + text + "\n"
     if refused:
-        with pytest.raises(ConfigError, match="system.half_subcarriers: .* bytes of draws"):
+        with pytest.raises(ConfigError, match="system.half_subcarriers, cell.paths_per_device: "
+                           ".* bytes of draws"):
             parse_config(mc)
     else:
         parse_config(mc)
@@ -306,7 +309,8 @@ def test_target_index_is_checked_against_each_curve():
     preset = preset_path("fig4").read_text()
     assert parse_config(preset + "mc.target_index = 30\n").plan.target_index == 30
     text = AXIS + GRID + "sweep.outputs = ici_exact, ici_mc\nmc.trials = 300\n"
-    with pytest.raises(ConfigError, match=r"curve 'b': mc.target_index = 10 .*\[-5, 5\]"):
+    with pytest.raises(ConfigError, match=r"curve 'b': curve.b.system.half_subcarriers: "
+                       r"mc.target_index = 10 .*\[-5, 5\]"):
         parse_config(text + "mc.target_index = 10\n"
                      "curve.a.system.half_subcarriers = 24\n"
                      "curve.b.system.half_subcarriers = 5\n")
@@ -342,6 +346,10 @@ def test_mc_outputs_demand_enough_trials():
     parse_config(text.replace("ici_mc", "ici_exact"))
 
 
+TWO_CARRIERS = ("curve.a.system.carrier_frequency_hz = 9e8\n"
+                "curve.b.system.carrier_frequency_hz = 3e9\n")
+
+
 @pytest.mark.parametrize("text,message", [
     # a top-level fault is not labelled with the first curve
     (AXIS + GRID + OUTS + "system.snr_db = -4000",
@@ -361,6 +369,25 @@ def test_mc_outputs_demand_enough_trials():
      "sweep.grid: snr_db = -4000.0 puts"),
     (AXIS + GRID + OUTS + "cell.paths_per_device = 0",
      "cell.paths_per_device: paths_per_device must be a positive integer"),
+    # the point checks on configs the scenarios accept: a top-level key
+    # leads without a curve label, and a curve's own key keeps it
+    (AXIS + "sweep.grid = 1e6\nsweep.outputs = ici_bounds\nsystem.effective_power = 1e300\n"
+     + TWO_CARRIERS, "system.effective_power: P_T (b^2/18 + b^4/60) overflows"),
+    (AXIS + GRID + "sweep.outputs = capacity_mc\nmc.trials = 300\nsystem.noise_variance = 0\n"
+     + TWO_CARRIERS, "system.noise_variance: the noise power is 0"),
+    (AXIS + GRID + "sweep.outputs = ici_mc\nmc.trials = 300\nsystem.bandwidth_hz = 0\n"
+     "system.half_subcarriers = 40000\n" + TWO_CARRIERS,
+     "system.half_subcarriers, cell.paths_per_device: 80001 devices x 8 paths"),
+    (AXIS + GRID + OUTS + "mc.target_index = 10\nsystem.half_subcarriers = 5\n" + TWO_CARRIERS,
+     "system.half_subcarriers: mc.target_index = 10 outside"),
+    (AXIS + GRID + "sweep.outputs = ici_mc\nmc.trials = 300\nsystem.bandwidth_hz = 0\n"
+     "curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 40000\n",
+     "curve 'b': curve.b.system.half_subcarriers, cell.paths_per_device: 80001 devices"),
+    (AXIS + "sweep.grid = 0, 1e10\nsweep.outputs = ici_exact\n"
+     "system.carrier_frequency_hz = 1e300\n"
+     "curve.a.system.effective_power = 1\ncurve.b.system.effective_power = 2\n",
+     "sweep.grid, system.carrier_frequency_hz, system.subcarrier_spacing_hz, "
+     "system.wave_speed_mps, system.symbol_period_s: the normalized Doppler is not finite"),
 ])
 def test_a_faulty_scenario_names_the_key_that_set_it(text, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from nbofdma.analytic import finite_n_ici
-from nbofdma.montecarlo import TrialPlan, _device_powers, estimate_total_ici
-from nbofdma.sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch
+from nbofdma.analytic import finite_n_ici, leakage_sum
+from nbofdma.montecarlo import (TrialPlan, _device_powers, estimate_ergodic_capacity,
+                                estimate_total_ici, estimate_useful_power, symmetry_probe)
+from nbofdma.sysmodel import (CellConfig, MobilityModel, SystemConfig, sample_cell_batch,
+                              subcarrier_gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -165,3 +167,61 @@ def test_coherent_device_power_has_unit_mean():
                                                       [np.zeros(1)], True):
         samples[rows] = powers[:, 0] * weights[:, 0]
     assert samples.mean() == pytest.approx(1.0, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# sub-carrier gaps
+
+def _replaced_constructions(index, n, q):
+    # the gap vectors subcarrier_gaps replaced, kept as the reference:
+    # leakage_sum's (i - j) q over every j, finite_n_ici's over j != i,
+    # the Monte Carlo's (j - i) q formed in integers, and the index gaps
+    # j - i of its control variate, from the column number
+    every = (index - np.arange(-n, n + 1, dtype=float)) * q
+    others = (index - np.array([j for j in range(-n, n + 1) if j != index], dtype=float)) * q
+    simulated = ((np.arange(-n, n + 1) - index) * q).astype(float)
+    devices = 2 * n + 1
+    columns = (np.arange(devices) - (index + devices // 2)).astype(float)
+    return every, others, simulated, columns
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 24])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_subcarrier_gaps_have_the_bits_of_the_constructions_they_replace(n, q):
+    for index in range(-n, n + 1):
+        gaps = subcarrier_gaps(index, n, q)
+        every, others, simulated, columns = _replaced_constructions(index, n, q)
+        # the leakage folds every gap to its magnitude, so its sign is free
+        assert np.abs(gaps).tobytes() == np.abs(every).tobytes()
+        assert np.abs(gaps[gaps != 0]).tobytes() == np.abs(others).tobytes()
+        assert gaps.tobytes() == simulated.tobytes()
+        assert subcarrier_gaps(index, n).tobytes() == columns.tobytes()
+
+
+@pytest.mark.parametrize("index,n", [(0.5, 2), (2, -1), (3, 2), (-3, 2), (1, 0), ("1", 2)])
+def test_subcarrier_gaps_refuse_a_bad_index_or_count(index, n):
+    with pytest.raises(ValueError):
+        subcarrier_gaps(index, n)
+
+
+def test_every_entry_point_refuses_a_fractional_or_out_of_range_index():
+    # a fractional index once counted the target's own power as interference
+    plan = TrialPlan(trials=1)
+    mob = MobilityModel(10.0)
+    cfg = SystemConfig()
+    refused = [
+        lambda: finite_n_ici(0.5, 10.0, cfg),
+        lambda: finite_n_ici(25, 10.0, cfg),
+        lambda: leakage_sum(0.5, 24, 10.0, cfg),
+        lambda: leakage_sum(-25, 24, 10.0, cfg),
+        lambda: symmetry_probe(0, 2.5, plan, cfg, CellConfig(), mob),
+        lambda: symmetry_probe(25, 0, plan, cfg, CellConfig(), mob),
+        lambda: estimate_total_ici(TrialPlan(trials=1, target_index=25), cfg, CellConfig(), mob),
+        lambda: estimate_useful_power(TrialPlan(trials=1, target_index=-25), cfg,
+                                      CellConfig(), mob),
+        lambda: estimate_ergodic_capacity(TrialPlan(trials=1, target_index=25), cfg,
+                                          CellConfig(), mob),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="sub-carrier index"):
+            call()
