@@ -200,33 +200,38 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     """Yield ``(k, rows, powers, bracket, weights)``: the per-(trial,
     device) power on the target sub-carrier of scenario k for the trials
     ``rows``, in a buffer the next step overwrites; the block's
-    per-device bracket u^2 mean_m cos^2 psi_m; and the block's Exp(1)
-    weights ("coherent") or None.
+    per-device bracket mean_m z_m^2; and the block's Exp(1) weights
+    ("coherent") or None.
 
     Each block is drawn once, the weights right after the sampler, and
     evaluated for each scenario in turn, so no value depends on the group.
-    The mean over paths of sinc(gap + f_D * T_s)^2 is a device's expected
-    power given its path Doppler shifts; times its weight it follows the law
-    of the squared complex path sum, and the caller applies the weights.
-    ``gaps[k]`` holds scenario k's integer sub-carrier distances scaled by
-    T_s * df, so a static network cancels exactly.  Each row's path sum is
-    taken within its tile, so the tile size changes no value.  The kernel is
-    sized to each scenario's own span x (:func:`numerics.sinc_squared`), so
-    its terms never depend on the group, and a static scenario (x = 0)
-    skips it for the exact values it would return.  The kernel runs in a
-    workspace allocated once per call and reused for every tile, block and
-    scenario: the offsets tile, the kernel's output and scratch tiles, and
-    one full (rows, devices, paths) gap tile per distinct gap vector, so a
-    tile allocates no array.
+    Path m of a device shifts by d_m = f_D,m T_s = x z_m, with
+    x = V_max f_c T_s / c the scenario's span (:func:`_doppler_span`) and
+    z_m = u cos(psi_m) the scenario-free shift, u the speed fraction.  The
+    block forms z once, in place over the sampler's arrival cosines, and
+    each scenario scales it by its own x.  Since |cos psi| <= 1 and u < 1,
+    |z| <= 1, and rounding is monotone, so every offset |fl(x z)| is within
+    the span x.  The mean over paths of sinc(gap + d_m)^2 is a device's
+    expected power given its path Doppler shifts; times its weight it
+    follows the law of the squared complex path sum, and the caller applies
+    the weights.  ``gaps[k]`` holds scenario k's integer sub-carrier
+    distances scaled by T_s * df, so a static network cancels exactly.
+    Each row's path sum is taken within its tile, so the tile size changes
+    no value.  The kernel is sized to each scenario's own span x
+    (:func:`numerics.sinc_squared`), so its terms never depend on the
+    group, and a static scenario (x = 0) skips it for the exact values it
+    would return.  The kernel runs in a workspace allocated once per call
+    and reused for every tile, block and scenario: the offsets tile, the
+    kernel's output and scratch tiles, and one full (rows, devices, paths)
+    gap tile per distinct gap vector, so a tile allocates no array.
 
     Every estimator subtracts one control variate (Glasserman 2003,
-    section 4.1), the leading Doppler term.  A path shifts by
-    d_m = f_D,m T_s = x u cos(psi_m), with x = V_max f_c T_s / c, u uniform
-    (E[u^2] = 1/3) and cos(psi_m) of the arcsine law (E[cos^2 psi] = 1/2),
-    so x^2 times the bracket is mean_m d_m^2, of mean x^2 / 6.  Each
-    estimator reduces the bracket linearly to a per-trial vector of mean
-    zero, V_I (:func:`_interference_variate`) or V_0 = the target's bracket
-    less 1/6, and subtracts it times a scalar fixed by the scenario
+    section 4.1), the leading Doppler term.  With u uniform (E[u^2] = 1/3)
+    and cos(psi_m) of the arcsine law (E[cos^2 psi] = 1/2), x^2 times the
+    bracket is mean_m d_m^2, of mean x^2 / 6.  Each estimator reduces the
+    bracket linearly to a per-trial vector of mean zero, V_I
+    (:func:`_interference_variate`) or V_0 = the target's bracket less 1/6,
+    and subtracts it times a scalar fixed by the scenario
     (:func:`_variate_coefficient`, :func:`_capacity_variate_coefficients`).
     That keeps every expectation and cancels most of the spread while |d|
     stays well below 1/2; a static network subtracts exactly 0.
@@ -234,7 +239,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     devices = len(gaps[0])
     paths = cell.paths_per_device
     spans = [_doppler_span(cfg, mob) for cfg, mob in scenarios]
-    buffer = np.empty((3, min(plan.trials, BLOCK_TRIALS), devices))
+    buffer = np.empty((2, min(plan.trials, BLOCK_TRIALS), devices))
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row
     # broadcast over the short path axis about three times slower
@@ -252,31 +257,24 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
         rng = _block_rng(plan.seed, block)
         batch = sample_cell_batch(rng, size, devices, cell)
         weights = rng.standard_exponential((size, devices)) if coherent else None
-        powers, max_shift, bracket = buffer[:, :size]
+        powers, bracket = buffer[:, :size]
+        # z = u cos psi, in place over the sampler's arrival cosines
+        shift = batch.cos_arrival
         tiles = row_tiles(size, devices * paths)
         for rows in tiles:
-            tile = batch.cos_arrival[rows]
+            tile = shift[rows]
+            tile *= batch.speed_fraction[rows, :, None]
             np.einsum("tdm,tdm->td", tile, tile, out=bracket[rows])
         bracket /= paths
-        bracket *= batch.speed_fraction
-        bracket *= batch.speed_fraction
-        for k, (cfg, mob) in enumerate(scenarios):
-            if spans[k] == 0.0:
+        for k, span in enumerate(spans):
+            if span == 0.0:
                 # what the kernel gives a static network: 1 on the centre, 0 off it
                 powers[:] = gaps[k] == 0.0
             else:
-                # ((V_max * fraction) / c) * f_c, then * cos psi, then * T_s:
-                # the operation order keeps the bits of a per-scenario draw,
-                # and rounding keeps every offset within the span
-                np.multiply(mob.max_velocity_mps, batch.speed_fraction, out=max_shift)
-                max_shift /= cfg.wave_speed_mps
-                max_shift *= cfg.carrier_frequency_hz
                 for rows in tiles:
                     n = rows.stop - rows.start
-                    shifts = np.multiply(batch.cos_arrival[rows], max_shift[rows, :, None],
-                                         out=offsets[:n])
-                    shifts *= cfg.symbol_period_s
-                    values = sinc_squared(gap_tiles[k][:n], shifts, spans[k], kernel[:n],
+                    offset = np.multiply(shift[rows], span, out=offsets[:n])
+                    values = sinc_squared(gap_tiles[k][:n], offset, span, kernel[:n],
                                           work[:, :n])
                     np.einsum("tdm->td", values, out=powers[rows])
                 powers /= paths

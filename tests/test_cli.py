@@ -1,10 +1,11 @@
 """Command line behaviour: subcommands, exit codes, file and stdout output."""
 
 import json
+import math
 
 import pytest
 
-from nbofdma import __version__, cli
+from nbofdma import __version__, cli, montecarlo
 from nbofdma.analytic import capacity_upper, finite_n_ici
 from nbofdma.cli import main
 from nbofdma.montecarlo import Estimate
@@ -84,6 +85,20 @@ def test_analytic_refuses_an_out_of_range_power(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("v_max, reason", [
+    ("1e308", "overflows the Doppler span"),  # pi V_max f_c / (c df) is inf
+    ("inf", "must be finite and non-negative"),
+    ("-1", "must be finite and non-negative"),
+])
+def test_analytic_refuses_a_speed_out_of_range(v_max, reason, capsys):
+    assert main(["analytic", "--v-max", v_max]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --v-max ")
+    assert reason in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_check_passes(capsys):
     assert main(["check", "--trials", "512"]) == 0
     out = capsys.readouterr().out
@@ -108,12 +123,30 @@ def test_check_flags_a_capacity_above_its_bound(monkeypatch, capsys):
 def test_check_flags_a_simulator_off_the_quadrature(monkeypatch, capsys):
     # 10% high, at a standard error the control variate could deliver
     def biased(plan, cfg, cell, mob):
+        if isinstance(mob, list):  # a group: each member as if alone
+            return [biased(plan, c, cell, m) for c, m in zip(cfg, mob)]
         exact = finite_n_ici(0, mob.max_velocity_mps, cfg)
         return Estimate(mean=1.1 * exact, std_error=1e-3 * exact, trials=plan.trials)
     monkeypatch.setattr(cli, "estimate_total_ici", biased)
     assert main(["check", "--trials", "512"]) == 2
     out = capsys.readouterr().out
     assert "FAIL  mc-agreement" in out
+    assert out.count("FAIL") == 1
+
+
+def test_check_flags_a_group_that_differs_from_its_members(monkeypatch, capsys):
+    # one ulp off in the group's second scenario
+    def drifting(plan, cfg, cell, mob):
+        estimates = montecarlo.estimate_total_ici(plan, cfg, cell, mob)
+        if isinstance(mob, list):
+            last = estimates[-1]
+            estimates[-1] = Estimate(mean=math.nextafter(last.mean, math.inf),
+                                     std_error=last.std_error, trials=last.trials)
+        return estimates
+    monkeypatch.setattr(cli, "estimate_total_ici", drifting)
+    assert main(["check", "--trials", "512"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  mc-determinism" in out
     assert out.count("FAIL") == 1
 
 
