@@ -1,12 +1,14 @@
 """Deterministic interference and capacity analytics.
 
-The central dimensionless parameter is
+The one mobility parameter is the Doppler span
 
-    b = pi * V_max * f_c * T_s / c
+    x = V_max * f_c * T_s / c
 
-the largest Doppler phase (times pi) a path can accumulate across one symbol.
-At the critical spacing T_s * df = 1 this is b = pi * V_max * f_c / (c * df),
-which is how :class:`NormalizedDoppler` reports it.
+the largest Doppler shift of a path in sub-carrier cycles per symbol, which
+:meth:`SystemConfig.doppler_span` alone forms.  The paper's normalized
+Doppler b = pi * V_max * f_c / (c * df) is the same quantity, b = pi x / q
+with q = T_s * df, and :class:`NormalizedDoppler` derives it that way; the
+useful power reads pi x, the leakage x itself.
 
 Two independent evaluation routes are kept on purpose: :func:`leakage`
 averages the sinc^2 spreading kernel over the closed-form density of the
@@ -58,7 +60,9 @@ _LEAKAGE_PANELS = (0.0, 1.0, 2.0, 4.0, 8.0, 40.0)
 
 @dataclass(frozen=True)
 class NormalizedDoppler:
-    """Dimensionless mobility severity b = pi * V_max * f_c / (c * df)."""
+    """Dimensionless mobility severity b = pi * V_max * f_c / (c * df),
+    formed as pi x / (T_s df) from the span x of
+    :meth:`SystemConfig.doppler_span`."""
 
     b: float
 
@@ -68,9 +72,7 @@ class NormalizedDoppler:
 
     @classmethod
     def from_configs(cls, max_velocity_mps: float, cfg: SystemConfig) -> "NormalizedDoppler":
-        b = math.pi * max_velocity_mps * cfg.carrier_frequency_hz \
-            / (cfg.wave_speed_mps * cfg.subcarrier_spacing_hz)
-        return cls(b=b)
+        return cls(b=math.pi * cfg.doppler_span(max_velocity_mps) / cfg.spacing_symbol_product)
 
 
 @dataclass(frozen=True)
@@ -104,13 +106,6 @@ def _check_velocity(max_velocity_mps: float):
         raise ValueError("max_velocity_mps must be finite and non-negative")
 
 
-def _symbol_doppler_span(max_velocity_mps: float, cfg: SystemConfig) -> float:
-    # b of the actual symbol window, pi * V * f_c * T_s / c; identical to
-    # NormalizedDoppler.b when T_s * df = 1
-    return math.pi * max_velocity_mps * cfg.carrier_frequency_hz \
-        * cfg.symbol_period_s / cfg.wave_speed_mps
-
-
 def _useful_kernel(u: float) -> float:
     """Si(2u)/u - sin(u)^2/u^2, the useful-power fraction at Doppler depth u.
 
@@ -127,29 +122,30 @@ def _useful_kernel(u: float) -> float:
 def effective_useful_power(max_velocity_mps: float, cfg: SystemConfig) -> float:
     """Mean power a device keeps on its own sub-carrier despite Doppler.
 
-    Averages the per-direction fraction Si(2 b cos psi)/(b cos psi) -
-    sin^2(b cos psi)/(b cos psi)^2 over a uniform quarter circle of arrival
-    directions and scales by the common received power.  That average is
-    the only quadrature: Si itself needs none.  V_max = 0 returns
-    cfg.effective_power exactly.
+    Averages the per-direction fraction Si(2u)/u - sin^2(u)/u^2, with
+    u = pi x cos psi and x the span of :meth:`SystemConfig.doppler_span`,
+    over a uniform quarter circle of arrival directions and scales by the
+    common received power.  That average is the only quadrature: Si itself
+    needs none.  V_max = 0 returns cfg.effective_power exactly.
     """
     _check_velocity(max_velocity_mps)
     if max_velocity_mps == 0.0:
         return cfg.effective_power
-    b = _symbol_doppler_span(max_velocity_mps, cfg)
-    value = integrate(lambda p: _useful_kernel(b * math.cos(p)),
+    depth = math.pi * cfg.doppler_span(max_velocity_mps)
+    value = integrate(lambda p: _useful_kernel(depth * math.cos(p)),
                       0.0, math.pi / 2.0, _USEFUL_SPEC)
     return cfg.effective_power * (2.0 / math.pi) * value
 
 
 def _leakage_multi(gaps_ts, max_velocity_mps: float, cfg: SystemConfig) -> float:
-    """Average of sum_g sinc(g + beta x)^2 over the normalized Doppler shift x.
+    """Average of sum_g sinc(g + beta s)^2 over the Doppler shift fraction s.
 
     ``gaps_ts`` holds the dimensionless sub-carrier gaps (frequency gap times
-    T_s) and beta = V_max f_c T_s / c.  With the speed uniform on
-    [0, V_max] and the direction uniform on the circle, x = (v / V_max)
-    cos(psi) has the density arccosh(1/|x|) / pi on (-1, 1) (Clarke 1968).
-    Folding x to |x| and substituting x = sech(t) turns the average into
+    T_s) and beta is the span x = V_max f_c T_s / c of
+    :meth:`SystemConfig.doppler_span`.  With the speed uniform on
+    [0, V_max] and the direction uniform on the circle, s = (v / V_max)
+    cos(psi) has the density arccosh(1/|s|) / pi on (-1, 1) (Clarke 1968).
+    Folding s to |s| and substituting s = sech(t) turns the average into
     one smooth integral over t >= 0 with weight (t / pi) sech(t) tanh(t)
     against sum_g [sinc(g + beta sech t)^2 + sinc(g - beta sech t)^2].
     Each term is even in its gap, so gaps are folded to their magnitudes
@@ -165,8 +161,7 @@ def _leakage_multi(gaps_ts, max_velocity_mps: float, cfg: SystemConfig) -> float
     span = float(np.max(np.abs(frac)))  # bounds the kernel's offsets at rest
     if max_velocity_mps == 0.0:
         return float(np.sum(sinc_squared(whole, frac, span)))
-    beta = max_velocity_mps * cfg.carrier_frequency_hz * cfg.symbol_period_s \
-        / cfg.wave_speed_mps
+    beta = cfg.doppler_span(max_velocity_mps)
     # The integrand sweeps about beta sinc^2 lobes, most of them for t < 4.
     # The busiest panel, [1, 2], took 0.16 splits per unit of beta (measured
     # up to beta = 65536), so a panel's budget runs out near beta = 1e5;

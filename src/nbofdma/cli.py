@@ -178,9 +178,9 @@ def _cmd_analytic(args) -> int:
         doppler = NormalizedDoppler.from_configs(v_max, cfg).b
     except ValueError:
         raise ValueError(f"--v-max {v_max!r} overflows the Doppler span "
-                         "b = pi V_max f_c / (c df) at --carrier-frequency-hz "
-                         f"{cfg.carrier_frequency_hz!r} and --subcarrier-spacing-hz "
-                         f"{cfg.subcarrier_spacing_hz!r}") from None
+                         "x = V_max f_c T_s / c, or b = pi x / (T_s df), at "
+                         f"--carrier-frequency-hz {cfg.carrier_frequency_hz!r} and "
+                         f"--subcarrier-spacing-hz {cfg.subcarrier_spacing_hz!r}") from None
     bounds = ici_bounds(v_max, cfg)
     # the small-velocity bounds and approximations mean nothing outside their
     # regime (at 1e6 m/s the lower bound is 0, the upper one 3e12 P_T and the

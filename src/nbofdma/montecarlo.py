@@ -127,12 +127,6 @@ _VARIATE_MAX_X_OFF_CENTRE = 1.2
 _VARIATE_MAX_X_CAPACITY = 0.9
 
 
-def _doppler_span(cfg: SystemConfig, mob: MobilityModel) -> float:
-    """x = V_max f_c T_s / c, the largest normalized Doppler shift."""
-    return mob.max_velocity_mps / cfg.wave_speed_mps * cfg.carrier_frequency_hz \
-        * cfg.symbol_period_s
-
-
 def _variate_coefficient(cfg: SystemConfig, mob: MobilityModel, curvature: float,
                          max_x: float) -> float:
     """x^2 times ``curvature``, the coefficient of d^2 in sinc^2(gap + d) at
@@ -140,7 +134,7 @@ def _variate_coefficient(cfg: SystemConfig, mob: MobilityModel, curvature: float
     sin^2(pi d) / (pi (gap + d))^2 = d^2 / gap^2 + O(d^3), and on it
     sinc^2(d) = 1 - (pi^2 / 3) d^2 + O(d^4).  Zero above ``max_x``, where
     the variate would add variance."""
-    x = _doppler_span(cfg, mob)
+    x = cfg.doppler_span(mob.max_velocity_mps)
     return curvature * (x * x) if x <= max_x else 0.0
 
 
@@ -183,7 +177,7 @@ def _capacity_variate_coefficients(inverse_squares: np.ndarray, scenarios) -> np
     a static network and above x = 0.9, where the variate would add
     variance.
     """
-    x = np.array([_doppler_span(c, m) for c, m in scenarios])
+    x = np.array([c.doppler_span(m.max_velocity_mps) for c, m in scenarios])
     on = (x > 0.0) & (x <= _VARIATE_MAX_X_CAPACITY)
     x2 = x[on] * x[on]
     q2 = np.array([c.spacing_symbol_product ** 2 for c, _ in scenarios])[on]
@@ -206,12 +200,12 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     Each block is drawn once, the weights right after the sampler, and
     evaluated for each scenario in turn, so no value depends on the group.
     Path m of a device shifts by d_m = f_D,m T_s = x z_m, with
-    x = V_max f_c T_s / c the scenario's span (:func:`_doppler_span`) and
-    z_m = u cos(psi_m) the scenario-free shift, u the speed fraction.  The
-    block forms z once, in place over the sampler's arrival cosines, and
-    each scenario scales it by its own x.  Since |cos psi| <= 1 and u < 1,
-    |z| <= 1, and rounding is monotone, so every offset |fl(x z)| is within
-    the span x.  The mean over paths of sinc(gap + d_m)^2 is a device's
+    x = V_max f_c T_s / c the scenario's span
+    (:meth:`SystemConfig.doppler_span`) and z_m = u cos(psi_m) the
+    scenario-free shift, u the speed fraction.  The block forms z once, in
+    place over the sampler's arrival cosines, and each scenario scales it by
+    its own x.  Since |cos psi| <= 1 and u < 1, |z| <= 1, and rounding is
+    monotone, so every offset |fl(x z)| is within the span x.  The mean over paths of sinc(gap + d_m)^2 is a device's
     expected power given its path Doppler shifts; times its weight it
     follows the law of the squared complex path sum, and the caller applies
     the weights.  ``gaps[k]`` holds scenario k's integer sub-carrier
@@ -238,7 +232,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
-    spans = [_doppler_span(cfg, mob) for cfg, mob in scenarios]
+    spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
     buffer = np.empty((2, min(plan.trials, BLOCK_TRIALS), devices))
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row

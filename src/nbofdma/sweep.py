@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .analytic import (
     NormalizedDoppler,
-    _symbol_doppler_span,
     capacity_upper,
     capacity_upper_approx,
     finite_n_ici,
@@ -355,20 +354,17 @@ def _setter(spec: SweepSpec, name, overrides, *keys) -> str:
 
 def _check_doppler(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
                    axis_value: float):
-    """Refuse a grid point whose normalized Doppler b = pi V_max f_c / (c df)
-    or symbol-window span pi V_max f_c T_s / c overflows, where no output can
-    be evaluated, and one where b^2 / 18 + b^4 / 60 of the closed-form
-    bounds and approximations overflows."""
+    """Refuse a grid point whose normalized Doppler b = pi x / (T_s df), x of
+    :meth:`SystemConfig.doppler_span`, overflows, where no output can be
+    evaluated (a finite b means a finite x and pi x), and one where
+    b^2 / 18 + b^4 / 60 of the closed-form bounds and approximations overflows."""
     point = f"{_AXIS_COLUMN[spec.axis]} = {axis_value!r}"
+    fields = "max_velocity_mps, carrier_frequency_hz, subcarrier_spacing_hz, wave_speed_mps"
     try:
         b = NormalizedDoppler.from_configs(mob.max_velocity_mps, cfg).b
-        finite = math.isfinite(_symbol_doppler_span(mob.max_velocity_mps, cfg))
     except ValueError:
-        finite = False
-    fields = "max_velocity_mps, carrier_frequency_hz, subcarrier_spacing_hz, wave_speed_mps"
-    if not finite:
         raise ValueError(f"{fields}, symbol_period_s: the normalized Doppler is not finite "
-                         f"at {point}")
+                         f"at {point}") from None
     b2 = b * b
     if not math.isfinite(b2 / 18.0 + b2 * b2 / 60.0):
         raise ValueError(f"{fields}: the normalized Doppler b = {b!r} at {point} overflows "
@@ -415,13 +411,13 @@ def _leaks_nothing(max_velocity_mps: float, cfg: SystemConfig) -> bool:
     """True where the closed-form interference, P_T minus the useful power,
     rounds to exactly 0: always in a static network, and at speeds so small
     that the useful power rounds to P_T."""
-    # P_T minus the useful power is P_T (b^2/18 - b^4/300 + ...) in the
-    # symbol-window span b and only grows with b.  From b = 1e-3 up it is
-    # above 5e-8 P_T, far beyond the rounding of P_T (1.1e-16 P_T) and the
-    # error of the useful-power quadrature (1e-12 P_T), so it cannot round
-    # to 0 and the quadrature is skipped; it does round to 0 below b of
-    # about 5e-8.
-    if _symbol_doppler_span(max_velocity_mps, cfg) >= 1e-3:
+    # P_T minus the useful power is P_T (u^2/18 - u^4/300 + ...) in
+    # u = pi x, x the Doppler span, and only grows with u.  From u = 1e-3 up
+    # it is above 5e-8 P_T, far beyond the rounding of P_T (1.1e-16 P_T) and
+    # the error of the useful-power quadrature (1e-12 P_T), so it cannot
+    # round to 0 and the quadrature is skipped; it does round to 0 below u
+    # of about 5e-8.
+    if math.pi * cfg.doppler_span(max_velocity_mps) >= 1e-3:
         return False
     try:
         return total_ici_power(max_velocity_mps, cfg) == 0.0

@@ -119,6 +119,14 @@ class SystemConfig:
         """T_s * df as the exact small integer it is constrained to be."""
         return round(self.symbol_period_s * self.subcarrier_spacing_hz)
 
+    def doppler_span(self, max_velocity_mps: float) -> float:
+        """x = V_max f_c T_s / c, the largest Doppler shift in sub-carrier
+        cycles per symbol; the normalized Doppler b is pi x / (T_s df).
+        Every Doppler quantity of the package is formed from this one
+        operation order; inf where it overflows."""
+        return max_velocity_mps / self.wave_speed_mps * self.carrier_frequency_hz \
+            * self.symbol_period_s
+
 
 @dataclass(frozen=True)
 class CellConfig:

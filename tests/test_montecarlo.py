@@ -265,7 +265,7 @@ def test_a_group_across_the_kernel_regimes_matches_its_members(estimator):
     # to its own span, never to the group's
     plan = TrialPlan(trials=300, seed=24)
     mobs = [MobilityModel(v) for v in (0.0, 100.0, 400.0, 500.0, 1000.0)]
-    assert [montecarlo._doppler_span(CFG, mob) for mob in mobs] \
+    assert [CFG.doppler_span(mob.max_velocity_mps) for mob in mobs] \
         == pytest.approx([0.0, 0.12, 0.48, 0.6, 1.2], rel=1e-12)
     cfgs = [CFG] * len(mobs)
     group = estimator(plan, cfgs, CELL, mobs)
@@ -289,7 +289,7 @@ def test_a_static_scenario_never_calls_the_kernel(monkeypatch):
     assert spans == []
     # in a group, only the moving scenario reaches the kernel, with its own span
     estimate_total_ici(plan, [CFG, CFG], CELL, [static, MOB])
-    assert spans and set(spans) == {montecarlo._doppler_span(CFG, MOB)}
+    assert spans and set(spans) == {CFG.doppler_span(MOB.max_velocity_mps)}
 
 
 @pytest.mark.parametrize("v_max", [100.0, 400.0, 500.0, 1000.0])
@@ -305,7 +305,7 @@ def test_every_offset_lies_within_the_span_of_its_scenario(v_max, monkeypatch):
     monkeypatch.setattr(montecarlo, "sinc_squared", spy)
     plan = TrialPlan(trials=300, seed=26, target_index=3)
     mob = MobilityModel(v_max)
-    span = montecarlo._doppler_span(CFG, mob)
+    span = CFG.doppler_span(v_max)
     estimate_total_ici(plan, CFG, CELL, mob)
     estimate_useful_power(plan, CFG, CELL, mob)
     estimate_ergodic_capacity(plan, CFG, CELL, mob)

@@ -1,5 +1,8 @@
 """Property-based tests of the Doppler kernel, the scaled exponential
-integral, the leakage average, the power budget and the config parser."""
+integral, the leakage average, the power budget, the normalized Doppler and
+the config parser."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nbofdma import numerics, sweep  # noqa: E402
-from nbofdma.analytic import effective_useful_power, leakage, power_budget  # noqa: E402
+from nbofdma.analytic import (NormalizedDoppler, effective_useful_power, leakage,  # noqa: E402
+                              power_budget)
 from nbofdma.numerics import exp1_scaled, sinc_squared  # noqa: E402
 from nbofdma.sysmodel import SystemConfig  # noqa: E402
 
@@ -130,6 +134,21 @@ def test_power_budget_adds_up_to_the_transmit_power(fc, spacing, n, v):
     budget = power_budget(v, cfg)
     assert abs(budget.useful + budget.ici - cfg.effective_power) \
         <= 1e-12 * cfg.effective_power
+
+
+@PROPERTY
+@given(carriers, st.floats(min_value=250.0, max_value=1e5), st.sampled_from([1, 2, 3]),
+       st.one_of(st.just(0.0), st.floats(min_value=1e-290, max_value=6000.0)))
+def test_normalized_doppler_derives_from_the_span(fc, spacing, q, v):
+    # b = pi x / (T_s df) with x = V_max / c * f_c * T_s is the paper's
+    # pi V_max f_c / (c df), T_s cancelling up to rounding; below about
+    # 7e-300 m/s, V_max / c is subnormal and keeps fewer bits
+    cfg = SystemConfig(carrier_frequency_hz=fc, subcarrier_spacing_hz=spacing,
+                       symbol_period_s=q / spacing, bandwidth_hz=0.0)
+    b = NormalizedDoppler.from_configs(v, cfg).b
+    assert b == math.pi * cfg.doppler_span(v) / q
+    paper = math.pi * v * fc / (cfg.wave_speed_mps * spacing)
+    assert abs(b - paper) <= 2e-15 * paper
 
 
 # every key a config may set, curve overrides included, and values at the

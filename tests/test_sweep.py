@@ -160,14 +160,23 @@ def test_rejects_malformed_input(text, fragment):
      "symbol_period_s must be finite"),
     (AXIS + GRID + OUTS + "system.symbol_period_s = 1e300\nsystem.subcarrier_spacing_hz = 1e300",
      "symbol_period_s \\* subcarrier_spacing_hz overflows"),
-    # b = pi V f_c / (c df) overflows at the second grid point
+    # the span x = V / c * f_c * T_s overflows at the second grid point
+    (AXIS + "sweep.grid = 0, 1e20\nsweep.outputs = ici_approx\n"
+     "system.carrier_frequency_hz = 1e300",
+     "normalized Doppler is not finite at v_max_mps = 1e\\+20"),
+    # x is finite at 1e10 m/s (V f_c alone would overflow), b^2/18 + b^4/60 is not
     (AXIS + "sweep.grid = 0, 1e10\nsweep.outputs = ici_approx\n"
      "system.carrier_frequency_hz = 1e300",
+     "b = .* at v_max_mps = 10000000000.0 overflows the closed-form series"),
+    # x overflows at its last factor, T_s = 1e10 s
+    (AXIS + "sweep.grid = 1e10\nsweep.outputs = capacity_exact\n"
+     "system.carrier_frequency_hz = 1e300\nsystem.subcarrier_spacing_hz = 1e-10\n"
+     "system.symbol_period_s = 1e10",
      "normalized Doppler is not finite at v_max_mps = 10000000000.0"),
-    # b is finite, the symbol-window span pi V f_c T_s / c is not
+    # x is finite at 1 m/s with T_s = 1e10 s, b^2/18 + b^4/60 is not
     (AXIS + "sweep.grid = 1\nsweep.outputs = capacity_exact\n"
      "system.carrier_frequency_hz = 1e300\nsystem.subcarrier_spacing_hz = 1e-10\n"
-     "system.symbol_period_s = 1e10", "normalized Doppler is not finite at v_max_mps = 1.0"),
+     "system.symbol_period_s = 1e10", "b = .* at v_max_mps = 1.0 overflows the closed-form"),
     # b is finite, b^2/18 + b^4/60 of the bounds overflows (it printed inf)
     (AXIS + "sweep.grid = 1\nsweep.outputs = ici_bounds, ici_approx, capacity_approx\n"
      "system.carrier_frequency_hz = 1e300", "b = .* at v_max_mps = 1.0 overflows"),
@@ -384,6 +393,11 @@ TWO_CARRIERS = ("curve.a.system.carrier_frequency_hz = 9e8\n"
      "curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 40000\n",
      "curve 'b': curve.b.system.half_subcarriers, cell.paths_per_device: 80001 devices"),
     (AXIS + "sweep.grid = 0, 1e10\nsweep.outputs = ici_exact\n"
+     "system.carrier_frequency_hz = 1e300\n"
+     "curve.a.system.effective_power = 1\ncurve.b.system.effective_power = 2\n",
+     "sweep.grid, system.carrier_frequency_hz, system.subcarrier_spacing_hz, "
+     "system.wave_speed_mps: the normalized Doppler b = "),
+    (AXIS + "sweep.grid = 0, 1e20\nsweep.outputs = ici_exact\n"
      "system.carrier_frequency_hz = 1e300\n"
      "curve.a.system.effective_power = 1\ncurve.b.system.effective_power = 2\n",
      "sweep.grid, system.carrier_frequency_hz, system.subcarrier_spacing_hz, "
