@@ -10,7 +10,6 @@ curve families.
 
 from .numerics import QuadratureError, QuadratureSpec, integrate, sinc, sine_integral
 from .sysmodel import (
-    CellBatch,
     CellConfig,
     MobilityModel,
     SystemConfig,
@@ -68,7 +67,6 @@ __all__ = [
     "SystemConfig",
     "CellConfig",
     "MobilityModel",
-    "CellBatch",
     "sample_cell_batch",
     "subcarrier_gaps",
     # closed forms

@@ -55,6 +55,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def positive_int(text: str) -> int:  # argparse names a bad value by this name
+        count = int(text)
+        if count < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1 (got {count})")
+        return count
+
     parser = _Parser(prog="nbofdma",
                      description="Mobility-induced interference and capacity "
                                  "for a narrowband OFDMA uplink.")
@@ -69,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--seed", type=int, help="override mc.seed")
     sweep.add_argument("--trials", type=int, help="override mc.trials")
-    sweep.add_argument("--workers", type=int, default=1,
+    sweep.add_argument("--workers", type=positive_int, default=1,
                        help="parallel worker processes (default 1)")
     sweep.set_defaults(func=_cmd_sweep)
 

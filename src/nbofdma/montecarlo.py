@@ -202,10 +202,11 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     Path m of a device shifts by d_m = f_D,m T_s = x z_m, with
     x = V_max f_c T_s / c the scenario's span
     (:meth:`SystemConfig.doppler_span`) and z_m = u cos(psi_m) the
-    scenario-free shift, u the speed fraction.  The block forms z once, in
-    place over the sampler's arrival cosines, and each scenario scales it by
-    its own x.  Since |cos psi| <= 1 and u < 1, |z| <= 1, and rounding is
-    monotone, so every offset |fl(x z)| is within the span x.  The mean over paths of sinc(gap + d_m)^2 is a device's
+    scenario-free shift, u the speed fraction.  The block draws z once
+    (:func:`sysmodel.sample_cell_batch`, the one place that forms it), takes
+    the bracket from it, and each scenario scales it by its own x.  Since
+    |z| < 1 and rounding is monotone, every offset |fl(x z)| is within the
+    span x.  The mean over paths of sinc(gap + d_m)^2 is a device's
     expected power given its path Doppler shifts; times its weight it
     follows the law of the squared complex path sum, and the caller applies
     the weights.  ``gaps[k]`` holds scenario k's integer sub-carrier
@@ -249,16 +250,12 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     start = 0
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
-        batch = sample_cell_batch(rng, size, devices, cell)
+        shift = sample_cell_batch(rng, size, devices, cell)
         weights = rng.standard_exponential((size, devices)) if coherent else None
         powers, bracket = buffer[:, :size]
-        # z = u cos psi, in place over the sampler's arrival cosines
-        shift = batch.cos_arrival
         tiles = row_tiles(size, devices * paths)
         for rows in tiles:
-            tile = shift[rows]
-            tile *= batch.speed_fraction[rows, :, None]
-            np.einsum("tdm,tdm->td", tile, tile, out=bracket[rows])
+            np.einsum("tdm,tdm->td", shift[rows], shift[rows], out=bracket[rows])
         bracket /= paths
         for k, span in enumerate(spans):
             if span == 0.0:

@@ -6,14 +6,16 @@ base station, so the interference statistics depend on each device's speed
 and path arrival angles alone.
 
 The Monte Carlo sampler :func:`sample_cell_batch` draws only those, and only
-what does not depend on the scenario: each device's speed as a fraction of
-V_max and, per path, the cosine of the arrival angle that sets its Doppler
-shift.  The estimators scale these to speeds and Doppler shifts for each
-scenario they evaluate from one draw, and draw the fading given those
-shifts.  For an angle psi uniform on [0, 2*pi), cos(psi) has the arcsine
-law, CDF 1/2 + arcsin(x)/pi on [-1, 1] (Clarke 1968), and so has
-sin(pi (u - 1/2)) for u uniform on [0, 1): the sampler forms the cosine that
-way, without a full-circle angle or a library trigonometric call.
+what does not depend on the scenario: per path, the scenario-free Doppler
+shift z = u cos(psi), with u the device's speed as a fraction of V_max and
+psi the path's arrival angle.  A scenario of span x
+(:meth:`SystemConfig.doppler_span`) shifts the path by x z sub-carrier cycles
+per symbol; the estimators scale one draw to each scenario they evaluate,
+and draw the fading given those shifts.  Nothing else forms z.  For an angle
+psi uniform on [0, 2*pi), cos(psi) has the arcsine law, CDF
+1/2 + arcsin(s)/pi on [-1, 1] (Clarke 1968), and so has sin(pi (w - 1/2))
+for w uniform on [0, 1): the sampler forms the cosine that way, without a
+full-circle angle or a library trigonometric call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "SystemConfig",
     "CellConfig",
     "MobilityModel",
-    "CellBatch",
     "sample_cell_batch",
     "subcarrier_gaps",
 ]
@@ -151,42 +152,31 @@ class MobilityModel:
                  "max_velocity_mps must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class CellBatch:
-    """Scenario-free mobility draws: (trials, devices) speed fractions,
-    uniform on [0, 1), and (trials, devices, paths) cosines of the arrival
-    angles, of the arcsine law and independent across paths.  A device of a
-    scenario with maximum speed V_max moves at v = V_max * speed_fraction
-    and path m shifts by (v / c) f_c cos_arrival[..., m]."""
+def sample_cell_batch(rng, n_trials: int, n_devices: int, cell: CellConfig) -> np.ndarray:
+    """Scenario-free Doppler shifts z = u cos(psi) of ``n_trials`` x
+    ``n_devices`` devices for Monte Carlo inner loops: a (trials, devices,
+    paths) array, ``cell.paths_per_device`` paths per device, with |z| < 1.
 
-    speed_fraction: np.ndarray
-    cos_arrival: np.ndarray
-
-
-def sample_cell_batch(rng, n_trials: int, n_devices: int, cell: CellConfig) -> CellBatch:
-    """Speed fractions and path arrival cosines of ``n_trials`` x
-    ``n_devices`` devices for Monte Carlo inner loops.
-
-    Draws the speed fractions, then one uniform u on [0, 1) per path,
-    ``cell.paths_per_device`` paths per device.  The draws read the stream
-    as ``uniform(0, V_max)`` speeds and ``uniform(0, 2*pi)`` arrival angles
-    would, and numpy forms ``uniform(0, V_max)`` as V_max times the draw, so
-    ``V_max * speed_fraction`` has the bits of those speeds.  The path's
-    cos(psi) is sin(pi (u - 1/2)) = -cos(pi u), which has the arcsine law of
-    the cosine of an angle uniform on [0, 2*pi).  Nothing here depends on
-    V_max, the carrier or the spacing, so one batch serves every scenario
-    with the same device and path counts.  Position and heading are not
-    drawn: power control cancels the position and the Doppler shift depends
-    on the speed and arrival angle alone.  The per-path arithmetic runs on tiles of trial rows
+    Draws the speed fractions u, uniform on [0, 1), then one uniform w on
+    [0, 1) per path; the path's cos(psi) is sin(pi (w - 1/2)) = -cos(pi w),
+    which has the arcsine law of the cosine of an angle uniform on
+    [0, 2*pi), and the paths of a device share its u.  A scenario of span x
+    shifts path m by x z[..., m] sub-carrier cycles per symbol.  Nothing
+    here depends on V_max, the carrier or the spacing, so one batch serves
+    every scenario with the same device and path counts.  Position and
+    heading are not drawn: power control cancels the position and the
+    Doppler shift depends on the speed and arrival angle alone.  The
+    per-path arithmetic runs on tiles of trial rows
     (:func:`numerics.row_tiles`), which changes no value.
     """
     if n_trials < 1 or n_devices < 1:
         raise ValueError("n_trials and n_devices must be at least 1")
     flat = (n_trials, n_devices)
     speed_fraction = rng.random(flat)
-    cos_arrival = rng.random(flat + (cell.paths_per_device,))
+    shift = rng.random(flat + (cell.paths_per_device,))
     for rows in row_tiles(n_trials, n_devices * cell.paths_per_device):
-        tile = cos_arrival[rows]
+        tile = shift[rows]
         tile -= 0.5
         sin_pi(tile, out=tile)
-    return CellBatch(speed_fraction=speed_fraction, cos_arrival=cos_arrival)
+        tile *= speed_fraction[rows, :, None]
+    return shift

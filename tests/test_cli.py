@@ -197,6 +197,13 @@ def test_trials_override_revalidated(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_worker_count_below_one_is_a_usage_error(workers, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    assert main(["sweep", "--config", "fig3", "--workers", workers]) == 1
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_config_error_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sweep.axis = sideways\n")

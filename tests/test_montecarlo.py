@@ -377,8 +377,7 @@ def test_control_variate_mean_matches_its_closed_form():
     rng = np.random.default_rng(2024)
     chunks = []
     for _ in range(20):
-        batch = sample_cell_batch(rng, 50_000, gaps.size, CV_CELL)
-        d = CV_X * batch.speed_fraction[:, :, None] * batch.cos_arrival
+        d = CV_X * sample_cell_batch(rng, 50_000, gaps.size, CV_CELL)
         chunks.append((d * d).mean(axis=2) @ inverse)
     c = np.concatenate(chunks)
     expected = CV_X ** 2 / 6.0 * inverse.sum()
@@ -413,9 +412,8 @@ def test_control_variate_is_the_leading_doppler_term(monkeypatch):
 
     def excess(devices):
         # mean_m d_m^2 - x^2 / 6 from the raw draws of a block of ``devices``
-        batch = sample_cell_batch(montecarlo._block_rng(plan.seed, 0), plan.trials,
-                                  devices, CV_CELL)
-        d = CV_X * batch.speed_fraction[:, :, None] * batch.cos_arrival
+        d = CV_X * sample_cell_batch(montecarlo._block_rng(plan.seed, 0), plan.trials,
+                                     devices, CV_CELL)
         return (d * d).mean(axis=2) - CV_X ** 2 / 6.0
 
     def check(estimate, *expected):
@@ -541,9 +539,8 @@ def test_capacity_variate_is_the_leading_doppler_term(monkeypatch):
     gaps = subcarrier_gaps(plan.target_index, CAP_CFG.half_subcarriers,
                            CAP_CFG.spacing_symbol_product)
     rng = montecarlo._block_rng(plan.seed, 0)
-    batch = sample_cell_batch(rng, plan.trials, gaps.size, CV_CELL)
+    d = CAP_X * sample_cell_batch(rng, plan.trials, gaps.size, CV_CELL)
     weights = rng.standard_exponential((plan.trials, gaps.size))
-    d = CAP_X * batch.speed_fraction[:, :, None] * batch.cos_arrival
     mean_d2 = (d * d).mean(axis=2)
     inverse = _inverse_squares(gaps)
     interference = (weights * mean_d2) @ inverse - CAP_X ** 2 / 6.0 * inverse.sum()

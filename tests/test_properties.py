@@ -1,8 +1,12 @@
 """Property-based tests of the Doppler kernel, the scaled exponential
 integral, the leakage average, the power budget, the normalized Doppler and
-the config parser."""
+the config parser, and how pytest reports a failing property."""
 
 import math
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,3 +187,30 @@ def test_parser_raises_config_error_and_nothing_else(head, outputs, pairs):
     for _, overrides in spec.curves or (("", ()),):
         for axis_value in spec.grid:
             sweep._scenario(spec, overrides, axis_value)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None, max_examples=5)
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
+    # under the repository's warning filters, hypothesis's failure report
+    # must not abort the session before the other tests run
+    shutil.copy(Path(__file__).resolve().parents[1] / "pyproject.toml", tmp_path)
+    (tmp_path / "test_two.py").write_text(FAILING_PROPERTY)
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             "test_two.py"], cwd=tmp_path, capture_output=True, text=True,
+                            timeout=120)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
