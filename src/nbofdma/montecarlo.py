@@ -45,9 +45,11 @@ class TrialPlan:
     conditional mean of the per-path power sum, mean_m k_m^2; the capacity
     estimator draws the interferers' coherent powers, mean_m k_m^2 times one
     Exp(1) draw per device, and averages the target's Exp(1) weight in
-    closed form.  Every estimator subtracts the same control variate, a
-    zero-mean vector times a scalar fixed by the scenario
-    (:func:`_device_powers`), so each stays exactly unbiased.
+    closed form.  Every estimator subtracts control variates of the block's
+    scenario-free path moments mean_m z_m^p, zero-mean reductions times
+    scalars fixed by the scenario (:func:`_device_powers`), so each stays
+    exactly unbiased: the power estimators the kernel's Taylor series
+    through d^6, the capacity estimator its d^2 term.
     """
 
     trials: int
@@ -112,51 +114,100 @@ def _group(cfg, mob):
     return scenarios, False
 
 
-# x = V_max f_c T_s / c above which the d^2 variate adds variance, on the
-# centre and off it: d^2 grows without bound while sinc^2 stays below 1.
-# At 4096 trials the variance without the variate over that with it falls
-# through 1 at x of about 0.93 (useful power) and 1.2 (interference).
-_VARIATE_MAX_X_CENTRE = 0.9
-_VARIATE_MAX_X_OFF_CENTRE = 1.2
+# x = V_max f_c T_s / c above which the Taylor variates add variance.  The
+# truncated series tracks the kernel only while |d| = x |z| stays well
+# inside the range where sin^2(pi d) is close to its terms through d^6.
+# At 4096 trials the variance without the variates over that with them is
+# 2.6-3.5 at x = 1.1 on the centre and falls through 1 at about 1.18 (1 to
+# 16 paths).  Off the centre it falls through 1 at 0.77-0.81 for a lone
+# interferer at gap 5 and for the sum over the interferers at q = T_s df of
+# 2 to 16, whatever the path count, and is 1.9-3.6 there at x = 0.75; only
+# the sum at q = 1, which its nearest interferers dominate, would gain
+# up to x = 1.1.
+_VARIATE_MAX_X_CENTRE = 1.1
+_VARIATE_MAX_X_OFF_CENTRE = 0.75
 # x above which the capacity variate adds variance.  At 4096 trials on the
 # 500 Hz and 2500 Hz fig4 curves the variance without the variate over that
 # with it falls through 1 at x of about 1.18 at 20 dB SNR, 0.98 at 0 dB and
 # 0.93 at -10 dB: the more the noise dominates, the more the capacity
-# follows the useful power alone, whose own variate stops at 0.9.  At
+# follows the useful power alone, whose d^2 term stops helping at 0.93.  At
 # x = 0.9 the ratio is 2.5-2.6 at 20 dB and 1.17 at -10 dB.
 _VARIATE_MAX_X_CAPACITY = 0.9
 
+# The power estimators' control variates are the Taylor series of the
+# kernel in the path offset d = x z through d^6.  For a whole-number gap
+# g = n q, sinc^2(g + d) = sin^2(pi d) / (pi^2 (g + d)^2) with
+# sin^2(pi d) / pi^2 = sum_k s_k d^(2k) and
+# (g + d)^-2 = sum_m (m + 1) (-d)^m g^-(m+2), so the coefficient of d^p is
+# a_p(g) = sum_(2k+m=p, k>=1) s_k (m + 1) (-1)^m g^-(m+2); on the centre,
+# sinc^2(d) = sum_k s_k d^(2k-2) gives a_p(0) = s_(p/2+1) for even p and 0
+# for odd p.  Term (p, e) of a_p is its part in g^-e, e = m + 2 off the
+# centre and e = 0 on it, so a_p(n q) = sum_e c_pe n^-e q^-e.
+_ORDERS = (2, 3, 4, 5, 6)
+_TERMS = tuple((p, e) for p in _ORDERS for e in range(p % 2, p + 1, 2) if e != 1)
+_TERM_ORDERS, _TERM_EXPONENTS = np.array(_TERMS).T
+# E[z^p] = E[u^p] E[cos^p psi] = C(p, p/2) / (2^p (p + 1)) for even p and 0
+# for odd p: u uniform on [0, 1), cos psi of the arcsine law
+_MOMENT_MEANS = np.array([math.comb(p, p // 2) / (2 ** p * (p + 1)) if p % 2 == 0 else 0.0
+                          for p in _ORDERS])
 
-def _variate_coefficient(cfg: SystemConfig, mob: MobilityModel, curvature: float,
-                         max_x: float) -> float:
-    """x^2 times ``curvature``, the coefficient of d^2 in sinc^2(gap + d) at
-    small d, with x = V_max f_c T_s / c: off the centre
-    sin^2(pi d) / (pi (gap + d))^2 = d^2 / gap^2 + O(d^3), and on it
-    sinc^2(d) = 1 - (pi^2 / 3) d^2 + O(d^4).  Zero above ``max_x``, where
-    the variate would add variance."""
+
+def _sin_squared_coefficient(k: int) -> float:
+    """s_k = (-1)^(k+1) 2^(2k-1) pi^(2k-2) / (2k)!, the coefficient of
+    d^(2k) in sin^2(pi d) / pi^2: s_1 = 1, s_2 = -pi^2 / 3."""
+    return (-1) ** (k + 1) * 2 ** (2 * k - 1) * math.pi ** (2 * k - 2) / math.factorial(2 * k)
+
+
+def _taylor_table(index_gaps: np.ndarray) -> np.ndarray:
+    """(terms, devices): c_pe n_j^-e for each term (p, e) of :data:`_TERMS`
+    and each device j at whole-number index gap n_j, so that
+    a_p(n_j q) = sum_e table[(p, e), j] q^-e.  The centre's terms (e = 0)
+    are 0 off it and the others 0 on it.  The (2, 2) row is 1 / n_j^2."""
+    table = np.zeros((len(_TERMS), index_gaps.size))
+    off = index_gaps != 0.0
+    for row, (p, e) in zip(table, _TERMS):
+        if e == 0:
+            row[~off] = _sin_squared_coefficient(p // 2 + 1)
+        else:
+            m = e - 2
+            row[off] = _sin_squared_coefficient((p - m) // 2) * (m + 1) * (-1) ** m \
+                / index_gaps[off] ** e
+    return table
+
+
+def _term_reductions(moments: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(trials, terms): sum_j table[(p, e), j] (mean_m z_jm^p - E[z^p]) per
+    trial, from the block's path moments (:func:`_device_powers`); each
+    column has mean zero.  They do not depend on the scenario."""
+    reductions = np.empty((moments.shape[1], len(_TERMS)))
+    for p, mean in zip(_ORDERS, _MOMENT_MEANS):
+        terms = _TERM_ORDERS == p
+        reductions[:, terms] = (moments[p - 2] - mean) @ table[terms].T
+    return reductions
+
+
+def _variate_scalars(cfg: SystemConfig, mob: MobilityModel, centre: bool,
+                     max_x: float) -> np.ndarray:
+    """x^p q^-e for each term (p, e) of the centre (e = 0) or of the
+    interferers (e >= 2), 0 for the other terms, with
+    x = V_max f_c T_s / c and q = T_s df: what a scenario multiplies
+    :func:`_term_reductions` by.  All 0 above ``max_x``, where the variates
+    would add variance, and for a static network."""
     x = cfg.doppler_span(mob.max_velocity_mps)
-    return curvature * (x * x) if x <= max_x else 0.0
-
-
-def _inverse_squares(target_index: int, half_subcarriers: int) -> np.ndarray:
-    """1 / n_j^2 for the whole-number index gap n_j = j - i of each device j
-    in [-N, N] to the target i; 0 at the target."""
-    index_gaps = subcarrier_gaps(target_index, half_subcarriers)
-    inverse = np.zeros_like(index_gaps)
-    np.divide(1.0, index_gaps * index_gaps, out=inverse, where=index_gaps != 0)
-    return inverse
+    if not x <= max_x:
+        return np.zeros(len(_TERMS))
+    own = (_TERM_EXPONENTS == 0) == centre
+    return np.where(own, x ** _TERM_ORDERS
+                    * (1.0 / cfg.spacing_symbol_product) ** _TERM_EXPONENTS, 0.0)
 
 
 def _interference_variate(bracket: np.ndarray, inverse_squares: np.ndarray,
-                          weights: np.ndarray | None = None) -> np.ndarray:
+                          weights: np.ndarray) -> np.ndarray:
     """V_I = sum_j w_j bracket_j / n_j^2 - (1/6) sum_j 1 / n_j^2 per trial,
-    over the interferers j (``inverse_squares`` is 0 at the target), with
-    w = 1 when ``weights`` is None.  Mean zero: E[bracket] = 1/6, E[w] = 1
-    and the weights are independent of the Doppler draws."""
-    if weights is None:
-        variate = bracket @ inverse_squares
-    else:
-        variate = np.einsum("td,td,d->t", bracket, weights, inverse_squares)
+    over the interferers j (``inverse_squares`` is 0 at the target).  Mean
+    zero: E[bracket] = 1/6, E[w] = 1 and the weights are independent of the
+    Doppler draws."""
+    variate = np.einsum("td,td,d->t", bracket, weights, inverse_squares)
     variate -= inverse_squares.sum() / 6.0
     return variate
 
@@ -191,10 +242,11 @@ def _capacity_variate_coefficients(inverse_squares: np.ndarray, scenarios) -> np
 
 
 def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool):
-    """Yield ``(k, rows, powers, bracket, weights)``: the per-(trial,
+    """Yield ``(k, rows, powers, moments, weights)``: the per-(trial,
     device) power on the target sub-carrier of scenario k for the trials
-    ``rows``, in a buffer the next step overwrites; the block's
-    per-device bracket mean_m z_m^2; and the block's Exp(1) weights
+    ``rows``, in a buffer the next step overwrites; the block's per-device
+    path moments mean_m z_m^p, p = 2..6 in ``moments[p - 2]``, or the
+    bracket p = 2 alone ("coherent"); and the block's Exp(1) weights
     ("coherent") or None.
 
     Each block is drawn once, the weights right after the sampler, and
@@ -204,7 +256,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     (:meth:`SystemConfig.doppler_span`) and z_m = u cos(psi_m) the
     scenario-free shift, u the speed fraction.  The block draws z once
     (:func:`sysmodel.sample_cell_batch`, the one place that forms it), takes
-    the bracket from it, and each scenario scales it by its own x.  Since
+    the moments from it, and each scenario scales it by its own x.  Since
     |z| < 1 and rounding is monotone, every offset |fl(x z)| is within the
     span x.  The mean over paths of sinc(gap + d_m)^2 is a device's
     expected power given its path Doppler shifts; times its weight it
@@ -218,23 +270,28 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     would return.  The kernel runs in a workspace allocated once per call
     and reused for every tile, block and scenario: the offsets tile, the
     kernel's output and scratch tiles, and one full (rows, devices, paths)
-    gap tile per distinct gap vector, so a tile allocates no array.
+    gap tile per distinct gap vector, so a tile allocates no array.  The
+    higher moments are taken tile by tile in the offsets tile, before any
+    scenario needs it, so no block-sized z^p is ever formed.
 
-    Every estimator subtracts one control variate (Glasserman 2003,
-    section 4.1), the leading Doppler term.  With u uniform (E[u^2] = 1/3)
-    and cos(psi_m) of the arcsine law (E[cos^2 psi] = 1/2), x^2 times the
-    bracket is mean_m d_m^2, of mean x^2 / 6.  Each estimator reduces the
-    bracket linearly to a per-trial vector of mean zero, V_I
-    (:func:`_interference_variate`) or V_0 = the target's bracket less 1/6,
-    and subtracts it times a scalar fixed by the scenario
-    (:func:`_variate_coefficient`, :func:`_capacity_variate_coefficients`).
-    That keeps every expectation and cancels most of the spread while |d|
-    stays well below 1/2; a static network subtracts exactly 0.
+    Every estimator subtracts control variates (Glasserman 2003, section
+    4.1) built from the moments.  x^p times moment p is mean_m d_m^p, of
+    mean x^p E[z^p] (:data:`_MOMENT_MEANS`; E[z^2] = 1/6).  The power
+    estimators subtract the kernel's Taylor series through d^6: the block's
+    linear reductions of the centred moments, one per term of the
+    coefficients a_p (:func:`_term_reductions`, :func:`_taylor_table`),
+    times scalars x^p q^-e fixed by the scenario (:func:`_variate_scalars`).
+    The capacity estimator subtracts the d^2 term alone, V_I
+    (:func:`_interference_variate`) and V_0 = the target's bracket less
+    1/6, times the slopes of :func:`_capacity_variate_coefficients`.  That
+    keeps every expectation and cancels most of the spread while the series
+    converges well; a static network subtracts exactly 0.
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
     spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
-    buffer = np.empty((2, min(plan.trials, BLOCK_TRIALS), devices))
+    orders = 1 if coherent else len(_ORDERS)
+    buffer = np.empty((1 + orders, min(plan.trials, BLOCK_TRIALS), devices))
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row
     # broadcast over the short path axis about three times slower
@@ -252,11 +309,17 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
         rng = _block_rng(plan.seed, block)
         shift = sample_cell_batch(rng, size, devices, cell)
         weights = rng.standard_exponential((size, devices)) if coherent else None
-        powers, bracket = buffer[:, :size]
+        powers, moments = buffer[0, :size], buffer[1:, :size]
         tiles = row_tiles(size, devices * paths)
         for rows in tiles:
-            np.einsum("tdm,tdm->td", shift[rows], shift[rows], out=bracket[rows])
-        bracket /= paths
+            z = shift[rows]
+            np.einsum("tdm,tdm->td", z, z, out=moments[0, rows])
+            if not coherent:
+                power = np.multiply(z, z, out=offsets[:rows.stop - rows.start])
+                for moment in moments[1:]:
+                    power *= z
+                    np.einsum("tdm->td", power, out=moment[rows])
+        moments /= paths
         for k, span in enumerate(spans):
             if span == 0.0:
                 # what the kernel gives a static network: 1 on the centre, 0 off it
@@ -269,7 +332,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
                                           work[:, :n])
                     np.einsum("tdm->td", values, out=powers[rows])
                 powers /= paths
-            yield k, slice(start, start + size), powers, bracket, weights
+            yield k, slice(start, start + size), powers, moments, weights
         start += size
 
 
@@ -289,9 +352,10 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     sub-carrier from the other 2N devices.
 
     Converges to :func:`analytic.finite_n_ici` at the same N.  Each trial
-    sums the interferers' powers less (x^2 / q^2) V_I, with q = T_s df
-    (:func:`_device_powers`); neither term needs a quadrature.  A static
-    network gives exactly zero in every trial.
+    sums the interferers' powers less the zero-mean Taylor variates
+    sum_p x^p sum_j a_p(g_j) (mean_m z_jm^p - E[z^p]) over the interferers,
+    p = 2..6 (:func:`_device_powers`); neither term needs a quadrature.  A
+    static network gives exactly zero in every trial.
     ``cfg`` and ``mob`` may be equal-length sequences of scenarios sharing
     ``half_subcarriers``; they are evaluated on one set of draws, and the
     result is a list of estimates, each equal to the estimate of its
@@ -301,15 +365,14 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
     target_column = plan.target_index + n
-    inverse_squares = _inverse_squares(plan.target_index, n)
-    coefficients = [_variate_coefficient(c, m, 1.0 / c.spacing_symbol_product ** 2,
-                                         _VARIATE_MAX_X_OFF_CENTRE) for c, m in scenarios]
+    table = _taylor_table(subcarrier_gaps(plan.target_index, n))
+    scalars = [_variate_scalars(c, m, False, _VARIATE_MAX_X_OFF_CENTRE) for c, m in scenarios]
     samples = [np.empty(plan.trials) for _ in scenarios]
-    for k, rows, powers, bracket, _ in _device_powers(plan, cell, scenarios, gaps, False):
+    for k, rows, powers, moments, _ in _device_powers(plan, cell, scenarios, gaps, False):
         if k == 0:
-            variate = _interference_variate(bracket, inverse_squares)
+            reductions = _term_reductions(moments, table)
         powers[:, target_column] = 0.0
-        samples[k][rows] = (powers.sum(axis=1) - coefficients[k] * variate) \
+        samples[k][rows] = (powers.sum(axis=1) - reductions @ scalars[k]) \
             * scenarios[k][0].effective_power
     return _estimates(samples, single)
 
@@ -319,16 +382,18 @@ def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     """Monte Carlo mean of the power the target device keeps on its own
     sub-carrier; converges to :func:`analytic.effective_useful_power`.
 
-    Each trial gives mean_m sinc^2(d_m) less -(pi^2 / 3) x^2 V_0
+    Each trial gives mean_m sinc^2(d_m) less the zero-mean Taylor variates
+    sum_p x^p a_p(0) (mean_m z_m^p - E[z^p]), p = 2, 4, 6
     (:func:`_device_powers`).  A static network gives exactly P_T in every
     trial.
     """
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers)
-    coefficient = _variate_coefficient(cfg, mob, -math.pi ** 2 / 3.0, _VARIATE_MAX_X_CENTRE)
+    centre = gaps[gaps == 0]
+    table = _taylor_table(centre)
+    scalars = _variate_scalars(cfg, mob, True, _VARIATE_MAX_X_CENTRE)
     samples = np.empty(plan.trials)
-    for _, rows, powers, bracket, _ in _device_powers(plan, cell, [(cfg, mob)],
-                                                      [gaps[gaps == 0]], False):
-        samples[rows] = (powers[:, 0] - coefficient * (bracket[:, 0] - 1.0 / 6.0)) \
+    for _, rows, powers, moments, _ in _device_powers(plan, cell, [(cfg, mob)], [centre], False):
+        samples[rows] = (powers[:, 0] - _term_reductions(moments, table) @ scalars) \
             * cfg.effective_power
     return _reduce(samples)
 
@@ -370,10 +435,10 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
     target_column = plan.target_index + n
-    inverse_squares = _inverse_squares(plan.target_index, n)
+    inverse_squares = _taylor_table(subcarrier_gaps(plan.target_index, n))[_TERMS.index((2, 2))]
     c_interference, c_useful = _capacity_variate_coefficients(inverse_squares, scenarios)
     samples = [np.empty(plan.trials) for _ in scenarios]
-    for k, rows, powers, bracket, weights in _device_powers(plan, cell, scenarios, gaps, True):
+    for k, rows, powers, (bracket,), weights in _device_powers(plan, cell, scenarios, gaps, True):
         if k == 0:
             v_interference = _interference_variate(bracket, inverse_squares, weights)
             v_useful = bracket[:, target_column] - 1.0 / 6.0
@@ -399,24 +464,28 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
 
     The channel law depends on the index pair only through its gap, so the
     two means must agree within Monte Carlo noise.  Each direction subtracts
-    (x^2 / g^2) times its own device's bracket less 1/6, the variate of
-    :func:`estimate_total_ici` for one interferer at gap g, which the two
-    share in law and in mean but not in draws.  Swapping the arguments
+    the Taylor variates of :func:`estimate_total_ici` for its one
+    interferer, at gap -g or g, from its own device's moments, which the
+    two share in law and in mean but not in draws.  Swapping the arguments
     returns the same pair of estimates in the other order, bit for bit.
     """
-    n, q = cfg.half_subcarriers, cfg.spacing_symbol_product
-    # a's gaps less b's are (b - a) q at every entry; forming them checks both
-    gap = abs(subcarrier_gaps(index_a, n, q)[0] - subcarrier_gaps(index_b, n, q)[0])
-    if gap == 0.0:
+    # a's index gaps less b's are b - a at every entry; forming them checks both
+    index_gap = abs(subcarrier_gaps(index_a, cfg.half_subcarriers)[0]
+                    - subcarrier_gaps(index_b, cfg.half_subcarriers)[0])
+    if index_gap == 0.0:
         raise ValueError("symmetry_probe needs two distinct sub-carriers")
     low, high = sorted((index_a, index_b))
-    coefficient = _variate_coefficient(cfg, mob, 1.0 / (gap * gap), _VARIATE_MAX_X_OFF_CENTRE)
+    index_gaps = np.array([-index_gap, index_gap])
+    table = _taylor_table(index_gaps)
+    scalars = _variate_scalars(cfg, mob, False, _VARIATE_MAX_X_OFF_CENTRE)
     # devices drawn in index order: column 0 is the source on sub-carrier
     # ``low``, seen from ``high``, and column 1 the reverse
     onto = {low: np.empty(plan.trials), high: np.empty(plan.trials)}
-    for _, rows, powers, bracket, _ in _device_powers(plan, cell, [(cfg, mob)],
-                                                      [np.array([-gap, gap])], False):
-        powers -= coefficient * (bracket - 1.0 / 6.0)
+    for _, rows, powers, moments, _ in _device_powers(
+            plan, cell, [(cfg, mob)], [index_gaps * cfg.spacing_symbol_product], False):
+        for column in (0, 1):
+            own = slice(column, column + 1)
+            powers[:, column] -= _term_reductions(moments[..., own], table[:, own]) @ scalars
         onto[high][rows] = powers[:, 0] * cfg.effective_power
         onto[low][rows] = powers[:, 1] * cfg.effective_power
     return _reduce(onto[index_a]), _reduce(onto[index_b])

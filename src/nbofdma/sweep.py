@@ -26,7 +26,8 @@ from .analytic import (
     sum_rate_upper,
     total_ici_power,
 )
-from .montecarlo import BLOCK_TRIALS, TrialPlan, estimate_ergodic_capacity, estimate_total_ici
+from .montecarlo import (_ORDERS, BLOCK_TRIALS, TrialPlan, estimate_ergodic_capacity,
+                         estimate_total_ici)
 from .numerics import QuadratureError
 from .sysmodel import CellConfig, MobilityModel, SystemConfig
 
@@ -124,8 +125,8 @@ _AXIS_KEYS = {"v_max": ("mobility.max_velocity_mps",), "snr_db": _NOISE_KEYS}
 _FIELD_KEYS = {field: _NOISE_KEYS if key in _NOISE_KEYS else (key,)
                for key, (_, field, _) in _SCENARIO_KEYS.items()}
 
-# largest block of Monte Carlo path draws, BLOCK_TRIALS x (2N + 1) x M
-# doubles, a Monte Carlo sweep may ask for
+# largest block of Monte Carlo path draws and path moments,
+# BLOCK_TRIALS x (2N + 1) x (M + 5) doubles, a Monte Carlo sweep may ask for
 _MAX_BLOCK_DRAW_BYTES = 1 << 30
 
 _CURVE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -396,15 +397,19 @@ def _check_closed_forms(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
 
 
 def _check_block_memory(cfg: SystemConfig, cell: CellConfig):
-    """Refuse a Monte Carlo scenario whose block of path draws would not fit
-    in :data:`_MAX_BLOCK_DRAW_BYTES`; nothing is allocated here."""
+    """Refuse a Monte Carlo scenario whose block of path draws and
+    per-device path moments (one slot per Taylor order of the power
+    estimators' variates) would not fit in :data:`_MAX_BLOCK_DRAW_BYTES`;
+    nothing is allocated here."""
     devices = 2 * cfg.half_subcarriers + 1
-    draw_bytes = BLOCK_TRIALS * devices * cell.paths_per_device * 8
+    slots = cell.paths_per_device + len(_ORDERS)
+    draw_bytes = BLOCK_TRIALS * devices * slots * 8
     if draw_bytes > _MAX_BLOCK_DRAW_BYTES:
         raise ValueError(
             f"half_subcarriers, paths_per_device: {devices} devices x {cell.paths_per_device} "
-            f"paths need {draw_bytes} bytes of draws per Monte Carlo block of {BLOCK_TRIALS} "
-            f"trials, above the limit of {_MAX_BLOCK_DRAW_BYTES} bytes")
+            f"paths, plus {len(_ORDERS)} path moments a device, need {draw_bytes} bytes of "
+            f"draws and moments per Monte Carlo block of {BLOCK_TRIALS} trials, above the "
+            f"limit of {_MAX_BLOCK_DRAW_BYTES} bytes")
 
 
 def _leaks_nothing(max_velocity_mps: float, cfg: SystemConfig) -> bool:

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from nbofdma import __version__, cli, montecarlo
-from nbofdma.analytic import capacity_upper, finite_n_ici
+from nbofdma.analytic import capacity_upper, effective_useful_power, finite_n_ici
 from nbofdma.cli import main
 from nbofdma.montecarlo import Estimate
 
@@ -105,7 +110,28 @@ def test_check_passes(capsys):
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
     assert "PASS  mc-agreement" in out
+    assert "PASS  useful-agreement" in out
     assert "PASS  capacity-bound" in out
+
+
+def test_check_fails_the_agreements_at_one_trial(capsys):
+    # one trial has no standard error, so a two-sided agreement cannot hold
+    assert main(["check", "--trials", "1"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  mc-agreement" in out
+    assert "FAIL  useful-agreement" in out
+
+
+def test_check_flags_a_useful_power_off_the_quadrature(monkeypatch, capsys):
+    # 1e-9 below, at a standard error the variates deliver at 50 m/s
+    def biased(plan, cfg, cell, mob):
+        exact = effective_useful_power(mob.max_velocity_mps, cfg)
+        return Estimate(mean=exact - 1e-9, std_error=1e-12, trials=plan.trials)
+    monkeypatch.setattr(cli, "estimate_useful_power", biased)
+    assert main(["check", "--trials", "512"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  useful-agreement" in out
+    assert out.count("FAIL") == 1
 
 
 def test_check_flags_a_capacity_above_its_bound(monkeypatch, capsys):
@@ -226,6 +252,62 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
     cfg.write_text(GOOD)
     dest = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert main(["sweep", "--config", str(cfg), "--output", str(dest)]) == 3
+    assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path)]) == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
+def _sweep_text(cfg, capsys):
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    return capsys.readouterr().out
+
+
+def test_output_over_a_longer_file_keeps_exactly_the_new_bytes(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(GOOD)
+    text = _sweep_text(cfg, capsys)
+    reference = tmp_path / "reference.csv"
+    reference.write_text(text)
+    dest = tmp_path / "out.csv"
+    dest.write_text("stale,row\n" * 1000)
+    assert main(["sweep", "--config", str(cfg), "--output", str(dest)]) == 0
+    assert dest.read_bytes() == reference.read_bytes()
+    # and over a shorter one, and a new one
+    dest.write_text("x")
+    assert main(["sweep", "--config", str(cfg), "--output", str(dest)]) == 0
+    assert dest.read_bytes() == reference.read_bytes()
+    fresh = tmp_path / "fresh.csv"
+    assert main(["sweep", "--config", str(cfg), "--output", str(fresh)]) == 0
+    assert fresh.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_a_fifo(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(GOOD)
+    text = _sweep_text(cfg, capsys)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["sweep", "--config", str(cfg), "--output", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert received == [text]
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+def test_output_to_dev_stdout(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(GOOD)
+    text = _sweep_text(cfg, capsys)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "nbofdma", "sweep", "--config", str(cfg),
+                             "--output", "/dev/stdout"],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == text
 
 
 def test_partial_numerical_failure_exits_2(tmp_path, capsys):

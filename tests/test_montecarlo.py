@@ -3,6 +3,7 @@ statistical agreement with the closed forms."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,13 +219,13 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # must keep these bits.  Every pin includes its estimator's control
 # variate.
 PINNED = {
-    "ici": ("0x1.f5b3f5ecee9f4p-8", "0x1.4c3e5dcb58a38p-16"),  # 0.00765538 +- 1.98e-05
-    "ici_edge_3ghz": ("0x1.30e642d805682p-7", "0x1.25b5b2b406b7fp-14"),  # 0.00930479 +- 7e-05
-    "useful": ("0x1.fbfea0cecdd93p-1", "0x1.a98da591960a5p-18"),  # 0.992177 +- 6.34e-06
+    "ici": ("0x1.f47f9170f7ecdp-8", "0x1.2b432802bd94cp-29"),  # 0.007637 +- 2.18e-09
+    "ici_edge_3ghz": ("0x1.35786474017e7p-7", "0x1.0fbf77fb2121cp-26"),  # 0.00944428 +- 1.58e-08
+    "useful": ("0x1.fbfdde6eb22d9p-1", "0x1.21750526a50adp-32"),  # 0.992171 +- 2.63e-10
     "capacity": ("0x1.49f08b68708f6p+2", "0x1.7be0a50c4d454p-8"),  # 5.15531 +- 0.0058
     "capacity_edge_3ghz": ("0x1.46b1f7cbf8e19p+2", "0x1.0d55d82c163fap-6"),  # 5.10461 +- 0.0164
-    "symmetry_a": ("0x1.123549a283131p-12", "0x1.72f59ecb543bcp-21"),  # 0.000261505 +- 6.91e-07
-    "symmetry_b": ("0x1.11dc5516f989fp-12", "0x1.7c85d36ae4ee7p-21"),  # 0.000261174 +- 7.09e-07
+    "symmetry_a": ("0x1.12507495f6bfap-12", "0x1.1b9a60f8c5a72p-32"),  # 0.000261606 +- 2.58e-10
+    "symmetry_b": ("0x1.12505c8f9108cp-12", "0x1.dd58fd63f8e6dp-33"),  # 0.000261606 +- 2.17e-10
 }
 
 
@@ -402,19 +403,69 @@ def _subtracted(monkeypatch, estimate):
     return [off - on for on, off in zip(samples[:half], samples[half:])], samples[:half]
 
 
-def test_control_variate_is_the_leading_doppler_term(monkeypatch):
+# E[z^p] for p = 0..6, z = u cos psi: E[u^p] E[cos^p psi] with E[u^p] = 1 / (p + 1)
+# and E[cos^p psi] = C(p, p/2) / 2^p for even p, 0 for odd p
+PATH_MOMENT_MEANS = [Fraction(1), 0, Fraction(1, 6), 0, Fraction(3, 40), 0, Fraction(5, 112)]
+
+
+def _taylor_coefficients(g):
+    # a_p(g), p = 0..6: the Taylor coefficients of sinc^2(g + d) at d = 0, by mpmath
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return [float(a) for a in mpmath.taylor(lambda d: mpmath.sincpi(g + d) ** 2, 0, 6)]
+
+
+def test_path_moment_means_are_exact():
+    assert list(montecarlo._MOMENT_MEANS) == [float(PATH_MOMENT_MEANS[p]) for p in range(2, 7)]
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_taylor_table_is_the_series_of_the_kernel(q):
+    # a_p(n q) = sum_e table[(p, e)] q^-e against mpmath, p = 2..6
+    index_gaps = np.array([0.0, 1.0, -1.0, 2.0, -2.0, 7.0, -7.0])
+    table = montecarlo._taylor_table(index_gaps)
+    for column, n in zip(table.T, index_gaps):
+        exact = _taylor_coefficients(n * q)
+        for p in range(2, 7):
+            got = sum(value / q ** e for value, (order, e) in zip(column, montecarlo._TERMS)
+                      if order == p)
+            if n == 0.0 and p % 2:
+                assert got == 0.0 and abs(exact[p]) < 1e-30
+            else:
+                assert got == pytest.approx(exact[p], rel=1e-13, abs=0.0), (n, q, p)
+
+
+def test_every_taylor_variate_has_mean_zero():
+    # each term (p, e) of the power estimators' variates, reduced from the
+    # moments _device_powers yields, over 2^17 trials of 5 devices of 2 paths
+    plan = TrialPlan(trials=1 << 17, seed=29, target_index=1)
+    index_gaps = subcarrier_gaps(plan.target_index, 2)
+    table = montecarlo._taylor_table(index_gaps)
+    reductions = np.empty((plan.trials, len(montecarlo._TERMS)))
+    for _, rows, _, moments, _ in montecarlo._device_powers(
+            plan, CellConfig(2), [(SystemConfig(half_subcarriers=2), MobilityModel(0.0))],
+            [index_gaps], False):
+        reductions[rows] = montecarlo._term_reductions(moments, table)
+    for term, column in zip(montecarlo._TERMS, reductions.T):
+        assert abs(column.mean()) <= 4.0 * column.std(ddof=1) / math.sqrt(column.size), term
+
+
+def test_control_variates_are_the_taylor_series_of_the_kernel(monkeypatch):
     # what the power estimators subtract from each trial: per device
-    # c (mean_m d_m^2 - x^2 / 6), c = 1 / g^2 off the centre and -pi^2 / 3
-    # on it, summed over the interferers for the interference
+    # sum_p a_p(g) (mean_m d_m^p - x^p E[z^p]), p = 2..6, with a_p(g) the
+    # coefficient of d^p in sinc^2(g + d), summed over the interferers for
+    # the interference
     plan = TrialPlan(trials=256, seed=26, target_index=1)
     gaps = subcarrier_gaps(plan.target_index, CV_CFG.half_subcarriers,
                            CV_CFG.spacing_symbol_product)
 
-    def excess(devices):
-        # mean_m d_m^2 - x^2 / 6 from the raw draws of a block of ``devices``
+    def excess(device_gaps):
+        # sum_p a_p(g) (mean_m d_m^p - x^p E[z^p]) per device, from the raw draws
         d = CV_X * sample_cell_batch(montecarlo._block_rng(plan.seed, 0), plan.trials,
-                                     devices, CV_CELL)
-        return (d * d).mean(axis=2) - CV_X ** 2 / 6.0
+                                     len(device_gaps), CV_CELL)
+        coefficients = np.array([_taylor_coefficients(g) for g in device_gaps])
+        return sum(((d ** p).mean(axis=2) - CV_X ** p * float(PATH_MOMENT_MEANS[p]))
+                   * coefficients[:, p] for p in range(2, 7))
 
     def check(estimate, *expected):
         got, _ = _subtracted(monkeypatch, estimate)
@@ -422,11 +473,10 @@ def test_control_variate_is_the_leading_doppler_term(monkeypatch):
             np.testing.assert_allclose(g, e, rtol=0.0, atol=1e-14)
 
     check(lambda: estimate_total_ici(plan, CV_CFG, CV_CELL, CV_MOB),
-          excess(gaps.size) @ _inverse_squares(gaps))
-    check(lambda: estimate_useful_power(plan, CV_CFG, CV_CELL, CV_MOB),
-          -math.pi ** 2 / 3.0 * excess(1)[:, 0])
-    # column 0 is the device on -1 seen from 1, column 1 the reverse; g = 2
-    pair = excess(2) / 4.0
+          np.delete(excess(gaps), plan.target_index + CV_CFG.half_subcarriers, axis=1).sum(axis=1))
+    check(lambda: estimate_useful_power(plan, CV_CFG, CV_CELL, CV_MOB), excess([0.0])[:, 0])
+    # column 0 is the device on -1 seen from 1, column 1 the reverse
+    pair = excess([-2.0, 2.0])
     check(lambda: symmetry_probe(-1, 1, plan, CV_CFG, CV_CELL, CV_MOB),
           pair[:, 1], pair[:, 0])
 
@@ -450,13 +500,14 @@ def test_control_variate_keeps_static_networks_exact(cfg, cell, target):
 
 
 def test_control_variate_cuts_the_fig3_standard_error():
-    # the fig3 point with the largest Doppler, 3 GHz at 100 m/s, at the
-    # benchmark's 2048 trials; before the control variate the relative
-    # standard error was 0.010583 at this seed
+    # the fig3 point with the largest Doppler, 3 GHz at 100 m/s (x = 0.4),
+    # at the benchmark's 2048 trials; at this seed the relative standard
+    # error was 0.010583 with no variate, 0.0035 with the d^2 term alone and
+    # is 4.318e-5 with the series through d^6
     cfg = SystemConfig(carrier_frequency_hz=3e9)
     est = estimate_total_ici(TrialPlan(trials=2048, seed=42), cfg, CELL, MOB)
     exact = finite_n_ici(0, 100.0, cfg)
-    assert est.std_error / exact <= 0.010583 / 2.0
+    assert est.std_error / exact <= 2.0 * 4.318e-5
     assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
@@ -483,7 +534,7 @@ def test_control_variate_stops_where_it_adds_variance(v_max):
 
 def test_ici_estimates_are_unbiased_at_every_fig3_point():
     # the fig3 grid at the benchmark's 2048 trials against the quadrature,
-    # 4 standard errors and no relative floor; the worst |z| is 1.20
+    # 4 standard errors and no relative floor; the worst |z| is 0.34
     plan = TrialPlan(trials=2048, seed=42)
     speeds = [10.0 * k for k in range(1, 11)]
     for fc in (900e6, 3e9):
@@ -505,16 +556,15 @@ CAP_X = 70.0 / 3e8 * 3e9 * 2.0 / 2500.0
 
 
 def _variates(plan, cfg, cell):
-    # V_I with the weights (capacity) and without (interference), and V_0,
-    # from the brackets _device_powers yields, one scenario
+    # the capacity estimator's V_I, with the weights, and V_0, from the
+    # brackets _device_powers yields, one scenario
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
-    inverse = montecarlo._inverse_squares(plan.target_index, cfg.half_subcarriers)
+    inverse = _inverse_squares(subcarrier_gaps(plan.target_index, cfg.half_subcarriers))
     target = plan.target_index + cfg.half_subcarriers
-    variates = np.empty((3, plan.trials))
-    for _, rows, _, bracket, weights in montecarlo._device_powers(
+    variates = np.empty((2, plan.trials))
+    for _, rows, _, (bracket,), weights in montecarlo._device_powers(
             plan, cell, [(cfg, MobilityModel(0.0))], [gaps], True):
         variates[:, rows] = (montecarlo._interference_variate(bracket, inverse, weights),
-                             montecarlo._interference_variate(bracket, inverse),
                              bracket[:, target] - 1.0 / 6.0)
     return variates
 

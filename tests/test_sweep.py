@@ -295,7 +295,12 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
 
 
 @pytest.mark.parametrize("text,refused", [
-    ("system.half_subcarriers = 32767", False),   # 65535 x 8 x 256 doubles: 1 GiB - 16 kiB
+    # 256 trials x (2N + 1) devices x (M paths + 5 path moments) doubles
+    ("system.half_subcarriers = 20164", False),   # 40329 x 13: 1 GiB - 22 kiB
+    ("system.half_subcarriers = 20165", True),    # 1 GiB + 30 kiB
+    # at one path the moments take 5/6 of the block
+    ("system.half_subcarriers = 43690\ncell.paths_per_device = 1", False),  # 1 GiB - 4 kiB
+    ("system.half_subcarriers = 43691\ncell.paths_per_device = 1", True),   # 1 GiB + 20 kiB
     ("system.half_subcarriers = 32768", True),
     ("system.half_subcarriers = 8192\ncell.paths_per_device = 33", True),
     ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 40000", True),
@@ -305,7 +310,7 @@ def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, refused):
     mc = AXIS + GRID + "system.bandwidth_hz = 0\nsweep.outputs = ici_mc\n" + text + "\n"
     if refused:
         with pytest.raises(ConfigError, match="system.half_subcarriers, cell.paths_per_device: "
-                           ".* bytes of draws"):
+                           ".* bytes of draws and moments"):
             parse_config(mc)
     else:
         parse_config(mc)
