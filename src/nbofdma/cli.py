@@ -13,17 +13,15 @@ row or an ``analytic`` quantity failed, or a self-check failed), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import io
 import math
-import os
 import re
-import stat
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .analytic import (
+    _USEFUL_SPEC,
     NormalizedDoppler,
     approx_is_valid,
     approx_validity_threshold,
@@ -157,7 +155,7 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(spec, workers=args.workers)
     text = emit(rows, spec, fmt=args.format)
     if args.output:
-        _write_output(args.output, text)
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
     failed = sum(1 for row in rows if row.error)
@@ -166,20 +164,6 @@ def _cmd_sweep(args) -> int:
               file=sys.stderr)
         return 2
     return 0
-
-
-def _write_output(path: str, text: str):
-    """Write ``text`` to ``path`` with the bytes and encoding of
-    :meth:`Path.write_text`, over the old contents in place, then cut a
-    regular file to the written length.  Opening with O_TRUNC first would
-    make some file systems (ext4's replace-by-truncate heuristic) flush the
-    file on close, tens of milliseconds for a small CSV.  A FIFO or a
-    terminal is written as is."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding=io.text_encoding(None)) as stream:
-        stream.write(text)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            stream.truncate()
 
 
 # ===========================================================================
@@ -303,13 +287,16 @@ def _cmd_check(args) -> int:
     record("mc-agreement", ok, f"|mc - quadrature| {gap:.3e}, 4 stderr "
                                f"{4.0 * first.std_error:.3e}")
 
-    # and on the useful power
+    # and on the useful power, whose standard error the variates bring near
+    # the quadrature's own requested tolerance: allow both, and ask for a
+    # standard error, which one trial does not have
     useful = estimate_useful_power(plan, cfg, cell, mob)
     exact = effective_useful_power(mob.max_velocity_mps, cfg)
     gap = abs(useful.mean - exact)
-    ok = gap <= 4.0 * useful.std_error
-    record("useful-agreement", ok, f"|mc - quadrature| {gap:.3e}, 4 stderr "
-                                   f"{4.0 * useful.std_error:.3e}")
+    allowed = 4.0 * useful.std_error + _USEFUL_SPEC.relative_tolerance * exact
+    ok = useful.std_error > 0.0 and gap <= allowed
+    record("useful-agreement", ok, f"|mc - quadrature| {gap:.3e}, 4 stderr + quadrature "
+                                   f"tolerance {allowed:.3e}")
 
     # at the default 8 paths the simulated capacity stays below the capacity
     # at the mean powers; not a theorem, since the log is convex in the

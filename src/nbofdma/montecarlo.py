@@ -27,6 +27,7 @@ from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
 __all__ = [
     "TrialPlan",
     "Estimate",
+    "block_bytes",
     "estimate_total_ici",
     "estimate_useful_power",
     "estimate_ergodic_capacity",
@@ -152,6 +153,28 @@ _MOMENT_MEANS = np.array([math.comb(p, p // 2) / (2 ** p * (p + 1)) if p % 2 == 
                           for p in _ORDERS])
 
 
+def _block_slots(coherent: bool) -> int:
+    """(trials, devices) slots of the buffer of :func:`_device_powers`: the
+    powers and the path moments p = 2..6, or for the capacity ("coherent")
+    the bracket p = 2 alone."""
+    return 2 if coherent else 1 + len(_ORDERS)
+
+
+def block_bytes(devices: int, paths: int, coherent: bool) -> int:
+    """Bytes of the arrays :func:`_device_powers` holds at once for
+    ``devices`` devices of ``paths`` paths sharing one gap vector: a block's
+    draws and the (trials, devices) slots of its buffer; one more slot for
+    the sampler's speed fractions, or for the capacity ("coherent") two,
+    since the caller still holds the last block's Exp(1) weights while the
+    next block's speeds and then weights are drawn; and eight tiles: the
+    kernel's four workspace tiles and gap tile, the sampler's two scratch
+    tiles, and one for the kernel's centre mask and the per-device
+    vectors."""
+    slots = _block_slots(coherent) + (2 if coherent else 1)
+    tile = row_tiles(BLOCK_TRIALS, devices * paths)[0].stop * devices * paths
+    return 8 * (BLOCK_TRIALS * devices * (paths + slots) + 8 * tile)
+
+
 def _sin_squared_coefficient(k: int) -> float:
     """s_k = (-1)^(k+1) 2^(2k-1) pi^(2k-2) / (2k)!, the coefficient of
     d^(2k) in sin^2(pi d) / pi^2: s_1 = 1, s_2 = -pi^2 / 3."""
@@ -241,13 +264,29 @@ def _capacity_variate_coefficients(inverse_squares: np.ndarray, scenarios) -> np
     return coefficients
 
 
+def _path_moments(shift: np.ndarray, tiles, moments: np.ndarray, scratch: np.ndarray):
+    """moments[p - 2] = mean_m z_m^p of each (trial, device) of the block
+    ``shift``, for as many orders from p = 2 up as ``moments`` holds, tile
+    by tile in ``scratch``, so that no block-sized z^p is formed."""
+    for rows in tiles:
+        z = shift[rows]
+        np.einsum("tdm,tdm->td", z, z, out=moments[0, rows])
+        if len(moments) > 1:
+            power = np.multiply(z, z, out=scratch[:rows.stop - rows.start])
+            for moment in moments[1:]:
+                power *= z
+                np.einsum("tdm->td", power, out=moment[rows])
+    moments /= shift.shape[2]
+
+
 def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool):
     """Yield ``(k, rows, powers, moments, weights)``: the per-(trial,
     device) power on the target sub-carrier of scenario k for the trials
     ``rows``, in a buffer the next step overwrites; the block's per-device
     path moments mean_m z_m^p, p = 2..6 in ``moments[p - 2]``, or the
     bracket p = 2 alone ("coherent"); and the block's Exp(1) weights
-    ("coherent") or None.
+    ("coherent") or None.  The arrays held at once are those
+    :func:`block_bytes` counts.
 
     Each block is drawn once, the weights right after the sampler, and
     evaluated for each scenario in turn, so no value depends on the group.
@@ -290,8 +329,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     devices = len(gaps[0])
     paths = cell.paths_per_device
     spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
-    orders = 1 if coherent else len(_ORDERS)
-    buffer = np.empty((1 + orders, min(plan.trials, BLOCK_TRIALS), devices))
+    buffer = np.empty((_block_slots(coherent), min(plan.trials, BLOCK_TRIALS), devices))
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row
     # broadcast over the short path axis about three times slower
@@ -311,15 +349,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
         weights = rng.standard_exponential((size, devices)) if coherent else None
         powers, moments = buffer[0, :size], buffer[1:, :size]
         tiles = row_tiles(size, devices * paths)
-        for rows in tiles:
-            z = shift[rows]
-            np.einsum("tdm,tdm->td", z, z, out=moments[0, rows])
-            if not coherent:
-                power = np.multiply(z, z, out=offsets[:rows.stop - rows.start])
-                for moment in moments[1:]:
-                    power *= z
-                    np.einsum("tdm->td", power, out=moment[rows])
-        moments /= paths
+        _path_moments(shift, tiles, moments, offsets)
         for k, span in enumerate(spans):
             if span == 0.0:
                 # what the kernel gives a static network: 1 on the centre, 0 off it
@@ -334,6 +364,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
                 powers /= paths
             yield k, slice(start, start + size), powers, moments, weights
         start += size
+        del shift  # so that a block's draws never overlap the next one's
 
 
 # ===========================================================================

@@ -26,7 +26,7 @@ from .analytic import (
     sum_rate_upper,
     total_ici_power,
 )
-from .montecarlo import (_ORDERS, BLOCK_TRIALS, TrialPlan, estimate_ergodic_capacity,
+from .montecarlo import (BLOCK_TRIALS, TrialPlan, block_bytes, estimate_ergodic_capacity,
                          estimate_total_ici)
 from .numerics import QuadratureError
 from .sysmodel import CellConfig, MobilityModel, SystemConfig
@@ -125,9 +125,10 @@ _AXIS_KEYS = {"v_max": ("mobility.max_velocity_mps",), "snr_db": _NOISE_KEYS}
 _FIELD_KEYS = {field: _NOISE_KEYS if key in _NOISE_KEYS else (key,)
                for key, (_, field, _) in _SCENARIO_KEYS.items()}
 
-# largest block of Monte Carlo path draws and path moments,
-# BLOCK_TRIALS x (2N + 1) x (M + 5) doubles, a Monte Carlo sweep may ask for
-_MAX_BLOCK_DRAW_BYTES = 1 << 30
+# largest set of arrays one Monte Carlo block may hold
+# (:func:`montecarlo.block_bytes`); the capacity at N = 32767 and 8 paths,
+# 1.53 GiB, fits
+_MAX_BLOCK_BYTES = 7 << 28
 
 _CURVE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -286,7 +287,7 @@ def parse_config(text: str) -> SweepSpec:
                     raise ValueError(f"half_subcarriers: mc.target_index = {plan.target_index} "
                                      f"outside the sub-carrier range [-{n}, {n}]")
                 if wants_mc:
-                    _check_block_memory(cfg, cell)
+                    _check_block_memory(cfg, cell, "ici_mc" not in canonical)
                 _check_doppler(spec, cfg, mob, axis_value)
                 if cfg.noise_variance == 0.0:
                     _check_noiseless(spec, cfg, mob, axis_value)
@@ -396,20 +397,18 @@ def _check_closed_forms(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
                 f"(noise/P_T = {cfg.noise_variance / cfg.effective_power!r})")
 
 
-def _check_block_memory(cfg: SystemConfig, cell: CellConfig):
-    """Refuse a Monte Carlo scenario whose block of path draws and
-    per-device path moments (one slot per Taylor order of the power
-    estimators' variates) would not fit in :data:`_MAX_BLOCK_DRAW_BYTES`;
-    nothing is allocated here."""
+def _check_block_memory(cfg: SystemConfig, cell: CellConfig, coherent: bool):
+    """Refuse a Monte Carlo scenario whose block would hold more than
+    :data:`_MAX_BLOCK_BYTES` (:func:`montecarlo.block_bytes`), ``coherent``
+    when the capacity is the only Monte Carlo output; nothing is allocated
+    here."""
     devices = 2 * cfg.half_subcarriers + 1
-    slots = cell.paths_per_device + len(_ORDERS)
-    draw_bytes = BLOCK_TRIALS * devices * slots * 8
-    if draw_bytes > _MAX_BLOCK_DRAW_BYTES:
+    needed = block_bytes(devices, cell.paths_per_device, coherent)
+    if needed > _MAX_BLOCK_BYTES:
         raise ValueError(
             f"half_subcarriers, paths_per_device: {devices} devices x {cell.paths_per_device} "
-            f"paths, plus {len(_ORDERS)} path moments a device, need {draw_bytes} bytes of "
-            f"draws and moments per Monte Carlo block of {BLOCK_TRIALS} trials, above the "
-            f"limit of {_MAX_BLOCK_DRAW_BYTES} bytes")
+            f"paths need {needed} bytes of draws and work arrays per Monte Carlo block of "
+            f"{BLOCK_TRIALS} trials, above the limit of {_MAX_BLOCK_BYTES} bytes")
 
 
 def _leaks_nothing(max_velocity_mps: float, cfg: SystemConfig) -> bool:

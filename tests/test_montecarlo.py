@@ -340,6 +340,31 @@ def test_the_scenarios_of_a_block_allocate_no_tile(coherent):
     assert peak < tile_bytes / 4
 
 
+@pytest.mark.parametrize("half_subcarriers,paths", [(400, 8), (150, 2)])
+@pytest.mark.parametrize("coherent", [False, True])
+def test_block_bytes_bounds_what_the_blocks_hold(half_subcarriers, paths, coherent):
+    # two moving scenarios over three blocks, one partial, after a warm-up
+    # call; the bound is within a tenth of the traced peak
+    cfg = SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0)
+    cell = CellConfig(paths_per_device=paths)
+    scenarios = [(cfg, MOB), (cfg, MobilityModel(50.0))]
+    gaps = [subcarrier_gaps(0, half_subcarriers)] * 2
+
+    def run():
+        for _ in montecarlo._device_powers(TrialPlan(trials=600, seed=3), cell, scenarios,
+                                           gaps, coherent):
+            pass
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = montecarlo.block_bytes(2 * half_subcarriers + 1, paths, coherent)
+    assert 0.9 * bound <= peak <= bound
+
+
 def test_a_group_of_scenarios_is_validated():
     plan = TrialPlan(trials=100)
     with pytest.raises(ValueError, match="half_subcarriers"):
@@ -530,6 +555,27 @@ def test_control_variate_stops_where_it_adds_variance(v_max):
     assert useful.std_error <= VARIATE_OFF_STD_ERROR[v_max][1]
     assert abs(ici.mean - finite_n_ici(0, v_max, CFG)) <= 4.0 * ici.std_error
     assert abs(useful.mean - effective_useful_power(v_max, CFG)) <= 4.0 * useful.std_error
+
+
+@pytest.mark.parametrize("x,centre,on", [
+    (0.74, False, True), (0.76, False, False),  # off the centre: 0.75
+    (1.1, True, True), (1.12, True, False),     # on the centre: 1.1
+])
+def test_control_variates_stop_at_their_measured_cut_offs(x, centre, on, monkeypatch):
+    # just below a cut-off the variates cut the standard error; just above
+    # it the estimate is the one with the variates forced off, bit for bit
+    plan = TrialPlan(trials=1024, seed=6)
+    mob = MobilityModel(max_velocity_mps=x / CFG.doppler_span(1.0))
+    estimate = estimate_useful_power if centre else estimate_total_ici
+    with_variates = estimate(plan, CFG, CELL, mob)
+    monkeypatch.setattr(montecarlo, "_VARIATE_MAX_X_CENTRE" if centre
+                        else "_VARIATE_MAX_X_OFF_CENTRE", -1.0)
+    plain = estimate(plan, CFG, CELL, mob)
+    if on:
+        assert with_variates.std_error < plain.std_error / 1.2
+        assert abs(with_variates.mean - plain.mean) <= 4.0 * plain.std_error
+    else:
+        assert with_variates == plain
 
 
 def test_ici_estimates_are_unbiased_at_every_fig3_point():

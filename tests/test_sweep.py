@@ -294,28 +294,34 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     assert answers[0] and not answers[-1]
 
 
-@pytest.mark.parametrize("text,refused", [
-    # 256 trials x (2N + 1) devices x (M paths + 5 path moments) doubles
-    ("system.half_subcarriers = 20164", False),   # 40329 x 13: 1 GiB - 22 kiB
-    ("system.half_subcarriers = 20165", True),    # 1 GiB + 30 kiB
-    # at one path the moments take 5/6 of the block
-    ("system.half_subcarriers = 43690\ncell.paths_per_device = 1", False),  # 1 GiB - 4 kiB
-    ("system.half_subcarriers = 43691\ncell.paths_per_device = 1", True),   # 1 GiB + 20 kiB
-    ("system.half_subcarriers = 32768", True),
-    ("system.half_subcarriers = 8192\ncell.paths_per_device = 33", True),
-    ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 40000", True),
+@pytest.mark.parametrize("text,outputs,refused", [
+    # montecarlo.block_bytes: 256 trials x (2N + 1) devices x (M paths + 7)
+    # doubles for the interference, (M + 4) for the capacity alone, plus
+    # eight tiles, against 1.75 GiB
+    ("system.half_subcarriers = 30081", "ici_mc", False),   # 1.75 GiB - 37 kB
+    ("system.half_subcarriers = 30082", "ici_mc", True),    # 1.75 GiB + 25 kB
+    ("system.half_subcarriers = 57120\ncell.paths_per_device = 1", "ici_mc", False),
+    ("system.half_subcarriers = 57121\ncell.paths_per_device = 1", "ici_mc", True),
+    ("system.half_subcarriers = 32767", "capacity_mc", False),   # 1.53 GiB
+    ("system.half_subcarriers = 37448", "capacity_mc", False),   # 1.75 GiB - 32 kB
+    ("system.half_subcarriers = 37449", "capacity_mc", True),    # 1.75 GiB + 18 kB
+    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", True),
+    ("system.half_subcarriers = 32768", "ici_mc", True),
+    ("system.half_subcarriers = 8192\ncell.paths_per_device = 64", "ici_mc", True),
+    ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 40000", "ici_mc",
+     True),
 ])
-def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, refused):
+def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, outputs, refused):
     # parse only: an accepted config of this size is never run here
-    mc = AXIS + GRID + "system.bandwidth_hz = 0\nsweep.outputs = ici_mc\n" + text + "\n"
+    mc = AXIS + GRID + f"system.bandwidth_hz = 0\nsweep.outputs = {outputs}\n" + text + "\n"
     if refused:
         with pytest.raises(ConfigError, match="system.half_subcarriers, cell.paths_per_device: "
-                           ".* bytes of draws and moments"):
+                           ".* bytes of draws"):
             parse_config(mc)
     else:
         parse_config(mc)
     # the analytic outputs allocate no block of draws
-    parse_config(mc.replace("ici_mc", "ici_approx"))
+    parse_config(mc.replace(outputs, "ici_approx"))
 
 
 def test_target_index_is_checked_against_each_curve():
