@@ -20,7 +20,8 @@ import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
-from .numerics import exp1_scaled, row_tiles, sinc, sinc_squared
+from .numerics import (exp1_scaled, exp1_scaled_faded, faded_work_shape, row_tiles, sinc,
+                       sinc_squared)
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
                        sample_cell_batch, subcarrier_gaps)
 
@@ -45,8 +46,9 @@ class TrialPlan:
     k_m = sinc(gap + f_D,m * T_s).  The power estimators take the
     conditional mean of the per-path power sum, mean_m k_m^2; the capacity
     estimator draws the interferers' coherent powers, mean_m k_m^2 times one
-    Exp(1) draw per device, and averages the target's Exp(1) weight in
-    closed form.  Every estimator subtracts control variates of the block's
+    Exp(1) draw per device, and averages in closed form the weights of the
+    target and of its neighbours at index gap +-1, whose draws it leaves
+    unused.  Every estimator subtracts control variates of the block's
     scenario-free path moments mean_m z_m^p, zero-mean reductions times
     scalars fixed by the scenario (:func:`_device_powers`), so each stays
     exactly unbiased: the power estimators the kernel's Taylor series
@@ -129,10 +131,12 @@ _VARIATE_MAX_X_CENTRE = 1.1
 _VARIATE_MAX_X_OFF_CENTRE = 0.75
 # x above which the capacity variate adds variance.  At 4096 trials on the
 # 500 Hz and 2500 Hz fig4 curves the variance without the variate over that
-# with it falls through 1 at x of about 1.18 at 20 dB SNR, 0.98 at 0 dB and
+# with it falls through 1 at x of about 1.15 at 20 dB SNR, 0.97 at 0 dB and
 # 0.93 at -10 dB: the more the noise dominates, the more the capacity
 # follows the useful power alone, whose d^2 term stops helping at 0.93.  At
-# x = 0.9 the ratio is 2.5-2.6 at 20 dB and 1.17 at -10 dB.
+# x = 0.9 the ratio is 2.8-2.9 at 20 dB and 1.14-1.18 at -10 dB.  Averaging
+# the +-1 neighbours' fading moved the 20 dB crossing from 1.18 and left
+# the -10 dB one, which sets the cut-off, where it was.
 _VARIATE_MAX_X_CAPACITY = 0.9
 
 # The power estimators' control variates are the Taylor series of the
@@ -169,10 +173,12 @@ def block_bytes(devices: int, paths: int, coherent: bool) -> int:
     next block's speeds and then weights are drawn; and eight tiles: the
     kernel's four workspace tiles and gap tile, the sampler's two scratch
     tiles, and one for the kernel's centre mask and the per-device
-    vectors."""
+    vectors.  The capacity adds the workspace of its fading average
+    (:func:`numerics.exp1_scaled_faded`)."""
     slots = _block_slots(coherent) + (2 if coherent else 1)
     tile = row_tiles(BLOCK_TRIALS, devices * paths)[0].stop * devices * paths
-    return 8 * (BLOCK_TRIALS * devices * (paths + slots) + 8 * tile)
+    faded = math.prod(faded_work_shape(BLOCK_TRIALS)) if coherent else 0
+    return 8 * (BLOCK_TRIALS * devices * (paths + slots) + 8 * tile + faded)
 
 
 def _sin_squared_coefficient(k: int) -> float:
@@ -247,7 +253,10 @@ def _capacity_variate_coefficients(inverse_squares: np.ndarray, scenarios) -> np
     s = (I_bar + noise / P_T) / k_bar, with I_bar = (x^2 / 6) sum_j 1 / g_j^2
     and k_bar = 1 - pi^2 x^2 / 18: beta_I = f'(s) / k_bar and
     beta_0 = -f'(s) s / k_bar, where f'(s) = log2(e) (e^s E1(s) - 1 / s).
-    They depend on the scenario alone, never on the draws.  Both are 0 for
+    They are the slopes of the target-only average; the estimator also
+    averages the +-1 neighbours' weights, and V_I takes those at their
+    mean 1, but the slopes are not re-derived for that.  They depend on the
+    scenario alone, never on the draws.  Both are 0 for
     a static network and above x = 0.9, where the variate would add
     variance.
     """
@@ -321,10 +330,11 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     coefficients a_p (:func:`_term_reductions`, :func:`_taylor_table`),
     times scalars x^p q^-e fixed by the scenario (:func:`_variate_scalars`).
     The capacity estimator subtracts the d^2 term alone, V_I
-    (:func:`_interference_variate`) and V_0 = the target's bracket less
-    1/6, times the slopes of :func:`_capacity_variate_coefficients`.  That
-    keeps every expectation and cancels most of the spread while the series
-    converges well; a static network subtracts exactly 0.
+    (:func:`_interference_variate`, with the +-1 neighbours' weights at
+    their mean 1) and V_0 = the target's bracket less 1/6, times the slopes
+    of :func:`_capacity_variate_coefficients`.  That keeps every
+    expectation and cancels most of the spread while the series converges
+    well; a static network subtracts exactly 0.
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
@@ -437,26 +447,32 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     of the whole cell, in bit/s/Hz.
 
     The per-device signal and interference powers are the powers of the
-    coherent path sums.  Given the path Doppler shifts and the interferers'
-    Exp(1) weights, the target's useful power is k_0 P_T times its own
-    Exp(1) weight w, with k_0 its conditional power, and the mean over w is
-    exact: E_w[log2(1 + w a)] = log2(e) e^(1/a) E1(1/a) with
-    a = k_0 P_T / (interference + noise) (Lee 1990).  Each trial
-    contributes that conditional mean in place of a draw of w, which removes
-    most of the variance.  The weights are drawn after the sampler's draws,
-    the target's too, which is left unused, so every estimator reads the
-    same speeds and arrival cosines.
+    coherent path sums.  Given the path Doppler shifts, device j's power is
+    k_j P_T times its own Exp(1) weight w_j, with k_j its conditional power.
+    Each trial averages exactly over three of the weights, the target's and
+    those of its neighbours at index gap +-1 (one at the band edge, none at
+    N = 0), and keeps the other interferers' drawn weights: with R their
+    weighted powers plus the noise, a = k_0 P_T / R and b_j = k_j P_T / R,
+    the trial contributes
+    log2(e) int_0^inf e^-t / ((t + 1/a) prod_j (1 + t b_j)) dt
+    (Hamdi 2010, :func:`numerics.exp1_scaled_faded`, by a fixed rule on a
+    workspace reused over the blocks and scenarios), which for b_j = 0 is
+    Lee's (1990) log2(e) e^(1/a) E1(1/a).  That removes most of the
+    variance: the nearest interferers dominate it.  The weights are drawn
+    after the sampler's draws, the averaged ones too, which are left
+    unused, so every estimator reads the same speeds and arrival cosines.
 
     Each trial then subtracts c_I V_I + c_0 V_0 (:func:`_device_powers`),
-    V_I weighted by the interferers' drawn weights, with c_I, c_0 the slopes
-    of the capacity at the mean powers
-    (:func:`_capacity_variate_coefficients`).  The SINR is not linear in the
-    powers, but a zero-mean term times a coefficient fixed by the scenario
-    keeps the estimate exactly unbiased.  A static network subtracts nothing
-    and gives the exact capacity in every trial.  The log is convex in the
-    interference,
-    so the estimate can exceed :func:`analytic.capacity_upper`, which
-    evaluates it at the mean powers; at one path per device it does.
+    V_I weighted by the interferers' drawn weights and by 1, their mean, at
+    index gap +-1, with c_I, c_0 the slopes of the capacity at the mean
+    powers (:func:`_capacity_variate_coefficients`).  The SINR is not
+    linear in the powers, but a zero-mean term times a coefficient fixed by
+    the scenario keeps the estimate exactly unbiased.  A static network
+    subtracts nothing, leaves its neighbours no power to average, and gives
+    the exact capacity in every trial.  The log is convex in the
+    interference, so the estimate can exceed
+    :func:`analytic.capacity_upper`, which evaluates it at the mean powers;
+    at one path per device it does.
     Requires positive noise power.  ``cfg`` and ``mob`` may be sequences,
     as for :func:`estimate_total_ici`.
     """
@@ -466,23 +482,32 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
     target_column = plan.target_index + n
+    # the target and its neighbours at index gap +-1 that the band holds
+    averaged = [c for c in range(target_column - 1, target_column + 2) if 0 <= c <= 2 * n]
+    neighbours = [c for c in averaged if c != target_column]
     inverse_squares = _taylor_table(subcarrier_gaps(plan.target_index, n))[_TERMS.index((2, 2))]
     c_interference, c_useful = _capacity_variate_coefficients(inverse_squares, scenarios)
+    work = np.empty(faded_work_shape(min(plan.trials, BLOCK_TRIALS)))
     samples = [np.empty(plan.trials) for _ in scenarios]
     for k, rows, powers, (bracket,), weights in _device_powers(plan, cell, scenarios, gaps, True):
         if k == 0:
+            # the neighbours' weights are averaged exactly: 1, their mean, in V_I
+            weights[:, neighbours] = 1.0
             v_interference = _interference_variate(bracket, inverse_squares, weights)
             v_useful = bracket[:, target_column] - 1.0 / 6.0
         cfg_k = scenarios[k][0]
         useful = powers[:, target_column] * cfg_k.effective_power
+        faded = powers[:, neighbours] * cfg_k.effective_power
         powers *= weights
-        powers[:, target_column] = 0.0
-        # 1 / a; a target that keeps no power gives inf and a capacity of 0
-        inverse_sinr = powers.sum(axis=1) * cfg_k.effective_power
-        inverse_sinr += cfg_k.noise_variance
+        powers[:, averaged] = 0.0
+        # the rest R of the interference plus the noise; 1 / a = R / (k_0 P_T),
+        # inf for a target that keeps no power, which gives a capacity of 0
+        rest = powers.sum(axis=1) * cfg_k.effective_power
+        rest += cfg_k.noise_variance
+        faded /= rest[:, None]
         with np.errstate(divide="ignore"):
-            inverse_sinr /= useful
-        samples[k][rows] = exp1_scaled(inverse_sinr) * LOG2_E \
+            rest /= useful
+        samples[k][rows] = exp1_scaled_faded(rest, faded, work[:, :len(rest)]) * LOG2_E \
             - c_interference[k] * v_interference - c_useful[k] * v_useful
     return _estimates(samples, single)
 

@@ -27,6 +27,8 @@ __all__ = [
     "row_tiles",
     "sine_integral",
     "exp1_scaled",
+    "exp1_scaled_faded",
+    "faded_work_shape",
     "integrate",
 ]
 
@@ -306,6 +308,61 @@ def exp1_scaled(x):
     if high.any():
         out[high] = _exp1_fraction(x[high], _EXP1_DEPTH)
     return out
+
+
+# Trapezoid rule in s = ln t, step 1/4 over s in [-45, 4]: the integrand
+# t e^-t / ((t + x) prod_j (1 + t b_j)) decays double-exponentially above
+# and like t / x below, and it is analytic in the strip |Im s| < pi / 2,
+# so the rule's error is about e^(-pi^2 / h) = 7e-18.  Nodes t_i and
+# weights h t_i e^-t_i, the two end weights halved.
+_FADED_STEP = 0.25
+_FADED_NODES = np.exp(np.arange(-45.0, 4.0 + _FADED_STEP / 2, _FADED_STEP))
+_FADED_WEIGHTS = _FADED_STEP * _FADED_NODES * np.exp(-_FADED_NODES)
+_FADED_WEIGHTS[[0, -1]] /= 2.0
+
+
+def faded_work_shape(rows: int) -> tuple[int, int, int]:
+    """Shape of a workspace for :func:`exp1_scaled_faded` of ``rows``
+    values, or of fewer through ``work[:, :n]``."""
+    return 2, rows, _FADED_NODES.size
+
+
+def exp1_scaled_faded(x, faded, work=None):
+    """int_0^inf e^-t / ((t + x) prod_j (1 + t b_j)) dt for x > 0 and
+    b_j >= 0 in numpy arithmetic alone, the ``faded[..., j]``, one value per
+    entry of ``x``; with no b_j it is e^x E1(x) = :func:`exp1_scaled`.
+
+    For Exp(1) weights w_0 and w_j, E[ln(1 + w_0 / (x (1 + sum_j w_j b_j)))]
+    is this integral (K. A. Hamdi, IEEE Trans. Commun. 58(2), 2010, with
+    the transforms (1 + t b)^-1 of the exponentials): the ergodic capacity,
+    in nats, of a Rayleigh link at SNR 1/x against Rayleigh interferers
+    of mean powers b_j relative to the noise.
+
+    A fixed trapezoid rule of 197 nodes in s = ln t plus the head
+    ln(1 + t_min / x) below its first node, with no quadrature: within
+    5e-16 relative of mpmath for 1/x in [1e-3, 1e6] and b_j in [0, 1e4],
+    about 6e-12 at 1/x = 1e12, where the head's first-order form shows.
+    Where every b_j is 0 the value is that of :func:`exp1_scaled`, bit for
+    bit, and x = inf gives exactly 0.0.  With ``work``, an array of
+    :func:`faded_work_shape` at x's size, the call forms no array of the
+    workspace's size (numpy's broadcasting still takes its fixed buffers).
+    """
+    x = np.asarray(x, dtype=float)
+    faded = np.asarray(faded, dtype=float)
+    if not faded.any():
+        return exp1_scaled(x)
+    if work is None:
+        work = np.empty(faded_work_shape(x.size))
+    denominator = np.add.outer(x.ravel(), _FADED_NODES, out=work[0])
+    for b in faded.reshape(x.size, -1).T:
+        factor = np.multiply.outer(b, _FADED_NODES, out=work[1])
+        factor += 1.0
+        denominator *= factor
+    np.divide(_FADED_WEIGHTS, denominator, out=denominator)
+    out = np.einsum("tn->t", denominator)
+    with np.errstate(divide="ignore"):
+        out += np.log1p(_FADED_NODES[0] / x.ravel())
+    return out.reshape(x.shape)
 
 
 # 15-point Gauss-Legendre rule, exact for polynomials through degree 29

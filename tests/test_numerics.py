@@ -15,6 +15,8 @@ from nbofdma.numerics import (
     QuadratureError,
     QuadratureSpec,
     exp1_scaled,
+    exp1_scaled_faded,
+    faded_work_shape,
     integrate,
     sin_pi,
     sinc,
@@ -313,6 +315,80 @@ def test_exp1_scaled_edge_values():
 def test_exp1_scaled_does_not_rise_at_the_seam():
     seam = numerics._EXP1_SEAM
     assert exp1_scaled(np.nextafter(seam, 0.0)) >= exp1_scaled(seam)
+
+
+# the box over which exp1_scaled_faded holds 1e-12 relative: SNR 1/x in
+# [1e-3, 1e6] and relative interferer powers b_j in [0, 1e4]
+FADED_SNRS = (1e-3, 0.1, 10.0, 1e3, 1e6)
+FADED_POWERS = (0.0, 1e-4, 0.3, 30.0, 1e4)
+
+
+def test_exp1_scaled_faded_without_faders_is_exp1_scaled():
+    x = np.geomspace(1e-6, 1e6, 97)
+    expected = exp1_scaled(x)
+    for faded in (np.zeros((x.size, 0)), np.zeros((x.size, 1)), np.zeros((x.size, 2))):
+        got = exp1_scaled_faded(x, faded)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_exp1_scaled_faded_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    points = [(snr, b1, b2) for snr in FADED_SNRS for i, b1 in enumerate(FADED_POWERS)
+              for b2 in FADED_POWERS[i:]]
+    x = np.array([1.0 / snr for snr, _, _ in points])
+    faded = np.array([(b1, b2) for _, b1, b2 in points])
+    # one fader, the band-edge target's, is the second one at 0
+    one = exp1_scaled_faded(x, faded[:, :1])
+    work = np.empty(faded_work_shape(x.size))
+    for got, (snr, b1, b2), alone in zip(exp1_scaled_faded(x, faded, work), points, one):
+        with mpmath.workdps(30):
+            r = 1 / mpmath.mpf(snr)
+
+            def integral(*bs):
+                breaks = sorted({r, 1, *(1 / mpmath.mpf(b) for b in bs if b)})
+                return mpmath.quad(lambda t: mpmath.exp(-t) / (t + r) / mpmath.fprod(
+                    1 + t * b for b in bs), [0, *breaks, mpmath.inf])
+            exact = integral(b1, b2)
+            assert abs(got - exact) <= 1e-12 * exact, (snr, b1, b2)
+            if b2 == 0.0:
+                assert abs(alone - exact) <= 1e-12 * exact, (snr, b1)
+
+
+def test_exp1_scaled_faded_is_the_mean_capacity_under_faded_interferers():
+    # Hamdi's lemma: for Exp(1) weights w_0, w_1, w_2,
+    # E[log2(1 + w_0 a / (1 + w_1 b_1 + w_2 b_2))] = log2(e) exp1_scaled_faded(1 / a, b),
+    # 2^20 draws per point, 4 standard errors
+    rng = np.random.default_rng(31)
+    for a, b1, b2 in ((100.0, 0.5, 0.2), (3.0, 2.0, 0.0), (1e4, 40.0, 15.0)):
+        w = rng.standard_exponential((3, 1 << 20))
+        values = np.log2(1.0 + w[0] * a / (1.0 + w[1] * b1 + w[2] * b2))
+        expected = float(exp1_scaled_faded(1.0 / a, [b1, b2])) * math.log2(math.e)
+        stderr = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - expected) <= 4.0 * stderr, (a, b1, b2)
+
+
+def test_exp1_scaled_faded_edge_values_and_workspace():
+    assert exp1_scaled_faded(np.inf, [1.0, 2.0]) == 0.0
+    x = np.array([[0.01, np.inf], [2.0, 1e-3]])
+    faded = np.full((2, 2, 2), 0.5)
+    out = exp1_scaled_faded(x, faded)
+    assert out.shape == (2, 2) and out[0, 1] == 0.0
+    assert out[1, 0] == exp1_scaled_faded(2.0, [0.5, 0.5])
+    # the workspace changes no bit, and with it a block of 256 values forms
+    # no array of its size, only numpy's 128 kB of broadcast buffers
+    work = np.empty(faded_work_shape(4))
+    assert exp1_scaled_faded(x, faded, work).tobytes() == out.tobytes()
+    x = np.geomspace(1e-3, 1e3, 256)
+    faded = np.full((256, 2), 0.5)
+    work = np.empty(faded_work_shape(256))
+    exp1_scaled_faded(x, faded, work)
+    tracemalloc.start()
+    try:
+        exp1_scaled_faded(x, faded, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < work.nbytes / 4
 
 
 # ---------------------------------------------------------------------------
