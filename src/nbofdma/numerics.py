@@ -329,7 +329,7 @@ def faded_work_shape(rows: int) -> tuple[int, int, int]:
 
 def exp1_scaled_faded(x, faded, work=None):
     """int_0^inf e^-t / ((t + x) prod_j (1 + t b_j)) dt for x > 0 and
-    b_j >= 0 in numpy arithmetic alone, the ``faded[..., j]``, one value per
+    b_j = ``faded[..., j]`` >= 0 in numpy arithmetic alone, one value per
     entry of ``x``; with no b_j it is e^x E1(x) = :func:`exp1_scaled`.
 
     For Exp(1) weights w_0 and w_j, E[ln(1 + w_0 / (x (1 + sum_j w_j b_j)))]

@@ -352,6 +352,13 @@ def test_exp1_scaled_faded_matches_mpmath():
             assert abs(got - exact) <= 1e-12 * exact, (snr, b1, b2)
             if b2 == 0.0:
                 assert abs(alone - exact) <= 1e-12 * exact, (snr, b1)
+    # beyond the box, at 100 dB, the head below the rule's first node keeps
+    # 7e-14; the rule alone would be 1.2e-11 short
+    with mpmath.workdps(30):
+        r = mpmath.mpf(10) ** -10
+        exact = mpmath.quad(lambda t: mpmath.exp(-t) / ((t + r) * (1 + t) * (1 + 10 * t)),
+                            [0, r, 0.1, 1, mpmath.inf])
+    assert abs(exp1_scaled_faded(1e-10, [1.0, 10.0]) - exact) <= 1e-12 * exact
 
 
 def test_exp1_scaled_faded_is_the_mean_capacity_under_faded_interferers():
