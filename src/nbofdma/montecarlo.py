@@ -20,7 +20,7 @@ import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
-from .numerics import (exp1_scaled, exp1_scaled_faded, faded_work_shape, row_tiles, sinc,
+from .numerics import (_FADED_NODES, exp1_scaled, exp1_scaled_faded, row_tiles, sinc,
                        sinc_squared)
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
                        sample_cell_batch, subcarrier_gaps)
@@ -173,12 +173,15 @@ def block_bytes(devices: int, paths: int, coherent: bool) -> int:
     next block's speeds and then weights are drawn; and eight tiles: the
     kernel's four workspace tiles and gap tile, the sampler's two scratch
     tiles, and one for the kernel's centre mask and the per-device
-    vectors.  The capacity adds the workspace of its fading average
-    (:func:`numerics.exp1_scaled_faded`)."""
-    slots = _block_slots(coherent) + (2 if coherent else 1)
+    vectors.  The capacity's fading average
+    (:func:`numerics.exp1_scaled_faded`) forms its two (trials, nodes)
+    arrays after the sampler has let go of its slot and two tiles, so the
+    larger of the two is counted."""
+    slots = _block_slots(coherent) + (1 if coherent else 0)
     tile = row_tiles(BLOCK_TRIALS, devices * paths)[0].stop * devices * paths
-    faded = math.prod(faded_work_shape(BLOCK_TRIALS)) if coherent else 0
-    return 8 * (BLOCK_TRIALS * devices * (paths + slots) + 8 * tile + faded)
+    sampler = BLOCK_TRIALS * devices + 2 * tile
+    faded = 2 * BLOCK_TRIALS * _FADED_NODES.size if coherent else 0
+    return 8 * (BLOCK_TRIALS * devices * (paths + slots) + 6 * tile + max(sampler, faded))
 
 
 def _sin_squared_coefficient(k: int) -> float:
@@ -455,12 +458,12 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     weighted powers plus the noise, a = k_0 P_T / R and b_j = k_j P_T / R,
     the trial contributes
     log2(e) int_0^inf e^-t / ((t + 1/a) prod_j (1 + t b_j)) dt
-    (Hamdi 2010, :func:`numerics.exp1_scaled_faded`, by a fixed rule on a
-    workspace reused over the blocks and scenarios), which for b_j = 0 is
-    Lee's (1990) log2(e) e^(1/a) E1(1/a).  That removes most of the
-    variance: the nearest interferers dominate it.  The weights are drawn
-    after the sampler's draws, the averaged ones too, which are left
-    unused, so every estimator reads the same speeds and arrival cosines.
+    (Hamdi 2010, :func:`numerics.exp1_scaled_faded`, by a fixed rule),
+    which for b_j = 0 is Lee's (1990) log2(e) e^(1/a) E1(1/a).  That
+    removes most of the variance: the nearest interferers dominate it.  The
+    weights are drawn after the sampler's draws, the averaged ones too,
+    which are left unused, so every estimator reads the same speeds and
+    arrival cosines.
 
     Each trial then subtracts c_I V_I + c_0 V_0 (:func:`_device_powers`),
     V_I weighted by the interferers' drawn weights and by 1, their mean, at
@@ -487,7 +490,6 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     neighbours = [c for c in averaged if c != target_column]
     inverse_squares = _taylor_table(subcarrier_gaps(plan.target_index, n))[_TERMS.index((2, 2))]
     c_interference, c_useful = _capacity_variate_coefficients(inverse_squares, scenarios)
-    work = np.empty(faded_work_shape(min(plan.trials, BLOCK_TRIALS)))
     samples = [np.empty(plan.trials) for _ in scenarios]
     for k, rows, powers, (bracket,), weights in _device_powers(plan, cell, scenarios, gaps, True):
         if k == 0:
@@ -507,7 +509,7 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         faded /= rest[:, None]
         with np.errstate(divide="ignore"):
             rest /= useful
-        samples[k][rows] = exp1_scaled_faded(rest, faded, work[:, :len(rest)]) * LOG2_E \
+        samples[k][rows] = exp1_scaled_faded(rest, faded) * LOG2_E \
             - c_interference[k] * v_interference - c_useful[k] * v_useful
     return _estimates(samples, single)
 

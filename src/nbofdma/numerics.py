@@ -28,7 +28,6 @@ __all__ = [
     "sine_integral",
     "exp1_scaled",
     "exp1_scaled_faded",
-    "faded_work_shape",
     "integrate",
 ]
 
@@ -321,13 +320,7 @@ _FADED_WEIGHTS = _FADED_STEP * _FADED_NODES * np.exp(-_FADED_NODES)
 _FADED_WEIGHTS[[0, -1]] /= 2.0
 
 
-def faded_work_shape(rows: int) -> tuple[int, int, int]:
-    """Shape of a workspace for :func:`exp1_scaled_faded` of ``rows``
-    values, or of fewer through ``work[:, :n]``."""
-    return 2, rows, _FADED_NODES.size
-
-
-def exp1_scaled_faded(x, faded, work=None):
+def exp1_scaled_faded(x, faded):
     """int_0^inf e^-t / ((t + x) prod_j (1 + t b_j)) dt for x > 0 and
     b_j = ``faded[..., j]`` >= 0 in numpy arithmetic alone, one value per
     entry of ``x``; with no b_j it is e^x E1(x) = :func:`exp1_scaled`.
@@ -343,16 +336,14 @@ def exp1_scaled_faded(x, faded, work=None):
     5e-16 relative of mpmath for 1/x in [1e-3, 1e6] and b_j in [0, 1e4],
     about 6e-12 at 1/x = 1e12, where the head's first-order form shows.
     Where every b_j is 0 the value is that of :func:`exp1_scaled`, bit for
-    bit, and x = inf gives exactly 0.0.  With ``work``, an array of
-    :func:`faded_work_shape` at x's size, the call forms no array of the
-    workspace's size (numpy's broadcasting still takes its fixed buffers).
+    bit, and x = inf gives exactly 0.0.  The call holds two arrays of
+    x.size x 197 doubles.
     """
     x = np.asarray(x, dtype=float)
     faded = np.asarray(faded, dtype=float)
     if not faded.any():
         return exp1_scaled(x)
-    if work is None:
-        work = np.empty(faded_work_shape(x.size))
+    work = np.empty((2, x.size, _FADED_NODES.size))
     denominator = np.add.outer(x.ravel(), _FADED_NODES, out=work[0])
     for b in faded.reshape(x.size, -1).T:
         factor = np.multiply.outer(b, _FADED_NODES, out=work[1])

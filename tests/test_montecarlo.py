@@ -340,12 +340,13 @@ def test_the_scenarios_of_a_block_allocate_no_tile(coherent):
     assert peak < tile_bytes / 4
 
 
-@pytest.mark.parametrize("half_subcarriers,paths", [(400, 8), (150, 2)])
+@pytest.mark.parametrize("half_subcarriers,paths", [(400, 8), (150, 2), (40, 8)])
 @pytest.mark.parametrize("coherent", [False, True])
 def test_block_bytes_bounds_what_the_blocks_hold(half_subcarriers, paths, coherent):
     # two moving scenarios over three blocks, one partial, after a warm-up
     # call; the bound is within a tenth of the traced peak.  The capacity
-    # runs the whole estimator, whose fading average holds a workspace.
+    # runs the whole estimator, whose fading average outweighs the
+    # sampler's scratch at N = 40.
     cfg = SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0)
     cell = CellConfig(paths_per_device=paths)
     plan = TrialPlan(trials=600, seed=3)
@@ -724,22 +725,27 @@ def _target_only_samples(plan, cfg, cell, mob):
     return samples
 
 
-@pytest.mark.parametrize("half_subcarriers,target", [(3, 3), (3, -3), (0, 0)],
-                         ids=["upper-edge", "lower-edge", "no-interferer"])
-def test_capacity_averages_the_neighbours_the_band_holds(half_subcarriers, target, monkeypatch):
-    # a band-edge target has one neighbour at index gap +-1 and N = 0 none;
-    # on the same draws the trials differ from the target-only average by
-    # zero in mean (4 standard errors of the paired difference), and with
-    # nothing to average they are that average bit for bit
+@pytest.mark.parametrize("half_subcarriers,target,paths",
+                         [(3, 3, 8), (3, -3, 8), (0, 0, 8), (3, 0, 8), (3, 0, 1)],
+                         ids=["upper-edge", "lower-edge", "no-interferer", "interior",
+                              "interior-one-path"])
+def test_capacity_averages_the_neighbours_the_band_holds(half_subcarriers, target, paths,
+                                                         monkeypatch):
+    # an interior target has two neighbours at index gap +-1, a band-edge
+    # target one and N = 0 none; on the same draws the trials differ from
+    # the target-only average by zero in mean (4 standard errors of the
+    # paired difference), and with nothing to average they are that
+    # average bit for bit
     cfg = SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=half_subcarriers)
+    cell = CellConfig(paths_per_device=paths)
     plan = TrialPlan(trials=4096, seed=30, target_index=target)
     mob = MobilityModel(max_velocity_mps=150.0)  # x = 0.6
     monkeypatch.setattr(montecarlo, "_VARIATE_MAX_X_CAPACITY", -1.0)
     reduced = []
     monkeypatch.setattr(montecarlo, "_reduce", reduced.append)
-    estimate_ergodic_capacity(plan, cfg, CELL, mob)
+    estimate_ergodic_capacity(plan, cfg, cell, mob)
     [averaged] = reduced
-    drawn = _target_only_samples(plan, cfg, CELL, mob)
+    drawn = _target_only_samples(plan, cfg, cell, mob)
     if half_subcarriers == 0:
         assert averaged.tobytes() == drawn.tobytes()
     else:

@@ -16,7 +16,6 @@ from nbofdma.numerics import (
     QuadratureSpec,
     exp1_scaled,
     exp1_scaled_faded,
-    faded_work_shape,
     integrate,
     sin_pi,
     sinc,
@@ -339,8 +338,7 @@ def test_exp1_scaled_faded_matches_mpmath():
     faded = np.array([(b1, b2) for _, b1, b2 in points])
     # one fader, the band-edge target's, is the second one at 0
     one = exp1_scaled_faded(x, faded[:, :1])
-    work = np.empty(faded_work_shape(x.size))
-    for got, (snr, b1, b2), alone in zip(exp1_scaled_faded(x, faded, work), points, one):
+    for got, (snr, b1, b2), alone in zip(exp1_scaled_faded(x, faded), points, one):
         with mpmath.workdps(30):
             r = 1 / mpmath.mpf(snr)
 
@@ -374,28 +372,13 @@ def test_exp1_scaled_faded_is_the_mean_capacity_under_faded_interferers():
         assert abs(values.mean() - expected) <= 4.0 * stderr, (a, b1, b2)
 
 
-def test_exp1_scaled_faded_edge_values_and_workspace():
+def test_exp1_scaled_faded_edge_values():
     assert exp1_scaled_faded(np.inf, [1.0, 2.0]) == 0.0
     x = np.array([[0.01, np.inf], [2.0, 1e-3]])
     faded = np.full((2, 2, 2), 0.5)
     out = exp1_scaled_faded(x, faded)
     assert out.shape == (2, 2) and out[0, 1] == 0.0
     assert out[1, 0] == exp1_scaled_faded(2.0, [0.5, 0.5])
-    # the workspace changes no bit, and with it a block of 256 values forms
-    # no array of its size, only numpy's 128 kB of broadcast buffers
-    work = np.empty(faded_work_shape(4))
-    assert exp1_scaled_faded(x, faded, work).tobytes() == out.tobytes()
-    x = np.geomspace(1e-3, 1e3, 256)
-    faded = np.full((256, 2), 0.5)
-    work = np.empty(faded_work_shape(256))
-    exp1_scaled_faded(x, faded, work)
-    tracemalloc.start()
-    try:
-        exp1_scaled_faded(x, faded, work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < work.nbytes / 4
 
 
 # ---------------------------------------------------------------------------

@@ -296,15 +296,15 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
 
 @pytest.mark.parametrize("text,outputs,refused", [
     # montecarlo.block_bytes: 256 trials x (2N + 1) devices x (M paths + 7)
-    # doubles for the interference, (M + 4) plus the fading average's
-    # 2 x 256 x 197 for the capacity alone, plus eight tiles, against 1.75 GiB
+    # doubles for the interference, (M + 4) for the capacity alone, plus
+    # eight tiles, against 1.75 GiB
     ("system.half_subcarriers = 30081", "ici_mc", False),   # 1.75 GiB - 37 kB
     ("system.half_subcarriers = 30082", "ici_mc", True),    # 1.75 GiB + 25 kB
     ("system.half_subcarriers = 57120\ncell.paths_per_device = 1", "ici_mc", False),
     ("system.half_subcarriers = 57121\ncell.paths_per_device = 1", "ici_mc", True),
     ("system.half_subcarriers = 32767", "capacity_mc", False),   # 1.53 GiB
-    ("system.half_subcarriers = 37432", "capacity_mc", False),   # 1.75 GiB - 28 kB
-    ("system.half_subcarriers = 37433", "capacity_mc", True),    # 1.75 GiB + 22 kB
+    ("system.half_subcarriers = 37448", "capacity_mc", False),   # 1.75 GiB - 32 kB
+    ("system.half_subcarriers = 37449", "capacity_mc", True),    # 1.75 GiB + 18 kB
     ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", True),
     ("system.half_subcarriers = 32768", "ici_mc", True),
     ("system.half_subcarriers = 8192\ncell.paths_per_device = 64", "ici_mc", True),
