@@ -315,6 +315,20 @@ def test_every_offset_lies_within_the_span_of_its_scenario(v_max, monkeypatch):
     assert all(largest <= got == span for largest, got in calls)
 
 
+def test_the_kernel_runs_in_64_byte_aligned_tiles(monkeypatch):
+    # the kernel's speed follows its workspace's alignment, which must not
+    # be left to where the heap places it
+    seen = []
+
+    def spy(gap, offset, span=None, out=None, work=None):
+        seen.extend(a.ctypes.data % 64 for a in (offset, out, work[0], work[1]))
+        return numerics.sinc_squared(gap, offset, span, out, work)
+
+    monkeypatch.setattr(montecarlo, "sinc_squared", spy)
+    estimate_total_ici(TrialPlan(trials=300, seed=26), CFG, CELL, MOB)
+    assert seen and set(seen) == {0}
+
+
 @pytest.mark.parametrize("coherent", [False, True])
 def test_the_scenarios_of_a_block_allocate_no_tile(coherent):
     # after the block's draws, each further scenario reuses the workspace
