@@ -325,7 +325,10 @@ def test_the_kernel_runs_in_64_byte_aligned_tiles(monkeypatch):
         return numerics.sinc_squared(gap, offset, span, out, work)
 
     monkeypatch.setattr(montecarlo, "sinc_squared", spy)
-    estimate_total_ici(TrialPlan(trials=300, seed=26), CFG, CELL, MOB)
+    # workspaces of 0.3 to 1 MB, which the heap places differently
+    for n in (2, 24, 100, 400):
+        cfg = SystemConfig(half_subcarriers=n, bandwidth_hz=0.0)
+        estimate_total_ici(TrialPlan(trials=300, seed=26), cfg, CELL, MOB)
     assert seen and set(seen) == {0}
 
 
