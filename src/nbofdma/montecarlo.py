@@ -20,8 +20,7 @@ import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
-from .numerics import (_FADED_NODES, exp1_scaled, exp1_scaled_faded, row_tiles, sinc,
-                       sinc_squared)
+from .numerics import _FADED_NODES, exp1_scaled_faded, row_tiles, sinc, sinc_squared
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
                        sample_cell_batch, subcarrier_gaps)
 
@@ -45,14 +44,15 @@ class TrialPlan:
     independent circular Gaussian amplitude of variance k_m^2 / M, with
     k_m = sinc(gap + f_D,m * T_s).  The power estimators take the
     conditional mean of the per-path power sum, mean_m k_m^2; the capacity
-    estimator draws the interferers' coherent powers, mean_m k_m^2 times one
-    Exp(1) draw per device, and averages in closed form the weights of the
-    target and of its neighbours at index gap +-1, whose draws it leaves
-    unused.  Every estimator subtracts control variates of the block's
-    scenario-free path moments mean_m z_m^p, zero-mean reductions times
-    scalars fixed by the scenario (:func:`_device_powers`), so each stays
-    exactly unbiased: the power estimators the kernel's Taylor series
-    through d^6, the capacity estimator its d^2 term.
+    estimator draws the farther interferers' coherent powers, mean_m k_m^2
+    times one Exp(1) draw per device, and averages in closed form the
+    weights of the target and of its neighbours at index gap +-1, which it
+    never draws.  Every estimator subtracts zero-mean control variates of
+    the block's scenario-free path moments, so each stays exactly unbiased:
+    the power estimators the kernel's Taylor series through d^6 times
+    scalars fixed by the scenario (:func:`_device_powers`), the capacity
+    estimator up to 23 columns times coefficients cross-fitted to the draws
+    (:func:`_capacity_columns`, :func:`_cross_fitted`).
     """
 
     trials: int
@@ -129,16 +129,6 @@ def _group(cfg, mob):
 # up to x = 1.1.
 _VARIATE_MAX_X_CENTRE = 1.1
 _VARIATE_MAX_X_OFF_CENTRE = 0.75
-# x above which the capacity variate adds variance.  At 4096 trials on the
-# 500 Hz and 2500 Hz fig4 curves the variance without the variate over that
-# with it falls through 1 at x of about 1.15 at 20 dB SNR, 0.97 at 0 dB and
-# 0.93 at -10 dB: the more the noise dominates, the more the capacity
-# follows the useful power alone, whose d^2 term stops helping at 0.93.  At
-# x = 0.9 the ratio is 2.8-2.9 at 20 dB and 1.14-1.18 at -10 dB.  Averaging
-# the +-1 neighbours' fading moved the 20 dB crossing from 1.18 and left
-# the -10 dB one, which sets the cut-off, where it was.
-_VARIATE_MAX_X_CAPACITY = 0.9
-
 # The power estimators' control variates are the Taylor series of the
 # kernel in the path offset d = x z through d^6.  For a whole-number gap
 # g = n q, sinc^2(g + d) = sin^2(pi d) / (pi^2 (g + d)^2) with
@@ -155,13 +145,15 @@ _TERM_ORDERS, _TERM_EXPONENTS = np.array(_TERMS).T
 # for odd p: u uniform on [0, 1), cos psi of the arcsine law
 _MOMENT_MEANS = np.array([math.comb(p, p // 2) / (2 ** p * (p + 1)) if p % 2 == 0 else 0.0
                           for p in _ORDERS])
+_FOLDS = 8  # the capacity's fit puts trial i in fold i mod 8
+_CAPACITY_COLUMNS = 3 * len(_ORDERS) + 8  # the most columns of V (:func:`_capacity_columns`)
 
 
 def _block_slots(coherent: bool) -> int:
     """(trials, devices) slots of the buffer of :func:`_device_powers`: the
     powers and the path moments p = 2..6, or for the capacity ("coherent")
-    the bracket p = 2 alone."""
-    return 2 if coherent else 1 + len(_ORDERS)
+    the powers, the bracket p = 2 and the Exp(1) weights."""
+    return 3 if coherent else 1 + len(_ORDERS)
 
 
 def _aligned_empty(shape) -> np.ndarray:
@@ -180,20 +172,21 @@ def block_bytes(devices: int, paths: int, coherent: bool) -> int:
     """Bytes of the arrays :func:`_device_powers` holds at once for
     ``devices`` devices of ``paths`` paths sharing one gap vector: a block's
     draws and the (trials, devices) slots of its buffer; one more slot for
-    the sampler's speed fractions, or for the capacity ("coherent") two,
-    since the caller still holds the last block's Exp(1) weights while the
-    next block's speeds and then weights are drawn; and eight tiles: the
-    kernel's four workspace tiles and gap tile, the sampler's two scratch
-    tiles, and one for the kernel's centre mask and the per-device
-    vectors.  The capacity's fading average
-    (:func:`numerics.exp1_scaled_faded`) forms its two (trials, nodes)
-    arrays after the sampler has let go of its slot and two tiles, so the
-    larger of the two is counted."""
-    slots = _block_slots(coherent) + (1 if coherent else 0)
+    the sampler's speed fractions, which the capacity's ("coherent") Exp(1)
+    weights take as drawn; and eight tiles: the kernel's four workspace
+    tiles and gap tile, the sampler's two scratch tiles, and one for the
+    kernel's centre mask and the per-device vectors.  The capacity's fading
+    average (:func:`numerics.exp1_scaled_faded`) forms its three (trials,
+    nodes) arrays after the sampler has let go of its slot and two tiles,
+    so the larger of the two is counted, and its fit a fixed 88 doubles a
+    trial: the near moments, the far quartic sum, [1, V] as columns and
+    stacked, the fold sums and the scenario loop's per-trial vectors."""
     tile = row_tiles(BLOCK_TRIALS, devices * paths)[0].stop * devices * paths
     sampler = BLOCK_TRIALS * devices + 2 * tile
-    faded = 2 * BLOCK_TRIALS * _FADED_NODES.size if coherent else 0
-    return 8 * (BLOCK_TRIALS * devices * (paths + slots) + 6 * tile + max(sampler, faded))
+    faded = 3 * BLOCK_TRIALS * _FADED_NODES.size if coherent else 0
+    fit = BLOCK_TRIALS * (3 * len(_ORDERS) + 1 + 3 * (1 + _CAPACITY_COLUMNS)) if coherent else 0
+    return 8 * (BLOCK_TRIALS * devices * (paths + _block_slots(coherent)) + 6 * tile
+                + max(sampler, faded) + fit)
 
 
 def _sin_squared_coefficient(k: int) -> float:
@@ -245,61 +238,24 @@ def _variate_scalars(cfg: SystemConfig, mob: MobilityModel, centre: bool,
                     * (1.0 / cfg.spacing_symbol_product) ** _TERM_EXPONENTS, 0.0)
 
 
-def _interference_variate(bracket: np.ndarray, inverse_squares: np.ndarray,
-                          weights: np.ndarray) -> np.ndarray:
-    """V_I = sum_j w_j bracket_j / n_j^2 - (1/6) sum_j 1 / n_j^2 per trial,
-    over the interferers j (``inverse_squares`` is 0 at the target).  Mean
-    zero: E[bracket] = 1/6, E[w] = 1 and the weights are independent of the
-    Doppler draws."""
-    variate = np.einsum("td,td,d->t", bracket, weights, inverse_squares)
-    variate -= inverse_squares.sum() / 6.0
-    return variate
-
-
-def _capacity_variate_coefficients(inverse_squares: np.ndarray, scenarios) -> np.ndarray:
-    """Rows (c_I, c_0) over the scenarios: what the capacity estimator
-    multiplies V_I and V_0 by before subtracting them.
-
-    A trial's capacity is f(s) = log2(e) e^s E1(s) with
-    s = (I + noise / P_T) / k_0, I the interferers' weighted powers and k_0
-    the target's power.  To leading order in x = V_max f_c T_s / c,
-    I - E[I] is (x^2 / q^2) V_I and k_0 - E[k_0] is -(pi^2 / 3) x^2 V_0,
-    with q = T_s df.  The betas are the slopes of f at
-    s = (I_bar + noise / P_T) / k_bar, with I_bar = (x^2 / 6) sum_j 1 / g_j^2
-    and k_bar = 1 - pi^2 x^2 / 18: beta_I = f'(s) / k_bar and
-    beta_0 = -f'(s) s / k_bar, where f'(s) = log2(e) (e^s E1(s) - 1 / s).
-    They are the slopes of the target-only average; the estimator also
-    averages the +-1 neighbours' weights, and V_I takes those at their
-    mean 1, but the slopes are not re-derived for that.  They depend on the
-    scenario alone, never on the draws.  Both are 0 for
-    a static network and above x = 0.9, where the variate would add
-    variance.
-    """
-    x = np.array([c.doppler_span(m.max_velocity_mps) for c, m in scenarios])
-    on = (x > 0.0) & (x <= _VARIATE_MAX_X_CAPACITY)
-    x2 = x[on] * x[on]
-    q2 = np.array([c.spacing_symbol_product ** 2 for c, _ in scenarios])[on]
-    noise = np.array([c.noise_variance / c.effective_power for c, _ in scenarios])[on]
-    useful = 1.0 - math.pi ** 2 * x2 / 18.0
-    s = (x2 / (6.0 * q2) * float(inverse_squares.sum()) + noise) / useful
-    slope = LOG2_E * (exp1_scaled(s) - 1.0 / s)
-    coefficients = np.zeros((2, len(scenarios)))
-    coefficients[:, on] = slope / useful * x2 / q2, slope * s / useful * math.pi ** 2 / 3.0 * x2
-    return coefficients
-
-
-def _path_moments(shift: np.ndarray, tiles, moments: np.ndarray, scratch: np.ndarray):
+def _path_moments(shift: np.ndarray, tiles, moments: np.ndarray, scratch: np.ndarray,
+                  quartic=None):
     """moments[p - 2] = mean_m z_m^p of each (trial, device) of the block
     ``shift``, for as many orders from p = 2 up as ``moments`` holds, tile
-    by tile in ``scratch``, so that no block-sized z^p is formed."""
+    by tile in ``scratch``, so that no block-sized z^p is formed.  With the
+    bracket alone and ``quartic`` = (weights, out), also
+    out = sum_j weights_j sum_m z_jm^4 per trial."""
     for rows in tiles:
         z = shift[rows]
         np.einsum("tdm,tdm->td", z, z, out=moments[0, rows])
-        if len(moments) > 1:
-            power = np.multiply(z, z, out=scratch[:rows.stop - rows.start])
+        if len(moments) > 1 or quartic:
+            power = np.multiply(z, z, out=scratch[:rows.stop - rows.start, :z.shape[1]])
             for moment in moments[1:]:
                 power *= z
                 np.einsum("tdm->td", power, out=moment[rows])
+            if quartic:
+                power *= power
+                np.einsum("tdm,d->t", power, quartic[0], out=quartic[1][rows])
     moments /= shift.shape[2]
 
 
@@ -307,10 +263,12 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     """Yield ``(k, rows, powers, moments, weights)``: the per-(trial,
     device) power on the target sub-carrier of scenario k for the trials
     ``rows``, in a buffer the next step overwrites; the block's per-device
-    path moments mean_m z_m^p, p = 2..6 in ``moments[p - 2]``, or the
-    bracket p = 2 alone ("coherent"); and the block's Exp(1) weights
-    ("coherent") or None.  The arrays held at once are those
-    :func:`block_bytes` counts.
+    path moments mean_m z_m^p, p = 2..6 in ``moments[p - 2]``, or for the
+    capacity ("coherent") the block's columns [1, V] of its control
+    variates (:func:`_capacity_columns`); and the block's Exp(1) weights
+    ("coherent"; 0 for the target and its neighbours at index gap +-1, the
+    near devices, whose fading the capacity averages and which draw none)
+    or None.  The arrays held at once are those :func:`block_bytes` counts.
 
     Each block is drawn once, the weights right after the sampler, and
     evaluated for each scenario in turn, so no value depends on the group.
@@ -334,8 +292,8 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     and reused for every tile, block and scenario: the offsets tile, the
     kernel's output and scratch tiles, and one full (rows, devices, paths)
     gap tile per distinct gap vector, so a tile allocates no array.  The
-    higher moments are taken tile by tile in the offsets tile, before any
-    scenario needs it, so no block-sized z^p is ever formed.
+    moments are taken tile by tile in the offsets tile, before any scenario
+    needs it, so no block-sized z^p is ever formed.
 
     Every estimator subtracts control variates (Glasserman 2003, section
     4.1) built from the moments.  x^p times moment p is mean_m d_m^p, of
@@ -344,17 +302,22 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     linear reductions of the centred moments, one per term of the
     coefficients a_p (:func:`_term_reductions`, :func:`_taylor_table`),
     times scalars x^p q^-e fixed by the scenario (:func:`_variate_scalars`).
-    The capacity estimator subtracts the d^2 term alone, V_I
-    (:func:`_interference_variate`, with the +-1 neighbours' weights at
-    their mean 1) and V_0 = the target's bracket less 1/6, times the slopes
-    of :func:`_capacity_variate_coefficients`.  That keeps every
-    expectation and cancels most of the spread while the series converges
-    well; a static network subtracts exactly 0.
+    That keeps every expectation and cancels most of the spread while the
+    series converges well; a static network subtracts exactly 0.  The
+    capacity estimator fits its coefficients to the draws instead
+    (:func:`_capacity_columns`, :func:`_cross_fitted`).
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
     spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
     buffer = np.empty((_block_slots(coherent), min(plan.trials, BLOCK_TRIALS), devices))
+    if coherent:
+        target = plan.target_index + devices // 2
+        near = slice(max(target - 1, 0), target + 2)
+        index_gaps = np.arange(devices) - target
+        far = np.where(abs(index_gaps) > 1, 1.0 / np.maximum(index_gaps ** 2, 1), 0.0)
+        near_moments = np.empty((len(_ORDERS), buffer.shape[1], far[near].size))
+        quartic = np.empty(buffer.shape[1])
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row
     # broadcast over the short path axis about three times slower
@@ -371,10 +334,18 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
         shift = sample_cell_batch(rng, size, devices, cell)
-        weights = rng.standard_exponential((size, devices)) if coherent else None
-        powers, moments = buffer[0, :size], buffer[1:, :size]
+        powers, moments, weights = buffer[0, :size], buffer[1:, :size], None
         tiles = row_tiles(size, devices * paths)
-        _path_moments(shift, tiles, moments, offsets)
+        if coherent:
+            moments, weights = moments[:1], moments[1]
+            weights[:, far != 0.0] = rng.standard_exponential((size, np.count_nonzero(far)))
+            weights[:, near] = 0.0
+            _path_moments(shift, tiles, moments, offsets, (far / paths, quartic[:size]))
+            _path_moments(shift[:, near], tiles, near_moments[:, :size], offsets)
+            moments = _capacity_columns(moments[0], near_moments[:, :size], quartic[:size],
+                                        weights, near, target, far)
+        else:
+            _path_moments(shift, tiles, moments, offsets)
         for k, span in enumerate(spans):
             if span == 0.0:
                 # what the kernel gives a static network: 1 on the centre, 0 off it
@@ -454,6 +425,82 @@ def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     return _reduce(samples)
 
 
+def _capacity_columns(bracket, near_moments, quartic, weights, near: slice, target: int,
+                      far: np.ndarray) -> np.ndarray:
+    """(trials, 1 + columns): 1, for the fit's intercept, and the capacity's
+    control variates V of a block's trials, each of mean exactly 0 and free
+    of the scenario: mean_m z^p - E[z^p], p = 2..6, of the target and its
+    neighbours at index gap +-1 that the band holds (``near``); over the
+    far devices j, weighted by 1 / n_j^2 (``far``), w_j b_j - 1/6 (the far
+    part of V_I, the d^2 term of the interference), w_j - 1, b_j - 1/6 and
+    mean_m z_j^4 - 3/40, with b_j = mean_m z_j^2 and w_j the Exp(1) weight,
+    drawn independently of the Doppler draws; and products of centred terms
+    of distinct, so independent, devices: the target's bracket times its
+    neighbours' sum and times sum (w_j - 1) at index gap +-2, the
+    neighbours' sum times the latter, and left times right.  A device's
+    paths share its speed fraction, so a product of two terms of one device
+    has no independent-path mean, and none is a column.  Columns the band
+    cannot hold are left out, not kept as zeros that make the fit singular.
+    """
+    brackets = near_moments[0] - _MOMENT_MEANS[0]
+    own = brackets[:, target - near.start]
+    sides = np.delete(brackets, target - near.start, axis=1)
+    beside = sides.sum(axis=1)
+    second = [c for c in (target - 2, target + 2) if 0 <= c < bracket.shape[1]]
+    wide = weights[:, second].sum(axis=1) - len(second)
+    total = far.sum()
+    columns = [np.ones(len(own)),
+               *(near_moments - _MOMENT_MEANS[:, None, None]).swapaxes(1, 2).reshape(-1, len(own))]
+    if total:
+        columns += [np.einsum("td,td,d->t", bracket, weights, far) - total / 6.0,
+                    weights @ far - total, bracket @ far - total / 6.0,
+                    quartic - _MOMENT_MEANS[2] * total]
+    held = (sides.size, second, sides.size and second)
+    columns += [a * b for a, b, h in zip((own, own, beside), (beside, wide, wide), held) if h]
+    columns += list((sides[:, :1] * sides[:, 1:]).T)  # left times right, if both
+    return np.column_stack(columns)
+
+
+def _by_fold(values: np.ndarray) -> np.ndarray:
+    """(folds, rows, ...): a view of the rows of a block's ``values`` by
+    fold, trial i in fold i mod :data:`_FOLDS` (every block starts at a
+    multiple of 8); zero rows pad a partial block and add nothing to a sum."""
+    short = -len(values) % _FOLDS
+    if short:
+        values = np.concatenate([values, np.zeros((short,) + values.shape[1:])])
+    return values.reshape((-1, _FOLDS) + values.shape[1:]).swapaxes(0, 1)
+
+
+def _cross_fitted(gram: np.ndarray, sums: np.ndarray, shifts: np.ndarray,
+                  trials: int) -> list[Estimate]:
+    """One estimate per scenario from the fold sums, ``gram[f]`` = A^T A
+    over fold f's trials, A = [1, V], and ``sums[k, f]`` = (A^T y, y^T y),
+    y scenario k's capacities less ``shifts[k]`` so that y^T y does not
+    cancel.  Fold f subtracts V beta_f, beta_f the least-squares slopes,
+    with an intercept, of y on V over the other folds (cross-fitting): it
+    never sees fold f's draws and E[V] = 0, so the estimate stays exactly
+    unbiased.  A fold whose other folds hold fewer than 2 x columns trials
+    subtracts nothing.  The standard error is the residuals'.  Every
+    (scenario, fold) system is solved in one batched call.
+    """
+    others = gram.sum(axis=0) - gram
+    fitted = sums[..., :-1].sum(axis=1, keepdims=True) - sums[..., :-1]
+    few = others[:, 0, 0] < 2 * (gram.shape[1] - 1)
+    others[few] = np.eye(gram.shape[1])
+    fitted[:, few] = 0.0
+    slopes = np.linalg.solve(others, fitted[..., None])[..., 0]
+    slopes[..., 0] = 0.0  # the intercept is fitted, not subtracted
+    # per fold, sum e = sum y - (A^T A beta)_0 and
+    # sum e^2 = y^T y - 2 beta^T A^T y + beta^T A^T A beta
+    cross, squares = sums[..., :-1], sums[..., -1]
+    fits = (slopes[..., None, :] @ gram)[..., 0, :]
+    residuals = (cross[..., 0] - fits[..., 0]).sum(axis=1)
+    squares = (squares + ((fits - 2.0 * cross) * slopes).sum(axis=2)).sum(axis=1)
+    variances = np.maximum(squares - residuals * residuals / trials, 0.0) / max(trials - 1, 1)
+    return [Estimate(float(shift + residual / trials), math.sqrt(variance / trials), trials)
+            for shift, residual, variance in zip(shifts, residuals, variances)]
+
+
 def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
                               cell: CellConfig,
                               mob: MobilityModel | list[MobilityModel]
@@ -466,28 +513,23 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     k_j P_T times its own Exp(1) weight w_j, with k_j its conditional power.
     Each trial averages exactly over three of the weights, the target's and
     those of its neighbours at index gap +-1 (one at the band edge, none at
-    N = 0), and keeps the other interferers' drawn weights: with R their
-    weighted powers plus the noise, a = k_0 P_T / R and b_j = k_j P_T / R,
-    the trial contributes
+    N = 0), which are never drawn, and keeps the other interferers' drawn
+    weights: with R their weighted powers plus the noise, a = k_0 P_T / R
+    and b_j = k_j P_T / R, the trial contributes
     log2(e) int_0^inf e^-t / ((t + 1/a) prod_j (1 + t b_j)) dt
     (Hamdi 2010, :func:`numerics.exp1_scaled_faded`, by a fixed rule),
     which for b_j = 0 is Lee's (1990) log2(e) e^(1/a) E1(1/a).  That
-    removes most of the variance: the nearest interferers dominate it.  The
-    weights are drawn after the sampler's draws, the averaged ones too,
-    which are left unused, so every estimator reads the same speeds and
-    arrival cosines.
+    removes most of the variance: the nearest interferers dominate it.
 
-    Each trial then subtracts c_I V_I + c_0 V_0 (:func:`_device_powers`),
-    V_I weighted by the interferers' drawn weights and by 1, their mean, at
-    index gap +-1, with c_I, c_0 the slopes of the capacity at the mean
-    powers (:func:`_capacity_variate_coefficients`).  The SINR is not
-    linear in the powers, but a zero-mean term times a coefficient fixed by
-    the scenario keeps the estimate exactly unbiased.  A static network
-    subtracts nothing, leaves its neighbours no power to average, and gives
-    the exact capacity in every trial.  The log is convex in the
-    interference, so the estimate can exceed
-    :func:`analytic.capacity_upper`, which evaluates it at the mean powers;
-    at one path per device it does.
+    What is left the Doppler draws drive.  Each trial subtracts V beta,
+    V up to 23 zero-mean scenario-free columns (:func:`_capacity_columns`)
+    and beta cross-fitted to the draws over 8 folds (:func:`_cross_fitted`):
+    it catches the capacity's curvature in the powers at any x, with no
+    cut-off, and keeps the estimate exactly unbiased.  A scenario gives the
+    same bits alone or in a group, and a static network the exact capacity
+    with a standard error of 0.  The log is convex in the interference, so
+    the estimate can exceed :func:`analytic.capacity_upper`, which evaluates
+    it at the mean powers; at one path per device it does.
     Requires positive noise power.  ``cfg`` and ``mob`` may be sequences,
     as for :func:`estimate_total_ici`.
     """
@@ -497,23 +539,16 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
     target_column = plan.target_index + n
-    # the target and its neighbours at index gap +-1 that the band holds
-    averaged = [c for c in range(target_column - 1, target_column + 2) if 0 <= c <= 2 * n]
-    neighbours = [c for c in averaged if c != target_column]
-    inverse_squares = _taylor_table(subcarrier_gaps(plan.target_index, n))[_TERMS.index((2, 2))]
-    c_interference, c_useful = _capacity_variate_coefficients(inverse_squares, scenarios)
-    samples = [np.empty(plan.trials) for _ in scenarios]
-    for k, rows, powers, (bracket,), weights in _device_powers(plan, cell, scenarios, gaps, True):
+    neighbours = [c for c in (target_column - 1, target_column + 1) if 0 <= c <= 2 * n]
+    gram, sums, shifts = 0.0, [0.0] * len(scenarios), np.empty(len(scenarios))
+    for k, rows, powers, columns, weights in _device_powers(plan, cell, scenarios, gaps, True):
         if k == 0:
-            # the neighbours' weights are averaged exactly: 1, their mean, in V_I
-            weights[:, neighbours] = 1.0
-            v_interference = _interference_variate(bracket, inverse_squares, weights)
-            v_useful = bracket[:, target_column] - 1.0 / 6.0
+            design = _by_fold(columns)
+            gram = gram + design.swapaxes(1, 2) @ design
         cfg_k = scenarios[k][0]
         useful = powers[:, target_column] * cfg_k.effective_power
         faded = powers[:, neighbours] * cfg_k.effective_power
-        powers *= weights
-        powers[:, averaged] = 0.0
+        powers *= weights  # 0 at the target and its neighbours
         # the rest R of the interference plus the noise; 1 / a = R / (k_0 P_T),
         # inf for a target that keeps no power, which gives a capacity of 0
         rest = powers.sum(axis=1) * cfg_k.effective_power
@@ -521,9 +556,13 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         faded /= rest[:, None]
         with np.errstate(divide="ignore"):
             rest /= useful
-        samples[k][rows] = exp1_scaled_faded(rest, faded) * LOG2_E \
-            - c_interference[k] * v_interference - c_useful[k] * v_useful
-    return _estimates(samples, single)
+        capacity = exp1_scaled_faded(rest, faded) * LOG2_E
+        if rows.start == 0:
+            shifts[k] = capacity[0]
+        y = _by_fold(capacity - shifts[k])
+        sums[k] = sums[k] + (y[:, None, :] @ np.dstack([design, y]))[:, 0]
+    estimates = _cross_fitted(gram, np.array(sums), shifts, plan.trials)
+    return estimates[0] if single else estimates
 
 
 def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,

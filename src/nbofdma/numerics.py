@@ -336,20 +336,26 @@ def exp1_scaled_faded(x, faded):
     5e-16 relative of mpmath for 1/x in [1e-3, 1e6] and b_j in [0, 1e4],
     about 6e-12 at 1/x = 1e12, where the head's first-order form shows.
     Where every b_j is 0 the value is that of :func:`exp1_scaled`, bit for
-    bit, and x = inf gives exactly 0.0.  The call holds two arrays of
-    x.size x 197 doubles.
+    bit, and x = inf gives exactly 0.0.  The call holds three arrays of
+    x.size x 197 doubles: a tile of the nodes, formed once, so that every
+    pass over the nodes is a same-shape one (numpy runs a broadcast
+    operand through a slower loop), the denominator and a factor.
     """
     x = np.asarray(x, dtype=float)
     faded = np.asarray(faded, dtype=float)
     if not faded.any():
         return exp1_scaled(x)
-    work = np.empty((2, x.size, _FADED_NODES.size))
-    denominator = np.add.outer(x.ravel(), _FADED_NODES, out=work[0])
+    nodes, denominator, factor = np.empty((3, x.size, _FADED_NODES.size))
+    np.copyto(nodes, _FADED_NODES)
+    np.copyto(denominator, x.reshape(-1, 1))
+    denominator += nodes
     for b in faded.reshape(x.size, -1).T:
-        factor = np.multiply.outer(b, _FADED_NODES, out=work[1])
+        np.copyto(factor, b.reshape(-1, 1))
+        factor *= nodes
         factor += 1.0
         denominator *= factor
-    np.divide(_FADED_WEIGHTS, denominator, out=denominator)
+    np.copyto(factor, _FADED_WEIGHTS)
+    np.divide(factor, denominator, out=denominator)
     out = np.einsum("tn->t", denominator)
     with np.errstate(divide="ignore"):
         out += np.log1p(_FADED_NODES[0] / x.ravel())

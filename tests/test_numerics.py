@@ -4,6 +4,7 @@ Reference values were computed independently with mpmath at 30 digits and
 are frozen here as literals.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -328,6 +329,24 @@ def test_exp1_scaled_faded_without_faders_is_exp1_scaled():
     for faded in (np.zeros((x.size, 0)), np.zeros((x.size, 1)), np.zeros((x.size, 2))):
         got = exp1_scaled_faded(x, faded)
         assert got.tobytes() == expected.tobytes()
+
+
+# float.hex of exp1_scaled_faded on a fixed (256, 2) input, as its
+# broadcasting form gave them, and the SHA-256 of all 256 values: the node
+# tile must keep every bit
+FADED_PINNED = {0: "0x1.959e19d59eae1p+2", 5: "0x1.8466b005b1112p+2", 64: "0x1.3c87439f0d8bep+1",
+                128: "0x1.8f74a041164d0p-2", 200: "0x1.0039deee21410p-11",
+                255: "0x1.cf7c48d7bca06p-21"}
+FADED_PINNED_SHA256 = "e39403662f76d2d5543e34ecc74e04db91b89647ced070970b0cb3833f2c927f"
+
+
+def test_exp1_scaled_faded_keeps_its_pinned_bits():
+    x = np.geomspace(1e-3, 1e3, 256)
+    faded = np.stack([np.geomspace(1e-4, 1e4, 256), np.geomspace(1e2, 1e-6, 256)], axis=1)
+    faded[::5, 1] = 0.0  # every fifth row has one fader
+    out = exp1_scaled_faded(x, faded)
+    assert {i: out[i].hex() for i in FADED_PINNED} == FADED_PINNED
+    assert hashlib.sha256(out.tobytes()).hexdigest() == FADED_PINNED_SHA256
 
 
 def test_exp1_scaled_faded_matches_mpmath():
