@@ -305,7 +305,7 @@ def capacity_upper(max_velocity_mps: float, cfg: SystemConfig) -> float:
     in the useful power X but convex in the interference Y, so Jensen's
     inequality pulls both ways.  At 8 paths per device the simulated
     capacity stays below this value; at one path per device it can lie
-    above it (500 Hz spacing, N = 199, 100 m/s and 40 dB SNR: 2.7016 bit/s/Hz
+    above it (500 Hz spacing, N = 199, 100 m/s and 40 dB SNR: 2.7068 bit/s/Hz
     simulated against 2.6338).
 
     Raises ValueError when both the interference and the noise are zero

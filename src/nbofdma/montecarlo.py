@@ -20,7 +20,7 @@ import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
-from .numerics import _FADED_NODES, exp1_scaled_faded, row_tiles, sinc, sinc_squared
+from .numerics import exp1_scaled, hamdi_factors, hamdi_rule, row_tiles, sinc, sinc_squared
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
                        sample_cell_batch, subcarrier_gaps)
 
@@ -43,16 +43,10 @@ class TrialPlan:
     Given its path Doppler shifts, a device's path m demodulates to an
     independent circular Gaussian amplitude of variance k_m^2 / M, with
     k_m = sinc(gap + f_D,m * T_s).  The power estimators take the
-    conditional mean of the per-path power sum, mean_m k_m^2; the capacity
-    estimator draws the farther interferers' coherent powers, mean_m k_m^2
-    times one Exp(1) draw per device, and averages in closed form the
-    weights of the target and of its neighbours at index gap +-1, which it
-    never draws.  Every estimator subtracts zero-mean control variates of
-    the block's scenario-free path moments, so each stays exactly unbiased:
-    the power estimators the kernel's Taylor series through d^6 times
-    scalars fixed by the scenario (:func:`_device_powers`), the capacity
-    estimator up to 23 columns times coefficients cross-fitted to the draws
-    (:func:`_capacity_columns`, :func:`_cross_fitted`).
+    conditional mean mean_m k_m^2; the capacity estimator draws the far
+    interferers' coherent powers, that times one Exp(1) draw each, and
+    averages the near devices' weights exactly.  Every estimator subtracts
+    zero-mean control variates and stays exactly unbiased.
     """
 
     trials: int
@@ -83,10 +77,7 @@ class Estimate:
 
 def _block_sizes(trials: int):
     full, rem = divmod(trials, BLOCK_TRIALS)
-    sizes = [BLOCK_TRIALS] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
+    return [BLOCK_TRIALS] * full + ([rem] if rem else [])
 
 
 def _block_rng(seed: int, block: int):
@@ -95,12 +86,8 @@ def _block_rng(seed: int, block: int):
 
 def _reduce(values: np.ndarray) -> Estimate:
     trials = values.size
-    mean = float(np.mean(values))
-    if trials > 1:
-        std_error = float(np.std(values, ddof=1) / math.sqrt(trials))
-    else:
-        std_error = 0.0
-    return Estimate(mean=mean, std_error=std_error, trials=trials)
+    std_error = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return Estimate(mean=float(np.mean(values)), std_error=std_error, trials=trials)
 
 
 def _group(cfg, mob):
@@ -146,7 +133,7 @@ _TERM_ORDERS, _TERM_EXPONENTS = np.array(_TERMS).T
 _MOMENT_MEANS = np.array([math.comb(p, p // 2) / (2 ** p * (p + 1)) if p % 2 == 0 else 0.0
                           for p in _ORDERS])
 _FOLDS = 8  # the capacity's fit puts trial i in fold i mod 8
-_CAPACITY_COLUMNS = 3 * len(_ORDERS) + 8  # the most columns of V (:func:`_capacity_columns`)
+_PART_COLUMNS = 1 + len(_ORDERS)  # [1, V] of each part of the capacity (:func:`_capacity_columns`)
 
 
 def _block_slots(coherent: bool) -> int:
@@ -157,36 +144,35 @@ def _block_slots(coherent: bool) -> int:
 
 
 def _aligned_empty(shape) -> np.ndarray:
-    """An uninitialised float array of ``shape`` whose data starts on a
-    64-byte boundary.  numpy's allocations are only 16-byte aligned, and on
-    a 2-core AMD EPYC a kernel workspace at 16 mod 32 bytes made a fig4
-    sweep about 14% slower than one at 0 mod 32, so the speed followed
-    where the heap happened to place it."""
+    """An uninitialised float array of ``shape`` starting on a 64-byte
+    boundary: numpy aligns to 16 bytes, and on a 2-core AMD EPYC a kernel
+    workspace at 16 mod 32 bytes made a fig4 sweep about 14% slower."""
     size = math.prod(shape)
     raw = np.empty(size + 8)
     start = -raw.ctypes.data % 64 // 8
     return raw[start:start + size].reshape(shape)
 
 
-def block_bytes(devices: int, paths: int, coherent: bool) -> int:
+def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     """Bytes of the arrays :func:`_device_powers` holds at once for
     ``devices`` devices of ``paths`` paths sharing one gap vector: a block's
     draws and the (trials, devices) slots of its buffer; one more slot for
-    the sampler's speed fractions, which the capacity's ("coherent") Exp(1)
-    weights take as drawn; and eight tiles: the kernel's four workspace
-    tiles and gap tile, the sampler's two scratch tiles, and one for the
-    kernel's centre mask and the per-device vectors.  The capacity's fading
-    average (:func:`numerics.exp1_scaled_faded`) forms its three (trials,
-    nodes) arrays after the sampler has let go of its slot and two tiles,
-    so the larger of the two is counted, and its fit a fixed 88 doubles a
-    trial: the near moments, the far quartic sum, [1, V] as columns and
-    stacked, the fold sums and the scenario loop's per-trial vectors."""
+    the sampler's speed fractions, which the capacity's Exp(1) weights take
+    as drawn; and eight tiles: the kernel's four workspace tiles and gap
+    tile, the sampler's two scratch tiles, and one for the kernel's centre
+    mask and the per-device vectors.  With ``snr``, P_T over the noise of
+    a capacity ("coherent") scenario, also what its average holds: 84
+    doubles a trial across blocks (the near moments, the columns [1, V],
+    the last scenario's vectors), and the parts' factor tables on the rule
+    at that SNR (:func:`numerics.hamdi_rule`) with 26 doubles a trial,
+    formed after the sampler has let go of its slot and two tiles."""
+    coherent = snr is not None
     tile = row_tiles(BLOCK_TRIALS, devices * paths)[0].stop * devices * paths
     sampler = BLOCK_TRIALS * devices + 2 * tile
-    faded = 3 * BLOCK_TRIALS * _FADED_NODES.size if coherent else 0
-    fit = BLOCK_TRIALS * (3 * len(_ORDERS) + 1 + 3 * (1 + _CAPACITY_COLUMNS)) if coherent else 0
+    parts = min(devices, 5) + (devices > 5)
+    average = BLOCK_TRIALS * (parts * hamdi_rule(snr)[0].size + 26) if coherent else 0
     return 8 * (BLOCK_TRIALS * devices * (paths + _block_slots(coherent)) + 6 * tile
-                + max(sampler, faded) + fit)
+                + max(sampler, average) + 84 * BLOCK_TRIALS * coherent)
 
 
 def _sin_squared_coefficient(k: int) -> float:
@@ -266,46 +252,36 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     path moments mean_m z_m^p, p = 2..6 in ``moments[p - 2]``, or for the
     capacity ("coherent") the block's columns [1, V] of its control
     variates (:func:`_capacity_columns`); and the block's Exp(1) weights
-    ("coherent"; 0 for the target and its neighbours at index gap +-1, the
-    near devices, whose fading the capacity averages and which draw none)
-    or None.  The arrays held at once are those :func:`block_bytes` counts.
+    ("coherent"; 0 for the near devices, :func:`_near_devices`, whose
+    fading the capacity averages and which draw none) or None.  The arrays
+    held at once are those :func:`block_bytes` counts.
 
     Each block is drawn once, the weights right after the sampler, and
     evaluated for each scenario in turn, so no value depends on the group.
-    Path m of a device shifts by d_m = f_D,m T_s = x z_m, with
-    x = V_max f_c T_s / c the scenario's span
-    (:meth:`SystemConfig.doppler_span`) and z_m = u cos(psi_m) the
-    scenario-free shift, u the speed fraction.  The block draws z once
-    (:func:`sysmodel.sample_cell_batch`, the one place that forms it), takes
-    the moments from it, and each scenario scales it by its own x.  Since
-    |z| < 1 and rounding is monotone, every offset |fl(x z)| is within the
-    span x.  The mean over paths of sinc(gap + d_m)^2 is a device's
-    expected power given its path Doppler shifts; times its weight it
-    follows the law of the squared complex path sum, and the caller applies
-    the weights.  ``gaps[k]`` holds scenario k's integer sub-carrier
-    distances scaled by T_s * df, so a static network cancels exactly.
-    Each row's path sum is taken within its tile, so the tile size changes
-    no value.  The kernel is sized to each scenario's own span x
-    (:func:`numerics.sinc_squared`), so its terms never depend on the
-    group, and a static scenario (x = 0) skips it for the exact values it
-    would return.  The kernel runs in a workspace allocated once per call
-    and reused for every tile, block and scenario: the offsets tile, the
-    kernel's output and scratch tiles, and one full (rows, devices, paths)
-    gap tile per distinct gap vector, so a tile allocates no array.  The
-    moments are taken tile by tile in the offsets tile, before any scenario
-    needs it, so no block-sized z^p is ever formed.
+    Path m of a device shifts by d_m = x z_m, x = V_max f_c T_s / c the
+    scenario's span (:meth:`SystemConfig.doppler_span`) and z_m = u cos psi_m
+    the scenario-free shift (:func:`sysmodel.sample_cell_batch`, the one
+    place that forms it); since |z| < 1 and rounding is monotone, every
+    |fl(x z)| is within x.  The mean over paths of sinc(gap + d_m)^2 is a
+    device's expected power given its shifts; times its weight it follows
+    the law of the squared complex path sum.  ``gaps[k]`` holds scenario
+    k's integer sub-carrier distances scaled by T_s * df, so a static
+    network cancels exactly.  The kernel is sized to each scenario's own
+    span (:func:`numerics.sinc_squared`), a static scenario skips it for
+    the exact values it would return, and each row's path sum is taken
+    within its tile, so neither the group nor the tile size changes a
+    value.  The kernel runs in a workspace allocated once per call: the
+    offsets, output and scratch tiles and one (rows, devices, paths) gap
+    tile per distinct gap vector.  The moments are taken tile by tile in
+    the offsets tile, so no block-sized z^p is ever formed.
 
-    Every estimator subtracts control variates (Glasserman 2003, section
-    4.1) built from the moments.  x^p times moment p is mean_m d_m^p, of
-    mean x^p E[z^p] (:data:`_MOMENT_MEANS`; E[z^2] = 1/6).  The power
-    estimators subtract the kernel's Taylor series through d^6: the block's
-    linear reductions of the centred moments, one per term of the
-    coefficients a_p (:func:`_term_reductions`, :func:`_taylor_table`),
-    times scalars x^p q^-e fixed by the scenario (:func:`_variate_scalars`).
-    That keeps every expectation and cancels most of the spread while the
-    series converges well; a static network subtracts exactly 0.  The
-    capacity estimator fits its coefficients to the draws instead
-    (:func:`_capacity_columns`, :func:`_cross_fitted`).
+    The power estimators subtract control variates (Glasserman 2003,
+    section 4.1): the kernel's Taylor series through d^6, the block's
+    linear reductions of the centred moments (x^p times moment p is
+    mean_m d_m^p, of mean x^p E[z^p], :data:`_MOMENT_MEANS`), one per term
+    of the coefficients a_p (:func:`_term_reductions`), times scalars
+    x^p q^-e fixed by the scenario (:func:`_variate_scalars`); a static
+    network subtracts exactly 0.  The capacity fits its own.
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
@@ -313,10 +289,10 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     buffer = np.empty((_block_slots(coherent), min(plan.trials, BLOCK_TRIALS), devices))
     if coherent:
         target = plan.target_index + devices // 2
-        near = slice(max(target - 1, 0), target + 2)
+        near = _near_devices(target, devices)
         index_gaps = np.arange(devices) - target
-        far = np.where(abs(index_gaps) > 1, 1.0 / np.maximum(index_gaps ** 2, 1), 0.0)
-        near_moments = np.empty((len(_ORDERS), buffer.shape[1], far[near].size))
+        far = np.where(abs(index_gaps) > 2, 1.0 / np.maximum(index_gaps ** 2, 1), 0.0)
+        near_moments = np.empty((len(_ORDERS), buffer.shape[1], len(near)))
         quartic = np.empty(buffer.shape[1])
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row
@@ -343,7 +319,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
             _path_moments(shift, tiles, moments, offsets, (far / paths, quartic[:size]))
             _path_moments(shift[:, near], tiles, near_moments[:, :size], offsets)
             moments = _capacity_columns(moments[0], near_moments[:, :size], quartic[:size],
-                                        weights, near, target, far)
+                                        weights, far)
         else:
             _path_moments(shift, tiles, moments, offsets)
         for k, span in enumerate(spans):
@@ -366,11 +342,6 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
 # ===========================================================================
 # estimators
 # ===========================================================================
-
-def _estimates(samples, single: bool):
-    estimates = [_reduce(values) for values in samples]
-    return estimates[0] if single else estimates
-
 
 def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
                        cell: CellConfig, mob: MobilityModel | list[MobilityModel]
@@ -401,7 +372,8 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
         powers[:, target_column] = 0.0
         samples[k][rows] = (powers.sum(axis=1) - reductions @ scalars[k]) \
             * scenarios[k][0].effective_power
-    return _estimates(samples, single)
+    estimates = [_reduce(values) for values in samples]
+    return estimates[0] if single else estimates
 
 
 def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
@@ -425,80 +397,78 @@ def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     return _reduce(samples)
 
 
-def _capacity_columns(bracket, near_moments, quartic, weights, near: slice, target: int,
-                      far: np.ndarray) -> np.ndarray:
-    """(trials, 1 + columns): 1, for the fit's intercept, and the capacity's
-    control variates V of a block's trials, each of mean exactly 0 and free
-    of the scenario: mean_m z^p - E[z^p], p = 2..6, of the target and its
-    neighbours at index gap +-1 that the band holds (``near``); over the
-    far devices j, weighted by 1 / n_j^2 (``far``), w_j b_j - 1/6 (the far
-    part of V_I, the d^2 term of the interference), w_j - 1, b_j - 1/6 and
-    mean_m z_j^4 - 3/40, with b_j = mean_m z_j^2 and w_j the Exp(1) weight,
-    drawn independently of the Doppler draws; and products of centred terms
-    of distinct, so independent, devices: the target's bracket times its
-    neighbours' sum and times sum (w_j - 1) at index gap +-2, the
-    neighbours' sum times the latter, and left times right.  A device's
-    paths share its speed fraction, so a product of two terms of one device
-    has no independent-path mean, and none is a column.  Columns the band
-    cannot hold are left out, not kept as zeros that make the fit singular.
-    """
-    brackets = near_moments[0] - _MOMENT_MEANS[0]
-    own = brackets[:, target - near.start]
-    sides = np.delete(brackets, target - near.start, axis=1)
-    beside = sides.sum(axis=1)
-    second = [c for c in (target - 2, target + 2) if 0 <= c < bracket.shape[1]]
-    wide = weights[:, second].sum(axis=1) - len(second)
+def _near_devices(target: int, devices: int) -> list[int]:
+    """The columns whose fading the capacity averages: the target's, then
+    its neighbours' at index gap -2, -1, 1 and 2 that the band holds."""
+    return [target] + [c for c in range(target - 2, target + 3) if c != target and 0 <= c < devices]
+
+
+def _capacity_columns(bracket, near_moments, quartic, weights, far: np.ndarray) -> np.ndarray:
+    """(trials, parts, 6): [1, V_i] for each part i of the capacity, each V
+    column of mean exactly 0, scenario-free and of part i's draws alone:
+    for each near device, mean_m z^p - E[z^p], p = 2..6; for the far
+    devices j, if any, weighted by 1 / n_j^2 (``far``), w_j b_j - 1/6 (the
+    d^2 term), w_j - 1, b_j - 1/6 and mean_m z_j^4 - 3/40, b_j = mean_m
+    z_j^2 and w_j the Exp(1) weight, and a column of zeros."""
+    trials, near = bracket.shape[0], near_moments.shape[2]
     total = far.sum()
-    columns = [np.ones(len(own)),
-               *(near_moments - _MOMENT_MEANS[:, None, None]).swapaxes(1, 2).reshape(-1, len(own))]
+    columns = np.zeros((trials, near + bool(total), _PART_COLUMNS))
+    columns[..., 0] = 1.0
+    columns[:, :near, 1:] = (near_moments - _MOMENT_MEANS[:, None, None]).transpose(1, 2, 0)
     if total:
-        columns += [np.einsum("td,td,d->t", bracket, weights, far) - total / 6.0,
-                    weights @ far - total, bracket @ far - total / 6.0,
-                    quartic - _MOMENT_MEANS[2] * total]
-    held = (sides.size, second, sides.size and second)
-    columns += [a * b for a, b, h in zip((own, own, beside), (beside, wide, wide), held) if h]
-    columns += list((sides[:, :1] * sides[:, 1:]).T)  # left times right, if both
-    return np.column_stack(columns)
+        columns[:, near, 1] = np.einsum("td,td,d->t", bracket, weights, far) - total / 6.0
+        columns[:, near, 2] = weights @ far - total
+        columns[:, near, 3] = bracket @ far - total / 6.0
+        columns[:, near, 4] = quartic - _MOMENT_MEANS[2] * total
+    return columns
 
 
 def _by_fold(values: np.ndarray) -> np.ndarray:
-    """(folds, rows, ...): a view of the rows of a block's ``values`` by
-    fold, trial i in fold i mod :data:`_FOLDS` (every block starts at a
-    multiple of 8); zero rows pad a partial block and add nothing to a sum."""
+    """(parts, folds, rows, ...): a block's (rows, parts, ...) ``values`` by
+    fold, trial i in fold i mod :data:`_FOLDS` (blocks start at multiples
+    of 8); zero rows, which add nothing to a sum, pad a partial block."""
     short = -len(values) % _FOLDS
     if short:
         values = np.concatenate([values, np.zeros((short,) + values.shape[1:])])
-    return values.reshape((-1, _FOLDS) + values.shape[1:]).swapaxes(0, 1)
+    return np.moveaxis(values.reshape((-1, _FOLDS) + values.shape[1:]), (0, 2), (2, 0))
 
 
-def _cross_fitted(gram: np.ndarray, sums: np.ndarray, shifts: np.ndarray,
-                  trials: int) -> list[Estimate]:
-    """One estimate per scenario from the fold sums, ``gram[f]`` = A^T A
-    over fold f's trials, A = [1, V], and ``sums[k, f]`` = (A^T y, y^T y),
-    y scenario k's capacities less ``shifts[k]`` so that y^T y does not
-    cancel.  Fold f subtracts V beta_f, beta_f the least-squares slopes,
-    with an intercept, of y on V over the other folds (cross-fitting): it
-    never sees fold f's draws and E[V] = 0, so the estimate stays exactly
-    unbiased.  A fold whose other folds hold fewer than 2 x columns trials
-    subtracts nothing.  The standard error is the residuals'.  Every
-    (scenario, fold) system is solved in one batched call.
-    """
-    others = gram.sum(axis=0) - gram
-    fitted = sums[..., :-1].sum(axis=1, keepdims=True) - sums[..., :-1]
-    few = others[:, 0, 0] < 2 * (gram.shape[1] - 1)
-    others[few] = np.eye(gram.shape[1])
+def _cross_fitted(gram: np.ndarray, sums: np.ndarray, trials: int):
+    """Per scenario k: the sum over trials and parts of V beta, the target's
+    sum of residuals and the variance of one trial, from ``gram[i, f]`` =
+    A^T A over fold f, A = [1, V_i], and ``sums[k, i, f]`` = (A^T y, y^T y),
+    y part i's influence less its first trial's.  Fold f subtracts
+    V_i beta_if, beta_if the least-squares slopes, with an intercept, of y
+    on V_i over the other folds, which never see fold f's draws of part i
+    (cross-fitting; E[V_i] = 0), or nothing if they hold fewer than 10
+    trials; an all-zero column gets a zero slope.  The parts' variances
+    add.  The other folds' matrices are scenario-free: one inverse each."""
+    others = gram.sum(axis=1, keepdims=True) - gram
+    few = others[..., 0, 0] < 2 * (_PART_COLUMNS - 1)
+    pivots = np.arange(_PART_COLUMNS)
+    others[..., pivots, pivots] += others[..., pivots, pivots] == 0.0
+    others[few] = np.eye(_PART_COLUMNS)
+    cross, squares = sums[..., :-1], sums[..., -1]
+    fitted = cross.sum(axis=2, keepdims=True) - cross
     fitted[:, few] = 0.0
-    slopes = np.linalg.solve(others, fitted[..., None])[..., 0]
+    slopes = (np.linalg.inv(others) @ fitted[..., None])[..., 0]
     slopes[..., 0] = 0.0  # the intercept is fitted, not subtracted
     # per fold, sum e = sum y - (A^T A beta)_0 and
     # sum e^2 = y^T y - 2 beta^T A^T y + beta^T A^T A beta
-    cross, squares = sums[..., :-1], sums[..., -1]
     fits = (slopes[..., None, :] @ gram)[..., 0, :]
-    residuals = (cross[..., 0] - fits[..., 0]).sum(axis=1)
-    squares = (squares + ((fits - 2.0 * cross) * slopes).sum(axis=2)).sum(axis=1)
+    residuals = (cross[..., 0] - fits[..., 0]).sum(axis=2)
+    squares = (squares + ((fits - 2.0 * cross) * slopes).sum(axis=3)).sum(axis=2)
     variances = np.maximum(squares - residuals * residuals / trials, 0.0) / max(trials - 1, 1)
-    return [Estimate(float(shift + residual / trials), math.sqrt(variance / trials), trials)
-            for shift, residual, variance in zip(shifts, residuals, variances)]
+    subtracted = (gram[..., 0, :] * slopes).sum(axis=3).sum(axis=2).sum(axis=1)
+    return subtracted, residuals[:, 0], variances.sum(axis=1)
+
+
+def _all_but_each(means: np.ndarray) -> np.ndarray:
+    """Row i: the product of the rows of ``means`` but row i."""
+    before, after = np.ones_like(means), np.ones_like(means)
+    np.cumprod(means[:-1], axis=0, out=before[1:])
+    np.cumprod(means[:0:-1], axis=0, out=after[-2::-1])
+    return before * after
 
 
 def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
@@ -508,60 +478,81 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     """Mean of log2(1 + useful / (interference + noise)) over realizations
     of the whole cell, in bit/s/Hz.
 
-    The per-device signal and interference powers are the powers of the
-    coherent path sums.  Given the path Doppler shifts, device j's power is
-    k_j P_T times its own Exp(1) weight w_j, with k_j its conditional power.
-    Each trial averages exactly over three of the weights, the target's and
-    those of its neighbours at index gap +-1 (one at the band edge, none at
-    N = 0), which are never drawn, and keeps the other interferers' drawn
-    weights: with R their weighted powers plus the noise, a = k_0 P_T / R
-    and b_j = k_j P_T / R, the trial contributes
-    log2(e) int_0^inf e^-t / ((t + 1/a) prod_j (1 + t b_j)) dt
-    (Hamdi 2010, :func:`numerics.exp1_scaled_faded`, by a fixed rule),
-    which for b_j = 0 is Lee's (1990) log2(e) e^(1/a) E1(1/a).  That
-    removes most of the variance: the nearest interferers dominate it.
-
-    What is left the Doppler draws drive.  Each trial subtracts V beta,
-    V up to 23 zero-mean scenario-free columns (:func:`_capacity_columns`)
-    and beta cross-fitted to the draws over 8 folds (:func:`_cross_fitted`):
-    it catches the capacity's curvature in the powers at any x, with no
-    cut-off, and keeps the estimate exactly unbiased.  A scenario gives the
-    same bits alone or in a group, and a static network the exact capacity
-    with a standard error of 0.  The log is convex in the interference, so
-    the estimate can exceed :func:`analytic.capacity_upper`, which evaluates
-    it at the mean powers; at one path per device it does.
-    Requires positive noise power.  ``cfg`` and ``mob`` may be sequences,
-    as for :func:`estimate_total_ici`.
+    Device j's coherent power is k_j P_T, k_j its conditional power given
+    its path shifts, times its own Exp(1) weight.  The near devices'
+    weights (:func:`_near_devices`) are averaged exactly (Hamdi 2010): with
+    u = k_0 SNR, b_j = k_j SNR and a the far devices' drawn interference
+    over the noise, a trial's capacity is log2(e) int_0^inf e^-t C prod_j
+    B_j A dt, C = u / (1 + t u), B_j = 1 / (1 + t b_j), A = e^(-t a).  The
+    factors come from independent parts of the draws (the target's, each
+    neighbour's, the far devices': six inside the band), so it integrates the
+    product of their means over the trials on a rule fixed by the SNR
+    (:func:`numerics.hamdi_rule`): the exactly unbiased average over all
+    combinations of the parts' draws.  Part i then subtracts its
+    own zero-mean columns (:func:`_capacity_columns`) times slopes
+    cross-fitted (:func:`_cross_fitted`) to its influence
+    g_i = int F_i prod_(j != i) mean F_j at the first block's means; the
+    standard error is sqrt(sum_i var(g_i - V_i beta_i) / trials).  With no
+    interference (static, or N = 0) each trial takes Lee's (1990)
+    log2(e) e^x E1(x), x = 1 / u: a static network gives the exact capacity,
+    with a standard error of 0.  A scenario gives the same bits alone or in
+    a group.  The estimate can exceed :func:`analytic.capacity_upper`, the
+    capacity at the mean powers, as at one path per device.  Requires
+    positive noise power.  ``cfg`` and ``mob`` may be sequences, as for
+    :func:`estimate_total_ici`.
     """
     scenarios, single = _group(cfg, mob)
     if any(c.noise_variance <= 0.0 for c, _ in scenarios):
         raise ValueError("noise_variance must be positive to estimate capacity")
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
-    target_column = plan.target_index + n
-    neighbours = [c for c in (target_column - 1, target_column + 1) if 0 <= c <= 2 * n]
-    gram, sums, shifts = 0.0, [0.0] * len(scenarios), np.empty(len(scenarios))
+    target = plan.target_index + n
+    near = _near_devices(target, 2 * n + 1)
+    parts = len(near) + (2 * n + 1 > len(near))
+    snrs = [c.effective_power / c.noise_variance for c, _ in scenarios]
+    rules = [hamdi_rule(snr) for snr in snrs]
+    quiet = [parts == 1 or c.doppler_span(m.max_velocity_mps) == 0.0 for c, m in scenarios]
+    table_size = parts * min(plan.trials, BLOCK_TRIALS) * max(nodes.size for nodes, _ in rules)
+    gram, sums = 0.0, [0.0] * len(scenarios)
+    totals, influences, shifts = ([None] * len(scenarios) for _ in range(3))
     for k, rows, powers, columns, weights in _device_powers(plan, cell, scenarios, gaps, True):
         if k == 0:
             design = _by_fold(columns)
-            gram = gram + design.swapaxes(1, 2) @ design
-        cfg_k = scenarios[k][0]
-        useful = powers[:, target_column] * cfg_k.effective_power
-        faded = powers[:, neighbours] * cfg_k.effective_power
-        powers *= weights  # 0 at the target and its neighbours
-        # the rest R of the interference plus the noise; 1 / a = R / (k_0 P_T),
-        # inf for a target that keeps no power, which gives a capacity of 0
-        rest = powers.sum(axis=1) * cfg_k.effective_power
-        rest += cfg_k.noise_variance
-        faded /= rest[:, None]
-        with np.errstate(divide="ignore"):
-            rest /= useful
-        capacity = exp1_scaled_faded(rest, faded) * LOG2_E
+            gram = gram + design.swapaxes(2, 3) @ design
+            tables = _aligned_empty((table_size,))  # let go with the block
+        size = len(powers)
+        if quiet[k]:
+            y = np.zeros((parts, size))
+            with np.errstate(divide="ignore"):  # 0 for a target that keeps no power
+                y[0] = exp1_scaled(scenarios[k][0].noise_variance
+                                   / (powers[:, target] * scenarios[k][0].effective_power))
+        else:
+            nodes, rule = rules[k]
+            faded = (powers[:, near] * snrs[k]).T  # u, then the b_j
+            powers *= weights  # 0 at the near devices
+            far = powers.sum(axis=1) * snrs[k] if parts > len(near) else None
+            table = hamdi_factors(nodes, faded, far,
+                                  tables[:parts * size * nodes.size].reshape(parts, size, -1))
+            column_sums = np.ones(size) @ table
+            column_sums[0] = faded[0] @ table[0]  # C is u times its table
+            totals[k] = column_sums + (totals[k] if rows.start else 0.0)
+            if rows.start == 0:
+                influences[k] = _all_but_each(column_sums / size) * rule
+            y = (table @ influences[k][..., None])[..., 0]
+            y[0] *= faded[0]
         if rows.start == 0:
-            shifts[k] = capacity[0]
-        y = _by_fold(capacity - shifts[k])
-        sums[k] = sums[k] + (y[:, None, :] @ np.dstack([design, y]))[:, 0]
-    estimates = _cross_fitted(gram, np.array(sums), shifts, plan.trials)
+            shifts[k] = y[:, :1].copy()
+        y = _by_fold((y - shifts[k]).T)
+        sums[k] = sums[k] + np.concatenate([(y[..., None, :] @ design)[..., 0, :],
+                                            np.einsum("pfr,pfr->pf", y, y)[..., None]], axis=2)
+        if k == len(scenarios) - 1:
+            tables = table = None
+    subtracted, residuals, variances = _cross_fitted(gram, np.array(sums), plan.trials)
+    means = [shifts[k][0, 0] + residuals[k] / plan.trials if quiet[k] else
+             rules[k][1] @ np.prod(totals[k] / plan.trials, axis=0) - subtracted[k] / plan.trials
+             for k in range(len(scenarios))]
+    estimates = [Estimate(LOG2_E * float(mean), LOG2_E * math.sqrt(variance / plan.trials),
+                          plan.trials) for mean, variance in zip(means, variances)]
     return estimates[0] if single else estimates
 
 

@@ -400,10 +400,14 @@ def _check_closed_forms(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
 def _check_block_memory(cfg: SystemConfig, cell: CellConfig, coherent: bool):
     """Refuse a Monte Carlo scenario whose block would hold more than
     :data:`_MAX_BLOCK_BYTES` (:func:`montecarlo.block_bytes`), ``coherent``
-    when the capacity is the only Monte Carlo output; nothing is allocated
-    here."""
+    when the capacity is the only Monte Carlo output, whose rule the SNR
+    sizes (the largest rule without noise, which is refused later);
+    nothing is allocated here."""
     devices = 2 * cfg.half_subcarriers + 1
-    needed = block_bytes(devices, cell.paths_per_device, coherent)
+    snr = None
+    if coherent:
+        snr = cfg.effective_power / cfg.noise_variance if cfg.noise_variance else math.inf
+    needed = block_bytes(devices, cell.paths_per_device, snr)
     if needed > _MAX_BLOCK_BYTES:
         raise ValueError(
             f"half_subcarriers, paths_per_device: {devices} devices x {cell.paths_per_device} "

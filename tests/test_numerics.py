@@ -4,7 +4,6 @@ Reference values were computed independently with mpmath at 30 digits and
 are frozen here as literals.
 """
 
-import hashlib
 import math
 import tracemalloc
 
@@ -16,7 +15,8 @@ from nbofdma.numerics import (
     QuadratureError,
     QuadratureSpec,
     exp1_scaled,
-    exp1_scaled_faded,
+    hamdi_factors,
+    hamdi_rule,
     integrate,
     sin_pi,
     sinc,
@@ -317,47 +317,54 @@ def test_exp1_scaled_does_not_rise_at_the_seam():
     assert exp1_scaled(np.nextafter(seam, 0.0)) >= exp1_scaled(seam)
 
 
-# the box over which exp1_scaled_faded holds 1e-12 relative: SNR 1/x in
-# [1e-3, 1e6] and relative interferer powers b_j in [0, 1e4]
+# the box over which the rule at one trial holds 5e-16 relative: SNR 1/x
+# in [1e-3, 1e6] and relative interferer powers b_j in [0, 1e4]
 FADED_SNRS = (1e-3, 0.1, 10.0, 1e3, 1e6)
 FADED_POWERS = (0.0, 1e-4, 0.3, 30.0, 1e4)
 
 
-def test_exp1_scaled_faded_without_faders_is_exp1_scaled():
-    x = np.geomspace(1e-6, 1e6, 97)
-    expected = exp1_scaled(x)
-    for faded in (np.zeros((x.size, 0)), np.zeros((x.size, 1)), np.zeros((x.size, 2))):
-        got = exp1_scaled_faded(x, faded)
-        assert got.tobytes() == expected.tobytes()
+def faded_capacity(x, faded):
+    # int_0^inf e^-t / ((t + x) prod_j (1 + t b_j)) dt per entry of x, b_j
+    # = faded[..., j]: the rule at one trial, sized to the entry's largest
+    # scale, the signal's factor 1 / (x + t) being u / (1 + t u), u = 1/x
+    x = np.asarray(x, dtype=float)
+    faded = np.asarray(faded, dtype=float).reshape(x.size, -1)
+    out = []
+    for snr, powers in zip(1.0 / x.ravel(), faded):
+        nodes, weights = hamdi_rule(max(snr, powers.max(initial=0.0)))
+        factors = hamdi_factors(nodes, np.concatenate([[snr], powers])[:, None])
+        out.append(snr * float(np.prod(factors[:, 0], axis=0) @ weights))
+    return np.array(out).reshape(x.shape)
 
 
-# float.hex of exp1_scaled_faded on a fixed (256, 2) input, as its
-# broadcasting form gave them, and the SHA-256 of all 256 values: the node
-# tile must keep every bit
-FADED_PINNED = {0: "0x1.959e19d59eae1p+2", 5: "0x1.8466b005b1112p+2", 64: "0x1.3c87439f0d8bep+1",
+# float.hex of the former numerics.exp1_scaled_faded, the fading average of
+# one trial, on a fixed (256, 2) input, as the fixed 197-node rule from
+# s = ln t = -45 with a first-order head gave them; the rule sized to each
+# entry's scale, with the Gauss sum of its left tail, keeps them within
+# 2.5e-16
+FADED_FORMER = {0: "0x1.959e19d59eae1p+2", 5: "0x1.8466b005b1112p+2", 64: "0x1.3c87439f0d8bep+1",
                 128: "0x1.8f74a041164d0p-2", 200: "0x1.0039deee21410p-11",
                 255: "0x1.cf7c48d7bca06p-21"}
-FADED_PINNED_SHA256 = "e39403662f76d2d5543e34ecc74e04db91b89647ced070970b0cb3833f2c927f"
 
 
-def test_exp1_scaled_faded_keeps_its_pinned_bits():
+def test_the_rule_at_one_trial_reproduces_the_former_fading_average():
     x = np.geomspace(1e-3, 1e3, 256)
     faded = np.stack([np.geomspace(1e-4, 1e4, 256), np.geomspace(1e2, 1e-6, 256)], axis=1)
     faded[::5, 1] = 0.0  # every fifth row has one fader
-    out = exp1_scaled_faded(x, faded)
-    assert {i: out[i].hex() for i in FADED_PINNED} == FADED_PINNED
-    assert hashlib.sha256(out.tobytes()).hexdigest() == FADED_PINNED_SHA256
+    out = faded_capacity(x, faded)
+    for i, former in FADED_FORMER.items():
+        assert out[i] == pytest.approx(float.fromhex(former), rel=5e-16, abs=0.0), i
 
 
-def test_exp1_scaled_faded_matches_mpmath():
+def test_the_rule_at_one_trial_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
     points = [(snr, b1, b2) for snr in FADED_SNRS for i, b1 in enumerate(FADED_POWERS)
               for b2 in FADED_POWERS[i:]]
     x = np.array([1.0 / snr for snr, _, _ in points])
     faded = np.array([(b1, b2) for _, b1, b2 in points])
     # one fader, the band-edge target's, is the second one at 0
-    one = exp1_scaled_faded(x, faded[:, :1])
-    for got, (snr, b1, b2), alone in zip(exp1_scaled_faded(x, faded), points, one):
+    one = faded_capacity(x, faded[:, :1])
+    for got, (snr, b1, b2), alone in zip(faded_capacity(x, faded), points, one):
         with mpmath.workdps(30):
             r = 1 / mpmath.mpf(snr)
 
@@ -366,38 +373,78 @@ def test_exp1_scaled_faded_matches_mpmath():
                 return mpmath.quad(lambda t: mpmath.exp(-t) / (t + r) / mpmath.fprod(
                     1 + t * b for b in bs), [0, *breaks, mpmath.inf])
             exact = integral(b1, b2)
-            assert abs(got - exact) <= 1e-12 * exact, (snr, b1, b2)
+            assert abs(got - exact) <= 5e-16 * exact, (snr, b1, b2)
             if b2 == 0.0:
-                assert abs(alone - exact) <= 1e-12 * exact, (snr, b1)
-    # beyond the box, at 100 dB, the head below the rule's first node keeps
-    # 7e-14; the rule alone would be 1.2e-11 short
+                assert abs(alone - exact) <= 5e-16 * exact, (snr, b1)
+    # beyond the box, at 100 dB, the rule starts lower (127 nodes) and keeps
+    # 1e-16; the fixed rule from ln t = -45 kept 7e-14
     with mpmath.workdps(30):
         r = mpmath.mpf(10) ** -10
         exact = mpmath.quad(lambda t: mpmath.exp(-t) / ((t + r) * (1 + t) * (1 + 10 * t)),
                             [0, r, 0.1, 1, mpmath.inf])
-    assert abs(exp1_scaled_faded(1e-10, [1.0, 10.0]) - exact) <= 1e-12 * exact
+    assert abs(faded_capacity(1e-10, [1.0, 10.0]) - exact) <= 5e-16 * exact
 
 
-def test_exp1_scaled_faded_is_the_mean_capacity_under_faded_interferers():
+def test_the_rule_sums_its_left_tail_by_the_gauss_rule_of_that_tail():
+    # the trapezoid's nodes below the rule's first, t_0 e^(-kh) for k >= 1
+    # at weights h t_k, against the four tail nodes t_0 gamma_i at weights
+    # t_0 omega_i: a 4-point rule with positive weights inside (0, 1) that
+    # integrates t^m, m = 0..7, exactly is that measure's Gauss rule
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        h = mpmath.mpf(numerics._HAMDI_STEP)
+        for m in range(8):
+            exact = h * mpmath.nsum(lambda k: mpmath.exp(-(m + 1) * k * h), [1, mpmath.inf])
+            got = mpmath.fsum(mpmath.mpf(float(w)) * mpmath.mpf(float(g)) ** m
+                              for g, w in numerics._HAMDI_TAIL.T)
+            assert abs(got - exact) <= 4e-16 * exact, m
+    nodes, weights = numerics._HAMDI_TAIL
+    assert np.all(weights > 0.0) and np.all((0.0 < nodes) & (nodes < 1.0))
+
+
+@pytest.mark.parametrize("scale,size", [(0.01, 35), (1.0, 35), (100.0, 53), (1e6, 90),
+                                        (1e10, 127)])
+def test_the_rule_holds_every_factor_up_to_its_scale(scale, size):
+    # a signal, two faded interferers and a fixed one, each at powers up to
+    # the scale the rule was sized to, against mpmath; the rule starts at
+    # the lattice point below ln(0.03 / scale)
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = hamdi_rule(scale)
+    assert nodes.size == weights.size == size and not nodes.flags.writeable
+    top = max(scale, 1.0)
+    for snr, b, a in [(top, (top, top), top), (top, (0.0, 1e-3 * top), 0.0),
+                      (1e-3, (top, 0.01 * top), 0.01 * top), (0.1 * top, (0.0, 0.0), top)]:
+        factors = hamdi_factors(nodes, [[snr], [b[0]], [b[1]]], np.array([a]))
+        got = snr * float(np.prod(factors[:, 0], axis=0) @ weights)
+        with mpmath.workdps(30):
+            r = 1 / mpmath.mpf(snr)
+            breaks = sorted({r, 1, 1 / mpmath.mpf(1 + a), *(1 / mpmath.mpf(v) for v in b if v)})
+            exact = mpmath.quad(lambda t: mpmath.exp(-t * (1 + a)) / ((t + r) * mpmath.fprod(
+                1 + t * v for v in b)), [0, *breaks, mpmath.inf])
+        assert abs(got - exact) <= 5e-16 * exact, (scale, snr, b, a)
+
+
+def test_the_rule_is_the_mean_capacity_under_faded_interferers():
     # Hamdi's lemma: for Exp(1) weights w_0, w_1, w_2,
-    # E[log2(1 + w_0 a / (1 + w_1 b_1 + w_2 b_2))] = log2(e) exp1_scaled_faded(1 / a, b),
+    # E[log2(1 + w_0 a / (1 + w_1 b_1 + w_2 b_2))] = log2(e) faded_capacity(1 / a, b),
     # 2^20 draws per point, 4 standard errors
     rng = np.random.default_rng(31)
     for a, b1, b2 in ((100.0, 0.5, 0.2), (3.0, 2.0, 0.0), (1e4, 40.0, 15.0)):
         w = rng.standard_exponential((3, 1 << 20))
         values = np.log2(1.0 + w[0] * a / (1.0 + w[1] * b1 + w[2] * b2))
-        expected = float(exp1_scaled_faded(1.0 / a, [b1, b2])) * math.log2(math.e)
+        expected = float(faded_capacity(1.0 / a, [b1, b2])) * math.log2(math.e)
         stderr = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - expected) <= 4.0 * stderr, (a, b1, b2)
 
 
-def test_exp1_scaled_faded_edge_values():
-    assert exp1_scaled_faded(np.inf, [1.0, 2.0]) == 0.0
-    x = np.array([[0.01, np.inf], [2.0, 1e-3]])
-    faded = np.full((2, 2, 2), 0.5)
-    out = exp1_scaled_faded(x, faded)
-    assert out.shape == (2, 2) and out[0, 1] == 0.0
-    assert out[1, 0] == exp1_scaled_faded(2.0, [0.5, 0.5])
+def test_the_factors_of_no_power_are_exactly_one():
+    # a static network's interferers (b = 0, a = 0) leave every factor 1,
+    # so its capacity is the signal's alone; a signal that keeps no power
+    # (u = 0) has a table of ones, which u times gives exactly 0
+    nodes, _ = hamdi_rule(100.0)
+    factors = hamdi_factors(nodes, [[0.0, 0.0], [0.0, 3.0]], np.array([0.0, 2.0]))
+    assert np.all(factors[:, 0] == 1.0) and np.all(factors[1:, 1] < 1.0)
+    assert np.all(factors[0, 1] == 1.0)
 
 
 # ---------------------------------------------------------------------------

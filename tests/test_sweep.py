@@ -297,15 +297,15 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
 @pytest.mark.parametrize("text,outputs,refused", [
     # montecarlo.block_bytes: 256 trials x (2N + 1) devices x (M paths + 7)
     # doubles for the interference, (M + 4) for the capacity alone, plus
-    # eight tiles and, for the capacity, its fit's 88 doubles a trial,
-    # against 1.75 GiB
+    # eight tiles and, for the capacity, the 84 doubles a trial its average
+    # holds across blocks, against 1.75 GiB
     ("system.half_subcarriers = 30081", "ici_mc", False),   # 1.75 GiB - 37 kB
     ("system.half_subcarriers = 30082", "ici_mc", True),    # 1.75 GiB + 25 kB
     ("system.half_subcarriers = 57120\ncell.paths_per_device = 1", "ici_mc", False),
     ("system.half_subcarriers = 57121\ncell.paths_per_device = 1", "ici_mc", True),
     ("system.half_subcarriers = 32767", "capacity_mc", False),   # 1.53 GiB
-    ("system.half_subcarriers = 37445", "capacity_mc", False),   # 1.75 GiB - 2.5 kB
-    ("system.half_subcarriers = 37446", "capacity_mc", True),    # 1.75 GiB + 48 kB
+    ("system.half_subcarriers = 37445", "capacity_mc", False),   # 1.75 GiB - 10.5 kB
+    ("system.half_subcarriers = 37446", "capacity_mc", True),    # 1.75 GiB + 38.5 kB
     ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", True),
     ("system.half_subcarriers = 32768", "ici_mc", True),
     ("system.half_subcarriers = 8192\ncell.paths_per_device = 64", "ici_mc", True),

@@ -152,13 +152,13 @@ def test_coherent_device_power_has_unit_mean():
     # a static network keeps every path on its own sub-carrier, so the
     # coherent per-device power the capacity estimator draws is
     # |sum_m a_m|^2, whose mean is the total mean path power, one; the
-    # device at index gap -2 from the target draws a weight (those at 0 and
-    # +-1 draw none, their fading being averaged)
+    # device at index gap -3 from the target draws a weight (those at 0,
+    # +-1 and +-2 draw none, their fading being averaged)
     plan = TrialPlan(trials=40000, seed=2)
     scenario = (SystemConfig(), MobilityModel(max_velocity_mps=0.0))
     samples = np.empty(plan.trials)
     for _, rows, powers, _, weights in _device_powers(plan, CellConfig(), [scenario],
-                                                      [np.zeros(5)], True):
+                                                      [np.zeros(7)], True):
         samples[rows] = powers[:, 0] * weights[:, 0]
     assert samples.mean() == pytest.approx(1.0, abs=0.02)
 
