@@ -8,7 +8,8 @@ ICI and capacity estimators take a group of scenarios sharing the
 sub-carrier count and draw each block once for the whole group.  Estimates
 are bit-reproducible for a given (plan, configs) and do not depend on the
 group a scenario is evaluated in or on how blocks might be spread over
-workers; the reduction over trials is a single ordered pass.
+workers; the reduction over trials is a single ordered pass, which for the
+capacity keeps sums per factor and fold, never a value per trial.
 """
 
 from __future__ import annotations
