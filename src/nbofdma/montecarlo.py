@@ -8,8 +8,9 @@ ICI and capacity estimators take a group of scenarios sharing the
 sub-carrier count and draw each block once for the whole group.  Estimates
 are bit-reproducible for a given (plan, configs) and do not depend on the
 group a scenario is evaluated in or on how blocks might be spread over
-workers; the reduction over trials is a single ordered pass, which for the
-capacity keeps sums per factor and fold, never a value per trial.
+workers.  The power estimators keep a value per trial and reduce its
+residuals once the fold's slopes are fitted; the capacity keeps sums per
+factor and fold in a single ordered pass, never a value per trial.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class TrialPlan:
     conditional mean mean_m k_m^2; the capacity estimator draws the far
     interferers' coherent powers, that times one Exp(1) draw each, and
     averages the near devices' weights exactly.  Every estimator subtracts
-    zero-mean control variates and stays exactly unbiased.
+    zero-mean columns of its draws times slopes fitted on the other folds'
+    trials (:func:`_fold_slopes`), so it stays exactly unbiased.
     """
 
     trials: int
@@ -105,35 +107,19 @@ def _group(cfg, mob):
     return scenarios, False
 
 
-# x = V_max f_c T_s / c above which the Taylor variates add variance.  The
-# truncated series tracks the kernel only while |d| = x |z| stays well
-# inside the range where sin^2(pi d) is close to its terms through d^6.
-# At 4096 trials the variance without the variates over that with them is
-# 2.6-3.5 at x = 1.1 on the centre and falls through 1 at about 1.18 (1 to
-# 16 paths).  Off the centre it falls through 1 at 0.77-0.81 for a lone
-# interferer at gap 5 and for the sum over the interferers at q = T_s df of
-# 2 to 16, whatever the path count, and is 1.9-3.6 there at x = 0.75; only
-# the sum at q = 1, which its nearest interferers dominate, would gain
-# up to x = 1.1.
-_VARIATE_MAX_X_CENTRE = 1.1
-_VARIATE_MAX_X_OFF_CENTRE = 0.75
-# The power estimators' control variates are the Taylor series of the
-# kernel in the path offset d = x z through d^6.  For a whole-number gap
-# g = n q, sinc^2(g + d) = sin^2(pi d) / (pi^2 (g + d)^2) with
-# sin^2(pi d) / pi^2 = sum_k s_k d^(2k) and
-# (g + d)^-2 = sum_m (m + 1) (-d)^m g^-(m+2), so the coefficient of d^p is
-# a_p(g) = sum_(2k+m=p, k>=1) s_k (m + 1) (-1)^m g^-(m+2); on the centre,
-# sinc^2(d) = sum_k s_k d^(2k-2) gives a_p(0) = s_(p/2+1) for even p and 0
-# for odd p.  Term (p, e) of a_p is its part in g^-e, e = m + 2 off the
-# centre and e = 0 on it, so a_p(n q) = sum_e c_pe n^-e q^-e.
+# The power estimators' control variates span the kernel's Taylor series in
+# the path offset d = x z through d^6.  Off the centre the coefficient of d^p
+# in sinc^2(g + d) = sin^2(pi d) / (pi^2 (g + d)^2) is a combination of g^-e,
+# e = 2..p of p's parity, so at g = n q each term (p, e) gets a column
+# weighted by n^-e and its slope absorbs x^p q^-e.
 _ORDERS = (2, 3, 4, 5, 6)
-_TERMS = tuple((p, e) for p in _ORDERS for e in range(p % 2, p + 1, 2) if e != 1)
+_TERMS = tuple((p, e) for p in _ORDERS for e in range(2 + p % 2, p + 1, 2))
 _TERM_ORDERS, _TERM_EXPONENTS = np.array(_TERMS).T
 # E[z^p] = E[u^p] E[cos^p psi] = C(p, p/2) / (2^p (p + 1)) for even p and 0
 # for odd p: u uniform on [0, 1), cos psi of the arcsine law
 _MOMENT_MEANS = np.array([math.comb(p, p // 2) / (2 ** p * (p + 1)) if p % 2 == 0 else 0.0
                           for p in _ORDERS])
-_FOLDS = 8  # the capacity's fit puts trial i in fold i mod 8
+_FOLDS = 8  # every fit puts trial i in fold i mod 8
 _PART_COLUMNS = 1 + len(_ORDERS)  # [1, V] of each part of the capacity (:func:`_capacity_columns`)
 
 
@@ -176,26 +162,16 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
                 + max(sampler, average) + 84 * BLOCK_TRIALS * coherent)
 
 
-def _sin_squared_coefficient(k: int) -> float:
-    """s_k = (-1)^(k+1) 2^(2k-1) pi^(2k-2) / (2k)!, the coefficient of
-    d^(2k) in sin^2(pi d) / pi^2: s_1 = 1, s_2 = -pi^2 / 3."""
-    return (-1) ** (k + 1) * 2 ** (2 * k - 1) * math.pi ** (2 * k - 2) / math.factorial(2 * k)
-
-
 def _taylor_table(index_gaps: np.ndarray) -> np.ndarray:
-    """(terms, devices): c_pe n_j^-e for each term (p, e) of :data:`_TERMS`
-    and each device j at whole-number index gap n_j, so that
-    a_p(n_j q) = sum_e table[(p, e), j] q^-e.  The centre's terms (e = 0)
-    are 0 off it and the others 0 on it.  The (2, 2) row is 1 / n_j^2."""
+    """(terms, devices): n_j^-e for each term (p, e) of :data:`_TERMS` and
+    each device j at whole-number index gap n_j, 0 at the centre.  Order p's
+    rows span min(its terms, distinct |n_j|) dimensions, so a row beyond
+    that count, a combination of the rows before it, is 0 (an all-zero
+    column, which the fit gives a zero slope)."""
     table = np.zeros((len(_TERMS), index_gaps.size))
     off = index_gaps != 0.0
-    for row, (p, e) in zip(table, _TERMS):
-        if e == 0:
-            row[~off] = _sin_squared_coefficient(p // 2 + 1)
-        else:
-            m = e - 2
-            row[off] = _sin_squared_coefficient((p - m) // 2) * (m + 1) * (-1) ** m \
-                / index_gaps[off] ** e
+    table[:, off] = index_gaps[off] ** -_TERM_EXPONENTS[:, None]
+    table[(_TERM_EXPONENTS - _TERM_ORDERS % 2) // 2 > np.unique(abs(index_gaps[off])).size] = 0.0
     return table
 
 
@@ -208,21 +184,6 @@ def _term_reductions(moments: np.ndarray, table: np.ndarray) -> np.ndarray:
         terms = _TERM_ORDERS == p
         reductions[:, terms] = (moments[p - 2] - mean) @ table[terms].T
     return reductions
-
-
-def _variate_scalars(cfg: SystemConfig, mob: MobilityModel, centre: bool,
-                     max_x: float) -> np.ndarray:
-    """x^p q^-e for each term (p, e) of the centre (e = 0) or of the
-    interferers (e >= 2), 0 for the other terms, with
-    x = V_max f_c T_s / c and q = T_s df: what a scenario multiplies
-    :func:`_term_reductions` by.  All 0 above ``max_x``, where the variates
-    would add variance, and for a static network."""
-    x = cfg.doppler_span(mob.max_velocity_mps)
-    if not x <= max_x:
-        return np.zeros(len(_TERMS))
-    own = (_TERM_EXPONENTS == 0) == centre
-    return np.where(own, x ** _TERM_ORDERS
-                    * (1.0 / cfg.spacing_symbol_product) ** _TERM_EXPONENTS, 0.0)
 
 
 def _path_moments(shift: np.ndarray, tiles, moments: np.ndarray, scratch: np.ndarray,
@@ -276,13 +237,10 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     tile per distinct gap vector.  The moments are taken tile by tile in
     the offsets tile, so no block-sized z^p is ever formed.
 
-    The power estimators subtract control variates (Glasserman 2003,
-    section 4.1): the kernel's Taylor series through d^6, the block's
-    linear reductions of the centred moments (x^p times moment p is
-    mean_m d_m^p, of mean x^p E[z^p], :data:`_MOMENT_MEANS`), one per term
-    of the coefficients a_p (:func:`_term_reductions`), times scalars
-    x^p q^-e fixed by the scenario (:func:`_variate_scalars`); a static
-    network subtracts exactly 0.  The capacity fits its own.
+    Every estimator subtracts zero-mean columns of these moments (centred
+    by :data:`_MOMENT_MEANS`) times cross-fitted slopes (Glasserman 2003,
+    section 4.1; :func:`_fold_slopes`): the power estimators per trial
+    (:func:`_fitted`), the capacity per part (:func:`_cross_fitted`).
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
@@ -351,10 +309,11 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     sub-carrier from the other 2N devices.
 
     Converges to :func:`analytic.finite_n_ici` at the same N.  Each trial
-    sums the interferers' powers less the zero-mean Taylor variates
-    sum_p x^p sum_j a_p(g_j) (mean_m z_jm^p - E[z^p]) over the interferers,
-    p = 2..6 (:func:`_device_powers`); neither term needs a quadrature.  A
-    static network gives exactly zero in every trial.
+    sums the interferers' powers less the fitted columns
+    sum_j n_j^-e (mean_m z_jm^p - E[z^p]) over the interferers, one per
+    term (p, e) of the kernel's Taylor series (:func:`_taylor_table`,
+    :func:`_fitted`); neither needs a quadrature.  A static network gives
+    exactly zero in every trial.
     ``cfg`` and ``mob`` may be equal-length sequences of scenarios sharing
     ``half_subcarriers``; they are evaluated on one set of draws, and the
     result is a list of estimates, each equal to the estimate of its
@@ -365,15 +324,14 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
     target_column = plan.target_index + n
     table = _taylor_table(subcarrier_gaps(plan.target_index, n))
-    scalars = [_variate_scalars(c, m, False, _VARIATE_MAX_X_OFF_CENTRE) for c, m in scenarios]
+    columns = np.empty((plan.trials, len(_TERMS)))
     samples = [np.empty(plan.trials) for _ in scenarios]
     for k, rows, powers, moments, _ in _device_powers(plan, cell, scenarios, gaps, False):
         if k == 0:
-            reductions = _term_reductions(moments, table)
+            columns[rows] = _term_reductions(moments, table)
         powers[:, target_column] = 0.0
-        samples[k][rows] = (powers.sum(axis=1) - reductions @ scalars[k]) \
-            * scenarios[k][0].effective_power
-    estimates = [_reduce(values) for values in samples]
+        samples[k][rows] = powers.sum(axis=1) * scenarios[k][0].effective_power
+    estimates = _fitted(columns, samples)
     return estimates[0] if single else estimates
 
 
@@ -382,20 +340,18 @@ def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     """Monte Carlo mean of the power the target device keeps on its own
     sub-carrier; converges to :func:`analytic.effective_useful_power`.
 
-    Each trial gives mean_m sinc^2(d_m) less the zero-mean Taylor variates
-    sum_p x^p a_p(0) (mean_m z_m^p - E[z^p]), p = 2, 4, 6
-    (:func:`_device_powers`).  A static network gives exactly P_T in every
-    trial.
+    Each trial gives mean_m sinc^2(d_m) less the fitted columns
+    mean_m z_m^p - E[z^p], p = 2..6, of the target's own draws
+    (:func:`_fitted`).  A static network gives exactly P_T in every trial.
     """
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers)
     centre = gaps[gaps == 0]
-    table = _taylor_table(centre)
-    scalars = _variate_scalars(cfg, mob, True, _VARIATE_MAX_X_CENTRE)
+    columns = np.empty((plan.trials, len(_ORDERS)))
     samples = np.empty(plan.trials)
     for _, rows, powers, moments, _ in _device_powers(plan, cell, [(cfg, mob)], [centre], False):
-        samples[rows] = (powers[:, 0] - _term_reductions(moments, table) @ scalars) \
-            * cfg.effective_power
-    return _reduce(samples)
+        columns[rows] = moments[:, :, 0].T - _MOMENT_MEANS
+        samples[rows] = powers[:, 0] * cfg.effective_power
+    return _fitted(columns, [samples])[0]
 
 
 def _near_devices(target: int, devices: int) -> list[int]:
@@ -434,26 +390,53 @@ def _by_fold(values: np.ndarray) -> np.ndarray:
     return np.moveaxis(values.reshape((-1, _FOLDS) + values.shape[1:]), (0, 2), (2, 0))
 
 
-def _cross_fitted(gram: np.ndarray, sums: np.ndarray, trials: int):
-    """Per scenario k: the sum over trials and parts of V beta, the target's
-    sum of residuals and the variance of one trial, from ``gram[i, f]`` =
-    A^T A over fold f, A = [1, V_i], and ``sums[k, i, f]`` = (A^T y, y^T y),
-    y part i's influence less its first trial's.  Fold f subtracts
-    V_i beta_if, beta_if the least-squares slopes, with an intercept, of y
-    on V_i over the other folds, which never see fold f's draws of part i
-    (cross-fitting; E[V_i] = 0), or nothing if they hold fewer than 10
-    trials; an all-zero column gets a zero slope.  The parts' variances
-    add.  The other folds' matrices are scenario-free: one inverse each."""
+def _fold_slopes(gram: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """slopes[k, i, f]: what fold f of part i subtracts per unit of its
+    columns V_i for scenario k, from ``gram[i, f]`` = A^T A over fold f,
+    A = [1, V_i], and ``cross[k, i, f]`` = A^T y, y the scenario's target
+    less its first trial's (so a static network gets exactly 0): the
+    least-squares slopes, with an intercept, of y on V_i over the other
+    folds, which never see fold f's draws of part i (cross-fitting;
+    E[V_i] = 0), or 0 if they hold fewer than 2 trials a column of V_i.  An
+    all-zero column gets a zero slope, and so does the intercept, which is
+    fitted, not subtracted.  The other folds' matrices are scenario-free:
+    one inverse each."""
+    size = gram.shape[-1]
     others = gram.sum(axis=1, keepdims=True) - gram
-    few = others[..., 0, 0] < 2 * (_PART_COLUMNS - 1)
-    pivots = np.arange(_PART_COLUMNS)
+    few = others[..., 0, 0] < 2 * (size - 1)
+    pivots = np.arange(size)
     others[..., pivots, pivots] += others[..., pivots, pivots] == 0.0
-    others[few] = np.eye(_PART_COLUMNS)
-    cross, squares = sums[..., :-1], sums[..., -1]
+    others[few] = np.eye(size)
     fitted = cross.sum(axis=2, keepdims=True) - cross
     fitted[:, few] = 0.0
     slopes = (np.linalg.inv(others) @ fitted[..., None])[..., 0]
-    slopes[..., 0] = 0.0  # the intercept is fitted, not subtracted
+    slopes[..., 0] = 0.0
+    return slopes
+
+
+def _fitted(columns: np.ndarray, samples) -> list[Estimate]:
+    """The estimate of each per-trial array y of ``samples`` less V beta,
+    V the (trials, variates) zero-mean ``columns`` and beta the slopes of
+    the trial's fold (:func:`_fold_slopes`), reduced over the trials
+    (:func:`_reduce`).  Each y's cross products and residuals are formed
+    alone, so a scenario keeps its bits in a group."""
+    trials = len(columns)
+    design = _by_fold(np.concatenate([np.ones((trials, 1)), columns], axis=1)[:, None])
+    cross = [(_by_fold((y - y[0])[:, None])[..., None, :] @ design)[..., 0, :] for y in samples]
+    slopes = _fold_slopes(design.swapaxes(2, 3) @ design, np.array(cross))
+    # V beta per (fold, row), transposed back to trial order
+    return [_reduce(y - (design[0, ..., 1:] @ beta[0, :, 1:, None]).T.reshape(-1)[:trials])
+            for y, beta in zip(samples, slopes)]
+
+
+def _cross_fitted(gram: np.ndarray, sums: np.ndarray, trials: int):
+    """Per scenario k: the sum over trials and parts of V beta, the target's
+    sum of residuals and the variance of one trial, from ``gram`` and
+    ``sums[k, i, f]`` = (A^T y, y^T y) of :func:`_fold_slopes`, y part i's
+    influence less its first trial's; fold f subtracts V_i beta_if.  The
+    parts' variances add."""
+    cross, squares = sums[..., :-1], sums[..., -1]
+    slopes = _fold_slopes(gram, cross)
     # per fold, sum e = sum y - (A^T A beta)_0 and
     # sum e^2 = y^T y - 2 beta^T A^T y + beta^T A^T A beta
     fits = (slopes[..., None, :] @ gram)[..., 0, :]
@@ -564,11 +547,11 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
     ``index_a`` and vice versa, from independent draws of the two devices.
 
     The channel law depends on the index pair only through its gap, so the
-    two means must agree within Monte Carlo noise.  Each direction subtracts
-    the Taylor variates of :func:`estimate_total_ici` for its one
-    interferer, at gap -g or g, from its own device's moments, which the
-    two share in law and in mean but not in draws.  Swapping the arguments
-    returns the same pair of estimates in the other order, bit for bit.
+    two means must agree within Monte Carlo noise.  Each direction fits the
+    columns of :func:`estimate_useful_power` of its own source device, which
+    the two share in law and in mean but not in draws.  Swapping the
+    arguments returns the same pair of estimates in the other order, bit
+    for bit.
     """
     # a's index gaps less b's are b - a at every entry; forming them checks both
     index_gap = abs(subcarrier_gaps(index_a, cfg.half_subcarriers)[0]
@@ -577,16 +560,13 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
         raise ValueError("symmetry_probe needs two distinct sub-carriers")
     low, high = sorted((index_a, index_b))
     index_gaps = np.array([-index_gap, index_gap])
-    table = _taylor_table(index_gaps)
-    scalars = _variate_scalars(cfg, mob, False, _VARIATE_MAX_X_OFF_CENTRE)
-    # devices drawn in index order: column 0 is the source on sub-carrier
-    # ``low``, seen from ``high``, and column 1 the reverse
-    onto = {low: np.empty(plan.trials), high: np.empty(plan.trials)}
+    columns = np.empty((2, plan.trials, len(_ORDERS)))
+    samples = np.empty((2, plan.trials))
     for _, rows, powers, moments, _ in _device_powers(
             plan, cell, [(cfg, mob)], [index_gaps * cfg.spacing_symbol_product], False):
-        for column in (0, 1):
-            own = slice(column, column + 1)
-            powers[:, column] -= _term_reductions(moments[..., own], table[:, own]) @ scalars
-        onto[high][rows] = powers[:, 0] * cfg.effective_power
-        onto[low][rows] = powers[:, 1] * cfg.effective_power
-    return _reduce(onto[index_a]), _reduce(onto[index_b])
+        columns[:, rows] = (moments - _MOMENT_MEANS[:, None, None]).T
+        samples[:, rows] = powers.T * cfg.effective_power
+    # devices drawn in index order: device 0 is the source on sub-carrier
+    # ``low``, seen from ``high``, and device 1 the reverse
+    source = {high: 0, low: 1}
+    return tuple(_fitted(columns[source[i]], [samples[source[i]]])[0] for i in (index_a, index_b))

@@ -227,13 +227,13 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # must keep these bits.  Every pin includes its estimator's control
 # variate.
 PINNED = {
-    "ici": ("0x1.f47f9170f7ecdp-8", "0x1.2b432802bd94cp-29"),  # 0.007637 +- 2.18e-09
-    "ici_edge_3ghz": ("0x1.35786474017e7p-7", "0x1.0fbf77fb2121cp-26"),  # 0.00944428 +- 1.58e-08
-    "useful": ("0x1.fbfdde6eb22d9p-1", "0x1.21750526a50adp-32"),  # 0.992171 +- 2.63e-10
+    "ici": ("0x1.f47f866aed00ap-8", "0x1.e66b9a9cb6196p-33"),  # 0.007637 +- 2.21e-10
+    "ici_edge_3ghz": ("0x1.357887ba6133cp-7", "0x1.8acbc1c1c015cp-30"),  # 0.0094443 +- 1.44e-09
+    "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca963p-37"),  # 0.992171 +- 7.53e-12
     "capacity": ("0x1.4a20fe331099fp+2", "0x1.71859f8a87840p-11"),  # 5.15826 +- 0.000705
     "capacity_edge_3ghz": ("0x1.451d0707db92fp+2", "0x1.b6ee608e847bdp-10"),  # 5.0799 +- 0.00167
-    "symmetry_a": ("0x1.12507495f6bfap-12", "0x1.1b9a60f8c5a72p-32"),  # 0.000261606 +- 2.58e-10
-    "symmetry_b": ("0x1.12505c8f9108cp-12", "0x1.dd58fd63f8e6dp-33"),  # 0.000261606 +- 2.17e-10
+    "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
+    "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479d9p-36"),  # 0.000261606 +- 1.81e-11
 }
 
 
@@ -444,20 +444,18 @@ def test_control_variate_mean_matches_its_closed_form():
 
 
 def _subtracted(monkeypatch, estimate):
-    # what a power estimator subtracts from each trial: the samples it
-    # reduces with every variate cutoff patched to 0 less those it reduces
-    # as is, one array per estimate
-    samples = []
-    reduce = montecarlo._reduce
-    monkeypatch.setattr(montecarlo, "_reduce", lambda values: samples.append(values.copy())
-                        or reduce(values))
-    estimate()
+    # the result of estimate(), and per per-trial array a power estimator
+    # fits: the columns it fits and what it subtracts from each trial, the
+    # array less the residuals it reduces
+    fits, residuals = [], []
+    fitted, reduce = montecarlo._fitted, montecarlo._reduce
     with monkeypatch.context() as patched:
-        for cutoff in ("_VARIATE_MAX_X_CENTRE", "_VARIATE_MAX_X_OFF_CENTRE"):
-            patched.setattr(montecarlo, cutoff, 0.0)
-        estimate()
-    half = len(samples) // 2
-    return [off - on for on, off in zip(samples[:half], samples[half:])]
+        patched.setattr(montecarlo, "_fitted", lambda columns, samples: fits.extend(
+            (columns.copy(), y.copy()) for y in samples) or fitted(columns, samples))
+        patched.setattr(montecarlo, "_reduce", lambda values: residuals.append(values)
+                        or reduce(values))
+        result = estimate()
+    return result, [(columns, y - e) for (columns, y), e in zip(fits, residuals, strict=True)]
 
 
 # E[z^p] for p = 0..6, z = u cos psi: E[u^p] E[cos^p psi] with E[u^p] = 1 / (p + 1)
@@ -476,28 +474,14 @@ def test_path_moment_means_are_exact():
     assert list(montecarlo._MOMENT_MEANS) == [float(PATH_MOMENT_MEANS[p]) for p in range(2, 7)]
 
 
-@pytest.mark.parametrize("q", [1, 2])
-def test_taylor_table_is_the_series_of_the_kernel(q):
-    # a_p(n q) = sum_e table[(p, e)] q^-e against mpmath, p = 2..6
-    index_gaps = np.array([0.0, 1.0, -1.0, 2.0, -2.0, 7.0, -7.0])
-    table = montecarlo._taylor_table(index_gaps)
-    for column, n in zip(table.T, index_gaps):
-        exact = _taylor_coefficients(n * q)
-        for p in range(2, 7):
-            got = sum(value / q ** e for value, (order, e) in zip(column, montecarlo._TERMS)
-                      if order == p)
-            if n == 0.0 and p % 2:
-                assert got == 0.0 and abs(exact[p]) < 1e-30
-            else:
-                assert got == pytest.approx(exact[p], rel=1e-13, abs=0.0), (n, q, p)
-
-
 def test_every_taylor_variate_has_mean_zero():
-    # each term (p, e) of the power estimators' variates, reduced from the
-    # moments _device_powers yields, over 2^17 trials of 5 devices of 2 paths
+    # each of the interference's 9 columns, one per term (p, e), reduced
+    # from the moments _device_powers yields, over 2^17 trials of 5
+    # devices of 2 paths; three distinct |n| keep every term
     plan = TrialPlan(trials=1 << 17, seed=29, target_index=1)
     index_gaps = subcarrier_gaps(plan.target_index, 2)
     table = montecarlo._taylor_table(index_gaps)
+    assert table.shape == (9, 5) and np.all(table.any(axis=1))
     reductions = np.empty((plan.trials, len(montecarlo._TERMS)))
     for _, rows, _, moments, _ in montecarlo._device_powers(
             plan, CellConfig(2), [(SystemConfig(half_subcarriers=2), MobilityModel(0.0))],
@@ -507,35 +491,38 @@ def test_every_taylor_variate_has_mean_zero():
         assert abs(column.mean()) <= 4.0 * column.std(ddof=1) / math.sqrt(column.size), term
 
 
-def test_control_variates_are_the_taylor_series_of_the_kernel(monkeypatch):
-    # what the power estimators subtract from each trial: per device
-    # sum_p a_p(g) (mean_m d_m^p - x^p E[z^p]), p = 2..6, with a_p(g) the
-    # coefficient of d^p in sinc^2(g + d), summed over the interferers for
-    # the interference
+@pytest.mark.parametrize("q", [1, 2])
+def test_the_power_variates_span_the_taylor_series_of_the_kernel(q, monkeypatch):
+    # per device and trial the kernel's Taylor series through d^6 less its
+    # mean, sum_p a_p(g) (mean_m d_m^p - x^p E[z^p]) with a_p(g) the
+    # coefficient of d^p in sinc^2(g + d) by mpmath, summed over the
+    # interferers for the interference, is a least-squares combination of
+    # the columns each estimator fits, whatever x and q
+    cfg = SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=2, symbol_period_s=q / 2500.0)
     plan = TrialPlan(trials=256, seed=26, target_index=1)
-    gaps = subcarrier_gaps(plan.target_index, CV_CFG.half_subcarriers,
-                           CV_CFG.spacing_symbol_product)
+    x = cfg.doppler_span(CV_MOB.max_velocity_mps)  # 0.28 q
+    gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
 
     def excess(device_gaps):
         # sum_p a_p(g) (mean_m d_m^p - x^p E[z^p]) per device, from the raw draws
-        d = CV_X * sample_cell_batch(montecarlo._block_rng(plan.seed, 0), plan.trials,
-                                     len(device_gaps), CV_CELL)
+        d = x * sample_cell_batch(montecarlo._block_rng(plan.seed, 0), plan.trials,
+                                  len(device_gaps), CV_CELL)
         coefficients = np.array([_taylor_coefficients(g) for g in device_gaps])
-        return sum(((d ** p).mean(axis=2) - CV_X ** p * float(PATH_MOMENT_MEANS[p]))
+        return sum(((d ** p).mean(axis=2) - x ** p * float(PATH_MOMENT_MEANS[p]))
                    * coefficients[:, p] for p in range(2, 7))
 
     def check(estimate, *expected):
-        got = _subtracted(monkeypatch, estimate)
-        for g, e in zip(got, expected, strict=True):
-            np.testing.assert_allclose(g, e, rtol=0.0, atol=1e-14)
+        _, fits = _subtracted(monkeypatch, estimate)
+        for (columns, _), series in zip(fits, expected, strict=True):
+            combination = columns @ np.linalg.lstsq(columns, series, rcond=None)[0]
+            assert np.linalg.norm(combination - series) <= 1e-12 * np.linalg.norm(series)
 
-    check(lambda: estimate_total_ici(plan, CV_CFG, CV_CELL, CV_MOB),
-          np.delete(excess(gaps), plan.target_index + CV_CFG.half_subcarriers, axis=1).sum(axis=1))
-    check(lambda: estimate_useful_power(plan, CV_CFG, CV_CELL, CV_MOB), excess([0.0])[:, 0])
-    # column 0 is the device on -1 seen from 1, column 1 the reverse
-    pair = excess([-2.0, 2.0])
-    check(lambda: symmetry_probe(-1, 1, plan, CV_CFG, CV_CELL, CV_MOB),
-          pair[:, 1], pair[:, 0])
+    check(lambda: estimate_total_ici(plan, cfg, CV_CELL, CV_MOB),
+          np.delete(excess(gaps), plan.target_index + cfg.half_subcarriers, axis=1).sum(axis=1))
+    check(lambda: estimate_useful_power(plan, cfg, CV_CELL, CV_MOB), excess([0.0])[:, 0])
+    # device 0 is the source on -1 seen from 1, device 1 the reverse
+    pair = excess([-2.0 * q, 2.0 * q])
+    check(lambda: symmetry_probe(-1, 1, plan, cfg, CV_CELL, CV_MOB), pair[:, 1], pair[:, 0])
 
 
 @pytest.mark.parametrize("cfg, cell, target", [
@@ -558,55 +545,66 @@ def test_control_variate_keeps_static_networks_exact(cfg, cell, target):
 def test_control_variate_cuts_the_fig3_standard_error():
     # the fig3 point with the largest Doppler, 3 GHz at 100 m/s (x = 0.4),
     # at the benchmark's 2048 trials; at this seed the relative standard
-    # error was 0.010583 with no variate, 0.0035 with the d^2 term alone and
-    # is 4.318e-5 with the series through d^6
+    # error was 0.010583 with no variate, 0.0035 with the d^2 term alone,
+    # 4.318e-5 with the fixed series through d^6, and is 3.991e-6 with the
+    # series' columns fitted
     cfg = SystemConfig(carrier_frequency_hz=3e9)
     est = estimate_total_ici(TrialPlan(trials=2048, seed=42), cfg, CELL, MOB)
     exact = finite_n_ici(0, 100.0, cfg)
-    assert est.std_error / exact <= 2.0 * 4.318e-5
+    assert est.std_error / exact <= 2.0 * 3.991e-6
     assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
-# standard errors at 2048 trials and seed 5 with the variate forced off,
-# rounded up: x = 1.8 and 3 at 900 MHz, where a d^2 variate would add
-# variance (2.8x and 7.8x the interference's standard error)
+# standard errors at 2048 trials and seed 5 with no variate, rounded up, at
+# 900 MHz and q = T_s df = 1, where x = V_max / (833.3 m/s): at x = 1.8
+# and 3 a fixed Taylor series would add variance, and a fixed series with
+# measured cut-offs had none at x = 0.8 and 1.0 off the centre (above
+# 0.75) and at 1.15 and 1.2 on it (above 1.1)
 VARIATE_OFF_STD_ERROR = {
-    1500.0: (0.0050487, 0.0064643),  # (estimate_total_ici, estimate_useful_power)
-    2500.0: (0.0058637, 0.0063024),
+    (estimate_total_ici, 1500.0): 0.0050487,
+    (estimate_useful_power, 1500.0): 0.0064643,
+    (estimate_total_ici, 2500.0): 0.0058637,
+    (estimate_useful_power, 2500.0): 0.0063024,
+    (estimate_total_ici, 2000.0 / 3.0): 0.0028707,
+    (estimate_total_ici, 2500.0 / 3.0): 0.0038971,
+    (estimate_useful_power, 2875.0 / 3.0): 0.0058471,
+    (estimate_useful_power, 1000.0): 0.0059606,
 }
 
 
-@pytest.mark.parametrize("v_max", sorted(VARIATE_OFF_STD_ERROR))
-def test_control_variate_stops_where_it_adds_variance(v_max):
-    plan = TrialPlan(trials=2048, seed=5)
-    mob = MobilityModel(max_velocity_mps=v_max)
-    ici = estimate_total_ici(plan, CFG, CELL, mob)
-    useful = estimate_useful_power(plan, CFG, CELL, mob)
-    assert ici.std_error <= VARIATE_OFF_STD_ERROR[v_max][0]
-    assert useful.std_error <= VARIATE_OFF_STD_ERROR[v_max][1]
-    assert abs(ici.mean - finite_n_ici(0, v_max, CFG)) <= 4.0 * ici.std_error
-    assert abs(useful.mean - effective_useful_power(v_max, CFG)) <= 4.0 * useful.std_error
+@pytest.mark.parametrize("estimator,v_max", list(VARIATE_OFF_STD_ERROR),
+                         ids=[f"{e.__name__}-{CFG.doppler_span(v):.3g}"
+                              for e, v in VARIATE_OFF_STD_ERROR])
+def test_power_variates_need_no_cut_off(estimator, v_max):
+    # fitted slopes cut the variance at any x: the standard errors are
+    # 0.01-0.7 of those without a variate
+    est = estimator(TrialPlan(trials=2048, seed=5), CFG, CELL, MobilityModel(v_max))
+    assert est.std_error <= 0.8 * VARIATE_OFF_STD_ERROR[estimator, v_max]
+    exact = finite_n_ici(0, v_max, CFG) if estimator is estimate_total_ici \
+        else effective_useful_power(v_max, CFG)
+    assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
-@pytest.mark.parametrize("x,centre,on", [
-    (0.74, False, True), (0.76, False, False),  # off the centre: 0.75
-    (1.1, True, True), (1.12, True, False),     # on the centre: 1.1
-])
-def test_control_variates_stop_at_their_measured_cut_offs(x, centre, on, monkeypatch):
-    # just below a cut-off the variates cut the standard error; just above
-    # it the estimate is the one with the variates forced off, bit for bit
-    plan = TrialPlan(trials=1024, seed=6)
-    mob = MobilityModel(max_velocity_mps=x / CFG.doppler_span(1.0))
-    estimate = estimate_useful_power if centre else estimate_total_ici
-    with_variates = estimate(plan, CFG, CELL, mob)
-    monkeypatch.setattr(montecarlo, "_VARIATE_MAX_X_CENTRE" if centre
-                        else "_VARIATE_MAX_X_OFF_CENTRE", -1.0)
-    plain = estimate(plan, CFG, CELL, mob)
-    if on:
-        assert with_variates.std_error < plain.std_error / 1.2
-        assert abs(with_variates.mean - plain.mean) <= 4.0 * plain.std_error
-    else:
-        assert with_variates == plain
+@pytest.mark.parametrize("half_subcarriers", [0, 1, 2])
+def test_a_small_band_fits_independent_interference_columns(half_subcarriers):
+    # a band with fewer distinct |n| than an order p has terms makes that
+    # order's weights n^-e dependent (at N = 1, n^-2 = n^-4 = 1), which
+    # would leave the fit a singular matrix: the table keeps as many of
+    # p's rows as their rank and zeroes the others, and every target's
+    # estimate agrees with the quadrature
+    cfg = SystemConfig(half_subcarriers=half_subcarriers)
+    for target in range(-half_subcarriers, half_subcarriers + 1):
+        index_gaps = subcarrier_gaps(target, half_subcarriers)
+        table = montecarlo._taylor_table(index_gaps)
+        for p in range(2, 7):
+            rows = montecarlo._TERM_ORDERS == p
+            weights = [[n ** -e if n else 0.0 for n in index_gaps]
+                       for e in montecarlo._TERM_EXPONENTS[rows]]
+            kept = table[rows][table[rows].any(axis=1)]
+            assert len(kept) == np.linalg.matrix_rank(kept) == np.linalg.matrix_rank(weights)
+        est = estimate_total_ici(TrialPlan(trials=600, seed=3, target_index=target), cfg, CELL,
+                                 MOB)
+        assert abs(est.mean - finite_n_ici(target, 100.0, cfg)) <= 4.0 * est.std_error
 
 
 def test_ici_estimates_are_unbiased_at_every_fig3_point():
@@ -620,6 +618,22 @@ def test_ici_estimates_are_unbiased_at_every_fig3_point():
                                    [MobilityModel(v) for v in speeds])
         for v, est in zip(speeds, group):
             assert abs(est.mean - finite_n_ici(0, v, cfg)) <= 4.0 * est.std_error, (fc, v)
+
+
+def test_power_estimates_are_unbiased_and_their_std_error_honest():
+    # the fig3 point with the largest Doppler, 3 GHz at 100 m/s (x = 0.4):
+    # 200 seeds of 256 trials, one block each, so that each fold's slopes
+    # come from 224 trials; the mean estimate against the quadrature within
+    # 4 standard errors of that mean, and the standard error each run
+    # reports against the spread of the 200 estimates.  Here z = 0.12 and
+    # the ratio 0.94; fitting each fold on its own trials reads 0.55
+    cfg = SystemConfig(carrier_frequency_hz=3e9)
+    runs = [estimate_total_ici(TrialPlan(trials=256, seed=seed), cfg, CELL, MOB)
+            for seed in range(200)]
+    means = np.array([run.mean for run in runs])
+    spread = means.std(ddof=1)
+    assert abs(means.mean() - finite_n_ici(0, 100.0, cfg)) <= 4.0 * spread / math.sqrt(len(runs))
+    assert math.sqrt(np.mean([run.std_error ** 2 for run in runs])) >= 0.85 * spread
 
 
 # ---------------------------------------------------------------------------
@@ -755,12 +769,15 @@ def test_streamed_fold_sums_match_a_two_pass_least_squares(v_max, monkeypatch):
 
 def test_a_scenario_keeps_its_bits_in_its_fig4_group():
     # the 11 speeds of fig4's 500 Hz curve, one static, over three blocks:
-    # the other folds' matrices are inverted once for the group
+    # the other folds' matrices are inverted once for the group; and the
+    # interference on fig3's 900 MHz curve, whose folds are fitted alike
     cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
     speeds = [MobilityModel(10.0 * k) for k in range(11)]
     plan = TrialPlan(trials=600, seed=36)
     group = estimate_ergodic_capacity(plan, [cfg] * len(speeds), CELL, speeds)
     assert group == [estimate_ergodic_capacity(plan, cfg, CELL, mob) for mob in speeds]
+    group = estimate_total_ici(plan, [CFG] * 10, CELL, speeds[1:])
+    assert group == [estimate_total_ici(plan, CFG, CELL, mob) for mob in speeds[1:]]
 
 
 def _plain_samples(plan, cfg, cell, mob, averaged=(-1, 1)):
@@ -816,7 +833,19 @@ def test_cross_fitted_capacity_is_unbiased_and_its_std_error_honest(paths, refer
 def test_few_trials_give_defined_capacity_estimates(trials, monkeypatch):
     # below 10 trials in the other folds, which 8 trials still are (7), a
     # fold subtracts nothing and the estimate is the product of the factor
-    # means; one trial is the rule at that trial and has no spread
+    # means; one trial is the rule at that trial and has no spread.  The
+    # power estimators' folds, of 6 or 10 columns, subtract nothing at 8
+    # trials either, and their estimates are defined at every count
+    plan = TrialPlan(trials=trials, seed=34)
+    for estimate in (lambda: [estimate_total_ici(plan, CFG, CELL, MOB)],
+                     lambda: [estimate_useful_power(plan, CFG, CELL, MOB)],
+                     lambda: symmetry_probe(0, 3, plan, CFG, CELL, MOB)):
+        ests, fits = _subtracted(monkeypatch, estimate)
+        for est in ests:
+            assert math.isfinite(est.mean) and math.isfinite(est.std_error)
+            assert est.trials == trials and (est.std_error == 0.0) == (trials == 1)
+        if trials <= 8:
+            assert all(np.all(subtracted == 0.0) for _, subtracted in fits)
     [est], runs, columns = _recorded(monkeypatch, TrialPlan(trials=trials, seed=34),
                                      [CFG], CELL, [MOB])
     assert columns.shape == (trials, 6, 6)
