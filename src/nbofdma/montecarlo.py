@@ -22,7 +22,7 @@ import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
-from .numerics import exp1_scaled, hamdi_factors, hamdi_rule, row_tiles, sinc, sinc_squared
+from .numerics import HAMDI_MAX_SCALE, hamdi_factors, hamdi_rule, row_tiles, sinc, sinc_squared
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
                        sample_cell_batch, subcarrier_gaps)
 
@@ -32,6 +32,7 @@ __all__ = [
     "block_bytes",
     "estimate_total_ici",
     "estimate_useful_power",
+    "capacity_snr",
     "estimate_ergodic_capacity",
     "symmetry_probe",
 ]
@@ -345,13 +346,21 @@ def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     (:func:`_fitted`).  A static network gives exactly P_T in every trial.
     """
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers)
-    centre = gaps[gaps == 0]
-    columns = np.empty((plan.trials, len(_ORDERS)))
-    samples = np.empty(plan.trials)
-    for _, rows, powers, moments, _ in _device_powers(plan, cell, [(cfg, mob)], [centre], False):
-        columns[rows] = moments[:, :, 0].T - _MOMENT_MEANS
-        samples[rows] = powers[:, 0] * cfg.effective_power
-    return _fitted(columns, [samples])[0]
+    return _device_estimates(plan, cfg, cell, mob, gaps[gaps == 0])[0]
+
+
+def _device_estimates(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
+                      mob: MobilityModel, gaps: np.ndarray) -> list[Estimate]:
+    """The estimate of the power each device at sub-carrier distance
+    ``gaps`` (index gaps times T_s df) deposits, less the fitted columns
+    mean_m z_m^p - E[z^p], p = 2..6, of that device's own draws
+    (:func:`_fitted`)."""
+    columns = np.empty((len(gaps), plan.trials, len(_ORDERS)))
+    samples = np.empty((len(gaps), plan.trials))
+    for _, rows, powers, moments, _ in _device_powers(plan, cell, [(cfg, mob)], [gaps], False):
+        columns[:, rows] = (moments - _MOMENT_MEANS[:, None, None]).T
+        samples[:, rows] = powers.T * cfg.effective_power
+    return [_fitted(c, [y])[0] for c, y in zip(columns, samples)]
 
 
 def _near_devices(target: int, devices: int) -> list[int]:
@@ -430,11 +439,10 @@ def _fitted(columns: np.ndarray, samples) -> list[Estimate]:
 
 
 def _cross_fitted(gram: np.ndarray, sums: np.ndarray, trials: int):
-    """Per scenario k: the sum over trials and parts of V beta, the target's
-    sum of residuals and the variance of one trial, from ``gram`` and
-    ``sums[k, i, f]`` = (A^T y, y^T y) of :func:`_fold_slopes`, y part i's
-    influence less its first trial's; fold f subtracts V_i beta_if.  The
-    parts' variances add."""
+    """Per scenario k: the sum over trials and parts of V beta and the
+    variance of one trial, from ``gram`` and ``sums[k, i, f]`` = (A^T y,
+    y^T y) of :func:`_fold_slopes`, y part i's influence less its first
+    trial's; fold f subtracts V_i beta_if.  The parts' variances add."""
     cross, squares = sums[..., :-1], sums[..., -1]
     slopes = _fold_slopes(gram, cross)
     # per fold, sum e = sum y - (A^T A beta)_0 and
@@ -444,7 +452,7 @@ def _cross_fitted(gram: np.ndarray, sums: np.ndarray, trials: int):
     squares = (squares + ((fits - 2.0 * cross) * slopes).sum(axis=3)).sum(axis=2)
     variances = np.maximum(squares - residuals * residuals / trials, 0.0) / max(trials - 1, 1)
     subtracted = (gram[..., 0, :] * slopes).sum(axis=3).sum(axis=2).sum(axis=1)
-    return subtracted, residuals[:, 0], variances.sum(axis=1)
+    return subtracted, variances.sum(axis=1)
 
 
 def _all_but_each(means: np.ndarray) -> np.ndarray:
@@ -453,6 +461,17 @@ def _all_but_each(means: np.ndarray) -> np.ndarray:
     np.cumprod(means[:-1], axis=0, out=before[1:])
     np.cumprod(means[:0:-1], axis=0, out=after[-2::-1])
     return before * after
+
+
+def capacity_snr(cfg: SystemConfig) -> float:
+    """P_T over the noise of a capacity scenario, the scale of its Hamdi
+    rule; ValueError unless the noise is positive and the ratio at most
+    :data:`numerics.HAMDI_MAX_SCALE`."""
+    snr = cfg.effective_power / cfg.noise_variance if cfg.noise_variance > 0.0 else math.inf
+    if not snr <= HAMDI_MAX_SCALE:
+        raise ValueError(f"noise_variance, effective_power: the capacity needs positive noise "
+                         f"and P_T / noise at most {HAMDI_MAX_SCALE!r}; got {snr!r}")
+    return snr
 
 
 def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
@@ -476,26 +495,24 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     own zero-mean columns (:func:`_capacity_columns`) times slopes
     cross-fitted (:func:`_cross_fitted`) to its influence
     g_i = int F_i prod_(j != i) mean F_j at the first block's means; the
-    standard error is sqrt(sum_i var(g_i - V_i beta_i) / trials).  With no
-    interference (static, or N = 0) each trial takes Lee's (1990)
-    log2(e) e^x E1(x), x = 1 / u: a static network gives the exact capacity,
+    standard error is sqrt(sum_i var(g_i - V_i beta_i) / trials).  A
+    static network or N = 0 leaves the target's factor alone (the others
+    are exactly 1, or there are none), the one-factor integral
+    e^x E1(x), x = 1 / u (Lee 1990): every trial gives the exact capacity,
     with a standard error of 0.  A scenario gives the same bits alone or in
     a group.  The estimate can exceed :func:`analytic.capacity_upper`, the
     capacity at the mean powers, as at one path per device.  Requires
-    positive noise power.  ``cfg`` and ``mob`` may be sequences, as for
+    positive noise and P_T over the noise at most 1e300
+    (:func:`capacity_snr`).  ``cfg`` and ``mob`` may be sequences, as for
     :func:`estimate_total_ici`.
     """
     scenarios, single = _group(cfg, mob)
-    if any(c.noise_variance <= 0.0 for c, _ in scenarios):
-        raise ValueError("noise_variance must be positive to estimate capacity")
+    snrs = [capacity_snr(c) for c, _ in scenarios]
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
-    target = plan.target_index + n
-    near = _near_devices(target, 2 * n + 1)
+    near = _near_devices(plan.target_index + n, 2 * n + 1)
     parts = len(near) + (2 * n + 1 > len(near))
-    snrs = [c.effective_power / c.noise_variance for c, _ in scenarios]
     rules = [hamdi_rule(snr) for snr in snrs]
-    quiet = [parts == 1 or c.doppler_span(m.max_velocity_mps) == 0.0 for c, m in scenarios]
     table_size = parts * min(plan.trials, BLOCK_TRIALS) * max(nodes.size for nodes, _ in rules)
     gram, sums = 0.0, [0.0] * len(scenarios)
     totals, influences, shifts = ([None] * len(scenarios) for _ in range(3))
@@ -505,25 +522,19 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
             gram = gram + design.swapaxes(2, 3) @ design
             tables = _aligned_empty((table_size,))  # let go with the block
         size = len(powers)
-        if quiet[k]:
-            y = np.zeros((parts, size))
-            with np.errstate(divide="ignore"):  # 0 for a target that keeps no power
-                y[0] = exp1_scaled(scenarios[k][0].noise_variance
-                                   / (powers[:, target] * scenarios[k][0].effective_power))
-        else:
-            nodes, rule = rules[k]
-            faded = (powers[:, near] * snrs[k]).T  # u, then the b_j
-            powers *= weights  # 0 at the near devices
-            far = powers.sum(axis=1) * snrs[k] if parts > len(near) else None
-            table = hamdi_factors(nodes, faded, far,
-                                  tables[:parts * size * nodes.size].reshape(parts, size, -1))
-            column_sums = np.ones(size) @ table
-            column_sums[0] = faded[0] @ table[0]  # C is u times its table
-            totals[k] = column_sums + (totals[k] if rows.start else 0.0)
-            if rows.start == 0:
-                influences[k] = _all_but_each(column_sums / size) * rule
-            y = (table @ influences[k][..., None])[..., 0]
-            y[0] *= faded[0]
+        nodes, rule = rules[k]
+        faded = (powers[:, near] * snrs[k]).T  # u, then the b_j
+        powers *= weights  # 0 at the near devices
+        far = powers.sum(axis=1) * snrs[k] if parts > len(near) else None
+        table = hamdi_factors(nodes, faded, far,
+                              tables[:parts * size * nodes.size].reshape(parts, size, -1))
+        column_sums = np.ones(size) @ table
+        column_sums[0] = faded[0] @ table[0]  # C is u times its table
+        totals[k] = column_sums + (totals[k] if rows.start else 0.0)
+        if rows.start == 0:
+            influences[k] = _all_but_each(column_sums / size) * rule
+        y = (table @ influences[k][..., None])[..., 0]
+        y[0] *= faded[0]
         if rows.start == 0:
             shifts[k] = y[:, :1].copy()
         y = _by_fold((y - shifts[k]).T)
@@ -531,10 +542,9 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
                                             np.einsum("pfr,pfr->pf", y, y)[..., None]], axis=2)
         if k == len(scenarios) - 1:
             tables = table = None
-    subtracted, residuals, variances = _cross_fitted(gram, np.array(sums), plan.trials)
-    means = [shifts[k][0, 0] + residuals[k] / plan.trials if quiet[k] else
-             rules[k][1] @ np.prod(totals[k] / plan.trials, axis=0) - subtracted[k] / plan.trials
-             for k in range(len(scenarios))]
+    subtracted, variances = _cross_fitted(gram, np.array(sums), plan.trials)
+    means = [rule @ np.prod(total / plan.trials, axis=0) - fit / plan.trials
+             for (_, rule), total, fit in zip(rules, totals, subtracted)]
     estimates = [Estimate(LOG2_E * float(mean), LOG2_E * math.sqrt(variance / plan.trials),
                           plan.trials) for mean, variance in zip(means, variances)]
     return estimates[0] if single else estimates
@@ -548,8 +558,8 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
 
     The channel law depends on the index pair only through its gap, so the
     two means must agree within Monte Carlo noise.  Each direction fits the
-    columns of :func:`estimate_useful_power` of its own source device, which
-    the two share in law and in mean but not in draws.  Swapping the
+    columns of its own source device (:func:`_device_estimates`), which the
+    two share in law and in mean but not in draws.  Swapping the
     arguments returns the same pair of estimates in the other order, bit
     for bit.
     """
@@ -558,15 +568,8 @@ def symmetry_probe(index_a: int, index_b: int, plan: TrialPlan,
                     - subcarrier_gaps(index_b, cfg.half_subcarriers)[0])
     if index_gap == 0.0:
         raise ValueError("symmetry_probe needs two distinct sub-carriers")
-    low, high = sorted((index_a, index_b))
-    index_gaps = np.array([-index_gap, index_gap])
-    columns = np.empty((2, plan.trials, len(_ORDERS)))
-    samples = np.empty((2, plan.trials))
-    for _, rows, powers, moments, _ in _device_powers(
-            plan, cell, [(cfg, mob)], [index_gaps * cfg.spacing_symbol_product], False):
-        columns[:, rows] = (moments - _MOMENT_MEANS[:, None, None]).T
-        samples[:, rows] = powers.T * cfg.effective_power
-    # devices drawn in index order: device 0 is the source on sub-carrier
-    # ``low``, seen from ``high``, and device 1 the reverse
-    source = {high: 0, low: 1}
-    return tuple(_fitted(columns[source[i]], [samples[source[i]]])[0] for i in (index_a, index_b))
+    # devices drawn in index order: device 0 is the source on the lower
+    # sub-carrier, seen from the higher one, and device 1 the reverse
+    pair = _device_estimates(plan, cfg, cell, mob,
+                             np.array([-index_gap, index_gap]) * cfg.spacing_symbol_product)
+    return tuple(pair if index_a > index_b else pair[::-1])

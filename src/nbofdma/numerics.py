@@ -1,11 +1,10 @@
 """Deterministic numerical kernels: sin(pi r), normalized sinc, sine integral,
-the scaled exponential integral, Hamdi's capacity rule, quadrature, and the
-row tiles of the Monte Carlo block arithmetic.
+Hamdi's capacity rule, quadrature, and the row tiles of the Monte Carlo
+block arithmetic.
 
 Everything in this module is pure floating-point arithmetic with no hidden
 state and no randomness, so repeated calls with identical inputs return
-bit-identical results.  The sine integral and the scaled exponential
-integral share one continued fraction and call no quadrature, so the
+bit-identical results.  The sine integral calls no quadrature, so the
 adaptive integrator, the workhorse behind the leakage, useful-power and
 capacity quadratures elsewhere in the package, is never nested.
 """
@@ -27,7 +26,7 @@ __all__ = [
     "sinc_squared",
     "row_tiles",
     "sine_integral",
-    "exp1_scaled",
+    "HAMDI_MAX_SCALE",
     "hamdi_rule",
     "hamdi_factors",
     "integrate",
@@ -233,9 +232,8 @@ def _si_series(x: float) -> float:
 # Stegun 5.1.22, 1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - 9 / ...))), which
 # converges everywhere off the negative real axis
 def _exp1_fraction(z, depth: int):
-    """e^z E1(z) from ``depth`` levels of the fraction, evaluated bottom up
-    in plain operators, so ``z`` may be a real numpy array or a complex
-    scalar."""
+    """e^z E1(z) from ``depth`` levels of the fraction, evaluated bottom up,
+    for a complex ``z``."""
     fraction = 2.0 * depth + 1.0
     for k in range(depth, 0, -1):
         fraction = (2.0 * k - 1.0) - k * k / (fraction + z)
@@ -267,50 +265,6 @@ def sine_integral(x: float) -> float:
     return math.pi / 2.0 + math.cos(x) * f.imag - math.sin(x) * f.real
 
 
-# e^x E1(x) from the series E1(x) = -gamma - ln x - sum_k (-x)^k / (k k!)
-# (A&S 5.1.11) below the seam and from _EXP1_DEPTH levels of the continued
-# fraction above it.  At the seam the first dropped series term is below
-# 5e-18, the series loses about one digit to cancellation, and the truncated
-# fraction falls short by 1.2e-15 relative, less further up.  The fraction
-# side of the seam therefore lies below the series side, which keeps the
-# function non-increasing.
-_EXP1_SEAM = 1.5
-_EXP1_SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 21))
-_EXP1_DEPTH = 60
-_EULER_GAMMA = 0.57721566490153286
-
-
-def exp1_scaled(x):
-    """e^x E1(x), the exponential integral scaled by e^x, for x > 0 in numpy
-    arithmetic alone; returns an array of the shape of ``x``.
-
-    A 20-term series below x = 1.5 and the continued fraction shared with
-    :func:`sine_integral`, 60 levels deep, above it.  Within 2e-15 relative
-    of its mpmath value from x = 1e-6 to 1e6.  It falls from +inf at 0
-    (like -ln x) to 0 at +inf (like 1/x) and is exactly 0.0 at x = inf.
-    E[log2(1 + w a)] = log2(e) exp1_scaled(1/a) for an Exp(1) weight w
-    (Lee 1990, the ergodic capacity of a Rayleigh channel).
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    low = x < _EXP1_SEAM
-    if low.any():
-        s = x[low]
-        series = np.full_like(s, _EXP1_SERIES[-1])
-        for c in _EXP1_SERIES[-2::-1]:
-            series *= s
-            series += c
-        series *= s
-        series -= _EULER_GAMMA
-        series -= np.log(s)
-        series *= np.exp(s)
-        out[low] = series
-    high = ~low
-    if high.any():
-        out[high] = _exp1_fraction(x[high], _EXP1_DEPTH)
-    return out
-
-
 # Hamdi's lemma (K. A. Hamdi, IEEE Trans. Commun. 58(2), 2010): an ergodic
 # capacity in nats is int_0^inf e^-t prod_i F_i(t) dt, one factor per
 # independent power (:func:`hamdi_factors`).  The rule is a trapezoid in
@@ -336,15 +290,19 @@ def _hamdi_rule(first: int):
     return nodes, weights
 
 
+HAMDI_MAX_SCALE = 1e300  # the largest scale the rule is sized to
+
+
 def hamdi_rule(scale: float):
     """(nodes t_n, weights) of the package's one rule for Hamdi's integral,
     sum_n weights_n prod_i F_i(t_n), e^-t in the weights, for factors
-    (:func:`hamdi_factors`) of scales u, b and a up to ``scale``: within
-    5e-16 relative of mpmath there.  The trapezoid starts at the lattice
-    point below ln(0.03 / scale), -60 at the least: 53 nodes at a scale of
-    100, 90 at 1e6.  The arrays are shared and read-only."""
-    scale = min(max(scale, 1.0), 1e300)
-    return _hamdi_rule(max(math.floor(math.log(_HAMDI_REACH / scale) / _HAMDI_STEP), -240))
+    (:func:`hamdi_factors`) of scales u, b and a up to ``scale``, clamped
+    to [1, :data:`HAMDI_MAX_SCALE`]: within 5e-16 relative of mpmath up to
+    1e30, 2e-15 at 1e300.  The trapezoid starts at the lattice point below
+    ln(0.03 / scale): 53 nodes at a scale of 100, 311 at 1e30 and 2798 at
+    1e300.  The arrays are shared and read-only."""
+    scale = min(max(scale, 1.0), HAMDI_MAX_SCALE)
+    return _hamdi_rule(math.floor(math.log(_HAMDI_REACH / scale) / _HAMDI_STEP))
 
 
 def hamdi_factors(nodes, faded, far=None, out=None):

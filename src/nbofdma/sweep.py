@@ -26,8 +26,8 @@ from .analytic import (
     sum_rate_upper,
     total_ici_power,
 )
-from .montecarlo import (BLOCK_TRIALS, TrialPlan, block_bytes, estimate_ergodic_capacity,
-                         estimate_total_ici)
+from .montecarlo import (BLOCK_TRIALS, TrialPlan, block_bytes, capacity_snr,
+                         estimate_ergodic_capacity, estimate_total_ici)
 from .numerics import QuadratureError
 from .sysmodel import CellConfig, MobilityModel, SystemConfig
 
@@ -286,11 +286,11 @@ def parse_config(text: str) -> SweepSpec:
                 if not -n <= plan.target_index <= n:
                     raise ValueError(f"half_subcarriers: mc.target_index = {plan.target_index} "
                                      f"outside the sub-carrier range [-{n}, {n}]")
-                if wants_mc:
-                    _check_block_memory(cfg, cell, "ici_mc" not in canonical)
                 _check_doppler(spec, cfg, mob, axis_value)
                 if cfg.noise_variance == 0.0:
                     _check_noiseless(spec, cfg, mob, axis_value)
+                if wants_mc:
+                    _check_monte_carlo(spec, cfg, cell, axis_value)
                 _check_closed_forms(spec, cfg, mob, axis_value)
             except ValueError as exc:
                 raise _scenario_fault(spec, name, overrides, exc) from None
@@ -397,17 +397,21 @@ def _check_closed_forms(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
                 f"(noise/P_T = {cfg.noise_variance / cfg.effective_power!r})")
 
 
-def _check_block_memory(cfg: SystemConfig, cell: CellConfig, coherent: bool):
-    """Refuse a Monte Carlo scenario whose block would hold more than
-    :data:`_MAX_BLOCK_BYTES` (:func:`montecarlo.block_bytes`), ``coherent``
-    when the capacity is the only Monte Carlo output, whose rule the SNR
-    sizes (the largest rule without noise, which is refused later);
+def _check_monte_carlo(spec: SweepSpec, cfg: SystemConfig, cell: CellConfig,
+                       axis_value: float):
+    """Refuse a Monte Carlo grid point whose capacity SNR is beyond the
+    capacity's rule (:func:`montecarlo.capacity_snr`), or whose block would
+    hold more than :data:`_MAX_BLOCK_BYTES` (:func:`montecarlo.block_bytes`),
+    sized by that rule when the capacity is the only Monte Carlo output;
     nothing is allocated here."""
-    devices = 2 * cfg.half_subcarriers + 1
     snr = None
-    if coherent:
-        snr = cfg.effective_power / cfg.noise_variance if cfg.noise_variance else math.inf
-    needed = block_bytes(devices, cell.paths_per_device, snr)
+    if "capacity_mc" in spec.outputs:
+        try:
+            snr = capacity_snr(cfg)
+        except ValueError as exc:
+            raise ValueError(f"{exc} at {_AXIS_COLUMN[spec.axis]} = {axis_value!r}") from None
+    devices = 2 * cfg.half_subcarriers + 1
+    needed = block_bytes(devices, cell.paths_per_device, None if "ici_mc" in spec.outputs else snr)
     if needed > _MAX_BLOCK_BYTES:
         raise ValueError(
             f"half_subcarriers, paths_per_device: {devices} devices x {cell.paths_per_device} "
@@ -602,14 +606,9 @@ def _columns(spec: SweepSpec, rows) -> list[str]:
     return names
 
 
-def _cell_text(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.12g}"
-
-
 def emit(rows, spec: SweepSpec, fmt: str = "csv") -> str:
-    """Render sweep rows as CSV (12 significant digits, LF endings) or JSON.
+    """Render sweep rows as CSV (each number as the shortest text that reads
+    back to its float, as in JSON; LF endings) or JSON.
 
     Cells of a failed computation are left empty and the row carries the
     failure note in a trailing ``error`` column, which only appears when at
@@ -643,8 +642,8 @@ def emit(rows, spec: SweepSpec, fmt: str = "csv") -> str:
     writer.writerow(names)
     for row in rows:
         record = cells(row)
-        writer.writerow([record[name] if isinstance(record[name], str)
-                         else _cell_text(record[name]) for name in names])
+        writer.writerow(["" if value is None else value if isinstance(value, str)
+                         else repr(float(value)) for value in map(record.get, names)])
     return buffer.getvalue()
 
 

@@ -140,15 +140,14 @@ def test_target_index_validated():
         estimate_total_ici(TrialPlan(trials=100, target_index=40), CFG, CELL, MOB)
 
 
-def test_capacity_static_network_oracle():
-    plan = TrialPlan(trials=50000, seed=12)
+@pytest.mark.parametrize("trials", [1, 7, 256, 50000])
+def test_capacity_static_network_oracle(trials):
+    # the neighbours' factors are exactly 1 and every trial's influence is
+    # the same, so every trial less the first is exactly 0, and so are the
+    # fitted slopes and the spread
     mob0 = MobilityModel(max_velocity_mps=0.0)
-    est = estimate_ergodic_capacity(plan, CFG, CELL, mob0)
-    assert abs(est.mean - STATIC_CAPACITY_SNR20) <= 1e-14 * STATIC_CAPACITY_SNR20
-    # Lee's value, bit for bit: every trial less the first is exactly 0,
-    # and so is the spread
-    lee = numerics.exp1_scaled(CFG.noise_variance / CFG.effective_power)
-    assert est.mean == analytic.LOG2_E * float(lee)
+    est = estimate_ergodic_capacity(TrialPlan(trials=trials, seed=12), CFG, CELL, mob0)
+    assert abs(est.mean - STATIC_CAPACITY_SNR20) <= 2e-15 * STATIC_CAPACITY_SNR20
     assert est.std_error == 0.0
 
 
@@ -169,9 +168,13 @@ def test_capacity_upper_is_not_a_bound_at_one_path():
 
 
 def test_capacity_requires_noise():
-    with pytest.raises(ValueError):
-        estimate_ergodic_capacity(TrialPlan(trials=100),
-                                  SystemConfig(noise_variance=0.0), CELL, MOB)
+    # and P_T / noise at most 1e300, where the rule stops growing
+    static = MobilityModel(max_velocity_mps=0.0)
+    beyond = r"P_T / noise at most 1e\+300; got (9.9+e\+300|inf)$"
+    for noise, mob in [(0.0, MOB), (1e-301, MOB), (1e-320, MOB), (1e-320, static)]:
+        with pytest.raises(ValueError, match=beyond):
+            estimate_ergodic_capacity(TrialPlan(trials=100), SystemConfig(noise_variance=noise),
+                                      CELL, mob)
 
 
 def test_single_trial_has_no_spread():
@@ -520,9 +523,10 @@ def test_the_power_variates_span_the_taylor_series_of_the_kernel(q, monkeypatch)
     check(lambda: estimate_total_ici(plan, cfg, CV_CELL, CV_MOB),
           np.delete(excess(gaps), plan.target_index + cfg.half_subcarriers, axis=1).sum(axis=1))
     check(lambda: estimate_useful_power(plan, cfg, CV_CELL, CV_MOB), excess([0.0])[:, 0])
-    # device 0 is the source on -1 seen from 1, device 1 the reverse
+    # fitted in device order: device 0 is the source on -1 seen from 1,
+    # device 1 the reverse
     pair = excess([-2.0 * q, 2.0 * q])
-    check(lambda: symmetry_probe(-1, 1, plan, cfg, CV_CELL, CV_MOB), pair[:, 1], pair[:, 0])
+    check(lambda: symmetry_probe(-1, 1, plan, cfg, CV_CELL, CV_MOB), pair[:, 0], pair[:, 1])
 
 
 @pytest.mark.parametrize("cfg, cell, target", [

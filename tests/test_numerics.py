@@ -14,7 +14,6 @@ from nbofdma import numerics
 from nbofdma.numerics import (
     QuadratureError,
     QuadratureSpec,
-    exp1_scaled,
     hamdi_factors,
     hamdi_rule,
     integrate,
@@ -287,36 +286,6 @@ def test_sine_integral_needs_no_quadrature(monkeypatch):
         sine_integral(float(x))
 
 
-# ---------------------------------------------------------------------------
-# scaled exponential integral
-
-def test_exp1_scaled_matches_mpmath():
-    mpmath = pytest.importorskip("mpmath")
-    seam = numerics._EXP1_SEAM
-    near_seam = seam + np.spacing(seam) * np.arange(-3, 4)
-    xs = np.concatenate([np.logspace(-6.0, 6.0, 241), near_seam,
-                         seam * np.array([0.9, 0.99, 0.999999, 1.000001, 1.01, 1.1]),
-                         np.linspace(0.5, 4.0, 71)])
-    out = exp1_scaled(xs)
-    with mpmath.workdps(40):
-        for x, y in zip(xs, out):
-            x = mpmath.mpf(float(x))
-            exact = mpmath.exp(x) * mpmath.e1(x)
-            assert abs(y - exact) <= 1e-14 * exact
-
-
-def test_exp1_scaled_edge_values():
-    assert exp1_scaled(np.inf) == 0.0
-    out = exp1_scaled(np.array([[0.01, np.inf], [2.0, 1e300]]))
-    assert out.shape == (2, 2) and out[0, 1] == 0.0
-    assert out[1, 1] == pytest.approx(1e-300, rel=1e-15)
-
-
-def test_exp1_scaled_does_not_rise_at_the_seam():
-    seam = numerics._EXP1_SEAM
-    assert exp1_scaled(np.nextafter(seam, 0.0)) >= exp1_scaled(seam)
-
-
 # the box over which the rule at one trial holds 5e-16 relative: SNR 1/x
 # in [1e-3, 1e6] and relative interferer powers b_j in [0, 1e4]
 FADED_SNRS = (1e-3, 0.1, 10.0, 1e3, 1e6)
@@ -402,26 +371,42 @@ def test_the_rule_sums_its_left_tail_by_the_gauss_rule_of_that_tail():
     assert np.all(weights > 0.0) and np.all((0.0 < nodes) & (nodes < 1.0))
 
 
-@pytest.mark.parametrize("scale,size", [(0.01, 35), (1.0, 35), (100.0, 53), (1e6, 90),
-                                        (1e10, 127)])
-def test_the_rule_holds_every_factor_up_to_its_scale(scale, size):
+@pytest.mark.parametrize("scale,size,bound", [(0.01, 35, 5e-16), (1.0, 35, 5e-16),
+                                              (100.0, 53, 5e-16), (1e6, 90, 5e-16),
+                                              (1e10, 127, 5e-16), (1e30, 311, 5e-16),
+                                              (1e300, 2798, 2e-15)])
+def test_the_rule_holds_every_factor_up_to_its_scale(scale, size, bound):
     # a signal, two faded interferers and a fixed one, each at powers up to
-    # the scale the rule was sized to, against mpmath; the rule starts at
-    # the lattice point below ln(0.03 / scale)
+    # the scale the rule was sized to, and the signal alone, against
+    # mpmath; the rule starts at the lattice point below ln(0.03 / scale)
+    # at every scale up to its 1e300 limit, where the rounding of its 2798
+    # terms leaves the signal alone 1.1e-15 off
     mpmath = pytest.importorskip("mpmath")
     nodes, weights = hamdi_rule(scale)
     assert nodes.size == weights.size == size and not nodes.flags.writeable
     top = max(scale, 1.0)
     for snr, b, a in [(top, (top, top), top), (top, (0.0, 1e-3 * top), 0.0),
-                      (1e-3, (top, 0.01 * top), 0.01 * top), (0.1 * top, (0.0, 0.0), top)]:
+                      (1e-3, (top, 0.01 * top), 0.01 * top), (0.1 * top, (0.0, 0.0), top),
+                      (top, (0.0, 0.0), 0.0)]:
         factors = hamdi_factors(nodes, [[snr], [b[0]], [b[1]]], np.array([a]))
         got = snr * float(np.prod(factors[:, 0], axis=0) @ weights)
         with mpmath.workdps(30):
-            r = 1 / mpmath.mpf(snr)
-            breaks = sorted({r, 1, 1 / mpmath.mpf(1 + a), *(1 / mpmath.mpf(v) for v in b if v)})
-            exact = mpmath.quad(lambda t: mpmath.exp(-t * (1 + a)) / ((t + r) * mpmath.fprod(
-                1 + t * v for v in b)), [0, *breaks, mpmath.inf])
-        assert abs(got - exact) <= 5e-16 * exact, (scale, snr, b, a)
+            r, c = 1 / mpmath.mpf(snr), 1 + mpmath.mpf(a)
+            slopes = [mpmath.mpf(v) for v in b if v]
+
+            def integrand(x):
+                # in x = ln t, where each factor turns within a few units
+                # of its break, over ``got`` so that mpmath's absolute
+                # error test is a relative one
+                t = mpmath.exp(x)
+                return t * mpmath.exp(-c * t) / (got * (t + r) * mpmath.fprod(
+                    1 + t * v for v in slopes))
+            # e^(-c t) falls to e^-403 over the 6 units past ln(1 / c), and
+            # below the lowest break the integrand is of order t / r
+            breaks = sorted({mpmath.log(v) for v in (r, 1 / c, *(1 / v for v in slopes))})
+            breaks = sorted({breaks[0] - 60, *breaks, *(k - mpmath.log(c) for k in range(1, 7))})
+            exact = got * mpmath.quad(integrand, breaks)
+        assert abs(got - exact) <= bound * exact, (scale, snr, b, a)
 
 
 def test_the_rule_is_the_mean_capacity_under_faded_interferers():

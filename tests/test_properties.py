@@ -1,5 +1,5 @@
-"""Property-based tests of the Doppler kernel, the scaled exponential
-integral, the leakage average, the power budget, the normalized Doppler and
+"""Property-based tests of the Doppler kernel, the Hamdi rule for one
+factor, the leakage average, the power budget, the normalized Doppler and
 the config parser, and how pytest reports a failing property."""
 
 import math
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from nbofdma import numerics, sweep  # noqa: E402
 from nbofdma.analytic import (NormalizedDoppler, effective_useful_power, leakage,  # noqa: E402
                               power_budget)
-from nbofdma.numerics import exp1_scaled, sinc_squared  # noqa: E402
+from nbofdma.numerics import hamdi_factors, hamdi_rule, sinc_squared  # noqa: E402
 from nbofdma.sysmodel import SystemConfig  # noqa: E402
 
 # derandomized and without an example database, so a run is repeatable and
@@ -79,31 +79,14 @@ def test_the_unclamped_sine_stays_inside_one(span, fraction):
     assert -1.0 < value < 1.0
 
 
-exp1_arguments = st.floats(min_value=1e-6, max_value=1e4)
-
-
 @PROPERTY
-@given(exp1_arguments)
-def test_exp1_scaled_within_its_bounds(x):
-    # Abramowitz & Stegun 5.1.20
-    value = exp1_scaled(x)
+@given(st.floats(min_value=1e-6, max_value=1e4))
+def test_the_rule_for_one_factor_is_within_its_bounds(x):
+    # e^x E1(x), a static network's capacity in nats at SNR 1 / x, from the
+    # Hamdi rule, within Abramowitz & Stegun 5.1.20
+    nodes, weights = hamdi_rule(1.0 / x)
+    value = float(hamdi_factors(nodes, [[1.0 / x]])[0, 0] @ weights) / x
     assert np.log1p(2.0 / x) / 2.0 < value < np.log1p(1.0 / x)
-
-
-@PROPERTY
-@given(st.lists(exp1_arguments, min_size=1, max_size=40))
-def test_exp1_scaled_is_non_increasing_across_the_seam(points):
-    seam = numerics._EXP1_SEAM
-    grid = np.unique(points + [seam * (1.0 - 1e-9), seam, seam * (1.0 + 1e-9)])
-    # keep neighbours at least 1e-12 relative apart: over such a step the
-    # function falls by at least 7e-14 relative, far above its 2e-15 error,
-    # while adjacent floats can swap order by rounding
-    kept = [grid[0]]
-    for x in grid[1:]:
-        if x > kept[-1] * (1.0 + 1e-12):
-            kept.append(x)
-    values = exp1_scaled(np.array(kept))
-    assert np.all(np.diff(values) <= 0.0)
 
 
 # carrier and speed up to 6 GHz and 6000 m/s, so beta = V_max f_c T_s / c

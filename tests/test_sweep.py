@@ -240,6 +240,34 @@ def test_rejects_zero_noise_where_capacity_needs_it(text, fragment):
         parse_config(text + "\n")
 
 
+@pytest.mark.parametrize("text,fragment", [
+    (AXIS + GRID + "sweep.outputs = ici_exact, capacity_mc\nsystem.noise_variance = 1e-320",
+     r"^system.noise_variance, system.effective_power: the capacity needs positive noise and "
+     r"P_T / noise at most 1e\+300; got inf at v_max_mps = 0.0$"),
+    ("sweep.axis = snr_db\nsweep.grid = 20, 3010\nsweep.outputs = capacity_mc",
+     r"^sweep.grid, system.effective_power: .*; got 9.9+e\+300 at snr_db = 3010.0$"),
+    (AXIS + GRID + "sweep.outputs = capacity_mc\ncurve.a.system.snr_db = 20\n"
+     "curve.b.system.snr_db = 3010",
+     r"^curve 'b': curve.b.system.snr_db, system.effective_power: .* v_max_mps = 0.0$"),
+])
+def test_rejects_an_snr_beyond_the_capacity_rule(text, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config(text + "\n")
+
+
+def test_capacity_mc_holds_past_the_old_reach_of_the_rule():
+    # at 100 m/s the interference dwarfs the noise from 200 dB on, so the
+    # capacity stays put up to the rule's 1e300 limit; a rule that started
+    # no lower than ln t = -60 read 0.387 at 300 dB and 0 at 1e-300
+    mc = "sweep.outputs = capacity_mc\nmc.trials = 512\nmc.seed = 1\n"
+    by_snr = parse_config("sweep.axis = snr_db\nsweep.grid = 200, 300\n" + mc)
+    by_noise = parse_config(AXIS + "sweep.grid = 100\nsystem.noise_variance = 1e-300\n" + mc)
+    base, *others = [row.values["capacity_mc"] for row in run_sweep(by_snr) + run_sweep(by_noise)]
+    assert base == pytest.approx(6.5849, abs=1e-4)
+    for value in others:
+        assert abs(value - base) <= 1e-12 * base
+
+
 @pytest.mark.parametrize("text", [
     AXIS + GRID + "sweep.outputs = ici_exact, ici_bounds, ici_approx, ici_mc\n"
     "system.noise_variance = 0",
@@ -550,7 +578,7 @@ def test_csv_layout():
     lines = emit(rows, spec, fmt="csv").splitlines()
     assert lines[0] == "curve,v_max_mps,ici_exact,capacity_exact"
     assert len(lines) == 1 + len(rows)
-    assert lines[1].startswith("only,0,0,")
+    assert lines[1].startswith("only,0.0,0.0,")
 
 
 def test_csv_without_curves_drops_curve_column():
@@ -564,11 +592,17 @@ def test_empty_rows_give_header_only_csv():
     assert emit([], spec, fmt="csv") == "v_max_mps,ici_exact,capacity_exact\n"
 
 
-def test_twelve_significant_digits():
-    spec = parse_config("sweep.axis = v_max\nsweep.grid = 100\n"
-                        "sweep.outputs = capacity_exact\n")
-    line = emit(run_sweep(spec), spec).splitlines()[1]
-    assert line.split(",")[1] == "5.82400516039"
+def test_csv_cells_read_back_bit_for_bit():
+    spec = parse_config("sweep.axis = v_max\nsweep.grid = 0, 33.3, 100\n"
+                        "sweep.outputs = ici_exact, capacity_exact, ici_mc\nmc.trials = 300\n")
+    rows = run_sweep(spec)
+    lines = emit(rows, spec).splitlines()
+    assert lines[2].startswith(f"33.3,{rows[1].values['ici_exact']!r},")
+    names = lines[0].split(",")
+    for row, line in zip(rows, lines[1:], strict=True):
+        cells = {name: float(cell).hex() for name, cell in zip(names, line.split(","))}
+        assert cells == {"v_max_mps": row.axis_value.hex(),
+                         **{name: value.hex() for name, value in row.values.items()}}
 
 
 def test_json_emission():
