@@ -8,9 +8,8 @@ ICI and capacity estimators take a group of scenarios sharing the
 sub-carrier count and draw each block once for the whole group.  Estimates
 are bit-reproducible for a given (plan, configs) and do not depend on the
 group a scenario is evaluated in or on how blocks might be spread over
-workers.  The power estimators keep a value per trial and reduce its
-residuals once the fold's slopes are fitted; the capacity keeps sums per
-factor and fold in a single ordered pass, never a value per trial.
+workers.  Every estimator keeps a value per trial and part and reduces
+its residuals once the folds' slopes are fitted.
 """
 
 from __future__ import annotations
@@ -121,7 +120,6 @@ _TERM_ORDERS, _TERM_EXPONENTS = np.array(_TERMS).T
 _MOMENT_MEANS = np.array([math.comb(p, p // 2) / (2 ** p * (p + 1)) if p % 2 == 0 else 0.0
                           for p in _ORDERS])
 _FOLDS = 8  # every fit puts trial i in fold i mod 8
-_PART_COLUMNS = 1 + len(_ORDERS)  # [1, V] of each part of the capacity (:func:`_capacity_columns`)
 
 
 def _block_slots(coherent: bool) -> int:
@@ -150,8 +148,8 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     tile, the sampler's two scratch tiles, and one for the kernel's centre
     mask and the per-device vectors.  With ``snr``, P_T over the noise of
     a capacity ("coherent") scenario, also what its average holds: 84
-    doubles a trial across blocks (the near moments, the columns [1, V],
-    the last scenario's vectors), and the parts' factor tables on the rule
+    doubles a trial across blocks (the near moments, the columns V, the
+    last scenario's vectors), and the parts' factor tables on the rule
     at that SNR (:func:`numerics.hamdi_rule`) with 26 doubles a trial,
     formed after the sampler has let go of its slot and two tiles."""
     coherent = snr is not None
@@ -213,8 +211,8 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     device) power on the target sub-carrier of scenario k for the trials
     ``rows``, in a buffer the next step overwrites; the block's per-device
     path moments mean_m z_m^p, p = 2..6 in ``moments[p - 2]``, or for the
-    capacity ("coherent") the block's columns [1, V] of its control
-    variates (:func:`_capacity_columns`); and the block's Exp(1) weights
+    capacity ("coherent") the block's columns V of its control variates
+    (:func:`_capacity_columns`); and the block's Exp(1) weights
     ("coherent"; 0 for the near devices, :func:`_near_devices`, whose
     fading the capacity averages and which draw none) or None.  The arrays
     held at once are those :func:`block_bytes` counts.
@@ -240,8 +238,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
 
     Every estimator subtracts zero-mean columns of these moments (centred
     by :data:`_MOMENT_MEANS`) times cross-fitted slopes (Glasserman 2003,
-    section 4.1; :func:`_fold_slopes`): the power estimators per trial
-    (:func:`_fitted`), the capacity per part (:func:`_cross_fitted`).
+    section 4.1; :func:`_fold_slopes`), part by part (:func:`_fitted`).
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
@@ -325,14 +322,14 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
     target_column = plan.target_index + n
     table = _taylor_table(subcarrier_gaps(plan.target_index, n))
-    columns = np.empty((plan.trials, len(_TERMS)))
-    samples = [np.empty(plan.trials) for _ in scenarios]
+    columns = np.empty((plan.trials, 1, len(_TERMS)))
+    samples = [np.empty((plan.trials, 1)) for _ in scenarios]
     for k, rows, powers, moments, _ in _device_powers(plan, cell, scenarios, gaps, False):
         if k == 0:
-            columns[rows] = _term_reductions(moments, table)
+            columns[rows, 0] = _term_reductions(moments, table)
         powers[:, target_column] = 0.0
-        samples[k][rows] = powers.sum(axis=1) * scenarios[k][0].effective_power
-    estimates = _fitted(columns, samples)
+        samples[k][rows, 0] = powers.sum(axis=1) * scenarios[k][0].effective_power
+    estimates = [_reduce(residuals[:, 0]) for residuals in _fitted(columns, samples)]
     return estimates[0] if single else estimates
 
 
@@ -354,13 +351,14 @@ def _device_estimates(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     """The estimate of the power each device at sub-carrier distance
     ``gaps`` (index gaps times T_s df) deposits, less the fitted columns
     mean_m z_m^p - E[z^p], p = 2..6, of that device's own draws
-    (:func:`_fitted`)."""
-    columns = np.empty((len(gaps), plan.trials, len(_ORDERS)))
-    samples = np.empty((len(gaps), plan.trials))
+    (:func:`_fitted`), each device a part."""
+    columns = np.empty((plan.trials, len(gaps), len(_ORDERS)))
+    samples = np.empty((plan.trials, len(gaps)))
     for _, rows, powers, moments, _ in _device_powers(plan, cell, [(cfg, mob)], [gaps], False):
-        columns[:, rows] = (moments - _MOMENT_MEANS[:, None, None]).T
-        samples[:, rows] = powers.T * cfg.effective_power
-    return [_fitted(c, [y])[0] for c, y in zip(columns, samples)]
+        columns[rows] = (moments - _MOMENT_MEANS[:, None, None]).transpose(1, 2, 0)
+        samples[rows] = powers * cfg.effective_power
+    [residuals] = _fitted(columns, [samples])
+    return [_reduce(values) for values in residuals.T]
 
 
 def _near_devices(target: int, devices: int) -> list[int]:
@@ -370,29 +368,28 @@ def _near_devices(target: int, devices: int) -> list[int]:
 
 
 def _capacity_columns(bracket, near_moments, quartic, weights, far: np.ndarray) -> np.ndarray:
-    """(trials, parts, 6): [1, V_i] for each part i of the capacity, each V
-    column of mean exactly 0, scenario-free and of part i's draws alone:
+    """(trials, parts, 5): V_i for each part i of the capacity, each column
+    of mean exactly 0, scenario-free and of part i's draws alone:
     for each near device, mean_m z^p - E[z^p], p = 2..6; for the far
     devices j, if any, weighted by 1 / n_j^2 (``far``), w_j b_j - 1/6 (the
     d^2 term), w_j - 1, b_j - 1/6 and mean_m z_j^4 - 3/40, b_j = mean_m
     z_j^2 and w_j the Exp(1) weight, and a column of zeros."""
     trials, near = bracket.shape[0], near_moments.shape[2]
     total = far.sum()
-    columns = np.zeros((trials, near + bool(total), _PART_COLUMNS))
-    columns[..., 0] = 1.0
-    columns[:, :near, 1:] = (near_moments - _MOMENT_MEANS[:, None, None]).transpose(1, 2, 0)
+    columns = np.zeros((trials, near + bool(total), len(_ORDERS)))
+    columns[:, :near] = (near_moments - _MOMENT_MEANS[:, None, None]).transpose(1, 2, 0)
     if total:
-        columns[:, near, 1] = np.einsum("td,td,d->t", bracket, weights, far) - total / 6.0
-        columns[:, near, 2] = weights @ far - total
-        columns[:, near, 3] = bracket @ far - total / 6.0
-        columns[:, near, 4] = quartic - _MOMENT_MEANS[2] * total
+        columns[:, near, 0] = np.einsum("td,td,d->t", bracket, weights, far) - total / 6.0
+        columns[:, near, 1] = weights @ far - total
+        columns[:, near, 2] = bracket @ far - total / 6.0
+        columns[:, near, 3] = quartic - _MOMENT_MEANS[2] * total
     return columns
 
 
 def _by_fold(values: np.ndarray) -> np.ndarray:
-    """(parts, folds, rows, ...): a block's (rows, parts, ...) ``values`` by
-    fold, trial i in fold i mod :data:`_FOLDS` (blocks start at multiples
-    of 8); zero rows, which add nothing to a sum, pad a partial block."""
+    """(parts, folds, rows, ...): the (trials, parts, ...) ``values`` by
+    fold, trial i in fold i mod :data:`_FOLDS`; zero rows, which add
+    nothing to a sum, pad the trials to a multiple of 8."""
     short = -len(values) % _FOLDS
     if short:
         values = np.concatenate([values, np.zeros((short,) + values.shape[1:])])
@@ -401,15 +398,15 @@ def _by_fold(values: np.ndarray) -> np.ndarray:
 
 def _fold_slopes(gram: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """slopes[k, i, f]: what fold f of part i subtracts per unit of its
-    columns V_i for scenario k, from ``gram[i, f]`` = A^T A over fold f,
-    A = [1, V_i], and ``cross[k, i, f]`` = A^T y, y the scenario's target
+    columns V_i for sample k, from ``gram[i, f]`` = A^T A over fold f,
+    A = [1, V_i], and ``cross[k, i, f]`` = A^T y, y part i of the sample
     less its first trial's (so a static network gets exactly 0): the
     least-squares slopes, with an intercept, of y on V_i over the other
     folds, which never see fold f's draws of part i (cross-fitting;
     E[V_i] = 0), or 0 if they hold fewer than 2 trials a column of V_i.  An
     all-zero column gets a zero slope, and so does the intercept, which is
-    fitted, not subtracted.  The other folds' matrices are scenario-free:
-    one inverse each."""
+    fitted, not subtracted.  The other folds' matrices do not depend on
+    the sample: one inverse each."""
     size = gram.shape[-1]
     others = gram.sum(axis=1, keepdims=True) - gram
     few = others[..., 0, 0] < 2 * (size - 1)
@@ -423,36 +420,21 @@ def _fold_slopes(gram: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return slopes
 
 
-def _fitted(columns: np.ndarray, samples) -> list[Estimate]:
-    """The estimate of each per-trial array y of ``samples`` less V beta,
-    V the (trials, variates) zero-mean ``columns`` and beta the slopes of
-    the trial's fold (:func:`_fold_slopes`), reduced over the trials
-    (:func:`_reduce`).  Each y's cross products and residuals are formed
-    alone, so a scenario keeps its bits in a group."""
-    trials = len(columns)
-    design = _by_fold(np.concatenate([np.ones((trials, 1)), columns], axis=1)[:, None])
-    cross = [(_by_fold((y - y[0])[:, None])[..., None, :] @ design)[..., 0, :] for y in samples]
+def _fitted(columns: np.ndarray, samples):
+    """Yield, for each (trials, parts) array y of ``samples`` in turn, its
+    residuals y - V beta: V the (trials, parts, variates) zero-mean
+    ``columns`` and beta the slopes of the trial's fold and part
+    (:func:`_fold_slopes`), each part fitted on its own columns.  Each y's
+    cross products and residuals are formed alone, so a scenario keeps its
+    bits in a group and its temporaries are the size of one sample."""
+    trials, parts, _ = columns.shape
+    design = _by_fold(np.concatenate([np.ones((trials, parts, 1)), columns], axis=2))
+    cross = [(_by_fold(y - y[0])[..., None, :] @ design)[..., 0, :] for y in samples]
     slopes = _fold_slopes(design.swapaxes(2, 3) @ design, np.array(cross))
-    # V beta per (fold, row), transposed back to trial order
-    return [_reduce(y - (design[0, ..., 1:] @ beta[0, :, 1:, None]).T.reshape(-1)[:trials])
-            for y, beta in zip(samples, slopes)]
-
-
-def _cross_fitted(gram: np.ndarray, sums: np.ndarray, trials: int):
-    """Per scenario k: the sum over trials and parts of V beta and the
-    variance of one trial, from ``gram`` and ``sums[k, i, f]`` = (A^T y,
-    y^T y) of :func:`_fold_slopes`, y part i's influence less its first
-    trial's; fold f subtracts V_i beta_if.  The parts' variances add."""
-    cross, squares = sums[..., :-1], sums[..., -1]
-    slopes = _fold_slopes(gram, cross)
-    # per fold, sum e = sum y - (A^T A beta)_0 and
-    # sum e^2 = y^T y - 2 beta^T A^T y + beta^T A^T A beta
-    fits = (slopes[..., None, :] @ gram)[..., 0, :]
-    residuals = (cross[..., 0] - fits[..., 0]).sum(axis=2)
-    squares = (squares + ((fits - 2.0 * cross) * slopes).sum(axis=3)).sum(axis=2)
-    variances = np.maximum(squares - residuals * residuals / trials, 0.0) / max(trials - 1, 1)
-    subtracted = (gram[..., 0, :] * slopes).sum(axis=3).sum(axis=2).sum(axis=1)
-    return subtracted, variances.sum(axis=1)
+    for y, beta in zip(samples, slopes):
+        # V beta per (part, fold, row), transposed back to trial order
+        fit = (design[..., 1:] @ beta[..., 1:, None])[..., 0]
+        yield y - fit.transpose(2, 1, 0).reshape(-1, parts)[:trials]
 
 
 def _all_but_each(means: np.ndarray) -> np.ndarray:
@@ -491,12 +473,13 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     neighbour's, the far devices': six inside the band), so it integrates the
     product of their means over the trials on a rule fixed by the SNR
     (:func:`numerics.hamdi_rule`): the exactly unbiased average over all
-    combinations of the parts' draws.  Part i then subtracts its
-    own zero-mean columns (:func:`_capacity_columns`) times slopes
-    cross-fitted (:func:`_cross_fitted`) to its influence
-    g_i = int F_i prod_(j != i) mean F_j at the first block's means; the
-    standard error is sqrt(sum_i var(g_i - V_i beta_i) / trials).  A
-    static network or N = 0 leaves the target's factor alone (the others
+    combinations of the parts' draws.  Part i then subtracts its own
+    zero-mean columns (:func:`_capacity_columns`) times slopes cross-fitted
+    (:func:`_fitted`) to its influence g_i = int F_i prod_(j != i) mean F_j
+    at the first block's means; the standard error is
+    sqrt(sum_i var(g_i - V_i beta_i) / trials), each part's residuals taken
+    less their first, so that equal ones spread by exactly 0.  A static
+    network or N = 0 leaves the target's factor alone (the others
     are exactly 1, or there are none), the one-factor integral
     e^x E1(x), x = 1 / u (Lee 1990): every trial gives the exact capacity,
     with a standard error of 0.  A scenario gives the same bits alone or in
@@ -514,12 +497,12 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     parts = len(near) + (2 * n + 1 > len(near))
     rules = [hamdi_rule(snr) for snr in snrs]
     table_size = parts * min(plan.trials, BLOCK_TRIALS) * max(nodes.size for nodes, _ in rules)
-    gram, sums = 0.0, [0.0] * len(scenarios)
-    totals, influences, shifts = ([None] * len(scenarios) for _ in range(3))
-    for k, rows, powers, columns, weights in _device_powers(plan, cell, scenarios, gaps, True):
+    columns = np.empty((plan.trials, parts, len(_ORDERS)))
+    influences = [np.empty((plan.trials, parts)) for _ in scenarios]
+    totals, node_weights = [None] * len(scenarios), [None] * len(scenarios)
+    for k, rows, powers, variates, weights in _device_powers(plan, cell, scenarios, gaps, True):
         if k == 0:
-            design = _by_fold(columns)
-            gram = gram + design.swapaxes(2, 3) @ design
+            columns[rows] = variates
             tables = _aligned_empty((table_size,))  # let go with the block
         size = len(powers)
         nodes, rule = rules[k]
@@ -532,21 +515,20 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         column_sums[0] = faded[0] @ table[0]  # C is u times its table
         totals[k] = column_sums + (totals[k] if rows.start else 0.0)
         if rows.start == 0:
-            influences[k] = _all_but_each(column_sums / size) * rule
-        y = (table @ influences[k][..., None])[..., 0]
+            node_weights[k] = _all_but_each(column_sums / size) * rule
+        y = (table @ node_weights[k][..., None])[..., 0]
         y[0] *= faded[0]
-        if rows.start == 0:
-            shifts[k] = y[:, :1].copy()
-        y = _by_fold((y - shifts[k]).T)
-        sums[k] = sums[k] + np.concatenate([(y[..., None, :] @ design)[..., 0, :],
-                                            np.einsum("pfr,pfr->pf", y, y)[..., None]], axis=2)
+        influences[k][rows] = y.T
         if k == len(scenarios) - 1:
             tables = table = None
-    subtracted, variances = _cross_fitted(gram, np.array(sums), plan.trials)
-    means = [rule @ np.prod(total / plan.trials, axis=0) - fit / plan.trials
-             for (_, rule), total, fit in zip(rules, totals, subtracted)]
-    estimates = [Estimate(LOG2_E * float(mean), LOG2_E * math.sqrt(variance / plan.trials),
-                          plan.trials) for mean, variance in zip(means, variances)]
+    estimates = []
+    for (_, rule), total, y, residuals in zip(rules, totals, influences,
+                                              _fitted(columns, influences)):
+        mean = rule @ np.prod(total / plan.trials, axis=0) - (y - residuals).sum() / plan.trials
+        residuals -= residuals[0]  # so that equal residuals spread by exactly 0
+        variance = np.var(residuals, axis=0, ddof=1).sum() if plan.trials > 1 else 0.0
+        estimates.append(Estimate(LOG2_E * float(mean), LOG2_E * math.sqrt(variance / plan.trials),
+                                  plan.trials))
     return estimates[0] if single else estimates
 
 
