@@ -3,7 +3,9 @@
 Randomness policy: trials are grouped in fixed blocks of 256, and block k of
 a run draws from ``SeedSequence(entropy=seed, spawn_key=(k,))``.  Draws
 inside a block happen in one fixed array order and do not depend on the
-scenario, so every scenario of a plan reads the same random numbers: the
+scenario (the capacity's extra draws of its +-1 neighbours depend on the
+sub-carrier count alone), so every scenario of a plan reads the same
+random numbers: the
 ICI and capacity estimators take a group of scenarios sharing the
 sub-carrier count and draw each block once for the whole group.  Estimates
 are bit-reproducible for a given (plan, configs) and do not depend on the
@@ -29,6 +31,7 @@ __all__ = [
     "TrialPlan",
     "Estimate",
     "block_bytes",
+    "run_bytes",
     "estimate_total_ici",
     "estimate_useful_power",
     "capacity_snr",
@@ -46,8 +49,10 @@ class TrialPlan:
     independent circular Gaussian amplitude of variance k_m^2 / M, with
     k_m = sinc(gap + f_D,m * T_s).  The power estimators take the
     conditional mean mean_m k_m^2; the capacity estimator draws the far
-    interferers' coherent powers, that times one Exp(1) draw each, and
-    averages the near devices' weights exactly.  Every estimator subtracts
+    interferers' coherent powers, that times one Exp(1) draw each,
+    averages the near devices' weights exactly, and takes R Doppler draws
+    of each neighbour at index gap +-1 a trial, R a fixed rule in the
+    sub-carrier count (:func:`_neighbour_draws`).  Every estimator subtracts
     zero-mean columns of its draws times slopes fitted on the other folds'
     trials (:func:`_fold_slopes`), so it stays exactly unbiased.
     """
@@ -142,23 +147,44 @@ def _aligned_empty(shape) -> np.ndarray:
 def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     """Bytes of the arrays :func:`_device_powers` holds at once for
     ``devices`` devices of ``paths`` paths sharing one gap vector: a block's
-    draws and the (trials, devices) slots of its buffer; one more slot for
+    draws and the (trials, columns) slots of its buffer; one more slot for
     the sampler's speed fractions, which the capacity's Exp(1) weights take
     as drawn; and eight tiles: the kernel's four workspace tiles and gap
     tile, the sampler's two scratch tiles, and one for the kernel's centre
-    mask and the per-device vectors.  With ``snr``, P_T over the noise of
-    a capacity ("coherent") scenario, also what its average holds: 84
-    doubles a trial across blocks (the near moments, the columns V, the
-    last scenario's vectors), and the parts' factor tables on the rule
-    at that SNR (:func:`numerics.hamdi_rule`) with 26 doubles a trial,
+    mask and the per-device vectors.  A column is a device, and with
+    ``snr``, P_T over the noise of a capacity ("coherent") scenario, also
+    one of the 2 (R - 1) extra draws of the neighbours at index gap +-1
+    (:func:`_extra_draws`).  A capacity block also holds what its average
+    holds: 84 doubles a trial across blocks (the near moments, the columns
+    V, the last scenario's vectors) and 5 more an extra draw (its
+    moments), and the parts' factor tables on the rule at that SNR
+    (:func:`numerics.hamdi_rule`) with two scratch rows for the extra
+    draws' factors and 26 doubles a trial and 4 an extra draw,
     formed after the sampler has let go of its slot and two tiles."""
     coherent = snr is not None
-    tile = row_tiles(BLOCK_TRIALS, devices * paths)[0].stop * devices * paths
-    sampler = BLOCK_TRIALS * devices + 2 * tile
+    extra = 2 * (_neighbour_draws(devices // 2) - 1) * coherent
+    columns = devices + extra
+    tile = row_tiles(BLOCK_TRIALS, columns * paths)[0].stop * columns * paths
+    sampler = BLOCK_TRIALS * columns + 2 * tile
     parts = min(devices, 5) + (devices > 5)
-    average = BLOCK_TRIALS * (parts * hamdi_rule(snr)[0].size + 26) if coherent else 0
-    return 8 * (BLOCK_TRIALS * devices * (paths + _block_slots(coherent)) + 6 * tile
-                + max(sampler, average) + 84 * BLOCK_TRIALS * coherent)
+    rows = parts + min(2, extra)
+    average = BLOCK_TRIALS * (rows * hamdi_rule(snr)[0].size + 26 + 4 * extra) if coherent else 0
+    return 8 * (BLOCK_TRIALS * columns * (paths + _block_slots(coherent)) + 6 * tile
+                + max(sampler, average) + BLOCK_TRIALS * (84 + 5 * extra) * coherent)
+
+
+def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
+              snr: float | None = None) -> int:
+    """Bytes an estimator holds at most for a group of ``scenarios`` over
+    ``trials`` trials: a block (:func:`block_bytes`, the capacity's with
+    ``snr``) and, growing with the trials, what the run keeps per trial and
+    part: its columns V and each scenario's samples, and the fit's design
+    [1, V] and six doubles of its temporaries (:func:`_fitted`).  The
+    capacity has up to six parts of 5 columns, the interference one of 9."""
+    coherent = snr is not None
+    parts = min(devices, 5) + (devices > 5) if coherent else 1
+    variates = len(_ORDERS) if coherent else len(_TERMS)
+    return block_bytes(devices, paths, snr) + 8 * trials * parts * (2 * variates + 6 + scenarios)
 
 
 def _taylor_table(index_gaps: np.ndarray) -> np.ndarray:
@@ -208,14 +234,18 @@ def _path_moments(shift: np.ndarray, tiles, moments: np.ndarray, scratch: np.nda
 
 def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool):
     """Yield ``(k, rows, powers, moments, weights)``: the per-(trial,
-    device) power on the target sub-carrier of scenario k for the trials
+    column) power on the target sub-carrier of scenario k for the trials
     ``rows``, in a buffer the next step overwrites; the block's per-device
     path moments mean_m z_m^p, p = 2..6 in ``moments[p - 2]``, or for the
     capacity ("coherent") the block's columns V of its control variates
     (:func:`_capacity_columns`); and the block's Exp(1) weights
     ("coherent"; 0 for the near devices, :func:`_near_devices`, whose
-    fading the capacity averages and which draw none) or None.  The arrays
-    held at once are those :func:`block_bytes` counts.
+    fading the capacity averages and which draw none) or None.  A column
+    is a device, and for the capacity each column after the 2N + 1
+    devices is an extra draw of a neighbour at index gap +-1
+    (:func:`_extra_draws`): that neighbour's gap, no weight, and no place
+    among the far devices.  The arrays held at once are those
+    :func:`block_bytes` counts.
 
     Each block is drawn once, the weights right after the sampler, and
     evaluated for each scenario in turn, so no value depends on the group.
@@ -232,7 +262,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     the exact values it would return, and each row's path sum is taken
     within its tile, so neither the group nor the tile size changes a
     value.  The kernel runs in a workspace allocated once per call: the
-    offsets, output and scratch tiles and one (rows, devices, paths) gap
+    offsets, output and scratch tiles and one (rows, columns, paths) gap
     tile per distinct gap vector.  The moments are taken tile by tile in
     the offsets tile, so no block-sized z^p is ever formed.
 
@@ -243,18 +273,23 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     devices = len(gaps[0])
     paths = cell.paths_per_device
     spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
-    buffer = np.empty((_block_slots(coherent), min(plan.trials, BLOCK_TRIALS), devices))
     if coherent:
         target = plan.target_index + devices // 2
         near = _near_devices(target, devices)
-        index_gaps = np.arange(devices) - target
-        far = np.where(abs(index_gaps) > 2, 1.0 / np.maximum(index_gaps ** 2, 1), 0.0)
-        near_moments = np.empty((len(_ORDERS), buffer.shape[1], len(near)))
-        quartic = np.empty(buffer.shape[1])
+        extra = _extra_draws(target, devices)
+        owners = [near.index(c) for c in extra]
+        gaps = [np.concatenate([gap, gap[extra]]) for gap in gaps]
+        quiet = near + list(range(devices, devices + len(extra)))  # no weight drawn
+        far = np.arange(devices) - target  # the index gaps, then the far weights
+        far = np.where(abs(far) > 2, 1.0 / np.maximum(far ** 2, 1), 0.0)
+        near_moments = np.empty((len(_ORDERS), min(plan.trials, BLOCK_TRIALS), len(quiet)))
+        quartic = np.empty(near_moments.shape[1])
+    columns = len(gaps[0])
+    buffer = np.empty((_block_slots(coherent), min(plan.trials, BLOCK_TRIALS), columns))
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row
     # broadcast over the short path axis about three times slower
-    tile_shape = (row_tiles(buffer.shape[1], devices * paths)[0].stop, devices, paths)
+    tile_shape = (row_tiles(buffer.shape[1], columns * paths)[0].stop, columns, paths)
     workspace = _aligned_empty((4,) + tile_shape)
     offsets, kernel, work = workspace[0], workspace[1], workspace[2:]
     gap_tiles, shared = [], {}
@@ -263,20 +298,28 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
         if span != 0.0 and key not in shared:
             shared[key] = np.broadcast_to(gap[:, None], tile_shape).copy()
         gap_tiles.append(shared.get(key))
+    del key, shared  # the keys copy the gaps
     start = 0
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
-        shift = sample_cell_batch(rng, size, devices, cell)
+        shift = sample_cell_batch(rng, size, columns, cell)
         powers, moments, weights = buffer[0, :size], buffer[1:, :size], None
-        tiles = row_tiles(size, devices * paths)
+        tiles = row_tiles(size, columns * paths)
         if coherent:
-            moments, weights = moments[:1], moments[1]
-            weights[:, far != 0.0] = rng.standard_exponential((size, np.count_nonzero(far)))
-            weights[:, near] = 0.0
-            _path_moments(shift, tiles, moments, offsets, (far / paths, quartic[:size]))
-            _path_moments(shift[:, near], tiles, near_moments[:, :size], offsets)
-            moments = _capacity_columns(moments[0], near_moments[:, :size], quartic[:size],
-                                        weights, far)
+            moments, weights = moments[:1, :, :devices], moments[1]
+            weights[:, :devices][:, far != 0.0] = rng.standard_exponential(
+                (size, np.count_nonzero(far)))
+            weights[:, quiet] = 0.0
+            _path_moments(shift[:, :devices], tiles, moments, offsets,
+                          (far / paths, quartic[:size]))
+            _path_moments(shift[:, quiet], tiles, near_moments[:, :size], offsets)
+            # a part's moments are the mean over its draws
+            for i, part in enumerate(owners):
+                near_moments[:, :size, part] += near_moments[:, :size, len(near) + i]
+            for part in set(owners):
+                near_moments[:, :size, part] /= owners.count(part) + 1
+            moments = _capacity_columns(moments[0], near_moments[:, :size, :len(near)],
+                                        quartic[:size], weights[:, :devices], far)
         else:
             _path_moments(shift, tiles, moments, offsets)
         for k, span in enumerate(spans):
@@ -367,10 +410,29 @@ def _near_devices(target: int, devices: int) -> list[int]:
     return [target] + [c for c in range(target - 2, target + 3) if c != target and 0 <= c < devices]
 
 
+def _neighbour_draws(half_subcarriers: int) -> int:
+    """R, the Doppler draws a capacity trial takes of each neighbour at
+    index gap +-1, a fixed rule in N: those two hold 79-94% of the
+    capacity's residual variance at fig4's points while being 2 of the
+    2N + 1 devices a block evaluates, so their draws grow with N (R = 2, 5
+    and 11 at N = 39, 99 and 199; 1 below N = 36)."""
+    return max(1, half_subcarriers // 18)
+
+
+def _extra_draws(target: int, devices: int) -> list[int]:
+    """The device whose Doppler draws each extra column of a capacity
+    block repeats, in the order the columns follow the 2N + 1 devices:
+    R - 1 rounds of one column for each neighbour at index gap +-1 that
+    the band holds (:func:`_neighbour_draws`)."""
+    neighbours = [c for c in (target - 1, target + 1) if 0 <= c < devices]
+    return neighbours * (_neighbour_draws(devices // 2) - 1)
+
+
 def _capacity_columns(bracket, near_moments, quartic, weights, far: np.ndarray) -> np.ndarray:
     """(trials, parts, 5): V_i for each part i of the capacity, each column
     of mean exactly 0, scenario-free and of part i's draws alone:
-    for each near device, mean_m z^p - E[z^p], p = 2..6; for the far
+    for each near device, mean_m z^p - E[z^p], p = 2..6, the moments the
+    mean over its draws (:func:`_extra_draws`); for the far
     devices j, if any, weighted by 1 / n_j^2 (``far``), w_j b_j - 1/6 (the
     d^2 term), w_j - 1, b_j - 1/6 and mean_m z_j^4 - 3/40, b_j = mean_m
     z_j^2 and w_j the Exp(1) weight, and a column of zeros."""
@@ -437,6 +499,27 @@ def _fitted(columns: np.ndarray, samples):
         yield y - fit.transpose(2, 1, 0).reshape(-1, parts)[:trials]
 
 
+def _part_factors(nodes, faded, far, owners, out, scratch):
+    """The capacity's (parts, trials, nodes) factor table at ``nodes``
+    (:func:`numerics.hamdi_factors`) in ``out``: a row for each near
+    device from its own draw, a row of ``faded``, and with ``far`` one for
+    the far devices.  Row i of ``faded`` after the near devices' is an
+    extra draw of part owners[i], whose row becomes the mean of its draws'
+    factors: their tables are formed len(``scratch``) rows at a time, a
+    round of the extra draws (:func:`_extra_draws`), and added into the
+    parts' rows, so no table of every draw is held."""
+    near = len(faded) - len(owners)
+    table = hamdi_factors(nodes, faded[:near], far, out)
+    for start in range(0, len(owners), max(len(scratch), 1)):
+        rows = faded[near + start:near + start + len(scratch)]
+        for part, factors in zip(owners[start:], hamdi_factors(nodes, rows,
+                                                               out=scratch[:len(rows)])):
+            table[part] += factors
+    for part in set(owners):
+        table[part] /= owners.count(part) + 1
+    return table
+
+
 def _all_but_each(means: np.ndarray) -> np.ndarray:
     """Row i: the product of the rows of ``means`` but row i."""
     before, after = np.ones_like(means), np.ones_like(means)
@@ -473,12 +556,19 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     neighbour's, the far devices': six inside the band), so it integrates the
     product of their means over the trials on a rule fixed by the SNR
     (:func:`numerics.hamdi_rule`): the exactly unbiased average over all
-    combinations of the parts' draws.  Part i then subtracts its own
-    zero-mean columns (:func:`_capacity_columns`) times slopes cross-fitted
+    combinations of the parts' draws.  The parts being independent, each
+    may average its own number of draws a trial and stay exactly unbiased
+    (Neyman allocation; Glasserman 2003, section 4.3): the neighbours at
+    index gap +-1, which hold most of the residual variance, take R draws
+    (:func:`_neighbour_draws`; R = 11 at N = 199), and their factor rows
+    and columns are the means over them (:func:`_part_factors`), so no
+    per-trial array grows.  Part i then subtracts its own zero-mean
+    columns (:func:`_capacity_columns`) times slopes cross-fitted
     (:func:`_fitted`) to its influence g_i = int F_i prod_(j != i) mean F_j
     at the first block's means; the standard error is
     sqrt(sum_i var(g_i - V_i beta_i) / trials), each part's residuals taken
-    less their first, so that equal ones spread by exactly 0.  A static
+    less their first, so that equal ones spread by exactly 0, and scaled
+    by a power of two, so that their squares do not underflow.  A static
     network or N = 0 leaves the target's factor alone (the others
     are exactly 1, or there are none), the one-factor integral
     e^x E1(x), x = 1 / u (Lee 1990): every trial gives the exact capacity,
@@ -493,10 +583,19 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     snrs = [capacity_snr(c) for c, _ in scenarios]
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
-    near = _near_devices(plan.target_index + n, 2 * n + 1)
-    parts = len(near) + (2 * n + 1 > len(near))
+    devices = 2 * n + 1
+    near = _near_devices(plan.target_index + n, devices)
+    extra = _extra_draws(plan.target_index + n, devices)
+    owners = [near.index(c) for c in extra]
+    # the near devices' columns, then the extra draws', which a static
+    # scenario skips: their factors would equal its main draws', exactly 1
+    moving = [c.doppler_span(m.max_velocity_mps) != 0.0 for c, m in scenarios]
+    drawn = near + list(range(devices, devices + len(extra)))
+    parts = len(near) + (devices > len(near))
     rules = [hamdi_rule(snr) for snr in snrs]
-    table_size = parts * min(plan.trials, BLOCK_TRIALS) * max(nodes.size for nodes, _ in rules)
+    # the parts' table, then a scratch for a round of the extra draws'
+    table_rows = parts + len(set(extra))
+    table_size = table_rows * min(plan.trials, BLOCK_TRIALS) * max(nodes.size for nodes, _ in rules)
     columns = np.empty((plan.trials, parts, len(_ORDERS)))
     influences = [np.empty((plan.trials, parts)) for _ in scenarios]
     totals, node_weights = [None] * len(scenarios), [None] * len(scenarios)
@@ -506,11 +605,12 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
             tables = _aligned_empty((table_size,))  # let go with the block
         size = len(powers)
         nodes, rule = rules[k]
-        faded = (powers[:, near] * snrs[k]).T  # u, then the b_j
-        powers *= weights  # 0 at the near devices
-        far = powers.sum(axis=1) * snrs[k] if parts > len(near) else None
-        table = hamdi_factors(nodes, faded, far,
-                              tables[:parts * size * nodes.size].reshape(parts, size, -1))
+        faded = (powers[:, drawn if moving[k] else near] * snrs[k]).T  # u, the b_j, extras
+        powers *= weights  # 0 at the near devices and the extra draws
+        far = powers[:, :devices].sum(axis=1) * snrs[k] if parts > len(near) else None
+        held = tables[:table_rows * size * nodes.size].reshape(table_rows, size, -1)
+        table = _part_factors(nodes, faded, far, owners if moving[k] else [], held[:parts],
+                              held[parts:])
         column_sums = np.ones(size) @ table
         column_sums[0] = faded[0] @ table[0]  # C is u times its table
         totals[k] = column_sums + (totals[k] if rows.start else 0.0)
@@ -520,15 +620,19 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         y[0] *= faded[0]
         influences[k][rows] = y.T
         if k == len(scenarios) - 1:
-            tables = table = None
+            tables = held = table = faded = None
     estimates = []
     for (_, rule), total, y, residuals in zip(rules, totals, influences,
                                               _fitted(columns, influences)):
         mean = rule @ np.prod(total / plan.trials, axis=0) - (y - residuals).sum() / plan.trials
         residuals -= residuals[0]  # so that equal residuals spread by exactly 0
-        variance = np.var(residuals, axis=0, ddof=1).sum() if plan.trials > 1 else 0.0
-        estimates.append(Estimate(LOG2_E * float(mean), LOG2_E * math.sqrt(variance / plan.trials),
-                                  plan.trials))
+        # the residuals over 2^scale, below 1: exact, and where the capacity
+        # is tiny their squares and the variance then do not underflow
+        scale = int(np.frexp(abs(residuals).max())[1])
+        variance = np.var(np.ldexp(residuals, -scale), axis=0, ddof=1).sum() \
+            if plan.trials > 1 else 0.0
+        estimates.append(Estimate(LOG2_E * float(mean), LOG2_E * math.ldexp(
+            math.sqrt(variance / plan.trials), scale), plan.trials))
     return estimates[0] if single else estimates
 
 

@@ -27,7 +27,7 @@ from .analytic import (
     total_ici_power,
 )
 from .montecarlo import (BLOCK_TRIALS, TrialPlan, block_bytes, capacity_snr,
-                         estimate_ergodic_capacity, estimate_total_ici)
+                         estimate_ergodic_capacity, estimate_total_ici, run_bytes)
 from .numerics import QuadratureError
 from .sysmodel import CellConfig, MobilityModel, SystemConfig
 
@@ -125,10 +125,10 @@ _AXIS_KEYS = {"v_max": ("mobility.max_velocity_mps",), "snr_db": _NOISE_KEYS}
 _FIELD_KEYS = {field: _NOISE_KEYS if key in _NOISE_KEYS else (key,)
                for key, (_, field, _) in _SCENARIO_KEYS.items()}
 
-# largest set of arrays one Monte Carlo block may hold
-# (:func:`montecarlo.block_bytes`); the capacity at N = 32767 and 8 paths,
-# 1.53 GiB, fits
-_MAX_BLOCK_BYTES = 7 << 28
+# largest set of arrays a Monte Carlo estimator may hold, in one block
+# (:func:`montecarlo.block_bytes`) or over a whole run
+# (:func:`montecarlo.run_bytes`)
+_MAX_MC_BYTES = 7 << 28
 
 _CURVE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -278,6 +278,7 @@ def parse_config(text: str) -> SweepSpec:
                      curves=tuple((name, tuple(items)) for name, items in curves.items()))
     _refuse_idle_keys(spec)
     # surface scenario problems at parse time, at every point, not mid-run
+    groups: dict[tuple, list[SystemConfig]] = {}  # (N, cell) -> the configs of one run
     for name, overrides in spec.curves or ((None, ()),):
         for axis_value in spec.grid:
             try:
@@ -291,9 +292,12 @@ def parse_config(text: str) -> SweepSpec:
                     _check_noiseless(spec, cfg, mob, axis_value)
                 if wants_mc:
                     _check_monte_carlo(spec, cfg, cell, axis_value)
+                    groups.setdefault((n, cell), []).append(cfg)
                 _check_closed_forms(spec, cfg, mob, axis_value)
             except ValueError as exc:
                 raise _scenario_fault(spec, name, overrides, exc) from None
+    for (_, cell), cfgs in groups.items():
+        _check_monte_carlo_run(spec, cell, cfgs)
     return spec
 
 
@@ -397,13 +401,19 @@ def _check_closed_forms(spec: SweepSpec, cfg: SystemConfig, mob: MobilityModel,
                 f"(noise/P_T = {cfg.noise_variance / cfg.effective_power!r})")
 
 
+def _estimator_snrs(spec: SweepSpec, snr):
+    """The ``snr`` argument of :func:`montecarlo.block_bytes` for each
+    requested Monte Carlo estimator: None for the interference, ``snr``
+    for the capacity."""
+    return [None] * ("ici_mc" in spec.outputs) + [snr] * ("capacity_mc" in spec.outputs)
+
+
 def _check_monte_carlo(spec: SweepSpec, cfg: SystemConfig, cell: CellConfig,
                        axis_value: float):
     """Refuse a Monte Carlo grid point whose capacity SNR is beyond the
     capacity's rule (:func:`montecarlo.capacity_snr`), or whose block would
-    hold more than :data:`_MAX_BLOCK_BYTES` (:func:`montecarlo.block_bytes`),
-    sized by that rule when the capacity is the only Monte Carlo output;
-    nothing is allocated here."""
+    hold more than :data:`_MAX_MC_BYTES` (:func:`montecarlo.block_bytes`)
+    for one of the requested estimators; nothing is allocated here."""
     snr = None
     if "capacity_mc" in spec.outputs:
         try:
@@ -411,12 +421,30 @@ def _check_monte_carlo(spec: SweepSpec, cfg: SystemConfig, cell: CellConfig,
         except ValueError as exc:
             raise ValueError(f"{exc} at {_AXIS_COLUMN[spec.axis]} = {axis_value!r}") from None
     devices = 2 * cfg.half_subcarriers + 1
-    needed = block_bytes(devices, cell.paths_per_device, None if "ici_mc" in spec.outputs else snr)
-    if needed > _MAX_BLOCK_BYTES:
+    needed = max(block_bytes(devices, cell.paths_per_device, s) for s in _estimator_snrs(spec, snr))
+    if needed > _MAX_MC_BYTES:
         raise ValueError(
             f"half_subcarriers, paths_per_device: {devices} devices x {cell.paths_per_device} "
             f"paths need {needed} bytes of draws and work arrays per Monte Carlo block of "
-            f"{BLOCK_TRIALS} trials, above the limit of {_MAX_BLOCK_BYTES} bytes")
+            f"{BLOCK_TRIALS} trials, above the limit of {_MAX_MC_BYTES} bytes")
+
+
+def _check_monte_carlo_run(spec: SweepSpec, cell: CellConfig, cfgs):
+    """Refuse a Monte Carlo sweep where an estimator's run over the grid
+    points ``cfgs``, which share the sub-carrier count and ``cell`` and so
+    one run (:func:`run_sweep`), would hold more than :data:`_MAX_MC_BYTES`
+    (:func:`montecarlo.run_bytes`): a block and what it keeps per trial,
+    which grows with ``mc.trials``."""
+    devices = 2 * cfgs[0].half_subcarriers + 1
+    snr = max(capacity_snr(cfg) for cfg in cfgs) if "capacity_mc" in spec.outputs else None
+    needed = max(run_bytes(spec.plan.trials, len(cfgs), devices, cell.paths_per_device, s)
+                 for s in _estimator_snrs(spec, snr))
+    if needed > _MAX_MC_BYTES:
+        raise ConfigError(
+            f"mc.trials: {spec.plan.trials} trials of the {len(cfgs)} grid points at "
+            f"half_subcarriers = {cfgs[0].half_subcarriers} and paths_per_device = "
+            f"{cell.paths_per_device} need {needed} bytes of Monte Carlo arrays, above the "
+            f"limit of {_MAX_MC_BYTES} bytes")
 
 
 def _leaks_nothing(max_velocity_mps: float, cfg: SystemConfig) -> bool:

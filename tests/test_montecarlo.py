@@ -228,13 +228,15 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # float.hex of (mean, std_error) of each estimator at 300 trials (two
 # blocks, one partial); sharing the draws among the scenarios of a group
 # must keep these bits.  Every pin includes its estimator's control
-# variate.
+# variate.  fig4's 500 Hz curve (N = 199) is the one pin where the
+# capacity draws its neighbours at index gap +-1 more than once (R = 11)
 PINNED = {
     "ici": ("0x1.f47f866aed00ap-8", "0x1.e66b9a9cb6196p-33"),  # 0.007637 +- 2.21e-10
     "ici_edge_3ghz": ("0x1.357887ba6133cp-7", "0x1.8acbc1c1c015cp-30"),  # 0.0094443 +- 1.44e-09
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca963p-37"),  # 0.992171 +- 7.53e-12
     "capacity": ("0x1.4a20fe33109a1p+2", "0x1.71859f8a8773bp-11"),  # 5.15826 +- 0.000705
     "capacity_edge_3ghz": ("0x1.451d0707db92dp+2", "0x1.b6ee608e847ecp-10"),  # 5.0799 +- 0.00167
+    "capacity_500hz": ("0x1.35d69153ac783p+1", "0x1.9ac01b143344ep-10"),  # 2.42061 +- 0.00157
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479d9p-36"),  # 0.000261606 +- 1.81e-11
 }
@@ -246,6 +248,7 @@ def test_estimates_keep_their_pinned_bits():
     cfg3 = SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=5)
     cell3 = CellConfig(paths_per_device=3)
     mob3 = MobilityModel(max_velocity_mps=37.5)
+    cfg500 = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
     onto_a, onto_b = symmetry_probe(0, 3, plan, CFG, CELL, MOB)
     got = {
         "ici": estimate_total_ici(plan, CFG, CELL, MOB),
@@ -253,6 +256,7 @@ def test_estimates_keep_their_pinned_bits():
         "useful": estimate_useful_power(plan, CFG, CELL, MOB),
         "capacity": estimate_ergodic_capacity(plan, CFG, CELL, MOB),
         "capacity_edge_3ghz": estimate_ergodic_capacity(edge, cfg3, cell3, mob3),
+        "capacity_500hz": estimate_ergodic_capacity(plan, cfg500, CELL, MOB),
         "symmetry_a": onto_a,
         "symmetry_b": onto_b,
     }
@@ -405,6 +409,27 @@ def test_block_bytes_bounds_what_the_blocks_hold(half_subcarriers, paths, cohere
         parts = len(montecarlo._near_devices(half_subcarriers, devices)) + (devices > 5)
         bound += 8 * plan.trials * parts * (5 + len(mobs))
     assert 0.9 * bound <= peak <= bound
+
+
+@pytest.mark.parametrize("trials,scenarios", [(1000, 3), (4096, 11)])
+@pytest.mark.parametrize("coherent", [False, True])
+def test_run_bytes_bounds_what_a_run_holds(trials, scenarios, coherent):
+    # a block and, per trial, the columns, each scenario's samples and the
+    # fit's design and temporaries; the block's arrays are let go before
+    # the fit, so the sum overstates the peak: 0.64-0.90 of it here
+    mobs = [MobilityModel(10.0 * (k + 1)) for k in range(scenarios)]
+    estimate = estimate_ergodic_capacity if coherent else estimate_total_ici
+    estimate(TrialPlan(trials=300, seed=1), [CFG] * scenarios, CELL, mobs)
+    tracemalloc.start()
+    try:
+        estimate(TrialPlan(trials=trials, seed=1), [CFG] * scenarios, CELL, mobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = montecarlo.run_bytes(trials, scenarios, 2 * CFG.half_subcarriers + 1,
+                                 CELL.paths_per_device,
+                                 CFG.effective_power / CFG.noise_variance if coherent else None)
+    assert 0.6 * bound <= peak <= bound
 
 
 def test_a_group_of_scenarios_is_validated():
@@ -678,15 +703,18 @@ def test_power_estimates_are_unbiased_and_their_std_error_honest():
 
 def _recorded(monkeypatch, plan, cfgs, cell, mobs):
     # the estimates of a group, and what the estimator computed them from:
-    # per scenario, the factor tables of every block, the faded powers
-    # they were built from (row 0 the trial's SNR) and the rule's weights,
-    # and the columns V of every block, the intercept prepended: [1, V]
-    tables, faded, columns = [], [], []
-    factors, design = montecarlo.hamdi_factors, montecarlo._capacity_columns
+    # per scenario, the factor tables of every block, each part's row the
+    # mean over its draws, the rows of faded powers they were built from,
+    # the extra draws' after the parts' (row 0 the trial's SNR), the far
+    # devices' interference and the rule's weights, and the columns V of
+    # every block, the intercept prepended: [1, V]
+    tables, faded, far, columns = [], [], [], []
+    factors, design = montecarlo._part_factors, montecarlo._capacity_columns
 
-    def record_tables(nodes, rows, far=None, out=None):
+    def record_tables(nodes, rows, interference, *args):
         faded.append(np.array(rows))
-        tables.append(factors(nodes, rows, far, out).copy())
+        far.append(interference.copy())
+        tables.append(factors(nodes, rows, interference, *args).copy())
         return tables[-1]
 
     def record_columns(*args):
@@ -694,23 +722,23 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
         return columns[-1]
 
     with monkeypatch.context() as patched:
-        patched.setattr(montecarlo, "hamdi_factors", record_tables)
+        patched.setattr(montecarlo, "_part_factors", record_tables)
         patched.setattr(montecarlo, "_capacity_columns", record_columns)
         estimates = estimate_ergodic_capacity(plan, cfgs, cell, mobs)
-    moving = [k for k, mob in enumerate(mobs) if mob.max_velocity_mps != 0.0]
-    runs = {k: (np.concatenate(tables[i::len(moving)], axis=1),
-                np.concatenate(faded[i::len(moving)], axis=1)[0],
-                numerics.hamdi_rule(cfgs[k].effective_power / cfgs[k].noise_variance)[1])
-            for i, k in enumerate(moving)}
+    runs = [(np.concatenate(tables[k::len(mobs)], axis=1),
+             np.concatenate(faded[k::len(mobs)], axis=1),
+             np.concatenate(far[k::len(mobs)]),
+             numerics.hamdi_rule(cfg.effective_power / cfg.noise_variance))
+            for k, cfg in enumerate(cfgs)]
     columns = np.concatenate(columns)
     return estimates, runs, np.concatenate([np.ones(columns.shape[:2] + (1,)), columns], axis=2)
 
 
 def _factors(run):
     # each part's factor per trial and node: the signal's table times its SNR
-    tables, snr, weights = run
+    tables, faded, _, (_, weights) = run
     factors = tables.copy()
-    factors[0] *= snr[:, None]
+    factors[0] *= faded[0][:, None]
     return factors, weights
 
 
@@ -770,14 +798,25 @@ def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, wi
     assert np.all(np.abs(mean) <= 4.0 * spread), np.abs(mean) / spread
 
 
-def test_the_factor_means_average_every_combination_of_the_parts_draws(monkeypatch):
+@pytest.mark.parametrize("draws", [1, 2])
+def test_the_factor_means_average_every_combination_of_the_parts_draws(draws, monkeypatch):
     # 3 trials, too few for any fold to fit a variate: the estimate is the
     # rule on the product of the six parts' factor means, which is the mean
-    # over all 3^6 = 729 ways to take each part's factor from any trial
+    # over all 3^6 = 729 ways to take each part's factor from any trial,
+    # each neighbour at index gap +-1 with the mean factor of its draws
+    monkeypatch.setattr(montecarlo, "_neighbour_draws", lambda half_subcarriers: draws)
     cfg = SystemConfig(half_subcarriers=4)
     [est], runs, _ = _recorded(monkeypatch, TrialPlan(trials=3, seed=35), [cfg], CELL, [MOB])
-    factors, weights = _factors(runs[0])
-    assert factors.shape[:2] == (6, 3)
+    _, faded, far, (nodes, weights) = runs[0]
+    assert faded.shape == (5 + 2 * (draws - 1), 3)
+    rows = numerics.hamdi_factors(nodes, faded, far)
+    rows[0] *= faded[0][:, None]
+    # the near devices at index gap 0, -2, -1, 1, 2, then the extra draws
+    # of -1 and 1 in turn, and the far devices
+    minus, plus = rows[5:-1:2], rows[6:-1:2]
+    factors = np.stack([rows[0], rows[1], (rows[2] + minus.sum(axis=0)) / draws,
+                        (rows[3] + plus.sum(axis=0)) / draws, rows[4], rows[-1]])
+    assert _factors(runs[0])[0] == pytest.approx(factors, rel=1e-15, abs=0.0)
     combinations = [weights @ np.prod(factors[np.arange(6), list(pick)], axis=0)
                     for pick in np.ndindex(*(3,) * 6)]
     brute = analytic.LOG2_E * math.fsum(combinations) / len(combinations)
@@ -827,27 +866,32 @@ def test_a_scenario_keeps_its_bits_in_its_fig4_group():
 def _plain_samples(plan, cfg, cell, mob, averaged=(-1, 1)):
     # per trial, the capacity with the fading of the target and of its
     # neighbours at the index gaps ``averaged`` averaged by the rule at one
-    # trial, relative to the other interferers' powers and the noise, and
-    # every other interferer at a drawn weight, no variate: an unbiased
-    # estimator on the same Doppler draws as estimate_ergodic_capacity,
-    # whose weights it reads; the other near neighbours, which the
-    # estimator draws no weight for, get weights of their own
+    # trial, each such neighbour's factor the mean over its draws, relative
+    # to the other interferers' powers and the noise, and every other
+    # interferer at a drawn weight, no variate: an unbiased estimator on
+    # the same Doppler draws as estimate_ergodic_capacity, whose weights it
+    # reads; the other near neighbours, which the estimator draws no
+    # weight for, get weights of their own, and their extra draws none
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
     target = plan.target_index + cfg.half_subcarriers
     near = montecarlo._near_devices(target, gaps.size)
+    extra = montecarlo._extra_draws(target, gaps.size)
     kept = [target] + [c for c in near[1:] if c - target in averaged]
     drawn = [c for c in near if c not in kept]
+    columns = [[c] + [gaps.size + i for i, device in enumerate(extra) if device == c]
+               for c in kept]
     own_draws = np.random.default_rng(plan.seed + 1)
     samples = np.empty(plan.trials)
     for _, rows, powers, _, weights in montecarlo._device_powers(plan, cell, [(cfg, mob)],
                                                                  [gaps], True):
         weights = weights.copy()
         weights[:, drawn] = own_draws.standard_exponential((len(weights), len(drawn)))
-        faded = powers[:, kept].T * cfg.effective_power
-        powers *= weights  # 0 at the averaged devices
+        faded = powers.T * cfg.effective_power
+        powers *= weights  # 0 at the averaged devices and the extra draws
         faded /= powers.sum(axis=1) * cfg.effective_power + cfg.noise_variance
-        nodes, rule = numerics.hamdi_rule(faded.max())
-        samples[rows] = faded[0] * (np.prod(numerics.hamdi_factors(nodes, faded), axis=0) @ rule)
+        nodes, rule = numerics.hamdi_rule(faded[sum(columns, [])].max())
+        factors = [numerics.hamdi_factors(nodes, faded[draws]).mean(axis=0) for draws in columns]
+        samples[rows] = faded[target] * (np.prod(factors, axis=0) @ rule)
     return samples * analytic.LOG2_E
 
 
@@ -857,9 +901,9 @@ def test_cross_fitted_capacity_is_unbiased_and_its_std_error_honest(paths, refer
     # interference is the most spread, and at eight: 200 seeds of 256
     # trials, one block each, against the plain fading average of
     # reference_trials trials on another seed; the standard error each run
-    # reports against the spread of the 200 estimates.  Here z = 1.38 and
-    # the ratio 0.98 at one path, z = 0.88 and 0.96 at eight (z = 1.61
-    # against 2^18 trials)
+    # reports against the spread of the 200 estimates.  With 11 draws of
+    # each neighbour at index gap +-1, z = 0.16 and the ratio 0.93 at one
+    # path, z = 2.13 and 1.03 at eight
     cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
     cell = CellConfig(paths_per_device=paths)
     runs = [estimate_ergodic_capacity(TrialPlan(trials=256, seed=seed), cfg, cell, MOB)
@@ -896,9 +940,9 @@ def test_few_trials_give_defined_capacity_estimates(trials, monkeypatch):
     assert math.isfinite(est.mean) and math.isfinite(est.std_error) and est.trials == trials
     mean, std_error, plain = _two_pass(runs[0], columns)
     if trials == 1:
-        tables, snr, weights = runs[0]
+        tables, faded, _, (_, weights) = runs[0]
         assert est.std_error == 0.0
-        assert est.mean == pytest.approx(analytic.LOG2_E * snr[0] * float(
+        assert est.mean == pytest.approx(analytic.LOG2_E * faded[0, 0] * float(
             np.prod(tables[:, 0], axis=0) @ weights), rel=1e-15, abs=0.0)
     elif trials <= 8:
         assert est.mean == pytest.approx(mean, rel=1e-14, abs=0.0)
@@ -909,13 +953,29 @@ def test_few_trials_give_defined_capacity_estimates(trials, monkeypatch):
             assert est.std_error < plain / 2.0
 
 
+def test_a_tiny_capacity_keeps_an_honest_std_error():
+    # at P_T = 1e-310 the capacity is about 1.4e-308 bit/s/Hz and its
+    # residuals about 1e-319, whose squares underflow to 0: the estimator
+    # scales them by a power of two first.  Seeds 1-4 give means that
+    # differ by about 1e-11 relative; compared in units of 2^-1100, where
+    # their squares are normal, their spread is 0.56 of the reported one
+    cfg = SystemConfig(effective_power=1e-310)
+    runs = [estimate_ergodic_capacity(TrialPlan(trials=256, seed=seed), cfg, CELL, MOB)
+            for seed in range(1, 5)]
+    assert all(run.std_error > 0.0 for run in runs)
+    means = np.ldexp([run.mean for run in runs], 1100)
+    reported = math.sqrt(np.mean(np.ldexp([run.std_error for run in runs], 1100) ** 2))
+    assert 0.25 <= means.std(ddof=1) / reported <= 4.0
+
+
 def test_capacity_variate_cuts_the_fig4_standard_error():
     # the fig4 point with the largest Doppler, 500 Hz at 100 m/s (x = 0.6),
     # at 2048 trials; at this seed the standard error was 0.015407577 with
     # the target's fading alone averaged and no variate, 0.00824 with a
     # fixed-slope d^2 variate, 0.00478 with the index-gap +-1 neighbours'
-    # fading averaged too, 0.00247 with per-trial cross-fitted variates, and
-    # is 0.00126 averaged over every combination of the parts' draws
+    # fading averaged too, 0.00247 with per-trial cross-fitted variates,
+    # 0.00126 averaged over every combination of the parts' draws, and is
+    # 0.00063 with 11 draws of each +-1 neighbour a trial
     cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
     est = estimate_ergodic_capacity(TrialPlan(trials=2048, seed=5), cfg, CELL, MOB)
     assert est.std_error <= 0.1 * 0.015407577
@@ -944,9 +1004,11 @@ FIG4_CURVES = [(2500.0, 39), (1000.0, 99), (500.0, 199)]
 
 def test_fig4_capacity_reaches_its_accuracy_target_within_budget():
     # the mean over the grid's points of (std_error / 0.01)^2, which scales
-    # the benchmark's mc_time_to_accuracy_s: 0.024 averaged over every
-    # combination of the parts' draws, 0.12 with per-trial cross-fitted
-    # variates, 0.35-0.44 per seed with a fixed-slope d^2 variate
+    # the benchmark's mc_time_to_accuracy_s: 0.0069 with R draws of each
+    # neighbour at index gap +-1 (R = 2, 5 and 11 on the three curves),
+    # 0.024 with one, averaged over every combination of the parts' draws,
+    # 0.12 with per-trial cross-fitted variates, 0.35-0.44 per seed with a
+    # fixed-slope d^2 variate
     speeds = [MobilityModel(10.0 * k) for k in range(11)]
     factors = []
     for seed in range(4):
@@ -955,7 +1017,7 @@ def test_fig4_capacity_reaches_its_accuracy_target_within_budget():
             group = estimate_ergodic_capacity(TrialPlan(trials=256, seed=seed),
                                               [cfg] * len(speeds), CELL, speeds)
             factors += [(est.std_error / 0.01) ** 2 for est in group]
-    assert np.mean(factors) <= 0.06
+    assert np.mean(factors) <= 0.012
 
 
 @pytest.mark.parametrize("half_subcarriers,target,paths",

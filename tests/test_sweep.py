@@ -324,33 +324,59 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
 
 @pytest.mark.parametrize("text,outputs,refused", [
     # montecarlo.block_bytes: 256 trials x (2N + 1) devices x (M paths + 7)
-    # doubles for the interference, (M + 4) for the capacity alone, plus
-    # eight tiles and, for the capacity, the 84 doubles a trial its average
-    # holds across blocks, against 1.75 GiB
-    ("system.half_subcarriers = 30081", "ici_mc", False),   # 1.75 GiB - 37 kB
-    ("system.half_subcarriers = 30082", "ici_mc", True),    # 1.75 GiB + 25 kB
-    ("system.half_subcarriers = 57120\ncell.paths_per_device = 1", "ici_mc", False),
-    ("system.half_subcarriers = 57121\ncell.paths_per_device = 1", "ici_mc", True),
-    ("system.half_subcarriers = 32767", "capacity_mc", False),   # 1.53 GiB
-    ("system.half_subcarriers = 37445", "capacity_mc", False),   # 1.75 GiB - 10.5 kB
-    ("system.half_subcarriers = 37446", "capacity_mc", True),    # 1.75 GiB + 38.5 kB
-    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", True),
-    ("system.half_subcarriers = 32768", "ici_mc", True),
-    ("system.half_subcarriers = 8192\ncell.paths_per_device = 64", "ici_mc", True),
+    # doubles for the interference, (M + 4) for the capacity alone on its
+    # 2N + 1 + 2 (R - 1) columns, R = N // 18, plus eight tiles and, for the
+    # capacity, the 84 doubles a trial and 5 an extra column its average
+    # holds across blocks, against 1.75 GiB; montecarlo.run_bytes adds, at
+    # 100 trials of 2 grid points, 26 doubles a trial for the interference
+    # and 18 a trial and part for the capacity's six
+    ("system.half_subcarriers = 30081", "ici_mc", None),   # 1.75 GiB - 17 kB
+    ("system.half_subcarriers = 30082", "ici_mc", "block"),    # 1.75 GiB + 25 kB
+    ("system.half_subcarriers = 57119\ncell.paths_per_device = 1", "ici_mc", None),
+    ("system.half_subcarriers = 57120\ncell.paths_per_device = 1", "ici_mc", "run"),
+    ("system.half_subcarriers = 57121\ncell.paths_per_device = 1", "ici_mc", "block"),
+    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 1.65 GiB
+    ("system.half_subcarriers = 34728", "capacity_mc", None),   # 1.75 GiB - 28 kB
+    ("system.half_subcarriers = 34729", "capacity_mc", "run"),    # 1.75 GiB + 22 kB
+    ("system.half_subcarriers = 34730", "capacity_mc", "run"),
+    ("system.half_subcarriers = 34731", "capacity_mc", "block"),   # 1.75 GiB + 36 kB
+    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", "block"),
+    ("system.half_subcarriers = 32768", "ici_mc", "block"),
+    ("system.half_subcarriers = 8192\ncell.paths_per_device = 64", "ici_mc", "block"),
     ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 40000", "ici_mc",
-     True),
+     "block"),
 ])
 def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, outputs, refused):
     # parse only: an accepted config of this size is never run here
-    mc = AXIS + GRID + f"system.bandwidth_hz = 0\nsweep.outputs = {outputs}\n" + text + "\n"
-    if refused:
+    mc = AXIS + GRID + f"system.bandwidth_hz = 0\nsweep.outputs = {outputs}\nmc.trials = 100\n" \
+        + text + "\n"
+    if refused == "block":
         with pytest.raises(ConfigError, match="system.half_subcarriers, cell.paths_per_device: "
                            ".* bytes of draws"):
+            parse_config(mc)
+    elif refused == "run":
+        with pytest.raises(ConfigError, match="mc.trials: 100 trials of the 2 grid points "
+                           ".* bytes of Monte Carlo arrays"):
             parse_config(mc)
     else:
         parse_config(mc)
     # the analytic outputs allocate no block of draws
     parse_config(mc.replace(outputs, "ici_approx"))
+
+
+def test_refuses_monte_carlo_runs_that_keep_too_much_per_trial():
+    # fig4's 500 Hz curve, 11 points: the capacity keeps 16 + 11 doubles a
+    # trial and part, about 13 GB at 10^7 trials; the presets at their own
+    # trial counts fit
+    for name in ("fig3", "fig4", "fig5"):
+        parse_config(preset_path(name).read_text())
+    text = (AXIS + "sweep.grid = 0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100\n"
+            "sweep.outputs = capacity_mc\nsystem.snr_db = 20\n"
+            "system.subcarrier_spacing_hz = 500\nsystem.half_subcarriers = 199\n")
+    parse_config(text + "mc.trials = 1000000\n")
+    with pytest.raises(ConfigError, match=r"^mc.trials: 10000000 trials of the 11 grid points "
+                       r"at half_subcarriers = 199 .* above the limit"):
+        parse_config(text + "mc.trials = 10000000\n")
 
 
 def test_target_index_is_checked_against_each_curve():
