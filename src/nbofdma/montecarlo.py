@@ -11,11 +11,14 @@ sub-carrier count and draw each block once for the whole group.  Estimates
 are bit-reproducible for a given (plan, configs) and do not depend on the
 group a scenario is evaluated in or on how blocks might be spread over
 workers.  Every estimator keeps a value per trial and part and reduces
-its residuals once the folds' slopes are fitted.
+its residuals once the folds' slopes are fitted; the capacity also keeps,
+per scenario, part and fold, the sums on its rule's nodes from which its
+part means are controlled, which do not grow with the trials.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +57,10 @@ class TrialPlan:
     of each neighbour at index gap +-1 a trial, R a fixed rule in the
     sub-carrier count (:func:`_neighbour_draws`).  Every estimator subtracts
     zero-mean columns of its draws times slopes fitted on the other folds'
-    trials (:func:`_fold_slopes`), so it stays exactly unbiased.
+    trials (:func:`_fold_solver`), so it stays exactly unbiased: the power
+    estimators' columns are the path moments, the capacity's also their
+    products of second order (:func:`_capacity_columns`), fitted to each
+    part's factor at every node of its rule.
     """
 
     trials: int
@@ -120,18 +126,67 @@ def _group(cfg, mob):
 _ORDERS = (2, 3, 4, 5, 6)
 _TERMS = tuple((p, e) for p in _ORDERS for e in range(2 + p % 2, p + 1, 2))
 _TERM_ORDERS, _TERM_EXPONENTS = np.array(_TERMS).T
+_FOLDS = 8  # every fit puts trial i in fold i mod 8
+
+
+def _set_partitions(items: list):
+    """Every partition of ``items`` into blocks, each a list of lists."""
+    if not items:
+        yield []
+        return
+    for partition in _set_partitions(items[1:]):
+        yield [[items[0]]] + partition
+        for i, block in enumerate(partition):
+            yield partition[:i] + [[items[0]] + block] + partition[i + 1:]
+
+
+@functools.cache
+def _monomial_mean(orders: tuple, paths: int) -> float:
+    """E[prod_i m_(p_i)], p_i = ``orders`` and m_p = mean_m z_m^p over a
+    device's ``paths`` paths, z_m = u c_m, correctly rounded from its exact
+    value.  The paths share u, so a product's mean is E[u^P] sum_pi
+    (M)_|pi| / M^k prod_(B in pi) E[c^(n_B)], n_B = sum_(i in B) p_i,
+    P = sum_i p_i, pi running over the set partitions of the k factors
+    (the patterns of equal path indices) and (M)_j the falling factorial:
+    E[u^P] = 1 / (P + 1) for u uniform on [0, 1), and E[c^n] = C(n, n/2)
+    / 2^n for even n and 0 for odd n, c of the arcsine law.  The n_B sum
+    to P, so over the common denominator (P + 1) M^k 2^P the sum is one
+    of whole numbers."""
+    total = 0
+    for partition in _set_partitions(list(orders)):
+        sums = [sum(block) for block in partition]
+        if all(n % 2 == 0 for n in sums):
+            total += math.perm(paths, len(sums)) * math.prod(math.comb(n, n // 2) for n in sums)
+    power = sum(orders)
+    return total / ((power + 1) * paths ** len(orders) * 2 ** power)
+
+
 # E[z^p] = E[u^p] E[cos^p psi] = C(p, p/2) / (2^p (p + 1)) for even p and 0
-# for odd p: u uniform on [0, 1), cos psi of the arcsine law
+# for odd p (:func:`_monomial_mean` of one factor, at any path count)
 _MOMENT_MEANS = np.array([math.comb(p, p // 2) / (2 ** p * (p + 1)) if p % 2 == 0 else 0.0
                           for p in _ORDERS])
-_FOLDS = 8  # every fit puts trial i in fold i mod 8
+# the capacity's near columns: m_2..m_6, then the products of those of low
+# order; m_2^3 is left out, since at two paths m_6 = 3 m_2 m_4 - 2 m_2^3
+_NEAR_MONOMIALS = tuple((p,) for p in _ORDERS) + ((2, 2), (2, 3), (2, 4), (3, 3))
+_FAR_WIDTH = len(_TERMS) + 3  # the far part's columns (:func:`_capacity_columns`)
+
+
+@functools.cache
+def _near_means(paths: int) -> np.ndarray:
+    """E of each near column's monomial (:data:`_NEAR_MONOMIALS`) at
+    ``paths`` paths: at one path a product is a single moment (m_2^2 =
+    m_4), so only m_2..m_6 are kept."""
+    kept = _NEAR_MONOMIALS[:len(_ORDERS) if paths == 1 else None]
+    means = np.array([_monomial_mean(orders, paths) for orders in kept])
+    means.flags.writeable = False  # shared by every caller
+    return means
 
 
 def _block_slots(coherent: bool) -> int:
     """(trials, devices) slots of the buffer of :func:`_device_powers`: the
     powers and the path moments p = 2..6, or for the capacity ("coherent")
-    the powers, the bracket p = 2 and the Exp(1) weights."""
-    return 3 if coherent else 1 + len(_ORDERS)
+    the powers and the Exp(1) weights."""
+    return 2 if coherent else 1 + len(_ORDERS)
 
 
 def _aligned_empty(shape) -> np.ndarray:
@@ -144,6 +199,16 @@ def _aligned_empty(shape) -> np.ndarray:
     return raw[start:start + size].reshape(shape)
 
 
+def _capacity_sizes(devices: int, paths: int):
+    """(near parts, far parts, doubles a trial of the parts' designs [1, V])
+    of a capacity run over ``devices`` devices of ``paths`` paths, at most:
+    a centred target's five near parts (:func:`_near_devices`) of 9 columns
+    (5 at one path, :func:`_near_means`) and the far part of 12
+    (:func:`_capacity_columns`), if the band holds far devices."""
+    near, far = min(devices, 5), int(devices > 5)
+    return near, far, near * (_near_means(paths).size + 1) + far * (_FAR_WIDTH + 1)
+
+
 def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     """Bytes of the arrays :func:`_device_powers` holds at once for
     ``devices`` devices of ``paths`` paths sharing one gap vector: a block's
@@ -154,37 +219,58 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     mask and the per-device vectors.  A column is a device, and with
     ``snr``, P_T over the noise of a capacity ("coherent") scenario, also
     one of the 2 (R - 1) extra draws of the neighbours at index gap +-1
-    (:func:`_extra_draws`).  A capacity block also holds what its average
-    holds: 84 doubles a trial across blocks (the near moments, the columns
-    V, the last scenario's vectors) and 5 more an extra draw (its
-    moments), and the parts' factor tables on the rule at that SNR
-    (:func:`numerics.hamdi_rule`) with two scratch rows for the extra
-    draws' factors and 26 doubles a trial and 4 an extra draw,
-    formed after the sampler has let go of its slot and two tiles."""
+    (:func:`_extra_draws`).  A capacity block also holds, across blocks,
+    the near draws' moments (5 doubles a trial and draw), the far terms
+    (9 a trial), the Taylor table (11 doubles a device) and the folds'
+    grams of each part's design [1, V] (:func:`_fold_solver`), and while
+    sampling the last block's columns V; once the sampler has let go of
+    its slot and two tiles, what its average holds: the parts' factor
+    tables on the rule at that SNR (:func:`numerics.hamdi_rule`) with two
+    scratch rows for the extra draws' factors, the block's columns V and
+    designs [1, V] (:func:`_capacity_sizes`), the faded powers of the near
+    draws and 26 more doubles a trial, and the near parts' fold sums of
+    one scenario (:func:`_fold_sums`)."""
     coherent = snr is not None
     extra = 2 * (_neighbour_draws(devices // 2) - 1) * coherent
     columns = devices + extra
     tile = row_tiles(BLOCK_TRIALS, columns * paths)[0].stop * columns * paths
     sampler = BLOCK_TRIALS * columns + 2 * tile
-    parts = min(devices, 5) + (devices > 5)
-    rows = parts + min(2, extra)
-    average = BLOCK_TRIALS * (rows * hamdi_rule(snr)[0].size + 26 + 4 * extra) if coherent else 0
+    held = average = 0
+    if coherent:
+        near, far, design = _capacity_sizes(devices, paths)
+        nodes = hamdi_rule(snr)[0].size
+        rows = near + far + min(2, extra)
+        grams = _FOLDS * (near * (_near_means(paths).size + 1) ** 2 + far * (_FAR_WIDTH + 1) ** 2)
+        held = BLOCK_TRIALS * (len(_ORDERS) * (near + extra) + len(_TERMS)) \
+            + (len(_TERMS) + 2) * devices + grams
+        sampler += BLOCK_TRIALS * (design - near - far)
+        average = BLOCK_TRIALS * (rows * nodes + 2 * design + extra + 26) \
+            + _FOLDS * (design - far * (_FAR_WIDTH + 1)) * nodes
     return 8 * (BLOCK_TRIALS * columns * (paths + _block_slots(coherent)) + 6 * tile
-                + max(sampler, average) + BLOCK_TRIALS * (84 + 5 * extra) * coherent)
+                + max(sampler, average) + held)
 
 
 def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
               snr: float | None = None) -> int:
     """Bytes an estimator holds at most for a group of ``scenarios`` over
-    ``trials`` trials: a block (:func:`block_bytes`, the capacity's with
-    ``snr``) and, growing with the trials, what the run keeps per trial and
-    part: its columns V and each scenario's samples, and the fit's design
-    [1, V] and six doubles of its temporaries (:func:`_fitted`).  The
-    capacity has up to six parts of 5 columns, the interference one of 9."""
-    coherent = snr is not None
-    parts = min(devices, 5) + (devices > 5) if coherent else 1
-    variates = len(_ORDERS) if coherent else len(_TERMS)
-    return block_bytes(devices, paths, snr) + 8 * trials * parts * (2 * variates + 6 + scenarios)
+    ``trials`` trials: what the run keeps per trial, its columns V and
+    each scenario's samples, one a part (the interference's one part of 9
+    columns; the capacity's parts, :func:`_capacity_sizes`), and the larger
+    of two: a block (:func:`block_bytes`, the capacity's with ``snr``)
+    with, for the capacity, each scenario's node sums on its rule, the
+    fold sums of [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a
+    part, which go once the scenario's last block is done; or, after the
+    blocks, the fit: the designs [1, V] and 5 doubles a trial and part of
+    one scenario's temporaries (:func:`_residuals`)."""
+    if snr is None:
+        design, parts, nodes = len(_TERMS) + 1, 1, 0
+    else:
+        near, far, design = _capacity_sizes(devices, paths)
+        parts, nodes = near + far, hamdi_rule(snr)[0].size
+    kept = trials * (design - parts + parts * scenarios)
+    node_sums = scenarios * nodes * (_FOLDS * design + 3 * parts)
+    fit = trials * (design + 5 * parts)
+    return 8 * (kept + max(block_bytes(devices, paths, snr) // 8 + node_sums, fit))
 
 
 def _taylor_table(index_gaps: np.ndarray) -> np.ndarray:
@@ -211,25 +297,42 @@ def _term_reductions(moments: np.ndarray, table: np.ndarray) -> np.ndarray:
     return reductions
 
 
-def _path_moments(shift: np.ndarray, tiles, moments: np.ndarray, scratch: np.ndarray,
-                  quartic=None):
-    """moments[p - 2] = mean_m z_m^p of each (trial, device) of the block
-    ``shift``, for as many orders from p = 2 up as ``moments`` holds, tile
-    by tile in ``scratch``, so that no block-sized z^p is formed.  With the
-    bracket alone and ``quartic`` = (weights, out), also
-    out = sum_j weights_j sum_m z_jm^4 per trial."""
+def _path_moments(shift: np.ndarray, tiles, moments: np.ndarray, scratch: np.ndarray):
+    """moments[p - 2] = mean_m z_m^p, p = 2..6, of each (trial, device) of
+    the block ``shift``, tile by tile in ``scratch``, so that no
+    block-sized z^p is formed."""
     for rows in tiles:
         z = shift[rows]
         np.einsum("tdm,tdm->td", z, z, out=moments[0, rows])
-        if len(moments) > 1 or quartic:
-            power = np.multiply(z, z, out=scratch[:rows.stop - rows.start, :z.shape[1]])
-            for moment in moments[1:]:
-                power *= z
-                np.einsum("tdm->td", power, out=moment[rows])
-            if quartic:
-                power *= power
-                np.einsum("tdm,d->t", power, quartic[0], out=quartic[1][rows])
+        power = np.multiply(z, z, out=scratch[:rows.stop - rows.start, :z.shape[1]])
+        for moment in moments[1:]:
+            power *= z
+            np.einsum("tdm->td", power, out=moment[rows])
     moments /= shift.shape[2]
+
+
+def _far_terms(shift: np.ndarray, tiles, weights: np.ndarray, table: np.ndarray,
+               scratch: np.ndarray, out: np.ndarray):
+    """out[t, (p, e)] = sum_j table[(p, e), j] w_tj mean_m z_tjm^p for each
+    term (p, e) of :data:`_TERMS`, w the block's Exp(1) ``weights``, from
+    the block ``shift``: each order's moments are formed a tile at a time
+    in ``scratch[1]`` (z^p in ``scratch[0]``) and reduced at once, so that
+    no block-sized moment is held."""
+    paths = np.ones(shift.shape[2])
+    orders = [(p, _TERM_ORDERS == p, table[_TERM_ORDERS == p]) for p in _ORDERS]
+    for rows in tiles:
+        z = shift[rows]
+        n, devices = z.shape[:2]
+        power = np.multiply(z, z, out=scratch[0, :n, :devices])
+        moment = scratch[1].reshape(-1)[:n * devices].reshape(n, devices)
+        for p, terms, weights_of_terms in orders:
+            if p > 2:
+                power *= z
+            np.matmul(power, paths, out=moment)  # twice as fast as einsum here
+            moment *= weights[rows]
+            # one product a trial, so that no value depends on the tile
+            out[rows, terms] = (weights_of_terms @ moment[..., None])[..., 0]
+    out /= paths.size
 
 
 def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool):
@@ -237,7 +340,8 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     column) power on the target sub-carrier of scenario k for the trials
     ``rows``, in a buffer the next step overwrites; the block's per-device
     path moments mean_m z_m^p, p = 2..6 in ``moments[p - 2]``, or for the
-    capacity ("coherent") the block's columns V of its control variates
+    capacity ("coherent") the block's columns V of its control variates,
+    a list of the near parts' and the far part's
     (:func:`_capacity_columns`); and the block's Exp(1) weights
     ("coherent"; 0 for the near devices, :func:`_near_devices`, whose
     fading the capacity averages and which draw none) or None.  A column
@@ -268,7 +372,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
 
     Every estimator subtracts zero-mean columns of these moments (centred
     by :data:`_MOMENT_MEANS`) times cross-fitted slopes (Glasserman 2003,
-    section 4.1; :func:`_fold_slopes`), part by part (:func:`_fitted`).
+    section 4.1; :func:`_fold_solver`), part by part (:func:`_fitted`).
     """
     devices = len(gaps[0])
     paths = cell.paths_per_device
@@ -280,10 +384,13 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
         owners = [near.index(c) for c in extra]
         gaps = [np.concatenate([gap, gap[extra]]) for gap in gaps]
         quiet = near + list(range(devices, devices + len(extra)))  # no weight drawn
-        far = np.arange(devices) - target  # the index gaps, then the far weights
-        far = np.where(abs(far) > 2, 1.0 / np.maximum(far ** 2, 1), 0.0)
+        index_gaps = subcarrier_gaps(plan.target_index, devices // 2)
+        far = abs(index_gaps) > 2
+        # built on the far gaps alone, so that its rows keep their rank there
+        table = np.zeros((len(_TERMS), devices))
+        table[:, far] = _taylor_table(index_gaps[far])
         near_moments = np.empty((len(_ORDERS), min(plan.trials, BLOCK_TRIALS), len(quiet)))
-        quartic = np.empty(near_moments.shape[1])
+        far_terms = np.empty((min(plan.trials, BLOCK_TRIALS), len(_TERMS)))
     columns = len(gaps[0])
     buffer = np.empty((_block_slots(coherent), min(plan.trials, BLOCK_TRIALS), columns))
     # the kernel's workspace, sized to the largest tile (the first of the
@@ -306,20 +413,14 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
         powers, moments, weights = buffer[0, :size], buffer[1:, :size], None
         tiles = row_tiles(size, columns * paths)
         if coherent:
-            moments, weights = moments[:1, :, :devices], moments[1]
-            weights[:, :devices][:, far != 0.0] = rng.standard_exponential(
-                (size, np.count_nonzero(far)))
+            weights = moments[0]
+            weights[:, :devices][:, far] = rng.standard_exponential((size, np.count_nonzero(far)))
             weights[:, quiet] = 0.0
-            _path_moments(shift[:, :devices], tiles, moments, offsets,
-                          (far / paths, quartic[:size]))
             _path_moments(shift[:, quiet], tiles, near_moments[:, :size], offsets)
-            # a part's moments are the mean over its draws
-            for i, part in enumerate(owners):
-                near_moments[:, :size, part] += near_moments[:, :size, len(near) + i]
-            for part in set(owners):
-                near_moments[:, :size, part] /= owners.count(part) + 1
-            moments = _capacity_columns(moments[0], near_moments[:, :size, :len(near)],
-                                        quartic[:size], weights[:, :devices], far)
+            _far_terms(shift[:, :devices], tiles, weights[:, :devices], table,
+                       workspace[:2], far_terms[:size])
+            moments = _capacity_columns(near_moments[:, :size], owners, far_terms[:size],
+                                        weights[:, :devices], table, paths)
         else:
             _path_moments(shift, tiles, moments, offsets)
         for k, span in enumerate(spans):
@@ -372,6 +473,7 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
             columns[rows, 0] = _term_reductions(moments, table)
         powers[:, target_column] = 0.0
         samples[k][rows, 0] = powers.sum(axis=1) * scenarios[k][0].effective_power
+    powers = moments = None  # let the last block go before the fit
     estimates = [_reduce(residuals[:, 0]) for residuals in _fitted(columns, samples)]
     return estimates[0] if single else estimates
 
@@ -428,23 +530,47 @@ def _extra_draws(target: int, devices: int) -> list[int]:
     return neighbours * (_neighbour_draws(devices // 2) - 1)
 
 
-def _capacity_columns(bracket, near_moments, quartic, weights, far: np.ndarray) -> np.ndarray:
-    """(trials, parts, 5): V_i for each part i of the capacity, each column
-    of mean exactly 0, scenario-free and of part i's draws alone:
-    for each near device, mean_m z^p - E[z^p], p = 2..6, the moments the
-    mean over its draws (:func:`_extra_draws`); for the far
-    devices j, if any, weighted by 1 / n_j^2 (``far``), w_j b_j - 1/6 (the
-    d^2 term), w_j - 1, b_j - 1/6 and mean_m z_j^4 - 3/40, b_j = mean_m
-    z_j^2 and w_j the Exp(1) weight, and a column of zeros."""
-    trials, near = bracket.shape[0], near_moments.shape[2]
-    total = far.sum()
-    columns = np.zeros((trials, near + bool(total), len(_ORDERS)))
-    columns[:, :near] = (near_moments - _MOMENT_MEANS[:, None, None]).transpose(1, 2, 0)
-    if total:
-        columns[:, near, 0] = np.einsum("td,td,d->t", bracket, weights, far) - total / 6.0
-        columns[:, near, 1] = weights @ far - total
-        columns[:, near, 2] = bracket @ far - total / 6.0
-        columns[:, near, 3] = quartic - _MOMENT_MEANS[2] * total
+def _capacity_columns(near_moments, owners, far_terms, weights, table, paths: int):
+    """The block's columns V_i of the capacity's parts, each of mean
+    exactly 0, scenario-free and of part i's draws alone: a (trials, near,
+    9) array for the near parts and, if there are far devices, a (trials,
+    1, 12) array for the far part.
+
+    A near part's columns are m_2..m_6, m_2^2, m_2 m_3, m_2 m_4 and m_3^2
+    less their means (:data:`_NEAR_MONOMIALS`, :func:`_near_means`; the
+    first five at one path), m_p = mean_m z^p of ``near_moments``, formed
+    per draw and averaged over the part's draws (its extra draws follow
+    the near devices, draw i of part owners[i], :func:`_extra_draws`).
+    The far part's are, for each term (p, e) of :data:`_TERMS`,
+    sum_j n_j^-e (w_j m_(p,j) - E[m_p]) (``far_terms``, ``table`` the
+    weights n_j^-e of :func:`_device_powers`), then sum_j n_j^-2 (w_j - 1),
+    and c_0^2 and c_0 c_(4,2) less their means, c_0 the term (2, 2): the
+    devices and their Exp(1) weights w_j being independent, with E[w^2] =
+    2, E[c_0 c] = sum_j n_j^-2 n_j^-e (2 E[m_2 m_p] - E[m_2] E[m_p])."""
+    means = _near_means(paths)
+    draws, parts = near_moments.shape[2], near_moments.shape[2] - len(owners)
+    # the mean over each part's draws, as a (draws, parts) matrix
+    average = np.zeros((draws, parts))
+    average[range(draws), list(range(parts)) + owners] = 1.0
+    average /= average.sum(axis=0)
+    near = np.empty((near_moments.shape[1], parts, means.size))
+    for row, orders in enumerate(_NEAR_MONOMIALS[:means.size]):
+        values = near_moments[orders[0] - 2]
+        if len(orders) == 2:
+            values = values * near_moments[orders[1] - 2]
+        np.subtract(values @ average, means[row], out=near[..., row])
+    columns = [near]
+    if table.any():
+        far = np.empty((len(far_terms), 1, _FAR_WIDTH))
+        terms = far[:, 0, :len(_TERMS)]
+        np.subtract(far_terms, _MOMENT_MEANS[_TERM_ORDERS - 2] * table.sum(axis=1), out=terms)
+        far[:, 0, -3] = weights @ table[0] - table[0].sum()
+        for column, term in ((-2, 0), (-1, _TERMS.index((4, 2)))):
+            p = _TERM_ORDERS[term]
+            covariance = 2.0 * _monomial_mean((2, p), paths) \
+                - _MOMENT_MEANS[0] * _MOMENT_MEANS[p - 2]
+            far[:, 0, column] = terms[:, 0] * terms[:, term] - table[0] @ table[term] * covariance
+        columns.append(far)
     return columns
 
 
@@ -458,45 +584,84 @@ def _by_fold(values: np.ndarray) -> np.ndarray:
     return np.moveaxis(values.reshape((-1, _FOLDS) + values.shape[1:]), (0, 2), (2, 0))
 
 
-def _fold_slopes(gram: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """slopes[k, i, f]: what fold f of part i subtracts per unit of its
-    columns V_i for sample k, from ``gram[i, f]`` = A^T A over fold f,
-    A = [1, V_i], and ``cross[k, i, f]`` = A^T y, y part i of the sample
-    less its first trial's (so a static network gets exactly 0): the
-    least-squares slopes, with an intercept, of y on V_i over the other
-    folds, which never see fold f's draws of part i (cross-fitting;
-    E[V_i] = 0), or 0 if they hold fewer than 2 trials a column of V_i.  An
-    all-zero column gets a zero slope, and so does the intercept, which is
-    fitted, not subtracted.  The other folds' matrices do not depend on
-    the sample: one inverse each."""
+def _fold_design(columns: np.ndarray) -> np.ndarray:
+    """(parts, folds, rows, 1 + variates): the design [1, V] of the
+    (trials, parts, variates) ``columns`` by fold (:func:`_by_fold`)."""
+    trials, parts, variates = columns.shape
+    design = np.zeros((trials - trials % -_FOLDS, parts, 1 + variates))  # padded once
+    design[:trials, :, 0] = 1.0
+    design[:trials, :, 1:] = columns
+    return _by_fold(design)
+
+
+def _fold_sums(design: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(parts, folds, 1 + variates, nodes): for each part and fold, the sum
+    over the fold's trials of A^T F, A = ``design`` (trials, parts, 1 +
+    variates) of a block and F = ``values`` (parts, trials, nodes); a
+    block starts on a multiple of 8, so its trial i is in fold i mod 8.
+    The whole rounds of 8 trials are folded as views, and the trials after
+    them added one fold each, so no block-sized array is copied."""
+    whole = len(design) - len(design) % _FOLDS
+    rounds = (whole // _FOLDS, _FOLDS)
+    folded = values[:, :whole].reshape(values.shape[:1] + rounds + values.shape[2:])
+    sums = design[:whole].reshape(rounds + design.shape[1:]).transpose(2, 1, 3, 0) \
+        @ folded.transpose(0, 2, 1, 3)
+    rest = len(design) - whole
+    if rest:
+        sums[:, :rest] += design[whole:].swapaxes(0, 1)[..., None] @ values[:, whole:, None]
+    return sums
+
+
+def _fold_solver(gram: np.ndarray):
+    """The slopes of each fold from ``gram[i, f]`` = A^T A over fold f,
+    A = [1, V_i]: a function of ``cross[i, f, :, k]`` = A^T y, y part i of
+    sample k less its first trial's (so a static network gets exactly 0),
+    whose slopes[i, f, :, k] are what fold f of part i subtracts per unit
+    of its columns V_i: the least-squares slopes, with an intercept, of y
+    on V_i over the other folds, which never see fold f's draws of part i
+    (cross-fitting; E[V_i] = 0), or 0 if they hold fewer than 2 trials a
+    column of V_i.  An all-zero column gets a zero slope, and so does the
+    intercept, which is fitted, not subtracted.  The other folds' matrices
+    do not depend on the sample: one inverse each, for every sample the
+    function is given.  It overwrites ``cross``."""
     size = gram.shape[-1]
     others = gram.sum(axis=1, keepdims=True) - gram
     few = others[..., 0, 0] < 2 * (size - 1)
     pivots = np.arange(size)
     others[..., pivots, pivots] += others[..., pivots, pivots] == 0.0
     others[few] = np.eye(size)
-    fitted = cross.sum(axis=2, keepdims=True) - cross
-    fitted[:, few] = 0.0
-    slopes = (np.linalg.inv(others) @ fitted[..., None])[..., 0]
-    slopes[..., 0] = 0.0
+    inverse = np.linalg.inv(others)
+
+    def slopes(cross: np.ndarray) -> np.ndarray:
+        fitted = np.subtract(cross.sum(axis=1, keepdims=True), cross, out=cross)
+        fitted[few] = 0.0
+        beta = inverse @ fitted
+        beta[:, :, 0] = 0.0
+        return beta
     return slopes
+
+
+def _residuals(design: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """y - V beta for the (trials, parts) ``y``: V the columns of the
+    by-fold ``design`` (:func:`_fold_design`) and beta[i, f] the slopes of
+    part i's fold f (:func:`_fold_solver`)."""
+    # V beta per (part, fold, row), transposed back to trial order
+    fit = (design[..., 1:] @ beta[:, :, 1:, None])[..., 0]
+    return y - fit.transpose(2, 1, 0).reshape(-1, y.shape[1])[:len(y)]
 
 
 def _fitted(columns: np.ndarray, samples):
     """Yield, for each (trials, parts) array y of ``samples`` in turn, its
     residuals y - V beta: V the (trials, parts, variates) zero-mean
     ``columns`` and beta the slopes of the trial's fold and part
-    (:func:`_fold_slopes`), each part fitted on its own columns.  Each y's
+    (:func:`_fold_solver`), each part fitted on its own columns.  Each y's
     cross products and residuals are formed alone, so a scenario keeps its
     bits in a group and its temporaries are the size of one sample."""
-    trials, parts, _ = columns.shape
-    design = _by_fold(np.concatenate([np.ones((trials, parts, 1)), columns], axis=2))
-    cross = [(_by_fold(y - y[0])[..., None, :] @ design)[..., 0, :] for y in samples]
-    slopes = _fold_slopes(design.swapaxes(2, 3) @ design, np.array(cross))
-    for y, beta in zip(samples, slopes):
-        # V beta per (part, fold, row), transposed back to trial order
-        fit = (design[..., 1:] @ beta[..., 1:, None])[..., 0]
-        yield y - fit.transpose(2, 1, 0).reshape(-1, parts)[:trials]
+    design = _fold_design(columns)
+    solve = _fold_solver(design.swapaxes(2, 3) @ design)
+    for y in samples:
+        cross = (_by_fold(y - y[0])[..., None, :] @ design)[..., 0, :, None]
+        yield _residuals(design, y, solve(cross)[..., 0])
 
 
 def _part_factors(nodes, faded, far, owners, out, scratch):
@@ -562,16 +727,37 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     index gap +-1, which hold most of the residual variance, take R draws
     (:func:`_neighbour_draws`; R = 11 at N = 199), and their factor rows
     and columns are the means over them (:func:`_part_factors`), so no
-    per-trial array grows.  Part i then subtracts its own zero-mean
-    columns (:func:`_capacity_columns`) times slopes cross-fitted
-    (:func:`_fitted`) to its influence g_i = int F_i prod_(j != i) mean F_j
-    at the first block's means; the standard error is
-    sqrt(sum_i var(g_i - V_i beta_i) / trials), each part's residuals taken
-    less their first, so that equal ones spread by exactly 0, and scaled
-    by a power of two, so that their squares do not underflow.  A static
-    network or N = 0 leaves the target's factor alone (the others
-    are exactly 1, or there are none), the one-factor integral
-    e^x E1(x), x = 1 / u (Lee 1990): every trial gives the exact capacity,
+    per-trial array grows.
+
+    Each part's mean is controlled at every node t of the rule: part i
+    has zero-mean columns V_i of its own draws (:func:`_capacity_columns`;
+    for a near part the path moments and their products of second order),
+    and fold f of its trials subtracts S_(i,f) beta_(i,f)(t), S_(i,f) the
+    fold's column sums and beta_(i,f)(t) the least-squares slopes of
+    F_i(t) on V_i over the other folds (cross-fitting; :func:`_fold_solver`),
+    which never see fold f's draws of part i: the mean is rule @ prod_i
+    (sum_a F_i(a, t) - sum_f S_(i,f) beta_(i,f)(t)) / trials, still exactly
+    unbiased, the parts being independent.  The slopes come from the
+    sums [1, V_i]^T (F_i(a, t) - F_i(0, t)) over each fold's trials
+    (:func:`_fold_sums`), taken block by block and kept per scenario,
+    part and fold until the scenario's last block, which do not grow with
+    the trials, and from the other folds' grams, summed block by block
+    too, which do not depend on the scenario and are inverted once for
+    the group.  Correcting the product at first order alone,
+    rule @ prod_i mean F_i less the mean of each part's fitted influence,
+    would leave the cross terms between parts, which dominate once the
+    columns cut the first order 10^3-10^9-fold, and an unduly small
+    standard error.  To first order the estimate's spread is that of each
+    part's influence g_i = int F_i prod_(j != i) mean F_j at the first
+    block's means, whose slopes are the node slopes integrated against
+    its weights: the standard error is sqrt(sum_i var(g_i - V_i beta_i) /
+    trials), each part's influences taken less the first trial's, which
+    keeps the digits of their spread and gives equal ones exactly 0, and
+    the residuals scaled by a power of two, so that their squares do not
+    underflow.  A static network or N = 0 leaves the target's factor
+    alone (the others are exactly 1, or there are none), the one-factor
+    integral e^x E1(x), x = 1 / u (Lee 1990): every trial gives the exact
+    capacity,
     with a standard error of 0.  A scenario gives the same bits alone or in
     a group.  The estimate can exceed :func:`analytic.capacity_upper`, the
     capacity at the mean powers, as at one path per device.  Requires
@@ -596,12 +782,27 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     # the parts' table, then a scratch for a round of the extra draws'
     table_rows = parts + len(set(extra))
     table_size = table_rows * min(plan.trials, BLOCK_TRIALS) * max(nodes.size for nodes, _ in rules)
-    columns = np.empty((plan.trials, parts, len(_ORDERS)))
+    # the near parts, then the far part: each group its own columns
+    groups = [slice(0, len(near)), slice(len(near), parts)][:1 + (parts > len(near))]
+    widths = [_near_means(cell.paths_per_device).size, _FAR_WIDTH]
+    columns = [np.empty((plan.trials, g.stop - g.start, w)) for g, w in zip(groups, widths)]
+    grams = [np.zeros((g.stop - g.start, _FOLDS, w + 1, w + 1)) for g, w in zip(groups, widths)]
     influences = [np.empty((plan.trials, parts)) for _ in scenarios]
-    totals, node_weights = [None] * len(scenarios), [None] * len(scenarios)
+    # per scenario, while its blocks run: the sums of its factors, its first
+    # trial's, the node weights of its influences and its node sums; then
+    # its controlled mean and the slopes of its influences
+    totals, first, node_weights, node_sums, means, slopes = ([None] * len(scenarios)
+                                                             for _ in range(6))
     for k, rows, powers, variates, weights in _device_powers(plan, cell, scenarios, gaps, True):
+        last = rows.stop == plan.trials
         if k == 0:
-            columns[rows] = variates
+            designs = []
+            for stored, gram, block in zip(columns, grams, variates):
+                stored[rows] = block
+                designs.append(np.concatenate([np.ones(block.shape[:2] + (1,)), block], axis=2))
+                gram += _fold_sums(designs[-1], designs[-1].transpose(1, 0, 2))
+            if last:
+                solvers = [_fold_solver(gram) for gram in grams]
             tables = _aligned_empty((table_size,))  # let go with the block
         size = len(powers)
         nodes, rule = rules[k]
@@ -611,21 +812,44 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         held = tables[:table_rows * size * nodes.size].reshape(table_rows, size, -1)
         table = _part_factors(nodes, faded, far, owners if moving[k] else [], held[:parts],
                               held[parts:])
+        table[0] *= faded[0][:, None]  # C is u times its row
         column_sums = np.ones(size) @ table
-        column_sums[0] = faded[0] @ table[0]  # C is u times its table
         totals[k] = column_sums + (totals[k] if rows.start else 0.0)
         if rows.start == 0:
             node_weights[k] = _all_but_each(column_sums / size) * rule
-        y = (table @ node_weights[k][..., None])[..., 0]
-        y[0] *= faded[0]
-        influences[k][rows] = y.T
+            first[k] = table[:, 0].copy()
+            node_sums[k] = []
+        # less the first trial's factors, which leaves the influences and the
+        # node sums the digits of their spread, and equal factors exactly 0
+        table -= first[k][:, None]
+        influences[k][rows] = (table @ node_weights[k][..., None])[..., 0].T
+        for i, (group, design) in enumerate(zip(groups, designs)):
+            sums = _fold_sums(design, table[group])
+            if rows.start:
+                node_sums[k][i] += sums
+            else:
+                node_sums[k].append(sums)
+        sums = None
+        if last:
+            # the part means controlled at every node, and the slopes of the
+            # influences; the node sums go as soon as they are used
+            slopes[k] = []
+            for group, gram, solve, sums in zip(groups, grams, solvers, node_sums[k]):
+                beta = solve(sums)  # per part, fold, column and node
+                # row 0 of a gram: the fold's trial count and column sums
+                totals[k][group] -= np.einsum("ifs,ifsn->in", gram[..., 0, :], beta)
+                slopes[k].append(np.einsum("ifsn,in->ifs", beta, node_weights[k][group]))
+            means[k] = rule @ np.prod(totals[k] / plan.trials, axis=0)
+            node_sums[k] = sums = beta = None
         if k == len(scenarios) - 1:
-            tables = held = table = faded = None
+            tables = held = table = faded = designs = None
+    powers = variates = weights = None  # let the last block go before the fit
+    designs = [_fold_design(stored) for stored in columns]
     estimates = []
-    for (_, rule), total, y, residuals in zip(rules, totals, influences,
-                                              _fitted(columns, influences)):
-        mean = rule @ np.prod(total / plan.trials, axis=0) - (y - residuals).sum() / plan.trials
-        residuals -= residuals[0]  # so that equal residuals spread by exactly 0
+    for mean, y, betas in zip(means, influences, slopes):
+        residuals = np.empty_like(y)
+        for group, design, beta in zip(groups, designs, betas):
+            residuals[:, group] = _residuals(design, y[:, group], beta)
         # the residuals over 2^scale, below 1: exact, and where the capacity
         # is tiny their squares and the variance then do not underflow
         scale = int(np.frexp(abs(residuals).max())[1])

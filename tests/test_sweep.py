@@ -324,22 +324,22 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
 
 @pytest.mark.parametrize("text,outputs,refused", [
     # montecarlo.block_bytes: 256 trials x (2N + 1) devices x (M paths + 7)
-    # doubles for the interference, (M + 4) for the capacity alone on its
+    # doubles for the interference, (M + 3) for the capacity alone on its
     # 2N + 1 + 2 (R - 1) columns, R = N // 18, plus eight tiles and, for the
-    # capacity, the 84 doubles a trial and 5 an extra column its average
+    # capacity, 5 doubles a trial and near draw and 11 a device that it
     # holds across blocks, against 1.75 GiB; montecarlo.run_bytes adds, at
-    # 100 trials of 2 grid points, 26 doubles a trial for the interference
-    # and 18 a trial and part for the capacity's six
-    ("system.half_subcarriers = 30081", "ici_mc", None),   # 1.75 GiB - 17 kB
+    # 100 trials of 2 grid points, 11 doubles a trial for the interference,
+    # too few to refuse a run whose block fits, and for the capacity 69 a
+    # trial and the two points' node sums, 522 doubles a node of the rule
+    ("system.half_subcarriers = 30081", "ici_mc", None),   # 1.75 GiB - 29 kB
     ("system.half_subcarriers = 30082", "ici_mc", "block"),    # 1.75 GiB + 25 kB
-    ("system.half_subcarriers = 57119\ncell.paths_per_device = 1", "ici_mc", None),
-    ("system.half_subcarriers = 57120\ncell.paths_per_device = 1", "ici_mc", "run"),
+    ("system.half_subcarriers = 57120\ncell.paths_per_device = 1", "ici_mc", None),
     ("system.half_subcarriers = 57121\ncell.paths_per_device = 1", "ici_mc", "block"),
-    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 1.65 GiB
-    ("system.half_subcarriers = 34728", "capacity_mc", None),   # 1.75 GiB - 28 kB
-    ("system.half_subcarriers = 34729", "capacity_mc", "run"),    # 1.75 GiB + 22 kB
-    ("system.half_subcarriers = 34730", "capacity_mc", "run"),
-    ("system.half_subcarriers = 34731", "capacity_mc", "block"),   # 1.75 GiB + 36 kB
+    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 1.53 GiB
+    ("system.half_subcarriers = 37602", "capacity_mc", None),   # 1.75 GiB - 2.6 kB
+    ("system.half_subcarriers = 37603", "capacity_mc", "run"),    # 1.75 GiB + 44 kB
+    ("system.half_subcarriers = 37612", "capacity_mc", "run"),
+    ("system.half_subcarriers = 37613", "capacity_mc", "block"),   # 1.75 GiB + 8 kB
     ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", "block"),
     ("system.half_subcarriers = 32768", "ici_mc", "block"),
     ("system.half_subcarriers = 8192\ncell.paths_per_device = 64", "ici_mc", "block"),
@@ -365,9 +365,9 @@ def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, outputs, refuse
 
 
 def test_refuses_monte_carlo_runs_that_keep_too_much_per_trial():
-    # fig4's 500 Hz curve, 11 points: the capacity keeps 16 + 11 doubles a
-    # trial and part, about 13 GB at 10^7 trials; the presets at their own
-    # trial counts fit
+    # fig4's 500 Hz curve, 11 points: the capacity keeps 57 doubles a
+    # trial of columns and 11 influences a part, and its fit 93 more, about
+    # 17 GB at 10^7 trials; the presets at their own trial counts fit
     for name in ("fig3", "fig4", "fig5"):
         parse_config(preset_path(name).read_text())
     text = (AXIS + "sweep.grid = 0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100\n"
