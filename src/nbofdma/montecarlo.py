@@ -3,9 +3,9 @@
 Randomness policy: trials are grouped in fixed blocks of 256, and block k of
 a run draws from ``SeedSequence(entropy=seed, spawn_key=(k,))``.  Draws
 inside a block happen in one fixed array order and do not depend on the
-scenario (the capacity's extra draws of its +-1 neighbours depend on the
-sub-carrier count alone), so every scenario of a plan reads the same
-random numbers: the
+scenario (the capacity's extra draws of its +-1 neighbours and the rows of
+its tail beyond index gap K depend on the sub-carrier count and the block
+alone), so every scenario of a plan reads the same random numbers: the
 ICI and capacity estimators take a group of scenarios sharing the
 sub-carrier count and draw each block once for the whole group.  Estimates
 are bit-reproducible for a given (plan, configs) and do not depend on the
@@ -13,7 +13,9 @@ group a scenario is evaluated in or on how blocks might be spread over
 workers.  Every estimator keeps a value per trial and part and reduces
 its residuals once the folds' slopes are fitted; the capacity also keeps,
 per scenario, part and fold, the sums on its rule's nodes from which its
-part means are controlled, which do not grow with the trials.
+part means are controlled, which do not grow with the trials.  The
+capacity's parts need not share their draws: each +-1 neighbour takes R
+a trial and the tail one in 8 (:func:`estimate_ergodic_capacity`).
 """
 
 from __future__ import annotations
@@ -53,14 +55,16 @@ class TrialPlan:
     k_m = sinc(gap + f_D,m * T_s).  The power estimators take the
     conditional mean mean_m k_m^2; the capacity estimator draws the far
     interferers' coherent powers, that times one Exp(1) draw each,
-    averages the near devices' weights exactly, and takes R Doppler draws
-    of each neighbour at index gap +-1 a trial, R a fixed rule in the
-    sub-carrier count (:func:`_neighbour_draws`).  Every estimator subtracts
-    zero-mean columns of its draws times slopes fitted on the other folds'
-    trials (:func:`_fold_solver`), so it stays exactly unbiased: the power
+    averages the near devices' weights exactly, takes R Doppler draws of
+    each neighbour at index gap +-1 a trial, R a fixed rule in the
+    sub-carrier count (:func:`_neighbour_draws`), and draws the devices
+    beyond index gap K = 10, the tail, on 32 trials of a block of 256
+    (:data:`_TAIL_DRAWS`).  Every estimator subtracts zero-mean columns of
+    its draws times slopes fitted on the other folds' draws
+    (:func:`_fold_solver`), so it stays exactly unbiased: the power
     estimators' columns are the path moments, the capacity's also their
-    products of second order (:func:`_capacity_columns`), fitted to each
-    part's factor at every node of its rule.
+    products of second order (:func:`_near_columns`, :func:`_far_columns`),
+    fitted to each part's factor at every node of its rule.
     """
 
     trials: int
@@ -168,7 +172,7 @@ _MOMENT_MEANS = np.array([math.comb(p, p // 2) / (2 ** p * (p + 1)) if p % 2 == 
 # the capacity's near columns: m_2..m_6, then the products of those of low
 # order; m_2^3 is left out, since at two paths m_6 = 3 m_2 m_4 - 2 m_2^3
 _NEAR_MONOMIALS = tuple((p,) for p in _ORDERS) + ((2, 2), (2, 3), (2, 4), (3, 3))
-_FAR_WIDTH = len(_TERMS) + 3  # the far part's columns (:func:`_capacity_columns`)
+_FAR_WIDTH = len(_TERMS) + 3  # a far-style part's columns (:func:`_far_columns`)
 
 
 @functools.cache
@@ -200,76 +204,92 @@ def _aligned_empty(shape) -> np.ndarray:
 
 
 def _capacity_sizes(devices: int, paths: int):
-    """(near parts, far parts, doubles a trial of the parts' designs [1, V])
-    of a capacity run over ``devices`` devices of ``paths`` paths, at most:
-    a centred target's five near parts (:func:`_near_devices`) of 9 columns
-    (5 at one path, :func:`_near_means`) and the far part of 12
-    (:func:`_capacity_columns`), if the band holds far devices."""
-    near, far = min(devices, 5), int(devices > 5)
-    return near, far, near * (_near_means(paths).size + 1) + far * (_FAR_WIDTH + 1)
+    """[(rows, columns, parts, doubles)] of each draw set of a capacity
+    block over ``devices`` devices of ``paths`` paths at a centred target,
+    which holds the most (:func:`_capacity_layout`): its rows and columns a
+    block, and its parts and the doubles a draw of their designs [1, V].
+    The main draws hold the devices within index gap K and the extra draws
+    (:func:`_extra_draws`), and their parts are five near parts
+    (:func:`_near_devices`) of 9 columns (5 at one path, :func:`_near_means`)
+    and the mid part of 12 (:func:`_far_columns`), if the band holds far
+    devices; the tail's draws, if it holds devices beyond index gap K,
+    hold those on :data:`_TAIL_DRAWS` rows, one part of 12."""
+    band = min(devices, 2 * _TAIL_GAP + 1)
+    near, mid = min(devices, 5), int(devices > 5)
+    sets = [(BLOCK_TRIALS, band + 2 * (_neighbour_draws(devices // 2) - 1), near + mid,
+             near * (_near_means(paths).size + 1) + mid * (_FAR_WIDTH + 1))]
+    if devices > band:
+        sets.append((_TAIL_DRAWS, devices - band, 1, _FAR_WIDTH + 1))
+    return sets
 
 
 def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     """Bytes of the arrays :func:`_device_powers` holds at once for
-    ``devices`` devices of ``paths`` paths sharing one gap vector: a block's
-    draws and the (trials, columns) slots of its buffer; one more slot for
-    the sampler's speed fractions, which the capacity's Exp(1) weights take
-    as drawn; and eight tiles: the kernel's four workspace tiles and gap
-    tile, the sampler's two scratch tiles, and one for the kernel's centre
-    mask and the per-device vectors.  A column is a device, and with
-    ``snr``, P_T over the noise of a capacity ("coherent") scenario, also
-    one of the 2 (R - 1) extra draws of the neighbours at index gap +-1
-    (:func:`_extra_draws`).  A capacity block also holds, across blocks,
-    the near draws' moments (5 doubles a trial and draw), the far terms
-    (9 a trial), the Taylor table (11 doubles a device) and the folds'
-    grams of each part's design [1, V] (:func:`_fold_solver`), and while
-    sampling the last block's columns V; once the sampler has let go of
-    its slot and two tiles, what its average holds: the parts' factor
-    tables on the rule at that SNR (:func:`numerics.hamdi_rule`) with two
-    scratch rows for the extra draws' factors, the block's columns V and
-    designs [1, V] (:func:`_capacity_sizes`), the faded powers of the near
-    draws and 26 more doubles a trial, and the near parts' fold sums of
-    one scenario (:func:`_fold_sums`)."""
+    ``devices`` devices of ``paths`` paths sharing one gap vector, draw set
+    by draw set (a capacity ("coherent") block's main draws and tail, with
+    ``snr`` its P_T over the noise, :func:`_capacity_sizes`; else one set
+    of the devices): a block's draws and the (rows, columns) slots of its
+    buffer; the kernel's four workspace tiles and one more for its centre
+    mask and the per-device vectors, of the larger set's tile, and a gap
+    tile a set; and the larger set's sampler: a slot for its speed
+    fractions, which the capacity's Exp(1) weights take as drawn, and two
+    scratch tiles.  A capacity block also holds, across blocks, the near
+    draws' moments (5 doubles a trial and draw), the sets' far terms (9 a
+    draw), the Taylor tables (11 doubles a device) and the folds' grams of
+    each part's design [1, V] (:func:`_fold_solver`), and while sampling
+    the last block's columns V; once the sampler has let go of its slot
+    and tiles, what its average holds: the parts' factor tables on the
+    rule at that SNR (:func:`numerics.hamdi_rule`) with two scratch rows
+    for the extra draws' factors, the block's columns V and designs
+    [1, V], the faded powers of the near draws and 26 more doubles a
+    trial, and the near parts' fold sums of one scenario
+    (:func:`_fold_sums`)."""
     coherent = snr is not None
-    extra = 2 * (_neighbour_draws(devices // 2) - 1) * coherent
-    columns = devices + extra
-    tile = row_tiles(BLOCK_TRIALS, columns * paths)[0].stop * columns * paths
-    sampler = BLOCK_TRIALS * columns + 2 * tile
+    sets = _capacity_sizes(devices, paths) if coherent else [(BLOCK_TRIALS, devices, 0, 0)]
+    tiles = [row_tiles(rows, columns * paths)[0].stop * columns * paths
+             for rows, columns, _, _ in sets]
+    sampler = max(rows * columns + 2 * tile for (rows, columns, _, _), tile in zip(sets, tiles))
     held = average = 0
     if coherent:
-        near, far, design = _capacity_sizes(devices, paths)
+        near = min(devices, 5)
+        extra = sets[0][1] - min(devices, 2 * _TAIL_GAP + 1)
         nodes = hamdi_rule(snr)[0].size
-        rows = near + far + min(2, extra)
-        grams = _FOLDS * (near * (_near_means(paths).size + 1) ** 2 + far * (_FAR_WIDTH + 1) ** 2)
-        held = BLOCK_TRIALS * (len(_ORDERS) * (near + extra) + len(_TERMS)) \
-            + (len(_TERMS) + 2) * devices + grams
-        sampler += BLOCK_TRIALS * (design - near - far)
-        average = BLOCK_TRIALS * (rows * nodes + 2 * design + extra + 26) \
-            + _FOLDS * (design - far * (_FAR_WIDTH + 1)) * nodes
-    return 8 * (BLOCK_TRIALS * columns * (paths + _block_slots(coherent)) + 6 * tile
-                + max(sampler, average) + held)
+        width = _near_means(paths).size + 1
+        grams = _FOLDS * (near * width ** 2 + (sum(p for _, _, p, _ in sets) - near)
+                          * (_FAR_WIDTH + 1) ** 2)
+        held = sum(rows * len(_TERMS) for rows, _, _, _ in sets) \
+            + BLOCK_TRIALS * len(_ORDERS) * (near + extra) + (len(_TERMS) + 2) * devices + grams
+        sampler += sum(rows * (design - parts) for rows, _, parts, design in sets)
+        # the main draws' table has two scratch rows for the extra draws
+        average = sum(rows * (parts * nodes + 2 * design) for rows, _, parts, design in sets) \
+            + BLOCK_TRIALS * (min(2, extra) * nodes + near + extra + 26) \
+            + _FOLDS * near * width * nodes
+    draws = sum(rows * columns * (paths + _block_slots(coherent)) for rows, columns, _, _ in sets)
+    return 8 * (draws + 5 * max(tiles) + sum(tiles) + max(sampler, average) + held)
 
 
 def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
               snr: float | None = None) -> int:
     """Bytes an estimator holds at most for a group of ``scenarios`` over
-    ``trials`` trials: what the run keeps per trial, its columns V and
-    each scenario's samples, one a part (the interference's one part of 9
-    columns; the capacity's parts, :func:`_capacity_sizes`), and the larger
-    of two: a block (:func:`block_bytes`, the capacity's with ``snr``)
-    with, for the capacity, each scenario's node sums on its rule, the
-    fold sums of [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a
-    part, which go once the scenario's last block is done; or, after the
-    blocks, the fit: the designs [1, V] and 5 doubles a trial and part of
-    one scenario's temporaries (:func:`_residuals`)."""
+    ``trials`` trials: what the run keeps per draw, its columns V and each
+    scenario's samples, one a part (the interference's one part of 9
+    columns; the capacity's parts, :func:`_capacity_sizes`, the tail's on
+    its own draws, :func:`_tail_draws`), and the larger of two: a block
+    (:func:`block_bytes`, the capacity's with ``snr``) with, for the
+    capacity, each scenario's node sums on its rule, the fold sums of
+    [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a part, which go
+    once the scenario's last block is done; or, after the blocks, the fit:
+    the designs [1, V] and 5 doubles a draw and part of one scenario's
+    temporaries (:func:`_residuals`)."""
     if snr is None:
-        design, parts, nodes = len(_TERMS) + 1, 1, 0
+        sets, nodes = [(trials, 1, len(_TERMS) + 1)], 0
     else:
-        near, far, design = _capacity_sizes(devices, paths)
-        parts, nodes = near + far, hamdi_rule(snr)[0].size
-    kept = trials * (design - parts + parts * scenarios)
-    node_sums = scenarios * nodes * (_FOLDS * design + 3 * parts)
-    fit = trials * (design + 5 * parts)
+        sets = [(trials if rows == BLOCK_TRIALS else _tail_draws(trials), parts, design)
+                for rows, _, parts, design in _capacity_sizes(devices, paths)]
+        nodes = hamdi_rule(snr)[0].size
+    kept = sum(draws * (design - parts + parts * scenarios) for draws, parts, design in sets)
+    node_sums = scenarios * nodes * sum(_FOLDS * design + 3 * parts for _, parts, design in sets)
+    fit = sum(draws * (design + 5 * parts) for draws, parts, design in sets)
     return 8 * (kept + max(block_bytes(devices, paths, snr) // 8 + node_sums, fit))
 
 
@@ -341,15 +361,21 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     ``rows``, in a buffer the next step overwrites; the block's per-device
     path moments mean_m z_m^p, p = 2..6 in ``moments[p - 2]``, or for the
     capacity ("coherent") the block's columns V of its control variates,
-    a list of the near parts' and the far part's
-    (:func:`_capacity_columns`); and the block's Exp(1) weights
-    ("coherent"; 0 for the near devices, :func:`_near_devices`, whose
-    fading the capacity averages and which draw none) or None.  A column
-    is a device, and for the capacity each column after the 2N + 1
-    devices is an extra draw of a neighbour at index gap +-1
-    (:func:`_extra_draws`): that neighbour's gap, no weight, and no place
-    among the far devices.  The arrays held at once are those
-    :func:`block_bytes` counts.
+    a list of the near parts', the mid part's and the tail's
+    (:func:`_near_columns`, :func:`_far_columns`); and the block's Exp(1)
+    weights ("coherent"; 0 for the near devices, :func:`_near_devices`,
+    whose fading the capacity averages and which draw none) or None.
+
+    For the capacity, ``rows``, ``powers`` and ``weights`` are lists over
+    the block's draw sets (:func:`_capacity_layout`): its main draws, a
+    column for each device within index gap K of the target and then each
+    extra draw of a neighbour at index gap +-1 (:func:`_extra_draws`: that
+    neighbour's gap and no weight), and, if the band has devices beyond
+    index gap K, the tail's draws, a column for each tail device on
+    min(block, 32) rows of their own (:data:`_TAIL_DRAWS`), drawn after the
+    main draws and their weights, so the sampler, the kernel and
+    :func:`_far_terms` see the tail devices on those rows alone.  The
+    arrays held at once are those :func:`block_bytes` counts.
 
     Each block is drawn once, the weights right after the sampler, and
     evaluated for each scenario in turn, so no value depends on the group.
@@ -366,9 +392,10 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     the exact values it would return, and each row's path sum is taken
     within its tile, so neither the group nor the tile size changes a
     value.  The kernel runs in a workspace allocated once per call: the
-    offsets, output and scratch tiles and one (rows, columns, paths) gap
-    tile per distinct gap vector.  The moments are taken tile by tile in
-    the offsets tile, so no block-sized z^p is ever formed.
+    offsets, output and scratch tiles, sized to the larger draw set's, and
+    one (rows, columns, paths) gap tile per draw set and distinct gap
+    vector.  The moments are taken tile by tile in the offsets tile, so no
+    block-sized z^p is ever formed.
 
     Every estimator subtracts zero-mean columns of these moments (centred
     by :data:`_MOMENT_MEANS`) times cross-fitted slopes (Glasserman 2003,
@@ -377,67 +404,92 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     devices = len(gaps[0])
     paths = cell.paths_per_device
     spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
+    rows_of = [min(plan.trials, BLOCK_TRIALS)]  # each draw set's rows a block, at most
     if coherent:
-        target = plan.target_index + devices // 2
-        near = _near_devices(target, devices)
-        extra = _extra_draws(target, devices)
-        owners = [near.index(c) for c in extra]
-        gaps = [np.concatenate([gap, gap[extra]]) for gap in gaps]
-        quiet = near + list(range(devices, devices + len(extra)))  # no weight drawn
+        columns, near, owners, tail = _capacity_layout(plan.target_index, devices // 2)
         index_gaps = subcarrier_gaps(plan.target_index, devices // 2)
-        far = abs(index_gaps) > 2
-        # built on the far gaps alone, so that its rows keep their rank there
-        table = np.zeros((len(_TERMS), devices))
-        table[:, far] = _taylor_table(index_gaps[far])
-        near_moments = np.empty((len(_ORDERS), min(plan.trials, BLOCK_TRIALS), len(quiet)))
-        far_terms = np.empty((min(plan.trials, BLOCK_TRIALS), len(_TERMS)))
-    columns = len(gaps[0])
-    buffer = np.empty((_block_slots(coherent), min(plan.trials, BLOCK_TRIALS), columns))
+        sets = [columns] + [tail] * bool(tail.size)
+        rows_of += [min(plan.trials, _TAIL_DRAWS)] * bool(tail.size)
+        quiet = near + list(range(columns.size - len(owners), columns.size))  # no weight drawn
+        # the columns that draw a weight and, before the extra draws, each
+        # set's Taylor table, built on its own far gaps, so that its rows
+        # keep their rank there
+        weighted = [abs(index_gaps[s]) > 2 for s in sets]
+        bands = [columns.size - len(owners), tail.size]
+        tables = [np.zeros((len(_TERMS), band)) for band in bands[:len(sets)]]
+        for table, s, far in zip(tables, sets, weighted):
+            table[:, far[:table.shape[1]]] = _taylor_table(index_gaps[s][far])
+        near_moments = np.empty((len(_ORDERS), rows_of[0], len(quiet)))
+        terms = [np.empty((n, len(_TERMS))) for n in rows_of]
+        gaps = [[gap[s] for s in sets] for gap in gaps]
+    else:
+        gaps = [[gap] for gap in gaps]
+    buffers = [np.empty((_block_slots(coherent), n, len(gap))) for n, gap in zip(rows_of, gaps[0])]
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row
     # broadcast over the short path axis about three times slower
-    tile_shape = (row_tiles(buffer.shape[1], columns * paths)[0].stop, columns, paths)
-    workspace = _aligned_empty((4,) + tile_shape)
-    offsets, kernel, work = workspace[0], workspace[1], workspace[2:]
+    tile_shapes = [(row_tiles(n, len(gap) * paths)[0].stop, len(gap), paths)
+                   for n, gap in zip(rows_of, gaps[0])]
+    workspace = _aligned_empty((4 * max(math.prod(shape) for shape in tile_shapes),))
+    workspaces = [workspace[:4 * math.prod(shape)].reshape((4,) + shape) for shape in tile_shapes]
     gap_tiles, shared = [], {}
-    for gap, span in zip(gaps, spans):
-        key = gap.tobytes()
-        if span != 0.0 and key not in shared:
-            shared[key] = np.broadcast_to(gap[:, None], tile_shape).copy()
-        gap_tiles.append(shared.get(key))
+    for scenario_gaps, span in zip(gaps, spans):
+        gap_tiles.append([])
+        for s, (gap, shape) in enumerate(zip(scenario_gaps, tile_shapes)):
+            key = (s, gap.tobytes())
+            if span != 0.0 and key not in shared:
+                shared[key] = np.broadcast_to(gap[:, None], shape).copy()
+            gap_tiles[-1].append(shared.get(key))
     del key, shared  # the keys copy the gaps
-    start = 0
+    starts = [0] * len(buffers)
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
-        shift = sample_cell_batch(rng, size, columns, cell)
-        powers, moments, weights = buffer[0, :size], buffer[1:, :size], None
-        tiles = row_tiles(size, columns * paths)
-        if coherent:
-            weights = moments[0]
-            weights[:, :devices][:, far] = rng.standard_exponential((size, np.count_nonzero(far)))
-            weights[:, quiet] = 0.0
-            _path_moments(shift[:, quiet], tiles, near_moments[:, :size], offsets)
-            _far_terms(shift[:, :devices], tiles, weights[:, :devices], table,
-                       workspace[:2], far_terms[:size])
-            moments = _capacity_columns(near_moments[:, :size], owners, far_terms[:size],
-                                        weights[:, :devices], table, paths)
-        else:
-            _path_moments(shift, tiles, moments, offsets)
-        for k, span in enumerate(spans):
-            if span == 0.0:
-                # what the kernel gives a static network: 1 on the centre, 0 off it
-                powers[:] = gaps[k] == 0.0
+        draws, variates = [], []
+        for s, (buffer, space) in enumerate(zip(buffers, workspaces)):
+            n = min(size, buffer.shape[1])
+            shift = sample_cell_batch(rng, n, buffer.shape[2], cell)
+            powers, moments, weights = buffer[0, :n], buffer[1:, :n], None
+            tiles = row_tiles(n, buffer.shape[2] * paths)
+            if coherent:
+                weights = moments[0]
+                drawn = weighted[s]
+                weights[:, drawn] = rng.standard_exponential((n, np.count_nonzero(drawn)))
+                weights[:, ~drawn] = 0.0
+                if s == 0:
+                    _path_moments(shift[:, quiet], tiles, near_moments[:, :n], space[0])
+                    variates.append(_near_columns(near_moments[:, :n], owners, paths))
+                band = bands[s]
+                if tables[s].any():
+                    _far_terms(shift[:, :band], tiles, weights[:, :band], tables[s], space[:2],
+                               terms[s][:n])
+                    variates.append(_far_columns(terms[s][:n], weights[:, :band], tables[s],
+                                                 paths))
             else:
+                _path_moments(shift, tiles, moments, space[0])
+                variates = moments
+            draws.append((slice(starts[s], starts[s] + n), shift, tiles, powers, weights))
+            starts[s] += n
+        for k, span in enumerate(spans):
+            for s, (_, shift, tiles, powers, _) in enumerate(draws):
+                if span == 0.0:
+                    # what the kernel gives a static network: 1 on the centre, 0 off it
+                    powers[:] = gaps[k][s] == 0.0
+                    continue
+                offsets, kernel, work = workspaces[s][0], workspaces[s][1], workspaces[s][2:]
                 for rows in tiles:
                     n = rows.stop - rows.start
                     offset = np.multiply(shift[rows], span, out=offsets[:n])
-                    values = sinc_squared(gap_tiles[k][:n], offset, span, kernel[:n],
+                    values = sinc_squared(gap_tiles[k][s][:n], offset, span, kernel[:n],
                                           work[:, :n])
                     np.einsum("tdm->td", values, out=powers[rows])
                 powers /= paths
-            yield k, slice(start, start + size), powers, moments, weights
-        start += size
-        del shift  # so that a block's draws never overlap the next one's
+            if coherent:
+                rows, powers, weights = ([draw[i] for draw in draws] for i in (0, 3, 4))
+                yield k, rows, powers, variates, weights
+            else:
+                rows, _, _, powers, _ = draws[0]
+                yield k, rows, powers, variates, None
+        del draws, shift  # so that a block's draws never overlap the next one's
 
 
 # ===========================================================================
@@ -530,23 +582,46 @@ def _extra_draws(target: int, devices: int) -> list[int]:
     return neighbours * (_neighbour_draws(devices // 2) - 1)
 
 
-def _capacity_columns(near_moments, owners, far_terms, weights, table, paths: int):
-    """The block's columns V_i of the capacity's parts, each of mean
-    exactly 0, scenario-free and of part i's draws alone: a (trials, near,
-    9) array for the near parts and, if there are far devices, a (trials,
-    1, 12) array for the far part.
+# The capacity's far devices split at index gap K = _TAIL_GAP: the mid part
+# (3 <= |n| <= K) is drawn every trial, the tail (|n| > K) on _TAIL_DRAWS
+# trials a block, one in L = 8 of a full block, or every trial of a shorter
+# one.  On fig4's points the tail holds at most 2e-5-5e-5 of the fitted
+# variance a draw, yet at N = 199 it is 378 of a trial's 419 columns; 32
+# draws a block keep its fit on (which needs 24 in the other folds).
+_TAIL_GAP = 10
+_TAIL_DRAWS = BLOCK_TRIALS // 8
 
-    A near part's columns are m_2..m_6, m_2^2, m_2 m_3, m_2 m_4 and m_3^2
-    less their means (:data:`_NEAR_MONOMIALS`, :func:`_near_means`; the
-    first five at one path), m_p = mean_m z^p of ``near_moments``, formed
-    per draw and averaged over the part's draws (its extra draws follow
-    the near devices, draw i of part owners[i], :func:`_extra_draws`).
-    The far part's are, for each term (p, e) of :data:`_TERMS`,
-    sum_j n_j^-e (w_j m_(p,j) - E[m_p]) (``far_terms``, ``table`` the
-    weights n_j^-e of :func:`_device_powers`), then sum_j n_j^-2 (w_j - 1),
-    and c_0^2 and c_0 c_(4,2) less their means, c_0 the term (2, 2): the
-    devices and their Exp(1) weights w_j being independent, with E[w^2] =
-    2, E[c_0 c] = sum_j n_j^-2 n_j^-e (2 E[m_2 m_p] - E[m_2] E[m_p])."""
+
+def _tail_draws(trials: int) -> int:
+    """The capacity tail's draws over a run of ``trials`` trials."""
+    return sum(min(size, _TAIL_DRAWS) for size in _block_sizes(trials))
+
+
+def _capacity_layout(target_index: int, half_subcarriers: int):
+    """(columns, near, owners, tail) of a capacity block: the device of
+    each column of its main draws, those within index gap K of the target
+    (the whole band if none is beyond it) and then the extra draws
+    (:func:`_extra_draws`); the near devices' columns (:func:`_near_devices`);
+    the near part each extra draw belongs to; and the tail devices, beyond
+    index gap K, which the block draws on rows of their own."""
+    index_gaps = subcarrier_gaps(target_index, half_subcarriers)
+    target, devices = target_index + half_subcarriers, index_gaps.size
+    band = np.flatnonzero(abs(index_gaps) <= _TAIL_GAP)
+    near = _near_devices(target, devices)
+    extra = _extra_draws(target, devices)
+    columns = np.concatenate([band, np.array(extra, dtype=band.dtype)])
+    return (columns, [c - band[0] for c in near], [near.index(c) for c in extra],
+            np.flatnonzero(abs(index_gaps) > _TAIL_GAP))
+
+
+def _near_columns(near_moments, owners, paths: int) -> np.ndarray:
+    """The block's (trials, near, 9) columns V_i of the capacity's near
+    parts, each of mean exactly 0, scenario-free and of part i's draws
+    alone: m_2..m_6, m_2^2, m_2 m_3, m_2 m_4 and m_3^2 less their means
+    (:data:`_NEAR_MONOMIALS`, :func:`_near_means`; the first five at one
+    path), m_p = mean_m z^p of ``near_moments``, formed per draw and
+    averaged over the part's draws (its extra draws follow the near
+    devices, draw i of part owners[i], :func:`_extra_draws`)."""
     means = _near_means(paths)
     draws, parts = near_moments.shape[2], near_moments.shape[2] - len(owners)
     # the mean over each part's draws, as a (draws, parts) matrix
@@ -559,19 +634,27 @@ def _capacity_columns(near_moments, owners, far_terms, weights, table, paths: in
         if len(orders) == 2:
             values = values * near_moments[orders[1] - 2]
         np.subtract(values @ average, means[row], out=near[..., row])
-    columns = [near]
-    if table.any():
-        far = np.empty((len(far_terms), 1, _FAR_WIDTH))
-        terms = far[:, 0, :len(_TERMS)]
-        np.subtract(far_terms, _MOMENT_MEANS[_TERM_ORDERS - 2] * table.sum(axis=1), out=terms)
-        far[:, 0, -3] = weights @ table[0] - table[0].sum()
-        for column, term in ((-2, 0), (-1, _TERMS.index((4, 2)))):
-            p = _TERM_ORDERS[term]
-            covariance = 2.0 * _monomial_mean((2, p), paths) \
-                - _MOMENT_MEANS[0] * _MOMENT_MEANS[p - 2]
-            far[:, 0, column] = terms[:, 0] * terms[:, term] - table[0] @ table[term] * covariance
-        columns.append(far)
-    return columns
+    return near
+
+
+def _far_columns(far_terms, weights, table, paths: int) -> np.ndarray:
+    """The (trials, 1, 12) columns V of a far-style part (the mid part or
+    the tail), of mean exactly 0: for each term (p, e) of :data:`_TERMS`,
+    sum_j n_j^-e (w_j m_(p,j) - E[m_p]) (``far_terms``, ``table`` the
+    weights n_j^-e of :func:`_device_powers`), then sum_j n_j^-2 (w_j - 1),
+    and c_0^2 and c_0 c_(4,2) less their means, c_0 the term (2, 2): the
+    devices and their Exp(1) weights w_j being independent, with E[w^2] =
+    2, E[c_0 c] = sum_j n_j^-2 n_j^-e (2 E[m_2 m_p] - E[m_2] E[m_p])."""
+    far = np.empty((len(far_terms), 1, _FAR_WIDTH))
+    terms = far[:, 0, :len(_TERMS)]
+    np.subtract(far_terms, _MOMENT_MEANS[_TERM_ORDERS - 2] * table.sum(axis=1), out=terms)
+    far[:, 0, -3] = weights @ table[0] - table[0].sum()
+    for column, term in ((-2, 0), (-1, _TERMS.index((4, 2)))):
+        p = _TERM_ORDERS[term]
+        covariance = 2.0 * _monomial_mean((2, p), paths) \
+            - _MOMENT_MEANS[0] * _MOMENT_MEANS[p - 2]
+        far[:, 0, column] = terms[:, 0] * terms[:, term] - table[0] @ table[term] * covariance
+    return far
 
 
 def _by_fold(values: np.ndarray) -> np.ndarray:
@@ -668,11 +751,12 @@ def _part_factors(nodes, faded, far, owners, out, scratch):
     """The capacity's (parts, trials, nodes) factor table at ``nodes``
     (:func:`numerics.hamdi_factors`) in ``out``: a row for each near
     device from its own draw, a row of ``faded``, and with ``far`` one for
-    the far devices.  Row i of ``faded`` after the near devices' is an
-    extra draw of part owners[i], whose row becomes the mean of its draws'
-    factors: their tables are formed len(``scratch``) rows at a time, a
-    round of the extra draws (:func:`_extra_draws`), and added into the
-    parts' rows, so no table of every draw is held."""
+    the far devices of a draw set (the mid part's or the tail's).  Row i
+    of ``faded`` after the near devices' is an extra draw of part
+    owners[i], whose row becomes the mean of its draws' factors: their
+    tables are formed len(``scratch``) rows at a time, a round of the
+    extra draws (:func:`_extra_draws`), and added into the parts' rows, so
+    no table of every draw is held."""
     near = len(faded) - len(owners)
     table = hamdi_factors(nodes, faded[:near], far, out)
     for start in range(0, len(owners), max(len(scratch), 1)):
@@ -714,31 +798,38 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     Device j's coherent power is k_j P_T, k_j its conditional power given
     its path shifts, times its own Exp(1) weight.  The near devices'
     weights (:func:`_near_devices`) are averaged exactly (Hamdi 2010): with
-    u = k_0 SNR, b_j = k_j SNR and a the far devices' drawn interference
-    over the noise, a trial's capacity is log2(e) int_0^inf e^-t C prod_j
-    B_j A dt, C = u / (1 + t u), B_j = 1 / (1 + t b_j), A = e^(-t a).  The
-    factors come from independent parts of the draws (the target's, each
-    neighbour's, the far devices': six inside the band), so it integrates the
-    product of their means over the trials on a rule fixed by the SNR
-    (:func:`numerics.hamdi_rule`): the exactly unbiased average over all
-    combinations of the parts' draws.  The parts being independent, each
-    may average its own number of draws a trial and stay exactly unbiased
-    (Neyman allocation; Glasserman 2003, section 4.3): the neighbours at
-    index gap +-1, which hold most of the residual variance, take R draws
-    (:func:`_neighbour_draws`; R = 11 at N = 199), and their factor rows
-    and columns are the means over them (:func:`_part_factors`), so no
-    per-trial array grows.
+    u = k_0 SNR, b_j = k_j SNR and a = a_mid + a_tail the far devices'
+    drawn interference over the noise, a trial's capacity is log2(e)
+    int_0^inf e^-t C prod_j B_j A_mid A_tail dt, C = u / (1 + t u), B_j =
+    1 / (1 + t b_j), A = e^(-t a).  The factors come from independent parts
+    of the draws (the target's, each neighbour's, the mid devices' at
+    index gap 3..K and the tail's beyond K = 10: seven inside a band of
+    N > K), so it integrates the product of their means on a rule fixed by
+    the SNR (:func:`numerics.hamdi_rule`): the exactly unbiased average
+    over all combinations of the parts' draws.  The parts being
+    independent, each may average its own number of draws and stay
+    exactly unbiased (Neyman allocation; Glasserman 2003, section 4.3):
+    the neighbours at index gap +-1, which hold most of the residual
+    variance, take R draws a trial (:func:`_neighbour_draws`; R = 11 at
+    N = 199), their factor rows and columns the means over them
+    (:func:`_part_factors`), so no per-trial array grows; and the tail,
+    which after the fit holds at most 2e-5-5e-5 of the variance a draw
+    while being 378 of the 419 columns of a trial at N = 199, is drawn on
+    32 rows of its own a block of 256 (:data:`_TAIL_DRAWS`), so the
+    sampler, the kernel and its Taylor sums see it one trial in 8.
 
     Each part's mean is controlled at every node t of the rule: part i
-    has zero-mean columns V_i of its own draws (:func:`_capacity_columns`;
-    for a near part the path moments and their products of second order),
-    and fold f of its trials subtracts S_(i,f) beta_(i,f)(t), S_(i,f) the
-    fold's column sums and beta_(i,f)(t) the least-squares slopes of
-    F_i(t) on V_i over the other folds (cross-fitting; :func:`_fold_solver`),
-    which never see fold f's draws of part i: the mean is rule @ prod_i
-    (sum_a F_i(a, t) - sum_f S_(i,f) beta_(i,f)(t)) / trials, still exactly
+    has zero-mean columns V_i of its own draws (:func:`_near_columns`, the
+    path moments and their products of second order; :func:`_far_columns`
+    for the mid part and the tail, each with its own Taylor table), and
+    fold f of its draws (the tail's numbered over its own) subtracts
+    S_(i,f) beta_(i,f)(t), S_(i,f) the fold's column sums and
+    beta_(i,f)(t) the least-squares slopes of F_i(t) on V_i over the other
+    folds (cross-fitting; :func:`_fold_solver`), which never see fold f's
+    draws of part i: the mean is rule @ prod_i (sum_a F_i(a, t) - sum_f
+    S_(i,f) beta_(i,f)(t)) / n_i, n_i part i's draws, still exactly
     unbiased, the parts being independent.  The slopes come from the
-    sums [1, V_i]^T (F_i(a, t) - F_i(0, t)) over each fold's trials
+    sums [1, V_i]^T (F_i(a, t) - F_i(0, t)) over each fold's draws
     (:func:`_fold_sums`), taken block by block and kept per scenario,
     part and fold until the scenario's last block, which do not grow with
     the trials, and from the other folds' grams, summed block by block
@@ -751,14 +842,14 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     part's influence g_i = int F_i prod_(j != i) mean F_j at the first
     block's means, whose slopes are the node slopes integrated against
     its weights: the standard error is sqrt(sum_i var(g_i - V_i beta_i) /
-    trials), each part's influences taken less the first trial's, which
+    n_i), each part's influences taken less its first draw's, which
     keeps the digits of their spread and gives equal ones exactly 0, and
     the residuals scaled by a power of two, so that their squares do not
-    underflow.  A static network or N = 0 leaves the target's factor
-    alone (the others are exactly 1, or there are none), the one-factor
-    integral e^x E1(x), x = 1 / u (Lee 1990): every trial gives the exact
-    capacity,
-    with a standard error of 0.  A scenario gives the same bits alone or in
+    underflow; a part of one draw adds no variance.  A static network or
+    N = 0 leaves the target's factor alone (the others are exactly 1, or
+    there are none), the one-factor integral e^x E1(x), x = 1 / u (Lee
+    1990): every trial gives the exact capacity, with a standard error of
+    0.  A scenario gives the same bits alone or in
     a group.  The estimate can exceed :func:`analytic.capacity_upper`, the
     capacity at the mean powers, as at one path per device.  Requires
     positive noise and P_T over the noise at most 1e300
@@ -769,63 +860,82 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     snrs = [capacity_snr(c) for c, _ in scenarios]
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
-    devices = 2 * n + 1
-    near = _near_devices(plan.target_index + n, devices)
-    extra = _extra_draws(plan.target_index + n, devices)
-    owners = [near.index(c) for c in extra]
+    columns_of, near, owners, tail = _capacity_layout(plan.target_index, n)
+    band = columns_of.size - len(owners)  # the main draws' devices, before the extra draws
     # the near devices' columns, then the extra draws', which a static
     # scenario skips: their factors would equal its main draws', exactly 1
     moving = [c.doppler_span(m.max_velocity_mps) != 0.0 for c, m in scenarios]
-    drawn = near + list(range(devices, devices + len(extra)))
-    parts = len(near) + (devices > len(near))
+    drawn = near + list(range(band, columns_of.size))
+    parts = len(near) + (band > len(near))  # the main draws' parts: near, then mid
+    # each draw set's parts and draws: the main draws', then the tail's
+    sets = [(slice(0, parts), plan.trials)] \
+        + [(slice(parts, parts + 1), _tail_draws(plan.trials))] * bool(tail.size)
+    draws = np.concatenate([np.full(p.stop - p.start, d) for p, d in sets])[:, None]
     rules = [hamdi_rule(snr) for snr in snrs]
-    # the parts' table, then a scratch for a round of the extra draws'
-    table_rows = parts + len(set(extra))
-    table_size = table_rows * min(plan.trials, BLOCK_TRIALS) * max(nodes.size for nodes, _ in rules)
-    # the near parts, then the far part: each group its own columns
-    groups = [slice(0, len(near)), slice(len(near), parts)][:1 + (parts > len(near))]
-    widths = [_near_means(cell.paths_per_device).size, _FAR_WIDTH]
-    columns = [np.empty((plan.trials, g.stop - g.start, w)) for g, w in zip(groups, widths)]
-    grams = [np.zeros((g.stop - g.start, _FOLDS, w + 1, w + 1)) for g, w in zip(groups, widths)]
-    influences = [np.empty((plan.trials, parts)) for _ in scenarios]
+    # the parts' table, then a scratch for a round of the extra draws', then the tail's
+    table_rows = parts + len(set(owners))
+    table_size = (table_rows * min(plan.trials, BLOCK_TRIALS) + bool(tail.size)
+                  * min(plan.trials, _TAIL_DRAWS)) * max(nodes.size for nodes, _ in rules)
+    # the near parts, the mid part and the tail: each group its own columns,
+    # as (draw set, its parts in the set's table, its parts)
+    groups = [(0, slice(0, len(near)), slice(0, len(near)))] \
+        + [(0, slice(len(near), parts), slice(len(near), parts))] * (parts > len(near)) \
+        + [(1, slice(0, 1), slice(parts, parts + 1))] * bool(tail.size)
+    widths = [_near_means(cell.paths_per_device).size] + [_FAR_WIDTH] * (len(groups) - 1)
+    columns = [np.empty((sets[s][1], g.stop - g.start, w)) for (s, g, _), w in zip(groups, widths)]
+    grams = [np.zeros((g.stop - g.start, _FOLDS, w + 1, w + 1))
+             for (_, g, _), w in zip(groups, widths)]
+    influences = [[np.empty((d, p.stop - p.start)) for p, d in sets] for _ in scenarios]
     # per scenario, while its blocks run: the sums of its factors, its first
     # trial's, the node weights of its influences and its node sums; then
     # its controlled mean and the slopes of its influences
     totals, first, node_weights, node_sums, means, slopes = ([None] * len(scenarios)
                                                              for _ in range(6))
     for k, rows, powers, variates, weights in _device_powers(plan, cell, scenarios, gaps, True):
-        last = rows.stop == plan.trials
+        last = rows[0].stop == plan.trials
         if k == 0:
             designs = []
-            for stored, gram, block in zip(columns, grams, variates):
-                stored[rows] = block
+            for (s, _, _), stored, gram, block in zip(groups, columns, grams, variates):
+                stored[rows[s]] = block
                 designs.append(np.concatenate([np.ones(block.shape[:2] + (1,)), block], axis=2))
                 gram += _fold_sums(designs[-1], designs[-1].transpose(1, 0, 2))
             if last:
                 solvers = [_fold_solver(gram) for gram in grams]
             tables = _aligned_empty((table_size,))  # let go with the block
-        size = len(powers)
         nodes, rule = rules[k]
-        faded = (powers[:, drawn if moving[k] else near] * snrs[k]).T  # u, the b_j, extras
-        powers *= weights  # 0 at the near devices and the extra draws
-        far = powers[:, :devices].sum(axis=1) * snrs[k] if parts > len(near) else None
+        size = len(powers[0])
+        faded = powers[0][:, drawn if moving[k] else near]
+        faded *= snrs[k]
+        faded = faded.T  # u, the b_j, extras
+        powers[0] *= weights[0]  # 0 at the near devices and the extra draws
+        far = powers[0][:, :band].sum(axis=1) * snrs[k] if parts > len(near) else None
         held = tables[:table_rows * size * nodes.size].reshape(table_rows, size, -1)
-        table = _part_factors(nodes, faded, far, owners if moving[k] else [], held[:parts],
-                              held[parts:])
-        table[0] *= faded[0][:, None]  # C is u times its row
-        column_sums = np.ones(size) @ table
-        totals[k] = column_sums + (totals[k] if rows.start else 0.0)
-        if rows.start == 0:
-            node_weights[k] = _all_but_each(column_sums / size) * rule
-            first[k] = table[:, 0].copy()
+        table = [_part_factors(nodes, faded, far, owners if moving[k] else [], held[:parts],
+                               held[parts:])]
+        table[0][0] *= faded[0][:, None]  # C is u times its row
+        faded = None  # let go before the next scenario forms its own
+        if tail.size:
+            # the tail's one row, e^(-t a) of its drawn interference a
+            powers[1] *= weights[1]
+            rest = tables[held.size:held.size + len(powers[1]) * nodes.size]
+            table.append(_part_factors(nodes, np.empty((0, len(powers[1]))),
+                                       powers[1].sum(axis=1) * snrs[k], [],
+                                       rest.reshape(1, len(powers[1]), -1), held[:0]))
+        column_sums = np.concatenate([np.ones(t.shape[1]) @ t for t in table])
+        totals[k] = column_sums + (totals[k] if rows[0].start else 0.0)
+        if rows[0].start == 0:
+            counts = np.concatenate([np.full(len(t), t.shape[1]) for t in table])
+            node_weights[k] = _all_but_each(column_sums / counts[:, None]) * rule
+            first[k] = [t[:, 0].copy() for t in table]
             node_sums[k] = []
         # less the first trial's factors, which leaves the influences and the
         # node sums the digits of their spread, and equal factors exactly 0
-        table -= first[k][:, None]
-        influences[k][rows] = (table @ node_weights[k][..., None])[..., 0].T
-        for i, (group, design) in enumerate(zip(groups, designs)):
-            sums = _fold_sums(design, table[group])
-            if rows.start:
+        for (part, _), factors, f, y, r in zip(sets, table, first[k], influences[k], rows):
+            factors -= f[:, None]
+            y[r] = (factors @ node_weights[k][part][..., None])[..., 0].T
+        for i, ((s, local, _), design) in enumerate(zip(groups, designs)):
+            sums = _fold_sums(design, table[s][local])
+            if rows[0].start:
                 node_sums[k][i] += sums
             else:
                 node_sums[k].append(sums)
@@ -834,29 +944,30 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
             # the part means controlled at every node, and the slopes of the
             # influences; the node sums go as soon as they are used
             slopes[k] = []
-            for group, gram, solve, sums in zip(groups, grams, solvers, node_sums[k]):
+            for (_, _, part), gram, solve, sums in zip(groups, grams, solvers, node_sums[k]):
                 beta = solve(sums)  # per part, fold, column and node
-                # row 0 of a gram: the fold's trial count and column sums
-                totals[k][group] -= np.einsum("ifs,ifsn->in", gram[..., 0, :], beta)
-                slopes[k].append(np.einsum("ifsn,in->ifs", beta, node_weights[k][group]))
-            means[k] = rule @ np.prod(totals[k] / plan.trials, axis=0)
+                # row 0 of a gram: the fold's draw count and column sums
+                totals[k][part] -= np.einsum("ifs,ifsn->in", gram[..., 0, :], beta)
+                slopes[k].append(np.einsum("ifsn,in->ifs", beta, node_weights[k][part]))
+            means[k] = rule @ np.prod(totals[k] / draws, axis=0)
             node_sums[k] = sums = beta = None
         if k == len(scenarios) - 1:
-            tables = held = table = faded = designs = None
+            tables = held = rest = table = factors = designs = None
     powers = variates = weights = None  # let the last block go before the fit
     designs = [_fold_design(stored) for stored in columns]
     estimates = []
-    for mean, y, betas in zip(means, influences, slopes):
-        residuals = np.empty_like(y)
-        for group, design, beta in zip(groups, designs, betas):
-            residuals[:, group] = _residuals(design, y[:, group], beta)
+    for mean, ys, betas in zip(means, influences, slopes):
+        residuals = [np.empty_like(y) for y in ys]
+        for (s, local, _), design, beta in zip(groups, designs, betas):
+            residuals[s][:, local] = _residuals(design, ys[s][:, local], beta)
         # the residuals over 2^scale, below 1: exact, and where the capacity
-        # is tiny their squares and the variance then do not underflow
-        scale = int(np.frexp(abs(residuals).max())[1])
-        variance = np.var(np.ldexp(residuals, -scale), axis=0, ddof=1).sum() \
-            if plan.trials > 1 else 0.0
+        # is tiny their squares and the variance then do not underflow; a
+        # draw set of one draw gives no variance
+        scale = int(np.frexp(max(abs(r).max() for r in residuals))[1])
+        variance = sum(np.var(np.ldexp(r, -scale), axis=0, ddof=1).sum() / len(r)
+                       for r in residuals if len(r) > 1)
         estimates.append(Estimate(LOG2_E * float(mean), LOG2_E * math.ldexp(
-            math.sqrt(variance / plan.trials), scale), plan.trials))
+            math.sqrt(variance), scale), plan.trials))
     return estimates[0] if single else estimates
 
 

@@ -103,23 +103,26 @@ def test_mean_invariant_to_path_count():
 
 def test_power_modes_share_a_mean():
     # the interference the capacity estimator sees, the interferers'
-    # coherent powers, against the conditional-mean estimator
+    # coherent powers, against the conditional-mean estimator: the main
+    # draws' per trial plus the tail's per tail draw, two independent means
     plan = TrialPlan(trials=30000, seed=8)
     incoherent = estimate_total_ici(plan, CFG, CELL, MOB)
     gaps = subcarrier_gaps(plan.target_index, CFG.half_subcarriers,
                            CFG.spacing_symbol_product)
-    samples = np.empty(plan.trials)
-    neighbours = montecarlo._near_devices(CFG.half_subcarriers, gaps.size)[1:]
+    samples = [np.empty(plan.trials), np.empty(montecarlo._tail_draws(plan.trials))]
+    neighbours = montecarlo._capacity_layout(plan.target_index, CFG.half_subcarriers)[1][1:]
     own_draws = np.random.default_rng(108)
     for _, rows, powers, _, weights in montecarlo._device_powers(plan, CELL, [(CFG, MOB)],
                                                                  [gaps], True):
         # the estimator averages the near neighbours' fading and draws them
         # no weight, so they get weights of their own here
-        weights = weights.copy()
-        weights[:, neighbours] = own_draws.standard_exponential((len(weights), 4))
-        powers *= weights
-        samples[rows] = powers.sum(axis=1) * CFG.effective_power
-    coherent = montecarlo._reduce(samples)
+        weights = [w.copy() for w in weights]
+        weights[0][:, neighbours] = own_draws.standard_exponential((len(weights[0]), 4))
+        for sample, r, p, w in zip(samples, rows, powers, weights, strict=True):
+            sample[r] = (p * w).sum(axis=1) * CFG.effective_power
+    main, tail = (montecarlo._reduce(sample) for sample in samples)
+    coherent = Estimate(main.mean + tail.mean, math.hypot(main.std_error, tail.std_error),
+                        plan.trials)
     combined = math.hypot(incoherent.std_error, coherent.std_error)
     assert abs(incoherent.mean - coherent.mean) <= 3.5 * combined
     # squaring the complex sum mixes the paths, so the variance grows
@@ -229,14 +232,16 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # blocks, one partial); sharing the draws among the scenarios of a group
 # must keep these bits.  Every pin includes its estimator's control
 # variate.  fig4's 500 Hz curve (N = 199) is the one pin where the
-# capacity draws its neighbours at index gap +-1 more than once (R = 11)
+# capacity draws its neighbours at index gap +-1 more than once (R = 11);
+# it and the default band (N = 24) draw a tail beyond index gap 10, which
+# the 3 GHz edge pin (N = 5, index gaps -1..9) does not
 PINNED = {
     "ici": ("0x1.f47f866aed00ap-8", "0x1.e66b9a9cb6196p-33"),  # 0.007637 +- 2.21e-10
     "ici_edge_3ghz": ("0x1.357887ba6133cp-7", "0x1.8acbc1c1c015cp-30"),  # 0.0094443 +- 1.44e-09
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca963p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a11837574bf7p+2", "0x1.7b6b1d8cfa091p-14"),  # 5.15732 +- 9.05e-05
+    "capacity": ("0x1.4a14ed9337c77p+2", "0x1.498b1ae9ee8d8p-14"),  # 5.15753 +- 7.86e-05
     "capacity_edge_3ghz": ("0x1.451b066eec218p+2", "0x1.a37c7bec6d8c7p-12"),  # 5.07977 +- 0.0004
-    "capacity_500hz": ("0x1.35e7c0e96aba1p+1", "0x1.03bd576aa30cfp-11"),  # 2.42114 +- 0.000495
+    "capacity_500hz": ("0x1.35f39c53e35adp+1", "0x1.f1d8829b9dd0ep-12"),  # 2.4215 +- 0.000475
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479d9p-36"),  # 0.000261606 +- 1.81e-11
 }
@@ -381,9 +386,10 @@ def test_block_bytes_bounds_what_the_blocks_hold(half_subcarriers, paths, cohere
     # runs the whole estimator at 20 dB, whose factor tables outweigh the
     # sampler's scratch at N = 5 and 40; without its per-trial allowance
     # held across blocks the bound fails at N = 2000.  Its bound adds what
-    # the run keeps: per trial the columns V and each scenario's influence
-    # a part, and per scenario the fold sums of [1, V] times the factors
-    # on the rule's nodes and three vectors a part.
+    # the run keeps: per draw the columns V and each scenario's influence
+    # a part (the tail's on its own draws), and per scenario the fold sums
+    # of [1, V] times the factors on the rule's nodes and three vectors a
+    # part.
     cfg = SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0)
     cell = CellConfig(paths_per_device=paths)
     plan = TrialPlan(trials=600, seed=3)
@@ -407,10 +413,12 @@ def test_block_bytes_bounds_what_the_blocks_hold(half_subcarriers, paths, cohere
     bound = montecarlo.block_bytes(devices, paths,
                                    cfg.effective_power / cfg.noise_variance if coherent else None)
     if coherent:
-        near, far, design = montecarlo._capacity_sizes(devices, paths)
-        parts, nodes = near + far, numerics.hamdi_rule(100.0)[0].size
-        bound += 8 * (plan.trials * (design - parts + parts * len(mobs))
-                      + len(mobs) * nodes * (8 * design + 3 * parts))
+        nodes = numerics.hamdi_rule(100.0)[0].size
+        for rows, _, parts, design in montecarlo._capacity_sizes(devices, paths):
+            draws = plan.trials if rows == montecarlo.BLOCK_TRIALS \
+                else montecarlo._tail_draws(plan.trials)
+            bound += 8 * (draws * (design - parts + parts * len(mobs))
+                          + len(mobs) * nodes * (8 * design + 3 * parts))
     assert 0.9 * bound <= peak <= bound
 
 
@@ -707,34 +715,40 @@ def test_power_estimates_are_unbiased_and_their_std_error_honest():
 
 def _recorded(monkeypatch, plan, cfgs, cell, mobs):
     # the estimates of a group, and what the estimator computed them from:
-    # per scenario, the factor tables of every block, each part's row the
-    # mean over its draws, the rows of faded powers they were built from,
-    # the extra draws' after the parts' (row 0 the trial's SNR), the far
-    # devices' interference and the rule's weights, and per part the
+    # per scenario and draw set (the main draws, then the tail's if the band
+    # has one), the factor tables of every block, each part's row the mean
+    # over its draws, the rows of faded powers they were built from, the
+    # extra draws' after the parts' (row 0 the trial's SNR), and the far
+    # devices' interference; the rule's nodes and weights; and per part the
     # columns V of every block, the intercept prepended: [1, V_i]
-    tables, faded, far, columns = [], [], [], []
-    factors, design = montecarlo._part_factors, montecarlo._capacity_columns
+    calls, columns = [], []
+    factors, draw = montecarlo._part_factors, montecarlo._device_powers
 
     def record_tables(nodes, rows, interference, *args):
-        faded.append(np.array(rows))
-        far.append(interference.copy())
         table = factors(nodes, rows, interference, *args)
-        tables.append(table.copy())  # the estimator goes on to change its own
+        # the estimator goes on to change its own table
+        calls.append((np.array(rows), interference.copy(), table.copy()))
         return table
 
     def record_columns(*args):
-        columns.append(design(*args))
-        return columns[-1]
+        for k, *rest in draw(*args):
+            if k == 0:
+                columns.append(rest[2])
+            yield k, *rest
 
     with monkeypatch.context() as patched:
         patched.setattr(montecarlo, "_part_factors", record_tables)
-        patched.setattr(montecarlo, "_capacity_columns", record_columns)
+        patched.setattr(montecarlo, "_device_powers", record_columns)
         estimates = estimate_ergodic_capacity(plan, cfgs, cell, mobs)
-    runs = [(np.concatenate(tables[k::len(mobs)], axis=1),
-             np.concatenate(faded[k::len(mobs)], axis=1),
-             np.concatenate(far[k::len(mobs)]),
-             numerics.hamdi_rule(cfg.effective_power / cfg.noise_variance))
-            for k, cfg in enumerate(cfgs)]
+    sets = len(calls) // (len(columns) * len(mobs))
+    runs = []
+    for k, cfg in enumerate(cfgs):
+        recorded = [calls[k * sets + s::len(mobs) * sets] for s in range(sets)]
+        runs.append(([(np.concatenate([table for _, _, table in blocks], axis=1),
+                       np.concatenate([rows for rows, _, _ in blocks], axis=1),
+                       np.concatenate([far for _, far, _ in blocks]))
+                      for blocks in recorded],
+                     numerics.hamdi_rule(cfg.effective_power / cfg.noise_variance)))
     designs = []
     for group in zip(*columns):
         group = np.concatenate(group)
@@ -744,31 +758,39 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
 
 
 def _factors(run):
-    # each part's factor per trial and node: the signal's table times its SNR
-    tables, faded, _, (_, weights) = run
-    factors = tables.copy()
-    factors[0] *= faded[0][:, None]
+    # each part's factor per draw and node, the main draws' parts and then
+    # the tail: the signal's table times its SNR
+    sets, (_, weights) = run
+    factors = []
+    for s, (tables, faded, _) in enumerate(sets):
+        tables = tables.copy()
+        if s == 0:
+            tables[0] *= faded[0][:, None]
+        factors += list(tables)
     return factors, weights
 
 
 def _two_pass(run, designs):
     # the estimate from stored arrays: the product over the parts of the
     # factor means on the rule, each part's mean at each node less V beta_f
-    # on fold f = trial index mod 8, beta_f the least-squares slopes, with
-    # an intercept, of the part's factor at that node on the other folds,
-    # or nothing where they hold fewer than 2 trials a column; the standard
-    # error from the sum of the parts' residual variances, each part's
+    # on fold f = draw index mod 8 (the tail's numbered over its own draws),
+    # beta_f the least-squares slopes, with an intercept, of the part's
+    # factor at that node on the other folds, or nothing where they hold
+    # fewer than 2 draws a column; the standard error from the parts'
+    # residual variances, each over its own draw count, each part's
     # influence (at the first block's means) fitted on the other folds
     # alike.  Returns it in bits, with the standard error the parts'
     # influences give with no variate.
     factors, weights = _factors(run)
-    trials = factors.shape[1]
-    first = factors[:, :montecarlo.BLOCK_TRIALS].mean(axis=1)
-    folds = np.arange(trials) % 8
-    means = factors.mean(axis=1)
+    trials = len(factors[0])
+    first = np.array([table[:montecarlo.BLOCK_TRIALS if len(table) == trials
+                            else montecarlo._TAIL_DRAWS].mean(axis=0) for table in factors])
+    means = np.array([table.mean(axis=0) for table in factors])
     variance = plain = 0.0
     for part, (table, design) in enumerate(zip(factors, designs, strict=True)):
-        # less the first trial's factors, which keeps the digits of the spread
+        draws = len(table)
+        folds = np.arange(draws) % 8
+        # less the first draw's factors, which keeps the digits of the spread
         others = np.prod(np.delete(first, part, axis=0), axis=0)
         influence = (table - table[0]) @ (weights * others)
         residuals = influence.copy()
@@ -776,24 +798,24 @@ def _two_pass(run, designs):
             fit = folds != fold
             if fit.sum() >= 2 * (design.shape[1] - 1):
                 beta = np.linalg.lstsq(design[fit], table[fit], rcond=None)[0]
-                means[part] -= design[~fit, 1:].sum(axis=0) @ beta[1:] / trials
+                means[part] -= design[~fit, 1:].sum(axis=0) @ beta[1:] / draws
                 beta = np.linalg.lstsq(design[fit], influence[fit], rcond=None)[0]
                 residuals[~fit] -= design[~fit, 1:] @ beta[1:]
-        variance += residuals.var(ddof=1) if trials > 1 else 0.0
-        plain += influence.var(ddof=1) if trials > 1 else 0.0
+        if draws > 1:
+            variance += residuals.var(ddof=1) / draws
+            plain += influence.var(ddof=1) / draws
     return (analytic.LOG2_E * (weights @ np.prod(means, axis=0)),
-            analytic.LOG2_E * math.sqrt(variance / trials),
-            analytic.LOG2_E * math.sqrt(plain / trials))
+            analytic.LOG2_E * math.sqrt(variance),
+            analytic.LOG2_E * math.sqrt(plain))
 
 
 def _capacity_variates(plan, cfg, cell):
-    # (trials, columns): every part's columns V of a static scenario, the
-    # near parts' then the far part's, from _device_powers
+    # per column group (the near parts, the mid part, the tail), its
+    # (draws, columns) V of a static scenario, from _device_powers
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
-    blocks = [np.concatenate([part.reshape(len(part), -1) for part in v], axis=1)
-              for _, _, _, v, _ in montecarlo._device_powers(
-                  plan, cell, [(cfg, MobilityModel(0.0))], [gaps], True)]
-    return np.concatenate(blocks)
+    blocks = [v for _, _, _, v, _ in montecarlo._device_powers(
+        plan, cell, [(cfg, MobilityModel(0.0))], [gaps], True)]
+    return [np.concatenate(group).reshape(-1, group[0][0].size) for group in zip(*blocks)]
 
 
 @pytest.mark.parametrize("half_subcarriers,target,near,paths,width",
@@ -812,7 +834,7 @@ def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, pa
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     plan = TrialPlan(trials=1 << 20, seed=32, target_index=target)
     assert montecarlo._near_devices(target + half_subcarriers, 2 * half_subcarriers + 1) == near
-    v = _capacity_variates(plan, cfg, CellConfig(paths))
+    v = np.concatenate(_capacity_variates(plan, cfg, CellConfig(paths)), axis=1)
     assert v.shape == (plan.trials, width)
     zero = ~v.any(axis=0)
     assert np.count_nonzero(zero) == (4 if (half_subcarriers, target) == (3, 0) else 0)
@@ -859,8 +881,7 @@ def test_the_near_columns_have_full_rank(paths):
     montecarlo._path_moments(sample_cell_batch(np.random.default_rng(paths), 4096, 1,
                                                CellConfig(paths)),
                              [slice(0, 4096)], moments, np.empty((4096, 1, paths)))
-    [near] = montecarlo._capacity_columns(moments, [], np.empty((4096, 9)), np.empty((4096, 1)),
-                                          np.zeros((9, 1)), paths)
+    near = montecarlo._near_columns(moments, [], paths)
     assert near.shape == (4096, 1, 5 if paths == 1 else 9)
     assert np.linalg.matrix_rank(near[:, 0]) == near.shape[2]
     if paths == 2:
@@ -870,40 +891,56 @@ def test_the_near_columns_have_full_rank(paths):
 
 @pytest.mark.parametrize("half_subcarriers,target", [(3, 0), (3, 3), (4, 1), (39, 0)])
 def test_the_far_columns_keep_their_rank(half_subcarriers, target):
-    # the far part's Taylor table is built on the far devices' gaps alone:
-    # at N = 3 and an interior target they hold one |n| = 3, so the rows
-    # (4, 2) and (4, 4) are proportional there (1/9 and 1/81) and the
+    # each far-style part's Taylor table is built on its own devices' gaps
+    # alone: at N = 3 and an interior target they hold one |n| = 3, so the
+    # rows (4, 2) and (4, 4) are proportional there (1/9 and 1/81) and the
     # table keeps (4, 2) alone; built on every gap and then masked, it
-    # would keep both and leave the fit two proportional columns
+    # would keep both and leave the fit two proportional columns.  At
+    # N = 39 the mid part (3 <= |n| <= 10) and the tail keep all 12
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     plan = TrialPlan(trials=512, seed=40, target_index=target)
-    far = _capacity_variates(plan, cfg, CellConfig(3))[:, -montecarlo._FAR_WIDTH:]
-    kept = far[:, far.any(axis=0)]
-    assert np.linalg.matrix_rank(kept) == kept.shape[1]
-    assert kept.shape[1] == (8 if (half_subcarriers, target) == (3, 0) else 12)
+    far = _capacity_variates(plan, cfg, CellConfig(3))[1:]
+    assert len(far) == (2 if half_subcarriers > montecarlo._TAIL_GAP else 1)
+    for columns in far:
+        kept = columns[:, columns.any(axis=0)]
+        assert np.linalg.matrix_rank(kept) == kept.shape[1]
+        assert kept.shape[1] == (8 if (half_subcarriers, target) == (3, 0) else 12)
 
 
-@pytest.mark.parametrize("draws", [1, 2])
-def test_the_factor_means_average_every_combination_of_the_parts_draws(draws, monkeypatch):
+@pytest.mark.parametrize("half_subcarriers,draws", [(4, 1), (4, 2), (12, 2)],
+                         ids=["one-draw", "two-draws", "tail"])
+def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subcarriers, draws,
+                                                                       monkeypatch):
     # 3 trials, too few for any fold to fit a variate: the estimate is the
-    # rule on the product of the six parts' factor means, which is the mean
-    # over all 3^6 = 729 ways to take each part's factor from any trial,
-    # each neighbour at index gap +-1 with the mean factor of its draws
+    # rule on the product of the parts' factor means, which is the mean
+    # over all ways to take each part's factor from any of its draws (3^6 =
+    # 729 for six parts), each neighbour at index gap +-1 with the mean
+    # factor of its draws.  N = 12 = K + 2 has a seventh part, the tail
+    # beyond index gap K, here on 2 draws of its own: 3^6 x 2 ways
     monkeypatch.setattr(montecarlo, "_neighbour_draws", lambda half_subcarriers: draws)
-    cfg = SystemConfig(half_subcarriers=4)
+    monkeypatch.setattr(montecarlo, "_TAIL_DRAWS", 2)
+    assert (half_subcarriers > montecarlo._TAIL_GAP) == (half_subcarriers == 12)
+    cfg = SystemConfig(half_subcarriers=half_subcarriers)
     [est], runs, _ = _recorded(monkeypatch, TrialPlan(trials=3, seed=35), [cfg], CELL, [MOB])
-    _, faded, far, (nodes, weights) = runs[0]
+    sets, (nodes, weights) = runs[0]
+    _, faded, far = sets[0]
     assert faded.shape == (5 + 2 * (draws - 1), 3)
     rows = numerics.hamdi_factors(nodes, faded, far)
     rows[0] *= faded[0][:, None]
     # the near devices at index gap 0, -2, -1, 1, 2, then the extra draws
-    # of -1 and 1 in turn, and the far devices
+    # of -1 and 1 in turn, and the far (mid) devices; then the tail's
     minus, plus = rows[5:-1:2], rows[6:-1:2]
-    factors = np.stack([rows[0], rows[1], (rows[2] + minus.sum(axis=0)) / draws,
-                        (rows[3] + plus.sum(axis=0)) / draws, rows[4], rows[-1]])
-    assert _factors(runs[0])[0] == pytest.approx(factors, rel=1e-15, abs=0.0)
-    combinations = [weights @ np.prod(factors[np.arange(6), list(pick)], axis=0)
-                    for pick in np.ndindex(*(3,) * 6)]
+    factors = [rows[0], rows[1], (rows[2] + minus.sum(axis=0)) / draws,
+               (rows[3] + plus.sum(axis=0)) / draws, rows[4], rows[-1]]
+    for _, none, tail in sets[1:]:
+        assert none.shape == (0, 2)
+        factors.append(numerics.hamdi_factors(nodes, none, tail)[0])
+    assert len(factors) == 6 + (half_subcarriers == 12)
+    for got, want in zip(_factors(runs[0])[0], factors, strict=True):
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+    combinations = [weights @ np.prod([factor[i] for factor, i in zip(factors, pick)], axis=0)
+                    for pick in np.ndindex(*(len(factor) for factor in factors))]
+    assert len(combinations) == 729 * (2 if half_subcarriers == 12 else 1)
     brute = analytic.LOG2_E * math.fsum(combinations) / len(combinations)
     assert est.mean == pytest.approx(brute, rel=1e-14, abs=0.0)
 
@@ -954,47 +991,54 @@ def test_a_scenario_keeps_its_bits_in_its_fig4_group():
 def _plain_samples(plan, cfg, cell, mob, averaged=(-1, 1)):
     # per trial, the capacity with the fading of the target and of its
     # neighbours at the index gaps ``averaged`` averaged by the rule at one
-    # trial, each such neighbour's factor the mean over its draws, relative
-    # to the other interferers' powers and the noise, and every other
-    # interferer at a drawn weight, no variate: an unbiased estimator on
-    # the same Doppler draws as estimate_ergodic_capacity, whose weights it
-    # reads; the other near neighbours, which the estimator draws no
-    # weight for, get weights of their own, and their extra draws none
+    # trial, each such neighbour's factor the mean over its R draws,
+    # relative to the other interferers' powers and the noise, and every
+    # other interferer at a drawn weight, no variate: an unbiased estimator
+    # that draws every device in every trial through its own
+    # sample_cell_batch call, on a stream of its own
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
     target = plan.target_index + cfg.half_subcarriers
-    near = montecarlo._near_devices(target, gaps.size)
-    extra = montecarlo._extra_draws(target, gaps.size)
-    kept = [target] + [c for c in near[1:] if c - target in averaged]
-    drawn = [c for c in near if c not in kept]
+    kept = [target] + [target + gap for gap in averaged if 0 <= target + gap < gaps.size]
+    extra = [c for c in montecarlo._extra_draws(target, gaps.size) if c in kept]
     columns = [[c] + [gaps.size + i for i, device in enumerate(extra) if device == c]
                for c in kept]
-    own_draws = np.random.default_rng(plan.seed + 1)
-    samples = np.empty(plan.trials)
-    for _, rows, powers, _, weights in montecarlo._device_powers(plan, cell, [(cfg, mob)],
-                                                                 [gaps], True):
-        weights = weights.copy()
-        weights[:, drawn] = own_draws.standard_exponential((len(weights), len(drawn)))
+    gaps = np.concatenate([gaps, gaps[extra]])
+    weighted = np.ones(gaps.size)
+    weighted[sum(columns, [])] = 0.0
+    span = cfg.doppler_span(mob.max_velocity_mps)
+    rng = np.random.default_rng(plan.seed)
+    samples = []
+    for size in montecarlo._block_sizes(plan.trials):
+        shift = sample_cell_batch(rng, size, gaps.size, cell)
+        powers = numerics.sinc_squared(gaps[:, None], shift * span, span).mean(axis=2)
+        weights = rng.standard_exponential(powers.shape) * weighted
         faded = powers.T * cfg.effective_power
-        powers *= weights  # 0 at the averaged devices and the extra draws
-        faded /= powers.sum(axis=1) * cfg.effective_power + cfg.noise_variance
+        faded /= (powers * weights).sum(axis=1) * cfg.effective_power + cfg.noise_variance
         nodes, rule = numerics.hamdi_rule(faded[sum(columns, [])].max())
         factors = [numerics.hamdi_factors(nodes, faded[draws]).mean(axis=0) for draws in columns]
-        samples[rows] = faded[target] * (np.prod(factors, axis=0) @ rule)
-    return samples * analytic.LOG2_E
+        samples.append(faded[target] * (np.prod(factors, axis=0) @ rule))
+    return np.concatenate(samples) * analytic.LOG2_E
 
 
-@pytest.mark.parametrize("paths,reference_trials", [(1, 1 << 18), (8, 1 << 16)])
-def test_cross_fitted_capacity_is_unbiased_and_its_std_error_honest(paths, reference_trials):
+@pytest.mark.parametrize("spacing,half_subcarriers,paths,reference_trials",
+                         [(500.0, 199, 1, 1 << 18), (500.0, 199, 8, 1 << 16),
+                          (2500.0, 39, 1, 1 << 18)],
+                         ids=["1-262144", "8-65536", "2500hz-1-262144"])
+def test_cross_fitted_capacity_is_unbiased_and_its_std_error_honest(spacing, half_subcarriers,
+                                                                    paths, reference_trials):
     # fig4's 500 Hz curve at 10, 30 and 100 m/s (x = 0.06, 0.18 and 0.6),
     # one group, at one path, where the interference is the most spread,
-    # and at eight: 200 seeds of 256 trials, one block each; at each speed
-    # the standard error each run reports against the spread of the 200
-    # estimates, and at 100 m/s the mean estimate against the plain fading
-    # average of reference_trials trials on another seed.  The ratios read
-    # 0.92/0.90/0.89 at one path and 1.05/1.04/1.06 at eight; products of
-    # the parts' means corrected at first order alone read 0.31 at 10 m/s
-    # and eight paths
-    cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
+    # and at eight, and its 2500 Hz curve at one path: 200 seeds of 256
+    # trials, one block each; at each speed the standard error each run
+    # reports against the spread of the 200 estimates, and at 100 m/s the
+    # mean estimate against the plain fading average of reference_trials
+    # trials on draws of its own.  The ratios read 0.93/0.88/0.88 at one
+    # path, 1.05/0.95/0.88 at eight and 0.93/0.91/0.91 at 2500 Hz (seeds
+    # 200-399 read 1.04/0.99/1.00 at eight paths, and drawing the tail on
+    # every trial moves none of them by 0.01); products of the parts'
+    # means corrected at first order alone read 0.31 at 10 m/s and eight
+    # paths
+    cfg = SystemConfig(subcarrier_spacing_hz=spacing, half_subcarriers=half_subcarriers)
     cell = CellConfig(paths_per_device=paths)
     speeds = [MobilityModel(v) for v in (10.0, 30.0, 100.0)]
     runs = np.array([[(est.mean, est.std_error) for est in estimate_ergodic_capacity(
@@ -1028,14 +1072,16 @@ def test_few_trials_give_defined_capacity_estimates(trials, monkeypatch):
             assert all(np.all(subtracted == 0.0) for _, subtracted in fits)
     [est], runs, designs = _recorded(monkeypatch, TrialPlan(trials=trials, seed=34),
                                      [CFG], CELL, [MOB])
-    assert [design.shape for design in designs] == [(trials, 10)] * 5 + [(trials, 13)]
+    # five near parts, the mid part, and the tail on 32 draws a block
+    assert [design.shape for design in designs] \
+        == [(trials, 10)] * 5 + [(trials, 13), (montecarlo._tail_draws(trials), 13)]
     assert math.isfinite(est.mean) and math.isfinite(est.std_error) and est.trials == trials
     mean, std_error, plain = _two_pass(runs[0], designs)
     if trials == 1:
-        tables, faded, _, (_, weights) = runs[0]
+        factors, weights = _factors(runs[0])
         assert est.std_error == 0.0
-        assert est.mean == pytest.approx(analytic.LOG2_E * faded[0, 0] * float(
-            np.prod(tables[:, 0], axis=0) @ weights), rel=1e-15, abs=0.0)
+        assert est.mean == pytest.approx(analytic.LOG2_E * float(
+            np.prod([factor[0] for factor in factors], axis=0) @ weights), rel=1e-15, abs=0.0)
     elif trials <= 8:
         assert est.mean == pytest.approx(mean, rel=1e-14, abs=0.0)
         assert est.std_error == pytest.approx(plain, rel=1e-9, abs=0.0)
@@ -1097,8 +1143,12 @@ FIG4_CURVES = [(2500.0, 39), (1000.0, 99), (500.0, 199)]
 
 def test_fig4_capacity_reaches_its_accuracy_target_within_budget():
     # the mean over the grid's points of (std_error / 0.01)^2, which scales
-    # the benchmark's mc_time_to_accuracy_s: 0.00039 with second-order
-    # columns and the part means controlled per node, 0.0069 with columns
+    # the benchmark's mc_time_to_accuracy_s: 0.00072 with the far devices
+    # split at index gap 10 and the tail drawn on 32 trials a block, which
+    # halves the time (these seeds hold one heavy draw of the 1000 Hz mid
+    # part; over seeds 0-63 the mean is 0.00039, against 0.00037 before),
+    # 0.00039 with second-order columns and the part means controlled per
+    # node, 0.0069 with columns
     # linear in the path moments and R draws of each neighbour at index
     # gap +-1 (R = 2, 5 and 11 on the three curves), 0.024 with one,
     # averaged over every combination of the parts' draws, 0.12 with
@@ -1115,15 +1165,37 @@ def test_fig4_capacity_reaches_its_accuracy_target_within_budget():
     assert np.mean(factors) <= 0.0015
 
 
+def test_the_capacity_evaluates_its_tail_on_few_draws(monkeypatch):
+    # the kernel's device-paths over fig4's 500 Hz group: the devices beyond
+    # index gap K, 378 of the 419 columns a trial takes at N = 199 (R = 11),
+    # are evaluated on 32 of the block's 256 trials, which leaves 21% of
+    # what every column on every trial would take; a count, not a time
+    evaluated = []
+
+    def spy(gap, offset, span=None, out=None, work=None):
+        evaluated.append(offset.size)
+        return numerics.sinc_squared(gap, offset, span, out, work)
+
+    monkeypatch.setattr(montecarlo, "sinc_squared", spy)
+    cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
+    speeds = [MobilityModel(10.0 * k) for k in range(11)]
+    plan = TrialPlan(trials=256, seed=0)
+    estimate_ergodic_capacity(plan, [cfg] * len(speeds), CELL, speeds)
+    columns = 2 * cfg.half_subcarriers + 1 \
+        + 2 * (montecarlo._neighbour_draws(cfg.half_subcarriers) - 1)
+    every = (len(speeds) - 1) * plan.trials * columns * CELL.paths_per_device
+    assert 0 < sum(evaluated) <= 0.4 * every
+
+
 @pytest.mark.parametrize("half_subcarriers,target,paths",
                          [(3, 3, 8), (3, -3, 8), (0, 0, 8), (3, 0, 8), (3, 0, 1), (1, 0, 8)],
                          ids=["upper-edge", "lower-edge", "no-interferer", "interior",
                               "interior-one-path", "n-equals-1"])
 def test_capacity_averages_the_neighbours_the_band_holds(half_subcarriers, target, paths):
     # an interior target has four neighbours at index gap +-1, +-2, a
-    # band-edge target two, N = 1 two and N = 0 none; on the same Doppler
-    # draws the estimate agrees with the target-only average within 4
-    # combined standard errors, and its standard error is the smaller.
+    # band-edge target two, N = 1 two and N = 0 none; the estimate agrees
+    # with the target-only average on draws of its own within 4 combined
+    # standard errors, and its standard error is the smaller.
     # Leaving a neighbour in the far part as well (averaged and drawn at
     # once) fails the interior cases
     cfg = SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=half_subcarriers)

@@ -324,22 +324,23 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
 
 @pytest.mark.parametrize("text,outputs,refused", [
     # montecarlo.block_bytes: 256 trials x (2N + 1) devices x (M paths + 7)
-    # doubles for the interference, (M + 3) for the capacity alone on its
-    # 2N + 1 + 2 (R - 1) columns, R = N // 18, plus eight tiles and, for the
-    # capacity, 5 doubles a trial and near draw and 11 a device that it
-    # holds across blocks, against 1.75 GiB; montecarlo.run_bytes adds, at
-    # 100 trials of 2 grid points, 11 doubles a trial for the interference,
-    # too few to refuse a run whose block fits, and for the capacity 69 a
-    # trial and the two points' node sums, 522 doubles a node of the rule
+    # doubles for the interference; for the capacity (M + 3) on each draw
+    # set's columns, its main draws' 21 + 2 (R - 1), R = N // 18, on 256
+    # rows and its tail's 2N - 20 on 32, 5 doubles a trial and near draw
+    # and 11 a device that it holds across blocks; plus eight tiles, against
+    # 1.75 GiB; montecarlo.run_bytes adds, at 100 trials of 2 grid points,
+    # 11 doubles a trial for the interference, too few to refuse a run whose
+    # block fits, and for the capacity 69 a trial, 14 a tail draw and the
+    # two points' node sums, 629 doubles a node of the rule
     ("system.half_subcarriers = 30081", "ici_mc", None),   # 1.75 GiB - 29 kB
     ("system.half_subcarriers = 30082", "ici_mc", "block"),    # 1.75 GiB + 25 kB
     ("system.half_subcarriers = 57120\ncell.paths_per_device = 1", "ici_mc", None),
     ("system.half_subcarriers = 57121\ncell.paths_per_device = 1", "ici_mc", "block"),
-    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 1.53 GiB
-    ("system.half_subcarriers = 37602", "capacity_mc", None),   # 1.75 GiB - 2.6 kB
-    ("system.half_subcarriers = 37603", "capacity_mc", "run"),    # 1.75 GiB + 44 kB
-    ("system.half_subcarriers = 37612", "capacity_mc", "run"),
-    ("system.half_subcarriers = 37613", "capacity_mc", "block"),   # 1.75 GiB + 8 kB
+    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.31 GiB
+    ("system.half_subcarriers = 183167", "capacity_mc", None),   # 1.75 GiB - 56 kB
+    ("system.half_subcarriers = 183168", "capacity_mc", "run"),    # 1.75 GiB + 12 kB
+    ("system.half_subcarriers = 183225", "capacity_mc", "run"),
+    ("system.half_subcarriers = 183226", "capacity_mc", "block"),   # 1.75 GiB + 1.3 kB
     ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", "block"),
     ("system.half_subcarriers = 32768", "ici_mc", "block"),
     ("system.half_subcarriers = 8192\ncell.paths_per_device = 64", "ici_mc", "block"),
