@@ -3,19 +3,23 @@
 Randomness policy: trials are grouped in fixed blocks of 256, and block k of
 a run draws from ``SeedSequence(entropy=seed, spawn_key=(k,))``.  Draws
 inside a block happen in one fixed array order and do not depend on the
-scenario (the capacity's extra draws of its +-1 neighbours and the rows of
-its tail beyond index gap K depend on the sub-carrier count and the block
-alone), so every scenario of a plan reads the same random numbers: the
-ICI and capacity estimators take a group of scenarios sharing the
-sub-carrier count and draw each block once for the whole group.  Estimates
-are bit-reproducible for a given (plan, configs) and do not depend on the
+scenario (the draw sets of the interference and the capacity, the
+capacity's extra draws of its +-1 neighbours and the rows of each tail
+depend on the sub-carrier count, the target and the block alone), so
+every scenario of a plan reads the same random numbers: the ICI and
+capacity estimators take a group of scenarios sharing the sub-carrier
+count and draw each block once for the whole group.  Estimates are
+bit-reproducible for a given (plan, configs) and do not depend on the
 group a scenario is evaluated in or on how blocks might be spread over
-workers.  Every estimator keeps a value per trial and part and reduces
-its residuals once the folds' slopes are fitted; the capacity also keeps,
-per scenario, part and fold, the sums on its rule's nodes from which its
-part means are controlled, which do not grow with the trials.  The
-capacity's parts need not share their draws: each +-1 neighbour takes R
-a trial and the tail one in 8 (:func:`estimate_ergodic_capacity`).
+workers.  Every estimator keeps a value per draw and part and reduces its
+residuals once the folds' slopes are fitted; the capacity also keeps, per
+scenario, part and fold, the sums on its rule's nodes from which its part
+means are controlled, which do not grow with the trials.  Independent
+parts need not share their draws: the interferers beyond index gap 3 and
+the capacity's devices beyond index gap 10, each estimator's tail, are
+drawn on 32 trials a block (:data:`_TAIL_DRAWS`), and each of the
+capacity's +-1 neighbours R times a trial (:func:`estimate_total_ici`,
+:func:`estimate_ergodic_capacity`).
 """
 
 from __future__ import annotations
@@ -53,18 +57,21 @@ class TrialPlan:
     Given its path Doppler shifts, a device's path m demodulates to an
     independent circular Gaussian amplitude of variance k_m^2 / M, with
     k_m = sinc(gap + f_D,m * T_s).  The power estimators take the
-    conditional mean mean_m k_m^2; the capacity estimator draws the far
+    conditional mean mean_m k_m^2, the interference drawing the
+    interferers within index gap K_I = 3 of the target on every trial and
+    those beyond on 32 trials of a block of 256 (:data:`_TAIL_DRAWS`), and
+    the target not at all; the capacity estimator draws the far
     interferers' coherent powers, that times one Exp(1) draw each,
     averages the near devices' weights exactly, takes R Doppler draws of
     each neighbour at index gap +-1 a trial, R a fixed rule in the
     sub-carrier count (:func:`_neighbour_draws`), and draws the devices
-    beyond index gap K = 10, the tail, on 32 trials of a block of 256
-    (:data:`_TAIL_DRAWS`).  Every estimator subtracts zero-mean columns of
-    its draws times slopes fitted on the other folds' draws
-    (:func:`_fold_solver`), so it stays exactly unbiased: the power
-    estimators' columns are the path moments, the capacity's also their
-    products of second order (:func:`_near_columns`, :func:`_far_columns`),
-    fitted to each part's factor at every node of its rule.
+    beyond index gap K = 10, its tail, on 32 trials a block too.  Every
+    estimator subtracts zero-mean columns of its draws times slopes fitted
+    on the other folds' draws (:func:`_fold_solver`), so it stays exactly
+    unbiased: the power estimators' columns are the path moments, the
+    capacity's also their products of second order (:func:`_near_columns`,
+    :func:`_far_columns`), fitted to each part's factor at every node of
+    its rule.
     """
 
     trials: int
@@ -102,10 +109,22 @@ def _block_rng(seed: int, block: int):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
+def _std_error(residuals) -> float:
+    """sqrt(sum_i var(r_i) / n_i) over the parts i of ``residuals``, a list
+    of arrays, one a draw set, whose axis 0 runs over the n_i draws of
+    each of its parts.  The residuals are first scaled by 2^-s, below 1,
+    which is exact and keeps their squares from underflowing where the
+    estimate is tiny, and the root by 2^s after; a draw set of one draw
+    adds no variance."""
+    scale = int(np.frexp(max((abs(r).max() for r in residuals if r.size), default=0.0))[1])
+    variance = sum(np.var(np.ldexp(r, -scale), axis=0, ddof=1).sum() / len(r)
+                   for r in residuals if len(r) > 1)
+    return math.ldexp(math.sqrt(variance), scale)
+
+
 def _reduce(values: np.ndarray) -> Estimate:
-    trials = values.size
-    std_error = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return Estimate(mean=float(np.mean(values)), std_error=std_error, trials=trials)
+    return Estimate(mean=float(np.mean(values)), std_error=_std_error([values]),
+                    trials=values.size)
 
 
 def _group(cfg, mob):
@@ -223,33 +242,49 @@ def _capacity_sizes(devices: int, paths: int):
     return sets
 
 
+def _interference_sizes(devices: int):
+    """[(rows, columns, parts, doubles)] of each draw set of an
+    interference block over ``devices`` devices at a centred target, which
+    holds the most (:func:`_interference_layout`), as
+    :func:`_capacity_sizes` gives them: the interferers within index gap
+    K_I on 256 rows and, if the band holds any, those beyond on
+    :data:`_TAIL_DRAWS` rows, each set one part of 9 columns (10 doubles a
+    draw of its design [1, V])."""
+    near = min(devices - 1, 2 * _ICI_TAIL_GAP)
+    return [(rows, columns, 1, len(_TERMS) + 1)
+            for rows, columns in ((BLOCK_TRIALS, near), (_TAIL_DRAWS, devices - 1 - near))
+            if columns]
+
+
 def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     """Bytes of the arrays :func:`_device_powers` holds at once for
     ``devices`` devices of ``paths`` paths sharing one gap vector, draw set
     by draw set (a capacity ("coherent") block's main draws and tail, with
-    ``snr`` its P_T over the noise, :func:`_capacity_sizes`; else one set
-    of the devices): a block's draws and the (rows, columns) slots of its
-    buffer; the kernel's four workspace tiles and one more for its centre
-    mask and the per-device vectors, of the larger set's tile, and a gap
-    tile a set; and the larger set's sampler: a slot for its speed
-    fractions, which the capacity's Exp(1) weights take as drawn, and two
-    scratch tiles.  A capacity block also holds, across blocks, the near
-    draws' moments (5 doubles a trial and draw), the sets' far terms (9 a
-    draw), the Taylor tables (11 doubles a device) and the folds' grams of
-    each part's design [1, V] (:func:`_fold_solver`), and while sampling
-    the last block's columns V; once the sampler has let go of its slot
-    and tiles, what its average holds: the parts' factor tables on the
-    rule at that SNR (:func:`numerics.hamdi_rule`) with two scratch rows
-    for the extra draws' factors, the block's columns V and designs
-    [1, V], the faded powers of the near draws and 26 more doubles a
-    trial, and the near parts' fold sums of one scenario
+    ``snr`` its P_T over the noise, :func:`_capacity_sizes`; else the
+    interference's, :func:`_interference_sizes`): a block's draws and the
+    (rows, columns) slots of its buffer; the kernel's four workspace tiles
+    and one more for its centre mask and the per-device vectors, of the
+    larger set's tile, and a gap tile a set; and the larger set's
+    sampler: a slot for its speed fractions, which the capacity's Exp(1)
+    weights take as drawn, and two scratch tiles.  Either estimator holds
+    across blocks its Taylor tables and gaps (11 doubles a device).  A
+    capacity block also holds, across blocks, the near draws' moments (5
+    doubles a trial and draw), the sets' far terms (9 a draw) and the
+    folds' grams of each part's design [1, V] (:func:`_fold_solver`), and
+    while sampling the last block's columns V; once the sampler has let go
+    of its slot and tiles, what its average holds: the parts' factor
+    tables on the rule at that SNR (:func:`numerics.hamdi_rule`) with two
+    scratch rows for the extra draws' factors, the block's columns V and
+    designs [1, V], the faded powers of the near draws and 26 more doubles
+    a trial, and the near parts' fold sums of one scenario
     (:func:`_fold_sums`)."""
     coherent = snr is not None
-    sets = _capacity_sizes(devices, paths) if coherent else [(BLOCK_TRIALS, devices, 0, 0)]
+    sets = _capacity_sizes(devices, paths) if coherent else _interference_sizes(devices)
     tiles = [row_tiles(rows, columns * paths)[0].stop * columns * paths
              for rows, columns, _, _ in sets]
-    sampler = max(rows * columns + 2 * tile for (rows, columns, _, _), tile in zip(sets, tiles))
-    held = average = 0
+    sampler = max((rows * columns + 2 * tile for (rows, columns, _, _), tile in zip(sets, tiles)),
+                  default=0)
+    held, average = (len(_TERMS) + 2) * devices, 0
     if coherent:
         near = min(devices, 5)
         extra = sets[0][1] - min(devices, 2 * _TAIL_GAP + 1)
@@ -257,36 +292,34 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
         width = _near_means(paths).size + 1
         grams = _FOLDS * (near * width ** 2 + (sum(p for _, _, p, _ in sets) - near)
                           * (_FAR_WIDTH + 1) ** 2)
-        held = sum(rows * len(_TERMS) for rows, _, _, _ in sets) \
-            + BLOCK_TRIALS * len(_ORDERS) * (near + extra) + (len(_TERMS) + 2) * devices + grams
+        held += sum(rows * len(_TERMS) for rows, _, _, _ in sets) \
+            + BLOCK_TRIALS * len(_ORDERS) * (near + extra) + grams
         sampler += sum(rows * (design - parts) for rows, _, parts, design in sets)
         # the main draws' table has two scratch rows for the extra draws
         average = sum(rows * (parts * nodes + 2 * design) for rows, _, parts, design in sets) \
             + BLOCK_TRIALS * (min(2, extra) * nodes + near + extra + 26) \
             + _FOLDS * near * width * nodes
     draws = sum(rows * columns * (paths + _block_slots(coherent)) for rows, columns, _, _ in sets)
-    return 8 * (draws + 5 * max(tiles) + sum(tiles) + max(sampler, average) + held)
+    return 8 * (draws + 5 * max(tiles, default=0) + sum(tiles) + max(sampler, average) + held)
 
 
 def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
               snr: float | None = None) -> int:
     """Bytes an estimator holds at most for a group of ``scenarios`` over
     ``trials`` trials: what the run keeps per draw, its columns V and each
-    scenario's samples, one a part (the interference's one part of 9
-    columns; the capacity's parts, :func:`_capacity_sizes`, the tail's on
-    its own draws, :func:`_tail_draws`), and the larger of two: a block
+    scenario's samples, one a part (the parts of each draw set,
+    :func:`_interference_sizes`, :func:`_capacity_sizes`, a tail's on its
+    own draws, :func:`_tail_draws`), and the larger of two: a block
     (:func:`block_bytes`, the capacity's with ``snr``) with, for the
     capacity, each scenario's node sums on its rule, the fold sums of
     [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a part, which go
     once the scenario's last block is done; or, after the blocks, the fit:
     the designs [1, V] and 5 doubles a draw and part of one scenario's
     temporaries (:func:`_residuals`)."""
-    if snr is None:
-        sets, nodes = [(trials, 1, len(_TERMS) + 1)], 0
-    else:
-        sets = [(trials if rows == BLOCK_TRIALS else _tail_draws(trials), parts, design)
-                for rows, _, parts, design in _capacity_sizes(devices, paths)]
-        nodes = hamdi_rule(snr)[0].size
+    sizes = _interference_sizes(devices) if snr is None else _capacity_sizes(devices, paths)
+    sets = [(trials if rows == BLOCK_TRIALS else _tail_draws(trials), parts, design)
+            for rows, _, parts, design in sizes]
+    nodes = 0 if snr is None else hamdi_rule(snr)[0].size
     kept = sum(draws * (design - parts + parts * scenarios) for draws, parts, design in sets)
     node_sums = scenarios * nodes * sum(_FOLDS * design + 3 * parts for _, parts, design in sets)
     fit = sum(draws * (design + 5 * parts) for draws, parts, design in sets)
@@ -306,15 +339,13 @@ def _taylor_table(index_gaps: np.ndarray) -> np.ndarray:
     return table
 
 
-def _term_reductions(moments: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """(trials, terms): sum_j table[(p, e), j] (mean_m z_jm^p - E[z^p]) per
-    trial, from the block's path moments (:func:`_device_powers`); each
+def _term_reductions(moments: np.ndarray, table: np.ndarray, out: np.ndarray):
+    """out[t, (p, e)] = sum_j table[(p, e), j] (mean_m z_tjm^p - E[z^p]) per
+    trial t, from the block's path moments (:func:`_device_powers`); each
     column has mean zero.  They do not depend on the scenario."""
-    reductions = np.empty((moments.shape[1], len(_TERMS)))
     for p, mean in zip(_ORDERS, _MOMENT_MEANS):
         terms = _TERM_ORDERS == p
-        reductions[:, terms] = (moments[p - 2] - mean) @ table[terms].T
-    return reductions
+        out[:, terms] = (moments[p - 2] - mean) @ table[terms].T
 
 
 def _path_moments(shift: np.ndarray, tiles, moments: np.ndarray, scratch: np.ndarray):
@@ -355,27 +386,32 @@ def _far_terms(shift: np.ndarray, tiles, weights: np.ndarray, table: np.ndarray,
     out /= paths.size
 
 
-def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool):
-    """Yield ``(k, rows, powers, moments, weights)``: the per-(trial,
-    column) power on the target sub-carrier of scenario k for the trials
-    ``rows``, in a buffer the next step overwrites; the block's per-device
-    path moments mean_m z_m^p, p = 2..6 in ``moments[p - 2]``, or for the
-    capacity ("coherent") the block's columns V of its control variates,
-    a list of the near parts', the mid part's and the tail's
-    (:func:`_near_columns`, :func:`_far_columns`); and the block's Exp(1)
-    weights ("coherent"; 0 for the near devices, :func:`_near_devices`,
-    whose fading the capacity averages and which draw none) or None.
+def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool,
+                   sets=None):
+    """Yield ``(k, rows, powers, variates, weights)`` for scenario k, each
+    but k a list over the block's draw sets: the set's trials ``rows``;
+    its per-(trial, column) power on the target sub-carrier, in a buffer
+    the next step overwrites; its path moments mean_m z_m^p, p = 2..6 in
+    ``variates[s][p - 2]``, or for the capacity ("coherent") the block's
+    columns V of its control variates, a list of the near parts', the mid
+    part's and the tail's (:func:`_near_columns`, :func:`_far_columns`);
+    and its Exp(1) weights ("coherent"; 0 for the near devices,
+    :func:`_near_devices`, whose fading the capacity averages and which
+    draw none) or None.
 
-    For the capacity, ``rows``, ``powers`` and ``weights`` are lists over
-    the block's draw sets (:func:`_capacity_layout`): its main draws, a
-    column for each device within index gap K of the target and then each
-    extra draw of a neighbour at index gap +-1 (:func:`_extra_draws`: that
-    neighbour's gap and no weight), and, if the band has devices beyond
-    index gap K, the tail's draws, a column for each tail device on
-    min(block, 32) rows of their own (:data:`_TAIL_DRAWS`), drawn after the
-    main draws and their weights, so the sampler, the kernel and
-    :func:`_far_terms` see the tail devices on those rows alone.  The
-    arrays held at once are those :func:`block_bytes` counts.
+    A block's first draw set takes every trial of the block, and any after
+    it min(block, 32) rows of their own (:data:`_TAIL_DRAWS`), drawn in
+    turn, so the sampler, the kernel and the moments see its devices on
+    those rows alone.  The capacity's sets are its layout's
+    (:func:`_capacity_layout`): its main draws, a column for each device
+    within index gap K of the target and then each extra draw of a
+    neighbour at index gap +-1 (:func:`_extra_draws`: that neighbour's gap
+    and no weight), and, if the band has devices beyond index gap K, the
+    tail's, drawn after the main draws and their weights.  Else ``sets``
+    gives the columns of each (the interference's,
+    :func:`_interference_layout`: the interferers within index gap K_I of
+    the target, then those beyond), by default one set of every column.
+    The arrays held at once are those :func:`block_bytes` counts.
 
     Each block is drawn once, the weights right after the sampler, and
     evaluated for each scenario in turn, so no value depends on the group.
@@ -404,12 +440,15 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
     devices = len(gaps[0])
     paths = cell.paths_per_device
     spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
-    rows_of = [min(plan.trials, BLOCK_TRIALS)]  # each draw set's rows a block, at most
     if coherent:
         columns, near, owners, tail = _capacity_layout(plan.target_index, devices // 2)
-        index_gaps = subcarrier_gaps(plan.target_index, devices // 2)
         sets = [columns] + [tail] * bool(tail.size)
-        rows_of += [min(plan.trials, _TAIL_DRAWS)] * bool(tail.size)
+    elif sets is None:
+        sets = [np.arange(devices)]
+    # each draw set's rows a block, at most
+    rows_of = [min(plan.trials, BLOCK_TRIALS)] + [min(plan.trials, _TAIL_DRAWS)] * (len(sets) - 1)
+    if coherent:
+        index_gaps = subcarrier_gaps(plan.target_index, devices // 2)
         quiet = near + list(range(columns.size - len(owners), columns.size))  # no weight drawn
         # the columns that draw a weight and, before the extra draws, each
         # set's Taylor table, built on its own far gaps, so that its rows
@@ -421,16 +460,14 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
             table[:, far[:table.shape[1]]] = _taylor_table(index_gaps[s][far])
         near_moments = np.empty((len(_ORDERS), rows_of[0], len(quiet)))
         terms = [np.empty((n, len(_TERMS))) for n in rows_of]
-        gaps = [[gap[s] for s in sets] for gap in gaps]
-    else:
-        gaps = [[gap] for gap in gaps]
+    gaps = [[gap[s] for s in sets] for gap in gaps]
     buffers = [np.empty((_block_slots(coherent), n, len(gap))) for n, gap in zip(rows_of, gaps[0])]
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row
     # broadcast over the short path axis about three times slower
     tile_shapes = [(row_tiles(n, len(gap) * paths)[0].stop, len(gap), paths)
                    for n, gap in zip(rows_of, gaps[0])]
-    workspace = _aligned_empty((4 * max(math.prod(shape) for shape in tile_shapes),))
+    workspace = _aligned_empty((4 * max((math.prod(shape) for shape in tile_shapes), default=0),))
     workspaces = [workspace[:4 * math.prod(shape)].reshape((4,) + shape) for shape in tile_shapes]
     gap_tiles, shared = [], {}
     for scenario_gaps, span in zip(gaps, spans):
@@ -440,7 +477,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
             if span != 0.0 and key not in shared:
                 shared[key] = np.broadcast_to(gap[:, None], shape).copy()
             gap_tiles[-1].append(shared.get(key))
-    del key, shared  # the keys copy the gaps
+    key = shared = None  # the keys copy the gaps
     starts = [0] * len(buffers)
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
@@ -466,7 +503,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
                                                  paths))
             else:
                 _path_moments(shift, tiles, moments, space[0])
-                variates = moments
+                variates.append(moments)
             draws.append((slice(starts[s], starts[s] + n), shift, tiles, powers, weights))
             starts[s] += n
         for k, span in enumerate(spans):
@@ -483,18 +520,46 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
                                           work[:, :n])
                     np.einsum("tdm->td", values, out=powers[rows])
                 powers /= paths
-            if coherent:
-                rows, powers, weights = ([draw[i] for draw in draws] for i in (0, 3, 4))
-                yield k, rows, powers, variates, weights
-            else:
-                rows, _, _, powers, _ = draws[0]
-                yield k, rows, powers, variates, None
-        del draws, shift  # so that a block's draws never overlap the next one's
+            rows, powers, weights = ([draw[i] for draw in draws] for i in (0, 3, 4))
+            yield k, rows, powers, variates, weights
+        draws = shift = None  # so that a block's draws never overlap the next one's
 
 
 # ===========================================================================
 # estimators
 # ===========================================================================
+
+# Each estimator's far devices, its tail, are drawn on _TAIL_DRAWS trials a
+# block, one in L = 8 of a full block, or every trial of a shorter one: 32
+# draws a block keep a tail's fit on (which needs 18 or 24 in the other
+# folds).
+_TAIL_DRAWS = BLOCK_TRIALS // 8
+
+
+def _tail_draws(trials: int) -> int:
+    """A tail's draws over a run of ``trials`` trials."""
+    return sum(min(size, _TAIL_DRAWS) for size in _block_sizes(trials))
+
+
+# The interference splits at index gap K_I = _ICI_TAIL_GAP: the interferers
+# at 1 <= |n| <= K_I are drawn every trial, the tail (|n| > K_I) on
+# _TAIL_DRAWS trials a block.  Once each part's Taylor columns are fitted,
+# the tail holds about 0.6% of the residual variance at fig3's points, so
+# drawing it one trial in 8 leaves the variance 1.04 times that of drawing
+# it every trial (1.08-1.09 at K_I = 2, 1.7-1.8 at 1), yet at N = 24 it is
+# 42 of the 48 interferers.
+_ICI_TAIL_GAP = 3
+
+
+def _interference_layout(target_index: int, half_subcarriers: int) -> list[np.ndarray]:
+    """The interference's draw sets, as columns of the band: the
+    interferers within index gap K_I of the target, then the tail beyond
+    it, each if the band holds any; the target is drawn in neither."""
+    index_gaps = abs(subcarrier_gaps(target_index, half_subcarriers))
+    sets = [np.flatnonzero((index_gaps != 0.0) & (index_gaps <= _ICI_TAIL_GAP)),
+            np.flatnonzero(index_gaps > _ICI_TAIL_GAP)]
+    return [columns for columns in sets if columns.size]
+
 
 def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
                        cell: CellConfig, mob: MobilityModel | list[MobilityModel]
@@ -502,12 +567,20 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     """Monte Carlo mean of the interference power collected on the target
     sub-carrier from the other 2N devices.
 
-    Converges to :func:`analytic.finite_n_ici` at the same N.  Each trial
-    sums the interferers' powers less the fitted columns
-    sum_j n_j^-e (mean_m z_jm^p - E[z^p]) over the interferers, one per
-    term (p, e) of the kernel's Taylor series (:func:`_taylor_table`,
-    :func:`_fitted`); neither needs a quadrature.  A static network gives
-    exactly zero in every trial.
+    Converges to :func:`analytic.finite_n_ici` at the same N.  The
+    interferers fall in two independent parts (:func:`_interference_layout`):
+    those within index gap K_I = 3 of the target, drawn on every trial,
+    and the tail beyond, drawn on 32 trials a block of its own
+    (:data:`_TAIL_DRAWS`), which after the fit holds about 0.6% of the
+    variance while being 42 of the 48 interferers at N = 24.  Each draw of
+    a part sums its interferers' powers less its fitted columns
+    sum_j n_j^-e (mean_m z_jm^p - E[z^p]) over them, one per term (p, e)
+    of the kernel's Taylor series, the part's own table
+    (:func:`_taylor_table`) and folds (:func:`_fitted`); neither needs a
+    quadrature.  The estimate is the sum of the two part means, exactly
+    unbiased, and its standard error sqrt(sum_i var(r_i) / n_i) over the
+    parts' residuals r_i and draw counts n_i (:func:`_std_error`).  A
+    static network, or N = 0, gives exactly zero.
     ``cfg`` and ``mob`` may be equal-length sequences of scenarios sharing
     ``half_subcarriers``; they are evaluated on one set of draws, and the
     result is a list of estimates, each equal to the estimate of its
@@ -516,17 +589,24 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     scenarios, single = _group(cfg, mob)
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
-    target_column = plan.target_index + n
-    table = _taylor_table(subcarrier_gaps(plan.target_index, n))
-    columns = np.empty((plan.trials, 1, len(_TERMS)))
-    samples = [np.empty((plan.trials, 1)) for _ in scenarios]
-    for k, rows, powers, moments, _ in _device_powers(plan, cell, scenarios, gaps, False):
-        if k == 0:
-            columns[rows, 0] = _term_reductions(moments, table)
-        powers[:, target_column] = 0.0
-        samples[k][rows, 0] = powers.sum(axis=1) * scenarios[k][0].effective_power
-    powers = moments = None  # let the last block go before the fit
-    estimates = [_reduce(residuals[:, 0]) for residuals in _fitted(columns, samples)]
+    sets = _interference_layout(plan.target_index, n)
+    index_gaps = subcarrier_gaps(plan.target_index, n)
+    tables = [_taylor_table(index_gaps[s]) for s in sets]
+    draws = [plan.trials, _tail_draws(plan.trials)][:len(sets)]
+    columns = [np.empty((d, 1, len(_TERMS))) for d in draws]
+    samples = [[np.empty((d, 1)) for d in draws] for _ in scenarios]
+    for k, rows, powers, moments, _ in _device_powers(plan, cell, scenarios, gaps, False, sets):
+        for s, (r, p) in enumerate(zip(rows, powers)):
+            if k == 0:
+                _term_reductions(moments[s], tables[s], columns[s][r, 0])
+            samples[k][s][r, 0] = p.sum(axis=1) * scenarios[k][0].effective_power
+    powers = moments = p = None  # let the last block go before the fit
+    fits = [_fitted(c, [parts[s] for parts in samples]) for s, c in enumerate(columns)]
+    estimates = []
+    for _ in scenarios:
+        residuals = [next(fit) for fit in fits]
+        estimates.append(Estimate(math.fsum(r.mean() for r in residuals), _std_error(residuals),
+                                  plan.trials))
     return estimates[0] if single else estimates
 
 
@@ -551,7 +631,8 @@ def _device_estimates(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     (:func:`_fitted`), each device a part."""
     columns = np.empty((plan.trials, len(gaps), len(_ORDERS)))
     samples = np.empty((plan.trials, len(gaps)))
-    for _, rows, powers, moments, _ in _device_powers(plan, cell, [(cfg, mob)], [gaps], False):
+    for _, [rows], [powers], [moments], _ in _device_powers(plan, cell, [(cfg, mob)], [gaps],
+                                                            False):
         columns[rows] = (moments - _MOMENT_MEANS[:, None, None]).transpose(1, 2, 0)
         samples[rows] = powers * cfg.effective_power
     [residuals] = _fitted(columns, [samples])
@@ -584,17 +665,9 @@ def _extra_draws(target: int, devices: int) -> list[int]:
 
 # The capacity's far devices split at index gap K = _TAIL_GAP: the mid part
 # (3 <= |n| <= K) is drawn every trial, the tail (|n| > K) on _TAIL_DRAWS
-# trials a block, one in L = 8 of a full block, or every trial of a shorter
-# one.  On fig4's points the tail holds at most 2e-5-5e-5 of the fitted
-# variance a draw, yet at N = 199 it is 378 of a trial's 419 columns; 32
-# draws a block keep its fit on (which needs 24 in the other folds).
+# trials a block.  On fig4's points the tail holds at most 2e-5-5e-5 of the
+# fitted variance a draw, yet at N = 199 it is 378 of a trial's 419 columns.
 _TAIL_GAP = 10
-_TAIL_DRAWS = BLOCK_TRIALS // 8
-
-
-def _tail_draws(trials: int) -> int:
-    """The capacity tail's draws over a run of ``trials`` trials."""
-    return sum(min(size, _TAIL_DRAWS) for size in _block_sizes(trials))
 
 
 def _capacity_layout(target_index: int, half_subcarriers: int):
@@ -960,14 +1033,8 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         residuals = [np.empty_like(y) for y in ys]
         for (s, local, _), design, beta in zip(groups, designs, betas):
             residuals[s][:, local] = _residuals(design, ys[s][:, local], beta)
-        # the residuals over 2^scale, below 1: exact, and where the capacity
-        # is tiny their squares and the variance then do not underflow; a
-        # draw set of one draw gives no variance
-        scale = int(np.frexp(max(abs(r).max() for r in residuals))[1])
-        variance = sum(np.var(np.ldexp(r, -scale), axis=0, ddof=1).sum() / len(r)
-                       for r in residuals if len(r) > 1)
-        estimates.append(Estimate(LOG2_E * float(mean), LOG2_E * math.ldexp(
-            math.sqrt(variance), scale), plan.trials))
+        estimates.append(Estimate(LOG2_E * float(mean), LOG2_E * _std_error(residuals),
+                                  plan.trials))
     return estimates[0] if single else estimates
 
 

@@ -323,28 +323,36 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
 
 
 @pytest.mark.parametrize("text,outputs,refused", [
-    # montecarlo.block_bytes: 256 trials x (2N + 1) devices x (M paths + 7)
-    # doubles for the interference; for the capacity (M + 3) on each draw
-    # set's columns, its main draws' 21 + 2 (R - 1), R = N // 18, on 256
+    # montecarlo.block_bytes: for the interference (M paths + 7) doubles on
+    # each draw set's columns, the 6 interferers within index gap 3 of the
+    # target on 256 rows and the 2N - 6 beyond on 32; for the capacity
+    # (M + 3) on its main draws' 21 + 2 (R - 1) columns, R = N // 18, on 256
     # rows and its tail's 2N - 20 on 32, 5 doubles a trial and near draw
-    # and 11 a device that it holds across blocks; plus eight tiles, against
-    # 1.75 GiB; montecarlo.run_bytes adds, at 100 trials of 2 grid points,
-    # 11 doubles a trial for the interference, too few to refuse a run whose
-    # block fits, and for the capacity 69 a trial, 14 a tail draw and the
-    # two points' node sums, 629 doubles a node of the rule
-    ("system.half_subcarriers = 30081", "ici_mc", None),   # 1.75 GiB - 29 kB
-    ("system.half_subcarriers = 30082", "ici_mc", "block"),    # 1.75 GiB + 25 kB
-    ("system.half_subcarriers = 57120\ncell.paths_per_device = 1", "ici_mc", None),
-    ("system.half_subcarriers = 57121\ncell.paths_per_device = 1", "ici_mc", "block"),
+    # that it holds across blocks; either 11 a device across blocks, plus
+    # eight tiles, against 1.75 GiB; montecarlo.run_bytes adds, at 100
+    # trials of 2 grid points, 11 doubles a trial and tail draw for the
+    # interference, which refuses two N whose blocks fit, and for the
+    # capacity 69 a trial, 14 a tail draw and the two points' node sums,
+    # 629 doubles a node of the rule
+    ("system.half_subcarriers = 211575", "ici_mc", None),   # run 1.75 GiB - 6.1 kB
+    ("system.half_subcarriers = 211576", "ici_mc", "run"),   # run 1.75 GiB + 2.6 kB
+    ("system.half_subcarriers = 211577", "ici_mc", "run"),   # block 1.75 GiB - 120 B
+    ("system.half_subcarriers = 211578", "ici_mc", "block"),   # 1.75 GiB + 8.6 kB
+    ("system.half_subcarriers = 427034\ncell.paths_per_device = 1", "ici_mc", None),
+    ("system.half_subcarriers = 427035\ncell.paths_per_device = 1", "ici_mc", "run"),
+    ("system.half_subcarriers = 427036\ncell.paths_per_device = 1", "ici_mc", "run"),
+    ("system.half_subcarriers = 427037\ncell.paths_per_device = 1", "ici_mc", "block"),
     ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.31 GiB
     ("system.half_subcarriers = 183167", "capacity_mc", None),   # 1.75 GiB - 56 kB
     ("system.half_subcarriers = 183168", "capacity_mc", "run"),    # 1.75 GiB + 12 kB
     ("system.half_subcarriers = 183225", "capacity_mc", "run"),
     ("system.half_subcarriers = 183226", "capacity_mc", "block"),   # 1.75 GiB + 1.3 kB
-    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", "block"),
-    ("system.half_subcarriers = 32768", "ici_mc", "block"),
-    ("system.half_subcarriers = 8192\ncell.paths_per_device = 64", "ici_mc", "block"),
-    ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 40000", "ici_mc",
+    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.27 and 0.31 GiB
+    ("system.half_subcarriers = 183226", "ici_mc", None),   # 1.52 GiB
+    ("system.half_subcarriers = 183226", "ici_mc, capacity_mc", "block"),
+    ("system.half_subcarriers = 41995\ncell.paths_per_device = 64", "ici_mc", None),
+    ("system.half_subcarriers = 41996\ncell.paths_per_device = 64", "ici_mc", "block"),
+    ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 250000", "ici_mc",
      "block"),
 ])
 def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, outputs, refused):
@@ -452,13 +460,13 @@ TWO_CARRIERS = ("curve.a.system.carrier_frequency_hz = 9e8\n"
     (AXIS + GRID + "sweep.outputs = capacity_mc\nmc.trials = 300\nsystem.noise_variance = 0\n"
      + TWO_CARRIERS, "system.noise_variance: the noise power is 0"),
     (AXIS + GRID + "sweep.outputs = ici_mc\nmc.trials = 300\nsystem.bandwidth_hz = 0\n"
-     "system.half_subcarriers = 40000\n" + TWO_CARRIERS,
-     "system.half_subcarriers, cell.paths_per_device: 80001 devices x 8 paths"),
+     "system.half_subcarriers = 250000\n" + TWO_CARRIERS,
+     "system.half_subcarriers, cell.paths_per_device: 500001 devices x 8 paths"),
     (AXIS + GRID + OUTS + "mc.target_index = 10\nsystem.half_subcarriers = 5\n" + TWO_CARRIERS,
      "system.half_subcarriers: mc.target_index = 10 outside"),
     (AXIS + GRID + "sweep.outputs = ici_mc\nmc.trials = 300\nsystem.bandwidth_hz = 0\n"
-     "curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 40000\n",
-     "curve 'b': curve.b.system.half_subcarriers, cell.paths_per_device: 80001 devices"),
+     "curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 250000\n",
+     "curve 'b': curve.b.system.half_subcarriers, cell.paths_per_device: 500001 devices"),
     (AXIS + "sweep.grid = 0, 1e10\nsweep.outputs = ici_exact\n"
      "system.carrier_frequency_hz = 1e300\n"
      "curve.a.system.effective_power = 1\ncurve.b.system.effective_power = 2\n",
