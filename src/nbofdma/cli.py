@@ -22,6 +22,7 @@ from pathlib import Path
 from . import __version__
 from .analytic import (
     _USEFUL_SPEC,
+    _leakage_multi,
     NormalizedDoppler,
     approx_is_valid,
     approx_validity_threshold,
@@ -40,7 +41,7 @@ from .montecarlo import (TrialPlan, estimate_ergodic_capacity, estimate_total_ic
 from .numerics import QuadratureError
 from .sweep import (ConfigError, _snr_to_noise, emit, parse_config, preset_path,
                     run_sweep, to_text)
-from .sysmodel import CellConfig, MobilityModel, SystemConfig
+from .sysmodel import CellConfig, MobilityModel, SystemConfig, subcarrier_gaps
 
 __all__ = ["main"]
 
@@ -269,6 +270,17 @@ def _cmd_check(args) -> int:
         rel = max(rel, abs(useful - route_b) / useful)
     record("dual-route-consistency", rel <= 1e-9, f"max relative gap {rel:.3e}")
 
+    # finite_n_ici takes its power series at these speeds: it must meet the
+    # quadrature it takes above the series' cut-off
+    gaps = subcarrier_gaps(0, cfg.half_subcarriers, cfg.spacing_symbol_product)
+    ok, rel = True, 0.0
+    for v in speeds:
+        quadrature = cfg.effective_power * _leakage_multi(gaps[gaps != 0], v, cfg)
+        gap = abs(finite_n_ici(0, v, cfg) - quadrature)
+        ok = ok and gap <= 1e-12 * quadrature
+        rel = max(rel, gap / quadrature if quadrature else gap)
+    record("ici-series-agreement", ok, f"max relative gap {rel:.3e}")
+
     # identical seeds must reproduce the estimate bit for bit, and a group
     # that shares its draws must give each scenario's estimate alone
     plan = TrialPlan(trials=args.trials, seed=args.seed)
@@ -280,11 +292,11 @@ def _cmd_check(args) -> int:
     ok = first == second and group == [first, estimate_total_ici(plan, cfg, cell, faster)]
     record("mc-determinism", ok, f"mean {first.mean:.6e}, alone and in a group of two")
 
-    # the simulator and the quadrature must agree on the interference
+    # the simulator and the exact interference must agree
     exact = finite_n_ici(0, mob.max_velocity_mps, cfg)
     gap = abs(first.mean - exact)
     ok = gap <= 4.0 * first.std_error
-    record("mc-agreement", ok, f"|mc - quadrature| {gap:.3e}, 4 stderr "
+    record("mc-agreement", ok, f"|mc - exact| {gap:.3e}, 4 stderr "
                                f"{4.0 * first.std_error:.3e}")
 
     # and on the useful power, whose standard error the variates bring near

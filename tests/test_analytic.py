@@ -29,7 +29,7 @@ from nbofdma.analytic import (
     total_ici_power,
 )
 from nbofdma.numerics import QuadratureError, integrate, sinc_squared
-from nbofdma.sysmodel import SystemConfig
+from nbofdma.sysmodel import SystemConfig, subcarrier_gaps
 
 CFG = SystemConfig()                                   # 900 MHz, 2.5 kHz
 CFG_3GHZ = SystemConfig(carrier_frequency_hz=3e9)
@@ -222,26 +222,37 @@ def test_leakage_agrees_with_useful_power_route():
     assert abs(useful - via_leakage) / useful <= 1e-9
 
 
-# float.hex of the quadrature itself: finite_n_ici at 900 MHz, 50 m/s, N=24
-# (beta = 0.06), at 3 GHz, 100 m/s, 500 Hz, N=199 (beta = 2, where the
-# kernel reduces its offsets), and leakage(0) at 1000 m/s (beta = 1.2).  Any
-# change to how the kernel evaluates the integrand must keep these bits.
+# float.hex of the quadrature itself: the interference's quadrature route at
+# 900 MHz, 50 m/s, N=24 (beta = 0.06, where finite_n_ici takes the series),
+# finite_n_ici at 3 GHz, 100 m/s, 500 Hz, N=199 (beta = 2, where the kernel
+# reduces its offsets), and leakage(0) at 1000 m/s (beta = 1.2).  Any change
+# to how the kernel evaluates the integrand must keep these bits.
 LEAKAGE_PINNED = {
     "finite_n_ici_900mhz_50": "0x1.f79490618ded3p-10",  # 0.00192101
     "finite_n_ici_3ghz_100_n199": "0x1.1b621ee62b0f0p-1",  # 0.553483
     "leakage_0_at_1000": "0x1.370e7c780bff9p-1",  # 0.607532
 }
+# float.hex of finite_n_ici's power series at the first point
+SERIES_PINNED = "0x1.f79490618ded9p-10"
+
+
+def ici_gaps(target: int, n: int, q: int = 1) -> np.ndarray:
+    """The whole-number gaps |j - target| q != 0 of the 2N interferers, sorted."""
+    gaps = subcarrier_gaps(target, n, q)
+    return np.sort(np.abs(gaps[gaps != 0]))
 
 
 def test_leakage_keeps_its_pinned_bits():
     cfg_3ghz = SystemConfig(carrier_frequency_hz=3e9, subcarrier_spacing_hz=500.0,
                             half_subcarriers=199)
     got = {
-        "finite_n_ici_900mhz_50": finite_n_ici(0, 50.0, CFG),
+        "finite_n_ici_900mhz_50":
+            CFG.effective_power * analytic._leakage_multi(ici_gaps(0, 24), 50.0, CFG),
         "finite_n_ici_3ghz_100_n199": finite_n_ici(0, 100.0, cfg_3ghz),
         "leakage_0_at_1000": leakage(0.0, 1000.0, CFG),
     }
     assert {name: value.hex() for name, value in got.items()} == LEAKAGE_PINNED
+    assert finite_n_ici(0, 50.0, CFG).hex() == SERIES_PINNED
 
 
 @pytest.mark.parametrize("fc,v", sorted(T_FORM_ORACLE))
@@ -253,6 +264,99 @@ def test_leakage_matches_t_form_oracle(fc, v):
         cfg_n = SystemConfig(carrier_frequency_hz=fc, half_subcarriers=n)
         for i in (0, n):
             assert finite_n_ici(i, v, cfg_n) == pytest.approx(expected[(n, i)], rel=1e-12)
+
+
+def series_oracle(gaps, spans):
+    """E[sum_j sinc^2(g_j + x s)] at each span x to 30 digits: the power
+    series of analytic._ici_series summed in mpmath, with exact power sums,
+    until two terms in a row fall below 1e-34 of the sum at the largest x."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        inverse = [mpmath.mpf(1) / int(g) ** 2 for g in gaps]
+        squares = [mpmath.mpf(x) ** 2 for x in spans]
+        top = max(squares)
+        sine = []  # c_a / pi^2 of sin^2(pi y) = sum_a c_a y^2a
+        sums, powers = [], list(inverse)  # Z_2, Z_4, ...
+        coefficients, total, small = [], mpmath.mpf(0), 0
+        while small < 2:
+            k = len(coefficients) + 1
+            sine.append((-1) ** (k + 1) * mpmath.mpf(2) ** (2 * k - 1)
+                        * mpmath.pi ** (2 * k - 2) / mpmath.factorial(2 * k))
+            sums.append(mpmath.fsum(powers))
+            powers = [p * w for p, w in zip(powers, inverse)]
+            moment = mpmath.mpf(math.comb(2 * k, k)) / (4 ** k * (2 * k + 1))
+            coefficients.append(moment * mpmath.fsum(
+                sine[a - 1] * (2 * (k - a) + 1) * sums[k - a] for a in range(1, k + 1)))
+            term = coefficients[-1] * top ** k
+            total += term
+            small = small + 1 if abs(term) < mpmath.mpf(10) ** -34 * abs(total) else 0
+        return [mpmath.fsum(c * x2 ** (k + 1) for k, c in enumerate(coefficients))
+                for x2 in squares]
+
+
+def test_ici_series_matches_the_t_form_oracle():
+    # T_FORM_ORACLE's beta = 0.12 rows are 30-digit quadratures of the
+    # defining t-form, so they check the series' derivation, and the oracle
+    # above, independently of both routes; the oracle at exactly 0.12 meets
+    # them to their rounding to double
+    expected = T_FORM_ORACLE[(900e6, 100.0)]
+    for n in (2, 24):
+        cfg = SystemConfig(half_subcarriers=n)
+        for i in (0, n):
+            [oracle] = series_oracle(ici_gaps(i, n), ["0.12"])
+            assert abs(oracle / expected[(n, i)] - 1) <= 2.0 ** -53
+            assert finite_n_ici(i, 100.0, cfg) == pytest.approx(expected[(n, i)], rel=1e-14)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 24, 199])
+def test_ici_series_matches_mpmath_up_to_its_cut_off(n, q):
+    # up to its cut-off the series stays within 1e-14 of the oracle; it
+    # reads 1.0e-14 at x = 1.0, N = 1, q = 1
+    spans = [0.01, 0.06, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, analytic._SERIES_MAX_SPAN]
+    for target in (0, n):
+        gaps = ici_gaps(target, n, q)
+        for x, oracle in zip(spans, series_oracle(gaps, spans)):
+            assert abs(analytic._ici_series(gaps, x) / oracle - 1) <= 1e-14, (target, x)
+
+
+@pytest.mark.parametrize("span", [0.4, 0.9, 0.99, 1.0, 1.02])
+def test_ici_series_meets_the_quadrature_across_its_cut_off(span):
+    # below the cut-off finite_n_ici is the series, above it the quadrature,
+    # and the two agree on both sides to the quadrature's requested 1e-12
+    for n, target in ((1, 0), (24, 0), (24, 24)):
+        cfg = SystemConfig(half_subcarriers=n)
+        v = span / cfg.doppler_span(1.0)
+        x = cfg.doppler_span(v)
+        gaps = ici_gaps(target, n)
+        series = analytic._ici_series(gaps, x)
+        quadrature = analytic._leakage_multi(gaps, v, cfg)
+        assert series == pytest.approx(quadrature, rel=1e-12)
+        route = series if x <= analytic._SERIES_MAX_SPAN else quadrature
+        assert finite_n_ici(target, v, cfg) == route
+
+
+def test_finite_n_ici_integrates_only_above_the_cut_off(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "integrate", counted)
+    # fig3's 20 moving points (x = 0.012 to 0.4), and the cut-off itself
+    for fc in (900e6, 3e9):
+        cfg = SystemConfig(carrier_frequency_hz=fc)
+        for v in range(10, 101, 10):
+            finite_n_ici(0, float(v), cfg)
+    cut_off = analytic._SERIES_MAX_SPAN / CFG.doppler_span(1.0)
+    assert CFG.doppler_span(cut_off) <= analytic._SERIES_MAX_SPAN
+    finite_n_ici(24, cut_off, CFG)
+    assert calls == []
+    # x = 1.2: one quadrature on each of the leakage's panels
+    finite_n_ici(0, 1000.0, CFG)
+    panels = analytic._LEAKAGE_PANELS
+    assert calls == list(zip(panels, panels[1:]))
 
 
 def test_leakage_agrees_with_useful_power_route_at_beta_1000():
@@ -328,7 +432,9 @@ def test_leakage_sum_with_sparse_grid_stays_short():
 
 def test_finite_n_ici_properties():
     cfg_n0 = SystemConfig(half_subcarriers=0)
-    assert finite_n_ici(0, 100.0, cfg_n0) == 0.0
+    # exact zeros, not -0.0
+    assert finite_n_ici(0, 100.0, cfg_n0).hex() == "0x0.0p+0"
+    assert finite_n_ici(0, 0.0, CFG).hex() == "0x0.0p+0"
     vals = [finite_n_ici(0, 100.0, SystemConfig(half_subcarriers=n))
             for n in (4, 12, 24)]
     assert all(a < b for a, b in zip(vals, vals[1:]))

@@ -104,6 +104,7 @@ def test_check_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+    assert "PASS  ici-series-agreement" in out
     assert "PASS  mc-agreement" in out
     assert "PASS  useful-agreement" in out
     assert "PASS  capacity-bound" in out
@@ -149,6 +150,18 @@ def test_check_flags_a_capacity_above_its_bound(monkeypatch, capsys):
     assert main(["check", "--trials", "512"]) == 2
     out = capsys.readouterr().out
     assert "FAIL  capacity-bound" in out
+    assert out.count("FAIL") == 1
+
+
+def test_check_flags_a_series_off_the_quadrature(monkeypatch, capsys):
+    # 1e-11 off: far inside the simulator's standard error, ten times the
+    # series' tolerance against the quadrature
+    def drifted(subcarrier_index, max_velocity_mps, cfg):
+        return finite_n_ici(subcarrier_index, max_velocity_mps, cfg) * (1.0 + 1e-11)
+    monkeypatch.setattr(cli, "finite_n_ici", drifted)
+    assert main(["check", "--trials", "512"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  ici-series-agreement" in out
     assert out.count("FAIL") == 1
 
 
