@@ -235,7 +235,9 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # capacity draws its neighbours at index gap +-1 more than once (R = 11);
 # it and the default band (N = 24) draw a tail beyond index gap 10, which
 # the 3 GHz edge pin (N = 5, index gaps -1..9) does not.  Both interference
-# pins draw a tail beyond index gap 3
+# pins draw a tail beyond index gap 3.  The one-path pin keeps 5 near
+# columns a part, not 9; at N = 2 the capacity has no mid part and no tail,
+# and the interference no tail
 PINNED = {
     "ici": ("0x1.f47f874bc89dap-8", "0x1.c39470393c323p-33"),  # 0.007637 +- 2.05e-10
     "ici_edge_3ghz": ("0x1.3578814943b26p-7", "0x1.ecf8264774297p-30"),  # 0.0094443 +- 1.79e-09
@@ -245,6 +247,9 @@ PINNED = {
     "capacity_500hz": ("0x1.35f39c53e35adp+1", "0x1.f1d8829b9dd0ep-12"),  # 2.4215 +- 0.000475
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
+    "capacity_one_path": ("0x1.4bb2e74aa47b8p+2", "0x1.58867b723ace3p-13"),  # 5.18279 +- 0.000164
+    "capacity_n2": ("0x1.535d438568daap+2", "0x1.a6eaffcb86866p-14"),  # 5.30257 +- 0.000101
+    "ici_n2": ("0x1.8754b4301fdb3p-8", "0x1.ca5656a48bbd3p-33"),  # 0.00597124 +- 2.08e-10
 }
 
 
@@ -255,6 +260,7 @@ def test_estimates_keep_their_pinned_bits():
     cell3 = CellConfig(paths_per_device=3)
     mob3 = MobilityModel(max_velocity_mps=37.5)
     cfg500 = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
+    cfg2 = SystemConfig(half_subcarriers=2)
     onto_a, onto_b = symmetry_probe(0, 3, plan, CFG, CELL, MOB)
     got = {
         "ici": estimate_total_ici(plan, CFG, CELL, MOB),
@@ -265,6 +271,9 @@ def test_estimates_keep_their_pinned_bits():
         "capacity_500hz": estimate_ergodic_capacity(plan, cfg500, CELL, MOB),
         "symmetry_a": onto_a,
         "symmetry_b": onto_b,
+        "capacity_one_path": estimate_ergodic_capacity(plan, CFG, CellConfig(1), MOB),
+        "capacity_n2": estimate_ergodic_capacity(plan, cfg2, CELL, MOB),
+        "ici_n2": estimate_total_ici(plan, cfg2, CELL, MOB),
     }
     assert {name: (est.mean.hex(), est.std_error.hex()) for name, est in got.items()} \
         == PINNED
