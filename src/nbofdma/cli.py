@@ -197,6 +197,9 @@ def _cmd_analytic(args) -> int:
     small = ("ici_lower_bound", "ici_upper_bound", "ici_small_velocity_approx",
              "capacity_upper_approx_bits")
     valid = approx_is_valid(v_max, cfg)
+    # the leakage refuses a span beyond its budget at once, so it goes before
+    # the useful power's quadrature, which has no such budget
+    finite = finite_n_ici(0, v_max, cfg)
     report = [
         ("normalized_doppler", doppler),
         ("approx_validity_threshold_mps", approx_validity_threshold(cfg)),
@@ -205,7 +208,7 @@ def _cmd_analytic(args) -> int:
         ("ici_lower_bound", bounds.lower),
         ("ici_upper_bound", bounds.upper),
         ("ici_small_velocity_approx", ici_approx(v_max, cfg)),
-        ("ici_finite_n", finite_n_ici(0, v_max, cfg)),
+        ("ici_finite_n", finite),
         ("capacity_upper_bits", capacity_upper(v_max, cfg)),
         ("capacity_upper_approx_bits", capacity_upper_approx(v_max, cfg)),
         ("sum_rate_upper_bps", sum_rate_upper(v_max, cfg)),

@@ -1,11 +1,13 @@
 """Seeded Monte Carlo estimators that validate the closed-form analytics.
 
 Randomness policy: trials are grouped in fixed blocks of 256, and block k of
-a run draws from ``SeedSequence(entropy=seed, spawn_key=(k,))``.  Draws
-inside a block happen in one fixed array order and do not depend on the
-scenario (the draw sets of the interference and the capacity, the
-capacity's extra draws of its +-1 neighbours and the rows of each tail
-depend on the sub-carrier count, the target and the block alone), so
+a run draws from ``SeedSequence(entropy=seed, spawn_key=(k,))``.  Each
+estimator lays its devices out as draw sets (:func:`_layout`): a set's band
+columns, its rows a block (every trial, or 32 for a tail,
+:data:`_TAIL_DRAWS`), the columns that draw an Exp(1) weight, and its
+parts, each with the builder of its control-variate columns V and its
+Taylor table.  A block draws its sets in turn, in one fixed array order
+that depends on the sub-carrier count, the target and the block alone, so
 every scenario of a plan reads the same random numbers: the ICI and
 capacity estimators take a group of scenarios sharing the sub-carrier
 count and draw each block once for the whole group.  Estimates are
@@ -13,20 +15,19 @@ bit-reproducible for a given (plan, configs) and do not depend on the
 group a scenario is evaluated in or on how blocks might be spread over
 workers.  Every estimator keeps a value per draw and part and reduces its
 residuals once the folds' slopes are fitted; the capacity also keeps, per
-scenario, part and fold, the sums on its rule's nodes from which its part
-means are controlled, which do not grow with the trials.  Independent
-parts need not share their draws: the interferers beyond index gap 3 and
-the capacity's devices beyond index gap 10, each estimator's tail, are
-drawn on 32 trials a block (:data:`_TAIL_DRAWS`), and each of the
-capacity's +-1 neighbours R times a trial (:func:`estimate_total_ici`,
-:func:`estimate_ergodic_capacity`).
+scenario and part, the fold sums on its rule's nodes from which its part
+means are controlled, which do not grow with the trials.  The bytes a
+block and a run hold are counted from the same records
+(:func:`block_bytes`, :func:`run_bytes`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -205,13 +206,6 @@ def _near_means(paths: int) -> np.ndarray:
     return means
 
 
-def _block_slots(coherent: bool) -> int:
-    """(trials, devices) slots of the buffer of :func:`_device_powers`: the
-    powers and the path moments p = 2..6, or for the capacity ("coherent")
-    the powers and the Exp(1) weights."""
-    return 2 if coherent else 1 + len(_ORDERS)
-
-
 def _aligned_empty(shape) -> np.ndarray:
     """An uninitialised float array of ``shape`` starting on a 64-byte
     boundary: numpy aligns to 16 bytes, and on a 2-core AMD EPYC a kernel
@@ -220,110 +214,6 @@ def _aligned_empty(shape) -> np.ndarray:
     raw = np.empty(size + 8)
     start = -raw.ctypes.data % 64 // 8
     return raw[start:start + size].reshape(shape)
-
-
-def _capacity_sizes(devices: int, paths: int):
-    """[(rows, columns, parts, doubles)] of each draw set of a capacity
-    block over ``devices`` devices of ``paths`` paths at a centred target,
-    which holds the most (:func:`_capacity_layout`): its rows and columns a
-    block, and its parts and the doubles a draw of their designs [1, V].
-    The main draws hold the devices within index gap K and the extra draws
-    (:func:`_extra_draws`), and their parts are five near parts
-    (:func:`_near_devices`) of 9 columns (5 at one path, :func:`_near_means`)
-    and the mid part of 12 (:func:`_far_columns`), if the band holds far
-    devices; the tail's draws, if it holds devices beyond index gap K,
-    hold those on :data:`_TAIL_DRAWS` rows, one part of 12."""
-    band = min(devices, 2 * _TAIL_GAP + 1)
-    near, mid = min(devices, 5), int(devices > 5)
-    sets = [(BLOCK_TRIALS, band + 2 * (_neighbour_draws(devices // 2) - 1), near + mid,
-             near * (_near_means(paths).size + 1) + mid * (_FAR_WIDTH + 1))]
-    if devices > band:
-        sets.append((_TAIL_DRAWS, devices - band, 1, _FAR_WIDTH + 1))
-    return sets
-
-
-def _interference_sizes(devices: int):
-    """[(rows, columns, parts, doubles)] of each draw set of an
-    interference block over ``devices`` devices at a centred target, which
-    holds the most (:func:`_interference_layout`), as
-    :func:`_capacity_sizes` gives them: the interferers within index gap
-    K_I on 256 rows and, if the band holds any, those beyond on
-    :data:`_TAIL_DRAWS` rows, each set one part of 9 columns (10 doubles a
-    draw of its design [1, V])."""
-    near = min(devices - 1, 2 * _ICI_TAIL_GAP)
-    return [(rows, columns, 1, len(_TERMS) + 1)
-            for rows, columns in ((BLOCK_TRIALS, near), (_TAIL_DRAWS, devices - 1 - near))
-            if columns]
-
-
-def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
-    """Bytes of the arrays :func:`_device_powers` holds at once for
-    ``devices`` devices of ``paths`` paths sharing one gap vector, draw set
-    by draw set (a capacity ("coherent") block's main draws and tail, with
-    ``snr`` its P_T over the noise, :func:`_capacity_sizes`; else the
-    interference's, :func:`_interference_sizes`): a block's draws and the
-    (rows, columns) slots of its buffer; the kernel's four workspace tiles
-    and one more for its centre mask and the per-device vectors, of the
-    larger set's tile, and a gap tile a set; and the larger set's
-    sampler: a slot for its speed fractions, which the capacity's Exp(1)
-    weights take as drawn, and two scratch tiles.  Either estimator holds
-    across blocks its Taylor tables and gaps (11 doubles a device).  A
-    capacity block also holds, across blocks, the near draws' moments (5
-    doubles a trial and draw), the sets' far terms (9 a draw) and the
-    folds' grams of each part's design [1, V] (:func:`_fold_solver`), and
-    while sampling the last block's columns V; once the sampler has let go
-    of its slot and tiles, what its average holds: the parts' factor
-    tables on the rule at that SNR (:func:`numerics.hamdi_rule`) with two
-    scratch rows for the extra draws' factors, the block's columns V and
-    designs [1, V], the faded powers of the near draws and 26 more doubles
-    a trial, and the near parts' fold sums of one scenario
-    (:func:`_fold_sums`)."""
-    coherent = snr is not None
-    sets = _capacity_sizes(devices, paths) if coherent else _interference_sizes(devices)
-    tiles = [row_tiles(rows, columns * paths)[0].stop * columns * paths
-             for rows, columns, _, _ in sets]
-    sampler = max((rows * columns + 2 * tile for (rows, columns, _, _), tile in zip(sets, tiles)),
-                  default=0)
-    held, average = (len(_TERMS) + 2) * devices, 0
-    if coherent:
-        near = min(devices, 5)
-        extra = sets[0][1] - min(devices, 2 * _TAIL_GAP + 1)
-        nodes = hamdi_rule(snr)[0].size
-        width = _near_means(paths).size + 1
-        grams = _FOLDS * (near * width ** 2 + (sum(p for _, _, p, _ in sets) - near)
-                          * (_FAR_WIDTH + 1) ** 2)
-        held += sum(rows * len(_TERMS) for rows, _, _, _ in sets) \
-            + BLOCK_TRIALS * len(_ORDERS) * (near + extra) + grams
-        sampler += sum(rows * (design - parts) for rows, _, parts, design in sets)
-        # the main draws' table has two scratch rows for the extra draws
-        average = sum(rows * (parts * nodes + 2 * design) for rows, _, parts, design in sets) \
-            + BLOCK_TRIALS * (min(2, extra) * nodes + near + extra + 26) \
-            + _FOLDS * near * width * nodes
-    draws = sum(rows * columns * (paths + _block_slots(coherent)) for rows, columns, _, _ in sets)
-    return 8 * (draws + 5 * max(tiles, default=0) + sum(tiles) + max(sampler, average) + held)
-
-
-def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
-              snr: float | None = None) -> int:
-    """Bytes an estimator holds at most for a group of ``scenarios`` over
-    ``trials`` trials: what the run keeps per draw, its columns V and each
-    scenario's samples, one a part (the parts of each draw set,
-    :func:`_interference_sizes`, :func:`_capacity_sizes`, a tail's on its
-    own draws, :func:`_tail_draws`), and the larger of two: a block
-    (:func:`block_bytes`, the capacity's with ``snr``) with, for the
-    capacity, each scenario's node sums on its rule, the fold sums of
-    [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a part, which go
-    once the scenario's last block is done; or, after the blocks, the fit:
-    the designs [1, V] and 5 doubles a draw and part of one scenario's
-    temporaries (:func:`_residuals`)."""
-    sizes = _interference_sizes(devices) if snr is None else _capacity_sizes(devices, paths)
-    sets = [(trials if rows == BLOCK_TRIALS else _tail_draws(trials), parts, design)
-            for rows, _, parts, design in sizes]
-    nodes = 0 if snr is None else hamdi_rule(snr)[0].size
-    kept = sum(draws * (design - parts + parts * scenarios) for draws, parts, design in sets)
-    node_sums = scenarios * nodes * sum(_FOLDS * design + 3 * parts for _, parts, design in sets)
-    fit = sum(draws * (design + 5 * parts) for draws, parts, design in sets)
-    return 8 * (kept + max(block_bytes(devices, paths, snr) // 8 + node_sums, fit))
 
 
 def _taylor_table(index_gaps: np.ndarray) -> np.ndarray:
@@ -341,17 +231,20 @@ def _taylor_table(index_gaps: np.ndarray) -> np.ndarray:
 
 def _term_reductions(moments: np.ndarray, table: np.ndarray, out: np.ndarray):
     """out[t, (p, e)] = sum_j table[(p, e), j] (mean_m z_tjm^p - E[z^p]) per
-    trial t, from the block's path moments (:func:`_device_powers`); each
+    trial t, from the block's path moments (:func:`_path_moments`); each
     column has mean zero.  They do not depend on the scenario."""
     for p, mean in zip(_ORDERS, _MOMENT_MEANS):
         terms = _TERM_ORDERS == p
         out[:, terms] = (moments[p - 2] - mean) @ table[terms].T
 
 
-def _path_moments(shift: np.ndarray, tiles, moments: np.ndarray, scratch: np.ndarray):
-    """moments[p - 2] = mean_m z_m^p, p = 2..6, of each (trial, device) of
-    the block ``shift``, tile by tile in ``scratch``, so that no
-    block-sized z^p is formed."""
+def _path_moments(part, shift: np.ndarray, tiles, work: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
+    """(5, trials, columns): mean_m z_m^p, p = 2..6, of each (trial, column)
+    of ``part``'s columns of the block ``shift``, in ``work``, tile by tile
+    in ``scratch``, so that no block-sized z^p is formed."""
+    shift = shift[:, part.columns]
+    moments = work.reshape(len(_ORDERS), len(shift), -1)
     for rows in tiles:
         z = shift[rows]
         np.einsum("tdm,tdm->td", z, z, out=moments[0, rows])
@@ -360,173 +253,11 @@ def _path_moments(shift: np.ndarray, tiles, moments: np.ndarray, scratch: np.nda
             power *= z
             np.einsum("tdm->td", power, out=moment[rows])
     moments /= shift.shape[2]
-
-
-def _far_terms(shift: np.ndarray, tiles, weights: np.ndarray, table: np.ndarray,
-               scratch: np.ndarray, out: np.ndarray):
-    """out[t, (p, e)] = sum_j table[(p, e), j] w_tj mean_m z_tjm^p for each
-    term (p, e) of :data:`_TERMS`, w the block's Exp(1) ``weights``, from
-    the block ``shift``: each order's moments are formed a tile at a time
-    in ``scratch[1]`` (z^p in ``scratch[0]``) and reduced at once, so that
-    no block-sized moment is held."""
-    paths = np.ones(shift.shape[2])
-    orders = [(p, _TERM_ORDERS == p, table[_TERM_ORDERS == p]) for p in _ORDERS]
-    for rows in tiles:
-        z = shift[rows]
-        n, devices = z.shape[:2]
-        power = np.multiply(z, z, out=scratch[0, :n, :devices])
-        moment = scratch[1].reshape(-1)[:n * devices].reshape(n, devices)
-        for p, terms, weights_of_terms in orders:
-            if p > 2:
-                power *= z
-            np.matmul(power, paths, out=moment)  # twice as fast as einsum here
-            moment *= weights[rows]
-            # one product a trial, so that no value depends on the tile
-            out[rows, terms] = (weights_of_terms @ moment[..., None])[..., 0]
-    out /= paths.size
-
-
-def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent: bool,
-                   sets=None):
-    """Yield ``(k, rows, powers, variates, weights)`` for scenario k, each
-    but k a list over the block's draw sets: the set's trials ``rows``;
-    its per-(trial, column) power on the target sub-carrier, in a buffer
-    the next step overwrites; its path moments mean_m z_m^p, p = 2..6 in
-    ``variates[s][p - 2]``, or for the capacity ("coherent") the block's
-    columns V of its control variates, a list of the near parts', the mid
-    part's and the tail's (:func:`_near_columns`, :func:`_far_columns`);
-    and its Exp(1) weights ("coherent"; 0 for the near devices,
-    :func:`_near_devices`, whose fading the capacity averages and which
-    draw none) or None.
-
-    A block's first draw set takes every trial of the block, and any after
-    it min(block, 32) rows of their own (:data:`_TAIL_DRAWS`), drawn in
-    turn, so the sampler, the kernel and the moments see its devices on
-    those rows alone.  The capacity's sets are its layout's
-    (:func:`_capacity_layout`): its main draws, a column for each device
-    within index gap K of the target and then each extra draw of a
-    neighbour at index gap +-1 (:func:`_extra_draws`: that neighbour's gap
-    and no weight), and, if the band has devices beyond index gap K, the
-    tail's, drawn after the main draws and their weights.  Else ``sets``
-    gives the columns of each (the interference's,
-    :func:`_interference_layout`: the interferers within index gap K_I of
-    the target, then those beyond), by default one set of every column.
-    The arrays held at once are those :func:`block_bytes` counts.
-
-    Each block is drawn once, the weights right after the sampler, and
-    evaluated for each scenario in turn, so no value depends on the group.
-    Path m of a device shifts by d_m = x z_m, x = V_max f_c T_s / c the
-    scenario's span (:meth:`SystemConfig.doppler_span`) and z_m = u cos psi_m
-    the scenario-free shift (:func:`sysmodel.sample_cell_batch`, the one
-    place that forms it); since |z| < 1 and rounding is monotone, every
-    |fl(x z)| is within x.  The mean over paths of sinc(gap + d_m)^2 is a
-    device's expected power given its shifts; times its weight it follows
-    the law of the squared complex path sum.  ``gaps[k]`` holds scenario
-    k's integer sub-carrier distances scaled by T_s * df, so a static
-    network cancels exactly.  The kernel is sized to each scenario's own
-    span (:func:`numerics.sinc_squared`), a static scenario skips it for
-    the exact values it would return, and each row's path sum is taken
-    within its tile, so neither the group nor the tile size changes a
-    value.  The kernel runs in a workspace allocated once per call: the
-    offsets, output and scratch tiles, sized to the larger draw set's, and
-    one (rows, columns, paths) gap tile per draw set and distinct gap
-    vector.  The moments are taken tile by tile in the offsets tile, so no
-    block-sized z^p is ever formed.
-
-    Every estimator subtracts zero-mean columns of these moments (centred
-    by :data:`_MOMENT_MEANS`) times cross-fitted slopes (Glasserman 2003,
-    section 4.1; :func:`_fold_solver`), part by part (:func:`_fitted`).
-    """
-    devices = len(gaps[0])
-    paths = cell.paths_per_device
-    spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
-    if coherent:
-        columns, near, owners, tail = _capacity_layout(plan.target_index, devices // 2)
-        sets = [columns] + [tail] * bool(tail.size)
-    elif sets is None:
-        sets = [np.arange(devices)]
-    # each draw set's rows a block, at most
-    rows_of = [min(plan.trials, BLOCK_TRIALS)] + [min(plan.trials, _TAIL_DRAWS)] * (len(sets) - 1)
-    if coherent:
-        index_gaps = subcarrier_gaps(plan.target_index, devices // 2)
-        quiet = near + list(range(columns.size - len(owners), columns.size))  # no weight drawn
-        # the columns that draw a weight and, before the extra draws, each
-        # set's Taylor table, built on its own far gaps, so that its rows
-        # keep their rank there
-        weighted = [abs(index_gaps[s]) > 2 for s in sets]
-        bands = [columns.size - len(owners), tail.size]
-        tables = [np.zeros((len(_TERMS), band)) for band in bands[:len(sets)]]
-        for table, s, far in zip(tables, sets, weighted):
-            table[:, far[:table.shape[1]]] = _taylor_table(index_gaps[s][far])
-        near_moments = np.empty((len(_ORDERS), rows_of[0], len(quiet)))
-        terms = [np.empty((n, len(_TERMS))) for n in rows_of]
-    gaps = [[gap[s] for s in sets] for gap in gaps]
-    buffers = [np.empty((_block_slots(coherent), n, len(gap))) for n, gap in zip(rows_of, gaps[0])]
-    # the kernel's workspace, sized to the largest tile (the first of the
-    # first block); the gaps come as full tiles because numpy adds a row
-    # broadcast over the short path axis about three times slower
-    tile_shapes = [(row_tiles(n, len(gap) * paths)[0].stop, len(gap), paths)
-                   for n, gap in zip(rows_of, gaps[0])]
-    workspace = _aligned_empty((4 * max((math.prod(shape) for shape in tile_shapes), default=0),))
-    workspaces = [workspace[:4 * math.prod(shape)].reshape((4,) + shape) for shape in tile_shapes]
-    gap_tiles, shared = [], {}
-    for scenario_gaps, span in zip(gaps, spans):
-        gap_tiles.append([])
-        for s, (gap, shape) in enumerate(zip(scenario_gaps, tile_shapes)):
-            key = (s, gap.tobytes())
-            if span != 0.0 and key not in shared:
-                shared[key] = np.broadcast_to(gap[:, None], shape).copy()
-            gap_tiles[-1].append(shared.get(key))
-    key = shared = None  # the keys copy the gaps
-    starts = [0] * len(buffers)
-    for block, size in enumerate(_block_sizes(plan.trials)):
-        rng = _block_rng(plan.seed, block)
-        draws, variates = [], []
-        for s, (buffer, space) in enumerate(zip(buffers, workspaces)):
-            n = min(size, buffer.shape[1])
-            shift = sample_cell_batch(rng, n, buffer.shape[2], cell)
-            powers, moments, weights = buffer[0, :n], buffer[1:, :n], None
-            tiles = row_tiles(n, buffer.shape[2] * paths)
-            if coherent:
-                weights = moments[0]
-                drawn = weighted[s]
-                weights[:, drawn] = rng.standard_exponential((n, np.count_nonzero(drawn)))
-                weights[:, ~drawn] = 0.0
-                if s == 0:
-                    _path_moments(shift[:, quiet], tiles, near_moments[:, :n], space[0])
-                    variates.append(_near_columns(near_moments[:, :n], owners, paths))
-                band = bands[s]
-                if tables[s].any():
-                    _far_terms(shift[:, :band], tiles, weights[:, :band], tables[s], space[:2],
-                               terms[s][:n])
-                    variates.append(_far_columns(terms[s][:n], weights[:, :band], tables[s],
-                                                 paths))
-            else:
-                _path_moments(shift, tiles, moments, space[0])
-                variates.append(moments)
-            draws.append((slice(starts[s], starts[s] + n), shift, tiles, powers, weights))
-            starts[s] += n
-        for k, span in enumerate(spans):
-            for s, (_, shift, tiles, powers, _) in enumerate(draws):
-                if span == 0.0:
-                    # what the kernel gives a static network: 1 on the centre, 0 off it
-                    powers[:] = gaps[k][s] == 0.0
-                    continue
-                offsets, kernel, work = workspaces[s][0], workspaces[s][1], workspaces[s][2:]
-                for rows in tiles:
-                    n = rows.stop - rows.start
-                    offset = np.multiply(shift[rows], span, out=offsets[:n])
-                    values = sinc_squared(gap_tiles[k][s][:n], offset, span, kernel[:n],
-                                          work[:, :n])
-                    np.einsum("tdm->td", values, out=powers[rows])
-                powers /= paths
-            rows, powers, weights = ([draw[i] for draw in draws] for i in (0, 3, 4))
-            yield k, rows, powers, variates, weights
-        draws = shift = None  # so that a block's draws never overlap the next one's
+    return moments
 
 
 # ===========================================================================
-# estimators
+# draw sets and their parts
 # ===========================================================================
 
 # Each estimator's far devices, its tail, are drawn on _TAIL_DRAWS trials a
@@ -534,12 +265,6 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, coherent:
 # draws a block keep a tail's fit on (which needs 18 or 24 in the other
 # folds).
 _TAIL_DRAWS = BLOCK_TRIALS // 8
-
-
-def _tail_draws(trials: int) -> int:
-    """A tail's draws over a run of ``trials`` trials."""
-    return sum(min(size, _TAIL_DRAWS) for size in _block_sizes(trials))
-
 
 # The interference splits at index gap K_I = _ICI_TAIL_GAP: the interferers
 # at 1 <= |n| <= K_I are drawn every trial, the tail (|n| > K_I) on
@@ -550,93 +275,11 @@ def _tail_draws(trials: int) -> int:
 # 42 of the 48 interferers.
 _ICI_TAIL_GAP = 3
 
-
-def _interference_layout(target_index: int, half_subcarriers: int) -> list[np.ndarray]:
-    """The interference's draw sets, as columns of the band: the
-    interferers within index gap K_I of the target, then the tail beyond
-    it, each if the band holds any; the target is drawn in neither."""
-    index_gaps = abs(subcarrier_gaps(target_index, half_subcarriers))
-    sets = [np.flatnonzero((index_gaps != 0.0) & (index_gaps <= _ICI_TAIL_GAP)),
-            np.flatnonzero(index_gaps > _ICI_TAIL_GAP)]
-    return [columns for columns in sets if columns.size]
-
-
-def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
-                       cell: CellConfig, mob: MobilityModel | list[MobilityModel]
-                       ) -> Estimate | list[Estimate]:
-    """Monte Carlo mean of the interference power collected on the target
-    sub-carrier from the other 2N devices.
-
-    Converges to :func:`analytic.finite_n_ici` at the same N.  The
-    interferers fall in two independent parts (:func:`_interference_layout`):
-    those within index gap K_I = 3 of the target, drawn on every trial,
-    and the tail beyond, drawn on 32 trials a block of its own
-    (:data:`_TAIL_DRAWS`), which after the fit holds about 0.6% of the
-    variance while being 42 of the 48 interferers at N = 24.  Each draw of
-    a part sums its interferers' powers less its fitted columns
-    sum_j n_j^-e (mean_m z_jm^p - E[z^p]) over them, one per term (p, e)
-    of the kernel's Taylor series, the part's own table
-    (:func:`_taylor_table`) and folds (:func:`_fitted`); neither needs a
-    quadrature.  The estimate is the sum of the two part means, exactly
-    unbiased, and its standard error sqrt(sum_i var(r_i) / n_i) over the
-    parts' residuals r_i and draw counts n_i (:func:`_std_error`).  A
-    static network, or N = 0, gives exactly zero.
-    ``cfg`` and ``mob`` may be equal-length sequences of scenarios sharing
-    ``half_subcarriers``; they are evaluated on one set of draws, and the
-    result is a list of estimates, each equal to the estimate of its
-    scenario alone.
-    """
-    scenarios, single = _group(cfg, mob)
-    n = scenarios[0][0].half_subcarriers
-    gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
-    sets = _interference_layout(plan.target_index, n)
-    index_gaps = subcarrier_gaps(plan.target_index, n)
-    tables = [_taylor_table(index_gaps[s]) for s in sets]
-    draws = [plan.trials, _tail_draws(plan.trials)][:len(sets)]
-    columns = [np.empty((d, 1, len(_TERMS))) for d in draws]
-    samples = [[np.empty((d, 1)) for d in draws] for _ in scenarios]
-    for k, rows, powers, moments, _ in _device_powers(plan, cell, scenarios, gaps, False, sets):
-        for s, (r, p) in enumerate(zip(rows, powers)):
-            if k == 0:
-                _term_reductions(moments[s], tables[s], columns[s][r, 0])
-            samples[k][s][r, 0] = p.sum(axis=1) * scenarios[k][0].effective_power
-    powers = moments = p = None  # let the last block go before the fit
-    fits = [_fitted(c, [parts[s] for parts in samples]) for s, c in enumerate(columns)]
-    estimates = []
-    for _ in scenarios:
-        residuals = [next(fit) for fit in fits]
-        estimates.append(Estimate(math.fsum(r.mean() for r in residuals), _std_error(residuals),
-                                  plan.trials))
-    return estimates[0] if single else estimates
-
-
-def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
-                          mob: MobilityModel) -> Estimate:
-    """Monte Carlo mean of the power the target device keeps on its own
-    sub-carrier; converges to :func:`analytic.effective_useful_power`.
-
-    Each trial gives mean_m sinc^2(d_m) less the fitted columns
-    mean_m z_m^p - E[z^p], p = 2..6, of the target's own draws
-    (:func:`_fitted`).  A static network gives exactly P_T in every trial.
-    """
-    gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers)
-    return _device_estimates(plan, cfg, cell, mob, gaps[gaps == 0])[0]
-
-
-def _device_estimates(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
-                      mob: MobilityModel, gaps: np.ndarray) -> list[Estimate]:
-    """The estimate of the power each device at sub-carrier distance
-    ``gaps`` (index gaps times T_s df) deposits, less the fitted columns
-    mean_m z_m^p - E[z^p], p = 2..6, of that device's own draws
-    (:func:`_fitted`), each device a part."""
-    columns = np.empty((plan.trials, len(gaps), len(_ORDERS)))
-    samples = np.empty((plan.trials, len(gaps)))
-    for _, [rows], [powers], [moments], _ in _device_powers(plan, cell, [(cfg, mob)], [gaps],
-                                                            False):
-        columns[rows] = (moments - _MOMENT_MEANS[:, None, None]).transpose(1, 2, 0)
-        samples[rows] = powers * cfg.effective_power
-    [residuals] = _fitted(columns, [samples])
-    return [_reduce(values) for values in residuals.T]
+# The capacity's far devices split at index gap K = _TAIL_GAP: the mid part
+# (3 <= |n| <= K) is drawn every trial, the tail (|n| > K) on _TAIL_DRAWS
+# trials a block.  On fig4's points the tail holds at most 2e-5-5e-5 of the
+# fitted variance a draw, yet at N = 199 it is 378 of a trial's 419 columns.
+_TAIL_GAP = 10
 
 
 def _near_devices(target: int, devices: int) -> list[int]:
@@ -663,43 +306,199 @@ def _extra_draws(target: int, devices: int) -> list[int]:
     return neighbours * (_neighbour_draws(devices // 2) - 1)
 
 
-# The capacity's far devices split at index gap K = _TAIL_GAP: the mid part
-# (3 <= |n| <= K) is drawn every trial, the tail (|n| > K) on _TAIL_DRAWS
-# trials a block.  On fig4's points the tail holds at most 2e-5-5e-5 of the
-# fitted variance a draw, yet at N = 199 it is 378 of a trial's 419 columns.
-_TAIL_GAP = 10
+@dataclass(eq=False)
+class _Part:
+    """``count`` parts of a draw set fitted alike on one builder's columns:
+    its ``columns`` within the set (a slice, or a list for the capacity's
+    near parts, whose extra draws each repeat part ``owners[i]``); its
+    ``build``, which forms a block's columns V, ``width`` a part; the
+    whole-number ``gaps`` its Taylor table is built on, 0 at a column it
+    leaves out (none for a table-free part); and ``held``, the doubles a
+    block row its builder keeps across blocks.  ``V`` holds its columns
+    over a run (:func:`_device_powers`)."""
+
+    columns: slice | list
+    build: Callable
+    width: int
+    held: int
+    gaps: np.ndarray | None = None
+    count: int = 1
+    owners: list = ()
+    local: slice | None = None  # its parts among its set's
+    V: np.ndarray | None = None
+
+    @functools.cached_property
+    def table(self) -> np.ndarray | None:
+        """Its (terms, columns) Taylor table (:func:`_taylor_table`), built
+        on first use, so that counting bytes builds none."""
+        return None if self.gaps is None else _taylor_table(self.gaps)
 
 
-def _capacity_layout(target_index: int, half_subcarriers: int):
-    """(columns, near, owners, tail) of a capacity block: the device of
-    each column of its main draws, those within index gap K of the target
-    (the whole band if none is beyond it) and then the extra draws
-    (:func:`_extra_draws`); the near devices' columns (:func:`_near_devices`);
-    the near part each extra draw belongs to; and the tail devices, beyond
-    index gap K, which the block draws on rows of their own."""
-    index_gaps = subcarrier_gaps(target_index, half_subcarriers)
-    target, devices = target_index + half_subcarriers, index_gaps.size
-    band = np.flatnonzero(abs(index_gaps) <= _TAIL_GAP)
-    near = _near_devices(target, devices)
-    extra = _extra_draws(target, devices)
-    columns = np.concatenate([band, np.array(extra, dtype=band.dtype)])
-    return (columns, [c - band[0] for c in near], [near.index(c) for c in extra],
-            np.flatnonzero(abs(index_gaps) > _TAIL_GAP))
+@dataclass(eq=False)
+class _DrawSet:
+    """Devices drawn together: its band ``columns`` (devices, then any
+    extra draws of a device), on at most ``rows`` trials a block (every
+    trial, or :data:`_TAIL_DRAWS` rows of their own for a tail), an Exp(1)
+    weight for each ``weighted`` column, and its ``parts``, whose count
+    and designs [1, V] a draw it sums."""
+
+    columns: np.ndarray
+    rows: int
+    weighted: np.ndarray
+    parts: list[_Part]
+
+    def __post_init__(self):
+        self.count = 0  # its parts
+        for part in self.parts:
+            part.local = slice(self.count, self.count + part.count)
+            self.count = part.local.stop
+        self.design = sum(part.count * (part.width + 1) for part in self.parts)
+
+    def draws(self, trials: int) -> int:
+        """Its draws over a run of ``trials`` trials."""
+        return sum(min(size, self.rows) for size in _block_sizes(trials))
 
 
-def _near_columns(near_moments, owners, paths: int) -> np.ndarray:
+def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet]:
+    """The draw sets of ``estimator`` over a band of devices at
+    whole-number ``index_gaps`` from the target, of ``paths`` paths.
+
+    "devices" (:func:`_device_estimates`): one set, each device a part of
+    its own centred path moments (:func:`_moment_columns`).  "interference":
+    the interferers within index gap K_I of the target on every trial,
+    then the tail beyond it on :data:`_TAIL_DRAWS` rows, each set one part
+    of its Taylor columns, if the band holds any; the target is drawn in
+    neither.  "capacity": its main draws, a column for each device within
+    index gap K of the target and then each extra draw of a neighbour at
+    index gap +-1 (:func:`_extra_draws`), with the near parts
+    (:func:`_near_devices`, :func:`_near_columns`) and, if the band holds
+    devices beyond them, the mid part (:func:`_far_columns`); then, if the
+    band has devices beyond index gap K, the tail's, one far-style part.
+    Only its devices beyond index gap 2 draw a weight, and a far-style
+    part's table is built on their gaps alone, so that its rows keep their
+    rank there."""
+    columns, moments = np.arange(index_gaps.size), len(_ORDERS)
+    if estimator == "devices":
+        return [_DrawSet(columns, BLOCK_TRIALS, columns < 0,
+                         [_Part(slice(0, columns.size), _moment_columns, moments,
+                                moments * columns.size, count=columns.size)])]
+    far = abs(index_gaps)
+    if estimator == "interference":
+        return [_DrawSet(columns[kept], rows, columns[kept] < 0,
+                         [_Part(slice(0, count), _moment_columns, len(_TERMS), moments * count,
+                                index_gaps[kept])])
+                for kept, rows in (((far != 0.0) & (far <= _ICI_TAIL_GAP), BLOCK_TRIALS),
+                                   (far > _ICI_TAIL_GAP, _TAIL_DRAWS))
+                if (count := np.count_nonzero(kept))]
+    target, devices = int(np.flatnonzero(far == 0.0)[0]), index_gaps.size
+    band, tail = np.flatnonzero(far <= _TAIL_GAP), np.flatnonzero(far > _TAIL_GAP)
+    near, extra = _near_devices(target, devices), _extra_draws(target, devices)
+    main = np.concatenate([band, np.array(extra, dtype=band.dtype)])
+    quiet = [c - band[0] for c in near] + list(range(band.size, main.size))
+    parts = [_Part(quiet, _near_columns, _near_means(paths).size, moments * len(quiet),
+                   count=len(near), owners=[near.index(c) for c in extra])]
+    weighted = far[main] > 2
+    if weighted.any():
+        parts.append(_Part(slice(0, band.size), _far_columns, _FAR_WIDTH, len(_TERMS),
+                           np.where(weighted[:band.size], index_gaps[band], 0.0)))
+    sets = [_DrawSet(main, BLOCK_TRIALS, weighted, parts)]
+    if tail.size:
+        sets.append(_DrawSet(tail, _TAIL_DRAWS, far[tail] > 2,
+                             [_Part(slice(0, tail.size), _far_columns, _FAR_WIDTH, len(_TERMS),
+                                    index_gaps[tail])]))
+    return sets
+
+
+def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
+    """Bytes of the arrays :func:`_device_powers` holds at once for
+    ``devices`` devices of ``paths`` paths sharing one gap vector, counted
+    from the draw sets of a centred target, which hold the most
+    (:func:`_layout`; the capacity's, with ``snr`` its P_T over the noise,
+    else the interference's): per set a block's draws, its powers and any
+    weights, and what each part's builder holds across blocks; the
+    kernel's four workspace tiles and one more for its centre mask and the
+    per-device vectors, of the larger set's tile, and a gap tile a set; and
+    the larger set's sampler: a slot for its speed fractions and two
+    scratch tiles.  Either estimator holds across blocks its Taylor tables
+    and gaps (11 doubles a device).  A capacity block also holds, across
+    blocks, the folds' grams of each part's design [1, V]
+    (:func:`_fold_solver`), and while sampling the block's columns V; once
+    the sampler has let go of its slot and tiles, what its average holds:
+    the parts' factor tables on the rule at that SNR
+    (:func:`numerics.hamdi_rule`) with a scratch row for each part an extra
+    draw repeats, the block's columns V and designs [1, V], the faded
+    powers of the near draws and 26 more doubles a trial, and the near
+    parts' fold sums of one scenario (:func:`_fold_sums`)."""
+    sets = _layout("interference" if snr is None else "capacity",
+                   subcarrier_gaps(0, devices // 2), paths)
+    tiles = [row_tiles(ds.rows, ds.columns.size * paths)[0].stop * ds.columns.size * paths
+             for ds in sets]
+    sampler = max((ds.rows * ds.columns.size + 2 * tile for ds, tile in zip(sets, tiles)),
+                  default=0)
+    draws = sum(ds.rows * ds.columns.size * (paths + 1 + int(ds.weighted.any())) for ds in sets)
+    held = (len(_TERMS) + 2) * devices + sum(ds.rows * part.held for ds in sets
+                                             for part in ds.parts)
+    average = 0
+    if snr is not None:
+        near, nodes = sets[0].parts[0], hamdi_rule(snr)[0].size
+        held += _FOLDS * sum(part.count * (part.width + 1) ** 2 for ds in sets
+                             for part in ds.parts)
+        sampler += sum(ds.rows * (ds.design - ds.count) for ds in sets)
+        average = sum(ds.rows * (ds.count * nodes + 2 * ds.design) for ds in sets) \
+            + BLOCK_TRIALS * (len(set(near.owners)) * nodes + len(near.columns) + 26) \
+            + _FOLDS * near.count * (near.width + 1) * nodes
+    return 8 * (draws + 5 * max(tiles, default=0) + sum(tiles) + max(sampler, average) + held)
+
+
+def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
+              snr: float | None = None) -> int:
+    """Bytes an estimator holds at most for a group of ``scenarios`` over
+    ``trials`` trials, counted from the draw sets as :func:`block_bytes`
+    counts them: what the run keeps per draw of each set, its parts'
+    columns V and each scenario's samples, one a part, and the larger of
+    two: a block (:func:`block_bytes`, the capacity's with ``snr``) with,
+    for the capacity, each scenario's node sums on its rule, the fold sums
+    of [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a part, which
+    go once the scenario's last block is done; or, after the blocks, the
+    fit: the designs [1, V] and 5 doubles a draw and part of one
+    scenario's temporaries (:func:`_residuals`)."""
+    sets = _layout("interference" if snr is None else "capacity",
+                   subcarrier_gaps(0, devices // 2), paths)
+    nodes = 0 if snr is None else hamdi_rule(snr)[0].size
+    kept = sum(ds.draws(trials) * (ds.design - ds.count + ds.count * scenarios) for ds in sets)
+    node_sums = scenarios * nodes * sum(_FOLDS * ds.design + 3 * ds.count for ds in sets)
+    fit = sum(ds.draws(trials) * (ds.design + 5 * ds.count) for ds in sets)
+    return 8 * (kept + max(block_bytes(devices, paths, snr) // 8 + node_sums, fit))
+
+
+def _moment_columns(part, shift, tiles, weights, space, work, rows) -> np.ndarray:
+    """A power estimator's part's block of columns V, written into the
+    run's: its devices' path moments mean_m z^p, p = 2..6, less their
+    means (:data:`_MOMENT_MEANS`), or with a Taylor table their sums over
+    its terms (:func:`_term_reductions`)."""
+    moments = _path_moments(part, shift, tiles, work, space[0])
+    out = part.V[rows]
+    if part.table is None:
+        np.subtract(moments, _MOMENT_MEANS[:, None, None], out=out.transpose(2, 0, 1))
+    else:
+        _term_reductions(moments, part.table, out[:, 0])
+    return out
+
+
+def _near_columns(part, shift, tiles, weights, space, work, rows) -> np.ndarray:
     """The block's (trials, near, 9) columns V_i of the capacity's near
     parts, each of mean exactly 0, scenario-free and of part i's draws
     alone: m_2..m_6, m_2^2, m_2 m_3, m_2 m_4 and m_3^2 less their means
     (:data:`_NEAR_MONOMIALS`, :func:`_near_means`; the first five at one
-    path), m_p = mean_m z^p of ``near_moments``, formed per draw and
+    path), m_p = mean_m z^p of the part's columns, formed per draw and
     averaged over the part's draws (its extra draws follow the near
     devices, draw i of part owners[i], :func:`_extra_draws`)."""
-    means = _near_means(paths)
-    draws, parts = near_moments.shape[2], near_moments.shape[2] - len(owners)
+    near_moments = _path_moments(part, shift, tiles, work, space[0])
+    means = _near_means(shift.shape[2])
+    draws, parts = near_moments.shape[2], part.count
     # the mean over each part's draws, as a (draws, parts) matrix
     average = np.zeros((draws, parts))
-    average[range(draws), list(range(parts)) + owners] = 1.0
+    average[range(draws), list(range(parts)) + list(part.owners)] = 1.0
     average /= average.sum(axis=0)
     near = np.empty((near_moments.shape[1], parts, means.size))
     for row, orders in enumerate(_NEAR_MONOMIALS[:means.size]):
@@ -710,24 +509,226 @@ def _near_columns(near_moments, owners, paths: int) -> np.ndarray:
     return near
 
 
-def _far_columns(far_terms, weights, table, paths: int) -> np.ndarray:
-    """The (trials, 1, 12) columns V of a far-style part (the mid part or
-    the tail), of mean exactly 0: for each term (p, e) of :data:`_TERMS`,
-    sum_j n_j^-e (w_j m_(p,j) - E[m_p]) (``far_terms``, ``table`` the
-    weights n_j^-e of :func:`_device_powers`), then sum_j n_j^-2 (w_j - 1),
-    and c_0^2 and c_0 c_(4,2) less their means, c_0 the term (2, 2): the
-    devices and their Exp(1) weights w_j being independent, with E[w^2] =
-    2, E[c_0 c] = sum_j n_j^-2 n_j^-e (2 E[m_2 m_p] - E[m_2] E[m_p])."""
+def _far_columns(part, shift, tiles, weights, space, work, rows) -> np.ndarray:
+    """The block's (trials, 1, 12) columns V of a far-style part (the mid
+    part or the tail), of mean exactly 0: for each term (p, e) of
+    :data:`_TERMS`, sum_j n_j^-e (w_j m_(p,j) - E[m_p]), n_j^-e its table
+    and w_j its Exp(1) weights, then sum_j n_j^-2 (w_j - 1), and c_0^2 and
+    c_0 c_(4,2) less their means, c_0 the term (2, 2): the devices and
+    their weights being independent, with E[w^2] = 2, E[c_0 c] =
+    sum_j n_j^-2 n_j^-e (2 E[m_2 m_p] - E[m_2] E[m_p]).  The sums over the
+    devices are formed a tile at a time, z^p in ``space[0]`` and each
+    order's moments in ``space[1]``, and reduced at once, so that no
+    block-sized moment is held."""
+    table, weights, shift = part.table, weights[:, part.columns], shift[:, part.columns]
+    paths = np.ones(shift.shape[2])
+    orders = [(p, _TERM_ORDERS == p, table[_TERM_ORDERS == p]) for p in _ORDERS]
+    far_terms = work.reshape(len(shift), len(_TERMS))
+    for tile in tiles:
+        z = shift[tile]
+        n, devices = z.shape[:2]
+        power = np.multiply(z, z, out=space[0, :n, :devices])
+        moment = space[1].reshape(-1)[:n * devices].reshape(n, devices)
+        for p, terms, weights_of_terms in orders:
+            if p > 2:
+                power *= z
+            np.matmul(power, paths, out=moment)  # twice as fast as einsum here
+            moment *= weights[tile]
+            # one product a trial, so that no value depends on the tile
+            far_terms[tile, terms] = (weights_of_terms @ moment[..., None])[..., 0]
+    far_terms /= paths.size
     far = np.empty((len(far_terms), 1, _FAR_WIDTH))
     terms = far[:, 0, :len(_TERMS)]
     np.subtract(far_terms, _MOMENT_MEANS[_TERM_ORDERS - 2] * table.sum(axis=1), out=terms)
     far[:, 0, -3] = weights @ table[0] - table[0].sum()
     for column, term in ((-2, 0), (-1, _TERMS.index((4, 2)))):
         p = _TERM_ORDERS[term]
-        covariance = 2.0 * _monomial_mean((2, p), paths) \
+        covariance = 2.0 * _monomial_mean((2, p), paths.size) \
             - _MOMENT_MEANS[0] * _MOMENT_MEANS[p - 2]
         far[:, 0, column] = terms[:, 0] * terms[:, term] - table[0] @ table[term] * covariance
     return far
+
+
+def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
+    """Yield ``(k, rows, powers, columns, weights)`` for scenario k, each
+    but k a list over the draw ``sets`` (:func:`_layout`): the set's trials
+    ``rows``; its per-(trial, column) power on the target sub-carrier, in
+    a buffer the next step overwrites; its parts' columns V (each part's
+    ``build``, which writes a power estimator's into ``part.V``, the run's
+    columns, allocated here); and its Exp(1) weights, 0 at a column that
+    draws none, or None if none does.  The arrays held at once are those
+    :func:`block_bytes` counts.
+
+    Each block draws its sets in turn, a set's weights right after its
+    shifts, the first set on every trial of the block and any after it on
+    min(block, 32) rows of their own (:data:`_TAIL_DRAWS`), so the sampler,
+    the kernel and the columns see a set's devices on its rows alone; the
+    columns do not depend on the scenario.  It then evaluates each scenario
+    in turn, so no value depends on the group.  Path m of a device shifts
+    by d_m = x z_m, x = V_max f_c T_s / c the scenario's span
+    (:meth:`SystemConfig.doppler_span`) and z_m = u cos psi_m the
+    scenario-free shift (:func:`sysmodel.sample_cell_batch`, the one place
+    that forms it); since |z| < 1 and rounding is monotone, every
+    |fl(x z)| is within x.  The mean over paths of sinc(gap + d_m)^2 is a
+    device's expected power given its shifts; times its weight it follows
+    the law of the squared complex path sum.  ``gaps[k]`` holds scenario
+    k's integer sub-carrier distances scaled by T_s * df, so a static
+    network cancels exactly.  The kernel is sized to each scenario's own
+    span (:func:`numerics.sinc_squared`), a static scenario skips it for
+    the exact values it would return, and each row's path sum is taken
+    within its tile, so neither the group nor the tile size changes a
+    value.  The kernel runs in a workspace allocated once per call: the
+    offsets, output and scratch tiles, sized to the larger set's, and one
+    (rows, columns, paths) gap tile per set and distinct gap vector; the
+    path moments are taken tile by tile in the offsets tile, so no
+    block-sized z^p is ever formed.
+
+    Every estimator subtracts its zero-mean columns times cross-fitted
+    slopes (Glasserman 2003, section 4.1; :func:`_fold_solver`), part by
+    part.
+    """
+    paths = cell.paths_per_device
+    spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
+    rows_of = [min(plan.trials, ds.rows) for ds in sets]  # each set's rows a block, at most
+    for ds in sets:
+        for part in ds.parts:
+            part.V = np.empty((ds.draws(plan.trials), part.count, part.width))
+    gaps = [[gap[ds.columns] for ds in sets] for gap in gaps]
+    # each set's powers and, if a column draws one, weights, 0 where none is
+    # drawn, and what its parts' builders hold across blocks
+    buffers = [np.zeros((1 + int(ds.weighted.any()), n, ds.columns.size))
+               for n, ds in zip(rows_of, sets)]
+    held = [[np.empty(part.held * n) for part in ds.parts] for n, ds in zip(rows_of, sets)]
+    # the kernel's workspace, sized to the largest tile (the first of the
+    # first block); the gaps come as full tiles because numpy adds a row
+    # broadcast over the short path axis about three times slower
+    tile_shapes = [(row_tiles(n, len(gap) * paths)[0].stop, len(gap), paths)
+                   for n, gap in zip(rows_of, gaps[0])]
+    workspace = _aligned_empty((4 * max((math.prod(shape) for shape in tile_shapes), default=0),))
+    workspaces = [workspace[:4 * math.prod(shape)].reshape((4,) + shape) for shape in tile_shapes]
+    gap_tiles, shared = [], {}
+    for scenario_gaps, span in zip(gaps, spans):
+        gap_tiles.append([])
+        for s, (gap, shape) in enumerate(zip(scenario_gaps, tile_shapes)):
+            key = (s, gap.tobytes())
+            if span != 0.0 and key not in shared:
+                shared[key] = np.broadcast_to(gap[:, None], shape).copy()
+            gap_tiles[-1].append(shared.get(key))
+    key = shared = None  # the keys copy the gaps
+    for block, size in enumerate(_block_sizes(plan.trials)):
+        rng = _block_rng(plan.seed, block)
+        draws = []
+        for s, (ds, buffer, space) in enumerate(zip(sets, buffers, workspaces)):
+            n = min(size, buffer.shape[1])
+            shift = sample_cell_batch(rng, n, ds.columns.size, cell)
+            powers, weights = buffer[0, :n], None
+            if len(buffer) > 1:
+                weights = buffer[1, :n]
+                weights[:, ds.weighted] = rng.standard_exponential(
+                    (n, np.count_nonzero(ds.weighted)))
+            rows = slice(block * ds.rows, block * ds.rows + n)  # every block but the last is full
+            tiles = row_tiles(n, ds.columns.size * paths)
+            columns = [part.build(part, shift, tiles, weights, space, work[:part.held * n], rows)
+                       for part, work in zip(ds.parts, held[s])]
+            draws.append((rows, shift, tiles, powers, columns, weights))
+        for k, span in enumerate(spans):
+            for s, (_, shift, tiles, powers, _, _) in enumerate(draws):
+                if span == 0.0:
+                    # what the kernel gives a static network: 1 on the centre, 0 off it
+                    powers[:] = gaps[k][s] == 0.0
+                    continue
+                offsets, kernel, work = workspaces[s][0], workspaces[s][1], workspaces[s][2:]
+                for rows in tiles:
+                    n = rows.stop - rows.start
+                    offset = np.multiply(shift[rows], span, out=offsets[:n])
+                    values = sinc_squared(gap_tiles[k][s][:n], offset, span, kernel[:n],
+                                          work[:, :n])
+                    np.einsum("tdm->td", values, out=powers[rows])
+                powers /= paths
+            yield k, *([draw[i] for draw in draws] for i in (0, 3, 4, 5))
+        draws = shift = columns = None  # so that a block's draws never overlap the next one's
+
+
+# ===========================================================================
+# estimators
+# ===========================================================================
+
+def _power_residuals(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
+    """Yield, for each scenario in turn, the residuals of each part record
+    of the draw ``sets`` (:func:`_layout`): a draw of a part gives the power
+    its columns deposit on the target sub-carrier, times P_T, less its
+    fitted columns (:func:`_fitted`)."""
+    samples = [{part: np.empty((ds.draws(plan.trials), part.count))
+                for ds in sets for part in ds.parts} for _ in scenarios]
+    for k, rows, powers, _, _ in _device_powers(plan, cell, scenarios, gaps, sets):
+        for ds, r, p in zip(sets, rows, powers):
+            for part in ds.parts:
+                # each part's columns' powers summed
+                samples[k][part][r] = p[:, part.columns].reshape(len(p), part.count, -1) \
+                    .sum(axis=2) * scenarios[k][0].effective_power
+    powers = p = None  # let the last block go before the fit
+    fits = [_fitted(part.V, [y[part] for y in samples]) for part in samples[0]]
+    for _ in scenarios:
+        yield [next(fit) for fit in fits]
+
+
+def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
+                       cell: CellConfig, mob: MobilityModel | list[MobilityModel]
+                       ) -> Estimate | list[Estimate]:
+    """Monte Carlo mean of the interference power collected on the target
+    sub-carrier from the other 2N devices.
+
+    Converges to :func:`analytic.finite_n_ici` at the same N.  The
+    interferers fall in two independent parts (:func:`_layout`): those
+    within index gap K_I = 3 of the target, drawn on every trial, and the
+    tail beyond, drawn on 32 trials a block of its own
+    (:data:`_TAIL_DRAWS`), which after the fit holds about 0.6% of the
+    variance while being 42 of the 48 interferers at N = 24.  Each draw of
+    a part sums its interferers' powers less its fitted columns
+    sum_j n_j^-e (mean_m z_jm^p - E[z^p]) over them, one per term (p, e)
+    of the kernel's Taylor series, the part's own table
+    (:func:`_taylor_table`) and folds (:func:`_fitted`); neither needs a
+    quadrature.  The estimate is the sum of the two part means, exactly
+    unbiased, and its standard error sqrt(sum_i var(r_i) / n_i) over the
+    parts' residuals r_i and draw counts n_i (:func:`_std_error`).  A
+    static network, or N = 0, gives exactly zero.
+    ``cfg`` and ``mob`` may be equal-length sequences of scenarios sharing
+    ``half_subcarriers``; they are evaluated on one set of draws, and the
+    result is a list of estimates, each equal to the estimate of its
+    scenario alone.
+    """
+    scenarios, single = _group(cfg, mob)
+    n = scenarios[0][0].half_subcarriers
+    gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
+    sets = _layout("interference", subcarrier_gaps(plan.target_index, n), cell.paths_per_device)
+    estimates = [Estimate(math.fsum(r.mean() for r in residuals), _std_error(residuals),
+                          plan.trials)
+                 for residuals in _power_residuals(plan, cell, scenarios, gaps, sets)]
+    return estimates[0] if single else estimates
+
+
+def estimate_useful_power(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
+                          mob: MobilityModel) -> Estimate:
+    """Monte Carlo mean of the power the target device keeps on its own
+    sub-carrier; converges to :func:`analytic.effective_useful_power`.
+
+    Each trial gives mean_m sinc^2(d_m) less the fitted columns
+    mean_m z_m^p - E[z^p], p = 2..6, of the target's own draws
+    (:func:`_fitted`).  A static network gives exactly P_T in every trial.
+    """
+    gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers)
+    return _device_estimates(plan, cfg, cell, mob, gaps[gaps == 0])[0]
+
+
+def _device_estimates(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
+                      mob: MobilityModel, gaps: np.ndarray) -> list[Estimate]:
+    """The estimate of the power each device at sub-carrier distance
+    ``gaps`` (index gaps times T_s df) deposits, less the fitted columns
+    mean_m z_m^p - E[z^p], p = 2..6, of that device's own draws
+    (:func:`_fitted`), each device a part (:func:`_layout`)."""
+    sets = _layout("devices", gaps, cell.paths_per_device)
+    [[residuals]] = _power_residuals(plan, cell, [(cfg, mob)], [gaps], sets)
+    return [_reduce(values) for values in residuals.T]
 
 
 def _by_fold(values: np.ndarray) -> np.ndarray:
@@ -861,6 +862,29 @@ def capacity_snr(cfg: SystemConfig) -> float:
     return snr
 
 
+def _set_factors(ds: _DrawSet, powers, weights, state, out) -> np.ndarray:
+    """Draw set ``ds``'s (parts, trials, nodes) factor table on ``state``'s
+    rule in ``out`` (:func:`_part_factors`), from its columns' ``powers``,
+    which it overwrites: a row for each near part from the faded powers of
+    its draws, the target's C its row times its SNR u, and one for a far
+    part from the drawn interference of its columns."""
+    near = [part for part in ds.parts if part.build is _near_columns]
+    far = [part for part in ds.parts if part.build is _far_columns]
+    faded = powers[:, [c for part in near for c in part.columns]]
+    faded *= state.snr
+    faded = faded.T  # u, the b_j, extras
+    interference = None
+    if far:
+        powers *= weights  # 0 at the near devices and the extra draws
+        interference = powers[:, far[0].columns].sum(axis=1) * state.snr
+    table = _part_factors(state.rule[0], faded, interference,
+                          [o for part in near for o in part.owners],
+                          out[:ds.count], out[ds.count:])
+    if near:
+        table[0] *= faded[0][:, None]  # C is u times its row
+    return table
+
+
 def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
                               cell: CellConfig,
                               mob: MobilityModel | list[MobilityModel]
@@ -930,110 +954,81 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     :func:`estimate_total_ici`.
     """
     scenarios, single = _group(cfg, mob)
-    snrs = [capacity_snr(c) for c, _ in scenarios]
+    # per scenario: its SNR and rule; while its blocks run, per draw set
+    # its factor sums and influences, and per part its node sums; then its
+    # controlled mean and each part's slopes
+    states = [SimpleNamespace(snr=(snr := capacity_snr(c)), rule=hamdi_rule(snr), slopes={})
+              for c, _ in scenarios]
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
-    columns_of, near, owners, tail = _capacity_layout(plan.target_index, n)
-    band = columns_of.size - len(owners)  # the main draws' devices, before the extra draws
-    # the near devices' columns, then the extra draws', which a static
-    # scenario skips: their factors would equal its main draws', exactly 1
-    moving = [c.doppler_span(m.max_velocity_mps) != 0.0 for c, m in scenarios]
-    drawn = near + list(range(band, columns_of.size))
-    parts = len(near) + (band > len(near))  # the main draws' parts: near, then mid
-    # each draw set's parts and draws: the main draws', then the tail's
-    sets = [(slice(0, parts), plan.trials)] \
-        + [(slice(parts, parts + 1), _tail_draws(plan.trials))] * bool(tail.size)
-    draws = np.concatenate([np.full(p.stop - p.start, d) for p, d in sets])[:, None]
-    rules = [hamdi_rule(snr) for snr in snrs]
-    # the parts' table, then a scratch for a round of the extra draws', then the tail's
-    table_rows = parts + len(set(owners))
-    table_size = (table_rows * min(plan.trials, BLOCK_TRIALS) + bool(tail.size)
-                  * min(plan.trials, _TAIL_DRAWS)) * max(nodes.size for nodes, _ in rules)
-    # the near parts, the mid part and the tail: each group its own columns,
-    # as (draw set, its parts in the set's table, its parts)
-    groups = [(0, slice(0, len(near)), slice(0, len(near)))] \
-        + [(0, slice(len(near), parts), slice(len(near), parts))] * (parts > len(near)) \
-        + [(1, slice(0, 1), slice(parts, parts + 1))] * bool(tail.size)
-    widths = [_near_means(cell.paths_per_device).size] + [_FAR_WIDTH] * (len(groups) - 1)
-    columns = [np.empty((sets[s][1], g.stop - g.start, w)) for (s, g, _), w in zip(groups, widths)]
-    grams = [np.zeros((g.stop - g.start, _FOLDS, w + 1, w + 1))
-             for (_, g, _), w in zip(groups, widths)]
-    influences = [[np.empty((d, p.stop - p.start)) for p, d in sets] for _ in scenarios]
-    # per scenario, while its blocks run: the sums of its factors, its first
-    # trial's, the node weights of its influences and its node sums; then
-    # its controlled mean and the slopes of its influences
-    totals, first, node_weights, node_sums, means, slopes = ([None] * len(scenarios)
-                                                             for _ in range(6))
-    for k, rows, powers, variates, weights in _device_powers(plan, cell, scenarios, gaps, True):
-        last = rows[0].stop == plan.trials
+    sets = _layout("capacity", subcarrier_gaps(plan.target_index, n), cell.paths_per_device)
+    parts = [part for ds in sets for part in ds.parts]
+    grams = {part: np.zeros((part.count, _FOLDS, part.width + 1, part.width + 1)) for part in parts}
+    for state in states:
+        state.totals = [np.zeros((ds.count, state.rule[0].size)) for ds in sets]
+        state.influences = [np.empty((ds.draws(plan.trials), ds.count)) for ds in sets]
+        state.sums = dict.fromkeys(parts, 0.0)
+    # each set's factor table, then a scratch row for each part an extra draw repeats
+    heights = [ds.count + len({o for part in ds.parts for o in part.owners}) for ds in sets]
+    table_size = sum(h * min(plan.trials, ds.rows) for h, ds in zip(heights, sets)) \
+        * max(state.rule[0].size for state in states)
+    for k, rows, powers, columns, weights in _device_powers(plan, cell, scenarios, gaps, sets):
+        state, last = states[k], rows[0].stop == plan.trials
         if k == 0:
-            designs = []
-            for (s, _, _), stored, gram, block in zip(groups, columns, grams, variates):
-                stored[rows[s]] = block
-                designs.append(np.concatenate([np.ones(block.shape[:2] + (1,)), block], axis=2))
-                gram += _fold_sums(designs[-1], designs[-1].transpose(1, 0, 2))
+            designs = {}  # each part's [1, V] of the block
+            for ds, r, blocks in zip(sets, rows, columns):
+                for part, block in zip(ds.parts, blocks):
+                    part.V[r] = block
+                    designs[part] = design = np.concatenate([np.ones(block.shape[:2] + (1,)),
+                                                             block], axis=2)
+                    grams[part] += _fold_sums(design, design.transpose(1, 0, 2))
             if last:
-                solvers = [_fold_solver(gram) for gram in grams]
+                solvers = {part: _fold_solver(gram) for part, gram in grams.items()}
             tables = _aligned_empty((table_size,))  # let go with the block
-        nodes, rule = rules[k]
-        size = len(powers[0])
-        faded = powers[0][:, drawn if moving[k] else near]
-        faded *= snrs[k]
-        faded = faded.T  # u, the b_j, extras
-        powers[0] *= weights[0]  # 0 at the near devices and the extra draws
-        far = powers[0][:, :band].sum(axis=1) * snrs[k] if parts > len(near) else None
-        held = tables[:table_rows * size * nodes.size].reshape(table_rows, size, -1)
-        table = [_part_factors(nodes, faded, far, owners if moving[k] else [], held[:parts],
-                               held[parts:])]
-        table[0][0] *= faded[0][:, None]  # C is u times its row
-        faded = None  # let go before the next scenario forms its own
-        if tail.size:
-            # the tail's one row, e^(-t a) of its drawn interference a
-            powers[1] *= weights[1]
-            rest = tables[held.size:held.size + len(powers[1]) * nodes.size]
-            table.append(_part_factors(nodes, np.empty((0, len(powers[1]))),
-                                       powers[1].sum(axis=1) * snrs[k], [],
-                                       rest.reshape(1, len(powers[1]), -1), held[:0]))
-        column_sums = np.concatenate([np.ones(t.shape[1]) @ t for t in table])
-        totals[k] = column_sums + (totals[k] if rows[0].start else 0.0)
+        table, offset = [], 0
+        for ds, p, w, height in zip(sets, powers, weights, heights):
+            out = tables[offset:offset + height * len(p) * state.rule[0].size]
+            offset += out.size
+            table.append(_set_factors(ds, p, w, state, out.reshape(height, len(p), -1)))
+        column_sums = [np.ones(t.shape[1]) @ t for t in table]
         if rows[0].start == 0:
-            counts = np.concatenate([np.full(len(t), t.shape[1]) for t in table])
-            node_weights[k] = _all_but_each(column_sums / counts[:, None]) * rule
-            first[k] = [t[:, 0].copy() for t in table]
-            node_sums[k] = []
+            node_weights = _all_but_each(np.concatenate(
+                [sums / t.shape[1] for sums, t in zip(column_sums, table)])) * state.rule[1]
+            state.node_weights = np.split(node_weights, np.cumsum([len(t) for t in table])[:-1])
+            state.first = [t[:, 0].copy() for t in table]
         # less the first trial's factors, which leaves the influences and the
         # node sums the digits of their spread, and equal factors exactly 0
-        for (part, _), factors, f, y, r in zip(sets, table, first[k], influences[k], rows):
-            factors -= f[:, None]
-            y[r] = (factors @ node_weights[k][part][..., None])[..., 0].T
-        for i, ((s, local, _), design) in enumerate(zip(groups, designs)):
-            sums = _fold_sums(design, table[s][local])
-            if rows[0].start:
-                node_sums[k][i] += sums
-            else:
-                node_sums[k].append(sums)
-        sums = None
+        # and after the last block, the part means controlled at every node
+        # and the slopes of the influences
+        for ds, t, sums, f, totals, node_weights, y, r in zip(
+                sets, table, column_sums, state.first, state.totals, state.node_weights,
+                state.influences, rows):
+            totals += sums
+            t -= f[:, None]
+            y[r] = (t @ node_weights[..., None])[..., 0].T
+            for part in ds.parts:
+                state.sums[part] += _fold_sums(designs[part], t[part.local])
+                if last:
+                    beta = solvers[part](state.sums[part])  # per part, fold, column and node
+                    # row 0 of a gram: the fold's draw count and column sums
+                    totals[part.local] -= np.einsum("ifs,ifsn->in", grams[part][..., 0, :], beta)
+                    state.slopes[part] = np.einsum("ifsn,in->ifs", beta, node_weights[part.local])
         if last:
-            # the part means controlled at every node, and the slopes of the
-            # influences; the node sums go as soon as they are used
-            slopes[k] = []
-            for (_, _, part), gram, solve, sums in zip(groups, grams, solvers, node_sums[k]):
-                beta = solve(sums)  # per part, fold, column and node
-                # row 0 of a gram: the fold's draw count and column sums
-                totals[k][part] -= np.einsum("ifs,ifsn->in", gram[..., 0, :], beta)
-                slopes[k].append(np.einsum("ifsn,in->ifs", beta, node_weights[k][part]))
-            means[k] = rule @ np.prod(totals[k] / draws, axis=0)
-            node_sums[k] = sums = beta = None
+            # the node sums go once they are used
+            state.mean = state.rule[1] @ np.prod(np.concatenate(
+                [totals / ds.draws(plan.trials) for totals, ds in zip(state.totals, sets)]), axis=0)
+            state.sums = beta = None
         if k == len(scenarios) - 1:
-            tables = held = rest = table = factors = designs = None
-    powers = variates = weights = None  # let the last block go before the fit
-    designs = [_fold_design(stored) for stored in columns]
+            tables = table = out = t = designs = design = None
+    powers = columns = weights = None  # let the last block go before the fit
+    designs = {part: _fold_design(part.V) for part in parts}
     estimates = []
-    for mean, ys, betas in zip(means, influences, slopes):
-        residuals = [np.empty_like(y) for y in ys]
-        for (s, local, _), design, beta in zip(groups, designs, betas):
-            residuals[s][:, local] = _residuals(design, ys[s][:, local], beta)
-        estimates.append(Estimate(LOG2_E * float(mean), LOG2_E * _std_error(residuals),
+    for state in states:
+        residuals = [np.empty_like(y) for y in state.influences]
+        for ds, res, y in zip(sets, residuals, state.influences):
+            for part in ds.parts:
+                res[:, part.local] = _residuals(designs[part], y[:, part.local], state.slopes[part])
+        estimates.append(Estimate(LOG2_E * float(state.mean), LOG2_E * _std_error(residuals),
                                   plan.trials))
     return estimates[0] if single else estimates
 

@@ -109,11 +109,14 @@ def test_power_modes_share_a_mean():
     incoherent = estimate_total_ici(plan, CFG, CELL, MOB)
     gaps = subcarrier_gaps(plan.target_index, CFG.half_subcarriers,
                            CFG.spacing_symbol_product)
-    samples = [np.empty(plan.trials), np.empty(montecarlo._tail_draws(plan.trials))]
-    neighbours = montecarlo._capacity_layout(plan.target_index, CFG.half_subcarriers)[1][1:]
+    sets = montecarlo._layout("capacity", subcarrier_gaps(plan.target_index, CFG.half_subcarriers),
+                              CELL.paths_per_device)
+    samples = [np.empty(ds.draws(plan.trials)) for ds in sets]
+    near = sets[0].parts[0]
+    neighbours = near.columns[1:near.count]
     own_draws = np.random.default_rng(108)
     for _, rows, powers, _, weights in montecarlo._device_powers(plan, CELL, [(CFG, MOB)],
-                                                                 [gaps], True):
+                                                                 [gaps], sets):
         # the estimator averages the near neighbours' fading and draws them
         # no weight, so they get weights of their own here
         weights = [w.copy() for w in weights]
@@ -372,8 +375,9 @@ def test_the_scenarios_of_a_block_allocate_no_tile(coherent):
     devices, paths = len(gaps[0]), CELL.paths_per_device
     tile_rows = numerics.row_tiles(montecarlo.BLOCK_TRIALS, devices * paths)[0].stop
     tile_bytes = tile_rows * devices * paths * 8
+    sets = montecarlo._layout("capacity" if coherent else "interference", gaps[0], paths)
     scenarios = montecarlo._device_powers(TrialPlan(trials=256, seed=27), CELL,
-                                          list(zip(cfgs, mobs)), gaps, coherent)
+                                          list(zip(cfgs, mobs)), gaps, sets)
     tracemalloc.start()
     try:
         assert next(scenarios)[0] == 0
@@ -419,13 +423,11 @@ def test_block_bytes_bounds_what_the_blocks_hold(half_subcarriers, paths, cohere
     bound = montecarlo.block_bytes(devices, paths,
                                    cfg.effective_power / cfg.noise_variance if coherent else None)
     nodes = numerics.hamdi_rule(100.0)[0].size if coherent else 0
-    sizes = montecarlo._capacity_sizes(devices, paths) if coherent \
-        else montecarlo._interference_sizes(devices)
-    for rows, _, parts, design in sizes:
-        draws = plan.trials if rows == montecarlo.BLOCK_TRIALS \
-            else montecarlo._tail_draws(plan.trials)
-        bound += 8 * (draws * (design - parts + parts * len(mobs))
-                      + len(mobs) * nodes * (8 * design + 3 * parts))
+    for ds in montecarlo._layout("capacity" if coherent else "interference",
+                                 subcarrier_gaps(0, half_subcarriers), paths):
+        columns = sum(part.count * part.width for part in ds.parts)
+        bound += 8 * (ds.draws(plan.trials) * (columns + ds.count * len(mobs))
+                      + len(mobs) * nodes * (8 * (columns + ds.count) + 3 * ds.count))
     assert 0.9 * bound <= peak <= bound, peak / bound
 
 
@@ -449,6 +451,74 @@ def test_run_bytes_bounds_what_a_run_holds(trials, scenarios, coherent):
                                  CELL.paths_per_device,
                                  CFG.effective_power / CFG.noise_variance if coherent else None)
     assert 0.8 * bound <= peak <= bound
+
+
+def _shapes(sets):
+    # what the byte counts read of a layout: per draw set its columns and
+    # rows, and per part its parts, width and the doubles a row its builder
+    # holds
+    return [(ds.columns.tolist(), ds.rows, [(p.count, p.width, p.held) for p in ds.parts])
+            for ds in sets]
+
+
+@pytest.mark.parametrize("paths", [1, 8])
+@pytest.mark.parametrize("half_subcarriers", [0, 1, 2, 3, 5, 11, 24, 199])
+def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, monkeypatch):
+    # each estimator's draw sets at the centre and both band edges, over two
+    # blocks, one partial: the devices drawn cover the band once (the
+    # interference draws no target), the capacity's extra draws repeat its
+    # neighbours at index gap +-1 alone, each a draw of that neighbour's
+    # part, every block's columns V have their part's rows, parts and width,
+    # and the run keeps them so; at the centre, block_bytes and run_bytes
+    # count those same records
+    devices, cell = 2 * half_subcarriers + 1, CellConfig(paths)
+    plan, layout = TrialPlan(trials=300, seed=41), montecarlo._layout
+    static = (SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0),
+              MobilityModel(0.0))
+    for target in sorted({-half_subcarriers, 0, half_subcarriers}):
+        index_gaps = subcarrier_gaps(target, half_subcarriers)
+        for estimator in ("interference", "capacity", "devices"):
+            sets = layout(estimator, index_gaps, paths)
+            extra = [ds.columns[ds.columns.size - len(part.owners):] if part.owners else []
+                     for ds in sets for part in ds.parts]
+            drawn = np.concatenate([ds.columns for ds in sets] + [[]]).astype(int)
+            repeats = np.concatenate(extra + [[]]).astype(int)
+            kept = np.flatnonzero(index_gaps != 0.0) if estimator == "interference" \
+                else np.arange(devices)
+            assert sorted(drawn) == sorted(kept.tolist() + repeats.tolist())
+            assert np.all(abs(index_gaps[repeats]) == 1.0)
+            for ds in sets:
+                for part in (part for part in ds.parts if part.owners):
+                    # extra draw i repeats the device of part owners[i]
+                    assert np.array_equal(ds.columns[-len(part.owners):],
+                                          ds.columns[[part.columns[i] for i in part.owners]])
+                assert np.array_equal(ds.weighted, (abs(index_gaps[ds.columns]) > 2.0)
+                                      & (estimator == "capacity")
+                                      & (np.arange(ds.columns.size) < ds.columns.size
+                                         - sum(len(part.owners) for part in ds.parts)))
+            for block, (_, rows, powers, columns, weights) in enumerate(
+                    montecarlo._device_powers(plan, cell, [static], [index_gaps], sets)):
+                for ds, r, p, blocks, w in zip(sets, rows, powers, columns, weights,
+                                               strict=True):
+                    n = min(montecarlo._block_sizes(plan.trials)[block], ds.rows)
+                    assert (r.start, r.stop) == (block * ds.rows, block * ds.rows + n)
+                    assert p.shape == (n, ds.columns.size)
+                    assert (w is None) == (not ds.weighted.any())
+                    assert [v.shape for v in blocks] \
+                        == [(n, part.count, part.width) for part in ds.parts]
+            assert [part.V.shape for ds in sets for part in ds.parts] \
+                == [(ds.draws(plan.trials), part.count, part.width)
+                    for ds in sets for part in ds.parts]
+            if target or estimator == "devices":
+                continue
+            counted = []
+            monkeypatch.setattr(montecarlo, "_layout",
+                                lambda *args: counted.append(layout(*args)) or counted[-1])
+            snr = 100.0 if estimator == "capacity" else None
+            montecarlo.run_bytes(plan.trials, 2, devices, paths, snr)
+            monkeypatch.undo()
+            assert len(counted) == 2
+            assert all(_shapes(sets) == _shapes(records) for records in counted)
 
 
 def test_a_group_of_scenarios_is_validated():
@@ -533,19 +603,19 @@ def test_path_moment_means_are_exact():
 
 
 def test_every_taylor_variate_has_mean_zero():
-    # each of the interference's 9 columns, one per term (p, e), reduced
-    # from the moments _device_powers yields, over 2^17 trials of 5
-    # devices of 2 paths; three distinct |n| keep every term
+    # each of the interference's 9 columns, one per term (p, e), as
+    # _device_powers builds them, over 2^17 trials of the 4 interferers of
+    # 5 devices of 2 paths; three distinct |n| keep every term
     plan = TrialPlan(trials=1 << 17, seed=29, target_index=1)
     index_gaps = subcarrier_gaps(plan.target_index, 2)
-    table = montecarlo._taylor_table(index_gaps)
-    assert table.shape == (9, 5) and np.all(table.any(axis=1))
-    reductions = np.empty((plan.trials, len(montecarlo._TERMS)))
-    for _, [rows], _, [moments], _ in montecarlo._device_powers(
+    [interferers] = montecarlo._layout("interference", index_gaps, 2)
+    [part] = interferers.parts
+    assert part.table.shape == (9, 4) and np.all(part.table.any(axis=1))
+    for _ in montecarlo._device_powers(
             plan, CellConfig(2), [(SystemConfig(half_subcarriers=2), MobilityModel(0.0))],
-            [index_gaps], False):
-        montecarlo._term_reductions(moments, table, reductions[rows])
-    for term, column in zip(montecarlo._TERMS, reductions.T):
+            [index_gaps], [interferers]):
+        pass
+    for term, column in zip(montecarlo._TERMS, part.V[:, 0].T):
         assert abs(column.mean()) <= 4.0 * column.std(ddof=1) / math.sqrt(column.size), term
 
 
@@ -581,10 +651,10 @@ def test_the_power_variates_span_the_taylor_series_of_the_kernel(q, monkeypatch)
     # the interference's parts: the six interferers within index gap 3 and
     # the tail of four beyond it on 32 draws of their own; the target is
     # not drawn
-    sets = montecarlo._interference_layout(plan.target_index, cfg.half_subcarriers)
-    assert [s.size for s in sets] == [6, 4]
+    sets = montecarlo._layout("interference", subcarrier_gaps(plan.target_index, 5), 3)
+    assert [ds.columns.size for ds in sets] == [6, 4]
     check(lambda: estimate_total_ici(plan, cfg, CV_CELL, CV_MOB),
-          *(part.sum(axis=1) for part in excess(*(gaps[s] for s in sets))))
+          *(part.sum(axis=1) for part in excess(*(gaps[ds.columns] for ds in sets))))
     [useful] = excess([0.0])
     check(lambda: estimate_useful_power(plan, cfg, CV_CELL, CV_MOB), useful[:, 0])
     # fitted in device order: device 0 is the source on -1 seen from 1,
@@ -802,7 +872,7 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
     def record_columns(*args):
         for k, *rest in draw(*args):
             if k == 0:
-                columns.append(rest[2])
+                columns.append([block for blocks in rest[2] for block in blocks])
             yield k, *rest
 
     with monkeypatch.context() as patched:
@@ -882,8 +952,10 @@ def _capacity_variates(plan, cfg, cell):
     # per column group (the near parts, the mid part, the tail), its
     # (draws, columns) V of a static scenario, from _device_powers
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
-    blocks = [v for _, _, _, v, _ in montecarlo._device_powers(
-        plan, cell, [(cfg, MobilityModel(0.0))], [gaps], True)]
+    sets = montecarlo._layout("capacity", subcarrier_gaps(plan.target_index, cfg.half_subcarriers),
+                              cell.paths_per_device)
+    blocks = [[block for blocks in v for block in blocks] for _, _, _, v, _ in
+              montecarlo._device_powers(plan, cell, [(cfg, MobilityModel(0.0))], [gaps], sets)]
     return [np.concatenate(group).reshape(-1, group[0][0].size) for group in zip(*blocks)]
 
 
@@ -946,11 +1018,13 @@ def test_the_near_columns_have_full_rank(paths):
     # a near part's columns of 4096 trials of one device, no extra draw:
     # at one path only m_2..m_6 are kept, the products being moments; at
     # two m_2^3 would be a combination of the others, so it is left out
-    moments = np.empty((5, 4096, 1))
-    montecarlo._path_moments(sample_cell_batch(np.random.default_rng(paths), 4096, 1,
-                                               CellConfig(paths)),
-                             [slice(0, 4096)], moments, np.empty((4096, 1, paths)))
-    near = montecarlo._near_columns(moments, [], paths)
+    [draws] = montecarlo._layout("capacity", np.zeros(1), paths)
+    [part] = draws.parts
+    work = np.empty(part.held * 4096)
+    near = part.build(part, sample_cell_batch(np.random.default_rng(paths), 4096, 1,
+                                              CellConfig(paths)),
+                      [slice(0, 4096)], None, np.empty((1, 4096, 1, paths)), work, None)
+    moments = work.reshape(5, 4096, 1)
     assert near.shape == (4096, 1, 5 if paths == 1 else 9)
     assert np.linalg.matrix_rank(near[:, 0]) == near.shape[2]
     if paths == 2:
@@ -1143,7 +1217,8 @@ def test_few_trials_give_defined_capacity_estimates(trials, monkeypatch):
                                      [CFG], CELL, [MOB])
     # five near parts, the mid part, and the tail on 32 draws a block
     assert [design.shape for design in designs] \
-        == [(trials, 10)] * 5 + [(trials, 13), (montecarlo._tail_draws(trials), 13)]
+        == [(trials, 10)] * 5 + [(trials, 13), (montecarlo._layout(
+            "capacity", subcarrier_gaps(0, CFG.half_subcarriers), 8)[1].draws(trials), 13)]
     assert math.isfinite(est.mean) and math.isfinite(est.std_error) and est.trials == trials
     mean, std_error, plain = _two_pass(runs[0], designs)
     if trials == 1:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nbofdma.analytic import finite_n_ici, leakage_sum
-from nbofdma.montecarlo import (TrialPlan, _device_powers, estimate_ergodic_capacity,
+from nbofdma.montecarlo import (TrialPlan, _device_powers, _layout, estimate_ergodic_capacity,
                                 estimate_total_ici, estimate_useful_power, symmetry_probe)
 from nbofdma.numerics import sin_pi
 from nbofdma.sysmodel import (CellConfig, MobilityModel, SystemConfig, sample_cell_batch,
@@ -158,8 +158,9 @@ def test_coherent_device_power_has_unit_mean():
     plan = TrialPlan(trials=40000, seed=2)
     scenario = (SystemConfig(), MobilityModel(max_velocity_mps=0.0))
     samples = np.empty(plan.trials)
+    sets = _layout("capacity", subcarrier_gaps(0, 3), CellConfig().paths_per_device)
     for _, [rows], [powers], _, [weights] in _device_powers(plan, CellConfig(), [scenario],
-                                                            [np.zeros(7)], True):
+                                                            [np.zeros(7)], sets):
         samples[rows] = powers[:, 0] * weights[:, 0]
     assert samples.mean() == pytest.approx(1.0, abs=0.02)
 
