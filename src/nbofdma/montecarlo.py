@@ -409,6 +409,7 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     return sets
 
 
+@functools.cache  # the sweep asks at every grid point, mostly with the same arguments
 def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     """Bytes of the arrays :func:`_device_powers` holds at once for
     ``devices`` devices of ``paths`` paths sharing one gap vector, counted
@@ -663,7 +664,7 @@ def _power_residuals(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     for k, rows, powers, _, _ in _device_powers(plan, cell, scenarios, gaps, sets):
         for ds, r, p in zip(sets, rows, powers):
             for part in ds.parts:
-                # each part's columns' powers summed
+                # a draw of a part: the summed powers of its columns
                 samples[k][part][r] = p[:, part.columns].reshape(len(p), part.count, -1) \
                     .sum(axis=2) * scenarios[k][0].effective_power
     powers = p = None  # let the last block go before the fit
@@ -870,7 +871,7 @@ def _set_factors(ds: _DrawSet, powers, weights, state, out) -> np.ndarray:
     part from the drawn interference of its columns."""
     near = [part for part in ds.parts if part.build is _near_columns]
     far = [part for part in ds.parts if part.build is _far_columns]
-    faded = powers[:, [c for part in near for c in part.columns]]
+    faded = powers[:, near[0].columns if near else []]
     faded *= state.snr
     faded = faded.T  # u, the b_j, extras
     interference = None
@@ -878,7 +879,7 @@ def _set_factors(ds: _DrawSet, powers, weights, state, out) -> np.ndarray:
         powers *= weights  # 0 at the near devices and the extra draws
         interference = powers[:, far[0].columns].sum(axis=1) * state.snr
     table = _part_factors(state.rule[0], faded, interference,
-                          [o for part in near for o in part.owners],
+                          near[0].owners if near else [],
                           out[:ds.count], out[ds.count:])
     if near:
         table[0] *= faded[0][:, None]  # C is u times its row
@@ -962,12 +963,12 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
     sets = _layout("capacity", subcarrier_gaps(plan.target_index, n), cell.paths_per_device)
-    parts = [part for ds in sets for part in ds.parts]
-    grams = {part: np.zeros((part.count, _FOLDS, part.width + 1, part.width + 1)) for part in parts}
+    grams = {part: np.zeros((part.count, _FOLDS, part.width + 1, part.width + 1))
+             for ds in sets for part in ds.parts}  # keyed by each part, in order
     for state in states:
         state.totals = [np.zeros((ds.count, state.rule[0].size)) for ds in sets]
         state.influences = [np.empty((ds.draws(plan.trials), ds.count)) for ds in sets]
-        state.sums = dict.fromkeys(parts, 0.0)
+        state.sums = dict.fromkeys(grams, 0.0)
     # each set's factor table, then a scratch row for each part an extra draw repeats
     heights = [ds.count + len({o for part in ds.parts for o in part.owners}) for ds in sets]
     table_size = sum(h * min(plan.trials, ds.rows) for h, ds in zip(heights, sets)) \
@@ -979,8 +980,7 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
             for ds, r, blocks in zip(sets, rows, columns):
                 for part, block in zip(ds.parts, blocks):
                     part.V[r] = block
-                    designs[part] = design = np.concatenate([np.ones(block.shape[:2] + (1,)),
-                                                             block], axis=2)
+                    designs[part] = design = np.dstack([np.ones(block.shape[:2]), block])
                     grams[part] += _fold_sums(design, design.transpose(1, 0, 2))
             if last:
                 solvers = {part: _fold_solver(gram) for part, gram in grams.items()}
@@ -996,10 +996,10 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
                 [sums / t.shape[1] for sums, t in zip(column_sums, table)])) * state.rule[1]
             state.node_weights = np.split(node_weights, np.cumsum([len(t) for t in table])[:-1])
             state.first = [t[:, 0].copy() for t in table]
-        # less the first trial's factors, which leaves the influences and the
-        # node sums the digits of their spread, and equal factors exactly 0
-        # and after the last block, the part means controlled at every node
-        # and the slopes of the influences
+        # per set its factors less the first trial's, which leaves the
+        # influences and the node sums the digits of their spread and equal
+        # factors exactly 0; after the last block, each part's mean
+        # controlled at every node and its influences' slopes
         for ds, t, sums, f, totals, node_weights, y, r in zip(
                 sets, table, column_sums, state.first, state.totals, state.node_weights,
                 state.influences, rows):
@@ -1014,14 +1014,13 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
                     totals[part.local] -= np.einsum("ifs,ifsn->in", grams[part][..., 0, :], beta)
                     state.slopes[part] = np.einsum("ifsn,in->ifs", beta, node_weights[part.local])
         if last:
-            # the node sums go once they are used
             state.mean = state.rule[1] @ np.prod(np.concatenate(
                 [totals / ds.draws(plan.trials) for totals, ds in zip(state.totals, sets)]), axis=0)
-            state.sums = beta = None
+            state.sums = beta = None  # the node sums go once they are used
         if k == len(scenarios) - 1:
             tables = table = out = t = designs = design = None
     powers = columns = weights = None  # let the last block go before the fit
-    designs = {part: _fold_design(part.V) for part in parts}
+    designs = {part: _fold_design(part.V) for part in grams}
     estimates = []
     for state in states:
         residuals = [np.empty_like(y) for y in state.influences]

@@ -372,10 +372,11 @@ def test_the_scenarios_of_a_block_allocate_no_tile(coherent):
     mobs = [MobilityModel(v) for v in (10.0, 20.0, 50.0, 100.0, 200.0, 400.0, 500.0,
                                        700.0, 1000.0, 1500.0)]
     gaps = [subcarrier_gaps(0, CFG.half_subcarriers)] * len(cfgs)
-    devices, paths = len(gaps[0]), CELL.paths_per_device
-    tile_rows = numerics.row_tiles(montecarlo.BLOCK_TRIALS, devices * paths)[0].stop
-    tile_bytes = tile_rows * devices * paths * 8
+    paths = CELL.paths_per_device
     sets = montecarlo._layout("capacity" if coherent else "interference", gaps[0], paths)
+    # the largest tile of a draw set, which the kernel's workspace holds
+    tile_bytes = max(numerics.row_tiles(ds.rows, ds.columns.size * paths)[0].stop
+                     * ds.columns.size * paths * 8 for ds in sets)
     scenarios = montecarlo._device_powers(TrialPlan(trials=256, seed=27), CELL,
                                           list(zip(cfgs, mobs)), gaps, sets)
     tracemalloc.start()
@@ -515,6 +516,7 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
             monkeypatch.setattr(montecarlo, "_layout",
                                 lambda *args: counted.append(layout(*args)) or counted[-1])
             snr = 100.0 if estimator == "capacity" else None
+            montecarlo.block_bytes.cache_clear()
             montecarlo.run_bytes(plan.trials, 2, devices, paths, snr)
             monkeypatch.undo()
             assert len(counted) == 2
@@ -1218,7 +1220,8 @@ def test_few_trials_give_defined_capacity_estimates(trials, monkeypatch):
     # five near parts, the mid part, and the tail on 32 draws a block
     assert [design.shape for design in designs] \
         == [(trials, 10)] * 5 + [(trials, 13), (montecarlo._layout(
-            "capacity", subcarrier_gaps(0, CFG.half_subcarriers), 8)[1].draws(trials), 13)]
+            "capacity", subcarrier_gaps(0, CFG.half_subcarriers), CELL.paths_per_device)[1]
+            .draws(trials), 13)]
     assert math.isfinite(est.mean) and math.isfinite(est.std_error) and est.trials == trials
     mean, std_error, plain = _two_pass(runs[0], designs)
     if trials == 1:
