@@ -355,8 +355,8 @@ class _DrawSet:
         self.design = sum(part.count * (part.width + 1) for part in self.parts)
 
     def draws(self, trials: int) -> int:
-        """Its draws over a run of ``trials`` trials."""
-        return sum(min(size, self.rows) for size in _block_sizes(trials))
+        """Its draws over a run of ``trials`` trials (its rows are at most a block's)."""
+        return trials // BLOCK_TRIALS * self.rows + min(trials % BLOCK_TRIALS, self.rows)
 
 
 def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet]:
@@ -380,8 +380,8 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     columns, moments = np.arange(index_gaps.size), len(_ORDERS)
     if estimator == "devices":
         return [_DrawSet(columns, BLOCK_TRIALS, columns < 0,
-                         [_Part(slice(0, columns.size), _moment_columns, moments,
-                                moments * columns.size, count=columns.size)])]
+                         [_Part(slice(j, j + 1), _moment_columns, moments, moments)
+                          for j in columns])]
     far = abs(index_gaps)
     if estimator == "interference":
         return [_DrawSet(columns[kept], rows, columns[kept] < 0,
@@ -659,14 +659,13 @@ def _power_residuals(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     of the draw ``sets`` (:func:`_layout`): a draw of a part gives the power
     its columns deposit on the target sub-carrier, times P_T, less its
     fitted columns (:func:`_fitted`)."""
-    samples = [{part: np.empty((ds.draws(plan.trials), part.count))
-                for ds in sets for part in ds.parts} for _ in scenarios]
+    samples = [{part: np.empty((ds.draws(plan.trials), 1)) for ds in sets for part in ds.parts}
+               for _ in scenarios]
     for k, rows, powers, _, _ in _device_powers(plan, cell, scenarios, gaps, sets):
         for ds, r, p in zip(sets, rows, powers):
             for part in ds.parts:
-                # a draw of a part: the summed powers of its columns
-                samples[k][part][r] = p[:, part.columns].reshape(len(p), part.count, -1) \
-                    .sum(axis=2) * scenarios[k][0].effective_power
+                samples[k][part][r] = p[:, part.columns].sum(axis=1, keepdims=True) \
+                    * scenarios[k][0].effective_power
     powers = p = None  # let the last block go before the fit
     fits = [_fitted(part.V, [y[part] for y in samples]) for part in samples[0]]
     for _ in scenarios:
@@ -728,8 +727,8 @@ def _device_estimates(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     mean_m z_m^p - E[z^p], p = 2..6, of that device's own draws
     (:func:`_fitted`), each device a part (:func:`_layout`)."""
     sets = _layout("devices", gaps, cell.paths_per_device)
-    [[residuals]] = _power_residuals(plan, cell, [(cfg, mob)], [gaps], sets)
-    return [_reduce(values) for values in residuals.T]
+    [residuals] = _power_residuals(plan, cell, [(cfg, mob)], [gaps], sets)
+    return [_reduce(values[:, 0]) for values in residuals]
 
 
 def _by_fold(values: np.ndarray) -> np.ndarray:
@@ -867,19 +866,19 @@ def _set_factors(ds: _DrawSet, powers, weights, state, out) -> np.ndarray:
     """Draw set ``ds``'s (parts, trials, nodes) factor table on ``state``'s
     rule in ``out`` (:func:`_part_factors`), from its columns' ``powers``,
     which it overwrites: a row for each near part from the faded powers of
-    its draws, the target's C its row times its SNR u, and one for a far
-    part from the drawn interference of its columns."""
+    its draws (its main draw alone for a static scenario, whose extra draws
+    would give the same factors), the target's C its row times its SNR u,
+    and one for a far part from the drawn interference of its columns."""
     near = [part for part in ds.parts if part.build is _near_columns]
-    far = [part for part in ds.parts if part.build is _far_columns]
-    faded = powers[:, near[0].columns if near else []]
+    faded = powers[:, near[0].columns[:None if state.moving else near[0].count] if near else []]
     faded *= state.snr
     faded = faded.T  # u, the b_j, extras
     interference = None
-    if far:
+    if weights is not None:  # the set's last part is a far one, over its weighted columns
         powers *= weights  # 0 at the near devices and the extra draws
-        interference = powers[:, far[0].columns].sum(axis=1) * state.snr
+        interference = powers[:, ds.parts[-1].columns].sum(axis=1) * state.snr
     table = _part_factors(state.rule[0], faded, interference,
-                          near[0].owners if near else [],
+                          near[0].owners if near and state.moving else [],
                           out[:ds.count], out[ds.count:])
     if near:
         table[0] *= faded[0][:, None]  # C is u times its row
@@ -955,24 +954,20 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     :func:`estimate_total_ici`.
     """
     scenarios, single = _group(cfg, mob)
-    # per scenario: its SNR and rule; while its blocks run, per draw set
-    # its factor sums and influences, and per part its node sums; then its
-    # controlled mean and each part's slopes
-    states = [SimpleNamespace(snr=(snr := capacity_snr(c)), rule=hamdi_rule(snr), slopes={})
-              for c, _ in scenarios]
+    # per scenario: its SNR, rule and whether it moves; from its first block,
+    # per draw set its factor sums and influences, and per part its node
+    # sums; then its controlled mean and each part's slopes
+    states = [SimpleNamespace(snr=(snr := capacity_snr(c)), rule=hamdi_rule(snr), sums={},
+                              slopes={}, moving=c.doppler_span(m.max_velocity_mps) != 0.0)
+              for c, m in scenarios]
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
     sets = _layout("capacity", subcarrier_gaps(plan.target_index, n), cell.paths_per_device)
     grams = {part: np.zeros((part.count, _FOLDS, part.width + 1, part.width + 1))
              for ds in sets for part in ds.parts}  # keyed by each part, in order
-    for state in states:
-        state.totals = [np.zeros((ds.count, state.rule[0].size)) for ds in sets]
-        state.influences = [np.empty((ds.draws(plan.trials), ds.count)) for ds in sets]
-        state.sums = dict.fromkeys(grams, 0.0)
     # each set's factor table, then a scratch row for each part an extra draw repeats
     heights = [ds.count + len({o for part in ds.parts for o in part.owners}) for ds in sets]
-    table_size = sum(h * min(plan.trials, ds.rows) for h, ds in zip(heights, sets)) \
-        * max(state.rule[0].size for state in states)
+    nodes = max(state.rule[0].size for state in states)
     for k, rows, powers, columns, weights in _device_powers(plan, cell, scenarios, gaps, sets):
         state, last = states[k], rows[0].stop == plan.trials
         if k == 0:
@@ -984,18 +979,19 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
                     grams[part] += _fold_sums(design, design.transpose(1, 0, 2))
             if last:
                 solvers = {part: _fold_solver(gram) for part, gram in grams.items()}
-            tables = _aligned_empty((table_size,))  # let go with the block
-        table, offset = [], 0
-        for ds, p, w, height in zip(sets, powers, weights, heights):
-            out = tables[offset:offset + height * len(p) * state.rule[0].size]
-            offset += out.size
-            table.append(_set_factors(ds, p, w, state, out.reshape(height, len(p), -1)))
+            tables = [_aligned_empty((height * min(plan.trials, ds.rows) * nodes,))
+                      for height, ds in zip(heights, sets)]  # let go with the block
+        table = [_set_factors(ds, p, w, state, out[:height * len(p) * state.rule[0].size]
+                              .reshape(height, len(p), -1))
+                 for ds, p, w, height, out in zip(sets, powers, weights, heights, tables)]
         column_sums = [np.ones(t.shape[1]) @ t for t in table]
         if rows[0].start == 0:
             node_weights = _all_but_each(np.concatenate(
                 [sums / t.shape[1] for sums, t in zip(column_sums, table)])) * state.rule[1]
             state.node_weights = np.split(node_weights, np.cumsum([len(t) for t in table])[:-1])
             state.first = [t[:, 0].copy() for t in table]
+            state.totals = [np.zeros_like(sums) for sums in column_sums]
+            state.influences = [np.empty((ds.draws(plan.trials), ds.count)) for ds in sets]
         # per set its factors less the first trial's, which leaves the
         # influences and the node sums the digits of their spread and equal
         # factors exactly 0; after the last block, each part's mean
@@ -1007,7 +1003,9 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
             t -= f[:, None]
             y[r] = (t @ node_weights[..., None])[..., 0].T
             for part in ds.parts:
-                state.sums[part] += _fold_sums(designs[part], t[part.local])
+                sums = _fold_sums(designs[part], t[part.local])
+                if state.sums.setdefault(part, sums) is not sums:  # kept from the first block
+                    state.sums[part] += sums
                 if last:
                     beta = solvers[part](state.sums[part])  # per part, fold, column and node
                     # row 0 of a gram: the fold's draw count and column sums
@@ -1016,9 +1014,9 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         if last:
             state.mean = state.rule[1] @ np.prod(np.concatenate(
                 [totals / ds.draws(plan.trials) for totals, ds in zip(state.totals, sets)]), axis=0)
-            state.sums = beta = None  # the node sums go once they are used
+            state.sums = sums = beta = None  # the node sums go once they are used
         if k == len(scenarios) - 1:
-            tables = table = out = t = designs = design = None
+            tables = table = t = designs = design = None
     powers = columns = weights = None  # let the last block go before the fit
     designs = {part: _fold_design(part.V) for part in grams}
     estimates = []
