@@ -996,10 +996,10 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         # influences and the node sums the digits of their spread and equal
         # factors exactly 0; after the last block, each part's mean
         # controlled at every node and its influences' slopes
-        for ds, t, sums, f, totals, node_weights, y, r in zip(
+        for ds, t, column_sum, f, totals, node_weights, y, r in zip(
                 sets, table, column_sums, state.first, state.totals, state.node_weights,
                 state.influences, rows):
-            totals += sums
+            totals += column_sum
             t -= f[:, None]
             y[r] = (t @ node_weights[..., None])[..., 0].T
             for part in ds.parts:
