@@ -123,17 +123,25 @@ def _check_velocity(max_velocity_mps: float):
         raise ValueError("max_velocity_mps must be finite and non-negative")
 
 
-def _useful_kernel(u: float) -> float:
-    """Si(2u)/u - sin(u)^2/u^2, the useful-power fraction at Doppler depth u.
+def _useful_kernel(u):
+    """Si(2u)/u - sin(u)^2/u^2, the useful-power fraction at Doppler depth u
+    >= 0: a float for a float, an array for an array, element by element.
 
     The series branch keeps absolute error below 1e-14 for u < 0.05; going
     through the sine integral there would amplify its error by 1/u.
     """
-    if u < 0.05:
-        u2 = u * u
-        return 1.0 - u2 / 9.0 + u2 * u2 * (2.0 / 225.0) - u2 * u2 * u2 / 2205.0
-    s = math.sin(u) / u
-    return sine_integral(2.0 * u) / u - s * s
+    u = np.asarray(u, dtype=float)
+    small = u < 0.05
+    if small.any():
+        out = np.empty(u.shape)
+        u2 = u[small] * u[small]
+        out[small] = 1.0 - u2 / 9.0 + u2 * u2 * (2.0 / 225.0) - u2 * u2 * u2 / 2205.0
+        if not small.all():
+            out[~small] = _useful_kernel(u[~small])
+        return out if out.ndim else float(out)
+    s = np.sin(u) / u
+    out = sine_integral(2.0 * u) / u - s * s
+    return out if out.ndim else float(out)
 
 
 def effective_useful_power(max_velocity_mps: float, cfg: SystemConfig) -> float:
@@ -149,7 +157,7 @@ def effective_useful_power(max_velocity_mps: float, cfg: SystemConfig) -> float:
     if max_velocity_mps == 0.0:
         return cfg.effective_power
     depth = math.pi * cfg.doppler_span(max_velocity_mps)
-    value = integrate(lambda p: _useful_kernel(depth * math.cos(p)),
+    value = integrate(lambda p: _useful_kernel(depth * np.cos(p)),
                       0.0, math.pi / 2.0, _USEFUL_SPEC)
     return cfg.effective_power * (2.0 / math.pi) * value
 

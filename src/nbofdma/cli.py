@@ -19,6 +19,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analytic import (
     _USEFUL_SPEC,
@@ -38,10 +40,10 @@ from .analytic import (
 )
 from .montecarlo import (TrialPlan, estimate_ergodic_capacity, estimate_total_ici,
                          estimate_useful_power)
-from .numerics import QuadratureError
+from .numerics import QuadratureError, moment_reciprocal_mean
 from .sweep import (ConfigError, _snr_to_noise, emit, parse_config, preset_path,
                     run_sweep, to_text)
-from .sysmodel import CellConfig, MobilityModel, SystemConfig, subcarrier_gaps
+from .sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch, subcarrier_gaps
 
 __all__ = ["main"]
 
@@ -283,6 +285,24 @@ def _cmd_check(args) -> int:
         ok = ok and gap <= 1e-12 * quadrature
         rel = max(rel, gap / quadrature if quadrature else gap)
     record("ici-series-agreement", ok, f"max relative gap {rel:.3e}")
+
+    # the capacity's surrogates subtract their exact means h_M(c), read
+    # from a table: at one path it must meet the closed form asinh(sqrt c)
+    # / sqrt c, and at the cell's path count the mean of 1 / (1 + c m_2)
+    # over 2^16 drawn devices
+    scales = np.geomspace(1e-3, 1e6, 37)
+    closed = np.arcsinh(np.sqrt(scales)) / np.sqrt(scales)
+    rel = float(np.max(abs(moment_reciprocal_mean(scales, 1) - closed) / closed))
+    shift = sample_cell_batch(np.random.default_rng(args.seed), 256, 256, cell)
+    second = np.mean(shift * shift, axis=2).ravel()
+    worst = 0.0
+    for scale in (1.0, 100.0, 1500.0):
+        samples = 1.0 / (1.0 + scale * second)
+        gap = abs(samples.mean() - moment_reciprocal_mean(scale, cell.paths_per_device))
+        worst = max(worst, gap / (samples.std(ddof=1) / math.sqrt(samples.size)))
+    record("capacity-surrogate-mean", rel <= 1e-12 and worst <= 4.0,
+           f"one path: max relative gap {rel:.3e}; {cell.paths_per_device} paths: "
+           f"max |z| {worst:.2f}")
 
     # identical seeds must reproduce the estimate bit for bit, and a group
     # that shares its draws must give each scenario's estimate alone

@@ -33,7 +33,8 @@ import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
-from .numerics import HAMDI_MAX_SCALE, hamdi_factors, hamdi_rule, row_tiles, sinc, sinc_squared
+from .numerics import (HAMDI_MAX_SCALE, doppler_power_scale, hamdi_factors, hamdi_rule,
+                       moment_reciprocal_mean, row_tiles, sinc, sinc_squared)
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
                        sample_cell_batch, subcarrier_gaps)
 
@@ -72,7 +73,8 @@ class TrialPlan:
     unbiased: the power estimators' columns are the path moments, the
     capacity's also their products of second order (:func:`_near_columns`,
     :func:`_far_columns`), fitted to each part's factor at every node of
-    its rule.
+    its rule, after its neighbours at index gap +-1 and its mid part have
+    subtracted surrogates of exactly known mean (:func:`_surrogates`).
     """
 
     trials: int
@@ -313,9 +315,14 @@ class _Part:
     near parts, whose extra draws each repeat part ``owners[i]``); its
     ``build``, which forms a block's columns V, ``width`` a part; the
     whole-number ``gaps`` its Taylor table is built on, 0 at a column it
-    leaves out (none for a table-free part); and ``held``, the doubles a
-    block row its builder keeps across blocks.  ``V`` holds its columns
-    over a run (:func:`_device_powers`)."""
+    leaves out (none for a table-free part); ``held``, the doubles a
+    block row its builder keeps across blocks; and for the capacity's near
+    parts the ``proxied`` draws, those of the neighbours at index gap +-1,
+    whose surrogates :func:`_part_factors` subtracts.  ``V`` holds its
+    columns over a run (:func:`_device_powers`), and a capacity part's
+    ``m2`` the block's second path moments, which its builder leaves in
+    what it holds: m_2 of each draw of the near parts, and sum_j n_j^-2 w_j
+    m_(2,j) of a far-style part's."""
 
     columns: slice | list
     build: Callable
@@ -324,8 +331,10 @@ class _Part:
     gaps: np.ndarray | None = None
     count: int = 1
     owners: list = ()
+    proxied: list = ()
     local: slice | None = None  # its parts among its set's
     V: np.ndarray | None = None
+    m2: np.ndarray | None = None
 
     @functools.cached_property
     def table(self) -> np.ndarray | None:
@@ -371,7 +380,8 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     neither.  "capacity": its main draws, a column for each device within
     index gap K of the target and then each extra draw of a neighbour at
     index gap +-1 (:func:`_extra_draws`), with the near parts
-    (:func:`_near_devices`, :func:`_near_columns`) and, if the band holds
+    (:func:`_near_devices`, :func:`_near_columns`; the draws of the +-1
+    neighbours are its ``proxied``) and, if the band holds
     devices beyond them, the mid part (:func:`_far_columns`); then, if the
     band has devices beyond index gap K, the tail's, one far-style part.
     Only its devices beyond index gap 2 draw a weight, and a far-style
@@ -395,8 +405,10 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     near, extra = _near_devices(target, devices), _extra_draws(target, devices)
     main = np.concatenate([band, np.array(extra, dtype=band.dtype)])
     quiet = [c - band[0] for c in near] + list(range(band.size, main.size))
+    ones = [i for i, c in enumerate(near) if far[c] == 1]
     parts = [_Part(quiet, _near_columns, _near_means(paths).size, moments * len(quiet),
-                   count=len(near), owners=[near.index(c) for c in extra])]
+                   count=len(near), owners=[near.index(c) for c in extra],
+                   proxied=ones + list(range(len(near), len(quiet))))]
     weighted = far[main] > 2
     if weighted.any():
         parts.append(_Part(slice(0, band.size), _far_columns, _FAR_WIDTH, len(_TERMS),
@@ -426,10 +438,10 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     (:func:`_fold_solver`), and while sampling the block's columns V; once
     the sampler has let go of its slot and tiles, what its average holds:
     the parts' factor tables on the rule at that SNR
-    (:func:`numerics.hamdi_rule`) with a scratch row for each part an extra
-    draw repeats, the block's columns V and designs [1, V], the faded
-    powers of the near draws and 26 more doubles a trial, and the near
-    parts' fold sums of one scenario (:func:`_fold_sums`)."""
+    (:func:`numerics.hamdi_rule`) with their scratch rows
+    (:func:`_scratch_rows`), the block's columns V and designs [1, V], the
+    faded powers of the near draws and 26 more doubles a trial, and the
+    near parts' fold sums of one scenario (:func:`_fold_sums`)."""
     sets = _layout("interference" if snr is None else "capacity",
                    subcarrier_gaps(0, devices // 2), paths)
     tiles = [row_tiles(ds.rows, ds.columns.size * paths)[0].stop * ds.columns.size * paths
@@ -446,7 +458,7 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
                              for part in ds.parts)
         sampler += sum(ds.rows * (ds.design - ds.count) for ds in sets)
         average = sum(ds.rows * (ds.count * nodes + 2 * ds.design) for ds in sets) \
-            + BLOCK_TRIALS * (len(set(near.owners)) * nodes + len(near.columns) + 26) \
+            + BLOCK_TRIALS * (_scratch_rows(sets[0]) * nodes + len(near.columns) + 26) \
             + _FOLDS * near.count * (near.width + 1) * nodes
     return 8 * (draws + 5 * max(tiles, default=0) + sum(tiles) + max(sampler, average) + held)
 
@@ -460,14 +472,16 @@ def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
     two: a block (:func:`block_bytes`, the capacity's with ``snr``) with,
     for the capacity, each scenario's node sums on its rule, the fold sums
     of [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a part, which
-    go once the scenario's last block is done; or, after the blocks, the
-    fit: the designs [1, V] and 5 doubles a draw and part of one
-    scenario's temporaries (:func:`_residuals`)."""
+    go once the scenario's last block is done, and its surrogates' two
+    vectors of exact means with 1 kB for their record (:func:`_surrogates`);
+    or, after the blocks, the fit: the designs [1, V] and 5 doubles a draw
+    and part of one scenario's temporaries (:func:`_residuals`)."""
     sets = _layout("interference" if snr is None else "capacity",
                    subcarrier_gaps(0, devices // 2), paths)
     nodes = 0 if snr is None else hamdi_rule(snr)[0].size
     kept = sum(ds.draws(trials) * (ds.design - ds.count + ds.count * scenarios) for ds in sets)
-    node_sums = scenarios * nodes * sum(_FOLDS * ds.design + 3 * ds.count for ds in sets)
+    node_sums = 0 if snr is None else scenarios * (
+        nodes * (2 + sum(_FOLDS * ds.design + 3 * ds.count for ds in sets)) + 128)
     fit = sum(ds.draws(trials) * (ds.design + 5 * ds.count) for ds in sets)
     return 8 * (kept + max(block_bytes(devices, paths, snr) // 8 + node_sums, fit))
 
@@ -495,6 +509,7 @@ def _near_columns(part, shift, tiles, weights, space, work, rows) -> np.ndarray:
     averaged over the part's draws (its extra draws follow the near
     devices, draw i of part owners[i], :func:`_extra_draws`)."""
     near_moments = _path_moments(part, shift, tiles, work, space[0])
+    part.m2 = near_moments[0]
     means = _near_means(shift.shape[2])
     draws, parts = near_moments.shape[2], part.count
     # the mean over each part's draws, as a (draws, parts) matrix
@@ -538,6 +553,7 @@ def _far_columns(part, shift, tiles, weights, space, work, rows) -> np.ndarray:
             # one product a trial, so that no value depends on the tile
             far_terms[tile, terms] = (weights_of_terms @ moment[..., None])[..., 0]
     far_terms /= paths.size
+    part.m2 = far_terms[:, 0]
     far = np.empty((len(far_terms), 1, _FAR_WIDTH))
     terms = far[:, 0, :len(_TERMS)]
     np.subtract(far_terms, _MOMENT_MEANS[_TERM_ORDERS - 2] * table.sum(axis=1), out=terms)
@@ -821,7 +837,7 @@ def _fitted(columns: np.ndarray, samples):
         yield _residuals(design, y, solve(cross)[..., 0])
 
 
-def _part_factors(nodes, faded, far, owners, out, scratch):
+def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
     """The capacity's (parts, trials, nodes) factor table at ``nodes``
     (:func:`numerics.hamdi_factors`) in ``out``: a row for each near
     device from its own draw, a row of ``faded``, and with ``far`` one for
@@ -830,17 +846,79 @@ def _part_factors(nodes, faded, far, owners, out, scratch):
     owners[i], whose row becomes the mean of its draws' factors: their
     tables are formed len(``scratch``) rows at a time, a round of the
     extra draws (:func:`_extra_draws`), and added into the parts' rows, so
-    no table of every draw is held."""
+    no table of every draw is held.
+
+    With a ``surrogate`` (a moving scenario's, :func:`_surrogates`), each
+    row subtracts, at every node t, a surrogate of its draws less its
+    exact mean, which keeps its mean: a neighbour at index gap +-1, the
+    mean over its draws d of 1 / (1 + c m_2,d) less h_M(c), with c = t
+    SNR x^2 / q^2 and m_2 the draw's second path moment
+    (:func:`numerics.moment_reciprocal_mean`), those tables formed a round
+    at a time as the extra draws' are; and the mid part, e^(-c k A) less
+    prod_j h_M(c k / n_j^2), A = sum_j n_j^-2 w_j m_(2,j) over its devices
+    and k = k(x) (:func:`numerics.doppler_power_scale`): to leading order
+    sinc^2(n q + x z) = sin^2(pi x z) / (pi n q)^2, so each surrogate
+    follows its factor where that factor is far from polynomial in the
+    path moments, and the columns then fit what is left."""
     near = len(faded) - len(owners)
     table = hamdi_factors(nodes, faded[:near], far, out)
-    for start in range(0, len(owners), max(len(scratch), 1)):
-        rows = faded[near + start:near + start + len(scratch)]
+    step = max(len(scratch), 1)
+    for start in range(0, len(owners), step):
+        rows = faded[near + start:near + start + step]
         for part, factors in zip(owners[start:], hamdi_factors(nodes, rows,
                                                                out=scratch[:len(rows)])):
             table[part] += factors
+    if surrogate is not None:
+        draws, owner = surrogate.draws, list(range(near)) + list(owners)
+        parts = [owner[d] for d in draws]
+        for start in range(0, len(draws), step):
+            rows = surrogate.moments.T[draws[start:start + step]]
+            rows *= surrogate.scale
+            for part, factors in zip(parts[start:], hamdi_factors(nodes, rows,
+                                                                   out=scratch[:len(rows)])):
+                table[part] -= factors
     for part in set(owners):
         table[part] /= owners.count(part) + 1
+    if surrogate is not None:
+        for part in set(parts):
+            table[part] += surrogate.mean
+        if far is not None:
+            table[-1] -= hamdi_factors(nodes, faded[:0], surrogate.far, scratch[:1])[0]
+            table[-1] += surrogate.far_mean
     return table
+
+
+def _surrogates(ds: _DrawSet, snr: float, span: float, q: int, paths: int, nodes):
+    """A moving scenario's exact means of the surrogates of the main draw
+    set ``ds`` (:func:`_part_factors`) at the rule's ``nodes``, and their
+    scales: c / t = SNR x^2 / q^2, x = ``span`` and q = T_s df; its near
+    parts' h_M(c); the mid part's scale c k / t and prod_j h_M(c k /
+    n_j^2) over its devices, if the set has one; or None for a static
+    scenario, without a neighbour at index gap +-1 (N = 0) or where c / t is
+    beyond the rule's largest scale, which none of fig4's points comes
+    near."""
+    scale = snr * (span / q) ** 2
+    if not (ds.parts[0].proxied and 0.0 < scale <= HAMDI_MAX_SCALE):
+        return None
+    mid = ds.parts[-1].gaps if len(ds.parts) > 1 else np.zeros(0)
+    gaps, counts = np.unique(abs(mid[mid != 0.0]), return_counts=True)
+    far_scale = scale * doppler_power_scale(span) if gaps.size else 0.0
+    means = moment_reciprocal_mean(np.outer(np.concatenate([[scale], far_scale / gaps ** 2]),
+                                            nodes), paths)
+    return SimpleNamespace(draws=ds.parts[0].proxied, scale=scale, mean=means[0].copy(),
+                           far_scale=far_scale,
+                           far_mean=np.prod(means[1:] ** counts[:, None], axis=0))
+
+
+def _scratch_rows(ds: _DrawSet) -> int:
+    """Rows of scratch the capacity's factor tables of draw set ``ds`` take
+    (:func:`_part_factors`): one for each part that an extra draw or a
+    surrogate repeats, the neighbours at index gap +-1, and at least one
+    for the mid part's surrogate."""
+    near = [part for part in ds.parts if part.build is _near_columns]
+    if not near:
+        return 0
+    return max(sum(d < near[0].count for d in near[0].proxied), len(ds.parts) - 1)
 
 
 def _all_but_each(means: np.ndarray) -> np.ndarray:
@@ -868,18 +946,24 @@ def _set_factors(ds: _DrawSet, powers, weights, state, out) -> np.ndarray:
     which it overwrites: a row for each near part from the faded powers of
     its draws (its main draw alone for a static scenario, whose extra draws
     would give the same factors), the target's C its row times its SNR u,
-    and one for a far part from the drawn interference of its columns."""
+    and one for a far part from the drawn interference of its columns; in
+    the main set of a moving scenario, less their surrogates
+    (:func:`_surrogates`)."""
     near = [part for part in ds.parts if part.build is _near_columns]
     faded = powers[:, near[0].columns[:None if state.moving else near[0].count] if near else []]
     faded *= state.snr
     faded = faded.T  # u, the b_j, extras
-    interference = None
+    interference = surrogate = None
     if weights is not None:  # the set's last part is a far one, over its weighted columns
         powers *= weights  # 0 at the near devices and the extra draws
         interference = powers[:, ds.parts[-1].columns].sum(axis=1) * state.snr
+    if near and state.surrogate is not None:
+        surrogate = SimpleNamespace(**vars(state.surrogate), moments=near[0].m2)
+        if interference is not None:
+            surrogate.far = ds.parts[-1].m2 * surrogate.far_scale
     table = _part_factors(state.rule[0], faded, interference,
                           near[0].owners if near and state.moving else [],
-                          out[:ds.count], out[ds.count:])
+                          out[:ds.count], out[ds.count:], surrogate)
     if near:
         table[0] *= faded[0][:, None]  # C is u times its row
     return table
@@ -914,6 +998,18 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     while being 378 of the 419 columns of a trial at N = 199, is drawn on
     32 rows of its own a block of 256 (:data:`_TAIL_DRAWS`), so the
     sampler, the kernel and its Taylor sums see it one trial in 8.
+
+    Before any fit, each neighbour at index gap +-1 and the mid part of a
+    moving scenario subtract, at every node t, a surrogate of their factor
+    less its exact mean, with slope 1 (:func:`_part_factors`,
+    :func:`_surrogates`): to leading order in the path offsets their
+    factors are 1 / (1 + c m_2) and e^(-c k A), c = t SNR x^2 / q^2, m_2
+    a draw's second path moment and A the mid devices' weighted sum of
+    theirs, whose means have the closed forms h_M(c) and prod_j h_M(c k /
+    n_j^2) (:func:`numerics.moment_reciprocal_mean`).  Where c reaches
+    10^3, at fig4's 500 Hz points, those factors are far from polynomial
+    in the path moments, which the columns below fit; the surrogates take
+    that part of them, and the estimate stays exactly unbiased.
 
     Each part's mean is controlled at every node t of the rule: part i
     has zero-mean columns V_i of its own draws (:func:`_near_columns`, the
@@ -954,19 +1050,23 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     :func:`estimate_total_ici`.
     """
     scenarios, single = _group(cfg, mob)
-    # per scenario: its SNR, rule and whether it moves; from its first block,
-    # per draw set its factor sums and influences, and per part its node
-    # sums; then its controlled mean and each part's slopes
+    # per scenario: its SNR, rule, whether it moves and its surrogates; from
+    # its first block, per draw set its factor sums and influences, and per
+    # part its node sums; then its controlled mean and each part's slopes
     states = [SimpleNamespace(snr=(snr := capacity_snr(c)), rule=hamdi_rule(snr), sums={},
                               slopes={}, moving=c.doppler_span(m.max_velocity_mps) != 0.0)
               for c, m in scenarios]
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
     sets = _layout("capacity", subcarrier_gaps(plan.target_index, n), cell.paths_per_device)
+    for state, (c, m) in zip(states, scenarios):
+        state.surrogate = _surrogates(sets[0], state.snr, c.doppler_span(m.max_velocity_mps),
+                                      c.spacing_symbol_product, cell.paths_per_device,
+                                      state.rule[0])
     grams = {part: np.zeros((part.count, _FOLDS, part.width + 1, part.width + 1))
              for ds in sets for part in ds.parts}  # keyed by each part, in order
-    # each set's factor table, then a scratch row for each part an extra draw repeats
-    heights = [ds.count + len({o for part in ds.parts for o in part.owners}) for ds in sets]
+    # each set's factor table, then its scratch rows
+    heights = [ds.count + _scratch_rows(ds) for ds in sets]
     nodes = max(state.rule[0].size for state in states)
     for k, rows, powers, columns, weights in _device_powers(plan, cell, scenarios, gaps, sets):
         state, last = states[k], rows[0].stop == plan.trials

@@ -494,3 +494,23 @@ def test_sum_rate():
     double = SystemConfig(bandwidth_hz=400e3)
     assert sum_rate_upper(100.0, double) \
         == pytest.approx(2.0 * sum_rate_upper(100.0, CFG), rel=1e-12)
+
+
+def test_the_useful_power_takes_a_panel_in_one_call(monkeypatch):
+    # the kernel and the sine integral take arrays, so the quadrature
+    # evaluates each 15-point panel in one call and never point by point
+    shapes = []
+
+    def spy(f, *args):
+        def counted(x):
+            shapes.append(np.shape(x))
+            return f(x)
+        return numerics.integrate(counted, *args)
+    monkeypatch.setattr(analytic, "integrate", spy)
+    for v in (10.0, 100.0, 1000.0):  # Si's argument below and above 4
+        effective_useful_power(v, CFG)
+    assert shapes and set(shapes) == {(15,)}
+    u = np.geomspace(1e-4, 1e3, 700)
+    got = analytic._useful_kernel(u)
+    want = np.array([analytic._useful_kernel(float(v)) for v in u])
+    assert np.max(abs(got - want) / want) <= 1e-14

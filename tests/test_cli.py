@@ -105,6 +105,7 @@ def test_check_passes(capsys):
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
     assert "PASS  ici-series-agreement" in out
+    assert "PASS  capacity-surrogate-mean" in out
     assert "PASS  mc-agreement" in out
     assert "PASS  useful-agreement" in out
     assert "PASS  capacity-bound" in out
@@ -162,6 +163,20 @@ def test_check_flags_a_series_off_the_quadrature(monkeypatch, capsys):
     assert main(["check", "--trials", "512"]) == 2
     out = capsys.readouterr().out
     assert "FAIL  ici-series-agreement" in out
+    assert out.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("paths", [1, 8])
+def test_check_flags_a_surrogate_mean_off_its_references(paths, monkeypatch, capsys):
+    # 1e-9 off at one path fails the closed form's 1e-12; 1% off at the
+    # cell's 8 paths is about 20 standard errors of 2^16 draws at c = 1
+    off = 1e-9 if paths == 1 else 1e-2
+    exact = cli.moment_reciprocal_mean
+    monkeypatch.setattr(cli, "moment_reciprocal_mean",
+                        lambda c, m: exact(c, m) * (1.0 + off) if m == paths else exact(c, m))
+    assert main(["check", "--trials", "512"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  capacity-surrogate-mean" in out
     assert out.count("FAIL") == 1
 
 

@@ -4,6 +4,7 @@ statistical agreement with the closed forms."""
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,18 +241,19 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # the 3 GHz edge pin (N = 5, index gaps -1..9) does not.  Both interference
 # pins draw a tail beyond index gap 3.  The one-path pin keeps 5 near
 # columns a part, not 9; at N = 2 the capacity has no mid part and no tail,
-# and the interference no tail
+# and the interference no tail.  Every moving capacity pin subtracts its
+# surrogates (montecarlo._surrogates)
 PINNED = {
     "ici": ("0x1.f47f874bc89dap-8", "0x1.c39470393c323p-33"),  # 0.007637 +- 2.05e-10
     "ici_edge_3ghz": ("0x1.3578814943b26p-7", "0x1.ecf8264774297p-30"),  # 0.0094443 +- 1.79e-09
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a14ed9337c77p+2", "0x1.498b1ae9ee8d8p-14"),  # 5.15753 +- 7.86e-05
-    "capacity_edge_3ghz": ("0x1.451b066eec218p+2", "0x1.a37c7bec6d8c7p-12"),  # 5.07977 +- 0.0004
-    "capacity_500hz": ("0x1.35f39c53e35adp+1", "0x1.f1d8829b9dd0ep-12"),  # 2.4215 +- 0.000475
+    "capacity": ("0x1.4a12c9e09377ap+2", "0x1.129f4f7e9b62bp-15"),  # 5.1574 +- 3.27e-05
+    "capacity_edge_3ghz": ("0x1.451d09d9c881ap+2", "0x1.f72bd4cfa0b1ap-13"),  # 5.0799 +- 0.00024
+    "capacity_500hz": ("0x1.35f9f110bd67bp+1", "0x1.993e698035865p-12"),  # 2.42169 +- 0.00039
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
-    "capacity_one_path": ("0x1.4bb2e74aa47b8p+2", "0x1.58867b723ace3p-13"),  # 5.18279 +- 0.000164
-    "capacity_n2": ("0x1.535d438568daap+2", "0x1.a6eaffcb86866p-14"),  # 5.30257 +- 0.000101
+    "capacity_one_path": ("0x1.4bb13cbd8f326p+2", "0x1.db6935b83cdd3p-14"),  # 5.18269 +- 0.000113
+    "capacity_n2": ("0x1.535b44f9b6a08p+2", "0x1.673352157297bp-15"),  # 5.30245 +- 4.28e-05
     "ici_n2": ("0x1.8754b4301fdb3p-8", "0x1.ca5656a48bbd3p-33"),  # 0.00597124 +- 2.08e-10
 }
 
@@ -858,17 +860,23 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
     # the estimates of a group, and what the estimator computed them from:
     # per scenario and draw set (the main draws, then the tail's if the band
     # has one), the factor tables of every block, each part's row the mean
-    # over its draws, the rows of faded powers they were built from, the
-    # extra draws' after the parts' (row 0 the trial's SNR), and the far
-    # devices' interference; the rule's nodes and weights; and per part the
-    # columns V of every block, the intercept prepended: [1, V_i]
+    # over its draws less its surrogate, the rows of faded powers they were
+    # built from, the extra draws' after the parts' (row 0 the trial's SNR),
+    # the far devices' interference, and each block's surrogates (None for
+    # the tail and a static scenario); the rule's nodes and weights; and
+    # per part the columns V of every block, the intercept prepended: [1, V_i]
     calls, columns = [], []
     factors, draw = montecarlo._part_factors, montecarlo._device_powers
 
     def record_tables(nodes, rows, interference, *args):
         table = factors(nodes, rows, interference, *args)
-        # the estimator goes on to change its own table
-        calls.append((np.array(rows), interference.copy(), table.copy()))
+        # the estimator goes on to change its own table, and the next block
+        # overwrites the moments the surrogates read
+        surrogate = args[-1]
+        if surrogate is not None:
+            surrogate = SimpleNamespace(**{name: np.array(value) if isinstance(value, np.ndarray)
+                                           else value for name, value in vars(surrogate).items()})
+        calls.append((np.array(rows), interference.copy(), table.copy(), surrogate))
         return table
 
     def record_columns(*args):
@@ -885,9 +893,10 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
     runs = []
     for k, cfg in enumerate(cfgs):
         recorded = [calls[k * sets + s::len(mobs) * sets] for s in range(sets)]
-        runs.append(([(np.concatenate([table for _, _, table in blocks], axis=1),
-                       np.concatenate([rows for rows, _, _ in blocks], axis=1),
-                       np.concatenate([far for _, far, _ in blocks]))
+        runs.append(([(np.concatenate([table for _, _, table, _ in blocks], axis=1),
+                       np.concatenate([rows for rows, _, _, _ in blocks], axis=1),
+                       np.concatenate([far for _, far, _, _ in blocks]),
+                       [surrogate for *_, surrogate in blocks])
                       for blocks in recorded],
                      numerics.hamdi_rule(cfg.effective_power / cfg.noise_variance)))
     designs = []
@@ -903,7 +912,7 @@ def _factors(run):
     # the tail: the signal's table times its SNR
     sets, (_, weights) = run
     factors = []
-    for s, (tables, faded, _) in enumerate(sets):
+    for s, (tables, faded, *_) in enumerate(sets):
         tables = tables.copy()
         if s == 0:
             tables[0] *= faded[0][:, None]
@@ -1068,17 +1077,28 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subc
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     [est], runs, _ = _recorded(monkeypatch, TrialPlan(trials=3, seed=35), [cfg], CELL, [MOB])
     sets, (nodes, weights) = runs[0]
-    _, faded, far = sets[0]
+    _, faded, far, [surrogate] = sets[0]
     assert faded.shape == (5 + 2 * (draws - 1), 3)
     rows = numerics.hamdi_factors(nodes, faded, far)
     rows[0] *= faded[0][:, None]
     # the near devices at index gap 0, -2, -1, 1, 2, then the extra draws
-    # of -1 and 1 in turn, and the far (mid) devices; then the tail's
+    # of -1 and 1 in turn, and the far (mid) devices; then the tail's.  Each
+    # draw of -1 and 1, in the same order, has the surrogate 1 / (1 + c
+    # m_2), c = t SNR x^2, and the mid part e^(-c k A), each less its exact
+    # mean, which the rows subtract
+    assert surrogate.draws == [2, 3] + list(range(5, 5 + 2 * (draws - 1)))
+    assert surrogate.scale == 100.0 * CFG.doppler_span(MOB.max_velocity_mps) ** 2
+    proxies = numerics.hamdi_factors(nodes, surrogate.moments.T[surrogate.draws]
+                                     * surrogate.scale)
+    mid = numerics.hamdi_factors(nodes, faded[:0], surrogate.far)[0]
+    assert surrogate.far == pytest.approx(far, rel=0.2)  # its leading order
     minus, plus = rows[5:-1:2], rows[6:-1:2]
-    factors = [rows[0], rows[1], (rows[2] + minus.sum(axis=0)) / draws,
-               (rows[3] + plus.sum(axis=0)) / draws, rows[4], rows[-1]]
-    for _, none, tail in sets[1:]:
-        assert none.shape == (0, 2)
+    factors = [rows[0], rows[1],
+               (rows[2] + minus.sum(axis=0) - proxies[::2].sum(axis=0)) / draws + surrogate.mean,
+               (rows[3] + plus.sum(axis=0) - proxies[1::2].sum(axis=0)) / draws + surrogate.mean,
+               rows[4], rows[-1] - mid + surrogate.far_mean]
+    for _, none, tail, tail_surrogates in sets[1:]:
+        assert none.shape == (0, 2) and tail_surrogates == [None]
         factors.append(numerics.hamdi_factors(nodes, none, tail)[0])
     assert len(factors) == 6 + (half_subcarriers == 12)
     for got, want in zip(_factors(runs[0])[0], factors, strict=True):
@@ -1177,12 +1197,13 @@ def test_cross_fitted_capacity_is_unbiased_and_its_std_error_honest(spacing, hal
     # trials, one block each; at each speed the standard error each run
     # reports against the spread of the 200 estimates, and at 100 m/s the
     # mean estimate against the plain fading average of reference_trials
-    # trials on draws of its own.  The ratios read 0.93/0.88/0.88 at one
-    # path, 1.05/0.95/0.88 at eight and 0.93/0.91/0.91 at 2500 Hz (seeds
-    # 200-399 read 1.04/0.99/1.00 at eight paths, and drawing the tail on
-    # every trial moves none of them by 0.01); products of the parts'
-    # means corrected at first order alone read 0.31 at 10 m/s and eight
-    # paths
+    # trials on draws of its own.  The ratios read 0.94/0.93/0.92 at one
+    # path, 0.99/0.99/0.93 at eight and 0.93/0.91/0.91 at 2500 Hz with the
+    # surrogates of the +-1 neighbours and the mid part (without them:
+    # 0.93/0.88/0.88, 1.05/0.95/0.88 and 0.93/0.91/0.91; seeds 200-399 read
+    # 1.04/0.99/1.00 at eight paths, and drawing the tail on every trial
+    # moved none of them by 0.01); products of the parts' means corrected
+    # at first order alone read 0.31 at 10 m/s and eight paths
     cfg = SystemConfig(subcarrier_spacing_hz=spacing, half_subcarriers=half_subcarriers)
     cell = CellConfig(paths_per_device=paths)
     speeds = [MobilityModel(v) for v in (10.0, 30.0, 100.0)]
@@ -1260,8 +1281,9 @@ def test_capacity_variate_cuts_the_fig4_standard_error():
     # fixed-slope d^2 variate, 0.00478 with the index-gap +-1 neighbours'
     # fading averaged too, 0.00247 with per-trial cross-fitted variates,
     # 0.00126 averaged over every combination of the parts' draws, 0.00063
-    # with 11 draws of each +-1 neighbour a trial, and is 0.00018 with
-    # second-order columns and the part means controlled per node
+    # with 11 draws of each +-1 neighbour a trial, 0.00018 with
+    # second-order columns and the part means controlled per node, and is
+    # 0.000146 with the surrogates of the +-1 neighbours and the mid part
     cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
     est = estimate_ergodic_capacity(TrialPlan(trials=2048, seed=5), cfg, CELL, MOB)
     assert est.std_error <= 0.1 * 0.015407577
@@ -1277,7 +1299,8 @@ CAPACITY_VARIATE_OFF_STD_ERROR = {1250.0: 0.013232985, 2500.0: 0.010599176}
 @pytest.mark.parametrize("v_max", sorted(CAPACITY_VARIATE_OFF_STD_ERROR))
 def test_capacity_variates_need_no_cut_off(v_max):
     # fitted coefficients cut the variance at any x: the standard errors
-    # are 0.15 and 0.33 of those without a variate
+    # are 0.11 and 0.30 of those without a variate (0.15 and 0.33 without
+    # the surrogates)
     est = estimate_ergodic_capacity(TrialPlan(trials=2048, seed=5), CFG, CELL,
                                     MobilityModel(v_max))
     assert est.std_error <= 0.45 * CAPACITY_VARIATE_OFF_STD_ERROR[v_max]

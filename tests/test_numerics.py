@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 
 from nbofdma import numerics
+from nbofdma.sysmodel import CellConfig, sample_cell_batch
 from nbofdma.numerics import (
     QuadratureError,
     QuadratureSpec,
+    doppler_power_scale,
     hamdi_factors,
     hamdi_rule,
     integrate,
+    moment_reciprocal_mean,
     sin_pi,
     sinc,
     sinc_squared,
@@ -277,6 +280,46 @@ def test_sine_integral_matches_mpmath():
             assert abs(sine_integral(float(x)) - exact) <= 1e-15 * exact
 
 
+def _si_scalar(x: float) -> float:
+    # the scalar route the array one replaced: the series summed term by
+    # term until a term is below 1e-17 of the sum, and the fraction at its
+    # own depth of 3 + 170 / x levels
+    if x <= 4.0:
+        numerator = total = x
+        k = 0
+        while True:
+            k += 1
+            numerator *= -x * x / ((2 * k) * (2 * k + 1))
+            term = numerator / (2 * k + 1)
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                return total
+    z, depth = complex(0.0, x), 3 + int(170.0 / x)
+    fraction = 2.0 * depth + 1.0
+    for k in range(depth, 0, -1):
+        fraction = (2.0 * k - 1.0) - k * k / (fraction + z)
+    f = 1.0 / (fraction + z)
+    return math.pi / 2.0 + math.cos(x) * f.imag - math.sin(x) * f.real
+
+
+@pytest.mark.parametrize("low,high", [(1e-6, 4.0), (4.0, 1e8)], ids=["series", "fraction"])
+def test_sine_integral_takes_arrays(low, high):
+    # an array in one call, shaped as given, within 1e-14 of the scalar
+    # route on both branches; the fraction runs at the depth of the
+    # smallest argument above 4, deeper than a large argument alone needs
+    xs = np.geomspace(low, high, 600).reshape(20, 30)
+    got = sine_integral(xs)
+    assert got.shape == xs.shape
+    want = np.array([_si_scalar(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+    assert np.max(abs(got - want) / want) <= 1e-14
+    assert isinstance(sine_integral(float(xs[0, 0])), float)
+    assert sine_integral(np.zeros(0)).shape == (0,)
+    with pytest.raises(ValueError):
+        sine_integral(np.array([1.0, -0.1]))
+    with pytest.raises(ValueError):
+        sine_integral(np.array([1.0, math.nan]))
+
+
 def test_sine_integral_needs_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sine_integral called a quadrature")
@@ -493,3 +536,82 @@ def test_budget_exhaustion_raises_with_partial_estimate():
     assert err.error_bound > 0.0
     # the partial estimate is still in the right ballpark (exact: ~10)
     assert abs(err.estimate - 10.0) < 2.0
+
+
+# ---------------------------------------------------------------------------
+# the capacity surrogates' exact means
+
+def test_cosine_laplace_matches_mpmath():
+    # Phi_M(e^y) = (e^-a I0(a))^M, a = e^y / 2M: numpy's I0 up to a = 700,
+    # an asymptotic series beyond; a few ulp of I0, and of e^y, times M
+    mpmath = pytest.importorskip("mpmath")
+    scales = np.geomspace(1e-3, 1e12, 61)
+    for paths in (1, 8):
+        got = numerics._cosine_laplace(np.log(scales), paths)
+        with mpmath.workdps(30):
+            for scale, value in zip(scales, got):
+                a = mpmath.mpf(float(scale)) / (2 * paths)
+                exact = (mpmath.exp(-a) * mpmath.besseli(0, a)) ** paths
+                assert abs(value - exact) <= 2e-14 * exact
+
+
+def test_moment_reciprocal_mean_at_one_path_is_its_closed_form():
+    # m_2 = u^2 cos^2 psi at one path, and E_psi[1 / (1 + b cos^2 psi)] =
+    # 1 / sqrt(1 + b), so h_1(c) = E_u[1 / sqrt(1 + c u^2)] = asinh(sqrt c) / sqrt c
+    scales = np.geomspace(1e-12, 1e300, 901)
+    closed = np.arcsinh(np.sqrt(scales)) / np.sqrt(scales)
+    got = moment_reciprocal_mean(scales, 1)
+    assert np.max(abs(got - closed) / closed) <= 1e-13
+    assert moment_reciprocal_mean(np.array([0.0, 1e-30, math.inf]), 1).tolist() \
+        == [1.0, 1.0, 0.0]
+    assert isinstance(moment_reciprocal_mean(2.0, 1), float)
+    assert moment_reciprocal_mean(np.ones((2, 3)), 8).shape == (2, 3)
+
+
+def _reciprocal_mean_on_a_grid(c: float, paths: int) -> float:
+    # an independent route: h_M(c) = int_0^inf e^-w int_0^1 Phi_M(w c u^2) du
+    # dw, a trapezoid of step 1/8 in ln w and, in u, a 16-point
+    # Gauss-Legendre rule on each of the panels [e^-(k+1), e^-k], k < 60
+    log_w = np.arange(math.floor(8.0 * (-50.0 - math.log1p(c))), 37) / 8.0
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.exp(-np.arange(61.0))
+    half = (edges[:-1] - edges[1:])[:, None] / 2.0
+    u = (edges[1:, None] + half * (nodes + 1.0)).ravel()
+    u_weights = (half * weights).ravel()
+    inner = numerics._cosine_laplace(log_w[:, None] + math.log(c) + 2.0 * np.log(u), paths)
+    w = np.exp(log_w)
+    return float(np.sum(w * np.exp(-w) * (inner @ u_weights)) / 8.0)
+
+
+@pytest.mark.parametrize("paths", [2, 8])
+def test_moment_reciprocal_mean_matches_a_two_dimensional_route(paths):
+    for c in (1e-3, 1.0, 30.0, 1500.0, 1e6):
+        assert moment_reciprocal_mean(c, paths) \
+            == pytest.approx(_reciprocal_mean_on_a_grid(c, paths), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("paths", [1, 2, 8])
+def test_moment_reciprocal_mean_is_the_mean_over_drawn_devices(paths):
+    # 2^20 devices of the sampler, m_2 = mean_m z_m^2: at each c the sample
+    # mean of 1 / (1 + c m_2) within 4 standard errors of h_M(c)
+    rng = np.random.default_rng(1234 + paths)
+    second = np.concatenate([np.mean(sample_cell_batch(rng, 1024, 256, CellConfig(paths)) ** 2,
+                                     axis=2).ravel() for _ in range(4)])
+    assert second.size == 1 << 20
+    for c in (1.0, 100.0, 1500.0):
+        samples = 1.0 / (1.0 + c * second)
+        error = samples.std(ddof=1) / math.sqrt(samples.size)
+        assert abs(samples.mean() - moment_reciprocal_mean(c, paths)) <= 4.0 * error
+
+
+def test_doppler_power_scale_matches_mpmath():
+    # k(x) = E[sin^2(pi x z)] / (pi^2 x^2 / 6) with E_u[sin^2(pi x u c)] =
+    # (1 - sinc(2 x c)) / 2, averaged over psi in mpmath
+    mpmath = pytest.importorskip("mpmath")
+    assert doppler_power_scale(0.0) == pytest.approx(1.0, rel=1e-15)
+    with mpmath.workdps(30):
+        for x in (0.01, 0.12, 0.6, 1.2, 4.0):
+            mean = mpmath.quad(lambda psi: (1 - mpmath.sincpi(2 * x * mpmath.cos(psi))) / 2,
+                               [0, mpmath.pi / 2]) * 2 / mpmath.pi
+            exact = mean * 6 / (mpmath.pi * x) ** 2
+            assert doppler_power_scale(x) == pytest.approx(float(exact), rel=1e-13)
