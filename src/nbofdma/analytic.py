@@ -131,16 +131,13 @@ def _useful_kernel(u):
     through the sine integral there would amplify its error by 1/u.
     """
     u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape)
     small = u < 0.05
-    if small.any():
-        out = np.empty(u.shape)
-        u2 = u[small] * u[small]
-        out[small] = 1.0 - u2 / 9.0 + u2 * u2 * (2.0 / 225.0) - u2 * u2 * u2 / 2205.0
-        if not small.all():
-            out[~small] = _useful_kernel(u[~small])
-        return out if out.ndim else float(out)
-    s = np.sin(u) / u
-    out = sine_integral(2.0 * u) / u - s * s
+    u2 = u[small] * u[small]
+    out[small] = 1.0 - u2 / 9.0 + u2 * u2 * (2.0 / 225.0) - u2 * u2 * u2 / 2205.0
+    large = u[~small]
+    s = np.sin(large) / large
+    out[~small] = sine_integral(2.0 * large) / large - s * s
     return out if out.ndim else float(out)
 
 

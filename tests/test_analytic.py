@@ -496,9 +496,10 @@ def test_sum_rate():
         == pytest.approx(2.0 * sum_rate_upper(100.0, CFG), rel=1e-12)
 
 
-def test_the_useful_power_takes_a_panel_in_one_call(monkeypatch):
+def test_the_useful_power_takes_its_panels_in_arrays(monkeypatch):
     # the kernel and the sine integral take arrays, so the quadrature
-    # evaluates each 15-point panel in one call and never point by point
+    # evaluates its first 15-point panel, then the two halves of each panel
+    # it splits, in one call each and never point by point
     shapes = []
 
     def spy(f, *args):
@@ -509,7 +510,8 @@ def test_the_useful_power_takes_a_panel_in_one_call(monkeypatch):
     monkeypatch.setattr(analytic, "integrate", spy)
     for v in (10.0, 100.0, 1000.0):  # Si's argument below and above 4
         effective_useful_power(v, CFG)
-    assert shapes and set(shapes) == {(15,)}
+    # one 15-point panel a quadrature, each of the three speeds' one
+    assert shapes.count((15,)) == 3 and set(shapes) == {(15,), (30,)}
     u = np.geomspace(1e-4, 1e3, 700)
     got = analytic._useful_kernel(u)
     want = np.array([analytic._useful_kernel(float(v)) for v in u])
