@@ -266,8 +266,8 @@ def sine_integral(x):
     There is no quadrature, so no x >= 0 raises :class:`QuadratureError`.
     """
     values = np.asarray(x, dtype=float)
-    top = values.max() if values.size else 0.0
-    if not (top < math.inf and (values.min() if values.size else 0.0) >= 0.0):
+    top = values.max(initial=0.0)
+    if not (top < math.inf and values.min(initial=0.0) >= 0.0):
         raise ValueError("sine_integral requires a finite x >= 0")
     if top <= _SI_CUTOFF:
         out = _si_series(values, top)
@@ -365,8 +365,9 @@ _REC_LOW, _REC_HIGH = -40.0, 716.0  # ln c of the table's ends; 1 - c/6 below
 _REC_LAPLACE_SERIES = 9  # terms of the asymptotic e^-a I0(a) beyond a = 700
 # the interpolation's nodes i = 0.._REC_ORDER, and 1 / prod_(j != i) (i - j)
 _REC_NODES = np.arange(_REC_ORDER + 1)[:, None]
-_REC_NODE_WEIGHTS = np.array([(-1) ** (_REC_ORDER - i) / (math.factorial(i)
-                              * math.factorial(_REC_ORDER - i)) for i in _REC_NODES[:, 0]])[:, None]
+_REC_NODE_WEIGHTS = np.array([[(-1) ** (_REC_ORDER - i)
+                               / (math.factorial(i) * math.factorial(_REC_ORDER - i))]
+                              for i in range(_REC_ORDER + 1)])
 
 
 def _cosine_laplace(log_scale: np.ndarray, paths: int) -> np.ndarray:
@@ -481,11 +482,11 @@ def integrate(f, lower: float, upper: float, spec: QuadratureSpec | None = None)
 
     The integrand may accept numpy arrays (preferred: the two halves of a
     panel are evaluated in one call) or plain scalars.  Subdivision is
-    recursive bisection with a
-    fixed 15-point rule per panel; the error estimate on a panel is the
-    difference between its one-panel value and the sum over its two halves.
-    Raises :class:`QuadratureError` when ``spec.max_subdivisions`` splits are
-    not enough, with the best estimate attached.
+    recursive bisection with a fixed 15-point rule per panel; the error
+    estimate on a panel is the difference between its one-panel value and
+    the sum over its two halves.  Raises :class:`QuadratureError` when
+    ``spec.max_subdivisions`` splits are not enough, with the best estimate
+    attached.
     """
     if spec is None:
         spec = QuadratureSpec()
