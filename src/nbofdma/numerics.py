@@ -470,10 +470,13 @@ def _gl_panels(f, *edges: float) -> list:
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * _GL_NODES
     try:
-        y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    except (TypeError, ValueError):
+        y = np.asarray(f(x.ravel()), dtype=float)
+        if y.size != x.size:
+            raise TypeError
+    except TypeError:
         # integrand only takes scalars
-        y = np.array([[float(f(float(xi))) for xi in row] for row in x])
+        y = np.array([float(f(float(xi))) for xi in x.ravel()])
+    y = y.reshape(x.shape)
     return [h * float(_GL_WEIGHTS @ row) for h, row in zip(half, y)]
 
 

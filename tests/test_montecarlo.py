@@ -247,13 +247,13 @@ PINNED = {
     "ici": ("0x1.f47f874bc89dap-8", "0x1.c39470393c323p-33"),  # 0.007637 +- 2.05e-10
     "ici_edge_3ghz": ("0x1.3578814943b26p-7", "0x1.ecf8264774297p-30"),  # 0.0094443 +- 1.79e-09
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a12c9e09377ap+2", "0x1.129f4f7e9b62bp-15"),  # 5.1574 +- 3.27e-05
-    "capacity_edge_3ghz": ("0x1.451d09d9c881ap+2", "0x1.f72bd4cfa0b1ap-13"),  # 5.0799 +- 0.00024
-    "capacity_500hz": ("0x1.35f9f110bd67bp+1", "0x1.993e698035865p-12"),  # 2.42169 +- 0.00039
+    "capacity": ("0x1.4a132a3a3f985p+2", "0x1.4129e7bd099b3p-15"),  # 5.15742 +- 3.83e-05
+    "capacity_edge_3ghz": ("0x1.451c3b633c9f2p+2", "0x1.ffb5862678568p-13"),  # 5.07985 +- 0.000244
+    "capacity_500hz": ("0x1.35f9f42b90762p+1", "0x1.98719e716e4adp-12"),  # 2.42169 +- 0.00039
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
-    "capacity_one_path": ("0x1.4bb13cbd8f326p+2", "0x1.db6935b83cdd3p-14"),  # 5.18269 +- 0.000113
-    "capacity_n2": ("0x1.535b44f9b6a08p+2", "0x1.673352157297bp-15"),  # 5.30245 +- 4.28e-05
+    "capacity_one_path": ("0x1.4bb18afd64edcp+2", "0x1.f04d826f75d71p-14"),  # 5.18271 +- 0.000118
+    "capacity_n2": ("0x1.535bb8943fb9cp+2", "0x1.774364cd289e7p-15"),  # 5.30247 +- 4.47e-05
     "ici_n2": ("0x1.8754b4301fdb3p-8", "0x1.ca5656a48bbd3p-33"),  # 0.00597124 +- 2.08e-10
 }
 
@@ -1085,18 +1085,26 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subc
     # of -1 and 1 in turn, and the far (mid) devices; then the tail's.  Each
     # draw of -1 and 1, in the same order, has the surrogate 1 / (1 + c
     # m_2), c = t SNR x^2, and the mid part e^(-c k A), each less its exact
-    # mean, which the rows subtract
+    # mean, which the rows subtract times the slope c^4 / (1 + c^4) on the
+    # nodes with c >= 0.1 and t <= 5
     assert surrogate.draws == [2, 3] + list(range(5, 5 + 2 * (draws - 1)))
     assert surrogate.scale == 100.0 * CFG.doppler_span(MOB.max_velocity_mps) ** 2
+    c = nodes * surrogate.scale
+    window = (c >= 0.1) & (nodes <= 5.0)
+    assert nodes[surrogate.window].tolist() == nodes[window].tolist() and window.sum() > 5
+    slope = np.where(window, c ** 4 / (1.0 + c ** 4), 0.0)
+    assert surrogate.slope == pytest.approx(slope[window], rel=1e-15)
+    means = np.zeros((2, nodes.size))
+    means[:, window] = surrogate.mean, surrogate.far_mean
     proxies = numerics.hamdi_factors(nodes, surrogate.moments.T[surrogate.draws]
-                                     * surrogate.scale)
-    mid = numerics.hamdi_factors(nodes, faded[:0], surrogate.far)[0]
+                                     * surrogate.scale) - means[0]
+    mid = numerics.hamdi_factors(nodes, faded[:0], surrogate.far)[0] - means[1]
     assert surrogate.far == pytest.approx(far, rel=0.2)  # its leading order
     minus, plus = rows[5:-1:2], rows[6:-1:2]
     factors = [rows[0], rows[1],
-               (rows[2] + minus.sum(axis=0) - proxies[::2].sum(axis=0)) / draws + surrogate.mean,
-               (rows[3] + plus.sum(axis=0) - proxies[1::2].sum(axis=0)) / draws + surrogate.mean,
-               rows[4], rows[-1] - mid + surrogate.far_mean]
+               (rows[2] + minus.sum(axis=0) - slope * proxies[::2].sum(axis=0)) / draws,
+               (rows[3] + plus.sum(axis=0) - slope * proxies[1::2].sum(axis=0)) / draws,
+               rows[4], rows[-1] - slope * mid]
     for _, none, tail, tail_surrogates in sets[1:]:
         assert none.shape == (0, 2) and tail_surrogates == [None]
         factors.append(numerics.hamdi_factors(nodes, none, tail)[0])

@@ -1,16 +1,15 @@
 """Paired benchmark runs of two revisions, written to one JSON file.
 
-    python3 tools/pairs.py --base REV --change REV --output BENCH_<n>.json
-                           [--pairs 10] [--aa-pairs 10] [--seconds 10]
-                           [--first-seed 1] [--workload NAME ...] [--workdir DIR]
+    python3 tools/pairs.py --base REV --change REV --output BENCH_<n>.json [--first-seed 1]
 
 Run from a git checkout.  Each revision is extracted with ``git archive`` into
-a directory of its own, and the base revision a second time, so that an A/A
-comparison of two extracts of the same tree measures the noise of the
-machine.  For each workload of ``BENCHMARK.json``, pair i runs
+a temporary directory of its own, and the base revision a second time, so
+that an A/A comparison of two extracts of the same tree measures the noise of
+the machine.  For each workload of ``BENCHMARK.json``, pair i of PAIRS runs
 ``bench/run.py --workload W --seed first_seed + i --seconds S --trace 0`` in
-both trees, the base first on even i and the change first on odd i, and then
-the A/A pairs run the two base extracts the same way on the same seeds.  The
+both trees, S the file's ``run_seconds``, the base first on even i and the
+change first on odd i, and then the A/A pairs run the two base extracts the
+same way on the same seeds.  The
 file records the machine, the load average before and after, the seeds,
 every run's metrics, and per metric the medians and quartiles of each side,
 the per-pair ratios (change over base), the wins of the change (pairs where
@@ -33,6 +32,8 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+PAIRS = 10  # alternating pairs a workload, and as many A/A pairs
 
 
 def git(*args: str) -> bytes:
@@ -97,39 +98,30 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="the parent revision")
     parser.add_argument("--change", required=True, help="the revision measured against it")
     parser.add_argument("--output", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--aa-pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", help="default: every declared one")
-    parser.add_argument("--workdir", type=Path, help="where the extracts go (default: a "
-                        "temporary directory, removed after)")
     args = parser.parse_args(argv)
 
     declared = json.loads(Path("BENCHMARK.json").read_text())
     metrics = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
     revisions = {"base": git("rev-parse", args.base).decode().strip(),
                  "change": git("rev-parse", args.change).decode().strip()}
-    seeds = list(range(args.first_seed, args.first_seed + max(args.pairs, args.aa_pairs)))
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
 
-    with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:
+    with tempfile.TemporaryDirectory() as scratch:
         # three names of one length: the directory's length moves the wall time
         trees = {name: extract(revisions[rev], Path(scratch) / name)
                  for name, rev in (("t0", "base"), ("t1", "change"), ("t2", "base"))}
         record = {"tool": "tools/pairs.py", "revisions": revisions, "machine": machine(),
                   "loadavg_before": list(os.getloadavg()), "started": time.time(),
-                  "seconds": args.seconds, "seeds": seeds, "workloads": {}}
-        for workload in workloads:
+                  "seconds": seconds, "seeds": seeds, "workloads": {}}
+        for workload in (w["name"] for w in declared["workloads"]):
             runs = {"base": [], "change": [], "aa_base": [], "aa_copy": []}
             for i, seed in enumerate(seeds):
-                for kind, (first, second), count in (
-                        ("", ("t0", "t1"), args.pairs), ("aa_", ("t0", "t2"), args.aa_pairs)):
-                    if i >= count:
-                        continue
+                for kind, (first, second) in (("", ("t0", "t1")), ("aa_", ("t0", "t2"))):
                     order = [(first, 0), (second, 1)]
                     for tree, side in order if i % 2 == 0 else order[::-1]:
-                        result = bench_run(trees[tree], workload, seed, args.seconds)
+                        result = bench_run(trees[tree], workload, seed, seconds)
                         key = kind + (("base", "change") if not kind else ("base", "copy"))[side]
                         runs[key].append({"seed": seed, "correct": result["correct"],
                                           "failed": result["failed"],
