@@ -885,7 +885,8 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
     if surrogate is not None:
         # each neighbour's surrogates less their mean on the window, as
         # many draws a round as the scratch holds besides their sum, which
-        # its row subtracts
+        # its row subtracts, and at most twice its rows: the temporaries of
+        # larger rounds outgrow what block_bytes counts
         window, trials, space = surrogate.window, faded.shape[1], scratch.reshape(-1)
         width = window.stop - window.start
         step = max(min(space.size // (trials * width) - 1, 2 * len(scratch)), 1)
