@@ -883,27 +883,37 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
                                                                out=scratch[:len(rows)])):
             table[part] += factors
     if surrogate is not None:
-        # each neighbour's surrogates less their mean on the window, as
-        # many draws a round as the scratch holds besides their sum, which
-        # its row subtracts, and at most twice its rows: the temporaries of
-        # larger rounds outgrow what block_bytes counts
+        # each neighbour's surrogates on the window, summed over its draws
+        # in the scratch, as many a round as it holds besides the sum and at
+        # most twice its rows (the temporaries of larger rounds outgrow what
+        # block_bytes counts); its row then subtracts the sum less its mean
+        # times the slope.  The rounds' (slope, intercept) lines and their
+        # (t, 1) basis are those of numerics.hamdi_factors, formed once.
         window, trials, space = surrogate.window, faded.shape[1], scratch.reshape(-1)
         width = window.stop - window.start
         step = max(min(space.size // (trials * width) - 1, 2 * len(scratch)), 1)
+        lines, basis = np.empty((step, trials, 2)), np.ones((2, width))
+        lines[..., 1] = 1.0
+        basis[0] = nodes[window]
+        total = space[:trials * width].reshape(trials, width)
         owner = list(range(near)) + list(owners)
         for part in sorted({owner[d] for d in surrogate.draws}):
             draws = [d for d in surrogate.draws if owner[d] == part]
             for start in range(0, len(draws), step):
-                rows = surrogate.moments.T[draws[start:start + step]]
-                rows *= surrogate.scale
-                factors = hamdi_factors(nodes[window], rows, out=space[-rows.size * width:]
-                                        .reshape(len(rows), trials, width))
-                total = factors[0] if len(rows) == 1 else np.add.reduce(
-                    factors, axis=0, out=space[:trials * width].reshape(trials, width))
+                taken = draws[start:start + step]
+                line = lines[:len(taken)]
+                np.multiply(surrogate.moments[:, taken].T, surrogate.scale, out=line[..., 0])
+                factors = np.matmul(line, basis, out=space[-len(taken) * trials * width:]
+                                    .reshape(-1, trials, width))
+                np.reciprocal(factors, out=factors)
                 if start == 0:
-                    total -= len(draws) * surrogate.mean
-                total *= surrogate.slope
-                table[part, :, window] -= total
+                    np.add.reduce(factors, axis=0, out=total)
+                else:
+                    for row in factors:
+                        total += row
+            total -= len(draws) * surrogate.mean
+            total *= surrogate.slope
+            table[part, :, window] -= total
         if far is not None:
             factors = hamdi_factors(nodes[window], faded[:0], surrogate.far,
                                     space[:trials * width].reshape(1, trials, width))
@@ -930,7 +940,7 @@ def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
     mid = ds.parts[-1].gaps if len(ds.parts) > 1 else np.zeros(0)
     gaps, counts = np.unique(abs(mid[mid != 0.0]), return_counts=True)
     least, reach = _SURROGATE_NODES
-    found, scales = [], []  # per moving scenario its c, then the mid part's, a row each
+    found, spans, windows = [], [], []  # per kept scenario its span and window's nodes
     for (c, m), state in zip(scenarios, states):
         span, nodes = c.doppler_span(m.max_velocity_mps), state.rule[0]
         scale = state.snr * (span / c.spacing_symbol_product) ** 2
@@ -939,18 +949,26 @@ def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
         if not (ds.parts[0].proxied and scale <= HAMDI_MAX_SCALE and window.start < window.stop):
             found.append(None)
             continue
-        far_scale = scale * doppler_power_scale(span) if gaps.size else 0.0
         found.append(SimpleNamespace(draws=ds.parts[0].proxied, window=window, scale=scale,
-                                     far_scale=far_scale,
+                                     far_scale=0.0,
                                      slope=1.0 / (1.0 + (nodes[window] * scale) ** -4)))
-        scales.append(np.outer(np.concatenate([[scale], far_scale / gaps ** 2]), nodes[window]))
-    if scales:
-        means = np.split(moment_reciprocal_mean(np.concatenate([c.ravel() for c in scales]), paths),
-                         np.cumsum([c.size for c in scales])[:-1])
-        for surrogate, c, mean in zip([s for s in found if s is not None], scales, means):
-            mean = mean.reshape(c.shape)
-            surrogate.mean = mean[0]
-            surrogate.far_mean = np.prod(mean[1:] ** counts[:, None], axis=0)
+        spans.append(span)
+        windows.append(nodes[window])
+    kept = [s for s in found if s is not None]
+    if not kept:
+        return found
+    if gaps.size:
+        for surrogate, k in zip(kept, doppler_power_scale(np.array(spans))):
+            surrogate.far_scale = surrogate.scale * k
+    # per kept scenario its c, then the mid part's, a row each
+    scales = [np.outer(np.concatenate([[s.scale], s.far_scale / gaps ** 2]), t)
+              for s, t in zip(kept, windows)]
+    means = np.split(moment_reciprocal_mean(np.concatenate([c.ravel() for c in scales]), paths),
+                     np.cumsum([c.size for c in scales])[:-1])
+    for surrogate, c, mean in zip(kept, scales, means):
+        mean = mean.reshape(c.shape)
+        surrogate.mean = mean[0]
+        surrogate.far_mean = np.prod(mean[1:] ** counts[:, None], axis=0)
     return found
 
 
@@ -1044,9 +1062,11 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     sampler, the kernel and its Taylor sums see it one trial in 8.
 
     Before any fit, each neighbour at index gap +-1 and the mid part of a
-    moving scenario subtract, at every node t, a surrogate of their factor
-    less its exact mean, with slope 1 (:func:`_part_factors`,
-    :func:`_surrogates`): to leading order in the path offsets their
+    moving scenario subtract, at the nodes t of a window of the rule and
+    times a slope that tapers to 0 at its lower edge
+    (:data:`_SURROGATE_NODES`), a surrogate of their factor less its exact
+    mean (:func:`_part_factors`, :func:`_surrogates`): to leading order in
+    the path offsets their
     factors are 1 / (1 + c m_2) and e^(-c k A), c = t SNR x^2 / q^2, m_2
     a draw's second path moment and A the mid devices' weighted sum of
     theirs, whose means have the closed forms h_M(c) and prod_j h_M(c k /

@@ -249,7 +249,7 @@ PINNED = {
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
     "capacity": ("0x1.4a132a3a3f985p+2", "0x1.4129e7bd099b3p-15"),  # 5.15742 +- 3.83e-05
     "capacity_edge_3ghz": ("0x1.451c3b633c9f2p+2", "0x1.ffb5862678568p-13"),  # 5.07985 +- 0.000244
-    "capacity_500hz": ("0x1.35f9f42b90762p+1", "0x1.98719e716e4adp-12"),  # 2.42169 +- 0.00039
+    "capacity_500hz": ("0x1.35f9f42b90762p+1", "0x1.98719e716e49dp-12"),  # 2.42169 +- 0.00039
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
     "capacity_one_path": ("0x1.4bb18afd64edcp+2", "0x1.f04d826f75d71p-14"),  # 5.18271 +- 0.000118
