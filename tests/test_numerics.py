@@ -605,6 +605,9 @@ def test_moment_reciprocal_mean_is_the_mean_over_drawn_devices(paths):
 
 
 def test_doppler_power_scale_matches_mpmath():
+    # an array of spans gives each span's bits alone
+    spans = [0.0, 0.012, 0.06, 0.6, 1.2, 4.0]
+    assert doppler_power_scale(np.array(spans)).tolist() == [doppler_power_scale(x) for x in spans]
     # k(x) = E[sin^2(pi x z)] / (pi^2 x^2 / 6) with E_u[sin^2(pi x u c)] =
     # (1 - sinc(2 x c)) / 2, averaged over psi in mpmath
     mpmath = pytest.importorskip("mpmath")
