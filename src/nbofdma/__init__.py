@@ -19,7 +19,6 @@ from .sysmodel import (
 from .analytic import (
     IciBounds,
     NormalizedDoppler,
-    PowerBudget,
     approx_is_valid,
     approx_validity_threshold,
     capacity_upper,
@@ -30,7 +29,6 @@ from .analytic import (
     ici_bounds,
     leakage,
     leakage_sum,
-    power_budget,
     sum_rate_upper,
     total_ici_power,
 )
@@ -72,10 +70,8 @@ __all__ = [
     # closed forms
     "NormalizedDoppler",
     "IciBounds",
-    "PowerBudget",
     "effective_useful_power",
     "total_ici_power",
-    "power_budget",
     "ici_bounds",
     "ici_approx",
     "approx_validity_threshold",

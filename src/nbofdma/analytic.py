@@ -38,13 +38,11 @@ from .sysmodel import SystemConfig, subcarrier_gaps
 __all__ = [
     "NormalizedDoppler",
     "IciBounds",
-    "PowerBudget",
     "leakage",
     "leakage_sum",
     "finite_n_ici",
     "effective_useful_power",
     "total_ici_power",
-    "power_budget",
     "ici_bounds",
     "ici_approx",
     "approx_validity_threshold",
@@ -58,7 +56,7 @@ LOG2_E = math.log2(math.e)
 
 # Internal quadrature policies.  These are tighter than the public defaults
 # because the bound checks downstream (sandwich inclusion at small b, power
-# conservation at 1e-12) need more headroom than the documented 1e-9.
+# conservation at 1e-12 and 1e-13) need more headroom than the documented 1e-9.
 _USEFUL_SPEC = QuadratureSpec(relative_tolerance=1e-12, absolute_tolerance=1e-13)
 _LEAKAGE_SPEC = QuadratureSpec(relative_tolerance=1e-12, absolute_tolerance=1e-14)
 # fixed panels of the leakage integral over t, each integrated adaptively
@@ -102,20 +100,6 @@ class IciBounds:
     def __post_init__(self):
         if not 0.0 <= self.lower <= self.upper:
             raise ValueError("bounds must satisfy 0 <= lower <= upper")
-
-
-@dataclass(frozen=True)
-class PowerBudget:
-    """Where one device's effective power goes: useful + leaked = P_T.
-
-    At the critical spacing and with the full doubly infinite sub-carrier
-    grid, every leaked watt lands on some other sub-carrier, so ici equals
-    leaked.
-    """
-
-    useful: float
-    leaked: float
-    ici: float
 
 
 def _check_velocity(max_velocity_mps: float):
@@ -240,25 +224,37 @@ def _series_table() -> np.ndarray:
     return np.where(j <= k, moments[k] * sine[np.maximum(k - j, 0)] * (2.0 * j + 1.0), 0.0)
 
 
-def _ici_series(gaps, span: float) -> float:
+def _ici_series(sums, span: float) -> float:
     """E[sum_j sinc^2(g_j + x s)] over the Clarke law of s, as its power series
 
         sum_k x^2k (m_k / pi^2) sum_(a=1..k) c_a (2(k-a) + 1) Z_(2(k-a)+2)
 
-    in the span x, truncated after :data:`_SERIES_ORDERS` orders, with the
-    power sums Z_p = sum_j g_j^-p over the whole-number gaps g_j != 0.  Each
-    term sinc^2(g + y) = sin^2(pi y) / (pi (g + y))^2 expands in y / g; the
-    alternating sums of those terms, which grow like (x / |g|)^2k, lose to
-    rounding, not to truncation, as x nears the smallest |g|.
+    in the span x, truncated after :data:`_SERIES_ORDERS` orders, given the
+    ``sums`` Z_2, ..., Z_2K of Z_p = sum_j g_j^-p over the whole-number gaps
+    g_j != 0.  Each term sinc^2(g + y) = sin^2(pi y) / (pi (g + y))^2 expands
+    in y / g; the alternating sums of those terms, which grow like (x /
+    |g|)^2k, lose to rounding, not to truncation, as x nears the smallest |g|.
     """
-    orders = _SERIES_ORDERS
-    weights = 1.0 / (gaps * gaps)
-    sums = np.zeros(orders)  # Z_2, Z_4, ..., Z_2K
-    for start in range(0, weights.size, 4096):  # bounds the (gaps, K) power table
-        part = weights[start:start + 4096]
-        sums += part @ np.vander(part, orders, increasing=True)
-    powers = np.cumprod(np.full(orders, span * span))  # x^2, x^4, ..., x^2K
+    powers = np.cumprod(np.full(_SERIES_ORDERS, span * span))  # x^2, x^4, ..., x^2K
     return float(powers @ _series_table() @ sums)
+
+
+def _ici_tail(half_subcarriers: int, span: float) -> float:
+    """E[sum_(|g| > N) sinc^2(g + x s)], the centre's leakage beyond its band
+    at T_s df = 1: :func:`_ici_series` on Z_2k = 2 zeta(2k, N + 1), Hurwitz's
+    zeta as 16 direct terms and its Euler-Maclaurin remainder to B_12.
+    Raises ValueError for x beyond :data:`_SERIES_MAX_SPAN`."""
+    if not span <= _SERIES_MAX_SPAN:
+        raise ValueError(f"span {span!r} is beyond the series' cut-off {_SERIES_MAX_SPAN}")
+    s = 2.0 * np.arange(1, _SERIES_ORDERS + 1)  # the exponents 2k
+    terms = half_subcarriers + 1.0 + np.arange(17.0)[:, None]  # N+1..N+16 summed, N+17 on
+    end = terms[-1]
+    zeta = np.sum(terms[:-1] ** -s, axis=0) + end ** (1.0 - s) / (s - 1.0) + 0.5 * end ** -s
+    term = s * end ** (-s - 1.0)  # s (s+1) ... (s+2j-2) end^(1-s-2j)
+    for j, bernoulli in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), 1):
+        zeta += bernoulli / math.factorial(2 * j) * term
+        term = term * (s + 2 * j - 1) * (s + 2 * j) / (end * end)
+    return _ici_series(2.0 * zeta, span)
 
 
 def leakage(frequency_offset_hz: float, max_velocity_mps: float,
@@ -283,9 +279,10 @@ def leakage_sum(subcarrier_index: int, half_subcarriers: int,
     """Total leakage collected on one sub-carrier from every slot j in
     [-N, N], the self term included.
 
-    At the critical spacing this climbs to exactly 1 as N grows (all power
-    is accounted for on the grid); for T_s * df >= 2 the grid skips most of
-    the spread spectrum and the limit stays strictly below 1.
+    At the critical spacing it climbs to exactly 1 as N grows: ``nbofdma
+    check``'s quadrature route tests leakage_sum(0, N) + _ici_tail(N, x) = 1.
+    For T_s * df >= 2 the grid skips most of the spread spectrum and the
+    limit stays strictly below 1.
     """
     _check_velocity(max_velocity_mps)
     gaps = subcarrier_gaps(subcarrier_index, half_subcarriers, cfg.spacing_symbol_product)
@@ -310,22 +307,21 @@ def finite_n_ici(subcarrier_index: int, max_velocity_mps: float,
     if span == 0.0 or gaps.size == 0:
         return 0.0
     if span <= _SERIES_MAX_SPAN:
-        return cfg.effective_power * _ici_series(gaps, span)
+        weights = 1.0 / (gaps * gaps)
+        sums = np.zeros(_SERIES_ORDERS)  # Z_2, Z_4, ..., Z_2K of the band
+        for start in range(0, weights.size, 4096):  # bounds the (gaps, K) power table
+            part = weights[start:start + 4096]
+            sums += part @ np.vander(part, _SERIES_ORDERS, increasing=True)
+        return cfg.effective_power * _ici_series(sums, span)
     return cfg.effective_power * _leakage_multi(gaps, max_velocity_mps, cfg)
 
 
 def total_ici_power(max_velocity_mps: float, cfg: SystemConfig) -> float:
     """Interference floor with unbounded sub-carriers: P_T minus the useful
-    power.  Meaningful as interference at the critical spacing T_s * df = 1,
-    where the whole leaked budget lands on active sub-carriers."""
+    power.  At the critical spacing T_s * df = 1 the whole leaked budget lands
+    on active sub-carriers, so it is P_T _ici_tail(0, x): ``nbofdma check``'s
+    Si route tests useful / P_T + _ici_tail(0, x) = 1."""
     return cfg.effective_power - effective_useful_power(max_velocity_mps, cfg)
-
-
-def power_budget(max_velocity_mps: float, cfg: SystemConfig) -> PowerBudget:
-    """Split of one device's power into useful and leaked shares."""
-    useful = effective_useful_power(max_velocity_mps, cfg)
-    leaked = cfg.effective_power - useful
-    return PowerBudget(useful=useful, leaked=leaked, ici=leaked)
 
 
 def ici_bounds(max_velocity_mps: float, cfg: SystemConfig) -> IciBounds:

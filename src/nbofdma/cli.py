@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .analytic import (
     _USEFUL_SPEC,
+    _ici_tail,
     _leakage_multi,
     NormalizedDoppler,
     approx_is_valid,
@@ -35,6 +36,7 @@ from .analytic import (
     ici_approx,
     ici_bounds,
     leakage,
+    leakage_sum,
     sum_rate_upper,
     total_ici_power,
 )
@@ -238,10 +240,15 @@ def _cmd_check(args) -> int:
         results.append(ok)
         print(f"{'PASS' if ok else 'FAIL'}  {name:<28}{detail}")
 
-    # useful + leaked power must add back up to the transmit power
-    residual = max(abs(effective_useful_power(v, cfg) + total_ici_power(v, cfg)
-                       - cfg.effective_power) for v in speeds)
-    record("power-conservation", residual <= 1e-12, f"max residual {residual:.3e}")
+    # at T_s df = 1, sum_g sinc^2(g + y) = 1: the series' leakage beyond the band makes up
+    # the rest of P_T to the useful power (Si route) and the band's leakage sum (quadrature)
+    si = max(abs(effective_useful_power(v, cfg) / cfg.effective_power
+                 + _ici_tail(0, cfg.doppler_span(v)) - 1.0) for v in speeds)
+    quadrature = max(abs(leakage_sum(0, cfg.half_subcarriers, v, cfg)
+                         + _ici_tail(cfg.half_subcarriers, cfg.doppler_span(v)) - 1.0)
+                     for v in speeds)
+    record("power-conservation", si <= 1e-12 and quadrature <= 1e-13,
+           f"Si route {si:.1e}, quadrature route {quadrature:.1e} off 1")
 
     # closed-form bounds must bracket the exact interference power
     ok = True

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from nbofdma import __version__, cli, montecarlo
+from nbofdma import __version__, analytic, cli, montecarlo
 from nbofdma.analytic import capacity_upper, effective_useful_power, finite_n_ici
 from nbofdma.cli import main
 from nbofdma.montecarlo import Estimate
@@ -104,6 +104,7 @@ def test_check_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+    assert "PASS  power-conservation" in out
     assert "PASS  ici-series-agreement" in out
     assert "PASS  capacity-surrogate-mean" in out
     assert "PASS  mc-agreement" in out
@@ -117,6 +118,29 @@ def test_check_fails_the_agreements_at_one_trial(capsys):
     out = capsys.readouterr().out
     assert "FAIL  mc-agreement" in out
     assert "FAIL  useful-agreement" in out
+
+
+def test_check_flags_a_useful_power_off_the_series_tail(monkeypatch, capsys):
+    # 1e-11 relative off at 100 m/s, ten times the Si route's tolerance; at
+    # the simulator's 50 m/s the useful-agreement line would flag it too
+    exact = cli.effective_useful_power
+    monkeypatch.setattr(cli, "effective_useful_power",
+                        lambda v, cfg: exact(v, cfg) * (1.0 + 1e-11 * (v == 100.0)))
+    assert main(["check", "--trials", "512"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  power-conservation" in out
+    assert out.count("FAIL") == 1
+
+
+def test_check_flags_a_leakage_quadrature_without_its_last_panel(monkeypatch, capsys):
+    # past t = 8 the leakage integral holds about 4e-3 of the self term and
+    # 3e-9 of the interference: the quadrature route of power conservation,
+    # the useful power's dual route and the series' agreement all see it
+    monkeypatch.setattr(analytic, "_LEAKAGE_PANELS", analytic._LEAKAGE_PANELS[:-1])
+    assert main(["check", "--trials", "512"]) == 2
+    failed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == ["power-conservation", "dual-route-consistency", "ici-series-agreement"]
 
 
 def test_check_flags_a_useful_power_off_the_quadrature(monkeypatch, capsys):
