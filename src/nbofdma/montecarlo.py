@@ -325,16 +325,16 @@ class _Part:
     """``count`` parts of a draw set fitted alike on one builder's columns:
     its ``columns`` within the set (a slice, or a list for the capacity's
     near parts, whose extra draws each repeat part ``owners[i]``); its
-    ``build``, which forms a block's columns V, ``width`` a part; the
+    ``build``, which writes a block's columns V, ``width`` a part; the
     whole-number ``gaps`` its Taylor table is built on, 0 at a column it
     leaves out (none for a table-free part); ``held``, the doubles a
     block row its builder keeps across blocks; and for the capacity's near
     parts the ``proxied`` draws, those of the neighbours at index gap +-1,
-    whose surrogates :func:`_part_factors` subtracts.  ``V`` holds its
-    columns over a run (:func:`_device_powers`), and a capacity part's
-    ``m2`` the block's second path moments, which its builder leaves in
-    what it holds: m_2 of each draw of the near parts, and sum_j n_j^-2 w_j
-    m_(2,j) of a far-style part's."""
+    whose surrogates :func:`_part_factors` subtracts.  ``V``, its store
+    over a run, is the design [1, V] every fit reads (:func:`_device_powers`),
+    and a capacity part's ``m2`` the block's second path moments, which its
+    builder leaves in what it holds: m_2 of each draw of the near parts,
+    and sum_j n_j^-2 w_j m_(2,j) of a far-style part's."""
 
     columns: slice | list
     build: Callable
@@ -361,7 +361,7 @@ class _DrawSet:
     extra draws of a device), on at most ``rows`` trials a block (every
     trial, or :data:`_TAIL_DRAWS` rows of their own for a tail), an Exp(1)
     weight for each ``weighted`` column, and its ``parts``, whose count
-    and designs [1, V] a draw it sums."""
+    and stores [1, V] a draw it sums."""
 
     columns: np.ndarray
     rows: int
@@ -447,13 +447,12 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     scratch tiles.  Either estimator holds across blocks its Taylor tables
     and gaps (11 doubles a device).  A capacity block also holds, across
     blocks, the folds' grams of each part's design [1, V]
-    (:func:`_fold_solver`), and while sampling the block's columns V; once
-    the sampler has let go of its slot and tiles, what its average holds:
-    the parts' factor tables on the rule at that SNR
-    (:func:`numerics.hamdi_rule`) with their scratch rows
-    (:func:`_scratch_rows`), the block's columns V and designs [1, V], the
-    faded powers of the near draws and 26 more doubles a trial, and the
-    near parts' fold sums of one scenario (:func:`_fold_sums`)."""
+    (:func:`_fold_solver`); once the sampler has let go of its slot and
+    tiles, what its average holds: the parts' factor tables on the rule at
+    that SNR (:func:`numerics.hamdi_rule`) with their scratch rows
+    (:func:`_scratch_rows`), the faded powers of the near draws and 26 more
+    doubles a trial, and one part's fold sums or slopes beyond those the
+    run keeps, the near parts' the largest (:func:`_fold_sums`)."""
     sets = _layout("interference" if snr is None else "capacity",
                    subcarrier_gaps(0, devices // 2), paths)
     tiles = [row_tiles(ds.rows, ds.columns.size * paths)[0].stop * ds.columns.size * paths
@@ -468,8 +467,7 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
         near, nodes = sets[0].parts[0], hamdi_rule(snr)[0].size
         held += _FOLDS * sum(part.count * (part.width + 1) ** 2 for ds in sets
                              for part in ds.parts)
-        sampler += sum(ds.rows * (ds.design - ds.count) for ds in sets)
-        average = sum(ds.rows * (ds.count * nodes + 2 * ds.design) for ds in sets) \
+        average = sum(ds.rows * ds.count * nodes for ds in sets) \
             + BLOCK_TRIALS * (_scratch_rows(sets[0]) * nodes + len(near.columns) + 26) \
             + _FOLDS * near.count * (near.width + 1) * nodes
     return 8 * (draws + 5 * max(tiles, default=0) + sum(tiles) + max(sampler, average) + held)
@@ -479,47 +477,49 @@ def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
               snr: float | None = None) -> int:
     """Bytes an estimator holds at most for a group of ``scenarios`` over
     ``trials`` trials, counted from the draw sets as :func:`block_bytes`
-    counts them: what the run keeps per draw of each set, its parts'
-    columns V and each scenario's samples, one a part, and the larger of
-    two: a block (:func:`block_bytes`, the capacity's with ``snr``) with,
-    for the capacity, each scenario's node sums on its rule, the fold sums
-    of [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a part, which
-    go once the scenario's last block is done, and its surrogates' two
-    vectors of exact means with 1 kB for their record (:func:`_surrogates`);
-    or, after the blocks, the fit: the designs [1, V] and 5 doubles a draw
-    and part of one scenario's temporaries (:func:`_residuals`)."""
+    counts them: what the run keeps of each set, its parts' stores [1, V]
+    (:func:`_device_powers`) and per draw each scenario's samples, one a
+    part, and the larger of two: a block (:func:`block_bytes`, the
+    capacity's with ``snr``) with, for the capacity, each scenario's node
+    sums on its rule, the fold sums of [1, V_i]^T F_i (:func:`_fold_sums`)
+    and three vectors a part, which go once the scenario's last block is
+    done, and its surrogates' two vectors of exact means with 1 kB for
+    their record (:func:`_surrogates`); or, after the blocks, the fit: 5
+    doubles a draw and part of one scenario's temporaries
+    (:func:`_residuals`)."""
     sets = _layout("interference" if snr is None else "capacity",
                    subcarrier_gaps(0, devices // 2), paths)
     nodes = 0 if snr is None else hamdi_rule(snr)[0].size
-    kept = sum(ds.draws(trials) * (ds.design - ds.count + ds.count * scenarios) for ds in sets)
+    kept = sum(-(-ds.draws(trials) // _FOLDS) * _FOLDS * ds.design
+               + ds.draws(trials) * ds.count * scenarios for ds in sets)
     node_sums = 0 if snr is None else scenarios * (
         nodes * (2 + sum(_FOLDS * ds.design + 3 * ds.count for ds in sets)) + 128)
-    fit = sum(ds.draws(trials) * (ds.design + 5 * ds.count) for ds in sets)
+    fit = sum(ds.draws(trials) * 5 * ds.count for ds in sets)
     return 8 * (kept + max(block_bytes(devices, paths, snr) // 8 + node_sums, fit))
 
 
-def _moment_columns(part, shift, tiles, weights, space, work, rows) -> np.ndarray:
-    """A power estimator's part's block of columns V, written into the
-    run's: its devices' path moments mean_m z^p, p = 2..6, less their
-    means (:data:`_MOMENT_MEANS`), or with a Taylor table their sums over
-    its terms (:func:`_term_reductions`)."""
+def _moment_columns(part, shift, tiles, weights, space, work, rows):
+    """Write a power estimator's part's columns V of the block's ``rows``
+    into its store: its devices' path moments mean_m z^p, p = 2..6, less
+    their means (:data:`_MOMENT_MEANS`), or with a Taylor table their sums
+    over its terms (:func:`_term_reductions`)."""
     moments = _path_moments(part, shift, tiles, work, space[0])
-    out = part.V[rows]
+    out = part.V[rows, :, 1:]
     if part.table is None:
         np.subtract(moments, _MOMENT_MEANS[:, None, None], out=out.transpose(2, 0, 1))
     else:
         _term_reductions(moments, part.table, out[:, 0])
-    return out
 
 
-def _near_columns(part, shift, tiles, weights, space, work, rows) -> np.ndarray:
-    """The block's (trials, near, 9) columns V_i of the capacity's near
-    parts, each of mean exactly 0, scenario-free and of part i's draws
-    alone: m_2..m_6, m_2^2, m_2 m_3, m_2 m_4 and m_3^2 less their means
-    (:data:`_NEAR_MONOMIALS`, :func:`_near_means`; the first five at one
-    path), m_p = mean_m z^p of the part's columns, formed per draw and
-    averaged over the part's draws (its extra draws follow the near
-    devices, draw i of part owners[i], :func:`_extra_draws`)."""
+def _near_columns(part, shift, tiles, weights, space, work, rows):
+    """Write the block's (trials, near, 9) columns V_i of the capacity's
+    near parts into their store's ``rows``, each of mean exactly 0,
+    scenario-free and of part i's draws alone: m_2..m_6, m_2^2, m_2 m_3,
+    m_2 m_4 and m_3^2 less their means (:data:`_NEAR_MONOMIALS`,
+    :func:`_near_means`; the first five at one path), m_p = mean_m z^p of
+    the part's columns, formed per draw and averaged over the part's draws
+    (its extra draws follow the near devices, draw i of part owners[i],
+    :func:`_extra_draws`)."""
     near_moments = _path_moments(part, shift, tiles, work, space[0])
     part.m2 = near_moments[0]
     means = _near_means(shift.shape[2])
@@ -528,26 +528,25 @@ def _near_columns(part, shift, tiles, weights, space, work, rows) -> np.ndarray:
     average = np.zeros((draws, parts))
     average[range(draws), list(range(parts)) + list(part.owners)] = 1.0
     average /= average.sum(axis=0)
-    near = np.empty((near_moments.shape[1], parts, means.size))
+    near = part.V[rows, :, 1:]
     for row, orders in enumerate(_NEAR_MONOMIALS[:means.size]):
         values = near_moments[orders[0] - 2]
         if len(orders) == 2:
             values = values * near_moments[orders[1] - 2]
         np.subtract(values @ average, means[row], out=near[..., row])
-    return near
 
 
-def _far_columns(part, shift, tiles, weights, space, work, rows) -> np.ndarray:
-    """The block's (trials, 1, 12) columns V of a far-style part (the mid
-    part or the tail), of mean exactly 0: for each term (p, e) of
-    :data:`_TERMS`, sum_j n_j^-e (w_j m_(p,j) - E[m_p]), n_j^-e its table
-    and w_j its Exp(1) weights, then sum_j n_j^-2 (w_j - 1), and c_0^2 and
-    c_0 c_(4,2) less their means, c_0 the term (2, 2): the devices and
-    their weights being independent, with E[w^2] = 2, E[c_0 c] =
-    sum_j n_j^-2 n_j^-e (2 E[m_2 m_p] - E[m_2] E[m_p]).  The sums over the
-    devices are formed a tile at a time, z^p in ``space[0]`` and each
-    order's moments in ``space[1]``, and reduced at once, so that no
-    block-sized moment is held."""
+def _far_columns(part, shift, tiles, weights, space, work, rows):
+    """Write the block's (trials, 1, 12) columns V of a far-style part (the
+    mid part or the tail) into its store's ``rows``, of mean exactly 0: for
+    each term (p, e) of :data:`_TERMS`, sum_j n_j^-e (w_j m_(p,j) -
+    E[m_p]), n_j^-e its table and w_j its Exp(1) weights, then sum_j
+    n_j^-2 (w_j - 1), and c_0^2 and c_0 c_(4,2) less their means, c_0 the
+    term (2, 2): the devices and their weights being independent, with
+    E[w^2] = 2, E[c_0 c] = sum_j n_j^-2 n_j^-e (2 E[m_2 m_p] - E[m_2]
+    E[m_p]).  The sums over the devices are formed a tile at a time, z^p
+    in ``space[0]`` and each order's moments in ``space[1]``, and reduced
+    at once, so that no block-sized moment is held."""
     table, weights, shift = part.table, weights[:, part.columns], shift[:, part.columns]
     paths = np.ones(shift.shape[2])
     orders = [(p, _TERM_ORDERS == p, table[_TERM_ORDERS == p]) for p in _ORDERS]
@@ -566,27 +565,27 @@ def _far_columns(part, shift, tiles, weights, space, work, rows) -> np.ndarray:
             far_terms[tile, terms] = (weights_of_terms @ moment[..., None])[..., 0]
     far_terms /= paths.size
     part.m2 = far_terms[:, 0]
-    far = np.empty((len(far_terms), 1, _FAR_WIDTH))
-    terms = far[:, 0, :len(_TERMS)]
+    far = part.V[rows, 0, 1:]
+    terms = far[:, :len(_TERMS)]
     np.subtract(far_terms, _MOMENT_MEANS[_TERM_ORDERS - 2] * table.sum(axis=1), out=terms)
-    far[:, 0, -3] = weights @ table[0] - table[0].sum()
+    far[:, -3] = weights @ table[0] - table[0].sum()
     for column, term in ((-2, 0), (-1, _TERMS.index((4, 2)))):
         p = _TERM_ORDERS[term]
         covariance = 2.0 * _monomial_mean((2, p), paths.size) \
             - _MOMENT_MEANS[0] * _MOMENT_MEANS[p - 2]
-        far[:, 0, column] = terms[:, 0] * terms[:, term] - table[0] @ table[term] * covariance
-    return far
+        far[:, column] = terms[:, 0] * terms[:, term] - table[0] @ table[term] * covariance
 
 
 def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
-    """Yield ``(k, rows, powers, columns, weights)`` for scenario k, each
-    but k a list over the draw ``sets`` (:func:`_layout`): the set's trials
+    """Yield ``(k, rows, powers, weights)`` for scenario k, each but k a
+    list over the draw ``sets`` (:func:`_layout`): the set's trials
     ``rows``; its per-(trial, column) power on the target sub-carrier, in
-    a buffer the next step overwrites; its parts' columns V (each part's
-    ``build``, which writes a power estimator's into ``part.V``, the run's
-    columns, allocated here); and its Exp(1) weights, 0 at a column that
-    draws none, or None if none does.  The arrays held at once are those
-    :func:`block_bytes` counts.
+    a buffer the next step overwrites; and its Exp(1) weights, 0 at a
+    column that draws none, or None if none does.  Each part's ``build``
+    writes a block's columns V into ``part.V``, its store allocated here:
+    the design [1, V] of the run, zero rows padding the draws to a multiple
+    of 8, which :func:`_by_fold` reads as it is.  The arrays held at once
+    are those :func:`block_bytes` counts.
 
     Each block draws its sets in turn, a set's weights right after its
     shifts, the first set on every trial of the block and any after it on
@@ -620,8 +619,10 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
     rows_of = [min(plan.trials, ds.rows) for ds in sets]  # each set's rows a block, at most
     for ds in sets:
+        draws = ds.draws(plan.trials)
         for part in ds.parts:
-            part.V = np.empty((ds.draws(plan.trials), part.count, part.width))
+            part.V = np.zeros((draws - draws % -_FOLDS, part.count, 1 + part.width))
+            part.V[:draws, :, 0] = 1.0
     gaps = [[gap[ds.columns] for ds in sets] for gap in gaps]
     # each set's powers and, if a column draws one, weights, 0 where none is
     # drawn, and what its parts' builders hold across blocks
@@ -657,11 +658,11 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
                     (n, np.count_nonzero(ds.weighted)))
             rows = slice(block * ds.rows, block * ds.rows + n)  # every block but the last is full
             tiles = row_tiles(n, ds.columns.size * paths)
-            columns = [part.build(part, shift, tiles, weights, space, work[:part.held * n], rows)
-                       for part, work in zip(ds.parts, held[s])]
-            draws.append((rows, shift, tiles, powers, columns, weights))
+            for part, work in zip(ds.parts, held[s]):
+                part.build(part, shift, tiles, weights, space, work[:part.held * n], rows)
+            draws.append((rows, shift, tiles, powers, weights))
         for k, span in enumerate(spans):
-            for s, (_, shift, tiles, powers, _, _) in enumerate(draws):
+            for s, (_, shift, tiles, powers, _) in enumerate(draws):
                 if span == 0.0:
                     # what the kernel gives a static network: 1 on the centre, 0 off it
                     powers[:] = gaps[k][s] == 0.0
@@ -674,8 +675,8 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
                                           work[:, :n])
                     np.einsum("tdm->td", values, out=powers[rows])
                 powers /= paths
-            yield k, *([draw[i] for draw in draws] for i in (0, 3, 4, 5))
-        draws = shift = columns = None  # so that a block's draws never overlap the next one's
+            yield k, *([draw[i] for draw in draws] for i in (0, 3, 4))
+        draws = shift = None  # so that a block's draws never overlap the next one's
 
 
 # ===========================================================================
@@ -689,7 +690,7 @@ def _power_residuals(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     fitted columns (:func:`_fitted`)."""
     samples = [{part: np.empty((ds.draws(plan.trials), 1)) for ds in sets for part in ds.parts}
                for _ in scenarios]
-    for k, rows, powers, _, _ in _device_powers(plan, cell, scenarios, gaps, sets):
+    for k, rows, powers, _ in _device_powers(plan, cell, scenarios, gaps, sets):
         for ds, r, p in zip(sets, rows, powers):
             for part in ds.parts:
                 samples[k][part][r] = p[:, part.columns].sum(axis=1, keepdims=True) \
@@ -762,21 +763,12 @@ def _device_estimates(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
 def _by_fold(values: np.ndarray) -> np.ndarray:
     """(parts, folds, rows, ...): the (trials, parts, ...) ``values`` by
     fold, trial i in fold i mod :data:`_FOLDS`; zero rows, which add
-    nothing to a sum, pad the trials to a multiple of 8."""
+    nothing to a sum, pad the trials to a multiple of 8 (a part's store
+    has them already, and is read as a view)."""
     short = -len(values) % _FOLDS
     if short:
         values = np.concatenate([values, np.zeros((short,) + values.shape[1:])])
     return np.moveaxis(values.reshape((-1, _FOLDS) + values.shape[1:]), (0, 2), (2, 0))
-
-
-def _fold_design(columns: np.ndarray) -> np.ndarray:
-    """(parts, folds, rows, 1 + variates): the design [1, V] of the
-    (trials, parts, variates) ``columns`` by fold (:func:`_by_fold`)."""
-    trials, parts, variates = columns.shape
-    design = np.zeros((trials - trials % -_FOLDS, parts, 1 + variates))  # padded once
-    design[:trials, :, 0] = 1.0
-    design[:trials, :, 1:] = columns
-    return _by_fold(design)
 
 
 def _fold_sums(design: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -791,9 +783,8 @@ def _fold_sums(design: np.ndarray, values: np.ndarray) -> np.ndarray:
     folded = values[:, :whole].reshape(values.shape[:1] + rounds + values.shape[2:])
     sums = design[:whole].reshape(rounds + design.shape[1:]).transpose(2, 1, 3, 0) \
         @ folded.transpose(0, 2, 1, 3)
-    rest = len(design) - whole
-    if rest:
-        sums[:, :rest] += design[whole:].swapaxes(0, 1)[..., None] @ values[:, whole:, None]
+    for i in range(whole, len(design)):  # a trial at a time, so that no temporary is large
+        sums[:, i - whole] += design[i, :, :, None] @ values[:, i, None]
     return sums
 
 
@@ -828,21 +819,21 @@ def _fold_solver(gram: np.ndarray):
 
 def _residuals(design: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """y - V beta for the (trials, parts) ``y``: V the columns of the
-    by-fold ``design`` (:func:`_fold_design`) and beta[i, f] the slopes of
-    part i's fold f (:func:`_fold_solver`)."""
+    by-fold ``design``, a part's store read by :func:`_by_fold`, and
+    beta[i, f] the slopes of part i's fold f (:func:`_fold_solver`)."""
     # V beta per (part, fold, row), transposed back to trial order
     fit = (design[..., 1:] @ beta[:, :, 1:, None])[..., 0]
     return y - fit.transpose(2, 1, 0).reshape(-1, y.shape[1])[:len(y)]
 
 
-def _fitted(columns: np.ndarray, samples):
+def _fitted(store: np.ndarray, samples):
     """Yield, for each (trials, parts) array y of ``samples`` in turn, its
-    residuals y - V beta: V the (trials, parts, variates) zero-mean
-    ``columns`` and beta the slopes of the trial's fold and part
+    residuals y - V beta: V the zero-mean columns of a part's ``store``
+    [1, V] and beta the slopes of the trial's fold and part
     (:func:`_fold_solver`), each part fitted on its own columns.  Each y's
     cross products and residuals are formed alone, so a scenario keeps its
     bits in a group and its temporaries are the size of one sample."""
-    design = _fold_design(columns)
+    design = _by_fold(store)
     solve = _fold_solver(design.swapaxes(2, 3) @ design)
     for y in samples:
         cross = (_by_fold(y - y[0])[..., None, :] @ design)[..., 0, :, None]
@@ -1091,7 +1082,8 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     part and fold until the scenario's last block, which do not grow with
     the trials, and from the other folds' grams, summed block by block
     too, which do not depend on the scenario and are inverted once for
-    the group.  Correcting the product at first order alone,
+    the group; both read the block's rows of part i's store [1, V_i].
+    Correcting the product at first order alone,
     rule @ prod_i mean F_i less the mean of each part's fitted influence,
     would leave the cross terms between parts, which dominate once the
     columns cut the first order 10^3-10^9-fold, and an unduly small
@@ -1131,15 +1123,12 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     # each set's factor table, then its scratch rows
     heights = [ds.count + _scratch_rows(ds) for ds in sets]
     nodes = max(state.rule[0].size for state in states)
-    for k, rows, powers, columns, weights in _device_powers(plan, cell, scenarios, gaps, sets):
+    for k, rows, powers, weights in _device_powers(plan, cell, scenarios, gaps, sets):
         state, last = states[k], rows[0].stop == plan.trials
         if k == 0:
-            designs = {}  # each part's [1, V] of the block
-            for ds, r, blocks in zip(sets, rows, columns):
-                for part, block in zip(ds.parts, blocks):
-                    part.V[r] = block
-                    designs[part] = design = np.dstack([np.ones(block.shape[:2]), block])
-                    grams[part] += _fold_sums(design, design.transpose(1, 0, 2))
+            for ds, r in zip(sets, rows):
+                for part in ds.parts:
+                    grams[part] += _fold_sums(part.V[r], part.V[r].transpose(1, 0, 2))
             if last:
                 solvers = {part: _fold_solver(gram) for part, gram in grams.items()}
             tables = [_aligned_empty((height * min(plan.trials, ds.rows) * nodes,))
@@ -1166,28 +1155,29 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
             t -= f[:, None]
             y[r] = (t @ node_weights[..., None])[..., 0].T
             for part in ds.parts:
-                sums = _fold_sums(designs[part], t[part.local])
+                sums = _fold_sums(part.V[r], t[part.local])
                 if state.sums.setdefault(part, sums) is not sums:  # kept from the first block
                     state.sums[part] += sums
-                if last:
-                    beta = solvers[part](state.sums[part])  # per part, fold, column and node
+                sums = None  # one part's sums or slopes at most besides those kept
+                if last:  # per part, fold, column and node, in its node sums' place
+                    beta = solvers[part](state.sums.pop(part))
                     # row 0 of a gram: the fold's draw count and column sums
                     totals[part.local] -= np.einsum("ifs,ifsn->in", grams[part][..., 0, :], beta)
                     state.slopes[part] = np.einsum("ifsn,in->ifs", beta, node_weights[part.local])
         if last:
             state.mean = state.rule[1] @ np.prod(np.concatenate(
                 [totals / ds.draws(plan.trials) for totals, ds in zip(state.totals, sets)]), axis=0)
-            state.sums = sums = beta = None  # the node sums go once they are used
+            beta = None  # the last part's slopes
         if k == len(scenarios) - 1:
-            tables = table = t = designs = design = None
-    powers = columns = weights = None  # let the last block go before the fit
-    designs = {part: _fold_design(part.V) for part in grams}
+            tables = table = t = None
+    powers = weights = None  # let the last block go before the fit
     estimates = []
     for state in states:
         residuals = [np.empty_like(y) for y in state.influences]
         for ds, res, y in zip(sets, residuals, state.influences):
             for part in ds.parts:
-                res[:, part.local] = _residuals(designs[part], y[:, part.local], state.slopes[part])
+                res[:, part.local] = _residuals(_by_fold(part.V), y[:, part.local],
+                                                state.slopes[part])
         estimates.append(Estimate(LOG2_E * float(state.mean), LOG2_E * _std_error(residuals),
                                   plan.trials))
     return estimates[0] if single else estimates

@@ -7,7 +7,8 @@ Everything in this module is pure floating-point arithmetic with no hidden
 state and no randomness, so repeated calls with identical inputs return
 bit-identical results.  The sine integral calls no quadrature, so the
 adaptive integrator, the workhorse behind the leakage, useful-power and
-capacity quadratures elsewhere in the package, is never nested.
+capacity quadratures elsewhere in the package, is never nested; it calls
+its integrand once a panel split, on an array of nodes.
 """
 
 from __future__ import annotations
@@ -470,31 +471,29 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 def _gl_panels(f, *edges: float) -> list:
     """The rule on each panel between consecutive ``edges``, from one call
-    of ``f`` at all their nodes."""
+    of ``f`` at all their nodes; TypeError unless it returns a value for
+    each node."""
     edges = np.array(edges)
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * _GL_NODES
-    try:
-        y = np.asarray(f(x.ravel()), dtype=float)
-        if y.size != x.size:
-            raise TypeError
-    except TypeError:
-        # integrand only takes scalars
-        y = np.array([float(f(float(xi))) for xi in x.ravel()])
-    y = y.reshape(x.shape)
-    return [h * float(_GL_WEIGHTS @ row) for h, row in zip(half, y)]
+    y = np.asarray(f(x.ravel()), dtype=float)
+    if y.size != x.size:
+        raise TypeError(f"the integrand returned {y.size} values for {x.size} nodes; "
+                        f"it must take an array of nodes and return one value each")
+    return [h * float(_GL_WEIGHTS @ row) for h, row in zip(half, y.reshape(x.shape))]
 
 
 def integrate(f, lower: float, upper: float, spec: QuadratureSpec | None = None) -> float:
     """Adaptive Gauss-Legendre integral of ``f`` over [lower, upper].
 
-    The integrand may accept numpy arrays (preferred: the two halves of a
-    panel are evaluated in one call) or plain scalars.  Subdivision is
-    recursive bisection with a fixed 15-point rule per panel; the error
-    estimate on a panel is the difference between its one-panel value and
-    the sum over its two halves.  Raises :class:`QuadratureError` when
-    ``spec.max_subdivisions`` splits are not enough, with the best estimate
-    attached.
+    The integrand takes a numpy array of nodes and returns one value for
+    each (the two halves of a panel are evaluated in one call); one that
+    takes only scalars, or returns a value of another size, raises
+    TypeError.  Subdivision is recursive bisection with a fixed 15-point
+    rule per panel; the error estimate on a panel is the difference between
+    its one-panel value and the sum over its two halves.  Raises
+    :class:`QuadratureError` when ``spec.max_subdivisions`` splits are not
+    enough, with the best estimate attached.
     """
     if spec is None:
         spec = QuadratureSpec()

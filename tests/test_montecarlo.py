@@ -116,8 +116,8 @@ def test_power_modes_share_a_mean():
     near = sets[0].parts[0]
     neighbours = near.columns[1:near.count]
     own_draws = np.random.default_rng(108)
-    for _, rows, powers, _, weights in montecarlo._device_powers(plan, CELL, [(CFG, MOB)],
-                                                                 [gaps], sets):
+    for _, rows, powers, weights in montecarlo._device_powers(plan, CELL, [(CFG, MOB)],
+                                                              [gaps], sets):
         # the estimator averages the near neighbours' fading and draws them
         # no weight, so they get weights of their own here
         weights = [w.copy() for w in weights]
@@ -403,10 +403,11 @@ def test_block_bytes_bounds_what_the_blocks_hold(half_subcarriers, paths, cohere
     # runs whole, the capacity at 20 dB, whose factor tables outweigh the
     # sampler's scratch at N = 5 and 40; without its per-trial allowance
     # held across blocks the bound fails at N = 2000.  The bound adds what
-    # the run keeps, draw set by draw set: per draw the columns V and each
-    # scenario's sample a part (a tail's on its own draws), and for the
-    # capacity per scenario the fold sums of [1, V] times the factors on
-    # the rule's nodes and three vectors a part.
+    # the run keeps, draw set by draw set: each part's store [1, V], its
+    # draws padded to a multiple of 8, and per draw each scenario's sample
+    # a part (a tail's on its own draws), and for the capacity per scenario
+    # the fold sums of [1, V] times the factors on the rule's nodes and
+    # three vectors a part.
     cfg = SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0)
     cell = CellConfig(paths_per_device=paths)
     plan = TrialPlan(trials=600, seed=3)
@@ -435,19 +436,19 @@ def test_block_bytes_bounds_what_the_blocks_hold(half_subcarriers, paths, cohere
     nodes = numerics.hamdi_rule(100.0)[0].size if coherent else 0
     for ds in montecarlo._layout("capacity" if coherent else "interference",
                                  subcarrier_gaps(0, half_subcarriers), paths):
-        columns = sum(part.count * part.width for part in ds.parts)
-        bound += 8 * (ds.draws(plan.trials) * (columns + ds.count * len(mobs))
-                      + len(mobs) * nodes * (8 * (columns + ds.count) + 3 * ds.count))
+        draws = ds.draws(plan.trials)
+        bound += 8 * (-(-draws // 8) * 8 * ds.design + draws * ds.count * len(mobs)
+                      + len(mobs) * nodes * (8 * ds.design + 3 * ds.count))
     assert 0.9 * bound <= peak <= bound, peak / bound
 
 
 @pytest.mark.parametrize("trials,scenarios", [(1000, 3), (4096, 11)])
 @pytest.mark.parametrize("coherent", [False, True])
 def test_run_bytes_bounds_what_a_run_holds(trials, scenarios, coherent):
-    # what the run keeps (per trial the columns and each scenario's
-    # samples; for the capacity each scenario's node sums) and the larger
-    # of a block and the fit's design and temporaries, which run after the
-    # block's arrays are let go: the peak is 0.93-0.99 of the bound here
+    # what the run keeps (each part's store [1, V] and per trial each
+    # scenario's samples; for the capacity each scenario's node sums) and
+    # the larger of a block and the fit's temporaries, which run after the
+    # block's arrays are let go: the peak is 0.91-0.98 of the bound here
     mobs = [MobilityModel(10.0 * (k + 1)) for k in range(scenarios)]
     estimate = estimate_ergodic_capacity if coherent else estimate_total_ici
     estimate(TrialPlan(trials=300, seed=1), [CFG] * scenarios, CELL, mobs)
@@ -478,9 +479,9 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
     # blocks, one partial: the devices drawn cover the band once (the
     # interference draws no target), the capacity's extra draws repeat its
     # neighbours at index gap +-1 alone, each a draw of that neighbour's
-    # part, every block's columns V have their part's rows, parts and width,
-    # and the run keeps them so; at the centre, block_bytes and run_bytes
-    # count those same records
+    # part, every block's rows, powers and weights have their set's shape,
+    # and each part's store has its rows, parts and width; at the centre,
+    # block_bytes and run_bytes count those same records
     devices, cell = 2 * half_subcarriers + 1, CellConfig(paths)
     plan, layout = TrialPlan(trials=300, seed=41), montecarlo._layout
     static = (SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0),
@@ -506,19 +507,24 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
                                       & (estimator == "capacity")
                                       & (np.arange(ds.columns.size) < ds.columns.size
                                          - sum(len(part.owners) for part in ds.parts)))
-            for block, (_, rows, powers, columns, weights) in enumerate(
+            for block, (_, rows, powers, weights) in enumerate(
                     montecarlo._device_powers(plan, cell, [static], [index_gaps], sets)):
-                for ds, r, p, blocks, w in zip(sets, rows, powers, columns, weights,
-                                               strict=True):
+                for ds, r, p, w in zip(sets, rows, powers, weights, strict=True):
                     n = min(montecarlo._block_sizes(plan.trials)[block], ds.rows)
                     assert (r.start, r.stop) == (block * ds.rows, block * ds.rows + n)
                     assert p.shape == (n, ds.columns.size)
                     assert (w is None) == (not ds.weighted.any())
-                    assert [v.shape for v in blocks] \
-                        == [(n, part.count, part.width) for part in ds.parts]
-            assert [part.V.shape for ds in sets for part in ds.parts] \
-                == [(ds.draws(plan.trials), part.count, part.width)
-                    for ds in sets for part in ds.parts]
+            # each part's store is its design [1, V] over the run, padded
+            # with zero rows to whole rounds of the folds, which the fit
+            # reads as it is
+            for ds in sets:
+                draws = ds.draws(plan.trials)
+                for part in ds.parts:
+                    assert part.V.shape == (-(-draws // 8) * 8, part.count, 1 + part.width)
+                    assert part.V.flags.c_contiguous
+                    assert np.all(part.V[:draws, :, 0] == 1.0)
+                    assert not part.V[draws:].any()
+                    assert np.shares_memory(montecarlo._by_fold(part.V), part.V)
             if target or estimator == "devices":
                 continue
             counted = []
@@ -584,9 +590,9 @@ def _subtracted(monkeypatch, estimate):
     fits = []
     fitted = montecarlo._fitted
 
-    def record(columns, samples):
-        design = np.concatenate([np.ones(columns.shape[:2] + (1,)), columns], axis=2)
-        for y, residuals in zip(samples, fitted(columns, samples), strict=True):
+    def record(store, samples):
+        design = store[:len(samples[0])]  # the store less its pad rows
+        for y, residuals in zip(samples, fitted(store, samples), strict=True):
             fits.extend((design[:, part], y[:, part] - residuals[:, part])
                         for part in range(y.shape[1]))
             yield residuals
@@ -626,7 +632,7 @@ def test_every_taylor_variate_has_mean_zero():
             plan, CellConfig(2), [(SystemConfig(half_subcarriers=2), MobilityModel(0.0))],
             [index_gaps], [interferers]):
         pass
-    for term, column in zip(montecarlo._TERMS, part.V[:, 0].T):
+    for term, column in zip(montecarlo._TERMS, part.V[:plan.trials, 0, 1:].T):
         assert abs(column.mean()) <= 4.0 * column.std(ddof=1) / math.sqrt(column.size), term
 
 
@@ -674,6 +680,16 @@ def test_the_power_variates_span_the_taylor_series_of_the_kernel(q, monkeypatch)
     check(lambda: symmetry_probe(-1, 1, plan, cfg, CV_CELL, CV_MOB), pair[:, 0], pair[:, 1])
 
 
+def _store(columns):
+    # the (trials, parts, variates) columns laid out as _device_powers
+    # stores them: the design [1, V], padded with zero rows to a multiple of 8
+    trials, parts, variates = columns.shape
+    store = np.zeros((-(-trials // 8) * 8, parts, 1 + variates))
+    store[:trials, :, 0] = 1.0
+    store[:trials, :, 1:] = columns
+    return store
+
+
 @pytest.mark.parametrize("trials", [7, 300, 700])
 def test_parts_fitted_together_keep_the_bits_each_gets_alone(trials):
     # each part is fitted on its own columns, so the residuals of a group
@@ -684,9 +700,9 @@ def test_parts_fitted_together_keep_the_bits_each_gets_alone(trials):
     columns = rng.standard_normal((trials, 3, 5))
     samples = [columns @ rng.standard_normal(5) + rng.standard_normal((trials, 3))
                for _ in range(2)]
-    together = list(montecarlo._fitted(columns, samples))
+    together = list(montecarlo._fitted(_store(columns), samples))
     for part in range(3):
-        alone = montecarlo._fitted(columns[:, part:part + 1],
+        alone = montecarlo._fitted(_store(columns[:, part:part + 1]),
                                    [y[:, part:part + 1] for y in samples])
         for residuals, lone in zip(together, alone, strict=True):
             assert np.array_equal(residuals[:, part], lone[:, 0])
@@ -871,8 +887,9 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
     # built from, the extra draws' after the parts' (row 0 the trial's SNR),
     # the far devices' interference, and each block's surrogates (None for
     # the tail and a static scenario); the rule's nodes and weights; and
-    # per part the columns V of every block, the intercept prepended: [1, V_i]
-    calls, columns = [], []
+    # per part the columns V of every draw, with an intercept of its own
+    # prepended: [1, V_i]
+    calls, stored = [], []
     factors, draw = montecarlo._part_factors, montecarlo._device_powers
 
     def record_tables(nodes, rows, interference, *args):
@@ -886,17 +903,15 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
         calls.append((np.array(rows), interference.copy(), table.copy(), surrogate))
         return table
 
-    def record_columns(*args):
-        for k, *rest in draw(*args):
-            if k == 0:
-                columns.append([block for blocks in rest[2] for block in blocks])
-            yield k, *rest
+    def record_sets(*args):
+        stored.extend(args[-1])
+        return draw(*args)
 
     with monkeypatch.context() as patched:
         patched.setattr(montecarlo, "_part_factors", record_tables)
-        patched.setattr(montecarlo, "_device_powers", record_columns)
+        patched.setattr(montecarlo, "_device_powers", record_sets)
         estimates = estimate_ergodic_capacity(plan, cfgs, cell, mobs)
-    sets = len(calls) // (len(columns) * len(mobs))
+    sets = len(calls) // (len(montecarlo._block_sizes(plan.trials)) * len(mobs))
     runs = []
     for k, cfg in enumerate(cfgs):
         recorded = [calls[k * sets + s::len(mobs) * sets] for s in range(sets)]
@@ -907,10 +922,10 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
                       for blocks in recorded],
                      numerics.hamdi_rule(cfg.effective_power / cfg.noise_variance)))
     designs = []
-    for group in zip(*columns):
-        group = np.concatenate(group)
-        designs += [np.concatenate([np.ones((len(group), 1)), part], axis=1)
-                    for part in group.transpose(1, 0, 2)]
+    for ds in stored:
+        draws = ds.draws(plan.trials)
+        designs += [np.concatenate([np.ones((draws, 1)), columns], axis=1)
+                    for part in ds.parts for columns in part.V[:draws, :, 1:].transpose(1, 0, 2)]
     return estimates, runs, designs
 
 
@@ -972,9 +987,10 @@ def _capacity_variates(plan, cfg, cell):
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
     sets = montecarlo._layout("capacity", subcarrier_gaps(plan.target_index, cfg.half_subcarriers),
                               cell.paths_per_device)
-    blocks = [[block for blocks in v for block in blocks] for _, _, _, v, _ in
-              montecarlo._device_powers(plan, cell, [(cfg, MobilityModel(0.0))], [gaps], sets)]
-    return [np.concatenate(group).reshape(-1, group[0][0].size) for group in zip(*blocks)]
+    for _ in montecarlo._device_powers(plan, cell, [(cfg, MobilityModel(0.0))], [gaps], sets):
+        pass
+    return [part.V[:ds.draws(plan.trials), :, 1:].reshape(ds.draws(plan.trials), -1)
+            for ds in sets for part in ds.parts]
 
 
 @pytest.mark.parametrize("half_subcarriers,target,near,paths,width",
@@ -1038,11 +1054,11 @@ def test_the_near_columns_have_full_rank(paths):
     # two m_2^3 would be a combination of the others, so it is left out
     [draws] = montecarlo._layout("capacity", np.zeros(1), paths)
     [part] = draws.parts
-    work = np.empty(part.held * 4096)
-    near = part.build(part, sample_cell_batch(np.random.default_rng(paths), 4096, 1,
-                                              CellConfig(paths)),
-                      [slice(0, 4096)], None, np.empty((1, 4096, 1, paths)), work, None)
-    moments = work.reshape(5, 4096, 1)
+    work, part.V = np.empty(part.held * 4096), np.zeros((4096, 1, 1 + part.width))
+    rows = slice(0, 4096)
+    part.build(part, sample_cell_batch(np.random.default_rng(paths), 4096, 1, CellConfig(paths)),
+               [rows], None, np.empty((1, 4096, 1, paths)), work, rows)
+    near, moments = part.V[:, :, 1:], work.reshape(5, 4096, 1)
     assert near.shape == (4096, 1, 5 if paths == 1 else 9)
     assert np.linalg.matrix_rank(near[:, 0]) == near.shape[2]
     if paths == 2:

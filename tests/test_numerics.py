@@ -485,7 +485,7 @@ def test_integrate_polynomial_exactly():
 
 
 def test_integrate_sine_against_closed_form():
-    val = integrate(math.sin, 0.0, 2.5)
+    val = integrate(np.sin, 0.0, 2.5)
     assert val == pytest.approx(1.0 - math.cos(2.5), rel=1e-12)
 
 
@@ -495,10 +495,13 @@ def test_integrate_sinc_squared_oracle():
     assert integrate(f, -3.0, 7.0) == pytest.approx(SINC_SQ_M3_7, rel=1e-11)
 
 
-def test_integrate_accepts_vectorized_and_scalar_callables():
-    vectorized = integrate(np.cos, 0.0, 1.0)
-    scalar = integrate(math.cos, 0.0, 1.0)
-    assert vectorized == scalar == pytest.approx(math.sin(1.0), rel=1e-13)
+def test_integrate_refuses_integrands_that_do_not_take_arrays():
+    # an integrand is called on an array of nodes and returns one value each
+    assert integrate(np.cos, 0.0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-13)
+    with pytest.raises(TypeError):
+        integrate(math.cos, 0.0, 1.0)
+    with pytest.raises(TypeError, match="returned 1 values for 15 nodes"):
+        integrate(lambda x: 1.0, 0.0, 1.0)
 
 
 def test_integrate_is_deterministic():

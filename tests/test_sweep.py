@@ -330,26 +330,30 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # rows and its tail's 2N - 20 on 32, 5 doubles a trial and near draw
     # that it holds across blocks; either 11 a device across blocks, plus
     # eight tiles, against 1.75 GiB; montecarlo.run_bytes adds, at 100
-    # trials of 2 grid points, 11 doubles a trial and tail draw for the
-    # interference, which refuses two N whose blocks fit, and for the
-    # capacity 69 a trial, 14 a tail draw and the two points' node sums,
-    # 629 doubles a node of the rule
-    ("system.half_subcarriers = 211575", "ici_mc", None),   # run 1.75 GiB - 6.1 kB
-    ("system.half_subcarriers = 211576", "ici_mc", "run"),   # run 1.75 GiB + 2.6 kB
+    # trials of 2 grid points, each part's store [1, V] over the draws
+    # padded to a multiple of 8 (10 doubles a draw for either interference
+    # part, 63 a trial and 13 a tail draw for the capacity) and two samples
+    # a draw and part, which for the interference refuses two N whose
+    # blocks fit at 8 paths and three at one, and for the capacity the two
+    # points' node sums, 629 doubles a node of the rule
+    ("system.half_subcarriers = 211575", "ici_mc", None),   # run 1.75 GiB - 4.8 kB
+    ("system.half_subcarriers = 211576", "ici_mc", "run"),   # run 1.75 GiB + 3.9 kB
     ("system.half_subcarriers = 211577", "ici_mc", "run"),   # block 1.75 GiB - 120 B
     ("system.half_subcarriers = 211578", "ici_mc", "block"),   # 1.75 GiB + 8.6 kB
-    ("system.half_subcarriers = 427034\ncell.paths_per_device = 1", "ici_mc", None),
-    ("system.half_subcarriers = 427035\ncell.paths_per_device = 1", "ici_mc", "run"),
+    ("system.half_subcarriers = 427033\ncell.paths_per_device = 1", "ici_mc", None),
+    # run 1.75 GiB + 120 B
+    ("system.half_subcarriers = 427034\ncell.paths_per_device = 1", "ici_mc", "run"),
     ("system.half_subcarriers = 427036\ncell.paths_per_device = 1", "ici_mc", "run"),
     ("system.half_subcarriers = 427037\ncell.paths_per_device = 1", "ici_mc", "block"),
     ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.31 GiB
-    ("system.half_subcarriers = 183167", "capacity_mc", None),   # 1.75 GiB - 56 kB
-    ("system.half_subcarriers = 183168", "capacity_mc", "run"),    # 1.75 GiB + 12 kB
-    ("system.half_subcarriers = 183225", "capacity_mc", "run"),
-    ("system.half_subcarriers = 183226", "capacity_mc", "block"),   # 1.75 GiB + 1.3 kB
+    ("system.half_subcarriers = 183182", "capacity_mc", None),   # 1.75 GiB - 856 B
+    ("system.half_subcarriers = 183183", "capacity_mc", "run"),    # 1.75 GiB + 5.8 kB
+    ("system.half_subcarriers = 183239", "capacity_mc", "run"),   # block 1.75 GiB - 29 kB
+    # 1.75 GiB + 38 kB: R = N // 18 steps to 10180 here, two more columns a trial
+    ("system.half_subcarriers = 183240", "capacity_mc", "block"),
     ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.27 and 0.31 GiB
-    ("system.half_subcarriers = 183226", "ici_mc", None),   # 1.52 GiB
-    ("system.half_subcarriers = 183226", "ici_mc, capacity_mc", "block"),
+    ("system.half_subcarriers = 183240", "ici_mc", None),   # 1.52 GiB
+    ("system.half_subcarriers = 183240", "ici_mc, capacity_mc", "block"),
     ("system.half_subcarriers = 41995\ncell.paths_per_device = 64", "ici_mc", None),
     ("system.half_subcarriers = 41996\ncell.paths_per_device = 64", "ici_mc", "block"),
     ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 250000", "ici_mc",
@@ -374,9 +378,9 @@ def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, outputs, refuse
 
 
 def test_refuses_monte_carlo_runs_that_keep_too_much_per_trial():
-    # fig4's 500 Hz curve, 11 points: the capacity keeps 57 doubles a
-    # trial of columns and 11 influences a part, and its fit 93 more, about
-    # 17 GB at 10^7 trials; the presets at their own trial counts fit
+    # fig4's 500 Hz curve, 11 points: the capacity keeps its store [1, V]
+    # of 63 doubles a trial and 11 influences a part, and its fit 30 more,
+    # about 13 GB at 10^7 trials; the presets at their own trial counts fit
     for name in ("fig3", "fig4", "fig5"):
         parse_config(preset_path(name).read_text())
     text = (AXIS + "sweep.grid = 0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100\n"
