@@ -65,16 +65,18 @@ class TrialPlan:
     the target not at all; the capacity estimator draws the far
     interferers' coherent powers, that times one Exp(1) draw each,
     averages the near devices' weights exactly, takes R Doppler draws of
-    each neighbour at index gap +-1 a trial, R a fixed rule in the
-    sub-carrier count (:func:`_neighbour_draws`), and draws the devices
-    beyond index gap K = 10, its tail, on 32 trials a block too.  Every
-    estimator subtracts zero-mean columns of its draws times slopes fitted
-    on the other folds' draws (:func:`_fold_solver`), so it stays exactly
-    unbiased: the power estimators' columns are the path moments, the
-    capacity's also their products of second order (:func:`_near_columns`,
-    :func:`_far_columns`), fitted to each part's factor at every node of
-    its rule, after its neighbours at index gap +-1 and its mid part have
-    subtracted surrogates of exactly known mean (:func:`_surrogates`).
+    each neighbour at index gap +-1 a trial, R / 2 of them the mirrors -z
+    of the others and R a fixed rule in the sub-carrier count
+    (:func:`_neighbour_draws`), mirrors its mid part's draws too, and
+    draws the devices beyond index gap K = 10, its tail, on 32 trials a
+    block.  Every estimator subtracts zero-mean columns of its draws times
+    slopes fitted on the other folds' draws (:func:`_fold_solver`), so it
+    stays exactly unbiased: the power estimators' columns are the path
+    moments, the capacity's also their products of second order
+    (:func:`_near_columns`, :func:`_far_columns`), fitted to each part's
+    factor at every node of its rule, after its neighbours at index gap
+    +-1 and its mid part have subtracted surrogates of exactly known mean
+    (:func:`_surrogates`).
     """
 
     trials: int
@@ -195,6 +197,8 @@ _MOMENT_MEANS = np.array([math.comb(p, p // 2) / (2 ** p * (p + 1)) if p % 2 == 
 # order; m_2^3 is left out, since at two paths m_6 = 3 m_2 m_4 - 2 m_2^3
 _NEAR_MONOMIALS = tuple((p,) for p in _ORDERS) + ((2, 2), (2, 3), (2, 4), (3, 3))
 _FAR_WIDTH = len(_TERMS) + 3  # a far-style part's columns (:func:`_far_columns`)
+# the near columns odd in the path shifts, which a mirrored part's pairs cancel
+_ODD_NEAR = [row for row, orders in enumerate(_NEAR_MONOMIALS) if sum(orders) % 2]
 
 
 @functools.cache
@@ -304,37 +308,43 @@ def _near_devices(target: int, devices: int) -> list[int]:
 
 def _neighbour_draws(half_subcarriers: int) -> int:
     """R, the Doppler draws a capacity trial takes of each neighbour at
-    index gap +-1, a fixed rule in N: those two hold 79-94% of the
-    capacity's residual variance at fig4's points while being 2 of the
-    2N + 1 devices a block evaluates, so their draws grow with N (R = 2, 5
-    and 11 at N = 39, 99 and 199; 1 below N = 36)."""
-    return max(1, half_subcarriers // 18)
+    index gap +-1, a fixed rule in N: R = 2P, P = max(1, ceil((N // 18) /
+    2)) mirrored pairs, each a draw z and its mirror -z (:func:`_layout`).
+    Those two hold most of the capacity's residual variance at fig4's
+    points while being 2 of the 2N + 1 devices a block evaluates, so their
+    draws grow with N (R = 2, 6 and 12 at N = 39, 99 and 199; 2 below
+    N = 54)."""
+    return 2 * max(1, -(-(half_subcarriers // 18) // 2))
 
 
 def _extra_draws(target: int, devices: int) -> list[int]:
-    """The device whose Doppler draws each extra column of a capacity
-    block repeats, in the order the columns follow the 2N + 1 devices:
-    R - 1 rounds of one column for each neighbour at index gap +-1 that
-    the band holds (:func:`_neighbour_draws`)."""
+    """The device whose Doppler draws each extra drawn column of a capacity
+    block repeats, in the order the columns follow the devices: P - 1
+    rounds of one column for each neighbour at index gap +-1 that the band
+    holds, P = R / 2 its pairs (:func:`_neighbour_draws`)."""
     neighbours = [c for c in (target - 1, target + 1) if 0 <= c < devices]
-    return neighbours * (_neighbour_draws(devices // 2) - 1)
+    return neighbours * (_neighbour_draws(devices // 2) // 2 - 1)
 
 
 @dataclass(eq=False)
 class _Part:
     """``count`` parts of a draw set fitted alike on one builder's columns:
-    its ``columns`` within the set (a slice, or a list for the capacity's
-    near parts, whose extra draws each repeat part ``owners[i]``); its
-    ``build``, which writes a block's columns V, ``width`` a part; the
-    whole-number ``gaps`` its Taylor table is built on, 0 at a column it
-    leaves out (none for a table-free part); ``held``, the doubles a
-    block row its builder keeps across blocks; and for the capacity's near
-    parts the ``proxied`` draws, those of the neighbours at index gap +-1,
-    whose surrogates :func:`_part_factors` subtracts.  ``V``, its store
-    over a run, is the design [1, V] every fit reads (:func:`_device_powers`),
-    and a capacity part's ``m2`` the block's second path moments, which its
-    builder leaves in what it holds: m_2 of each draw of the near parts,
-    and sum_j n_j^-2 w_j m_(2,j) of a far-style part's."""
+    its ``columns`` within the set's drawn ones (a slice, or a list for the
+    capacity's near parts, whose extra draws each repeat part
+    ``owners[i]``); its ``build``, which writes a block's columns V,
+    ``width`` a part; the whole-number ``gaps`` its Taylor table is built
+    on, 0 at a column it leaves out (none for a table-free part); ``held``,
+    the doubles a block row its builder keeps across blocks; and for the
+    capacity's near parts the ``proxied`` draws, those of the neighbours at
+    index gap +-1, whose surrogates :func:`_part_factors` subtracts.  A
+    mirrored part (the capacity's +-1 neighbours and mid part) also has
+    ``mirrors``, the set's power columns of its draws' mirrors (for the
+    near parts those of its proxied draws, in turn, each a draw of part
+    ``owners[i]`` after its extra draws').  ``V``, its store over a run,
+    is the design [1, V] every fit reads (:func:`_device_powers`), and a
+    capacity part's ``m2`` the block's second path moments, which its
+    builder leaves in what it holds: m_2 of each drawn draw of the near
+    parts, and sum_j n_j^-2 w_j m_(2,j) of a far-style part's."""
 
     columns: slice | list
     build: Callable
@@ -344,6 +354,7 @@ class _Part:
     count: int = 1
     owners: list = ()
     proxied: list = ()
+    mirrors: slice | list = ()
     local: slice | None = None  # its parts among its set's
     V: np.ndarray | None = None
     m2: np.ndarray | None = None
@@ -360,13 +371,16 @@ class _DrawSet:
     """Devices drawn together: its band ``columns`` (devices, then any
     extra draws of a device), on at most ``rows`` trials a block (every
     trial, or :data:`_TAIL_DRAWS` rows of their own for a tail), an Exp(1)
-    weight for each ``weighted`` column, and its ``parts``, whose count
-    and stores [1, V] a draw it sums."""
+    weight for each ``weighted`` column, and its ``parts``, whose count and
+    stores [1, V] a draw it sums.  A ``mirrored`` set also evaluates its
+    columns at the negated shifts: its powers hold ``width`` columns, the
+    drawn ones and then their mirrors, each a column of ``devices``."""
 
     columns: np.ndarray
     rows: int
     weighted: np.ndarray
     parts: list[_Part]
+    mirrored: bool = False
 
     def __post_init__(self):
         self.count = 0  # its parts
@@ -374,6 +388,8 @@ class _DrawSet:
             part.local = slice(self.count, self.count + part.count)
             self.count = part.local.stop
         self.design = sum(part.count * (part.width + 1) for part in self.parts)
+        self.devices = np.tile(self.columns, 1 + self.mirrored)
+        self.width = self.devices.size
 
     def draws(self, trials: int) -> int:
         """Its draws over a run of ``trials`` trials (its rows are at most a block's)."""
@@ -389,16 +405,20 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     the interferers within index gap K_I of the target on every trial,
     then the tail beyond it on :data:`_TAIL_DRAWS` rows, each set one part
     of its Taylor columns, if the band holds any; the target is drawn in
-    neither.  "capacity": its main draws, a column for each device within
-    index gap K of the target and then each extra draw of a neighbour at
-    index gap +-1 (:func:`_extra_draws`), with the near parts
-    (:func:`_near_devices`, :func:`_near_columns`; the draws of the +-1
-    neighbours are its ``proxied``) and, if the band holds
-    devices beyond them, the mid part (:func:`_far_columns`); then, if the
-    band has devices beyond index gap K, the tail's, one far-style part.
-    Only its devices beyond index gap 2 draw a weight, and a far-style
-    part's table is built on their gaps alone, so that its rows keep their
-    rank there."""
+    neither.  "capacity": its main draws, the target and its neighbours at
+    index gap +-2, then those at +-1, the mid devices at index gap 3..K
+    and each extra draw of a neighbour at index gap +-1
+    (:func:`_extra_draws`), each mirrored, if the band holds any but the
+    target (the mirrors of the target and the +-2 neighbours are not
+    read, and cost a column's denominators each); with the near
+    parts (:func:`_near_devices`, :func:`_near_columns`; the draws of the
+    +-1 neighbours are its ``proxied``, each with its mirror) and, if the
+    band holds devices beyond them, the mid part (:func:`_far_columns`),
+    its columns mirrored whole; then, if the band has devices beyond index
+    gap K, the tail's, one far-style part, unmirrored.  Only its devices
+    beyond index gap 2 draw a weight, a mirror keeping its source's, and a
+    far-style part's table is built on its own devices' gaps, so that its
+    rows keep their rank there."""
     columns, moments = np.arange(index_gaps.size), len(_ORDERS)
     if estimator == "devices":
         return [_DrawSet(columns, BLOCK_TRIALS, columns < 0,
@@ -413,19 +433,27 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
                                    (far > _ICI_TAIL_GAP, _TAIL_DRAWS))
                 if (count := np.count_nonzero(kept))]
     target, devices = int(np.flatnonzero(far == 0.0)[0]), index_gaps.size
-    band, tail = np.flatnonzero(far <= _TAIL_GAP), np.flatnonzero(far > _TAIL_GAP)
     near, extra = _near_devices(target, devices), _extra_draws(target, devices)
-    main = np.concatenate([band, np.array(extra, dtype=band.dtype)])
-    quiet = [c - band[0] for c in near] + list(range(band.size, main.size))
-    ones = [i for i, c in enumerate(near) if far[c] == 1]
-    parts = [_Part(quiet, _near_columns, _near_means(paths).size, moments * len(quiet),
-                   count=len(near), owners=[near.index(c) for c in extra],
-                   proxied=ones + list(range(len(near), len(quiet))))]
-    weighted = far[main] > 2
-    if weighted.any():
-        parts.append(_Part(slice(0, band.size), _far_columns, _FAR_WIDTH, len(_TERMS),
-                           np.where(weighted[:band.size], index_gaps[band], 0.0)))
-    sets = [_DrawSet(main, BLOCK_TRIALS, weighted, parts)]
+    plain = [c for c in near if far[c] != 1]  # the target and the +-2 neighbours
+    ones = [c for c in near if far[c] == 1]
+    mid = np.flatnonzero((far > 2) & (far <= _TAIL_GAP))
+    main = np.array(plain + ones + mid.tolist() + extra, dtype=int)
+    start = len(plain) + len(ones)  # of the mid part
+    # the near parts' drawn columns, then their extra draws, the mirror of
+    # drawn column i at main.size + i
+    drawn = [main.tolist().index(c) for c in near] + list(range(start + mid.size, main.size))
+    owner = list(range(len(near))) + [near.index(c) for c in extra]
+    proxied = [d for d, c in enumerate(drawn) if c >= len(plain)]
+    parts = [_Part(drawn, _near_columns, _near_means(paths).size, moments * len(drawn),
+                   count=len(near), owners=owner[len(near):] + [owner[d] for d in proxied],
+                   proxied=proxied,
+                   mirrors=[main.size + drawn[d] for d in proxied])]
+    if mid.size:
+        parts.append(_Part(slice(start, start + mid.size), _far_columns, _FAR_WIDTH,
+                           len(_TERMS), index_gaps[mid],
+                           mirrors=slice(main.size + start, main.size + start + mid.size)))
+    sets = [_DrawSet(main, BLOCK_TRIALS, far[main] > 2, parts, main.size > 1)]
+    tail = np.flatnonzero(far > _TAIL_GAP)
     if tail.size:
         sets.append(_DrawSet(tail, _TAIL_DRAWS, far[tail] > 2,
                              [_Part(slice(0, tail.size), _far_columns, _FAR_WIDTH, len(_TERMS),
@@ -440,7 +468,8 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     from the draw sets of a centred target, which hold the most
     (:func:`_layout`; the capacity's, with ``snr`` its P_T over the noise,
     else the interference's): per set a block's draws, its powers and any
-    weights, and what each part's builder holds across blocks; the
+    weights, a mirrored set's on its drawn columns and their mirrors, and
+    what each part's builder holds across blocks; the
     kernel's four workspace tiles and one more for its centre mask and the
     per-device vectors, of the larger set's tile, and a gap tile a set; and
     the larger set's sampler: a slot for its speed fractions and two
@@ -450,16 +479,18 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     (:func:`_fold_solver`); once the sampler has let go of its slot and
     tiles, what its average holds: the parts' factor tables on the rule at
     that SNR (:func:`numerics.hamdi_rule`) with their scratch rows
-    (:func:`_scratch_rows`), the faded powers of the near draws and 26 more
-    doubles a trial, and one part's fold sums or slopes beyond those the
-    run keeps, the near parts' the largest (:func:`_fold_sums`)."""
+    (:func:`_scratch_rows`), the faded powers of the near draws and their
+    mirrors and 26 more doubles a trial, and one part's fold sums or slopes
+    beyond those the run keeps, the near parts' the largest
+    (:func:`_fold_sums`)."""
     sets = _layout("interference" if snr is None else "capacity",
                    subcarrier_gaps(0, devices // 2), paths)
     tiles = [row_tiles(ds.rows, ds.columns.size * paths)[0].stop * ds.columns.size * paths
              for ds in sets]
     sampler = max((ds.rows * ds.columns.size + 2 * tile for ds, tile in zip(sets, tiles)),
                   default=0)
-    draws = sum(ds.rows * ds.columns.size * (paths + 1 + int(ds.weighted.any())) for ds in sets)
+    draws = sum(ds.rows * (ds.columns.size * paths + ds.width * (1 + int(ds.weighted.any())))
+                for ds in sets)
     held = (len(_TERMS) + 2) * devices + sum(ds.rows * part.held for ds in sets
                                              for part in ds.parts)
     average = 0
@@ -468,7 +499,8 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
         held += _FOLDS * sum(part.count * (part.width + 1) ** 2 for ds in sets
                              for part in ds.parts)
         average = sum(ds.rows * ds.count * nodes for ds in sets) \
-            + BLOCK_TRIALS * (_scratch_rows(sets[0]) * nodes + len(near.columns) + 26) \
+            + BLOCK_TRIALS * (_scratch_rows(sets[0]) * nodes + len(near.columns)
+                            + len(near.mirrors) + 26) \
             + _FOLDS * near.count * (near.width + 1) * nodes
     return 8 * (draws + 5 * max(tiles, default=0) + sum(tiles) + max(sampler, average) + held)
 
@@ -517,16 +549,19 @@ def _near_columns(part, shift, tiles, weights, space, work, rows):
     scenario-free and of part i's draws alone: m_2..m_6, m_2^2, m_2 m_3,
     m_2 m_4 and m_3^2 less their means (:data:`_NEAR_MONOMIALS`,
     :func:`_near_means`; the first five at one path), m_p = mean_m z^p of
-    the part's columns, formed per draw and averaged over the part's draws
-    (its extra draws follow the near devices, draw i of part owners[i],
-    :func:`_extra_draws`)."""
+    the part's columns, formed per drawn draw and averaged over the part's
+    draws (its extra draws follow the near devices, draw i of part
+    owners[i], :func:`_extra_draws`).  A mirrored part's columns are the
+    means over its pairs: m_p(-z) = (-1)^p m_p(z), so its even monomials
+    are those of its drawn draws and its odd ones (m_3, m_5 and m_2 m_3)
+    exactly 0."""
     near_moments = _path_moments(part, shift, tiles, work, space[0])
     part.m2 = near_moments[0]
     means = _near_means(shift.shape[2])
     draws, parts = near_moments.shape[2], part.count
     # the mean over each part's draws, as a (draws, parts) matrix
     average = np.zeros((draws, parts))
-    average[range(draws), list(range(parts)) + list(part.owners)] = 1.0
+    average[range(draws), list(range(parts)) + list(part.owners[:draws - parts])] = 1.0
     average /= average.sum(axis=0)
     near = part.V[rows, :, 1:]
     for row, orders in enumerate(_NEAR_MONOMIALS[:means.size]):
@@ -534,6 +569,9 @@ def _near_columns(part, shift, tiles, weights, space, work, rows):
         if len(orders) == 2:
             values = values * near_moments[orders[1] - 2]
         np.subtract(values @ average, means[row], out=near[..., row])
+    mirrored = sorted(set(part.owners[draws - parts:]))
+    odd = [row for row in _ODD_NEAR if row < means.size]
+    near[:, np.array(mirrored, dtype=int)[:, None], odd] = 0.0
 
 
 def _far_columns(part, shift, tiles, weights, space, work, rows):
@@ -546,7 +584,9 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
     E[w^2] = 2, E[c_0 c] = sum_j n_j^-2 n_j^-e (2 E[m_2 m_p] - E[m_2]
     E[m_p]).  The sums over the devices are formed a tile at a time, z^p
     in ``space[0]`` and each order's moments in ``space[1]``, and reduced
-    at once, so that no block-sized moment is held."""
+    at once, so that no block-sized moment is held.  A mirrored part's
+    columns are the means over its pairs, the weights shared: those of its
+    odd orders p are exactly 0, and the rest those of its drawn draws."""
     table, weights, shift = part.table, weights[:, part.columns], shift[:, part.columns]
     paths = np.ones(shift.shape[2])
     orders = [(p, _TERM_ORDERS == p, table[_TERM_ORDERS == p]) for p in _ORDERS]
@@ -559,6 +599,9 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
         for p, terms, weights_of_terms in orders:
             if p > 2:
                 power *= z
+            if p % 2 and part.mirrors:
+                far_terms[tile, terms] = 0.0
+                continue
             np.matmul(power, paths, out=moment)  # twice as fast as einsum here
             moment *= weights[tile]
             # one product a trial, so that no value depends on the tile
@@ -580,12 +623,13 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     """Yield ``(k, rows, powers, weights)`` for scenario k, each but k a
     list over the draw ``sets`` (:func:`_layout`): the set's trials
     ``rows``; its per-(trial, column) power on the target sub-carrier, in
-    a buffer the next step overwrites; and its Exp(1) weights, 0 at a
-    column that draws none, or None if none does.  Each part's ``build``
-    writes a block's columns V into ``part.V``, its store allocated here:
-    the design [1, V] of the run, zero rows padding the draws to a multiple
-    of 8, which :func:`_by_fold` reads as it is.  The arrays held at once
-    are those :func:`block_bytes` counts.
+    a buffer the next step overwrites, its drawn columns' and then, for a
+    mirrored set, their mirrors'; and its Exp(1) weights, 0 at a column
+    that draws none, a mirror's its source's, or None if none does.  Each
+    part's ``build`` writes a block's columns V into ``part.V``, its store
+    allocated here: the design [1, V] of the run, zero rows padding the
+    draws to a multiple of 8, which :func:`_by_fold` reads as it is.  The
+    arrays held at once are those :func:`block_bytes` counts.
 
     Each block draws its sets in turn, a set's weights right after its
     shifts, the first set on every trial of the block and any after it on
@@ -605,11 +649,15 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     span (:func:`numerics.sinc_squared`), a static scenario skips it for
     the exact values it would return, and each row's path sum is taken
     within its tile, so neither the group nor the tile size changes a
-    value.  The kernel runs in a workspace allocated once per call: the
-    offsets, output and scratch tiles, sized to the larger set's, and one
-    (rows, columns, paths) gap tile per set and distinct gap vector; the
-    path moments are taken tile by tile in the offsets tile, so no
-    block-sized z^p is ever formed.
+    value.  A mirrored set's mirrors are its columns at the shifts -z_m,
+    which follow the same law (Glasserman 2003, section 4.2): the sampler
+    draws only the columns, and the kernel gives the mirrors from the same
+    sines, bit for bit its values at the negated offsets, in its last
+    scratch tile.  The kernel runs in a workspace allocated once per
+    call: the offsets, output and scratch tiles, sized to the larger set's,
+    and one (rows, columns, paths) gap tile per set and distinct gap
+    vector; the path moments are taken tile by tile in the offsets tile, so
+    no block-sized z^p is ever formed.
 
     Every estimator subtracts its zero-mean columns times cross-fitted
     slopes (Glasserman 2003, section 4.1; :func:`_fold_solver`), part by
@@ -623,17 +671,17 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
         for part in ds.parts:
             part.V = np.zeros((draws - draws % -_FOLDS, part.count, 1 + part.width))
             part.V[:draws, :, 0] = 1.0
-    gaps = [[gap[ds.columns] for ds in sets] for gap in gaps]
+    gaps = [[gap[ds.devices] for ds in sets] for gap in gaps]
     # each set's powers and, if a column draws one, weights, 0 where none is
     # drawn, and what its parts' builders hold across blocks
-    buffers = [np.zeros((1 + int(ds.weighted.any()), n, ds.columns.size))
+    buffers = [np.zeros((1 + int(ds.weighted.any()), n, ds.width))
                for n, ds in zip(rows_of, sets)]
     held = [[np.empty(part.held * n) for part in ds.parts] for n, ds in zip(rows_of, sets)]
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row
     # broadcast over the short path axis about three times slower
-    tile_shapes = [(row_tiles(n, len(gap) * paths)[0].stop, len(gap), paths)
-                   for n, gap in zip(rows_of, gaps[0])]
+    tile_shapes = [(row_tiles(n, ds.columns.size * paths)[0].stop, ds.columns.size, paths)
+                   for n, ds in zip(rows_of, sets)]
     workspace = _aligned_empty((4 * max((math.prod(shape) for shape in tile_shapes), default=0),))
     workspaces = [workspace[:4 * math.prod(shape)].reshape((4,) + shape) for shape in tile_shapes]
     gap_tiles, shared = [], {}
@@ -642,7 +690,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
         for s, (gap, shape) in enumerate(zip(scenario_gaps, tile_shapes)):
             key = (s, gap.tobytes())
             if span != 0.0 and key not in shared:
-                shared[key] = np.broadcast_to(gap[:, None], shape).copy()
+                shared[key] = np.broadcast_to(gap[:shape[1], None], shape).copy()
             gap_tiles[-1].append(shared.get(key))
     key = shared = None  # the keys copy the gaps
     for block, size in enumerate(_block_sizes(plan.trials)):
@@ -653,9 +701,11 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
             shift = sample_cell_batch(rng, n, ds.columns.size, cell)
             powers, weights = buffer[0, :n], None
             if len(buffer) > 1:
-                weights = buffer[1, :n]
-                weights[:, ds.weighted] = rng.standard_exponential(
+                weights, drawn = buffer[1, :n], ds.columns.size
+                weights[:, :drawn][:, ds.weighted] = rng.standard_exponential(
                     (n, np.count_nonzero(ds.weighted)))
+                if ds.mirrored:  # a mirror keeps its source's weight
+                    weights[:, drawn:] = weights[:, :drawn]
             rows = slice(block * ds.rows, block * ds.rows + n)  # every block but the last is full
             tiles = row_tiles(n, ds.columns.size * paths)
             for part, work in zip(ds.parts, held[s]):
@@ -668,12 +718,18 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
                     powers[:] = gaps[k][s] == 0.0
                     continue
                 offsets, kernel, work = workspaces[s][0], workspaces[s][1], workspaces[s][2:]
+                drawn = shift.shape[1]
                 for rows in tiles:
                     n = rows.stop - rows.start
                     offset = np.multiply(shift[rows], span, out=offsets[:n])
-                    values = sinc_squared(gap_tiles[k][s][:n], offset, span, kernel[:n],
-                                          work[:, :n])
-                    np.einsum("tdm->td", values, out=powers[rows])
+                    gap = gap_tiles[k][s][:n]
+                    if sets[s].mirrored:  # the mirrors' powers from the same sines, in work[1]
+                        values, mirror = sinc_squared(gap, offset, span, kernel[:n], work[:, :n],
+                                                      work[1, :n])
+                        np.einsum("tdm->td", mirror, out=powers[rows, drawn:])
+                    else:
+                        values = sinc_squared(gap, offset, span, kernel[:n], work[:, :n])
+                    np.einsum("tdm->td", values, out=powers[rows, :drawn])
                 powers /= paths
             yield k, *([draw[i] for draw in draws] for i in (0, 3, 4))
         draws = shift = None  # so that a block's draws never overlap the next one's
@@ -843,43 +899,49 @@ def _fitted(store: np.ndarray, samples):
 def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
     """The capacity's (parts, trials, nodes) factor table at ``nodes``
     (:func:`numerics.hamdi_factors`) in ``out``: a row for each near
-    device from its own draw, a row of ``faded``, and with ``far`` one for
-    the far devices of a draw set (the mid part's or the tail's).  Row i
-    of ``faded`` after the near devices' is an extra draw of part
-    owners[i], whose row becomes the mean of its draws' factors: their
-    tables are formed len(``scratch``) rows at a time, a round of the
-    extra draws (:func:`_extra_draws`), and added into the parts' rows, so
-    no table of every draw is held.
+    device from its own draw, a row of ``faded``, and with ``far``, the
+    far devices' drawn interference of a draw set (the mid part's or the
+    tail's) a row a draw, one for them.  Row i of ``faded`` after the near
+    devices' is an extra draw or a mirror of part owners[i], whose row
+    becomes the mean of its draws' factors: their tables are formed
+    len(``scratch``) rows at a time and added into the parts' rows, so no
+    table of every draw is held.  The far row is likewise the mean of
+    e^(-t a) over the rows of ``far``: the mid part's draw and its mirror.
 
     With a ``surrogate`` (a moving scenario's, :func:`_surrogates`), each
     row subtracts, at every node t of its window and times its slope there,
     a surrogate of its draws less its exact mean, which keeps its mean
     whatever the slope: a neighbour at index gap +-1, the mean over its
-    draws d of 1 / (1 + c m_2,d) less h_M(c), with c = t SNR x^2 / q^2
-    and m_2 the draw's second path moment
-    (:func:`numerics.moment_reciprocal_mean`), those tables formed on the
-    window as many rows at a time as the scratch holds; and the mid part,
-    e^(-c k A) less prod_j h_M(c k / n_j^2), A = sum_j n_j^-2 w_j m_(2,j)
-    over its devices and k = k(x) (:func:`numerics.doppler_power_scale`):
-    to leading order sinc^2(n q + x z) = sin^2(pi x z) / (pi n q)^2, so
-    each surrogate follows its factor where that factor is far from
-    polynomial in the path moments, and the columns then fit what is
-    left."""
+    pairs p of 1 / (1 + c m_2,p) less h_M(c), with c = t SNR x^2 / q^2
+    and m_2 the pair's second path moment, which a draw and its mirror
+    share (:func:`numerics.moment_reciprocal_mean`), those tables formed
+    on the window as many rows at a time as the scratch holds; and the
+    mid part, e^(-c k A) less prod_j h_M(c k / n_j^2), A = sum_j n_j^-2
+    w_j m_(2,j) over its devices, even in the shifts too, and k = k(x)
+    (:func:`numerics.doppler_power_scale`): to leading order sinc^2(n q +
+    x z) = sin^2(pi x z) / (pi n q)^2, so each surrogate follows its
+    factor where that factor is far from polynomial in the path moments,
+    and the columns then fit what is left."""
     near = len(faded) - len(owners)
-    table = hamdi_factors(nodes, faded[:near], far, out)
+    table = hamdi_factors(nodes, faded[:near], None if far is None else far[0], out)
     step = max(len(scratch), 1)
     for start in range(0, len(owners), step):
         rows = faded[near + start:near + start + step]
         for part, factors in zip(owners[start:], hamdi_factors(nodes, rows,
                                                                out=scratch[:len(rows)])):
             table[part] += factors
+    if far is not None and len(far) > 1:
+        for mirror in far[1:]:
+            table[-1] += hamdi_factors(nodes, faded[:0], mirror, scratch[:1])[0]
+        table[-1] /= len(far)
     if surrogate is not None:
-        # each neighbour's surrogates on the window, summed over its draws
+        # each neighbour's surrogates on the window, summed over its pairs
         # in the scratch, as many a round as it holds besides the sum and at
         # most twice its rows (the temporaries of larger rounds outgrow what
-        # block_bytes counts); its row then subtracts the sum less its mean
-        # times the slope.  The rounds' (slope, intercept) lines and their
-        # (t, 1) basis are those of numerics.hamdi_factors, formed once.
+        # block_bytes counts); its row, the sum over both draws of each
+        # pair, then subtracts twice the sum less its mean times the slope.
+        # The rounds' (slope, intercept) lines and their (t, 1) basis are
+        # those of numerics.hamdi_factors, formed once.
         window, trials, space = surrogate.window, faded.shape[1], scratch.reshape(-1)
         width = window.stop - window.start
         step = max(min(space.size // (trials * width) - 1, 2 * len(scratch)), 1)
@@ -904,6 +966,7 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
                         total += row
             total -= len(draws) * surrogate.mean
             total *= surrogate.slope
+            total *= 2.0
             table[part, :, window] -= total
         if far is not None:
             factors = hamdi_factors(nodes[window], faded[:0], surrogate.far,
@@ -922,44 +985,55 @@ def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
     ``window``, the slice of the nodes with c = t SNR x^2 / q^2 >= 0.1 and
     t <= 5, and their ``slope`` c^4 / (1 + c^4) there
     (:data:`_SURROGATE_NODES`), x its Doppler span and q = T_s df; their
-    scales; and their exact means there, read for the whole group in
-    one call (:func:`numerics.moment_reciprocal_mean`): the near parts'
-    h_M(c), and the mid part's scale c k / t and prod_j h_M(c k / n_j^2)
-    over its devices, if the set has one.  None for a static scenario, one
-    without a neighbour at index gap +-1 (N = 0), or one whose window
-    holds no node."""
+    scales; and their exact means there (:func:`numerics.moment_reciprocal_mean`):
+    the near parts' h_M(c), and the mid part's scale c k / t and prod_j
+    h_M(c k / n_j^2) over its devices, if the set has one.  None for a
+    static scenario, one without a neighbour at index gap +-1 (N = 0), or
+    one whose window holds no node.  The windows, slopes and means are
+    formed in one pass over the group's windows laid end to end, each
+    value from its own node and scenario alone, so that a scenario keeps
+    its bits in any group."""
     mid = ds.parts[-1].gaps if len(ds.parts) > 1 else np.zeros(0)
-    gaps, counts = np.unique(abs(mid[mid != 0.0]), return_counts=True)
+    gaps, counts = np.unique(abs(mid), return_counts=True)
     least, reach = _SURROGATE_NODES
-    found, spans, windows = [], [], []  # per kept scenario its span and window's nodes
-    for (c, m), state in zip(scenarios, states):
-        span, nodes = c.doppler_span(m.max_velocity_mps), state.rule[0]
-        scale = state.snr * (span / c.spacing_symbol_product) ** 2
-        window = slice(int(np.searchsorted(nodes, least / scale)) if scale else nodes.size,
-                       int(np.searchsorted(nodes, reach, "right")))
-        if not (ds.parts[0].proxied and scale <= HAMDI_MAX_SCALE and window.start < window.stop):
-            found.append(None)
-            continue
-        found.append(SimpleNamespace(draws=ds.parts[0].proxied, window=window, scale=scale,
-                                     far_scale=0.0,
-                                     slope=1.0 / (1.0 + (nodes[window] * scale) ** -4)))
-        spans.append(span)
-        windows.append(nodes[window])
-    kept = [s for s in found if s is not None]
+    spans = [c.doppler_span(m.max_velocity_mps) for c, m in scenarios]
+    scales = [state.snr * (span / c.spacing_symbol_product) ** 2
+              for (c, _), state, span in zip(scenarios, states, spans)]
+    kept = [k for k, scale in enumerate(scales)
+            if ds.parts[0].proxied and 0.0 < scale <= HAMDI_MAX_SCALE]
+    windows = {}
+    for rule in {id(states[k].rule[0]): states[k].rule[0] for k in kept}.values():
+        ks = [k for k in kept if states[k].rule[0] is rule]
+        starts = np.searchsorted(rule, [least / scales[k] for k in ks])  # inf past a tiny scale
+        stop = int(np.searchsorted(rule, reach, "right"))
+        windows.update((k, slice(int(start), stop)) for k, start in zip(ks, starts)
+                       if start < stop)
+    kept = [k for k in kept if k in windows]
+    found = [None] * len(scenarios)
     if not kept:
         return found
+    t = np.concatenate([states[k].rule[0][windows[k]] for k in kept])
+    widths = [windows[k].stop - windows[k].start for k in kept]
+    c = t * np.repeat([scales[k] for k in kept], widths)
+    slope = np.reciprocal(c)
+    slope *= slope
+    slope *= slope
+    slope += 1.0
+    np.reciprocal(slope, out=slope)
+    far_scales = np.zeros(len(kept))
     if gaps.size:
-        for surrogate, k in zip(kept, doppler_power_scale(np.array(spans))):
-            surrogate.far_scale = surrogate.scale * k
-    # per kept scenario its c, then the mid part's, a row each
-    scales = [np.outer(np.concatenate([[s.scale], s.far_scale / gaps ** 2]), t)
-              for s, t in zip(kept, windows)]
-    means = np.split(moment_reciprocal_mean(np.concatenate([c.ravel() for c in scales]), paths),
-                     np.cumsum([c.size for c in scales])[:-1])
-    for surrogate, c, mean in zip(kept, scales, means):
-        mean = mean.reshape(c.shape)
-        surrogate.mean = mean[0]
-        surrogate.far_mean = np.prod(mean[1:] ** counts[:, None], axis=0)
+        far_scales = np.array([scales[k] for k in kept]) \
+            * doppler_power_scale(np.array([spans[k] for k in kept]))
+    # c, then the mid part's c k / n_j^2 a row for each distinct |n_j|
+    far = np.repeat(far_scales, widths) / (gaps ** 2)[:, None] * t
+    means = moment_reciprocal_mean(np.concatenate([c, far.ravel()]), paths)
+    far_mean = np.prod(np.repeat(means[c.size:].reshape(far.shape), counts, axis=0), axis=0)
+    edges = np.cumsum(widths)[:-1]
+    rows = zip(*(np.split(v, edges) for v in (slope, means[:c.size], far_mean)))
+    for k, far_scale, (k_slope, k_mean, k_far_mean) in zip(kept, far_scales, rows):
+        found[k] = SimpleNamespace(draws=ds.parts[0].proxied, window=windows[k], scale=scales[k],
+                                   far_scale=far_scale, slope=k_slope, mean=k_mean,
+                                   far_mean=k_far_mean)
     return found
 
 
@@ -997,25 +1071,32 @@ def _set_factors(ds: _DrawSet, powers, weights, state, out) -> np.ndarray:
     """Draw set ``ds``'s (parts, trials, nodes) factor table on ``state``'s
     rule in ``out`` (:func:`_part_factors`), from its columns' ``powers``,
     which it overwrites: a row for each near part from the faded powers of
-    its draws (its main draw alone for a static scenario, whose extra draws
-    would give the same factors), the target's C its row times its SNR u,
-    and one for a far part from the drawn interference of its columns; in
-    the main set of a moving scenario, less their surrogates
-    (:func:`_surrogates`)."""
+    its draws and their mirrors, the target's C its row times its SNR u,
+    and one for a far part from the drawn interference of its columns and
+    of their mirrors; in the main set of a moving scenario, less their
+    surrogates (:func:`_surrogates`).  A static scenario gets the target's
+    row alone: every other factor is exactly 1."""
     near = [part for part in ds.parts if part.build is _near_columns]
-    faded = powers[:, near[0].columns[:None if state.moving else near[0].count] if near else []]
+    if not state.moving:
+        faded = powers[:, :1] * state.snr  # the target is the set's first column
+        table = hamdi_factors(state.rule[0], faded.T, out=out[:1])
+        table[0] *= faded[:, 0, None]
+        return table
+    faded = powers[:, near[0].columns + near[0].mirrors if near else []]
     faded *= state.snr
-    faded = faded.T  # u, the b_j, extras
+    faded = faded.T  # u, the b_j, extras, mirrors
     interference = surrogate = None
     if weights is not None:  # the set's last part is a far one, over its weighted columns
         powers *= weights  # 0 at the near devices and the extra draws
-        interference = powers[:, ds.parts[-1].columns].sum(axis=1) * state.snr
+        far = ds.parts[-1]
+        interference = np.array([powers[:, columns].sum(axis=1) for columns
+                                 in [far.columns] + ([far.mirrors] if far.mirrors else [])])
+        interference *= state.snr
     if near and state.surrogate is not None:
         surrogate = SimpleNamespace(**vars(state.surrogate), moments=near[0].m2)
         if interference is not None:
             surrogate.far = ds.parts[-1].m2 * surrogate.far_scale
-    table = _part_factors(state.rule[0], faded, interference,
-                          near[0].owners if near and state.moving else [],
+    table = _part_factors(state.rule[0], faded, interference, near[0].owners if near else [],
                           out[:ds.count], out[ds.count:], surrogate)
     if near:
         table[0] *= faded[0][:, None]  # C is u times its row
@@ -1044,13 +1125,27 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     independent, each may average its own number of draws and stay
     exactly unbiased (Neyman allocation; Glasserman 2003, section 4.3):
     the neighbours at index gap +-1, which hold most of the residual
-    variance, take R draws a trial (:func:`_neighbour_draws`; R = 11 at
+    variance, take R draws a trial (:func:`_neighbour_draws`; R = 12 at
     N = 199), their factor rows and columns the means over them
     (:func:`_part_factors`), so no per-trial array grows; and the tail,
     which after the fit holds at most 2e-5-5e-5 of the variance a draw
-    while being 378 of the 419 columns of a trial at N = 199, is drawn on
-    32 rows of its own a block of 256 (:data:`_TAIL_DRAWS`), so the
-    sampler, the kernel and its Taylor sums see it one trial in 8.
+    while being 378 of the 409 drawn columns of a trial at N = 199, is
+    drawn on 32 rows of its own a block of 256 (:data:`_TAIL_DRAWS`), so
+    the sampler, the kernel and its Taylor sums see it one trial in 8.
+
+    The shift z = u cos psi has a law symmetric about 0, so its mirror -z
+    is a draw of the same law (an antithetic draw; Glasserman 2003,
+    section 4.2), and the mean of a draw's factor and its mirror's stays
+    exactly unbiased while it cancels the factor's odd part: sinc^2(1 + y)
+    is 0.57 at y = -0.6 and 0.036 at y = 0.6, at fig4's 500 Hz curve and
+    100 m/s.  Half of each +-1 neighbour's R draws are the mirrors of the
+    others, and the mid part is drawn once a trial and mirrored with the
+    same Exp(1) weights, its factor the mean of e^(-t a(z)) and
+    e^(-t a(-z)) (:func:`_layout`).  The kernel forms each mirror from its
+    source's sines (:func:`numerics.sinc_squared`), a mirrored part's
+    columns are the means over its pairs, exactly 0 where odd in the
+    shifts (:func:`_near_columns`, :func:`_far_columns`), and each pair's
+    +-1 surrogate, even in the shifts, is formed once.
 
     Before any fit, each neighbour at index gap +-1 and the mid part of a
     moving scenario subtract, at the nodes t of a window of the rule and
@@ -1098,7 +1193,8 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     N = 0 leaves the target's factor alone (the others are exactly 1, or
     there are none), the one-factor integral e^x E1(x), x = 1 / u (Lee
     1990): every trial gives the exact capacity, with a standard error of
-    0.  A scenario gives the same bits alone or in
+    0, and a static scenario forms the target's factor alone, with no fold
+    sums, slopes or influences.  A scenario gives the same bits alone or in
     a group.  The estimate can exceed :func:`analytic.capacity_upper`, the
     capacity at the mean powers, as at one path per device.  Requires
     positive noise and P_T over the noise at most 1e300
@@ -1107,10 +1203,12 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     """
     scenarios, single = _group(cfg, mob)
     # per scenario: its SNR, rule, whether it moves and its surrogates; from
-    # its first block, per draw set its factor sums and influences, and per
-    # part its node sums; then its controlled mean and each part's slopes
+    # its first block, per draw set its factor sums, and if it moves its
+    # first factors, node weights and influences, and per part its node
+    # sums; then its controlled mean and each part's slopes
     states = [SimpleNamespace(snr=(snr := capacity_snr(c)), rule=hamdi_rule(snr), sums={},
-                              slopes={}, moving=c.doppler_span(m.max_velocity_mps) != 0.0)
+                              slopes={}, moving=c.doppler_span(m.max_velocity_mps) != 0.0,
+                              first=[], node_weights=[], influences=[])
               for c, m in scenarios]
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
@@ -1120,6 +1218,7 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         state.surrogate = surrogate
     grams = {part: np.zeros((part.count, _FOLDS, part.width + 1, part.width + 1))
              for ds in sets for part in ds.parts}  # keyed by each part, in order
+    moving = any(state.moving for state in states)
     # each set's factor table, then its scratch rows
     heights = [ds.count + _scratch_rows(ds) for ds in sets]
     nodes = max(state.rule[0].size for state in states)
@@ -1127,31 +1226,37 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         state, last = states[k], rows[0].stop == plan.trials
         if k == 0:
             for ds, r in zip(sets, rows):
-                for part in ds.parts:
+                for part in ds.parts if moving else ():
                     grams[part] += _fold_sums(part.V[r], part.V[r].transpose(1, 0, 2))
-            if last:
+            if last and moving:
                 solvers = {part: _fold_solver(gram) for part, gram in grams.items()}
             tables = [_aligned_empty((height * min(plan.trials, ds.rows) * nodes,))
                       for height, ds in zip(heights, sets)]  # let go with the block
+        # a static scenario forms the main set's table, the target's row
+        # alone: the other factors are exactly 1, and its fold sums, slopes
+        # and influences exactly 0
+        used = sets if state.moving else sets[:1]
         table = [_set_factors(ds, p, w, state, out[:height * len(p) * state.rule[0].size]
                               .reshape(height, len(p), -1))
-                 for ds, p, w, height, out in zip(sets, powers, weights, heights, tables)]
+                 for ds, p, w, height, out in zip(used, powers, weights, heights, tables)]
         column_sums = [np.ones(t.shape[1]) @ t for t in table]
         if rows[0].start == 0:
+            state.totals = [np.zeros_like(sums) for sums in column_sums]
+        if rows[0].start == 0 and state.moving:
             node_weights = _all_but_each(np.concatenate(
                 [sums / t.shape[1] for sums, t in zip(column_sums, table)])) * state.rule[1]
             state.node_weights = np.split(node_weights, np.cumsum([len(t) for t in table])[:-1])
             state.first = [t[:, 0].copy() for t in table]
-            state.totals = [np.zeros_like(sums) for sums in column_sums]
             state.influences = [np.empty((ds.draws(plan.trials), ds.count)) for ds in sets]
+        for totals, column_sum in zip(state.totals, column_sums):
+            totals += column_sum
         # per set its factors less the first trial's, which leaves the
         # influences and the node sums the digits of their spread and equal
         # factors exactly 0; after the last block, each part's mean
         # controlled at every node and its influences' slopes
-        for ds, t, column_sum, f, totals, node_weights, y, r in zip(
-                sets, table, column_sums, state.first, state.totals, state.node_weights,
+        for ds, t, f, totals, node_weights, y, r in zip(
+                sets, table, state.first, state.totals, state.node_weights,
                 state.influences, rows):
-            totals += column_sum
             t -= f[:, None]
             y[r] = (t @ node_weights[..., None])[..., 0].T
             for part in ds.parts:
@@ -1166,11 +1271,14 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
                     state.slopes[part] = np.einsum("ifsn,in->ifs", beta, node_weights[part.local])
         if last:
             state.mean = state.rule[1] @ np.prod(np.concatenate(
-                [totals / ds.draws(plan.trials) for totals, ds in zip(state.totals, sets)]), axis=0)
+                [totals / ds.draws(plan.trials) for totals, ds in zip(state.totals, used)]), axis=0)
             beta = None  # the last part's slopes
         if k == len(scenarios) - 1:
             tables = table = t = None
-    powers = weights = None  # let the last block go before the fit
+    # let the last block, its builders' buffers and the grams go before the fit
+    powers = weights = grams = solvers = None
+    for part in (part for ds in sets for part in ds.parts):
+        part.m2 = None
     estimates = []
     for state in states:
         residuals = [np.empty_like(y) for y in state.influences]

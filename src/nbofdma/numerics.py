@@ -155,7 +155,22 @@ def sin_pi(r, out=None, span=None, work=None):
     return p
 
 
-def sinc_squared(gap, offset, span=None, out=None, work=None):
+def _over_squared_distance(s, gap, offset, add, x):
+    """s / (pi (gap +- offset))^2 in ``s``, the sum if ``add`` else the
+    difference formed in ``x``, and exactly 1 where it is 0."""
+    x = (np.add if add else np.subtract)(gap, offset, out=x)
+    x *= math.pi
+    x *= x
+    # gap + offset == 0 needs |gap| <= |offset|: rare, so test before writing
+    centre = x == 0.0
+    if centre.any():
+        x[centre] = 1.0
+        s[centre] = 1.0
+    s /= x
+    return s
+
+
+def sinc_squared(gap, offset, span=None, out=None, work=None, mirror=None):
     """sinc(gap + offset)**2 for a whole-number ``gap`` and a real
     ``offset``; the result has the broadcast shape of the two.
 
@@ -178,6 +193,14 @@ def sinc_squared(gap, offset, span=None, out=None, work=None):
     both the call allocates no float array, so a caller that evaluates many
     tiles reuses the same memory; the values are those of the allocating
     call, bit for bit.
+
+    ``mirror``, an array of the result's shape sharing no memory with the
+    rest but ``work[1]``, which it may be, also receives sinc(gap -
+    offset)**2, and the call returns the pair (result, mirror).  It costs
+    only the mirror's denominators: ``rint`` is symmetric and
+    :func:`sin_pi` odd bit for bit, so sin^2 of the negated offset is the
+    same s^2, and the mirror equals, bit for bit, what the call gives on
+    the negated offsets.
     """
     offset = np.asarray(offset, dtype=float)
     shape = np.broadcast_shapes(np.shape(gap), offset.shape) if out is None else out.shape
@@ -192,16 +215,11 @@ def sinc_squared(gap, offset, span=None, out=None, work=None):
         np.subtract(offset, r, out=r)
     s = sin_pi(r, out, span, work[0])
     s *= s
-    x = np.add(gap, offset, out=work[0])
-    x *= math.pi
-    x *= x
-    # gap + offset == 0 needs |gap| <= |offset|: rare, so test before writing
-    centre = x == 0.0
-    if centre.any():
-        x[centre] = 1.0
-        s[centre] = 1.0
-    s /= x
-    return s
+    if mirror is None:
+        return _over_squared_distance(s, gap, offset, True, work[0])
+    np.copyto(mirror, s)
+    _over_squared_distance(mirror, gap, offset, False, work[0])
+    return _over_squared_distance(s, gap, offset, True, work[0]), mirror
 
 
 # elements per tile of the Monte Carlo block arithmetic: small enough for a

@@ -1,6 +1,7 @@
 """Monte Carlo estimator tests: determinism, exact degenerate cases, and
 statistical agreement with the closed forms."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -105,7 +106,9 @@ def test_mean_invariant_to_path_count():
 def test_power_modes_share_a_mean():
     # the interference the capacity estimator sees, the interferers'
     # coherent powers, against the conditional-mean estimator: the main
-    # draws' per trial plus the tail's per tail draw, two independent means
+    # draws' per trial plus the tail's per tail draw, two independent means;
+    # the drawn columns alone, each device once (N = 24 takes one pair of
+    # each neighbour at index gap +-1, so no extra draw), not their mirrors
     plan = TrialPlan(trials=30000, seed=8)
     incoherent = estimate_total_ici(plan, CFG, CELL, MOB)
     gaps = subcarrier_gaps(plan.target_index, CFG.half_subcarriers,
@@ -122,8 +125,9 @@ def test_power_modes_share_a_mean():
         # no weight, so they get weights of their own here
         weights = [w.copy() for w in weights]
         weights[0][:, neighbours] = own_draws.standard_exponential((len(weights[0]), 4))
-        for sample, r, p, w in zip(samples, rows, powers, weights, strict=True):
-            sample[r] = (p * w).sum(axis=1) * CFG.effective_power
+        for ds, sample, r, p, w in zip(sets, samples, rows, powers, weights, strict=True):
+            drawn = ds.columns.size
+            sample[r] = (p[:, :drawn] * w[:, :drawn]).sum(axis=1) * CFG.effective_power
     main, tail = (montecarlo._reduce(sample) for sample in samples)
     coherent = Estimate(main.mean + tail.mean, math.hypot(main.std_error, tail.std_error),
                         plan.trials)
@@ -236,9 +240,11 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # blocks, one partial); sharing the draws among the scenarios of a group
 # must keep these bits.  Every pin includes its estimator's control
 # variate.  fig4's 500 Hz curve (N = 199) is the one pin where the
-# capacity draws its neighbours at index gap +-1 more than once (R = 11);
-# it and the default band (N = 24) draw a tail beyond index gap 10, which
-# the 3 GHz edge pin (N = 5, index gaps -1..9) does not.  Both interference
+# capacity draws its neighbours at index gap +-1 in more than one mirrored
+# pair (R = 12, six pairs; every other moving capacity pin takes one pair
+# and mirrors its mid part); it and the default band (N = 24) draw a tail
+# beyond index gap 10, which the 3 GHz edge pin (N = 5, index gaps -1..9)
+# does not.  Both interference
 # pins draw a tail beyond index gap 3.  The one-path pin keeps 5 near
 # columns a part, not 9; at N = 2 the capacity has no mid part and no tail,
 # and the interference no tail.  Every moving capacity pin subtracts its
@@ -247,13 +253,13 @@ PINNED = {
     "ici": ("0x1.f47f874bc89dap-8", "0x1.c39470393c323p-33"),  # 0.007637 +- 2.05e-10
     "ici_edge_3ghz": ("0x1.3578814943b26p-7", "0x1.ecf8264774297p-30"),  # 0.0094443 +- 1.79e-09
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a132a3a3f985p+2", "0x1.4129e7bd099b3p-15"),  # 5.15742 +- 3.83e-05
-    "capacity_edge_3ghz": ("0x1.451c3b633c9f2p+2", "0x1.ffb5862678568p-13"),  # 5.07985 +- 0.000244
-    "capacity_500hz": ("0x1.35f9f42b90762p+1", "0x1.98719e716e49dp-12"),  # 2.42169 +- 0.00039
+    "capacity": ("0x1.4a131cc5ee761p+2", "0x1.ae256f4f67082p-16"),  # 5.15742 +- 2.56e-05
+    "capacity_edge_3ghz": ("0x1.451b148cfa2c9p+2", "0x1.9dde4df73f82ep-15"),  # 5.07978 +- 4.93e-05
+    "capacity_500hz": ("0x1.35e4e900cbf8fp+1", "0x1.1a647748fe9a7p-12"),  # 2.42105 +- 0.000269
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
-    "capacity_one_path": ("0x1.4bb18afd64edcp+2", "0x1.f04d826f75d71p-14"),  # 5.18271 +- 0.000118
-    "capacity_n2": ("0x1.535bb8943fb9cp+2", "0x1.774364cd289e7p-15"),  # 5.30247 +- 4.47e-05
+    "capacity_one_path": ("0x1.4bae3af1435efp+2", "0x1.530ddb13b634fp-16"),  # 5.18251 +- 2.02e-05
+    "capacity_n2": ("0x1.535b718da2cbdp+2", "0x1.5eada52d5a0a8p-16"),  # 5.30246 +- 2.09e-05
     "ici_n2": ("0x1.8754b4301fdb3p-8", "0x1.ca5656a48bbd3p-33"),  # 0.00597124 +- 2.08e-10
 }
 
@@ -311,9 +317,9 @@ def test_a_group_across_the_kernel_regimes_matches_its_members(estimator):
 def test_a_static_scenario_never_calls_the_kernel(monkeypatch):
     spans = []
 
-    def spy(gap, offset, span=None, out=None, work=None):
+    def spy(gap, offset, span=None, out=None, work=None, mirror=None):
         spans.append(span)
-        return numerics.sinc_squared(gap, offset, span, out, work)
+        return numerics.sinc_squared(gap, offset, span, out, work, mirror)
 
     monkeypatch.setattr(montecarlo, "sinc_squared", spy)
     plan = TrialPlan(trials=300, seed=25)
@@ -334,9 +340,9 @@ def test_every_offset_lies_within_the_span_of_its_scenario(v_max, monkeypatch):
     # each offset is x times u cos psi, and |u cos psi| <= 1
     calls = []
 
-    def spy(gap, offset, span=None, out=None, work=None):
+    def spy(gap, offset, span=None, out=None, work=None, mirror=None):
         calls.append((float(np.abs(offset).max()), span))
-        return numerics.sinc_squared(gap, offset, span, out, work)
+        return numerics.sinc_squared(gap, offset, span, out, work, mirror)
 
     monkeypatch.setattr(montecarlo, "sinc_squared", spy)
     plan = TrialPlan(trials=300, seed=26, target_index=3)
@@ -355,9 +361,9 @@ def test_the_kernel_runs_in_64_byte_aligned_tiles(monkeypatch):
     # be left to where the heap places it
     seen = []
 
-    def spy(gap, offset, span=None, out=None, work=None):
+    def spy(gap, offset, span=None, out=None, work=None, mirror=None):
         seen.extend(a.ctypes.data % 64 for a in (offset, out, work[0], work[1]))
-        return numerics.sinc_squared(gap, offset, span, out, work)
+        return numerics.sinc_squared(gap, offset, span, out, work, mirror)
 
     monkeypatch.setattr(montecarlo, "sinc_squared", spy)
     # workspaces of 0.3 to 1 MB, which the heap places differently
@@ -465,11 +471,11 @@ def test_run_bytes_bounds_what_a_run_holds(trials, scenarios, coherent):
 
 
 def _shapes(sets):
-    # what the byte counts read of a layout: per draw set its columns and
-    # rows, and per part its parts, width and the doubles a row its builder
-    # holds
-    return [(ds.columns.tolist(), ds.rows, [(p.count, p.width, p.held) for p in ds.parts])
-            for ds in sets]
+    # what the byte counts read of a layout: per draw set its columns, rows
+    # and powers' width (its mirrors), and per part its parts, width and the
+    # doubles a row its builder holds
+    return [(ds.columns.tolist(), ds.rows, ds.width,
+             [(p.count, p.width, p.held) for p in ds.parts]) for ds in sets]
 
 
 @pytest.mark.parametrize("paths", [1, 8])
@@ -479,8 +485,12 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
     # blocks, one partial: the devices drawn cover the band once (the
     # interference draws no target), the capacity's extra draws repeat its
     # neighbours at index gap +-1 alone, each a draw of that neighbour's
-    # part, every block's rows, powers and weights have their set's shape,
-    # and each part's store has its rows, parts and width; at the centre,
+    # part, its main set is mirrored whole unless it holds the target
+    # alone, each mirror a column of its source's device and weight, and its
+    # near parts' mirrors are those of their draws at index gap +-1, each of
+    # its draw's part, and its mid part's those of its columns; every
+    # block's rows, powers and weights have their set's shape, and each
+    # part's store has its rows, parts and width; at the centre,
     # block_bytes and run_bytes count those same records
     devices, cell = 2 * half_subcarriers + 1, CellConfig(paths)
     plan, layout = TrialPlan(trials=300, seed=41), montecarlo._layout
@@ -490,7 +500,7 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
         index_gaps = subcarrier_gaps(target, half_subcarriers)
         for estimator in ("interference", "capacity", "devices"):
             sets = layout(estimator, index_gaps, paths)
-            extra = [ds.columns[ds.columns.size - len(part.owners):] if part.owners else []
+            extra = [ds.columns[part.columns[part.count:]] if part.owners else []
                      for ds in sets for part in ds.parts]
             drawn = np.concatenate([ds.columns for ds in sets] + [[]]).astype(int)
             repeats = np.concatenate(extra + [[]]).astype(int)
@@ -498,22 +508,37 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
                 else np.arange(devices)
             assert sorted(drawn) == sorted(kept.tolist() + repeats.tolist())
             assert np.all(abs(index_gaps[repeats]) == 1.0)
-            for ds in sets:
+            for s, ds in enumerate(sets):
+                mirrored = estimator == "capacity" and s == 0 and devices > 1
+                assert ds.mirrored == mirrored
+                assert np.array_equal(ds.devices, np.tile(ds.columns, 1 + mirrored))
+                assert ds.width == ds.devices.size
                 for part in (part for part in ds.parts if part.owners):
-                    # extra draw i repeats the device of part owners[i]
-                    assert np.array_equal(ds.columns[-len(part.owners):],
-                                          ds.columns[[part.columns[i] for i in part.owners]])
+                    # extra draw i repeats the device of part owners[i]; the
+                    # mirrors follow, one for each draw at index gap +-1
+                    rounds = len(part.columns) - part.count
+                    assert np.array_equal(ds.columns[part.columns[part.count:]],
+                                          ds.columns[[part.columns[i]
+                                                      for i in part.owners[:rounds]]])
+                    owner = list(range(part.count)) + list(part.owners[:rounds])
+                    ones = [d for d, c in enumerate(part.columns)
+                            if abs(index_gaps[ds.columns[c]]) == 1.0]
+                    assert part.proxied == ones
+                    assert part.owners[rounds:] == [owner[d] for d in ones]
+                    assert part.mirrors == [ds.columns.size + part.columns[d] for d in ones]
+                for part in ds.parts[1:] if mirrored else ():
+                    assert np.array_equal(ds.devices[part.mirrors], ds.columns[part.columns])
                 assert np.array_equal(ds.weighted, (abs(index_gaps[ds.columns]) > 2.0)
-                                      & (estimator == "capacity")
-                                      & (np.arange(ds.columns.size) < ds.columns.size
-                                         - sum(len(part.owners) for part in ds.parts)))
+                                      & (estimator == "capacity"))
             for block, (_, rows, powers, weights) in enumerate(
                     montecarlo._device_powers(plan, cell, [static], [index_gaps], sets)):
                 for ds, r, p, w in zip(sets, rows, powers, weights, strict=True):
                     n = min(montecarlo._block_sizes(plan.trials)[block], ds.rows)
                     assert (r.start, r.stop) == (block * ds.rows, block * ds.rows + n)
-                    assert p.shape == (n, ds.columns.size)
+                    assert p.shape == (n, ds.width)
                     assert (w is None) == (not ds.weighted.any())
+                    if w is not None and ds.mirrored:
+                        assert np.array_equal(w[:, ds.columns.size:], w[:, :ds.columns.size])
             # each part's store is its design [1, V] over the run, padded
             # with zero rows to whole rounds of the folds, which the fit
             # reads as it is
@@ -860,9 +885,9 @@ def test_the_interference_evaluates_its_tail_on_few_draws(monkeypatch):
     # interferer on every trial would take; a count, not a time
     evaluated = []
 
-    def spy(gap, offset, span=None, out=None, work=None):
+    def spy(gap, offset, span=None, out=None, work=None, mirror=None):
         evaluated.append(offset.size)
-        return numerics.sinc_squared(gap, offset, span, out, work)
+        return numerics.sinc_squared(gap, offset, span, out, work, mirror)
 
     monkeypatch.setattr(montecarlo, "sinc_squared", spy)
     cfgs = [SystemConfig(carrier_frequency_hz=fc) for fc in (900e6, 3e9) for _ in range(11)]
@@ -884,8 +909,10 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
     # per scenario and draw set (the main draws, then the tail's if the band
     # has one), the factor tables of every block, each part's row the mean
     # over its draws less its surrogate, the rows of faded powers they were
-    # built from, the extra draws' after the parts' (row 0 the trial's SNR),
-    # the far devices' interference, and each block's surrogates (None for
+    # built from, the extra draws' and then the mirrors' after the parts'
+    # (row 0 the trial's SNR), the far devices' interference, a row of the
+    # draws and one of their mirrors for the mid part, and each block's
+    # surrogates (None for
     # the tail and a static scenario); the rule's nodes and weights; and
     # per part the columns V of every draw, with an intercept of its own
     # prepended: [1, V_i]
@@ -917,7 +944,7 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
         recorded = [calls[k * sets + s::len(mobs) * sets] for s in range(sets)]
         runs.append(([(np.concatenate([table for _, _, table, _ in blocks], axis=1),
                        np.concatenate([rows for rows, _, _, _ in blocks], axis=1),
-                       np.concatenate([far for _, far, _, _ in blocks]),
+                       np.concatenate([far for _, far, _, _ in blocks], axis=1),
                        [surrogate for *_, surrogate in blocks])
                       for blocks in recorded],
                      numerics.hamdi_rule(cfg.effective_power / cfg.noise_variance)))
@@ -993,26 +1020,30 @@ def _capacity_variates(plan, cfg, cell):
             for ds in sets for part in ds.parts]
 
 
-@pytest.mark.parametrize("half_subcarriers,target,near,paths,width",
-                         [(3, 0, [3, 1, 2, 4, 5], 3, 57), (3, 3, [6, 4, 5], 3, 39),
-                          (1, 0, [1, 0, 2], 3, 27), (0, 0, [0], 3, 9),
-                          (3, 0, [3, 1, 2, 4, 5], 1, 37)],
+@pytest.mark.parametrize("half_subcarriers,target,near,paths,width,zeros",
+                         [(3, 0, [3, 1, 2, 4, 5], 3, 57, 12), (3, 3, [6, 4, 5], 3, 39, 6),
+                          (1, 0, [1, 0, 2], 3, 27, 6), (0, 0, [0], 3, 9, 0),
+                          (3, 0, [3, 1, 2, 4, 5], 1, 37, 10)],
                          ids=["interior", "band-edge", "n-equals-1", "no-interferer",
                               "interior-one-path"])
-def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, paths, width):
+def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, paths, width,
+                                              zeros):
     # each column of V over 2^20 trials, within 4 standard errors; the near
     # devices are the target and its neighbours at index gap +-1, +-2 that
     # the band holds, one part each of 9 columns (5 at one path), and the
-    # far devices, if any, one part of 12.  At N = 3 the far devices' one
-    # |n| leaves four of the Taylor terms (p, e) no rank: those columns are
-    # exactly 0
+    # far devices, if any, one part of 12.  The columns odd in the shifts of
+    # the mirrored parts are exactly 0: m_3, m_5 and m_2 m_3 (m_3 and m_5 at
+    # one path) of each neighbour at index gap +-1, and the far part's
+    # Taylor terms of odd order.  At N = 3 the far devices' one |n| also
+    # leaves four of the Taylor terms (p, e) no rank (two of them odd):
+    # those columns are exactly 0 too
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     plan = TrialPlan(trials=1 << 20, seed=32, target_index=target)
     assert montecarlo._near_devices(target + half_subcarriers, 2 * half_subcarriers + 1) == near
     v = np.concatenate(_capacity_variates(plan, cfg, CellConfig(paths)), axis=1)
     assert v.shape == (plan.trials, width)
     zero = ~v.any(axis=0)
-    assert np.count_nonzero(zero) == (4 if (half_subcarriers, target) == (3, 0) else 0)
+    assert np.count_nonzero(zero) == zeros
     mean = v.mean(axis=0)
     spread = v.std(axis=0) / math.sqrt(plan.trials)
     assert np.all(np.abs(mean) <= 4.0 * spread), np.abs(mean) / spread
@@ -1073,27 +1104,108 @@ def test_the_far_columns_keep_their_rank(half_subcarriers, target):
     # rows (4, 2) and (4, 4) are proportional there (1/9 and 1/81) and the
     # table keeps (4, 2) alone; built on every gap and then masked, it
     # would keep both and leave the fit two proportional columns.  At
-    # N = 39 the mid part (3 <= |n| <= 10) and the tail keep all 12
+    # N = 39 the mid part (3 <= |n| <= 10) and the tail keep all 12.  The
+    # mid part is mirrored, so its columns of odd order p, 3 of the 12 (2 of
+    # the 8), are exactly 0
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     plan = TrialPlan(trials=512, seed=40, target_index=target)
     far = _capacity_variates(plan, cfg, CellConfig(3))[1:]
     assert len(far) == (2 if half_subcarriers > montecarlo._TAIL_GAP else 1)
-    for columns in far:
+    for mirrored, columns in zip((True, False), far):
         kept = columns[:, columns.any(axis=0)]
         assert np.linalg.matrix_rank(kept) == kept.shape[1]
-        assert kept.shape[1] == (8 if (half_subcarriers, target) == (3, 0) else 12)
+        assert kept.shape[1] == (8 if (half_subcarriers, target) == (3, 0) else 12) \
+            - mirrored * (2 if (half_subcarriers, target) == (3, 0) else 3)
 
 
-@pytest.mark.parametrize("half_subcarriers,draws", [(4, 1), (4, 2), (12, 2)],
-                         ids=["one-draw", "two-draws", "tail"])
+@pytest.mark.parametrize("paths", [1, 8])
+def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(paths):
+    # fig4's 1000 Hz band (N = 99, three pairs of each neighbour at index
+    # gap +-1): each mirrored part's columns, built by its builder, against
+    # those the same builder gives the part without its mirrors on the same
+    # draws and weights.  The near parts at index gap +-1 zero m_3, m_5 and
+    # m_2 m_3 (m_3 and m_5 at one path) and the mid part its Taylor terms of
+    # odd order, exactly; every other column keeps its bits
+    [ds, _] = montecarlo._layout("capacity", subcarrier_gaps(0, 99), paths)
+    assert ds.mirrored
+    rng, trials = np.random.default_rng(43), 40
+    shift = sample_cell_batch(rng, trials, ds.columns.size, CellConfig(paths))
+    weights = np.zeros((trials, ds.width))
+    weights[:, :ds.columns.size][:, ds.weighted] = rng.standard_exponential(
+        (trials, np.count_nonzero(ds.weighted)))
+    tiles = numerics.row_tiles(trials, ds.columns.size * paths)
+    space = np.empty((4, tiles[0].stop, ds.columns.size, paths))
+    near, mid = ds.parts
+    odd = [[row for row in montecarlo._ODD_NEAR if row < near.width],
+           [t for t, (p, _) in enumerate(montecarlo._TERMS) if p % 2]]
+    mirrored = [sorted(set(near.owners[len(near.columns) - near.count:])), [0]]
+    assert mirrored[0] == [2, 3] and len(odd[0]) == (2 if paths == 1 else 3)
+    for part, zeros, parts in zip((near, mid), odd, mirrored):
+        # one owner a mirror of a proxied draw, after the extra draws'
+        source = dataclasses.replace(part, mirrors=(),
+                                     owners=part.owners[:len(part.owners) - len(part.proxied)])
+        for built in (part, source):
+            built.V = np.zeros((trials, built.count, 1 + built.width))
+            built.build(built, shift, tiles, weights, space, np.empty(built.held * trials),
+                        slice(0, trials))
+        got, want = part.V[..., 1:], source.V[..., 1:]
+        assert not got[:, parts][..., zeros].any() and want[:, parts][..., zeros].all()
+        kept = np.ones(part.width, bool)
+        kept[zeros] = False
+        assert np.array_equal(got[..., kept], want[..., kept])
+        assert np.array_equal(np.delete(got, parts, axis=1), np.delete(want, parts, axis=1))
+
+
+@pytest.mark.parametrize("v_max", [400.0, 1000.0])
+def test_a_mirrors_powers_are_the_kernel_on_the_negated_shifts(v_max, monkeypatch):
+    # bit for bit, at x = 0.48 (the offset its own r) and 1.2 (the rint
+    # reduction), over a block of 40 trials of the default band: the powers
+    # of the main set's mirror columns are those sinc_squared gives on the
+    # negated offsets.  At x = 1.2 the neighbour at index gap +1 has a path
+    # of offset exactly 1, so its mirror sits at the centre, g - o = 0
+    span, cell = CFG.doppler_span(v_max), CellConfig(3)
+    q = CFG.spacing_symbol_product
+    gaps = subcarrier_gaps(0, CFG.half_subcarriers, q)
+    sets = montecarlo._layout("capacity", subcarrier_gaps(0, CFG.half_subcarriers),
+                              cell.paths_per_device)
+    plus = sets[0].columns.tolist().index(CFG.half_subcarriers + 1)
+    drawn = []
+
+    def sampler(rng, n_trials, n_devices, cell):
+        shift = sample_cell_batch(rng, n_trials, n_devices, cell)
+        if span >= 1.0 and not drawn:
+            shift[0, plus, 0] = q / span
+            assert shift[0, plus, 0] * span == q
+        drawn.append(shift.copy())
+        return shift
+
+    monkeypatch.setattr(montecarlo, "sample_cell_batch", sampler)
+    [(_, _, powers, _)] = montecarlo._device_powers(
+        TrialPlan(trials=40, seed=44), cell, [(CFG, MobilityModel(v_max))], [gaps], sets)
+    ds, shift = sets[0], drawn[0]
+    assert ds.mirrored and powers[0].shape == (40, 2 * ds.columns.size)
+    gap = np.broadcast_to(gaps[ds.columns][:, None], shift.shape)
+    for columns, offsets in ((slice(None, ds.columns.size), shift * span),
+                             (slice(ds.columns.size, None), -(shift * span))):
+        want = np.einsum("tdm->td", numerics.sinc_squared(gap, offsets, span))
+        want /= cell.paths_per_device
+        assert np.array_equal(powers[0][:, columns].view(np.uint64), want.view(np.uint64))
+    assert (span >= 1.0) == (powers[0][0, ds.columns.size + plus]
+                             >= 1.0 / cell.paths_per_device)
+
+
+@pytest.mark.parametrize("half_subcarriers,draws", [(4, 2), (4, 4), (12, 2)],
+                         ids=["one-pair", "two-pairs", "tail"])
 def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subcarriers, draws,
                                                                        monkeypatch):
     # 3 trials, too few for any fold to fit a variate: the estimate is the
     # rule on the product of the parts' factor means, which is the mean
     # over all ways to take each part's factor from any of its draws (3^6 =
     # 729 for six parts), each neighbour at index gap +-1 with the mean
-    # factor of its draws.  N = 12 = K + 2 has a seventh part, the tail
-    # beyond index gap K, here on 2 draws of its own: 3^6 x 2 ways
+    # factor of its draws, half of them the mirrors of the others, and the
+    # mid part with the mean of its draw's and its mirror's.  N = 12 = K + 2
+    # has a seventh part, the tail beyond index gap K, here on 2 draws of
+    # its own: 3^6 x 2 ways
     monkeypatch.setattr(montecarlo, "_neighbour_draws", lambda half_subcarriers: draws)
     monkeypatch.setattr(montecarlo, "_TAIL_DRAWS", 2)
     assert (half_subcarriers > montecarlo._TAIL_GAP) == (half_subcarriers == 12)
@@ -1101,16 +1213,18 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subc
     [est], runs, _ = _recorded(monkeypatch, TrialPlan(trials=3, seed=35), [cfg], CELL, [MOB])
     sets, (nodes, weights) = runs[0]
     _, faded, far, [surrogate] = sets[0]
-    assert faded.shape == (5 + 2 * (draws - 1), 3)
-    rows = numerics.hamdi_factors(nodes, faded, far)
+    pairs = draws // 2
+    assert faded.shape == (5 + 2 * (pairs - 1) + 2 * pairs, 3) and far.shape == (2, 3)
+    rows = numerics.hamdi_factors(nodes, faded)
     rows[0] *= faded[0][:, None]
     # the near devices at index gap 0, -2, -1, 1, 2, then the extra draws
-    # of -1 and 1 in turn, and the far (mid) devices; then the tail's.  Each
-    # draw of -1 and 1, in the same order, has the surrogate 1 / (1 + c
-    # m_2), c = t SNR x^2, and the mid part e^(-c k A), each less its exact
-    # mean, which the rows subtract times the slope c^4 / (1 + c^4) on the
-    # nodes with c >= 0.1 and t <= 5
-    assert surrogate.draws == [2, 3] + list(range(5, 5 + 2 * (draws - 1)))
+    # of -1 and 1 in turn, then the mirrors of the draws of -1 and 1 in the
+    # same order, and the mid part's draw and mirror; then the tail's.  Each
+    # drawn draw of -1 and 1, in the same order, has the surrogate 1 / (1 +
+    # c m_2), c = t SNR x^2, which its mirror shares, and the mid part e^(-c
+    # k A), each less its exact mean, which the rows subtract times the
+    # slope c^4 / (1 + c^4) on the nodes with c >= 0.1 and t <= 5
+    assert surrogate.draws == [2, 3] + list(range(5, 5 + 2 * (pairs - 1)))
     assert surrogate.scale == 100.0 * CFG.doppler_span(MOB.max_velocity_mps) ** 2
     c = nodes * surrogate.scale
     window = (c >= 0.1) & (nodes <= 5.0)
@@ -1122,15 +1236,18 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subc
     proxies = numerics.hamdi_factors(nodes, surrogate.moments.T[surrogate.draws]
                                      * surrogate.scale) - means[0]
     mid = numerics.hamdi_factors(nodes, faded[:0], surrogate.far)[0] - means[1]
-    assert surrogate.far == pytest.approx(far, rel=0.2)  # its leading order
-    minus, plus = rows[5:-1:2], rows[6:-1:2]
+    assert surrogate.far == pytest.approx(far.mean(axis=0), rel=0.2)  # its leading order
+    pair_mean = np.mean([numerics.hamdi_factors(nodes, faded[:0], a)[0] for a in far], axis=0)
+    others = rows[5:]  # the extra draws, then the mirrors
     factors = [rows[0], rows[1],
-               (rows[2] + minus.sum(axis=0) - slope * proxies[::2].sum(axis=0)) / draws,
-               (rows[3] + plus.sum(axis=0) - slope * proxies[1::2].sum(axis=0)) / draws,
-               rows[4], rows[-1] - slope * mid]
+               (rows[2] + others[::2].sum(axis=0) - 2.0 * slope * proxies[::2].sum(axis=0))
+               / draws,
+               (rows[3] + others[1::2].sum(axis=0) - 2.0 * slope * proxies[1::2].sum(axis=0))
+               / draws,
+               rows[4], pair_mean - slope * mid]
     for _, none, tail, tail_surrogates in sets[1:]:
         assert none.shape == (0, 2) and tail_surrogates == [None]
-        factors.append(numerics.hamdi_factors(nodes, none, tail)[0])
+        factors.append(numerics.hamdi_factors(nodes, none, tail[0])[0])
     assert len(factors) == 6 + (half_subcarriers == 12)
     for got, want in zip(_factors(runs[0])[0], factors, strict=True):
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
@@ -1187,15 +1304,16 @@ def test_a_scenario_keeps_its_bits_in_its_fig4_group():
 def _plain_samples(plan, cfg, cell, mob, averaged=(-1, 1)):
     # per trial, the capacity with the fading of the target and of its
     # neighbours at the index gaps ``averaged`` averaged by the rule at one
-    # trial, each such neighbour's factor the mean over its R draws,
-    # relative to the other interferers' powers and the noise, and every
-    # other interferer at a drawn weight, no variate: an unbiased estimator
-    # that draws every device in every trial through its own
-    # sample_cell_batch call, on a stream of its own
+    # trial, each such neighbour's factor the mean over max(1, N // 18)
+    # independent draws of its own, relative to the other interferers'
+    # powers and the noise, and every other interferer at a drawn weight, no
+    # variate: an unbiased estimator that draws every device in every trial
+    # through its own sample_cell_batch call, on a stream of its own
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
     target = plan.target_index + cfg.half_subcarriers
     kept = [target] + [target + gap for gap in averaged if 0 <= target + gap < gaps.size]
-    extra = [c for c in montecarlo._extra_draws(target, gaps.size) if c in kept]
+    extra = [c for c in (target - 1, target + 1) if c in kept[1:]] \
+        * (max(1, cfg.half_subcarriers // 18) - 1)
     columns = [[c] + [gaps.size + i for i, device in enumerate(extra) if device == c]
                for c in kept]
     gaps = np.concatenate([gaps, gaps[extra]])
@@ -1368,14 +1486,16 @@ def test_fig4_capacity_reaches_its_accuracy_target_within_budget():
 
 def test_the_capacity_evaluates_its_tail_on_few_draws(monkeypatch):
     # the kernel's device-paths over fig4's 500 Hz group: the devices beyond
-    # index gap K, 378 of the 419 columns a trial takes at N = 199 (R = 11),
-    # are evaluated on 32 of the block's 256 trials, which leaves 21% of
-    # what every column on every trial would take; a count, not a time
+    # index gap K, 378 of the 409 columns a trial draws at N = 199 (six
+    # pairs of each neighbour at index gap +-1, each pair a drawn column and
+    # its mirror, whose sines the kernel shares), are evaluated on 32 of the
+    # block's 256 trials, which leaves 20% of what every drawn column on
+    # every trial would take; a count, not a time
     evaluated = []
 
-    def spy(gap, offset, span=None, out=None, work=None):
+    def spy(gap, offset, span=None, out=None, work=None, mirror=None):
         evaluated.append(offset.size)
-        return numerics.sinc_squared(gap, offset, span, out, work)
+        return numerics.sinc_squared(gap, offset, span, out, work, mirror)
 
     monkeypatch.setattr(montecarlo, "sinc_squared", spy)
     cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
@@ -1383,7 +1503,7 @@ def test_the_capacity_evaluates_its_tail_on_few_draws(monkeypatch):
     plan = TrialPlan(trials=256, seed=0)
     estimate_ergodic_capacity(plan, [cfg] * len(speeds), CELL, speeds)
     columns = 2 * cfg.half_subcarriers + 1 \
-        + 2 * (montecarlo._neighbour_draws(cfg.half_subcarriers) - 1)
+        + 2 * (montecarlo._neighbour_draws(cfg.half_subcarriers) // 2 - 1)
     every = (len(speeds) - 1) * plan.trials * columns * CELL.paths_per_device
     assert 0 < sum(evaluated) <= 0.4 * every
 

@@ -130,6 +130,30 @@ def test_sinc_squared_with_a_span_keeps_its_exact_values():
         assert np.array_equal(forward.view(np.uint64), backward.view(np.uint64)), span
 
 
+def test_the_mirror_is_the_kernel_on_the_negated_offsets_bit_for_bit():
+    # at every span, below 1/2 (the offset its own r) and above (the rint
+    # reduction), with whole-number offsets among the others: where
+    # gap - offset == 0 (off gap 0, spans of at least 1) the mirror is
+    # exactly 1, and the result keeps the bits of the call without a
+    # mirror.  The mirror may be work[1], which the sine is done with
+    rng = np.random.default_rng(14)
+    gaps = np.broadcast_to(np.arange(-3.0, 4.0)[None, :, None], (60, 7, 3))
+    for span in SPANS:
+        offsets = span * rng.uniform(-1.0, 1.0, gaps.shape)
+        wholes = np.arange(-math.floor(span), math.floor(span) + 1.0)
+        offsets[:wholes.size, :, 0] = wholes[:, None]
+        work = np.empty((2,) + gaps.shape)
+        forward, mirror = sinc_squared(gaps, offsets, span, np.empty(gaps.shape), work, work[1])
+        assert np.shares_memory(mirror, work[1])
+        assert np.array_equal(forward.view(np.uint64),
+                              sinc_squared(gaps, offsets, span).view(np.uint64)), span
+        negated = sinc_squared(gaps, -offsets, span)
+        assert np.array_equal(mirror.view(np.uint64), negated.view(np.uint64)), span
+        centre = gaps - offsets == 0.0
+        assert np.all(mirror[centre] == 1.0), span
+        assert (centre & (gaps != 0.0)).any() == (span >= 1.0), span
+
+
 @pytest.mark.parametrize("span", [None, 0.4, 2.0])
 def test_sinc_squared_takes_the_broadcast_shape(span):
     # a gap column against an offset row: each element is that of its own call

@@ -159,9 +159,10 @@ def test_coherent_device_power_has_unit_mean():
     scenario = (SystemConfig(), MobilityModel(max_velocity_mps=0.0))
     samples = np.empty(plan.trials)
     sets = _layout("capacity", subcarrier_gaps(0, 3), CellConfig().paths_per_device)
+    column = sets[0].columns.tolist().index(0)
     for _, [rows], [powers], [weights] in _device_powers(plan, CellConfig(), [scenario],
                                                          [np.zeros(7)], sets):
-        samples[rows] = powers[:, 0] * weights[:, 0]
+        samples[rows] = powers[:, column] * weights[:, column]
     assert samples.mean() == pytest.approx(1.0, abs=0.02)
 
 
