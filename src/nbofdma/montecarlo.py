@@ -900,13 +900,13 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
     """The capacity's (parts, trials, nodes) factor table at ``nodes``
     (:func:`numerics.hamdi_factors`) in ``out``: a row for each near
     device from its own draw, a row of ``faded``, and with ``far``, the
-    far devices' drawn interference of a draw set (the mid part's or the
-    tail's) a row a draw, one for them.  Row i of ``faded`` after the near
-    devices' is an extra draw or a mirror of part owners[i], whose row
-    becomes the mean of its draws' factors: their tables are formed
-    len(``scratch``) rows at a time and added into the parts' rows, so no
-    table of every draw is held.  The far row is likewise the mean of
-    e^(-t a) over the rows of ``far``: the mid part's draw and its mirror.
+    far devices' drawn interference of a draw set (the tail's a row, the
+    mid part's a row for its draw and one for its mirror), one for them.  Row i of ``faded`` after the near devices' is an extra draw or
+    a mirror of part owners[i], whose row becomes the mean of its draws'
+    factors: their tables are formed len(``scratch``) rows at a time and
+    added into the parts' rows, so no table of every draw is held.  The
+    mid part's row is likewise the mean of its draw's e^(-t a) and its
+    mirror's.
 
     With a ``surrogate`` (a moving scenario's, :func:`_surrogates`), each
     row subtracts, at every node t of its window and times its slope there,
@@ -930,10 +930,9 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
         for part, factors in zip(owners[start:], hamdi_factors(nodes, rows,
                                                                out=scratch[:len(rows)])):
             table[part] += factors
-    if far is not None and len(far) > 1:
-        for mirror in far[1:]:
-            table[-1] += hamdi_factors(nodes, faded[:0], mirror, scratch[:1])[0]
-        table[-1] /= len(far)
+    if far is not None and len(far) == 2:  # the mid part's draw and its mirror
+        table[-1] += hamdi_factors(nodes, faded[:0], far[1], scratch[:1])[0]
+        table[-1] /= 2.0
     if surrogate is not None:
         # each neighbour's surrogates on the window, summed over its pairs
         # in the scratch, as many a round as it holds besides the sum and at
@@ -1028,12 +1027,11 @@ def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
     far = np.repeat(far_scales, widths) / (gaps ** 2)[:, None] * t
     means = moment_reciprocal_mean(np.concatenate([c, far.ravel()]), paths)
     far_mean = np.prod(np.repeat(means[c.size:].reshape(far.shape), counts, axis=0), axis=0)
-    edges = np.cumsum(widths)[:-1]
-    rows = zip(*(np.split(v, edges) for v in (slope, means[:c.size], far_mean)))
-    for k, far_scale, (k_slope, k_mean, k_far_mean) in zip(kept, far_scales, rows):
+    edges = np.cumsum([0] + widths).tolist()
+    for k, far_scale, a, b in zip(kept, far_scales, edges, edges[1:]):
         found[k] = SimpleNamespace(draws=ds.parts[0].proxied, window=windows[k], scale=scales[k],
-                                   far_scale=far_scale, slope=k_slope, mean=k_mean,
-                                   far_mean=k_far_mean)
+                                   far_scale=far_scale, slope=slope[a:b], mean=means[a:b],
+                                   far_mean=far_mean[a:b])
     return found
 
 

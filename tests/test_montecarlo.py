@@ -1346,9 +1346,11 @@ def test_cross_fitted_capacity_is_unbiased_and_its_std_error_honest(spacing, hal
     # trials, one block each; at each speed the standard error each run
     # reports against the spread of the 200 estimates, and at 100 m/s the
     # mean estimate against the plain fading average of reference_trials
-    # trials on draws of its own.  The ratios read 0.94/0.93/0.92 at one
-    # path, 0.99/0.99/0.93 at eight and 0.93/0.91/0.91 at 2500 Hz with the
-    # surrogates of the +-1 neighbours and the mid part (without them:
+    # trials on draws of its own.  The ratios read 0.92/0.87/0.94 at one
+    # path, 1.02/1.02/0.98 at eight and 0.98/1.00/0.96 at 2500 Hz with the
+    # +-1 neighbours' and the mid part's draws mirrored (0.94/0.93/0.92,
+    # 0.99/0.99/0.93 and 0.93/0.91/0.91 before, with their surrogates
+    # alone; without the surrogates:
     # 0.93/0.88/0.88, 1.05/0.95/0.88 and 0.93/0.91/0.91; seeds 200-399 read
     # 1.04/0.99/1.00 at eight paths, and drawing the tail on every trial
     # moved none of them by 0.01); products of the parts' means corrected
@@ -1431,8 +1433,9 @@ def test_capacity_variate_cuts_the_fig4_standard_error():
     # fading averaged too, 0.00247 with per-trial cross-fitted variates,
     # 0.00126 averaged over every combination of the parts' draws, 0.00063
     # with 11 draws of each +-1 neighbour a trial, 0.00018 with
-    # second-order columns and the part means controlled per node, and is
-    # 0.000146 with the surrogates of the +-1 neighbours and the mid part
+    # second-order columns and the part means controlled per node, 0.000146
+    # with the surrogates of the +-1 neighbours and the mid part, and is
+    # 0.000097 with their draws mirrored (six pairs of each neighbour)
     cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
     est = estimate_ergodic_capacity(TrialPlan(trials=2048, seed=5), cfg, CELL, MOB)
     assert est.std_error <= 0.1 * 0.015407577
@@ -1448,8 +1451,8 @@ CAPACITY_VARIATE_OFF_STD_ERROR = {1250.0: 0.013232985, 2500.0: 0.010599176}
 @pytest.mark.parametrize("v_max", sorted(CAPACITY_VARIATE_OFF_STD_ERROR))
 def test_capacity_variates_need_no_cut_off(v_max):
     # fitted coefficients cut the variance at any x: the standard errors
-    # are 0.11 and 0.30 of those without a variate (0.15 and 0.33 without
-    # the surrogates)
+    # are 0.077 and 0.27 of those without a variate (0.11 and 0.30 without
+    # the mirrored draws, 0.15 and 0.33 without the surrogates)
     est = estimate_ergodic_capacity(TrialPlan(trials=2048, seed=5), CFG, CELL,
                                     MobilityModel(v_max))
     assert est.std_error <= 0.45 * CAPACITY_VARIATE_OFF_STD_ERROR[v_max]
@@ -1462,7 +1465,9 @@ FIG4_CURVES = [(2500.0, 39), (1000.0, 99), (500.0, 199)]
 
 def test_fig4_capacity_reaches_its_accuracy_target_within_budget():
     # the mean over the grid's points of (std_error / 0.01)^2, which scales
-    # the benchmark's mc_time_to_accuracy_s: 0.00072 with the far devices
+    # the benchmark's mc_time_to_accuracy_s: 0.000071 with the +-1
+    # neighbours' and the mid part's draws mirrored, 0.00018 with their
+    # surrogates alone, 0.00072 with the far devices
     # split at index gap 10 and the tail drawn on 32 trials a block, which
     # halves the time (these seeds hold one heavy draw of the 1000 Hz mid
     # part; over seeds 0-63 the mean is 0.00039, against 0.00037 before),
