@@ -155,13 +155,12 @@ def sin_pi(r, out=None, span=None, work=None):
     return p
 
 
-def _over_squared_distance(s, gap, offset, add, x):
-    """s / (pi (gap +- offset))^2 in ``s``, the sum if ``add`` else the
-    difference formed in ``x``, and exactly 1 where it is 0."""
-    x = (np.add if add else np.subtract)(gap, offset, out=x)
+def _over_squared_distance(s, x):
+    """s / (pi x)^2 in ``s``, x = gap +- offset, which it overwrites, and
+    exactly 1 where x is 0."""
     x *= math.pi
     x *= x
-    # gap + offset == 0 needs |gap| <= |offset|: rare, so test before writing
+    # x == 0 needs |gap| <= |offset|: rare, so test before writing
     centre = x == 0.0
     if centre.any():
         x[centre] = 1.0
@@ -216,10 +215,10 @@ def sinc_squared(gap, offset, span=None, out=None, work=None, mirror=None):
     s = sin_pi(r, out, span, work[0])
     s *= s
     if mirror is None:
-        return _over_squared_distance(s, gap, offset, True, work[0])
+        return _over_squared_distance(s, np.add(gap, offset, out=work[0]))
     np.copyto(mirror, s)
-    _over_squared_distance(mirror, gap, offset, False, work[0])
-    return _over_squared_distance(s, gap, offset, True, work[0]), mirror
+    _over_squared_distance(mirror, np.subtract(gap, offset, out=work[0]))
+    return _over_squared_distance(s, np.add(gap, offset, out=work[0])), mirror
 
 
 # elements per tile of the Monte Carlo block arithmetic: small enough for a
