@@ -901,8 +901,9 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
     (:func:`numerics.hamdi_factors`) in ``out``: a row for each near
     device from its own draw, a row of ``faded``, and with ``far``, the
     far devices' drawn interference of a draw set (the tail's a row, the
-    mid part's a row for its draw and one for its mirror), one for them.  Row i of ``faded`` after the near devices' is an extra draw or
-    a mirror of part owners[i], whose row becomes the mean of its draws'
+    mid part's a row for its draw and one for its mirror), one for them.
+    Row i of ``faded`` after the near devices' is an extra draw or a
+    mirror of part owners[i], whose row becomes the mean of its draws'
     factors: their tables are formed len(``scratch``) rows at a time and
     added into the parts' rows, so no table of every draw is held.  The
     mid part's row is likewise the mean of its draw's e^(-t a) and its
@@ -1037,9 +1038,9 @@ def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
 
 def _scratch_rows(ds: _DrawSet) -> int:
     """Rows of scratch the capacity's factor tables of draw set ``ds`` take
-    (:func:`_part_factors`): one for each part that an extra draw or a
-    surrogate repeats, the neighbours at index gap +-1, and at least one
-    for the mid part's surrogate."""
+    (:func:`_part_factors`): one for each part that an extra draw, a
+    mirror or a surrogate repeats, the neighbours at index gap +-1, and at
+    least one for the mid part's mirror and surrogate."""
     near = [part for part in ds.parts if part.build is _near_columns]
     if not near:
         return 0
