@@ -1370,6 +1370,37 @@ def test_cross_fitted_capacity_is_unbiased_and_its_std_error_honest(spacing, hal
     assert abs(runs[:, -1, 0].mean() - plain.mean()) <= 4.0 * combined
 
 
+# the ergodic capacity in bit/s/Hz at 20 dB and T_s df = 1, by a quadrature
+# that shares no code with the Monte Carlo: Hamdi's integral with each
+# device's fading mean a 3-D rule in (ln w, u, v) over its Exp(1) weight w,
+# its speed fraction u and its arrival angles v (ROADMAP, item 1)
+CAPACITY_QUADRATURE = {
+    (2500.0, 39, 8): {30.0: 5.7913100184, 100.0: 5.1513640877},
+    (2500.0, 39, 1): {30.0: 5.7921513677, 100.0: 5.1762873173},
+    (500.0, 199, 8): {100.0: 2.421106297},
+}
+
+
+@pytest.mark.parametrize("spacing,half_subcarriers,paths,trials",
+                         [(2500.0, 39, 8, 4096), (2500.0, 39, 1, 4096), (500.0, 199, 8, 1024)],
+                         ids=["2500hz-8", "2500hz-1", "500hz-8"])
+def test_capacity_mc_matches_an_independent_quadrature(spacing, half_subcarriers, paths, trials):
+    # two-sided: the mean over seeds 0-19 within 4 standard errors of the
+    # quadrature, the standard error of the mean from the seeds' spread.
+    # The z-scores read 0.00 and -0.85 at eight paths and 0.07 and 0.16 at
+    # one (30 and 100 m/s), and -0.65 at 500 Hz, with the +-1 neighbours'
+    # leading-order surrogates
+    cfg = SystemConfig(subcarrier_spacing_hz=spacing, half_subcarriers=half_subcarriers)
+    references = CAPACITY_QUADRATURE[spacing, half_subcarriers, paths]
+    speeds = [MobilityModel(v) for v in references]
+    runs = np.array([[est.mean for est in estimate_ergodic_capacity(
+        TrialPlan(trials=trials, seed=seed), [cfg] * len(speeds), CellConfig(paths), speeds)]
+        for seed in range(20)])
+    z = (runs.mean(axis=0) - list(references.values())) \
+        / (runs.std(axis=0, ddof=1) / math.sqrt(len(runs)))
+    assert np.all(abs(z) <= 4.0), z
+
+
 @pytest.mark.parametrize("trials", [1, 7, 8, 47, 300])
 def test_few_trials_give_defined_capacity_estimates(trials, monkeypatch):
     # below 10 trials in the other folds, which 8 trials still are (7), a
