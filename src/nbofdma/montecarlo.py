@@ -33,8 +33,9 @@ import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
-from .numerics import (HAMDI_MAX_SCALE, doppler_power_scale, hamdi_factors, hamdi_rule,
-                       moment_reciprocal_mean, row_tiles, sinc, sinc_squared)
+from .numerics import (HAMDI_MAX_SCALE, doppler_power_scale, fourth_moment_mean, hamdi_factors,
+                       hamdi_rule, moment_reciprocal_mean, odd_power_scale, row_tiles, sinc,
+                       sinc_squared, third_moment_mean)
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
                        sample_cell_batch, subcarrier_gaps)
 
@@ -287,17 +288,20 @@ _ICI_TAIL_GAP = 3
 # fitted variance a draw, yet at N = 199 it is 378 of a trial's 419 columns.
 _TAIL_GAP = 10
 
-# The capacity's surrogates (:func:`_surrogates`) are subtracted with the
-# slope c^4 / (1 + c^4), c = t SNR x^2 / q^2, on the rule's nodes t with
-# c >= 0.1 and t <= 5 alone: below c = 1 a factor is near linear in the path
-# moments, which the columns fit, and beyond t = 5 the rule's e^-t leaves it
-# little weight.  The slope is smooth in ln t, so the rule keeps the
-# estimate where the interference dwarfs the noise to 1e-14 at any SNR, as
-# without surrogates; a hard edge at c = 1 moves it by 4e-8 between 200 and
-# 300 dB.  On fig4's grid (seeds 0-23) the window keeps the accuracy of
-# every node at slope 1 while holding at most 30 of the 53 nodes (500 Hz,
-# 100 m/s).
-_SURROGATE_NODES = (0.1, 5.0)
+# The capacity's surrogates (:func:`_surrogates`) are subtracted on the
+# rule's nodes t <= 5 alone, c = t SNR x^2 / q^2: beyond t = 5 the rule's
+# e^-t leaves a factor little weight.  The neighbours at index gap +-1
+# subtract theirs, of second order, at slope 1 on every such node with
+# c >= 1e-100, where a surrogate is 1 - c/6 to rounding; their treatment of
+# a node depends on c alone, so the rule keeps the estimate where the
+# interference dwarfs the noise to 1e-12 at any SNR (a hard edge at c = 1
+# moved it by 4e-8 between 200 and 300 dB).  At 20 dB that is 44 of the 53
+# nodes.  The mid part subtracts its surrogate with the slope c^4 / (1 +
+# c^4) on the nodes with c >= 0.1: below c = 1 its factor is near linear in
+# the path moments, which the columns fit, and the slope is smooth in ln t.
+# The +-1 window for the mid part too keeps fig4's accuracy factor (seeds
+# 0-23: mean 3.80e-5 against 3.75e-5) at 1.8% more CPU time.
+_SURROGATE_NODES = (1e-100, 0.1, 5.0)
 
 
 def _near_devices(target: int, devices: int) -> list[int]:
@@ -341,10 +345,10 @@ class _Part:
     ``mirrors``, the set's power columns of its draws' mirrors (for the
     near parts those of its proxied draws, in turn, each a draw of part
     ``owners[i]`` after its extra draws').  ``V``, its store over a run,
-    is the design [1, V] every fit reads (:func:`_device_powers`), and a
-    capacity part's ``m2`` the block's second path moments, which its
-    builder leaves in what it holds: m_2 of each drawn draw of the near
-    parts, and sum_j n_j^-2 w_j m_(2,j) of a far-style part's."""
+    is the design [1, V] every fit reads (:func:`_device_powers`); what
+    a capacity part's builder leaves in what it holds of the block: the
+    near parts' ``moments`` m_2..m_6 of each drawn draw, and a far-style
+    part's ``m2``, sum_j n_j^-2 w_j m_(2,j)."""
 
     columns: slice | list
     build: Callable
@@ -358,6 +362,7 @@ class _Part:
     local: slice | None = None  # its parts among its set's
     V: np.ndarray | None = None
     m2: np.ndarray | None = None
+    moments: np.ndarray | None = None
 
     @functools.cached_property
     def table(self) -> np.ndarray | None:
@@ -556,7 +561,7 @@ def _near_columns(part, shift, tiles, weights, space, work, rows):
     are those of its drawn draws and its odd ones (m_3, m_5 and m_2 m_3)
     exactly 0."""
     near_moments = _path_moments(part, shift, tiles, work, space[0])
-    part.m2 = near_moments[0]
+    part.moments = near_moments
     means = _near_means(shift.shape[2])
     draws, parts = near_moments.shape[2], part.count
     # the mean over each part's draws, as a (draws, parts) matrix
@@ -910,19 +915,27 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
     mirror's.
 
     With a ``surrogate`` (a moving scenario's, :func:`_surrogates`), each
-    row subtracts, at every node t of its window and times its slope there,
-    a surrogate of its draws less its exact mean, which keeps its mean
-    whatever the slope: a neighbour at index gap +-1, the mean over its
-    pairs p of 1 / (1 + c m_2,p) less h_M(c), with c = t SNR x^2 / q^2
-    and m_2 the pair's second path moment, which a draw and its mirror
-    share (:func:`numerics.moment_reciprocal_mean`), those tables formed
-    on the window as many rows at a time as the scratch holds; and the
-    mid part, e^(-c k A) less prod_j h_M(c k / n_j^2), A = sum_j n_j^-2
-    w_j m_(2,j) over its devices, even in the shifts too, and k = k(x)
-    (:func:`numerics.doppler_power_scale`): to leading order sinc^2(n q +
-    x z) = sin^2(pi x z) / (pi n q)^2, so each surrogate follows its
-    factor where that factor is far from polynomial in the path moments,
-    and the columns then fit what is left."""
+    row subtracts, at every node t of its window, a surrogate of its draws
+    less its exact mean, which keeps the row's mean.  A neighbour at index
+    gap +-1 subtracts at slope 1 the mean over its pairs of S + r x^2 T + g
+    U less h_M(c) + r x^2 tau_M(c) + g upsilon_M(c)
+    (:func:`numerics.moment_reciprocal_mean`,
+    :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`),
+    with c = t SNR x^2 / q^2, r = pi^2 / 3 - 3 / q^2, S = 1 / (1 + c m_2),
+    T = c m_4 S^2 and U = c^2 m_3^2 S^3 of the pair's path moments m_p,
+    which a draw and its mirror share up to the sign of m_3: a pair's mean
+    factor is 1 / (1 + E) + O^2 / (1 + E)^3 + ..., E and O the even and
+    odd parts of its draws' t SNR sinc^2(q + x z), and to second order in
+    the path offsets E = c (m_2 - r x^2 m_4) and O = -2 c x m_3 / q, so g
+    = 4 x^2 / q^2 to leading order; g = 4 x^2 kappa(x) / q^2, kappa the
+    Clarke scale of the odd part (:func:`numerics.odd_power_scale`), 1 at
+    x = 0, keeps U from outgrowing the odd part where x nears q.  The
+    mid part subtracts, times its slope, e^(-c k A) less prod_j h_M(c k /
+    n_j^2), A = sum_j n_j^-2 w_j m_(2,j) over its devices, even in the
+    shifts too, and k = k(x) (:func:`numerics.doppler_power_scale`): to
+    leading order sinc^2(n q + x z) = sin^2(pi x z) / (pi n q)^2.  Each
+    surrogate follows its factor where that factor is far from polynomial
+    in the path moments, and the columns then fit what is left."""
     near = len(faded) - len(owners)
     table = hamdi_factors(nodes, faded[:near], None if far is None else far[0], out)
     step = max(len(scratch), 1)
@@ -935,45 +948,52 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
         table[-1] += hamdi_factors(nodes, faded[:0], far[1], scratch[:1])[0]
         table[-1] /= 2.0
     if surrogate is not None:
-        # each neighbour's surrogates on the window, summed over its pairs
-        # in the scratch, as many a round as it holds besides the sum and at
-        # most twice its rows (the temporaries of larger rounds outgrow what
-        # block_bytes counts); its row, the sum over both draws of each
-        # pair, then subtracts twice the sum less its mean times the slope.
-        # The rounds' (slope, intercept) lines and their (t, 1) basis are
-        # those of numerics.hamdi_factors, formed once.
-        window, trials, space = surrogate.window, faded.shape[1], scratch.reshape(-1)
-        width = window.stop - window.start
-        step = max(min(space.size // (trials * width) - 1, 2 * len(scratch)), 1)
-        lines, basis = np.empty((step, trials, 2)), np.ones((2, width))
-        lines[..., 1] = 1.0
-        basis[0] = nodes[window]
-        total = space[:trials * width].reshape(trials, width)
+        # each neighbour's surrogates, a pair at a time: with v = 1 / c,
+        # twice a pair's surrogate less 1 is N / (m_2 + v)^3, N = -2 m_2^3 +
+        # (A m_2 - 4 m_2^2 + B) v + (A - 2 m_2) v^2, A = 2 r x^2 m_4 and B =
+        # 8 x^2 m_3^2 / q^2.  N and (m_2 + v)^3 are each one matmul of the
+        # trials' lines and the basis (1, v, v^2, v^3), which off the window
+        # is (0, 0, 0, 1), so that N is 0 there and the neighbour's whole
+        # row, contiguous, takes the quotient (v <= 1e100 on the window, so
+        # v^3 stays finite); the row then adds back twice its pairs' count
+        # times the mean less 1.
+        window, trials = surrogate.window, faded.shape[1]
+        cube, numerator = scratch[:2]
+        basis, lines = np.zeros((4, nodes.size)), np.zeros((2, trials, 4))
+        basis[:, window] = np.reciprocal(nodes[window] * surrogate.scale) \
+            ** np.arange(4.0)[:, None]
+        basis[3, :window.start] = basis[3, window.stop:] = 1.0
+        lines[0, :, 3] = 1.0
+        mean = np.zeros(nodes.size)
+        mean[window] = surrogate.mean
+        second, third, fourth = surrogate.moments[:3]
         owner = list(range(near)) + list(owners)
         for part in sorted({owner[d] for d in surrogate.draws}):
             draws = [d for d in surrogate.draws if owner[d] == part]
-            for start in range(0, len(draws), step):
-                taken = draws[start:start + step]
-                line = lines[:len(taken)]
-                np.multiply(surrogate.moments[:, taken].T, surrogate.scale, out=line[..., 0])
-                factors = np.matmul(line, basis, out=space[-len(taken) * trials * width:]
-                                    .reshape(-1, trials, width))
-                np.reciprocal(factors, out=factors)
-                if start == 0:
-                    np.add.reduce(factors, axis=0, out=total)
-                else:
-                    for row in factors:
-                        total += row
-            total -= len(draws) * surrogate.mean
-            total *= surrogate.slope
-            total *= 2.0
-            table[part, :, window] -= total
-        if far is not None:
-            factors = hamdi_factors(nodes[window], faded[:0], surrogate.far,
-                                    space[:trials * width].reshape(1, trials, width))
+            for draw in draws:
+                m2 = second[:, draw]
+                square = m2 * m2
+                even = (2.0 * surrogate.even) * fourth[:, draw]
+                np.multiply(square, m2, out=lines[0, :, 0])
+                np.multiply(square, 3.0, out=lines[0, :, 1])
+                np.multiply(m2, 3.0, out=lines[0, :, 2])
+                lines[1, :, 0] = -2.0 * lines[0, :, 0]
+                lines[1, :, 1] = even * m2 - 4.0 * square \
+                    + (2.0 * surrogate.odd) * third[:, draw] ** 2
+                lines[1, :, 2] = even - 2.0 * m2
+                np.matmul(lines[0], basis, out=cube)
+                np.matmul(lines[1], basis, out=numerator)
+                numerator /= cube
+                table[part] -= numerator
+            table[part] += (2.0 * len(draws)) * mean
+        far_window = surrogate.far_window
+        if far is not None and far_window.stop > far_window.start:
+            width = far_window.stop - far_window.start
+            factors = hamdi_factors(nodes[far_window], faded[:0], surrogate.far,
+                                    scratch.reshape(-1)[:trials * width].reshape(1, trials, width))
             factors[0] -= surrogate.far_mean
-            factors[0] *= surrogate.slope
-            table[-1, :, window] -= factors[0]
+            factors[0] *= surrogate.far_slope
+            table[-1, :, far_window] -= factors[0]
     for part in set(owners):
         table[part] /= owners.count(part) + 1
     return table
@@ -981,41 +1001,59 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
 
 def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
     """Each scenario's surrogates of the main draw set ``ds``
-    (:func:`_part_factors`) on the nodes t of its state's rule: their
-    ``window``, the slice of the nodes with c = t SNR x^2 / q^2 >= 0.1 and
-    t <= 5, and their ``slope`` c^4 / (1 + c^4) there
-    (:data:`_SURROGATE_NODES`), x its Doppler span and q = T_s df; their
-    scales; and their exact means there (:func:`numerics.moment_reciprocal_mean`):
-    the near parts' h_M(c), and the mid part's scale c k / t and prod_j
-    h_M(c k / n_j^2) over its devices, if the set has one.  None for a
-    static scenario, one without a neighbour at index gap +-1 (N = 0), or
-    one whose window holds no node.  The windows, slopes and means are
-    formed in one pass over the group's windows laid end to end, each
-    value from its own node and scenario alone, so that a scenario keeps
-    its bits in any group."""
+    (:func:`_part_factors`) on the nodes t of its state's rule, c = t SNR
+    x^2 / q^2, x its Doppler span and q = T_s df (:data:`_SURROGATE_NODES`):
+    for the neighbours at index gap +-1, their ``window``, the slice of the
+    nodes with c >= 1e-100 and t <= 5, their ``scale`` c / t, the weights
+    ``even`` = r x^2, r = pi^2 / 3 - 3 / q^2, and ``odd`` = g = 4 x^2
+    kappa(x) / q^2 (:func:`numerics.odd_power_scale`) of their
+    second-order columns, and their exact ``mean`` there less 1, h_M(c) - 1
+    + r x^2 tau_M(c) + g upsilon_M(c)
+    (:func:`numerics.moment_reciprocal_mean`,
+    :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`);
+    and for the mid part, if the set has one, its ``far_window``, the
+    nodes with c >= 0.1 and t <= 5, its ``far_slope`` c^4 / (1 + c^4)
+    there, its ``far_scale`` c k / t and its ``far_mean`` prod_j h_M(c k /
+    n_j^2) over its devices.  None for a static scenario, one without a
+    neighbour at index gap +-1 (N = 0), or one whose window holds no node.
+    The means are formed in one pass over the group's windows laid end to
+    end, each value from its own node and scenario alone, so that a
+    scenario keeps its bits in any group."""
     mid = ds.parts[-1].gaps if len(ds.parts) > 1 else np.zeros(0)
     gaps, counts = np.unique(abs(mid), return_counts=True)
-    least, reach = _SURROGATE_NODES
+    floor, least, reach = _SURROGATE_NODES
     spans = [c.doppler_span(m.max_velocity_mps) for c, m in scenarios]
     scales = [state.snr * (span / c.spacing_symbol_product) ** 2
               for (c, _), state, span in zip(scenarios, states, spans)]
-    kept = [k for k, scale in enumerate(scales)
-            if ds.parts[0].proxied and 0.0 < scale <= HAMDI_MAX_SCALE]
-    windows = {}
-    for rule in {id(states[k].rule[0]): states[k].rule[0] for k in kept}.values():
-        ks = [k for k in kept if states[k].rule[0] is rule]
-        starts = np.searchsorted(rule, [least / scales[k] for k in ks])  # inf past a tiny scale
-        stop = int(np.searchsorted(rule, reach, "right"))
-        windows.update((k, slice(int(start), stop)) for k, start in zip(ks, starts)
-                       if start < stop)
-    kept = [k for k in kept if k in windows]
+    windows = {}  # per kept scenario: its nodes, then the near and mid windows
+    for k, scale in enumerate(scales):
+        if not (ds.parts[0].proxied and 0.0 < scale <= HAMDI_MAX_SCALE):
+            continue
+        t = states[k].rule[0]
+        stop = int(np.searchsorted(t, reach, "right"))
+        first = int(np.searchsorted(t, floor / scale))
+        start = min(int(np.searchsorted(t, least / scale)), stop) if gaps.size else stop
+        if first < stop:
+            windows[k] = (t, slice(first, stop), slice(start, stop))
     found = [None] * len(scenarios)
-    if not kept:
+    if not windows:
         return found
-    t = np.concatenate([states[k].rule[0][windows[k]] for k in kept])
-    widths = [windows[k].stop - windows[k].start for k in kept]
-    c = t * np.repeat([scales[k] for k in kept], widths)
-    slope = np.reciprocal(c)
+    kept = list(windows)
+    near = [windows[k][1] for k in kept]
+    widths = [window.stop - window.start for window in near]
+    c = np.concatenate([windows[k][0][window] for k, window in zip(kept, near)]) \
+        * np.repeat([scales[k] for k in kept], widths)
+    even = [(math.pi ** 2 / 3.0 - 3.0 / scenarios[k][0].spacing_symbol_product ** 2)
+            * spans[k] ** 2 for k in kept]
+    odd = [4.0 * scales[k] / states[k].snr  # 4 x^2 kappa(x) / q^2
+           * odd_power_scale(spans[k], scenarios[k][0].spacing_symbol_product) for k in kept]
+    mean = moment_reciprocal_mean(c, paths) - 1.0
+    mean += np.repeat(even, widths) * fourth_moment_mean(c, paths)
+    mean += np.repeat(odd, widths) * third_moment_mean(c, paths)
+    mid = [windows[k][2] for k in kept]
+    mid_widths = [window.stop - window.start for window in mid]
+    t = np.concatenate([windows[k][0][window] for k, window in zip(kept, mid)])
+    slope = np.reciprocal(t * np.repeat([scales[k] for k in kept], mid_widths))
     slope *= slope
     slope *= slope
     slope += 1.0
@@ -1024,27 +1062,29 @@ def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
     if gaps.size:
         far_scales = np.array([scales[k] for k in kept]) \
             * doppler_power_scale(np.array([spans[k] for k in kept]))
-    # c, then the mid part's c k / n_j^2 a row for each distinct |n_j|
-    far = np.repeat(far_scales, widths) / (gaps ** 2)[:, None] * t
-    means = moment_reciprocal_mean(np.concatenate([c, far.ravel()]), paths)
-    far_mean = np.prod(np.repeat(means[c.size:].reshape(far.shape), counts, axis=0), axis=0)
-    edges = np.cumsum([0] + widths).tolist()
-    for k, far_scale, a, b in zip(kept, far_scales, edges, edges[1:]):
-        found[k] = SimpleNamespace(draws=ds.parts[0].proxied, window=windows[k], scale=scales[k],
-                                   far_scale=far_scale, slope=slope[a:b], mean=means[a:b],
-                                   far_mean=far_mean[a:b])
+    # the mid part's c k / n_j^2, a row for each distinct |n_j|
+    far = np.repeat(far_scales, mid_widths) / (gaps ** 2)[:, None] * t
+    far_mean = np.prod(np.repeat(moment_reciprocal_mean(far, paths), counts, axis=0), axis=0)
+    edges, mid_edges = np.cumsum([0] + widths).tolist(), np.cumsum([0] + mid_widths).tolist()
+    for i, k in enumerate(kept):
+        found[k] = SimpleNamespace(
+            draws=ds.parts[0].proxied, window=near[i], scale=scales[k], even=even[i],
+            odd=odd[i], mean=mean[edges[i]:edges[i + 1]], far_window=mid[i],
+            far_scale=far_scales[i], far_slope=slope[mid_edges[i]:mid_edges[i + 1]],
+            far_mean=far_mean[mid_edges[i]:mid_edges[i + 1]])
     return found
 
 
 def _scratch_rows(ds: _DrawSet) -> int:
     """Rows of scratch the capacity's factor tables of draw set ``ds`` take
-    (:func:`_part_factors`): one for each part that an extra draw, a
-    mirror or a surrogate repeats, the neighbours at index gap +-1, and at
-    least one for the mid part's mirror and surrogate."""
+    (:func:`_part_factors`): two for the surrogates of the neighbours at
+    index gap +-1, which also hold the tables of their extra draws and
+    mirrors, a row for each neighbour, and at least one for the mid part's
+    mirror and surrogate."""
     near = [part for part in ds.parts if part.build is _near_columns]
     if not near:
         return 0
-    return max(sum(d < near[0].count for d in near[0].proxied), len(ds.parts) - 1)
+    return max(2 * bool(near[0].proxied), len(ds.parts) - 1)
 
 
 def _all_but_each(means: np.ndarray) -> np.ndarray:
@@ -1092,7 +1132,7 @@ def _set_factors(ds: _DrawSet, powers, weights, state, out) -> np.ndarray:
                                  in [far.columns] + ([far.mirrors] if far.mirrors else [])])
         interference *= state.snr
     if near and state.surrogate is not None:
-        surrogate = SimpleNamespace(**vars(state.surrogate), moments=near[0].m2)
+        surrogate = SimpleNamespace(**vars(state.surrogate), moments=near[0].moments)
         if interference is not None:
             surrogate.far = ds.parts[-1].m2 * surrogate.far_scale
     table = _part_factors(state.rule[0], faded, interference, near[0].owners if near else [],
@@ -1147,18 +1187,27 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     +-1 surrogate, even in the shifts, is formed once.
 
     Before any fit, each neighbour at index gap +-1 and the mid part of a
-    moving scenario subtract, at the nodes t of a window of the rule and
-    times a slope that tapers to 0 at its lower edge
-    (:data:`_SURROGATE_NODES`), a surrogate of their factor less its exact
-    mean (:func:`_part_factors`, :func:`_surrogates`): to leading order in
-    the path offsets their
-    factors are 1 / (1 + c m_2) and e^(-c k A), c = t SNR x^2 / q^2, m_2
-    a draw's second path moment and A the mid devices' weighted sum of
-    theirs, whose means have the closed forms h_M(c) and prod_j h_M(c k /
-    n_j^2) (:func:`numerics.moment_reciprocal_mean`).  Where c reaches
-    10^3, at fig4's 500 Hz points, those factors are far from polynomial
-    in the path moments, which the columns below fit; the surrogates take
-    that part of them, and the estimate stays exactly unbiased.
+    moving scenario subtract, at the nodes t of a window of the rule, a
+    surrogate of their factor less its exact mean (:func:`_part_factors`,
+    :func:`_surrogates`; :data:`_SURROGATE_NODES`), c = t SNR x^2 / q^2.  A
+    mirrored pair of a +-1 neighbour sees the kernel's even part in the
+    mean of its two factors and, through their difference, the square of
+    its odd part: to second order in the path offsets its factor is S + r
+    x^2 T + g U, S = 1 / (1 + c m_2), T = c m_4 S^2 and U = c^2 m_3^2 S^3,
+    m_p the pair's path moments, r = pi^2 / 3 - 3 / q^2 and g = 4 x^2 / q^2
+    (times the odd part's Clarke scale, :func:`numerics.odd_power_scale`),
+    which the neighbour subtracts at slope 1 less its exact mean h_M(c) + r
+    x^2 tau_M(c) + g upsilon_M(c), each a 1-D integral tabulated
+    once per path count (:func:`numerics.moment_reciprocal_mean`,
+    :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`).
+    The mid part's factor is to leading order e^(-c k A), A the mid
+    devices' weighted sum of their m_2, of mean prod_j h_M(c k / n_j^2),
+    which it subtracts times a slope that tapers to 0 at the window's lower
+    edge.  Where c reaches 10^3, at fig4's 500 Hz points, those factors are
+    far from polynomial in the path moments, which the columns below fit;
+    the surrogates take that part of them, and the estimate stays exactly
+    unbiased.  The odd part's square U takes most of what S leaves of the
+    +-1 neighbours' variance there.
 
     Each part's mean is controlled at every node t of the rule: part i
     has zero-mean columns V_i of its own draws (:func:`_near_columns`, the
@@ -1277,7 +1326,7 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     # let the last block, its builders' buffers and the grams go before the fit
     powers = weights = grams = solvers = None
     for part in (part for ds in sets for part in ds.parts):
-        part.m2 = None
+        part.m2 = part.moments = None
     estimates = []
     for state in states:
         residuals = [np.empty_like(y) for y in state.influences]

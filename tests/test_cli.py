@@ -190,13 +190,16 @@ def test_check_flags_a_series_off_the_quadrature(monkeypatch, capsys):
     assert out.count("FAIL") == 1
 
 
-@pytest.mark.parametrize("paths", [1, 8])
-def test_check_flags_a_surrogate_mean_off_its_references(paths, monkeypatch, capsys):
-    # 1e-9 off at one path fails the closed form's 1e-12; 1% off at the
-    # cell's 8 paths is about 20 standard errors of 2^16 draws at c = 1
-    off = 1e-9 if paths == 1 else 1e-2
-    exact = cli.moment_reciprocal_mean
-    monkeypatch.setattr(cli, "moment_reciprocal_mean",
+@pytest.mark.parametrize("name,paths,off", [
+    ("moment_reciprocal_mean", 1, 1e-9), ("moment_reciprocal_mean", 8, 1e-2),
+    ("fourth_moment_mean", 1, 1e-9), ("fourth_moment_mean", 8, 1e-2),
+    ("third_moment_mean", 1, 1e-9), ("third_moment_mean", 8, 5e-2)])
+def test_check_flags_a_surrogate_mean_off_its_references(name, paths, off, monkeypatch, capsys):
+    # 1e-9 off at one path fails the closed forms' 1e-12; at the cell's 8
+    # paths, 1% off is about 20 standard errors of 2^16 draws of h_M at c =
+    # 1 and 8 of tau_M at c = 1500, and 5% off about 9 of upsilon_M there
+    exact = getattr(cli, name)
+    monkeypatch.setattr(cli, name,
                         lambda c, m: exact(c, m) * (1.0 + off) if m == paths else exact(c, m))
     assert main(["check", "--trials", "512"]) == 2
     out = capsys.readouterr().out

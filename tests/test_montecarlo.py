@@ -248,18 +248,18 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # pins draw a tail beyond index gap 3.  The one-path pin keeps 5 near
 # columns a part, not 9; at N = 2 the capacity has no mid part and no tail,
 # and the interference no tail.  Every moving capacity pin subtracts its
-# surrogates (montecarlo._surrogates)
+# surrogates (montecarlo._surrogates), the +-1 neighbours' of second order
 PINNED = {
     "ici": ("0x1.f47f874bc89dap-8", "0x1.c39470393c323p-33"),  # 0.007637 +- 2.05e-10
     "ici_edge_3ghz": ("0x1.3578814943b26p-7", "0x1.ecf8264774297p-30"),  # 0.0094443 +- 1.79e-09
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a131cc5ee761p+2", "0x1.ae256f4f67082p-16"),  # 5.15742 +- 2.56e-05
-    "capacity_edge_3ghz": ("0x1.451b148cfa2c9p+2", "0x1.9dde4df73f82ep-15"),  # 5.07978 +- 4.93e-05
-    "capacity_500hz": ("0x1.35e4e900cbf8fp+1", "0x1.1a647748fe9a7p-12"),  # 2.42105 +- 0.000269
+    "capacity": ("0x1.4a12f6004ca64p+2", "0x1.42726bc4b4979p-18"),  # 5.15741 +- 4.8e-06
+    "capacity_edge_3ghz": ("0x1.451ab0e754e46p+2", "0x1.7ed60504bb693p-17"),  # 5.07975 +- 1.14e-05
+    "capacity_500hz": ("0x1.35ec479e28ddap+1", "0x1.726bcaf826127p-13"),  # 2.42127 +- 0.000177
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
-    "capacity_one_path": ("0x1.4bae3af1435efp+2", "0x1.530ddb13b634fp-16"),  # 5.18251 +- 2.02e-05
-    "capacity_n2": ("0x1.535b718da2cbdp+2", "0x1.5eada52d5a0a8p-16"),  # 5.30246 +- 2.09e-05
+    "capacity_one_path": ("0x1.4bae5e017859ap+2", "0x1.dafcacff6b2f8p-18"),  # 5.18252 +- 7.08e-06
+    "capacity_n2": ("0x1.535bbc25daa56p+2", "0x1.0bc4544cfd4e1p-18"),  # 5.30247 +- 3.99e-06
     "ici_n2": ("0x1.8754b4301fdb3p-8", "0x1.ca5656a48bbd3p-33"),  # 0.00597124 +- 2.08e-10
 }
 
@@ -1220,30 +1220,44 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subc
     # the near devices at index gap 0, -2, -1, 1, 2, then the extra draws
     # of -1 and 1 in turn, then the mirrors of the draws of -1 and 1 in the
     # same order, and the mid part's draw and mirror; then the tail's.  Each
-    # drawn draw of -1 and 1, in the same order, has the surrogate 1 / (1 +
-    # c m_2), c = t SNR x^2, which its mirror shares, and the mid part e^(-c
-    # k A), each less its exact mean, which the rows subtract times the
-    # slope c^4 / (1 + c^4) on the nodes with c >= 0.1 and t <= 5
+    # drawn draw of -1 and 1, in the same order, has the surrogate S + r x^2
+    # T + 4 x^2 kappa(x) U, S = 1 / (1 + c m_2), T = c m_4 S^2, U = c^2 m_3^2
+    # S^3, c = t SNR x^2 and r = pi^2 / 3 - 3, which its mirror shares, less its
+    # exact mean, which the rows subtract at slope 1 on the nodes with t <=
+    # 5; and the mid part e^(-c k A), less its exact mean, which its row
+    # subtracts times the slope c^4 / (1 + c^4) on the nodes with c >= 0.1
+    # and t <= 5
     assert surrogate.draws == [2, 3] + list(range(5, 5 + 2 * (pairs - 1)))
-    assert surrogate.scale == 100.0 * CFG.doppler_span(MOB.max_velocity_mps) ** 2
+    x = CFG.doppler_span(MOB.max_velocity_mps)
+    assert surrogate.scale == 100.0 * x ** 2
+    assert surrogate.even == pytest.approx((math.pi ** 2 / 3.0 - 3.0) * x ** 2, rel=1e-15)
+    assert surrogate.odd == pytest.approx(4.0 * x ** 2 * numerics.odd_power_scale(x, 1), rel=1e-15)
     c = nodes * surrogate.scale
-    window = (c >= 0.1) & (nodes <= 5.0)
-    assert nodes[surrogate.window].tolist() == nodes[window].tolist() and window.sum() > 5
-    slope = np.where(window, c ** 4 / (1.0 + c ** 4), 0.0)
-    assert surrogate.slope == pytest.approx(slope[window], rel=1e-15)
-    means = np.zeros((2, nodes.size))
-    means[:, window] = surrogate.mean, surrogate.far_mean
-    proxies = numerics.hamdi_factors(nodes, surrogate.moments.T[surrogate.draws]
-                                     * surrogate.scale) - means[0]
-    mid = numerics.hamdi_factors(nodes, faded[:0], surrogate.far)[0] - means[1]
+    window = nodes <= 5.0
+    assert nodes[surrogate.window].tolist() == nodes[window].tolist() and window.sum() < nodes.size
+    means = [numerics.moment_reciprocal_mean(c, 8), numerics.fourth_moment_mean(c, 8),
+             numerics.third_moment_mean(c, 8)]
+    assert surrogate.mean == pytest.approx(
+        (means[0] - 1.0 + surrogate.even * means[1] + surrogate.odd * means[2])[window], rel=1e-14)
+    second, third, fourth = (moment.T[surrogate.draws][..., None]
+                             for moment in surrogate.moments[:3])
+    reciprocal = 1.0 / (1.0 + c * second)
+    proxies = np.where(window, reciprocal + surrogate.even * c * fourth * reciprocal ** 2
+                       + surrogate.odd * (c * third * reciprocal) ** 2 * reciprocal
+                       - (means[0] + surrogate.even * means[1] + surrogate.odd * means[2]), 0.0)
+    mid_window = (c >= 0.1) & window
+    assert nodes[surrogate.far_window].tolist() == nodes[mid_window].tolist()
+    slope = np.where(mid_window, c ** 4 / (1.0 + c ** 4), 0.0)
+    assert surrogate.far_slope == pytest.approx(slope[mid_window], rel=1e-15)
+    far_mean = np.zeros(nodes.size)
+    far_mean[mid_window] = surrogate.far_mean
+    mid = numerics.hamdi_factors(nodes, faded[:0], surrogate.far)[0] - far_mean
     assert surrogate.far == pytest.approx(far.mean(axis=0), rel=0.2)  # its leading order
     pair_mean = np.mean([numerics.hamdi_factors(nodes, faded[:0], a)[0] for a in far], axis=0)
     others = rows[5:]  # the extra draws, then the mirrors
     factors = [rows[0], rows[1],
-               (rows[2] + others[::2].sum(axis=0) - 2.0 * slope * proxies[::2].sum(axis=0))
-               / draws,
-               (rows[3] + others[1::2].sum(axis=0) - 2.0 * slope * proxies[1::2].sum(axis=0))
-               / draws,
+               (rows[2] + others[::2].sum(axis=0) - 2.0 * proxies[::2].sum(axis=0)) / draws,
+               (rows[3] + others[1::2].sum(axis=0) - 2.0 * proxies[1::2].sum(axis=0)) / draws,
                rows[4], pair_mean - slope * mid]
     for _, none, tail, tail_surrogates in sets[1:]:
         assert none.shape == (0, 2) and tail_surrogates == [None]
@@ -1346,9 +1360,11 @@ def test_cross_fitted_capacity_is_unbiased_and_its_std_error_honest(spacing, hal
     # trials, one block each; at each speed the standard error each run
     # reports against the spread of the 200 estimates, and at 100 m/s the
     # mean estimate against the plain fading average of reference_trials
-    # trials on draws of its own.  The ratios read 0.92/0.87/0.94 at one
-    # path, 1.02/1.02/0.98 at eight and 0.98/1.00/0.96 at 2500 Hz with the
-    # +-1 neighbours' and the mid part's draws mirrored (0.94/0.93/0.92,
+    # trials on draws of its own.  The ratios read 0.95/0.86/0.94 at one
+    # path, 0.93/0.94/0.95 at eight and 0.96/0.97/0.96 at 2500 Hz with the
+    # +-1 neighbours' second-order surrogates (0.92/0.87/0.94,
+    # 1.02/1.02/0.98 and 0.98/1.00/0.96 with their first-order ones and the
+    # +-1 neighbours' and the mid part's draws mirrored; 0.94/0.93/0.92,
     # 0.99/0.99/0.93 and 0.93/0.91/0.91 before, with their surrogates
     # alone; without the surrogates:
     # 0.93/0.88/0.88, 1.05/0.95/0.88 and 0.93/0.91/0.91; seeds 200-399 read
@@ -1387,9 +1403,10 @@ CAPACITY_QUADRATURE = {
 def test_capacity_mc_matches_an_independent_quadrature(spacing, half_subcarriers, paths, trials):
     # two-sided: the mean over seeds 0-19 within 4 standard errors of the
     # quadrature, the standard error of the mean from the seeds' spread.
-    # The z-scores read 0.00 and -0.85 at eight paths and 0.07 and 0.16 at
-    # one (30 and 100 m/s), and -0.65 at 500 Hz, with the +-1 neighbours'
-    # leading-order surrogates
+    # The z-scores read -0.29 and -1.03 at eight paths and 0.03 and 0.32 at
+    # one (30 and 100 m/s), and -0.51 at 500 Hz, with the +-1 neighbours'
+    # second-order surrogates (0.00, -0.85, 0.07, 0.16 and -0.65 with their
+    # leading-order ones)
     cfg = SystemConfig(subcarrier_spacing_hz=spacing, half_subcarriers=half_subcarriers)
     references = CAPACITY_QUADRATURE[spacing, half_subcarriers, paths]
     speeds = [MobilityModel(v) for v in references]
@@ -1465,8 +1482,9 @@ def test_capacity_variate_cuts_the_fig4_standard_error():
     # 0.00126 averaged over every combination of the parts' draws, 0.00063
     # with 11 draws of each +-1 neighbour a trial, 0.00018 with
     # second-order columns and the part means controlled per node, 0.000146
-    # with the surrogates of the +-1 neighbours and the mid part, and is
-    # 0.000097 with their draws mirrored (six pairs of each neighbour)
+    # with the surrogates of the +-1 neighbours and the mid part, 0.000097
+    # with their draws mirrored (six pairs of each neighbour), and is
+    # 0.000063 with the +-1 neighbours' surrogates of second order
     cfg = SystemConfig(subcarrier_spacing_hz=500.0, half_subcarriers=199)
     est = estimate_ergodic_capacity(TrialPlan(trials=2048, seed=5), cfg, CELL, MOB)
     assert est.std_error <= 0.1 * 0.015407577
@@ -1482,8 +1500,10 @@ CAPACITY_VARIATE_OFF_STD_ERROR = {1250.0: 0.013232985, 2500.0: 0.010599176}
 @pytest.mark.parametrize("v_max", sorted(CAPACITY_VARIATE_OFF_STD_ERROR))
 def test_capacity_variates_need_no_cut_off(v_max):
     # fitted coefficients cut the variance at any x: the standard errors
-    # are 0.077 and 0.27 of those without a variate (0.11 and 0.30 without
-    # the mirrored draws, 0.15 and 0.33 without the surrogates)
+    # are 0.073 and 0.27 of those without a variate (0.077 and 0.27 with
+    # the +-1 neighbours' first-order surrogates, 0.13 and 0.51 with their
+    # second-order ones without the odd part's Clarke scale, 0.11 and 0.30
+    # without the mirrored draws, 0.15 and 0.33 without the surrogates)
     est = estimate_ergodic_capacity(TrialPlan(trials=2048, seed=5), CFG, CELL,
                                     MobilityModel(v_max))
     assert est.std_error <= 0.45 * CAPACITY_VARIATE_OFF_STD_ERROR[v_max]
@@ -1496,9 +1516,10 @@ FIG4_CURVES = [(2500.0, 39), (1000.0, 99), (500.0, 199)]
 
 def test_fig4_capacity_reaches_its_accuracy_target_within_budget():
     # the mean over the grid's points of (std_error / 0.01)^2, which scales
-    # the benchmark's mc_time_to_accuracy_s: 0.000071 with the +-1
-    # neighbours' and the mid part's draws mirrored, 0.00018 with their
-    # surrogates alone, 0.00072 with the far devices
+    # the benchmark's mc_time_to_accuracy_s: 0.000030 with the +-1
+    # neighbours' surrogates of second order, 0.000071 with their
+    # first-order ones and the +-1 neighbours' and the mid part's draws
+    # mirrored, 0.00018 with their surrogates alone, 0.00072 with the far devices
     # split at index gap 10 and the tail drawn on 32 trials a block, which
     # halves the time (these seeds hold one heavy draw of the 1000 Hz mid
     # part; over seeds 0-63 the mean is 0.00039, against 0.00037 before),

@@ -4,26 +4,31 @@ Reference values were computed independently with mpmath at 30 digits and
 are frozen here as literals.
 """
 
+import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nbofdma import numerics
+from nbofdma import montecarlo, numerics
 from nbofdma.sysmodel import CellConfig, sample_cell_batch
 from nbofdma.numerics import (
     QuadratureError,
     QuadratureSpec,
     doppler_power_scale,
+    fourth_moment_mean,
     hamdi_factors,
     hamdi_rule,
     integrate,
     moment_reciprocal_mean,
+    odd_power_scale,
     sin_pi,
     sinc,
     sinc_squared,
     sine_integral,
+    third_moment_mean,
 )
 
 # mpmath, dps=30
@@ -629,6 +634,142 @@ def test_moment_reciprocal_mean_is_the_mean_over_drawn_devices(paths):
         samples = 1.0 / (1.0 + c * second)
         error = samples.std(ddof=1) / math.sqrt(samples.size)
         assert abs(samples.mean() - moment_reciprocal_mean(c, paths)) <= 4.0 * error
+
+
+def test_cosine_power_laplace_matches_mpmath():
+    # s^j Psi_j(s), Psi_j(s) = E[cos^2j psi e^(-s cos^2 psi)]: the midpoint
+    # rule up to s = 80 and the asymptotic series beyond, against Bessel
+    # forms at 60 digits, which cancel the rounding of the combinations
+    mpmath = pytest.importorskip("mpmath")
+    scales = np.geomspace(1e-3, 1e12, 61)
+    for order in (2, 3):
+        got = numerics._cosine_power_laplace(np.log(scales), order)
+        with mpmath.workdps(60):
+            for scale, value in zip(scales, got):
+                a = mpmath.mpf(float(scale)) / 2
+                exact = a ** order * 2 ** order * _psi_by_mpmath(mpmath, a, order)
+                assert abs(value - exact) <= 4e-15 * exact
+
+
+# Psi_j(2a) = e^-a (sum_k w_k I_k(a)) / 2^j: E[(1 + cos 2 psi)^j e^(-a cos 2
+# psi)] of the Bessel functions' integral forms
+_PSI_BESSEL = {2: ((3, 2), (-2, 1), (1, 2)), 3: ((5, 2), (-15, 4), (3, 2), (-1, 4))}
+
+
+def _psi_by_mpmath(mpmath, a, order):
+    return mpmath.exp(-a) * mpmath.fsum(mpmath.mpf(p) / q * mpmath.besseli(k, a) for k, (p, q)
+                                        in enumerate(_PSI_BESSEL[order])) / 2 ** order
+
+
+def _second_order_mean_by_mpmath(c: float, paths: int, order: int) -> float:
+    # c^(j-1) E[X S^j], X = m_4 (j = 2) or m_3^2 (j = 3), by mpmath's
+    # quadrature of int mu^(j-1) H_j(mu) rho(mu / c) dmu / (c (j-1)!
+    # M^(j-2)) with Bessel functions at 30 digits: mu^(j-1) H_j(mu) falls as
+    # mu^-5 at 8 paths, so mu beyond 1e6 adds below 1e-24 of the integral,
+    # and rho(v) beyond v = 60 below e^-60
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        c = mpmath.mpf(c)
+
+        def integrand(mu):
+            a = mu / (2 * paths)
+            v = mu / c
+            rho = mpmath.exp(-v) - mpmath.sqrt(mpmath.pi * v) * mpmath.erfc(mpmath.sqrt(v))
+            return mu ** (order - 1) * _psi_by_mpmath(mpmath, a, order) \
+                * (mpmath.exp(-a) * mpmath.besseli(0, a)) ** (paths - 1) * rho
+        top = min(60 * c, mpmath.mpf(10) ** 6)
+        points = sorted({0, top} | {p * s for p in (1, 10, 100) for s in (1, c) if p * s < top})
+        return float(mpmath.quad(integrand, points)
+                     / (c * math.factorial(order - 1) * paths ** (order - 2)))
+
+
+def test_second_order_means_at_one_path_are_their_closed_forms():
+    # at one path, tau_1(c) = (1 - 3/2 asinh(sqrt c) / sqrt c + 1/2 / sqrt(1
+    # + c)) / c and upsilon_1(c) = 1 / c - 15/8 asinh(sqrt c) / c^(3/2) + 7/8
+    # / (c sqrt(1 + c)) + 1/8 / (1 + c)^(3/2), in mpmath at 60 digits, whose
+    # terms cancel to c and c^2 at small c
+    mpmath = pytest.importorskip("mpmath")
+    scales = np.geomspace(1e-12, 1e300, 181)
+    with mpmath.workdps(60):
+        closed = []
+        for c in scales:
+            c = mpmath.mpf(float(c))
+            root = mpmath.sqrt(c)
+            closed.append([float((1 - 1.5 * mpmath.asinh(root) / root
+                                  + 0.5 / mpmath.sqrt(1 + c)) / c),
+                           float(1 / c - mpmath.mpf(15) / 8 * mpmath.asinh(root) / c ** 1.5
+                                 + 7 / (8 * c * mpmath.sqrt(1 + c)) + 1 / (8 * (1 + c) ** 1.5))])
+    closed = np.array(closed).T
+    for mean, exact in zip((fourth_moment_mean, third_moment_mean), closed):
+        assert np.max(abs(mean(scales, 1) - exact) / exact) <= 1e-14
+        assert mean(np.array([0.0, math.inf]), 1).tolist() == [0.0, 0.0]
+        assert isinstance(mean(2.0, 1), float)
+        assert mean(np.ones((2, 3)), 8).shape == (2, 3)
+    # below c = e^-40, c E[m_4] and c^2 E[m_3^2]
+    assert fourth_moment_mean(1e-30, 8) == 1e-30 * (3.0 / 40.0)
+    assert third_moment_mean(1e-30, 8) == 1e-30 ** 2 * (5.0 / (112.0 * 8))
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 50.0, 1e4, 1e300])
+def test_second_order_means_at_eight_paths_match_mpmath(c):
+    assert fourth_moment_mean(c, 8) == pytest.approx(_second_order_mean_by_mpmath(c, 8, 2),
+                                                     rel=1e-14, abs=0.0)
+    assert third_moment_mean(c, 8) == pytest.approx(_second_order_mean_by_mpmath(c, 8, 3),
+                                                    rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6])
+def test_second_order_means_at_eight_paths_meet_their_series(c):
+    # tau_M(c) = c E[m_4] - 2 c^2 E[m_4 m_2] + 3 c^3 E[m_4 m_2^2] - ... and
+    # upsilon_M(c) = c^2 E[m_3^2] - 3 c^3 E[m_3^2 m_2] + 6 c^4 E[m_3^2 m_2^2]
+    # - ..., from the exact monomial means (where mpmath's quadrature of the
+    # integral loses digits); the next terms are below 1e-17 of these
+    moment = functools.partial(montecarlo._monomial_mean, paths=8)
+    with_fractions = Fraction(c)
+    tau = sum((-1) ** k * (k + 1) * with_fractions ** (k + 1) * Fraction(moment((4,) + (2,) * k))
+              for k in range(3))
+    upsilon = sum((-1) ** k * math.comb(k + 2, 2) * with_fractions ** (k + 2)
+                  * Fraction(moment((3, 3) + (2,) * k)) for k in range(3))
+    assert fourth_moment_mean(c, 8) == pytest.approx(float(tau), rel=1e-14, abs=0.0)
+    assert third_moment_mean(c, 8) == pytest.approx(float(upsilon), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("paths", [1, 2, 8])
+def test_second_order_means_are_the_means_over_drawn_devices(paths):
+    # 2^20 devices of the sampler: at each c the sample means of c m_4 S^2
+    # and c^2 m_3^2 S^3, S = 1 / (1 + c m_2), within 4 standard errors of
+    # tau_M(c) and upsilon_M(c)
+    rng = np.random.default_rng(4321 + paths)
+    shift = np.concatenate([sample_cell_batch(rng, 1024, 256, CellConfig(paths)).reshape(-1, paths)
+                            for _ in range(4)])
+    assert len(shift) == 1 << 20
+    second, third, fourth = (np.mean(shift ** p, axis=1) for p in (2, 3, 4))
+    for c in (1.0, 100.0, 1500.0):
+        reciprocal = 1.0 / (1.0 + c * second)
+        for samples, mean in ((c * fourth * reciprocal ** 2, fourth_moment_mean),
+                              ((c * third * reciprocal) ** 2 * reciprocal, third_moment_mean)):
+            error = samples.std(ddof=1) / math.sqrt(samples.size)
+            assert abs(samples.mean() - mean(c, paths)) <= 4.0 * error
+
+
+def test_odd_power_scale_matches_mpmath():
+    # kappa(x) = E[o(x z)^2] / E[(2 (x z)^3 / q^3)^2], o the kernel's odd
+    # part at the gap q, by mpmath's 2-D quadrature of o's plain form; 1 at
+    # x = 0 and an array of spans gives each span's bits alone
+    spans = [0.0, 1e-200, 0.06, 0.6, 1.0, 3.0]
+    assert odd_power_scale(np.array(spans), 1).tolist() == [odd_power_scale(x, 1) for x in spans]
+    assert odd_power_scale(0.0, 1) == odd_power_scale(1e-200, 1) == 1.0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        for x, q in ((0.6, 1), (3.0, 1), (0.6, 2)):
+            x = mpmath.mpf(x)
+
+            def odd(u, psi):
+                y = x * u * mpmath.cos(psi)
+                return ((mpmath.sincpi(q + y) ** 2 - mpmath.sincpi(q - y) ** 2) / 2) ** 2
+            exact = mpmath.quad(odd, [0, 1], [0, mpmath.pi / 2]) * 2 / mpmath.pi \
+                / (4 * x ** 6 * mpmath.mpf(5) / 112 / q ** 6)
+            assert odd_power_scale(float(x), q) == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_doppler_power_scale_matches_mpmath():

@@ -259,9 +259,10 @@ def test_capacity_mc_holds_past_the_old_reach_of_the_rule():
     # at 100 m/s the interference dwarfs the noise from 200 dB on, so the
     # capacity stays put up to the rule's 1e300 limit; a rule that started
     # no lower than ln t = -60 read 0.387 at 300 dB and 0 at 1e-300.  The
-    # estimate, 6.58402 +- 6.3e-5, is the draws' (6.58427 +- 1.7e-4 before
-    # the capacity mirrored its +-1 neighbours' and mid part's draws;
-    # 6.58409 +- 1.5e-5 at 8192 trials)
+    # estimate, 6.58407 +- 5.4e-5 (4e-15 apart between the SNRs), is the
+    # draws' (6.58402 +- 6.3e-5 with the +-1 neighbours' first-order
+    # surrogates, 6.58427 +- 1.7e-4 before the capacity mirrored its +-1
+    # neighbours' and mid part's draws; 6.58409 +- 1.3e-5 at 8192 trials)
     mc = "sweep.outputs = capacity_mc\nmc.trials = 512\nmc.seed = 1\n"
     by_snr = parse_config("sweep.axis = snr_db\nsweep.grid = 200, 300\n" + mc)
     by_noise = parse_config(AXIS + "sweep.grid = 100\nsystem.noise_variance = 1e-300\n" + mc)
