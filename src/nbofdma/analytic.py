@@ -58,6 +58,14 @@ LOG2_E = math.log2(math.e)
 # because the bound checks downstream (sandwich inclusion at small b, power
 # conservation at 1e-12 and 1e-13) need more headroom than the documented 1e-9.
 _USEFUL_SPEC = QuadratureSpec(relative_tolerance=1e-12, absolute_tolerance=1e-13)
+# The useful power's integrand sweeps about x lobes over the arrival angle,
+# x the Doppler span, and near x = 1e6 its quadrature takes about 0.013
+# panel splits per unit of x: the 16384 splits of _USEFUL_SPEC last up to x
+# = 1.262e6 (32598 of the 32770 integrand calls they allow) and run out
+# from x = 1.265e6 (every span scanned from 2e5 to 1.262e6 converged, and
+# every one from 1.265e6 to 1.4e6 failed).  It refuses x above 1.26e6
+# before any work, where it took about 3 s to fail.
+_USEFUL_MAX_SPAN = 1.26e6
 _LEAKAGE_SPEC = QuadratureSpec(relative_tolerance=1e-12, absolute_tolerance=1e-14)
 # fixed panels of the leakage integral over t, each integrated adaptively
 _LEAKAGE_PANELS = (0.0, 1.0, 2.0, 4.0, 8.0, 40.0)
@@ -132,12 +140,20 @@ def effective_useful_power(max_velocity_mps: float, cfg: SystemConfig) -> float:
     u = pi x cos psi and x the span of :meth:`SystemConfig.doppler_span`,
     over a uniform quarter circle of arrival directions and scales by the
     common received power.  That average is the only quadrature: Si itself
-    needs none.  V_max = 0 returns cfg.effective_power exactly.
+    needs none.  V_max = 0 returns cfg.effective_power exactly.  A span x
+    above 1.26e6, beyond the quadrature's subdivision budget, raises
+    :class:`QuadratureError` before any evaluation.
     """
     _check_velocity(max_velocity_mps)
     if max_velocity_mps == 0.0:
         return cfg.effective_power
-    depth = math.pi * cfg.doppler_span(max_velocity_mps)
+    span = cfg.doppler_span(max_velocity_mps)
+    if span > _USEFUL_MAX_SPAN:
+        raise QuadratureError(
+            f"integrand sweeps {span:.3g} oscillations, beyond the "
+            f"subdivision budget of {_USEFUL_SPEC.max_subdivisions}",
+            estimate=math.nan, error_bound=math.inf)
+    depth = math.pi * span
     value = integrate(lambda p: _useful_kernel(depth * np.cos(p)),
                       0.0, math.pi / 2.0, _USEFUL_SPEC)
     return cfg.effective_power * (2.0 / math.pi) * value

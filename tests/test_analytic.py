@@ -418,6 +418,24 @@ def test_leakage_refuses_beta_beyond_the_budget():
         finite_n_ici(0, v, CFG)
 
 
+def test_useful_power_refuses_spans_beyond_the_budget(monkeypatch):
+    # the quadrature converges up to x = 1.262e6 and runs out of splits from
+    # 1.265e6, after about 3 s: a span above 1.26e6 raises before the
+    # integrand is evaluated, and the largest span it takes converges
+    def speed(span):
+        return span * CFG.wave_speed_mps / (CFG.carrier_frequency_hz * CFG.symbol_period_s)
+    edge = speed(analytic._USEFUL_MAX_SPAN * (1.0 - 1e-12))
+    assert CFG.doppler_span(edge) <= analytic._USEFUL_MAX_SPAN
+    assert 0.0 < effective_useful_power(edge, CFG) < CFG.effective_power
+
+    def never(u):
+        raise AssertionError("the integrand was evaluated")
+    monkeypatch.setattr(analytic, "_useful_kernel", never)
+    for span in (analytic._USEFUL_MAX_SPAN * (1.0 + 1e-12), 4e6):
+        with pytest.raises(QuadratureError, match="subdivision budget"):
+            effective_useful_power(speed(span), CFG)
+
+
 @pytest.mark.parametrize("offset,cfg", [
     (math.inf, CFG), (-math.inf, CFG), (math.nan, CFG),
     # finite, but the gap offset * T_s overflows at T_s = 1e10 s
