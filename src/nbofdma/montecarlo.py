@@ -1078,9 +1078,9 @@ def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
 def _scratch_rows(ds: _DrawSet) -> int:
     """Rows of scratch the capacity's factor tables of draw set ``ds`` take
     (:func:`_part_factors`): two for the surrogates of the neighbours at
-    index gap +-1, which also hold the tables of their extra draws and
-    mirrors, a row for each neighbour, and at least one for the mid part's
-    mirror and surrogate."""
+    index gap +-1, a pair's numerator and denominator on the whole rule,
+    which also take the tables of their extra draws and mirrors two at a
+    time, and at least one for the mid part's mirror and surrogate."""
     near = [part for part in ds.parts if part.build is _near_columns]
     if not near:
         return 0

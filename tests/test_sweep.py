@@ -294,14 +294,14 @@ def test_accepts_zero_noise_where_the_interference_is_positive():
 
 
 def test_zero_noise_check_leaves_a_quadrature_failure_to_its_row():
-    # at 1e12 m/s (b about 4e9) the useful-power quadrature exceeds its
-    # budget: parsing accepts the point and the sweep marks its row failed,
-    # as with noise
+    # at 1e12 m/s (b about 4e9) the useful power's span exceeds its
+    # quadrature's budget, which it refuses before any work: parsing
+    # accepts the point and the sweep marks its row failed, as with noise
     spec = parse_config(AXIS + "sweep.grid = 1e12\nsweep.outputs = capacity_exact\n"
                         "system.noise_variance = 0\n")
     (row,) = run_sweep(spec)
     assert row.values["capacity_exact"] is None
-    assert "did not converge" in row.error
+    assert "subdivision budget" in row.error
 
 
 @pytest.mark.parametrize("cfg", [
