@@ -300,7 +300,7 @@ _TAIL_GAP = 10
 # c^4) on the nodes with c >= 0.1: below c = 1 its factor is near linear in
 # the path moments, which the columns fit, and the slope is smooth in ln t.
 # The +-1 window for the mid part too keeps fig4's accuracy factor (seeds
-# 0-23: mean 3.80e-5 against 3.75e-5) at 1.8% more CPU time.
+# 0-23: mean 3.71e-5 against 3.66e-5) at 5.8% more CPU time.
 _SURROGATE_NODES = (1e-100, 0.1, 5.0)
 
 
