@@ -428,23 +428,32 @@ def _interpolated(table: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return np.einsum("iv,iv->v", basis, table[start + _REC_NODES])
 
 
-@functools.cache
-def _reciprocal_table(paths: int) -> np.ndarray:
-    """sqrt(1 + c) h_M(c) at ln c = _REC_LOW + j _REC_GRID, M = ``paths``,
-    built on first use; read-only."""
+def _correlated(first: int, weights: np.ndarray, values) -> np.ndarray:
+    """sum_i weights_i values(y + s_i) at each y = ln c = _REC_LOW + j
+    _REC_GRID of the table, s_i = (first + i) _REC_STEP the trapezoid's
+    nodes in ln lam: one correlation a phase of the finer lattice on which
+    both fall, ``values`` taking that lattice's ln (c lam)."""
     ratio = round(_REC_STEP / _REC_GRID)
-    first = math.floor((-80.0 - _REC_HIGH) / _REC_STEP)
-    root = np.exp(np.arange(first, round(4.0 / _REC_STEP) + 1) * _REC_STEP / 2.0)
-    weights = (_REC_STEP * math.sqrt(math.pi) / 2.0) * root \
-        * np.array([math.erfc(r) for r in root])
     size = round((_REC_HIGH - _REC_LOW) / _REC_GRID) + 1
     lattice = _REC_LOW + (np.arange(size + ratio * (weights.size - 1)) + ratio * first) * _REC_GRID
-    laplace = _cosine_laplace(lattice, paths)
+    laplace = values(lattice)
     table = np.empty(size)
     for r in range(ratio):
         rows = table[r::ratio]
         rows[:] = np.correlate(laplace[r::ratio], weights, "valid")[:rows.size]
-    log_c = _REC_LOW + np.arange(size) * _REC_GRID
+    return table
+
+
+@functools.cache
+def _reciprocal_table(paths: int) -> np.ndarray:
+    """sqrt(1 + c) h_M(c) at ln c = _REC_LOW + j _REC_GRID, M = ``paths``,
+    built on first use; read-only."""
+    first = math.floor((-80.0 - _REC_HIGH) / _REC_STEP)
+    root = np.exp(np.arange(first, round(4.0 / _REC_STEP) + 1) * _REC_STEP / 2.0)
+    weights = (_REC_STEP * math.sqrt(math.pi) / 2.0) * root \
+        * np.array([math.erfc(r) for r in root])
+    table = _correlated(first, weights, lambda lattice: _cosine_laplace(lattice, paths))
+    log_c = _REC_LOW + np.arange(table.size) * _REC_GRID
     table *= np.exp(log_c / 2.0) * np.sqrt(1.0 + np.exp(-log_c))  # sqrt(1 + c)
     table.flags.writeable = False
     return table
@@ -522,22 +531,18 @@ def _moment_table(paths: int, order: int) -> np.ndarray:
     """(1 + 1/c)^j sum_s rho(e^s) L_j(ln c + s) h at ln c = _REC_LOW + k
     _REC_GRID, M = ``paths`` and j = ``order``, built on first use;
     read-only."""
-    ratio = round(_REC_STEP / _REC_GRID)
     first = math.floor((-40.0 - _REC_HIGH) / _REC_STEP)
     lam = np.exp(np.arange(first, round(4.0 / _REC_STEP) + 1) * _REC_STEP)
     weights = _REC_STEP * np.array([math.exp(-v) - math.sqrt(math.pi * v) * math.erfc(math.sqrt(v))
                                     for v in lam])
-    size = round((_REC_HIGH - _REC_LOW) / _REC_GRID) + 1
-    lattice = _REC_LOW + (np.arange(size + ratio * (weights.size - 1)) + ratio * first) * _REC_GRID
-    # L_j(y) = M^j (s^j Psi_j(s)) Phi(s)^(M - 1), s = e^y / M
-    values = _cosine_power_laplace(lattice - math.log(paths), order) * paths ** order
-    if paths > 1:
-        values *= _scaled_i0(lattice - math.log(2.0 * paths)) ** (paths - 1)
-    table = np.empty(size)
-    for r in range(ratio):
-        rows = table[r::ratio]
-        rows[:] = np.correlate(values[r::ratio], weights, "valid")[:rows.size]
-    table *= (1.0 + np.exp(-_REC_LOW - np.arange(size) * _REC_GRID)) ** order  # (1 + 1/c)^j
+
+    def values(lattice):  # L_j(y) = M^j (s^j Psi_j(s)) Phi(s)^(M - 1), s = e^y / M
+        out = _cosine_power_laplace(lattice - math.log(paths), order) * paths ** order
+        if paths > 1:
+            out *= _scaled_i0(lattice - math.log(2.0 * paths)) ** (paths - 1)
+        return out
+    table = _correlated(first, weights, values)
+    table *= (1.0 + np.exp(-_REC_LOW - np.arange(table.size) * _REC_GRID)) ** order  # (1 + 1/c)^j
     table.flags.writeable = False
     return table
 
