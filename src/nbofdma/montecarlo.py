@@ -2,11 +2,13 @@
 
 Randomness policy: trials are grouped in fixed blocks of 256, and block k of
 a run draws from ``SeedSequence(entropy=seed, spawn_key=(k,))``.  Each
-estimator lays its devices out as draw sets (:func:`_layout`): a set's band
-columns, its rows a block (every trial, or 32 for a tail,
-:data:`_TAIL_DRAWS`), the columns that draw an Exp(1) weight, and its
-parts, each with the builder of its control-variate columns V and its
-Taylor table.  A block draws its sets in turn, in one fixed array order
+estimator lays its devices out as draw sets (:func:`_layout`): a set is
+what one sampler call draws, its band columns on its rows a block (every
+trial, or 32 for a tail, :data:`_TAIL_DRAWS`), and the Exp(1) weights of
+the columns that draw one; its parts split its columns, each copying its
+own out of the block's shifts into a kernel tile of its own, mirrored or
+not, with the builder of its control-variate columns V and its Taylor
+table.  A block draws its sets in turn, in one fixed array order
 that depends on the sub-carrier count, the target and the block alone, so
 every scenario of a plan reads the same random numbers: the ICI and
 capacity estimators take a group of scenarios sharing the sub-carrier
@@ -68,16 +70,16 @@ class TrialPlan:
     averages the near devices' weights exactly, takes R Doppler draws of
     each neighbour at index gap +-1 a trial, R / 2 of them the mirrors -z
     of the others and R a fixed rule in the sub-carrier count
-    (:func:`_neighbour_draws`), mirrors its mid part's draws too, and
-    draws the devices beyond index gap K = 10, its tail, on 32 trials a
-    block.  Every estimator subtracts zero-mean columns of its draws times
-    slopes fitted on the other folds' draws (:func:`_fold_solver`), so it
-    stays exactly unbiased: the power estimators' columns are the path
-    moments, the capacity's also their products of second order
-    (:func:`_near_columns`, :func:`_far_columns`), fitted to each part's
-    factor at every node of its rule, after its neighbours at index gap
-    +-1 and its mid part have subtracted surrogates of exactly known mean
-    (:func:`_surrogates`).
+    (:func:`_neighbour_draws`), mirrors its mid part's draws too (and no
+    other part's), and draws the devices beyond index gap K = 10, its
+    tail, on 32 trials a block.  Every estimator subtracts zero-mean
+    columns of its draws times slopes fitted on the other folds' draws
+    (:func:`_fold_solver`), so it stays exactly unbiased: the power
+    estimators' columns are the path moments, the capacity's also their
+    products of second order (:func:`_near_columns`,
+    :func:`_far_columns`), fitted to each part's factor at every node of
+    its rule, after its neighbours at index gap +-1 and its mid part have
+    subtracted surrogates of exactly known mean (:func:`_surrogates`).
     """
 
     trials: int
@@ -116,12 +118,12 @@ def _block_rng(seed: int, block: int):
 
 
 def _std_error(residuals) -> float:
-    """sqrt(sum_i var(r_i) / n_i) over the parts i of ``residuals``, a list
-    of arrays, one a draw set, whose axis 0 runs over the n_i draws of
-    each of its parts.  The residuals are first scaled by 2^-s, below 1,
-    which is exact and keeps their squares from underflowing where the
-    estimate is tiny, and the root by 2^s after; a draw set of one draw
-    adds no variance."""
+    """sqrt(sum_i var(r_i) / n_i) over the part records i of
+    ``residuals``, a list of arrays, one a part, whose axis 0 runs over the
+    n_i draws of each of its part records.  The residuals are first scaled
+    by 2^-s, below 1, which is exact and keeps their squares from
+    underflowing where the estimate is tiny, and the root by 2^s after; a
+    part of one draw adds no variance."""
     scale = int(np.frexp(max((abs(r).max() for r in residuals if r.size), default=0.0))[1])
     variance = sum(np.var(np.ldexp(r, -scale), axis=0, ddof=1).sum() / len(r)
                    for r in residuals if len(r) > 1)
@@ -245,12 +247,10 @@ def _term_reductions(moments: np.ndarray, table: np.ndarray, out: np.ndarray):
         out[:, terms] = (moments[p - 2] - mean) @ table[terms].T
 
 
-def _path_moments(part, shift: np.ndarray, tiles, work: np.ndarray,
-                  scratch: np.ndarray) -> np.ndarray:
+def _path_moments(shift: np.ndarray, tiles, work: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """(5, trials, columns): mean_m z_m^p, p = 2..6, of each (trial, column)
-    of ``part``'s columns of the block ``shift``, in ``work``, tile by tile
-    in ``scratch``, so that no block-sized z^p is formed."""
-    shift = shift[:, part.columns]
+    of a part's block ``shift``, in ``work``, tile by tile in ``scratch``,
+    so that no block-sized z^p is formed."""
     moments = work.reshape(len(_ORDERS), len(shift), -1)
     for rows in tiles:
         z = shift[rows]
@@ -321,34 +321,25 @@ def _neighbour_draws(half_subcarriers: int) -> int:
     return 2 * max(1, -(-(half_subcarriers // 18) // 2))
 
 
-def _extra_draws(target: int, devices: int) -> list[int]:
-    """The device whose Doppler draws each extra drawn column of a capacity
-    block repeats, in the order the columns follow the devices: P - 1
-    rounds of one column for each neighbour at index gap +-1 that the band
-    holds, P = R / 2 its pairs (:func:`_neighbour_draws`)."""
-    neighbours = [c for c in (target - 1, target + 1) if 0 <= c < devices]
-    return neighbours * (_neighbour_draws(devices // 2) // 2 - 1)
-
-
 @dataclass(eq=False)
 class _Part:
     """``count`` parts of a draw set fitted alike on one builder's columns:
-    its ``columns`` within the set's drawn ones (a slice, or a list for the
-    capacity's near parts, whose extra draws each repeat part
-    ``owners[i]``); its ``build``, which writes a block's columns V,
-    ``width`` a part; the whole-number ``gaps`` its Taylor table is built
-    on, 0 at a column it leaves out (none for a table-free part); ``held``,
-    the doubles a block row its builder keeps across blocks; and for the
-    capacity's near parts the ``proxied`` draws, those of the neighbours at
-    index gap +-1, whose surrogates :func:`_part_factors` subtracts.  A
-    mirrored part (the capacity's +-1 neighbours and mid part) also has
-    ``mirrors``, the set's power columns of its draws' mirrors (for the
-    near parts those of its proxied draws, in turn, each a draw of part
-    ``owners[i]`` after its extra draws').  ``V``, its store over a run,
-    is the design [1, V] every fit reads (:func:`_device_powers`); what
-    a capacity part's builder leaves in what it holds of the block: the
-    near parts' ``moments`` m_2..m_6 of each drawn draw, and a far-style
-    part's ``m2``, sum_j n_j^-2 w_j m_(2,j)."""
+    its ``columns`` within the set's (a slice, or for the capacity's
+    neighbours at index gap +-1 a list, their draws round by round, the
+    ``count`` neighbours' draws of a round in turn), which it copies out of
+    the block's shifts into a kernel tile of its own; its ``build``, which
+    writes a block's columns V, ``width`` a part; the whole-number
+    ``gaps`` its Taylor table is built on, 0 at a column it leaves out
+    (none for a table-free part); ``held``, the doubles a block row its
+    builder keeps across blocks; and whether it is ``mirrored`` (the
+    capacity's +-1 neighbours and mid part): the kernel also evaluates its
+    columns at the negated shifts, its powers hold its columns' and then
+    their mirrors', and its columns V and factors are the means over its
+    draws and their mirrors.  ``V``, its store over a run, is the design
+    [1, V] every fit reads (:func:`_device_powers`); what a capacity
+    part's builder leaves of the block: a near part's ``moments`` m_2..m_6
+    of each of its columns, and a far-style part's ``m2``, sum_j n_j^-2
+    w_j m_(2,j)."""
 
     columns: slice | list
     build: Callable
@@ -356,10 +347,7 @@ class _Part:
     held: int
     gaps: np.ndarray | None = None
     count: int = 1
-    owners: list = ()
-    proxied: list = ()
-    mirrors: slice | list = ()
-    local: slice | None = None  # its parts among its set's
+    mirrored: bool = False
     V: np.ndarray | None = None
     m2: np.ndarray | None = None
     moments: np.ndarray | None = None
@@ -373,28 +361,16 @@ class _Part:
 
 @dataclass(eq=False)
 class _DrawSet:
-    """Devices drawn together: its band ``columns`` (devices, then any
-    extra draws of a device), on at most ``rows`` trials a block (every
-    trial, or :data:`_TAIL_DRAWS` rows of their own for a tail), an Exp(1)
-    weight for each ``weighted`` column, and its ``parts``, whose count and
-    stores [1, V] a draw it sums.  A ``mirrored`` set also evaluates its
-    columns at the negated shifts: its powers hold ``width`` columns, the
-    drawn ones and then their mirrors, each a column of ``devices``."""
+    """Devices drawn by one sampler call: its band ``columns`` (devices,
+    then any extra draws of a device), on at most ``rows`` trials a block
+    (every trial, or :data:`_TAIL_DRAWS` rows of their own for a tail), an
+    Exp(1) weight for each ``weighted`` column, drawn right after the
+    shifts, and its ``parts``, which split its columns between them."""
 
     columns: np.ndarray
     rows: int
     weighted: np.ndarray
     parts: list[_Part]
-    mirrored: bool = False
-
-    def __post_init__(self):
-        self.count = 0  # its parts
-        for part in self.parts:
-            part.local = slice(self.count, self.count + part.count)
-            self.count = part.local.stop
-        self.design = sum(part.count * (part.width + 1) for part in self.parts)
-        self.devices = np.tile(self.columns, 1 + self.mirrored)
-        self.width = self.devices.size
 
     def draws(self, trials: int) -> int:
         """Its draws over a run of ``trials`` trials (its rows are at most a block's)."""
@@ -405,30 +381,29 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     """The draw sets of ``estimator`` over a band of devices at
     whole-number ``index_gaps`` from the target, of ``paths`` paths.
 
-    "devices" (:func:`_device_estimates`): one set, each device a part of
-    its own centred path moments (:func:`_moment_columns`).  "interference":
-    the interferers within index gap K_I of the target on every trial,
-    then the tail beyond it on :data:`_TAIL_DRAWS` rows, each set one part
-    of its Taylor columns, if the band holds any; the target is drawn in
-    neither.  "capacity": its main draws, the target and its neighbours at
-    index gap +-2, then those at +-1, the mid devices at index gap 3..K
-    and each extra draw of a neighbour at index gap +-1
-    (:func:`_extra_draws`), each mirrored, if the band holds any but the
-    target (the mirrors of the target and the +-2 neighbours are not
-    read, and cost a column's denominators each); with the near
-    parts (:func:`_near_devices`, :func:`_near_columns`; the draws of the
-    +-1 neighbours are its ``proxied``, each with its mirror) and, if the
-    band holds devices beyond them, the mid part (:func:`_far_columns`),
-    its columns mirrored whole; then, if the band has devices beyond index
-    gap K, the tail's, one far-style part, unmirrored.  Only its devices
-    beyond index gap 2 draw a weight, a mirror keeping its source's, and a
-    far-style part's table is built on its own devices' gaps, so that its
-    rows keep their rank there."""
+    "devices" (:func:`_device_estimates`): one set of one part, a part
+    record for each device, of its own centred path moments
+    (:func:`_moment_columns`).  "interference": the interferers within
+    index gap K_I of the target on every trial, then the tail beyond it on
+    :data:`_TAIL_DRAWS` rows, each set one part of its Taylor columns, if
+    the band holds any; the target is drawn in neither.  "capacity": its
+    main draws, the target and its neighbours at index gap +-2, then those
+    at +-1, the mid devices at index gap 3..K and P - 1 more rounds of the
+    neighbours at +-1 (:func:`_neighbour_draws`), in three parts: the
+    target's and the +-2 neighbours' (:func:`_near_devices`,
+    :func:`_near_columns`), unmirrored; the +-1 neighbours', their P rounds
+    of draws, mirrored, if the band holds any but the target; and the mid
+    devices' (:func:`_far_columns`), mirrored, if the band holds devices
+    beyond them; then, if the band has devices beyond index gap K, the
+    tail's, one far-style part, unmirrored.  Only its
+    devices beyond index gap 2 draw a weight, and a far-style part's table
+    is built on its own devices' gaps, so that its rows keep their rank
+    there."""
     columns, moments = np.arange(index_gaps.size), len(_ORDERS)
     if estimator == "devices":
         return [_DrawSet(columns, BLOCK_TRIALS, columns < 0,
-                         [_Part(slice(j, j + 1), _moment_columns, moments, moments)
-                          for j in columns])]
+                         [_Part(slice(0, columns.size), _moment_columns, moments,
+                                moments * columns.size, count=columns.size)])]
     far = abs(index_gaps)
     if estimator == "interference":
         return [_DrawSet(columns[kept], rows, columns[kept] < 0,
@@ -438,26 +413,24 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
                                    (far > _ICI_TAIL_GAP, _TAIL_DRAWS))
                 if (count := np.count_nonzero(kept))]
     target, devices = int(np.flatnonzero(far == 0.0)[0]), index_gaps.size
-    near, extra = _near_devices(target, devices), _extra_draws(target, devices)
+    near = _near_devices(target, devices)
     plain = [c for c in near if far[c] != 1]  # the target and the +-2 neighbours
     ones = [c for c in near if far[c] == 1]
     mid = np.flatnonzero((far > 2) & (far <= _TAIL_GAP))
-    main = np.array(plain + ones + mid.tolist() + extra, dtype=int)
+    rounds = _neighbour_draws(devices // 2) // 2
+    main = np.array(plain + ones + mid.tolist() + ones * (rounds - 1), dtype=int)
     start = len(plain) + len(ones)  # of the mid part
-    # the near parts' drawn columns, then their extra draws, the mirror of
-    # drawn column i at main.size + i
-    drawn = [main.tolist().index(c) for c in near] + list(range(start + mid.size, main.size))
-    owner = list(range(len(near))) + [near.index(c) for c in extra]
-    proxied = [d for d, c in enumerate(drawn) if c >= len(plain)]
-    parts = [_Part(drawn, _near_columns, _near_means(paths).size, moments * len(drawn),
-                   count=len(near), owners=owner[len(near):] + [owner[d] for d in proxied],
-                   proxied=proxied,
-                   mirrors=[main.size + drawn[d] for d in proxied])]
+    stop, width = start + mid.size, _near_means(paths).size
+    parts = [_Part(slice(0, len(plain)), _near_columns, width, moments * len(plain),
+                   count=len(plain))]
+    if ones:
+        drawn = list(range(len(plain), start)) + list(range(stop, main.size))
+        parts.append(_Part(drawn, _near_columns, width, moments * len(drawn), count=len(ones),
+                           mirrored=True))
     if mid.size:
-        parts.append(_Part(slice(start, start + mid.size), _far_columns, _FAR_WIDTH,
-                           len(_TERMS), index_gaps[mid],
-                           mirrors=slice(main.size + start, main.size + start + mid.size)))
-    sets = [_DrawSet(main, BLOCK_TRIALS, far[main] > 2, parts, main.size > 1)]
+        parts.append(_Part(slice(start, stop), _far_columns, _FAR_WIDTH, len(_TERMS),
+                           index_gaps[mid], mirrored=True))
+    sets = [_DrawSet(main, BLOCK_TRIALS, far[main] > 2, parts)]
     tail = np.flatnonzero(far > _TAIL_GAP)
     if tail.size:
         sets.append(_DrawSet(tail, _TAIL_DRAWS, far[tail] > 2,
@@ -466,72 +439,90 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     return sets
 
 
+def _parts(sets: list[_DrawSet]) -> list[tuple[_DrawSet, _Part]]:
+    """Each part of the draw ``sets`` with its set, in order."""
+    return [(ds, part) for ds in sets for part in ds.parts]
+
+
+def _scratch_rows(sets: list[_DrawSet]) -> int:
+    """Rows of scratch the capacity's factor tables take
+    (:func:`_part_factors`): two if a part is mirrored, for the tables of
+    the +-1 neighbours' further rounds of draws and for their surrogates, a
+    pair's numerator and denominator on the whole rule, which also take the
+    mid part's mirror and surrogate; none otherwise."""
+    return 2 * any(part.mirrored for _, part in _parts(sets))
+
+
 @functools.cache  # the sweep asks at every grid point, mostly with the same arguments
 def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     """Bytes of the arrays :func:`_device_powers` holds at once for
     ``devices`` devices of ``paths`` paths sharing one gap vector, counted
     from the draw sets of a centred target, which hold the most
     (:func:`_layout`; the capacity's, with ``snr`` its P_T over the noise,
-    else the interference's): per set a block's draws, its powers and any
-    weights, a mirrored set's on its drawn columns and their mirrors, and
-    what each part's builder holds across blocks; the
+    else the interference's): per part a block's shifts of its columns,
+    its powers (a mirrored part's on its columns and their mirrors) and
+    what its builder holds across blocks, and per set any weights; the
     kernel's four workspace tiles and one more for its centre mask and the
-    per-device vectors, of the larger set's tile, and a gap tile a set; and
-    the larger set's sampler: a slot for its speed fractions and two
-    scratch tiles.  Either estimator holds across blocks its Taylor tables
-    and gaps (11 doubles a device).  A capacity block also holds, across
-    blocks, the folds' grams of each part's design [1, V]
-    (:func:`_fold_solver`); once the sampler has let go of its slot and
-    tiles, what its average holds: the parts' factor tables on the rule at
-    that SNR (:func:`numerics.hamdi_rule`) with their scratch rows
-    (:func:`_scratch_rows`), the faded powers of the near draws and their
-    mirrors and 26 more doubles a trial, and one part's fold sums or slopes
-    beyond those the run keeps, the near parts' the largest
+    per-device vectors, of the largest part's tile, and a gap tile a part;
+    and the largest of a set's sampler (a slot for its speed fractions and
+    two scratch tiles of the set's), the shifts of a set of several parts,
+    held while they copy theirs out, and, for the capacity, its average.
+    Either estimator holds across blocks its Taylor tables and gaps (11
+    doubles a device).  A capacity block also holds, across blocks, the
+    folds' grams of each part's design [1, V] (:func:`_fold_solver`); its
+    average, once the sampler has let go of its slot and tiles, holds the
+    parts' factor tables on the rule at that SNR
+    (:func:`numerics.hamdi_rule`) with their scratch rows
+    (:func:`_scratch_rows`) and 24 more doubles a trial, and one part's
+    fold sums or slopes beyond those the run keeps, the largest
     (:func:`_fold_sums`)."""
     sets = _layout("interference" if snr is None else "capacity",
                    subcarrier_gaps(0, devices // 2), paths)
-    tiles = [row_tiles(ds.rows, ds.columns.size * paths)[0].stop * ds.columns.size * paths
-             for ds in sets]
-    sampler = max((ds.rows * ds.columns.size + 2 * tile for ds, tile in zip(sets, tiles)),
-                  default=0)
-    draws = sum(ds.rows * (ds.columns.size * paths + ds.width * (1 + int(ds.weighted.any())))
-                for ds in sets)
-    held = (len(_TERMS) + 2) * devices + sum(ds.rows * part.held for ds in sets
-                                             for part in ds.parts)
+    parts = [(ds, part, ds.columns[part.columns].size) for ds, part in _parts(sets)]
+    tiles = [row_tiles(ds.rows, size * paths)[0].stop * size * paths for ds, _, size in parts]
+    sampler = max((ds.rows * ds.columns.size
+                   + 2 * row_tiles(ds.rows, ds.columns.size * paths)[0].stop
+                   * ds.columns.size * paths for ds in sets), default=0)
+    copied = max((ds.rows * ds.columns.size * paths for ds in sets if len(ds.parts) > 1),
+                 default=0)
+    draws = sum(ds.rows * size * (paths + 1 + part.mirrored) for ds, part, size in parts) \
+        + sum(ds.rows * ds.columns.size for ds in sets if ds.weighted.any())
+    held = (len(_TERMS) + 2) * devices + sum(ds.rows * part.held for ds, part, _ in parts)
     average = 0
     if snr is not None:
-        near, nodes = sets[0].parts[0], hamdi_rule(snr)[0].size
-        held += _FOLDS * sum(part.count * (part.width + 1) ** 2 for ds in sets
-                             for part in ds.parts)
-        average = sum(ds.rows * ds.count * nodes for ds in sets) \
-            + BLOCK_TRIALS * (_scratch_rows(sets[0]) * nodes + len(near.columns)
-                            + len(near.mirrors) + 26) \
-            + _FOLDS * near.count * (near.width + 1) * nodes
-    return 8 * (draws + 5 * max(tiles, default=0) + sum(tiles) + max(sampler, average) + held)
+        nodes = hamdi_rule(snr)[0].size
+        held += _FOLDS * sum(part.count * (part.width + 1) ** 2 for _, part, _ in parts)
+        average = sum(ds.rows * part.count * nodes for ds, part, _ in parts) \
+            + BLOCK_TRIALS * (_scratch_rows(sets) * nodes + 24) \
+            + _FOLDS * max(part.count * (part.width + 1) for _, part, _ in parts) * nodes
+    return 8 * (draws + 5 * max(tiles, default=0) + sum(tiles) + max(sampler, copied, average)
+                + held)
 
 
 def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
               snr: float | None = None) -> int:
     """Bytes an estimator holds at most for a group of ``scenarios`` over
-    ``trials`` trials, counted from the draw sets as :func:`block_bytes`
-    counts them: what the run keeps of each set, its parts' stores [1, V]
-    (:func:`_device_powers`) and per draw each scenario's samples, one a
-    part, and the larger of two: a block (:func:`block_bytes`, the
-    capacity's with ``snr``) with, for the capacity, each scenario's node
-    sums on its rule, the fold sums of [1, V_i]^T F_i (:func:`_fold_sums`)
-    and three vectors a part, which go once the scenario's last block is
-    done, and its surrogates' two vectors of exact means with 1 kB for
-    their record (:func:`_surrogates`); or, after the blocks, the fit: 5
-    doubles a draw and part of one scenario's temporaries
-    (:func:`_residuals`)."""
+    ``trials`` trials, counted from the parts of the draw sets as
+    :func:`block_bytes` counts them: what the run keeps of each part, its
+    store [1, V] (:func:`_device_powers`) and per draw each scenario's
+    samples, one a part record, and the larger of two: a block
+    (:func:`block_bytes`, the capacity's with ``snr``) with, for the
+    capacity, each scenario's node sums on its rule, the fold sums of
+    [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a part record,
+    which go once the scenario's last block is done, and its surrogates'
+    two vectors of exact means with 1 kB for their record
+    (:func:`_surrogates`); or, after the blocks, the fit: 5 doubles a draw
+    and part record of one scenario's temporaries (:func:`_residuals`)."""
     sets = _layout("interference" if snr is None else "capacity",
                    subcarrier_gaps(0, devices // 2), paths)
+    parts = [(ds.draws(trials), part) for ds, part in _parts(sets)]
     nodes = 0 if snr is None else hamdi_rule(snr)[0].size
-    kept = sum(-(-ds.draws(trials) // _FOLDS) * _FOLDS * ds.design
-               + ds.draws(trials) * ds.count * scenarios for ds in sets)
+    kept = sum(part.count * (-(-draws // _FOLDS) * _FOLDS * (part.width + 1) + draws * scenarios)
+               for draws, part in parts)
     node_sums = 0 if snr is None else scenarios * (
-        nodes * (2 + sum(_FOLDS * ds.design + 3 * ds.count for ds in sets)) + 128)
-    fit = sum(ds.draws(trials) * 5 * ds.count for ds in sets)
+        nodes * (2 + sum(part.count * (_FOLDS * (part.width + 1) + 3) for _, part in parts))
+        + 128)
+    fit = sum(draws * 5 * part.count for draws, part in parts)
     return 8 * (kept + max(block_bytes(devices, paths, snr) // 8 + node_sums, fit))
 
 
@@ -540,7 +531,7 @@ def _moment_columns(part, shift, tiles, weights, space, work, rows):
     into its store: its devices' path moments mean_m z^p, p = 2..6, less
     their means (:data:`_MOMENT_MEANS`), or with a Taylor table their sums
     over its terms (:func:`_term_reductions`)."""
-    moments = _path_moments(part, shift, tiles, work, space[0])
+    moments = _path_moments(shift, tiles, work, space[0])
     out = part.V[rows, :, 1:]
     if part.table is None:
         np.subtract(moments, _MOMENT_MEANS[:, None, None], out=out.transpose(2, 0, 1))
@@ -549,34 +540,28 @@ def _moment_columns(part, shift, tiles, weights, space, work, rows):
 
 
 def _near_columns(part, shift, tiles, weights, space, work, rows):
-    """Write the block's (trials, near, 9) columns V_i of the capacity's
-    near parts into their store's ``rows``, each of mean exactly 0,
-    scenario-free and of part i's draws alone: m_2..m_6, m_2^2, m_2 m_3,
-    m_2 m_4 and m_3^2 less their means (:data:`_NEAR_MONOMIALS`,
-    :func:`_near_means`; the first five at one path), m_p = mean_m z^p of
-    the part's columns, formed per drawn draw and averaged over the part's
-    draws (its extra draws follow the near devices, draw i of part
-    owners[i], :func:`_extra_draws`).  A mirrored part's columns are the
-    means over its pairs: m_p(-z) = (-1)^p m_p(z), so its even monomials
-    are those of its drawn draws and its odd ones (m_3, m_5 and m_2 m_3)
-    exactly 0."""
-    near_moments = _path_moments(part, shift, tiles, work, space[0])
-    part.moments = near_moments
+    """Write the block's (trials, count, 9) columns V_i of a capacity near
+    part (the target and the +-2 neighbours, or the +-1 neighbours) into
+    its store's ``rows``, each of mean exactly 0, scenario-free and of
+    device i's draws alone: m_2..m_6, m_2^2, m_2 m_3, m_2 m_4 and m_3^2
+    less their means (:data:`_NEAR_MONOMIALS`, :func:`_near_means`; the
+    first five at one path), m_p = mean_m z^p of each of the part's
+    columns, averaged over each device's rounds of draws (:func:`_layout`).
+    A mirrored part's columns are the means over its pairs: m_p(-z) =
+    (-1)^p m_p(z), so its even monomials are those of its draws and its
+    odd ones (m_3, m_5 and m_2 m_3) exactly 0."""
+    moments = _path_moments(shift, tiles, work, space[0])
+    part.moments = moments
     means = _near_means(shift.shape[2])
-    draws, parts = near_moments.shape[2], part.count
-    # the mean over each part's draws, as a (draws, parts) matrix
-    average = np.zeros((draws, parts))
-    average[range(draws), list(range(parts)) + list(part.owners[:draws - parts])] = 1.0
-    average /= average.sum(axis=0)
     near = part.V[rows, :, 1:]
     for row, orders in enumerate(_NEAR_MONOMIALS[:means.size]):
-        values = near_moments[orders[0] - 2]
+        values = moments[orders[0] - 2]
         if len(orders) == 2:
-            values = values * near_moments[orders[1] - 2]
-        np.subtract(values @ average, means[row], out=near[..., row])
-    mirrored = sorted(set(part.owners[draws - parts:]))
-    odd = [row for row in _ODD_NEAR if row < means.size]
-    near[:, np.array(mirrored, dtype=int)[:, None], odd] = 0.0
+            values = values * moments[orders[1] - 2]
+        np.subtract(values.reshape(len(shift), -1, part.count).mean(axis=1), means[row],
+                    out=near[..., row])
+    if part.mirrored:
+        near[..., [row for row in _ODD_NEAR if row < means.size]] = 0.0
 
 
 def _far_columns(part, shift, tiles, weights, space, work, rows):
@@ -592,8 +577,7 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
     at once, so that no block-sized moment is held.  A mirrored part's
     columns are the means over its pairs, the weights shared: those of its
     odd orders p are exactly 0, and the rest those of its drawn draws."""
-    table, weights, shift = part.table, weights[:, part.columns], shift[:, part.columns]
-    paths = np.ones(shift.shape[2])
+    table, paths = part.table, np.ones(shift.shape[2])
     orders = [(p, _TERM_ORDERS == p, table[_TERM_ORDERS == p]) for p in _ORDERS]
     far_terms = work.reshape(len(shift), len(_TERMS))
     for tile in tiles:
@@ -604,7 +588,7 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
         for p, terms, weights_of_terms in orders:
             if p > 2:
                 power *= z
-            if p % 2 and part.mirrors:
+            if p % 2 and part.mirrored:
                 far_terms[tile, terms] = 0.0
                 continue
             np.matmul(power, paths, out=moment)  # twice as fast as einsum here
@@ -626,20 +610,22 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
 
 def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     """Yield ``(k, rows, powers, weights)`` for scenario k, each but k a
-    list over the draw ``sets`` (:func:`_layout`): the set's trials
-    ``rows``; its per-(trial, column) power on the target sub-carrier, in
-    a buffer the next step overwrites, its drawn columns' and then, for a
-    mirrored set, their mirrors'; and its Exp(1) weights, 0 at a column
-    that draws none, a mirror's its source's, or None if none does.  Each
-    part's ``build`` writes a block's columns V into ``part.V``, its store
-    allocated here: the design [1, V] of the run, zero rows padding the
-    draws to a multiple of 8, which :func:`_by_fold` reads as it is.  The
-    arrays held at once are those :func:`block_bytes` counts.
+    list over the parts of the draw ``sets`` (:func:`_layout`), set by set:
+    its set's trials ``rows``; its per-(trial, column) power on the target
+    sub-carrier, in a buffer the next step overwrites, its columns' and
+    then, for a mirrored part, their mirrors'; and its columns' Exp(1)
+    weights, or None if none of them draws one.  Each part's ``build``
+    writes a block's columns V into ``part.V``, its store allocated here:
+    the design [1, V] of the run, zero rows padding the draws to a
+    multiple of 8, which :func:`_by_fold` reads as it is.  The arrays held
+    at once are those :func:`block_bytes` counts.
 
     Each block draws its sets in turn, a set's weights right after its
     shifts, the first set on every trial of the block and any after it on
-    min(block, 32) rows of their own (:data:`_TAIL_DRAWS`), so the sampler,
-    the kernel and the columns see a set's devices on its rows alone; the
+    min(block, 32) rows of their own (:data:`_TAIL_DRAWS`); each part then
+    copies its own columns out of its set's shifts, in its order, and the
+    set's array is let go, so the sampler, the kernel and the columns see
+    a part's devices on its set's rows alone, in a tile of their own; the
     columns do not depend on the scenario.  It then evaluates each scenario
     in turn, so no value depends on the group.  Path m of a device shifts
     by d_m = x z_m, x = V_max f_c T_s / c the scenario's span
@@ -653,16 +639,16 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     network cancels exactly.  The kernel is sized to each scenario's own
     span (:func:`numerics.sinc_squared`), a static scenario skips it for
     the exact values it would return, and each row's path sum is taken
-    within its tile, so neither the group nor the tile size changes a
-    value.  A mirrored set's mirrors are its columns at the shifts -z_m,
-    which follow the same law (Glasserman 2003, section 4.2): the sampler
-    draws only the columns, and the kernel gives the mirrors from the same
-    sines, bit for bit its values at the negated offsets, in its last
-    scratch tile.  The kernel runs in a workspace allocated once per
-    call: the offsets, output and scratch tiles, sized to the larger set's,
-    and one (rows, columns, paths) gap tile per set and distinct gap
-    vector; the path moments are taken tile by tile in the offsets tile, so
-    no block-sized z^p is ever formed.
+    within its tile, so neither the group, the part nor the tile size
+    changes a value.  A mirrored part's mirrors are its columns at the
+    shifts -z_m, which follow the same law (Glasserman 2003, section 4.2):
+    the sampler draws only the columns, and the kernel gives the mirrors
+    from the same sines, bit for bit its values at the negated offsets, in
+    its last scratch tile.  The kernel runs in a workspace allocated once
+    per call: the offsets, output and scratch tiles, sized to the largest
+    part's, and one (rows, columns, paths) gap tile per part and distinct
+    gap vector; the path moments are taken tile by tile in the offsets
+    tile, so no block-sized z^p is ever formed.
 
     Every estimator subtracts its zero-mean columns times cross-fitted
     slopes (Glasserman 2003, section 4.1; :func:`_fold_solver`), part by
@@ -670,65 +656,70 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     """
     paths = cell.paths_per_device
     spans = [cfg.doppler_span(mob.max_velocity_mps) for cfg, mob in scenarios]
-    rows_of = [min(plan.trials, ds.rows) for ds in sets]  # each set's rows a block, at most
-    for ds in sets:
+    parts = _parts(sets)
+    rows_of = [min(plan.trials, ds.rows) for ds, _ in parts]  # each part's rows a block, at most
+    columns = [ds.columns[part.columns] for ds, part in parts]  # each part's devices
+    for ds, part in parts:
         draws = ds.draws(plan.trials)
-        for part in ds.parts:
-            part.V = np.zeros((draws - draws % -_FOLDS, part.count, 1 + part.width))
-            part.V[:draws, :, 0] = 1.0
-    gaps = [[gap[ds.devices] for ds in sets] for gap in gaps]
-    # each set's powers and, if a column draws one, weights, 0 where none is
-    # drawn, and what its parts' builders hold across blocks
-    buffers = [np.zeros((1 + int(ds.weighted.any()), n, ds.width))
-               for n, ds in zip(rows_of, sets)]
-    held = [[np.empty(part.held * n) for part in ds.parts] for n, ds in zip(rows_of, sets)]
+        part.V = np.zeros((draws - draws % -_FOLDS, part.count, 1 + part.width))
+        part.V[:draws, :, 0] = 1.0
+    gaps = [[gap[devices] for devices in columns] for gap in gaps]
+    # each part's powers, each set's weights, 0 where none is drawn, if a
+    # column draws one, and what each part's builder holds across blocks
+    buffers = [np.zeros((n, devices.size * (1 + part.mirrored)))
+               for n, devices, (_, part) in zip(rows_of, columns, parts)]
+    set_weights = [np.zeros((min(plan.trials, ds.rows), ds.columns.size))
+                   if ds.weighted.any() else None for ds in sets]
+    held = [np.empty(part.held * n) for n, (_, part) in zip(rows_of, parts)]
     # the kernel's workspace, sized to the largest tile (the first of the
     # first block); the gaps come as full tiles because numpy adds a row
     # broadcast over the short path axis about three times slower
-    tile_shapes = [(row_tiles(n, ds.columns.size * paths)[0].stop, ds.columns.size, paths)
-                   for n, ds in zip(rows_of, sets)]
+    tile_shapes = [(row_tiles(n, devices.size * paths)[0].stop, devices.size, paths)
+                   for n, devices in zip(rows_of, columns)]
     workspace = _aligned_empty((4 * max((math.prod(shape) for shape in tile_shapes), default=0),))
     workspaces = [workspace[:4 * math.prod(shape)].reshape((4,) + shape) for shape in tile_shapes]
     gap_tiles, shared = [], {}
     for scenario_gaps, span in zip(gaps, spans):
         gap_tiles.append([])
-        for s, (gap, shape) in enumerate(zip(scenario_gaps, tile_shapes)):
-            key = (s, gap.tobytes())
+        for i, (gap, shape) in enumerate(zip(scenario_gaps, tile_shapes)):
+            key = (i, gap.tobytes())
             if span != 0.0 and key not in shared:
                 shared[key] = np.broadcast_to(gap[:shape[1], None], shape).copy()
             gap_tiles[-1].append(shared.get(key))
     key = shared = None  # the keys copy the gaps
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
-        draws = []
-        for s, (ds, buffer, space) in enumerate(zip(sets, buffers, workspaces)):
-            n = min(size, buffer.shape[1])
+        draws = []  # per part: its rows, shifts, tiles and weights
+        for ds, weights in zip(sets, set_weights):
+            n = min(size, ds.rows)
             shift = sample_cell_batch(rng, n, ds.columns.size, cell)
-            powers, weights = buffer[0, :n], None
-            if len(buffer) > 1:
-                weights, drawn = buffer[1, :n], ds.columns.size
-                weights[:, :drawn][:, ds.weighted] = rng.standard_exponential(
+            if weights is not None:
+                weights = weights[:n]
+                weights[:, ds.weighted] = rng.standard_exponential(
                     (n, np.count_nonzero(ds.weighted)))
-                if ds.mirrored:  # a mirror keeps its source's weight
-                    weights[:, drawn:] = weights[:, :drawn]
             rows = slice(block * ds.rows, block * ds.rows + n)  # every block but the last is full
-            tiles = row_tiles(n, ds.columns.size * paths)
-            for part, work in zip(ds.parts, held[s]):
-                part.build(part, shift, tiles, weights, space, work[:part.held * n], rows)
-            draws.append((rows, shift, tiles, powers, weights))
+            for part in ds.parts:
+                own = np.ascontiguousarray(shift[:, part.columns])
+                draws.append((rows, own, row_tiles(n, own.shape[1] * paths),
+                              weights[:, part.columns] if ds.weighted[part.columns].any()
+                              else None))
+            shift = own = None  # kept only by a part that holds the set's every column
+        for (_, part), (rows, shift, tiles, weights), space, work in zip(parts, draws, workspaces,
+                                                                          held):
+            part.build(part, shift, tiles, weights, space, work[:part.held * len(shift)], rows)
         for k, span in enumerate(spans):
-            for s, (_, shift, tiles, powers, _) in enumerate(draws):
+            for i, (_, shift, tiles, _) in enumerate(draws):
+                powers, drawn = buffers[i][:len(shift)], shift.shape[1]
                 if span == 0.0:
                     # what the kernel gives a static network: 1 on the centre, 0 off it
-                    powers[:] = gaps[k][s] == 0.0
+                    powers.reshape(len(shift), -1, drawn)[:] = gaps[k][i] == 0.0
                     continue
-                offsets, kernel, work = workspaces[s][0], workspaces[s][1], workspaces[s][2:]
-                drawn = shift.shape[1]
+                offsets, kernel, work = workspaces[i][0], workspaces[i][1], workspaces[i][2:]
                 for rows in tiles:
                     n = rows.stop - rows.start
                     offset = np.multiply(shift[rows], span, out=offsets[:n])
-                    gap = gap_tiles[k][s][:n]
-                    if sets[s].mirrored:  # the mirrors' powers from the same sines, in work[1]
+                    gap = gap_tiles[k][i][:n]
+                    if parts[i][1].mirrored:  # the mirrors' powers from the same sines, in work[1]
                         values, mirror = sinc_squared(gap, offset, span, kernel[:n], work[:, :n],
                                                       work[1, :n])
                         np.einsum("tdm->td", mirror, out=powers[rows, drawn:])
@@ -736,7 +727,9 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
                         values = sinc_squared(gap, offset, span, kernel[:n], work[:, :n])
                     np.einsum("tdm->td", values, out=powers[rows, :drawn])
                 powers /= paths
-            yield k, *([draw[i] for draw in draws] for i in (0, 3, 4))
+            yield (k, [draw[0] for draw in draws],
+                   [buffer[:len(draw[1])] for buffer, draw in zip(buffers, draws)],
+                   [draw[3] for draw in draws])
         draws = shift = None  # so that a block's draws never overlap the next one's
 
 
@@ -745,19 +738,19 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
 # ===========================================================================
 
 def _power_residuals(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
-    """Yield, for each scenario in turn, the residuals of each part record
-    of the draw ``sets`` (:func:`_layout`): a draw of a part gives the power
-    its columns deposit on the target sub-carrier, times P_T, less its
-    fitted columns (:func:`_fitted`)."""
-    samples = [{part: np.empty((ds.draws(plan.trials), 1)) for ds in sets for part in ds.parts}
+    """Yield, for each scenario in turn, the residuals of each part of the
+    draw ``sets`` (:func:`_layout`), a (draws, count) array: a draw of a
+    part record gives the power its columns deposit on the target
+    sub-carrier, times P_T, less its fitted columns (:func:`_fitted`)."""
+    parts = _parts(sets)
+    samples = [[np.empty((ds.draws(plan.trials), part.count)) for ds, part in parts]
                for _ in scenarios]
     for k, rows, powers, _ in _device_powers(plan, cell, scenarios, gaps, sets):
-        for ds, r, p in zip(sets, rows, powers):
-            for part in ds.parts:
-                samples[k][part][r] = p[:, part.columns].sum(axis=1, keepdims=True) \
-                    * scenarios[k][0].effective_power
+        for (_, part), sample, r, p in zip(parts, samples[k], rows, powers):
+            sample[r] = p.reshape(len(p), part.count, -1).sum(axis=2) \
+                * scenarios[k][0].effective_power
     powers = p = None  # let the last block go before the fit
-    fits = [_fitted(part.V, [y[part] for y in samples]) for part in samples[0]]
+    fits = [_fitted(part.V, [y[i] for y in samples]) for i, (_, part) in enumerate(parts)]
     for _ in scenarios:
         yield [next(fit) for fit in fits]
 
@@ -815,10 +808,11 @@ def _device_estimates(plan: TrialPlan, cfg: SystemConfig, cell: CellConfig,
     """The estimate of the power each device at sub-carrier distance
     ``gaps`` (index gaps times T_s df) deposits, less the fitted columns
     mean_m z_m^p - E[z^p], p = 2..6, of that device's own draws
-    (:func:`_fitted`), each device a part (:func:`_layout`)."""
+    (:func:`_fitted`), each device a part record of one part
+    (:func:`_layout`)."""
     sets = _layout("devices", gaps, cell.paths_per_device)
-    [residuals] = _power_residuals(plan, cell, [(cfg, mob)], [gaps], sets)
-    return [_reduce(values[:, 0]) for values in residuals]
+    [[residuals]] = _power_residuals(plan, cell, [(cfg, mob)], [gaps], sets)
+    return [_reduce(np.ascontiguousarray(values)) for values in residuals.T]
 
 
 def _by_fold(values: np.ndarray) -> np.ndarray:
@@ -901,25 +895,26 @@ def _fitted(store: np.ndarray, samples):
         yield _residuals(design, y, solve(cross)[..., 0])
 
 
-def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
-    """The capacity's (parts, trials, nodes) factor table at ``nodes``
-    (:func:`numerics.hamdi_factors`) in ``out``: a row for each near
-    device from its own draw, a row of ``faded``, and with ``far``, the
-    far devices' drawn interference of a draw set (the tail's a row, the
-    mid part's a row for its draw and one for its mirror), one for them.
-    Row i of ``faded`` after the near devices' is an extra draw or a
-    mirror of part owners[i], whose row becomes the mean of its draws'
-    factors: their tables are formed len(``scratch``) rows at a time and
-    added into the parts' rows, so no table of every draw is held.  The
-    mid part's row is likewise the mean of its draw's e^(-t a) and its
-    mirror's.
+def _part_factors(part, powers, weights, state, out, scratch):
+    """Capacity part ``part``'s (count, trials, nodes) factor table on
+    ``state``'s rule (:func:`numerics.hamdi_factors`) in ``out``, from its
+    columns' ``powers``, which it overwrites: a near part's row for each of
+    its devices, 1 / (1 + t b), b the device's faded power over the noise,
+    the target's C its row times its SNR u; a far-style part's one row,
+    e^(-t a), a its columns' drawn interference over the noise, their
+    powers times their ``weights``.  A mirrored part's rows are the means
+    over its draws and their mirrors: the tables of its draws past its
+    first ``count`` rows, round by round and then their mirrors', are
+    formed in ``scratch`` and added in, so no table of every draw is held.
+    A static scenario forms the target's row alone (``out`` holding one
+    row): every other factor is exactly 1.
 
-    With a ``surrogate`` (a moving scenario's, :func:`_surrogates`), each
-    row subtracts, at every node t of its window, a surrogate of its draws
-    less its exact mean, which keeps the row's mean.  A neighbour at index
-    gap +-1 subtracts at slope 1 the mean over its pairs of S + r x^2 T + g
-    U less h_M(c) + r x^2 tau_M(c) + g upsilon_M(c)
-    (:func:`numerics.moment_reciprocal_mean`,
+    With a ``surrogate`` (a moving scenario's, :func:`_surrogates`), a
+    mirrored part subtracts, at every node t of its window, twice each of
+    its pairs' surrogates less their exact mean, which keeps its row's
+    mean.  A neighbour at index gap +-1 subtracts at slope 1 the mean over
+    its pairs of S + r x^2 T + g U less h_M(c) + r x^2 tau_M(c) + g
+    upsilon_M(c) (:func:`numerics.moment_reciprocal_mean`,
     :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`),
     with c = t SNR x^2 / q^2, r = pi^2 / 3 - 3 / q^2, S = 1 / (1 + c m_2),
     T = c m_4 S^2 and U = c^2 m_3^2 S^3 of the pair's path moments m_p,
@@ -936,18 +931,29 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
     leading order sinc^2(n q + x z) = sin^2(pi x z) / (pi n q)^2.  Each
     surrogate follows its factor where that factor is far from polynomial
     in the path moments, and the columns then fit what is left."""
-    near = len(faded) - len(owners)
-    table = hamdi_factors(nodes, faded[:near], None if far is None else far[0], out)
-    step = max(len(scratch), 1)
-    for start in range(0, len(owners), step):
-        rows = faded[near + start:near + start + step]
-        for part, factors in zip(owners[start:], hamdi_factors(nodes, rows,
-                                                               out=scratch[:len(rows)])):
-            table[part] += factors
-    if far is not None and len(far) == 2:  # the mid part's draw and its mirror
-        table[-1] += hamdi_factors(nodes, faded[:0], far[1], scratch[:1])[0]
-        table[-1] /= 2.0
-    if surrogate is not None:
+    nodes, surrogate, trials = state.rule[0], state.surrogate, len(powers)
+    if part.build is _far_columns:
+        # the drawn interference of its columns, then of their mirrors, a row each
+        powers = powers.reshape(trials, -1, weights.shape[1])
+        powers *= weights[:, None]
+        draws = powers.sum(axis=2).T
+        draws *= state.snr
+        table = hamdi_factors(nodes, draws[:0], draws[0], out)
+        for far in draws[1:]:
+            table += hamdi_factors(nodes, draws[:0], far, scratch[:1])
+    else:
+        draws = powers.T  # a row a column: its rounds of draws, then their mirrors
+        draws *= state.snr
+        table = hamdi_factors(nodes, draws[:len(out)], out=out)
+        for start in range(part.count, len(draws), part.count):
+            table += hamdi_factors(nodes, draws[start:start + part.count],
+                                   out=scratch[:part.count])
+        if not part.mirrored:  # the target's part, the target first: C is u times its row
+            table[0] *= draws[0][:, None]
+    if not part.mirrored:
+        return table
+    pairs = len(draws) // (2 * len(table))
+    if surrogate is not None and part.build is _near_columns:
         # each neighbour's surrogates, a pair at a time: with v = 1 / c,
         # twice a pair's surrogate less 1 is N / (m_2 + v)^3, N = -2 m_2^3 +
         # (A m_2 - 4 m_2^2 + B) v + (A - 2 m_2) v^2, A = 2 r x^2 m_4 and B =
@@ -957,7 +963,7 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
         # row, contiguous, takes the quotient (v <= 1e100 on the window, so
         # v^3 stays finite); the row then adds back twice its pairs' count
         # times the mean less 1.
-        window, trials = surrogate.window, faded.shape[1]
+        window = surrogate.window
         cube, numerator = scratch[:2]
         basis, lines = np.zeros((4, nodes.size)), np.zeros((2, trials, 4))
         basis[:, window] = np.reciprocal(nodes[window] * surrogate.scale) \
@@ -966,41 +972,37 @@ def _part_factors(nodes, faded, far, owners, out, scratch, surrogate=None):
         lines[0, :, 3] = 1.0
         mean = np.zeros(nodes.size)
         mean[window] = surrogate.mean
-        second, third, fourth = surrogate.moments[:3]
-        owner = list(range(near)) + list(owners)
-        for part in sorted({owner[d] for d in surrogate.draws}):
-            draws = [d for d in surrogate.draws if owner[d] == part]
-            for draw in draws:
-                m2 = second[:, draw]
-                square = m2 * m2
-                even = (2.0 * surrogate.even) * fourth[:, draw]
-                np.multiply(square, m2, out=lines[0, :, 0])
-                np.multiply(square, 3.0, out=lines[0, :, 1])
-                np.multiply(m2, 3.0, out=lines[0, :, 2])
-                lines[1, :, 0] = -2.0 * lines[0, :, 0]
-                lines[1, :, 1] = even * m2 - 4.0 * square \
-                    + (2.0 * surrogate.odd) * third[:, draw] ** 2
-                lines[1, :, 2] = even - 2.0 * m2
-                np.matmul(lines[0], basis, out=cube)
-                np.matmul(lines[1], basis, out=numerator)
-                numerator /= cube
-                table[part] -= numerator
-            table[part] += (2.0 * len(draws)) * mean
-        far_window = surrogate.far_window
-        if far is not None and far_window.stop > far_window.start:
-            width = far_window.stop - far_window.start
-            factors = hamdi_factors(nodes[far_window], faded[:0], surrogate.far,
-                                    scratch.reshape(-1)[:trials * width].reshape(1, trials, width))
-            factors[0] -= surrogate.far_mean
-            factors[0] *= surrogate.far_slope
-            table[-1, :, far_window] -= factors[0]
-    for part in set(owners):
-        table[part] /= owners.count(part) + 1
+        second, third, fourth = part.moments[:3]
+        for draw in range(second.shape[1]):
+            m2 = second[:, draw]
+            square = m2 * m2
+            even = (2.0 * surrogate.even) * fourth[:, draw]
+            np.multiply(square, m2, out=lines[0, :, 0])
+            np.multiply(square, 3.0, out=lines[0, :, 1])
+            np.multiply(m2, 3.0, out=lines[0, :, 2])
+            lines[1, :, 0] = -2.0 * lines[0, :, 0]
+            lines[1, :, 1] = even * m2 - 4.0 * square \
+                + (2.0 * surrogate.odd) * third[:, draw] ** 2
+            lines[1, :, 2] = even - 2.0 * m2
+            np.matmul(lines[0], basis, out=cube)
+            np.matmul(lines[1], basis, out=numerator)
+            numerator /= cube
+            table[draw % len(table)] -= numerator
+        table += (2.0 * pairs) * mean
+    elif surrogate is not None and surrogate.far_window.stop > surrogate.far_window.start:
+        window = surrogate.far_window
+        width = window.stop - window.start
+        factors = hamdi_factors(nodes[window], draws[:0], part.m2 * surrogate.far_scale,
+                                scratch.reshape(-1)[:trials * width].reshape(1, trials, width))
+        factors[0] -= surrogate.far_mean
+        factors[0] *= 2.0 * surrogate.far_slope
+        table[0, :, window] -= factors[0]
+    table /= 2.0 * pairs
     return table
 
 
 def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
-    """Each scenario's surrogates of the main draw set ``ds``
+    """Each scenario's surrogates of the parts of the main draw set ``ds``
     (:func:`_part_factors`) on the nodes t of its state's rule, c = t SNR
     x^2 / q^2, x its Doppler span and q = T_s df (:data:`_SURROGATE_NODES`):
     for the neighbours at index gap +-1, their ``window``, the slice of the
@@ -1019,7 +1021,7 @@ def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
     The means are formed in one pass over the group's windows laid end to
     end, each value from its own node and scenario alone, so that a
     scenario keeps its bits in any group."""
-    mid = ds.parts[-1].gaps if len(ds.parts) > 1 else np.zeros(0)
+    mid = np.zeros(0) if ds.parts[-1].gaps is None else ds.parts[-1].gaps
     gaps, counts = np.unique(abs(mid), return_counts=True)
     floor, least, reach = _SURROGATE_NODES
     spans = [c.doppler_span(m.max_velocity_mps) for c, m in scenarios]
@@ -1027,7 +1029,7 @@ def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
               for (c, _), state, span in zip(scenarios, states, spans)]
     windows = {}  # per kept scenario: its nodes, then the near and mid windows
     for k, scale in enumerate(scales):
-        if not (ds.parts[0].proxied and 0.0 < scale <= HAMDI_MAX_SCALE):
+        if not (len(ds.parts) > 1 and 0.0 < scale <= HAMDI_MAX_SCALE):
             continue
         t = states[k].rule[0]
         stop = int(np.searchsorted(t, reach, "right"))
@@ -1068,23 +1070,11 @@ def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
     edges, mid_edges = np.cumsum([0] + widths).tolist(), np.cumsum([0] + mid_widths).tolist()
     for i, k in enumerate(kept):
         found[k] = SimpleNamespace(
-            draws=ds.parts[0].proxied, window=near[i], scale=scales[k], even=even[i],
-            odd=odd[i], mean=mean[edges[i]:edges[i + 1]], far_window=mid[i],
-            far_scale=far_scales[i], far_slope=slope[mid_edges[i]:mid_edges[i + 1]],
+            window=near[i], scale=scales[k], even=even[i], odd=odd[i],
+            mean=mean[edges[i]:edges[i + 1]], far_window=mid[i], far_scale=far_scales[i],
+            far_slope=slope[mid_edges[i]:mid_edges[i + 1]],
             far_mean=far_mean[mid_edges[i]:mid_edges[i + 1]])
     return found
-
-
-def _scratch_rows(ds: _DrawSet) -> int:
-    """Rows of scratch the capacity's factor tables of draw set ``ds`` take
-    (:func:`_part_factors`): two for the surrogates of the neighbours at
-    index gap +-1, a pair's numerator and denominator on the whole rule,
-    which also take the tables of their extra draws and mirrors two at a
-    time, and at least one for the mid part's mirror and surrogate."""
-    near = [part for part in ds.parts if part.build is _near_columns]
-    if not near:
-        return 0
-    return max(2 * bool(near[0].proxied), len(ds.parts) - 1)
 
 
 def _all_but_each(means: np.ndarray) -> np.ndarray:
@@ -1104,42 +1094,6 @@ def capacity_snr(cfg: SystemConfig) -> float:
         raise ValueError(f"noise_variance, effective_power: the capacity needs positive noise "
                          f"and P_T / noise at most {HAMDI_MAX_SCALE!r}; got {snr!r}")
     return snr
-
-
-def _set_factors(ds: _DrawSet, powers, weights, state, out) -> np.ndarray:
-    """Draw set ``ds``'s (parts, trials, nodes) factor table on ``state``'s
-    rule in ``out`` (:func:`_part_factors`), from its columns' ``powers``,
-    which it overwrites: a row for each near part from the faded powers of
-    its draws and their mirrors, the target's C its row times its SNR u,
-    and one for a far part from the drawn interference of its columns and
-    of their mirrors; in the main set of a moving scenario, less their
-    surrogates (:func:`_surrogates`).  A static scenario gets the target's
-    row alone: every other factor is exactly 1."""
-    near = [part for part in ds.parts if part.build is _near_columns]
-    if not state.moving:
-        faded = powers[:, :1] * state.snr  # the target is the set's first column
-        table = hamdi_factors(state.rule[0], faded.T, out=out[:1])
-        table[0] *= faded[:, 0, None]
-        return table
-    faded = powers[:, near[0].columns + near[0].mirrors if near else []]
-    faded *= state.snr
-    faded = faded.T  # u, the b_j, extras, mirrors
-    interference = surrogate = None
-    if weights is not None:  # the set's last part is a far one, over its weighted columns
-        powers *= weights  # 0 at the near devices and the extra draws
-        far = ds.parts[-1]
-        interference = np.array([powers[:, columns].sum(axis=1) for columns
-                                 in [far.columns] + ([far.mirrors] if far.mirrors else [])])
-        interference *= state.snr
-    if near and state.surrogate is not None:
-        surrogate = SimpleNamespace(**vars(state.surrogate), moments=near[0].moments)
-        if interference is not None:
-            surrogate.far = ds.parts[-1].m2 * surrogate.far_scale
-    table = _part_factors(state.rule[0], faded, interference, near[0].owners if near else [],
-                          out[:ds.count], out[ds.count:], surrogate)
-    if near:
-        table[0] *= faded[0][:, None]  # C is u times its row
-    return table
 
 
 def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
@@ -1180,7 +1134,9 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     100 m/s.  Half of each +-1 neighbour's R draws are the mirrors of the
     others, and the mid part is drawn once a trial and mirrored with the
     same Exp(1) weights, its factor the mean of e^(-t a(z)) and
-    e^(-t a(-z)) (:func:`_layout`).  The kernel forms each mirror from its
+    e^(-t a(-z)) (:func:`_layout`); the target, the +-2 neighbours and
+    the tail are not mirrored, and the kernel evaluates each part on a
+    tile of its own columns.  The kernel forms each mirror from its
     source's sines (:func:`numerics.sinc_squared`), a mirrored part's
     columns are the means over its pairs, exactly 0 where odd in the
     shifts (:func:`_near_columns`, :func:`_far_columns`), and each pair's
@@ -1251,9 +1207,9 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     """
     scenarios, single = _group(cfg, mob)
     # per scenario: its SNR, rule, whether it moves and its surrogates; from
-    # its first block, per draw set its factor sums, and if it moves its
-    # first factors, node weights and influences, and per part its node
-    # sums; then its controlled mean and each part's slopes
+    # its first block, per part its factor sums, and if it moves its first
+    # factors, node weights, influences and node sums; then its controlled
+    # mean and each part's slopes
     states = [SimpleNamespace(snr=(snr := capacity_snr(c)), rule=hamdi_rule(snr), sums={},
                               slopes={}, moving=c.doppler_span(m.max_velocity_mps) != 0.0,
                               first=[], node_weights=[], influences=[])
@@ -1264,29 +1220,38 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     for state, surrogate in zip(states, _surrogates(sets[0], scenarios, states,
                                                     cell.paths_per_device)):
         state.surrogate = surrogate
+    parts = _parts(sets)
+    # the part records' means multiply in one fixed order, the near
+    # devices' (the target, then index gaps -2, -1, 1 and 2) and then the
+    # far parts', whatever the order of the parts
+    near = _near_devices(plan.target_index + n, 2 * n + 1)
+    devices = [d for ds, part in parts for d in ds.columns[part.columns][:part.count].tolist()]
+    order = sorted(range(len(devices)),
+                   key=lambda i: near.index(devices[i]) if devices[i] in near else i)
     grams = {part: np.zeros((part.count, _FOLDS, part.width + 1, part.width + 1))
-             for ds in sets for part in ds.parts}  # keyed by each part, in order
+             for _, part in parts}  # keyed by each part, in order
     moving = any(state.moving for state in states)
-    # each set's factor table, then its scratch rows
-    heights = [ds.count + _scratch_rows(ds) for ds in sets]
-    nodes = max(state.rule[0].size for state in states)
+    scratch_rows, nodes = _scratch_rows(sets), max(state.rule[0].size for state in states)
     for k, rows, powers, weights in _device_powers(plan, cell, scenarios, gaps, sets):
         state, last = states[k], rows[0].stop == plan.trials
         if k == 0:
-            for ds, r in zip(sets, rows):
-                for part in ds.parts if moving else ():
-                    grams[part] += _fold_sums(part.V[r], part.V[r].transpose(1, 0, 2))
+            for (_, part), r in zip(parts, rows) if moving else ():
+                grams[part] += _fold_sums(part.V[r], part.V[r].transpose(1, 0, 2))
             if last and moving:
                 solvers = {part: _fold_solver(gram) for part, gram in grams.items()}
-            tables = [_aligned_empty((height * min(plan.trials, ds.rows) * nodes,))
-                      for height, ds in zip(heights, sets)]  # let go with the block
-        # a static scenario forms the main set's table, the target's row
-        # alone: the other factors are exactly 1, and its fold sums, slopes
-        # and influences exactly 0
-        used = sets if state.moving else sets[:1]
-        table = [_set_factors(ds, p, w, state, out[:height * len(p) * state.rule[0].size]
-                              .reshape(height, len(p), -1))
-                 for ds, p, w, height, out in zip(used, powers, weights, heights, tables)]
+            # each part's factor table, and the scratch rows; let go with the block
+            tables = [_aligned_empty((part.count * len(p) * nodes,))
+                      for (_, part), p in zip(parts, powers)]
+            scratch = _aligned_empty((scratch_rows * len(powers[0]) * nodes,))
+        # a static scenario forms the target's row alone: the other factors
+        # are exactly 1, and its fold sums, slopes and influences exactly 0
+        used, size = (parts if state.moving else parts[:1]), state.rule[0].size
+        table = [_part_factors(part, p, w, state,
+                               out[:part.count * len(p) * size].reshape(part.count, len(p), size)
+                               [:part.count if state.moving else 1],
+                               scratch[:scratch_rows * len(p) * size]
+                               .reshape(scratch_rows, len(p), size))
+                 for (_, part), p, w, out in zip(used, powers, weights, tables)]
         column_sums = [np.ones(t.shape[1]) @ t for t in table]
         if rows[0].start == 0:
             state.totals = [np.zeros_like(sums) for sums in column_sums]
@@ -1295,45 +1260,43 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
                 [sums / t.shape[1] for sums, t in zip(column_sums, table)])) * state.rule[1]
             state.node_weights = np.split(node_weights, np.cumsum([len(t) for t in table])[:-1])
             state.first = [t[:, 0].copy() for t in table]
-            state.influences = [np.empty((ds.draws(plan.trials), ds.count)) for ds in sets]
+            state.influences = [np.empty((ds.draws(plan.trials), part.count))
+                                for ds, part in parts]
         for totals, column_sum in zip(state.totals, column_sums):
             totals += column_sum
-        # per set its factors less the first trial's, which leaves the
+        # per part its factors less the first trial's, which leaves the
         # influences and the node sums the digits of their spread and equal
-        # factors exactly 0; after the last block, each part's mean
-        # controlled at every node and its influences' slopes
-        for ds, t, f, totals, node_weights, y, r in zip(
-                sets, table, state.first, state.totals, state.node_weights,
+        # factors exactly 0; after the last block, its mean controlled at
+        # every node and its influences' slopes
+        for (_, part), t, f, totals, node_weights, y, r in zip(
+                parts, table, state.first, state.totals, state.node_weights,
                 state.influences, rows):
             t -= f[:, None]
             y[r] = (t @ node_weights[..., None])[..., 0].T
-            for part in ds.parts:
-                sums = _fold_sums(part.V[r], t[part.local])
-                if state.sums.setdefault(part, sums) is not sums:  # kept from the first block
-                    state.sums[part] += sums
-                sums = None  # one part's sums or slopes at most besides those kept
-                if last:  # per part, fold, column and node, in its node sums' place
-                    beta = solvers[part](state.sums.pop(part))
-                    # row 0 of a gram: the fold's draw count and column sums
-                    totals[part.local] -= np.einsum("ifs,ifsn->in", grams[part][..., 0, :], beta)
-                    state.slopes[part] = np.einsum("ifsn,in->ifs", beta, node_weights[part.local])
+            sums = _fold_sums(part.V[r], t)
+            if state.sums.setdefault(part, sums) is not sums:  # kept from the first block
+                state.sums[part] += sums
+            sums = None  # one part's sums or slopes at most besides those kept
+            if last:  # per part, fold, column and node, in its node sums' place
+                beta = solvers[part](state.sums.pop(part))
+                # row 0 of a gram: the fold's draw count and column sums
+                totals -= np.einsum("ifs,ifsn->in", grams[part][..., 0, :], beta)
+                state.slopes[part] = np.einsum("ifsn,in->ifs", beta, node_weights)
         if last:
-            state.mean = state.rule[1] @ np.prod(np.concatenate(
-                [totals / ds.draws(plan.trials) for totals, ds in zip(state.totals, used)]), axis=0)
+            means = np.concatenate([totals / ds.draws(plan.trials)
+                                    for totals, (ds, _) in zip(state.totals, used)])
+            state.mean = state.rule[1] @ np.prod(means[order[:len(means)]], axis=0)
             beta = None  # the last part's slopes
         if k == len(scenarios) - 1:
-            tables = table = t = None
+            tables = table = t = scratch = None
     # let the last block, its builders' buffers and the grams go before the fit
     powers = weights = grams = solvers = None
-    for part in (part for ds in sets for part in ds.parts):
+    for _, part in parts:
         part.m2 = part.moments = None
     estimates = []
     for state in states:
-        residuals = [np.empty_like(y) for y in state.influences]
-        for ds, res, y in zip(sets, residuals, state.influences):
-            for part in ds.parts:
-                res[:, part.local] = _residuals(_by_fold(part.V), y[:, part.local],
-                                                state.slopes[part])
+        residuals = [_residuals(_by_fold(part.V), y, state.slopes[part])
+                     for (_, part), y in zip(parts, state.influences)]
         estimates.append(Estimate(LOG2_E * float(state.mean), LOG2_E * _std_error(residuals),
                                   plan.trials))
     return estimates[0] if single else estimates

@@ -107,27 +107,30 @@ def test_power_modes_share_a_mean():
     # the interference the capacity estimator sees, the interferers'
     # coherent powers, against the conditional-mean estimator: the main
     # draws' per trial plus the tail's per tail draw, two independent means;
-    # the drawn columns alone, each device once (N = 24 takes one pair of
-    # each neighbour at index gap +-1, so no extra draw), not their mirrors
+    # each part's drawn columns alone, each device once (N = 24 takes one
+    # pair of each neighbour at index gap +-1, so no further round), not
+    # their mirrors
     plan = TrialPlan(trials=30000, seed=8)
     incoherent = estimate_total_ici(plan, CFG, CELL, MOB)
     gaps = subcarrier_gaps(plan.target_index, CFG.half_subcarriers,
                            CFG.spacing_symbol_product)
     sets = montecarlo._layout("capacity", subcarrier_gaps(plan.target_index, CFG.half_subcarriers),
                               CELL.paths_per_device)
-    samples = [np.empty(ds.draws(plan.trials)) for ds in sets]
-    near = sets[0].parts[0]
-    neighbours = near.columns[1:near.count]
+    samples = [np.zeros(ds.draws(plan.trials)) for ds in sets]
     own_draws = np.random.default_rng(108)
     for _, rows, powers, weights in montecarlo._device_powers(plan, CELL, [(CFG, MOB)],
                                                               [gaps], sets):
-        # the estimator averages the near neighbours' fading and draws them
-        # no weight, so they get weights of their own here
-        weights = [w.copy() for w in weights]
-        weights[0][:, neighbours] = own_draws.standard_exponential((len(weights[0]), 4))
-        for ds, sample, r, p, w in zip(sets, samples, rows, powers, weights, strict=True):
-            drawn = ds.columns.size
-            sample[r] = (p[:, :drawn] * w[:, :drawn]).sum(axis=1) * CFG.effective_power
+        for (ds, part), r, p, w in zip(montecarlo._parts(sets), rows, powers, weights,
+                                       strict=True):
+            drawn = p[:, :p.shape[1] // (1 + part.mirrored)]
+            if part.build is montecarlo._near_columns:
+                # the estimator averages the near neighbours' fading and
+                # draws them no weight, so they get weights of their own
+                # here
+                w = own_draws.standard_exponential(drawn.shape)
+                if not part.mirrored:
+                    w[:, 0] = 0.0  # the target, first of its part, is no interferer
+            samples[sets.index(ds)][r] += (drawn * w).sum(axis=1) * CFG.effective_power
     main, tail = (montecarlo._reduce(sample) for sample in samples)
     coherent = Estimate(main.mean + tail.mean, math.hypot(main.std_error, tail.std_error),
                         plan.trials)
@@ -242,7 +245,8 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # variate.  fig4's 500 Hz curve (N = 199) is the one pin where the
 # capacity draws its neighbours at index gap +-1 in more than one mirrored
 # pair (R = 12, six pairs; every other moving capacity pin takes one pair
-# and mirrors its mid part); it and the default band (N = 24) draw a tail
+# and mirrors its mid part, and none mirrors the target or the +-2
+# neighbours); it and the default band (N = 24) draw a tail
 # beyond index gap 10, which the 3 GHz edge pin (N = 5, index gaps -1..9)
 # does not.  Both interference
 # pins draw a tail beyond index gap 3.  The one-path pin keeps 5 near
@@ -253,13 +257,13 @@ PINNED = {
     "ici": ("0x1.f47f874bc89dap-8", "0x1.c39470393c323p-33"),  # 0.007637 +- 2.05e-10
     "ici_edge_3ghz": ("0x1.3578814943b26p-7", "0x1.ecf8264774297p-30"),  # 0.0094443 +- 1.79e-09
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a12f6004ca64p+2", "0x1.42726bc4b4979p-18"),  # 5.15741 +- 4.8e-06
-    "capacity_edge_3ghz": ("0x1.451ab0e754e46p+2", "0x1.7ed60504bb693p-17"),  # 5.07975 +- 1.14e-05
-    "capacity_500hz": ("0x1.35ec479e28ddap+1", "0x1.726bcaf826127p-13"),  # 2.42127 +- 0.000177
+    "capacity": ("0x1.4a12f6004ca64p+2", "0x1.42726bc4b4a7fp-18"),  # 5.15741 +- 4.8e-06
+    "capacity_edge_3ghz": ("0x1.451ab0e754e46p+2", "0x1.7ed60504bb6c2p-17"),  # 5.07975 +- 1.14e-05
+    "capacity_500hz": ("0x1.35ec479e28ddap+1", "0x1.726bcaf82611dp-13"),  # 2.42127 +- 0.000177
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
-    "capacity_one_path": ("0x1.4bae5e017859ap+2", "0x1.dafcacff6b2f8p-18"),  # 5.18252 +- 7.08e-06
-    "capacity_n2": ("0x1.535bbc25daa56p+2", "0x1.0bc4544cfd4e1p-18"),  # 5.30247 +- 3.99e-06
+    "capacity_one_path": ("0x1.4bae5e017859ap+2", "0x1.dafcacff6b352p-18"),  # 5.18252 +- 7.08e-06
+    "capacity_n2": ("0x1.535bbc25daa56p+2", "0x1.0bc4544cfd4b6p-18"),  # 5.30247 +- 3.99e-06
     "ici_n2": ("0x1.8754b4301fdb3p-8", "0x1.ca5656a48bbd3p-33"),  # 0.00597124 +- 2.08e-10
 }
 
@@ -382,9 +386,10 @@ def test_the_scenarios_of_a_block_allocate_no_tile(coherent):
     gaps = [subcarrier_gaps(0, CFG.half_subcarriers)] * len(cfgs)
     paths = CELL.paths_per_device
     sets = montecarlo._layout("capacity" if coherent else "interference", gaps[0], paths)
-    # the largest tile of a draw set, which the kernel's workspace holds
-    tile_bytes = max(numerics.row_tiles(ds.rows, ds.columns.size * paths)[0].stop
-                     * ds.columns.size * paths * 8 for ds in sets)
+    # the largest tile of a part, which the kernel's workspace holds
+    tile_bytes = max(numerics.row_tiles(ds.rows, size * paths)[0].stop * size * paths * 8
+                     for ds, part in montecarlo._parts(sets)
+                     for size in [ds.columns[part.columns].size])
     scenarios = montecarlo._device_powers(TrialPlan(trials=256, seed=27), CELL,
                                           list(zip(cfgs, mobs)), gaps, sets)
     tracemalloc.start()
@@ -409,11 +414,11 @@ def test_block_bytes_bounds_what_the_blocks_hold(half_subcarriers, paths, cohere
     # runs whole, the capacity at 20 dB, whose factor tables outweigh the
     # sampler's scratch at N = 5 and 40; without its per-trial allowance
     # held across blocks the bound fails at N = 2000.  The bound adds what
-    # the run keeps, draw set by draw set: each part's store [1, V], its
-    # draws padded to a multiple of 8, and per draw each scenario's sample
-    # a part (a tail's on its own draws), and for the capacity per scenario
-    # the fold sums of [1, V] times the factors on the rule's nodes and
-    # three vectors a part.
+    # the run keeps, part by part: its store [1, V], its draws padded to a
+    # multiple of 8, and per draw each scenario's sample a part record (a
+    # tail's on its own draws), and for the capacity per scenario the fold
+    # sums of [1, V] times the factors on the rule's nodes and three
+    # vectors a part record.
     cfg = SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0)
     cell = CellConfig(paths_per_device=paths)
     plan = TrialPlan(trials=600, seed=3)
@@ -440,11 +445,12 @@ def test_block_bytes_bounds_what_the_blocks_hold(half_subcarriers, paths, cohere
     bound = montecarlo.block_bytes(devices, paths,
                                    cfg.effective_power / cfg.noise_variance if coherent else None)
     nodes = numerics.hamdi_rule(100.0)[0].size if coherent else 0
-    for ds in montecarlo._layout("capacity" if coherent else "interference",
-                                 subcarrier_gaps(0, half_subcarriers), paths):
-        draws = ds.draws(plan.trials)
-        bound += 8 * (-(-draws // 8) * 8 * ds.design + draws * ds.count * len(mobs)
-                      + len(mobs) * nodes * (8 * ds.design + 3 * ds.count))
+    for ds, part in montecarlo._parts(montecarlo._layout(
+            "capacity" if coherent else "interference", subcarrier_gaps(0, half_subcarriers),
+            paths)):
+        draws, design = ds.draws(plan.trials), part.count * (part.width + 1)
+        bound += 8 * (-(-draws // 8) * 8 * design + draws * part.count * len(mobs)
+                      + len(mobs) * nodes * (8 * design + 3 * part.count))
     assert 0.9 * bound <= peak <= bound, peak / bound
 
 
@@ -471,11 +477,12 @@ def test_run_bytes_bounds_what_a_run_holds(trials, scenarios, coherent):
 
 
 def _shapes(sets):
-    # what the byte counts read of a layout: per draw set its columns, rows
-    # and powers' width (its mirrors), and per part its parts, width and the
-    # doubles a row its builder holds
-    return [(ds.columns.tolist(), ds.rows, ds.width,
-             [(p.count, p.width, p.held) for p in ds.parts]) for ds in sets]
+    # what the byte counts read of a layout: per draw set its columns and
+    # rows, and per part its devices, parts, width, the doubles a row its
+    # builder holds and whether it is mirrored
+    return [(ds.columns.tolist(), ds.rows,
+             [(ds.columns[p.columns].tolist(), p.count, p.width, p.held, p.mirrored)
+              for p in ds.parts]) for ds in sets]
 
 
 @pytest.mark.parametrize("paths", [1, 8])
@@ -483,73 +490,71 @@ def _shapes(sets):
 def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, monkeypatch):
     # each estimator's draw sets at the centre and both band edges, over two
     # blocks, one partial: the devices drawn cover the band once (the
-    # interference draws no target), the capacity's extra draws repeat its
-    # neighbours at index gap +-1 alone, each a draw of that neighbour's
-    # part, its main set is mirrored whole unless it holds the target
-    # alone, each mirror a column of its source's device and weight, and its
-    # near parts' mirrors are those of their draws at index gap +-1, each of
-    # its draw's part, and its mid part's those of its columns; every
-    # block's rows, powers and weights have their set's shape, and each
-    # part's store has its rows, parts and width; at the centre,
-    # block_bytes and run_bytes count those same records
+    # interference draws no target), but for the capacity's further rounds
+    # of its neighbours at index gap +-1; each set's parts split its
+    # columns, the capacity's the target's and the +-2 neighbours', the +-1
+    # neighbours' P rounds of draws, each round the two in turn, the mid
+    # devices' and the tail's, and only the +-1 neighbours' and the mid
+    # part are mirrored; every block's rows, powers and weights have their
+    # part's shape, a weight for each column beyond index gap 2 of the
+    # capacity alone, and each part's store has its rows, parts and
+    # width; at the centre, block_bytes and run_bytes count those same
+    # records
     devices, cell = 2 * half_subcarriers + 1, CellConfig(paths)
     plan, layout = TrialPlan(trials=300, seed=41), montecarlo._layout
     static = (SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0),
               MobilityModel(0.0))
     for target in sorted({-half_subcarriers, 0, half_subcarriers}):
         index_gaps = subcarrier_gaps(target, half_subcarriers)
+        far = abs(index_gaps)
         for estimator in ("interference", "capacity", "devices"):
             sets = layout(estimator, index_gaps, paths)
-            extra = [ds.columns[part.columns[part.count:]] if part.owners else []
-                     for ds in sets for part in ds.parts]
-            drawn = np.concatenate([ds.columns for ds in sets] + [[]]).astype(int)
-            repeats = np.concatenate(extra + [[]]).astype(int)
-            kept = np.flatnonzero(index_gaps != 0.0) if estimator == "interference" \
-                else np.arange(devices)
-            assert sorted(drawn) == sorted(kept.tolist() + repeats.tolist())
-            assert np.all(abs(index_gaps[repeats]) == 1.0)
-            for s, ds in enumerate(sets):
-                mirrored = estimator == "capacity" and s == 0 and devices > 1
-                assert ds.mirrored == mirrored
-                assert np.array_equal(ds.devices, np.tile(ds.columns, 1 + mirrored))
-                assert ds.width == ds.devices.size
-                for part in (part for part in ds.parts if part.owners):
-                    # extra draw i repeats the device of part owners[i]; the
-                    # mirrors follow, one for each draw at index gap +-1
-                    rounds = len(part.columns) - part.count
-                    assert np.array_equal(ds.columns[part.columns[part.count:]],
-                                          ds.columns[[part.columns[i]
-                                                      for i in part.owners[:rounds]]])
-                    owner = list(range(part.count)) + list(part.owners[:rounds])
-                    ones = [d for d, c in enumerate(part.columns)
-                            if abs(index_gaps[ds.columns[c]]) == 1.0]
-                    assert part.proxied == ones
-                    assert part.owners[rounds:] == [owner[d] for d in ones]
-                    assert part.mirrors == [ds.columns.size + part.columns[d] for d in ones]
-                for part in ds.parts[1:] if mirrored else ():
-                    assert np.array_equal(ds.devices[part.mirrors], ds.columns[part.columns])
-                assert np.array_equal(ds.weighted, (abs(index_gaps[ds.columns]) > 2.0)
+            parts = montecarlo._parts(sets)
+            for ds in sets:
+                split = np.concatenate([np.arange(ds.columns.size)[part.columns]
+                                        for part in ds.parts])
+                assert sorted(split) == list(range(ds.columns.size))
+                assert np.array_equal(ds.weighted, (far[ds.columns] > 2.0)
                                       & (estimator == "capacity"))
+            records = [(ds.columns[part.columns].tolist(), part.count, part.mirrored)
+                       for ds, part in parts]
+            if estimator == "capacity":
+                near = montecarlo._near_devices(target + half_subcarriers, devices)
+                plain = [c for c in near if far[c] != 1.0]
+                ones = np.flatnonzero(far == 1.0).tolist()
+                mid = np.flatnonzero((far > 2.0) & (far <= montecarlo._TAIL_GAP)).tolist()
+                tail = np.flatnonzero(far > montecarlo._TAIL_GAP).tolist()
+                rounds = montecarlo._neighbour_draws(half_subcarriers) // 2
+                assert records == [(plain, len(plain), False)] \
+                    + [(ones * rounds, len(ones), True)] * bool(ones) \
+                    + [(mid, 1, True)] * bool(mid) + [(tail, 1, False)] * bool(tail)
+            elif estimator == "interference":
+                assert records == [(np.flatnonzero(kept).tolist(), 1, False)
+                                   for kept in ((far != 0.0) & (far <= montecarlo._ICI_TAIL_GAP),
+                                                 far > montecarlo._ICI_TAIL_GAP)
+                                   if kept.any()]
+            else:
+                assert records == [(list(range(devices)), devices, False)]
             for block, (_, rows, powers, weights) in enumerate(
                     montecarlo._device_powers(plan, cell, [static], [index_gaps], sets)):
-                for ds, r, p, w in zip(sets, rows, powers, weights, strict=True):
+                for (ds, part), r, p, w in zip(parts, rows, powers, weights, strict=True):
                     n = min(montecarlo._block_sizes(plan.trials)[block], ds.rows)
+                    size = ds.columns[part.columns].size
                     assert (r.start, r.stop) == (block * ds.rows, block * ds.rows + n)
-                    assert p.shape == (n, ds.width)
-                    assert (w is None) == (not ds.weighted.any())
-                    if w is not None and ds.mirrored:
-                        assert np.array_equal(w[:, ds.columns.size:], w[:, :ds.columns.size])
+                    assert p.shape == (n, size * (1 + part.mirrored))
+                    # a part draws a weight for each of its columns or none
+                    assert (w is None) == (not ds.weighted[part.columns].any())
+                    assert w is None or (w.shape == (n, size) and np.all(w > 0.0))
             # each part's store is its design [1, V] over the run, padded
             # with zero rows to whole rounds of the folds, which the fit
             # reads as it is
-            for ds in sets:
+            for ds, part in parts:
                 draws = ds.draws(plan.trials)
-                for part in ds.parts:
-                    assert part.V.shape == (-(-draws // 8) * 8, part.count, 1 + part.width)
-                    assert part.V.flags.c_contiguous
-                    assert np.all(part.V[:draws, :, 0] == 1.0)
-                    assert not part.V[draws:].any()
-                    assert np.shares_memory(montecarlo._by_fold(part.V), part.V)
+                assert part.V.shape == (-(-draws // 8) * 8, part.count, 1 + part.width)
+                assert part.V.flags.c_contiguous
+                assert np.all(part.V[:draws, :, 0] == 1.0)
+                assert not part.V[draws:].any()
+                assert np.shares_memory(montecarlo._by_fold(part.V), part.V)
             if target or estimator == "devices":
                 continue
             counted = []
@@ -906,28 +911,38 @@ def test_the_interference_evaluates_its_tail_on_few_draws(monkeypatch):
 
 def _recorded(monkeypatch, plan, cfgs, cell, mobs):
     # the estimates of a group, and what the estimator computed them from:
-    # per scenario and draw set (the main draws, then the tail's if the band
-    # has one), the factor tables of every block, each part's row the mean
-    # over its draws less its surrogate, the rows of faded powers they were
-    # built from, the extra draws' and then the mirrors' after the parts'
-    # (row 0 the trial's SNR), the far devices' interference, a row of the
-    # draws and one of their mirrors for the mid part, and each block's
-    # surrogates (None for
-    # the tail and a static scenario); the rule's nodes and weights; and
-    # per part the columns V of every draw, with an intercept of its own
-    # prepended: [1, V_i]
+    # per scenario and part (the target's and the +-2 neighbours', the +-1
+    # neighbours', the mid part's, then the tail's if the band has one),
+    # the factor tables of every block, each row the mean over its draws
+    # less its surrogate; the rows they were built from, over the noise, a
+    # row a draw: a near part's faded powers (the +-1 neighbours' round by
+    # round, then their mirrors'), a far-style part's drawn interference
+    # (the mid part's, then its mirror's); and the surrogates each block's
+    # mirrored parts subtracted, with the moments or m2 their builder left
+    # (None for an unmirrored part and a static scenario); the rule's nodes
+    # and weights; and per part record the columns V of every draw, with an
+    # intercept of its own prepended: [1, V_i]
     calls, stored = [], []
     factors, draw = montecarlo._part_factors, montecarlo._device_powers
 
-    def record_tables(nodes, rows, interference, *args):
-        table = factors(nodes, rows, interference, *args)
+    def record_tables(part, powers, weights, state, *args):
+        table = factors(part, powers, weights, state, *args)
+        # the estimator overwrites its powers in place: a near part's hold
+        # the faded powers, a far-style part's the weighted ones
+        if part.build is montecarlo._far_columns:
+            rows = powers.reshape(len(powers), -1, weights.shape[1]).sum(axis=2).T * state.snr
+        else:
+            rows = powers.T[:len(powers.T) if state.moving else 1].copy()
         # the estimator goes on to change its own table, and the next block
         # overwrites the moments the surrogates read
-        surrogate = args[-1]
+        surrogate = state.surrogate if part.mirrored else None
         if surrogate is not None:
             surrogate = SimpleNamespace(**{name: np.array(value) if isinstance(value, np.ndarray)
-                                           else value for name, value in vars(surrogate).items()})
-        calls.append((np.array(rows), interference.copy(), table.copy(), surrogate))
+                                           else value for name, value in vars(surrogate).items()},
+                                        moments=None if part.moments is None
+                                        else part.moments.copy(),
+                                        m2=None if part.m2 is None else part.m2.copy())
+        calls.append((table.copy(), rows, surrogate))
         return table
 
     def record_sets(*args):
@@ -938,13 +953,12 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
         patched.setattr(montecarlo, "_part_factors", record_tables)
         patched.setattr(montecarlo, "_device_powers", record_sets)
         estimates = estimate_ergodic_capacity(plan, cfgs, cell, mobs)
-    sets = len(calls) // (len(montecarlo._block_sizes(plan.trials)) * len(mobs))
+    parts = len(calls) // (len(montecarlo._block_sizes(plan.trials)) * len(mobs))
     runs = []
     for k, cfg in enumerate(cfgs):
-        recorded = [calls[k * sets + s::len(mobs) * sets] for s in range(sets)]
-        runs.append(([(np.concatenate([table for _, _, table, _ in blocks], axis=1),
-                       np.concatenate([rows for rows, _, _, _ in blocks], axis=1),
-                       np.concatenate([far for _, far, _, _ in blocks], axis=1),
+        recorded = [calls[k * parts + i::len(mobs) * parts] for i in range(parts)]
+        runs.append(([(np.concatenate([table for table, _, _ in blocks], axis=1),
+                       np.concatenate([rows for _, rows, _ in blocks], axis=1),
                        [surrogate for *_, surrogate in blocks])
                       for blocks in recorded],
                      numerics.hamdi_rule(cfg.effective_power / cfg.noise_variance)))
@@ -957,16 +971,9 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
 
 
 def _factors(run):
-    # each part's factor per draw and node, the main draws' parts and then
-    # the tail: the signal's table times its SNR
-    sets, (_, weights) = run
-    factors = []
-    for s, (tables, faded, *_) in enumerate(sets):
-        tables = tables.copy()
-        if s == 0:
-            tables[0] *= faded[0][:, None]
-        factors += list(tables)
-    return factors, weights
+    # each part record's factor per draw and node, in the order of the parts
+    parts, (_, weights) = run
+    return [row for table, *_ in parts for row in table], weights
 
 
 def _two_pass(run, designs):
@@ -1009,8 +1016,9 @@ def _two_pass(run, designs):
 
 
 def _capacity_variates(plan, cfg, cell):
-    # per column group (the near parts, the mid part, the tail), its
-    # (draws, columns) V of a static scenario, from _device_powers
+    # per part (the target's and the +-2 neighbours', the +-1 neighbours',
+    # the mid part, the tail), its (draws, columns) V of a static scenario,
+    # from _device_powers
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
     sets = montecarlo._layout("capacity", subcarrier_gaps(plan.target_index, cfg.half_subcarriers),
                               cell.paths_per_device)
@@ -1030,7 +1038,8 @@ def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, pa
                                               zeros):
     # each column of V over 2^20 trials, within 4 standard errors; the near
     # devices are the target and its neighbours at index gap +-1, +-2 that
-    # the band holds, one part each of 9 columns (5 at one path), and the
+    # the band holds, 9 columns each (5 at one path), the target and the
+    # +-2 neighbours in one part and the +-1 neighbours in another, and the
     # far devices, if any, one part of 12.  The columns odd in the shifts of
     # the mirrored parts are exactly 0: m_3, m_5 and m_2 m_3 (m_3 and m_5 at
     # one path) of each neighbour at index gap +-1, and the far part's
@@ -1109,7 +1118,7 @@ def test_the_far_columns_keep_their_rank(half_subcarriers, target):
     # the 8), are exactly 0
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     plan = TrialPlan(trials=512, seed=40, target_index=target)
-    far = _capacity_variates(plan, cfg, CellConfig(3))[1:]
+    far = _capacity_variates(plan, cfg, CellConfig(3))[2:]
     assert len(far) == (2 if half_subcarriers > montecarlo._TAIL_GAP else 1)
     for mirrored, columns in zip((True, False), far):
         kept = columns[:, columns.any(axis=0)]
@@ -1122,47 +1131,73 @@ def test_the_far_columns_keep_their_rank(half_subcarriers, target):
 def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(paths):
     # fig4's 1000 Hz band (N = 99, three pairs of each neighbour at index
     # gap +-1): each mirrored part's columns, built by its builder, against
-    # those the same builder gives the part without its mirrors on the same
-    # draws and weights.  The near parts at index gap +-1 zero m_3, m_5 and
-    # m_2 m_3 (m_3 and m_5 at one path) and the mid part its Taylor terms of
+    # those the same builder gives the part unmirrored on the same draws
+    # and weights.  The neighbours at index gap +-1 zero m_3, m_5 and m_2
+    # m_3 (m_3 and m_5 at one path) and the mid part its Taylor terms of
     # odd order, exactly; every other column keeps its bits
     [ds, _] = montecarlo._layout("capacity", subcarrier_gaps(0, 99), paths)
-    assert ds.mirrored
+    near, ones, mid = ds.parts
+    assert ones.mirrored and mid.mirrored and not near.mirrored
     rng, trials = np.random.default_rng(43), 40
     shift = sample_cell_batch(rng, trials, ds.columns.size, CellConfig(paths))
-    weights = np.zeros((trials, ds.width))
-    weights[:, :ds.columns.size][:, ds.weighted] = rng.standard_exponential(
-        (trials, np.count_nonzero(ds.weighted)))
-    tiles = numerics.row_tiles(trials, ds.columns.size * paths)
-    space = np.empty((4, tiles[0].stop, ds.columns.size, paths))
-    near, mid = ds.parts
-    odd = [[row for row in montecarlo._ODD_NEAR if row < near.width],
+    weights = np.zeros((trials, ds.columns.size))
+    weights[:, ds.weighted] = rng.standard_exponential((trials, np.count_nonzero(ds.weighted)))
+    odd = [[row for row in montecarlo._ODD_NEAR if row < ones.width],
            [t for t, (p, _) in enumerate(montecarlo._TERMS) if p % 2]]
-    mirrored = [sorted(set(near.owners[len(near.columns) - near.count:])), [0]]
-    assert mirrored[0] == [2, 3] and len(odd[0]) == (2 if paths == 1 else 3)
-    for part, zeros, parts in zip((near, mid), odd, mirrored):
-        # one owner a mirror of a proxied draw, after the extra draws'
-        source = dataclasses.replace(part, mirrors=(),
-                                     owners=part.owners[:len(part.owners) - len(part.proxied)])
+    assert len(ones.columns) == 6 and len(odd[0]) == (2 if paths == 1 else 3)
+    for part, zeros in zip((ones, mid), odd):
+        own = np.ascontiguousarray(shift[:, part.columns])
+        tiles = numerics.row_tiles(trials, own.shape[1] * paths)
+        space = np.empty((4, tiles[0].stop, own.shape[1], paths))
+        source = dataclasses.replace(part, mirrored=False)
         for built in (part, source):
             built.V = np.zeros((trials, built.count, 1 + built.width))
-            built.build(built, shift, tiles, weights, space, np.empty(built.held * trials),
-                        slice(0, trials))
+            built.build(built, own, tiles, weights[:, part.columns], space,
+                        np.empty(built.held * trials), slice(0, trials))
         got, want = part.V[..., 1:], source.V[..., 1:]
-        assert not got[:, parts][..., zeros].any() and want[:, parts][..., zeros].all()
+        assert not got[..., zeros].any() and want[..., zeros].all()
         kept = np.ones(part.width, bool)
         kept[zeros] = False
         assert np.array_equal(got[..., kept], want[..., kept])
-        assert np.array_equal(np.delete(got, parts, axis=1), np.delete(want, parts, axis=1))
+
+
+@pytest.mark.parametrize("half_subcarriers", [3, 24, 199])
+def test_the_kernel_forms_no_mirror_that_nothing_reads(half_subcarriers, monkeypatch):
+    # a spy on the kernel over a capacity run of two blocks, one partial:
+    # the only mirrors it forms are those of the +-1 neighbours' R = 2P
+    # draws a trial (P = 1, 1 and 6 here) and of the mid devices at index
+    # gap 3..K, each part a tile of its own.  The target, the +-2
+    # neighbours and the tail are evaluated unmirrored: the mirrors of the
+    # target and the +-2 neighbours would be formed and never read
+    cfg = SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0)
+    q = cfg.spacing_symbol_product
+    mirrored, plain = set(), set()
+    kernel = montecarlo.sinc_squared
+
+    def spy(gap, offset, span=None, out=None, work=None, mirror=None):
+        # the index gaps of the tile's columns, from its first row and path
+        (plain if mirror is None else mirrored).add(tuple(np.rint(gap[0, :, 0] / q).tolist()))
+        return kernel(gap, offset, span, out, work, mirror)
+
+    monkeypatch.setattr(montecarlo, "sinc_squared", spy)
+    estimate_ergodic_capacity(TrialPlan(trials=300, seed=45), cfg, CELL, MOB)
+    gaps = range(-half_subcarriers, half_subcarriers + 1)
+    rounds = montecarlo._neighbour_draws(half_subcarriers) // 2
+    mid = tuple(g for g in gaps if 2 < abs(g) <= montecarlo._TAIL_GAP)
+    tail = tuple(g for g in gaps if abs(g) > montecarlo._TAIL_GAP)
+    assert mirrored == {(-1, 1) * rounds, mid}
+    assert sum(map(len, mirrored)) == 2 * rounds + len(mid)
+    assert plain == {(0, -2, 2)} | ({tail} if tail else set())
 
 
 @pytest.mark.parametrize("v_max", [400.0, 1000.0])
 def test_a_mirrors_powers_are_the_kernel_on_the_negated_shifts(v_max, monkeypatch):
     # bit for bit, at x = 0.48 (the offset its own r) and 1.2 (the rint
     # reduction), over a block of 40 trials of the default band: the powers
-    # of the main set's mirror columns are those sinc_squared gives on the
-    # negated offsets.  At x = 1.2 the neighbour at index gap +1 has a path
-    # of offset exactly 1, so its mirror sits at the centre, g - o = 0
+    # of each part's columns, and of a mirrored part's mirrors, are those
+    # sinc_squared gives on the part's offsets and on the negated offsets.
+    # At x = 1.2 the neighbour at index gap +1 has a path of offset exactly
+    # 1, so its mirror sits at the centre, g - o = 0
     span, cell = CFG.doppler_span(v_max), CellConfig(3)
     q = CFG.spacing_symbol_product
     gaps = subcarrier_gaps(0, CFG.half_subcarriers, q)
@@ -1182,16 +1217,20 @@ def test_a_mirrors_powers_are_the_kernel_on_the_negated_shifts(v_max, monkeypatc
     monkeypatch.setattr(montecarlo, "sample_cell_batch", sampler)
     [(_, _, powers, _)] = montecarlo._device_powers(
         TrialPlan(trials=40, seed=44), cell, [(CFG, MobilityModel(v_max))], [gaps], sets)
-    ds, shift = sets[0], drawn[0]
-    assert ds.mirrored and powers[0].shape == (40, 2 * ds.columns.size)
-    gap = np.broadcast_to(gaps[ds.columns][:, None], shift.shape)
-    for columns, offsets in ((slice(None, ds.columns.size), shift * span),
-                             (slice(ds.columns.size, None), -(shift * span))):
-        want = np.einsum("tdm->td", numerics.sinc_squared(gap, offsets, span))
-        want /= cell.paths_per_device
-        assert np.array_equal(powers[0][:, columns].view(np.uint64), want.view(np.uint64))
-    assert (span >= 1.0) == (powers[0][0, ds.columns.size + plus]
-                             >= 1.0 / cell.paths_per_device)
+    parts = montecarlo._parts(sets)
+    assert [part.mirrored for _, part in parts] == [False, True, True, False]
+    for (ds, part), p in zip(parts, powers, strict=True):
+        shift = drawn[sets.index(ds)][:, part.columns]
+        gap = np.broadcast_to(gaps[ds.columns[part.columns]][:, None], shift.shape)
+        offsets = [shift * span] + [-(shift * span)] * part.mirrored
+        assert p.shape == (len(shift), shift.shape[1] * len(offsets))
+        for got, offset in zip(np.split(p, len(offsets), axis=1), offsets):
+            want = np.einsum("tdm->td", numerics.sinc_squared(gap, offset, span))
+            want /= cell.paths_per_device
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the +1 neighbour's draw is the second of its part's, its mirror the fourth
+    assert sets[0].columns[parts[1][1].columns[1]] == CFG.half_subcarriers + 1
+    assert (span >= 1.0) == (powers[1][0, 3] >= 1.0 / cell.paths_per_device)
 
 
 @pytest.mark.parametrize("half_subcarriers,draws", [(4, 2), (4, 4), (12, 2)],
@@ -1211,15 +1250,14 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subc
     assert (half_subcarriers > montecarlo._TAIL_GAP) == (half_subcarriers == 12)
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     [est], runs, _ = _recorded(monkeypatch, TrialPlan(trials=3, seed=35), [cfg], CELL, [MOB])
-    sets, (nodes, weights) = runs[0]
-    _, faded, far, [surrogate] = sets[0]
+    parts, (nodes, weights) = runs[0]
+    (_, near, [none]), (_, ones, [surrogate]), (_, far, [mid_surrogate]) = parts[:3]
     pairs = draws // 2
-    assert faded.shape == (5 + 2 * (pairs - 1) + 2 * pairs, 3) and far.shape == (2, 3)
-    rows = numerics.hamdi_factors(nodes, faded)
-    rows[0] *= faded[0][:, None]
-    # the near devices at index gap 0, -2, -1, 1, 2, then the extra draws
-    # of -1 and 1 in turn, then the mirrors of the draws of -1 and 1 in the
-    # same order, and the mid part's draw and mirror; then the tail's.  Each
+    assert none is None and near.shape == (3, 3) and ones.shape == (2 * draws, 3)
+    assert far.shape == (2, 3)
+    # the target and the neighbours at index gap -2 and 2; then the draws
+    # of -1 and 1 in turn, round by round, and then their mirrors in the
+    # same order; and the mid part's draw and mirror; then the tail's.  Each
     # drawn draw of -1 and 1, in the same order, has the surrogate S + r x^2
     # T + 4 x^2 kappa(x) U, S = 1 / (1 + c m_2), T = c m_4 S^2, U = c^2 m_3^2
     # S^3, c = t SNR x^2 and r = pi^2 / 3 - 3, which its mirror shares, less its
@@ -1227,7 +1265,9 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subc
     # 5; and the mid part e^(-c k A), less its exact mean, which its row
     # subtracts times the slope c^4 / (1 + c^4) on the nodes with c >= 0.1
     # and t <= 5
-    assert surrogate.draws == [2, 3] + list(range(5, 5 + 2 * (pairs - 1)))
+    rows = numerics.hamdi_factors(nodes, near)
+    rows[0] *= near[0][:, None]
+    assert surrogate.moments.shape == (5, 3, 2 * pairs)
     x = CFG.doppler_span(MOB.max_velocity_mps)
     assert surrogate.scale == 100.0 * x ** 2
     assert surrogate.even == pytest.approx((math.pi ** 2 / 3.0 - 3.0) * x ** 2, rel=1e-15)
@@ -1239,29 +1279,27 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subc
              numerics.third_moment_mean(c, 8)]
     assert surrogate.mean == pytest.approx(
         (means[0] - 1.0 + surrogate.even * means[1] + surrogate.odd * means[2])[window], rel=1e-14)
-    second, third, fourth = (moment.T[surrogate.draws][..., None]
-                             for moment in surrogate.moments[:3])
+    second, third, fourth = (moment.T[..., None] for moment in surrogate.moments[:3])
     reciprocal = 1.0 / (1.0 + c * second)
     proxies = np.where(window, reciprocal + surrogate.even * c * fourth * reciprocal ** 2
                        + surrogate.odd * (c * third * reciprocal) ** 2 * reciprocal
                        - (means[0] + surrogate.even * means[1] + surrogate.odd * means[2]), 0.0)
     mid_window = (c >= 0.1) & window
-    assert nodes[surrogate.far_window].tolist() == nodes[mid_window].tolist()
+    assert nodes[mid_surrogate.far_window].tolist() == nodes[mid_window].tolist()
     slope = np.where(mid_window, c ** 4 / (1.0 + c ** 4), 0.0)
-    assert surrogate.far_slope == pytest.approx(slope[mid_window], rel=1e-15)
+    assert mid_surrogate.far_slope == pytest.approx(slope[mid_window], rel=1e-15)
     far_mean = np.zeros(nodes.size)
-    far_mean[mid_window] = surrogate.far_mean
-    mid = numerics.hamdi_factors(nodes, faded[:0], surrogate.far)[0] - far_mean
-    assert surrogate.far == pytest.approx(far.mean(axis=0), rel=0.2)  # its leading order
-    pair_mean = np.mean([numerics.hamdi_factors(nodes, faded[:0], a)[0] for a in far], axis=0)
-    others = rows[5:]  # the extra draws, then the mirrors
-    factors = [rows[0], rows[1],
-               (rows[2] + others[::2].sum(axis=0) - 2.0 * proxies[::2].sum(axis=0)) / draws,
-               (rows[3] + others[1::2].sum(axis=0) - 2.0 * proxies[1::2].sum(axis=0)) / draws,
-               rows[4], pair_mean - slope * mid]
-    for _, none, tail, tail_surrogates in sets[1:]:
-        assert none.shape == (0, 2) and tail_surrogates == [None]
-        factors.append(numerics.hamdi_factors(nodes, none, tail[0])[0])
+    far_mean[mid_window] = mid_surrogate.far_mean
+    leading = mid_surrogate.m2 * mid_surrogate.far_scale
+    mid = numerics.hamdi_factors(nodes, near[:0], leading)[0] - far_mean
+    assert leading == pytest.approx(far.mean(axis=0), rel=0.2)  # its leading order
+    pair_mean = np.mean([numerics.hamdi_factors(nodes, near[:0], a)[0] for a in far], axis=0)
+    factors = numerics.hamdi_factors(nodes, ones)
+    factors = list(rows) + [(factors[side::2].sum(axis=0) - 2.0 * proxies[side::2].sum(axis=0))
+                            / draws for side in (0, 1)] + [pair_mean - slope * mid]
+    for _, tail, [tail_surrogate] in parts[3:]:
+        assert tail.shape == (1, 2) and tail_surrogate is None
+        factors.append(numerics.hamdi_factors(nodes, near[:0, :2], tail[0])[0])
     assert len(factors) == 6 + (half_subcarriers == 12)
     for got, want in zip(_factors(runs[0])[0], factors, strict=True):
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
@@ -1437,7 +1475,8 @@ def test_few_trials_give_defined_capacity_estimates(trials, monkeypatch):
             assert all(np.all(subtracted == 0.0) for _, subtracted in fits)
     [est], runs, designs = _recorded(monkeypatch, TrialPlan(trials=trials, seed=34),
                                      [CFG], CELL, [MOB])
-    # five near parts, the mid part, and the tail on 32 draws a block
+    # five near part records (the target and the +-2 neighbours, then the
+    # +-1 neighbours), the mid part, and the tail on 32 draws a block
     assert [design.shape for design in designs] \
         == [(trials, 10)] * 5 + [(trials, 13), (montecarlo._layout(
             "capacity", subcarrier_gaps(0, CFG.half_subcarriers), CELL.paths_per_device)[1]

@@ -330,11 +330,13 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # montecarlo.block_bytes: for the interference (M paths + 7) doubles on
     # each draw set's columns, the 6 interferers within index gap 3 of the
     # target on 256 rows and the 2N - 6 beyond on 32; for the capacity
-    # (M + 5) on its main draws' 21 + 2 (P - 1) drawn columns, P = R / 2 the
-    # pairs of each neighbour at index gap +-1, on 256 rows (a power and a
-    # weight of each drawn column's mirror the 2 more), and (M + 3) on its
-    # tail's 2N - 20 on 32, 5 doubles a trial and drawn near draw that it
-    # holds across blocks; either 11 a device across blocks, plus
+    # (M + 3) on its main draws' 21 + 2 (P - 1) drawn columns, P = R / 2 the
+    # pairs of each neighbour at index gap +-1, on 256 rows (a power, a
+    # weight and a mirror's power; M more while its parts copy their
+    # columns out of the sampler's array, which then outweighs the tail's
+    # sampler), and (M + 3) on its tail's 2N - 20 on 32, 5 doubles a trial
+    # and drawn near draw that it holds across blocks; either 11 a device
+    # across blocks, plus
     # eight tiles, against 1.75 GiB; montecarlo.run_bytes adds, at 100
     # trials of 2 grid points, each part's store [1, V] over the draws
     # padded to a multiple of 8 (10 doubles a draw for either interference
@@ -352,10 +354,10 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     ("system.half_subcarriers = 427036\ncell.paths_per_device = 1", "ici_mc", "run"),
     ("system.half_subcarriers = 427037\ncell.paths_per_device = 1", "ici_mc", "block"),
     ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.27 GiB
-    ("system.half_subcarriers = 214140", "capacity_mc", None),   # 1.75 GiB - 1.5 kB
-    ("system.half_subcarriers = 214141", "capacity_mc", "run"),    # 1.75 GiB + 5.4 kB
-    ("system.half_subcarriers = 214208", "capacity_mc", "run"),   # block 1.75 GiB - 360 B
-    ("system.half_subcarriers = 214209", "capacity_mc", "block"),   # 1.75 GiB + 6.5 kB
+    ("system.half_subcarriers = 213381", "capacity_mc", None),   # 1.75 GiB - 5.6 kB
+    ("system.half_subcarriers = 213382", "capacity_mc", "run"),    # 1.75 GiB + 488 B
+    ("system.half_subcarriers = 213448", "capacity_mc", "run"),   # block 1.75 GiB - 5.4 kB
+    ("system.half_subcarriers = 213449", "capacity_mc", "block"),   # 1.75 GiB + 648 B
     ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.27 and 0.27 GiB
     ("system.half_subcarriers = 211578", "capacity_mc", None),   # 1.73 GiB
     ("system.half_subcarriers = 211578", "ici_mc, capacity_mc", "block"),
