@@ -664,8 +664,9 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
         part.V = np.zeros((draws - draws % -_FOLDS, part.count, 1 + part.width))
         part.V[:draws, :, 0] = 1.0
     gaps = [[gap[devices] for devices in columns] for gap in gaps]
-    # each part's powers, each set's weights, 0 where none is drawn, if a
-    # column draws one, and what each part's builder holds across blocks
+    # each part's powers; each set's weights, if a column draws one (0 at
+    # a column that draws none); and what each part's builder holds across
+    # blocks
     buffers = [np.zeros((n, devices.size * (1 + part.mirrored)))
                for n, devices, (_, part) in zip(rows_of, columns, parts)]
     set_weights = [np.zeros((min(plan.trials, ds.rows), ds.columns.size))
