@@ -473,7 +473,7 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     average, once the sampler has let go of its slot and tiles, holds the
     parts' factor tables on the rule at that SNR
     (:func:`numerics.hamdi_rule`) with their scratch rows
-    (:func:`_scratch_rows`) and 24 more doubles a trial, and one part's
+    (:func:`_scratch_rows`) and 26 more doubles a trial, and one part's
     fold sums or slopes beyond those the run keeps, the largest
     (:func:`_fold_sums`)."""
     sets = _layout("interference" if snr is None else "capacity",
@@ -493,7 +493,7 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
         nodes = hamdi_rule(snr)[0].size
         held += _FOLDS * sum(part.count * (part.width + 1) ** 2 for _, part, _ in parts)
         average = sum(ds.rows * part.count * nodes for ds, part, _ in parts) \
-            + BLOCK_TRIALS * (_scratch_rows(sets) * nodes + 24) \
+            + BLOCK_TRIALS * (_scratch_rows(sets) * nodes + 26) \
             + _FOLDS * max(part.count * (part.width + 1) for _, part, _ in parts) * nodes
     return 8 * (draws + 5 * max(tiles, default=0) + sum(tiles) + max(sampler, copied, average)
                 + held)
