@@ -8,7 +8,10 @@ trial, or 32 for a tail, :data:`_TAIL_DRAWS`), and the Exp(1) weights of
 the columns that draw one; its parts split its columns, each copying its
 own out of the block's shifts into a kernel tile of its own, mirrored or
 not, with the builder of its control-variate columns V and its Taylor
-table.  A block draws its sets in turn, in one fixed array order
+table.  A mirrored part also takes each draw's mirror -z, of the same law,
+from the same sines: the interference reads each pair's summed power from
+one kernel pass (:func:`numerics.sinc_squared_pair`), the capacity the two
+powers apart.  A block draws its sets in turn, in one fixed array order
 that depends on the sub-carrier count, the target and the block alone, so
 every scenario of a plan reads the same random numbers: the ICI and
 capacity estimators take a group of scenarios sharing the sub-carrier
@@ -35,9 +38,9 @@ import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
-from .numerics import (HAMDI_MAX_SCALE, doppler_power_scale, fourth_moment_mean, hamdi_factors,
-                       hamdi_rule, moment_reciprocal_mean, odd_power_scale, row_tiles, sinc,
-                       sinc_squared, third_moment_mean)
+from .numerics import (HAMDI_MAX_SCALE, doppler_power_scale, fourth_moment_mean, hamdi_basis,
+                       hamdi_factors, hamdi_rule, moment_reciprocal_mean, odd_power_scale,
+                       row_tiles, sinc, sinc_squared, sinc_squared_pair, third_moment_mean)
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
                        sample_cell_batch, subcarrier_gaps)
 
@@ -65,9 +68,9 @@ class TrialPlan:
     conditional mean mean_m k_m^2, the interference drawing the
     interferers within index gap K_I = 3 of the target on every trial and
     those beyond on 32 trials of a block of 256 (:data:`_TAIL_DRAWS`), and
-    the target not at all; the capacity estimator draws the far
-    interferers' coherent powers, that times one Exp(1) draw each,
-    averages the near devices' weights exactly, takes R Doppler draws of
+    the target not at all, each with its mirror -z; the capacity estimator
+    draws the far interferers' coherent powers, that times one Exp(1) draw
+    each, averages the near devices' weights exactly, takes R Doppler draws of
     each neighbour at index gap +-1 a trial, R / 2 of them the mirrors -z
     of the others and R a fixed rule in the sub-carrier count
     (:func:`_neighbour_draws`), mirrors its mid part's draws too (and no
@@ -238,13 +241,15 @@ def _taylor_table(index_gaps: np.ndarray) -> np.ndarray:
     return table
 
 
-def _term_reductions(moments: np.ndarray, table: np.ndarray, out: np.ndarray):
+def _term_reductions(moments: np.ndarray, table: np.ndarray, out: np.ndarray, mirrored: bool):
     """out[t, (p, e)] = sum_j table[(p, e), j] (mean_m z_tjm^p - E[z^p]) per
     trial t, from the block's path moments (:func:`_path_moments`); each
-    column has mean zero.  They do not depend on the scenario."""
+    column has mean zero.  They do not depend on the scenario.  For a
+    ``mirrored`` part, whose columns are the means over its pairs z and -z,
+    a term of odd order p is exactly 0."""
     for p, mean in zip(_ORDERS, _MOMENT_MEANS):
         terms = _TERM_ORDERS == p
-        out[:, terms] = (moments[p - 2] - mean) @ table[terms].T
+        out[:, terms] = 0.0 if mirrored and p % 2 else (moments[p - 2] - mean) @ table[terms].T
 
 
 def _path_moments(shift: np.ndarray, tiles, work: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -275,11 +280,13 @@ _TAIL_DRAWS = BLOCK_TRIALS // 8
 
 # The interference splits at index gap K_I = _ICI_TAIL_GAP: the interferers
 # at 1 <= |n| <= K_I are drawn every trial, the tail (|n| > K_I) on
-# _TAIL_DRAWS trials a block.  Once each part's Taylor columns are fitted,
-# the tail holds about 0.6% of the residual variance at fig3's points, so
-# drawing it one trial in 8 leaves the variance 1.04 times that of drawing
-# it every trial (1.08-1.09 at K_I = 2, 1.7-1.8 at 1), yet at N = 24 it is
-# 42 of the 48 interferers.
+# _TAIL_DRAWS trials a block.  Once both parts are mirrored and their
+# Taylor columns fitted, the tail holds up to about a third of the residual
+# variance at fig3's points, so drawing it one trial in 8 leaves the
+# variance about 1.4 times that of drawing it every trial, at a third of
+# the CPU time, since at N = 24 it is 42 of the 48 interferers (unmirrored,
+# it held 0.6% and the factor read 1.04 at K_I = 3, 1.08-1.09 at 2 and
+# 1.7-1.8 at 1).
 _ICI_TAIL_GAP = 3
 
 # The capacity's far devices split at index gap K = _TAIL_GAP: the mid part
@@ -332,10 +339,12 @@ class _Part:
     ``gaps`` its Taylor table is built on, 0 at a column it leaves out
     (none for a table-free part); ``held``, the doubles a block row its
     builder keeps across blocks; and whether it is ``mirrored`` (the
-    capacity's +-1 neighbours and mid part): the kernel also evaluates its
-    columns at the negated shifts, its powers hold its columns' and then
-    their mirrors', and its columns V and factors are the means over its
-    draws and their mirrors.  ``V``, its store over a run, is the design
+    capacity's +-1 neighbours and mid part, and both interference parts):
+    the kernel also evaluates its columns at the negated shifts, and its
+    columns V are the means over its draws and their mirrors; a capacity
+    part's powers hold its columns' and then their mirrors', its factors
+    the means over them, and an interference part's each pair's mean
+    (:attr:`summed`).  ``V``, its store over a run, is the design
     [1, V] every fit reads (:func:`_device_powers`); what a capacity
     part's builder leaves of the block: a near part's ``moments`` m_2..m_6
     of each of its columns, and a far-style part's ``m2``, sum_j n_j^-2
@@ -351,6 +360,14 @@ class _Part:
     V: np.ndarray | None = None
     m2: np.ndarray | None = None
     moments: np.ndarray | None = None
+
+    @property
+    def summed(self) -> bool:
+        """Whether its powers are each pair's mean, not its columns' and then
+        their mirrors': a mirrored part of a power estimator, whose sample is
+        linear in them, so that the kernel forms each pair's sum at once
+        (:func:`numerics.sinc_squared_pair`)."""
+        return self.mirrored and self.build is _moment_columns
 
     @functools.cached_property
     def table(self) -> np.ndarray | None:
@@ -385,8 +402,8 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     record for each device, of its own centred path moments
     (:func:`_moment_columns`).  "interference": the interferers within
     index gap K_I of the target on every trial, then the tail beyond it on
-    :data:`_TAIL_DRAWS` rows, each set one part of its Taylor columns, if
-    the band holds any; the target is drawn in neither.  "capacity": its
+    :data:`_TAIL_DRAWS` rows, each set one mirrored part of its Taylor
+    columns, if the band holds any; neither draws the target.  "capacity": its
     main draws, the target and its neighbours at index gap +-2, then those
     at +-1, the mid devices at index gap 3..K and P - 1 more rounds of the
     neighbours at +-1 (:func:`_neighbour_draws`), in three parts: the
@@ -408,7 +425,7 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     if estimator == "interference":
         return [_DrawSet(columns[kept], rows, columns[kept] < 0,
                          [_Part(slice(0, count), _moment_columns, len(_TERMS), moments * count,
-                                index_gaps[kept])])
+                                index_gaps[kept], mirrored=True)])
                 for kept, rows in (((far != 0.0) & (far <= _ICI_TAIL_GAP), BLOCK_TRIALS),
                                    (far > _ICI_TAIL_GAP, _TAIL_DRAWS))
                 if (count := np.count_nonzero(kept))]
@@ -460,10 +477,11 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     from the draw sets of a centred target, which hold the most
     (:func:`_layout`; the capacity's, with ``snr`` its P_T over the noise,
     else the interference's): per part a block's shifts of its columns,
-    its powers (a mirrored part's on its columns and their mirrors) and
-    what its builder holds across blocks, and per set any weights; the
-    kernel's four workspace tiles and one more for its centre mask and the
-    per-device vectors, of the largest part's tile, and a gap tile a part;
+    its powers (a mirrored part's on its columns and their mirrors, unless
+    :attr:`_Part.summed`) and what its builder holds across blocks, and per
+    set any weights; the kernel's four workspace tiles, five with a summed
+    part, and one more for its centre mask and the per-device vectors, of
+    the largest part's tile, and a gap tile a part (:func:`_device_powers`);
     and the largest of a set's sampler (a slot for its speed fractions and
     two scratch tiles of the set's), the shifts of a set of several parts,
     held while they copy theirs out, and, for the capacity, its average.
@@ -485,7 +503,8 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
                    * ds.columns.size * paths for ds in sets), default=0)
     copied = max((ds.rows * ds.columns.size * paths for ds in sets if len(ds.parts) > 1),
                  default=0)
-    draws = sum(ds.rows * size * (paths + 1 + part.mirrored) for ds, part, size in parts) \
+    draws = sum(ds.rows * size * (paths + 1 + part.mirrored - part.summed)
+                for ds, part, size in parts) \
         + sum(ds.rows * ds.columns.size for ds in sets if ds.weighted.any())
     held = (len(_TERMS) + 2) * devices + sum(ds.rows * part.held for ds, part, _ in parts)
     average = 0
@@ -495,8 +514,9 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
         average = sum(ds.rows * part.count * nodes for ds, part, _ in parts) \
             + BLOCK_TRIALS * (_scratch_rows(sets) * nodes + 26) \
             + _FOLDS * max(part.count * (part.width + 1) for _, part, _ in parts) * nodes
-    return 8 * (draws + 5 * max(tiles, default=0) + sum(tiles) + max(sampler, copied, average)
-                + held)
+    workspace = 5 + any(part.summed for _, part, _ in parts)
+    return 8 * (draws + workspace * max(tiles, default=0) + sum(tiles)
+                + max(sampler, copied, average) + held)
 
 
 def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
@@ -530,13 +550,14 @@ def _moment_columns(part, shift, tiles, weights, space, work, rows):
     """Write a power estimator's part's columns V of the block's ``rows``
     into its store: its devices' path moments mean_m z^p, p = 2..6, less
     their means (:data:`_MOMENT_MEANS`), or with a Taylor table their sums
-    over its terms (:func:`_term_reductions`)."""
+    over its terms (:func:`_term_reductions`), those of odd order exactly 0
+    for a mirrored part and the rest those of its draws."""
     moments = _path_moments(shift, tiles, work, space[0])
     out = part.V[rows, :, 1:]
     if part.table is None:
         np.subtract(moments, _MOMENT_MEANS[:, None, None], out=out.transpose(2, 0, 1))
     else:
-        _term_reductions(moments, part.table, out[:, 0])
+        _term_reductions(moments, part.table, out[:, 0], part.mirrored)
 
 
 def _near_columns(part, shift, tiles, weights, space, work, rows):
@@ -644,11 +665,18 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     shifts -z_m, which follow the same law (Glasserman 2003, section 4.2):
     the sampler draws only the columns, and the kernel gives the mirrors
     from the same sines, bit for bit its values at the negated offsets, in
-    its last scratch tile.  The kernel runs in a workspace allocated once
-    per call: the offsets, output and scratch tiles, sized to the largest
-    part's, and one (rows, columns, paths) gap tile per part and distinct
-    gap vector; the path moments are taken tile by tile in the offsets
-    tile, so no block-sized z^p is ever formed.
+    its last scratch tile.  A summed part (:attr:`_Part.summed`, the
+    interference's) keeps each pair's mean alone: where its offsets are
+    their own r (a span of at most 1/2, so that every gap is at least twice
+    the span) the kernel forms each pair's sum in one pass on (pi g)^2 / 2
+    (:func:`numerics.sinc_squared_pair`), and elsewhere adds the two-sided
+    kernel's mirror to its values.  The kernel runs in a workspace
+    allocated once per call: the offsets, output and scratch tiles, sized
+    to the largest part's, a fifth into which a summed part broadcasts its
+    gaps for the two-sided kernel, if a part is summed, and one (rows,
+    columns, paths) tile per part and distinct gap vector, of its gaps or,
+    for a summed part, of (pi g)^2 / 2; the path moments are taken tile by
+    tile in the offsets tile, so no block-sized z^p is ever formed.
 
     Every estimator subtracts its zero-mean columns times cross-fitted
     slopes (Glasserman 2003, section 4.1; :func:`_fold_solver`), part by
@@ -667,7 +695,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     # each part's powers; each set's weights, if a column draws one (0 at
     # a column that draws none); and what each part's builder holds across
     # blocks
-    buffers = [np.zeros((n, devices.size * (1 + part.mirrored)))
+    buffers = [np.zeros((n, devices.size * (1 + part.mirrored - part.summed)))
                for n, devices, (_, part) in zip(rows_of, columns, parts)]
     set_weights = [np.zeros((min(plan.trials, ds.rows), ds.columns.size))
                    if ds.weighted.any() else None for ds in sets]
@@ -677,16 +705,29 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     # broadcast over the short path axis about three times slower
     tile_shapes = [(row_tiles(n, devices.size * paths)[0].stop, devices.size, paths)
                    for n, devices in zip(rows_of, columns)]
-    workspace = _aligned_empty((4 * max((math.prod(shape) for shape in tile_shapes), default=0),))
-    workspaces = [workspace[:4 * math.prod(shape)].reshape((4,) + shape) for shape in tile_shapes]
+    count = 4 + any(part.summed for _, part in parts)
+    workspace = _aligned_empty((count * max((math.prod(shape) for shape in tile_shapes),
+                                            default=0),))
+    workspaces = [workspace[:count * math.prod(shape)].reshape((count,) + shape)
+                  for shape in tile_shapes]
+    # per scenario and part: whether it takes the pair form, as a summed
+    # part does wherever its offsets are their own r (a span of at most 1/2,
+    # so that every whole |g| >= 1 is at least twice the span, as the pair
+    # form needs), and the gap tile it shares with the scenarios of the same
+    # gaps: of (pi g)^2 / 2 for the pair form and of the gaps for a part
+    # that is not summed; a summed part that takes the two-sided kernel
+    # broadcasts its gaps into the fifth workspace tile instead
     gap_tiles, shared = [], {}
     for scenario_gaps, span in zip(gaps, spans):
         gap_tiles.append([])
         for i, (gap, shape) in enumerate(zip(scenario_gaps, tile_shapes)):
-            key = (i, gap.tobytes())
-            if span != 0.0 and key not in shared:
-                shared[key] = np.broadcast_to(gap[:shape[1], None], shape).copy()
-            gap_tiles[-1].append(shared.get(key))
+            summed = parts[i][1].summed
+            paired = summed and span <= 0.5
+            key, sharing = (i, gap.tobytes()), span != 0.0 and (paired or not summed)
+            if sharing and key not in shared:
+                tile = (math.pi * gap) ** 2 / 2.0 if paired else gap
+                shared[key] = np.broadcast_to(tile[:, None], shape).copy()
+            gap_tiles[-1].append((paired, shared[key] if sharing else None))
     key = shared = None  # the keys copy the gaps
     for block, size in enumerate(_block_sizes(plan.trials)):
         rng = _block_rng(plan.seed, block)
@@ -715,19 +756,28 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
                     # what the kernel gives a static network: 1 on the centre, 0 off it
                     powers.reshape(len(shift), -1, drawn)[:] = gaps[k][i] == 0.0
                     continue
-                offsets, kernel, work = workspaces[i][0], workspaces[i][1], workspaces[i][2:]
+                offsets, kernel, work = workspaces[i][0], workspaces[i][1], workspaces[i][2:4]
+                (paired, gap_tile), part = gap_tiles[k][i], parts[i][1]
+                if gap_tile is None:  # a summed part's gaps for the two-sided kernel
+                    gap_tile = workspaces[i][4]
+                    gap_tile[:] = gaps[k][i][:, None]
                 for rows in tiles:
                     n = rows.stop - rows.start
                     offset = np.multiply(shift[rows], span, out=offsets[:n])
-                    gap = gap_tiles[k][i][:n]
-                    if parts[i][1].mirrored:  # the mirrors' powers from the same sines, in work[1]
+                    gap = gap_tile[:n]
+                    if paired:
+                        values = sinc_squared_pair(gap, offset, span, kernel[:n], work[:, :n])
+                    elif part.mirrored:  # the mirrors' powers from the same sines, in work[1]
                         values, mirror = sinc_squared(gap, offset, span, kernel[:n], work[:, :n],
                                                       work[1, :n])
-                        np.einsum("tdm->td", mirror, out=powers[rows, drawn:])
+                        if part.summed:
+                            values += mirror
+                        else:
+                            np.einsum("tdm->td", mirror, out=powers[rows, drawn:])
                     else:
                         values = sinc_squared(gap, offset, span, kernel[:n], work[:, :n])
                     np.einsum("tdm->td", values, out=powers[rows, :drawn])
-                powers /= paths
+                powers /= paths * (1 + part.summed)
             yield (k, [draw[0] for draw in draws],
                    [buffer[:len(draw[1])] for buffer, draw in zip(buffers, draws)],
                    [draw[3] for draw in draws])
@@ -766,16 +816,27 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     interferers fall in two independent parts (:func:`_layout`): those
     within index gap K_I = 3 of the target, drawn on every trial, and the
     tail beyond, drawn on 32 trials a block of its own
-    (:data:`_TAIL_DRAWS`), which after the fit holds about 0.6% of the
-    variance while being 42 of the 48 interferers at N = 24.  Each draw of
-    a part sums its interferers' powers less its fitted columns
-    sum_j n_j^-e (mean_m z_jm^p - E[z^p]) over them, one per term (p, e)
-    of the kernel's Taylor series, the part's own table
-    (:func:`_taylor_table`) and folds (:func:`_fitted`); neither needs a
-    quadrature.  The estimate is the sum of the two part means, exactly
-    unbiased, and its standard error sqrt(sum_i var(r_i) / n_i) over the
-    parts' residuals r_i and draw counts n_i (:func:`_std_error`).  A
-    static network, or N = 0, gives exactly zero.
+    (:data:`_TAIL_DRAWS`), which after the fit holds at most about a third
+    of the variance at fig3's points while being 42 of the 48 interferers
+    at N = 24.  Each part is mirrored: the shift z = u cos psi has a law
+    symmetric about 0, so a draw's mirror -z is a draw of the same law
+    (Glasserman 2003, section 4.2), and each draw of a part takes the mean
+    of its interferers' powers at z and -z, which the kernel forms from one
+    sine series and one denominator pass (:func:`numerics.sinc_squared_pair`)
+    where the span is at most 1/2, and from the two-sided kernel beyond it
+    (:func:`_device_powers`).  The mean stays exactly unbiased, and the
+    pair cancels every odd order of the kernel's Taylor series in the path
+    offsets, which no column can fit: the mean over a pair of sinc^2(g + d)
+    is sin^2(pi d) (g^2 + d^2) / (pi^2 (g^2 - d^2)^2), even in d.  Each
+    draw of a part sums those pair means less its fitted columns sum_j
+    n_j^-e (mean_m z_jm^p - E[z^p]) over its interferers, one per term (p,
+    e) of the kernel's Taylor series of even order p, those of odd order
+    being exactly 0, the part's own table (:func:`_taylor_table`) and
+    folds (:func:`_fitted`); neither needs a quadrature.  The estimate is
+    the sum of the two part means, exactly unbiased, and its standard error
+    sqrt(sum_i var(r_i) / n_i) over the parts' residuals r_i and draw
+    counts n_i (:func:`_std_error`).  A static network, or N = 0, gives
+    exactly zero.
     ``cfg`` and ``mob`` may be equal-length sequences of scenarios sharing
     ``half_subcarriers``; they are evaluated on one set of draws, and the
     result is a list of estimates, each equal to the estimate of its
@@ -932,22 +993,22 @@ def _part_factors(part, powers, weights, state, out, scratch):
     leading order sinc^2(n q + x z) = sin^2(pi x z) / (pi n q)^2.  Each
     surrogate follows its factor where that factor is far from polynomial
     in the path moments, and the columns then fit what is left."""
-    nodes, surrogate, trials = state.rule[0], state.surrogate, len(powers)
+    nodes, basis, surrogate, trials = state.rule[0], state.basis, state.surrogate, len(powers)
     if part.build is _far_columns:
         # the drawn interference of its columns, then of their mirrors, a row each
         powers = powers.reshape(trials, -1, weights.shape[1])
         powers *= weights[:, None]
         draws = powers.sum(axis=2).T
         draws *= state.snr
-        table = hamdi_factors(nodes, draws[:0], draws[0], out)
+        table = hamdi_factors(basis, draws[:0], draws[0], out)
         for far in draws[1:]:
-            table += hamdi_factors(nodes, draws[:0], far, scratch[:1])
+            table += hamdi_factors(basis, draws[:0], far, scratch[:1])
     else:
         draws = powers.T  # a row a column: its rounds of draws, then their mirrors
         draws *= state.snr
-        table = hamdi_factors(nodes, draws[:len(out)], out=out)
+        table = hamdi_factors(basis, draws[:len(out)], out=out)
         for start in range(part.count, len(draws), part.count):
-            table += hamdi_factors(nodes, draws[start:start + part.count],
+            table += hamdi_factors(basis, draws[start:start + part.count],
                                    out=scratch[:part.count])
         if not part.mirrored:  # the target's part, the target first: C is u times its row
             table[0] *= draws[0][:, None]
@@ -993,7 +1054,7 @@ def _part_factors(part, powers, weights, state, out, scratch):
     elif surrogate is not None and surrogate.far_window.stop > surrogate.far_window.start:
         window = surrogate.far_window
         width = window.stop - window.start
-        factors = hamdi_factors(nodes[window], draws[:0], part.m2 * surrogate.far_scale,
+        factors = hamdi_factors(basis[:, window], draws[:0], part.m2 * surrogate.far_scale,
                                 scratch.reshape(-1)[:trials * width].reshape(1, trials, width))
         factors[0] -= surrogate.far_mean
         factors[0] *= 2.0 * surrogate.far_slope
@@ -1207,12 +1268,13 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     :func:`estimate_total_ici`.
     """
     scenarios, single = _group(cfg, mob)
-    # per scenario: its SNR, rule, whether it moves and its surrogates; from
-    # its first block, per part its factor sums, and if it moves its first
-    # factors, node weights, influences and node sums; then its controlled
-    # mean and each part's slopes
-    states = [SimpleNamespace(snr=(snr := capacity_snr(c)), rule=hamdi_rule(snr), sums={},
-                              slopes={}, moving=c.doppler_span(m.max_velocity_mps) != 0.0,
+    # per scenario: its SNR, rule and the rule's basis (t, 1), whether it
+    # moves and its surrogates; from its first block, per part its factor
+    # sums, and if it moves its first factors, node weights, influences and
+    # node sums; then its controlled mean and each part's slopes
+    states = [SimpleNamespace(snr=(snr := capacity_snr(c)), rule=hamdi_rule(snr),
+                              basis=hamdi_basis(snr), sums={}, slopes={},
+                              moving=c.doppler_span(m.max_velocity_mps) != 0.0,
                               first=[], node_weights=[], influences=[])
               for c, m in scenarios]
     n = scenarios[0][0].half_subcarriers

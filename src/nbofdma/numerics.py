@@ -26,10 +26,12 @@ __all__ = [
     "sin_pi",
     "sinc",
     "sinc_squared",
+    "sinc_squared_pair",
     "row_tiles",
     "sine_integral",
     "HAMDI_MAX_SCALE",
     "hamdi_rule",
+    "hamdi_basis",
     "hamdi_factors",
     "moment_reciprocal_mean",
     "fourth_moment_mean",
@@ -224,6 +226,37 @@ def sinc_squared(gap, offset, span=None, out=None, work=None, mirror=None):
     return _over_squared_distance(s, np.add(gap, offset, out=work[0])), mirror
 
 
+def sinc_squared_pair(halves, offset, span, out=None, work=None):
+    """sinc(g + o)**2 + sinc(g - o)**2, the summed power of an offset o and
+    its mirror -o, for whole-number gaps g given as ``halves`` = (pi g)^2 / 2
+    and offsets with |o| <= ``span`` <= 1/2 and every |g| >= 2 ``span``.
+
+    The two share the sine: sin^2(pi (g +- o)) = s^2, s = sin(pi o), so the
+    sum is s^2 (1 / (a + b)^2 + 1 / (a - b)^2) = s^2 2 (a^2 + b^2) / (a^2 -
+    b^2)^2 with a = pi g and b = pi o, which is (s / (h - c))^2 (h + c) with
+    h = a^2 / 2 and c = b^2 / 2; c comes from the o^2 that :func:`sin_pi`
+    forms.  There h - c >= 3 h / 4, so the subtraction costs at most a
+    factor 4/3 in relative precision and no centre is possible; an offset
+    of 0 gives exactly 0.  It takes the place of :func:`sinc_squared`'s
+    ``mirror`` and the sum of the two, with one denominator pass and no
+    second output.  ``out`` and ``work`` are as for :func:`sinc_squared`,
+    and with both the call allocates nothing.
+    """
+    offset = np.asarray(offset, dtype=float)
+    shape = np.broadcast_shapes(np.shape(halves), offset.shape) if out is None else out.shape
+    if offset.shape != shape:
+        offset = np.broadcast_to(offset, shape)
+    if work is None:
+        work = np.empty((2,) + shape)
+    s = sin_pi(offset, out, span, work[0])  # o^2 in work[0]
+    c = np.multiply(work[0], math.pi ** 2 / 2.0, out=work[0])
+    distance = np.subtract(halves, c, out=work[1])
+    s /= distance
+    s *= s
+    s *= np.add(halves, c, out=c)
+    return s
+
+
 # elements per tile of the Monte Carlo block arithmetic: small enough for a
 # tile and its temporaries to stay in cache, large enough that numpy's
 # per-call overhead is amortized
@@ -325,11 +358,20 @@ def _hamdi_rule(first: int):
     nodes, weights = np.concatenate([t[0] * _HAMDI_TAIL, [t, _HAMDI_STEP * t]], axis=1)
     weights[-1] /= 2.0
     weights *= np.exp(-nodes)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    basis = np.ones((2, nodes.size))
+    basis[0] = nodes
+    for array in (nodes, weights, basis):
+        array.flags.writeable = False
+    return nodes, weights, basis
 
 
 HAMDI_MAX_SCALE = 1e300  # the largest scale the rule is sized to
+
+
+def _hamdi_first(scale: float) -> int:
+    """The lattice point the rule at ``scale`` starts from (:func:`hamdi_rule`)."""
+    scale = min(max(scale, 1.0), HAMDI_MAX_SCALE)
+    return math.floor(math.log(_HAMDI_REACH / scale) / _HAMDI_STEP)
 
 
 def hamdi_rule(scale: float):
@@ -340,27 +382,37 @@ def hamdi_rule(scale: float):
     1e30, 2e-15 at 1e300.  The trapezoid starts at the lattice point below
     ln(0.03 / scale): 53 nodes at a scale of 100, 311 at 1e30 and 2798 at
     1e300.  The arrays are shared and read-only."""
-    scale = min(max(scale, 1.0), HAMDI_MAX_SCALE)
-    return _hamdi_rule(math.floor(math.log(_HAMDI_REACH / scale) / _HAMDI_STEP))
+    return _hamdi_rule(_hamdi_first(scale))[:2]
+
+
+def hamdi_basis(scale: float) -> np.ndarray:
+    """The (2, nodes) rows t_n and 1 of the rule at ``scale``
+    (:func:`hamdi_rule`), which :func:`hamdi_factors` takes in place of its
+    nodes; shared and read-only, so that a call forms no basis."""
+    return _hamdi_rule(_hamdi_first(scale))[2]
 
 
 def hamdi_factors(nodes, faded, far=None, out=None):
-    """(factors, trials, nodes.size) table at ``nodes`` of 1 / (1 + t b) for
+    """(factors, trials, nodes) table at ``nodes`` of 1 / (1 + t b) for
     each row b of ``faded`` (Rayleigh interferers) and with ``far`` of
     e^(-t a), a = ``far`` (fixed ones), one value a trial in each row; into
     ``out`` if given.  A Rayleigh signal at SNR u has the factor
     u / (1 + t u), u times its row at b = u, so u = 0 gives exactly 0.  The
     arguments are one ``matmul`` of per-trial (slope, intercept) with
     (t, 1): a broadcast pass over the short node axis is slower and
-    allocates numpy's 128 kB iterator buffer."""
+    allocates numpy's 128 kB iterator buffer.  ``nodes`` are the nodes t,
+    or those rows (t, 1) of them, a rule's (:func:`hamdi_basis`) or
+    columns of it, which are read in place."""
     faded = np.asarray(faded, dtype=float)
     lines = np.zeros((len(faded) + (far is not None), faded.shape[1], 2))
     lines[:len(faded), :, 0] = faded
     lines[:len(faded), :, 1] = 1.0
     if far is not None:
         np.negative(far, out=lines[-1, :, 0])
-    basis = np.ones((2, nodes.size))
-    basis[0] = nodes
+    basis = nodes
+    if np.ndim(nodes) == 1:
+        basis = np.ones((2, nodes.size))
+        basis[0] = nodes
     out = np.matmul(lines, basis, out=out)
     np.reciprocal(out[:len(faded)], out=out[:len(faded)])
     if far is not None:

@@ -249,13 +249,14 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # neighbours); it and the default band (N = 24) draw a tail
 # beyond index gap 10, which the 3 GHz edge pin (N = 5, index gaps -1..9)
 # does not.  Both interference
-# pins draw a tail beyond index gap 3.  The one-path pin keeps 5 near
+# pins draw a tail beyond index gap 3, and every interference pin mirrors
+# both its parts (the pair form).  The one-path pin keeps 5 near
 # columns a part, not 9; at N = 2 the capacity has no mid part and no tail,
 # and the interference no tail.  Every moving capacity pin subtracts its
 # surrogates (montecarlo._surrogates), the +-1 neighbours' of second order
 PINNED = {
-    "ici": ("0x1.f47f874bc89dap-8", "0x1.c39470393c323p-33"),  # 0.007637 +- 2.05e-10
-    "ici_edge_3ghz": ("0x1.3578814943b26p-7", "0x1.ecf8264774297p-30"),  # 0.0094443 +- 1.79e-09
+    "ici": ("0x1.f47f860220c1bp-8", "0x1.b6cf6810f3b37p-38"),  # 0.007637 +- 6.24e-12
+    "ici_edge_3ghz": ("0x1.357886594973cp-7", "0x1.237281a1bc5acp-35"),  # 0.0094443 +- 3.31e-11
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
     "capacity": ("0x1.4a12f6004ca64p+2", "0x1.42726bc4b4a7fp-18"),  # 5.15741 +- 4.8e-06
     "capacity_edge_3ghz": ("0x1.451ab0e754e46p+2", "0x1.7ed60504bb6c2p-17"),  # 5.07975 +- 1.14e-05
@@ -264,7 +265,7 @@ PINNED = {
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
     "capacity_one_path": ("0x1.4bae5e017859ap+2", "0x1.dafcacff6b352p-18"),  # 5.18252 +- 7.08e-06
     "capacity_n2": ("0x1.535bbc25daa56p+2", "0x1.0bc4544cfd4b6p-18"),  # 5.30247 +- 3.99e-06
-    "ici_n2": ("0x1.8754b4301fdb3p-8", "0x1.ca5656a48bbd3p-33"),  # 0.00597124 +- 2.08e-10
+    "ici_n2": ("0x1.8754b5a39de46p-8", "0x1.358538494acc9p-38"),  # 0.00597124 +- 4.4e-12
 }
 
 
@@ -318,14 +319,25 @@ def test_a_group_across_the_kernel_regimes_matches_its_members(estimator):
     assert group == [estimator(plan, CFG, CELL, mob) for mob in mobs]
 
 
-def test_a_static_scenario_never_calls_the_kernel(monkeypatch):
-    spans = []
-
-    def spy(gap, offset, span=None, out=None, work=None, mirror=None):
-        spans.append(span)
+def _spy_on_the_kernel(monkeypatch, seen):
+    # both kernels the estimators call, the pair form beside sinc_squared:
+    # each call passes seen(gap, offset, span, out, work, mirror), the pair
+    # form's halved squares in the place of the gaps and no mirror
+    def one_sided(gap, offset, span=None, out=None, work=None, mirror=None):
+        seen(gap, offset, span, out, work, mirror)
         return numerics.sinc_squared(gap, offset, span, out, work, mirror)
 
-    monkeypatch.setattr(montecarlo, "sinc_squared", spy)
+    def pair(halves, offset, span, out=None, work=None):
+        seen(halves, offset, span, out, work, None)
+        return numerics.sinc_squared_pair(halves, offset, span, out, work)
+
+    monkeypatch.setattr(montecarlo, "sinc_squared", one_sided)
+    monkeypatch.setattr(montecarlo, "sinc_squared_pair", pair)
+
+
+def test_a_static_scenario_never_calls_the_kernel(monkeypatch):
+    spans = []
+    _spy_on_the_kernel(monkeypatch, lambda gap, offset, span, *_: spans.append(span))
     plan = TrialPlan(trials=300, seed=25)
     static = MobilityModel(0.0)
     estimate_total_ici(plan, CFG, CELL, static)
@@ -343,12 +355,8 @@ def test_every_offset_lies_within_the_span_of_its_scenario(v_max, monkeypatch):
     # x = 0.12, 0.48 (a cut series, no reduction), 0.6 and 1.2 (reduced):
     # each offset is x times u cos psi, and |u cos psi| <= 1
     calls = []
-
-    def spy(gap, offset, span=None, out=None, work=None, mirror=None):
-        calls.append((float(np.abs(offset).max()), span))
-        return numerics.sinc_squared(gap, offset, span, out, work, mirror)
-
-    monkeypatch.setattr(montecarlo, "sinc_squared", spy)
+    _spy_on_the_kernel(monkeypatch, lambda gap, offset, span, *_:
+                       calls.append((float(np.abs(offset).max()), span)))
     plan = TrialPlan(trials=300, seed=26, target_index=3)
     mob = MobilityModel(v_max)
     span = CFG.doppler_span(v_max)
@@ -364,12 +372,8 @@ def test_the_kernel_runs_in_64_byte_aligned_tiles(monkeypatch):
     # the kernel's speed follows its workspace's alignment, which must not
     # be left to where the heap places it
     seen = []
-
-    def spy(gap, offset, span=None, out=None, work=None, mirror=None):
-        seen.extend(a.ctypes.data % 64 for a in (offset, out, work[0], work[1]))
-        return numerics.sinc_squared(gap, offset, span, out, work, mirror)
-
-    monkeypatch.setattr(montecarlo, "sinc_squared", spy)
+    _spy_on_the_kernel(monkeypatch, lambda gap, offset, span, out, work, _:
+                       seen.extend(a.ctypes.data % 64 for a in (offset, out, work[0], work[1])))
     # workspaces of 0.3 to 1 MB, which the heap places differently
     for n in (2, 24, 100, 400):
         cfg = SystemConfig(half_subcarriers=n, bandwidth_hz=0.0)
@@ -498,8 +502,9 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
     # part are mirrored; every block's rows, powers and weights have their
     # part's shape, a weight for each column beyond index gap 2 of the
     # capacity alone, and each part's store has its rows, parts and
-    # width; at the centre, block_bytes and run_bytes count those same
-    # records
+    # width; both interference parts are mirrored too, and their powers
+    # are each pair's mean, a column a draw; at the centre, block_bytes and
+    # run_bytes count those same records
     devices, cell = 2 * half_subcarriers + 1, CellConfig(paths)
     plan, layout = TrialPlan(trials=300, seed=41), montecarlo._layout
     static = (SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0),
@@ -529,19 +534,20 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
                     + [(ones * rounds, len(ones), True)] * bool(ones) \
                     + [(mid, 1, True)] * bool(mid) + [(tail, 1, False)] * bool(tail)
             elif estimator == "interference":
-                assert records == [(np.flatnonzero(kept).tolist(), 1, False)
+                assert records == [(np.flatnonzero(kept).tolist(), 1, True)
                                    for kept in ((far != 0.0) & (far <= montecarlo._ICI_TAIL_GAP),
                                                  far > montecarlo._ICI_TAIL_GAP)
                                    if kept.any()]
             else:
                 assert records == [(list(range(devices)), devices, False)]
+            assert [part.summed for _, part in parts] == [estimator == "interference"] * len(parts)
             for block, (_, rows, powers, weights) in enumerate(
                     montecarlo._device_powers(plan, cell, [static], [index_gaps], sets)):
                 for (ds, part), r, p, w in zip(parts, rows, powers, weights, strict=True):
                     n = min(montecarlo._block_sizes(plan.trials)[block], ds.rows)
                     size = ds.columns[part.columns].size
                     assert (r.start, r.stop) == (block * ds.rows, block * ds.rows + n)
-                    assert p.shape == (n, size * (1 + part.mirrored))
+                    assert p.shape == (n, size * (1 + part.mirrored - part.summed))
                     # a part draws a weight for each of its columns or none
                     assert (w is None) == (not ds.weighted[part.columns].any())
                     assert w is None or (w.shape == (n, size) and np.all(w > 0.0))
@@ -672,22 +678,24 @@ def test_the_power_variates_span_the_taylor_series_of_the_kernel(q, monkeypatch)
     # mean, sum_p a_p(g) (mean_m d_m^p - x^p E[z^p]) with a_p(g) the
     # coefficient of d^p in sinc^2(g + d) by mpmath, summed over each
     # part's interferers for the interference, is a least-squares
-    # combination of the columns each estimator fits, whatever x and q
+    # combination of the columns each estimator fits, whatever x and q.
+    # The interference's parts are mirrored: a draw's pair mean keeps the
+    # series' even orders alone, which its even columns span
     cfg = SystemConfig(carrier_frequency_hz=3e9, half_subcarriers=5, symbol_period_s=q / 2500.0)
     plan = TrialPlan(trials=256, seed=26, target_index=1)
     x = cfg.doppler_span(CV_MOB.max_velocity_mps)  # 0.28 q
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
 
-    def excess(*sets):
-        # sum_p a_p(g) (mean_m d_m^p - x^p E[z^p]) per device of each draw
-        # set, from the raw draws: the first set's on every trial, a
-        # second's on rows of its own, drawn after them
+    def excess(*sets, orders=range(2, 7)):
+        # sum_p a_p(g) (mean_m d_m^p - x^p E[z^p]) over the ``orders`` p per
+        # device of each draw set, from the raw draws: the first set's on
+        # every trial, a second's on rows of its own, drawn after them
         rng = montecarlo._block_rng(plan.seed, 0)
         for rows, device_gaps in zip((plan.trials, montecarlo._TAIL_DRAWS), sets):
             d = x * sample_cell_batch(rng, rows, len(device_gaps), CV_CELL)
             coefficients = np.array([_taylor_coefficients(g) for g in device_gaps])
             yield sum(((d ** p).mean(axis=2) - x ** p * float(PATH_MOMENT_MEANS[p]))
-                      * coefficients[:, p] for p in range(2, 7))
+                      * coefficients[:, p] for p in orders)
 
     def check(estimate, *expected):
         _, fits = _subtracted(monkeypatch, estimate)
@@ -700,8 +708,10 @@ def test_the_power_variates_span_the_taylor_series_of_the_kernel(q, monkeypatch)
     # not drawn
     sets = montecarlo._layout("interference", subcarrier_gaps(plan.target_index, 5), 3)
     assert [ds.columns.size for ds in sets] == [6, 4]
+    assert all(ds.parts[0].mirrored for ds in sets)
     check(lambda: estimate_total_ici(plan, cfg, CV_CELL, CV_MOB),
-          *(part.sum(axis=1) for part in excess(*(gaps[ds.columns] for ds in sets))))
+          *(part.sum(axis=1) for part in excess(*(gaps[ds.columns] for ds in sets),
+                                                 orders=(2, 4, 6))))
     [useful] = excess([0.0])
     check(lambda: estimate_useful_power(plan, cfg, CV_CELL, CV_MOB), useful[:, 0])
     # fitted in device order: device 0 is the source on -1 seen from 1,
@@ -761,12 +771,12 @@ def test_control_variate_cuts_the_fig3_standard_error():
     # the fig3 point with the largest Doppler, 3 GHz at 100 m/s (x = 0.4),
     # at the benchmark's 2048 trials; at this seed the relative standard
     # error was 0.010583 with no variate, 0.0035 with the d^2 term alone,
-    # 4.318e-5 with the fixed series through d^6, and is 3.991e-6 with the
-    # series' columns fitted
+    # 4.318e-5 with the fixed series through d^6, 3.991e-6 with the
+    # series' columns fitted, and is 4.389e-7 with both parts mirrored
     cfg = SystemConfig(carrier_frequency_hz=3e9)
     est = estimate_total_ici(TrialPlan(trials=2048, seed=42), cfg, CELL, MOB)
     exact = finite_n_ici(0, 100.0, cfg)
-    assert est.std_error / exact <= 2.0 * 3.991e-6
+    assert est.std_error / exact <= 2.0 * 4.389e-7
     assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
@@ -826,8 +836,10 @@ def test_ici_estimates_are_unbiased_at_every_fig3_point():
     # the fig3 grid at the benchmark's 2048 trials against the exact
     # interference, 4 standard errors and no relative floor.  finite_n_ici
     # takes its power series at every point, within 2.3e-16 of mpmath, so the
-    # oracle stays sharper than the standard error, which falls to 1.0e-13
-    # of the value at 900 MHz and 10 m/s; the worst |z| is 0.14
+    # oracle stays sharper than the standard error, which falls to 6.8e-15
+    # of the value at 900 MHz and 10 m/s; the worst |z| is 1.44 (the 20
+    # estimates share their draws, and read z = -1.36 to -1.44 but for
+    # +0.39 at 900 MHz and 10 m/s)
     plan = TrialPlan(trials=2048, seed=42)
     speeds = [10.0 * k for k in range(1, 11)]
     for fc in (900e6, 3e9):
@@ -848,8 +860,10 @@ def test_power_estimates_are_unbiased_and_their_std_error_honest(target, v_max):
     # from 28 of its 32 draws; the mean estimate against finite_n_ici
     # within 4 standard errors of that mean, and the standard error each
     # run reports against the spread of the 200 estimates.  The ratios
-    # read 0.99, 0.99 and 1.04 (0.94, 0.98 and 0.97 with every interferer
-    # drawn on every trial); fitting each fold on its own trials read 0.55
+    # read 1.02, 1.03 and 1.03, z = +1.9, +1.4 and +1.5, with both parts
+    # mirrored (0.99, 0.99 and 1.04 without the mirrors; 0.94, 0.98 and
+    # 0.97 with every interferer drawn on every trial); fitting each fold
+    # on its own trials read 0.55
     cfg = SystemConfig(carrier_frequency_hz=3e9)
     runs = [estimate_total_ici(TrialPlan(trials=256, seed=seed, target_index=target), cfg, CELL,
                                MobilityModel(v_max))
@@ -887,14 +901,11 @@ def test_the_interference_evaluates_its_tail_on_few_draws(monkeypatch):
     # two curves' 22 speeds at 2048 trials: the interferers beyond index
     # gap 3, 42 of the 48 at N = 24, are evaluated on 32 of the block's 256
     # trials and the target on none, which leaves 23% of what every
-    # interferer on every trial would take; a count, not a time
+    # interferer on every trial would take; a count, not a time.  Both parts
+    # are mirrored, and the pair form evaluates a draw and its mirror as one
+    # device-path
     evaluated = []
-
-    def spy(gap, offset, span=None, out=None, work=None, mirror=None):
-        evaluated.append(offset.size)
-        return numerics.sinc_squared(gap, offset, span, out, work, mirror)
-
-    monkeypatch.setattr(montecarlo, "sinc_squared", spy)
+    _spy_on_the_kernel(monkeypatch, lambda gap, offset, *_: evaluated.append(offset.size))
     cfgs = [SystemConfig(carrier_frequency_hz=fc) for fc in (900e6, 3e9) for _ in range(11)]
     speeds = [MobilityModel(10.0 * k) for _ in range(2) for k in range(11)]
     plan = TrialPlan(trials=2048, seed=42)
@@ -1130,22 +1141,30 @@ def test_the_far_columns_keep_their_rank(half_subcarriers, target):
 @pytest.mark.parametrize("paths", [1, 8])
 def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(paths):
     # fig4's 1000 Hz band (N = 99, three pairs of each neighbour at index
-    # gap +-1): each mirrored part's columns, built by its builder, against
-    # those the same builder gives the part unmirrored on the same draws
-    # and weights.  The neighbours at index gap +-1 zero m_3, m_5 and m_2
-    # m_3 (m_3 and m_5 at one path) and the mid part its Taylor terms of
-    # odd order, exactly; every other column keeps its bits
+    # gap +-1) and the interference's: each mirrored part's columns, built
+    # by its builder, against those the same builder gives the part
+    # unmirrored on the same draws and weights.  The capacity's neighbours
+    # at index gap +-1 zero m_3, m_5 and m_2 m_3 (m_3 and m_5 at one path),
+    # and its mid part and both interference parts their Taylor terms of
+    # odd order, (3, 3), (5, 3) and (5, 5), exactly; every other column
+    # keeps its bits
     [ds, _] = montecarlo._layout("capacity", subcarrier_gaps(0, 99), paths)
     near, ones, mid = ds.parts
     assert ones.mirrored and mid.mirrored and not near.mirrored
+    interference = montecarlo._layout("interference", subcarrier_gaps(0, 99), paths)
+    assert [part.mirrored for ids in interference for part in ids.parts] == [True, True]
     rng, trials = np.random.default_rng(43), 40
-    shift = sample_cell_batch(rng, trials, ds.columns.size, CellConfig(paths))
-    weights = np.zeros((trials, ds.columns.size))
-    weights[:, ds.weighted] = rng.standard_exponential((trials, np.count_nonzero(ds.weighted)))
-    odd = [[row for row in montecarlo._ODD_NEAR if row < ones.width],
-           [t for t, (p, _) in enumerate(montecarlo._TERMS) if p % 2]]
+    odd_terms = [t for t, (p, _) in enumerate(montecarlo._TERMS) if p % 2]
+    odd = [[row for row in montecarlo._ODD_NEAR if row < ones.width], odd_terms]
     assert len(ones.columns) == 6 and len(odd[0]) == (2 if paths == 1 else 3)
-    for part, zeros in zip((ones, mid), odd):
+    assert [montecarlo._TERMS[t] for t in odd_terms] == [(3, 3), (5, 3), (5, 5)]
+    checked = [(ds, ones, odd[0]), (ds, mid, odd[1])] \
+        + [(ids, ids.parts[0], odd_terms) for ids in interference]
+    for draws, part, zeros in checked:
+        shift = sample_cell_batch(rng, trials, draws.columns.size, CellConfig(paths))
+        weights = np.zeros((trials, draws.columns.size))
+        weights[:, draws.weighted] = rng.standard_exponential(
+            (trials, np.count_nonzero(draws.weighted)))
         own = np.ascontiguousarray(shift[:, part.columns])
         tiles = numerics.row_tiles(trials, own.shape[1] * paths)
         space = np.empty((4, tiles[0].stop, own.shape[1], paths))
@@ -1231,6 +1250,47 @@ def test_a_mirrors_powers_are_the_kernel_on_the_negated_shifts(v_max, monkeypatc
     # the +1 neighbour's draw is the second of its part's, its mirror the fourth
     assert sets[0].columns[parts[1][1].columns[1]] == CFG.half_subcarriers + 1
     assert (span >= 1.0) == (powers[1][0, 3] >= 1.0 / cell.paths_per_device)
+
+
+@pytest.mark.parametrize("v_max,paired", [(100.0, True), (400.0, True), (500.0, False),
+                                          (1000.0, False)])
+def test_the_interference_takes_the_pair_form_where_it_holds(v_max, paired, monkeypatch):
+    # over a block of 40 trials of the default band: at x = 0.12 and 0.48
+    # both parts take the pair form, on (pi g)^2 / 2; at x = 0.6, where the
+    # gaps +-1 lie within twice the span and the offsets are reduced, and at
+    # 1.2 both take the two-sided kernel, on the gaps.  Either way a part's
+    # powers are the means over each draw and its mirror: bit for bit the
+    # two-sided kernel's pair where it is called, within 1e-14 relative of
+    # it where the pair form is
+    span, cell = CFG.doppler_span(v_max), CellConfig(3)
+    gaps = subcarrier_gaps(0, CFG.half_subcarriers, CFG.spacing_symbol_product)
+    sets = montecarlo._layout("interference", subcarrier_gaps(0, CFG.half_subcarriers),
+                              cell.paths_per_device)
+    drawn, calls = [], []
+
+    def sampler(rng, n_trials, n_devices, cell):
+        drawn.append(sample_cell_batch(rng, n_trials, n_devices, cell))
+        return drawn[-1].copy()
+
+    monkeypatch.setattr(montecarlo, "sample_cell_batch", sampler)
+    _spy_on_the_kernel(monkeypatch, lambda gap, offset, span, out, work, mirror:
+                       calls.append((mirror is None, gap[0, :, 0].copy())))
+    [(_, _, powers, _)] = montecarlo._device_powers(
+        TrialPlan(trials=40, seed=44), cell, [(CFG, MobilityModel(v_max))], [gaps], sets)
+    assert len(calls) == len(sets) == len(powers) == 2
+    for ds, p, shift, (pair_form, tile) in zip(sets, powers, drawn, calls, strict=True):
+        assert pair_form == paired
+        assert np.array_equal(tile, (math.pi * gaps[ds.columns]) ** 2 / 2.0 if paired
+                              else gaps[ds.columns])
+        gap = np.broadcast_to(gaps[ds.columns][:, None], shift.shape)
+        both = numerics.sinc_squared(gap, shift * span, span) \
+            + numerics.sinc_squared(gap, -(shift * span), span)
+        want = np.einsum("tdm->td", both) / (2 * cell.paths_per_device)
+        assert p.shape == want.shape
+        if paired:
+            assert p == pytest.approx(want, rel=1e-14, abs=0.0)
+        else:
+            assert np.array_equal(p.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("half_subcarriers,draws", [(4, 2), (4, 4), (12, 2)],

@@ -19,6 +19,7 @@ from nbofdma.numerics import (
     QuadratureSpec,
     doppler_power_scale,
     fourth_moment_mean,
+    hamdi_basis,
     hamdi_factors,
     hamdi_rule,
     integrate,
@@ -27,6 +28,7 @@ from nbofdma.numerics import (
     sin_pi,
     sinc,
     sinc_squared,
+    sinc_squared_pair,
     sine_integral,
     third_moment_mean,
 )
@@ -204,6 +206,74 @@ def test_sinc_squared_in_buffers_allocates_no_float_array():
             peak = tracemalloc.get_traced_memory()[1]
             # the centre test's boolean mask is an eighth of a float tile
             assert peak < out.nbytes / 4, span
+    finally:
+        tracemalloc.stop()
+
+
+PAIR_SPANS = (0.012, 0.05, 0.12, 0.3, 0.4, 0.48, 0.49)
+
+
+def _halves(gaps):
+    return (math.pi * gaps) ** 2 / 2.0
+
+
+def test_the_pair_form_is_the_two_sided_kernels_sum():
+    # sinc^2(g + o) + sinc^2(g - o) from one sine series and one
+    # denominator pass, against the sum of the two-sided kernel's pair, at
+    # gaps +-1..+-24 (every |g| >= 2 span) and offsets up to the span, its
+    # ends included
+    rng = np.random.default_rng(16)
+    gaps = np.broadcast_to(np.setdiff1d(np.arange(-24.0, 25.0), [0.0])[None, :, None],
+                           (40, 48, 3))
+    for span in PAIR_SPANS:
+        offsets = span * rng.uniform(-1.0, 1.0, gaps.shape)
+        offsets[0], offsets[1] = span, -span
+        work = np.empty((2,) + gaps.shape)
+        forward, mirror = sinc_squared(gaps, offsets, span, np.empty(gaps.shape), work, work[1])
+        pair = sinc_squared_pair(_halves(gaps), offsets, span)
+        assert pair == pytest.approx(forward + mirror, rel=1e-14, abs=0.0), span
+
+
+def test_the_pair_form_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    gaps = np.setdiff1d(np.arange(-24.0, 25.0), [0.0])
+    for span in PAIR_SPANS:
+        offsets = span * rng.uniform(-1.0, 1.0, gaps.shape)
+        offsets[:2] = span, -span
+        pair = sinc_squared_pair(_halves(gaps), offsets, span)
+        with mpmath.workdps(40):
+            for g, d, got in zip(gaps, offsets, pair):
+                g, d = mpmath.mpf(g), mpmath.mpf(d)
+                exact = mpmath.sincpi(g + d) ** 2 + mpmath.sincpi(g - d) ** 2
+                assert abs(got - exact) <= 1e-14 * exact, (span, g, d)
+
+
+def test_the_pair_form_gives_exactly_zero_at_a_whole_number_offset():
+    # within a span of at most 1/2 the one whole-number offset is 0 (either sign)
+    gaps = np.setdiff1d(np.arange(-24.0, 25.0), [0.0])
+    for span in PAIR_SPANS:
+        for zero in (0.0, -0.0):
+            pair = sinc_squared_pair(_halves(gaps), np.full(gaps.shape, zero), span)
+            assert np.all(pair == 0.0), span
+
+
+def test_the_pair_form_in_buffers_keeps_every_bit_and_allocates_nothing():
+    rng = np.random.default_rng(18)
+    shape = (64, 8, 8)
+    halves = _halves(np.broadcast_to(np.arange(1.0, 9.0)[:, None], shape).copy())
+    out, work = np.empty(shape), np.empty((2,) + shape)
+    tracemalloc.start()
+    try:
+        for span in (0.012, 0.3, 0.49, 0.5):
+            offsets = span * rng.uniform(-1.0, 1.0, shape)
+            expected = sinc_squared_pair(halves, offsets, span)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            got = sinc_squared_pair(halves, offsets, span, out, work)
+            assert tracemalloc.get_traced_memory()[1] - held < 1024, span
+            assert got is out
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), span
     finally:
         tracemalloc.stop()
 
@@ -502,6 +572,23 @@ def test_the_factors_of_no_power_are_exactly_one():
     factors = hamdi_factors(nodes, [[0.0, 0.0], [0.0, 3.0]], np.array([0.0, 2.0]))
     assert np.all(factors[:, 0] == 1.0) and np.all(factors[1:, 1] < 1.0)
     assert np.all(factors[0, 1] == 1.0)
+
+
+@pytest.mark.parametrize("scale", [100.0, 1e30])
+def test_the_rules_basis_gives_the_factors_of_its_nodes_bit_for_bit(scale):
+    # the cached rows (t, 1) of a rule, whole or a window of its columns as
+    # the capacity's mid surrogate reads them, in place of the nodes
+    nodes, _ = hamdi_rule(scale)
+    basis = hamdi_basis(scale)
+    assert basis is hamdi_basis(scale) and not basis.flags.writeable
+    assert np.array_equal(basis, [nodes, np.ones(nodes.size)])
+    rng = np.random.default_rng(19)
+    faded, far = rng.exponential(scale, (3, 40)), rng.exponential(scale, 40)
+    window = slice(5, nodes.size - 7)
+    for columns in (slice(None), window):
+        got = hamdi_factors(basis[:, columns], faded, far)
+        want = hamdi_factors(nodes[columns], faded, far)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

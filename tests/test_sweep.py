@@ -336,23 +336,24 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # columns out of the sampler's array, which then outweighs the tail's
     # sampler), and (M + 3) on its tail's 2N - 20 on 32, 5 doubles a trial
     # and drawn near draw that it holds across blocks; either 11 a device
-    # across blocks, plus
-    # eight tiles, against 1.75 GiB; montecarlo.run_bytes adds, at 100
+    # across blocks, plus eight tiles (nine for the interference, whose
+    # mirrored parts' kernel takes a fifth workspace tile), against
+    # 1.75 GiB; montecarlo.run_bytes adds, at 100
     # trials of 2 grid points, each part's store [1, V] over the draws
     # padded to a multiple of 8 (10 doubles a draw for either interference
     # part, 63 a trial and 13 a tail draw for the capacity) and two samples
-    # a draw and part, which for the interference refuses two N whose
-    # blocks fit at 8 paths and three at one, and for the capacity the two
+    # a draw and part, which for the interference refuses one N whose
+    # block fits at 8 paths and three at one, and for the capacity the two
     # points' node sums, 629 doubles a node of the rule
-    ("system.half_subcarriers = 211575", "ici_mc", None),   # run 1.75 GiB - 4.8 kB
-    ("system.half_subcarriers = 211576", "ici_mc", "run"),   # run 1.75 GiB + 3.9 kB
-    ("system.half_subcarriers = 211577", "ici_mc", "run"),   # block 1.75 GiB - 120 B
-    ("system.half_subcarriers = 211578", "ici_mc", "block"),   # 1.75 GiB + 8.6 kB
-    ("system.half_subcarriers = 427033\ncell.paths_per_device = 1", "ici_mc", None),
-    # run 1.75 GiB + 120 B
-    ("system.half_subcarriers = 427034\ncell.paths_per_device = 1", "ici_mc", "run"),
-    ("system.half_subcarriers = 427036\ncell.paths_per_device = 1", "ici_mc", "run"),
-    ("system.half_subcarriers = 427037\ncell.paths_per_device = 1", "ici_mc", "block"),
+    ("system.half_subcarriers = 208569", "ici_mc", None),   # run 1.75 GiB - 1.7 kB
+    ("system.half_subcarriers = 208570", "ici_mc", "run"),   # run 1.75 GiB + 7.1 kB
+    # block 1.75 GiB - 5.6 kB
+    ("system.half_subcarriers = 208571", "ici_mc", "block"),   # 1.75 GiB + 3.2 kB
+    ("system.half_subcarriers = 425486\ncell.paths_per_device = 1", "ici_mc", None),
+    # run 1.75 GiB + 1.0 kB
+    ("system.half_subcarriers = 425487\ncell.paths_per_device = 1", "ici_mc", "run"),
+    ("system.half_subcarriers = 425489\ncell.paths_per_device = 1", "ici_mc", "run"),
+    ("system.half_subcarriers = 425490\ncell.paths_per_device = 1", "ici_mc", "block"),
     ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.27 GiB
     ("system.half_subcarriers = 213381", "capacity_mc", None),   # 1.75 GiB - 5.6 kB
     ("system.half_subcarriers = 213382", "capacity_mc", "run"),    # 1.75 GiB + 488 B
@@ -361,8 +362,8 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.27 and 0.27 GiB
     ("system.half_subcarriers = 211578", "capacity_mc", None),   # 1.73 GiB
     ("system.half_subcarriers = 211578", "ici_mc, capacity_mc", "block"),
-    ("system.half_subcarriers = 41995\ncell.paths_per_device = 64", "ici_mc", None),
-    ("system.half_subcarriers = 41996\ncell.paths_per_device = 64", "ici_mc", "block"),
+    ("system.half_subcarriers = 41055\ncell.paths_per_device = 64", "ici_mc", None),
+    ("system.half_subcarriers = 41056\ncell.paths_per_device = 64", "ici_mc", "block"),
     ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 250000", "ici_mc",
      "block"),
 ])

@@ -13,8 +13,14 @@ same way on the same seeds.  The
 file records the machine, the load average before and after, the seeds,
 every run's metrics, and per metric the medians and quartiles of each side,
 the per-pair ratios (change over base), the wins of the change (pairs where
-it is better, in the metric's declared direction), and the A/A ratios as the
-noise floor a claim must exceed.  Uses the standard library and numpy only.
+it is better, in the metric's declared direction), the A/A ratios as the
+noise floor a claim must exceed, and two verdicts: ``gain_shown``, whether
+the change wins at least nine pairs in ten (a tie counts for neither) and
+its median is better than the base's by more than the base's interquartile
+range, the bar a claimed gain must clear; and ``within_bound``, whether its
+median is worse than the base's by no more than the metric's ``bound`` in
+``BENCHMARK.json``, a share of the base's median.  Uses the standard library
+and numpy only.
 """
 
 from __future__ import annotations
@@ -79,18 +85,24 @@ def quartiles(values) -> list:
     return [float(q) for q in np.percentile(values, [25, 50, 75])]
 
 
-def summary(first: list, second: list, better: str) -> dict:
+def summary(first: list, second: list, better: str, bound: float) -> dict:
     """Medians and quartiles of each side's runs, the per-pair ratios second
-    over first, and the pairs where ``second`` is better."""
+    over first, the pairs where ``second`` is better, and the verdicts
+    ``gain_shown`` and ``within_bound`` (``bound`` a share of the first
+    side's median)."""
     first, second = np.array(first), np.array(second)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = second / first
-    wins = second < first if better == "lower" else second > first
+    sign = 1.0 if better == "lower" else -1.0  # > 0: lower is better
+    wins = sign * (first - second) > 0.0
+    base, change = np.median(first), np.median(second)
+    iqr = float(np.subtract(*np.percentile(first, [75, 25])))
     return {"base_quartiles": quartiles(first), "change_quartiles": quartiles(second),
-            "base_iqr": float(np.subtract(*np.percentile(first, [75, 25]))),
-            "median_change_over_base": float(np.median(second) / np.median(first))
-            if np.median(first) else None,
-            "ratio_quartiles": quartiles(ratios), "wins": int(wins.sum()), "pairs": len(first)}
+            "base_iqr": iqr,
+            "median_change_over_base": float(change / base) if base else None,
+            "ratio_quartiles": quartiles(ratios), "wins": int(wins.sum()), "pairs": len(first),
+            "gain_shown": bool(10 * wins.sum() >= 9 * len(first) and sign * (base - change) > iqr),
+            "within_bound": bool(sign * (change - base) <= bound * abs(base))}
 
 
 def main(argv=None) -> int:
@@ -102,7 +114,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     declared = json.loads(Path("BENCHMARK.json").read_text())
-    metrics = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    metrics = {metric["name"]: (metric["better"], metric["bound"])
+               for metric in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     revisions = {"base": git("rev-parse", args.base).decode().strip(),
                  "change": git("rev-parse", args.change).decode().strip()}
@@ -134,11 +147,11 @@ def main(argv=None) -> int:
                       for key, side in runs.items()}
             record["workloads"][workload] = {
                 "runs": runs,
-                "metrics": {name: summary(values["base"][name], values["change"][name], better)
-                            for name, better in metrics.items()},
+                "metrics": {name: summary(values["base"][name], values["change"][name], *rule)
+                            for name, rule in metrics.items()},
                 # the noise floor: a second extract of the base against the first
                 "aa_noise": {name: summary(values["aa_base"][name], values["aa_copy"][name],
-                                           better) for name, better in metrics.items()},
+                                           *rule) for name, rule in metrics.items()},
             }
         record["loadavg_after"] = list(os.getloadavg())
         record["finished"] = time.time()
