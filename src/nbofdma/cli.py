@@ -63,11 +63,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    def positive_int(text: str) -> int:  # argparse names a bad value by this name
+    # argparse names a bad value by these functions' names
+    def non_negative_int(text: str, least: int = 0) -> int:
         count = int(text)
-        if count < 1:
-            raise argparse.ArgumentTypeError(f"must be at least 1 (got {count})")
+        if count < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least} (got {count})")
         return count
+
+    def positive_int(text: str) -> int:
+        return non_negative_int(text, 1)
 
     parser = _Parser(prog="nbofdma",
                      description="Mobility-induced interference and capacity "
@@ -101,8 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     analytic.set_defaults(func=_cmd_analytic)
 
     check = sub.add_parser("check", help="run fast self-consistency checks")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--trials", type=int, default=2048)
+    # both checked before any check runs
+    check.add_argument("--seed", type=non_negative_int, default=0)
+    check.add_argument("--trials", type=positive_int, default=2048)
     check.set_defaults(func=_cmd_check)
     return parser
 

@@ -7,11 +7,13 @@ what one sampler call draws, its band columns on its rows a block (every
 trial, or 32 for a tail, :data:`_TAIL_DRAWS`), and the Exp(1) weights of
 the columns that draw one; its parts split its columns, each copying its
 own out of the block's shifts into a kernel tile of its own, mirrored or
-not, with the builder of its control-variate columns V and its Taylor
-table.  A mirrored part also takes each draw's mirror -z, of the same law,
-from the same sines: the interference reads each pair's summed power from
-one kernel pass (:func:`numerics.sinc_squared_pair`), the capacity the two
-powers apart.  A block draws its sets in turn, in one fixed array order
+not, with the builder of its control-variate columns V, one of two (a
+device's own path moments, :func:`_near_columns`, or Taylor sums over
+devices, :func:`_far_columns`), and its Taylor table.  A mirrored part
+also takes each draw's mirror -z, of the same law, from the same sines:
+the interference reads each pair's summed power from one kernel pass
+(:func:`numerics.sinc_squared_pair`), the capacity the two powers apart.
+A block draws its sets in turn, in one fixed array order
 that depends on the sub-carrier count, the target and the block alone, so
 every scenario of a plan reads the same random numbers: the ICI and
 capacity estimators take a group of scenarios sharing the sub-carrier
@@ -196,9 +198,8 @@ def _monomial_mean(orders: tuple, paths: int) -> float:
 
 
 # E[z^p] = E[u^p] E[cos^p psi] = C(p, p/2) / (2^p (p + 1)) for even p and 0
-# for odd p (:func:`_monomial_mean` of one factor, at any path count)
-_MOMENT_MEANS = np.array([math.comb(p, p // 2) / (2 ** p * (p + 1)) if p % 2 == 0 else 0.0
-                          for p in _ORDERS])
+# for odd p (:func:`_monomial_mean` of one factor, the same at any path count)
+_MOMENT_MEANS = np.array([_monomial_mean((p,), 1) for p in _ORDERS])
 # the capacity's near columns: m_2..m_6, then the products of those of low
 # order; m_2^3 is left out, since at two paths m_6 = 3 m_2 m_4 - 2 m_2^3
 _NEAR_MONOMIALS = tuple((p,) for p in _ORDERS) + ((2, 2), (2, 3), (2, 4), (3, 3))
@@ -239,17 +240,6 @@ def _taylor_table(index_gaps: np.ndarray) -> np.ndarray:
     table[:, off] = index_gaps[off] ** -_TERM_EXPONENTS[:, None]
     table[(_TERM_EXPONENTS - _TERM_ORDERS % 2) // 2 > np.unique(abs(index_gaps[off])).size] = 0.0
     return table
-
-
-def _term_reductions(moments: np.ndarray, table: np.ndarray, out: np.ndarray, mirrored: bool):
-    """out[t, (p, e)] = sum_j table[(p, e), j] (mean_m z_tjm^p - E[z^p]) per
-    trial t, from the block's path moments (:func:`_path_moments`); each
-    column has mean zero.  They do not depend on the scenario.  For a
-    ``mirrored`` part, whose columns are the means over its pairs z and -z,
-    a term of odd order p is exactly 0."""
-    for p, mean in zip(_ORDERS, _MOMENT_MEANS):
-        terms = _TERM_ORDERS == p
-        out[:, terms] = 0.0 if mirrored and p % 2 else (moments[p - 2] - mean) @ table[terms].T
 
 
 def _path_moments(shift: np.ndarray, tiles, work: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -335,20 +325,24 @@ class _Part:
     neighbours at index gap +-1 a list, their draws round by round, the
     ``count`` neighbours' draws of a round in turn), which it copies out of
     the block's shifts into a kernel tile of its own; its ``build``, which
-    writes a block's columns V, ``width`` a part; the whole-number
-    ``gaps`` its Taylor table is built on, 0 at a column it leaves out
-    (none for a table-free part); ``held``, the doubles a block row its
-    builder keeps across blocks; and whether it is ``mirrored`` (the
-    capacity's +-1 neighbours and mid part, and both interference parts):
-    the kernel also evaluates its columns at the negated shifts, and its
-    columns V are the means over its draws and their mirrors; a capacity
-    part's powers hold its columns' and then their mirrors', its factors
-    the means over them, and an interference part's each pair's mean
-    (:attr:`summed`).  ``V``, its store over a run, is the design
-    [1, V] every fit reads (:func:`_device_powers`); what a capacity
-    part's builder leaves of the block: a near part's ``moments`` m_2..m_6
-    of each of its columns, and a far-style part's ``m2``, sum_j n_j^-2
-    w_j m_(2,j)."""
+    writes a block's columns V, ``width`` a part: :func:`_near_columns`
+    for a device's own path moments, :func:`_far_columns` for Taylor sums
+    over its devices; the whole-number ``gaps`` its Taylor table is built
+    on, 0 at a column it leaves out (none for a table-free part, which the
+    near builder builds); ``held``, the doubles a block row its builder
+    keeps across blocks; whether it is ``mirrored`` (the capacity's +-1
+    neighbours and mid part, and both interference parts): the kernel
+    also evaluates its columns at the negated shifts, and its columns V
+    are the means over its draws and their mirrors; and whether it is
+    ``summed`` (both interference parts), its powers each pair's mean, its
+    sample being linear in them, so that the kernel forms each pair's sum
+    at once (:func:`numerics.sinc_squared_pair`), where a capacity part's
+    powers hold its columns' and then their mirrors', its factors the means
+    over them.  ``V``, its store over a run, is the design [1, V] every
+    fit reads (:func:`_device_powers`); what a part's builder leaves of the
+    block: a near part's ``moments`` m_2..m_6 of each of its columns, and
+    a far-style part's ``m2``, sum_j n_j^-2 w_j m_(2,j), which the
+    capacity's surrogates read."""
 
     columns: slice | list
     build: Callable
@@ -357,17 +351,10 @@ class _Part:
     gaps: np.ndarray | None = None
     count: int = 1
     mirrored: bool = False
+    summed: bool = False
     V: np.ndarray | None = None
     m2: np.ndarray | None = None
     moments: np.ndarray | None = None
-
-    @property
-    def summed(self) -> bool:
-        """Whether its powers are each pair's mean, not its columns' and then
-        their mirrors': a mirrored part of a power estimator, whose sample is
-        linear in them, so that the kernel forms each pair's sum at once
-        (:func:`numerics.sinc_squared_pair`)."""
-        return self.mirrored and self.build is _moment_columns
 
     @functools.cached_property
     def table(self) -> np.ndarray | None:
@@ -399,11 +386,12 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     whole-number ``index_gaps`` from the target, of ``paths`` paths.
 
     "devices" (:func:`_device_estimates`): one set of one part, a part
-    record for each device, of its own centred path moments
-    (:func:`_moment_columns`).  "interference": the interferers within
-    index gap K_I of the target on every trial, then the tail beyond it on
-    :data:`_TAIL_DRAWS` rows, each set one mirrored part of its Taylor
-    columns, if the band holds any; neither draws the target.  "capacity": its
+    record for each device, of its own centred path moments m_2..m_6, the
+    first 5 near columns (:func:`_near_columns`).  "interference": the
+    interferers within index gap K_I of the target on every trial, then the
+    tail beyond it on :data:`_TAIL_DRAWS` rows, each set one mirrored and
+    summed part of its 9 Taylor sums (:func:`_far_columns`, unweighted), if
+    the band holds any; neither draws the target.  "capacity": its
     main draws, the target and its neighbours at index gap +-2, then those
     at +-1, the mid devices at index gap 3..K and P - 1 more rounds of the
     neighbours at +-1 (:func:`_neighbour_draws`), in three parts: the
@@ -419,13 +407,13 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     columns, moments = np.arange(index_gaps.size), len(_ORDERS)
     if estimator == "devices":
         return [_DrawSet(columns, BLOCK_TRIALS, columns < 0,
-                         [_Part(slice(0, columns.size), _moment_columns, moments,
+                         [_Part(slice(0, columns.size), _near_columns, moments,
                                 moments * columns.size, count=columns.size)])]
     far = abs(index_gaps)
     if estimator == "interference":
         return [_DrawSet(columns[kept], rows, columns[kept] < 0,
-                         [_Part(slice(0, count), _moment_columns, len(_TERMS), moments * count,
-                                index_gaps[kept], mirrored=True)])
+                         [_Part(slice(0, count), _far_columns, len(_TERMS), len(_TERMS),
+                                index_gaps[kept], mirrored=True, summed=True)])
                 for kept, rows in (((far != 0.0) & (far <= _ICI_TAIL_GAP), BLOCK_TRIALS),
                                    (far > _ICI_TAIL_GAP, _TAIL_DRAWS))
                 if (count := np.count_nonzero(kept))]
@@ -478,9 +466,11 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     (:func:`_layout`; the capacity's, with ``snr`` its P_T over the noise,
     else the interference's): per part a block's shifts of its columns,
     its powers (a mirrored part's on its columns and their mirrors, unless
-    :attr:`_Part.summed`) and what its builder holds across blocks, and per
-    set any weights; the kernel's four workspace tiles, five with a summed
-    part, and one more for its centre mask and the per-device vectors, of
+    :attr:`_Part.summed`) and what its builder holds across blocks (a near
+    part's five path moments a column, a far-style part's nine Taylor sums
+    a row), and per set any weights; the kernel's four workspace tiles,
+    five with a summed part, and one more for its centre mask and the
+    per-device vectors, of
     the largest part's tile, and a gap tile a part (:func:`_device_powers`);
     and the largest of a set's sampler (a slot for its speed fractions and
     two scratch tiles of the set's), the shifts of a set of several parts,
@@ -546,58 +536,49 @@ def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
     return 8 * (kept + max(block_bytes(devices, paths, snr) // 8 + node_sums, fit))
 
 
-def _moment_columns(part, shift, tiles, weights, space, work, rows):
-    """Write a power estimator's part's columns V of the block's ``rows``
-    into its store: its devices' path moments mean_m z^p, p = 2..6, less
-    their means (:data:`_MOMENT_MEANS`), or with a Taylor table their sums
-    over its terms (:func:`_term_reductions`), those of odd order exactly 0
-    for a mirrored part and the rest those of its draws."""
-    moments = _path_moments(shift, tiles, work, space[0])
-    out = part.V[rows, :, 1:]
-    if part.table is None:
-        np.subtract(moments, _MOMENT_MEANS[:, None, None], out=out.transpose(2, 0, 1))
-    else:
-        _term_reductions(moments, part.table, out[:, 0], part.mirrored)
-
-
 def _near_columns(part, shift, tiles, weights, space, work, rows):
-    """Write the block's (trials, count, 9) columns V_i of a capacity near
-    part (the target and the +-2 neighbours, or the +-1 neighbours) into
-    its store's ``rows``, each of mean exactly 0, scenario-free and of
-    device i's draws alone: m_2..m_6, m_2^2, m_2 m_3, m_2 m_4 and m_3^2
-    less their means (:data:`_NEAR_MONOMIALS`, :func:`_near_means`; the
-    first five at one path), m_p = mean_m z^p of each of the part's
-    columns, averaged over each device's rounds of draws (:func:`_layout`).
-    A mirrored part's columns are the means over its pairs: m_p(-z) =
-    (-1)^p m_p(z), so its even monomials are those of its draws and its
-    odd ones (m_3, m_5 and m_2 m_3) exactly 0."""
+    """Write the block's (trials, count, width) columns V_i of a near part
+    into its store's ``rows``, each of mean exactly 0, scenario-free and of
+    device i's draws alone: the first ``part.width`` of m_2..m_6, m_2^2,
+    m_2 m_3, m_2 m_4 and m_3^2 less their means (:data:`_NEAR_MONOMIALS`,
+    :func:`_near_means`), m_p = mean_m z^p of each of the part's columns,
+    averaged over each device's rounds of draws (:func:`_layout`): all 9
+    for a capacity near part (the target and the +-2 neighbours, or the
+    +-1 neighbours), the first five at one path, and the five path moments
+    for each device of a power estimator's.  A mirrored part's columns are
+    the means over its pairs: m_p(-z) = (-1)^p m_p(z), so its even
+    monomials are those of its draws and its odd ones (m_3, m_5 and m_2
+    m_3) exactly 0."""
     moments = _path_moments(shift, tiles, work, space[0])
     part.moments = moments
     means = _near_means(shift.shape[2])
     near = part.V[rows, :, 1:]
-    for row, orders in enumerate(_NEAR_MONOMIALS[:means.size]):
+    for row, orders in enumerate(_NEAR_MONOMIALS[:part.width]):
         values = moments[orders[0] - 2]
         if len(orders) == 2:
             values = values * moments[orders[1] - 2]
         np.subtract(values.reshape(len(shift), -1, part.count).mean(axis=1), means[row],
                     out=near[..., row])
     if part.mirrored:
-        near[..., [row for row in _ODD_NEAR if row < means.size]] = 0.0
+        near[..., [row for row in _ODD_NEAR if row < part.width]] = 0.0
 
 
 def _far_columns(part, shift, tiles, weights, space, work, rows):
-    """Write the block's (trials, 1, 12) columns V of a far-style part (the
-    mid part or the tail) into its store's ``rows``, of mean exactly 0: for
-    each term (p, e) of :data:`_TERMS`, sum_j n_j^-e (w_j m_(p,j) -
-    E[m_p]), n_j^-e its table and w_j its Exp(1) weights, then sum_j
-    n_j^-2 (w_j - 1), and c_0^2 and c_0 c_(4,2) less their means, c_0 the
-    term (2, 2): the devices and their weights being independent, with
-    E[w^2] = 2, E[c_0 c] = sum_j n_j^-2 n_j^-e (2 E[m_2 m_p] - E[m_2]
-    E[m_p]).  The sums over the devices are formed a tile at a time, z^p
-    in ``space[0]`` and each order's moments in ``space[1]``, and reduced
-    at once, so that no block-sized moment is held.  A mirrored part's
-    columns are the means over its pairs, the weights shared: those of its
-    odd orders p are exactly 0, and the rest those of its drawn draws."""
+    """Write the block's (trials, 1, width) columns V of a far-style part
+    (either interference part, or the capacity's mid part or tail) into its
+    store's ``rows``, of mean exactly 0: for each term (p, e) of
+    :data:`_TERMS`, sum_j n_j^-e (w_j m_(p,j) - E[m_p]), n_j^-e its table
+    and w_j its Exp(1) weights, or 1 for a part whose devices draw none
+    (the interference's, whose 9 columns are these); then, for a part that
+    draws weights, sum_j n_j^-2 (w_j - 1), and c_0^2 and c_0 c_(4,2) less
+    their means, c_0 the term (2, 2), 12 in all: the devices and their
+    weights being independent, with E[w^2] = 2, E[c_0 c] = sum_j n_j^-2
+    n_j^-e (2 E[m_2 m_p] - E[m_2] E[m_p]).  The sums over the devices are
+    formed a tile at a time, z^p in ``space[0]`` and each order's moments
+    in ``space[1]``, and reduced at once, so that no block-sized moment is
+    held.  A mirrored part's columns are the means over its pairs, the
+    weights shared: those of its odd orders p are exactly 0, and the rest
+    those of its drawn draws."""
     table, paths = part.table, np.ones(shift.shape[2])
     orders = [(p, _TERM_ORDERS == p, table[_TERM_ORDERS == p]) for p in _ORDERS]
     far_terms = work.reshape(len(shift), len(_TERMS))
@@ -613,14 +594,21 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
                 far_terms[tile, terms] = 0.0
                 continue
             np.matmul(power, paths, out=moment)  # twice as fast as einsum here
-            moment *= weights[tile]
+            if weights is not None:
+                moment *= weights[tile]
             # one product a trial, so that no value depends on the tile
             far_terms[tile, terms] = (weights_of_terms @ moment[..., None])[..., 0]
     far_terms /= paths.size
     part.m2 = far_terms[:, 0]
     far = part.V[rows, 0, 1:]
     terms = far[:, :len(_TERMS)]
-    np.subtract(far_terms, _MOMENT_MEANS[_TERM_ORDERS - 2] * table.sum(axis=1), out=terms)
+    # a column at a time: a row of means subtracted into the strided store
+    # makes numpy buffer both operands at the block's size
+    for column, sums, mean in zip(terms.T, far_terms.T,
+                                  _MOMENT_MEANS[_TERM_ORDERS - 2] * table.sum(axis=1)):
+        np.subtract(sums, mean, out=column)
+    if weights is None:
+        return
     far[:, -3] = weights @ table[0] - table[0].sum()
     for column, term in ((-2, 0), (-1, _TERMS.index((4, 2)))):
         p = _TERM_ORDERS[term]
@@ -675,8 +663,8 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     to the largest part's, a fifth into which a summed part broadcasts its
     gaps for the two-sided kernel, if a part is summed, and one (rows,
     columns, paths) tile per part and distinct gap vector, of its gaps or,
-    for a summed part, of (pi g)^2 / 2; the path moments are taken tile by
-    tile in the offsets tile, so no block-sized z^p is ever formed.
+    for a summed part, of (pi g)^2 / 2; the builders form z^p tile by tile
+    in the offsets and output tiles, so no block-sized z^p is ever formed.
 
     Every estimator subtracts its zero-mean columns times cross-fitted
     slopes (Glasserman 2003, section 4.1; :func:`_fold_solver`), part by
@@ -831,8 +819,9 @@ def estimate_total_ici(plan: TrialPlan, cfg: SystemConfig | list[SystemConfig],
     draw of a part sums those pair means less its fitted columns sum_j
     n_j^-e (mean_m z_jm^p - E[z^p]) over its interferers, one per term (p,
     e) of the kernel's Taylor series of even order p, those of odd order
-    being exactly 0, the part's own table (:func:`_taylor_table`) and
-    folds (:func:`_fitted`); neither needs a quadrature.  The estimate is
+    being exactly 0 (:func:`_far_columns`, as for the capacity's far
+    devices but unweighted), the part's own table (:func:`_taylor_table`)
+    and folds (:func:`_fitted`); neither needs a quadrature.  The estimate is
     the sum of the two part means, exactly unbiased, and its standard error
     sqrt(sum_i var(r_i) / n_i) over the parts' residuals r_i and draw
     counts n_i (:func:`_std_error`).  A static network, or N = 0, gives

@@ -424,8 +424,9 @@ def hamdi_factors(nodes, faded, far=None, out=None):
 # m_2 = u^2 mean_m cos^2 psi_m the second path moment of a device of M paths
 # (u uniform on [0, 1), the psi_m uniform and independent).  With
 # 1 / (1 + y) = int e^(-w (1 + y)) dw, Phi_M(a) = E[e^(-a mean_m cos^2 psi_m)]
-# = (e^(-a/2M) I0(a/2M))^M and lam = w u^2, whose density is
-# (sqrt(pi) / 2) erfc(sqrt lam) / sqrt lam:
+# = (e^(-a/2M) I0(a/2M))^M = Psi_0(a / M)^M, Psi_0(s) = E[e^(-s cos^2 psi)]
+# (:func:`_cosine_power_laplace` of order 0), and lam = w u^2, whose density
+# is (sqrt(pi) / 2) erfc(sqrt lam) / sqrt lam:
 #     h_M(c) = int_0^inf Phi_M(lam c) (sqrt(pi) / 2) erfc(sqrt lam) / sqrt lam dlam,
 # a trapezoid of step 1/4 in s = ln lam from s = -80 - ln c to 4 (within
 # 1e-15 of asinh(sqrt c) / sqrt c at M = 1, up to c = 1e300).  The table
@@ -435,33 +436,11 @@ def hamdi_factors(nodes, faded, far=None, out=None):
 # the weights; 10-point Lagrange interpolation reads it within about 1e-14.
 _REC_STEP, _REC_GRID, _REC_ORDER = 0.25, 1.0 / 16.0, 9
 _REC_LOW, _REC_HIGH = -40.0, 716.0  # ln c of the table's ends; 1 - c/6 below
-_REC_LAPLACE_SERIES = 9  # terms of the asymptotic e^-a I0(a) beyond a = 700
 # the interpolation's nodes i = 0.._REC_ORDER, and 1 / prod_(j != i) (i - j)
 _REC_NODES = np.arange(_REC_ORDER + 1)[:, None]
 _REC_NODE_WEIGHTS = np.array([[(-1) ** (_REC_ORDER - i)
                                / (math.factorial(i) * math.factorial(_REC_ORDER - i))]
                               for i in range(_REC_ORDER + 1)])
-
-
-def _scaled_i0(log_a: np.ndarray) -> np.ndarray:
-    """e^-a I0(a) for a = e^``log_a``: numpy's I0 up to a = 700, beyond it
-    the asymptotic series in 1 / a (A&S 9.7.1), which needs no e^a."""
-    out = np.empty(log_a.shape)
-    small = log_a <= math.log(700.0)
-    a = np.exp(log_a[small])
-    out[small] = np.exp(-a) * np.i0(a)
-    inverse = np.exp(-log_a[~small])
-    series = np.zeros(inverse.shape)
-    for k in range(_REC_LAPLACE_SERIES - 1, 0, -1):  # Horner, c_k = c_(k-1) (2k - 1)^2 / 8k
-        series = (series + 1.0) * inverse * ((2 * k - 1) ** 2 / (8.0 * k))
-    out[~small] = (series + 1.0) * np.sqrt(inverse / (2.0 * math.pi))
-    return out
-
-
-def _cosine_laplace(log_scale: np.ndarray, paths: int) -> np.ndarray:
-    """Phi_M(e^y) = (e^-a I0(a))^M, a = e^y / 2M, for y = ``log_scale``
-    (:func:`_scaled_i0`)."""
-    return _scaled_i0(log_scale - math.log(2.0 * paths)) ** paths
 
 
 def _interpolated(table: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -504,7 +483,8 @@ def _reciprocal_table(paths: int) -> np.ndarray:
     root = np.exp(np.arange(first, round(4.0 / _REC_STEP) + 1) * _REC_STEP / 2.0)
     weights = (_REC_STEP * math.sqrt(math.pi) / 2.0) * root \
         * np.array([math.erfc(r) for r in root])
-    table = _correlated(first, weights, lambda lattice: _cosine_laplace(lattice, paths))
+    table = _correlated(first, weights, lambda lattice:  # Phi_M = Psi_0(e^y / M)^M
+                        _cosine_power_laplace(lattice - math.log(paths), 0) ** paths)
     log_c = _REC_LOW + np.arange(table.size) * _REC_GRID
     table *= np.exp(log_c / 2.0) * np.sqrt(1.0 + np.exp(-log_c))  # sqrt(1 + c)
     table.flags.writeable = False
@@ -538,9 +518,9 @@ def moment_reciprocal_mean(c, paths: int):
 # in m_3^2) and lam = w u^2, each is, for j = 2 and 3 in turn,
 #     c^(j-1) / ((j - 1)! M^(j-2)) int_0^inf lam^(j-1) H_j(c lam) rho(lam) dlam,
 # rho(lam) = int_0^1 e^(-lam / u^2) du = e^-lam - sqrt(pi lam) erfc(sqrt
-# lam), H_j(mu) = Psi_j(mu / M) Phi(mu / M)^(M - 1), Phi(s) = e^(-s/2)
-# I0(s/2) and Psi_j(s) = E[cos^2j psi e^(-s cos^2 psi)] (Psi_2(s) = (1/4)
-# e^(-s/2) (3/2 I0 - 2 I1 + 1/2 I2)(s/2)).  In mu = c lam, the mean is
+# lam), H_j(mu) = Psi_j(mu / M) Phi(mu / M)^(M - 1), Phi(s) = Psi_0(s) =
+# e^(-s/2) I0(s/2) and Psi_j(s) = E[cos^2j psi e^(-s cos^2 psi)] (Psi_2(s) =
+# (1/4) e^(-s/2) (3/2 I0 - 2 I1 + 1/2 I2)(s/2)).  In mu = c lam, the mean is
 # sum_s rho(e^s) L_j(ln c + s) h / (c (j - 1)! M^(j-2)), L_j(y) = e^(jy)
 # H_j(e^y), a trapezoid of step h = 1/4 in s = ln lam from s = -40 - ln c
 # to 4 (L_j falls as e^(jy) below), on the lattice of the h_M table, which
@@ -562,7 +542,9 @@ _PSI_REACH, _PSI_SERIES = 80.0, 24
 def _cosine_power_laplace(log_s: np.ndarray, order: int) -> np.ndarray:
     """s^j Psi_j(s), Psi_j(s) = E[cos^2j psi e^(-s cos^2 psi)], j =
     ``order``, for s = e^``log_s``: the midpoint rule in psi up to s = 80,
-    the asymptotic series beyond, which needs no s^j."""
+    the asymptotic series beyond, which needs no s^j.  Order 0 is
+    Psi_0(s) = e^(-s/2) I0(s/2), whose M-th power at s = c / M is Phi_M(c),
+    the Laplace transform of h_M and of the tables of second order."""
     out = np.empty(log_s.shape)
     small = log_s <= math.log(_PSI_REACH)
     s = np.exp(log_s[small])
@@ -589,10 +571,9 @@ def _moment_table(paths: int, order: int) -> np.ndarray:
                                     for v in lam])
 
     def values(lattice):  # L_j(y) = M^j (s^j Psi_j(s)) Phi(s)^(M - 1), s = e^y / M
-        out = _cosine_power_laplace(lattice - math.log(paths), order) * paths ** order
-        if paths > 1:
-            out *= _scaled_i0(lattice - math.log(2.0 * paths)) ** (paths - 1)
-        return out
+        log_s = lattice - math.log(paths)
+        return _cosine_power_laplace(log_s, order) * paths ** order \
+            * _cosine_power_laplace(log_s, 0) ** (paths - 1)
     table = _correlated(first, weights, values)
     table *= (1.0 + np.exp(-_REC_LOW - np.arange(table.size) * _REC_GRID)) ** order  # (1 + 1/c)^j
     table.flags.writeable = False

@@ -120,6 +120,20 @@ def test_check_fails_the_agreements_at_one_trial(capsys):
     assert "FAIL  useful-agreement" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--seed", "-3"], "error: argument --seed: must be at least 0 (got -3)"),
+    (["--seed", "x"], "error: argument --seed: invalid non_negative_int value: 'x'"),
+    (["--trials", "0"], "error: argument --trials: must be at least 1 (got 0)"),
+    (["--trials", "-2"], "error: argument --trials: must be at least 1 (got -2)"),
+])
+def test_check_refuses_a_bad_seed_or_trial_count_before_any_check(argv, message, capsys):
+    # a usage error, naming the flag, before any PASS or FAIL line
+    assert main(["check", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_check_flags_a_useful_power_off_the_series_tail(monkeypatch, capsys):
     # 1e-11 relative off at 100 m/s, ten times the Si route's tolerance; at
     # the simulator's 50 m/s the useful-agreement line would flag it too

@@ -255,17 +255,17 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # and the interference no tail.  Every moving capacity pin subtracts its
 # surrogates (montecarlo._surrogates), the +-1 neighbours' of second order
 PINNED = {
-    "ici": ("0x1.f47f860220c1bp-8", "0x1.b6cf6810f3b37p-38"),  # 0.007637 +- 6.24e-12
-    "ici_edge_3ghz": ("0x1.357886594973cp-7", "0x1.237281a1bc5acp-35"),  # 0.0094443 +- 3.31e-11
+    "ici": ("0x1.f47f860220b54p-8", "0x1.b6cf7051d6adbp-38"),  # 0.007637 +- 6.24e-12
+    "ici_edge_3ghz": ("0x1.3578865949736p-7", "0x1.237278ea4db8fp-35"),  # 0.0094443 +- 3.31e-11
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a12f6004ca64p+2", "0x1.42726bc4b4a7fp-18"),  # 5.15741 +- 4.8e-06
-    "capacity_edge_3ghz": ("0x1.451ab0e754e46p+2", "0x1.7ed60504bb6c2p-17"),  # 5.07975 +- 1.14e-05
-    "capacity_500hz": ("0x1.35ec479e28ddap+1", "0x1.726bcaf82611dp-13"),  # 2.42127 +- 0.000177
+    "capacity": ("0x1.4a12f6004ca74p+2", "0x1.42726bc4b7a4ap-18"),  # 5.15741 +- 4.8e-06
+    "capacity_edge_3ghz": ("0x1.451ab0e754e4bp+2", "0x1.7ed60504bb5b5p-17"),  # 5.07975 +- 1.14e-05
+    "capacity_500hz": ("0x1.35ec479e28e01p+1", "0x1.726bcaf8260e8p-13"),  # 2.42127 +- 0.000177
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
-    "capacity_one_path": ("0x1.4bae5e017859ap+2", "0x1.dafcacff6b352p-18"),  # 5.18252 +- 7.08e-06
-    "capacity_n2": ("0x1.535bbc25daa56p+2", "0x1.0bc4544cfd4b6p-18"),  # 5.30247 +- 3.99e-06
-    "ici_n2": ("0x1.8754b5a39de46p-8", "0x1.358538494acc9p-38"),  # 0.00597124 +- 4.4e-12
+    "capacity_one_path": ("0x1.4bae5e017859bp+2", "0x1.dafcacff6b4e8p-18"),  # 5.18252 +- 7.08e-06
+    "capacity_n2": ("0x1.535bbc25daa61p+2", "0x1.0bc4544cfd4bdp-18"),  # 5.30247 +- 3.99e-06
+    "ici_n2": ("0x1.8754b5a39de49p-8", "0x1.35854963d6fdfp-38"),  # 0.00597124 +- 4.4e-12
 }
 
 
@@ -483,9 +483,9 @@ def test_run_bytes_bounds_what_a_run_holds(trials, scenarios, coherent):
 def _shapes(sets):
     # what the byte counts read of a layout: per draw set its columns and
     # rows, and per part its devices, parts, width, the doubles a row its
-    # builder holds and whether it is mirrored
+    # builder holds and whether it is mirrored and summed
     return [(ds.columns.tolist(), ds.rows,
-             [(ds.columns[p.columns].tolist(), p.count, p.width, p.held, p.mirrored)
+             [(ds.columns[p.columns].tolist(), p.count, p.width, p.held, p.mirrored, p.summed)
               for p in ds.parts]) for ds in sets]
 
 
@@ -502,8 +502,12 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
     # part are mirrored; every block's rows, powers and weights have their
     # part's shape, a weight for each column beyond index gap 2 of the
     # capacity alone, and each part's store has its rows, parts and
-    # width; both interference parts are mirrored too, and their powers
-    # are each pair's mean, a column a draw; at the centre, block_bytes and
+    # width; both interference parts are mirrored too, and summed, their
+    # powers each pair's mean, a column a draw; a device's own moments
+    # come from the near builder (the capacity's target and +-1 and +-2
+    # neighbours, and each device of "devices", 5 columns) and Taylor sums
+    # over devices from the far builder (the interference's 9 and the
+    # capacity's mid part and tail, 12); at the centre, block_bytes and
     # run_bytes count those same records
     devices, cell = 2 * half_subcarriers + 1, CellConfig(paths)
     plan, layout = TrialPlan(trials=300, seed=41), montecarlo._layout
@@ -523,6 +527,11 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
                                       & (estimator == "capacity"))
             records = [(ds.columns[part.columns].tolist(), part.count, part.mirrored)
                        for ds, part in parts]
+            own = montecarlo._near_means(paths).size if estimator == "capacity" else 5
+            assert [(part.build, part.width) for _, part in parts] \
+                == [(montecarlo._near_columns, own) if part.gaps is None
+                    else (montecarlo._far_columns, 12 if estimator == "capacity" else 9)
+                    for _, part in parts]
             if estimator == "capacity":
                 near = montecarlo._near_devices(target + half_subcarriers, devices)
                 plain = [c for c in near if far[c] != 1.0]
@@ -838,8 +847,8 @@ def test_ici_estimates_are_unbiased_at_every_fig3_point():
     # takes its power series at every point, within 2.3e-16 of mpmath, so the
     # oracle stays sharper than the standard error, which falls to 6.8e-15
     # of the value at 900 MHz and 10 m/s; the worst |z| is 1.44 (the 20
-    # estimates share their draws, and read z = -1.36 to -1.44 but for
-    # +0.39 at 900 MHz and 10 m/s)
+    # estimates share their draws, and read z = -1.13 to -1.44 but for
+    # -0.11 at 900 MHz and 10 m/s, whose standard error is rounding's)
     plan = TrialPlan(trials=2048, seed=42)
     speeds = [10.0 * k for k in range(1, 11)]
     for fc in (900e6, 3e9):
@@ -1143,16 +1152,20 @@ def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(pat
     # fig4's 1000 Hz band (N = 99, three pairs of each neighbour at index
     # gap +-1) and the interference's: each mirrored part's columns, built
     # by its builder, against those the same builder gives the part
-    # unmirrored on the same draws and weights.  The capacity's neighbours
-    # at index gap +-1 zero m_3, m_5 and m_2 m_3 (m_3 and m_5 at one path),
-    # and its mid part and both interference parts their Taylor terms of
-    # odd order, (3, 3), (5, 3) and (5, 5), exactly; every other column
-    # keeps its bits
+    # unmirrored on the same draws and weights, none for a set that draws
+    # none.  The capacity's neighbours at index gap +-1 zero m_3, m_5 and
+    # m_2 m_3 (m_3 and m_5 at one path), and its mid part and both
+    # interference parts, whose Taylor sums the far builder forms too,
+    # their Taylor terms of odd order, (3, 3), (5, 3) and (5, 5), exactly;
+    # every other column keeps its bits.  Only the interference's parts
+    # are summed
     [ds, _] = montecarlo._layout("capacity", subcarrier_gaps(0, 99), paths)
     near, ones, mid = ds.parts
     assert ones.mirrored and mid.mirrored and not near.mirrored
     interference = montecarlo._layout("interference", subcarrier_gaps(0, 99), paths)
-    assert [part.mirrored for ids in interference for part in ids.parts] == [True, True]
+    assert [(part.build, part.mirrored, part.summed) for ids in interference
+            for part in ids.parts] == [(montecarlo._far_columns, True, True)] * 2
+    assert not any(part.summed for part in ds.parts)
     rng, trials = np.random.default_rng(43), 40
     odd_terms = [t for t, (p, _) in enumerate(montecarlo._TERMS) if p % 2]
     odd = [[row for row in montecarlo._ODD_NEAR if row < ones.width], odd_terms]
@@ -1165,13 +1178,14 @@ def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(pat
         weights = np.zeros((trials, draws.columns.size))
         weights[:, draws.weighted] = rng.standard_exponential(
             (trials, np.count_nonzero(draws.weighted)))
+        own_weights = weights[:, part.columns] if draws.weighted[part.columns].any() else None
         own = np.ascontiguousarray(shift[:, part.columns])
         tiles = numerics.row_tiles(trials, own.shape[1] * paths)
         space = np.empty((4, tiles[0].stop, own.shape[1], paths))
         source = dataclasses.replace(part, mirrored=False)
         for built in (part, source):
             built.V = np.zeros((trials, built.count, 1 + built.width))
-            built.build(built, own, tiles, weights[:, part.columns], space,
+            built.build(built, own, tiles, own_weights, space,
                         np.empty(built.held * trials), slice(0, trials))
         got, want = part.V[..., 1:], source.V[..., 1:]
         assert not got[..., zeros].any() and want[..., zeros].all()

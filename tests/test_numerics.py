@@ -661,17 +661,32 @@ def test_budget_exhaustion_raises_with_partial_estimate():
 # the capacity surrogates' exact means
 
 def test_cosine_laplace_matches_mpmath():
-    # Phi_M(e^y) = (e^-a I0(a))^M, a = e^y / 2M: numpy's I0 up to a = 700,
-    # an asymptotic series beyond; a few ulp of I0, and of e^y, times M
+    # Phi_M(e^y) = (e^-a I0(a))^M, a = e^y / 2M, as the exact-mean tables
+    # take it: Psi_0(s)^M, s = e^y / M (_cosine_power_laplace of order 0),
+    # the midpoint rule up to s = 80 and an asymptotic series beyond, up to
+    # e^y = 1e300; against mpmath at the s the tables pass, I0 up to s = 80
+    # and beyond it the asymptotic sum (A&S 9.7.1) to 40 digits; a few ulp
+    # of Psi_0 times M, or, where Phi_M underflows (at 8 paths from e^y =
+    # 2e77), within the smallest normal double
     mpmath = pytest.importorskip("mpmath")
-    scales = np.geomspace(1e-3, 1e12, 61)
+    log_scales = np.linspace(math.log(1e-3), math.log(1e300), 241)
     for paths in (1, 8):
-        got = numerics._cosine_laplace(np.log(scales), paths)
-        with mpmath.workdps(30):
-            for scale, value in zip(scales, got):
-                a = mpmath.mpf(float(scale)) / (2 * paths)
-                exact = (mpmath.exp(-a) * mpmath.besseli(0, a)) ** paths
-                assert abs(value - exact) <= 2e-14 * exact
+        log_s = log_scales - math.log(paths)
+        got = numerics._cosine_power_laplace(log_s, 0) ** paths
+        assert np.count_nonzero(log_s > math.log(80.0)) > 200
+        with mpmath.workdps(40):
+            for y, value in zip(log_s, got):
+                a = mpmath.exp(mpmath.mpf(float(y))) / 2
+                if a <= 40:
+                    scaled = mpmath.exp(-a) * mpmath.besseli(0, a)
+                else:
+                    term = total = mpmath.mpf(1)
+                    for k in range(1, 60):
+                        term *= mpmath.mpf((2 * k - 1) ** 2) / (8 * k * a)
+                        total += term
+                    scaled = total / mpmath.sqrt(2 * mpmath.pi * a)
+                exact = scaled ** paths
+                assert abs(value - exact) <= 2e-14 * exact + np.finfo(float).tiny, (paths, y)
 
 
 def test_moment_reciprocal_mean_at_one_path_is_its_closed_form():
@@ -697,7 +712,8 @@ def _reciprocal_mean_on_a_grid(c: float, paths: int) -> float:
     half = (edges[:-1] - edges[1:])[:, None] / 2.0
     u = (edges[1:, None] + half * (nodes + 1.0)).ravel()
     u_weights = (half * weights).ravel()
-    inner = numerics._cosine_laplace(log_w[:, None] + math.log(c) + 2.0 * np.log(u), paths)
+    log_s = log_w[:, None] + math.log(c) + 2.0 * np.log(u) - math.log(paths)
+    inner = numerics._cosine_power_laplace(log_s, 0) ** paths  # Phi_M(w c u^2)
     w = np.exp(log_w)
     return float(np.sum(w * np.exp(-w) * (inner @ u_weights)) / 8.0)
 

@@ -327,9 +327,10 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
 
 
 @pytest.mark.parametrize("text,outputs,refused", [
-    # montecarlo.block_bytes: for the interference (M paths + 7) doubles on
-    # each draw set's columns, the 6 interferers within index gap 3 of the
-    # target on 256 rows and the 2N - 6 beyond on 32; for the capacity
+    # montecarlo.block_bytes: for the interference (M paths + 2) doubles on
+    # each draw set's columns and 9 a row of its Taylor sums, the 6
+    # interferers within index gap 3 of the target on 256 rows and the
+    # 2N - 6 beyond on 32; for the capacity
     # (M + 3) on its main draws' 21 + 2 (P - 1) drawn columns, P = R / 2 the
     # pairs of each neighbour at index gap +-1, on 256 rows (a power, a
     # weight and a mirror's power; M more while its parts copy their
@@ -342,29 +343,33 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # trials of 2 grid points, each part's store [1, V] over the draws
     # padded to a multiple of 8 (10 doubles a draw for either interference
     # part, 63 a trial and 13 a tail draw for the capacity) and two samples
-    # a draw and part, which for the interference refuses one N whose
-    # block fits at 8 paths and three at one, and for the capacity the two
+    # a draw and part, which for the interference refuses two N whose
+    # block fits at 8 paths and seven at one, and for the capacity the two
     # points' node sums, 629 doubles a node of the rule
-    ("system.half_subcarriers = 208569", "ici_mc", None),   # run 1.75 GiB - 1.7 kB
-    ("system.half_subcarriers = 208570", "ici_mc", "run"),   # run 1.75 GiB + 7.1 kB
-    # block 1.75 GiB - 5.6 kB
-    ("system.half_subcarriers = 208571", "ici_mc", "block"),   # 1.75 GiB + 3.2 kB
-    ("system.half_subcarriers = 425486\ncell.paths_per_device = 1", "ici_mc", None),
-    # run 1.75 GiB + 1.0 kB
-    ("system.half_subcarriers = 425487\ncell.paths_per_device = 1", "ici_mc", "run"),
-    ("system.half_subcarriers = 425489\ncell.paths_per_device = 1", "ici_mc", "run"),
-    ("system.half_subcarriers = 425490\ncell.paths_per_device = 1", "ici_mc", "block"),
+    ("system.half_subcarriers = 291380", "ici_mc", None),   # run 1.75 GiB - 5.9 kB
+    ("system.half_subcarriers = 291381", "ici_mc", "run"),   # run 1.75 GiB + 392 B
+    # block 1.75 GiB - 6.0 kB
+    ("system.half_subcarriers = 291382", "ici_mc", "run"),
+    ("system.half_subcarriers = 291383", "ici_mc", "block"),   # 1.75 GiB + 296 B
+    # run 1.75 GiB - 1.5 kB
+    ("system.half_subcarriers = 1012382\ncell.paths_per_device = 1", "ici_mc", None),
+    # run 1.75 GiB + 296 B
+    ("system.half_subcarriers = 1012383\ncell.paths_per_device = 1", "ici_mc", "run"),
+    # block 1.75 GiB - 1.5 kB
+    ("system.half_subcarriers = 1012389\ncell.paths_per_device = 1", "ici_mc", "run"),
+    ("system.half_subcarriers = 1012390\ncell.paths_per_device = 1", "ici_mc", "block"),
     ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.27 GiB
     ("system.half_subcarriers = 213381", "capacity_mc", None),   # 1.75 GiB - 5.6 kB
     ("system.half_subcarriers = 213382", "capacity_mc", "run"),    # 1.75 GiB + 488 B
     ("system.half_subcarriers = 213448", "capacity_mc", "run"),   # block 1.75 GiB - 5.4 kB
     ("system.half_subcarriers = 213449", "capacity_mc", "block"),   # 1.75 GiB + 648 B
-    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.27 and 0.27 GiB
-    ("system.half_subcarriers = 211578", "capacity_mc", None),   # 1.73 GiB
-    ("system.half_subcarriers = 211578", "ici_mc, capacity_mc", "block"),
-    ("system.half_subcarriers = 41055\ncell.paths_per_device = 64", "ici_mc", None),
-    ("system.half_subcarriers = 41056\ncell.paths_per_device = 64", "ici_mc", "block"),
-    ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 250000", "ici_mc",
+    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.20 and 0.27 GiB
+    ("system.half_subcarriers = 250000", "ici_mc", None),   # 1.50 GiB
+    # the capacity's 2.05 GiB
+    ("system.half_subcarriers = 250000", "ici_mc, capacity_mc", "block"),
+    ("system.half_subcarriers = 43490\ncell.paths_per_device = 64", "ici_mc", None),
+    ("system.half_subcarriers = 43491\ncell.paths_per_device = 64", "ici_mc", "block"),
+    ("curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 300000", "ici_mc",
      "block"),
 ])
 def test_refuses_monte_carlo_blocks_above_the_memory_limit(text, outputs, refused):
@@ -472,13 +477,13 @@ TWO_CARRIERS = ("curve.a.system.carrier_frequency_hz = 9e8\n"
     (AXIS + GRID + "sweep.outputs = capacity_mc\nmc.trials = 300\nsystem.noise_variance = 0\n"
      + TWO_CARRIERS, "system.noise_variance: the noise power is 0"),
     (AXIS + GRID + "sweep.outputs = ici_mc\nmc.trials = 300\nsystem.bandwidth_hz = 0\n"
-     "system.half_subcarriers = 250000\n" + TWO_CARRIERS,
-     "system.half_subcarriers, cell.paths_per_device: 500001 devices x 8 paths"),
+     "system.half_subcarriers = 300000\n" + TWO_CARRIERS,
+     "system.half_subcarriers, cell.paths_per_device: 600001 devices x 8 paths"),
     (AXIS + GRID + OUTS + "mc.target_index = 10\nsystem.half_subcarriers = 5\n" + TWO_CARRIERS,
      "system.half_subcarriers: mc.target_index = 10 outside"),
     (AXIS + GRID + "sweep.outputs = ici_mc\nmc.trials = 300\nsystem.bandwidth_hz = 0\n"
-     "curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 250000\n",
-     "curve 'b': curve.b.system.half_subcarriers, cell.paths_per_device: 500001 devices"),
+     "curve.a.system.half_subcarriers = 10\ncurve.b.system.half_subcarriers = 300000\n",
+     "curve 'b': curve.b.system.half_subcarriers, cell.paths_per_device: 600001 devices"),
     (AXIS + "sweep.grid = 0, 1e10\nsweep.outputs = ici_exact\n"
      "system.carrier_frequency_hz = 1e300\n"
      "curve.a.system.effective_power = 1\ncurve.b.system.effective_power = 2\n",
