@@ -504,11 +504,11 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
     # capacity alone, and each part's store has its rows, parts and
     # width; both interference parts are mirrored too, and summed, their
     # powers each pair's mean, a column a draw; a device's own moments
-    # come from the near builder (the capacity's target and +-1 and +-2
-    # neighbours, and each device of "devices", 5 columns) and Taylor sums
-    # over devices from the far builder (the interference's 9 and the
-    # capacity's mid part and tail, 12); at the centre, block_bytes and
-    # run_bytes count those same records
+    # come from the near builder (the capacity's target and its +-1 and
+    # +-2 neighbours, 9 columns or 5 at one path, and each device of
+    # "devices", 5) and Taylor sums over devices from the far builder (the
+    # interference's 9 and the capacity's mid part and tail, 12); at the
+    # centre, block_bytes and run_bytes count those same records
     devices, cell = 2 * half_subcarriers + 1, CellConfig(paths)
     plan, layout = TrialPlan(trials=300, seed=41), montecarlo._layout
     static = (SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0),
@@ -848,7 +848,8 @@ def test_ici_estimates_are_unbiased_at_every_fig3_point():
     # oracle stays sharper than the standard error, which falls to 6.8e-15
     # of the value at 900 MHz and 10 m/s; the worst |z| is 1.44 (the 20
     # estimates share their draws, and read z = -1.13 to -1.44 but for
-    # -0.11 at 900 MHz and 10 m/s, whose standard error is rounding's)
+    # -0.11 at 900 MHz and 10 m/s, whose standard error is at the
+    # rounding floor)
     plan = TrialPlan(trials=2048, seed=42)
     speeds = [10.0 * k for k in range(1, 11)]
     for fc in (900e6, 3e9):
