@@ -331,7 +331,7 @@ class _Part:
     on, 0 at a column it leaves out (none for a table-free part, which the
     near builder builds); ``held``, the doubles a block row its builder
     keeps across blocks; whether it is ``mirrored`` (the capacity's +-1
-    neighbours and mid part, and both interference parts): the kernel
+    and +-2 neighbours and mid part, and both interference parts): the kernel
     also evaluates its columns at the negated shifts, and its columns V
     are the means over its draws and their mirrors; and whether it is
     ``summed`` (both interference parts), its powers each pair's mean, its
@@ -394,13 +394,13 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     the band holds any; neither draws the target.  "capacity": its
     main draws, the target and its neighbours at index gap +-2, then those
     at +-1, the mid devices at index gap 3..K and P - 1 more rounds of the
-    neighbours at +-1 (:func:`_neighbour_draws`), in three parts: the
-    target's and the +-2 neighbours' (:func:`_near_devices`,
-    :func:`_near_columns`), unmirrored; the +-1 neighbours', their P rounds
-    of draws, mirrored, if the band holds any but the target; and the mid
-    devices' (:func:`_far_columns`), mirrored, if the band holds devices
-    beyond them; then, if the band has devices beyond index gap K, the
-    tail's, one far-style part, unmirrored.  Only its
+    neighbours at +-1 (:func:`_neighbour_draws`), in up to four parts: the
+    target's (:func:`_near_devices`, :func:`_near_columns`), unmirrored;
+    the +-2 neighbours', one round of draws, and the +-1 neighbours', their
+    P rounds, each mirrored, if the band holds any; and the mid devices'
+    (:func:`_far_columns`), mirrored, if the band holds devices beyond
+    them; then, if the band has devices beyond index gap K, the tail's,
+    one far-style part, unmirrored.  Only its
     devices beyond index gap 2 draw a weight, and a far-style part's table
     is built on its own devices' gaps, so that its rows keep their rank
     there."""
@@ -419,17 +419,18 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
                 if (count := np.count_nonzero(kept))]
     target, devices = int(np.flatnonzero(far == 0.0)[0]), index_gaps.size
     near = _near_devices(target, devices)
-    plain = [c for c in near if far[c] != 1]  # the target and the +-2 neighbours
-    ones = [c for c in near if far[c] == 1]
+    twos, ones = ([c for c in near if far[c] == gap] for gap in (2, 1))
     mid = np.flatnonzero((far > 2) & (far <= _TAIL_GAP))
     rounds = _neighbour_draws(devices // 2) // 2
-    main = np.array(plain + ones + mid.tolist() + ones * (rounds - 1), dtype=int)
-    start = len(plain) + len(ones)  # of the mid part
+    main = np.array([target] + twos + ones + mid.tolist() + ones * (rounds - 1), dtype=int)
+    start = 1 + len(twos) + len(ones)  # of the mid part
     stop, width = start + mid.size, _near_means(paths).size
-    parts = [_Part(slice(0, len(plain)), _near_columns, width, moments * len(plain),
-                   count=len(plain))]
+    parts = [_Part(slice(0, 1), _near_columns, width, moments)]
+    if twos:
+        parts.append(_Part(slice(1, 1 + len(twos)), _near_columns, width, moments * len(twos),
+                           count=len(twos), mirrored=True))
     if ones:
-        drawn = list(range(len(plain), start)) + list(range(stop, main.size))
+        drawn = list(range(1 + len(twos), start)) + list(range(stop, main.size))
         parts.append(_Part(drawn, _near_columns, width, moments * len(drawn), count=len(ones),
                            mirrored=True))
     if mid.size:
@@ -451,10 +452,10 @@ def _parts(sets: list[_DrawSet]) -> list[tuple[_DrawSet, _Part]]:
 
 def _scratch_rows(sets: list[_DrawSet]) -> int:
     """Rows of scratch the capacity's factor tables take
-    (:func:`_part_factors`): two if a part is mirrored, for the tables of
-    the +-1 neighbours' further rounds of draws and for their surrogates, a
-    pair's numerator and denominator on the whole rule, which also take the
-    mid part's mirror and surrogate; none otherwise."""
+    (:func:`_part_factors`): two if a part is mirrored, for the tables of a
+    mirrored near part's further draws and for its surrogates, a pair's
+    numerator and denominator on the whole rule, which also take the mid
+    part's mirror and surrogate; none otherwise."""
     return 2 * any(part.mirrored for _, part in _parts(sets))
 
 
@@ -481,9 +482,10 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     average, once the sampler has let go of its slot and tiles, holds the
     parts' factor tables on the rule at that SNR
     (:func:`numerics.hamdi_rule`) with their scratch rows
-    (:func:`_scratch_rows`) and 26 more doubles a trial, and one part's
-    fold sums or slopes beyond those the run keeps, the largest
-    (:func:`_fold_sums`)."""
+    (:func:`_scratch_rows`), 26 more doubles a trial and the buffer numpy
+    takes for a broadcast update of a table (:func:`numpy.getbufsize`
+    doubles), and one part's fold sums or slopes beyond those the run
+    keeps, the largest (:func:`_fold_sums`)."""
     sets = _layout("interference" if snr is None else "capacity",
                    subcarrier_gaps(0, devices // 2), paths)
     parts = [(ds, part, ds.columns[part.columns].size) for ds, part in _parts(sets)]
@@ -502,7 +504,7 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
         nodes = hamdi_rule(snr)[0].size
         held += _FOLDS * sum(part.count * (part.width + 1) ** 2 for _, part, _ in parts)
         average = sum(ds.rows * part.count * nodes for ds, part, _ in parts) \
-            + BLOCK_TRIALS * (_scratch_rows(sets) * nodes + 26) \
+            + BLOCK_TRIALS * (_scratch_rows(sets) * nodes + 26) + np.getbufsize() \
             + _FOLDS * max(part.count * (part.width + 1) for _, part, _ in parts) * nodes
     workspace = 5 + any(part.summed for _, part, _ in parts)
     return 8 * (draws + workspace * max(tiles, default=0) + sum(tiles)
@@ -543,8 +545,8 @@ def _near_columns(part, shift, tiles, weights, space, work, rows):
     m_2 m_3, m_2 m_4 and m_3^2 less their means (:data:`_NEAR_MONOMIALS`,
     :func:`_near_means`), m_p = mean_m z^p of each of the part's columns,
     averaged over each device's rounds of draws (:func:`_layout`): all 9
-    for a capacity near part (the target and the +-2 neighbours, or the
-    +-1 neighbours), the first five at one path, and the five path moments
+    for a capacity near part (the target, the +-2 or the +-1
+    neighbours), the first five at one path, and the five path moments
     for each device of a power estimator's.  A mirrored part's columns are
     the means over its pairs: m_p(-z) = (-1)^p m_p(z), so its even
     monomials are those of its draws and its odd ones (m_3, m_5 and m_2
@@ -946,7 +948,7 @@ def _fitted(store: np.ndarray, samples):
         yield _residuals(design, y, solve(cross)[..., 0])
 
 
-def _part_factors(part, powers, weights, state, out, scratch):
+def _part_factors(part, powers, weights, state, surrogate, out, scratch):
     """Capacity part ``part``'s (count, trials, nodes) factor table on
     ``state``'s rule (:func:`numerics.hamdi_factors`) in ``out``, from its
     columns' ``powers``, which it overwrites: a near part's row for each of
@@ -963,26 +965,26 @@ def _part_factors(part, powers, weights, state, out, scratch):
     With a ``surrogate`` (a moving scenario's, :func:`_surrogates`), a
     mirrored part subtracts, at every node t of its window, twice each of
     its pairs' surrogates less their exact mean, which keeps its row's
-    mean.  A neighbour at index gap +-1 subtracts at slope 1 the mean over
-    its pairs of S + r x^2 T + g U less h_M(c) + r x^2 tau_M(c) + g
-    upsilon_M(c) (:func:`numerics.moment_reciprocal_mean`,
+    mean.  A neighbour at index gap +-n (n = 1, 2) subtracts at slope 1
+    the mean over its pairs of S + r x^2 T + g U less h_M(c) + r x^2
+    tau_M(c) + g upsilon_M(c) (:func:`numerics.moment_reciprocal_mean`,
     :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`),
-    with c = t SNR x^2 / q^2, r = pi^2 / 3 - 3 / q^2, S = 1 / (1 + c m_2),
-    T = c m_4 S^2 and U = c^2 m_3^2 S^3 of the pair's path moments m_p,
+    with c = t SNR x^2 / Q^2, Q = n q, r = pi^2 / 3 - 3 / Q^2, S = 1 / (1
+    + c m_2), T = c m_4 S^2 and U = c^2 m_3^2 S^3 of the pair's path moments m_p,
     which a draw and its mirror share up to the sign of m_3: a pair's mean
     factor is 1 / (1 + E) + O^2 / (1 + E)^3 + ..., E and O the even and
-    odd parts of its draws' t SNR sinc^2(q + x z), and to second order in
-    the path offsets E = c (m_2 - r x^2 m_4) and O = -2 c x m_3 / q, so g
-    = 4 x^2 / q^2 to leading order; g = 4 x^2 kappa(x) / q^2, kappa the
+    odd parts of its draws' t SNR sinc^2(Q + x z), and to second order in
+    the path offsets E = c (m_2 - r x^2 m_4) and O = -2 c x m_3 / Q, so g
+    = 4 x^2 / Q^2 to leading order; g = 4 x^2 kappa(x, Q) / Q^2, kappa the
     Clarke scale of the odd part (:func:`numerics.odd_power_scale`), 1 at
-    x = 0, keeps U from outgrowing the odd part where x nears q.  The
+    x = 0, keeps U from outgrowing the odd part where x nears Q.  The
     mid part subtracts, times its slope, e^(-c k A) less prod_j h_M(c k /
     n_j^2), A = sum_j n_j^-2 w_j m_(2,j) over its devices, even in the
     shifts too, and k = k(x) (:func:`numerics.doppler_power_scale`): to
     leading order sinc^2(n q + x z) = sin^2(pi x z) / (pi n q)^2.  Each
     surrogate follows its factor where that factor is far from polynomial
     in the path moments, and the columns then fit what is left."""
-    nodes, basis, surrogate, trials = state.rule[0], state.basis, state.surrogate, len(powers)
+    nodes, basis, trials = state.rule[0], state.basis, len(powers)
     if part.build is _far_columns:
         # the drawn interference of its columns, then of their mirrors, a row each
         powers = powers.reshape(trials, -1, weights.shape[1])
@@ -1008,7 +1010,7 @@ def _part_factors(part, powers, weights, state, out, scratch):
         # each neighbour's surrogates, a pair at a time: with v = 1 / c,
         # twice a pair's surrogate less 1 is N / (m_2 + v)^3, N = -2 m_2^3 +
         # (A m_2 - 4 m_2^2 + B) v + (A - 2 m_2) v^2, A = 2 r x^2 m_4 and B =
-        # 8 x^2 m_3^2 / q^2.  N and (m_2 + v)^3 are each one matmul of the
+        # 2 g m_3^2.  N and (m_2 + v)^3 are each one matmul of the
         # trials' lines and the basis (1, v, v^2, v^3), which off the window
         # is (0, 0, 0, 1), so that N is 0 there and the neighbour's whole
         # row, contiguous, takes the quotient (v <= 1e100 on the window, so
@@ -1040,91 +1042,100 @@ def _part_factors(part, powers, weights, state, out, scratch):
             numerator /= cube
             table[draw % len(table)] -= numerator
         table += (2.0 * pairs) * mean
-    elif surrogate is not None and surrogate.far_window.stop > surrogate.far_window.start:
-        window = surrogate.far_window
+    elif surrogate is not None:
+        window = surrogate.window
         width = window.stop - window.start
-        factors = hamdi_factors(basis[:, window], draws[:0], part.m2 * surrogate.far_scale,
+        factors = hamdi_factors(basis[:, window], draws[:0], part.m2 * surrogate.scale,
                                 scratch.reshape(-1)[:trials * width].reshape(1, trials, width))
-        factors[0] -= surrogate.far_mean
-        factors[0] *= 2.0 * surrogate.far_slope
+        factors[0] -= surrogate.mean
+        factors[0] *= 2.0 * surrogate.slope
         table[0, :, window] -= factors[0]
     table /= 2.0 * pairs
     return table
 
 
-def _surrogates(ds: _DrawSet, scenarios, states, paths: int) -> list:
-    """Each scenario's surrogates of the parts of the main draw set ``ds``
-    (:func:`_part_factors`) on the nodes t of its state's rule, c = t SNR
-    x^2 / q^2, x its Doppler span and q = T_s df (:data:`_SURROGATE_NODES`):
-    for the neighbours at index gap +-1, their ``window``, the slice of the
-    nodes with c >= 1e-100 and t <= 5, their ``scale`` c / t, the weights
-    ``even`` = r x^2, r = pi^2 / 3 - 3 / q^2, and ``odd`` = g = 4 x^2
-    kappa(x) / q^2 (:func:`numerics.odd_power_scale`) of their
-    second-order columns, and their exact ``mean`` there less 1, h_M(c) - 1
-    + r x^2 tau_M(c) + g upsilon_M(c)
+def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
+                paths: int) -> list:
+    """Each scenario's surrogates, one a part of the draw ``sets`` (None for
+    a part that subtracts none), on the nodes t of its state's rule, c = t
+    SNR x^2 / q^2, x its Doppler span and q = T_s df
+    (:data:`_SURROGATE_NODES`, :func:`_part_factors`): for the neighbours
+    at index gap +-n (n = 1, 2), at Q = n q, their ``window``, the slice of
+    the nodes with c / n^2 >= 1e-100 and t <= 5, their ``scale`` c / (n^2
+    t), the weights ``even`` = r x^2, r = pi^2 / 3 - 3 / Q^2, and ``odd``
+    = g = 4 x^2 kappa(x, Q) / Q^2 (:func:`numerics.odd_power_scale`) of
+    their second-order columns, and their exact ``mean`` there less 1,
+    h_M(c / n^2) - 1 + r x^2 tau_M(c / n^2) + g upsilon_M(c / n^2)
     (:func:`numerics.moment_reciprocal_mean`,
     :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`);
-    and for the mid part, if the set has one, its ``far_window``, the
-    nodes with c >= 0.1 and t <= 5, its ``far_slope`` c^4 / (1 + c^4)
-    there, its ``far_scale`` c k / t and its ``far_mean`` prod_j h_M(c k /
-    n_j^2) over its devices.  None for a static scenario, one without a
-    neighbour at index gap +-1 (N = 0), or one whose window holds no node.
-    The means are formed in one pass over the group's windows laid end to
-    end, each value from its own node and scenario alone, so that a
-    scenario keeps its bits in any group."""
-    mid = np.zeros(0) if ds.parts[-1].gaps is None else ds.parts[-1].gaps
-    gaps, counts = np.unique(abs(mid), return_counts=True)
+    and for the mid part its ``window``, the nodes with c >= 0.1 and t <=
+    5, its ``slope`` c^4 / (1 + c^4) there, its ``scale`` c k / t and its
+    ``mean`` prod_j h_M(c k / n_j^2) over its devices.  None for every
+    part of a static scenario, and for a part whose window holds no node.
+    Each table is read once over the group's windows laid end to end, and
+    kappa once a gap Q, each value from its own node and scenario alone, so
+    that a scenario keeps its bits in any group."""
+    parts = _parts(sets)
     floor, least, reach = _SURROGATE_NODES
     spans = [c.doppler_span(m.max_velocity_mps) for c, m in scenarios]
     scales = [state.snr * (span / c.spacing_symbol_product) ** 2
               for (c, _), state, span in zip(scenarios, states, spans)]
-    windows = {}  # per kept scenario: its nodes, then the near and mid windows
+    found = [[None] * len(parts) for _ in scenarios]
+    near, mid = [], []  # per record: its scenario, part, nodes and window (and n)
     for k, scale in enumerate(scales):
-        if not (len(ds.parts) > 1 and 0.0 < scale <= HAMDI_MAX_SCALE):
+        if not 0.0 < scale <= HAMDI_MAX_SCALE:
             continue
         t = states[k].rule[0]
         stop = int(np.searchsorted(t, reach, "right"))
-        first = int(np.searchsorted(t, floor / scale))
-        start = min(int(np.searchsorted(t, least / scale)), stop) if gaps.size else stop
-        if first < stop:
-            windows[k] = (t, slice(first, stop), slice(start, stop))
-    found = [None] * len(scenarios)
-    if not windows:
-        return found
-    kept = list(windows)
-    near = [windows[k][1] for k in kept]
-    widths = [window.stop - window.start for window in near]
-    c = np.concatenate([windows[k][0][window] for k, window in zip(kept, near)]) \
-        * np.repeat([scales[k] for k in kept], widths)
-    even = [(math.pi ** 2 / 3.0 - 3.0 / scenarios[k][0].spacing_symbol_product ** 2)
-            * spans[k] ** 2 for k in kept]
-    odd = [4.0 * scales[k] / states[k].snr  # 4 x^2 kappa(x) / q^2
-           * odd_power_scale(spans[k], scenarios[k][0].spacing_symbol_product) for k in kept]
-    mean = moment_reciprocal_mean(c, paths) - 1.0
-    mean += np.repeat(even, widths) * fourth_moment_mean(c, paths)
-    mean += np.repeat(odd, widths) * third_moment_mean(c, paths)
-    mid = [windows[k][2] for k in kept]
-    mid_widths = [window.stop - window.start for window in mid]
-    t = np.concatenate([windows[k][0][window] for k, window in zip(kept, mid)])
-    slope = np.reciprocal(t * np.repeat([scales[k] for k in kept], mid_widths))
-    slope *= slope
-    slope *= slope
-    slope += 1.0
-    np.reciprocal(slope, out=slope)
-    far_scales = np.zeros(len(kept))
-    if gaps.size:
-        far_scales = np.array([scales[k] for k in kept]) \
-            * doppler_power_scale(np.array([spans[k] for k in kept]))
-    # the mid part's c k / n_j^2, a row for each distinct |n_j|
-    far = np.repeat(far_scales, mid_widths) / (gaps ** 2)[:, None] * t
-    far_mean = np.prod(np.repeat(moment_reciprocal_mean(far, paths), counts, axis=0), axis=0)
-    edges, mid_edges = np.cumsum([0] + widths).tolist(), np.cumsum([0] + mid_widths).tolist()
-    for i, k in enumerate(kept):
-        found[k] = SimpleNamespace(
-            window=near[i], scale=scales[k], even=even[i], odd=odd[i],
-            mean=mean[edges[i]:edges[i + 1]], far_window=mid[i], far_scale=far_scales[i],
-            far_slope=slope[mid_edges[i]:mid_edges[i + 1]],
-            far_mean=far_mean[mid_edges[i]:mid_edges[i + 1]])
+        for i, (ds, part) in enumerate(parts):
+            if part.mirrored and part.build is _near_columns:
+                gap = round(abs(index_gaps[ds.columns[part.columns][0]]))
+                first = int(np.searchsorted(t, floor / (scale / gap ** 2)))
+                if first < stop:
+                    near.append((k, i, t, slice(first, stop), gap))
+            elif part.mirrored:
+                start = int(np.searchsorted(t, least / scale))
+                if start < stop:
+                    mid.append((k, i, t, slice(start, stop)))
+    if near:
+        whole = [gap * scenarios[k][0].spacing_symbol_product for k, *_, gap in near]  # Q
+        own = [scales[k] / gap ** 2 for k, *_, gap in near]
+        widths = [window.stop - window.start for *_, window, _ in near]
+        c = np.concatenate([t[window] for _, _, t, window, _ in near]) * np.repeat(own, widths)
+        kappa = np.empty(len(near))
+        for q in set(whole):
+            kept = [j for j, each in enumerate(whole) if each == q]
+            kappa[kept] = odd_power_scale([spans[near[j][0]] for j in kept], q)
+        even = [(math.pi ** 2 / 3.0 - 3.0 / q ** 2) * spans[k] ** 2
+                for (k, *_), q in zip(near, whole)]
+        odd = [4.0 * scale / states[k].snr * kappa[j]  # 4 x^2 kappa(x, Q) / Q^2
+               for j, ((k, *_), scale) in enumerate(zip(near, own))]
+        mean = moment_reciprocal_mean(c, paths) - 1.0
+        mean += np.repeat(even, widths) * fourth_moment_mean(c, paths)
+        mean += np.repeat(odd, widths) * third_moment_mean(c, paths)
+        edges = np.cumsum([0] + widths).tolist()
+        for j, (k, i, _, window, _) in enumerate(near):
+            found[k][i] = SimpleNamespace(window=window, scale=own[j], even=even[j], odd=odd[j],
+                                          mean=mean[edges[j]:edges[j + 1]])
+    if mid:
+        gaps, counts = np.unique(abs(parts[mid[0][1]][1].gaps), return_counts=True)
+        widths = [window.stop - window.start for *_, window in mid]
+        t = np.concatenate([t[window] for _, _, t, window in mid])
+        slope = np.reciprocal(t * np.repeat([scales[k] for k, *_ in mid], widths))
+        slope *= slope
+        slope *= slope
+        slope += 1.0
+        np.reciprocal(slope, out=slope)
+        far_scales = np.array([scales[k] for k, *_ in mid]) \
+            * doppler_power_scale(np.array([spans[k] for k, *_ in mid]))
+        # the mid part's c k / n_j^2, a row for each distinct |n_j|
+        far = np.repeat(far_scales, widths) / (gaps ** 2)[:, None] * t
+        far_mean = np.prod(np.repeat(moment_reciprocal_mean(far, paths), counts, axis=0), axis=0)
+        edges = np.cumsum([0] + widths).tolist()
+        for j, (k, i, _, window) in enumerate(mid):
+            found[k][i] = SimpleNamespace(window=window, scale=far_scales[j],
+                                          slope=slope[edges[j]:edges[j + 1]],
+                                          mean=far_mean[edges[j]:edges[j + 1]])
     return found
 
 
@@ -1183,29 +1194,30 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     exactly unbiased while it cancels the factor's odd part: sinc^2(1 + y)
     is 0.57 at y = -0.6 and 0.036 at y = 0.6, at fig4's 500 Hz curve and
     100 m/s.  Half of each +-1 neighbour's R draws are the mirrors of the
-    others, and the mid part is drawn once a trial and mirrored with the
-    same Exp(1) weights, its factor the mean of e^(-t a(z)) and
-    e^(-t a(-z)) (:func:`_layout`); the target, the +-2 neighbours and
-    the tail are not mirrored, and the kernel evaluates each part on a
-    tile of its own columns.  The kernel forms each mirror from its
-    source's sines (:func:`numerics.sinc_squared`), a mirrored part's
-    columns are the means over its pairs, exactly 0 where odd in the
-    shifts (:func:`_near_columns`, :func:`_far_columns`), and each pair's
-    +-1 surrogate, even in the shifts, is formed once.
+    others, each +-2 neighbour is drawn once a trial and mirrored, and the
+    mid part is drawn once a trial and mirrored with the same Exp(1)
+    weights, its factor the mean of e^(-t a(z)) and e^(-t a(-z))
+    (:func:`_layout`); the target and the tail are not mirrored, and the
+    kernel evaluates each part on a tile of its own columns.  The kernel
+    forms each mirror from its source's sines (:func:`numerics.sinc_squared`),
+    a mirrored part's columns are the means over its pairs, exactly 0 where
+    odd in the shifts (:func:`_near_columns`, :func:`_far_columns`), and
+    each pair's near surrogate, even in the shifts, is formed once.
 
-    Before any fit, each neighbour at index gap +-1 and the mid part of a
-    moving scenario subtract, at the nodes t of a window of the rule, a
-    surrogate of their factor less its exact mean (:func:`_part_factors`,
-    :func:`_surrogates`; :data:`_SURROGATE_NODES`), c = t SNR x^2 / q^2.  A
-    mirrored pair of a +-1 neighbour sees the kernel's even part in the
-    mean of its two factors and, through their difference, the square of
-    its odd part: to second order in the path offsets its factor is S + r
-    x^2 T + g U, S = 1 / (1 + c m_2), T = c m_4 S^2 and U = c^2 m_3^2 S^3,
-    m_p the pair's path moments, r = pi^2 / 3 - 3 / q^2 and g = 4 x^2 / q^2
-    (times the odd part's Clarke scale, :func:`numerics.odd_power_scale`),
-    which the neighbour subtracts at slope 1 less its exact mean h_M(c) + r
-    x^2 tau_M(c) + g upsilon_M(c), each a 1-D integral tabulated
-    once per path count (:func:`numerics.moment_reciprocal_mean`,
+    Before any fit, each neighbour at index gap +-1 and +-2 and the mid
+    part of a moving scenario subtract, at the nodes t of a window of the
+    rule, a surrogate of their factor less its exact mean
+    (:func:`_part_factors`, :func:`_surrogates`; :data:`_SURROGATE_NODES`),
+    c = t SNR x^2 / Q^2 at gap Q = n q.  A mirrored pair of a neighbour at
+    +-n sees the kernel's even part in the mean of its two factors and,
+    through their difference, the square of its odd part: to second order
+    in the path offsets its factor is S + r x^2 T + g U, S = 1 / (1 + c
+    m_2), T = c m_4 S^2 and U = c^2 m_3^2 S^3, m_p the pair's path moments,
+    r = pi^2 / 3 - 3 / Q^2 and g = 4 x^2 / Q^2 (times the odd part's
+    Clarke scale, :func:`numerics.odd_power_scale`), which the neighbour
+    subtracts at slope 1 less its exact mean h_M(c) + r x^2 tau_M(c) + g
+    upsilon_M(c), each a 1-D integral tabulated once per path count
+    (:func:`numerics.moment_reciprocal_mean`,
     :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`).
     The mid part's factor is to leading order e^(-c k A), A the mid
     devices' weighted sum of their m_2, of mean prod_j h_M(c k / n_j^2),
@@ -1214,7 +1226,7 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     far from polynomial in the path moments, which the columns below fit;
     the surrogates take that part of them, and the estimate stays exactly
     unbiased.  The odd part's square U takes most of what S leaves of the
-    +-1 neighbours' variance there.
+    near neighbours' variance there.
 
     Each part's mean is controlled at every node t of the rule: part i
     has zero-mean columns V_i of its own draws (:func:`_near_columns`, the
@@ -1268,10 +1280,11 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
               for c, m in scenarios]
     n = scenarios[0][0].half_subcarriers
     gaps = [subcarrier_gaps(plan.target_index, n, c.spacing_symbol_product) for c, _ in scenarios]
-    sets = _layout("capacity", subcarrier_gaps(plan.target_index, n), cell.paths_per_device)
-    for state, surrogate in zip(states, _surrogates(sets[0], scenarios, states,
-                                                    cell.paths_per_device)):
-        state.surrogate = surrogate
+    index_gaps = subcarrier_gaps(plan.target_index, n)
+    sets = _layout("capacity", index_gaps, cell.paths_per_device)
+    for state, surrogates in zip(states, _surrogates(sets, index_gaps, scenarios, states,
+                                                     cell.paths_per_device)):
+        state.surrogates = surrogates
     parts = _parts(sets)
     # the part records' means multiply in one fixed order, the near
     # devices' (the target, then index gaps -2, -1, 1 and 2) and then the
@@ -1298,12 +1311,13 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
         # a static scenario forms the target's row alone: the other factors
         # are exactly 1, and its fold sums, slopes and influences exactly 0
         used, size = (parts if state.moving else parts[:1]), state.rule[0].size
-        table = [_part_factors(part, p, w, state,
+        table = [_part_factors(part, p, w, state, surrogate,
                                out[:part.count * len(p) * size].reshape(part.count, len(p), size)
                                [:part.count if state.moving else 1],
                                scratch[:scratch_rows * len(p) * size]
                                .reshape(scratch_rows, len(p), size))
-                 for (_, part), p, w, out in zip(used, powers, weights, tables)]
+                 for (_, part), p, w, surrogate, out in zip(used, powers, weights,
+                                                            state.surrogates, tables)]
         column_sums = [np.ones(t.shape[1]) @ t for t in table]
         if rows[0].start == 0:
             state.totals = [np.zeros_like(sums) for sums in column_sums]

@@ -245,26 +245,27 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # variate.  fig4's 500 Hz curve (N = 199) is the one pin where the
 # capacity draws its neighbours at index gap +-1 in more than one mirrored
 # pair (R = 12, six pairs; every other moving capacity pin takes one pair
-# and mirrors its mid part, and none mirrors the target or the +-2
-# neighbours); it and the default band (N = 24) draw a tail
+# and mirrors its mid part, every pin mirrors its +-2 neighbours, and none
+# its target); it and the default band (N = 24) draw a tail
 # beyond index gap 10, which the 3 GHz edge pin (N = 5, index gaps -1..9)
 # does not.  Both interference
 # pins draw a tail beyond index gap 3, and every interference pin mirrors
 # both its parts (the pair form).  The one-path pin keeps 5 near
 # columns a part, not 9; at N = 2 the capacity has no mid part and no tail,
 # and the interference no tail.  Every moving capacity pin subtracts its
-# surrogates (montecarlo._surrogates), the +-1 neighbours' of second order
+# surrogates (montecarlo._surrogates), the +-1 and +-2 neighbours' of
+# second order
 PINNED = {
     "ici": ("0x1.f47f860220b54p-8", "0x1.b6cf7051d6adbp-38"),  # 0.007637 +- 6.24e-12
     "ici_edge_3ghz": ("0x1.3578865949736p-7", "0x1.237278ea4db8fp-35"),  # 0.0094443 +- 3.31e-11
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a12f6004ca74p+2", "0x1.42726bc4b7a4ap-18"),  # 5.15741 +- 4.8e-06
-    "capacity_edge_3ghz": ("0x1.451ab0e754e4bp+2", "0x1.7ed60504bb5b5p-17"),  # 5.07975 +- 1.14e-05
-    "capacity_500hz": ("0x1.35ec479e28e01p+1", "0x1.726bcaf8260e8p-13"),  # 2.42127 +- 0.000177
+    "capacity": ("0x1.4a12f08b78723p+2", "0x1.191340e2471e7p-18"),  # 5.15741 +- 4.19e-06
+    "capacity_edge_3ghz": ("0x1.451aacb7d508bp+2", "0x1.a7d76dd83df27p-19"),  # 5.07975 +- 3.16e-06
+    "capacity_500hz": ("0x1.35e83c35bcca2p+1", "0x1.247e50b5000b2p-13"),  # 2.42115 +- 0.000139
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
-    "capacity_one_path": ("0x1.4bae5e017859bp+2", "0x1.dafcacff6b4e8p-18"),  # 5.18252 +- 7.08e-06
-    "capacity_n2": ("0x1.535bbc25daa61p+2", "0x1.0bc4544cfd4bdp-18"),  # 5.30247 +- 3.99e-06
+    "capacity_one_path": ("0x1.4bae40eb5567ep+2", "0x1.1e7ad0ef711b6p-19"),  # 5.18251 +- 2.13e-06
+    "capacity_n2": ("0x1.535ba8e798f46p+2", "0x1.20437c16b0f9dp-20"),  # 5.30247 +- 1.07e-06
     "ici_n2": ("0x1.8754b5a39de49p-8", "0x1.35854963d6fdfp-38"),  # 0.00597124 +- 4.4e-12
 }
 
@@ -496,10 +497,10 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
     # blocks, one partial: the devices drawn cover the band once (the
     # interference draws no target), but for the capacity's further rounds
     # of its neighbours at index gap +-1; each set's parts split its
-    # columns, the capacity's the target's and the +-2 neighbours', the +-1
+    # columns, the capacity's the target's, the +-2 neighbours', the +-1
     # neighbours' P rounds of draws, each round the two in turn, the mid
-    # devices' and the tail's, and only the +-1 neighbours' and the mid
-    # part are mirrored; every block's rows, powers and weights have their
+    # devices' and the tail's, and only the target and the tail are not
+    # mirrored; every block's rows, powers and weights have their
     # part's shape, a weight for each column beyond index gap 2 of the
     # capacity alone, and each part's store has its rows, parts and
     # width; both interference parts are mirrored too, and summed, their
@@ -533,13 +534,13 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
                     else (montecarlo._far_columns, 12 if estimator == "capacity" else 9)
                     for _, part in parts]
             if estimator == "capacity":
-                near = montecarlo._near_devices(target + half_subcarriers, devices)
-                plain = [c for c in near if far[c] != 1.0]
+                twos = np.flatnonzero(far == 2.0).tolist()
                 ones = np.flatnonzero(far == 1.0).tolist()
                 mid = np.flatnonzero((far > 2.0) & (far <= montecarlo._TAIL_GAP)).tolist()
                 tail = np.flatnonzero(far > montecarlo._TAIL_GAP).tolist()
                 rounds = montecarlo._neighbour_draws(half_subcarriers) // 2
-                assert records == [(plain, len(plain), False)] \
+                assert records == [([target + half_subcarriers], 1, False)] \
+                    + [(twos, len(twos), True)] * bool(twos) \
                     + [(ones * rounds, len(ones), True)] * bool(ones) \
                     + [(mid, 1, True)] * bool(mid) + [(tail, 1, False)] * bool(tail)
             elif estimator == "interference":
@@ -946,8 +947,8 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
     calls, stored = [], []
     factors, draw = montecarlo._part_factors, montecarlo._device_powers
 
-    def record_tables(part, powers, weights, state, *args):
-        table = factors(part, powers, weights, state, *args)
+    def record_tables(part, powers, weights, state, surrogate, *args):
+        table = factors(part, powers, weights, state, surrogate, *args)
         # the estimator overwrites its powers in place: a near part's hold
         # the faded powers, a far-style part's the weighted ones
         if part.build is montecarlo._far_columns:
@@ -956,7 +957,6 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
             rows = powers.T[:len(powers.T) if state.moving else 1].copy()
         # the estimator goes on to change its own table, and the next block
         # overwrites the moments the surrogates read
-        surrogate = state.surrogate if part.mirrored else None
         if surrogate is not None:
             surrogate = SimpleNamespace(**{name: np.array(value) if isinstance(value, np.ndarray)
                                            else value for name, value in vars(surrogate).items()},
@@ -1037,8 +1037,8 @@ def _two_pass(run, designs):
 
 
 def _capacity_variates(plan, cfg, cell):
-    # per part (the target's and the +-2 neighbours', the +-1 neighbours',
-    # the mid part, the tail), its (draws, columns) V of a static scenario,
+    # per part (the target's, the +-2 neighbours', the +-1 neighbours', the
+    # mid part, the tail), its (draws, columns) V of a static scenario,
     # from _device_powers
     gaps = subcarrier_gaps(plan.target_index, cfg.half_subcarriers, cfg.spacing_symbol_product)
     sets = montecarlo._layout("capacity", subcarrier_gaps(plan.target_index, cfg.half_subcarriers),
@@ -1050,20 +1050,20 @@ def _capacity_variates(plan, cfg, cell):
 
 
 @pytest.mark.parametrize("half_subcarriers,target,near,paths,width,zeros",
-                         [(3, 0, [3, 1, 2, 4, 5], 3, 57, 12), (3, 3, [6, 4, 5], 3, 39, 6),
+                         [(3, 0, [3, 1, 2, 4, 5], 3, 57, 18), (3, 3, [6, 4, 5], 3, 39, 9),
                           (1, 0, [1, 0, 2], 3, 27, 6), (0, 0, [0], 3, 9, 0),
-                          (3, 0, [3, 1, 2, 4, 5], 1, 37, 10)],
+                          (3, 0, [3, 1, 2, 4, 5], 1, 37, 14)],
                          ids=["interior", "band-edge", "n-equals-1", "no-interferer",
                               "interior-one-path"])
 def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, paths, width,
                                               zeros):
     # each column of V over 2^20 trials, within 4 standard errors; the near
     # devices are the target and its neighbours at index gap +-1, +-2 that
-    # the band holds, 9 columns each (5 at one path), the target and the
-    # +-2 neighbours in one part and the +-1 neighbours in another, and the
+    # the band holds, 9 columns each (5 at one path), the target, the +-2
+    # neighbours and the +-1 neighbours each in a part of their own, and the
     # far devices, if any, one part of 12.  The columns odd in the shifts of
     # the mirrored parts are exactly 0: m_3, m_5 and m_2 m_3 (m_3 and m_5 at
-    # one path) of each neighbour at index gap +-1, and the far part's
+    # one path) of each neighbour at index gap +-1 and +-2, and the far part's
     # Taylor terms of odd order.  At N = 3 the far devices' one |n| also
     # leaves four of the Taylor terms (p, e) no rank (two of them odd):
     # those columns are exactly 0 too
@@ -1139,7 +1139,7 @@ def test_the_far_columns_keep_their_rank(half_subcarriers, target):
     # the 8), are exactly 0
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     plan = TrialPlan(trials=512, seed=40, target_index=target)
-    far = _capacity_variates(plan, cfg, CellConfig(3))[2:]
+    far = _capacity_variates(plan, cfg, CellConfig(3))[3:]
     assert len(far) == (2 if half_subcarriers > montecarlo._TAIL_GAP else 1)
     for mirrored, columns in zip((True, False), far):
         kept = columns[:, columns.any(axis=0)]
@@ -1151,18 +1151,19 @@ def test_the_far_columns_keep_their_rank(half_subcarriers, target):
 @pytest.mark.parametrize("paths", [1, 8])
 def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(paths):
     # fig4's 1000 Hz band (N = 99, three pairs of each neighbour at index
-    # gap +-1) and the interference's: each mirrored part's columns, built
-    # by its builder, against those the same builder gives the part
-    # unmirrored on the same draws and weights, none for a set that draws
-    # none.  The capacity's neighbours at index gap +-1 zero m_3, m_5 and
-    # m_2 m_3 (m_3 and m_5 at one path), and its mid part and both
+    # gap +-1, one of each at +-2) and the interference's: each mirrored
+    # part's columns, built by its builder, against those the same builder
+    # gives the part unmirrored on the same draws and weights, none for a
+    # set that draws none.  The capacity's neighbours at index gap +-1 and
+    # +-2 zero m_3, m_5 and m_2 m_3 (m_3 and m_5 at one path), and its mid
+    # part and both
     # interference parts, whose Taylor sums the far builder forms too,
     # their Taylor terms of odd order, (3, 3), (5, 3) and (5, 5), exactly;
     # every other column keeps its bits.  Only the interference's parts
     # are summed
     [ds, _] = montecarlo._layout("capacity", subcarrier_gaps(0, 99), paths)
-    near, ones, mid = ds.parts
-    assert ones.mirrored and mid.mirrored and not near.mirrored
+    target, twos, ones, mid = ds.parts
+    assert twos.mirrored and ones.mirrored and mid.mirrored and not target.mirrored
     interference = montecarlo._layout("interference", subcarrier_gaps(0, 99), paths)
     assert [(part.build, part.mirrored, part.summed) for ids in interference
             for part in ids.parts] == [(montecarlo._far_columns, True, True)] * 2
@@ -1172,7 +1173,7 @@ def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(pat
     odd = [[row for row in montecarlo._ODD_NEAR if row < ones.width], odd_terms]
     assert len(ones.columns) == 6 and len(odd[0]) == (2 if paths == 1 else 3)
     assert [montecarlo._TERMS[t] for t in odd_terms] == [(3, 3), (5, 3), (5, 5)]
-    checked = [(ds, ones, odd[0]), (ds, mid, odd[1])] \
+    checked = [(ds, twos, odd[0]), (ds, ones, odd[0]), (ds, mid, odd[1])] \
         + [(ids, ids.parts[0], odd_terms) for ids in interference]
     for draws, part, zeros in checked:
         shift = sample_cell_batch(rng, trials, draws.columns.size, CellConfig(paths))
@@ -1198,11 +1199,11 @@ def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(pat
 @pytest.mark.parametrize("half_subcarriers", [3, 24, 199])
 def test_the_kernel_forms_no_mirror_that_nothing_reads(half_subcarriers, monkeypatch):
     # a spy on the kernel over a capacity run of two blocks, one partial:
-    # the only mirrors it forms are those of the +-1 neighbours' R = 2P
-    # draws a trial (P = 1, 1 and 6 here) and of the mid devices at index
-    # gap 3..K, each part a tile of its own.  The target, the +-2
-    # neighbours and the tail are evaluated unmirrored: the mirrors of the
-    # target and the +-2 neighbours would be formed and never read
+    # the only mirrors it forms are those of the +-2 neighbours' draw, of
+    # the +-1 neighbours' R = 2P draws a trial (P = 1, 1 and 6 here) and of
+    # the mid devices at index gap 3..K, each part a tile of its own.  The
+    # target and the tail are evaluated unmirrored: the target's mirror
+    # would be formed and never read
     cfg = SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0)
     q = cfg.spacing_symbol_product
     mirrored, plain = set(), set()
@@ -1219,9 +1220,9 @@ def test_the_kernel_forms_no_mirror_that_nothing_reads(half_subcarriers, monkeyp
     rounds = montecarlo._neighbour_draws(half_subcarriers) // 2
     mid = tuple(g for g in gaps if 2 < abs(g) <= montecarlo._TAIL_GAP)
     tail = tuple(g for g in gaps if abs(g) > montecarlo._TAIL_GAP)
-    assert mirrored == {(-1, 1) * rounds, mid}
-    assert sum(map(len, mirrored)) == 2 * rounds + len(mid)
-    assert plain == {(0, -2, 2)} | ({tail} if tail else set())
+    assert mirrored == {(-2, 2), (-1, 1) * rounds, mid}
+    assert sum(map(len, mirrored)) == 2 + 2 * rounds + len(mid)
+    assert plain == {(0,)} | ({tail} if tail else set())
 
 
 @pytest.mark.parametrize("v_max", [400.0, 1000.0])
@@ -1252,7 +1253,7 @@ def test_a_mirrors_powers_are_the_kernel_on_the_negated_shifts(v_max, monkeypatc
     [(_, _, powers, _)] = montecarlo._device_powers(
         TrialPlan(trials=40, seed=44), cell, [(CFG, MobilityModel(v_max))], [gaps], sets)
     parts = montecarlo._parts(sets)
-    assert [part.mirrored for _, part in parts] == [False, True, True, False]
+    assert [part.mirrored for _, part in parts] == [False, True, True, True, False]
     for (ds, part), p in zip(parts, powers, strict=True):
         shift = drawn[sets.index(ds)][:, part.columns]
         gap = np.broadcast_to(gaps[ds.columns[part.columns]][:, None], shift.shape)
@@ -1263,8 +1264,8 @@ def test_a_mirrors_powers_are_the_kernel_on_the_negated_shifts(v_max, monkeypatc
             want /= cell.paths_per_device
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # the +1 neighbour's draw is the second of its part's, its mirror the fourth
-    assert sets[0].columns[parts[1][1].columns[1]] == CFG.half_subcarriers + 1
-    assert (span >= 1.0) == (powers[1][0, 3] >= 1.0 / cell.paths_per_device)
+    assert sets[0].columns[parts[2][1].columns[1]] == CFG.half_subcarriers + 1
+    assert (span >= 1.0) == (powers[2][0, 3] >= 1.0 / cell.paths_per_device)
 
 
 @pytest.mark.parametrize("v_max,paired", [(100.0, True), (400.0, True), (500.0, False),
@@ -1308,79 +1309,100 @@ def test_the_interference_takes_the_pair_form_where_it_holds(v_max, paired, monk
             assert np.array_equal(p.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("half_subcarriers,draws", [(4, 2), (4, 4), (12, 2)],
-                         ids=["one-pair", "two-pairs", "tail"])
-def test_the_factor_means_average_every_combination_of_the_parts_draws(half_subcarriers, draws,
-                                                                       monkeypatch):
+@pytest.mark.parametrize("half_subcarriers,target,draws,v_max",
+                         [(4, 0, 2, 100.0), (4, 0, 4, 100.0), (12, 0, 2, 100.0),
+                          (4, 4, 2, 100.0), (1, 0, 2, 100.0), (4, 0, 2, 0.0), (0, 0, 2, 100.0)],
+                         ids=["one-pair", "two-pairs", "tail", "band-edge", "n-equals-1", "static",
+                              "no-interferer"])
+def test_the_factor_means_average_every_combination_of_the_parts_draws(
+        half_subcarriers, target, draws, v_max, monkeypatch):
     # 3 trials, too few for any fold to fit a variate: the estimate is the
     # rule on the product of the parts' factor means, which is the mean
     # over all ways to take each part's factor from any of its draws (3^6 =
-    # 729 for six parts), each neighbour at index gap +-1 with the mean
-    # factor of its draws, half of them the mirrors of the others, and the
-    # mid part with the mean of its draw's and its mirror's.  N = 12 = K + 2
+    # 729 for six parts), each neighbour at index gap +-2 with the mean of
+    # its draw's factor and its mirror's, each at +-1 with the mean factor
+    # of its draws, half of them the mirrors of the others, and the mid
+    # part with the mean of its draw's and its mirror's.  N = 12 = K + 2
     # has a seventh part, the tail beyond index gap K, here on 2 draws of
-    # its own: 3^6 x 2 ways
+    # its own: 3^6 x 2 ways.  At the band edge the target has one
+    # neighbour at -1 and one at -2, at N = 1 none at +-2 and no mid part,
+    # and a static scenario or N = 0 leaves the target's factor alone
     monkeypatch.setattr(montecarlo, "_neighbour_draws", lambda half_subcarriers: draws)
     monkeypatch.setattr(montecarlo, "_TAIL_DRAWS", 2)
-    assert (half_subcarriers > montecarlo._TAIL_GAP) == (half_subcarriers == 12)
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
-    [est], runs, _ = _recorded(monkeypatch, TrialPlan(trials=3, seed=35), [cfg], CELL, [MOB])
+    plan = TrialPlan(trials=3, seed=35, target_index=target)
+    [est], runs, _ = _recorded(monkeypatch, plan, [cfg], CELL, [MobilityModel(v_max)])
     parts, (nodes, weights) = runs[0]
-    (_, near, [none]), (_, ones, [surrogate]), (_, far, [mid_surrogate]) = parts[:3]
-    pairs = draws // 2
-    assert none is None and near.shape == (3, 3) and ones.shape == (2 * draws, 3)
-    assert far.shape == (2, 3)
-    # the target and the neighbours at index gap -2 and 2; then the draws
-    # of -1 and 1 in turn, round by round, and then their mirrors in the
-    # same order; and the mid part's draw and mirror; then the tail's.  Each
-    # drawn draw of -1 and 1, in the same order, has the surrogate S + r x^2
-    # T + 4 x^2 kappa(x) U, S = 1 / (1 + c m_2), T = c m_4 S^2, U = c^2 m_3^2
-    # S^3, c = t SNR x^2 and r = pi^2 / 3 - 3, which its mirror shares, less its
-    # exact mean, which the rows subtract at slope 1 on the nodes with t <=
-    # 5; and the mid part e^(-c k A), less its exact mean, which its row
-    # subtracts times the slope c^4 / (1 + c^4) on the nodes with c >= 0.1
-    # and t <= 5
-    rows = numerics.hamdi_factors(nodes, near)
-    rows[0] *= near[0][:, None]
-    assert surrogate.moments.shape == (5, 3, 2 * pairs)
-    x = CFG.doppler_span(MOB.max_velocity_mps)
-    assert surrogate.scale == 100.0 * x ** 2
-    assert surrogate.even == pytest.approx((math.pi ** 2 / 3.0 - 3.0) * x ** 2, rel=1e-15)
-    assert surrogate.odd == pytest.approx(4.0 * x ** 2 * numerics.odd_power_scale(x, 1), rel=1e-15)
-    c = nodes * surrogate.scale
+    far = abs(subcarrier_gaps(target, half_subcarriers))
+    counts = {gap: np.count_nonzero(far == gap) for gap in (2, 1)}
+    has_mid = bool(np.any((far > 2) & (far <= montecarlo._TAIL_GAP)))
+    has_tail = bool(np.any(far > montecarlo._TAIL_GAP))
+    x = CFG.doppler_span(v_max)
+    kinds = ([gap for gap in (2, 1) if counts[gap]] + ["mid"] * has_mid + ["tail"] * has_tail
+             if v_max > 0.0 else [])
+    assert len(parts) == 1 + len(kinds)
+    # the target's row, C = u times its factor
+    (_, near, [none]), *parts = parts
+    assert none is None and near.shape == (1, 3)
+    factors = [numerics.hamdi_factors(nodes, near)[0] * near[0][:, None]]
+    c = nodes * 100.0 * x ** 2  # t SNR x^2 / q^2, q = 1
     window = nodes <= 5.0
-    assert nodes[surrogate.window].tolist() == nodes[window].tolist() and window.sum() < nodes.size
-    means = [numerics.moment_reciprocal_mean(c, 8), numerics.fourth_moment_mean(c, 8),
-             numerics.third_moment_mean(c, 8)]
-    assert surrogate.mean == pytest.approx(
-        (means[0] - 1.0 + surrogate.even * means[1] + surrogate.odd * means[2])[window], rel=1e-14)
-    second, third, fourth = (moment.T[..., None] for moment in surrogate.moments[:3])
-    reciprocal = 1.0 / (1.0 + c * second)
-    proxies = np.where(window, reciprocal + surrogate.even * c * fourth * reciprocal ** 2
-                       + surrogate.odd * (c * third * reciprocal) ** 2 * reciprocal
-                       - (means[0] + surrogate.even * means[1] + surrogate.odd * means[2]), 0.0)
-    mid_window = (c >= 0.1) & window
-    assert nodes[mid_surrogate.far_window].tolist() == nodes[mid_window].tolist()
-    slope = np.where(mid_window, c ** 4 / (1.0 + c ** 4), 0.0)
-    assert mid_surrogate.far_slope == pytest.approx(slope[mid_window], rel=1e-15)
-    far_mean = np.zeros(nodes.size)
-    far_mean[mid_window] = mid_surrogate.far_mean
-    leading = mid_surrogate.m2 * mid_surrogate.far_scale
-    mid = numerics.hamdi_factors(nodes, near[:0], leading)[0] - far_mean
-    assert leading == pytest.approx(far.mean(axis=0), rel=0.2)  # its leading order
-    pair_mean = np.mean([numerics.hamdi_factors(nodes, near[:0], a)[0] for a in far], axis=0)
-    factors = numerics.hamdi_factors(nodes, ones)
-    factors = list(rows) + [(factors[side::2].sum(axis=0) - 2.0 * proxies[side::2].sum(axis=0))
-                            / draws for side in (0, 1)] + [pair_mean - slope * mid]
-    for _, tail, [tail_surrogate] in parts[3:]:
-        assert tail.shape == (1, 2) and tail_surrogate is None
-        factors.append(numerics.hamdi_factors(nodes, near[:0, :2], tail[0])[0])
-    assert len(factors) == 6 + (half_subcarriers == 12)
+    assert window.sum() < nodes.size
+    for kind, (_, rows, [surrogate]) in zip(kinds, parts, strict=True):
+        if kind == "tail":
+            assert rows.shape == (1, 2) and surrogate is None
+            factors.append(numerics.hamdi_factors(nodes, near[:0, :2], rows[0])[0])
+        elif kind == "mid":
+            # e^(-c k A) less its exact mean, which its row subtracts times
+            # the slope c^4 / (1 + c^4) on the nodes with c >= 0.1 and t <= 5
+            assert rows.shape == (2, 3)
+            mid_window = (c >= 0.1) & window
+            assert nodes[surrogate.window].tolist() == nodes[mid_window].tolist()
+            slope = np.where(mid_window, c ** 4 / (1.0 + c ** 4), 0.0)
+            assert surrogate.slope == pytest.approx(slope[mid_window], rel=1e-15)
+            far_mean = np.zeros(nodes.size)
+            far_mean[mid_window] = surrogate.mean
+            leading = surrogate.m2 * surrogate.scale
+            mid = numerics.hamdi_factors(nodes, near[:0], leading)[0] - far_mean
+            assert leading == pytest.approx(rows.mean(axis=0), rel=0.2)  # its leading order
+            pair_mean = np.mean([numerics.hamdi_factors(nodes, near[:0], a)[0] for a in rows],
+                                axis=0)
+            factors.append(pair_mean - slope * mid)
+        else:
+            # the draws of the neighbours at index gap -n and n in turn, round
+            # by round (one round at n = 2), and then their mirrors in the
+            # same order.  Each drawn draw has the surrogate S + r x^2 T + g
+            # U, S = 1 / (1 + c' m_2), T = c' m_4 S^2, U = c'^2 m_3^2 S^3,
+            # c' = c / n^2, r = pi^2 / 3 - 3 / n^2 and g = 4 x^2 kappa(x, n)
+            # / n^2, which its mirror shares, less its exact mean, which the
+            # rows subtract at slope 1 on the nodes with t <= 5
+            count, pairs = counts[kind], draws // 2 if kind == 1 else 1
+            assert rows.shape == (2 * count * pairs, 3)
+            assert surrogate.moments.shape == (5, 3, count * pairs)
+            assert surrogate.scale == 100.0 * x ** 2 / kind ** 2
+            assert surrogate.even == pytest.approx((math.pi ** 2 / 3.0 - 3.0 / kind ** 2) * x ** 2,
+                                                   rel=1e-15)
+            assert surrogate.odd == pytest.approx(
+                4.0 * x ** 2 * numerics.odd_power_scale(x, kind) / kind ** 2, rel=1e-15)
+            own = c / kind ** 2
+            assert nodes[surrogate.window].tolist() == nodes[window].tolist()
+            means = [numerics.moment_reciprocal_mean(own, 8), numerics.fourth_moment_mean(own, 8),
+                     numerics.third_moment_mean(own, 8)]
+            exact = means[0] + surrogate.even * means[1] + surrogate.odd * means[2]
+            assert surrogate.mean == pytest.approx((exact - 1.0)[window], rel=1e-14)
+            second, third, fourth = (moment.T[..., None] for moment in surrogate.moments[:3])
+            reciprocal = 1.0 / (1.0 + own * second)
+            proxies = np.where(window, reciprocal + surrogate.even * own * fourth * reciprocal ** 2
+                               + surrogate.odd * (own * third * reciprocal) ** 2 * reciprocal
+                               - exact, 0.0)
+            table = numerics.hamdi_factors(nodes, rows)
+            factors += [(table[side::count].sum(axis=0) - 2.0 * proxies[side::count].sum(axis=0))
+                        / (2 * pairs) for side in range(count)]
     for got, want in zip(_factors(runs[0])[0], factors, strict=True):
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
     combinations = [weights @ np.prod([factor[i] for factor, i in zip(factors, pick)], axis=0)
                     for pick in np.ndindex(*(len(factor) for factor in factors))]
-    assert len(combinations) == 729 * (2 if half_subcarriers == 12 else 1)
+    assert len(combinations) == 3 ** (len(factors) - has_tail) * 2 ** has_tail
     brute = analytic.LOG2_E * math.fsum(combinations) / len(combinations)
     assert est.mean == pytest.approx(brute, rel=1e-14, abs=0.0)
 
@@ -1507,19 +1529,23 @@ CAPACITY_QUADRATURE = {
     (2500.0, 39, 8): {30.0: 5.7913100184, 100.0: 5.1513640877},
     (2500.0, 39, 1): {30.0: 5.7921513677, 100.0: 5.1762873173},
     (500.0, 199, 8): {100.0: 2.421106297},
+    (1000.0, 99, 8): {100.0: 3.738468},
 }
 
 
 @pytest.mark.parametrize("spacing,half_subcarriers,paths,trials",
-                         [(2500.0, 39, 8, 4096), (2500.0, 39, 1, 4096), (500.0, 199, 8, 1024)],
-                         ids=["2500hz-8", "2500hz-1", "500hz-8"])
+                         [(2500.0, 39, 8, 4096), (2500.0, 39, 1, 4096), (500.0, 199, 8, 1024),
+                          (1000.0, 99, 8, 1024)],
+                         ids=["2500hz-8", "2500hz-1", "500hz-8", "1000hz-8"])
 def test_capacity_mc_matches_an_independent_quadrature(spacing, half_subcarriers, paths, trials):
     # two-sided: the mean over seeds 0-19 within 4 standard errors of the
     # quadrature, the standard error of the mean from the seeds' spread.
-    # The z-scores read -0.29 and -1.03 at eight paths and 0.03 and 0.32 at
-    # one (30 and 100 m/s), and -0.51 at 500 Hz, with the +-1 neighbours'
-    # second-order surrogates (0.00, -0.85, 0.07, 0.16 and -0.65 with their
-    # leading-order ones)
+    # The z-scores read -0.23 and -0.19 at eight paths and 0.01 and 0.13 at
+    # one (30 and 100 m/s), -0.42 at 500 Hz and 0.32 at 1000 Hz, with the
+    # +-1 and +-2 neighbours' second-order surrogates (-0.29, -1.03, 0.03,
+    # 0.32, -0.51 and 0.32 with the +-1 neighbours' alone).  The 1000 Hz
+    # reference, rounded to six decimals, is off by at most 4.2% of its
+    # bound
     cfg = SystemConfig(subcarrier_spacing_hz=spacing, half_subcarriers=half_subcarriers)
     references = CAPACITY_QUADRATURE[spacing, half_subcarriers, paths]
     speeds = [MobilityModel(v) for v in references]

@@ -858,9 +858,12 @@ def test_second_order_means_are_the_means_over_drawn_devices(paths):
 def test_odd_power_scale_matches_mpmath():
     # kappa(x) = E[o(x z)^2] / E[(2 (x z)^3 / q^3)^2], o the kernel's odd
     # part at the gap q, by mpmath's 2-D quadrature of o's plain form; 1 at
-    # x = 0 and an array of spans gives each span's bits alone
+    # x = 0 and an array of spans gives each span's bits alone, at the gaps
+    # of the capacity's +-1 and +-2 neighbours
     spans = [0.0, 1e-200, 0.06, 0.6, 1.0, 3.0]
-    assert odd_power_scale(np.array(spans), 1).tolist() == [odd_power_scale(x, 1) for x in spans]
+    for q in (1, 2):
+        assert odd_power_scale(np.array(spans), q).tolist() \
+            == [odd_power_scale(x, q) for x in spans]
     assert odd_power_scale(0.0, 1) == odd_power_scale(1e-200, 1) == 1.0
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(20):

@@ -359,10 +359,10 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     ("system.half_subcarriers = 1012389\ncell.paths_per_device = 1", "ici_mc", "run"),
     ("system.half_subcarriers = 1012390\ncell.paths_per_device = 1", "ici_mc", "block"),
     ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.27 GiB
-    ("system.half_subcarriers = 213381", "capacity_mc", None),   # 1.75 GiB - 5.6 kB
-    ("system.half_subcarriers = 213382", "capacity_mc", "run"),    # 1.75 GiB + 488 B
-    ("system.half_subcarriers = 213448", "capacity_mc", "run"),   # block 1.75 GiB - 5.4 kB
-    ("system.half_subcarriers = 213449", "capacity_mc", "block"),   # 1.75 GiB + 648 B
+    ("system.half_subcarriers = 213381", "capacity_mc", None),   # 1.75 GiB - 1.4 kB
+    ("system.half_subcarriers = 213382", "capacity_mc", "run"),    # 1.75 GiB + 4.5 kB
+    ("system.half_subcarriers = 213448", "capacity_mc", "run"),   # block 1.75 GiB - 1.3 kB
+    ("system.half_subcarriers = 213449", "capacity_mc", "block"),   # 1.75 GiB + 4.6 kB
     ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.20 and 0.27 GiB
     ("system.half_subcarriers = 250000", "ici_mc", None),   # 1.50 GiB
     # the capacity's 2.05 GiB

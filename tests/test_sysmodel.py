@@ -154,16 +154,16 @@ def test_coherent_device_power_has_unit_mean():
     # |sum_m a_m|^2, whose mean is the total mean path power, one; the
     # device at index gap -3 from the target draws a weight (those at 0,
     # +-1 and +-2 draw none, their fading being averaged); the band, N = 3,
-    # has no tail, so the block has one draw set, whose third part holds
+    # has no tail, so the block has one draw set, whose fourth part holds
     # the devices at index gap +-3
     plan = TrialPlan(trials=40000, seed=2)
     scenario = (SystemConfig(), MobilityModel(max_velocity_mps=0.0))
     samples = np.empty(plan.trials)
     [draws] = _layout("capacity", subcarrier_gaps(0, 3), CellConfig().paths_per_device)
-    column = draws.columns[draws.parts[2].columns].tolist().index(0)
+    column = draws.columns[draws.parts[3].columns].tolist().index(0)
     for _, rows, powers, weights in _device_powers(plan, CellConfig(), [scenario],
                                                    [np.zeros(7)], [draws]):
-        samples[rows[2]] = powers[2][:, column] * weights[2][:, column]
+        samples[rows[3]] = powers[3][:, column] * weights[3][:, column]
     assert samples.mean() == pytest.approx(1.0, abs=0.02)
 
 
