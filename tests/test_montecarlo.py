@@ -933,11 +933,11 @@ def test_the_interference_evaluates_its_tail_on_few_draws(monkeypatch):
 
 def _recorded(monkeypatch, plan, cfgs, cell, mobs):
     # the estimates of a group, and what the estimator computed them from:
-    # per scenario and part (the target's and the +-2 neighbours', the +-1
+    # per scenario and part (the target's, the +-2 neighbours', the +-1
     # neighbours', the mid part's, then the tail's if the band has one),
     # the factor tables of every block, each row the mean over its draws
     # less its surrogate; the rows they were built from, over the noise, a
-    # row a draw: a near part's faded powers (the +-1 neighbours' round by
+    # row a draw: a near part's faded powers (a mirrored one's round by
     # round, then their mirrors'), a far-style part's drawn interference
     # (the mid part's, then its mirror's); and the surrogates each block's
     # mirrored parts subtracted, with the moments or m2 their builder left
@@ -1576,8 +1576,8 @@ def test_few_trials_give_defined_capacity_estimates(trials, monkeypatch):
             assert all(np.all(subtracted == 0.0) for _, subtracted in fits)
     [est], runs, designs = _recorded(monkeypatch, TrialPlan(trials=trials, seed=34),
                                      [CFG], CELL, [MOB])
-    # five near part records (the target and the +-2 neighbours, then the
-    # +-1 neighbours), the mid part, and the tail on 32 draws a block
+    # five near part records (the target, the +-2 neighbours, then the +-1
+    # neighbours), the mid part, and the tail on 32 draws a block
     assert [design.shape for design in designs] \
         == [(trials, 10)] * 5 + [(trials, 13), (montecarlo._layout(
             "capacity", subcarrier_gaps(0, CFG.half_subcarriers), CELL.paths_per_device)[1]
