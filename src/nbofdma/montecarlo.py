@@ -71,20 +71,22 @@ class TrialPlan:
     interferers within index gap K_I = 3 of the target on every trial and
     those beyond on 32 trials of a block of 256 (:data:`_TAIL_DRAWS`), and
     the target not at all, each with its mirror -z; the capacity estimator
-    draws the far interferers' coherent powers, that times one Exp(1) draw
-    each, averages the near devices' weights exactly, takes R Doppler draws of
+    averages the fading of the devices within index gap K = 10 exactly,
+    draws the tail's beyond K, its coherent powers times one Exp(1) draw
+    each, takes R Doppler draws of
     each neighbour at index gap +-1 a trial, R / 2 of them the mirrors -z
     of the others and R a fixed rule in the sub-carrier count
-    (:func:`_neighbour_draws`), mirrors its mid part's draws too (and no
-    other part's), and draws the devices beyond index gap K = 10, its
-    tail, on 32 trials a block.  Every estimator subtracts zero-mean
+    (:func:`_neighbour_draws`), mirrors its +-2 neighbours' and mid part's
+    draws too (and no other part's), and draws its tail on 32 trials a
+    block.  Every estimator subtracts zero-mean
     columns of its draws times slopes fitted on the other folds' draws
     (:func:`_fold_solver`), so it stays exactly unbiased: the power
     estimators' columns are the path moments, the capacity's also their
     products of second order (:func:`_near_columns`,
     :func:`_far_columns`), fitted to each part's factor at every node of
-    its rule, after its neighbours at index gap +-1 and its mid part have
-    subtracted surrogates of exactly known mean (:func:`_surrogates`).
+    its rule, after its neighbours at index gap +-1 and +-2 and its mid
+    part have subtracted surrogates of exactly known mean
+    (:func:`_surrogates`).
     """
 
     trials: int
@@ -203,7 +205,6 @@ _MOMENT_MEANS = np.array([_monomial_mean((p,), 1) for p in _ORDERS])
 # the capacity's near columns: m_2..m_6, then the products of those of low
 # order; m_2^3 is left out, since at two paths m_6 = 3 m_2 m_4 - 2 m_2^3
 _NEAR_MONOMIALS = tuple((p,) for p in _ORDERS) + ((2, 2), (2, 3), (2, 4), (3, 3))
-_FAR_WIDTH = len(_TERMS) + 3  # a far-style part's columns (:func:`_far_columns`)
 # the near columns odd in the path shifts, which a mirrored part's pairs cancel
 _ODD_NEAR = [row for row, orders in enumerate(_NEAR_MONOMIALS) if sum(orders) % 2]
 
@@ -280,25 +281,22 @@ _TAIL_DRAWS = BLOCK_TRIALS // 8
 _ICI_TAIL_GAP = 3
 
 # The capacity's far devices split at index gap K = _TAIL_GAP: the mid part
-# (3 <= |n| <= K) is drawn every trial, the tail (|n| > K) on _TAIL_DRAWS
-# trials a block.  On fig4's points the tail holds at most 2e-5-5e-5 of the
+# (3 <= |n| <= K) is drawn every trial, its fading averaged exactly, the
+# tail (|n| > K) on _TAIL_DRAWS trials a block, each device at a drawn
+# Exp(1) weight.  On fig4's points the tail holds at most 2e-5-5e-5 of the
 # fitted variance a draw, yet at N = 199 it is 378 of a trial's 419 columns.
 _TAIL_GAP = 10
 
 # The capacity's surrogates (:func:`_surrogates`) are subtracted on the
 # rule's nodes t <= 5 alone, c = t SNR x^2 / q^2: beyond t = 5 the rule's
-# e^-t leaves a factor little weight.  The neighbours at index gap +-1
-# subtract theirs, of second order, at slope 1 on every such node with
-# c >= 1e-100, where a surrogate is 1 - c/6 to rounding; their treatment of
-# a node depends on c alone, so the rule keeps the estimate where the
-# interference dwarfs the noise to 1e-12 at any SNR (a hard edge at c = 1
-# moved it by 4e-8 between 200 and 300 dB).  At 20 dB that is 44 of the 53
-# nodes.  The mid part subtracts its surrogate with the slope c^4 / (1 +
-# c^4) on the nodes with c >= 0.1: below c = 1 its factor is near linear in
-# the path moments, which the columns fit, and the slope is smooth in ln t.
-# The +-1 window for the mid part too keeps fig4's accuracy factor (seeds
-# 0-23: mean 3.71e-5 against 3.66e-5) at 5.8% more CPU time.
-_SURROGATE_NODES = (1e-100, 0.1, 5.0)
+# e^-t leaves a factor little weight.  The neighbours at index gap +-1 and
+# the mid part subtract theirs at slope 1 on every such node with
+# c >= 1e-100, where a surrogate is 1 - c/6 to rounding (the +-2
+# neighbours' window is that of c / 4); their treatment of a node depends
+# on c alone, so the rule keeps the estimate where the interference dwarfs
+# the noise to 1e-12 at any SNR (a hard edge at c = 1 moved it by 4e-8
+# between 200 and 300 dB).  At 20 dB that is 44 of the 53 nodes.
+_SURROGATE_NODES = (1e-100, 5.0)
 
 
 def _near_devices(target: int, devices: int) -> list[int]:
@@ -339,10 +337,10 @@ class _Part:
     at once (:func:`numerics.sinc_squared_pair`), where a capacity part's
     powers hold its columns' and then their mirrors', its factors the means
     over them.  ``V``, its store over a run, is the design [1, V] every
-    fit reads (:func:`_device_powers`); what a part's builder leaves of the
-    block: a near part's ``moments`` m_2..m_6 of each of its columns, and
-    a far-style part's ``m2``, sum_j n_j^-2 w_j m_(2,j), which the
-    capacity's surrogates read."""
+    fit reads (:func:`_device_powers`); and ``moments``, what a part's
+    builder leaves of the block for the capacity's surrogates: a near
+    part's m_2..m_6 of each of its columns, and the mid part's m_2 of each
+    of its devices."""
 
     columns: slice | list
     build: Callable
@@ -353,7 +351,6 @@ class _Part:
     mirrored: bool = False
     summed: bool = False
     V: np.ndarray | None = None
-    m2: np.ndarray | None = None
     moments: np.ndarray | None = None
 
     @functools.cached_property
@@ -399,11 +396,11 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     the +-2 neighbours', one round of draws, and the +-1 neighbours', their
     P rounds, each mirrored, if the band holds any; and the mid devices'
     (:func:`_far_columns`), mirrored, if the band holds devices beyond
-    them; then, if the band has devices beyond index gap K, the tail's,
-    one far-style part, unmirrored.  Only its
-    devices beyond index gap 2 draw a weight, and a far-style part's table
-    is built on its own devices' gaps, so that its rows keep their rank
-    there."""
+    them, whose fading is averaged exactly like the near devices'; then,
+    if the band has devices beyond index gap K, the tail's, one far-style
+    part, unmirrored.  Only its tail draws weights, and a far-style part's
+    table is built on its own devices' gaps, so that its rows keep their
+    rank there."""
     columns, moments = np.arange(index_gaps.size), len(_ORDERS)
     if estimator == "devices":
         return [_DrawSet(columns, BLOCK_TRIALS, columns < 0,
@@ -423,6 +420,7 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     mid = np.flatnonzero((far > 2) & (far <= _TAIL_GAP))
     rounds = _neighbour_draws(devices // 2) // 2
     main = np.array([target] + twos + ones + mid.tolist() + ones * (rounds - 1), dtype=int)
+    quadratic = len(_TERMS) + 2  # the Taylor sums, c_0^2 and c_0 c_(4,2) (:func:`_far_columns`)
     start = 1 + len(twos) + len(ones)  # of the mid part
     stop, width = start + mid.size, _near_means(paths).size
     parts = [_Part(slice(0, 1), _near_columns, width, moments)]
@@ -434,13 +432,13 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
         parts.append(_Part(drawn, _near_columns, width, moments * len(drawn), count=len(ones),
                            mirrored=True))
     if mid.size:
-        parts.append(_Part(slice(start, stop), _far_columns, _FAR_WIDTH, len(_TERMS),
+        parts.append(_Part(slice(start, stop), _far_columns, quadratic, len(_TERMS) + mid.size,
                            index_gaps[mid], mirrored=True))
-    sets = [_DrawSet(main, BLOCK_TRIALS, far[main] > 2, parts)]
+    sets = [_DrawSet(main, BLOCK_TRIALS, main < 0, parts)]
     tail = np.flatnonzero(far > _TAIL_GAP)
     if tail.size:
-        sets.append(_DrawSet(tail, _TAIL_DRAWS, far[tail] > 2,
-                             [_Part(slice(0, tail.size), _far_columns, _FAR_WIDTH, len(_TERMS),
+        sets.append(_DrawSet(tail, _TAIL_DRAWS, tail >= 0,
+                             [_Part(slice(0, tail.size), _far_columns, quadratic + 1, len(_TERMS),
                                     index_gaps[tail])]))
     return sets
 
@@ -452,11 +450,13 @@ def _parts(sets: list[_DrawSet]) -> list[tuple[_DrawSet, _Part]]:
 
 def _scratch_rows(sets: list[_DrawSet]) -> int:
     """Rows of scratch the capacity's factor tables take
-    (:func:`_part_factors`): two if a part is mirrored, for the tables of a
-    mirrored near part's further draws and for its surrogates, a pair's
-    numerator and denominator on the whole rule, which also take the mid
-    part's mirror and surrogate; none otherwise."""
-    return 2 * any(part.mirrored for _, part in _parts(sets))
+    (:func:`_part_factors`): six with a mid part, for the running products
+    of its draw, its mirror and its surrogate and for a device's factors of
+    each; else two if a part is mirrored, for the tables of a mirrored near
+    part's further draws and for its surrogates, a pair's numerator and
+    denominator on the whole rule; none otherwise."""
+    mirrored = [part.build for _, part in _parts(sets) if part.mirrored]
+    return 6 if _far_columns in mirrored else 2 * bool(mirrored)
 
 
 @functools.cache  # the sweep asks at every grid point, mostly with the same arguments
@@ -469,10 +469,10 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     its powers (a mirrored part's on its columns and their mirrors, unless
     :attr:`_Part.summed`) and what its builder holds across blocks (a near
     part's five path moments a column, a far-style part's nine Taylor sums
-    a row), and per set any weights; the kernel's four workspace tiles,
-    five with a summed part, and one more for its centre mask and the
-    per-device vectors, of
-    the largest part's tile, and a gap tile a part (:func:`_device_powers`);
+    a row and the mid part's m_2 a device), and the tail's weights; the
+    kernel's four workspace tiles, five with a summed part, and one more
+    for its centre mask and the per-device vectors, of the largest part's
+    tile, and a gap tile a part (:func:`_device_powers`);
     and the largest of a set's sampler (a slot for its speed fractions and
     two scratch tiles of the set's), the shifts of a set of several parts,
     held while they copy theirs out, and, for the capacity, its average.
@@ -482,8 +482,9 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     average, once the sampler has let go of its slot and tiles, holds the
     parts' factor tables on the rule at that SNR
     (:func:`numerics.hamdi_rule`) with their scratch rows
-    (:func:`_scratch_rows`), 26 more doubles a trial and the buffer numpy
-    takes for a broadcast update of a table (:func:`numpy.getbufsize`
+    (:func:`_scratch_rows`; the mid part's running products), 26 more
+    doubles a trial and the buffer numpy takes for a broadcast update of
+    a table (:func:`numpy.getbufsize`
     doubles), and one part's fold sums or slopes beyond those the run
     keeps, the largest (:func:`_fold_sums`)."""
     sets = _layout("interference" if snr is None else "capacity",
@@ -522,7 +523,8 @@ def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
     capacity, each scenario's node sums on its rule, the fold sums of
     [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a part record,
     which go once the scenario's last block is done, and its surrogates'
-    two vectors of exact means with 1 kB for their record
+    nine vectors on the rule, the near parts' exact means and the mid
+    part's mean and three bases, with 1 kB for their records
     (:func:`_surrogates`); or, after the blocks, the fit: 5 doubles a draw
     and part record of one scenario's temporaries (:func:`_residuals`)."""
     sets = _layout("interference" if snr is None else "capacity",
@@ -532,7 +534,7 @@ def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
     kept = sum(part.count * (-(-draws // _FOLDS) * _FOLDS * (part.width + 1) + draws * scenarios)
                for draws, part in parts)
     node_sums = 0 if snr is None else scenarios * (
-        nodes * (2 + sum(part.count * (_FOLDS * (part.width + 1) + 3) for _, part in parts))
+        nodes * (9 + sum(part.count * (_FOLDS * (part.width + 1) + 3) for _, part in parts))
         + 128)
     fit = sum(draws * 5 * part.count for draws, part in parts)
     return 8 * (kept + max(block_bytes(devices, paths, snr) // 8 + node_sums, fit))
@@ -571,19 +573,22 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
     store's ``rows``, of mean exactly 0: for each term (p, e) of
     :data:`_TERMS`, sum_j n_j^-e (w_j m_(p,j) - E[m_p]), n_j^-e its table
     and w_j its Exp(1) weights, or 1 for a part whose devices draw none
-    (the interference's, whose 9 columns are these); then, for a part that
-    draws weights, sum_j n_j^-2 (w_j - 1), and c_0^2 and c_0 c_(4,2) less
-    their means, c_0 the term (2, 2), 12 in all: the devices and their
-    weights being independent, with E[w^2] = 2, E[c_0 c] = sum_j n_j^-2
-    n_j^-e (2 E[m_2 m_p] - E[m_2] E[m_p]).  The sums over the devices are
+    (the interference's, whose 9 columns are these, and the mid part's);
+    then, for the tail, which draws weights, sum_j n_j^-2 (w_j - 1); and,
+    for the capacity's, c_0^2 and c_0 c_(4,2) less their means, c_0 the
+    term (2, 2): the devices and their weights being independent,
+    E[c_0 c] = sum_j n_j^-2 n_j^-e (E[w^2] E[m_2 m_p] - E[m_2] E[m_p]),
+    E[w^2] = 2, or 1 without weights.  The sums over the devices are
     formed a tile at a time, z^p in ``space[0]`` and each order's moments
     in ``space[1]``, and reduced at once, so that no block-sized moment is
-    held.  A mirrored part's columns are the means over its pairs, the
-    weights shared: those of its odd orders p are exactly 0, and the rest
-    those of its drawn draws."""
-    table, paths = part.table, np.ones(shift.shape[2])
+    held; the mid part also keeps each device's m_2 in ``work`` for its
+    surrogate (:attr:`_Part.moments`).  A mirrored part's columns are the
+    means over its pairs: those of its odd orders p are exactly 0, and the
+    rest those of its drawn draws."""
+    table, paths, trials = part.table, np.ones(shift.shape[2]), len(shift)
     orders = [(p, _TERM_ORDERS == p, table[_TERM_ORDERS == p]) for p in _ORDERS]
-    far_terms = work.reshape(len(shift), len(_TERMS))
+    far_terms = work[:trials * len(_TERMS)].reshape(trials, len(_TERMS))
+    second = work[far_terms.size:].reshape(trials, -1) if part.held > len(_TERMS) else None
     for tile in tiles:
         z = shift[tile]
         n, devices = z.shape[:2]
@@ -596,12 +601,16 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
                 far_terms[tile, terms] = 0.0
                 continue
             np.matmul(power, paths, out=moment)  # twice as fast as einsum here
+            if second is not None and p == 2:
+                second[tile] = moment
             if weights is not None:
                 moment *= weights[tile]
             # one product a trial, so that no value depends on the tile
             far_terms[tile, terms] = (weights_of_terms @ moment[..., None])[..., 0]
     far_terms /= paths.size
-    part.m2 = far_terms[:, 0]
+    if second is not None:
+        second /= paths.size
+        part.moments = second[None]
     far = part.V[rows, 0, 1:]
     terms = far[:, :len(_TERMS)]
     # a column at a time: a row of means subtracted into the strided store
@@ -609,12 +618,13 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
     for column, sums, mean in zip(terms.T, far_terms.T,
                                   _MOMENT_MEANS[_TERM_ORDERS - 2] * table.sum(axis=1)):
         np.subtract(sums, mean, out=column)
-    if weights is None:
+    if part.width == len(_TERMS):
         return
-    far[:, -3] = weights @ table[0] - table[0].sum()
+    if weights is not None:
+        far[:, -3] = weights @ table[0] - table[0].sum()
     for column, term in ((-2, 0), (-1, _TERMS.index((4, 2)))):
         p = _TERM_ORDERS[term]
-        covariance = 2.0 * _monomial_mean((2, p), paths.size) \
+        covariance = (1.0 + (weights is not None)) * _monomial_mean((2, p), paths.size) \
             - _MOMENT_MEANS[0] * _MOMENT_MEANS[p - 2]
         far[:, column] = terms[:, 0] * terms[:, term] - table[0] @ table[term] * covariance
 
@@ -953,13 +963,17 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
     ``state``'s rule (:func:`numerics.hamdi_factors`) in ``out``, from its
     columns' ``powers``, which it overwrites: a near part's row for each of
     its devices, 1 / (1 + t b), b the device's faded power over the noise,
-    the target's C its row times its SNR u; a far-style part's one row,
-    e^(-t a), a its columns' drawn interference over the noise, their
-    powers times their ``weights``.  A mirrored part's rows are the means
-    over its draws and their mirrors: the tables of its draws past its
-    first ``count`` rows, round by round and then their mirrors', are
-    formed in ``scratch`` and added in, so no table of every draw is held.
-    A static scenario forms the target's row alone (``out`` holding one
+    the target's C its row times its SNR u; the mid part's one row, the
+    product of its devices' rows; the tail's one row, e^(-t a), a its
+    columns' drawn interference over the noise, their powers times their
+    ``weights``.  A mirrored part's rows are the means over its draws and
+    their mirrors: the tables of a near part's draws past its first
+    ``count`` rows, round by round and then their mirrors', are formed in
+    ``scratch`` and added in, so no table of every draw is held, and the
+    mid part's draw and mirror are running products in ``scratch``, one
+    matmul of the lines (b_j, 1) with the basis (t, 1) and one multiply a
+    device, and one reciprocal, which needs no polynomial coefficients.  A
+    static scenario forms the target's row alone (``out`` holding one
     row): every other factor is exactly 1.
 
     With a ``surrogate`` (a moving scenario's, :func:`_surrogates`), a
@@ -978,35 +992,52 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
     = 4 x^2 / Q^2 to leading order; g = 4 x^2 kappa(x, Q) / Q^2, kappa the
     Clarke scale of the odd part (:func:`numerics.odd_power_scale`), 1 at
     x = 0, keeps U from outgrowing the odd part where x nears Q.  The
-    mid part subtracts, times its slope, e^(-c k A) less prod_j h_M(c k /
-    n_j^2), A = sum_j n_j^-2 w_j m_(2,j) over its devices, even in the
-    shifts too, and k = k(x) (:func:`numerics.doppler_power_scale`): to
+    mid part subtracts at slope 1 prod_j 1 / (1 + c k m_(2,j) / n_j^2)
+    less prod_j h_M(c k / n_j^2), a third running product, even in the
+    shifts too, with k = k(x) (:func:`numerics.doppler_power_scale`): to
     leading order sinc^2(n q + x z) = sin^2(pi x z) / (pi n q)^2.  Each
     surrogate follows its factor where that factor is far from polynomial
     in the path moments, and the columns then fit what is left."""
     nodes, basis, trials = state.rule[0], state.basis, len(powers)
-    if part.build is _far_columns:
-        # the drawn interference of its columns, then of their mirrors, a row each
-        powers = powers.reshape(trials, -1, weights.shape[1])
-        powers *= weights[:, None]
-        draws = powers.sum(axis=2).T
-        draws *= state.snr
-        table = hamdi_factors(basis, draws[:0], draws[0], out)
-        for far in draws[1:]:
-            table += hamdi_factors(basis, draws[:0], far, scratch[:1])
-    else:
-        draws = powers.T  # a row a column: its rounds of draws, then their mirrors
-        draws *= state.snr
-        table = hamdi_factors(basis, draws[:len(out)], out=out)
-        for start in range(part.count, len(draws), part.count):
-            table += hamdi_factors(basis, draws[start:start + part.count],
-                                   out=scratch[:part.count])
-        if not part.mirrored:  # the target's part, the target first: C is u times its row
-            table[0] *= draws[0][:, None]
-    if not part.mirrored:
+    if weights is not None:  # the tail: its drawn interference
+        powers *= weights
+        far = powers.sum(axis=1)
+        far *= state.snr
+        return hamdi_factors(basis, np.empty((0, trials)), far, out)
+    if part.build is _far_columns:  # the mid part: its draw, its mirror and its surrogate
+        devices, size = powers.shape[1] // 2, 2 + (surrogate is not None)
+        product, factor = scratch[:size], scratch[size:2 * size]
+        lines = np.ones((size, trials, 2))
+        powers *= state.snr
+        if surrogate is not None:
+            basis = surrogate.basis
+        # a product past the double range is inf, whose reciprocal 0 is the
+        # true one's underflow; each line is at least 1, so none is NaN
+        with np.errstate(over="ignore"):
+            for j in range(devices):
+                lines[:2, :, 0] = powers[:, j::devices].T
+                if surrogate is not None:
+                    np.multiply(part.moments[0][:, j], surrogate.scale[j], out=lines[2, :, 0])
+                np.matmul(lines, basis, out=factor if j else product)
+                if j:
+                    product *= factor
+        np.reciprocal(product, out=product)
+        table = np.add(product[0], product[1], out=out[0])
+        table *= 0.5
+        if surrogate is not None:  # off its window the surrogate and its mean are both 1
+            table -= np.subtract(product[2], surrogate.mean, out=product[2])
+        return out
+    draws = powers.T  # a row a column: its rounds of draws, then their mirrors
+    draws *= state.snr
+    table = hamdi_factors(basis, draws[:len(out)], out=out)
+    for start in range(part.count, len(draws), part.count):
+        table += hamdi_factors(basis, draws[start:start + part.count],
+                               out=scratch[:part.count])
+    if not part.mirrored:  # the target's part, the target first: C is u times its row
+        table[0] *= draws[0][:, None]
         return table
     pairs = len(draws) // (2 * len(table))
-    if surrogate is not None and part.build is _near_columns:
+    if surrogate is not None:
         # each neighbour's surrogates, a pair at a time: with v = 1 / c,
         # twice a pair's surrogate less 1 is N / (m_2 + v)^3, N = -2 m_2^3 +
         # (A m_2 - 4 m_2^2 + B) v + (A - 2 m_2) v^2, A = 2 r x^2 m_4 and B =
@@ -1042,14 +1073,6 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
             numerator /= cube
             table[draw % len(table)] -= numerator
         table += (2.0 * pairs) * mean
-    elif surrogate is not None:
-        window = surrogate.window
-        width = window.stop - window.start
-        factors = hamdi_factors(basis[:, window], draws[:0], part.m2 * surrogate.scale,
-                                scratch.reshape(-1)[:trials * width].reshape(1, trials, width))
-        factors[0] -= surrogate.mean
-        factors[0] *= 2.0 * surrogate.slope
-        table[0, :, window] -= factors[0]
     table /= 2.0 * pairs
     return table
 
@@ -1068,15 +1091,17 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
     h_M(c / n^2) - 1 + r x^2 tau_M(c / n^2) + g upsilon_M(c / n^2)
     (:func:`numerics.moment_reciprocal_mean`,
     :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`);
-    and for the mid part its ``window``, the nodes with c >= 0.1 and t <=
-    5, its ``slope`` c^4 / (1 + c^4) there, its ``scale`` c k / t and its
-    ``mean`` prod_j h_M(c k / n_j^2) over its devices.  None for every
-    part of a static scenario, and for a part whose window holds no node.
-    Each table is read once over the group's windows laid end to end, and
-    kappa once a gap Q, each value from its own node and scenario alone, so
-    that a scenario keeps its bits in any group."""
+    and for the mid part the window of n = 1, its ``scale`` c k / (t
+    n_j^2) of each of its devices, its ``mean`` prod_j h_M(c k / n_j^2)
+    there and 1 off it, and the ``basis`` its lines take: the rule's (t, 1)
+    for its draw and its mirror, and for its surrogate t zeroed off the
+    window, where the surrogate is then exactly 1.
+    None for every part of a static scenario, and for a part whose window
+    holds no node.  Each table is read once over the group's windows laid
+    end to end, and kappa once a gap Q, each value from its own node and
+    scenario alone, so that a scenario keeps its bits in any group."""
     parts = _parts(sets)
-    floor, least, reach = _SURROGATE_NODES
+    floor, reach = _SURROGATE_NODES
     spans = [c.doppler_span(m.max_velocity_mps) for c, m in scenarios]
     scales = [state.snr * (span / c.spacing_symbol_product) ** 2
               for (c, _), state, span in zip(scenarios, states, spans)]
@@ -1088,15 +1113,13 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
         t = states[k].rule[0]
         stop = int(np.searchsorted(t, reach, "right"))
         for i, (ds, part) in enumerate(parts):
-            if part.mirrored and part.build is _near_columns:
-                gap = round(abs(index_gaps[ds.columns[part.columns][0]]))
-                first = int(np.searchsorted(t, floor / (scale / gap ** 2)))
-                if first < stop:
-                    near.append((k, i, t, slice(first, stop), gap))
-            elif part.mirrored:
-                start = int(np.searchsorted(t, least / scale))
-                if start < stop:
-                    mid.append((k, i, t, slice(start, stop)))
+            if not part.mirrored:
+                continue
+            near_part = part.build is _near_columns
+            gap = round(abs(index_gaps[ds.columns[part.columns][0]])) if near_part else 1
+            first = int(np.searchsorted(t, floor / (scale / gap ** 2)))
+            if first < stop:
+                (near if near_part else mid).append((k, i, t, slice(first, stop), gap))
     if near:
         whole = [gap * scenarios[k][0].spacing_symbol_product for k, *_, gap in near]  # Q
         own = [scales[k] / gap ** 2 for k, *_, gap in near]
@@ -1118,24 +1141,23 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
             found[k][i] = SimpleNamespace(window=window, scale=own[j], even=even[j], odd=odd[j],
                                           mean=mean[edges[j]:edges[j + 1]])
     if mid:
-        gaps, counts = np.unique(abs(parts[mid[0][1]][1].gaps), return_counts=True)
-        widths = [window.stop - window.start for *_, window in mid]
-        t = np.concatenate([t[window] for _, _, t, window in mid])
-        slope = np.reciprocal(t * np.repeat([scales[k] for k, *_ in mid], widths))
-        slope *= slope
-        slope *= slope
-        slope += 1.0
-        np.reciprocal(slope, out=slope)
+        squares = parts[mid[0][1]][1].gaps ** 2
+        gaps, counts = np.unique(squares, return_counts=True)
+        widths = [window.stop - window.start for *_, window, _ in mid]
+        t = np.concatenate([t[window] for _, _, t, window, _ in mid])
         far_scales = np.array([scales[k] for k, *_ in mid]) \
             * doppler_power_scale(np.array([spans[k] for k, *_ in mid]))
-        # the mid part's c k / n_j^2, a row for each distinct |n_j|
-        far = np.repeat(far_scales, widths) / (gaps ** 2)[:, None] * t
+        # the mid part's c k / n_j^2, a row for each distinct n_j^2
+        far = np.repeat(far_scales, widths) / gaps[:, None] * t
         far_mean = np.prod(np.repeat(moment_reciprocal_mean(far, paths), counts, axis=0), axis=0)
         edges = np.cumsum([0] + widths).tolist()
-        for j, (k, i, _, window) in enumerate(mid):
-            found[k][i] = SimpleNamespace(window=window, scale=far_scales[j],
-                                          slope=slope[edges[j]:edges[j + 1]],
-                                          mean=far_mean[edges[j]:edges[j + 1]])
+        for j, (k, i, t, window, _) in enumerate(mid):
+            basis = np.repeat(states[k].basis[None], 3, axis=0)
+            basis[2, 0, :window.start] = basis[2, 0, window.stop:] = 0.0
+            mean = np.ones(t.size)
+            mean[window] = far_mean[edges[j]:edges[j + 1]]
+            found[k][i] = SimpleNamespace(window=window, scale=far_scales[j] / squares,
+                                          basis=basis, mean=mean)
     return found
 
 
@@ -1166,11 +1188,11 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     of the whole cell, in bit/s/Hz.
 
     Device j's coherent power is k_j P_T, k_j its conditional power given
-    its path shifts, times its own Exp(1) weight.  The near devices'
-    weights (:func:`_near_devices`) are averaged exactly (Hamdi 2010): with
-    u = k_0 SNR, b_j = k_j SNR and a = a_mid + a_tail the far devices'
-    drawn interference over the noise, a trial's capacity is log2(e)
-    int_0^inf e^-t C prod_j B_j A_mid A_tail dt, C = u / (1 + t u), B_j =
+    its path shifts, times its own Exp(1) weight.  The weights of the near
+    devices (:func:`_near_devices`) and of the mid devices at index gap
+    3..K are averaged exactly (Hamdi 2010): with u = k_0 SNR, b_j = k_j SNR
+    and a the tail's drawn interference over the noise, a trial's capacity
+    is log2(e) int_0^inf e^-t C prod_j B_j A dt, C = u / (1 + t u), B_j =
     1 / (1 + t b_j), A = e^(-t a).  The factors come from independent parts
     of the draws (the target's, each neighbour's, the mid devices' at
     index gap 3..K and the tail's beyond K = 10: seven inside a band of
@@ -1195,9 +1217,9 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     is 0.57 at y = -0.6 and 0.036 at y = 0.6, at fig4's 500 Hz curve and
     100 m/s.  Half of each +-1 neighbour's R draws are the mirrors of the
     others, each +-2 neighbour is drawn once a trial and mirrored, and the
-    mid part is drawn once a trial and mirrored with the same Exp(1)
-    weights, its factor the mean of e^(-t a(z)) and e^(-t a(-z))
-    (:func:`_layout`); the target and the tail are not mirrored, and the
+    mid part is drawn once a trial and mirrored, its factor the mean of
+    prod_j B_j(z) and prod_j B_j(-z) (:func:`_layout`); the target and the
+    tail are not mirrored, and the
     kernel evaluates each part on a tile of its own columns.  The kernel
     forms each mirror from its source's sines (:func:`numerics.sinc_squared`),
     a mirrored part's columns are the means over its pairs, exactly 0 where
@@ -1219,10 +1241,9 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     upsilon_M(c), each a 1-D integral tabulated once per path count
     (:func:`numerics.moment_reciprocal_mean`,
     :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`).
-    The mid part's factor is to leading order e^(-c k A), A the mid
-    devices' weighted sum of their m_2, of mean prod_j h_M(c k / n_j^2),
-    which it subtracts times a slope that tapers to 0 at the window's lower
-    edge.  Where c reaches 10^3, at fig4's 500 Hz points, those factors are
+    The mid part's factor is to leading order prod_j 1 / (1 + c k m_(2,j)
+    / n_j^2), of mean prod_j h_M(c k / n_j^2), which it subtracts at slope
+    1 too.  Where c reaches 10^3, at fig4's 500 Hz points, those factors are
     far from polynomial in the path moments, which the columns below fit;
     the surrogates take that part of them, and the estimate stays exactly
     unbiased.  The odd part's square U takes most of what S leaves of the
@@ -1358,7 +1379,7 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     # let the last block, its builders' buffers and the grams go before the fit
     powers = weights = grams = solvers = None
     for _, part in parts:
-        part.m2 = part.moments = None
+        part.moments = None
     estimates = []
     for state in states:
         residuals = [_residuals(_by_fold(part.V), y, state.slopes[part])

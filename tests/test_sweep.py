@@ -259,10 +259,13 @@ def test_capacity_mc_holds_past_the_old_reach_of_the_rule():
     # at 100 m/s the interference dwarfs the noise from 200 dB on, so the
     # capacity stays put up to the rule's 1e300 limit; a rule that started
     # no lower than ln t = -60 read 0.387 at 300 dB and 0 at 1e-300.  The
-    # estimate, 6.58407 +- 5.4e-5 (4e-15 apart between the SNRs), is the
-    # draws' (6.58402 +- 6.3e-5 with the +-1 neighbours' first-order
-    # surrogates, 6.58427 +- 1.7e-4 before the capacity mirrored its +-1
-    # neighbours' and mid part's draws; 6.58409 +- 1.3e-5 at 8192 trials)
+    # estimate, 6.584083 +- 7.3e-6 (5e-16 apart between the SNRs), is the
+    # draws'; there the mid part's running products of its 16 devices'
+    # 1 + t b overflow to inf, whose reciprocal 0 is exact to rounding
+    # (6.58407 +- 5.4e-5 with its fading drawn, 6.58402 +- 6.3e-5 with the
+    # +-1 neighbours' first-order surrogates, 6.58427 +- 1.7e-4 before the
+    # capacity mirrored its +-1 neighbours' and mid part's draws; 6.58409
+    # +- 1.3e-5 at 8192 trials)
     mc = "sweep.outputs = capacity_mc\nmc.trials = 512\nmc.seed = 1\n"
     by_snr = parse_config("sweep.axis = snr_db\nsweep.grid = 200, 300\n" + mc)
     by_noise = parse_config(AXIS + "sweep.grid = 100\nsystem.noise_variance = 1e-300\n" + mc)
@@ -331,21 +334,22 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # each draw set's columns and 9 a row of its Taylor sums, the 6
     # interferers within index gap 3 of the target on 256 rows and the
     # 2N - 6 beyond on 32; for the capacity
-    # (M + 3) on its main draws' 21 + 2 (P - 1) drawn columns, P = R / 2 the
-    # pairs of each neighbour at index gap +-1, on 256 rows (a power, a
-    # weight and a mirror's power; M more while its parts copy their
-    # columns out of the sampler's array, which then outweighs the tail's
-    # sampler), and (M + 3) on its tail's 2N - 20 on 32, 5 doubles a trial
-    # and drawn near draw that it holds across blocks; either 11 a device
+    # (M + 2) on its main draws' 21 + 2 (P - 1) drawn columns, P = R / 2 the
+    # pairs of each neighbour at index gap +-1, on 256 rows (a power and a
+    # mirror's power; M more while its parts copy their columns out of the
+    # sampler's array, which then outweighs the tail's sampler), and
+    # (M + 3) on its tail's 2N - 20 on 32, 5 doubles a trial and drawn near
+    # draw and 1 a trial and mid device that it holds across blocks, no
+    # weight on its main draws; either 11 a device
     # across blocks, plus eight tiles (nine for the interference, whose
     # mirrored parts' kernel takes a fifth workspace tile), against
     # 1.75 GiB; montecarlo.run_bytes adds, at 100
     # trials of 2 grid points, each part's store [1, V] over the draws
     # padded to a multiple of 8 (10 doubles a draw for either interference
-    # part, 63 a trial and 13 a tail draw for the capacity) and two samples
+    # part, 62 a trial and 13 a tail draw for the capacity) and two samples
     # a draw and part, which for the interference refuses two N whose
     # block fits at 8 paths and seven at one, and for the capacity the two
-    # points' node sums, 629 doubles a node of the rule
+    # points' node sums and surrogates, 630 doubles a node of the rule
     ("system.half_subcarriers = 291380", "ici_mc", None),   # run 1.75 GiB - 5.9 kB
     ("system.half_subcarriers = 291381", "ici_mc", "run"),   # run 1.75 GiB + 392 B
     # block 1.75 GiB - 6.0 kB
@@ -359,13 +363,13 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     ("system.half_subcarriers = 1012389\ncell.paths_per_device = 1", "ici_mc", "run"),
     ("system.half_subcarriers = 1012390\ncell.paths_per_device = 1", "ici_mc", "block"),
     ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.27 GiB
-    ("system.half_subcarriers = 213381", "capacity_mc", None),   # 1.75 GiB - 1.4 kB
-    ("system.half_subcarriers = 213382", "capacity_mc", "run"),    # 1.75 GiB + 4.5 kB
-    ("system.half_subcarriers = 213448", "capacity_mc", "run"),   # block 1.75 GiB - 1.3 kB
-    ("system.half_subcarriers = 213449", "capacity_mc", "block"),   # 1.75 GiB + 4.6 kB
+    ("system.half_subcarriers = 216172", "capacity_mc", None),   # 1.75 GiB - 4.9 kB
+    ("system.half_subcarriers = 216173", "capacity_mc", "run"),    # 1.75 GiB + 1000 B
+    ("system.half_subcarriers = 216240", "capacity_mc", "run"),   # block 1.75 GiB - 5.2 kB
+    ("system.half_subcarriers = 216241", "capacity_mc", "block"),   # 1.75 GiB + 712 B
     ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.20 and 0.27 GiB
     ("system.half_subcarriers = 250000", "ici_mc", None),   # 1.50 GiB
-    # the capacity's 2.05 GiB
+    # the capacity's 2.02 GiB
     ("system.half_subcarriers = 250000", "ici_mc, capacity_mc", "block"),
     ("system.half_subcarriers = 43490\ncell.paths_per_device = 64", "ici_mc", None),
     ("system.half_subcarriers = 43491\ncell.paths_per_device = 64", "ici_mc", "block"),

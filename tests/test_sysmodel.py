@@ -151,19 +151,19 @@ def test_cell_batch_reads_speeds_then_paths_from_the_stream():
 def test_coherent_device_power_has_unit_mean():
     # a static network keeps every path on its own sub-carrier, so the
     # coherent per-device power the capacity estimator draws is
-    # |sum_m a_m|^2, whose mean is the total mean path power, one; the
-    # device at index gap -3 from the target draws a weight (those at 0,
-    # +-1 and +-2 draw none, their fading being averaged); the band, N = 3,
-    # has no tail, so the block has one draw set, whose fourth part holds
-    # the devices at index gap +-3
-    plan = TrialPlan(trials=40000, seed=2)
+    # |sum_m a_m|^2, whose mean is the total mean path power, one; only the
+    # tail, the devices beyond index gap 10 from the target, draws weights
+    # (those within it draw none, their fading being averaged): at N = 11
+    # the devices at index gap +-11, drawn on 32 rows of each block of 256,
+    # two samples a draw
+    plan = TrialPlan(trials=160000, seed=2)
     scenario = (SystemConfig(), MobilityModel(max_velocity_mps=0.0))
-    samples = np.empty(plan.trials)
-    [draws] = _layout("capacity", subcarrier_gaps(0, 3), CellConfig().paths_per_device)
-    column = draws.columns[draws.parts[3].columns].tolist().index(0)
+    [main, tail] = _layout("capacity", subcarrier_gaps(0, 11), CellConfig().paths_per_device)
+    assert not main.weighted.any() and tail.weighted.all() and tail.columns.size == 2
+    samples = np.empty((tail.draws(plan.trials), 2))
     for _, rows, powers, weights in _device_powers(plan, CellConfig(), [scenario],
-                                                   [np.zeros(7)], [draws]):
-        samples[rows[3]] = powers[3][:, column] * weights[3][:, column]
+                                                   [np.zeros(23)], [tail]):
+        samples[rows[0]] = powers[0] * weights[0]
     assert samples.mean() == pytest.approx(1.0, abs=0.02)
 
 
