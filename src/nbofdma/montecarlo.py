@@ -331,7 +331,9 @@ class _Part:
     keeps across blocks; whether it is ``mirrored`` (the capacity's +-1
     and +-2 neighbours and mid part, and both interference parts): the kernel
     also evaluates its columns at the negated shifts, and its columns V
-    are the means over its draws and their mirrors; and whether it is
+    are the means over its draws and their mirrors; whether it is the
+    capacity's ``mid`` part, whose factor is the product of its devices'
+    (:func:`_part_factors`); and whether it is
     ``summed`` (both interference parts), its powers each pair's mean, its
     sample being linear in them, so that the kernel forms each pair's sum
     at once (:func:`numerics.sinc_squared_pair`), where a capacity part's
@@ -349,6 +351,7 @@ class _Part:
     gaps: np.ndarray | None = None
     count: int = 1
     mirrored: bool = False
+    mid: bool = False
     summed: bool = False
     V: np.ndarray | None = None
     moments: np.ndarray | None = None
@@ -433,7 +436,7 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
                            mirrored=True))
     if mid.size:
         parts.append(_Part(slice(start, stop), _far_columns, quadratic, len(_TERMS) + mid.size,
-                           index_gaps[mid], mirrored=True))
+                           index_gaps[mid], mirrored=True, mid=True))
     sets = [_DrawSet(main, BLOCK_TRIALS, main < 0, parts)]
     tail = np.flatnonzero(far > _TAIL_GAP)
     if tail.size:
@@ -455,8 +458,8 @@ def _scratch_rows(sets: list[_DrawSet]) -> int:
     each; else two if a part is mirrored, for the tables of a mirrored near
     part's further draws and for its surrogates, a pair's numerator and
     denominator on the whole rule; none otherwise."""
-    mirrored = [part.build for _, part in _parts(sets) if part.mirrored]
-    return 6 if _far_columns in mirrored else 2 * bool(mirrored)
+    parts = [part for _, part in _parts(sets)]
+    return 6 if any(part.mid for part in parts) else 2 * any(part.mirrored for part in parts)
 
 
 @functools.cache  # the sweep asks at every grid point, mostly with the same arguments
@@ -482,9 +485,9 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     average, once the sampler has let go of its slot and tiles, holds the
     parts' factor tables on the rule at that SNR
     (:func:`numerics.hamdi_rule`) with their scratch rows
-    (:func:`_scratch_rows`; the mid part's running products), 26 more
-    doubles a trial and the buffer numpy takes for a broadcast update of
-    a table (:func:`numpy.getbufsize`
+    (:func:`_scratch_rows`; the mid part's running products) and the mid
+    part's lines, 6 doubles a trial, 26 more doubles a trial and the buffer
+    numpy takes for a broadcast update of a table (:func:`numpy.getbufsize`
     doubles), and one part's fold sums or slopes beyond those the run
     keeps, the largest (:func:`_fold_sums`)."""
     sets = _layout("interference" if snr is None else "capacity",
@@ -505,7 +508,8 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
         nodes = hamdi_rule(snr)[0].size
         held += _FOLDS * sum(part.count * (part.width + 1) ** 2 for _, part, _ in parts)
         average = sum(ds.rows * part.count * nodes for ds, part, _ in parts) \
-            + BLOCK_TRIALS * (_scratch_rows(sets) * nodes + 26) + np.getbufsize() \
+            + BLOCK_TRIALS * (_scratch_rows(sets) * nodes + 26
+                              + 6 * any(part.mid for _, part, _ in parts)) + np.getbufsize() \
             + _FOLDS * max(part.count * (part.width + 1) for _, part, _ in parts) * nodes
     workspace = 5 + any(part.summed for _, part, _ in parts)
     return 8 * (draws + workspace * max(tiles, default=0) + sum(tiles)
@@ -588,7 +592,7 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
     table, paths, trials = part.table, np.ones(shift.shape[2]), len(shift)
     orders = [(p, _TERM_ORDERS == p, table[_TERM_ORDERS == p]) for p in _ORDERS]
     far_terms = work[:trials * len(_TERMS)].reshape(trials, len(_TERMS))
-    second = work[far_terms.size:].reshape(trials, -1) if part.held > len(_TERMS) else None
+    second = work[far_terms.size:].reshape(trials, -1) if part.mid else None
     for tile in tiles:
         z = shift[tile]
         n, devices = z.shape[:2]
@@ -1004,7 +1008,7 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
         far = powers.sum(axis=1)
         far *= state.snr
         return hamdi_factors(basis, np.empty((0, trials)), far, out)
-    if part.build is _far_columns:  # the mid part: its draw, its mirror and its surrogate
+    if part.mid:  # its draw, its mirror and its surrogate
         devices, size = powers.shape[1] // 2, 2 + (surrogate is not None)
         product, factor = scratch[:size], scratch[size:2 * size]
         lines = np.ones((size, trials, 2))
@@ -1115,11 +1119,10 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
         for i, (ds, part) in enumerate(parts):
             if not part.mirrored:
                 continue
-            near_part = part.build is _near_columns
-            gap = round(abs(index_gaps[ds.columns[part.columns][0]])) if near_part else 1
+            gap = 1 if part.mid else round(abs(index_gaps[ds.columns[part.columns][0]]))
             first = int(np.searchsorted(t, floor / (scale / gap ** 2)))
             if first < stop:
-                (near if near_part else mid).append((k, i, t, slice(first, stop), gap))
+                (mid if part.mid else near).append((k, i, t, slice(first, stop), gap))
     if near:
         whole = [gap * scenarios[k][0].spacing_symbol_product for k, *_, gap in near]  # Q
         own = [scales[k] / gap ** 2 for k, *_, gap in near]

@@ -554,6 +554,10 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
             else:
                 assert records == [(list(range(devices)), devices, False)]
             assert [part.summed for _, part in parts] == [estimator == "interference"] * len(parts)
+            # the mid part, the capacity's only mirrored far-style part
+            assert [part.mid for _, part in parts] \
+                == [estimator == "capacity" and part.mirrored and part.gaps is not None
+                    for _, part in parts]
             for block, (_, rows, powers, weights) in enumerate(
                     montecarlo._device_powers(plan, cell, [static], [index_gaps], sets)):
                 for (ds, part), r, p, w in zip(parts, rows, powers, weights, strict=True):
@@ -1373,6 +1377,11 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(
             assert np.all(surrogate.mean[~window] == 1.0)
             second = surrogate.moments[0]  # (trials, devices)
             assert second.shape == (3, gaps.size)
+            # its leading order: each device's c k m_(2,j) / (t n_j^2) is
+            # its draw's b_j and its mirror's to within a fifth
+            leading = (second * surrogate.scale).T  # (devices, trials)
+            for side in np.split(rows, 2):
+                assert leading == pytest.approx(side, rel=0.2)
             # each product formed device by device, then its reciprocal
             proxy = 1.0 / np.prod(1.0 + own * second[:, None], axis=2)
             pair_mean = np.mean([1.0 / np.prod(1.0 + nodes * side[..., None], axis=0)
@@ -1431,7 +1440,7 @@ def test_the_mid_factor_averages_its_devices_fading_exactly():
     # (beyond, e^(-t a) is so skewed that 2^16 draws misread their spread)
     [ds, _] = montecarlo._layout("capacity", subcarrier_gaps(0, 39), 8)
     mid = ds.parts[3]
-    assert mid.build is montecarlo._far_columns and mid.mirrored
+    assert mid.mid and mid.build is montecarlo._far_columns and mid.mirrored
     state = _capacity_state(100.0)
     nodes = state.rule[0]
     powers = np.random.default_rng(46).uniform(0.0, 5e-3, (1, 32))
@@ -1471,7 +1480,7 @@ def test_the_mid_surrogate_has_the_product_of_its_devices_means():
     state = _capacity_state(montecarlo.capacity_snr(cfg))
     found = montecarlo._surrogates(sets, index_gaps, [(cfg, MOB)], [state], paths)[0]
     [(i, mid)] = [(i, part) for i, (_, part) in enumerate(montecarlo._parts(sets))
-                  if part.build is montecarlo._far_columns and part.mirrored]
+                  if part.mid]
     surrogate, nodes = found[i], state.rule[0]
     x = cfg.doppler_span(MOB.max_velocity_mps)
     scale = state.snr * x ** 2 * numerics.doppler_power_scale(x)  # c k / t at q = 1
