@@ -455,11 +455,23 @@ def _scratch_rows(sets: list[_DrawSet]) -> int:
     """Rows of scratch the capacity's factor tables take
     (:func:`_part_factors`): six with a mid part, for the running products
     of its draw, its mirror and its surrogate and for a device's factors of
-    each; else two if a part is mirrored, for the tables of a mirrored near
-    part's further draws and for its surrogates, a pair's numerator and
-    denominator on the whole rule; none otherwise."""
+    each; else two if a part is mirrored; none otherwise.  A mirrored near
+    part forms in them the tables of its further rounds of draws, as many
+    whole rounds at a time as they hold, and its surrogates' numerators
+    and denominators on the whole rule, half the rows a pair at a time."""
     parts = [part for _, part in _parts(sets)]
     return 6 if any(part.mid for part in parts) else 2 * any(part.mirrored for part in parts)
+
+
+def _line_doubles(part: _Part, size: int) -> int:
+    """Doubles a trial that :func:`_part_factors` holds at most for the
+    lines of ``part``, of ``size`` columns: 6 for the mid part's (its draw,
+    its mirror and its surrogate, (t, 1) each); for a mirrored near part,
+    12 a drawn column: its surrogates' lines, (1, v, v^2, v^3) a pair of
+    each of two rows, and their temporaries, 4 of the pair's m_p, after the
+    lines (b, 1) of its columns and their mirrors, 4 a column, have gone; 2
+    otherwise, the target's and the tail's one line."""
+    return 6 if part.mid else 12 * size if part.mirrored else 2
 
 
 @functools.cache  # the sweep asks at every grid point, mostly with the same arguments
@@ -485,8 +497,8 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     average, once the sampler has let go of its slot and tiles, holds the
     parts' factor tables on the rule at that SNR
     (:func:`numerics.hamdi_rule`) with their scratch rows
-    (:func:`_scratch_rows`; the mid part's running products) and the mid
-    part's lines, 6 doubles a trial, 26 more doubles a trial and the buffer
+    (:func:`_scratch_rows`; the mid part's running products), the lines of
+    one part, the most (:func:`_line_doubles`), 26 more doubles a trial and the buffer
     numpy takes for a broadcast update of a table (:func:`numpy.getbufsize`
     doubles), and one part's fold sums or slopes beyond those the run
     keeps, the largest (:func:`_fold_sums`)."""
@@ -509,7 +521,8 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
         held += _FOLDS * sum(part.count * (part.width + 1) ** 2 for _, part, _ in parts)
         average = sum(ds.rows * part.count * nodes for ds, part, _ in parts) \
             + BLOCK_TRIALS * (_scratch_rows(sets) * nodes + 26
-                              + 6 * any(part.mid for _, part, _ in parts)) + np.getbufsize() \
+                              + max(_line_doubles(part, size) for _, part, size in parts)) \
+            + np.getbufsize() \
             + _FOLDS * max(part.count * (part.width + 1) for _, part, _ in parts) * nodes
     workspace = 5 + any(part.summed for _, part, _ in parts)
     return 8 * (draws + workspace * max(tiles, default=0) + sum(tiles)
@@ -973,7 +986,9 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
     ``weights``.  A mirrored part's rows are the means over its draws and
     their mirrors: the tables of a near part's draws past its first
     ``count`` rows, round by round and then their mirrors', are formed in
-    ``scratch`` and added in, so no table of every draw is held, and the
+    ``scratch``, as many whole rounds at a time as it holds, from the lines
+    (b, 1) of every draw formed at once, and added in round by round, so no
+    table of every draw is held, and the
     mid part's draw and mirror are running products in ``scratch``, one
     matmul of the lines (b_j, 1) with the basis (t, 1) and one multiply a
     device, and one reciprocal, which needs no polynomial coefficients.  A
@@ -1033,51 +1048,74 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
         return out
     draws = powers.T  # a row a column: its rounds of draws, then their mirrors
     draws *= state.snr
-    table = hamdi_factors(basis, draws[:len(out)], out=out)
-    for start in range(part.count, len(draws), part.count):
-        table += hamdi_factors(basis, draws[start:start + part.count],
-                               out=scratch[:part.count])
     if not part.mirrored:  # the target's part, the target first: C is u times its row
+        table = hamdi_factors(basis, draws[:len(out)], out=out)
         table[0] *= draws[0][:, None]
         return table
+    # every row's line (b, 1), its factors 1 / (t b + 1) a chunk of rounds at a time
+    table = _reciprocal_sums(np.stack(np.broadcast_arrays(draws, 1.0), axis=-1), basis, out,
+                             scratch)
     pairs = len(draws) // (2 * len(table))
     if surrogate is not None:
-        # each neighbour's surrogates, a pair at a time: with v = 1 / c,
-        # twice a pair's surrogate less 1 is N / (m_2 + v)^3, N = -2 m_2^3 +
-        # (A m_2 - 4 m_2^2 + B) v + (A - 2 m_2) v^2, A = 2 r x^2 m_4 and B =
-        # 2 g m_3^2.  N and (m_2 + v)^3 are each one matmul of the
-        # trials' lines and the basis (1, v, v^2, v^3), which off the window
-        # is (0, 0, 0, 1), so that N is 0 there and the neighbour's whole
-        # row, contiguous, takes the quotient (v <= 1e100 on the window, so
-        # v^3 stays finite); the row then adds back twice its pairs' count
-        # times the mean less 1.
+        # each neighbour's surrogates: with v = 1 / c, twice a pair's
+        # surrogate less 1 is N / (m_2 + v)^3, N = -2 m_2^3 + (A m_2 - 4
+        # m_2^2 + B) v + (A - 2 m_2) v^2, A = 2 r x^2 m_4 and B = 2 g m_3^2.
+        # N and (m_2 + v)^3 are each one matmul of a pair's lines and the
+        # basis (1, v, v^2, v^3), which off the window is (0, 0, 0, 1), so
+        # that N is 0 there and the neighbour's whole row, contiguous, takes
+        # the quotient (v <= 1e100 on the window, so v^3 stays finite); the
+        # lines of every pair are formed at once, and their quotients a few
+        # pairs at a time in the scratch rows, which each row then subtracts
+        # in turn; it then adds back twice its pairs' count times the mean
+        # less 1.
         window = surrogate.window
-        cube, numerator = scratch[:2]
-        basis, lines = np.zeros((4, nodes.size)), np.zeros((2, trials, 4))
+        basis = np.zeros((4, nodes.size))
         basis[:, window] = np.reciprocal(nodes[window] * surrogate.scale) \
             ** np.arange(4.0)[:, None]
         basis[3, :window.start] = basis[3, window.stop:] = 1.0
-        lines[0, :, 3] = 1.0
         mean = np.zeros(nodes.size)
         mean[window] = surrogate.mean
-        second, third, fourth = part.moments[:3]
-        for draw in range(second.shape[1]):
-            m2 = second[:, draw]
-            square = m2 * m2
-            even = (2.0 * surrogate.even) * fourth[:, draw]
-            np.multiply(square, m2, out=lines[0, :, 0])
-            np.multiply(square, 3.0, out=lines[0, :, 1])
-            np.multiply(m2, 3.0, out=lines[0, :, 2])
-            lines[1, :, 0] = -2.0 * lines[0, :, 0]
-            lines[1, :, 1] = even * m2 - 4.0 * square \
-                + (2.0 * surrogate.odd) * third[:, draw] ** 2
-            lines[1, :, 2] = even - 2.0 * m2
-            np.matmul(lines[0], basis, out=cube)
-            np.matmul(lines[1], basis, out=numerator)
+        second, third, fourth = (moment.T for moment in part.moments[:3])  # (draws, trials)
+        lines = np.empty((2, len(second), trials, 4))  # (m_2 + v)^3's, then N's
+        square = second * second
+        np.multiply(square, second, out=lines[0, ..., 0])
+        np.multiply(square, 3.0, out=lines[0, ..., 1])
+        np.multiply(second, 3.0, out=lines[0, ..., 2])
+        lines[0, ..., 3] = 1.0
+        np.multiply(lines[0, ..., 0], -2.0, out=lines[1, ..., 0])
+        even = (2.0 * surrogate.even) * fourth
+        np.multiply(even, second, out=lines[1, ..., 1])
+        lines[1, ..., 1] -= 4.0 * square
+        lines[1, ..., 1] += (2.0 * surrogate.odd) * third ** 2
+        np.subtract(even, 2.0 * second, out=lines[1, ..., 2])
+        lines[1, ..., 3] = 0.0
+        step = len(scratch) // 2
+        for start in range(0, len(second), step):
+            stop = min(start + step, len(second))
+            cube, numerator = scratch[:stop - start], scratch[step:step + stop - start]
+            np.matmul(lines[0, start:stop], basis, out=cube)
+            np.matmul(lines[1, start:stop], basis, out=numerator)
             numerator /= cube
-            table[draw % len(table)] -= numerator
+            for draw, quotient in enumerate(numerator, start):
+                table[draw % len(table)] -= quotient
         table += (2.0 * pairs) * mean
     table /= 2.0 * pairs
+    return table
+
+
+def _reciprocal_sums(lines, basis, out, scratch):
+    """The sum over rounds of 1 / (``lines`` @ ``basis``) in ``out``, a
+    round ``len(out)`` of the lines' rows: the first round in ``out``, the
+    rest a chunk of whole rounds at a time in ``scratch``, added round by
+    round in their order."""
+    rows = len(out)
+    table = np.reciprocal(np.matmul(lines[:rows], basis, out=out), out=out)
+    step = max(1, len(scratch) // rows) * rows
+    for start in range(rows, len(lines), step):
+        chunk = scratch[:min(step, len(lines) - start)]
+        np.reciprocal(np.matmul(lines[start:start + len(chunk)], basis, out=chunk), out=chunk)
+        for first in range(0, len(chunk), rows):
+            table += chunk[first:first + rows]
     return table
 
 

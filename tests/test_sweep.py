@@ -337,7 +337,9 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # (M + 2) on its main draws' 21 + 2 (P - 1) drawn columns, P = R / 2 the
     # pairs of each neighbour at index gap +-1, on 256 rows (a power and a
     # mirror's power; M more while its parts copy their columns out of the
-    # sampler's array, which then outweighs the tail's sampler), and
+    # sampler's array, which then outweighs the tail's sampler, or 12 a
+    # trial and drawn +-1 draw while the factors form those neighbours'
+    # surrogate lines, more than either at this N), and
     # (M + 3) on its tail's 2N - 20 on 32, 5 doubles a trial and drawn near
     # draw and 1 a trial and mid device that it holds across blocks, no
     # weight on its main draws; either 11 a device
@@ -362,14 +364,14 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # block 1.75 GiB - 1.5 kB
     ("system.half_subcarriers = 1012389\ncell.paths_per_device = 1", "ici_mc", "run"),
     ("system.half_subcarriers = 1012390\ncell.paths_per_device = 1", "ici_mc", "block"),
-    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.27 GiB
-    ("system.half_subcarriers = 216172", "capacity_mc", None),   # 1.75 GiB - 4.9 kB
-    ("system.half_subcarriers = 216173", "capacity_mc", "run"),    # 1.75 GiB + 1000 B
-    ("system.half_subcarriers = 216240", "capacity_mc", "run"),   # block 1.75 GiB - 5.2 kB
-    ("system.half_subcarriers = 216241", "capacity_mc", "block"),   # 1.75 GiB + 712 B
-    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.20 and 0.27 GiB
+    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.28 GiB
+    ("system.half_subcarriers = 205284", "capacity_mc", None),   # 1.75 GiB - 712 B
+    ("system.half_subcarriers = 205285", "capacity_mc", "run"),    # 1.75 GiB + 5.2 kB
+    ("system.half_subcarriers = 205346", "capacity_mc", "run"),   # block 1.75 GiB - 4.5 kB
+    ("system.half_subcarriers = 205347", "capacity_mc", "block"),   # 1.75 GiB + 1448 B
+    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.20 and 0.28 GiB
     ("system.half_subcarriers = 250000", "ici_mc", None),   # 1.50 GiB
-    # the capacity's 2.02 GiB
+    # the capacity's 2.13 GiB
     ("system.half_subcarriers = 250000", "ici_mc, capacity_mc", "block"),
     ("system.half_subcarriers = 43490\ncell.paths_per_device = 64", "ici_mc", None),
     ("system.half_subcarriers = 43491\ncell.paths_per_device = 64", "ici_mc", "block"),
