@@ -73,10 +73,11 @@ class TrialPlan:
     the target not at all, each with its mirror -z; the capacity estimator
     averages the fading of the devices within index gap K = 10 exactly,
     draws the tail's beyond K, its coherent powers times one Exp(1) draw
-    each, takes R Doppler draws of
-    each neighbour at index gap +-1 a trial, R / 2 of them the mirrors -z
-    of the others and R a fixed rule in the sub-carrier count
-    (:func:`_neighbour_draws`), mirrors its +-2 neighbours' and mid part's
+    each, takes R_0 Doppler draws of its target and R of each neighbour at
+    index gap +-1 a trial, R / 2 of the latter the mirrors -z of the
+    others, R_0 and R a fixed rule in the sub-carrier count
+    (:func:`_capacity_draws`; 4 and 24 at N = 199, 1 and 2 up to
+    N = 115), mirrors its +-2 neighbours' and mid part's
     draws too (and no other part's), and draws its tail on 32 trials a
     block.  Every estimator subtracts zero-mean
     columns of its draws times slopes fitted on the other folds' draws
@@ -284,7 +285,7 @@ _ICI_TAIL_GAP = 3
 # (3 <= |n| <= K) is drawn every trial, its fading averaged exactly, the
 # tail (|n| > K) on _TAIL_DRAWS trials a block, each device at a drawn
 # Exp(1) weight.  On fig4's points the tail holds at most 2e-5-5e-5 of the
-# fitted variance a draw, yet at N = 199 it is 378 of a trial's 419 columns.
+# fitted variance a draw, yet at N = 199 it is 378 of a trial's 424 columns.
 _TAIL_GAP = 10
 
 # The capacity's surrogates (:func:`_surrogates`) are subtracted on the
@@ -305,22 +306,28 @@ def _near_devices(target: int, devices: int) -> list[int]:
     return [target] + [c for c in range(target - 2, target + 3) if c != target and 0 <= c < devices]
 
 
-def _neighbour_draws(half_subcarriers: int) -> int:
-    """R, the Doppler draws a capacity trial takes of each neighbour at
-    index gap +-1, a fixed rule in N: R = 2P, P = max(1, ceil((N // 18) /
-    2)) mirrored pairs, each a draw z and its mirror -z (:func:`_layout`).
-    Those two hold most of the capacity's residual variance at fig4's
-    points while being 2 of the 2N + 1 devices a block evaluates, so their
-    draws grow with N (R = 2, 6 and 12 at N = 39, 99 and 199; 2 below
-    N = 54)."""
-    return 2 * max(1, -(-(half_subcarriers // 18) // 2))
+def _capacity_draws(half_subcarriers: int) -> tuple[int, int]:
+    """(R_0, R): the Doppler draws a capacity trial takes of its target and
+    of each neighbour at index gap +-1, a fixed rule in N alone that sizes
+    each part's draws by Neyman allocation (Glasserman 2003, section 4.3):
+    R = 2P, P = max(1, (N - 100) // 8) mirrored pairs, each a draw z and
+    its mirror -z, and R_0 = max(1, P // 3) rounds of the target
+    (:func:`_layout`).  Those parts hold most of the capacity's residual
+    variance at fig4's large spans while being 3 of the 2N + 1 devices a
+    block evaluates, and the span grows with N at fig4's points; below
+    N = 116 one pair and one round read the same within noise.  The +-1
+    neighbours' drawn columns, 2P a trial, stay below the tail's,
+    (2N - 2K) / 8 a trial (:data:`_TAIL_DRAWS`).  R = 2, 2 and 24 at
+    N = 39, 99 and 199, and R_0 = 1, 1 and 4."""
+    pairs = max(1, (half_subcarriers - 100) // 8)
+    return max(1, pairs // 3), 2 * pairs
 
 
 @dataclass(eq=False)
 class _Part:
     """``count`` parts of a draw set fitted alike on one builder's columns:
-    its ``columns`` within the set's (a slice, or for the capacity's
-    neighbours at index gap +-1 a list, their draws round by round, the
+    its ``columns`` within the set's (a slice, or for the capacity's target
+    and neighbours at index gap +-1 a list, their draws round by round, the
     ``count`` neighbours' draws of a round in turn), which it copies out of
     the block's shifts into a kernel tile of its own; its ``build``, which
     writes a block's columns V, ``width`` a part: :func:`_near_columns`
@@ -393,9 +400,10 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     summed part of its 9 Taylor sums (:func:`_far_columns`, unweighted), if
     the band holds any; neither draws the target.  "capacity": its
     main draws, the target and its neighbours at index gap +-2, then those
-    at +-1, the mid devices at index gap 3..K and P - 1 more rounds of the
-    neighbours at +-1 (:func:`_neighbour_draws`), in up to four parts: the
-    target's (:func:`_near_devices`, :func:`_near_columns`), unmirrored;
+    at +-1, the mid devices at index gap 3..K, P - 1 more rounds of the
+    neighbours at +-1 and R_0 - 1 more of the target
+    (:func:`_capacity_draws`), in up to four parts: the target's, its R_0
+    rounds (:func:`_near_devices`, :func:`_near_columns`), unmirrored;
     the +-2 neighbours', one round of draws, and the +-1 neighbours', their
     P rounds, each mirrored, if the band holds any; and the mid devices'
     (:func:`_far_columns`), mirrored, if the band holds devices beyond
@@ -421,17 +429,20 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     near = _near_devices(target, devices)
     twos, ones = ([c for c in near if far[c] == gap] for gap in (2, 1))
     mid = np.flatnonzero((far > 2) & (far <= _TAIL_GAP))
-    rounds = _neighbour_draws(devices // 2) // 2
-    main = np.array([target] + twos + ones + mid.tolist() + ones * (rounds - 1), dtype=int)
+    target_rounds, draws = _capacity_draws(devices // 2)
+    main = np.array([target] + twos + ones + mid.tolist() + ones * (draws // 2 - 1)
+                    + [target] * (target_rounds - 1), dtype=int)
     quadratic = len(_TERMS) + 2  # the Taylor sums, c_0^2 and c_0 c_(4,2) (:func:`_far_columns`)
     start = 1 + len(twos) + len(ones)  # of the mid part
     stop, width = start + mid.size, _near_means(paths).size
-    parts = [_Part(slice(0, 1), _near_columns, width, moments)]
+    rounds = main.size - target_rounds + 1  # of the target, after those of the +-1 neighbours
+    parts = [_Part([0] + list(range(rounds, main.size)), _near_columns, width,
+                   moments * target_rounds)]
     if twos:
         parts.append(_Part(slice(1, 1 + len(twos)), _near_columns, width, moments * len(twos),
                            count=len(twos), mirrored=True))
     if ones:
-        drawn = list(range(1 + len(twos), start)) + list(range(stop, main.size))
+        drawn = list(range(1 + len(twos), start)) + list(range(stop, rounds))
         parts.append(_Part(drawn, _near_columns, width, moments * len(drawn), count=len(ones),
                            mirrored=True))
     if mid.size:
@@ -455,12 +466,14 @@ def _scratch_rows(sets: list[_DrawSet]) -> int:
     """Rows of scratch the capacity's factor tables take
     (:func:`_part_factors`): six with a mid part, for the running products
     of its draw, its mirror and its surrogate and for a device's factors of
-    each; else two if a part is mirrored; none otherwise.  A mirrored near
-    part forms in them the tables of its further rounds of draws, as many
-    whole rounds at a time as they hold, and its surrogates' numerators
-    and denominators on the whole rule, half the rows a pair at a time."""
-    parts = [part for _, part in _parts(sets)]
-    return 6 if any(part.mid for part in parts) else 2 * any(part.mirrored for part in parts)
+    each; else two if a part is mirrored; else one if the target takes
+    further rounds of draws; none otherwise.  The target forms in them the
+    tables of its further rounds, as many at a time as they hold, and a
+    mirrored near part its pairs' quotients and its surrogates' on the
+    whole rule, a numerator and a denominator a pair, half the rows each."""
+    (_, target), *parts = _parts(sets)
+    rows = 6 if any(part.mid for _, part in parts) else 2 * any(part.mirrored for _, part in parts)
+    return max(rows, int(len(target.columns) > 1))
 
 
 def _line_doubles(part: _Part, size: int) -> int:
@@ -468,10 +481,11 @@ def _line_doubles(part: _Part, size: int) -> int:
     lines of ``part``, of ``size`` columns: 6 for the mid part's (its draw,
     its mirror and its surrogate, (t, 1) each); for a mirrored near part,
     12 a drawn column: its surrogates' lines, (1, v, v^2, v^3) a pair of
-    each of two rows, and their temporaries, 4 of the pair's m_p, after the
-    lines (b, 1) of its columns and their mirrors, 4 a column, have gone; 2
-    otherwise, the target's and the tail's one line."""
-    return 6 if part.mid else 12 * size if part.mirrored else 2
+    each of two rows, and their temporaries, 4 of the pair's m_p, after its
+    pairs' lines (s, 2) and (p, s, 1), 5 a pair, have gone
+    (:func:`_pair_sums`); 2 a round of the target, (1, 1 / u) scaled, and 2
+    for the tail's one line."""
+    return 6 if part.mid else 12 * size if part.mirrored else 2 * size if part.gaps is None else 2
 
 
 @functools.cache  # the sweep asks at every grid point, mostly with the same arguments
@@ -980,14 +994,16 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
     ``state``'s rule (:func:`numerics.hamdi_factors`) in ``out``, from its
     columns' ``powers``, which it overwrites: a near part's row for each of
     its devices, 1 / (1 + t b), b the device's faded power over the noise,
-    the target's C its row times its SNR u; the mid part's one row, the
+    but the target's C = 1 / (t + 1 / u), u its SNR, one matmul of its
+    lines (1, 1 / u) with the basis (t, 1) and one reciprocal, with no
+    broadcast update, its row the mean over its rounds of draws (the first
+    alone in a static scenario, which keeps it exact); the mid part's one row, the
     product of its devices' rows; the tail's one row, e^(-t a), a its
     columns' drawn interference over the noise, their powers times their
     ``weights``.  A mirrored part's rows are the means over its draws and
-    their mirrors: the tables of a near part's draws past its first
-    ``count`` rows, round by round and then their mirrors', are formed in
-    ``scratch``, as many whole rounds at a time as it holds, from the lines
-    (b, 1) of every draw formed at once, and added in round by round, so no
+    their mirrors: a near part's sums over each pair of a draw and its
+    mirror, one quotient a pair (:func:`_pair_sums`), are formed in
+    ``scratch`` a few pairs at a time and added in pair by pair, so no
     table of every draw is held, and the
     mid part's draw and mirror are running products in ``scratch``, one
     matmul of the lines (b_j, 1) with the basis (t, 1) and one multiply a
@@ -1048,13 +1064,26 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
         return out
     draws = powers.T  # a row a column: its rounds of draws, then their mirrors
     draws *= state.snr
-    if not part.mirrored:  # the target's part, the target first: C is u times its row
-        table = hamdi_factors(basis, draws[:len(out)], out=out)
-        table[0] *= draws[0][:, None]
-        return table
-    # every row's line (b, 1), its factors 1 / (t b + 1) a chunk of rounds at a time
-    table = _reciprocal_sums(np.stack(np.broadcast_arrays(draws, 1.0), axis=-1), basis, out,
-                             scratch)
+    # a power of two within a factor 2 of the SNR's square root, by which
+    # the near parts' lines and bases scale exactly, so that neither 1 / u
+    # of a tiny SNR nor a product of two powers of a large one overflows
+    scale = math.ldexp(1.0, math.frexp(state.snr)[1] // 2)
+    if not part.mirrored:  # the target's part: C = 1 / (t + 1 / u), the mean over its rounds
+        rounds = draws[:len(draws) if state.moving else 1]
+        # the lines (s, s / u); each round's table is then C / s
+        lines = np.full((len(rounds), trials, 2), scale)
+        with np.errstate(divide="ignore", over="ignore"):  # u = 0 gives C = 0 exactly
+            np.divide(scale, rounds, out=lines[..., 1])
+        table = np.reciprocal(np.matmul(lines[0], basis, out=out[0]), out=out[0])
+        step = max(1, len(scratch))  # as many rounds at a time as fit
+        for start in range(1, len(rounds), step):
+            chunk = scratch[:min(step, len(rounds) - start)]
+            np.reciprocal(np.matmul(lines[start:start + len(chunk)], basis, out=chunk), out=chunk)
+            for values in chunk:
+                table += values
+        table *= scale / len(rounds)
+        return out
+    table = _pair_sums(draws, nodes, scale, out, scratch)
     pairs = len(draws) // (2 * len(table))
     if surrogate is not None:
         # each neighbour's surrogates: with v = 1 / c, twice a pair's
@@ -1063,11 +1092,12 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
         # N and (m_2 + v)^3 are each one matmul of a pair's lines and the
         # basis (1, v, v^2, v^3), which off the window is (0, 0, 0, 1), so
         # that N is 0 there and the neighbour's whole row, contiguous, takes
-        # the quotient (v <= 1e100 on the window, so v^3 stays finite); the
-        # lines of every pair are formed at once, and their quotients a few
-        # pairs at a time in the scratch rows, which each row then subtracts
-        # in turn; it then adds back twice its pairs' count times the mean
-        # less 1.
+        # the quotient (v <= 1e100 on the window, so v^3 stays finite; a
+        # strided update of the window alone takes two of numpy's buffers);
+        # the lines of every pair are formed at once, and their quotients a
+        # few pairs at a time in the scratch rows, which each row then
+        # subtracts in turn; it then adds back twice its pairs' count times
+        # the mean less 1.
         window = surrogate.window
         basis = np.zeros((4, nodes.size))
         basis[:, window] = np.reciprocal(nodes[window] * surrogate.scale) \
@@ -1103,20 +1133,43 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
     return table
 
 
-def _reciprocal_sums(lines, basis, out, scratch):
-    """The sum over rounds of 1 / (``lines`` @ ``basis``) in ``out``, a
-    round ``len(out)`` of the lines' rows: the first round in ``out``, the
-    rest a chunk of whole rounds at a time in ``scratch``, added round by
-    round in their order."""
-    rows = len(out)
-    table = np.reciprocal(np.matmul(lines[:rows], basis, out=out), out=out)
-    step = max(1, len(scratch) // rows) * rows
-    for start in range(rows, len(lines), step):
-        chunk = scratch[:min(step, len(lines) - start)]
-        np.reciprocal(np.matmul(lines[start:start + len(chunk)], basis, out=chunk), out=chunk)
-        for first in range(0, len(chunk), rows):
-            table += chunk[first:first + rows]
-    return table
+def _pair_sums(draws, nodes, scale, out, scratch):
+    """The sums over pairs of 1 / (1 + t b) + 1 / (1 + t b'), b each drawn
+    row of ``draws`` and b' its mirror's, the rows after them, in ``out``, a
+    pair a row of it in turn: (2 + t s) / (1 + t s + t^2 p), s = b + b' and
+    p = b b', one matmul each of the lines (s, 2) of every pair with the
+    basis (t, 1) and of their lines (p, s, 1) with (t^2, t, 1), a few pairs
+    at a time in ``scratch``, and one divide.  The lines are over ``scale``
+    and the nodes times it, a power of two near the square root of the
+    SNR, which is exact and keeps s, p, t^2 and t s finite at any SNR up
+    to :data:`numerics.HAMDI_MAX_SCALE`; where t^2 p alone passes the
+    double range the denominator is inf and the quotient 0, within 5e-7 of
+    the true one (t b <= 4.3e301, so t b' > 4.2e6 there), at a node where
+    the other factors of a trial, near 1 / (t b) alike, leave the
+    integrand no weight."""
+    drawn, trials = len(draws) // 2, draws.shape[1]
+    sums, products = np.empty((drawn, trials, 2)), np.empty((drawn, trials, 3))
+    scaled = draws / scale
+    np.add(scaled[:drawn], scaled[drawn:], out=sums[..., 0])
+    sums[..., 1] = 2.0
+    np.multiply(scaled[:drawn], scaled[drawn:], out=products[..., 0])
+    products[..., 1] = sums[..., 0]
+    products[..., 2] = 1.0
+    scaled = None
+    t = nodes * scale
+    basis, square = np.array([t, np.ones(t.size)]), np.array([t * t, t, np.ones(t.size)])
+    out[:] = 0.0
+    step = len(scratch) // 2
+    with np.errstate(over="ignore"):
+        for start in range(0, drawn, step):
+            stop = min(start + step, drawn)
+            quotient, denominator = scratch[:stop - start], scratch[step:step + stop - start]
+            np.matmul(sums[start:stop], basis, out=quotient)
+            np.matmul(products[start:stop], square, out=denominator)
+            quotient /= denominator
+            for pair, values in enumerate(quotient, start):
+                out[pair % len(out)] += values
+    return out
 
 
 def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
@@ -1242,12 +1295,13 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     over all combinations of the parts' draws.  The parts being
     independent, each may average its own number of draws and stay
     exactly unbiased (Neyman allocation; Glasserman 2003, section 4.3):
-    the neighbours at index gap +-1, which hold most of the residual
-    variance, take R draws a trial (:func:`_neighbour_draws`; R = 12 at
-    N = 199), their factor rows and columns the means over them
-    (:func:`_part_factors`), so no per-trial array grows; and the tail,
+    the neighbours at index gap +-1 and the target, which hold most of the
+    residual variance at large spans, take R and R_0 draws a trial
+    (:func:`_capacity_draws`; R = 24 and R_0 = 4 at N = 199), their factor
+    rows and columns the means over them (:func:`_part_factors`,
+    :func:`_near_columns`), so no per-trial array grows; and the tail,
     which after the fit holds at most 2e-5-5e-5 of the variance a draw
-    while being 378 of the 409 drawn columns of a trial at N = 199, is
+    while being 378 of the 424 drawn columns of a trial at N = 199, is
     drawn on 32 rows of its own a block of 256 (:data:`_TAIL_DRAWS`), so
     the sampler, the kernel and its Taylor sums see it one trial in 8.
 
@@ -1257,7 +1311,8 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     exactly unbiased while it cancels the factor's odd part: sinc^2(1 + y)
     is 0.57 at y = -0.6 and 0.036 at y = 0.6, at fig4's 500 Hz curve and
     100 m/s.  Half of each +-1 neighbour's R draws are the mirrors of the
-    others, each +-2 neighbour is drawn once a trial and mirrored, and the
+    others, each pair's two factors one quotient (:func:`_pair_sums`),
+    each +-2 neighbour is drawn once a trial and mirrored, and the
     mid part is drawn once a trial and mirrored, its factor the mean of
     prod_j B_j(z) and prod_j B_j(-z) (:func:`_layout`); the target and the
     tail are not mirrored, and the
@@ -1322,8 +1377,9 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     N = 0 leaves the target's factor alone (the others are exactly 1, or
     there are none), the one-factor integral e^x E1(x), x = 1 / u (Lee
     1990): every trial gives the exact capacity, with a standard error of
-    0, and a static scenario forms the target's factor alone, with no fold
-    sums, slopes or influences.  A scenario gives the same bits alone or in
+    0, and a static scenario forms the target's factor alone, from its
+    first round of draws, with no fold sums, slopes or influences.  A
+    scenario gives the same bits alone or in
     a group.  The estimate can exceed :func:`analytic.capacity_upper`, the
     capacity at the mean powers, as at one path per device.  Requires
     positive noise and P_T over the noise at most 1e300

@@ -244,7 +244,8 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # must keep these bits.  Every pin includes its estimator's control
 # variate.  fig4's 500 Hz curve (N = 199) is the one pin where the
 # capacity draws its neighbours at index gap +-1 in more than one mirrored
-# pair (R = 12, six pairs; every other moving capacity pin takes one pair
+# pair and its target in more than one round (R = 24, twelve pairs, and
+# R_0 = 4; every other moving capacity pin takes one pair and one round
 # and mirrors its mid part, every pin mirrors its +-2 neighbours, and none
 # its target); it and the default band (N = 24) draw a tail
 # beyond index gap 10, which the 3 GHz edge pin (N = 5, index gaps -1..9)
@@ -256,18 +257,21 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # surrogates (montecarlo._surrogates), the +-1 and +-2 neighbours' of
 # second order and the mid part's product over its devices.  Only a
 # capacity tail draws Exp(1) weights, so the N = 2 pin, which has none,
-# kept its bits when the mid part's fading came to be averaged exactly
+# kept its bits when the mid part's fading came to be averaged exactly;
+# every capacity pin moved in its last bits when the target's factor came
+# to be formed as 1 / (t + 1 / u) and each mirrored pair's factors as one
+# quotient (montecarlo._pair_sums)
 PINNED = {
     "ici": ("0x1.f47f860220b54p-8", "0x1.b6cf7051d6adbp-38"),  # 0.007637 +- 6.24e-12
     "ici_edge_3ghz": ("0x1.3578865949736p-7", "0x1.237278ea4db8fp-35"),  # 0.0094443 +- 3.31e-11
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a12f57d4aeb0p+2", "0x1.062a3884a861bp-21"),  # 5.15741 +- 4.88e-07
-    "capacity_edge_3ghz": ("0x1.451aa3af5bcb2p+2", "0x1.e91b2684a4c73p-20"),  # 5.07975 +- 1.82e-06
-    "capacity_500hz": ("0x1.35e719cda7633p+1", "0x1.ca7d108b4d61ep-14"),  # 2.42112 +- 0.000109
+    "capacity": ("0x1.4a12f57d4aeb0p+2", "0x1.062a3884aa122p-21"),  # 5.15741 +- 4.88e-07
+    "capacity_edge_3ghz": ("0x1.451aa3af5bcb2p+2", "0x1.e91b2684a4b16p-20"),  # 5.07975 +- 1.82e-06
+    "capacity_500hz": ("0x1.35e89b956f6a0p+1", "0x1.602ea02203ef0p-14"),  # 2.42116 +- 8.4e-05
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
-    "capacity_one_path": ("0x1.4bae3b3d8e6bdp+2", "0x1.d83d0ed4c3e78p-21"),  # 5.18251 +- 8.8e-07
-    "capacity_n2": ("0x1.535ba8e798f46p+2", "0x1.20437c16b0f9dp-20"),  # 5.30247 +- 1.07e-06
+    "capacity_one_path": ("0x1.4bae3b3d8e6bdp+2", "0x1.d83d0ed4c60c4p-21"),  # 5.18251 +- 8.8e-07
+    "capacity_n2": ("0x1.535ba8e798f46p+2", "0x1.20437c16b1c1cp-20"),  # 5.30247 +- 1.07e-06
     "ici_n2": ("0x1.8754b5a39de49p-8", "0x1.35854963d6fdfp-38"),  # 0.00597124 +- 4.4e-12
 }
 
@@ -498,8 +502,9 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
     # each estimator's draw sets at the centre and both band edges, over two
     # blocks, one partial: the devices drawn cover the band once (the
     # interference draws no target), but for the capacity's further rounds
-    # of its neighbours at index gap +-1; each set's parts split its
-    # columns, the capacity's the target's, the +-2 neighbours', the +-1
+    # of its neighbours at index gap +-1 and of its target; each set's parts
+    # split its columns, the capacity's the target's R_0 rounds (its first
+    # column and the set's last R_0 - 1), the +-2 neighbours', the +-1
     # neighbours' P rounds of draws, each round the two in turn, the mid
     # devices' and the tail's, and only the target and the tail are not
     # mirrored; every block's rows, powers and weights have their
@@ -541,8 +546,12 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
                 ones = np.flatnonzero(far == 1.0).tolist()
                 mid = np.flatnonzero((far > 2.0) & (far <= montecarlo._TAIL_GAP)).tolist()
                 tail = np.flatnonzero(far > montecarlo._TAIL_GAP).tolist()
-                rounds = montecarlo._neighbour_draws(half_subcarriers) // 2
-                assert records == [([target + half_subcarriers], 1, False)] \
+                target_rounds, draws = montecarlo._capacity_draws(half_subcarriers)
+                rounds = draws // 2
+                main = sets[0].columns.size
+                assert np.arange(main)[parts[0][1].columns].tolist() \
+                    == [0] + list(range(main - target_rounds + 1, main))
+                assert records == [([target + half_subcarriers] * target_rounds, 1, False)] \
                     + [(twos, len(twos), True)] * bool(twos) \
                     + [(ones * rounds, len(ones), True)] * bool(ones) \
                     + [(mid, 1, True)] * bool(mid) + [(tail, 1, False)] * bool(tail)
@@ -589,6 +598,22 @@ def test_the_layouts_agree_with_what_the_blocks_hold(half_subcarriers, paths, mo
             monkeypatch.undo()
             assert len(counted) == 2
             assert all(_shapes(sets) == _shapes(records) for records in counted)
+
+
+def test_the_capacity_draw_rule_grows_with_n_alone():
+    # (R_0, R): the target's rounds and each +-1 neighbour's draws a trial,
+    # R = 2P mirrored pairs; fig4's curves sit at N = 39, 99 and 199
+    rule = montecarlo._capacity_draws
+    assert {n: rule(n) for n in (0, 1, 12, 39, 99, 199, 1000)} == {
+        0: (1, 2), 1: (1, 2), 12: (1, 2), 39: (1, 2), 99: (1, 2), 199: (4, 24), 1000: (37, 224)}
+    n = np.arange(5000)
+    rules = np.array([rule(half_subcarriers) for half_subcarriers in n])
+    assert np.all(np.diff(rules, axis=0) >= 0)
+    assert np.all(rules[:, 1] % 2 == 0) and np.all(rules >= 1)
+    # the +-1 neighbours' 2P drawn columns a trial stay below the tail's
+    # 2N - 20 on 32 rows of 256, wherever the band has a tail
+    tail = n > 2 * montecarlo._TAIL_GAP
+    assert np.all(rules[tail, 1] < (2 * n[tail] - 2 * montecarlo._TAIL_GAP) / 8)
 
 
 def test_a_group_of_scenarios_is_validated():
@@ -1056,14 +1081,15 @@ def _capacity_variates(plan, cfg, cell):
             for ds in sets for part in ds.parts]
 
 
-@pytest.mark.parametrize("half_subcarriers,target,near,paths,width,zeros",
-                         [(3, 0, [3, 1, 2, 4, 5], 3, 56, 18), (3, 3, [6, 4, 5], 3, 38, 9),
-                          (1, 0, [1, 0, 2], 3, 27, 6), (0, 0, [0], 3, 9, 0),
-                          (3, 0, [3, 1, 2, 4, 5], 1, 36, 14)],
+@pytest.mark.parametrize("half_subcarriers,target,near,paths,width,zeros,target_rounds",
+                         [(3, 0, [3, 1, 2, 4, 5], 3, 56, 18, 1), (3, 3, [6, 4, 5], 3, 38, 9, 1),
+                          (1, 0, [1, 0, 2], 3, 27, 6, 1), (0, 0, [0], 3, 9, 0, 1),
+                          (3, 0, [3, 1, 2, 4, 5], 1, 36, 14, 1),
+                          (3, 0, [3, 1, 2, 4, 5], 3, 56, 18, 3)],
                          ids=["interior", "band-edge", "n-equals-1", "no-interferer",
-                              "interior-one-path"])
+                              "interior-one-path", "interior-target-rounds"])
 def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, paths, width,
-                                              zeros):
+                                              zeros, target_rounds, monkeypatch):
     # each column of V over 2^20 trials, within 4 standard errors; the near
     # devices are the target and its neighbours at index gap +-1, +-2 that
     # the band holds, 9 columns each (5 at one path), the target, the +-2
@@ -1073,7 +1099,11 @@ def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, pa
     # one path) of each neighbour at index gap +-1 and +-2, and the far part's
     # Taylor terms of odd order.  At N = 3 the far devices' one |n| also
     # leaves four of the Taylor terms (p, e) no rank (two of them odd):
-    # those columns are exactly 0 too
+    # those columns are exactly 0 too.  A target of R_0 rounds keeps its 9
+    # columns, each the mean over its rounds
+    draws = montecarlo._capacity_draws
+    monkeypatch.setattr(montecarlo, "_capacity_draws",
+                        lambda half_subcarriers: (target_rounds, draws(half_subcarriers)[1]))
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     plan = TrialPlan(trials=1 << 20, seed=32, target_index=target)
     assert montecarlo._near_devices(target + half_subcarriers, 2 * half_subcarriers + 1) == near
@@ -1158,8 +1188,9 @@ def test_the_far_columns_keep_their_rank(half_subcarriers, target):
 
 @pytest.mark.parametrize("paths", [1, 8])
 def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(paths):
-    # fig4's 1000 Hz band (N = 99, three pairs of each neighbour at index
-    # gap +-1, one of each at +-2) and the interference's: each mirrored
+    # a band of N = 124 (three pairs of each neighbour at index gap +-1,
+    # one of each at +-2) and fig4's 1000 Hz band (N = 99) for the
+    # interference: each mirrored
     # part's columns, built by its builder, against those the same builder
     # gives the part unmirrored on the same draws and weights, none for a
     # set that draws none.  The capacity's neighbours at index gap +-1 and
@@ -1169,7 +1200,7 @@ def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(pat
     # their Taylor terms of odd order, (3, 3), (5, 3) and (5, 5), exactly;
     # every other column keeps its bits.  Only the interference's parts
     # are summed
-    [ds, _] = montecarlo._layout("capacity", subcarrier_gaps(0, 99), paths)
+    [ds, _] = montecarlo._layout("capacity", subcarrier_gaps(0, 124), paths)
     target, twos, ones, mid = ds.parts
     assert twos.mirrored and ones.mirrored and mid.mirrored and not target.mirrored
     interference = montecarlo._layout("interference", subcarrier_gaps(0, 99), paths)
@@ -1208,10 +1239,10 @@ def test_a_mirrored_parts_odd_columns_are_zero_and_its_even_ones_its_sources(pat
 def test_the_kernel_forms_no_mirror_that_nothing_reads(half_subcarriers, monkeypatch):
     # a spy on the kernel over a capacity run of two blocks, one partial:
     # the only mirrors it forms are those of the +-2 neighbours' draw, of
-    # the +-1 neighbours' R = 2P draws a trial (P = 1, 1 and 6 here) and of
+    # the +-1 neighbours' R = 2P draws a trial (P = 1, 1 and 12 here) and of
     # the mid devices at index gap 3..K, each part a tile of its own.  The
-    # target and the tail are evaluated unmirrored: the target's mirror
-    # would be formed and never read
+    # target's R_0 rounds (1, 1 and 4) and the tail are evaluated
+    # unmirrored: the target's mirror would be formed and never read
     cfg = SystemConfig(half_subcarriers=half_subcarriers, bandwidth_hz=0.0)
     q = cfg.spacing_symbol_product
     mirrored, plain = set(), set()
@@ -1225,12 +1256,13 @@ def test_the_kernel_forms_no_mirror_that_nothing_reads(half_subcarriers, monkeyp
     monkeypatch.setattr(montecarlo, "sinc_squared", spy)
     estimate_ergodic_capacity(TrialPlan(trials=300, seed=45), cfg, CELL, MOB)
     gaps = range(-half_subcarriers, half_subcarriers + 1)
-    rounds = montecarlo._neighbour_draws(half_subcarriers) // 2
+    target_rounds, draws = montecarlo._capacity_draws(half_subcarriers)
+    rounds = draws // 2
     mid = tuple(g for g in gaps if 2 < abs(g) <= montecarlo._TAIL_GAP)
     tail = tuple(g for g in gaps if abs(g) > montecarlo._TAIL_GAP)
     assert mirrored == {(-2, 2), (-1, 1) * rounds, mid}
     assert sum(map(len, mirrored)) == 2 + 2 * rounds + len(mid)
-    assert plain == {(0,)} | ({tail} if tail else set())
+    assert plain == {(0,) * target_rounds} | ({tail} if tail else set())
 
 
 @pytest.mark.parametrize("v_max", [400.0, 1000.0])
@@ -1317,17 +1349,19 @@ def test_the_interference_takes_the_pair_form_where_it_holds(v_max, paired, monk
             assert np.array_equal(p.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("half_subcarriers,target,draws,v_max",
-                         [(4, 0, 2, 100.0), (4, 0, 4, 100.0), (12, 0, 2, 100.0),
-                          (4, 4, 2, 100.0), (1, 0, 2, 100.0), (4, 0, 2, 0.0), (0, 0, 2, 100.0)],
+@pytest.mark.parametrize("half_subcarriers,target,target_rounds,draws,v_max",
+                         [(4, 0, 1, 2, 100.0), (4, 0, 1, 4, 100.0), (12, 0, 3, 2, 100.0),
+                          (4, 4, 2, 2, 100.0), (1, 0, 1, 2, 100.0), (4, 0, 3, 2, 0.0),
+                          (0, 0, 2, 2, 100.0)],
                          ids=["one-pair", "two-pairs", "tail", "band-edge", "n-equals-1", "static",
                               "no-interferer"])
 def test_the_factor_means_average_every_combination_of_the_parts_draws(
-        half_subcarriers, target, draws, v_max, monkeypatch):
+        half_subcarriers, target, target_rounds, draws, v_max, monkeypatch):
     # 3 trials, too few for any fold to fit a variate: the estimate is the
     # rule on the product of the parts' factor means, which is the mean
     # over all ways to take each part's factor from any of its draws (3^6 =
-    # 729 for six parts), each neighbour at index gap +-2 with the mean of
+    # 729 for six parts), the target with the mean over its R_0 rounds of
+    # u_r / (1 + t u_r), each neighbour at index gap +-2 with the mean of
     # its draw's factor and its mirror's, each at +-1 with the mean factor
     # of its draws, half of them the mirrors of the others, and the mid
     # part with the mean of its draw's and its mirror's product of its
@@ -1335,8 +1369,10 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(
     # has a seventh part, the tail beyond index gap K, here on 2 draws of
     # its own: 3^6 x 2 ways.  At the band edge the target has one
     # neighbour at -1 and one at -2, at N = 1 none at +-2 and no mid part,
-    # and a static scenario or N = 0 leaves the target's factor alone
-    monkeypatch.setattr(montecarlo, "_neighbour_draws", lambda half_subcarriers: draws)
+    # and a static scenario or N = 0 leaves the target's factor alone, a
+    # static one its first round's alone
+    monkeypatch.setattr(montecarlo, "_capacity_draws",
+                        lambda half_subcarriers: (target_rounds, draws))
     monkeypatch.setattr(montecarlo, "_TAIL_DRAWS", 2)
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     plan = TrialPlan(trials=3, seed=35, target_index=target)
@@ -1350,17 +1386,17 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(
     kinds = ([gap for gap in (2, 1) if counts[gap]] + ["mid"] * has_mid + ["tail"] * has_tail
              if v_max > 0.0 else [])
     assert len(parts) == 1 + len(kinds)
-    # the target's row, C = u times its factor
+    # the target's row, the mean over its rounds of C = u / (1 + t u)
     (_, near, [none]), *parts = parts
-    assert none is None and near.shape == (1, 3)
-    factors = [numerics.hamdi_factors(nodes, near)[0] * near[0][:, None]]
+    assert none is None and near.shape == (target_rounds if v_max > 0.0 else 1, 3)
+    factors = [np.mean(near[..., None] / (1.0 + nodes * near[..., None]), axis=0)]
     c = nodes * 100.0 * x ** 2  # t SNR x^2 / q^2, q = 1
     window = nodes <= 5.0
     assert window.sum() < nodes.size
     for kind, (_, rows, [surrogate]) in zip(kinds, parts, strict=True):
         if kind == "tail":
             assert rows.shape == (1, 2) and surrogate is None
-            factors.append(numerics.hamdi_factors(nodes, near[:0, :2], rows[0])[0])
+            factors.append(numerics.hamdi_factors(nodes, rows[:0], rows[0])[0])
         elif kind == "mid":
             # the mean over its draw and its mirror of prod_j 1 / (1 + t b_j),
             # less prod_j 1 / (1 + c k m_(2,j) / n_j^2) less its exact mean
@@ -1782,11 +1818,12 @@ def test_fig4_capacity_reaches_its_accuracy_target_within_budget():
 
 def test_the_capacity_evaluates_its_tail_on_few_draws(monkeypatch):
     # the kernel's device-paths over fig4's 500 Hz group: the devices beyond
-    # index gap K, 378 of the 409 columns a trial draws at N = 199 (six
+    # index gap K, 378 of the 424 columns a trial draws at N = 199 (twelve
     # pairs of each neighbour at index gap +-1, each pair a drawn column and
-    # its mirror, whose sines the kernel shares), are evaluated on 32 of the
-    # block's 256 trials, which leaves 20% of what every drawn column on
-    # every trial would take; a count, not a time
+    # its mirror, whose sines the kernel shares, and four rounds of the
+    # target), are evaluated on 32 of the block's 256 trials, which leaves
+    # 22% of what every drawn column on every trial would take; a count,
+    # not a time
     evaluated = []
 
     def spy(gap, offset, span=None, out=None, work=None, mirror=None):
@@ -1798,8 +1835,8 @@ def test_the_capacity_evaluates_its_tail_on_few_draws(monkeypatch):
     speeds = [MobilityModel(10.0 * k) for k in range(11)]
     plan = TrialPlan(trials=256, seed=0)
     estimate_ergodic_capacity(plan, [cfg] * len(speeds), CELL, speeds)
-    columns = 2 * cfg.half_subcarriers + 1 \
-        + 2 * (montecarlo._neighbour_draws(cfg.half_subcarriers) // 2 - 1)
+    target_rounds, draws = montecarlo._capacity_draws(cfg.half_subcarriers)
+    columns = 2 * cfg.half_subcarriers + 1 + 2 * (draws // 2 - 1) + target_rounds - 1
     every = (len(speeds) - 1) * plan.trials * columns * CELL.paths_per_device
     assert 0 < sum(evaluated) <= 0.4 * every
 

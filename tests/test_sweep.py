@@ -334,8 +334,10 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # each draw set's columns and 9 a row of its Taylor sums, the 6
     # interferers within index gap 3 of the target on 256 rows and the
     # 2N - 6 beyond on 32; for the capacity
-    # (M + 2) on its main draws' 21 + 2 (P - 1) drawn columns, P = R / 2 the
-    # pairs of each neighbour at index gap +-1, on 256 rows (a power and a
+    # (M + 2) on its main draws' 21 + 2 (P - 1) + R_0 - 1 drawn columns,
+    # P = R / 2 the pairs of each neighbour at index gap +-1 and R_0 the
+    # target's rounds (P = (N - 100) // 8 and R_0 = P // 3,
+    # montecarlo._capacity_draws), on 256 rows (a power and a
     # mirror's power; M more while its parts copy their columns out of the
     # sampler's array, which then outweighs the tail's sampler, or 12 a
     # trial and drawn +-1 draw while the factors form those neighbours'
@@ -364,14 +366,14 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # block 1.75 GiB - 1.5 kB
     ("system.half_subcarriers = 1012389\ncell.paths_per_device = 1", "ici_mc", "run"),
     ("system.half_subcarriers = 1012390\ncell.paths_per_device = 1", "ici_mc", "block"),
-    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.28 GiB
-    ("system.half_subcarriers = 205284", "capacity_mc", None),   # 1.75 GiB - 712 B
-    ("system.half_subcarriers = 205285", "capacity_mc", "run"),    # 1.75 GiB + 5.2 kB
-    ("system.half_subcarriers = 205346", "capacity_mc", "run"),   # block 1.75 GiB - 4.5 kB
-    ("system.half_subcarriers = 205347", "capacity_mc", "block"),   # 1.75 GiB + 1448 B
-    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.20 and 0.28 GiB
+    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.64 GiB
+    ("system.half_subcarriers = 88987", "capacity_mc", None),   # 1.75 GiB - 86 kB
+    ("system.half_subcarriers = 88988", "capacity_mc", "run"),    # 1.75 GiB + 28 kB
+    ("system.half_subcarriers = 89019", "capacity_mc", "run"),   # block 1.75 GiB - 23 kB
+    ("system.half_subcarriers = 89020", "capacity_mc", "block"),   # 1.75 GiB + 119 kB
+    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.20 and 0.64 GiB
     ("system.half_subcarriers = 250000", "ici_mc", None),   # 1.50 GiB
-    # the capacity's 2.13 GiB
+    # the capacity's 4.91 GiB
     ("system.half_subcarriers = 250000", "ici_mc, capacity_mc", "block"),
     ("system.half_subcarriers = 43490\ncell.paths_per_device = 64", "ici_mc", None),
     ("system.half_subcarriers = 43491\ncell.paths_per_device = 64", "ici_mc", "block"),
