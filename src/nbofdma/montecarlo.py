@@ -435,14 +435,14 @@ def _layout(estimator: str, index_gaps: np.ndarray, paths: int) -> list[_DrawSet
     quadratic = len(_TERMS) + 2  # the Taylor sums, c_0^2 and c_0 c_(4,2) (:func:`_far_columns`)
     start = 1 + len(twos) + len(ones)  # of the mid part
     stop, width = start + mid.size, _near_means(paths).size
-    rounds = main.size - target_rounds + 1  # of the target, after those of the +-1 neighbours
-    parts = [_Part([0] + list(range(rounds, main.size)), _near_columns, width,
+    further = main.size - target_rounds + 1  # the target's further rounds, after the +-1's
+    parts = [_Part([0] + list(range(further, main.size)), _near_columns, width,
                    moments * target_rounds)]
     if twos:
         parts.append(_Part(slice(1, 1 + len(twos)), _near_columns, width, moments * len(twos),
                            count=len(twos), mirrored=True))
     if ones:
-        drawn = list(range(1 + len(twos), start)) + list(range(stop, rounds))
+        drawn = list(range(1 + len(twos), start)) + list(range(stop, further))
         parts.append(_Part(drawn, _near_columns, width, moments * len(drawn), count=len(ones),
                            mirrored=True))
     if mid.size:
