@@ -480,12 +480,12 @@ def _line_doubles(part: _Part, size: int) -> int:
     """Doubles a trial that :func:`_part_factors` holds at most for the
     lines of ``part``, of ``size`` columns: 6 for the mid part's (its draw,
     its mirror and its surrogate, (t, 1) each); for a mirrored near part,
-    12 a drawn column: its surrogates' lines, (1, v, v^2, v^3) a pair of
-    each of two rows, and their temporaries, 4 of the pair's m_p, after its
-    pairs' lines (s, 2) and (p, s, 1), 5 a pair, have gone
-    (:func:`_pair_sums`); 2 a round of the target, (1, 1 / u) scaled, and 2
-    for the tail's one line."""
-    return 6 if part.mid else 12 * size if part.mirrored else 2 * size if part.gaps is None else 2
+    10 a drawn column: its surrogates' lines, (1, v, v^2, v^3) a pair of
+    each of two rows, and two temporaries of the pair's m_p, after its
+    pairs' lines (s, 2) and (p, s, 1), 5 a pair, and their two temporaries
+    have gone (:func:`_pair_sums`); 2 a round of the target, (1, 1 / u)
+    scaled, and 2 for the tail's one line."""
+    return 6 if part.mid else 10 * size if part.mirrored else 2 * size if part.gaps is None else 2
 
 
 @functools.cache  # the sweep asks at every grid point, mostly with the same arguments
@@ -1106,18 +1106,21 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
         mean = np.zeros(nodes.size)
         mean[window] = surrogate.mean
         second, third, fourth = (moment.T for moment in part.moments[:3])  # (draws, trials)
-        lines = np.empty((2, len(second), trials, 4))  # (m_2 + v)^3's, then N's
-        square = second * second
+        # (m_2 + v)^3's lines, then N's, with two temporaries at most
+        lines = np.empty((2, len(second), trials, 4))
+        square = np.multiply(second, second, out=lines[0, ..., 1])  # m_2^2, later 3 m_2^2
         np.multiply(square, second, out=lines[0, ..., 0])
-        np.multiply(square, 3.0, out=lines[0, ..., 1])
+        np.multiply(lines[0, ..., 0], -2.0, out=lines[1, ..., 0])
+        even, work = (2.0 * surrogate.even) * fourth, np.multiply(square, 4.0)
+        np.multiply(even, second, out=lines[1, ..., 1])
+        lines[1, ..., 1] -= work
+        work = np.multiply(third, third, out=work)
+        work *= 2.0 * surrogate.odd
+        lines[1, ..., 1] += work
+        np.subtract(even, np.multiply(second, 2.0, out=work), out=lines[1, ..., 2])
+        square *= 3.0
         np.multiply(second, 3.0, out=lines[0, ..., 2])
         lines[0, ..., 3] = 1.0
-        np.multiply(lines[0, ..., 0], -2.0, out=lines[1, ..., 0])
-        even = (2.0 * surrogate.even) * fourth
-        np.multiply(even, second, out=lines[1, ..., 1])
-        lines[1, ..., 1] -= 4.0 * square
-        lines[1, ..., 1] += (2.0 * surrogate.odd) * third ** 2
-        np.subtract(even, 2.0 * second, out=lines[1, ..., 2])
         lines[1, ..., 3] = 0.0
         step = len(scratch) // 2
         for start in range(0, len(second), step):
