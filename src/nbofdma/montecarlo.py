@@ -315,7 +315,9 @@ def _capacity_draws(half_subcarriers: int) -> tuple[int, int]:
     (:func:`_layout`).  Those parts hold most of the capacity's residual
     variance at fig4's large spans while being 3 of the 2N + 1 devices a
     block evaluates, and the span grows with N at fig4's points; below
-    N = 116 one pair and one round read the same within noise.  The +-1
+    N = 116 one pair and one round (fig4's N = 99 curve holds 3% of its
+    summed variance so, 0.8% with three pairs, for 2-3% less sweep time).
+    The +-1
     neighbours' drawn columns, 2P a trial, stay below the tail's,
     (2N - 2K) / 8 a trial (:data:`_TAIL_DRAWS`).  R = 2, 2 and 24 at
     N = 39, 99 and 199, and R_0 = 1, 1 and 4."""

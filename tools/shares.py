@@ -66,7 +66,8 @@ class Spies:
         self.names = {}  # id of each capacity part -> its name
         self.kept = []  # those parts, so that no id is reused
         self.kernel_names = {}  # a part's gap vector -> its name
-        self.estimator = None
+        self.estimator = None  # of the current run: "capacity" or "other"
+        self.order = []  # the current run's part names, in its parts' order
 
     def _timed(self, kind: str, name: str, function, *args, **kwargs):
         start = time.process_time()
@@ -101,7 +102,7 @@ class Spies:
 
         def kernel(gap, *args, **kwargs):
             name = spies.kernel_names.get(np.ascontiguousarray(gap[0, :, 0]).tobytes())
-            if spies.estimator != "capacity" or name is None:
+            if name is None:  # another estimator's part
                 return originals["sinc_squared"](gap, *args, **kwargs)
             return spies._timed("kernel_s", name, originals["sinc_squared"], gap, *args, **kwargs)
 
@@ -129,7 +130,8 @@ class Spies:
 
         replacements = {"_layout": layout, "_device_powers": device_powers,
                         "_part_factors": part_factors, "_std_error": std_error,
-                        "sinc_squared": kernel, "_near_columns": builder(originals["_near_columns"]),
+                        "sinc_squared": kernel,
+                        "_near_columns": builder(originals["_near_columns"]),
                         "_far_columns": builder(originals["_far_columns"])}
         for name, spy in replacements.items():
             setattr(mc, name, spy)
@@ -137,6 +139,7 @@ class Spies:
 
 
 def measure(configs: list[str]) -> dict:
+    """The report :func:`main` prints for the sweep ``configs``' capacity points."""
     sys.path.insert(0, str(ROOT / "src"))
     from nbofdma import montecarlo, sweep
     spies = Spies(montecarlo)
@@ -164,9 +167,15 @@ def measure(configs: list[str]) -> dict:
     for point in by_point.values():
         for name, variance in point.items():
             spies.variance[name] += variance
-    total = math.fsum(spies.variance.values())
-    squared = math.fsum(math.fsum(point.values()) for point in by_point.values())
+    total = math.fsum(spies.variance.values())  # every point's squared standard error
     names = sorted(spies.variance, key=lambda n: -spies.variance[n])
+    points = []
+    for (curve, v_max), point in by_point.items():
+        variance = math.fsum(point.values())
+        points.append({"curve": curve, "v_max": v_max, "variance": variance,
+                       "share": variance / total if total else 0.0,
+                       "parts": {name: point[name] / variance if variance else 0.0
+                                 for name in names if name in point}})
     return {
         "configs": len(configs),
         "parts": {name: {"variance": spies.variance[name],
@@ -174,12 +183,7 @@ def measure(configs: list[str]) -> dict:
                          **{kind: spies.seconds[name][kind]
                             for kind in ("kernel_s", "factors_s", "build_s")}}
                   for name in names},
-        "points": [{"curve": curve, "v_max": v_max, "variance": math.fsum(point.values()),
-                    "share": math.fsum(point.values()) / squared if squared else 0.0,
-                    "parts": {name: (point[name] / math.fsum(point.values())
-                                     if math.fsum(point.values()) else 0.0)
-                              for name in names if name in point}}
-                   for (curve, v_max), point in by_point.items()],
+        "points": points,
     }
 
 
