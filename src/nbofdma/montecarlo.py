@@ -467,8 +467,9 @@ def _parts(sets: list[_DrawSet]) -> list[tuple[_DrawSet, _Part]]:
 def _scratch_rows(sets: list[_DrawSet]) -> int:
     """Rows of scratch the capacity's factor tables take
     (:func:`_part_factors`): six with a mid part, for the running products
-    of its draw, its mirror and its surrogate and for a device's factors of
-    each; else two if a part is mirrored; else one if the target takes
+    of its draw, its mirror and its surrogate and for a pair of its
+    devices' factors of each; else two if a part is mirrored; else one if
+    the target takes
     further rounds of draws; none otherwise.  The target forms in them the
     tables of its further rounds, as many at a time as they hold, and a
     mirrored near part its pairs' quotients and its surrogates' on the
@@ -480,14 +481,17 @@ def _scratch_rows(sets: list[_DrawSet]) -> int:
 
 def _line_doubles(part: _Part, size: int) -> int:
     """Doubles a trial that :func:`_part_factors` holds at most for the
-    lines of ``part``, of ``size`` columns: 6 for the mid part's (its draw,
-    its mirror and its surrogate, (t, 1) each); for a mirrored near part,
+    lines of ``part``, of ``size`` columns: for the mid part's, 9 a pair of
+    its devices (its draw, its mirror and its surrogate, (b_i b_j, b_i +
+    b_j, 1) each), and 3 a device, its draw's and its mirror's b_j and its
+    surrogate's c k m_(2,j) / n_j^2 over the lines' scale
+    (:func:`_line_scale`); for a mirrored near part,
     10 a drawn column: its surrogates' lines, (1, v, v^2, v^3) a pair of
     each of two rows, and two temporaries of the pair's m_p, after its
     pairs' lines (s, 2) and (p, s, 1), 5 a pair, and their two temporaries
     have gone (:func:`_pair_sums`); 2 a round of the target, (1, 1 / u)
     scaled, and 2 for the tail's one line."""
-    return 6 if part.mid else 10 * size if part.mirrored else 2 * size if part.gaps is None else 2
+    return 9 * -(-size // 2) + 3 * size if part.mid else 10 * size if part.mirrored else 2 * size if part.gaps is None else 2
 
 
 @functools.cache  # the sweep asks at every grid point, mostly with the same arguments
@@ -1008,8 +1012,11 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
     ``scratch`` a few pairs at a time and added in pair by pair, so no
     table of every draw is held, and the
     mid part's draw and mirror are running products in ``scratch``, one
-    matmul of the lines (b_j, 1) with the basis (t, 1) and one multiply a
-    device, and one reciprocal, which needs no polynomial coefficients.  A
+    matmul of the lines (b_i b_j, b_i + b_j, 1) of two devices i and j
+    with the basis (t^2, t, 1) and one multiply a pair (a device left over
+    takes (0, b_i, 1)), and one reciprocal; the lines are over the scale
+    of :func:`_line_scale` and the nodes times it, which is exact, and
+    each line is at least 1.  A
     static scenario forms the target's row alone (``out`` holding one
     row): every other factor is exactly 1.
 
@@ -1041,22 +1048,34 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
         far = powers.sum(axis=1)
         far *= state.snr
         return hamdi_factors(basis, np.empty((0, trials)), far, out)
+    scale = _line_scale(state.snr)
     if part.mid:  # its draw, its mirror and its surrogate
         devices, size = powers.shape[1] // 2, 2 + (surrogate is not None)
+        whole, pairs = devices // 2, -(-devices // 2)
         product, factor = scratch[:size], scratch[size:2 * size]
-        lines = np.ones((size, trials, 2))
+        # two devices i, j a line (b_i b_j, b_i + b_j, 1) of each row, a
+        # device left over the line (0, b_i, 1)
+        lines = np.zeros((pairs, size, trials, 3))
+        lines[..., 2] = 1.0
         powers *= state.snr
+        scaled = np.divide(powers, scale)
+        rows = [scaled[:, :devices], scaled[:, devices:]]
         if surrogate is not None:
+            rows.append(np.multiply(part.moments[0], surrogate.scale / scale))
             basis = surrogate.basis
+        else:
+            basis = _square_basis(nodes, scale)
+        for row, values in enumerate(rows):
+            np.multiply(values[:, 0:2 * whole:2], values[:, 1::2], out=lines[:whole, row, :, 0].T)
+            np.add(values[:, 0:2 * whole:2], values[:, 1::2], out=lines[:whole, row, :, 1].T)
+            if whole < pairs:
+                lines[-1, row, :, 1] = values[:, -1]
         # a product past the double range is inf, whose reciprocal 0 is the
         # true one's underflow; each line is at least 1, so none is NaN
         with np.errstate(over="ignore"):
-            for j in range(devices):
-                lines[:2, :, 0] = powers[:, j::devices].T
-                if surrogate is not None:
-                    np.multiply(part.moments[0][:, j], surrogate.scale[j], out=lines[2, :, 0])
-                np.matmul(lines, basis, out=factor if j else product)
-                if j:
+            for pair, line in enumerate(lines):
+                np.matmul(line, basis, out=factor if pair else product)
+                if pair:
                     product *= factor
         np.reciprocal(product, out=product)
         table = np.add(product[0], product[1], out=out[0])
@@ -1066,10 +1085,6 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
         return out
     draws = powers.T  # a row a column: its rounds of draws, then their mirrors
     draws *= state.snr
-    # a power of two within a factor 2 of the SNR's square root, by which
-    # the near parts' lines and bases scale exactly, so that neither 1 / u
-    # of a tiny SNR nor a product of two powers of a large one overflows
-    scale = math.ldexp(1.0, math.frexp(state.snr)[1] // 2)
     if not part.mirrored:  # the target's part: C = 1 / (t + 1 / u), the mean over its rounds
         rounds = draws[:len(draws) if state.moving else 1]
         # the lines (s, s / u); each round's table is then C / s
@@ -1161,8 +1176,8 @@ def _pair_sums(draws, nodes, scale, out, scratch):
     products[..., 1] = sums[..., 0]
     products[..., 2] = 1.0
     scaled = None
-    t = nodes * scale
-    basis, square = np.array([t, np.ones(t.size)]), np.array([t * t, t, np.ones(t.size)])
+    square = _square_basis(nodes, scale)
+    basis = square[1:]
     out[:] = 0.0
     step = len(scratch) // 2
     with np.errstate(over="ignore"):
@@ -1175,6 +1190,20 @@ def _pair_sums(draws, nodes, scale, out, scratch):
             for pair, values in enumerate(quotient, start):
                 out[pair % len(out)] += values
     return out
+
+
+def _line_scale(snr: float) -> float:
+    """A power of two within a factor 2 of the square root of ``snr``, by
+    which the capacity's lines and bases scale exactly, so that neither 1 /
+    u of a tiny SNR nor a product of two powers of a large one overflows
+    (:func:`_part_factors`)."""
+    return math.ldexp(1.0, math.frexp(snr)[1] // 2)
+
+
+def _square_basis(nodes, scale) -> np.ndarray:
+    """The rows (t^2, t, 1) of t = ``nodes`` times ``scale``, a power of two."""
+    t = nodes * scale
+    return np.array([t * t, t, np.ones(t.size)])
 
 
 def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
@@ -1251,8 +1280,8 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
         far_mean = np.prod(np.repeat(moment_reciprocal_mean(far, paths), counts, axis=0), axis=0)
         edges = np.cumsum([0] + widths).tolist()
         for j, (k, i, t, window, _) in enumerate(mid):
-            basis = np.repeat(states[k].basis[None], 3, axis=0)
-            basis[2, 0, :window.start] = basis[2, 0, window.stop:] = 0.0
+            basis = np.repeat(_square_basis(t, _line_scale(states[k].snr))[None], 3, axis=0)
+            basis[2, :2, :window.start] = basis[2, :2, window.stop:] = 0.0
             mean = np.ones(t.size)
             mean[window] = far_mean[edges[j]:edges[j + 1]]
             found[k][i] = SimpleNamespace(window=window, scale=far_scales[j] / squares,
