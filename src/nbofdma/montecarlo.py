@@ -40,9 +40,11 @@ import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
-from .numerics import (HAMDI_MAX_SCALE, doppler_power_scale, fourth_moment_mean, hamdi_basis,
-                       hamdi_factors, hamdi_rule, moment_reciprocal_mean, odd_power_scale,
-                       row_tiles, sinc, sinc_squared, sinc_squared_pair, third_moment_mean)
+from .numerics import (HAMDI_MAX_SCALE, _monomial_mean, doppler_power_scale, fourth_moment_mean,
+                       hamdi_basis, hamdi_factors, hamdi_rule, moment_reciprocal_mean,
+                       odd_power_scale, quartic_third_moment_mean, row_tiles, sinc, sinc_squared,
+                       sinc_squared_pair, sixth_moment_mean, squared_fourth_moment_mean,
+                       third_moment_mean)
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
                        sample_cell_batch, subcarrier_gaps)
 
@@ -168,38 +170,6 @@ _TERM_ORDERS, _TERM_EXPONENTS = np.array(_TERMS).T
 _FOLDS = 8  # every fit puts trial i in fold i mod 8
 
 
-def _set_partitions(items: list):
-    """Every partition of ``items`` into blocks, each a list of lists."""
-    if not items:
-        yield []
-        return
-    for partition in _set_partitions(items[1:]):
-        yield [[items[0]]] + partition
-        for i, block in enumerate(partition):
-            yield partition[:i] + [[items[0]] + block] + partition[i + 1:]
-
-
-@functools.cache
-def _monomial_mean(orders: tuple, paths: int) -> float:
-    """E[prod_i m_(p_i)], p_i = ``orders`` and m_p = mean_m z_m^p over a
-    device's ``paths`` paths, z_m = u c_m, correctly rounded from its exact
-    value.  The paths share u, so a product's mean is E[u^P] sum_pi
-    (M)_|pi| / M^k prod_(B in pi) E[c^(n_B)], n_B = sum_(i in B) p_i,
-    P = sum_i p_i, pi running over the set partitions of the k factors
-    (the patterns of equal path indices) and (M)_j the falling factorial:
-    E[u^P] = 1 / (P + 1) for u uniform on [0, 1), and E[c^n] = C(n, n/2)
-    / 2^n for even n and 0 for odd n, c of the arcsine law.  The n_B sum
-    to P, so over the common denominator (P + 1) M^k 2^P the sum is one
-    of whole numbers."""
-    total = 0
-    for partition in _set_partitions(list(orders)):
-        sums = [sum(block) for block in partition]
-        if all(n % 2 == 0 for n in sums):
-            total += math.perm(paths, len(sums)) * math.prod(math.comb(n, n // 2) for n in sums)
-    power = sum(orders)
-    return total / ((power + 1) * paths ** len(orders) * 2 ** power)
-
-
 # E[z^p] = E[u^p] E[cos^p psi] = C(p, p/2) / (2^p (p + 1)) for even p and 0
 # for odd p (:func:`_monomial_mean` of one factor, the same at any path count)
 _MOMENT_MEANS = np.array([_monomial_mean((p,), 1) for p in _ORDERS])
@@ -291,13 +261,34 @@ _TAIL_GAP = 10
 # The capacity's surrogates (:func:`_surrogates`) are subtracted on the
 # rule's nodes t <= 5 alone, c = t SNR x^2 / q^2: beyond t = 5 the rule's
 # e^-t leaves a factor little weight.  The neighbours at index gap +-1 and
-# the mid part subtract theirs at slope 1 on every such node with
-# c >= 1e-100, where a surrogate is 1 - c/6 to rounding (the +-2
-# neighbours' window is that of c / 4); their treatment of a node depends
-# on c alone, so the rule keeps the estimate where the interference dwarfs
-# the noise to 1e-12 at any SNR (a hard edge at c = 1 moved it by 4e-8
-# between 200 and 300 dB).  At 20 dB that is 44 of the 53 nodes.
-_SURROGATE_NODES = (1e-100, 5.0)
+# the mid part subtract theirs at slope 1 on every such node with 1e-60 <=
+# c <= 1e60 (the +-2 neighbours' window is that of c / 4): below, a
+# surrogate is 1 - c/6 to rounding; the +-n neighbours' lines take powers
+# of v = 1 / c up to v^5, which stays finite, and (m_2 + v)^5 >= v^5 stays
+# above the smallest normal double for any m_2 >= 0, one path too; above,
+# a factor is at most about 1e-60 / m_2 and leaves the integrand no weight.
+# Their treatment of a node depends on c alone, so the rule keeps the
+# estimate where the interference dwarfs the noise to 1e-12 at any SNR (a
+# hard edge at c = 1 moved it by 4e-8 between 200 and 300 dB).  At 20 dB
+# that is 44 of the 53 nodes.
+_SURROGATE_NODES = (1e-60, 1e60, 5.0)
+
+# The +-n neighbours' surrogates take the third-order terms of the kernel's
+# even part, W and X (:func:`_part_factors`), at spans x <= _EVEN_REACH Q
+# alone, Q = n q: beyond, its Taylor polynomial through d^6 leaves the
+# kernel, and on fig4's 500 Hz curve at 300 m/s (x = 1.8) the two terms
+# raised the squared standard error 2.3-fold, and at x = 3 the standard
+# error to 0.68 of the one without variates (0.31 without them).  A reach
+# of 0.7 Q read alike (0.95 against 0.99 of the second-order surrogate's
+# squared error at x = 1.2).
+_EVEN_REACH = 0.5
+
+# The mirrored near parts form their pairs' lines (:func:`_pair_sums`) and
+# their surrogates' (:func:`_surrogate_sums`) _LINE_PAIRS pairs at a time,
+# so that those lines do not grow with the draws: at fig4's N = 199 each
+# +-1 part of 24 pairs is one chunk, and the call makes no more numpy
+# calls than one of every pair at once.
+_LINE_PAIRS = 32
 
 
 def _near_devices(target: int, devices: int) -> list[int]:
@@ -469,11 +460,11 @@ def _scratch_rows(sets: list[_DrawSet]) -> int:
     (:func:`_part_factors`): six with a mid part, for the running products
     of its draw, its mirror and its surrogate and for a pair of its
     devices' factors of each; else two if a part is mirrored; else one if
-    the target takes
-    further rounds of draws; none otherwise.  The target forms in them the
-    tables of its further rounds, as many at a time as they hold, and a
-    mirrored near part its pairs' quotients and its surrogates' on the
-    whole rule, a numerator and a denominator a pair, half the rows each."""
+    the target takes further rounds of draws; none otherwise.  The target
+    forms in them the tables of its further rounds, as many at a time as
+    they hold, and a mirrored near part its pairs' quotients and its
+    surrogates' on the whole rule, a numerator and a denominator a pair,
+    half the rows each."""
     (_, target), *parts = _parts(sets)
     rows = 6 if any(part.mid for _, part in parts) else 2 * any(part.mirrored for _, part in parts)
     return max(rows, int(len(target.columns) > 1))
@@ -485,13 +476,16 @@ def _line_doubles(part: _Part, size: int) -> int:
     its devices (its draw, its mirror and its surrogate, (b_i b_j, b_i +
     b_j, 1) each), and 3 a device, its draw's and its mirror's b_j and its
     surrogate's c k m_(2,j) / n_j^2 over the lines' scale
-    (:func:`_line_scale`); for a mirrored near part,
-    10 a drawn column: its surrogates' lines, (1, v, v^2, v^3) a pair of
-    each of two rows, and two temporaries of the pair's m_p, after its
-    pairs' lines (s, 2) and (p, s, 1), 5 a pair, and their two temporaries
-    have gone (:func:`_pair_sums`); 2 a round of the target, (1, 1 / u)
-    scaled, and 2 for the tail's one line."""
-    return 9 * -(-size // 2) + 3 * size if part.mid else 10 * size if part.mirrored else 2 * size if part.gaps is None else 2
+    (:func:`_line_scale`); for a mirrored near part, 15 a drawn column of
+    a chunk of at most :data:`_LINE_PAIRS`: its surrogates' lines, (1, v,
+    .., v^5) a pair of each of two rows, and three temporaries of the
+    pair's m_p (:func:`_surrogate_sums`), after its pairs' lines (s, 2) and
+    (p, s, 1), 5 a pair, and their two temporaries have gone
+    (:func:`_pair_sums`); 2 a round of the target, (1, 1 / u) scaled, and
+    2 for the tail's one line."""
+    if part.mid:
+        return 9 * -(-size // 2) + 3 * size
+    return 15 * min(size, _LINE_PAIRS) if part.mirrored else 2 * size if part.gaps is None else 2
 
 
 @functools.cache  # the sweep asks at every grid point, mostly with the same arguments
@@ -1024,18 +1018,24 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
     mirrored part subtracts, at every node t of its window, twice each of
     its pairs' surrogates less their exact mean, which keeps its row's
     mean.  A neighbour at index gap +-n (n = 1, 2) subtracts at slope 1
-    the mean over its pairs of S + r x^2 T + g U less h_M(c) + r x^2
-    tau_M(c) + g upsilon_M(c) (:func:`numerics.moment_reciprocal_mean`,
-    :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`),
-    with c = t SNR x^2 / Q^2, Q = n q, r = pi^2 / 3 - 3 / Q^2, S = 1 / (1
-    + c m_2), T = c m_4 S^2 and U = c^2 m_3^2 S^3 of the pair's path moments m_p,
-    which a draw and its mirror share up to the sign of m_3: a pair's mean
-    factor is 1 / (1 + E) + O^2 / (1 + E)^3 + ..., E and O the even and
-    odd parts of its draws' t SNR sinc^2(Q + x z), and to second order in
-    the path offsets E = c (m_2 - r x^2 m_4) and O = -2 c x m_3 / Q, so g
-    = 4 x^2 / Q^2 to leading order; g = 4 x^2 kappa(x, Q) / Q^2, kappa the
-    Clarke scale of the odd part (:func:`numerics.odd_power_scale`), 1 at
-    x = 0, keeps U from outgrowing the odd part where x nears Q.  The
+    the mean over its pairs of S + r x^2 T + g U - s x^4 W + r^2 x^4 X +
+    g^2 Y less its exact mean h_M(c) + r x^2 tau_M(c) + g upsilon_M(c) - s
+    x^4 omega_M(c) + r^2 x^4 chi_M(c) + g^2 eta_M(c)
+    (:func:`numerics.moment_reciprocal_mean` and the tables after it), with
+    c = t SNR x^2 / Q^2, Q = n q, r = pi^2 / 3 - 3 / Q^2, s = 5 / Q^4 -
+    pi^2 / Q^2 + 2 pi^4 / 45, S = 1 / (1 + c m_2), T = c m_4 S^2, U = c^2
+    m_3^2 S^3, W = c m_6 S^2, X = c^2 m_4^2 S^3 and Y = c^4 m_3^4 S^5 of
+    the pair's path moments m_p, which a draw and its mirror share up to
+    the sign of the odd ones: a pair's mean factor is 1 / (1 + E) + O^2 /
+    (1 + E)^3 + O^4 / (1 + E)^5 + ..., E and O the even and odd parts of
+    its draws' t SNR sinc^2(Q + x z), and to third order in the path
+    offsets E = c (m_2 - r x^2 m_4 + s x^4 m_6) and O = -2 c x m_3 / Q, so
+    g = 4 x^2 / Q^2 to leading order; g = 4 x^2 kappa(x, Q) / Q^2, kappa
+    the Clarke scale of the odd part (:func:`numerics.odd_power_scale`), 1
+    at x = 0, keeps U and Y from outgrowing the odd part where x nears Q.
+    W and X, the even part's terms of third order, are left out (weight 0)
+    at spans x > Q / 2, where its Taylor polynomial leaves the kernel
+    (:data:`_EVEN_REACH`).  The
     mid part subtracts at slope 1 prod_j 1 / (1 + c k m_(2,j) / n_j^2)
     less prod_j h_M(c k / n_j^2), a third running product, even in the
     shifts too, with k = k(x) (:func:`numerics.doppler_power_scale`): to
@@ -1100,96 +1100,138 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
                 table += values
         table *= scale / len(rounds)
         return out
-    table = _pair_sums(draws, nodes, scale, out, scratch)
-    pairs = len(draws) // (2 * len(table))
+    drawn, pairs = len(draws) // 2, len(draws) // (2 * len(out))
     if surrogate is not None:
-        # each neighbour's surrogates: with v = 1 / c, twice a pair's
-        # surrogate less 1 is N / (m_2 + v)^3, N = -2 m_2^3 + (A m_2 - 4
-        # m_2^2 + B) v + (A - 2 m_2) v^2, A = 2 r x^2 m_4 and B = 2 g m_3^2.
-        # N and (m_2 + v)^3 are each one matmul of a pair's lines and the
-        # basis (1, v, v^2, v^3), which off the window is (0, 0, 0, 1), so
-        # that N is 0 there and the neighbour's whole row, contiguous, takes
-        # the quotient (v <= 1e100 on the window, so v^3 stays finite; a
-        # strided update of the window alone takes two of numpy's buffers);
-        # the lines of every pair are formed at once, and their quotients a
-        # few pairs at a time in the scratch rows, which each row then
-        # subtracts in turn; it then adds back twice its pairs' count times
-        # the mean less 1.
+        # each neighbour's surrogates' basis (1, v, .., v^5), v = 1 / c,
+        # which off the window is (0, .., 0, 1), so that a pair's numerator
+        # is 0 there and the neighbour's whole row, contiguous, takes the
+        # quotient (a strided update of the window alone takes two of
+        # numpy's buffers), and the mean less 1 it adds back
         window = surrogate.window
-        basis = np.zeros((4, nodes.size))
+        basis = np.zeros((6, nodes.size))
         basis[:, window] = np.reciprocal(nodes[window] * surrogate.scale) \
-            ** np.arange(4.0)[:, None]
-        basis[3, :window.start] = basis[3, window.stop:] = 1.0
+            ** np.arange(6.0)[:, None]
+        basis[5, :window.start] = basis[5, window.stop:] = 1.0
         mean = np.zeros(nodes.size)
         mean[window] = surrogate.mean
-        second, third, fourth = (moment.T for moment in part.moments[:3])  # (draws, trials)
-        # (m_2 + v)^3's lines, then N's, with two temporaries at most
-        lines = np.empty((2, len(second), trials, 4))
-        square = np.multiply(second, second, out=lines[0, ..., 1])  # m_2^2, later 3 m_2^2
-        np.multiply(square, second, out=lines[0, ..., 0])
-        np.multiply(lines[0, ..., 0], -2.0, out=lines[1, ..., 0])
-        even, work = (2.0 * surrogate.even) * fourth, np.multiply(square, 4.0)
-        np.multiply(even, second, out=lines[1, ..., 1])
-        lines[1, ..., 1] -= work
-        work = np.multiply(third, third, out=work)
-        work *= 2.0 * surrogate.odd
-        lines[1, ..., 1] += work
-        np.subtract(even, np.multiply(second, 2.0, out=work), out=lines[1, ..., 2])
-        square *= 3.0
-        np.multiply(second, 3.0, out=lines[0, ..., 2])
-        lines[0, ..., 3] = 1.0
-        lines[1, ..., 3] = 0.0
-        step = len(scratch) // 2
-        for start in range(0, len(second), step):
-            stop = min(start + step, len(second))
-            cube, numerator = scratch[:stop - start], scratch[step:step + stop - start]
-            np.matmul(lines[0, start:stop], basis, out=cube)
-            np.matmul(lines[1, start:stop], basis, out=numerator)
-            numerator /= cube
-            for draw, quotient in enumerate(numerator, start):
-                table[draw % len(table)] -= quotient
-        table += (2.0 * pairs) * mean
-    table /= 2.0 * pairs
-    return table
+    out[:] = 0.0
+    for start in range(0, drawn, _LINE_PAIRS):
+        stop = min(start + _LINE_PAIRS, drawn)
+        _pair_sums(draws[start:stop], draws[drawn + start:drawn + stop], start, nodes, scale,
+                   out, scratch)
+        if surrogate is not None:
+            _surrogate_sums(part.moments, start, stop, surrogate, basis, out, scratch)
+    if surrogate is not None:
+        out += (2.0 * pairs) * mean
+    out /= 2.0 * pairs
+    return out
 
 
-def _pair_sums(draws, nodes, scale, out, scratch):
-    """The sums over pairs of 1 / (1 + t b) + 1 / (1 + t b'), b each drawn
-    row of ``draws`` and b' its mirror's, the rows after them, in ``out``, a
-    pair a row of it in turn: (2 + t s) / (1 + t s + t^2 p), s = b + b' and
-    p = b b', one matmul each of the lines (s, 2) of every pair with the
-    basis (t, 1) and of their lines (p, s, 1) with (t^2, t, 1), a few pairs
-    at a time in ``scratch``, and one divide.  The lines are over ``scale``
-    and the nodes times it, a power of two near the square root of the
-    SNR, which is exact and keeps s, p, t^2 and t s finite at any SNR up
-    to :data:`numerics.HAMDI_MAX_SCALE`; where t^2 p alone passes the
-    double range the denominator is inf and the quotient 0, within 5e-7 of
-    the true one (t b <= 4.3e301, so t b' > 4.2e6 there), at a node where
-    the other factors of a trial, near 1 / (t b) alike, leave the
-    integrand no weight."""
-    drawn, trials = len(draws) // 2, draws.shape[1]
-    sums, products = np.empty((drawn, trials, 2)), np.empty((drawn, trials, 3))
-    scaled = draws / scale
-    np.add(scaled[:drawn], scaled[drawn:], out=sums[..., 0])
+def _pair_sums(drawn, mirrors, first, nodes, scale, out, scratch):
+    """Add the sum over each pair of 1 / (1 + t b) + 1 / (1 + t b'), b each
+    row of ``drawn`` and b' its mirror's, the same row of ``mirrors``, into
+    ``out``, pair ``first`` + i to row (first + i) mod its rows: (2 + t s) /
+    (1 + t s + t^2 p), s = b + b' and p = b b', one matmul each of the
+    lines (s, 2) of every pair with the basis (t, 1) and of their lines (p,
+    s, 1) with (t^2, t, 1), a few pairs at a time in ``scratch``, and one
+    divide.  The lines are over ``scale`` and the nodes times it, a power of
+    two near the square root of the SNR (:func:`_line_scale`), which is
+    exact and keeps s, p, t^2 and t s finite at any SNR up to
+    :data:`numerics.HAMDI_MAX_SCALE`; where t^2 p alone passes the double
+    range the denominator is inf and the quotient 0, within 5e-7 of the true
+    one (t b <= 4.3e301, so t b' > 4.2e6 there), at a node where the other
+    factors of a trial, near 1 / (t b) alike, leave the integrand no
+    weight."""
+    count, trials = drawn.shape
+    sums, products = np.empty((count, trials, 2)), np.empty((count, trials, 3))
+    scaled = np.divide(drawn, scale)
+    mirrored = np.divide(mirrors, scale)
+    np.add(scaled, mirrored, out=sums[..., 0])
     sums[..., 1] = 2.0
-    np.multiply(scaled[:drawn], scaled[drawn:], out=products[..., 0])
+    np.multiply(scaled, mirrored, out=products[..., 0])
     products[..., 1] = sums[..., 0]
     products[..., 2] = 1.0
-    scaled = None
+    scaled = mirrored = None
     square = _square_basis(nodes, scale)
-    basis = square[1:]
-    out[:] = 0.0
     step = len(scratch) // 2
     with np.errstate(over="ignore"):
-        for start in range(0, drawn, step):
-            stop = min(start + step, drawn)
+        for start in range(0, count, step):
+            stop = min(start + step, count)
             quotient, denominator = scratch[:stop - start], scratch[step:step + stop - start]
-            np.matmul(sums[start:stop], basis, out=quotient)
+            np.matmul(sums[start:stop], square[1:], out=quotient)
             np.matmul(products[start:stop], square, out=denominator)
             quotient /= denominator
-            for pair, values in enumerate(quotient, start):
+            for pair, values in enumerate(quotient, first + start):
                 out[pair % len(out)] += values
-    return out
+
+
+def _surrogate_sums(moments, first, stop, surrogate, basis, out, scratch):
+    """Subtract from ``out`` twice each surrogate less 1 of the pairs
+    ``first`` .. ``stop`` - 1 of a mirrored near part, of path moments
+    ``moments`` (m_2 .. m_6 of each pair, :func:`_near_columns`), pair i
+    from row i mod its rows.  With v = 1 / c, twice a pair's surrogate less
+    1 (:func:`_part_factors`) is N / (m_2 + v)^5, N = -2 m_2^5 + (A m_2^3 -
+    8 m_2^4 + B m_2^2 + C) v + (3 A m_2^2 - 12 m_2^3 + 2 B m_2) v^2 + (3 A
+    m_2 - 8 m_2^2 + B) v^3 + (A - 2 m_2) v^4, A = 2 (r x^2 m_4 - s x^4
+    m_6), B = 2 (g m_3^2 + r^2 x^4 m_4^2) and C = 2 g^2 m_3^4: the terms in
+    T and W share S^2, and those in U and X share S^3.  N and (m_2 + v)^5
+    are each one matmul of a pair's lines with ``basis``, (1, v, .., v^5) on
+    the surrogate's window and (0, .., 0, 1) off it, so that N is 0 there;
+    the lines of the pairs are formed at once, with three temporaries at
+    most, and their quotients a few pairs at a time in the scratch rows.
+    On the window v <= 1e60, so that v^5 stays finite, and v >= 1e-60, so
+    that (m_2 + v)^5 >= v^5 stays a normal double (:data:`_SURROGATE_NODES`)."""
+    second, third, fourth, sixth = (moments[p - 2, :, first:stop].T for p in (2, 3, 4, 6))
+    lines = np.empty((2, stop - first, second.shape[1], 6))
+    power, numerator = lines[0], lines[1]  # (m_2 + v)^5's lines and N's
+    np.multiply(second, 5.0, out=power[..., 4])
+    np.multiply(second, second, out=power[..., 3])  # m_2^2, then 10 m_2^2
+    np.multiply(power[..., 3], second, out=power[..., 2])  # m_2^3, then 10 m_2^3
+    np.multiply(power[..., 2], second, out=power[..., 1])  # m_2^4, then 5 m_2^4
+    np.multiply(power[..., 1], second, out=power[..., 0])
+    power[..., 5] = 1.0
+    np.multiply(power[..., 0], -2.0, out=numerator[..., 0])
+    numerator[..., 5] = 0.0
+    # C into N's v, then B and A
+    work = np.multiply(third, third)
+    odd = np.multiply(work, surrogate.odd)
+    work *= work
+    np.multiply(work, 2.0 * surrogate.quartic, out=numerator[..., 1])
+    np.multiply(fourth, fourth, out=work)
+    work *= surrogate.square
+    odd += work
+    odd *= 2.0  # B
+    even = np.multiply(fourth, surrogate.even)
+    np.multiply(sixth, surrogate.sixth, out=work)
+    even += work
+    even *= 2.0  # A
+    np.multiply(second, 2.0, out=work)
+    np.subtract(even, work, out=numerator[..., 4])
+    np.multiply(even, second, out=work)
+    np.multiply(work, 3.0, out=numerator[..., 3])
+    numerator[..., 3] += odd
+    numerator[..., 3] -= np.multiply(power[..., 3], 8.0, out=work)
+    np.multiply(even, power[..., 3], out=numerator[..., 2])
+    numerator[..., 2] *= 3.0
+    numerator[..., 2] -= np.multiply(power[..., 2], 12.0, out=work)
+    np.multiply(odd, second, out=work)
+    work *= 2.0
+    numerator[..., 2] += work
+    numerator[..., 1] += np.multiply(even, power[..., 2], out=work)
+    numerator[..., 1] -= np.multiply(power[..., 1], 8.0, out=work)
+    numerator[..., 1] += np.multiply(odd, power[..., 3], out=work)
+    work = odd = even = None
+    power[..., 1] *= 5.0
+    power[..., 2:4] *= 10.0
+    step = len(scratch) // 2
+    for start in range(0, stop - first, step):
+        end = min(start + step, stop - first)
+        denominator, quotient = scratch[:end - start], scratch[step:step + end - start]
+        np.matmul(power[start:end], basis, out=denominator)
+        np.matmul(numerator[start:end], basis, out=quotient)
+        quotient /= denominator
+        for pair, values in enumerate(quotient, first + start):
+            out[pair % len(out)] -= values
 
 
 def _line_scale(snr: float) -> float:
@@ -1213,24 +1255,32 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
     SNR x^2 / q^2, x its Doppler span and q = T_s df
     (:data:`_SURROGATE_NODES`, :func:`_part_factors`): for the neighbours
     at index gap +-n (n = 1, 2), at Q = n q, their ``window``, the slice of
-    the nodes with c / n^2 >= 1e-100 and t <= 5, their ``scale`` c / (n^2
-    t), the weights ``even`` = r x^2, r = pi^2 / 3 - 3 / Q^2, and ``odd``
-    = g = 4 x^2 kappa(x, Q) / Q^2 (:func:`numerics.odd_power_scale`) of
-    their second-order columns, and their exact ``mean`` there less 1,
-    h_M(c / n^2) - 1 + r x^2 tau_M(c / n^2) + g upsilon_M(c / n^2)
+    the nodes with 1e-60 <= c / n^2 <= 1e60 and t <= 5, their ``scale`` c
+    / (n^2 t), the weights ``even`` = r x^2, r = pi^2 / 3 - 3 / Q^2, and
+    ``odd`` = g = 4 x^2 kappa(x, Q) / Q^2 (:func:`numerics.odd_power_scale`)
+    of their second-order columns, ``sixth`` = -s x^4, s = 5 / Q^4 - pi^2 /
+    Q^2 + 2 pi^4 / 45, ``square`` = (r x^2)^2 and ``quartic`` = g^2 of
+    their third-order ones, the first two 0 at x > Q / 2
+    (:data:`_EVEN_REACH`), and their exact ``mean`` there less 1, h_M(c /
+    n^2) - 1 + r x^2 tau_M(c / n^2) + g upsilon_M(c / n^2) - s x^4
+    omega_M(c / n^2) + (r x^2)^2 chi_M(c / n^2) + g^2 eta_M(c / n^2)
     (:func:`numerics.moment_reciprocal_mean`,
-    :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`);
-    and for the mid part the window of n = 1, its ``scale`` c k / (t
-    n_j^2) of each of its devices, its ``mean`` prod_j h_M(c k / n_j^2)
-    there and 1 off it, and the ``basis`` its lines take: the rule's (t, 1)
-    for its draw and its mirror, and for its surrogate t zeroed off the
-    window, where the surrogate is then exactly 1.
+    :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`,
+    :func:`numerics.sixth_moment_mean`,
+    :func:`numerics.squared_fourth_moment_mean`,
+    :func:`numerics.quartic_third_moment_mean`); and for the mid part the
+    window of n = 1, its ``scale`` c k / (t n_j^2) of each of its devices,
+    its ``mean`` prod_j h_M(c k / n_j^2) there and 1 off it, and the
+    ``basis`` its lines take: (t^2, t, 1) of t the nodes times the lines'
+    scale (:func:`_line_scale`) for its draw and its mirror, and for its
+    surrogate t zeroed off the window, where the surrogate is then exactly
+    1.
     None for every part of a static scenario, and for a part whose window
     holds no node.  Each table is read once over the group's windows laid
     end to end, and kappa once a gap Q, each value from its own node and
     scenario alone, so that a scenario keeps its bits in any group."""
     parts = _parts(sets)
-    floor, reach = _SURROGATE_NODES
+    floor, ceiling, reach = _SURROGATE_NODES
     spans = [c.doppler_span(m.max_velocity_mps) for c, m in scenarios]
     scales = [state.snr * (span / c.spacing_symbol_product) ** 2
               for (c, _), state, span in zip(scenarios, states, spans)]
@@ -1246,8 +1296,9 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
                 continue
             gap = 1 if part.mid else round(abs(index_gaps[ds.columns[part.columns][0]]))
             first = int(np.searchsorted(t, floor / (scale / gap ** 2)))
-            if first < stop:
-                (mid if part.mid else near).append((k, i, t, slice(first, stop), gap))
+            last = min(stop, int(np.searchsorted(t, ceiling / (scale / gap ** 2), "right")))
+            if first < last:
+                (mid if part.mid else near).append((k, i, t, slice(first, last), gap))
     if near:
         whole = [gap * scenarios[k][0].spacing_symbol_product for k, *_, gap in near]  # Q
         own = [scales[k] / gap ** 2 for k, *_, gap in near]
@@ -1257,16 +1308,25 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
         for q in set(whole):
             kept = [j for j, each in enumerate(whole) if each == q]
             kappa[kept] = odd_power_scale([spans[near[j][0]] for j in kept], q)
-        even = [(math.pi ** 2 / 3.0 - 3.0 / q ** 2) * spans[k] ** 2
-                for (k, *_), q in zip(near, whole)]
-        odd = [4.0 * scale / states[k].snr * kappa[j]  # 4 x^2 kappa(x, Q) / Q^2
-               for j, ((k, *_), scale) in enumerate(zip(near, own))]
+        even = np.array([(math.pi ** 2 / 3.0 - 3.0 / q ** 2) * spans[k] ** 2
+                         for (k, *_), q in zip(near, whole)])
+        odd = np.array([4.0 * scale / states[k].snr * kappa[j]  # 4 x^2 kappa(x, Q) / Q^2
+                        for j, ((k, *_), scale) in enumerate(zip(near, own))])
+        # W and X only at spans x <= Q / 2 (:data:`_EVEN_REACH`)
+        kept = np.array([spans[k] <= _EVEN_REACH * q for (k, *_), q in zip(near, whole)])
+        sixth = kept * np.array([-(5.0 / q ** 4 - math.pi ** 2 / q ** 2 + 2.0 * math.pi ** 4 / 45.0)
+                                 * spans[k] ** 4 for (k, *_), q in zip(near, whole)])
+        square, quartic = kept * even ** 2, odd ** 2
         mean = moment_reciprocal_mean(c, paths) - 1.0
-        mean += np.repeat(even, widths) * fourth_moment_mean(c, paths)
-        mean += np.repeat(odd, widths) * third_moment_mean(c, paths)
+        for weights, moment_mean in ((even, fourth_moment_mean), (odd, third_moment_mean),
+                                     (sixth, sixth_moment_mean),
+                                     (square, squared_fourth_moment_mean),
+                                     (quartic, quartic_third_moment_mean)):
+            mean += np.repeat(weights, widths) * moment_mean(c, paths)
         edges = np.cumsum([0] + widths).tolist()
         for j, (k, i, _, window, _) in enumerate(near):
             found[k][i] = SimpleNamespace(window=window, scale=own[j], even=even[j], odd=odd[j],
+                                          sixth=sixth[j], square=square[j], quartic=quartic[j],
                                           mean=mean[edges[j]:edges[j + 1]])
     if mid:
         squares = parts[mid[0][1]][1].gaps ** 2
@@ -1359,25 +1419,30 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     Before any fit, each neighbour at index gap +-1 and +-2 and the mid
     part of a moving scenario subtract, at the nodes t of a window of the
     rule, a surrogate of their factor less its exact mean
-    (:func:`_part_factors`, :func:`_surrogates`; :data:`_SURROGATE_NODES`),
-    c = t SNR x^2 / Q^2 at gap Q = n q.  A mirrored pair of a neighbour at
-    +-n sees the kernel's even part in the mean of its two factors and,
-    through their difference, the square of its odd part: to second order
-    in the path offsets its factor is S + r x^2 T + g U, S = 1 / (1 + c
-    m_2), T = c m_4 S^2 and U = c^2 m_3^2 S^3, m_p the pair's path moments,
-    r = pi^2 / 3 - 3 / Q^2 and g = 4 x^2 / Q^2 (times the odd part's
-    Clarke scale, :func:`numerics.odd_power_scale`), which the neighbour
-    subtracts at slope 1 less its exact mean h_M(c) + r x^2 tau_M(c) + g
-    upsilon_M(c), each a 1-D integral tabulated once per path count
-    (:func:`numerics.moment_reciprocal_mean`,
-    :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`).
-    The mid part's factor is to leading order prod_j 1 / (1 + c k m_(2,j)
-    / n_j^2), of mean prod_j h_M(c k / n_j^2), which it subtracts at slope
-    1 too.  Where c reaches 10^3, at fig4's 500 Hz points, those factors are
-    far from polynomial in the path moments, which the columns below fit;
-    the surrogates take that part of them, and the estimate stays exactly
-    unbiased.  The odd part's square U takes most of what S leaves of the
-    near neighbours' variance there.
+    (:func:`_part_factors`, :func:`_surrogates`; :data:`_SURROGATE_NODES`:
+    1e-60 <= c <= 1e60 and t <= 5), c = t SNR x^2 / Q^2 at gap Q = n q.  A
+    mirrored pair of a neighbour at +-n sees the kernel's even part in the
+    mean of its two factors and, through their difference, the square of
+    its odd part: to third order in the path offsets its factor is S + r
+    x^2 T + g U - s x^4 W + r^2 x^4 X + g^2 Y, S = 1 / (1 + c m_2), T = c
+    m_4 S^2, U = c^2 m_3^2 S^3, W = c m_6 S^2, X = c^2 m_4^2 S^3 and Y =
+    c^4 m_3^4 S^5, m_p the pair's path moments, r = pi^2 / 3 - 3 / Q^2 and
+    s = 5 / Q^4 - pi^2 / Q^2 + 2 pi^4 / 45 the kernel's coefficients of
+    d^4 and d^6, and g = 4 x^2 / Q^2 (times the odd part's Clarke scale,
+    :func:`numerics.odd_power_scale`), which the neighbour subtracts at
+    slope 1 less its exact mean, each term's a 1-D integral tabulated once
+    per path count (:func:`numerics.moment_reciprocal_mean`,
+    :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`,
+    :func:`numerics.sixth_moment_mean`,
+    :func:`numerics.squared_fourth_moment_mean`,
+    :func:`numerics.quartic_third_moment_mean`); W and X only at spans x <=
+    Q / 2 (:data:`_EVEN_REACH`).  The mid part's factor is to leading order
+    prod_j 1 / (1 + c k m_(2,j) / n_j^2), of mean prod_j h_M(c k / n_j^2),
+    which it subtracts at slope 1 too.  Where c reaches 10^3, at fig4's 500
+    Hz points, those factors are far from polynomial in the path moments,
+    which the columns below fit; the surrogates take that part of them, and
+    the estimate stays exactly unbiased.  The odd part's square U takes
+    most of what S leaves of the near neighbours' variance there.
 
     Each part's mean is controlled at every node t of the rule: part i
     has zero-mean columns V_i of its own draws (:func:`_near_columns`, the

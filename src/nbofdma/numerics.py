@@ -36,6 +36,9 @@ __all__ = [
     "moment_reciprocal_mean",
     "fourth_moment_mean",
     "third_moment_mean",
+    "sixth_moment_mean",
+    "squared_fourth_moment_mean",
+    "quartic_third_moment_mean",
     "doppler_power_scale",
     "odd_power_scale",
     "integrate",
@@ -446,7 +449,8 @@ _REC_NODE_WEIGHTS = np.array([[(-1) ** (_REC_ORDER - i)
 def _interpolated(table: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """A table on the lattice ln c = _REC_LOW + j _REC_GRID read at each c
     of ``scales``, all above e^_REC_LOW, by 10-point Lagrange
-    interpolation; the last entry past the table's end."""
+    interpolation; the last entry past the table's end.  Each value is
+    the same bits alone as in an array."""
     position = np.minimum((np.log(scales) - _REC_LOW) / _REC_GRID, table.size - 1.0)
     start = np.clip(position.astype(int) - _REC_ORDER // 2, 0, table.size - _REC_ORDER - 1)
     offsets = (position - start) - _REC_NODES
@@ -454,17 +458,24 @@ def _interpolated(table: np.ndarray, scales: np.ndarray) -> np.ndarray:
     # all offsets over the node's own; on a node its own is made tiny,
     # which leaves that basis 1 and the others 0 to rounding
     offsets[offsets == 0.0] = 1e-280
-    basis = np.prod(offsets, axis=0) / offsets
-    basis *= _REC_NODE_WEIGHTS
-    return np.einsum("iv,iv->v", basis, table[start + _REC_NODES])
+    # a row at a time, so that each value takes the same operations alone
+    # as in an array of any length
+    product = offsets[0].copy()
+    for row in offsets[1:]:
+        product *= row
+    total = np.zeros(product.shape)
+    for node, (row, weight) in enumerate(zip(offsets, _REC_NODE_WEIGHTS[:, 0])):
+        total += product / row * weight * table[start + node]
+    return total
 
 
-def _correlated(first: int, weights: np.ndarray, values) -> np.ndarray:
+def _correlated(first: int, weights: np.ndarray, values, step: float = _REC_STEP) -> np.ndarray:
     """sum_i weights_i values(y + s_i) at each y = ln c = _REC_LOW + j
-    _REC_GRID of the table, s_i = (first + i) _REC_STEP the trapezoid's
-    nodes in ln lam: one correlation a phase of the finer lattice on which
-    both fall, ``values`` taking that lattice's ln (c lam)."""
-    ratio = round(_REC_STEP / _REC_GRID)
+    _REC_GRID of the table, s_i = (first + i) ``step`` the trapezoid's
+    nodes in ln lam, a whole number of the table's steps: one correlation a
+    phase of the finer lattice on which both fall, ``values`` taking that
+    lattice's ln (c lam)."""
+    ratio = round(step / _REC_GRID)
     size = round((_REC_HIGH - _REC_LOW) / _REC_GRID) + 1
     lattice = _REC_LOW + (np.arange(size + ratio * (weights.size - 1)) + ratio * first) * _REC_GRID
     laplace = values(lattice)
@@ -510,88 +521,161 @@ def moment_reciprocal_mean(c, paths: int):
     return out if out.ndim else float(out)
 
 
-# The second-order surrogates' columns T = c m_4 S^2 and U = c^2 m_3^2 S^3,
-# S = 1 / (1 + c m_2) and m_p = u^p mean_m cos^p psi_m, have the exact
-# means tau_M(c) = E[T] and upsilon_M(c) = E[U].  With 1 / (1 + y)^j =
-# int w^(j-1) e^(-w (1 + y)) dw / (j - 1)!, the paths independent given u
-# (E[cos^3 psi e^(-s cos^2 psi)] = 0, so only the paths' own squares stay
-# in m_3^2) and lam = w u^2, each is, for j = 2 and 3 in turn,
-#     c^(j-1) / ((j - 1)! M^(j-2)) int_0^inf lam^(j-1) H_j(c lam) rho(lam) dlam,
-# rho(lam) = int_0^1 e^(-lam / u^2) du = e^-lam - sqrt(pi lam) erfc(sqrt
-# lam), H_j(mu) = Psi_j(mu / M) Phi(mu / M)^(M - 1), Phi(s) = Psi_0(s) =
-# e^(-s/2) I0(s/2) and Psi_j(s) = E[cos^2j psi e^(-s cos^2 psi)] (Psi_2(s) =
-# (1/4) e^(-s/2) (3/2 I0 - 2 I1 + 1/2 I2)(s/2)).  In mu = c lam, the mean is
-# sum_s rho(e^s) L_j(ln c + s) h / (c (j - 1)! M^(j-2)), L_j(y) = e^(jy)
-# H_j(e^y), a trapezoid of step h = 1/4 in s = ln lam from s = -40 - ln c
-# to 4 (L_j falls as e^(jy) below), on the lattice of the h_M table, which
-# holds (1 + 1/c)^j times the sum, bounded in ln c: at c = 0, E[m_4] =
-# 3/40 and E[m_3^2] M = 5/112, and at infinity, E[m_4 / m_2^2] and E[m_3^2
-# / m_2^3] M.  Within 1e-14 of the closed forms at one path
-# (:func:`fourth_moment_mean`, :func:`third_moment_mean`), up to c = 1e300.
-# The Bessel combinations cancel their leading orders (Psi_2's first two),
-# so they are not formed: up to s = 80, Psi_j is the midpoint rule of 64
-# nodes on psi in [0, pi/2] (periodic and entire, so its error, about
-# e^(-s/2) I_128(s/2), is below 1e-40), and beyond it the asymptotic series
-# of Laplace's method (for j = 2 the combined A&S 9.7.1 series), s^j
-# Psi_j(s) = Gamma(j + 1/2) / (pi sqrt(s)) sum_n d_n s^-n, d_0 = 1, d_n =
-# d_(n-1) (2n - 1) (2n + 2j - 1) / 4n: 24 terms reach rounding from s = 80.
+# The pair surrogates' further columns (:func:`montecarlo._part_factors`)
+# are each c^(j-1) X S^j, S = 1 / (1 + c m_2), X = prod_i m_(p_i) a product
+# of path moments m_p = u^p mean_m cos^p psi_m and j its power of S: T = c
+# m_4 S^2 and U = c^2 m_3^2 S^3 of second order, W = c m_6 S^2, X = c^2
+# m_4^2 S^3 and Y = c^4 m_3^4 S^5 of third.  Their exact means tau_M(c) =
+# E[T], upsilon_M(c) = E[U], omega_M(c) = E[W], chi_M(c) = E[X] and
+# eta_M(c) = E[Y] share one route.  With 1 / (1 + y)^j = int w^(j-1) e^(-w
+# (1 + y)) dw / (j - 1)! and lam = w u^2, each is
+#     c^(j-1) / (j - 1)! int_0^inf lam^(j-1) H(c lam) rho_i(lam) dlam,
+# rho_i(lam) = int_0^1 u^(2i) e^(-lam / u^2) du for the u^(2i) that X
+# leaves over S^j, 2i = P - 2j, P = sum_i p_i: i = 0 for T and U, rho_0(lam)
+# = e^-lam - sqrt(pi lam) erfc(sqrt lam), and i = 1 for W, X and Y, rho_1 =
+# (e^-lam - 2 lam rho_0) / 3.  H(mu) = E[prod_i mean_m cos^(p_i) psi_m e^(-(mu
+# / M) sum_m cos^2 psi_m)] sums over the patterns of equal path indices
+# among the factors, as :func:`_monomial_mean` does, with Psi_k(s) =
+# E[cos^2k psi e^(-s cos^2 psi)] (Psi_2(s) = (1/4) e^(-s/2) (3/2 I0 - 2 I1 +
+# 1/2 I2)(s/2)) and Phi = Psi_0 at s = mu / M; a pattern whose block holds
+# an odd sum of orders has mean 0, since E[cos^(2k+1) psi e^(-s cos^2 psi)]
+# = 0: H = Psi_2 Phi^(M-1) for T, Psi_3 Phi^(M-1) / M for U, Psi_3 Phi^(M-1)
+# for W, [M Psi_4 Phi^(M-1) + M (M-1) Psi_2^2 Phi^(M-2)] / M^2 for X and [M
+# Psi_6 Phi^(M-1) + 3 M (M-1) Psi_3^2 Phi^(M-2)] / M^4 for Y.  In mu = c lam,
+# the mean is sum_s rho_i(e^s) L(ln c + s) h / (c (j - 1)!), L(y) = e^(jy)
+# H(e^y), a trapezoid of step h = 1/8 in s = ln lam from s = -40 - ln c to 4
+# (L falls as e^(jy) below; at j = 5 a step of 1/4 left 6e-13, its error
+# growing with j), on the lattice of the h_M table, which holds
+# (1 + 1/c)^j times the sum, bounded in ln c: at c = 0, E[X], and at
+# infinity, E[X / m_2^j] (finite: X / m_2^j is u^(2i) times a bounded
+# function of the angles).  Within 1e-14 of the closed forms at one path
+# (:func:`fourth_moment_mean`, :func:`third_moment_mean`) and 1e-13 of
+# mpmath (:func:`sixth_moment_mean`, :func:`squared_fourth_moment_mean`,
+# :func:`quartic_third_moment_mean`), up to c = 1e300.  The Bessel
+# combinations cancel their leading orders (Psi_2's first two), so they are
+# not formed: up to s = 80, Psi_k is the midpoint rule of 64 nodes on psi in
+# [0, pi/2] (periodic and entire, so its error, about e^(-s/2) I_(128-k)(s/2),
+# is below 1e-40), and beyond it the asymptotic series of Laplace's method
+# (for k = 2 the combined A&S 9.7.1 series), s^k Psi_k(s) = Gamma(k + 1/2) /
+# (pi sqrt(s)) sum_n d_n s^-n, d_0 = 1, d_n = d_(n-1) (2n - 1) (2n + 2k - 1)
+# / 4n: 24 terms reach rounding from s = 80 (4e-18 of the sum at k = 6).
+_MOMENT_STEP = 0.125
 _PSI_NODES = np.cos((np.arange(64) + 0.5) * (math.pi / 128.0)) ** 2  # cos^2 of the midpoints
 _PSI_REACH, _PSI_SERIES = 80.0, 24
 
 
-def _cosine_power_laplace(log_s: np.ndarray, order: int) -> np.ndarray:
-    """s^j Psi_j(s), Psi_j(s) = E[cos^2j psi e^(-s cos^2 psi)], j =
-    ``order``, for s = e^``log_s``: the midpoint rule in psi up to s = 80,
-    the asymptotic series beyond, which needs no s^j.  Order 0 is
-    Psi_0(s) = e^(-s/2) I0(s/2), whose M-th power at s = c / M is Phi_M(c),
-    the Laplace transform of h_M and of the tables of second order."""
+def _cosine_power_laplace(log_s: np.ndarray, order: int, power: int | None = None) -> np.ndarray:
+    """s^a Psi_k(s), Psi_k(s) = E[cos^2k psi e^(-s cos^2 psi)], k =
+    ``order`` and a = ``power`` (k unless given; k - 1 for the block that
+    takes a table's u^2, :func:`_moment_table`), for s = e^``log_s``: the
+    midpoint rule in psi up to s = 80, the asymptotic series of s^k Psi_k
+    beyond, times s^(a - k).  Order 0 is Psi_0(s) = e^(-s/2) I0(s/2), whose
+    M-th power at s = c / M is Phi_M(c), the Laplace transform of h_M and
+    of the surrogates' further tables."""
+    power = order if power is None else power
     out = np.empty(log_s.shape)
     small = log_s <= math.log(_PSI_REACH)
     s = np.exp(log_s[small])
     total = np.zeros(s.shape)
     for node in _PSI_NODES:  # a node at a time, so that no (values, nodes) array is held
         total += node ** order * np.exp(-node * s)
-    out[small] = total * s ** order / _PSI_NODES.size
+    out[small] = total * s ** power / _PSI_NODES.size
     inverse = np.exp(-log_s[~small])
     series = np.zeros(inverse.shape)
     for n in range(_PSI_SERIES - 1, 0, -1):  # Horner
         series = (series + 1.0) * inverse * ((2 * n - 1) * (2 * n + 2 * order - 1) / (4.0 * n))
-    out[~small] = (series + 1.0) * (math.gamma(order + 0.5) / math.pi) * np.sqrt(inverse)
+    out[~small] = (series + 1.0) * (math.gamma(order + 0.5) / math.pi) * np.sqrt(inverse) \
+        * inverse ** (order - power)
     return out
 
 
-@functools.cache
-def _moment_table(paths: int, order: int) -> np.ndarray:
-    """(1 + 1/c)^j sum_s rho(e^s) L_j(ln c + s) h at ln c = _REC_LOW + k
-    _REC_GRID, M = ``paths`` and j = ``order``, built on first use;
-    read-only."""
-    first = math.floor((-40.0 - _REC_HIGH) / _REC_STEP)
-    lam = np.exp(np.arange(first, round(4.0 / _REC_STEP) + 1) * _REC_STEP)
-    weights = _REC_STEP * np.array([math.exp(-v) - math.sqrt(math.pi * v) * math.erfc(math.sqrt(v))
-                                    for v in lam])
+def _set_partitions(items: list):
+    """Every partition of ``items`` into blocks, each a list of lists."""
+    if not items:
+        yield []
+        return
+    for partition in _set_partitions(items[1:]):
+        yield [[items[0]]] + partition
+        for i, block in enumerate(partition):
+            yield partition[:i] + [[items[0]] + block] + partition[i + 1:]
 
-    def values(lattice):  # L_j(y) = M^j (s^j Psi_j(s)) Phi(s)^(M - 1), s = e^y / M
+
+def _even_patterns(orders: tuple, paths: int):
+    """(count, halves) for each pattern of equal path indices among the k
+    factors m_(p_i), p_i = ``orders``, of M = ``paths`` paths whose mean is
+    not 0: a set partition pi of the factors whose every block B holds an
+    even sum n_B of orders, its count (M)_|pi| of distinct index tuples (the
+    falling factorial, 0 where pi has more blocks than M) and its blocks'
+    n_B / 2."""
+    for partition in _set_partitions(list(orders)):
+        sums = [sum(block) for block in partition]
+        count = math.perm(paths, len(sums))
+        if count and all(n % 2 == 0 for n in sums):
+            yield count, [n // 2 for n in sums]
+
+
+@functools.cache
+def _monomial_mean(orders: tuple, paths: int) -> float:
+    """E[prod_i m_(p_i)], p_i = ``orders`` and m_p = mean_m z_m^p over a
+    device's ``paths`` paths, z_m = u c_m, correctly rounded from its exact
+    value.  The paths share u, so a product's mean is E[u^P] sum_pi
+    (M)_|pi| / M^k prod_(B in pi) E[c^(n_B)], n_B = sum_(i in B) p_i,
+    P = sum_i p_i, pi running over the set partitions of the k factors
+    (the patterns of equal path indices, :func:`_even_patterns`) and (M)_j
+    the falling factorial: E[u^P] = 1 / (P + 1) for u uniform on [0, 1), and
+    E[c^n] = C(n, n/2) / 2^n for even n and 0 for odd n, c of the arcsine
+    law.  The n_B sum to P, so over the common denominator (P + 1) M^k 2^P
+    the sum is one of whole numbers."""
+    total = sum(count * math.prod(math.comb(2 * half, half) for half in halves)
+                for count, halves in _even_patterns(orders, paths))
+    power = sum(orders)
+    return total / ((power + 1) * paths ** len(orders) * 2 ** power)
+
+
+@functools.cache
+def _moment_table(paths: int, orders: tuple, power: int) -> np.ndarray:
+    """(1 + 1/c)^j sum_s rho_i(e^s) L(ln c + s) h at ln c = _REC_LOW + k
+    _REC_GRID for the mean of c^(j-1) X S^j, X = prod_i m_(p_i) of M =
+    ``paths`` paths, p_i = ``orders`` and j = ``power``, built on first use;
+    read-only."""
+    first = math.floor((-40.0 - _REC_HIGH) / _MOMENT_STEP)
+    lam = np.exp(np.arange(first, round(4.0 / _MOMENT_STEP) + 1) * _MOMENT_STEP)
+    rho = np.array([math.exp(-v) - math.sqrt(math.pi * v) * math.erfc(math.sqrt(v)) for v in lam])
+    spare = sum(orders) // 2 - power  # i: the u^(2i) that X leaves over S^j, 0 or 1
+    if spare:
+        rho = (np.exp(-lam) - 2.0 * lam * rho) / 3.0
+    weights = _MOMENT_STEP * rho
+    patterns = [(count * paths ** power / paths ** len(orders), halves)
+                for count, halves in _even_patterns(orders, paths)]
+
+    def values(lattice):  # L(y) = e^(jy) H(e^y) = M^j s^j H, s = e^y / M
         log_s = lattice - math.log(paths)
-        return _cosine_power_laplace(log_s, order) * paths ** order \
-            * _cosine_power_laplace(log_s, 0) ** (paths - 1)
-    table = _correlated(first, weights, values)
-    table *= (1.0 + np.exp(-_REC_LOW - np.arange(table.size) * _REC_GRID)) ** order  # (1 + 1/c)^j
+        total = np.zeros(lattice.shape)
+        for weight, halves in patterns:
+            term = _cosine_power_laplace(log_s, halves[0], halves[0] - spare) * weight
+            for half in halves[1:]:
+                term *= _cosine_power_laplace(log_s, half)
+            total += term * _cosine_power_laplace(log_s, 0) ** (paths - len(halves))
+        return total
+    table = _correlated(first, weights, values, _MOMENT_STEP)
+    table *= (1.0 + np.exp(-_REC_LOW - np.arange(table.size) * _REC_GRID)) ** power  # (1 + 1/c)^j
     table.flags.writeable = False
     return table
 
 
-def _moment_mean(c, paths: int, order: int, small: float):
-    """The mean of order j = ``order`` (:func:`_moment_table`) at each c of
-    ``c``, ``small`` c^(j-1) below c = e^-40."""
+def _moment_mean(c, paths: int, orders: tuple, power: int):
+    """The mean of c^(j-1) X S^j (:func:`_moment_table`), X = prod_i
+    m_(p_i), p_i = ``orders`` and j = ``power``, at each c of ``c``: a float
+    for a float, or an array of the shape of an array (inf gives 0).  Below
+    c = e^-40, c^(j-1) E[X] (:func:`_monomial_mean`), exact to rounding."""
     c = np.asarray(c, dtype=float)
     out = np.empty(c.shape)
     inside = c > math.exp(_REC_LOW)
-    out[~inside] = c[~inside] ** (order - 1) * small
+    out[~inside] = c[~inside] ** (power - 1) * _monomial_mean(orders, paths)
     if inside.any():
         scales = c[inside]
-        out[inside] = _interpolated(_moment_table(paths, order), scales) \
-            / ((1.0 + 1.0 / scales) ** (order - 1) * (1.0 + scales)
-               * (math.factorial(order - 1) * paths ** (order - 2)))
+        out[inside] = _interpolated(_moment_table(paths, orders, power), scales) \
+            / ((1.0 + 1.0 / scales) ** (power - 1) * (1.0 + scales) * math.factorial(power - 1))
     return out if out.ndim else float(out)
 
 
@@ -605,7 +689,7 @@ def fourth_moment_mean(c, paths: int):
     one path, (1 - 3/2 asinh(sqrt c) / sqrt c + 1/2 / sqrt(1 + c)) / c, for
     c up to 1e300.  Below c = e^-40, c E[m_4] = 3c/40 is exact to
     rounding."""
-    return _moment_mean(c, paths, 2, 3.0 / 40.0)
+    return _moment_mean(c, paths, (4,), 2)
 
 
 def third_moment_mean(c, paths: int):
@@ -618,7 +702,43 @@ def third_moment_mean(c, paths: int):
     one path, 1 / c - 15/8 asinh(sqrt c) / c^(3/2) + 7/8 / (c sqrt(1 + c))
     + 1/8 / (1 + c)^(3/2), for c up to 1e300.  Below c = e^-40, c^2
     E[m_3^2] = 5 c^2 / 112 M is exact to rounding."""
-    return _moment_mean(c, paths, 3, 5.0 / (112.0 * paths))
+    return _moment_mean(c, paths, (3, 3), 3)
+
+
+def sixth_moment_mean(c, paths: int):
+    """omega_M(c) = E[c m_6 / (1 + c m_2)^2], m_p = mean_m z_m^p the path
+    moments of a device of M = ``paths`` paths, as for
+    :func:`moment_reciprocal_mean`, for each c >= 0 of ``c``: a float for a
+    float, or an array of the shape of an array (inf gives 0).
+    Interpolated from a table of each path count, built on first use
+    (:func:`_moment_table`); within 1e-13 relative of mpmath at one path,
+    for c up to 1e300.  Below c = e^-40, c E[m_6] = 5c/112 is exact to
+    rounding."""
+    return _moment_mean(c, paths, (6,), 2)
+
+
+def squared_fourth_moment_mean(c, paths: int):
+    """chi_M(c) = E[c^2 m_4^2 / (1 + c m_2)^3], m_p = mean_m z_m^p the path
+    moments of a device of M = ``paths`` paths, as for
+    :func:`moment_reciprocal_mean`, for each c >= 0 of ``c``: a float for a
+    float, or an array of the shape of an array (inf gives 0).
+    Interpolated from a table of each path count, built on first use
+    (:func:`_moment_table`); within 1e-13 relative of mpmath at one path,
+    for c up to 1e300.  Below c = e^-40, c^2 E[m_4^2] is exact to rounding
+    (35/1152 at one path)."""
+    return _moment_mean(c, paths, (4, 4), 3)
+
+
+def quartic_third_moment_mean(c, paths: int):
+    """eta_M(c) = E[c^4 m_3^4 / (1 + c m_2)^5], m_p = mean_m z_m^p the path
+    moments of a device of M = ``paths`` paths, as for
+    :func:`moment_reciprocal_mean`, for each c >= 0 of ``c``: a float for a
+    float, or an array of the shape of an array (inf gives 0).
+    Interpolated from a table of each path count, built on first use
+    (:func:`_moment_table`); within 1e-13 relative of mpmath at one path,
+    for c up to 1e300.  Below c = e^-40, c^4 E[m_3^4] is exact to rounding
+    (231/13312 at one path)."""
+    return _moment_mean(c, paths, (3, 3, 3, 3), 5)
 
 
 @functools.cache

@@ -255,24 +255,25 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # columns a part, not 9; at N = 2 the capacity has no mid part and no tail,
 # and the interference no tail.  Every moving capacity pin subtracts its
 # surrogates (montecarlo._surrogates), the +-1 and +-2 neighbours' of
-# second order and the mid part's product over its devices.  Only a
+# third order and the mid part's product over its devices.  Only a
 # capacity tail draws Exp(1) weights, so the N = 2 pin, which has none,
 # kept its bits when the mid part's fading came to be averaged exactly;
 # every capacity pin moved in its last bits when the target's factor came
 # to be formed as 1 / (t + 1 / u) and each mirrored pair's factors as one
 # quotient (montecarlo._pair_sums), and every capacity pin with a mid part
-# when its lines came to take two devices each
+# when its lines came to take two devices each; every moving capacity pin
+# moved when the +-1 and +-2 surrogates gained their third-order terms
 PINNED = {
     "ici": ("0x1.f47f860220b54p-8", "0x1.b6cf7051d6adbp-38"),  # 0.007637 +- 6.24e-12
     "ici_edge_3ghz": ("0x1.3578865949736p-7", "0x1.237278ea4db8fp-35"),  # 0.0094443 +- 3.31e-11
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a12f57d4aeb0p+2", "0x1.062a3884ac615p-21"),  # 5.15741 +- 4.88e-07
-    "capacity_edge_3ghz": ("0x1.451aa3af5bcb2p+2", "0x1.e91b2684a42d2p-20"),  # 5.07975 +- 1.82e-06
-    "capacity_500hz": ("0x1.35e89b956f69ep+1", "0x1.602ea02203ed9p-14"),  # 2.42116 +- 8.4e-05
+    "capacity": ("0x1.4a12f59400cb5p+2", "0x1.0ae5b5dc04093p-21"),  # 5.15741 +- 4.97e-07
+    "capacity_edge_3ghz": ("0x1.451aa0e6fc48ep+2", "0x1.ebb0d673d2507p-20"),  # 5.07975 +- 1.83e-06
+    "capacity_500hz": ("0x1.35e736722096cp+1", "0x1.385177b57e54bp-14"),  # 2.42112 +- 7.45e-05
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
-    "capacity_one_path": ("0x1.4bae3b3d8e6bdp+2", "0x1.d83d0ed4c6497p-21"),  # 5.18251 +- 8.8e-07
-    "capacity_n2": ("0x1.535ba8e798f46p+2", "0x1.20437c16b1c1cp-20"),  # 5.30247 +- 1.07e-06
+    "capacity_one_path": ("0x1.4bae3b3ea1d50p+2", "0x1.d96322cefbf18p-21"),  # 5.18251 +- 8.82e-07
+    "capacity_n2": ("0x1.535ba90a198f9p+2", "0x1.203d3868f51e6p-20"),  # 5.30247 +- 1.07e-06
     "ici_n2": ("0x1.8754b5a39de49p-8", "0x1.35854963d6fdfp-38"),  # 0.00597124 +- 4.4e-12
 }
 
@@ -1432,10 +1433,12 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(
             # the draws of the neighbours at index gap -n and n in turn, round
             # by round (one round at n = 2), and then their mirrors in the
             # same order.  Each drawn draw has the surrogate S + r x^2 T + g
-            # U, S = 1 / (1 + c' m_2), T = c' m_4 S^2, U = c'^2 m_3^2 S^3,
-            # c' = c / n^2, r = pi^2 / 3 - 3 / n^2 and g = 4 x^2 kappa(x, n)
-            # / n^2, which its mirror shares, less its exact mean, which the
-            # rows subtract at slope 1 on the nodes with t <= 5
+            # U - s x^4 W + r^2 x^4 X + g^2 Y, S = 1 / (1 + c' m_2), T = c'
+            # m_4 S^2, U = c'^2 m_3^2 S^3, W = c' m_6 S^2, X = c'^2 m_4^2
+            # S^3, Y = c'^4 m_3^4 S^5, c' = c / n^2, r = pi^2 / 3 - 3 / n^2,
+            # s = 5 / n^4 - pi^2 / n^2 + 2 pi^4 / 45 and g = 4 x^2 kappa(x,
+            # n) / n^2, which its mirror shares, less its exact mean, which
+            # the rows subtract at slope 1 on the nodes with t <= 5
             count, pairs = counts[kind], draws // 2 if kind == 1 else 1
             assert rows.shape == (2 * count * pairs, 3)
             assert surrogate.moments.shape == (5, 3, count * pairs)
@@ -1444,17 +1447,30 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(
                                                    rel=1e-15)
             assert surrogate.odd == pytest.approx(
                 4.0 * x ** 2 * numerics.odd_power_scale(x, kind) / kind ** 2, rel=1e-15)
+            assert surrogate.sixth == pytest.approx(
+                -(5.0 / kind ** 4 - math.pi ** 2 / kind ** 2 + 2.0 * math.pi ** 4 / 45.0) * x ** 4,
+                rel=1e-15)
             own = c / kind ** 2
             assert nodes[surrogate.window].tolist() == nodes[window].tolist()
+            assert x <= kind / 2.0  # W and X reach x <= Q / 2
+            assert (surrogate.square, surrogate.quartic) == (surrogate.even ** 2,
+                                                             surrogate.odd ** 2)
+            term_weights = [1.0, surrogate.even, surrogate.odd, surrogate.sixth, surrogate.square,
+                            surrogate.quartic]
             means = [numerics.moment_reciprocal_mean(own, 8), numerics.fourth_moment_mean(own, 8),
-                     numerics.third_moment_mean(own, 8)]
-            exact = means[0] + surrogate.even * means[1] + surrogate.odd * means[2]
+                     numerics.third_moment_mean(own, 8), numerics.sixth_moment_mean(own, 8),
+                     numerics.squared_fourth_moment_mean(own, 8),
+                     numerics.quartic_third_moment_mean(own, 8)]
+            exact = sum(weight * mean for weight, mean in zip(term_weights, means))
             assert surrogate.mean == pytest.approx((exact - 1.0)[window], rel=1e-14)
-            second, third, fourth = (moment.T[..., None] for moment in surrogate.moments[:3])
+            second, third, fourth, _, sixth = (moment.T[..., None] for moment in surrogate.moments)
             reciprocal = 1.0 / (1.0 + own * second)
-            proxies = np.where(window, reciprocal + surrogate.even * own * fourth * reciprocal ** 2
-                               + surrogate.odd * (own * third * reciprocal) ** 2 * reciprocal
-                               - exact, 0.0)
+            terms = [reciprocal, own * fourth * reciprocal ** 2,
+                     (own * third * reciprocal) ** 2 * reciprocal, own * sixth * reciprocal ** 2,
+                     (own * fourth * reciprocal) ** 2 * reciprocal,
+                     (own * third * reciprocal) ** 4 * reciprocal]
+            proxy = sum(weight * term for weight, term in zip(term_weights, terms))
+            proxies = np.where(window, proxy - exact, 0.0)
             table = numerics.hamdi_factors(nodes, rows)
             factors += [(table[side::count].sum(axis=0) - 2.0 * proxies[side::count].sum(axis=0))
                         / (2 * pairs) for side in range(count)]

@@ -25,11 +25,14 @@ from nbofdma.numerics import (
     integrate,
     moment_reciprocal_mean,
     odd_power_scale,
+    quartic_third_moment_mean,
     sin_pi,
     sinc,
     sinc_squared,
     sinc_squared_pair,
     sine_integral,
+    sixth_moment_mean,
+    squared_fourth_moment_mean,
     third_moment_mean,
 )
 
@@ -853,6 +856,94 @@ def test_second_order_means_are_the_means_over_drawn_devices(paths):
                               ((c * third * reciprocal) ** 2 * reciprocal, third_moment_mean)):
             error = samples.std(ddof=1) / math.sqrt(samples.size)
             assert abs(samples.mean() - mean(c, paths)) <= 4.0 * error
+
+
+# the third-order surrogates' columns W = c m_6 S^2, X = c^2 m_4^2 S^3 and
+# Y = c^4 m_3^4 S^5: each mean with its monomial's orders and its power j of S
+THIRD_ORDER = [(sixth_moment_mean, (6,), 2), (squared_fourth_moment_mean, (4, 4), 3),
+               (quartic_third_moment_mean, (3, 3, 3, 3), 5)]
+THIRD_ORDER_IDS = ["omega", "chi", "eta"]
+
+
+def _one_path_mean_by_mpmath(mpmath, c: float, degree: int, power: int) -> float:
+    # E[c^(j-1) z^P / (1 + c z^2)^j] at one path, z = u cos psi, whose |z|
+    # has the density (2 / pi) acosh(1 / z) on (0, 1): mpmath's quadrature
+    # at 30 digits, split around z = 1 / sqrt(c) (within 1e-25 of tau_1's
+    # closed form from c = 1e-3 to 1e12)
+    with mpmath.workdps(30):
+        c = mpmath.mpf(c)
+        root = 1 / mpmath.sqrt(c)
+        points = sorted({mpmath.mpf(0), mpmath.mpf(1)}
+                        | {root * k for k in (1e-2, 1e-1, 1, 10, 100) if root * k < 1})
+        return float(2 / mpmath.pi * mpmath.quad(
+            lambda z: c ** (power - 1) * z ** degree / (1 + c * z * z) ** power
+            * mpmath.acosh(1 / z), points))
+
+
+@pytest.mark.parametrize("mean,orders,power", THIRD_ORDER, ids=THIRD_ORDER_IDS)
+def test_third_order_means_at_one_path_match_mpmath(mean, orders, power):
+    # from c = 1e-3 to 1e12 against mpmath; beyond, c^(j-1) m_2^(j+1) S^j =
+    # (z^2 / c) (1 - S)^j at one path, whose mean is E[z^2] / c = 1 / 6c
+    # less at most j E[z^2 S] / c <= j / c^2, so from c = 1e40 up to 1e300
+    # the mean is 1 / 6c to rounding
+    mpmath = pytest.importorskip("mpmath")
+    scales = np.geomspace(1e-3, 1e12, 31)
+    exact = np.array([_one_path_mean_by_mpmath(mpmath, c, sum(orders), power) for c in scales])
+    assert np.max(abs(mean(scales, 1) - exact) / exact) <= 1e-13
+    large = np.array([1e40, 1e100, 1e200, 1e300])
+    assert np.max(abs(mean(large, 1) * 6.0 * large - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("mean,orders,power", THIRD_ORDER, ids=THIRD_ORDER_IDS)
+def test_third_order_means_keep_their_limits_and_shapes(mean, orders, power):
+    # below c = e^-40, c^(j-1) E[X], E[X] the exact monomial mean (5/112,
+    # 35/1152 and 231/13312 at one path); 0 at c = 0 and at inf; a float
+    # for a float, an array of the shape of an array, and each value the
+    # same bits as alone
+    assert numerics._monomial_mean(orders, 1) \
+        == {(6,): 5 / 112, (4, 4): 35 / 1152, (3, 3, 3, 3): 231 / 13312}[orders]
+    for paths in (1, 8):
+        assert mean(1e-30, paths) == 1e-30 ** (power - 1) * numerics._monomial_mean(orders, paths)
+        assert mean(np.array([0.0, math.inf]), paths).tolist() == [0.0, 0.0]
+    scales = np.concatenate([[0.0, 1e-30], np.geomspace(1e-17, 1e300, 97), [math.inf]])
+    assert mean(scales, 8).tolist() == [mean(float(c), 8) for c in scales]
+    assert isinstance(mean(2.0, 8), float)
+    assert mean(np.ones((2, 3)), 8).shape == (2, 3)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6])
+@pytest.mark.parametrize("mean,orders,power", THIRD_ORDER, ids=THIRD_ORDER_IDS)
+def test_third_order_means_at_eight_paths_meet_their_series(mean, orders, power, c):
+    # E[c^(j-1) X S^j] = sum_k (-1)^k C(k + j - 1, j - 1) c^(j-1+k) E[X
+    # m_2^k], from the exact monomial means; the next terms are below 1e-17
+    # of these, and the table's patterns of equal path indices at 8 paths
+    # must give them
+    moment = functools.partial(montecarlo._monomial_mean, paths=8)
+    with_fractions = Fraction(c)
+    series = sum((-1) ** k * math.comb(k + power - 1, power - 1)
+                 * with_fractions ** (power - 1 + k) * Fraction(moment(orders + (2,) * k))
+                 for k in range(3))
+    assert mean(c, 8) == pytest.approx(float(series), rel=1e-14, abs=0.0)
+
+
+def test_third_order_means_are_the_means_over_drawn_devices():
+    # 2^20 devices of the sampler at 8 paths: at each c the sample means of
+    # c m_6 S^2, c^2 m_4^2 S^3 and c^4 m_3^4 S^5, S = 1 / (1 + c m_2), within
+    # 5 standard errors of omega_M(c), chi_M(c) and eta_M(c)
+    rng = np.random.default_rng(5678)
+    shift = np.concatenate([sample_cell_batch(rng, 1024, 256, CellConfig(8)).reshape(-1, 8)
+                            for _ in range(4)])
+    assert len(shift) == 1 << 20
+    second, third, fourth, sixth = (np.mean(shift ** p, axis=1) for p in (2, 3, 4, 6))
+    for c in (1.0, 100.0, 1500.0):
+        reciprocal = 1.0 / (1.0 + c * second)
+        for samples, mean in ((c * sixth * reciprocal ** 2, sixth_moment_mean),
+                              ((c * fourth * reciprocal) ** 2 * reciprocal,
+                               squared_fourth_moment_mean),
+                              ((c * third * reciprocal) ** 4 * reciprocal,
+                               quartic_third_moment_mean)):
+            error = samples.std(ddof=1) / math.sqrt(samples.size)
+            assert abs(samples.mean() - mean(c, 8)) <= 5.0 * error
 
 
 def test_odd_power_scale_matches_mpmath():

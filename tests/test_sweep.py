@@ -339,9 +339,9 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # target's rounds (P = (N - 100) // 8 and R_0 = P // 3,
     # montecarlo._capacity_draws), on 256 rows (a power and a
     # mirror's power; M more while its parts copy their columns out of the
-    # sampler's array, which then outweighs the tail's sampler, or 10 a
-    # trial and drawn +-1 draw while the factors form those neighbours'
-    # surrogate lines, more than either at this N), and
+    # sampler's array, which then outweighs the tail's sampler and the
+    # factors' lines, the +-1 neighbours' surrogates' 15 a trial and drawn
+    # draw formed 32 pairs at a time), and
     # (M + 3) on its tail's 2N - 20 on 32, 5 doubles a trial and drawn near
     # draw and 1 a trial and mid device that it holds across blocks, no
     # weight on its main draws; either 11 a device
@@ -367,10 +367,10 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     ("system.half_subcarriers = 1012389\ncell.paths_per_device = 1", "ici_mc", "run"),
     ("system.half_subcarriers = 1012390\ncell.paths_per_device = 1", "ici_mc", "block"),
     ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.61 GiB
-    ("system.half_subcarriers = 93523", "capacity_mc", None),   # 1.75 GiB - 29 kB
-    ("system.half_subcarriers = 93524", "capacity_mc", "run"),    # 1.75 GiB + 77 kB
-    ("system.half_subcarriers = 93554", "capacity_mc", "run"),   # block 1.75 GiB - 4.3 kB
-    ("system.half_subcarriers = 93555", "capacity_mc", "block"),   # 1.75 GiB + 1640 B
+    ("system.half_subcarriers = 95198", "capacity_mc", None),   # 1.75 GiB - 3.0 kB
+    ("system.half_subcarriers = 95199", "capacity_mc", "run"),    # 1.75 GiB + 3.0 kB
+    ("system.half_subcarriers = 95227", "capacity_mc", "run"),   # block 1.75 GiB - 98 kB
+    ("system.half_subcarriers = 95228", "capacity_mc", "block"),   # 1.75 GiB + 24 B
     ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.20 and 0.61 GiB
     ("system.half_subcarriers = 250000", "ici_mc", None),   # 1.50 GiB
     # the capacity's 4.68 GiB
