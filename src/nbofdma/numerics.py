@@ -559,7 +559,7 @@ def moment_reciprocal_mean(c, paths: int):
 # (for k = 2 the combined A&S 9.7.1 series), s^k Psi_k(s) = Gamma(k + 1/2) /
 # (pi sqrt(s)) sum_n d_n s^-n, d_0 = 1, d_n = d_(n-1) (2n - 1) (2n + 2k - 1)
 # / 4n: 24 terms reach rounding from s = 80 (4e-18 of the sum at k = 6).
-_MOMENT_STEP = 0.125
+_MOMENT_STEP = 0.125  # h, the step in ln lam of these tables' trapezoid
 _PSI_NODES = np.cos((np.arange(64) + 0.5) * (math.pi / 128.0)) ** 2  # cos^2 of the midpoints
 _PSI_REACH, _PSI_SERIES = 80.0, 24
 

@@ -1102,10 +1102,33 @@ def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, pa
     # Taylor terms of odd order.  At N = 3 the far devices' one |n| also
     # leaves four of the Taylor terms (p, e) no rank (two of them odd):
     # those columns are exactly 0 too.  A target of R_0 rounds keeps its 9
-    # columns, each the mean over its rounds
+    # columns, each the mean over its rounds.  So do the surrogate terms of
+    # the +-1 and +-2 neighbours' pairs less their exact means (S, T, U, W,
+    # X and Y of each pair's path moments at c = 1 and 300, summed over the
+    # drawn columns of every block)
     draws = montecarlo._capacity_draws
     monkeypatch.setattr(montecarlo, "_capacity_draws",
                         lambda half_subcarriers: (target_rounds, draws(half_subcarriers)[1]))
+    terms, build = np.zeros((2, 2, 6)), montecarlo._near_columns  # (sum, square), c, term
+
+    def near_columns(part, *args):
+        build(part, *args)
+        if part.mirrored:
+            second, third, fourth, _, sixth = part.moments
+            for row, c in zip(terms.transpose(1, 0, 2), (1.0, 300.0)):
+                reciprocal = 1.0 / (1.0 + c * second)
+                for column, (value, exact) in enumerate((
+                        (reciprocal, numerics.moment_reciprocal_mean),
+                        (c * fourth * reciprocal ** 2, numerics.fourth_moment_mean),
+                        ((c * third * reciprocal) ** 2 * reciprocal, numerics.third_moment_mean),
+                        (c * sixth * reciprocal ** 2, numerics.sixth_moment_mean),
+                        ((c * fourth * reciprocal) ** 2 * reciprocal,
+                         numerics.squared_fourth_moment_mean),
+                        ((c * third * reciprocal) ** 4 * reciprocal,
+                         numerics.quartic_third_moment_mean))):
+                    value = value - exact(c, paths)
+                    row[:, column] += value.sum(), (value * value).sum()
+    monkeypatch.setattr(montecarlo, "_near_columns", near_columns)
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
     plan = TrialPlan(trials=1 << 20, seed=32, target_index=target)
     assert montecarlo._near_devices(target + half_subcarriers, 2 * half_subcarriers + 1) == near
@@ -1116,6 +1139,11 @@ def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, pa
     mean = v.mean(axis=0)
     spread = v.std(axis=0) / math.sqrt(plan.trials)
     assert np.all(np.abs(mean) <= 4.0 * spread), np.abs(mean) / spread
+    count = plan.trials * (len(near) - 1)  # a pair a neighbour and trial, one round each
+    if count:
+        mean = terms[0] / count
+        spread = np.sqrt((terms[1] / count - mean ** 2) / count)
+        assert np.all(np.abs(mean) <= 4.0 * spread), np.abs(mean) / spread
 
 
 def _independent_monomial_mean(orders, paths):
@@ -1800,7 +1828,9 @@ CAPACITY_VARIATE_OFF_STD_ERROR = {1250.0: 0.013232985, 2500.0: 0.010599176}
 @pytest.mark.parametrize("v_max", sorted(CAPACITY_VARIATE_OFF_STD_ERROR))
 def test_capacity_variates_need_no_cut_off(v_max):
     # fitted coefficients cut the variance at any x: the standard errors
-    # are 0.073 and 0.27 of those without a variate (0.077 and 0.27 with
+    # are 0.066 and 0.31 of those without a variate with the third-order
+    # surrogates (0.066 and 0.68 with W and X at every span; an earlier
+    # tree read 0.073 and 0.27 with those of second order; 0.077 and 0.27 with
     # the +-1 neighbours' first-order surrogates, 0.13 and 0.51 with their
     # second-order ones without the odd part's Clarke scale, 0.11 and 0.30
     # without the mirrored draws, 0.15 and 0.33 without the surrogates)
