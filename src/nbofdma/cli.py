@@ -42,8 +42,7 @@ from .analytic import (
 )
 from .montecarlo import (TrialPlan, estimate_ergodic_capacity, estimate_total_ici,
                          estimate_useful_power)
-from .numerics import (QuadratureError, fourth_moment_mean, moment_reciprocal_mean,
-                       third_moment_mean)
+from .numerics import SURROGATE_TERMS, QuadratureError, surrogate_mean
 from .sweep import (ConfigError, _snr_to_noise, emit, parse_config, preset_path,
                     run_sweep, to_text)
 from .sysmodel import CellConfig, MobilityModel, SystemConfig, sample_cell_batch, subcarrier_gaps
@@ -299,31 +298,31 @@ def _cmd_check(args) -> int:
         rel = max(rel, gap / quadrature if quadrature else gap)
     record("ici-series-agreement", ok, f"max relative gap {rel:.3e}")
 
-    # the capacity's surrogates subtract their exact means h_M(c), tau_M(c)
-    # and upsilon_M(c), read from tables: at one path they must meet their
-    # closed forms (the second-order ones from c = 10, below which their
-    # terms cancel in floating point), and at the cell's path count the
-    # means of 1 / (1 + c m_2), c m_4 S^2 and c^2 m_3^2 S^3, S = 1 / (1 + c
-    # m_2), over 2^16 drawn devices
+    # the capacity's surrogates c^(j-1) X S^j, S = 1 / (1 + c m_2), subtract
+    # their exact means, read from tables: at one path h_M(c), tau_M(c) and
+    # upsilon_M(c) must meet their closed forms (the second-order ones from
+    # c = 10, below which their terms cancel in floating point), and at the
+    # cell's path count each of the six the mean of its term over 2^16
+    # drawn devices
     scales = np.geomspace(1e-3, 1e6, 37)
-    rel = float(np.max(abs(moment_reciprocal_mean(scales, 1) * np.sqrt(scales)
+    rel = float(np.max(abs(surrogate_mean(scales, 1) * np.sqrt(scales)
                            / np.arcsinh(np.sqrt(scales)) - 1.0)))
     scales = scales[scales >= 10.0]
     asinh = np.arcsinh(np.sqrt(scales)) / np.sqrt(scales)
-    for mean, exact in ((fourth_moment_mean, (1.0 - 1.5 * asinh + 0.5 / np.sqrt(1.0 + scales))
-                         / scales),
-                        (third_moment_mean, (1.0 - 1.875 * asinh + 0.875 / np.sqrt(1.0 + scales)
-                                             + 0.125 * scales / (1.0 + scales) ** 1.5) / scales)):
-        rel = max(rel, float(np.max(abs(mean(scales, 1) / exact - 1.0))))
+    tau, upsilon = SURROGATE_TERMS[1:3]
+    for key, exact in ((tau, (1.0 - 1.5 * asinh + 0.5 / np.sqrt(1.0 + scales)) / scales),
+                       (upsilon, (1.0 - 1.875 * asinh + 0.875 / np.sqrt(1.0 + scales)
+                                  + 0.125 * scales / (1.0 + scales) ** 1.5) / scales)):
+        rel = max(rel, float(np.max(abs(surrogate_mean(scales, 1, *key) / exact - 1.0))))
     shift = sample_cell_batch(np.random.default_rng(args.seed), 256, 256, cell)
-    second, third, fourth = (np.mean(shift ** p, axis=2).ravel() for p in (2, 3, 4))
+    moments = {p: np.mean(shift ** p, axis=2).ravel() for p in (2, 3, 4, 6)}
     worst = 0.0
     for scale in (1.0, 100.0, 1500.0):
-        reciprocal = 1.0 / (1.0 + scale * second)
-        for samples, mean in ((reciprocal, moment_reciprocal_mean),
-                              (scale * fourth * reciprocal ** 2, fourth_moment_mean),
-                              ((scale * third * reciprocal) ** 2 * reciprocal, third_moment_mean)):
-            gap = abs(samples.mean() - mean(scale, cell.paths_per_device))
+        reciprocal = 1.0 / (1.0 + scale * moments[2])
+        for orders, power in SURROGATE_TERMS:
+            samples = scale ** (power - 1) * math.prod(moments[p] for p in orders) \
+                * reciprocal ** power
+            gap = abs(samples.mean() - surrogate_mean(scale, cell.paths_per_device, orders, power))
             worst = max(worst, gap / (samples.std(ddof=1) / math.sqrt(samples.size)))
     record("capacity-surrogate-mean", rel <= 1e-12 and worst <= 4.0,
            f"one path: max relative gap {rel:.3e}; {cell.paths_per_device} paths: "

@@ -40,11 +40,9 @@ import numpy as np
 
 # bench/spans.py patches sinc (no caller here) and sample_cell_batch on this module
 from .analytic import LOG2_E
-from .numerics import (HAMDI_MAX_SCALE, _monomial_mean, doppler_power_scale, fourth_moment_mean,
-                       hamdi_basis, hamdi_factors, hamdi_rule, moment_reciprocal_mean,
-                       odd_power_scale, quartic_third_moment_mean, row_tiles, sinc, sinc_squared,
-                       sinc_squared_pair, sixth_moment_mean, squared_fourth_moment_mean,
-                       third_moment_mean)
+from .numerics import (HAMDI_MAX_SCALE, SURROGATE_TERMS, _monomial_mean, doppler_power_scale,
+                       hamdi_basis, hamdi_factors, hamdi_rule, odd_power_scale, row_tiles, sinc,
+                       sinc_squared, sinc_squared_pair, surrogate_mean)
 from .sysmodel import (CellConfig, MobilityModel, SystemConfig, _whole_number,
                        sample_cell_batch, subcarrier_gaps)
 
@@ -1021,7 +1019,7 @@ def _part_factors(part, powers, weights, state, surrogate, out, scratch):
     the mean over its pairs of S + r x^2 T + g U - s x^4 W + r^2 x^4 X +
     g^2 Y less its exact mean h_M(c) + r x^2 tau_M(c) + g upsilon_M(c) - s
     x^4 omega_M(c) + r^2 x^4 chi_M(c) + g^2 eta_M(c)
-    (:func:`numerics.moment_reciprocal_mean` and the tables after it), with
+    (:func:`numerics.surrogate_mean` of each term's key), with
     c = t SNR x^2 / Q^2, Q = n q, r = pi^2 / 3 - 3 / Q^2, s = 5 / Q^4 -
     pi^2 / Q^2 + 2 pi^4 / 45, S = 1 / (1 + c m_2), T = c m_4 S^2, U = c^2
     m_3^2 S^3, W = c m_6 S^2, X = c^2 m_4^2 S^3 and Y = c^4 m_3^4 S^5 of
@@ -1264,12 +1262,9 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
     (:data:`_EVEN_REACH`), and their exact ``mean`` there less 1, h_M(c /
     n^2) - 1 + r x^2 tau_M(c / n^2) + g upsilon_M(c / n^2) - s x^4
     omega_M(c / n^2) + (r x^2)^2 chi_M(c / n^2) + g^2 eta_M(c / n^2)
-    (:func:`numerics.moment_reciprocal_mean`,
-    :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`,
-    :func:`numerics.sixth_moment_mean`,
-    :func:`numerics.squared_fourth_moment_mean`,
-    :func:`numerics.quartic_third_moment_mean`); and for the mid part the
-    window of n = 1, its ``scale`` c k / (t n_j^2) of each of its devices,
+    (:func:`numerics.surrogate_mean` of each key of
+    :data:`numerics.SURROGATE_TERMS`); and for the mid part the window of
+    n = 1, its ``scale`` c k / (t n_j^2) of each of its devices,
     its ``mean`` prod_j h_M(c k / n_j^2) there and 1 off it, and the
     ``basis`` its lines take: (t^2, t, 1) of t the nodes times the lines'
     scale (:func:`_line_scale`) for its draw and its mirror, and for its
@@ -1317,12 +1312,10 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
         sixth = kept * np.array([-(5.0 / q ** 4 - math.pi ** 2 / q ** 2 + 2.0 * math.pi ** 4 / 45.0)
                                  * spans[k] ** 4 for (k, *_), q in zip(near, whole)])
         square, quartic = kept * even ** 2, odd ** 2
-        mean = moment_reciprocal_mean(c, paths) - 1.0
-        for weights, moment_mean in ((even, fourth_moment_mean), (odd, third_moment_mean),
-                                     (sixth, sixth_moment_mean),
-                                     (square, squared_fourth_moment_mean),
-                                     (quartic, quartic_third_moment_mean)):
-            mean += np.repeat(weights, widths) * moment_mean(c, paths)
+        mean = surrogate_mean(c, paths, *SURROGATE_TERMS[0]) - 1.0  # S, at weight 1
+        for weights, key in zip((even, odd, sixth, square, quartic), SURROGATE_TERMS[1:],
+                                strict=True):
+            mean += np.repeat(weights, widths) * surrogate_mean(c, paths, *key)
         edges = np.cumsum([0] + widths).tolist()
         for j, (k, i, _, window, _) in enumerate(near):
             found[k][i] = SimpleNamespace(window=window, scale=own[j], even=even[j], odd=odd[j],
@@ -1337,7 +1330,7 @@ def _surrogates(sets: list[_DrawSet], index_gaps: np.ndarray, scenarios, states,
             * doppler_power_scale(np.array([spans[k] for k, *_ in mid]))
         # the mid part's c k / n_j^2, a row for each distinct n_j^2
         far = np.repeat(far_scales, widths) / gaps[:, None] * t
-        far_mean = np.prod(np.repeat(moment_reciprocal_mean(far, paths), counts, axis=0), axis=0)
+        far_mean = np.prod(np.repeat(surrogate_mean(far, paths), counts, axis=0), axis=0)
         edges = np.cumsum([0] + widths).tolist()
         for j, (k, i, t, window, _) in enumerate(mid):
             basis = np.repeat(_square_basis(t, _line_scale(states[k].snr))[None], 3, axis=0)
@@ -1431,11 +1424,7 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
     d^4 and d^6, and g = 4 x^2 / Q^2 (times the odd part's Clarke scale,
     :func:`numerics.odd_power_scale`), which the neighbour subtracts at
     slope 1 less its exact mean, each term's a 1-D integral tabulated once
-    per path count (:func:`numerics.moment_reciprocal_mean`,
-    :func:`numerics.fourth_moment_mean`, :func:`numerics.third_moment_mean`,
-    :func:`numerics.sixth_moment_mean`,
-    :func:`numerics.squared_fourth_moment_mean`,
-    :func:`numerics.quartic_third_moment_mean`); W and X only at spans x <=
+    per path count (:func:`numerics.surrogate_mean`); W and X only at spans x <=
     Q / 2 (:data:`_EVEN_REACH`).  The mid part's factor is to leading order
     prod_j 1 / (1 + c k m_(2,j) / n_j^2), of mean prod_j h_M(c k / n_j^2),
     which it subtracts at slope 1 too.  Where c reaches 10^3, at fig4's 500

@@ -33,12 +33,8 @@ __all__ = [
     "hamdi_rule",
     "hamdi_basis",
     "hamdi_factors",
-    "moment_reciprocal_mean",
-    "fourth_moment_mean",
-    "third_moment_mean",
-    "sixth_moment_mean",
-    "squared_fourth_moment_mean",
-    "quartic_third_moment_mean",
+    "SURROGATE_TERMS",
+    "surrogate_mean",
     "doppler_power_scale",
     "odd_power_scale",
     "integrate",
@@ -423,27 +419,65 @@ def hamdi_factors(nodes, faded, far=None, out=None):
     return out
 
 
-# The capacity's surrogates have the exact mean h_M(c) = E[1 / (1 + c m_2)],
-# m_2 = u^2 mean_m cos^2 psi_m the second path moment of a device of M paths
-# (u uniform on [0, 1), the psi_m uniform and independent).  With
-# 1 / (1 + y) = int e^(-w (1 + y)) dw, Phi_M(a) = E[e^(-a mean_m cos^2 psi_m)]
-# = (e^(-a/2M) I0(a/2M))^M = Psi_0(a / M)^M, Psi_0(s) = E[e^(-s cos^2 psi)]
-# (:func:`_cosine_power_laplace` of order 0), and lam = w u^2, whose density
-# is (sqrt(pi) / 2) erfc(sqrt lam) / sqrt lam:
-#     h_M(c) = int_0^inf Phi_M(lam c) (sqrt(pi) / 2) erfc(sqrt lam) / sqrt lam dlam,
-# a trapezoid of step 1/4 in s = ln lam from s = -80 - ln c to 4 (within
-# 1e-15 of asinh(sqrt c) / sqrt c at M = 1, up to c = 1e300).  The table
-# holds sqrt(1 + c) h_M(c), a slowly varying function of ln c, on a
-# lattice of step 1/16 in ln c, where the trapezoid's nodes fall on one
-# finer lattice, so that the table is a correlation of Phi_M's values with
-# the weights; 10-point Lagrange interpolation reads it within about 1e-14.
-_REC_STEP, _REC_GRID, _REC_ORDER = 0.25, 1.0 / 16.0, 9
-_REC_LOW, _REC_HIGH = -40.0, 716.0  # ln c of the table's ends; 1 - c/6 below
+# The capacity's surrogates (:func:`montecarlo._part_factors`) are each
+# c^(j-1) X S^j, S = 1 / (1 + c m_2), X = prod_i m_(p_i) a product of path
+# moments m_p = u^p mean_m cos^p psi_m of a device of M paths (u uniform on
+# [0, 1), the psi_m uniform and independent) and j its power of S, keyed by
+# (p_i, j) in :data:`SURROGATE_TERMS`: S itself, T = c m_4 S^2 and U = c^2
+# m_3^2 S^3 of second order, W = c m_6 S^2, X = c^2 m_4^2 S^3 and Y = c^4
+# m_3^4 S^5 of third.  Their exact means h_M(c) = E[S], tau_M(c) = E[T],
+# upsilon_M(c) = E[U], omega_M(c) = E[W], chi_M(c) = E[X] and eta_M(c) =
+# E[Y] share one route.  With 1 / (1 + y)^j = int w^(j-1) e^(-w (1 + y)) dw
+# / (j - 1)! and lam = w u^2, each is
+#     c^(j-1) / (j - 1)! int_0^inf lam^(j-1) H(c lam) rho_i(lam) dlam,
+# rho_i(lam) = int_0^1 u^(2i) e^(-lam / u^2) du for the u^(2i) that X
+# leaves over S^j, 2i = P - 2j, P = sum_i p_i: i = -1 for S, rho_-1(lam) =
+# (sqrt(pi) / 2) erfc(sqrt lam) / sqrt lam, and by parts rho_i = (e^-lam -
+# 2 lam rho_(i-1)) / (2i + 1), i = 0 for T and U and 1 for W, X and Y.
+# H(mu) = E[prod_i mean_m cos^(p_i) psi_m e^(-(mu / M) sum_m cos^2 psi_m)]
+# sums over the patterns of equal path indices among the factors, as
+# :func:`_monomial_mean` does, with Psi_k(s) = E[cos^2k psi e^(-s cos^2
+# psi)] (Psi_0(s) = e^(-s/2) I0(s/2), Psi_2(s) = (1/4) e^(-s/2) (3/2 I0 - 2
+# I1 + 1/2 I2)(s/2)) and Phi = Psi_0 at s = mu / M; a pattern whose block
+# holds an odd sum of orders has mean 0, since E[cos^(2k+1) psi e^(-s cos^2
+# psi)] = 0: H = Phi^M for S, Psi_2 Phi^(M-1) for T, Psi_3 Phi^(M-1) / M
+# for U, Psi_3 Phi^(M-1) for W, [M Psi_4 Phi^(M-1) + M (M-1) Psi_2^2
+# Phi^(M-2)] / M^2 for X and [M Psi_6 Phi^(M-1) + 3 M (M-1) Psi_3^2
+# Phi^(M-2)] / M^4 for Y.  In mu = c lam, the mean is sum_s rho_i(e^s) L(ln
+# c + s) h / (c (j - 1)!), L(y) = e^(jy) H(e^y), a trapezoid of step h =
+# 1/8 in s = ln lam from s = -40 - 716 to 4, so that mu reaches down to
+# e^-40 at the table's last c, e^716 (L falls as e^(jy) below, and h_M's
+# tail there is below 4e-17 of it up to c = 1e300; at j = 5 a step of 1/4
+# left 6e-13, its error growing with j).  A table holds it on a lattice of
+# step 1/16 in ln c, where the trapezoid's nodes fall on one finer lattice,
+# so that the table is a correlation of L's values with the weights;
+# 10-point Lagrange interpolation reads it within about 1e-14.  The table
+# holds (1 + 1/c)^j times the sum, bounded in ln c: at c = 0, (j - 1)!
+# E[X], and at infinity, (j - 1)! E[X / m_2^j] (finite for i >= 0: X /
+# m_2^j is u^(2i) times a bounded function of the angles).  1 / m_2 has no
+# mean, and h_M(c) falls as ln(c) / sqrt(c) (asinh(sqrt c) / sqrt c at one
+# path), so its table holds sqrt(1 + c) h_M(c) instead, whose slope in ln
+# c stays small (held as (1 + c) h_M, the rounding of ln c would cost 3e-14
+# near c = 1e300).  The Bessel combinations cancel their leading orders
+# (Psi_2's first two), so they are not formed: up to s = 80, Psi_k is the
+# midpoint rule of 64 nodes on psi in [0, pi/2] (periodic and entire, so
+# its error, about e^(-s/2) I_(128-k)(s/2), is below 1e-40), and beyond it
+# the asymptotic series of Laplace's method (for k = 2 the combined A&S
+# 9.7.1 series), s^k Psi_k(s) = Gamma(k + 1/2) / (pi sqrt(s)) sum_n d_n
+# s^-n, d_0 = 1, d_n = d_(n-1) (2n - 1) (2n + 2k - 1) / 4n: 24 terms reach
+# rounding from s = 80 (4e-18 of the sum at k = 6).
+SURROGATE_TERMS = (((), 1), ((4,), 2), ((3, 3), 3),  # S, T and U: (p_i, j)
+                   ((6,), 2), ((4, 4), 3), ((3, 3, 3, 3), 5))  # W, X and Y
+_MOMENT_STEP = 0.125  # h, the step in ln lam of the tables' trapezoid
+_REC_GRID, _REC_ORDER = 1.0 / 16.0, 9
+_REC_LOW, _REC_HIGH = -40.0, 716.0  # ln c of the tables' ends; c^(j-1) E[X] below
 # the interpolation's nodes i = 0.._REC_ORDER, and 1 / prod_(j != i) (i - j)
 _REC_NODES = np.arange(_REC_ORDER + 1)[:, None]
 _REC_NODE_WEIGHTS = np.array([[(-1) ** (_REC_ORDER - i)
                                / (math.factorial(i) * math.factorial(_REC_ORDER - i))]
                               for i in range(_REC_ORDER + 1)])
+_PSI_NODES = np.cos((np.arange(64) + 0.5) * (math.pi / 128.0)) ** 2  # cos^2 of the midpoints
+_PSI_REACH, _PSI_SERIES = 80.0, 24
 
 
 def _interpolated(table: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -469,13 +503,13 @@ def _interpolated(table: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return total
 
 
-def _correlated(first: int, weights: np.ndarray, values, step: float = _REC_STEP) -> np.ndarray:
+def _correlated(first: int, weights: np.ndarray, values) -> np.ndarray:
     """sum_i weights_i values(y + s_i) at each y = ln c = _REC_LOW + j
-    _REC_GRID of the table, s_i = (first + i) ``step`` the trapezoid's
-    nodes in ln lam, a whole number of the table's steps: one correlation a
-    phase of the finer lattice on which both fall, ``values`` taking that
-    lattice's ln (c lam)."""
-    ratio = round(step / _REC_GRID)
+    _REC_GRID of the table, s_i = (first + i) h the trapezoid's nodes in ln
+    lam, h = _MOMENT_STEP a whole number of the table's steps: one
+    correlation a phase of the finer lattice on which both fall, ``values``
+    taking that lattice's ln (c lam)."""
+    ratio = round(_MOMENT_STEP / _REC_GRID)
     size = round((_REC_HIGH - _REC_LOW) / _REC_GRID) + 1
     lattice = _REC_LOW + (np.arange(size + ratio * (weights.size - 1)) + ratio * first) * _REC_GRID
     laplace = values(lattice)
@@ -486,92 +520,15 @@ def _correlated(first: int, weights: np.ndarray, values, step: float = _REC_STEP
     return table
 
 
-@functools.cache
-def _reciprocal_table(paths: int) -> np.ndarray:
-    """sqrt(1 + c) h_M(c) at ln c = _REC_LOW + j _REC_GRID, M = ``paths``,
-    built on first use; read-only."""
-    first = math.floor((-80.0 - _REC_HIGH) / _REC_STEP)
-    root = np.exp(np.arange(first, round(4.0 / _REC_STEP) + 1) * _REC_STEP / 2.0)
-    weights = (_REC_STEP * math.sqrt(math.pi) / 2.0) * root \
-        * np.array([math.erfc(r) for r in root])
-    table = _correlated(first, weights, lambda lattice:  # Phi_M = Psi_0(e^y / M)^M
-                        _cosine_power_laplace(lattice - math.log(paths), 0) ** paths)
-    log_c = _REC_LOW + np.arange(table.size) * _REC_GRID
-    table *= np.exp(log_c / 2.0) * np.sqrt(1.0 + np.exp(-log_c))  # sqrt(1 + c)
-    table.flags.writeable = False
-    return table
-
-
-def moment_reciprocal_mean(c, paths: int):
-    """h_M(c) = E[1 / (1 + c m_2)], m_2 = mean_m z_m^2 the second path
-    moment of a device of M = ``paths`` paths, z_m = u cos psi_m as
-    :func:`sysmodel.sample_cell_batch` draws it, for each c >= 0 of ``c``:
-    a float for a float, or an array of the shape of an array (inf gives
-    0).  Interpolated from a table of each path count, built on first use
-    (:func:`_reciprocal_table`); within 1e-13 relative of asinh(sqrt c) /
-    sqrt c at one path, for c up to 1e300.  Below c = e^-40, 1 - c E[m_2]
-    = 1 - c/6 is exact to rounding."""
-    c = np.asarray(c, dtype=float)
-    out = np.empty(c.shape)
-    np.subtract(1.0, c / 6.0, out=out)
-    inside = c > math.exp(_REC_LOW)
-    if inside.any():
-        scales = c[inside]
-        out[inside] = _interpolated(_reciprocal_table(paths), scales) / np.sqrt(1.0 + scales)
-    return out if out.ndim else float(out)
-
-
-# The pair surrogates' further columns (:func:`montecarlo._part_factors`)
-# are each c^(j-1) X S^j, S = 1 / (1 + c m_2), X = prod_i m_(p_i) a product
-# of path moments m_p = u^p mean_m cos^p psi_m and j its power of S: T = c
-# m_4 S^2 and U = c^2 m_3^2 S^3 of second order, W = c m_6 S^2, X = c^2
-# m_4^2 S^3 and Y = c^4 m_3^4 S^5 of third.  Their exact means tau_M(c) =
-# E[T], upsilon_M(c) = E[U], omega_M(c) = E[W], chi_M(c) = E[X] and
-# eta_M(c) = E[Y] share one route.  With 1 / (1 + y)^j = int w^(j-1) e^(-w
-# (1 + y)) dw / (j - 1)! and lam = w u^2, each is
-#     c^(j-1) / (j - 1)! int_0^inf lam^(j-1) H(c lam) rho_i(lam) dlam,
-# rho_i(lam) = int_0^1 u^(2i) e^(-lam / u^2) du for the u^(2i) that X
-# leaves over S^j, 2i = P - 2j, P = sum_i p_i: i = 0 for T and U, rho_0(lam)
-# = e^-lam - sqrt(pi lam) erfc(sqrt lam), and i = 1 for W, X and Y, rho_1 =
-# (e^-lam - 2 lam rho_0) / 3.  H(mu) = E[prod_i mean_m cos^(p_i) psi_m e^(-(mu
-# / M) sum_m cos^2 psi_m)] sums over the patterns of equal path indices
-# among the factors, as :func:`_monomial_mean` does, with Psi_k(s) =
-# E[cos^2k psi e^(-s cos^2 psi)] (Psi_2(s) = (1/4) e^(-s/2) (3/2 I0 - 2 I1 +
-# 1/2 I2)(s/2)) and Phi = Psi_0 at s = mu / M; a pattern whose block holds
-# an odd sum of orders has mean 0, since E[cos^(2k+1) psi e^(-s cos^2 psi)]
-# = 0: H = Psi_2 Phi^(M-1) for T, Psi_3 Phi^(M-1) / M for U, Psi_3 Phi^(M-1)
-# for W, [M Psi_4 Phi^(M-1) + M (M-1) Psi_2^2 Phi^(M-2)] / M^2 for X and [M
-# Psi_6 Phi^(M-1) + 3 M (M-1) Psi_3^2 Phi^(M-2)] / M^4 for Y.  In mu = c lam,
-# the mean is sum_s rho_i(e^s) L(ln c + s) h / (c (j - 1)!), L(y) = e^(jy)
-# H(e^y), a trapezoid of step h = 1/8 in s = ln lam from s = -40 - ln c to 4
-# (L falls as e^(jy) below; at j = 5 a step of 1/4 left 6e-13, its error
-# growing with j), on the lattice of the h_M table, which holds
-# (1 + 1/c)^j times the sum, bounded in ln c: at c = 0, E[X], and at
-# infinity, E[X / m_2^j] (finite: X / m_2^j is u^(2i) times a bounded
-# function of the angles).  Within 1e-14 of the closed forms at one path
-# (:func:`fourth_moment_mean`, :func:`third_moment_mean`) and 1e-13 of
-# mpmath (:func:`sixth_moment_mean`, :func:`squared_fourth_moment_mean`,
-# :func:`quartic_third_moment_mean`), up to c = 1e300.  The Bessel
-# combinations cancel their leading orders (Psi_2's first two), so they are
-# not formed: up to s = 80, Psi_k is the midpoint rule of 64 nodes on psi in
-# [0, pi/2] (periodic and entire, so its error, about e^(-s/2) I_(128-k)(s/2),
-# is below 1e-40), and beyond it the asymptotic series of Laplace's method
-# (for k = 2 the combined A&S 9.7.1 series), s^k Psi_k(s) = Gamma(k + 1/2) /
-# (pi sqrt(s)) sum_n d_n s^-n, d_0 = 1, d_n = d_(n-1) (2n - 1) (2n + 2k - 1)
-# / 4n: 24 terms reach rounding from s = 80 (4e-18 of the sum at k = 6).
-_MOMENT_STEP = 0.125  # h, the step in ln lam of these tables' trapezoid
-_PSI_NODES = np.cos((np.arange(64) + 0.5) * (math.pi / 128.0)) ** 2  # cos^2 of the midpoints
-_PSI_REACH, _PSI_SERIES = 80.0, 24
-
-
 def _cosine_power_laplace(log_s: np.ndarray, order: int, power: int | None = None) -> np.ndarray:
     """s^a Psi_k(s), Psi_k(s) = E[cos^2k psi e^(-s cos^2 psi)], k =
-    ``order`` and a = ``power`` (k unless given; k - 1 for the block that
-    takes a table's u^2, :func:`_moment_table`), for s = e^``log_s``: the
-    midpoint rule in psi up to s = 80, the asymptotic series of s^k Psi_k
-    beyond, times s^(a - k).  Order 0 is Psi_0(s) = e^(-s/2) I0(s/2), whose
-    M-th power at s = c / M is Phi_M(c), the Laplace transform of h_M and
-    of the surrogates' further tables."""
+    ``order`` and a = ``power`` (k unless given; k - i for the block that
+    takes a table's u^(2i), :func:`_moment_table`), for s = e^``log_s``:
+    the midpoint rule in psi up to s = 80, the asymptotic series of s^k
+    Psi_k beyond, times s^(a - k), formed as one power of s where a > k, so
+    that e^-``log_s``, which may underflow, never meets a negative power.
+    Order 0 is Psi_0(s) = e^(-s/2) I0(s/2), whose M-th power at s = c / M
+    is Phi_M(c), the Laplace transform of every table's H."""
     power = order if power is None else power
     out = np.empty(log_s.shape)
     small = log_s <= math.log(_PSI_REACH)
@@ -584,8 +541,11 @@ def _cosine_power_laplace(log_s: np.ndarray, order: int, power: int | None = Non
     series = np.zeros(inverse.shape)
     for n in range(_PSI_SERIES - 1, 0, -1):  # Horner
         series = (series + 1.0) * inverse * ((2 * n - 1) * (2 * n + 2 * order - 1) / (4.0 * n))
-    out[~small] = (series + 1.0) * (math.gamma(order + 0.5) / math.pi) * np.sqrt(inverse) \
-        * inverse ** (order - power)
+    if power > order:  # s^(a - k - 1/2)
+        scale = np.exp((power - order - 0.5) * log_s[~small])
+    else:
+        scale = np.sqrt(inverse) * inverse ** (order - power)
+    out[~small] = (series + 1.0) * (math.gamma(order + 0.5) / math.pi) * scale
     return out
 
 
@@ -636,15 +596,15 @@ def _monomial_mean(orders: tuple, paths: int) -> float:
 def _moment_table(paths: int, orders: tuple, power: int) -> np.ndarray:
     """(1 + 1/c)^j sum_s rho_i(e^s) L(ln c + s) h at ln c = _REC_LOW + k
     _REC_GRID for the mean of c^(j-1) X S^j, X = prod_i m_(p_i) of M =
-    ``paths`` paths, p_i = ``orders`` and j = ``power``, built on first use;
-    read-only."""
+    ``paths`` paths, p_i = ``orders`` and j = ``power``, or at j = 1,
+    sqrt(1 + c) h_M(c); built on first use, read-only."""
     first = math.floor((-40.0 - _REC_HIGH) / _MOMENT_STEP)
-    lam = np.exp(np.arange(first, round(4.0 / _MOMENT_STEP) + 1) * _MOMENT_STEP)
-    rho = np.array([math.exp(-v) - math.sqrt(math.pi * v) * math.erfc(math.sqrt(v)) for v in lam])
-    spare = sum(orders) // 2 - power  # i: the u^(2i) that X leaves over S^j, 0 or 1
-    if spare:
-        rho = (np.exp(-lam) - 2.0 * lam * rho) / 3.0
-    weights = _MOMENT_STEP * rho
+    nodes = np.arange(first, round(4.0 / _MOMENT_STEP) + 1) * _MOMENT_STEP  # s = ln lam
+    lam, root = np.exp(nodes), np.exp(nodes / 2.0)  # lam underflows below e^-745, its root not
+    rho = (math.sqrt(math.pi) / 2.0) * np.array([math.erfc(r) for r in root]) / root  # rho_-1
+    spare = sum(orders) // 2 - power  # i: the u^(2i) that X leaves over S^j, -1, 0 or 1
+    for i in range(spare + 1):
+        rho = (np.exp(-lam) - 2.0 * lam * rho) / (2 * i + 1)
     patterns = [(count * paths ** power / paths ** len(orders), halves)
                 for count, halves in _even_patterns(orders, paths)]
 
@@ -652,93 +612,52 @@ def _moment_table(paths: int, orders: tuple, power: int) -> np.ndarray:
         log_s = lattice - math.log(paths)
         total = np.zeros(lattice.shape)
         for weight, halves in patterns:
-            term = _cosine_power_laplace(log_s, halves[0], halves[0] - spare) * weight
-            for half in halves[1:]:
+            head, *rest = halves or [0]  # S's empty monomial: s Psi_0 Psi_0^(M-1)
+            term = _cosine_power_laplace(log_s, head, head - spare) * weight
+            for half in rest:
                 term *= _cosine_power_laplace(log_s, half)
-            total += term * _cosine_power_laplace(log_s, 0) ** (paths - len(halves))
+            total += term * _cosine_power_laplace(log_s, 0) ** (paths - 1 - len(rest))
         return total
-    table = _correlated(first, weights, values, _MOMENT_STEP)
-    table *= (1.0 + np.exp(-_REC_LOW - np.arange(table.size) * _REC_GRID)) ** power  # (1 + 1/c)^j
+    table = _correlated(first, _MOMENT_STEP * rho, values)
+    log_c = _REC_LOW + np.arange(table.size) * _REC_GRID
+    if power == 1:  # sqrt(1 + c) / c, which no c past the double range forms
+        table *= np.exp(-log_c / 2.0) * np.sqrt(1.0 + np.exp(-log_c))
+    else:
+        table *= (1.0 + np.exp(-log_c)) ** power  # (1 + 1/c)^j
     table.flags.writeable = False
     return table
 
 
-def _moment_mean(c, paths: int, orders: tuple, power: int):
-    """The mean of c^(j-1) X S^j (:func:`_moment_table`), X = prod_i
-    m_(p_i), p_i = ``orders`` and j = ``power``, at each c of ``c``: a float
-    for a float, or an array of the shape of an array (inf gives 0).  Below
-    c = e^-40, c^(j-1) E[X] (:func:`_monomial_mean`), exact to rounding."""
+def surrogate_mean(c, paths: int, orders: tuple = (), power: int = 1):
+    """The exact mean of c^(j-1) X S^j, S = 1 / (1 + c m_2) and X =
+    prod_i m_(p_i), p_i = ``orders`` and j = ``power``, m_p = mean_m z_m^p
+    the path moments of a device of M = ``paths`` paths, z_m = u cos psi_m
+    as :func:`sysmodel.sample_cell_batch` draws it, for each c >= 0 of
+    ``c``: a float for a float, or an array of the shape of an array (inf
+    gives 0), each value the same bits as alone.  With the defaults it is
+    h_M(c) = E[S]; :data:`SURROGATE_TERMS` keys the capacity's six
+    surrogates.  Interpolated from a table of each key and path count,
+    built on first use (:func:`_moment_table`), for c up to 1e300: at one
+    path within 1e-13 relative of h_1(c) = asinh(sqrt c) / sqrt c, 1e-14 of
+    the closed forms tau_1(c) = (1 - 3/2 asinh(sqrt c) / sqrt c + 1/2 /
+    sqrt(1 + c)) / c and upsilon_1(c) = 1 / c - 15/8 asinh(sqrt c) /
+    c^(3/2) + 7/8 / (c sqrt(1 + c)) + 1/8 / (1 + c)^(3/2), and 1e-13 of
+    mpmath for the third-order means.  Below c = e^-40, c^(j-1) E[X]
+    (:func:`_monomial_mean`: 1 for h_M, 3c/40 for tau_M), exact to
+    rounding."""
     c = np.asarray(c, dtype=float)
     out = np.empty(c.shape)
     inside = c > math.exp(_REC_LOW)
     out[~inside] = c[~inside] ** (power - 1) * _monomial_mean(orders, paths)
     if inside.any():
         scales = c[inside]
-        out[inside] = _interpolated(_moment_table(paths, orders, power), scales) \
-            / ((1.0 + 1.0 / scales) ** (power - 1) * (1.0 + scales) * math.factorial(power - 1))
+        if power == 1:
+            held = np.sqrt(1.0 + scales)
+        else:
+            held = (1.0 + 1.0 / scales) ** (power - 1) * (1.0 + scales) \
+                * math.factorial(power - 1)
+        out[inside] = _interpolated(_moment_table(paths, orders, power), scales) / held
     return out if out.ndim else float(out)
-
-
-def fourth_moment_mean(c, paths: int):
-    """tau_M(c) = E[c m_4 / (1 + c m_2)^2], m_p = mean_m z_m^p the path
-    moments of a device of M = ``paths`` paths, as for
-    :func:`moment_reciprocal_mean`, for each c >= 0 of ``c``: a float for a
-    float, or an array of the shape of an array (inf gives 0).
-    Interpolated from a table of each path count, built on first use
-    (:func:`_moment_table`); within 1e-14 relative of the closed form at
-    one path, (1 - 3/2 asinh(sqrt c) / sqrt c + 1/2 / sqrt(1 + c)) / c, for
-    c up to 1e300.  Below c = e^-40, c E[m_4] = 3c/40 is exact to
-    rounding."""
-    return _moment_mean(c, paths, (4,), 2)
-
-
-def third_moment_mean(c, paths: int):
-    """upsilon_M(c) = E[c^2 m_3^2 / (1 + c m_2)^3], m_p = mean_m z_m^p the
-    path moments of a device of M = ``paths`` paths, as for
-    :func:`moment_reciprocal_mean`, for each c >= 0 of ``c``: a float for a
-    float, or an array of the shape of an array (inf gives 0).
-    Interpolated from a table of each path count, built on first use
-    (:func:`_moment_table`); within 1e-14 relative of the closed form at
-    one path, 1 / c - 15/8 asinh(sqrt c) / c^(3/2) + 7/8 / (c sqrt(1 + c))
-    + 1/8 / (1 + c)^(3/2), for c up to 1e300.  Below c = e^-40, c^2
-    E[m_3^2] = 5 c^2 / 112 M is exact to rounding."""
-    return _moment_mean(c, paths, (3, 3), 3)
-
-
-def sixth_moment_mean(c, paths: int):
-    """omega_M(c) = E[c m_6 / (1 + c m_2)^2], m_p = mean_m z_m^p the path
-    moments of a device of M = ``paths`` paths, as for
-    :func:`moment_reciprocal_mean`, for each c >= 0 of ``c``: a float for a
-    float, or an array of the shape of an array (inf gives 0).
-    Interpolated from a table of each path count, built on first use
-    (:func:`_moment_table`); within 1e-13 relative of mpmath at one path,
-    for c up to 1e300.  Below c = e^-40, c E[m_6] = 5c/112 is exact to
-    rounding."""
-    return _moment_mean(c, paths, (6,), 2)
-
-
-def squared_fourth_moment_mean(c, paths: int):
-    """chi_M(c) = E[c^2 m_4^2 / (1 + c m_2)^3], m_p = mean_m z_m^p the path
-    moments of a device of M = ``paths`` paths, as for
-    :func:`moment_reciprocal_mean`, for each c >= 0 of ``c``: a float for a
-    float, or an array of the shape of an array (inf gives 0).
-    Interpolated from a table of each path count, built on first use
-    (:func:`_moment_table`); within 1e-13 relative of mpmath at one path,
-    for c up to 1e300.  Below c = e^-40, c^2 E[m_4^2] is exact to rounding
-    (35/1152 at one path)."""
-    return _moment_mean(c, paths, (4, 4), 3)
-
-
-def quartic_third_moment_mean(c, paths: int):
-    """eta_M(c) = E[c^4 m_3^4 / (1 + c m_2)^5], m_p = mean_m z_m^p the path
-    moments of a device of M = ``paths`` paths, as for
-    :func:`moment_reciprocal_mean`, for each c >= 0 of ``c``: a float for a
-    float, or an array of the shape of an array (inf gives 0).
-    Interpolated from a table of each path count, built on first use
-    (:func:`_moment_table`); within 1e-13 relative of mpmath at one path,
-    for c up to 1e300.  Below c = e^-40, c^4 E[m_3^4] is exact to rounding
-    (231/13312 at one path)."""
-    return _moment_mean(c, paths, (3, 3, 3, 3), 5)
 
 
 @functools.cache

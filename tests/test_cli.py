@@ -9,6 +9,7 @@ from nbofdma import __version__, analytic, cli, montecarlo
 from nbofdma.analytic import capacity_upper, effective_useful_power, finite_n_ici
 from nbofdma.cli import main
 from nbofdma.montecarlo import Estimate
+from nbofdma.numerics import SURROGATE_TERMS
 
 GOOD = """
 sweep.axis = v_max
@@ -204,17 +205,27 @@ def test_check_flags_a_series_off_the_quadrature(monkeypatch, capsys):
     assert out.count("FAIL") == 1
 
 
+# the capacity's six surrogate means, by the names of their terms' means
+SURROGATE_MEANS = dict(zip(["h", "tau", "upsilon", "omega", "chi", "eta"], SURROGATE_TERMS,
+                           strict=True))
+
+
 @pytest.mark.parametrize("name,paths,off", [
-    ("moment_reciprocal_mean", 1, 1e-9), ("moment_reciprocal_mean", 8, 1e-2),
-    ("fourth_moment_mean", 1, 1e-9), ("fourth_moment_mean", 8, 1e-2),
-    ("third_moment_mean", 1, 1e-9), ("third_moment_mean", 8, 5e-2)])
+    ("h", 1, 1e-9), ("h", 8, 1e-2), ("tau", 1, 1e-9), ("tau", 8, 1e-2),
+    ("upsilon", 1, 1e-9), ("upsilon", 8, 5e-2), ("omega", 8, 3e-2), ("chi", 8, 3e-2),
+    ("eta", 8, 1e-1)])
 def test_check_flags_a_surrogate_mean_off_its_references(name, paths, off, monkeypatch, capsys):
     # 1e-9 off at one path fails the closed forms' 1e-12; at the cell's 8
     # paths, 1% off is about 20 standard errors of 2^16 draws of h_M at c =
-    # 1 and 8 of tau_M at c = 1500, and 5% off about 9 of upsilon_M there
-    exact = getattr(cli, name)
-    monkeypatch.setattr(cli, name,
-                        lambda c, m: exact(c, m) * (1.0 + off) if m == paths else exact(c, m))
+    # 1 and 8 of tau_M at c = 1500, 5% off about 9 of upsilon_M there, 3%
+    # off about 8 of omega_M and of chi_M there and 10% off about 8.7 of
+    # eta_M there
+    key, exact = SURROGATE_MEANS[name], cli.surrogate_mean
+
+    def drifted(c, m, orders=(), power=1):
+        value = exact(c, m, orders, power)
+        return value * (1.0 + off) if (m, (orders, power)) == (paths, key) else value
+    monkeypatch.setattr(cli, "surrogate_mean", drifted)
     assert main(["check", "--trials", "512"]) == 2
     out = capsys.readouterr().out
     assert "FAIL  capacity-surrogate-mean" in out

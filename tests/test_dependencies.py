@@ -14,19 +14,17 @@ sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 
 from nbofdma.cli import main
 from nbofdma.montecarlo import TrialPlan, estimate_ergodic_capacity
-from nbofdma.numerics import _moment_table, _reciprocal_table
+from nbofdma.numerics import _moment_table
 from nbofdma.sysmodel import CellConfig, MobilityModel, SystemConfig
 
 # importing builds no table of the surrogates' exact means; a moving
-# capacity scenario builds its path count's, h_M's, the two of second
+# capacity scenario builds its path count's six, h_M's, the two of second
 # order, tau_M's and upsilon_M's, and the three of third, omega_M's,
 # chi_M's and eta_M's, with numpy alone
-assert _reciprocal_table.cache_info().currsize == 0
 assert _moment_table.cache_info().currsize == 0
 est = estimate_ergodic_capacity(TrialPlan(trials=300, seed=1), SystemConfig(),
                                 CellConfig(), MobilityModel(max_velocity_mps=100.0))
-assert _reciprocal_table.cache_info().currsize == 1
-assert _moment_table.cache_info().currsize == 5
+assert _moment_table.cache_info().currsize == 6
 print("capacity", est.mean)
 sys.exit(main(["check", "--trials", "256"]))
 """

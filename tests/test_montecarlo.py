@@ -262,18 +262,20 @@ def test_estimates_do_not_depend_on_the_tile_size(monkeypatch):
 # to be formed as 1 / (t + 1 / u) and each mirrored pair's factors as one
 # quotient (montecarlo._pair_sums), and every capacity pin with a mid part
 # when its lines came to take two devices each; every moving capacity pin
-# moved when the +-1 and +-2 surrogates gained their third-order terms
+# moved when the +-1 and +-2 surrogates gained their third-order terms,
+# and in its last bits when h_M's table came to be built by the one
+# builder of every exact mean (numerics._moment_table)
 PINNED = {
     "ici": ("0x1.f47f860220b54p-8", "0x1.b6cf7051d6adbp-38"),  # 0.007637 +- 6.24e-12
     "ici_edge_3ghz": ("0x1.3578865949736p-7", "0x1.237278ea4db8fp-35"),  # 0.0094443 +- 3.31e-11
     "useful": ("0x1.fbfdde6c55bfdp-1", "0x1.08eed71cca964p-37"),  # 0.992171 +- 7.53e-12
-    "capacity": ("0x1.4a12f59400cb5p+2", "0x1.0ae5b5dc04093p-21"),  # 5.15741 +- 4.97e-07
-    "capacity_edge_3ghz": ("0x1.451aa0e6fc48ep+2", "0x1.ebb0d673d2507p-20"),  # 5.07975 +- 1.83e-06
-    "capacity_500hz": ("0x1.35e736722096cp+1", "0x1.385177b57e54bp-14"),  # 2.42112 +- 7.45e-05
+    "capacity": ("0x1.4a12f59400ca0p+2", "0x1.0ae5b5dc04112p-21"),  # 5.15741 +- 4.97e-07
+    "capacity_edge_3ghz": ("0x1.451aa0e6fc496p+2", "0x1.ebb0d673d251cp-20"),  # 5.07975 +- 1.83e-06
+    "capacity_500hz": ("0x1.35e7367220952p+1", "0x1.385177b57e4f1p-14"),  # 2.42112 +- 7.45e-05
     "symmetry_a": ("0x1.12506b7a7bf96p-12", "0x1.7d3cc519dfe72p-36"),  # 0.000261606 +- 2.17e-11
     "symmetry_b": ("0x1.12506928e0ccfp-12", "0x1.3e918c90479dap-36"),  # 0.000261606 +- 1.81e-11
-    "capacity_one_path": ("0x1.4bae3b3ea1d50p+2", "0x1.d96322cefbf18p-21"),  # 5.18251 +- 8.82e-07
-    "capacity_n2": ("0x1.535ba90a198f9p+2", "0x1.203d3868f51e6p-20"),  # 5.30247 +- 1.07e-06
+    "capacity_one_path": ("0x1.4bae3b3ea1d52p+2", "0x1.d96322cefbfd9p-21"),  # 5.18251 +- 8.82e-07
+    "capacity_n2": ("0x1.535ba90a198f4p+2", "0x1.203d3868f51e7p-20"),  # 5.30247 +- 1.07e-06
     "ici_n2": ("0x1.8754b5a39de49p-8", "0x1.35854963d6fdfp-38"),  # 0.00597124 +- 4.4e-12
 }
 
@@ -1117,16 +1119,13 @@ def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, pa
             second, third, fourth, _, sixth = part.moments
             for row, c in zip(terms.transpose(1, 0, 2), (1.0, 300.0)):
                 reciprocal = 1.0 / (1.0 + c * second)
-                for column, (value, exact) in enumerate((
-                        (reciprocal, numerics.moment_reciprocal_mean),
-                        (c * fourth * reciprocal ** 2, numerics.fourth_moment_mean),
-                        ((c * third * reciprocal) ** 2 * reciprocal, numerics.third_moment_mean),
-                        (c * sixth * reciprocal ** 2, numerics.sixth_moment_mean),
-                        ((c * fourth * reciprocal) ** 2 * reciprocal,
-                         numerics.squared_fourth_moment_mean),
-                        ((c * third * reciprocal) ** 4 * reciprocal,
-                         numerics.quartic_third_moment_mean))):
-                    value = value - exact(c, paths)
+                for column, (value, key) in enumerate(zip((
+                        reciprocal, c * fourth * reciprocal ** 2,
+                        (c * third * reciprocal) ** 2 * reciprocal, c * sixth * reciprocal ** 2,
+                        (c * fourth * reciprocal) ** 2 * reciprocal,
+                        (c * third * reciprocal) ** 4 * reciprocal), numerics.SURROGATE_TERMS,
+                        strict=True)):
+                    value = value - numerics.surrogate_mean(c, paths, *key)
                     row[:, column] += value.sum(), (value * value).sum()
     monkeypatch.setattr(montecarlo, "_near_columns", near_columns)
     cfg = SystemConfig(half_subcarriers=half_subcarriers)
@@ -1440,7 +1439,7 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(
             assert nodes[surrogate.window].tolist() == nodes[inside].tolist()
             own = c[:, None] * numerics.doppler_power_scale(x) / gaps ** 2  # (nodes, devices)
             assert surrogate.scale == pytest.approx(own[0] / nodes[0], rel=1e-15)
-            exact = np.prod(numerics.moment_reciprocal_mean(own, 8), axis=1)
+            exact = np.prod(numerics.surrogate_mean(own, 8), axis=1)
             assert surrogate.mean[surrogate.window] == pytest.approx(exact[window], rel=1e-14)
             assert np.all(surrogate.mean[~window] == 1.0)
             second = surrogate.moments[0]  # (trials, devices)
@@ -1486,11 +1485,8 @@ def test_the_factor_means_average_every_combination_of_the_parts_draws(
                                                              surrogate.odd ** 2)
             term_weights = [1.0, surrogate.even, surrogate.odd, surrogate.sixth, surrogate.square,
                             surrogate.quartic]
-            means = [numerics.moment_reciprocal_mean(own, 8), numerics.fourth_moment_mean(own, 8),
-                     numerics.third_moment_mean(own, 8), numerics.sixth_moment_mean(own, 8),
-                     numerics.squared_fourth_moment_mean(own, 8),
-                     numerics.quartic_third_moment_mean(own, 8)]
-            exact = sum(weight * mean for weight, mean in zip(term_weights, means))
+            exact = sum(weight * numerics.surrogate_mean(own, 8, *key)
+                        for weight, key in zip(term_weights, numerics.SURROGATE_TERMS, strict=True))
             assert surrogate.mean == pytest.approx((exact - 1.0)[window], rel=1e-14)
             second, third, fourth, _, sixth = (moment.T[..., None] for moment in surrogate.moments)
             reciprocal = 1.0 / (1.0 + own * second)

@@ -15,25 +15,21 @@ import pytest
 from nbofdma import montecarlo, numerics
 from nbofdma.sysmodel import CellConfig, sample_cell_batch
 from nbofdma.numerics import (
+    SURROGATE_TERMS,
     QuadratureError,
     QuadratureSpec,
     doppler_power_scale,
-    fourth_moment_mean,
     hamdi_basis,
     hamdi_factors,
     hamdi_rule,
     integrate,
-    moment_reciprocal_mean,
     odd_power_scale,
-    quartic_third_moment_mean,
     sin_pi,
     sinc,
     sinc_squared,
     sinc_squared_pair,
     sine_integral,
-    sixth_moment_mean,
-    squared_fourth_moment_mean,
-    third_moment_mean,
+    surrogate_mean,
 )
 
 # mpmath, dps=30
@@ -692,17 +688,21 @@ def test_cosine_laplace_matches_mpmath():
                 assert abs(value - exact) <= 2e-14 * exact + np.finfo(float).tiny, (paths, y)
 
 
-def test_moment_reciprocal_mean_at_one_path_is_its_closed_form():
+# numerics.SURROGATE_TERMS, the (orders, power) keys of the capacity's
+# surrogates, by the names of their means
+MEANS = dict(zip(["h", "tau", "upsilon", "omega", "chi", "eta"], SURROGATE_TERMS, strict=True))
+
+
+def test_reciprocal_mean_at_one_path_is_its_closed_form():
     # m_2 = u^2 cos^2 psi at one path, and E_psi[1 / (1 + b cos^2 psi)] =
     # 1 / sqrt(1 + b), so h_1(c) = E_u[1 / sqrt(1 + c u^2)] = asinh(sqrt c) / sqrt c
     scales = np.geomspace(1e-12, 1e300, 901)
     closed = np.arcsinh(np.sqrt(scales)) / np.sqrt(scales)
-    got = moment_reciprocal_mean(scales, 1)
+    got = surrogate_mean(scales, 1, *MEANS["h"])
     assert np.max(abs(got - closed) / closed) <= 1e-13
-    assert moment_reciprocal_mean(np.array([0.0, 1e-30, math.inf]), 1).tolist() \
-        == [1.0, 1.0, 0.0]
-    assert isinstance(moment_reciprocal_mean(2.0, 1), float)
-    assert moment_reciprocal_mean(np.ones((2, 3)), 8).shape == (2, 3)
+    assert surrogate_mean(np.array([0.0, 1e-30, math.inf]), 1).tolist() == [1.0, 1.0, 0.0]
+    assert isinstance(surrogate_mean(2.0, 1), float)
+    assert surrogate_mean(np.ones((2, 3)), 8).shape == (2, 3)
 
 
 def _reciprocal_mean_on_a_grid(c: float, paths: int) -> float:
@@ -722,14 +722,14 @@ def _reciprocal_mean_on_a_grid(c: float, paths: int) -> float:
 
 
 @pytest.mark.parametrize("paths", [2, 8])
-def test_moment_reciprocal_mean_matches_a_two_dimensional_route(paths):
+def test_reciprocal_mean_matches_a_two_dimensional_route(paths):
     for c in (1e-3, 1.0, 30.0, 1500.0, 1e6):
-        assert moment_reciprocal_mean(c, paths) \
+        assert surrogate_mean(c, paths) \
             == pytest.approx(_reciprocal_mean_on_a_grid(c, paths), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("paths", [1, 2, 8])
-def test_moment_reciprocal_mean_is_the_mean_over_drawn_devices(paths):
+def test_reciprocal_mean_is_the_mean_over_drawn_devices(paths):
     # 2^20 devices of the sampler, m_2 = mean_m z_m^2: at each c the sample
     # mean of 1 / (1 + c m_2) within 4 standard errors of h_M(c)
     rng = np.random.default_rng(1234 + paths)
@@ -739,7 +739,7 @@ def test_moment_reciprocal_mean_is_the_mean_over_drawn_devices(paths):
     for c in (1.0, 100.0, 1500.0):
         samples = 1.0 / (1.0 + c * second)
         error = samples.std(ddof=1) / math.sqrt(samples.size)
-        assert abs(samples.mean() - moment_reciprocal_mean(c, paths)) <= 4.0 * error
+        assert abs(samples.mean() - surrogate_mean(c, paths)) <= 4.0 * error
 
 
 def test_cosine_power_laplace_matches_mpmath():
@@ -806,22 +806,22 @@ def test_second_order_means_at_one_path_are_their_closed_forms():
                            float(1 / c - mpmath.mpf(15) / 8 * mpmath.asinh(root) / c ** 1.5
                                  + 7 / (8 * c * mpmath.sqrt(1 + c)) + 1 / (8 * (1 + c) ** 1.5))])
     closed = np.array(closed).T
-    for mean, exact in zip((fourth_moment_mean, third_moment_mean), closed):
-        assert np.max(abs(mean(scales, 1) - exact) / exact) <= 1e-14
-        assert mean(np.array([0.0, math.inf]), 1).tolist() == [0.0, 0.0]
-        assert isinstance(mean(2.0, 1), float)
-        assert mean(np.ones((2, 3)), 8).shape == (2, 3)
+    for key, exact in zip((MEANS["tau"], MEANS["upsilon"]), closed):
+        assert np.max(abs(surrogate_mean(scales, 1, *key) - exact) / exact) <= 1e-14
+        assert surrogate_mean(np.array([0.0, math.inf]), 1, *key).tolist() == [0.0, 0.0]
+        assert isinstance(surrogate_mean(2.0, 1, *key), float)
+        assert surrogate_mean(np.ones((2, 3)), 8, *key).shape == (2, 3)
     # below c = e^-40, c E[m_4] and c^2 E[m_3^2]
-    assert fourth_moment_mean(1e-30, 8) == 1e-30 * (3.0 / 40.0)
-    assert third_moment_mean(1e-30, 8) == 1e-30 ** 2 * (5.0 / (112.0 * 8))
+    assert surrogate_mean(1e-30, 8, *MEANS["tau"]) == 1e-30 * (3.0 / 40.0)
+    assert surrogate_mean(1e-30, 8, *MEANS["upsilon"]) == 1e-30 ** 2 * (5.0 / (112.0 * 8))
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 50.0, 1e4, 1e300])
 def test_second_order_means_at_eight_paths_match_mpmath(c):
-    assert fourth_moment_mean(c, 8) == pytest.approx(_second_order_mean_by_mpmath(c, 8, 2),
-                                                     rel=1e-14, abs=0.0)
-    assert third_moment_mean(c, 8) == pytest.approx(_second_order_mean_by_mpmath(c, 8, 3),
-                                                    rel=1e-14, abs=0.0)
+    assert surrogate_mean(c, 8, *MEANS["tau"]) \
+        == pytest.approx(_second_order_mean_by_mpmath(c, 8, 2), rel=1e-14, abs=0.0)
+    assert surrogate_mean(c, 8, *MEANS["upsilon"]) \
+        == pytest.approx(_second_order_mean_by_mpmath(c, 8, 3), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-6])
@@ -836,8 +836,9 @@ def test_second_order_means_at_eight_paths_meet_their_series(c):
               for k in range(3))
     upsilon = sum((-1) ** k * math.comb(k + 2, 2) * with_fractions ** (k + 2)
                   * Fraction(moment((3, 3) + (2,) * k)) for k in range(3))
-    assert fourth_moment_mean(c, 8) == pytest.approx(float(tau), rel=1e-14, abs=0.0)
-    assert third_moment_mean(c, 8) == pytest.approx(float(upsilon), rel=1e-14, abs=0.0)
+    assert surrogate_mean(c, 8, *MEANS["tau"]) == pytest.approx(float(tau), rel=1e-14, abs=0.0)
+    assert surrogate_mean(c, 8, *MEANS["upsilon"]) \
+        == pytest.approx(float(upsilon), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("paths", [1, 2, 8])
@@ -852,17 +853,16 @@ def test_second_order_means_are_the_means_over_drawn_devices(paths):
     second, third, fourth = (np.mean(shift ** p, axis=1) for p in (2, 3, 4))
     for c in (1.0, 100.0, 1500.0):
         reciprocal = 1.0 / (1.0 + c * second)
-        for samples, mean in ((c * fourth * reciprocal ** 2, fourth_moment_mean),
-                              ((c * third * reciprocal) ** 2 * reciprocal, third_moment_mean)):
+        for samples, key in ((c * fourth * reciprocal ** 2, MEANS["tau"]),
+                             ((c * third * reciprocal) ** 2 * reciprocal, MEANS["upsilon"])):
             error = samples.std(ddof=1) / math.sqrt(samples.size)
-            assert abs(samples.mean() - mean(c, paths)) <= 4.0 * error
+            assert abs(samples.mean() - surrogate_mean(c, paths, *key)) <= 4.0 * error
 
 
 # the third-order surrogates' columns W = c m_6 S^2, X = c^2 m_4^2 S^3 and
-# Y = c^4 m_3^4 S^5: each mean with its monomial's orders and its power j of S
-THIRD_ORDER = [(sixth_moment_mean, (6,), 2), (squared_fourth_moment_mean, (4, 4), 3),
-               (quartic_third_moment_mean, (3, 3, 3, 3), 5)]
+# Y = c^4 m_3^4 S^5: each mean's monomial orders and power j of S
 THIRD_ORDER_IDS = ["omega", "chi", "eta"]
+THIRD_ORDER = [MEANS[name] for name in THIRD_ORDER_IDS]
 
 
 def _one_path_mean_by_mpmath(mpmath, c: float, degree: int, power: int) -> float:
@@ -880,8 +880,8 @@ def _one_path_mean_by_mpmath(mpmath, c: float, degree: int, power: int) -> float
             * mpmath.acosh(1 / z), points))
 
 
-@pytest.mark.parametrize("mean,orders,power", THIRD_ORDER, ids=THIRD_ORDER_IDS)
-def test_third_order_means_at_one_path_match_mpmath(mean, orders, power):
+@pytest.mark.parametrize("orders,power", THIRD_ORDER, ids=THIRD_ORDER_IDS)
+def test_third_order_means_at_one_path_match_mpmath(orders, power):
     # from c = 1e-3 to 1e12 against mpmath; beyond, c^(j-1) m_2^(j+1) S^j =
     # (z^2 / c) (1 - S)^j at one path, whose mean is E[z^2] / c = 1 / 6c
     # less at most j E[z^2 S] / c <= j / c^2, so from c = 1e40 up to 1e300
@@ -889,22 +889,27 @@ def test_third_order_means_at_one_path_match_mpmath(mean, orders, power):
     mpmath = pytest.importorskip("mpmath")
     scales = np.geomspace(1e-3, 1e12, 31)
     exact = np.array([_one_path_mean_by_mpmath(mpmath, c, sum(orders), power) for c in scales])
-    assert np.max(abs(mean(scales, 1) - exact) / exact) <= 1e-13
+    assert np.max(abs(surrogate_mean(scales, 1, orders, power) - exact) / exact) <= 1e-13
     large = np.array([1e40, 1e100, 1e200, 1e300])
-    assert np.max(abs(mean(large, 1) * 6.0 * large - 1.0)) <= 1e-13
+    assert np.max(abs(surrogate_mean(large, 1, orders, power) * 6.0 * large - 1.0)) <= 1e-13
 
 
-@pytest.mark.parametrize("mean,orders,power", THIRD_ORDER, ids=THIRD_ORDER_IDS)
-def test_third_order_means_keep_their_limits_and_shapes(mean, orders, power):
-    # below c = e^-40, c^(j-1) E[X], E[X] the exact monomial mean (5/112,
-    # 35/1152 and 231/13312 at one path); 0 at c = 0 and at inf; a float
-    # for a float, an array of the shape of an array, and each value the
-    # same bits as alone
+@pytest.mark.parametrize("orders,power", MEANS.values(), ids=MEANS.keys())
+def test_surrogate_means_keep_their_limits_and_shapes(orders, power):
+    # below c = e^-40, c^(j-1) E[X], E[X] the exact monomial mean (1, 3/40,
+    # 5/112, 5/112, 35/1152 and 231/13312 at one path): so 1 at c = 0 for
+    # h_M and 0 for the others; 0 at inf; a float for a float, an array of
+    # the shape of an array, and each value the same bits as alone
     assert numerics._monomial_mean(orders, 1) \
-        == {(6,): 5 / 112, (4, 4): 35 / 1152, (3, 3, 3, 3): 231 / 13312}[orders]
+        == {(): 1.0, (4,): 3 / 40, (3, 3): 5 / 112, (6,): 5 / 112, (4, 4): 35 / 1152,
+            (3, 3, 3, 3): 231 / 13312}[orders]
+
+    def mean(c, paths):
+        return surrogate_mean(c, paths, orders, power)
     for paths in (1, 8):
-        assert mean(1e-30, paths) == 1e-30 ** (power - 1) * numerics._monomial_mean(orders, paths)
-        assert mean(np.array([0.0, math.inf]), paths).tolist() == [0.0, 0.0]
+        below = numerics._monomial_mean(orders, paths)
+        assert mean(1e-30, paths) == 1e-30 ** (power - 1) * below
+        assert mean(np.array([0.0, math.inf]), paths).tolist() == [0.0 ** (power - 1) * below, 0.0]
     scales = np.concatenate([[0.0, 1e-30], np.geomspace(1e-17, 1e300, 97), [math.inf]])
     assert mean(scales, 8).tolist() == [mean(float(c), 8) for c in scales]
     assert isinstance(mean(2.0, 8), float)
@@ -912,8 +917,8 @@ def test_third_order_means_keep_their_limits_and_shapes(mean, orders, power):
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-6])
-@pytest.mark.parametrize("mean,orders,power", THIRD_ORDER, ids=THIRD_ORDER_IDS)
-def test_third_order_means_at_eight_paths_meet_their_series(mean, orders, power, c):
+@pytest.mark.parametrize("orders,power", THIRD_ORDER, ids=THIRD_ORDER_IDS)
+def test_third_order_means_at_eight_paths_meet_their_series(orders, power, c):
     # E[c^(j-1) X S^j] = sum_k (-1)^k C(k + j - 1, j - 1) c^(j-1+k) E[X
     # m_2^k], from the exact monomial means; the next terms are below 1e-17
     # of these, and the table's patterns of equal path indices at 8 paths
@@ -923,7 +928,7 @@ def test_third_order_means_at_eight_paths_meet_their_series(mean, orders, power,
     series = sum((-1) ** k * math.comb(k + power - 1, power - 1)
                  * with_fractions ** (power - 1 + k) * Fraction(moment(orders + (2,) * k))
                  for k in range(3))
-    assert mean(c, 8) == pytest.approx(float(series), rel=1e-14, abs=0.0)
+    assert surrogate_mean(c, 8, orders, power) == pytest.approx(float(series), rel=1e-14, abs=0.0)
 
 
 def test_third_order_means_are_the_means_over_drawn_devices():
@@ -937,13 +942,11 @@ def test_third_order_means_are_the_means_over_drawn_devices():
     second, third, fourth, sixth = (np.mean(shift ** p, axis=1) for p in (2, 3, 4, 6))
     for c in (1.0, 100.0, 1500.0):
         reciprocal = 1.0 / (1.0 + c * second)
-        for samples, mean in ((c * sixth * reciprocal ** 2, sixth_moment_mean),
-                              ((c * fourth * reciprocal) ** 2 * reciprocal,
-                               squared_fourth_moment_mean),
-                              ((c * third * reciprocal) ** 4 * reciprocal,
-                               quartic_third_moment_mean)):
+        for samples, key in zip((c * sixth * reciprocal ** 2,
+                                 (c * fourth * reciprocal) ** 2 * reciprocal,
+                                 (c * third * reciprocal) ** 4 * reciprocal), THIRD_ORDER):
             error = samples.std(ddof=1) / math.sqrt(samples.size)
-            assert abs(samples.mean() - mean(c, 8)) <= 5.0 * error
+            assert abs(samples.mean() - surrogate_mean(c, 8, *key)) <= 5.0 * error
 
 
 def test_odd_power_scale_matches_mpmath():
