@@ -610,13 +610,14 @@ def _moment_table(paths: int, orders: tuple, power: int) -> np.ndarray:
 
     def values(lattice):  # L(y) = e^(jy) H(e^y) = M^j s^j H, s = e^y / M
         log_s = lattice - math.log(paths)
+        phi = _cosine_power_laplace(log_s, 0)
         total = np.zeros(lattice.shape)
         for weight, halves in patterns:
             head, *rest = halves or [0]  # S's empty monomial: s Psi_0 Psi_0^(M-1)
             term = _cosine_power_laplace(log_s, head, head - spare) * weight
             for half in rest:
                 term *= _cosine_power_laplace(log_s, half)
-            total += term * _cosine_power_laplace(log_s, 0) ** (paths - 1 - len(rest))
+            total += term * phi ** (paths - 1 - len(rest))
         return total
     table = _correlated(first, _MOMENT_STEP * rho, values)
     log_c = _REC_LOW + np.arange(table.size) * _REC_GRID
