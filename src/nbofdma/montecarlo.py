@@ -453,6 +453,24 @@ def _parts(sets: list[_DrawSet]) -> list[tuple[_DrawSet, _Part]]:
     return [(ds, part) for ds in sets for part in ds.parts]
 
 
+def _tile_shapes(trials: int, sets: list[_DrawSet], paths: int) -> list[tuple[int, int, int]]:
+    """Each part's largest kernel tile, (rows, devices, paths), on its set's
+    rows of a block of a run of ``trials`` trials (:func:`_device_powers`)."""
+    return [(row_tiles(min(trials, ds.rows), size * paths)[0].stop, size, paths)
+            for ds, part in _parts(sets) for size in [ds.columns[part.columns].size]]
+
+
+def _factor_edges(sets: list[_DrawSet], trials: int, nodes: int) -> list[int]:
+    """Where the capacity's factor pass lays out its arrays in the block
+    buffer (:func:`estimate_ergodic_capacity`), each on a 64-byte boundary:
+    the start of each part's (count, rows, ``nodes``) table on its set's
+    rows of a block of a run of ``trials`` trials, then of the scratch rows
+    (:func:`_scratch_rows`), and last the doubles they take."""
+    sizes = [part.count * min(trials, ds.rows) * nodes for ds, part in _parts(sets)] \
+        + [_scratch_rows(sets) * min(trials, sets[0].rows) * nodes]
+    return np.cumsum([0] + [-(-size // 8) * 8 for size in sizes]).tolist()
+
+
 def _scratch_rows(sets: list[_DrawSet]) -> int:
     """Rows of scratch the capacity's factor tables take
     (:func:`_part_factors`): six with a mid part, for the running products
@@ -497,27 +515,31 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     :attr:`_Part.summed`) and what its builder holds across blocks (a near
     part's five path moments a column, a far-style part's nine Taylor sums
     a row and the mid part's m_2 a device), and the tail's weights; the
-    kernel's four workspace tiles, five with a summed part, and one more
-    for its centre mask and the per-device vectors, of the largest part's
-    tile, and a gap tile a part (:func:`_device_powers`);
-    and the largest of a set's sampler (a slot for its speed fractions and
-    two scratch tiles of the set's), the shifts of a set of several parts,
-    held while they copy theirs out, and, for the capacity, its average.
-    Either estimator holds across blocks its Taylor tables and gaps (11
-    doubles a device).  A capacity block also holds, across blocks, the
-    folds' grams of each part's design [1, V] (:func:`_fold_solver`); its
-    average, once the sampler has let go of its slot and tiles, holds the
-    parts' factor tables on the rule at that SNR
-    (:func:`numerics.hamdi_rule`) with their scratch rows
-    (:func:`_scratch_rows`; the mid part's running products), the lines of
-    one part, the most (:func:`_line_doubles`), 26 more doubles a trial and the buffer
-    numpy takes for a broadcast update of a table (:func:`numpy.getbufsize`
-    doubles), and one part's fold sums or slopes beyond those the run
-    keeps, the largest (:func:`_fold_sums`)."""
+    interference's kernel workspace, four tiles of the largest part's
+    (:func:`_tile_shapes`), five with a summed part, and a gap tile a part
+    (:func:`_device_powers`), or the capacity's block buffer, the larger of
+    the kernel's four tiles and one gap tile and of the factor pass's
+    tables on the rule at that SNR (:func:`numerics.hamdi_rule`) and its
+    scratch rows (:func:`_factor_edges`, :func:`_scratch_rows`; the mid
+    part's running products); one tile more for the kernel's centre mask
+    and the per-device vectors; and the largest of a set's sampler (a slot
+    for its speed fractions and two scratch tiles of the set's), the shifts
+    of a set of several parts, held while they copy theirs out, and, for
+    the capacity, its average.  Either estimator holds across blocks its
+    Taylor tables and gaps (11 doubles a device).  A capacity block also
+    holds, across blocks, the folds' grams of each part's design [1, V]
+    (:func:`_fold_solver`); its average, once the sampler has let go of its
+    slot and tiles, holds beside the block buffer the lines of one part,
+    the most (:func:`_line_doubles`), 26 more doubles a trial and the
+    buffer numpy takes for a broadcast update of a table
+    (:func:`numpy.getbufsize` doubles), and one part's fold sums or slopes
+    beyond those the run keeps, the largest (:func:`_fold_sums`)."""
     sets = _layout("interference" if snr is None else "capacity",
                    subcarrier_gaps(0, devices // 2), paths)
     parts = [(ds, part, ds.columns[part.columns].size) for ds, part in _parts(sets)]
-    tiles = [row_tiles(ds.rows, size * paths)[0].stop * size * paths for ds, _, size in parts]
+    tiles = [math.prod(shape) for shape in _tile_shapes(BLOCK_TRIALS, sets, paths)]
+    tile = max(tiles, default=0)
+    kernel = (4 + any(part.summed for _, part, _ in parts)) * tile + sum(tiles)
     sampler = max((ds.rows * ds.columns.size
                    + 2 * row_tiles(ds.rows, ds.columns.size * paths)[0].stop
                    * ds.columns.size * paths for ds in sets), default=0)
@@ -531,14 +553,11 @@ def block_bytes(devices: int, paths: int, snr: float | None = None) -> int:
     if snr is not None:
         nodes = hamdi_rule(snr)[0].size
         held += _FOLDS * sum(part.count * (part.width + 1) ** 2 for _, part, _ in parts)
-        average = sum(ds.rows * part.count * nodes for ds, part, _ in parts) \
-            + BLOCK_TRIALS * (_scratch_rows(sets) * nodes + 26
-                              + max(_line_doubles(part, size) for _, part, size in parts)) \
+        kernel = max(5 * tile, _factor_edges(sets, BLOCK_TRIALS, nodes)[-1])
+        average = BLOCK_TRIALS * (26 + max(_line_doubles(part, size) for _, part, size in parts)) \
             + np.getbufsize() \
             + _FOLDS * max(part.count * (part.width + 1) for _, part, _ in parts) * nodes
-    workspace = 5 + any(part.summed for _, part, _ in parts)
-    return 8 * (draws + workspace * max(tiles, default=0) + sum(tiles)
-                + max(sampler, copied, average) + held)
+    return 8 * (draws + kernel + tile + max(sampler, copied, average) + held)
 
 
 def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
@@ -548,8 +567,9 @@ def run_bytes(trials: int, scenarios: int, devices: int, paths: int,
     :func:`block_bytes` counts them: what the run keeps of each part, its
     store [1, V] (:func:`_device_powers`) and per draw each scenario's
     samples, one a part record, and the larger of two: a block
-    (:func:`block_bytes`, the capacity's with ``snr``) with, for the
-    capacity, each scenario's node sums on its rule, the fold sums of
+    (:func:`block_bytes`, the capacity's with ``snr``, its one block
+    buffer among them) with, for the capacity, each scenario's node sums
+    on its rule, the fold sums of
     [1, V_i]^T F_i (:func:`_fold_sums`) and three vectors a part record,
     which go once the scenario's last block is done, and its surrogates'
     nine vectors on the rule, the near parts' exact means and the mid
@@ -658,7 +678,7 @@ def _far_columns(part, shift, tiles, weights, space, work, rows):
         far[:, column] = terms[:, 0] * terms[:, term] - table[0] @ table[term] * covariance
 
 
-def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
+def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets, lent=None):
     """Yield ``(k, rows, powers, weights)`` for scenario k, each but k a
     list over the parts of the draw ``sets`` (:func:`_layout`), set by set:
     its set's trials ``rows``; its per-(trial, column) power on the target
@@ -701,11 +721,18 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     (:func:`numerics.sinc_squared_pair`), and elsewhere adds the two-sided
     kernel's mirror to its values.  The kernel runs in a workspace
     allocated once per call: the offsets, output and scratch tiles, sized
-    to the largest part's, a fifth into which a summed part broadcasts its
-    gaps for the two-sided kernel, if a part is summed, and one (rows,
-    columns, paths) tile per part and distinct gap vector, of its gaps or,
-    for a summed part, of (pi g)^2 / 2; the builders form z^p tile by tile
-    in the offsets and output tiles, so no block-sized z^p is ever formed.
+    to the largest part's (:func:`_tile_shapes`), a fifth into which a
+    summed part broadcasts its gaps for the two-sided kernel, if a part is
+    summed, and one (rows, columns, paths) tile per part and distinct gap
+    vector, of its gaps or, for a summed part, of (pi g)^2 / 2; the
+    builders form z^p tile by tile in the offsets and output tiles, so no
+    block-sized z^p is ever formed.  A caller may instead lend the
+    workspace, ``lent``, a 64-byte aligned array of at least five of the
+    largest tiles, which it may overwrite between two yields (the
+    capacity's factor pass, :func:`estimate_ergodic_capacity`): then no
+    part keeps a gap tile, and each broadcasts its gaps into the fifth
+    tile for every scenario, so that the kernel reads nothing the caller
+    left there.
 
     Every estimator subtracts its zero-mean columns times cross-fitted
     slopes (Glasserman 2003, section 4.1; :func:`_fold_solver`), part by
@@ -730,13 +757,15 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
                    if ds.weighted.any() else None for ds in sets]
     held = [np.empty(part.held * n) for n, (_, part) in zip(rows_of, parts)]
     # the kernel's workspace, sized to the largest tile (the first of the
-    # first block); the gaps come as full tiles because numpy adds a row
-    # broadcast over the short path axis about three times slower
-    tile_shapes = [(row_tiles(n, devices.size * paths)[0].stop, devices.size, paths)
-                   for n, devices in zip(rows_of, columns)]
-    count = 4 + any(part.summed for _, part in parts)
+    # first block): four tiles, and a fifth for the gaps of a part that
+    # keeps no gap tile, a summed part's for the two-sided kernel or every
+    # part's in a ``lent`` workspace; the gaps come as full tiles because
+    # numpy adds a row broadcast over the short path axis about three times
+    # slower
+    tile_shapes = _tile_shapes(plan.trials, sets, paths)
+    count = 4 + (lent is not None or any(part.summed for _, part in parts))
     workspace = _aligned_empty((count * max((math.prod(shape) for shape in tile_shapes),
-                                            default=0),))
+                                            default=0),)) if lent is None else lent
     workspaces = [workspace[:count * math.prod(shape)].reshape((count,) + shape)
                   for shape in tile_shapes]
     # per scenario and part: whether it takes the pair form, as a summed
@@ -744,15 +773,17 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
     # so that every whole |g| >= 1 is at least twice the span, as the pair
     # form needs), and the gap tile it shares with the scenarios of the same
     # gaps: of (pi g)^2 / 2 for the pair form and of the gaps for a part
-    # that is not summed; a summed part that takes the two-sided kernel
-    # broadcasts its gaps into the fifth workspace tile instead
+    # that is not summed; a summed part that takes the two-sided kernel, and
+    # every part of a lent workspace, broadcasts its gaps into the fifth
+    # workspace tile instead, scenario by scenario
     gap_tiles, shared = [], {}
     for scenario_gaps, span in zip(gaps, spans):
         gap_tiles.append([])
         for i, (gap, shape) in enumerate(zip(scenario_gaps, tile_shapes)):
             summed = parts[i][1].summed
             paired = summed and span <= 0.5
-            key, sharing = (i, gap.tobytes()), span != 0.0 and (paired or not summed)
+            key = (i, gap.tobytes())
+            sharing = lent is None and span != 0.0 and (paired or not summed)
             if sharing and key not in shared:
                 tile = (math.pi * gap) ** 2 / 2.0 if paired else gap
                 shared[key] = np.broadcast_to(tile[:, None], shape).copy()
@@ -787,7 +818,7 @@ def _device_powers(plan: TrialPlan, cell: CellConfig, scenarios, gaps, sets):
                     continue
                 offsets, kernel, work = workspaces[i][0], workspaces[i][1], workspaces[i][2:4]
                 (paired, gap_tile), part = gap_tiles[k][i], parts[i][1]
-                if gap_tile is None:  # a summed part's gaps for the two-sided kernel
+                if gap_tile is None:  # a summed part's two-sided gaps, or a lent workspace's
                     gap_tile = workspaces[i][4]
                     gap_tile[:] = gaps[k][i][:, None]
                 for rows in tiles:
@@ -1503,17 +1534,20 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
              for _, part in parts}  # keyed by each part, in order
     moving = any(state.moving for state in states)
     scratch_rows, nodes = _scratch_rows(sets), max(state.rule[0].size for state in states)
-    for k, rows, powers, weights in _device_powers(plan, cell, scenarios, gaps, sets):
+    # one block buffer, which the kernel takes during its passes
+    # (:func:`_device_powers`: four tiles and a gap tile) and the factor
+    # pass between two of them: each part's factor table and the scratch rows
+    *edges, doubles = _factor_edges(sets, plan.trials, nodes)
+    tile = max(math.prod(shape) for shape in _tile_shapes(plan.trials, sets, cell.paths_per_device))
+    buffer = _aligned_empty((max(5 * tile, doubles),))
+    *tables, scratch = (buffer[start:] for start in edges)
+    for k, rows, powers, weights in _device_powers(plan, cell, scenarios, gaps, sets, buffer):
         state, last = states[k], rows[0].stop == plan.trials
         if k == 0:
             for (_, part), r in zip(parts, rows) if moving else ():
                 grams[part] += _fold_sums(part.V[r], part.V[r].transpose(1, 0, 2))
             if last and moving:
                 solvers = {part: _fold_solver(gram) for part, gram in grams.items()}
-            # each part's factor table, and the scratch rows; let go with the block
-            tables = [_aligned_empty((part.count * len(p) * nodes,))
-                      for (_, part), p in zip(parts, powers)]
-            scratch = _aligned_empty((scratch_rows * len(powers[0]) * nodes,))
         # a static scenario forms the target's row alone: the other factors
         # are exactly 1, and its fold sums, slopes and influences exactly 0
         used, size = (parts if state.moving else parts[:1]), state.rule[0].size
@@ -1559,16 +1593,16 @@ def estimate_ergodic_capacity(plan: TrialPlan, cfg: SystemConfig | list[SystemCo
                                     for totals, (ds, _) in zip(state.totals, used)])
             state.mean = state.rule[1] @ np.prod(means[order[:len(means)]], axis=0)
             beta = None  # the last part's slopes
-        if k == len(scenarios) - 1:
-            tables = table = t = scratch = None
-    # let the last block, its builders' buffers and the grams go before the fit
-    powers = weights = grams = solvers = None
+    # let the last block, its builders' buffers, the block buffer and the
+    # grams go before the fit
+    powers = weights = grams = solvers = buffer = tables = table = t = scratch = None
     for _, part in parts:
         part.moments = None
+    designs = [_by_fold(part.V) for _, part in parts]
     estimates = []
     for state in states:
-        residuals = [_residuals(_by_fold(part.V), y, state.slopes[part])
-                     for (_, part), y in zip(parts, state.influences)]
+        residuals = [_residuals(design, y, state.slopes[part])
+                     for design, (_, part), y in zip(designs, parts, state.influences)]
         estimates.append(Estimate(LOG2_E * float(state.mean), LOG2_E * _std_error(residuals),
                                   plan.trials))
     return estimates[0] if single else estimates

@@ -420,6 +420,34 @@ def test_the_scenarios_of_a_block_allocate_no_tile(coherent):
     assert peak < tile_bytes / 4
 
 
+@pytest.mark.parametrize("half_subcarriers,spacing", [(5, 2500.0), (199, 500.0)])
+def test_the_capacity_passes_share_its_block_buffer_in_turn(half_subcarriers, spacing,
+                                                            monkeypatch):
+    # the kernel and the factor pass take one block buffer in turn: NaN over
+    # all of it right after each kernel pass and again just before the next
+    # keeps every estimate's bits, so neither pass reads what the other left
+    # there, nor the kernel a gap tile of an earlier scenario or block; a
+    # moving group with a static scenario between two moving ones, over a
+    # full block and a partial one
+    cfg = SystemConfig(half_subcarriers=half_subcarriers, subcarrier_spacing_hz=spacing)
+    mobs = [MobilityModel(v) for v in (100.0, 0.0, 30.0)]
+    plan = TrialPlan(trials=300, seed=29)
+    clean = estimate_ergodic_capacity(plan, [cfg] * len(mobs), CELL, mobs)
+    device_powers, poisoned = montecarlo._device_powers, []
+
+    def poisoning(plan, cell, scenarios, gaps, sets, lent):
+        for powers in device_powers(plan, cell, scenarios, gaps, sets, lent):
+            lent[:] = np.nan
+            yield powers
+            lent[:] = np.nan
+            poisoned.append(powers[0])
+    monkeypatch.setattr(montecarlo, "_device_powers", poisoning)
+    got = estimate_ergodic_capacity(plan, [cfg] * len(mobs), CELL, mobs)
+    assert poisoned == [0, 1, 2] * 2
+    assert [(e.mean, e.std_error) for e in got] == [(e.mean, e.std_error) for e in clean]
+    assert clean[1].std_error == 0.0 < min(clean[0].std_error, clean[2].std_error)
+
+
 @pytest.mark.parametrize("half_subcarriers,paths",
                          [(5, 1), (40, 8), (150, 2), (400, 8), (1000, 1), (2000, 8)])
 @pytest.mark.parametrize("coherent", [False, True])
@@ -1002,9 +1030,9 @@ def _recorded(monkeypatch, plan, cfgs, cell, mobs):
         calls.append((table.copy(), rows, surrogate))
         return table
 
-    def record_sets(*args):
-        stored.extend(args[-1])
-        return draw(*args)
+    def record_sets(plan, cell, scenarios, gaps, sets, lent):
+        stored.extend(sets)
+        return draw(plan, cell, scenarios, gaps, sets, lent)
 
     with monkeypatch.context() as patched:
         patched.setattr(montecarlo, "_part_factors", record_tables)
@@ -1112,20 +1140,21 @@ def test_every_capacity_variate_has_mean_zero(half_subcarriers, target, near, pa
     monkeypatch.setattr(montecarlo, "_capacity_draws",
                         lambda half_subcarriers: (target_rounds, draws(half_subcarriers)[1]))
     terms, build = np.zeros((2, 2, 6)), montecarlo._near_columns  # (sum, square), c, term
+    exact = {c: [numerics.surrogate_mean(c, paths, *key) for key in numerics.SURROGATE_TERMS]
+             for c in (1.0, 300.0)}
 
     def near_columns(part, *args):
         build(part, *args)
         if part.mirrored:
             second, third, fourth, _, sixth = part.moments
-            for row, c in zip(terms.transpose(1, 0, 2), (1.0, 300.0)):
+            for row, (c, means) in zip(terms.transpose(1, 0, 2), exact.items()):
                 reciprocal = 1.0 / (1.0 + c * second)
-                for column, (value, key) in enumerate(zip((
+                for column, (value, mean) in enumerate(zip((
                         reciprocal, c * fourth * reciprocal ** 2,
                         (c * third * reciprocal) ** 2 * reciprocal, c * sixth * reciprocal ** 2,
                         (c * fourth * reciprocal) ** 2 * reciprocal,
-                        (c * third * reciprocal) ** 4 * reciprocal), numerics.SURROGATE_TERMS,
-                        strict=True)):
-                    value = value - numerics.surrogate_mean(c, paths, *key)
+                        (c * third * reciprocal) ** 4 * reciprocal), means, strict=True)):
+                    value = value - mean
                     row[:, column] += value.sum(), (value * value).sum()
     monkeypatch.setattr(montecarlo, "_near_columns", near_columns)
     cfg = SystemConfig(half_subcarriers=half_subcarriers)

@@ -345,8 +345,10 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # (M + 3) on its tail's 2N - 20 on 32, 5 doubles a trial and drawn near
     # draw and 1 a trial and mid device that it holds across blocks, no
     # weight on its main draws; either 11 a device
-    # across blocks, plus eight tiles (nine for the interference, whose
-    # mirrored parts' kernel takes a fifth workspace tile), against
+    # across blocks, plus for the interference nine tiles (its mirrored
+    # parts' kernel takes a fifth workspace tile, and each part a gap
+    # tile), and for the capacity one tile and its block buffer, the larger
+    # of five tiles and its factor tables and scratch rows, against
     # 1.75 GiB; montecarlo.run_bytes adds, at 100
     # trials of 2 grid points, each part's store [1, V] over the draws
     # padded to a multiple of 8 (10 doubles a draw for either interference
@@ -366,14 +368,14 @@ def test_leaks_nothing_shortcut_keeps_the_quadrature_answers(cfg):
     # block 1.75 GiB - 1.5 kB
     ("system.half_subcarriers = 1012389\ncell.paths_per_device = 1", "ici_mc", "run"),
     ("system.half_subcarriers = 1012390\ncell.paths_per_device = 1", "ici_mc", "block"),
-    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.61 GiB
-    ("system.half_subcarriers = 95198", "capacity_mc", None),   # 1.75 GiB - 3.0 kB
-    ("system.half_subcarriers = 95199", "capacity_mc", "run"),    # 1.75 GiB + 3.0 kB
-    ("system.half_subcarriers = 95227", "capacity_mc", "run"),   # block 1.75 GiB - 98 kB
-    ("system.half_subcarriers = 95228", "capacity_mc", "block"),   # 1.75 GiB + 24 B
-    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.20 and 0.61 GiB
+    ("system.half_subcarriers = 32767", "capacity_mc", None),   # 0.60 GiB
+    ("system.half_subcarriers = 95307", "capacity_mc", None),   # 1.75 GiB - 7.0 kB
+    ("system.half_subcarriers = 95308", "capacity_mc", "run"),    # 1.75 GiB + 135 kB
+    ("system.half_subcarriers = 95331", "capacity_mc", "run"),   # block 1.75 GiB - 132 kB
+    ("system.half_subcarriers = 95332", "capacity_mc", "block"),   # 1.75 GiB + 9.8 kB
+    ("system.half_subcarriers = 32767", "ici_mc, capacity_mc", None),   # 0.20 and 0.60 GiB
     ("system.half_subcarriers = 250000", "ici_mc", None),   # 1.50 GiB
-    # the capacity's 4.68 GiB
+    # the capacity's 4.59 GiB
     ("system.half_subcarriers = 250000", "ici_mc, capacity_mc", "block"),
     ("system.half_subcarriers = 43490\ncell.paths_per_device = 64", "ici_mc", None),
     ("system.half_subcarriers = 43491\ncell.paths_per_device = 64", "ici_mc", "block"),

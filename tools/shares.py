@@ -91,14 +91,14 @@ class Spies:
                     spies.kept.append(part)
             return sets
 
-        def device_powers(plan, cell, scenarios, gaps, sets):
+        def device_powers(plan, cell, scenarios, gaps, sets, lent=None):
             parts = mc._parts(sets)
             names = [spies.names.get(id(part)) for _, part in parts]
             spies.estimator = "capacity" if all(names) else "other"
             spies.kernel_names = {gap[ds.columns[part.columns]].tobytes(): name
                                   for gap in gaps for (ds, part), name in zip(parts, names)}
             spies.order = names
-            yield from originals["_device_powers"](plan, cell, scenarios, gaps, sets)
+            yield from originals["_device_powers"](plan, cell, scenarios, gaps, sets, lent)
 
         def kernel(gap, *args, **kwargs):
             name = spies.kernel_names.get(np.ascontiguousarray(gap[0, :, 0]).tobytes())
